@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint selflint allocs fmt clean
+.PHONY: all build test race lint burlint selflint allocs bench-smoke fmt clean
 
 all: build test lint
 
@@ -35,6 +35,13 @@ lint: burlint selflint
 # BENCH_allocs.json (see allocbench_test.go).
 allocs:
 	$(GO) test -run TestAllocBudget -count=1 -v .
+
+# bench-smoke builds and smoke-tests the end-to-end benchmark (bench/ is
+# a module of its own, which `go build ./... && go test ./...` skips), so
+# a change to an internal signature its micro-drivers call fails here.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 fmt:
 	gofmt -w $$(git ls-files '*.go')

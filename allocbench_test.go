@@ -27,19 +27,29 @@ import (
 	"burtree"
 )
 
-// benchAllocUpdateBatch drives steady-state batched updates against a
-// populated index; allocs/op is the allocation cost of one whole batch
+// batchIndex is the slice of the index API the batch-window benchmark
+// drives; Index and ConcurrentIndex both provide it.
+type batchIndex interface {
+	Insert(id uint64, p burtree.Point) error
+	Location(id uint64) (burtree.Point, bool)
+	UpdateBatch(changes []burtree.Change) (burtree.BatchResult, error)
+}
+
+// allocBenchObjects is the population of the batch-window benchmarks.
+const allocBenchObjects = 4096
+
+// allocBenchOptions are the options the batch-window benchmarks open
+// their index with.
+func allocBenchOptions(s burtree.Strategy) burtree.Options {
+	return burtree.Options{Strategy: s, ExpectedObjects: allocBenchObjects, BufferPages: 256}
+}
+
+// benchAllocUpdateBatch drives steady-state batched updates against x
+// once populated; allocs/op is the allocation cost of one whole batch
 // window (256 moves).
-func benchAllocUpdateBatch(b *testing.B, s burtree.Strategy, memtable bool) {
-	const n = 4096
+func benchAllocUpdateBatch(b *testing.B, x batchIndex, err error) {
+	const n = allocBenchObjects
 	const batch = 256
-	opts := burtree.Options{Strategy: s, ExpectedObjects: n, BufferPages: 256}
-	if memtable {
-		// A threshold the bench never trips: the gate measures the pure
-		// absorb path, not the amortized merge-down.
-		opts.Memtable = burtree.Memtable{Enabled: true, MaxObjects: 1 << 20}
-	}
-	x, err := burtree.Open(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,15 +78,31 @@ func benchAllocUpdateBatch(b *testing.B, s burtree.Strategy, memtable bool) {
 }
 
 func BenchmarkUpdateBatchAllocsGBU(b *testing.B) {
-	benchAllocUpdateBatch(b, burtree.GeneralizedBottomUp, false)
+	x, err := burtree.Open(allocBenchOptions(burtree.GeneralizedBottomUp))
+	benchAllocUpdateBatch(b, x, err)
 }
 
 func BenchmarkUpdateBatchAllocsLBU(b *testing.B) {
-	benchAllocUpdateBatch(b, burtree.LocalizedBottomUp, false)
+	x, err := burtree.Open(allocBenchOptions(burtree.LocalizedBottomUp))
+	benchAllocUpdateBatch(b, x, err)
+}
+
+// BenchmarkUpdateBatchAllocsConcurrentGBU is the same window through
+// ConcurrentIndex: plan, leaf-scoped group locks and exclusive residue
+// sections on top of the group pass — the path the sharded front-end
+// and the memtable merge-down run on.
+func BenchmarkUpdateBatchAllocsConcurrentGBU(b *testing.B) {
+	x, err := burtree.OpenConcurrent(allocBenchOptions(burtree.GeneralizedBottomUp))
+	benchAllocUpdateBatch(b, x, err)
 }
 
 func BenchmarkUpdateBatchAllocsMemtable(b *testing.B) {
-	benchAllocUpdateBatch(b, burtree.GeneralizedBottomUp, true)
+	opts := allocBenchOptions(burtree.GeneralizedBottomUp)
+	// A threshold the bench never trips: the gate measures the pure
+	// absorb path, not the amortized merge-down.
+	opts.Memtable = burtree.Memtable{Enabled: true, MaxObjects: 1 << 20}
+	x, err := burtree.Open(opts)
+	benchAllocUpdateBatch(b, x, err)
 }
 
 // BenchmarkUpdateBatchAllocsPhase drives batched updates through the
@@ -149,10 +175,11 @@ func BenchmarkUpdateBatchAllocsPhase(b *testing.B) {
 // allocBudgetBenches maps each budget entry in BENCH_allocs.json to
 // the benchmark that measures it.
 var allocBudgetBenches = map[string]func(*testing.B){
-	"UpdateBatchGBU":      BenchmarkUpdateBatchAllocsGBU,
-	"UpdateBatchLBU":      BenchmarkUpdateBatchAllocsLBU,
-	"UpdateBatchMemtable": BenchmarkUpdateBatchAllocsMemtable,
-	"UpdateBatchPhase":    BenchmarkUpdateBatchAllocsPhase,
+	"UpdateBatchGBU":           BenchmarkUpdateBatchAllocsGBU,
+	"UpdateBatchLBU":           BenchmarkUpdateBatchAllocsLBU,
+	"UpdateBatchConcurrentGBU": BenchmarkUpdateBatchAllocsConcurrentGBU,
+	"UpdateBatchMemtable":      BenchmarkUpdateBatchAllocsMemtable,
+	"UpdateBatchPhase":         BenchmarkUpdateBatchAllocsPhase,
 }
 
 // allocBudgetFile is the committed allocation-threshold schema.

@@ -425,18 +425,22 @@ func (x *ConcurrentIndex) Update(id uint64, p Point) error {
 
 // UpdateBatch moves many objects at once through the batched bottom-up
 // pipeline. Changes are coalesced to the last position per object and
-// grouped by target leaf; each group acquires its granule locks once —
-// the union of the members' movement cells plus the group's leaf and
-// parent page granules — and is applied in one bottom-up pass under the
-// shared latch, so a batch pays one lock acquisition and one leaf
-// read/write per group instead of one per object. Changes that need an
-// ascent or a top-down pass escalate to the exclusive path exactly as
-// Update does.
+// sorted into per-leaf runs with one hash probe each; each run acquires
+// its granule locks once — the union of the members' movement cells plus
+// the run's leaf and parent page granules, derived from the leaf — and
+// is applied in one bottom-up pass under the shared latch, so a batch
+// pays one lock acquisition and one leaf read/write per run instead of
+// one per object. Changes that need an ascent or a top-down pass are
+// applied after the runs under exclusive access, at most 32 per
+// exclusive section, so readers queued behind the batch get in between
+// sections.
 //
 // Every id must already be in the index; an unknown id fails the whole
 // batch before anything is applied. A batch is not atomic: concurrent
-// readers may observe a partially applied batch, and on error the
-// changes before the failure remain applied. Concurrent Update calls on
+// readers may observe any subset of its changes applied (each change
+// whole), and on error the changes applied before the failure — in leaf
+// order, not the caller's — remain applied and are the ones logged and
+// counted in BatchResult.Applied. Concurrent Update calls on
 // ids that are also in the batch race with it (last writer wins);
 // callers that need per-object ordering serialize their own access, as
 // with Update.
@@ -472,8 +476,8 @@ func (x *ConcurrentIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 	res.GroupResolved = st.GroupResolved
 	res.Fallback = st.LocalFallback + st.Sequential
 	res.PageIO = foregroundPages(x.pagesNow()-prePages, x.bgPages.Load()-preBG)
-	// One record covers the applied prefix — all of the batch on
-	// success, exactly the changes before the failure otherwise.
+	// One record covers exactly the applied changes — all of the batch
+	// on success, those applied before the failure otherwise.
 	if werr := x.logAppend(wal.TypeBatch, applied); werr != nil {
 		return res, errors.Join(err, werr)
 	}

@@ -5,11 +5,22 @@
 //
 // Granule layout: granule 0 is the whole tree ("external" granule); the
 // unit square is tiled into an N×N grid whose cells stand in for the
-// paper's leaf granules. Updates take IX on the tree and X on the cells
-// covering the old and new positions; queries take IS on the tree and S
-// on the cells covering the window. Cell ids are acquired in sorted
-// order, which makes the protocol deadlock-free; timeouts remain as a
-// safety net and are surfaced in the stats.
+// paper's leaf granules; above the cells sit the tree's page granules.
+// Updates take IX on the tree, X on the cells covering the old and new
+// positions and X on the leaf's page scope; queries take IS on the tree
+// and S on the cells covering the window. Granules are acquired in id
+// order (tree, cells, pages), which makes the protocol deadlock-free;
+// timeouts remain as a safety net and are surfaced in the stats.
+//
+// A write is applied once. It is resolved to its leaf, the leaf's scope
+// (core.GroupApplier.LeafScope) is locked, and whatever is confined to
+// that scope is applied under the shared latch — one object for Update,
+// a whole leaf run for UpdateBatch. What the scope cannot hold (ascent,
+// top-down pass, an object that changed leaves meanwhile) is the
+// residue, applied by the strategy's full Update under X on the tree
+// granule and the exclusive latch in sections of at most residueSection
+// changes, so a reader waits for a bounded slice of a batch's
+// escalations, never for all of them.
 //
 // Physical integrity is provided by a coarse reader-writer latch: the
 // paper's interest is the throughput effect of cheaper updates (shorter
@@ -20,7 +31,7 @@ package concurrent
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,6 +139,17 @@ func (d *DB) pageGranule(p rtree.PageID) dgl.GranuleID {
 	return dgl.GranuleID(1<<32) + dgl.GranuleID(p)
 }
 
+// residueSection bounds the changes one exclusive section applies. The
+// section holds X on the tree granule, which every reader conflicts with
+// (Search through IS, Nearest through S): 32 escalated changes are a few
+// hundred microseconds, and the section is released and re-queued behind
+// any waiting reader before the next one starts.
+const residueSection = 32
+
+// maxAttempts bounds the lock retries of one leaf scope or one
+// exclusive section after timeouts.
+const maxAttempts = 8
+
 // Update moves an object. Bottom-up strategies first attempt the local
 // path in parallel: IX on the tree, X on the movement cells, X on the
 // object's leaf and parent page granules, all under the shared physical
@@ -138,14 +160,9 @@ func (d *DB) pageGranule(p rtree.PageID) dgl.GranuleID {
 // updates at all (TD), the operation escalates to X on the tree granule
 // plus the exclusive latch.
 func (d *DB) Update(oid rtree.OID, old, new geom.Point) error {
-	cells := []dgl.GranuleID{d.cellOf(old), d.cellOf(new)}
-	if cells[0] == cells[1] {
-		cells = cells[:1]
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
-
-	if lu, ok := d.u.(core.LocalUpdater); ok {
-		done, err := d.tryLocal(lu, oid, old, new, cells)
+	c := core.BatchChange{OID: oid, Old: old, New: new}
+	if ga, ok := d.u.(core.GroupApplier); ok {
+		done, err := d.tryLocal(ga, c)
 		if done || err != nil {
 			if err == nil {
 				d.updates.Add(1)
@@ -154,97 +171,150 @@ func (d *DB) Update(oid rtree.OID, old, new geom.Point) error {
 			return err
 		}
 	}
-
-	// Escalate: exclusive over the whole index.
-	const maxAttempts = 8
-	for attempt := 0; ; attempt++ {
-		txn := d.lm.Begin()
-		err := d.lm.Acquire(txn, TreeGranule, dgl.X, d.timeout)
-		if err == nil {
-			d.latch.Lock()
-			err = d.u.Update(oid, old, new)
-			d.latch.Unlock()
-			d.lm.ReleaseAll(txn)
-			if err == nil {
-				d.updates.Add(1)
-				d.escalated.Add(1)
-			}
-			return err
-		}
-		d.lm.ReleaseAll(txn)
-		d.timeouts.Add(1)
-		if attempt+1 >= maxAttempts {
-			return fmt.Errorf("concurrent: update %d: %w", oid, err)
-		}
-		d.retries.Add(1)
-	}
+	var st core.BatchStats
+	return d.applyResidue([]core.BatchChange{c}, &st, nil)
 }
 
-// tryLocal attempts the fine-grained path: lock the movement cells and
-// the leaf/parent page granules, re-validate the scope (the object may
-// have moved leaves between lookup and lock), then run the strategy's
-// local update under the shared latch.
-func (d *DB) tryLocal(lu core.LocalUpdater, oid rtree.OID, old, new geom.Point, cells []dgl.GranuleID) (bool, error) {
-	const maxAttempts = 8
+// tryLocal attempts the fine-grained path for one object: resolve its
+// leaf, lock the leaf's scope and run the strategy's local update on
+// that leaf under the shared latch. It reports false, with the tree
+// untouched, when the update has to escalate.
+func (d *DB) tryLocal(ga core.GroupApplier, c core.BatchChange) (bool, error) {
+	d.latch.RLock()
+	leaf, err := ga.LeafOf(c.OID)
+	d.latch.RUnlock()
+	if err != nil {
+		// Unknown object or bookkeeping failure: let the exclusive path
+		// produce the definitive error.
+		return false, nil
+	}
+	cells := [2]dgl.GranuleID{d.cellOf(c.Old), d.cellOf(c.New)}
+	txn, ok := d.lockLeaf(ga, leaf, sortedCells(cells[:]))
+	if !ok {
+		return false, nil
+	}
+	// An object that left the leaf before the locks were granted is
+	// declined here (its entry is gone), like any non-local outcome.
+	done, err := ga.UpdateAtLeaf(leaf, c, true)
+	d.latch.RUnlock()
+	d.lm.ReleaseAll(txn)
+	return done, err
+}
+
+// sortedCells sorts and deduplicates a cell list in place, giving the
+// acquisition order.
+func sortedCells(cells []dgl.GranuleID) []dgl.GranuleID {
+	slices.Sort(cells)
+	return slices.Compact(cells)
+}
+
+// lockLeaf takes the fine-grained locks of one leaf: IX on the tree, X
+// on cells (sorted) and X on the page granules of the leaf's scope. The
+// scope is read before locking and again under the locks; when the two
+// agree — nobody re-parented the leaf in between — it returns with the
+// locks and the shared latch held, and the caller releases both once it
+// has applied its work. It reports false, holding nothing, when the
+// scope cannot be read or the locks keep timing out: the work then
+// belongs to the exclusive path.
+func (d *DB) lockLeaf(ga core.GroupApplier, leaf rtree.PageID, cells []dgl.GranuleID) (*dgl.Txn, bool) {
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		d.latch.RLock()
-		scope, err := lu.LocalScope(oid)
+		scope, err := ga.LeafScope(leaf)
 		d.latch.RUnlock()
 		if err != nil {
-			// Unknown object or bookkeeping failure: let the exclusive
-			// path produce the definitive error.
-			return false, nil
+			return nil, false
 		}
-		granules := make([]dgl.GranuleID, 0, len(scope))
-		for _, p := range scope {
-			granules = append(granules, d.pageGranule(p))
-		}
-		sort.Slice(granules, func(i, j int) bool { return granules[i] < granules[j] })
+		slices.Sort(scope)
 
 		txn := d.lm.Begin()
-		if err := d.lockAll(txn, dgl.IX, dgl.X, append(append([]dgl.GranuleID{}, cells...), granules...)); err != nil {
+		if err := d.lockAll(txn, dgl.IX, dgl.X, cells, scope); err != nil {
 			d.lm.ReleaseAll(txn)
 			d.timeouts.Add(1)
 			d.retries.Add(1)
 			continue
 		}
-		// Re-validate under the locks.
 		d.latch.RLock()
-		scope2, err := lu.LocalScope(oid)
-		if err != nil || !samePages(scope, scope2) {
-			d.latch.RUnlock()
-			d.lm.ReleaseAll(txn)
-			if err != nil {
-				return false, nil
+		again, err := ga.LeafScope(leaf)
+		if err == nil {
+			slices.Sort(again)
+			if slices.Equal(scope, again) {
+				return txn, true
 			}
-			d.retries.Add(1)
-			continue
 		}
-		done, err := lu.TryLocalUpdate(oid, old, new)
 		d.latch.RUnlock()
 		d.lm.ReleaseAll(txn)
-		return done, err
+		if err != nil {
+			return nil, false
+		}
+		d.retries.Add(1)
 	}
-	return false, nil // give up on the fine path; escalate
+	return nil, false
 }
 
-func samePages(a, b []rtree.PageID) bool {
-	if len(a) != len(b) {
-		return false
+// lockTree takes X on the tree granule for an exclusive section,
+// retrying timed-out requests.
+func (d *DB) lockTree() (*dgl.Txn, error) {
+	for attempt := 0; ; attempt++ {
+		txn := d.lm.Begin()
+		err := d.lm.Acquire(txn, TreeGranule, dgl.X, d.timeout)
+		if err == nil {
+			return txn, nil
+		}
+		d.lm.ReleaseAll(txn)
+		d.timeouts.Add(1)
+		if attempt+1 >= maxAttempts {
+			return nil, err
+		}
+		d.retries.Add(1)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+}
+
+// applyResidue applies the changes the fine-grained path could not hold
+// through the strategy's full Update, in exclusive sections of at most
+// residueSection changes: X on the tree granule plus the exclusive
+// latch, taken once per section instead of once per change. done runs
+// after the section's latch is released.
+func (d *DB) applyResidue(cs []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) error {
+	for len(cs) > 0 {
+		section := cs[:min(len(cs), residueSection)]
+		cs = cs[len(section):]
+
+		txn, err := d.lockTree()
+		if err != nil {
+			return fmt.Errorf("concurrent: update %d: %w", section[0].OID, err)
+		}
+		applied := 0
+		d.latch.Lock()
+		for _, c := range section {
+			if err = d.u.Update(c.OID, c.Old, c.New); err != nil {
+				break
+			}
+			applied++
+		}
+		d.latch.Unlock()
+		d.lm.ReleaseAll(txn)
+
+		d.updates.Add(int64(applied))
+		d.escalated.Add(int64(applied))
+		st.Changes += applied
+		st.Sequential += applied
+		if done != nil {
+			for _, c := range section[:applied] {
+				done(c)
+			}
+		}
+		if err != nil {
+			return err
 		}
 	}
-	return true
+	return nil
 }
 
 // Insert adds an object under IX(tree) + X(cell).
 func (d *DB) Insert(oid rtree.OID, p geom.Point) error {
 	txn := d.lm.Begin()
 	defer d.lm.ReleaseAll(txn)
-	if err := d.lockAll(txn, dgl.IX, dgl.X, []dgl.GranuleID{d.cellOf(p)}); err != nil {
+	if err := d.lockAll(txn, dgl.IX, dgl.X, []dgl.GranuleID{d.cellOf(p)}, nil); err != nil {
 		return err
 	}
 	d.latch.Lock()
@@ -256,7 +326,7 @@ func (d *DB) Insert(oid rtree.OID, p geom.Point) error {
 func (d *DB) Delete(oid rtree.OID, at geom.Point) error {
 	txn := d.lm.Begin()
 	defer d.lm.ReleaseAll(txn)
-	if err := d.lockAll(txn, dgl.IX, dgl.X, []dgl.GranuleID{d.cellOf(at)}); err != nil {
+	if err := d.lockAll(txn, dgl.IX, dgl.X, []dgl.GranuleID{d.cellOf(at)}, nil); err != nil {
 		return err
 	}
 	d.latch.Lock()
@@ -273,7 +343,7 @@ func (d *DB) Delete(oid rtree.OID, at geom.Point) error {
 func (d *DB) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool) error {
 	txn := d.lm.Begin()
 	defer d.lm.ReleaseAll(txn)
-	if err := d.lockAll(txn, dgl.IS, dgl.S, d.cellsOfRect(q)); err != nil {
+	if err := d.lockAll(txn, dgl.IS, dgl.S, d.cellsOfRect(q), nil); err != nil {
 		return err
 	}
 	d.latch.RLock()
@@ -339,8 +409,9 @@ func (d *DB) View(fn func(core.Updater)) {
 	fn(d.u)
 }
 
-// lockAll takes the tree intention lock then the cell locks in order.
-func (d *DB) lockAll(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.GranuleID) error {
+// lockAll takes the tree intention lock, then the cell locks, then the
+// page granules, each list in the (sorted) order given.
+func (d *DB) lockAll(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.GranuleID, pages []rtree.PageID) error {
 	if err := d.lm.Acquire(txn, TreeGranule, treeMode, d.timeout); err != nil {
 		return err
 	}
@@ -349,204 +420,114 @@ func (d *DB) lockAll(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.Gran
 			return err
 		}
 	}
+	for _, p := range pages {
+		if err := d.lm.Acquire(txn, d.pageGranule(p), cellMode, d.timeout); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// UpdateBatch applies an already-coalesced batch of moves, acquiring
-// granule locks per leaf-group instead of per object: the changes are
-// grouped by target leaf under the shared latch, then each group locks
-// the union of its movement cells plus the group's leaf and parent page
-// granules once, applies the whole group bottom-up (the strategy's
-// group pass, then per-object local attempts on the still-buffered
-// leaf), and only the changes that need an ascent or a top-down pass
-// escalate to the exclusive path. Strategies without batch support run
-// change by change through Update.
+// UpdateBatch applies an already-coalesced batch of moves, resolving,
+// locking and applying each change once. The batch is planned under the
+// shared latch (core.PlanBatch: one hash probe per change, changes
+// sorted into per-leaf runs); each run then locks its own scope once —
+// IX on the tree, X on the union of its members' movement cells, X on
+// the leaf's and its parent's page granules, the pages derived from the
+// leaf and re-read under the locks — and is applied bottom-up under the
+// shared latch: the strategy's group pass, then per-object local
+// attempts on the still-buffered leaf. Members the run cannot hold — an
+// ascent or a top-down pass, an object that left the leaf after
+// planning, a scope whose locks kept timing out — join the batch's
+// residue, which is applied after the runs in bounded exclusive sections
+// (applyResidue) together with the changes that have no secondary-index
+// entry. Strategies without batch support (TD) are all residue.
 //
-// done, when non-nil, is invoked after each change is applied; on error
-// the batch stops, so done has been called exactly for the applied
-// prefix (a batch is not atomic).
+// A concurrent reader can observe any subset of the batch's changes
+// applied, each whole: runs become visible one by one in leaf-page
+// order, the residue afterwards in sections; a reader never sees an
+// object at neither or both of its positions beyond what the strategy's
+// sibling-first shift order already allows.
+//
+// done, when non-nil, is invoked once per applied change after the
+// latch that covered it is released, in application order (leaf order,
+// then residue — not the caller's order). On error the batch stops:
+// done has been called for exactly the applied changes (a batch is not
+// atomic).
 func (d *DB) UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)) (core.BatchStats, error) {
 	var st core.BatchStats
-	ga, gok := d.u.(core.GroupApplier)
-	lu, lok := d.u.(core.LocalUpdater)
-	if !gok || !lok {
-		return st, d.applySequential(changes, &st, done)
+	ga, ok := d.u.(core.GroupApplier)
+	if !ok {
+		return st, d.applyResidue(changes, &st, done)
 	}
 
-	// Group by leaf under the shared latch (hash reads only).
-	type group struct {
-		leaf    rtree.PageID
-		changes []core.BatchChange
-	}
-	at := make(map[rtree.PageID]int)
-	var groups []group
-	var loose []core.BatchChange
 	d.latch.RLock()
-	for _, c := range core.OrderForGrouping(d.u, changes) {
-		leaf, err := ga.LeafOf(c.OID)
-		if err != nil {
-			loose = append(loose, c) // let Update produce the definitive error
-			continue
-		}
-		j, ok := at[leaf]
-		if !ok {
-			j = len(groups)
-			at[leaf] = j
-			groups = append(groups, group{leaf: leaf})
-		}
-		groups[j].changes = append(groups[j].changes, c)
-	}
+	plan := core.PlanBatch(d.u, ga, changes)
 	d.latch.RUnlock()
-	sort.Slice(groups, func(i, j int) bool { return groups[i].leaf < groups[j].leaf })
 
-	for _, g := range groups {
+	var residue []core.BatchChange
+	for _, run := range plan.Runs {
 		st.Groups++
-		if err := d.applyGroup(ga, lu, g.leaf, g.changes, &st, done); err != nil {
+		var err error
+		if residue, err = d.applyGroup(ga, run, residue, &st, done); err != nil {
 			return st, err
 		}
 	}
-	return st, d.applySequential(loose, &st, done)
+	return st, d.applyResidue(append(residue, plan.Loose...), &st, done)
 }
 
-// applySequential applies changes one by one through the per-object
-// Update path (which does its own locking and escalation), keeping the
-// batch accounting.
-func (d *DB) applySequential(cs []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) error {
-	for _, c := range cs {
-		if err := d.Update(c.OID, c.Old, c.New); err != nil {
-			return err
-		}
-		st.Changes++
-		st.Sequential++
-		if done != nil {
-			done(c)
+// applyGroup locks one leaf run's scope and resolves as much of the run
+// as the scope can hold under the shared latch; the members it cannot
+// are appended to residue, which is returned.
+//
+//burlint:hotpath
+func (d *DB) applyGroup(ga core.GroupApplier, run core.LeafRun, residue []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) ([]core.BatchChange, error) {
+	cells := make([]dgl.GranuleID, 0, 2*len(run.Changes))
+	for _, c := range run.Changes {
+		cells = append(cells, d.cellOf(c.Old), d.cellOf(c.New))
+	}
+	txn, ok := d.lockLeaf(ga, run.Leaf, sortedCells(cells))
+	if !ok {
+		return append(residue, run.Changes...), nil
+	}
+	// The group pass declines a member whose entry is no longer in the
+	// leaf, and a leaf page that was freed or recycled declines them all,
+	// so membership needs no second probe. Declined members get a
+	// per-object local attempt while the leaf is still buffered and the
+	// granules are still held.
+	mark := len(residue)
+	declined, err := ga.ApplyLeafGroup(run.Leaf, run.Changes)
+	if err == nil {
+		for _, c := range declined {
+			var held bool
+			if held, err = ga.UpdateAtLeaf(run.Leaf, c, true); err != nil {
+				break
+			}
+			if !held {
+				residue = append(residue, c)
+			}
 		}
 	}
-	return nil
-}
-
-// applyGroup locks one leaf-group's scope — IX on the tree, X on the
-// movement cells of every member, X on the leaf and parent page
-// granules — and resolves as much of the group as possible under the
-// shared latch. Members that moved leaves in the meantime or need
-// non-local work are handed to the per-object Update path afterwards.
-func (d *DB) applyGroup(ga core.GroupApplier, lu core.LocalUpdater, leaf rtree.PageID, group []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) error {
-	escalateAll := func(cs []core.BatchChange) error { return d.applySequential(cs, st, done) }
-
-	// The union of the group's movement cells, sorted and deduplicated.
-	cellSet := make(map[dgl.GranuleID]bool, 2*len(group))
-	for _, c := range group {
-		cellSet[d.cellOf(c.Old)] = true
-		cellSet[d.cellOf(c.New)] = true
+	d.latch.RUnlock()
+	d.lm.ReleaseAll(txn)
+	if err != nil {
+		return residue, err
 	}
-	cells := make([]dgl.GranuleID, 0, len(cellSet))
-	for id := range cellSet {
-		cells = append(cells, id)
-	}
-	sort.Slice(cells, func(i, j int) bool { return cells[i] < cells[j] })
 
-	const maxAttempts = 8
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		d.latch.RLock()
-		scope, err := lu.LocalScope(group[0].OID)
-		d.latch.RUnlock()
-		if err != nil {
-			return escalateAll(group)
-		}
-		// The granules to lock are the GROUP's leaf and its parent. If
-		// group[0]'s object has already moved to another leaf, its scope
-		// no longer names this group's pages — locking it would let the
-		// remaining members write the original leaf without holding its
-		// granule. Escalate instead; each member then locks for itself.
-		if len(scope) == 0 || scope[0] != leaf {
-			return escalateAll(group)
-		}
-		granules := make([]dgl.GranuleID, 0, len(scope))
-		for _, p := range scope {
-			granules = append(granules, d.pageGranule(p))
-		}
-		sort.Slice(granules, func(i, j int) bool { return granules[i] < granules[j] })
-
-		txn := d.lm.Begin()
-		if err := d.lockAll(txn, dgl.IX, dgl.X, append(append([]dgl.GranuleID{}, cells...), granules...)); err != nil {
-			d.lm.ReleaseAll(txn)
-			d.timeouts.Add(1)
-			d.retries.Add(1)
-			continue
-		}
-		// Re-validate under the locks: the scope must be unchanged and
-		// every member must still live in this leaf; stragglers escalate.
-		d.latch.RLock()
-		scope2, err := lu.LocalScope(group[0].OID)
-		if err != nil || !samePages(scope, scope2) {
-			d.latch.RUnlock()
-			d.lm.ReleaseAll(txn)
-			if err != nil {
-				return escalateAll(group)
-			}
-			d.retries.Add(1)
-			continue
-		}
-		var members, stale []core.BatchChange
-		for _, c := range group {
-			if pg, err := ga.LeafOf(c.OID); err == nil && pg == leaf {
-				members = append(members, c)
-			} else {
-				stale = append(stale, c)
-			}
-		}
-		var groupResolved, localResolved, unresolved []core.BatchChange
-		if len(members) > 0 {
-			un, err := ga.ApplyLeafGroup(leaf, members)
-			if err != nil {
-				d.latch.RUnlock()
-				d.lm.ReleaseAll(txn)
-				return err
-			}
-			declined := make(map[rtree.OID]bool, len(un))
-			for _, c := range un {
-				declined[c.OID] = true
-			}
-			for _, c := range members {
-				if !declined[c.OID] {
-					groupResolved = append(groupResolved, c)
-				}
-			}
-			// Per-object local attempts while the leaf is still buffered
-			// and the granules are still held.
-			for _, c := range un {
-				ok, err := ga.UpdateAtLeaf(leaf, c, true)
-				if err != nil {
-					d.latch.RUnlock()
-					d.lm.ReleaseAll(txn)
-					return err
-				}
-				if ok {
-					localResolved = append(localResolved, c)
-				} else {
-					unresolved = append(unresolved, c)
-				}
-			}
-		}
-		d.latch.RUnlock()
-		d.lm.ReleaseAll(txn)
-
-		st.GroupResolved += len(groupResolved)
-		st.LocalFallback += len(localResolved)
-		for _, c := range append(groupResolved, localResolved...) {
-			d.updates.Add(1)
-			d.local.Add(1)
-			d.batched.Add(1)
-			st.Changes++
-			if done != nil {
+	grouped := len(run.Changes) - len(declined)
+	resolved := len(run.Changes) - (len(residue) - mark)
+	st.GroupResolved += grouped
+	st.LocalFallback += resolved - grouped
+	st.Changes += resolved
+	d.updates.Add(int64(resolved))
+	d.local.Add(int64(resolved))
+	d.batched.Add(int64(resolved))
+	if done != nil {
+		for _, c := range run.Changes {
+			if !core.HasOID(residue[mark:], c.OID) {
 				done(c)
 			}
 		}
-		if err := escalateAll(stale); err != nil {
-			return err
-		}
-		return escalateAll(unresolved)
 	}
-	// Lock acquisition kept failing; take the per-object path.
-	return escalateAll(group)
+	return residue, nil
 }

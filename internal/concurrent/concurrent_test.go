@@ -298,3 +298,221 @@ func TestBatchUpdateUnderConcurrency(t *testing.T) {
 		})
 	}
 }
+
+// positions reads every stored object back through a whole-space Search.
+func positions(t *testing.T, db *DB) map[rtree.OID]geom.Point {
+	t.Helper()
+	got := map[rtree.OID]geom.Point{}
+	all := geom.Rect{MinX: -100, MinY: -100, MaxX: 100, MaxY: 100}
+	err := db.Search(all, func(oid rtree.OID, r geom.Rect) bool {
+		if _, dup := got[oid]; dup {
+			t.Errorf("object %d stored twice", oid)
+		}
+		got[oid] = geom.Point{X: r.MinX, Y: r.MinY}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+func checkAgainstModel(t *testing.T, db *DB, model []geom.Point) {
+	t.Helper()
+	if err := db.Updater().Err(); err != nil {
+		t.Fatalf("sticky error: %v", err)
+	}
+	if err := db.Updater().Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	got := positions(t, db)
+	if len(got) != len(model) {
+		t.Fatalf("index holds %d objects, model %d", len(got), len(model))
+	}
+	for oid, want := range model {
+		if got[rtree.OID(oid)] != want {
+			t.Fatalf("object %d at %v, model says %v", oid, got[rtree.OID(oid)], want)
+		}
+	}
+}
+
+// TestBatchWritersOverlappingLeaves runs two UpdateBatch callers whose
+// ids interleave — every leaf holds objects of both, so their leaf runs
+// contend for the same page granules — beside Search and Nearest
+// readers, and checks the final positions against a sequential model.
+// Lock waits are short (a run, or one residue section), so no request
+// may come near its timeout.
+func TestBatchWritersOverlappingLeaves(t *testing.T) {
+	for _, kind := range []core.Kind{core.LBU, core.GBU} {
+		t.Run(kind.String(), func(t *testing.T) {
+			const n, writers, rounds, size = 1200, 2, 6, 96
+			db, model := newDB(t, kind, n)
+
+			stop := make(chan struct{})
+			var readers, wg sync.WaitGroup
+			for r := 0; r < 2; r++ {
+				readers.Add(1)
+				go func(r int) {
+					defer readers.Done()
+					rng := rand.New(rand.NewSource(int64(40 + r)))
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						c := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+						if _, err := db.Query(geom.Rect{MinX: c.X, MinY: c.Y, MaxX: c.X + 0.1, MaxY: c.Y + 0.1}); err != nil {
+							t.Error(err)
+							return
+						}
+						if _, err := db.Nearest(c, 5); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(r)
+			}
+			// Writer w owns the ids congruent to w: model entries are
+			// written by one goroutine each and read after the join.
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(70 + w)))
+					for round := 0; round < rounds; round++ {
+						batch := make([]core.BatchChange, 0, size)
+						for _, i := range rng.Perm(n / writers)[:size] {
+							oid := i*writers + w
+							old, step := model[oid], 0.02
+							if rng.Intn(8) == 0 {
+								step = 0.5 // far enough to need an ascent
+							}
+							batch = append(batch, core.BatchChange{OID: rtree.OID(oid), Old: old, New: geom.Point{
+								X: old.X + (rng.Float64()*2-1)*step,
+								Y: old.Y + (rng.Float64()*2-1)*step,
+							}})
+						}
+						applied := 0
+						st, err := db.UpdateBatch(batch, func(c core.BatchChange) {
+							model[c.OID] = c.New
+							applied++
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if st.Changes != len(batch) || applied != len(batch) {
+							t.Errorf("batch of %d: stats report %d applied, done ran %d times", len(batch), st.Changes, applied)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(stop)
+			readers.Wait()
+			if t.Failed() {
+				return
+			}
+			checkAgainstModel(t, db, model)
+			s := db.Stats()
+			if s.Timeouts != 0 {
+				t.Fatalf("lock requests timed out: %+v", s)
+			}
+			if s.Updates != writers*rounds*size || s.Local+s.Escalated != s.Updates || s.Batched != s.Local {
+				t.Fatalf("update accounting does not add up: %+v", s)
+			}
+		})
+	}
+}
+
+// TestBatchOfFarJumpsIsAllResidue: no leaf run can hold a jump out of
+// the root MBR, so every change is declined by its run and applied in
+// the exclusive sections — several of them, the batch being larger than
+// one — while the leaf groups are still formed and counted.
+func TestBatchOfFarJumpsIsAllResidue(t *testing.T) {
+	const n = 600
+	db, model := newDB(t, core.GBU, n)
+	rng := rand.New(rand.NewSource(3))
+	batch := make([]core.BatchChange, 0, 3*residueSection)
+	for _, oid := range rng.Perm(n)[:cap(batch)] {
+		batch = append(batch, core.BatchChange{OID: rtree.OID(oid), Old: model[oid],
+			New: geom.Point{X: 2 + rng.Float64(), Y: 2 + rng.Float64()}})
+	}
+	ga := db.Updater().(core.GroupApplier)
+	groups := len(core.PlanBatch(db.Updater(), ga, batch).Runs)
+
+	before := db.Stats()
+	st, err := db.UpdateBatch(batch, func(c core.BatchChange) { model[c.OID] = c.New })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Groups != groups || st.Changes != len(batch) || st.Sequential != len(batch) || st.GroupResolved+st.LocalFallback != 0 {
+		t.Fatalf("batch stats %+v, want %d groups and all %d changes sequential", st, groups, len(batch))
+	}
+	after := db.Stats()
+	if got := after.Escalated - before.Escalated; got != int64(len(batch)) || after.Batched != before.Batched || after.Local != before.Local {
+		t.Fatalf("escalated %d of %d (stats %+v)", got, len(batch), after)
+	}
+	checkAgainstModel(t, db, model)
+}
+
+// TestStaleRunMemberJoinsResidue: an object that leaves its leaf after
+// the batch was planned, before its run's locks are granted, is declined
+// by the run (its entry is gone from the leaf) and applied with the
+// residue, re-resolved through the hash index.
+func TestStaleRunMemberJoinsResidue(t *testing.T) {
+	for _, kind := range []core.Kind{core.LBU, core.GBU} {
+		t.Run(kind.String(), func(t *testing.T) {
+			const n = 600
+			db, model := newDB(t, kind, n)
+			ga := db.Updater().(core.GroupApplier)
+			batch := make([]core.BatchChange, n/2)
+			for i := range batch {
+				old := model[i]
+				batch[i] = core.BatchChange{OID: rtree.OID(i), Old: old, New: geom.Point{X: old.X + 0.001, Y: old.Y + 0.001}}
+			}
+			plan := core.PlanBatch(db.Updater(), ga, batch)
+			var run core.LeafRun
+			for _, r := range plan.Runs {
+				if len(r.Changes) > len(run.Changes) {
+					run = r
+				}
+			}
+			if len(run.Changes) < 2 {
+				t.Fatalf("no leaf run with two members among %d runs", len(plan.Runs))
+			}
+
+			// Another writer moves one member far away in the meantime.
+			stale := run.Changes[0]
+			away := geom.Point{X: 3, Y: 3}
+			if err := db.Update(stale.OID, stale.Old, away); err != nil {
+				t.Fatal(err)
+			}
+			if leaf, err := ga.LeafOf(stale.OID); err != nil || leaf == run.Leaf {
+				t.Fatalf("object %d still resolves to leaf %d (err %v); the jump did not move it", stale.OID, run.Leaf, err)
+			}
+
+			var st core.BatchStats
+			done := func(c core.BatchChange) { model[c.OID] = c.New }
+			residue, err := db.applyGroup(ga, run, nil, &st, done)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(residue) != 1 || residue[0] != stale {
+				t.Fatalf("residue = %v, want only the stale member %v", residue, stale)
+			}
+			if st.Changes != len(run.Changes)-1 {
+				t.Fatalf("run resolved %d of %d members", st.Changes, len(run.Changes))
+			}
+			if err := db.applyResidue(residue, &st, done); err != nil {
+				t.Fatal(err)
+			}
+			if st.Changes != len(run.Changes) || st.Sequential != 1 {
+				t.Fatalf("after the residue: %+v", st)
+			}
+			checkAgainstModel(t, db, model)
+		})
+	}
+}

@@ -17,8 +17,9 @@ package core
 // per update.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"burtree/internal/geom"
 	"burtree/internal/rtree"
@@ -90,6 +91,13 @@ type GroupApplier interface {
 	// LeafOf resolves the leaf currently holding the object through the
 	// secondary hash index.
 	LeafOf(oid rtree.OID) (rtree.PageID, error)
+	// LeafScope returns the pages a group pass or a local update on leaf
+	// can touch: the leaf, then its parent when it has one (sibling
+	// shifts stay below the same parent). The DGL layer locks these page
+	// granules before applying a group; the scope is derived from the
+	// leaf itself, so it is the group's own whatever has happened to any
+	// one member since the batch was planned.
+	LeafScope(leaf rtree.PageID) ([]rtree.PageID, error)
 	// ApplyLeafGroup applies one leaf's group in a single bottom-up
 	// pass — one leaf read, one extension decision for the whole group,
 	// one leaf write, one parent sync — and returns the changes it could
@@ -98,16 +106,12 @@ type GroupApplier interface {
 	// UpdateAtLeaf applies one change whose object lives in leaf using
 	// the strategy's per-object path, skipping the secondary-index
 	// lookup (the caller already resolved the leaf). With localOnly set
-	// it attempts only outcomes confined to the leaf and its parent
-	// (in-leaf, extension, sibling shift), reporting false with no tree
-	// modification when the update needs an ascent or a top-down pass.
+	// it attempts only outcomes confined to the leaf's scope (in-leaf,
+	// extension, sibling shift), reporting false with no tree
+	// modification when the update needs an ascent or a top-down pass —
+	// or when the object is no longer in leaf, the page was freed, or it
+	// was recycled as another node.
 	UpdateAtLeaf(leaf rtree.PageID, c BatchChange, localOnly bool) (bool, error)
-}
-
-// leafGroup is one group of changes targeting the same leaf.
-type leafGroup struct {
-	leaf    rtree.PageID
-	changes []BatchChange
 }
 
 // bucketHinter is implemented by strategies whose secondary index can
@@ -126,47 +130,77 @@ func OrderForGrouping(u Updater, changes []BatchChange) []BatchChange {
 	if !ok || len(changes) < 2 {
 		return changes
 	}
-	out := append([]BatchChange(nil), changes...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return bh.HashBucket(out[i].OID) < bh.HashBucket(out[j].OID)
+	out := slices.Clone(changes)
+	slices.SortStableFunc(out, func(a, b BatchChange) int {
+		return cmp.Compare(bh.HashBucket(a.OID), bh.HashBucket(b.OID))
 	})
 	return out
 }
 
-// groupByLeaf partitions changes by their current leaf. Groups come
-// back in reverse encounter order: the lookup phase read the hash and
-// leaf pages of late groups most recently, so applying those first
-// turns the trailing secondary-index writes of shifts and ascents into
-// buffer hits instead of re-reads — measurably cheaper than either
-// encounter or leaf-page order under the paper's 1%-of-database buffer.
-// Changes whose leaf cannot be resolved are returned separately.
-func groupByLeaf(ga GroupApplier, changes []BatchChange) (groups []leafGroup, loose []BatchChange) {
-	at := make(map[rtree.PageID]int)
-	for _, c := range changes {
-		leaf, err := ga.LeafOf(c.OID)
-		if err != nil {
-			loose = append(loose, c)
-			continue
-		}
-		j, ok := at[leaf]
-		if !ok {
-			j = len(groups)
-			at[leaf] = j
-			groups = append(groups, leafGroup{leaf: leaf})
-		}
-		groups[j].changes = append(groups[j].changes, c)
-	}
-	for i, j := 0, len(groups)-1; i < j; i, j = i+1, j-1 {
-		groups[i], groups[j] = groups[j], groups[i]
-	}
-	return groups, loose
+// LeafRun is one leaf's share of a planned batch: a contiguous run of
+// Plan's flat change slice, in lookup order.
+type LeafRun struct {
+	Leaf    rtree.PageID
+	Changes []BatchChange
+	// first is the position of the run's first change in lookup order.
+	first int
 }
 
-// containsOID reports whether changes holds an entry for oid. A linear
+// Plan is a batch resolved against the secondary index: the one order →
+// resolve → group step shared by ApplyBatch and the DGL layer.
+type Plan struct {
+	// Runs lists the leaf groups by ascending leaf page.
+	Runs []LeafRun
+	// Loose holds the changes without a secondary-index entry; the plain
+	// Update path surfaces the error the sequential API would.
+	Loose []BatchChange
+}
+
+// planned is one change with the leaf it resolved to and its position
+// in lookup order.
+type planned struct {
+	BatchChange
+	leaf rtree.PageID
+	seq  int
+}
+
+// PlanBatch resolves each change's leaf with one LeafOf probe, in
+// OrderForGrouping's bucket-clustered order, and sorts the changes into
+// per-leaf runs of one flat slice. The input is not modified.
+func PlanBatch(u Updater, ga GroupApplier, changes []BatchChange) Plan {
+	var p Plan
+	ps := make([]planned, 0, len(changes))
+	for i, c := range OrderForGrouping(u, changes) {
+		leaf, err := ga.LeafOf(c.OID)
+		if err != nil {
+			p.Loose = append(p.Loose, c)
+			continue
+		}
+		ps = append(ps, planned{c, leaf, i})
+	}
+	slices.SortFunc(ps, func(a, b planned) int {
+		if c := cmp.Compare(a.leaf, b.leaf); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	flat := make([]BatchChange, len(ps))
+	p.Runs = make([]LeafRun, 0, len(ps))
+	for i, start := 0, 0; i < len(ps); i++ {
+		flat[i] = ps[i].BatchChange
+		if i+1 == len(ps) || ps[i+1].leaf != ps[i].leaf {
+			p.Runs = append(p.Runs, LeafRun{Leaf: ps[i].leaf, Changes: flat[start : i+1 : i+1], first: ps[start].seq})
+			start = i + 1
+		}
+	}
+	return p
+}
+
+// HasOID reports whether changes holds an entry for oid. A linear
 // scan: group slices are leaf-fanout-sized, and the scan keeps the
 // per-group membership check allocation-free on the hot batch path
 // (indexing into a map here cost one map allocation per leaf group).
-func containsOID(changes []BatchChange, oid rtree.OID) bool {
+func HasOID(changes []BatchChange, oid rtree.OID) bool {
 	for _, c := range changes {
 		if c.OID == oid {
 			return true
@@ -175,15 +209,23 @@ func containsOID(changes []BatchChange, oid rtree.OID) bool {
 	return false
 }
 
-// ApplyBatch applies an already-coalesced batch of changes through u.
-// When the strategy supports group application, changes are grouped by
-// target leaf and each group is applied in one bottom-up pass, falling
-// back to the per-object path only for the changes the group pass
-// declines; otherwise every change runs through the plain Update path.
+// ApplyBatch applies an already-coalesced batch of changes through u
+// for a single writer. When the strategy supports group application the
+// batch is planned once (PlanBatch) and each leaf run is applied in one
+// bottom-up pass, falling back to the per-object path — with the leaf
+// still buffered — only for the changes the group pass declines;
+// otherwise every change runs through the plain Update path.
 //
-// done, when non-nil, is invoked after each change is applied; on error
-// the batch stops, so done has been called exactly for the applied
-// prefix (a batch is not atomic).
+// Runs are applied latest-resolved first: the lookup phase read the hash
+// and leaf pages of late runs most recently, so applying those first
+// turns the trailing secondary-index writes of shifts and ascents into
+// buffer hits instead of re-reads — measurably cheaper than either
+// lookup or leaf-page order under the paper's 1%-of-database buffer.
+//
+// done, when non-nil, is invoked after each change is applied, in
+// application order (not the caller's); on error the batch stops, so
+// done has been called for exactly the applied changes (a batch is not
+// atomic).
 //
 //burlint:hotpath
 func ApplyBatch(u Updater, changes []BatchChange, done func(BatchChange)) (BatchStats, error) {
@@ -207,15 +249,16 @@ func ApplyBatch(u Updater, changes []BatchChange, done func(BatchChange)) (Batch
 		return st, applySequential(changes)
 	}
 
-	groups, loose := groupByLeaf(ga, OrderForGrouping(u, changes))
-	for _, g := range groups {
+	plan := PlanBatch(u, ga, changes)
+	slices.SortFunc(plan.Runs, func(a, b LeafRun) int { return cmp.Compare(b.first, a.first) })
+	for _, g := range plan.Runs {
 		st.Groups++
-		unresolved, err := ga.ApplyLeafGroup(g.leaf, g.changes)
+		unresolved, err := ga.ApplyLeafGroup(g.Leaf, g.Changes)
 		if err != nil {
 			return st, err
 		}
-		for _, c := range g.changes {
-			if containsOID(unresolved, c.OID) {
+		for _, c := range g.Changes {
+			if HasOID(unresolved, c.OID) {
 				continue
 			}
 			st.Changes++
@@ -225,7 +268,7 @@ func ApplyBatch(u Updater, changes []BatchChange, done func(BatchChange)) (Batch
 			}
 		}
 		for _, c := range unresolved {
-			applied, err := ga.UpdateAtLeaf(g.leaf, c, false)
+			applied, err := ga.UpdateAtLeaf(g.Leaf, c, false)
 			if err != nil {
 				return st, err
 			}
@@ -239,7 +282,5 @@ func ApplyBatch(u Updater, changes []BatchChange, done func(BatchChange)) (Batch
 			}
 		}
 	}
-	// Changes without a secondary-index entry take the plain path, which
-	// surfaces the same error the sequential API would.
-	return st, applySequential(loose)
+	return st, applySequential(plan.Loose)
 }

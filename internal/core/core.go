@@ -172,24 +172,6 @@ type Updater interface {
 	Err() error
 }
 
-// LocalUpdater is the optional fine-grained-concurrency surface of the
-// bottom-up strategies. A local update touches only the object's leaf
-// and that leaf's parent (sibling shifts stay below the same parent), so
-// the DGL layer can run such updates in parallel under page granule
-// locks, escalating to exclusive access only when TryLocalUpdate
-// declines. TD does not implement it: top-down updates always need the
-// whole root-to-leaf scope, which is exactly why their throughput
-// suffers in the paper's §5.4 study.
-type LocalUpdater interface {
-	// LocalScope returns the page granules a local update of oid would
-	// touch (leaf, then parent).
-	LocalScope(oid rtree.OID) ([]rtree.PageID, error)
-	// TryLocalUpdate performs the update if it can be resolved within
-	// the local scope, reporting false with no tree modification
-	// otherwise.
-	TryLocalUpdate(oid rtree.OID, old, new geom.Point) (bool, error)
-}
-
 // Outcomes counts how each update was resolved; the paper's discussion
 // (e.g. "82% of the updates remains top-down" for the naive scheme)
 // is reproduced from these counters.

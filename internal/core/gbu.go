@@ -27,7 +27,6 @@ type gbuStrategy struct {
 
 var (
 	_ Updater      = (*gbuStrategy)(nil)
-	_ LocalUpdater = (*gbuStrategy)(nil)
 	_ GroupApplier = (*gbuStrategy)(nil)
 )
 
@@ -290,37 +289,6 @@ func (s *gbuStrategy) attemptLocalAt(old, new geom.Point, newRect geom.Rect, lea
 	return needAscend, nil
 }
 
-// LocalScope returns the page granules a local update of oid would
-// touch — the object's leaf and its parent (sibling shifts stay within
-// the same parent, so the parent granule covers them). Used by the DGL
-// concurrency layer to lock before calling TryLocalUpdate.
-func (s *gbuStrategy) LocalScope(oid rtree.OID) ([]rtree.PageID, error) {
-	leafPage, err := s.hash.Lookup(oid)
-	if err != nil {
-		return nil, err
-	}
-	parent, ok := s.sum.ParentOf(leafPage)
-	if !ok {
-		return []rtree.PageID{leafPage}, nil
-	}
-	return []rtree.PageID{leafPage, parent}, nil
-}
-
-// TryLocalUpdate attempts the local phase only (in-leaf, ε-extension,
-// sibling shift). It reports false without modifying the tree when the
-// update needs an ascent or a top-down fallback; the caller then retries
-// under exclusive access with Update.
-func (s *gbuStrategy) TryLocalUpdate(oid rtree.OID, old, new geom.Point) (bool, error) {
-	res, _, _, err := s.attemptLocal(oid, old, new, geom.RectFromPoint(new))
-	if err != nil {
-		return false, err
-	}
-	if res != localDone {
-		return false, nil
-	}
-	return true, s.adapter.Err()
-}
-
 // tryExtend is Algorithm 4 (iExtendMBR): enlarge the leaf MBR only in
 // the direction of movement, by at most ε per side, clipped by the
 // parent's MBR — which the summary table provides without disk access.
@@ -463,6 +431,15 @@ func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect
 // LeafOf resolves the leaf currently holding the object (GroupApplier).
 func (s *gbuStrategy) LeafOf(oid rtree.OID) (rtree.PageID, error) {
 	return s.hash.Lookup(oid)
+}
+
+// LeafScope names the leaf and its parent, resolved in the summary
+// table without I/O (GroupApplier).
+func (s *gbuStrategy) LeafScope(leaf rtree.PageID) ([]rtree.PageID, error) {
+	if parent, ok := s.sum.ParentOf(leaf); ok {
+		return []rtree.PageID{leaf, parent}, nil
+	}
+	return []rtree.PageID{leaf}, nil
 }
 
 // ApplyLeafGroup applies one leaf's share of a batch in a single

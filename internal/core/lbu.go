@@ -29,7 +29,6 @@ type lbuStrategy struct {
 
 var (
 	_ Updater      = (*lbuStrategy)(nil)
-	_ LocalUpdater = (*lbuStrategy)(nil)
 	_ GroupApplier = (*lbuStrategy)(nil)
 )
 
@@ -225,39 +224,22 @@ func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom
 	return needAscend, nil
 }
 
-// LocalScope returns the page granules a local LBU update would touch:
-// the object's leaf and its parent (read through the leaf's parent
-// pointer).
-func (s *lbuStrategy) LocalScope(oid rtree.OID) ([]rtree.PageID, error) {
-	leafPage, err := s.hash.Lookup(oid)
-	if err != nil {
-		return nil, err
-	}
-	leaf, err := s.tree.ReadNode(leafPage)
-	if err != nil {
-		return nil, err
-	}
-	if leaf.Parent == pagestore.InvalidPage {
-		return []rtree.PageID{leafPage}, nil
-	}
-	return []rtree.PageID{leafPage, leaf.Parent}, nil
-}
-
-// TryLocalUpdate attempts the local phase of Algorithm 1 only.
-func (s *lbuStrategy) TryLocalUpdate(oid rtree.OID, old, new geom.Point) (bool, error) {
-	res, _, _, err := s.attemptLocal(oid, new, geom.RectFromPoint(new))
-	if err != nil {
-		return false, err
-	}
-	if res != localDone {
-		return false, nil
-	}
-	return true, s.adapter.Err()
-}
-
 // LeafOf resolves the leaf currently holding the object (GroupApplier).
 func (s *lbuStrategy) LeafOf(oid rtree.OID) (rtree.PageID, error) {
 	return s.hash.Lookup(oid)
+}
+
+// LeafScope names the leaf and its parent, read through the leaf's
+// parent pointer (GroupApplier).
+func (s *lbuStrategy) LeafScope(leaf rtree.PageID) ([]rtree.PageID, error) {
+	n, err := s.tree.ReadNode(leaf)
+	if err != nil {
+		return nil, err
+	}
+	if n.Parent == pagestore.InvalidPage {
+		return []rtree.PageID{leaf}, nil
+	}
+	return []rtree.PageID{leaf, n.Parent}, nil
 }
 
 // ApplyLeafGroup applies one leaf's share of a batch in a single

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -86,18 +87,42 @@ type GranuleID uint64
 // caller should release everything and retry (deadlock recovery).
 var ErrTimeout = errors.New("dgl: lock wait timed out")
 
-// Txn is one lock owner.
+// lock is one granule held in a mode.
+type lock struct {
+	g    GranuleID
+	mode Mode
+}
+
+// Txn is one lock owner. A transaction holds a handful of granules (a
+// leaf group takes the tree, a few cells, the leaf and its parent), so
+// the held set is a slice scanned linearly, backed by the descriptor
+// itself until it outgrows it.
 type Txn struct {
 	id   uint64
 	mu   sync.Mutex
-	held map[GranuleID]Mode
+	held []lock
+	buf  [8]lock
+}
+
+// record notes that the transaction now holds g in mode.
+func (t *Txn) record(g GranuleID, mode Mode) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.held {
+		if t.held[i].g == g {
+			t.held[i].mode = mode
+			return
+		}
+	}
+	t.held = append(t.held, lock{g, mode})
 }
 
 // Manager is the lock table.
 type Manager struct {
 	mu       sync.Mutex
 	granules map[GranuleID]*granule
-	nextTxn  uint64
+	free     []*granule // emptied granules, reused so a lock cycle allocates nothing
+	nextTxn  atomic.Uint64
 }
 
 type waiter struct {
@@ -108,9 +133,40 @@ type waiter struct {
 	granted bool
 }
 
+// holder is one transaction's grant on a granule.
+type holder struct {
+	txn  *Txn
+	mode Mode
+}
+
 type granule struct {
-	holders map[*Txn]Mode
+	holders []holder
 	queue   []*waiter
+}
+
+// grant records txn as holding mode, replacing its previous grant on an
+// upgrade.
+func (gr *granule) grant(txn *Txn, mode Mode) {
+	for i := range gr.holders {
+		if gr.holders[i].txn == txn {
+			gr.holders[i].mode = mode
+			return
+		}
+	}
+	gr.holders = append(gr.holders, holder{txn, mode})
+}
+
+// drop removes txn's grant.
+func (gr *granule) drop(txn *Txn) {
+	for i := range gr.holders {
+		if gr.holders[i].txn == txn {
+			last := len(gr.holders) - 1
+			gr.holders[i] = gr.holders[last]
+			gr.holders[last] = holder{}
+			gr.holders = gr.holders[:last]
+			return
+		}
+	}
 }
 
 // NewManager creates an empty lock table.
@@ -120,19 +176,21 @@ func NewManager() *Manager {
 
 // Begin starts a new lock owner.
 func (m *Manager) Begin() *Txn {
-	m.mu.Lock()
-	m.nextTxn++
-	id := m.nextTxn
-	m.mu.Unlock()
-	return &Txn{id: id, held: make(map[GranuleID]Mode)}
+	t := &Txn{id: m.nextTxn.Add(1)}
+	t.held = t.buf[:0]
+	return t
 }
 
 // Held returns the mode txn holds on g (and whether it holds anything).
 func (t *Txn) Held(g GranuleID) (Mode, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	m, ok := t.held[g]
-	return m, ok
+	for _, l := range t.held {
+		if l.g == g {
+			return l.mode, true
+		}
+	}
+	return 0, false
 }
 
 // HeldCount returns the number of granules the transaction holds.
@@ -146,9 +204,7 @@ func (t *Txn) HeldCount() int {
 // up to timeout (0 means wait forever). On ErrTimeout the request is
 // withdrawn; locks already held are untouched.
 func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duration) error {
-	txn.mu.Lock()
-	cur, holds := txn.held[g]
-	txn.mu.Unlock()
+	cur, holds := txn.Held(g)
 	target := mode
 	upgrade := false
 	if holds {
@@ -162,15 +218,17 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 	m.mu.Lock()
 	gr := m.granules[g]
 	if gr == nil {
-		gr = &granule{holders: make(map[*Txn]Mode)}
+		if n := len(m.free); n > 0 {
+			gr, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			gr = &granule{}
+		}
 		m.granules[g] = gr
 	}
 	if m.grantableLocked(gr, txn, target, upgrade) {
-		gr.holders[txn] = target
+		gr.grant(txn, target)
 		m.mu.Unlock()
-		txn.mu.Lock()
-		txn.held[g] = target
-		txn.mu.Unlock()
+		txn.record(g, target)
 		return nil
 	}
 	w := &waiter{txn: txn, mode: target, upgrade: upgrade, ready: make(chan struct{})}
@@ -191,9 +249,7 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 	}
 	select {
 	case <-w.ready:
-		txn.mu.Lock()
-		txn.held[g] = target
-		txn.mu.Unlock()
+		txn.record(g, target)
 		return nil
 	case <-timeoutC:
 		m.mu.Lock()
@@ -201,9 +257,7 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 			// Lost the race: the grant landed before the withdrawal.
 			m.mu.Unlock()
 			<-w.ready
-			txn.mu.Lock()
-			txn.held[g] = target
-			txn.mu.Unlock()
+			txn.record(g, target)
 			return nil
 		}
 		for i, q := range gr.queue {
@@ -212,6 +266,9 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 				break
 			}
 		}
+		// The withdrawn request may have been the only thing standing
+		// between the waiters queued behind it and the current holders.
+		m.wakeLocked(g, gr)
 		m.mu.Unlock()
 		return fmt.Errorf("%w: granule %d mode %v", ErrTimeout, g, target)
 	}
@@ -224,11 +281,14 @@ func (m *Manager) grantableLocked(gr *granule, txn *Txn, mode Mode, upgrade bool
 	if !upgrade && len(gr.queue) > 0 {
 		return false
 	}
-	for holder, hm := range gr.holders {
-		if holder == txn {
-			continue
-		}
-		if !Compatible(hm, mode) {
+	return gr.compatibleWithOthers(txn, mode)
+}
+
+// compatibleWithOthers reports whether mode is compatible with every
+// grant on gr other than txn's own.
+func (gr *granule) compatibleWithOthers(txn *Txn, mode Mode) bool {
+	for _, h := range gr.holders {
+		if h.txn != txn && !Compatible(h.mode, mode) {
 			return false
 		}
 	}
@@ -238,9 +298,13 @@ func (m *Manager) grantableLocked(gr *granule, txn *Txn, mode Mode, upgrade bool
 // Release drops txn's lock on g and wakes compatible waiters.
 func (m *Manager) Release(txn *Txn, g GranuleID) {
 	txn.mu.Lock()
-	_, ok := txn.held[g]
-	if ok {
-		delete(txn.held, g)
+	ok := false
+	for i := range txn.held {
+		if txn.held[i].g == g {
+			txn.held = append(txn.held[:i], txn.held[i+1:]...)
+			ok = true
+			break
+		}
 	}
 	txn.mu.Unlock()
 	if !ok {
@@ -248,33 +312,29 @@ func (m *Manager) Release(txn *Txn, g GranuleID) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gr := m.granules[g]
-	if gr == nil {
-		return
+	if gr := m.granules[g]; gr != nil {
+		gr.drop(txn)
+		m.wakeLocked(g, gr)
 	}
-	delete(gr.holders, txn)
-	m.wakeLocked(g, gr)
 }
 
 // ReleaseAll drops every lock txn holds.
 func (m *Manager) ReleaseAll(txn *Txn) {
+	// Detach the held set instead of copying it: a later Acquire on the
+	// same descriptor appends to a fresh slice, never to the one walked
+	// below.
 	txn.mu.Lock()
-	ids := make([]GranuleID, 0, len(txn.held))
-	for g := range txn.held {
-		ids = append(ids, g)
-	}
-	txn.held = make(map[GranuleID]Mode)
+	held := txn.held
+	txn.held = nil
 	txn.mu.Unlock()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, g := range ids {
-		gr := m.granules[g]
-		if gr == nil {
-			continue
+	for _, l := range held {
+		if gr := m.granules[l.g]; gr != nil {
+			gr.drop(txn)
+			m.wakeLocked(l.g, gr)
 		}
-		delete(gr.holders, txn)
-		m.wakeLocked(g, gr)
 	}
 }
 
@@ -282,29 +342,19 @@ func (m *Manager) ReleaseAll(txn *Txn) {
 func (m *Manager) wakeLocked(g GranuleID, gr *granule) {
 	for len(gr.queue) > 0 {
 		w := gr.queue[0]
-		if !m.grantableNowLocked(gr, w) {
+		if !gr.compatibleWithOthers(w.txn, w.mode) {
 			break
 		}
 		gr.queue = gr.queue[1:]
-		gr.holders[w.txn] = w.mode
+		gr.grant(w.txn, w.mode)
 		w.granted = true
 		close(w.ready)
 	}
 	if len(gr.holders) == 0 && len(gr.queue) == 0 {
 		delete(m.granules, g)
+		gr.queue = nil // drop the consumed backing array and its waiters
+		m.free = append(m.free, gr)
 	}
-}
-
-func (m *Manager) grantableNowLocked(gr *granule, w *waiter) bool {
-	for holder, hm := range gr.holders {
-		if holder == w.txn {
-			continue
-		}
-		if !Compatible(hm, w.mode) {
-			return false
-		}
-	}
-	return true
 }
 
 // Stats reports the current lock table occupancy.

@@ -194,6 +194,53 @@ func TestUpgradeDeadlockTimesOut(t *testing.T) {
 	m.ReleaseAll(t2)
 }
 
+// TestTimeoutWakesWaitersBehind: a request that times out leaves the
+// queue, and the compatible requests that were only waiting behind it
+// (FIFO) must be granted then, not at the holder's next release.
+func TestTimeoutWakesWaitersBehind(t *testing.T) {
+	m := NewManager()
+	waitFor := func(waiters int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); m.Stats().Waiters != waiters; {
+			if time.Now().After(deadline) {
+				t.Fatalf("lock table never reached %d waiters: %+v", waiters, m.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	holder := m.Begin()
+	if err := m.Acquire(holder, 5, IS, 0); err != nil {
+		t.Fatal(err)
+	}
+	writer := m.Begin()
+	wErr := make(chan error, 1)
+	go func() { wErr <- m.Acquire(writer, 5, X, 50*time.Millisecond) }()
+	waitFor(1)
+	reader := m.Begin()
+	rErr := make(chan error, 1)
+	go func() { rErr <- m.Acquire(reader, 5, IS, 10*time.Second) }()
+	waitFor(2)
+
+	if err := <-wErr; !errors.Is(err, ErrTimeout) {
+		t.Fatalf("writer: %v, want ErrTimeout", err)
+	}
+	// The holder keeps its IS: only the withdrawal can admit the reader.
+	select {
+	case err := <-rErr:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader still blocked after the X request ahead of it withdrew")
+	}
+	m.ReleaseAll(writer)
+	m.ReleaseAll(reader)
+	m.ReleaseAll(holder)
+	if s := m.Stats(); s.Granules != 0 || s.Waiters != 0 {
+		t.Fatalf("lock table not empty after releases: %+v", s)
+	}
+}
+
 func TestIntentionLocksAllowFineGrainedConcurrency(t *testing.T) {
 	// Two updaters IX on the tree granule plus X on different leaf
 	// granules run concurrently; a whole-tree S blocks both.

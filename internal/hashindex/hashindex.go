@@ -43,18 +43,13 @@ type Index struct {
 	stripes  [64]stripe
 }
 
-// stripe is one latch plus its private scratch page.
+// stripe is one latch plus its private scratch page. Operations scan
+// and patch hash pages directly in the scratch: it holds a view of the
+// page most recently loaded on the stripe and of nothing else, so
+// whatever a chained bucket needs from an earlier page is re-loaded.
 type stripe struct {
 	mu      sync.Mutex
 	pageBuf []byte
-}
-
-// page is the decoded form of one hash page.
-type page struct {
-	id    pagestore.PageID
-	next  pagestore.PageID
-	oids  []uint64
-	leafs []pagestore.PageID
 }
 
 // New creates an index with capacity sized for expectedSize entries at
@@ -103,23 +98,22 @@ func (x *Index) bucketFor(oid uint64) int {
 func (x *Index) Bucket(oid uint64) int { return x.bucketFor(oid) }
 
 // Lookup returns the leaf page currently holding oid.
+//
+//burlint:hotpath
 func (x *Index) Lookup(oid uint64) (pagestore.PageID, error) {
 	b := x.bucketFor(oid)
 	st := &x.stripes[b%len(x.stripes)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	head := x.buckets[b]
-	for pid := head; pid != pagestore.InvalidPage; {
-		p, err := x.readPage(st, pid)
+	for pid := x.buckets[b]; pid != pagestore.InvalidPage; {
+		count, next, err := x.load(st, pid)
 		if err != nil {
 			return pagestore.InvalidPage, err
 		}
-		for i, o := range p.oids {
-			if o == oid {
-				return p.leafs[i], nil
-			}
+		if i := st.find(count, oid); i >= 0 {
+			return st.leafAt(i), nil
 		}
-		pid = p.next
+		pid = next
 	}
 	return pagestore.InvalidPage, fmt.Errorf("%w: %d", ErrNotFound, oid)
 }
@@ -134,51 +128,60 @@ func (x *Index) Set(oid uint64, leaf pagestore.PageID) error {
 	st := &x.stripes[b%len(x.stripes)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	head := x.buckets[b]
 
-	var (
-		firstWithSpace *page
-		last           *page
-	)
-	for pid := head; pid != pagestore.InvalidPage; {
-		p, err := x.readPage(st, pid)
+	// spacious is the first page of the chain with a free slot, slot its
+	// first free slot; loaded is the page the scratch holds, the chain's
+	// last once the scan ends.
+	spacious, loaded, slot := pagestore.InvalidPage, pagestore.InvalidPage, 0
+	for pid := x.buckets[b]; pid != pagestore.InvalidPage; {
+		count, next, err := x.load(st, pid)
 		if err != nil {
 			return err
 		}
-		for i, o := range p.oids {
-			if o == oid {
-				if p.leafs[i] == leaf {
-					return nil
-				}
-				p.leafs[i] = leaf
-				return x.writePage(st, p)
+		if i := st.find(count, oid); i >= 0 {
+			if st.leafAt(i) == leaf {
+				return nil
 			}
+			st.putSlot(i, oid, leaf)
+			return x.store(st, pid)
 		}
-		if firstWithSpace == nil && len(p.oids) < x.slotsPer {
-			firstWithSpace = p
+		if spacious == pagestore.InvalidPage && count < x.slotsPer {
+			spacious, slot = pid, count
 		}
-		last = p
-		pid = p.next
+		loaded, pid = pid, next
 	}
 	x.size.Add(1)
-	if firstWithSpace != nil {
-		firstWithSpace.oids = append(firstWithSpace.oids, oid)
-		firstWithSpace.leafs = append(firstWithSpace.leafs, leaf)
-		return x.writePage(st, firstWithSpace)
+	if spacious != pagestore.InvalidPage {
+		if spacious != loaded {
+			if _, _, err := x.load(st, spacious); err != nil {
+				return err
+			}
+		}
+		st.putSlot(slot, oid, leaf)
+		st.setCount(slot + 1)
+		return x.store(st, spacious)
 	}
 	// Allocate a new page: either a new bucket head or an overflow page.
-	np := &page{id: x.pool.Store().Alloc(), next: pagestore.InvalidPage}
-	np.oids = append(np.oids, oid)
-	np.leafs = append(np.leafs, leaf)
-	if err := x.writePage(st, np); err != nil {
+	// It is written before the chain links to it, so a failed write
+	// leaves the chain intact.
+	np := x.pool.Store().Alloc()
+	clear(st.pageBuf)
+	st.pageBuf[0] = pageMagic
+	st.setNext(pagestore.InvalidPage)
+	st.putSlot(0, oid, leaf)
+	st.setCount(1)
+	if err := x.store(st, np); err != nil {
 		return err
 	}
-	if last == nil {
-		x.buckets[b] = np.id
+	if loaded == pagestore.InvalidPage {
+		x.buckets[b] = np
 		return nil
 	}
-	last.next = np.id
-	return x.writePage(st, last)
+	if _, _, err := x.load(st, loaded); err != nil {
+		return err
+	}
+	st.setNext(np)
+	return x.store(st, loaded)
 }
 
 // Delete removes the mapping for oid.
@@ -187,73 +190,83 @@ func (x *Index) Delete(oid uint64) error {
 	st := &x.stripes[b%len(x.stripes)]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	head := x.buckets[b]
-	for pid := head; pid != pagestore.InvalidPage; {
-		p, err := x.readPage(st, pid)
+	for pid := x.buckets[b]; pid != pagestore.InvalidPage; {
+		count, next, err := x.load(st, pid)
 		if err != nil {
 			return err
 		}
-		for i, o := range p.oids {
-			if o == oid {
-				n := len(p.oids) - 1
-				p.oids[i], p.oids[n] = p.oids[n], p.oids[i]
-				p.leafs[i], p.leafs[n] = p.leafs[n], p.leafs[i]
-				p.oids = p.oids[:n]
-				p.leafs = p.leafs[:n]
-				x.size.Add(-1)
-				return x.writePage(st, p)
-			}
+		if i := st.find(count, oid); i >= 0 {
+			// The last slot fills the hole and is zeroed, so a page's
+			// bytes depend only on the slots it holds.
+			last := count - 1
+			st.putSlot(i, st.oidAt(last), st.leafAt(last))
+			st.putSlot(last, 0, 0)
+			st.setCount(last)
+			x.size.Add(-1)
+			return x.store(st, pid)
 		}
-		pid = p.next
+		pid = next
 	}
 	return fmt.Errorf("%w: %d", ErrNotFound, oid)
 }
 
-func (x *Index) readPage(st *stripe, id pagestore.PageID) (*page, error) {
+// load reads hash page id into the stripe's scratch and validates its
+// header, returning the slot count and the next page of the chain.
+func (x *Index) load(st *stripe, id pagestore.PageID) (count int, next pagestore.PageID, err error) {
 	if err := x.pool.ReadPage(id, st.pageBuf); err != nil {
-		return nil, fmt.Errorf("hashindex: reading page %d: %w", id, err)
+		return 0, pagestore.InvalidPage, fmt.Errorf("hashindex: reading page %d: %w", id, err)
 	}
 	b := st.pageBuf
 	if b[0] != pageMagic {
-		return nil, fmt.Errorf("hashindex: page %d is not a hash page (magic %#x)", id, b[0])
+		return 0, pagestore.InvalidPage, fmt.Errorf("hashindex: page %d is not a hash page (magic %#x)", id, b[0])
 	}
-	count := int(binary.LittleEndian.Uint16(b[2:]))
+	count = int(binary.LittleEndian.Uint16(b[2:]))
 	if count > x.slotsPer {
-		return nil, fmt.Errorf("hashindex: page %d count %d exceeds capacity %d", id, count, x.slotsPer)
+		return 0, pagestore.InvalidPage, fmt.Errorf("hashindex: page %d count %d exceeds capacity %d", id, count, x.slotsPer)
 	}
-	p := &page{
-		id:    id,
-		next:  pagestore.PageID(binary.LittleEndian.Uint64(b[8:])),
-		oids:  make([]uint64, count),
-		leafs: make([]pagestore.PageID, count),
-	}
-	off := headerSize
-	for i := 0; i < count; i++ {
-		p.oids[i] = binary.LittleEndian.Uint64(b[off:])
-		p.leafs[i] = pagestore.PageID(binary.LittleEndian.Uint64(b[off+8:]))
-		off += slotSize
-	}
-	return p, nil
+	return count, pagestore.PageID(binary.LittleEndian.Uint64(b[8:])), nil
 }
 
-func (x *Index) writePage(st *stripe, p *page) error {
-	b := st.pageBuf
-	for i := range b {
-		b[i] = 0
-	}
-	b[0] = pageMagic
-	binary.LittleEndian.PutUint16(b[2:], uint16(len(p.oids)))
-	binary.LittleEndian.PutUint64(b[8:], uint64(p.next))
-	off := headerSize
-	for i := range p.oids {
-		binary.LittleEndian.PutUint64(b[off:], p.oids[i])
-		binary.LittleEndian.PutUint64(b[off+8:], uint64(p.leafs[i]))
-		off += slotSize
-	}
-	if err := x.pool.WritePage(p.id, b); err != nil {
-		return fmt.Errorf("hashindex: writing page %d: %w", p.id, err)
+// store writes the scratch out as page id.
+func (x *Index) store(st *stripe, id pagestore.PageID) error {
+	if err := x.pool.WritePage(id, st.pageBuf); err != nil {
+		return fmt.Errorf("hashindex: writing page %d: %w", id, err)
 	}
 	return nil
+}
+
+// find returns the slot of the scratch page holding oid among its first
+// count slots, or -1.
+func (st *stripe) find(count int, oid uint64) int {
+	b := st.pageBuf[headerSize : headerSize+count*slotSize]
+	for i := 0; i < count; i++ {
+		if binary.LittleEndian.Uint64(b[i*slotSize:]) == oid {
+			return i
+		}
+	}
+	return -1
+}
+
+func (st *stripe) oidAt(i int) uint64 {
+	return binary.LittleEndian.Uint64(st.pageBuf[headerSize+i*slotSize:])
+}
+
+func (st *stripe) leafAt(i int) pagestore.PageID {
+	return pagestore.PageID(binary.LittleEndian.Uint64(st.pageBuf[headerSize+i*slotSize+8:]))
+}
+
+func (st *stripe) putSlot(i int, oid uint64, leaf pagestore.PageID) {
+	off := headerSize + i*slotSize
+	binary.LittleEndian.PutUint64(st.pageBuf[off:], oid)
+	binary.LittleEndian.PutUint64(st.pageBuf[off+8:], uint64(leaf))
+}
+
+func (st *stripe) setCount(n int) {
+	binary.LittleEndian.PutUint16(st.pageBuf[2:], uint16(n))
+}
+
+func (st *stripe) setNext(id pagestore.PageID) {
+	binary.LittleEndian.PutUint64(st.pageBuf[8:], uint64(id))
 }
 
 // Stats summarizes the physical shape of the index.
@@ -274,13 +287,13 @@ func (x *Index) ComputeStats() (Stats, error) {
 		st.mu.Lock()
 		chain := 0
 		for pid := head; pid != pagestore.InvalidPage; {
-			p, err := x.readPage(st, pid)
+			_, next, err := x.load(st, pid)
 			if err != nil {
 				st.mu.Unlock()
 				return s, err
 			}
 			chain++
-			pid = p.next
+			pid = next
 		}
 		st.mu.Unlock()
 		if chain > 0 {

@@ -243,3 +243,165 @@ func TestComputeStatsEmpty(t *testing.T) {
 		t.Fatalf("empty stats = %+v", s)
 	}
 }
+
+// chainOf returns the page ids of bucket b's chain and the slot count
+// of each page.
+func chainOf(t *testing.T, x *Index, b int) (pages []pagestore.PageID, counts []int) {
+	t.Helper()
+	st := &x.stripes[b%len(x.stripes)]
+	for pid := x.buckets[b]; pid != pagestore.InvalidPage; {
+		count, next, err := x.load(st, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, counts = append(pages, pid), append(counts, count)
+		pid = next
+	}
+	return pages, counts
+}
+
+// chained builds a single-bucket index over 256-byte pages (15 slots)
+// holding oids 0..n-1, oid i mapped to leaf 1000+i.
+func chained(t *testing.T, n int) *Index {
+	t.Helper()
+	x, _ := newIndex(t, 256, 0, 1)
+	for i := 0; i < n; i++ {
+		if err := x.Set(uint64(i), pagestore.PageID(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return x
+}
+
+func checkMappings(t *testing.T, x *Index, want map[uint64]pagestore.PageID) {
+	t.Helper()
+	if x.Size() != len(want) {
+		t.Fatalf("size = %d, want %d", x.Size(), len(want))
+	}
+	for oid, leaf := range want {
+		if got, err := x.Lookup(oid); err != nil || got != leaf {
+			t.Fatalf("Lookup(%d) = %d, %v; want %d", oid, got, err, leaf)
+		}
+	}
+}
+
+// TestChainedSetFillsEarlierPage: Set finds its free slot on the first
+// page only after scanning the later ones, by which time the scratch
+// holds the chain's last page. The new slot must land on the first page
+// and the later pages must come through untouched.
+func TestChainedSetFillsEarlierPage(t *testing.T) {
+	x := chained(t, 40) // pages of 15, 15 and 10 slots
+	want := map[uint64]pagestore.PageID{}
+	for i := 0; i < 40; i++ {
+		want[uint64(i)] = pagestore.PageID(1000 + i)
+	}
+	if err := x.Delete(3); err != nil { // a hole on the first page
+		t.Fatal(err)
+	}
+	delete(want, 3)
+	if err := x.Set(500, 77); err != nil {
+		t.Fatal(err)
+	}
+	want[500] = 77
+	// An oid living on the last page is re-mapped in place.
+	if err := x.Set(39, 88); err != nil {
+		t.Fatal(err)
+	}
+	want[39] = 88
+	checkMappings(t, x, want)
+	if _, counts := chainOf(t, x, 0); len(counts) != 3 || counts[0] != 15 || counts[1] != 15 || counts[2] != 10 {
+		t.Fatalf("slot counts along the chain = %v, want [15 15 10]", counts)
+	}
+
+	// A full chain grows by one linked page, reachable from the old tail.
+	for i := 0; i < 5; i++ {
+		if err := x.Set(uint64(600+i), pagestore.PageID(60+i)); err != nil {
+			t.Fatal(err)
+		}
+		want[uint64(600+i)] = pagestore.PageID(60 + i)
+	}
+	if err := x.Set(700, 70); err != nil {
+		t.Fatal(err)
+	}
+	want[700] = 70
+	checkMappings(t, x, want)
+	if _, counts := chainOf(t, x, 0); len(counts) != 4 || counts[2] != 15 || counts[3] != 1 {
+		t.Fatalf("slot counts after growth = %v, want [15 15 15 1]", counts)
+	}
+}
+
+// TestChainedDeleteFromOverflowPage removes a slot from the middle of
+// the last page: the page's tail slot fills the hole, the vacated slot
+// is zeroed and the earlier pages are not written.
+func TestChainedDeleteFromOverflowPage(t *testing.T) {
+	x := chained(t, 40)
+	pages, _ := chainOf(t, x, 0)
+	if err := x.Delete(32); err != nil { // third page, slot 2 of 10
+		t.Fatal(err)
+	}
+	want := map[uint64]pagestore.PageID{}
+	for i := 0; i < 40; i++ {
+		if i != 32 {
+			want[uint64(i)] = pagestore.PageID(1000 + i)
+		}
+	}
+	checkMappings(t, x, want)
+	if _, counts := chainOf(t, x, 0); counts[0] != 15 || counts[1] != 15 || counts[2] != 9 {
+		t.Fatalf("slot counts along the chain = %v, want [15 15 9]", counts)
+	}
+	buf := make([]byte, 256)
+	if err := x.pool.ReadPage(pages[2], buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range buf[headerSize+9*slotSize:] {
+		if b != 0 {
+			t.Fatalf("byte %d past the last live slot is %#x, want the vacated slot zeroed", i, b)
+		}
+	}
+	if err := x.Delete(32); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("double delete err = %v", err)
+	}
+}
+
+// TestCorruptPagesRejected: the in-place probes keep the page checks. A
+// page that is not a hash page, or claims more slots than fit, fails
+// every operation instead of being scanned.
+func TestCorruptPagesRejected(t *testing.T) {
+	for name, corrupt := range map[string]func(b []byte){
+		"magic": func(b []byte) { b[0] = 0x00 },
+		"count": func(b []byte) { b[2], b[3] = 0xff, 0xff },
+	} {
+		t.Run(name, func(t *testing.T) {
+			x := chained(t, 40)
+			pages, _ := chainOf(t, x, 0)
+			buf := make([]byte, 256)
+			if err := x.pool.ReadPage(pages[1], buf); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(buf)
+			if err := x.pool.WritePage(pages[1], buf); err != nil {
+				t.Fatal(err)
+			}
+			// oid 2 sits on the intact first page; everything behind the
+			// corrupt page is cut off.
+			if got, err := x.Lookup(2); err != nil || got != 1002 {
+				t.Fatalf("Lookup(2) = %d, %v", got, err)
+			}
+			if _, err := x.Lookup(35); err == nil || errors.Is(err, ErrNotFound) {
+				t.Fatalf("Lookup past a corrupt page: err = %v", err)
+			}
+			if err := x.Set(35, 9); err == nil {
+				t.Fatal("Set past a corrupt page succeeded")
+			}
+			if err := x.Set(900, 9); err == nil {
+				t.Fatal("Set of a new oid scanned a corrupt page")
+			}
+			if err := x.Delete(35); err == nil || errors.Is(err, ErrNotFound) {
+				t.Fatalf("Delete past a corrupt page: err = %v", err)
+			}
+			if _, err := x.ComputeStats(); err == nil {
+				t.Fatal("ComputeStats walked a corrupt page")
+			}
+		})
+	}
+}

@@ -28,7 +28,12 @@
 // summary: each function's transitively-acquired granule tiers are
 // computed over the package call graph, so `x.lockPages(...)` after a
 // page acquisition, or any acquiring helper called under the latch, is
-// checked without name heuristics.
+// checked without name heuristics. A helper's tiers stay acquired in
+// the caller only when the helper can hand the transaction on — it
+// takes or returns a dgl.Txn. A helper with no Txn in its signature
+// runs transactions of its own from Begin to ReleaseAll: its tiers are
+// checked against what the caller holds at the call, and are released
+// by the time it returns.
 package lockorder
 
 import (
@@ -125,17 +130,27 @@ func acquireSummary(pass *framework.Pass) map[*framework.Func]int {
 }
 
 // summaryOf returns the acquired-tier mask of a call's same-package
-// static callee, 0 otherwise.
-func summaryOf(pass *framework.Pass, call *ast.CallExpr, acq map[*framework.Func]int) int {
+// static callee (0 otherwise) and whether the callee's signature
+// carries a dgl.Txn, so its locks outlive the call in the caller's
+// hands.
+func summaryOf(pass *framework.Pass, call *ast.CallExpr, acq map[*framework.Func]int) (mask int, sharesTxn bool) {
 	callee := framework.StaticCallee(pass.TypesInfo, call)
 	if callee == nil {
-		return 0
+		return 0, false
 	}
 	fn := pass.Prog.FuncOf(callee)
 	if fn == nil {
-		return 0
+		return 0, false
 	}
-	return acq[fn]
+	sig := callee.Type().(*types.Signature)
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < tuple.Len(); i++ {
+			if framework.NamedFrom(tuple.At(i).Type(), "dgl", "Txn") {
+				sharesTxn = true
+			}
+		}
+	}
+	return acq[fn], sharesTxn
 }
 
 // scanBody walks one function body in lexical order, tracking the
@@ -147,15 +162,26 @@ func scanBody(pass *framework.Pass, body *ast.BlockStmt, acq map[*framework.Func
 	var latchPos token.Pos
 	maxTier := tierUnknown
 
-	acquire := func(pos token.Pos, tier int, via string) {
-		if latchHeld {
-			pass.Reportf(pos, "granule lock acquired%s while holding the exclusive latch (taken at %s); granules must be acquired before the latch", via, pass.Fset.Position(latchPos))
-		}
-		if maxTier != tierUnknown && tier < maxTier {
-			pass.Reportf(pos, "%s granule acquired%s after a %s granule; canonical DGL order is tree → cell → page", tierName[tier], via, tierName[maxTier])
-		}
-		if tier > maxTier {
-			maxTier = tier
+	// viaHelper applies a same-package callee's summary at its call
+	// site: every tier it acquires is checked against the latch and the
+	// tiers held so far, and stays held afterwards only if the callee
+	// shares a transaction with the caller.
+	viaHelper := func(call *ast.CallExpr) {
+		mask, sharesTxn := summaryOf(pass, call, acq)
+		held := maxTier
+		for tier := tierTree; tier <= tierPage; tier++ {
+			if mask&(1<<tier) == 0 {
+				continue
+			}
+			if latchHeld {
+				pass.Reportf(call.Pos(), "granule lock acquired by the called helper while holding the exclusive latch (taken at %s); granules must be acquired before the latch", pass.Fset.Position(latchPos))
+			}
+			if held != tierUnknown && tier < held {
+				pass.Reportf(call.Pos(), "%s granule acquired by the called helper after a %s granule; canonical DGL order is tree → cell → page", tierName[tier], tierName[held])
+			}
+			if sharesTxn && tier > maxTier {
+				maxTier = tier
+			}
 		}
 	}
 
@@ -170,13 +196,7 @@ func scanBody(pass *framework.Pass, body *ast.BlockStmt, acq map[*framework.Func
 		}
 		recv, name, ok := framework.ReceiverOf(pass.TypesInfo, call)
 		if !ok {
-			if mask := summaryOf(pass, call, acq); mask != 0 {
-				for tier := tierTree; tier <= tierPage; tier++ {
-					if mask&(1<<tier) != 0 {
-						acquire(call.Pos(), tier, " by the called helper")
-					}
-				}
-			}
+			viaHelper(call)
 			return true
 		}
 		switch {
@@ -205,13 +225,7 @@ func scanBody(pass *framework.Pass, body *ast.BlockStmt, acq map[*framework.Func
 				maxTier = tierUnknown
 			}
 		default:
-			if mask := summaryOf(pass, call, acq); mask != 0 {
-				for tier := tierTree; tier <= tierPage; tier++ {
-					if mask&(1<<tier) != 0 {
-						acquire(call.Pos(), tier, " by the called helper")
-					}
-				}
-			}
+			viaHelper(call)
 		}
 		return true
 	})

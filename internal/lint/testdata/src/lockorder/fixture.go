@@ -116,3 +116,37 @@ func methodInversion(e *engine, txn *dgl.Txn, cells []dgl.GranuleID) {
 	_ = e.m.Acquire(txn, cells[0], dgl.X, 0)
 	e.lockTree(txn) // want `tree granule acquired by the called helper after a cell granule`
 }
+
+// lockLeaf hands its transaction back with tree, cell and page granules
+// held: the tiers stay acquired in the caller.
+func (e *engine) lockLeaf(cells []dgl.GranuleID) *dgl.Txn {
+	txn := e.m.Begin()
+	_ = canonicalOrder(e.m, txn, cells)
+	return txn
+}
+
+// update runs a whole transaction of its own; with no Txn in its
+// signature nothing it took is held once it returns.
+func (e *engine) update(cells []dgl.GranuleID) {
+	txn := e.lockLeaf(cells)
+	e.m.ReleaseAll(txn)
+}
+
+// localThenExclusive is the engine's escalation: the local attempt has
+// released its page granules before the exclusive pass locks the tree.
+// Not flagged.
+func localThenExclusive(e *engine, cells []dgl.GranuleID) {
+	e.update(cells)
+	txn := e.m.Begin()
+	e.lockTree(txn)
+	e.m.ReleaseAll(txn)
+}
+
+// heldThenOwnTransaction calls the self-contained helper while the
+// returned transaction still holds page granules: a second transaction
+// taking the tree under them is the same inversion.
+func heldThenOwnTransaction(e *engine, cells []dgl.GranuleID) {
+	txn := e.lockLeaf(cells)
+	e.update(cells) // want `tree granule acquired by the called helper after a page granule` `cell granule acquired by the called helper after a page granule`
+	e.m.ReleaseAll(txn)
+}

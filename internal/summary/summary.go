@@ -16,6 +16,7 @@ package summary
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"burtree/internal/geom"
@@ -91,6 +92,14 @@ func (s *Structure) NodeWritten(page pagestore.PageID, level int, self geom.Rect
 	lvl[page] = info
 	info.MBR = self
 
+	// An MBR-only write (an extension mirrored in the parent, an
+	// adjustment on the way up) leaves the child list as recorded, and
+	// with it every parent-map entry this node owns: the tree writes a
+	// node out whenever its child list changes, so a child that left and
+	// came back has passed through a write without it.
+	if slices.Equal(info.Children, children) {
+		return
+	}
 	// Diff children to keep the reverse parent map exact.
 	old := info.Children
 	info.Children = append(info.Children[:0:0], children...)

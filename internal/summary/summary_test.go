@@ -337,3 +337,29 @@ func TestBulkLoadPopulatesSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMBROnlyWriteKeepsChildren: rewriting an internal node with the
+// child list it already has moves only its MBR; a write that does change
+// the list still re-derives the parent map.
+func TestMBROnlyWriteKeepsChildren(t *testing.T) {
+	s := New(8)
+	kids := []pagestore.PageID{11, 12, 13}
+	wide := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	s.NodeWritten(5, 1, geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.4, MaxY: 0.4}, kids, len(kids))
+	s.NodeWritten(5, 1, wide, append([]pagestore.PageID(nil), kids...), len(kids))
+	if mbr, ok := s.MBROf(5); !ok || mbr != wide {
+		t.Fatalf("MBR after the rewrite = %v (ok=%v), want %v", mbr, ok, wide)
+	}
+	for _, c := range kids {
+		if p, ok := s.ParentOf(c); !ok || p != 5 {
+			t.Fatalf("parent of %d = %d (ok=%v), want 5", c, p, ok)
+		}
+	}
+	s.NodeWritten(5, 1, wide, []pagestore.PageID{11, 14}, 2)
+	if _, ok := s.ParentOf(12); ok {
+		t.Fatal("child 12 left node 5 but kept its parent entry")
+	}
+	if p, ok := s.ParentOf(14); !ok || p != 5 {
+		t.Fatalf("parent of new child 14 = %d (ok=%v), want 5", p, ok)
+	}
+}
