@@ -1,6 +1,6 @@
 package burtree_test
 
-// Per-op allocation benchmarks for the hot batch path, plus the budget
+// Per-op allocation benchmarks for the hot update paths, plus the budget
 // gate that holds them to the thresholds committed in
 // BENCH_allocs.json. The static side of the same contract is the
 // hotpath analyzer (internal/lint/analyzers/hotpath): burlint rejects
@@ -80,6 +80,37 @@ func benchAllocUpdateBatch(b *testing.B, x batchIndex, err error) {
 func BenchmarkUpdateBatchAllocsGBU(b *testing.B) {
 	x, err := burtree.Open(allocBenchOptions(burtree.GeneralizedBottomUp))
 	benchAllocUpdateBatch(b, x, err)
+}
+
+// BenchmarkUpdateAllocsGBU is the same window of 256 moves issued one
+// Update at a time: the paper's own update path (hash probe, leaf patch
+// or shift or ascent), with no batch to amortize anything over.
+func BenchmarkUpdateAllocsGBU(b *testing.B) {
+	const n = allocBenchObjects
+	x, err := burtree.Open(allocBenchOptions(burtree.GeneralizedBottomUp))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		if err := x.Insert(uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 256; j++ {
+			id := uint64(rng.Intn(n))
+			p, _ := x.Location(id)
+			if err := x.Update(id, burtree.Point{
+				X: p.X + (rng.Float64()*2-1)*0.03,
+				Y: p.Y + (rng.Float64()*2-1)*0.03,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 func BenchmarkUpdateBatchAllocsLBU(b *testing.B) {
@@ -175,6 +206,7 @@ func BenchmarkUpdateBatchAllocsPhase(b *testing.B) {
 // allocBudgetBenches maps each budget entry in BENCH_allocs.json to
 // the benchmark that measures it.
 var allocBudgetBenches = map[string]func(*testing.B){
+	"UpdateGBU":                BenchmarkUpdateAllocsGBU,
 	"UpdateBatchGBU":           BenchmarkUpdateBatchAllocsGBU,
 	"UpdateBatchLBU":           BenchmarkUpdateBatchAllocsLBU,
 	"UpdateBatchConcurrentGBU": BenchmarkUpdateBatchAllocsConcurrentGBU,

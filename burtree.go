@@ -812,6 +812,14 @@ type Stats struct {
 	Splits     int64
 	Reinserts  int64
 
+	// Evictions counts frames the buffer pool evicted to make room,
+	// DirtyWriteBacks those among them that had to be written to disk
+	// first, PinFallbacks the page accesses served on a transient frame
+	// because every frame of the pool was pinned by other goroutines.
+	Evictions       int64
+	DirtyWriteBacks int64
+	PinFallbacks    int64
+
 	Height int
 	Pages  int
 	Size   int
@@ -827,18 +835,26 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (x *Index) Stats() Stats {
-	s := x.io.Snapshot()
+	st := ioStats(x.io.Snapshot())
+	st.Height = x.updater.Tree().Height()
+	st.Pages = x.store.NumPages()
+	st.Size = x.updater.Tree().Size()
+	st.Outcomes = x.updater.Outcomes()
+	st.Memtable = memStatsOf(x.mem)
+	return st
+}
+
+// ioStats is the counter part of Stats.
+func ioStats(s stats.Snapshot) Stats {
 	return Stats{
-		DiskReads:  s.Reads,
-		DiskWrites: s.Writes,
-		BufferHits: s.BufferHits,
-		Splits:     s.Splits,
-		Reinserts:  s.Reinserts,
-		Height:     x.updater.Tree().Height(),
-		Pages:      x.store.NumPages(),
-		Size:       x.updater.Tree().Size(),
-		Outcomes:   x.updater.Outcomes(),
-		Memtable:   memStatsOf(x.mem),
+		DiskReads:       s.Reads,
+		DiskWrites:      s.Writes,
+		BufferHits:      s.BufferHits,
+		Splits:          s.Splits,
+		Reinserts:       s.Reinserts,
+		Evictions:       s.Evictions,
+		DirtyWriteBacks: s.DirtyWriteBacks,
+		PinFallbacks:    s.PinFallbacks,
 	}
 }
 
@@ -857,11 +873,25 @@ func (x *Index) CheckInvariants() error {
 	if err := x.updater.Tree().CheckInvariants(); err != nil {
 		return err
 	}
+	if err := checkNoPins(x.pool); err != nil {
+		return err
+	}
 	if x.mem != nil {
 		return checkMemOverlay(x.mem, x.objects, x.updater.Tree().Size())
 	}
 	if x.updater.Tree().Size() != len(x.objects) {
 		return fmt.Errorf("burtree: tree size %d != tracked objects %d", x.updater.Tree().Size(), len(x.objects))
+	}
+	return nil
+}
+
+// checkNoPins reports page pins that outlived their operation. Every
+// access pins one frame and releases it before it returns, so with no
+// operation in flight the pool holds none; a leaked pin would keep its
+// frame from ever being evicted.
+func checkNoPins(pool *buffer.Pool) error {
+	if n := pool.Pinned(); n != 0 {
+		return fmt.Errorf("burtree: %d buffer frames still pinned with no operation in flight", n)
 	}
 	return nil
 }

@@ -4,8 +4,11 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
+
+	"burtree/internal/buffer"
 )
 
 func openTest(t testing.TB, s Strategy) *Index {
@@ -318,5 +321,86 @@ func TestBulkInsertErrors(t *testing.T) {
 	}
 	if err := x.BulkInsert([]uint64{1}, []Point{{X: 0.1, Y: 0.1}}, PackSTR); err == nil {
 		t.Fatal("bulk insert into non-empty index accepted")
+	}
+}
+
+// TestStatsSurfacePoolEvents: with a buffer smaller than the tree, the
+// pool's evictions and dirty write-backs show up in Stats on every
+// front-end, and never outnumber what they are made of.
+func TestStatsSurfacePoolEvents(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ids := make([]uint64, 3000)
+	pts := make([]Point, len(ids))
+	for i := range ids {
+		ids[i], pts[i] = uint64(i+1), Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	opts := Options{Strategy: GeneralizedBottomUp, ExpectedObjects: len(ids), BufferPages: 16}
+	check := func(name string, st Stats) {
+		t.Helper()
+		if st.Evictions == 0 || st.DirtyWriteBacks == 0 {
+			t.Fatalf("%s: a 16-page pool under %d objects reports %d evictions, %d dirty write-backs", name, len(ids), st.Evictions, st.DirtyWriteBacks)
+		}
+		if st.DirtyWriteBacks > st.Evictions || st.DirtyWriteBacks > st.DiskWrites || st.PinFallbacks != 0 {
+			t.Fatalf("%s: inconsistent pool events: %+v", name, st)
+		}
+	}
+
+	x, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	check("Index", x.Stats())
+
+	c, err := OpenConcurrent(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BulkInsert(ids, pts, PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	cst, _ := c.Stats()
+	check("ConcurrentIndex", cst)
+
+	s, err := OpenSharded(opts, ShardOptions{Shards: 2, Partition: ShardHilbert})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.BulkInsert(ids, pts, PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	sst, _ := s.Stats()
+	check("ShardedIndex", sst)
+
+	// A pin that outlives its operation is what CheckInvariants is there
+	// to catch, on every front-end.
+	for _, fe := range []struct {
+		name  string
+		pool  *buffer.Pool
+		check func() error
+	}{
+		{"Index", x.pool, x.CheckInvariants},
+		{"ConcurrentIndex", c.pool, c.CheckInvariants},
+		{"ShardedIndex", s.shards[1].pool, s.CheckInvariants},
+	} {
+		if err := fe.check(); err != nil {
+			t.Fatalf("%s: %v", fe.name, err)
+		}
+		h, err := fe.pool.Pin(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fe.check(); err == nil || !strings.Contains(err.Error(), "pinned") {
+			t.Fatalf("%s: CheckInvariants with a leaked pin: %v", fe.name, err)
+		}
+		if err := h.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fe.check(); err != nil {
+			t.Fatalf("%s: after the release: %v", fe.name, err)
+		}
 	}
 }

@@ -689,19 +689,12 @@ type ConcurrencyStats = concurrent.Stats
 func (x *ConcurrentIndex) Stats() (Stats, ConcurrencyStats) {
 	var st Stats
 	x.db.View(func(u core.Updater) {
-		s := x.io.Snapshot()
-		st = Stats{
-			DiskReads:  s.Reads,
-			DiskWrites: s.Writes,
-			BufferHits: s.BufferHits,
-			Splits:     s.Splits,
-			Reinserts:  s.Reinserts,
-			Height:     u.Tree().Height(),
-			Pages:      x.store.NumPages(),
-			Size:       u.Tree().Size(),
-			Outcomes:   u.Outcomes(),
-			Memtable:   memStatsOf(x.mem),
-		}
+		st = ioStats(x.io.Snapshot())
+		st.Height = u.Tree().Height()
+		st.Pages = x.store.NumPages()
+		st.Size = u.Tree().Size()
+		st.Outcomes = u.Outcomes()
+		st.Memtable = memStatsOf(x.mem)
 	})
 	return st, x.db.Stats()
 }
@@ -718,9 +711,10 @@ func (x *ConcurrentIndex) Flush() error {
 }
 
 // CheckInvariants validates the index. It holds the shared latch for the
-// tree walk, so concurrent readers keep running, but callers must still
-// ensure no updates are in flight: the tree/object-table size comparison
-// is only meaningful at a quiescent point.
+// tree walk, so concurrent readers keep running (the closing check for
+// leaked page pins takes the exclusive latch for a moment), but callers
+// must still ensure no updates are in flight: the tree/object-table size
+// comparison is only meaningful at a quiescent point.
 func (x *ConcurrentIndex) CheckInvariants() error {
 	// Holding mergeMu excludes drains for the duration, so the delta
 	// overlay and the tree are compared at a point where no generation
@@ -747,5 +741,11 @@ func (x *ConcurrentIndex) CheckInvariants() error {
 			err = fmt.Errorf("burtree: tree size %d != tracked objects %d", u.Tree().Size(), len(x.objects))
 		}
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	// Readers still running under the shared latch each hold a pin for the
+	// length of a page scan; the exclusive latch waits them out, and any
+	// pin left after that is a leak.
+	return x.db.Exclusive(func(core.Updater) error { return checkNoPins(x.pool) })
 }

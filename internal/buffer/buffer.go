@@ -10,6 +10,42 @@
 // zero the pool degrades to direct disk access, which reproduces the
 // paper's 0 %-buffer configuration.
 //
+// # Access protocol: pin, look, release
+//
+// A caller does not copy a page out of the pool; it pins the frame and
+// works on the frame's bytes:
+//
+//	h, err := pool.Pin(id)          // shared: read the bytes
+//	h, err := pool.PinExclusive(id) // read, patch some bytes, MarkDirty
+//	h, err := pool.PinOverwrite(id) // replace the whole page, MarkDirty
+//	... h.Bytes() ...
+//	err = h.Release()
+//
+// A pinned frame is never evicted, and its latch (shared for Pin,
+// exclusive for the other two) makes page access atomic: a concurrent
+// reader sees a page entirely before or entirely after a patch. The rule
+// that keeps frame latches deadlock-free and pinned frames few is that a
+// goroutine holds at most one pin at a time — pin one page, extract or
+// patch, release, then pin the next.
+//
+// Pin and PinExclusive are logical reads: a hit is charged as a buffer
+// hit, a miss costs one physical read straight into the frame (the only
+// copy made). PinOverwrite is a logical write: it never reads the disk,
+// so on a miss Bytes holds garbage that the caller must overwrite in
+// full, and the page enters the pool when a dirty handle is released.
+// ReadPage and WritePage are the same accesses with a copy out of or
+// into the frame.
+//
+// When the pool has no frame to give — capacity zero, or every frame
+// pinned by other goroutines — the access runs on a transient frame
+// outside the pool with the physical I/O a pool of capacity zero would
+// do: one read, and one write when the handle is released dirty.
+//
+// Frames are recycled, never reallocated: a frame keeps its page buffer
+// for life and moves between the LRU table, the in-flight write-back
+// table and a free list, so a steady-state access allocates nothing.
+// Frames are created on demand, at most a few more than the capacity.
+//
 // The pool latch is never held across physical I/O: misses read the disk
 // after releasing it, and dirty evictions move the victim to an in-flight
 // table that readers consult, so concurrent operations overlap their disk
@@ -18,10 +54,10 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"burtree/internal/pagestore"
 	"burtree/internal/stats"
@@ -31,40 +67,59 @@ import (
 // for concurrent use; the mutex plays the role of a buffer-manager latch
 // while higher-level consistency is the job of the DGL lock manager.
 type Pool struct {
-	mu       sync.Mutex
-	store    *pagestore.Store
-	io       *stats.IO
-	cap      int
-	frames   map[pagestore.PageID]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[pagestore.PageID]*inflightWrite
+	mu    sync.Mutex
+	store *pagestore.Store
+	io    *stats.IO
+	cap   int
+
+	frames map[pagestore.PageID]*frame
+	lru    frame  // ring sentinel: lru.next is the most, lru.prev the least recently used
+	free   *frame // recycled frames, linked through next; nfree of them
+	nfree  int
+	// lent counts frames handed to a caller outside the table (a read in
+	// progress, a transient frame, a PinOverwrite miss).
+	lent int
+
+	// inflight holds, per page, the latest dirty victim on its way to
+	// disk. Readers serve from it; a newer eviction of the same page
+	// chains behind it (frame.earlier) so disk writes of one page are
+	// totally ordered. wbDone is signalled whenever a write-back ends.
+	inflight map[pagestore.PageID]*frame
+	wbDone   sync.Cond
 	// version counts disk-content events per page (write-back
-	// completions and discards). A read miss snapshots it before its
-	// unlatched disk read and re-checks after: a bump means the disk
-	// may have changed under the read, so caching it could serve stale
-	// bytes forever.
-	version map[pagestore.PageID]uint64
+	// completions and discards), indexed by page id. A read miss
+	// snapshots it before its unlatched disk read and re-checks after: a
+	// bump means the disk may have changed under the read, so caching it
+	// could serve stale bytes forever.
+	version []uint32
 }
 
+// frame is one page buffer. Its role changes, its buffer never does:
+// resident (in frames and on the LRU ring), in flight (a dirty victim
+// being written back), lent to a caller, or on the free list.
 type frame struct {
-	id    pagestore.PageID
-	data  []byte
-	dirty bool
-}
+	id   pagestore.PageID
+	data []byte
 
-// inflightWrite is a dirty victim on its way to disk. Readers serve from
-// it; a newer eviction of the same page chains behind it so disk writes
-// of one page are totally ordered.
-//
-// The entry stays in the in-flight table until its write-back completes
-// — even when canceled by Discard — so Flush's drain and later
-// evictions of the same page keep their ordering against it.
-type inflightWrite struct {
-	id       pagestore.PageID
-	data     []byte
-	done     chan struct{}
-	prev     *inflightWrite // earlier write of the same page, if still running
-	canceled bool           // set under p.mu: the page was discarded; skip the disk write
+	prev, next *frame // LRU ring; next alone links the free list
+
+	// latch orders access to data and dirty while the frame is resident:
+	// shared for readers, exclusive for a patch or an overwrite. It is
+	// taken only after pins was raised under p.mu, and released before
+	// pins drops.
+	latch sync.RWMutex
+	// pins counts handles on the resident frame. Raised under p.mu,
+	// dropped without it; the evictor reads zero under p.mu, and nobody
+	// can raise it again without p.mu.
+	pins  atomic.Int32
+	dirty bool
+
+	// In-flight state, guarded by p.mu. The entry stays in the in-flight
+	// table until its write-back completes — even when canceled by
+	// Discard — so Flush's drain and later evictions of the same page
+	// keep their ordering against it.
+	earlier  *frame // earlier write of the same page, while it is still running
+	canceled bool   // the page was discarded; skip the disk write
 }
 
 // New creates a pool of at most capacity pages over store. Physical
@@ -74,15 +129,16 @@ func New(store *pagestore.Store, capacity int) *Pool {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Pool{
+	p := &Pool{
 		store:    store,
 		io:       store.IO(),
 		cap:      capacity,
-		frames:   make(map[pagestore.PageID]*list.Element, capacity),
-		lru:      list.New(),
-		inflight: make(map[pagestore.PageID]*inflightWrite),
-		version:  make(map[pagestore.PageID]uint64),
+		frames:   make(map[pagestore.PageID]*frame, capacity),
+		inflight: make(map[pagestore.PageID]*frame),
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	p.wbDone.L = &p.mu
+	return p
 }
 
 // Capacity returns the configured frame count.
@@ -92,11 +148,100 @@ func (p *Pool) Capacity() int { return p.cap }
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lru.Len()
+	return len(p.frames)
+}
+
+// Pinned returns the number of handles not yet released. At a quiescent
+// point it is zero; anything else is a leaked pin.
+func (p *Pool) Pinned() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := p.lent
+	for f := p.lru.next; f != &p.lru; f = f.next {
+		n += int(f.pins.Load())
+	}
+	return n
 }
 
 // Store returns the underlying page store.
 func (p *Pool) Store() *pagestore.Store { return p.store }
+
+type pinMode uint8
+
+const (
+	pinShared pinMode = iota
+	pinExclusive
+	pinOverwrite
+)
+
+// Handle is a pinned page. The zero Handle is not valid; a Handle must
+// be released exactly once and not used afterwards.
+type Handle struct {
+	p    *Pool
+	f    *frame
+	mode pinMode
+	lent bool // f is outside the table: transient, or a PinOverwrite miss
+}
+
+// Bytes returns the page, exactly one page long. It is the frame's own
+// buffer: valid until Release, read-only under Pin.
+func (h Handle) Bytes() []byte { return h.f.data }
+
+// MarkDirty records that the caller changed Bytes. Only a PinExclusive
+// or PinOverwrite handle may be patched; a change that is not marked is
+// lost (and, on a resident frame, visible until eviction) — release
+// without marking only when nothing was stored.
+func (h Handle) MarkDirty() {
+	if h.mode == pinShared {
+		panic("buffer: MarkDirty on a shared pin")
+	}
+	h.f.dirty = true
+}
+
+// Release unpins the page. It reports the failure of physical I/O the
+// release had to perform: the write of a dirty transient frame, or of the
+// victim a PinOverwrite miss evicted. A shared pin never fails to release.
+func (h Handle) Release() error {
+	f := h.f
+	if h.lent {
+		return h.p.releaseLent(f, h.mode)
+	}
+	if h.mode == pinShared {
+		f.latch.RUnlock()
+	} else {
+		f.latch.Unlock()
+	}
+	f.pins.Add(-1)
+	return nil
+}
+
+// Pin pins the page for reading. Each call is one logical page read: a
+// buffer hit or a physical read.
+//
+//burlint:hotpath
+func (p *Pool) Pin(id pagestore.PageID) (Handle, error) { return p.pin(id, pinShared) }
+
+// PinExclusive pins the page for a read-modify-write: one logical page
+// read, after which the caller may patch Bytes and MarkDirty.
+//
+//burlint:hotpath
+func (p *Pool) PinExclusive(id pagestore.PageID) (Handle, error) { return p.pin(id, pinExclusive) }
+
+// PinOverwrite pins the page for a whole-page write. It performs no
+// logical read: a resident page is handed over as it is, a page that is
+// not resident as a frame of garbage, so the caller must either store all
+// of Bytes and MarkDirty, or store nothing.
+//
+//burlint:hotpath
+func (p *Pool) PinOverwrite(id pagestore.PageID) (Handle, error) {
+	p.mu.Lock()
+	if f := p.frames[id]; f != nil {
+		return p.pinResidentLocked(f, pinOverwrite), nil
+	}
+	f := p.lendLocked(id)
+	p.mu.Unlock()
+	return Handle{p: p, f: f, mode: pinOverwrite, lent: true}, nil
+}
 
 // ReadPage copies the page into dst, serving from the buffer when
 // possible. dst must be exactly one page long.
@@ -107,74 +252,12 @@ func (p *Pool) ReadPage(id pagestore.PageID, dst []byte) error {
 	if len(dst) != p.store.PageSize() {
 		return pagestore.ErrPageSize
 	}
-	for attempt := 0; ; attempt++ {
-		p.mu.Lock()
-		if el, ok := p.frames[id]; ok {
-			p.lru.MoveToFront(el)
-			copy(dst, el.Value.(*frame).data)
-			p.mu.Unlock()
-			p.io.CountBufferHit()
-			return nil
-		}
-		if iw, ok := p.inflight[id]; ok && !iw.canceled {
-			// The latest contents are on their way to disk; serve them and
-			// re-cache without any physical read. (A canceled write holds
-			// discarded data and must never resurface.)
-			f := &frame{id: id, data: append([]byte(nil), iw.data...)}
-			copy(dst, f.data)
-			victim := p.insertLocked(f)
-			p.mu.Unlock()
-			p.io.CountBufferHit()
-			return p.writeBack(victim)
-		}
-		ver := p.version[id]
-		if attempt >= 2 {
-			// Repeated disk-content changes raced the unlatched reads
-			// below; read under the latch, which is totally ordered
-			// against write-back completions. Rare, so the lost overlap
-			// does not matter.
-			data := make([]byte, p.store.PageSize())
-			if err := p.store.ReadInto(id, data); err != nil {
-				p.mu.Unlock()
-				return err
-			}
-			copy(dst, data)
-			victim := p.insertLocked(&frame{id: id, data: data})
-			p.mu.Unlock()
-			return p.writeBack(victim)
-		}
-		p.mu.Unlock()
-
-		// Miss: fetch from disk with no latch held.
-		data := make([]byte, p.store.PageSize())
-		if err := p.store.ReadInto(id, data); err != nil {
-			return err
-		}
-
-		p.mu.Lock()
-		if el, ok := p.frames[id]; ok {
-			// Another thread cached the page meanwhile; its copy may be
-			// newer (a logical write could have landed), so prefer it.
-			p.lru.MoveToFront(el)
-			copy(dst, el.Value.(*frame).data)
-			p.mu.Unlock()
-			return nil
-		}
-		if iw, ok := p.inflight[id]; ok && !iw.canceled {
-			copy(data, iw.data)
-		} else if p.version[id] != ver {
-			// A write-back or discard completed between the two latch
-			// holds: the bytes read may predate it. Caching them would
-			// serve stale data until the next eviction; retry instead.
-			p.mu.Unlock()
-			continue
-		}
-		f := &frame{id: id, data: data}
-		copy(dst, data)
-		victim := p.insertLocked(f)
-		p.mu.Unlock()
-		return p.writeBack(victim)
+	h, err := p.Pin(id)
+	if err != nil {
+		return err
 	}
+	copy(dst, h.Bytes())
+	return h.Release()
 }
 
 // WritePage stores the page contents in the buffer, deferring the
@@ -187,96 +270,347 @@ func (p *Pool) WritePage(id pagestore.PageID, src []byte) error {
 	if len(src) != p.store.PageSize() {
 		return pagestore.ErrPageSize
 	}
+	h, err := p.PinOverwrite(id)
+	if err != nil {
+		return err
+	}
+	copy(h.Bytes(), src)
+	h.MarkDirty()
+	return h.Release()
+}
+
+// pin is Pin and PinExclusive.
+func (p *Pool) pin(id pagestore.PageID, mode pinMode) (Handle, error) {
 	p.mu.Lock()
-	if el, ok := p.frames[id]; ok {
-		f := el.Value.(*frame)
-		copy(f.data, src)
-		f.dirty = true
-		p.lru.MoveToFront(el)
+	if r := p.frames[id]; r != nil {
+		h := p.pinResidentLocked(r, mode)
+		p.io.CountBufferHit()
+		return h, nil
+	}
+	f := p.lendLocked(id)
+	if p.cap == 0 {
+		// Nothing is ever cached, so nothing can go stale.
 		p.mu.Unlock()
+		if err := p.store.ReadInto(id, f.data); err != nil {
+			p.unlend(f)
+			return Handle{}, err
+		}
+		return Handle{p: p, f: f, mode: mode, lent: true}, nil
+	}
+	return p.loadLocked(f, mode)
+}
+
+// loadLocked fills the lent frame f with the current contents of its
+// page, which is not resident, and installs it. It is entered with p.mu
+// held and returns without it.
+func (p *Pool) loadLocked(f *frame, mode pinMode) (Handle, error) {
+	id := f.id
+	for attempt := 0; ; attempt++ {
+		if iw := p.inflight[id]; iw != nil && !iw.canceled {
+			// The latest contents are on their way to disk; serve them and
+			// re-cache without any physical read. (A canceled write holds
+			// discarded data and must never resurface.)
+			copy(f.data, iw.data)
+			h, err := p.installLocked(f, mode)
+			p.io.CountBufferHit()
+			return h, err
+		}
+		ver := p.versionLocked(id)
+		if attempt >= 2 {
+			// Repeated disk-content changes raced the unlatched reads
+			// below; read under the latch, which is totally ordered
+			// against write-back completions. Rare, so the lost overlap
+			// does not matter.
+			if err := p.store.ReadInto(id, f.data); err != nil {
+				p.unlendLocked(f)
+				p.mu.Unlock()
+				return Handle{}, err
+			}
+			return p.installLocked(f, mode)
+		}
+		p.mu.Unlock()
+
+		// Miss: fetch from disk with no latch held.
+		if err := p.store.ReadInto(id, f.data); err != nil {
+			p.unlend(f)
+			return Handle{}, err
+		}
+
+		p.mu.Lock()
+		if r := p.frames[id]; r != nil {
+			// Another thread cached the page meanwhile; its copy may be
+			// newer (a logical write could have landed), so prefer it.
+			p.unlendLocked(f)
+			return p.pinResidentLocked(r, mode), nil
+		}
+		if iw := p.inflight[id]; iw != nil && !iw.canceled {
+			copy(f.data, iw.data)
+		} else if p.versionLocked(id) != ver {
+			// A write-back or discard completed during the unlatched
+			// read: the bytes read may predate it. Caching them would
+			// serve stale data until the next eviction; read again.
+			continue
+		}
+		return p.installLocked(f, mode)
+	}
+}
+
+// pinResidentLocked pins resident frame f as the most recently used,
+// releases p.mu and takes the frame latch.
+func (p *Pool) pinResidentLocked(f *frame, mode pinMode) Handle {
+	p.touchLocked(f)
+	f.pins.Add(1)
+	p.mu.Unlock()
+	if mode == pinShared {
+		f.latch.RLock()
+	} else {
+		f.latch.Lock()
+	}
+	return Handle{p: p, f: f, mode: mode}
+}
+
+// installLocked makes the lent frame f, which holds the current contents
+// of its page, resident and pinned for the caller, evicting the LRU frame
+// if the pool is full; when every frame is pinned (or the capacity is
+// zero) f stays lent as a transient frame. It releases p.mu and writes a
+// dirty victim back.
+func (p *Pool) installLocked(f *frame, mode pinMode) (Handle, error) {
+	victim, ok := p.admitLocked(f)
+	if !ok {
+		if p.cap > 0 {
+			p.io.CountPinFallback()
+		}
+		p.mu.Unlock()
+		return Handle{p: p, f: f, mode: mode, lent: true}, nil
+	}
+	// Nobody else can hold the latch of a frame that was not in the table.
+	h := p.pinResidentLocked(f, mode)
+	if err := p.writeBack(victim); err != nil {
+		_ = h.Release() // a resident frame's release cannot fail
+		return Handle{}, err
+	}
+	return h, nil
+}
+
+// admitLocked adds the lent frame f to the table as the most recently
+// used frame. If the pool is full it first detaches the least recently
+// used frame that is not pinned: a clean victim goes to the free list, a
+// dirty one is published to the in-flight table and returned for
+// physical write-back by the caller after the latch is released. It
+// reports false, with nothing changed, when there is no room and no
+// victim.
+func (p *Pool) admitLocked(f *frame) (victim *frame, ok bool) {
+	if len(p.frames) >= p.cap {
+		v := p.lru.prev
+		for v != &p.lru && v.pins.Load() != 0 {
+			v = v.prev
+		}
+		if v == &p.lru {
+			return nil, false
+		}
+		p.unlinkLocked(v)
+		delete(p.frames, v.id)
+		p.io.CountEviction(v.dirty)
+		if v.dirty {
+			p.publishLocked(v)
+			victim = v
+		} else {
+			p.freeLocked(v)
+		}
+	}
+	p.lent--
+	p.frames[f.id] = f
+	p.linkFrontLocked(f)
+	return victim, true
+}
+
+// publishLocked enters the dirty, non-resident frame v into the in-flight
+// table, behind any write of the same page still running.
+func (p *Pool) publishLocked(v *frame) {
+	v.earlier = p.inflight[v.id]
+	p.inflight[v.id] = v
+}
+
+// releaseLent ends a handle on a frame outside the table. A clean frame
+// is just recycled. A dirty one carries the newest contents of its page:
+// it replaces the contents of the page's resident frame when another
+// goroutine cached the page meanwhile, else it becomes resident, else —
+// no room — it is written through. A pool of capacity zero writes
+// straight to the store.
+func (p *Pool) releaseLent(f *frame, mode pinMode) error {
+	if !f.dirty {
+		p.unlend(f)
 		return nil
 	}
-	f := &frame{id: id, data: append([]byte(nil), src...), dirty: true}
-	victim := p.insertLocked(f)
+	if p.cap == 0 {
+		err := p.store.Write(f.id, f.data)
+		p.unlend(f)
+		return err
+	}
+	p.mu.Lock()
+	if r := p.frames[f.id]; r != nil {
+		h := p.pinResidentLocked(r, pinExclusive)
+		copy(r.data, f.data)
+		r.dirty = true
+		err := h.Release() // before p.mu is taken again: Flush latches frames under it
+		p.unlend(f)
+		return err
+	}
+	victim, ok := p.admitLocked(f)
+	if !ok {
+		// Written through the in-flight table, like an eviction, so a
+		// concurrent miss of the page is served these bytes rather than
+		// caching the ones on disk.
+		if mode == pinOverwrite {
+			p.io.CountPinFallback() // the other modes were counted when they pinned
+		}
+		p.lent--
+		p.publishLocked(f)
+		victim = f
+	}
 	p.mu.Unlock()
 	return p.writeBack(victim)
 }
 
-// insertLocked adds f as the most recently used frame. If the pool is
-// full it detaches the LRU frame; a dirty victim is published to the
-// in-flight table and returned for physical write-back by the caller
-// after the latch is released. Caller holds p.mu.
-func (p *Pool) insertLocked(f *frame) *inflightWrite {
-	var iw *inflightWrite
-	if p.lru.Len() >= p.cap {
-		if tail := p.lru.Back(); tail != nil {
-			victim := tail.Value.(*frame)
-			p.lru.Remove(tail)
-			delete(p.frames, victim.id)
-			if victim.dirty {
-				iw = &inflightWrite{
-					id:   victim.id,
-					data: victim.data,
-					done: make(chan struct{}),
-					prev: p.inflight[victim.id],
-				}
-				p.inflight[victim.id] = iw
-			}
-		}
-	}
-	p.frames[f.id] = p.lru.PushFront(f)
-	return iw
-}
-
 // writeBack performs the physical write of an evicted dirty frame with
-// no latch held, after any earlier write of the same page completes. A
-// write canceled by Discard skips the disk entirely — its data belongs
-// to a freed page that may since have been reallocated, and landing it
-// late would clobber the new page behind Flush's back.
-func (p *Pool) writeBack(iw *inflightWrite) error {
+// no latch held, after any earlier write of the same page completes, and
+// recycles the frame. A write canceled by Discard skips the disk
+// entirely — its data belongs to a freed page that may since have been
+// reallocated, and landing it late would clobber the new page behind
+// Flush's back.
+func (p *Pool) writeBack(iw *frame) error {
 	if iw == nil {
 		return nil
 	}
-	if iw.prev != nil {
-		<-iw.prev.done
-	}
 	p.mu.Lock()
+	for iw.earlier != nil {
+		p.wbDone.Wait()
+	}
 	canceled := iw.canceled
 	p.mu.Unlock()
 	var err error
 	if !canceled {
 		err = p.store.Write(iw.id, iw.data)
 	}
+	id := iw.id
 	p.mu.Lock()
-	if p.inflight[iw.id] == iw {
-		delete(p.inflight, iw.id)
+	// iw was the oldest running write of its page: unlink it from its
+	// successor, or from the table when it is also the latest.
+	if p.inflight[id] == iw {
+		delete(p.inflight, id)
+	} else {
+		for w := p.inflight[id]; w != nil; w = w.earlier {
+			if w.earlier == iw {
+				w.earlier = nil
+				break
+			}
+		}
 	}
-	p.version[iw.id]++
+	p.bumpVersionLocked(id)
+	p.freeLocked(iw)
+	p.wbDone.Broadcast()
 	p.mu.Unlock()
-	close(iw.done)
 	if err != nil && !errors.Is(err, pagestore.ErrPageFreed) {
 		// A freed page means the node was released while its last
 		// eviction was in flight; the contents are irrelevant.
-		return fmt.Errorf("buffer: evicting page %d: %w", iw.id, err)
+		return fmt.Errorf("buffer: evicting page %d: %w", id, err)
 	}
 	return nil
 }
 
-// drainInflightLocked waits for all in-flight writes to finish. The
-// latch is released while waiting and re-acquired before returning.
-func (p *Pool) drainInflightLocked() {
-	for {
-		var iw *inflightWrite
-		for _, w := range p.inflight {
-			iw = w
-			break
-		}
-		if iw == nil {
-			return
-		}
-		p.mu.Unlock()
-		<-iw.done
-		p.mu.Lock()
+// lendLocked takes a frame off the free list, or creates one, for page id.
+func (p *Pool) lendLocked(id pagestore.PageID) *frame {
+	f := p.free
+	if f != nil {
+		p.free, f.next = f.next, nil
+		p.nfree--
+	} else {
+		f = &frame{data: make([]byte, p.store.PageSize())}
+	}
+	f.id, f.dirty, f.canceled = id, false, false
+	p.lent++
+	return f
+}
+
+// unlendLocked returns a lent frame to the free list.
+func (p *Pool) unlendLocked(f *frame) {
+	p.lent--
+	p.freeLocked(f)
+}
+
+func (p *Pool) unlend(f *frame) {
+	p.mu.Lock()
+	p.unlendLocked(f)
+	p.mu.Unlock()
+}
+
+// maxFree bounds the free list. A miss takes one frame and, once the pool
+// is full, gives its victim's back, so a few spares serve any steady
+// state; frames beyond that (pages discarded for good) go to the
+// collector rather than count against the heap forever.
+const maxFree = 64
+
+// freeLocked puts a frame nobody references on the free list.
+func (p *Pool) freeLocked(f *frame) {
+	f.prev, f.next = nil, nil
+	if p.nfree == maxFree {
+		return
+	}
+	f.next = p.free
+	p.free = f
+	p.nfree++
+}
+
+func (p *Pool) linkFrontLocked(f *frame) {
+	f.prev, f.next = &p.lru, p.lru.next
+	f.prev.next, f.next.prev = f, f
+}
+
+func (p *Pool) unlinkLocked(f *frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
+}
+
+// touchLocked makes resident frame f the most recently used.
+func (p *Pool) touchLocked(f *frame) {
+	if p.lru.next != f {
+		p.unlinkLocked(f)
+		p.linkFrontLocked(f)
+	}
+}
+
+func (p *Pool) versionLocked(id pagestore.PageID) uint32 {
+	if int(id) < len(p.version) {
+		return p.version[id]
+	}
+	return 0
+}
+
+func (p *Pool) bumpVersionLocked(id pagestore.PageID) {
+	// Page ids are dense (the store hands them out in sequence), so the
+	// table is as long as the store is large.
+	for int(id) >= len(p.version) {
+		p.version = append(p.version, 0)
+	}
+	p.version[id]++
+}
+
+// dropLocked removes resident frame f from the table without writing it
+// back. An unpinned frame is recycled; a pinned one is left to its
+// holders and then to the collector.
+func (p *Pool) dropLocked(f *frame) {
+	p.unlinkLocked(f)
+	delete(p.frames, f.id)
+	if f.pins.Load() == 0 {
+		p.freeLocked(f)
+	}
+}
+
+// cancelLocked marks every running write of the chain ending in iw as
+// canceled.
+func cancelLocked(iw *frame) {
+	for w := iw; w != nil; w = w.earlier {
+		w.canceled = true
 	}
 }
 
@@ -297,14 +631,11 @@ func (p *Pool) Discard(id pagestore.PageID) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if el, ok := p.frames[id]; ok {
-		p.lru.Remove(el)
-		delete(p.frames, id)
+	if f := p.frames[id]; f != nil {
+		p.dropLocked(f)
 	}
-	for iw := p.inflight[id]; iw != nil; iw = iw.prev {
-		iw.canceled = true
-	}
-	p.version[id]++
+	cancelLocked(p.inflight[id])
+	p.bumpVersionLocked(id)
 }
 
 // Flush writes all dirty frames to disk. Frames stay resident (clean).
@@ -316,16 +647,23 @@ func (p *Pool) Flush() error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.drainInflightLocked()
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		f := el.Value.(*frame)
-		if !f.dirty {
-			continue
+	for len(p.inflight) > 0 {
+		p.wbDone.Wait()
+	}
+	for f := p.lru.next; f != &p.lru; f = f.next {
+		// A patch in progress finishes first: its holder needs no pool
+		// latch to release.
+		f.latch.RLock()
+		var err error
+		if f.dirty {
+			if err = p.store.Write(f.id, f.data); err == nil {
+				f.dirty = false
+			}
 		}
-		if err := p.store.Write(f.id, f.data); err != nil {
+		f.latch.RUnlock()
+		if err != nil {
 			return fmt.Errorf("buffer: flushing page %d: %w", f.id, err)
 		}
-		f.dirty = false
 	}
 	return nil
 }
@@ -335,14 +673,13 @@ func (p *Pool) Flush() error {
 func (p *Pool) Invalidate() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.frames = make(map[pagestore.PageID]*list.Element, p.cap)
-	p.lru.Init()
+	for p.lru.next != &p.lru {
+		p.dropLocked(p.lru.next)
+	}
 	// Cancel (rather than drop) in-flight evictions so their stale data
 	// cannot land after the invalidation point.
 	for _, iw := range p.inflight {
-		for w := iw; w != nil; w = w.prev {
-			w.canceled = true
-		}
+		cancelLocked(iw)
 	}
 }
 
@@ -350,6 +687,5 @@ func (p *Pool) Invalidate() {
 func (p *Pool) Resident(id pagestore.PageID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.frames[id]
-	return ok
+	return p.frames[id] != nil
 }

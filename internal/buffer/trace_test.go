@@ -1,0 +1,188 @@
+package buffer
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+
+	"burtree/internal/pagestore"
+	"burtree/internal/stats"
+)
+
+// traceAccess is the pool surface the replacement-parity trace drives:
+// a logical read, a logical whole-page write and a read-modify-write of
+// one page.
+type traceAccess interface {
+	read(id pagestore.PageID, dst []byte) error
+	write(id pagestore.PageID, src []byte) error
+	patch(id pagestore.PageID, off int, val uint64) error
+}
+
+// traceResult is what a trace leaves behind: the counters the paper's
+// metric is made of, and a hash of every store page after Flush.
+type traceResult struct {
+	Reads, Writes, BufferHits int64
+	StoreHash                 uint64
+}
+
+// runTrace replays a seeded mix of reads, writes, patches, discards (with
+// free and reallocation) and reads of freed pages against a pool of the
+// given capacity, through mk's access functions.
+func runTrace(t *testing.T, capacity, accesses int, mk func(*Pool) traceAccess) traceResult {
+	t.Helper()
+	const tracePage = 256
+	io := &stats.IO{}
+	store := pagestore.New(tracePage, io)
+	pool := New(store, capacity)
+	acc := mk(pool)
+	rng := rand.New(rand.NewSource(20030909))
+
+	live := make([]pagestore.PageID, 400)
+	for i := range live {
+		live[i] = store.Alloc()
+	}
+	var freed []pagestore.PageID
+	buf := make([]byte, tracePage)
+	// Skewed choice: a hot tenth of the pages takes half of the accesses,
+	// so every capacity sees hits, misses and dirty evictions.
+	pick := func() int {
+		if rng.Intn(2) == 0 {
+			return rng.Intn(len(live) / 10)
+		}
+		return rng.Intn(len(live))
+	}
+	for i := 0; i < accesses; i++ {
+		switch r := rng.Intn(100); {
+		case r < 45:
+			if err := acc.read(live[pick()], buf); err != nil {
+				t.Fatalf("access %d: read: %v", i, err)
+			}
+		case r < 65:
+			for j := 0; j < tracePage; j += 8 {
+				binary.LittleEndian.PutUint64(buf[j:], rng.Uint64())
+			}
+			if err := acc.write(live[pick()], buf); err != nil {
+				t.Fatalf("access %d: write: %v", i, err)
+			}
+		case r < 90:
+			if err := acc.patch(live[pick()], 8*rng.Intn(tracePage/8), rng.Uint64()); err != nil {
+				t.Fatalf("access %d: patch: %v", i, err)
+			}
+		case r < 95:
+			// Retire a page, as a node merge does, and take a page from
+			// the allocator, as a split does (the one just freed, or an
+			// older one).
+			k := pick()
+			pool.Discard(live[k])
+			if err := store.Free(live[k]); err != nil {
+				t.Fatalf("access %d: free: %v", i, err)
+			}
+			freed = append(freed, live[k])
+			live[k] = store.Alloc()
+			for j, id := range freed {
+				if id == live[k] {
+					freed = append(freed[:j], freed[j+1:]...)
+					break
+				}
+			}
+		default:
+			// A read that fails (the batch path reads leaves an earlier
+			// change freed) must leave the pool as it was.
+			if len(freed) == 0 {
+				continue
+			}
+			if err := acc.read(freed[rng.Intn(len(freed))], buf); !errors.Is(err, pagestore.ErrPageFreed) {
+				t.Fatalf("access %d: read of freed page: %v", i, err)
+			}
+		}
+	}
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s := io.Snapshot()
+	_, pages, _ := store.Dump()
+	h := fnv.New64a()
+	for _, pg := range pages {
+		h.Write(pg)
+	}
+	return traceResult{s.Reads, s.Writes, s.BufferHits, h.Sum64()}
+}
+
+// pinAccess drives the trace through the pin primitives and, on every
+// other access, through the copying wrappers over them.
+type pinAccess struct {
+	p   *Pool
+	n   int
+	buf []byte
+}
+
+func (a *pinAccess) read(id pagestore.PageID, dst []byte) error {
+	if a.n++; a.n%2 == 0 {
+		return a.p.ReadPage(id, dst)
+	}
+	h, err := a.p.Pin(id)
+	if err != nil {
+		return err
+	}
+	copy(dst, h.Bytes())
+	return h.Release()
+}
+
+func (a *pinAccess) write(id pagestore.PageID, src []byte) error {
+	if a.n++; a.n%2 == 0 {
+		return a.p.WritePage(id, src)
+	}
+	h, err := a.p.PinOverwrite(id)
+	if err != nil {
+		return err
+	}
+	copy(h.Bytes(), src)
+	h.MarkDirty()
+	return h.Release()
+}
+
+func (a *pinAccess) patch(id pagestore.PageID, off int, val uint64) error {
+	if a.n++; a.n%2 == 0 {
+		// The pair a patch replaces: nothing lies between the two.
+		if err := a.p.ReadPage(id, a.buf); err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint64(a.buf[off:], val)
+		return a.p.WritePage(id, a.buf)
+	}
+	h, err := a.p.PinExclusive(id)
+	if err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(h.Bytes()[off:], val)
+	h.MarkDirty()
+	return h.Release()
+}
+
+// TestTraceMatchesCopyingPool is the proof that replacement order and
+// accounting did not move when frames became pinnable: the constants were
+// recorded by replaying the same trace against the pool this one replaced
+// (container/list LRU, copy-in/copy-out, ReadPage+WritePage for a patch).
+func TestTraceMatchesCopyingPool(t *testing.T) {
+	want := map[int]traceResult{
+		0:   {139942, 89913, 0, 0x5e8c5fdcc0ff91c0},
+		1:   {138837, 89504, 1105, 0x5e8c5fdcc0ff91c0},
+		8:   {131040, 86559, 8902, 0x5e8c5fdcc0ff91c0},
+		100: {62686, 44157, 77256, 0x5e8c5fdcc0ff91c0},
+	}
+	for _, capacity := range []int{0, 1, 8, 100} {
+		var pool *Pool
+		got := runTrace(t, capacity, 200000, func(p *Pool) traceAccess {
+			pool = p
+			return &pinAccess{p: p, buf: make([]byte, 256)}
+		})
+		if got != want[capacity] {
+			t.Errorf("capacity %d: trace left %+v, the copying pool left %+v", capacity, got, want[capacity])
+		}
+		if n := pool.Pinned(); n != 0 {
+			t.Errorf("capacity %d: %d pins leaked", capacity, n)
+		}
+	}
+}

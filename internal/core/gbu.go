@@ -58,24 +58,34 @@ func (s *gbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
 	if err != nil {
 		return fmt.Errorf("gbu: delete %d: %w", oid, err)
 	}
-	leaf, err := t.ReadNode(leafPage)
+	ref, err := t.PinNode(leafPage)
 	if err != nil {
 		return err
 	}
-	li := leaf.FindOID(oid)
+	li := ref.FindOID(oid)
 	if li < 0 {
+		_ = ref.Release() // a shared pin's release cannot fail
 		return fmt.Errorf("gbu: delete %d: hash points to leaf %d but entry is missing", oid, leafPage)
 	}
-	if len(leaf.Entries)-1 < t.MinEntries() {
-		if err := t.Delete(oid, leaf.Entries[li].Rect); err != nil {
+	if ref.Count()-1 < t.MinEntries() {
+		stored := ref.Rect(li)
+		if err := ref.Release(); err != nil {
+			return err
+		}
+		if err := t.Delete(oid, stored); err != nil {
 			return err
 		}
 		return s.adapter.Err()
+	}
+	leaf := ref.Decode()
+	if err := ref.Release(); err != nil {
+		return err
 	}
 	leaf.RemoveEntry(li)
 	if err := t.WriteNode(leaf); err != nil {
 		return err
 	}
+	t.ReturnNode(leaf)
 	t.AdjustSize(-1)
 	t.NotifyDataRemoved(oid)
 	return s.adapter.Err()
@@ -86,30 +96,30 @@ func (s *gbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
 // with knowledge of which index nodes above the leaf level to read from
 // disk, we carry on with the query as usual"), so only the overlapping
 // parent-of-leaf nodes and leaves are read.
+//
+//burlint:hotpath
 func (s *gbuStrategy) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool) error {
 	t := s.tree
 	if s.opts.NoSummaryQueries || t.Height() <= 1 {
 		return t.Search(q, visit)
 	}
-	pages := s.sum.OverlappingAtLevel(1, q, nil)
-	for _, pg := range pages {
-		n, err := t.ReadNode(pg)
+	// Scratch that starts on the stack; the pages are scanned where they
+	// lie and visited with nothing pinned.
+	var pageBuf [64]rtree.PageID
+	var kidBuf, hitBuf [32]rtree.Entry
+	for _, pg := range s.sum.OverlappingAtLevel(1, q, pageBuf[:0]) {
+		_, kids, err := t.ScanNode(pg, q, kidBuf[:0])
 		if err != nil {
 			return err
 		}
-		for _, e := range n.Entries {
-			if !q.Intersects(e.Rect) {
-				continue
-			}
-			leaf, err := t.ReadNode(e.Child)
+		for i := range kids {
+			_, hits, err := t.ScanNode(kids[i].Child, q, hitBuf[:0])
 			if err != nil {
 				return err
 			}
-			for _, le := range leaf.Entries {
-				if q.Intersects(le.Rect) {
-					if !visit(le.OID, le.Rect) {
-						return nil
-					}
+			for j := range hits {
+				if !visit(hits[j].OID, hits[j].Rect) {
+					return nil
 				}
 			}
 		}
@@ -136,6 +146,8 @@ const (
 )
 
 // Update implements Algorithm 2 (Generalized Bottom-Up Update).
+//
+//burlint:hotpath
 func (s *gbuStrategy) Update(oid rtree.OID, old, new geom.Point) error {
 	if err := s.update(oid, old, new); err != nil {
 		return err
@@ -147,22 +159,54 @@ func (s *gbuStrategy) update(oid rtree.OID, old, new geom.Point) error {
 	t := s.tree
 	newRect := geom.RectFromPoint(new)
 
-	res, leaf, li, err := s.attemptLocal(oid, old, new, newRect)
+	// Trees of height 1 have no internal structure to exploit.
+	if t.Height() <= 1 {
+		return s.topDown(oid, geom.RectFromPoint(old), newRect)
+	}
+
+	// "Access the root entry in direct access table; if newLocation lies
+	// outside rootMBR: issue a top-down update." No disk access needed.
+	rootMBR, ok := s.sum.RootMBR()
+	if !ok {
+		return fmt.Errorf("gbu: update %d: summary has no root MBR", oid)
+	}
+	if !rootMBR.ContainsPoint(new) {
+		return s.topDown(oid, geom.RectFromPoint(old), newRect)
+	}
+
+	// "Locate via the secondary object-ID index the leaf node."
+	leafPage, err := s.hash.Lookup(oid)
+	if err != nil {
+		return fmt.Errorf("gbu: update %d: %w", oid, err)
+	}
+	ref, err := t.PinNodeForPatch(leafPage)
+	if err != nil {
+		return err
+	}
+	li := ref.FindOID(oid)
+	if li < 0 {
+		_ = ref.Release() // nothing was patched
+		return fmt.Errorf("gbu: update %d: hash points to leaf %d but entry is missing", oid, leafPage)
+	}
+	res, leaf, err := s.attemptLocalAt(old, new, newRect, &ref, li)
 	if err != nil {
 		return err
 	}
 	switch res {
-	case localDone:
-		return nil
 	case needTopDown:
-		s.out.topDown.Add(1)
-		oldRect := geom.RectFromPoint(old)
-		if leaf != nil {
-			oldRect = leaf.Entries[li].Rect // authoritative stored location
-		}
-		return t.Update(oid, oldRect, newRect)
+		// The stored rectangle is the authoritative old location.
+		err = s.topDown(oid, leaf.Entries[li].Rect, newRect)
+	case needAscend:
+		err = s.ascend(oid, new, newRect, leaf, li)
 	}
-	return s.ascend(oid, new, newRect, leaf, li)
+	t.ReturnNode(leaf)
+	return err
+}
+
+// topDown hands one update to the tree's top-down path, counting it.
+func (s *gbuStrategy) topDown(oid rtree.OID, oldRect, newRect geom.Rect) error {
+	s.out.topDown.Add(1)
+	return s.tree.Update(oid, oldRect, newRect)
 }
 
 // ascend re-inserts the object below its lowest bounding ancestor:
@@ -187,151 +231,119 @@ func (s *gbuStrategy) ascend(oid rtree.OID, new geom.Point, newRect geom.Rect, l
 	return nil
 }
 
-// attemptLocal runs the local phase of Algorithm 2: the root-MBR check,
-// the in-leaf case, and the δ-ordered extension/shift attempts. It
-// performs no tree mutation unless it fully resolves the update
-// (returning localDone); for the other outcomes the returned leaf/index
-// (when non-nil) locate the still-unmodified entry.
-func (s *gbuStrategy) attemptLocal(oid rtree.OID, old, new geom.Point, newRect geom.Rect) (localOutcome, *rtree.Node, int, error) {
-	t := s.tree
-
-	// Trees of height 1 have no internal structure to exploit.
-	if t.Height() <= 1 {
-		return needTopDown, nil, 0, nil
-	}
-
-	// "Access the root entry in direct access table; if newLocation lies
-	// outside rootMBR: issue a top-down update." No disk access needed.
-	rootMBR, ok := s.sum.RootMBR()
-	if !ok {
-		return needTopDown, nil, 0, fmt.Errorf("gbu: update %d: summary has no root MBR", oid)
-	}
-	if !rootMBR.ContainsPoint(new) {
-		return needTopDown, nil, 0, nil
-	}
-
-	// "Locate via the secondary object-ID index the leaf node."
-	leafPage, err := s.hash.Lookup(oid)
-	if err != nil {
-		return needTopDown, nil, 0, fmt.Errorf("gbu: update %d: %w", oid, err)
-	}
-	leaf, err := t.ReadNode(leafPage)
-	if err != nil {
-		return needTopDown, nil, 0, err
-	}
-	li := leaf.FindOID(oid)
-	if li < 0 {
-		return needTopDown, nil, 0, fmt.Errorf("gbu: update %d: hash points to leaf %d but entry is missing", oid, leafPage)
-	}
-	res, err := s.attemptLocalAt(old, new, newRect, leaf, li)
-	return res, leaf, li, err
-}
-
-// attemptLocalAt is the tail of attemptLocal once the leaf holding the
-// object is in hand (entry li of leaf): the in-leaf case and the
-// δ-ordered extension/shift attempts. The batch pipeline enters here
-// directly with the group's leaf, skipping the hash lookup.
-func (s *gbuStrategy) attemptLocalAt(old, new geom.Point, newRect geom.Rect, leaf *rtree.Node, li int) (localOutcome, error) {
+// attemptLocalAt runs the local phase of Algorithm 2 on the leaf holding
+// the object, pinned for patching with the object at entry li: the
+// in-leaf case and the δ-ordered extension/shift attempts. It releases
+// the pin. The in-leaf move and a slow mover's extension are patched
+// into the pinned page; the other outcomes need the decoded leaf — a
+// shift restructures it — which is returned (borrowed: the caller hands
+// it back), entry li still unmodified, unless the update was resolved
+// (localDone). The batch pipeline enters here with the group's leaf,
+// skipping the hash lookup.
+func (s *gbuStrategy) attemptLocalAt(old, new geom.Point, newRect geom.Rect, ref *rtree.NodeRef, li int) (localOutcome, *rtree.Node, error) {
 	t := s.tree
 
 	// "if newLocation lies within leafMBR: update in place."
-	if leaf.Self.ContainsPoint(new) {
-		leaf.Entries[li].Rect = newRect
+	if ref.Self().ContainsPoint(new) {
+		ref.SetRect(li, newRect)
 		s.out.inLeaf.Add(1)
-		return localDone, t.WriteNode(leaf)
+		return localDone, nil, ref.Release()
 	}
 
 	// Distance threshold δ: slow movers extend first, fast movers try a
 	// sibling shift first (§3.2.1 optimization 2).
 	slow := geom.Dist(old, new) <= s.opts.DistanceThreshold
-	wouldUnderflow := len(leaf.Entries)-1 < t.MinEntries()
-
 	if slow {
-		done, err := s.tryExtend(leaf, li, new, newRect)
+		iMBR, parentPage, ok, err := s.extension(ref.Page(), ref.Self(), new)
 		if err != nil {
-			return needTopDown, err
+			_ = ref.Release() // nothing was patched
+			return needTopDown, nil, err
 		}
-		if done {
-			return localDone, nil
+		if ok {
+			ref.SetSelf(iMBR)
+			ref.SetRect(li, newRect)
+			if err := ref.Release(); err != nil {
+				return needTopDown, nil, err
+			}
+			return localDone, nil, s.mirrorExtension(parentPage, ref.Page(), iMBR)
 		}
-		if wouldUnderflow {
-			return needTopDown, nil
-		}
-		done, err = s.tryShift(leaf, li, new, newRect)
-		if err != nil {
-			return needTopDown, err
-		}
-		if done {
-			return localDone, nil
-		}
-		return needAscend, nil
 	}
 
+	leaf := ref.Decode()
+	if err := ref.Release(); err != nil {
+		return needTopDown, nil, err
+	}
+	wouldUnderflow := len(leaf.Entries)-1 < t.MinEntries()
+	done := false
+	var err error
 	if !wouldUnderflow {
-		done, err := s.tryShift(leaf, li, new, newRect)
-		if err != nil {
-			return needTopDown, err
-		}
-		if done {
-			return localDone, nil
-		}
+		done, err = s.tryShift(leaf, li, new, newRect)
 	}
-	done, err := s.tryExtend(leaf, li, new, newRect)
-	if err != nil {
-		return needTopDown, err
+	if !done && err == nil && !slow {
+		done, err = s.tryExtend(leaf, li, new, newRect)
 	}
-	if done {
-		return localDone, nil
+	switch {
+	case err != nil:
+		return needTopDown, nil, err
+	case done:
+		t.ReturnNode(leaf)
+		return localDone, nil, nil
+	case wouldUnderflow:
+		return needTopDown, leaf, nil
 	}
-	if wouldUnderflow {
-		return needTopDown, nil
-	}
-	return needAscend, nil
+	return needAscend, leaf, nil
 }
 
-// tryExtend is Algorithm 4 (iExtendMBR): enlarge the leaf MBR only in
-// the direction of movement, by at most ε per side, clipped by the
-// parent's MBR — which the summary table provides without disk access.
-// On success both the leaf and its parent's mirroring entry are written.
-func (s *gbuStrategy) tryExtend(leaf *rtree.Node, li int, new geom.Point, newRect geom.Rect) (bool, error) {
-	t := s.tree
-	parentPage, ok := s.sum.ParentOf(leaf.Page)
+// extension is the decision of Algorithm 4 (iExtendMBR): enlarge the leaf
+// MBR self only in the direction of movement, by at most ε per side,
+// clipped by the parent's MBR — which the summary table provides without
+// disk access. ok reports whether the enlarged MBR reaches new.
+func (s *gbuStrategy) extension(leafPage rtree.PageID, self geom.Rect, new geom.Point) (iMBR geom.Rect, parentPage rtree.PageID, ok bool, err error) {
+	parentPage, ok = s.sum.ParentOf(leafPage)
 	if !ok {
-		return false, fmt.Errorf("gbu: no parent recorded for leaf %d", leaf.Page)
+		return iMBR, parentPage, false, fmt.Errorf("gbu: no parent recorded for leaf %d", leafPage)
 	}
 	parentMBR, ok := s.sum.MBROf(parentPage)
 	if !ok {
-		return false, fmt.Errorf("gbu: no summary MBR for node %d", parentPage)
+		return iMBR, parentPage, false, fmt.Errorf("gbu: no summary MBR for node %d", parentPage)
 	}
-	iMBR := geom.ExtendToward(leaf.Self, new, s.opts.Epsilon, parentMBR)
-	if !iMBR.ContainsPoint(new) {
-		return false, nil
+	iMBR = geom.ExtendToward(self, new, s.opts.Epsilon, parentMBR)
+	return iMBR, parentPage, iMBR.ContainsPoint(new), nil
+}
+
+// mirrorExtension completes an extension whose leaf is already written:
+// the parent's entry for the leaf takes the enlarged MBR, patched in
+// place.
+func (s *gbuStrategy) mirrorExtension(parentPage, leafPage rtree.PageID, iMBR geom.Rect) error {
+	if err := s.tree.SetChildRect(parentPage, leafPage, iMBR); err != nil {
+		return err
+	}
+	s.out.extended.Add(1)
+	return nil
+}
+
+// tryExtend is Algorithm 4 on a decoded leaf (a fast mover whose shift
+// found no sibling). On success both the leaf and its parent's mirroring
+// entry are written.
+func (s *gbuStrategy) tryExtend(leaf *rtree.Node, li int, new geom.Point, newRect geom.Rect) (bool, error) {
+	iMBR, parentPage, ok, err := s.extension(leaf.Page, leaf.Self, new)
+	if err != nil || !ok {
+		return false, err
 	}
 	leaf.Self = iMBR
 	leaf.Entries[li].Rect = newRect
-	if err := t.WriteNode(leaf); err != nil {
+	if err := s.tree.WriteNode(leaf); err != nil {
 		return false, err
 	}
-	parent, err := t.ReadNode(parentPage)
-	if err != nil {
-		return false, err
-	}
-	pi := parent.FindChild(leaf.Page)
-	if pi < 0 {
-		return false, fmt.Errorf("gbu: parent %d missing child %d", parentPage, leaf.Page)
-	}
-	parent.Entries[pi].Rect = iMBR
-	if err := t.WriteNode(parent); err != nil {
-		return false, err
-	}
-	s.out.extended.Add(1)
-	return true, nil
+	return true, s.mirrorExtension(parentPage, leaf.Page, iMBR)
 }
 
 // tryShift moves the object into a sibling leaf whose MBR already covers
 // the new location. The summary bit vector screens out full siblings
 // before any disk access; co-located objects are piggybacked across and
-// the source leaf's MBR is tightened (§3.2.1 optimization 4).
+// the source leaf's MBR is tightened (§3.2.1 optimization 4). The parent
+// is scanned where it lies and decoded only once a sibling is chosen; the
+// sibling is decoded only once its header shows room.
 func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect geom.Rect) (bool, error) {
 	t := s.tree
 	parentPage, ok := s.sum.ParentOf(leaf.Page)
@@ -346,41 +358,50 @@ func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect
 	if pmbr, ok := s.sum.MBROf(parentPage); ok && !pmbr.ContainsPoint(new) {
 		return false, nil
 	}
-	parent, err := t.ReadNode(parentPage)
+	pref, err := t.PinNode(parentPage)
 	if err != nil {
 		return false, err
 	}
-
 	best, bestArea := -1, math.MaxFloat64
-	for i := range parent.Entries {
-		pg := parent.Entries[i].Child
-		if pg == leaf.Page || !parent.Entries[i].Rect.ContainsPoint(new) {
+	for i, n := 0, pref.Count(); i < n; i++ {
+		pg, r := pref.Child(i), pref.Rect(i)
+		if pg == leaf.Page || !r.ContainsPoint(new) {
 			continue
 		}
 		if s.sum.IsLeafFull(pg) {
 			continue
 		}
-		if a := parent.Entries[i].Rect.Area(); a < bestArea {
+		if a := r.Area(); a < bestArea {
 			best, bestArea = i, a
 		}
 	}
 	if best < 0 {
-		return false, nil
+		return false, pref.Release()
 	}
-	sibPage := parent.Entries[best].Child
-	sib, err := t.ReadNode(sibPage)
+	sibPage := pref.Child(best)
+	parent := pref.Decode()
+	if err := pref.Release(); err != nil {
+		return false, err
+	}
+	sref, err := t.PinNode(sibPage)
 	if err != nil {
 		return false, err
 	}
-	if len(sib.Entries) >= t.MaxEntries() {
-		return false, nil // stale bit; never overflow a sibling
+	if sref.Count() >= t.MaxEntries() {
+		t.ReturnNode(parent)
+		return false, sref.Release() // stale bit; never overflow a sibling
+	}
+	sib := sref.Decode()
+	if err := sref.Release(); err != nil {
+		return false, err
 	}
 
 	oid := leaf.Entries[li].OID
 	leaf.RemoveEntry(li)
 	sib.Entries = append(sib.Entries, rtree.Entry{Rect: newRect, OID: oid})
 
-	var passengers []rtree.OID
+	var passengerBuf [8]rtree.OID
+	passengers := passengerBuf[:0]
 	if !s.opts.NoPiggyback {
 		for j := len(leaf.Entries) - 1; j >= 0; j-- {
 			if len(sib.Entries) >= t.MaxEntries() || len(leaf.Entries) <= t.MinEntries() {
@@ -414,6 +435,8 @@ func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect
 	if err := t.WriteNode(parent); err != nil {
 		return false, err
 	}
+	t.ReturnNode(sib)
+	t.ReturnNode(parent)
 
 	if err := s.hash.Set(oid, sibPage); err != nil {
 		return false, err
@@ -459,41 +482,44 @@ func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group []BatchChange)
 	if t.Height() <= 1 {
 		return group, nil // no internal structure to exploit
 	}
-	leaf, err := t.ReadNode(leafPage)
+	ref, err := t.PinNodeForPatch(leafPage)
 	if err != nil {
 		if errors.Is(err, pagestore.ErrPageFreed) {
 			return group, nil // leaf freed by an earlier change in the batch
 		}
 		return nil, err
 	}
-	if !leaf.IsLeaf() {
-		return group, nil // page recycled as an internal node
+	if !ref.IsLeaf() {
+		return group, ref.Release() // page recycled as an internal node
 	}
 
+	// Every resolved move is patched into the pinned leaf; the page goes
+	// out once, when the pin is released.
 	var unresolved, outside []BatchChange
-	oldSelf := leaf.Self
-	dirty := false
+	oldSelf := ref.Self()
+	self := oldSelf
 	for _, c := range group {
-		li := leaf.FindOID(c.OID)
+		li := ref.FindOID(c.OID)
 		if li < 0 {
 			// The object left this leaf between grouping and application
 			// (possible under concurrency); per-object handling re-resolves.
 			unresolved = append(unresolved, c)
 			continue
 		}
-		if leaf.Self.ContainsPoint(c.New) {
-			leaf.Entries[li].Rect = geom.RectFromPoint(c.New)
+		if self.ContainsPoint(c.New) {
+			ref.SetRect(li, geom.RectFromPoint(c.New))
 			s.out.inLeaf.Add(1)
-			dirty = true
 			continue
 		}
 		outside = append(outside, c)
 	}
 
 	// One extension decision for the group's slow movers. The summary
-	// table provides the parent MBR bound without disk access.
+	// table provides the parent and its MBR bound without disk access.
+	var parentPage rtree.PageID
+	okP := false
 	if len(outside) > 0 {
-		parentPage, okP := s.sum.ParentOf(leafPage)
+		parentPage, okP = s.sum.ParentOf(leafPage)
 		parentMBR, okM := geom.Rect{}, false
 		if okP {
 			parentMBR, okM = s.sum.MBROf(parentPage)
@@ -504,41 +530,31 @@ func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group []BatchChange)
 				rest = append(rest, c) // fast movers try a shift first (δ)
 				continue
 			}
-			ext := geom.ExtendToward(leaf.Self, c.New, s.opts.Epsilon, parentMBR)
+			ext := geom.ExtendToward(self, c.New, s.opts.Epsilon, parentMBR)
 			if !ext.ContainsPoint(c.New) {
 				rest = append(rest, c)
 				continue
 			}
-			leaf.Self = ext
-			leaf.Entries[leaf.FindOID(c.OID)].Rect = geom.RectFromPoint(c.New)
+			self = ext
+			ref.SetRect(ref.FindOID(c.OID), geom.RectFromPoint(c.New))
 			s.out.extended.Add(1)
-			dirty = true
 		}
 		outside = rest
 	}
 
-	if dirty {
-		if err := t.WriteNode(leaf); err != nil {
-			return nil, err
-		}
+	if self != oldSelf {
+		ref.SetSelf(self)
 	}
-	if leaf.Self != oldSelf {
+	if err := ref.Release(); err != nil {
+		return nil, err
+	}
+	if self != oldSelf {
 		// Mirror the enlarged leaf MBR in the parent once per group
 		// instead of once per extension.
-		parentPage, ok := s.sum.ParentOf(leafPage)
-		if !ok {
+		if !okP {
 			return nil, fmt.Errorf("gbu: no parent recorded for leaf %d", leafPage)
 		}
-		parent, err := t.ReadNode(parentPage)
-		if err != nil {
-			return nil, err
-		}
-		pi := parent.FindChild(leafPage)
-		if pi < 0 {
-			return nil, fmt.Errorf("gbu: parent %d missing child %d", parentPage, leafPage)
-		}
-		parent.Entries[pi].Rect = leaf.Self
-		if err := t.WriteNode(parent); err != nil {
+		if err := t.SetChildRect(parentPage, leafPage, self); err != nil {
 			return nil, err
 		}
 	}
@@ -557,13 +573,20 @@ func (s *gbuStrategy) UpdateAtLeaf(leafPage rtree.PageID, c BatchChange, localOn
 		}
 		return s.topDownEscalate(c.OID, geom.RectFromPoint(c.Old), newRect)
 	}
-	leaf, err := t.ReadNode(leafPage)
+	ref, err := t.PinNodeForPatch(leafPage)
 	if err != nil && !errors.Is(err, pagestore.ErrPageFreed) {
 		return false, err
 	}
 	li := -1
-	if err == nil && leaf.IsLeaf() {
-		li = leaf.FindOID(c.OID)
+	if err == nil {
+		if ref.IsLeaf() {
+			li = ref.FindOID(c.OID)
+		}
+		if li < 0 {
+			if err := ref.Release(); err != nil {
+				return false, err
+			}
+		}
 	}
 	if li < 0 {
 		if localOnly {
@@ -576,26 +599,25 @@ func (s *gbuStrategy) UpdateAtLeaf(leafPage rtree.PageID, c BatchChange, localOn
 		return true, s.Update(c.OID, c.Old, c.New)
 	}
 	if rootMBR, ok := s.sum.RootMBR(); !ok || !rootMBR.ContainsPoint(c.New) {
-		if localOnly {
-			return false, nil
+		stored := ref.Rect(li)
+		if err := ref.Release(); err != nil || localOnly {
+			return false, err
 		}
-		return s.topDownEscalate(c.OID, leaf.Entries[li].Rect, newRect)
+		return s.topDownEscalate(c.OID, stored, newRect)
 	}
-	res, err := s.attemptLocalAt(c.Old, c.New, newRect, leaf, li)
+	res, leaf, err := s.attemptLocalAt(c.Old, c.New, newRect, &ref, li)
 	if err != nil {
 		return false, err
 	}
-	switch res {
-	case localDone:
+	if res == localDone {
 		return true, s.adapter.Err()
-	case needTopDown:
-		if localOnly {
-			return false, nil
-		}
-		return s.topDownEscalate(c.OID, leaf.Entries[li].Rect, newRect)
 	}
+	defer t.ReturnNode(leaf)
 	if localOnly {
 		return false, nil
+	}
+	if res == needTopDown {
+		return s.topDownEscalate(c.OID, leaf.Entries[li].Rect, newRect)
 	}
 	if err := s.ascend(c.OID, c.New, newRect, leaf, li); err != nil {
 		return false, err
@@ -608,8 +630,7 @@ func (s *gbuStrategy) UpdateAtLeaf(leafPage rtree.PageID, c BatchChange, localOn
 // UpdateAtLeaf: the closure allocated per fallback op on the batch hot
 // path.
 func (s *gbuStrategy) topDownEscalate(oid rtree.OID, oldRect, newRect geom.Rect) (bool, error) {
-	s.out.topDown.Add(1)
-	if err := s.tree.Update(oid, oldRect, newRect); err != nil {
+	if err := s.topDown(oid, oldRect, newRect); err != nil {
 		return false, err
 	}
 	return true, s.adapter.Err()

@@ -74,25 +74,36 @@ func (s *lbuStrategy) update(oid rtree.OID, old, new geom.Point) error {
 	t := s.tree
 	newRect := geom.RectFromPoint(new)
 
-	res, leaf, li, err := s.attemptLocal(oid, new, newRect)
+	// "Locate via the secondary object-ID index the leaf node with the
+	// object."
+	leafPage, err := s.hash.Lookup(oid)
+	if err != nil {
+		return fmt.Errorf("lbu: update %d: %w", oid, err)
+	}
+	ref, err := t.PinNodeForPatch(leafPage)
+	if err != nil {
+		return err
+	}
+	li := ref.FindOID(oid)
+	if li < 0 {
+		_ = ref.Release() // nothing was patched
+		return fmt.Errorf("lbu: update %d: hash points to leaf %d but entry is missing", oid, leafPage)
+	}
+	res, leaf, err := s.attemptLocalAt(oid, new, newRect, &ref, li)
 	if err != nil {
 		return err
 	}
 	switch res {
-	case localDone:
-		return nil
 	case needTopDown:
 		s.out.topDown.Add(1)
-		oldRect := geom.RectFromPoint(old)
-		if leaf != nil {
-			// The stored rectangle is the authoritative old location for
-			// the top-down delete traversal.
-			oldRect = leaf.Entries[li].Rect
-		}
-		return t.Update(oid, oldRect, newRect)
+		// The stored rectangle is the authoritative old location for the
+		// top-down delete traversal.
+		err = t.Update(oid, leaf.Entries[li].Rect, newRect)
+	case needAscend:
+		err = s.reinsertFromRoot(oid, newRect, leaf, li)
 	}
-
-	return s.reinsertFromRoot(oid, newRect, leaf, li)
+	t.ReturnNode(leaf)
+	return err
 }
 
 // reinsertFromRoot is Algorithm 1's non-local ending: "Delete old index
@@ -112,42 +123,28 @@ func (s *lbuStrategy) reinsertFromRoot(oid rtree.OID, newRect geom.Rect, leaf *r
 	return nil
 }
 
-// attemptLocal performs the local portion of Algorithm 1: in-place
-// update, uniform ε-enlargement, and a sibling shift. It mutates the
-// tree only when it fully resolves the update (localDone); needAscend
-// here means "delete bottom-up and re-insert from the root".
-func (s *lbuStrategy) attemptLocal(oid rtree.OID, new geom.Point, newRect geom.Rect) (localOutcome, *rtree.Node, int, error) {
-	t := s.tree
-
-	// "Locate via the secondary object-ID index the leaf node with the
-	// object."
-	leafPage, err := s.hash.Lookup(oid)
-	if err != nil {
-		return needTopDown, nil, 0, fmt.Errorf("lbu: update %d: %w", oid, err)
-	}
-	leaf, err := t.ReadNode(leafPage)
-	if err != nil {
-		return needTopDown, nil, 0, err
-	}
-	li := leaf.FindOID(oid)
-	if li < 0 {
-		return needTopDown, nil, 0, fmt.Errorf("lbu: update %d: hash points to leaf %d but entry is missing", oid, leafPage)
-	}
-	res, err := s.attemptLocalAt(oid, new, newRect, leaf, li)
-	return res, leaf, li, err
-}
-
-// attemptLocalAt is the tail of attemptLocal once the leaf holding the
-// object is in hand (entry li of leaf). The batch pipeline enters here
-// directly with the group's leaf, skipping the hash lookup.
-func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom.Rect, leaf *rtree.Node, li int) (localOutcome, error) {
+// attemptLocalAt performs the local portion of Algorithm 1 on the leaf
+// holding the object, pinned for patching with the object at entry li:
+// in-place update, uniform ε-enlargement, and a sibling shift. It
+// releases the pin. Only the in-place update is patched into the pinned
+// page: the other outcomes read the parent between reading and writing
+// the leaf, so they work on the decoded leaf, which is returned
+// (borrowed: the caller hands it back), entry li still unmodified, unless
+// the update was resolved (localDone). needAscend here means "delete
+// bottom-up and re-insert from the root". The batch pipeline enters here
+// with the group's leaf, skipping the hash lookup.
+func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom.Rect, ref *rtree.NodeRef, li int) (localOutcome, *rtree.Node, error) {
 	t := s.tree
 
 	// "if newLocation lies within the leaf MBR: update in place."
-	if leaf.Self.ContainsPoint(new) {
-		leaf.Entries[li].Rect = newRect
+	if ref.Self().ContainsPoint(new) {
+		ref.SetRect(li, newRect)
 		s.out.inLeaf.Add(1)
-		return localDone, t.WriteNode(leaf)
+		return localDone, nil, ref.Release()
+	}
+	leaf := ref.Decode()
+	if err := ref.Release(); err != nil {
+		return needTopDown, nil, err
 	}
 
 	// "Retrieve the parent of the leaf node. Let eMBR be the leaf MBR
@@ -156,16 +153,17 @@ func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom
 	var parent *rtree.Node
 	if leaf.Parent != pagestore.InvalidPage {
 		var err error
-		parent, err = t.ReadNode(leaf.Parent)
+		parent, err = t.BorrowNode(leaf.Parent)
 		if err != nil {
-			return needTopDown, err
+			return needTopDown, nil, err
 		}
+		defer t.ReturnNode(parent)
 		eMBR, ok := geom.ExpandWithin(leaf.Self, s.eps, parent.Self)
 		if ok && eMBR.ContainsPoint(new) {
 			leaf.Self = eMBR
 			leaf.Entries[li].Rect = newRect
 			if err := t.WriteNode(leaf); err != nil {
-				return needTopDown, err
+				return needTopDown, nil, err
 			}
 			// Keep the parent's entry mirroring the enlarged leaf MBR so
 			// queries keep finding the extension region. (The paper's
@@ -173,55 +171,66 @@ func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom
 			// required for correctness and is charged here.)
 			pi := parent.FindChild(leaf.Page)
 			if pi < 0 {
-				return needTopDown, fmt.Errorf("lbu: parent %d missing child %d", parent.Page, leaf.Page)
+				return needTopDown, nil, fmt.Errorf("lbu: parent %d missing child %d", parent.Page, leaf.Page)
 			}
 			parent.Entries[pi].Rect = eMBR
 			s.out.extended.Add(1)
-			return localDone, t.WriteNode(parent)
+			t.ReturnNode(leaf)
+			return localDone, nil, t.WriteNode(parent)
 		}
 	}
 
 	// "if deletion of the object from the leaf node leads to underflow:
 	// issue a top-down update."
 	if len(leaf.Entries)-1 < t.MinEntries() {
-		return needTopDown, nil
+		return needTopDown, leaf, nil
 	}
 
 	// "if newLocation is contained in the MBR of some sibling node which
 	// is not full: insert there." Without the summary structure's bit
 	// vector, LBU must read each candidate sibling to learn whether it is
-	// full — the extra disk accesses the paper charges this scheme.
+	// full — the extra disk accesses the paper charges this scheme. The
+	// header answers that; a full sibling is not decoded.
 	if parent != nil {
 		for i := range parent.Entries {
 			sibPage := parent.Entries[i].Child
 			if sibPage == leaf.Page || !parent.Entries[i].Rect.ContainsPoint(new) {
 				continue
 			}
-			sib, err := t.ReadNode(sibPage)
+			sref, err := t.PinNode(sibPage)
 			if err != nil {
-				return needTopDown, err
+				return needTopDown, nil, err
 			}
-			if len(sib.Entries) >= t.MaxEntries() {
+			if sref.Count() >= t.MaxEntries() {
+				if err := sref.Release(); err != nil {
+					return needTopDown, nil, err
+				}
 				continue // full; keep scanning
+			}
+			sib := sref.Decode()
+			if err := sref.Release(); err != nil {
+				return needTopDown, nil, err
 			}
 			// Sibling first, then the source leaf: a concurrent reader
 			// may transiently see the object twice but never zero times.
 			sib.Entries = append(sib.Entries, rtree.Entry{Rect: newRect, OID: oid})
 			if err := t.WriteNode(sib); err != nil {
-				return needTopDown, err
+				return needTopDown, nil, err
 			}
+			t.ReturnNode(sib)
 			leaf.RemoveEntry(li)
 			if err := t.WriteNode(leaf); err != nil {
-				return needTopDown, err
+				return needTopDown, nil, err
 			}
+			t.ReturnNode(leaf)
 			if err := s.hash.Set(oid, sibPage); err != nil {
-				return needTopDown, err
+				return needTopDown, nil, err
 			}
 			s.out.shifted.Add(1)
-			return localDone, nil
+			return localDone, nil, nil
 		}
 	}
-	return needAscend, nil
+	return needAscend, leaf, nil
 }
 
 // LeafOf resolves the leaf currently holding the object (GroupApplier).
@@ -232,14 +241,18 @@ func (s *lbuStrategy) LeafOf(oid rtree.OID) (rtree.PageID, error) {
 // LeafScope names the leaf and its parent, read through the leaf's
 // parent pointer (GroupApplier).
 func (s *lbuStrategy) LeafScope(leaf rtree.PageID) ([]rtree.PageID, error) {
-	n, err := s.tree.ReadNode(leaf)
+	ref, err := s.tree.PinNode(leaf)
 	if err != nil {
 		return nil, err
 	}
-	if n.Parent == pagestore.InvalidPage {
+	parent := ref.Parent()
+	if err := ref.Release(); err != nil {
+		return nil, err
+	}
+	if parent == pagestore.InvalidPage {
 		return []rtree.PageID{leaf}, nil
 	}
-	return []rtree.PageID{leaf, n.Parent}, nil
+	return []rtree.PageID{leaf, parent}, nil
 }
 
 // ApplyLeafGroup applies one leaf's share of a batch in a single
@@ -254,13 +267,14 @@ func (s *lbuStrategy) LeafScope(leaf rtree.PageID) ([]rtree.PageID, error) {
 //burlint:hotpath
 func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group []BatchChange) ([]BatchChange, error) {
 	t := s.tree
-	leaf, err := t.ReadNode(leafPage)
+	leaf, err := t.BorrowNode(leafPage)
 	if err != nil {
 		if errors.Is(err, pagestore.ErrPageFreed) {
 			return group, nil // leaf freed by an earlier change in the batch
 		}
 		return nil, err
 	}
+	defer t.ReturnNode(leaf)
 	if !leaf.IsLeaf() {
 		return group, nil // page recycled as an internal node
 	}
@@ -286,10 +300,11 @@ func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group []BatchChange)
 	var parent *rtree.Node
 	enlarged := false
 	if len(outside) > 0 && leaf.Parent != pagestore.InvalidPage {
-		parent, err = t.ReadNode(leaf.Parent)
+		parent, err = t.BorrowNode(leaf.Parent)
 		if err != nil {
 			return nil, err
 		}
+		defer t.ReturnNode(parent)
 		if eMBR, ok := geom.ExpandWithin(leaf.Self, s.eps, parent.Self); ok {
 			rest := outside[:0]
 			for _, c := range outside {
@@ -333,13 +348,20 @@ func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group []BatchChange)
 func (s *lbuStrategy) UpdateAtLeaf(leafPage rtree.PageID, c BatchChange, localOnly bool) (bool, error) {
 	t := s.tree
 	newRect := geom.RectFromPoint(c.New)
-	leaf, err := t.ReadNode(leafPage)
+	ref, err := t.PinNodeForPatch(leafPage)
 	if err != nil && !errors.Is(err, pagestore.ErrPageFreed) {
 		return false, err
 	}
 	li := -1
-	if err == nil && leaf.IsLeaf() {
-		li = leaf.FindOID(c.OID)
+	if err == nil {
+		if ref.IsLeaf() {
+			li = ref.FindOID(c.OID)
+		}
+		if li < 0 {
+			if err := ref.Release(); err != nil {
+				return false, err
+			}
+		}
 	}
 	if li < 0 {
 		if localOnly {
@@ -351,25 +373,23 @@ func (s *lbuStrategy) UpdateAtLeaf(leafPage rtree.PageID, c BatchChange, localOn
 		// hash index.
 		return true, s.Update(c.OID, c.Old, c.New)
 	}
-	res, err := s.attemptLocalAt(c.OID, c.New, newRect, leaf, li)
+	res, leaf, err := s.attemptLocalAt(c.OID, c.New, newRect, &ref, li)
 	if err != nil {
 		return false, err
 	}
-	switch res {
-	case localDone:
+	if res == localDone {
 		return true, s.adapter.Err()
-	case needTopDown:
-		if localOnly {
-			return false, nil
-		}
+	}
+	defer t.ReturnNode(leaf)
+	if localOnly {
+		return false, nil
+	}
+	if res == needTopDown {
 		s.out.topDown.Add(1)
 		if err := t.Update(c.OID, leaf.Entries[li].Rect, newRect); err != nil {
 			return false, err
 		}
 		return true, s.adapter.Err()
-	}
-	if localOnly {
-		return false, nil
 	}
 	if err := s.reinsertFromRoot(c.OID, newRect, leaf, li); err != nil {
 		return false, err

@@ -66,24 +66,29 @@ func (s *naiveStrategy) Update(oid rtree.OID, old, new geom.Point) error {
 	if err != nil {
 		return fmt.Errorf("naive: update %d: %w", oid, err)
 	}
-	leaf, err := t.ReadNode(leafPage)
+	ref, err := t.PinNodeForPatch(leafPage)
 	if err != nil {
 		return err
 	}
-	li := leaf.FindOID(oid)
+	li := ref.FindOID(oid)
 	if li < 0 {
+		_ = ref.Release() // nothing was patched
 		return fmt.Errorf("naive: update %d: hash points to leaf %d but entry is missing", oid, leafPage)
 	}
-	if leaf.Self.ContainsPoint(new) {
-		leaf.Entries[li].Rect = newRect
+	if ref.Self().ContainsPoint(new) {
+		ref.SetRect(li, newRect)
 		s.out.inLeaf.Add(1)
-		if err := t.WriteNode(leaf); err != nil {
+		if err := ref.Release(); err != nil {
 			return err
 		}
 		return s.adapter.Err()
 	}
+	stored := ref.Rect(li)
+	if err := ref.Release(); err != nil {
+		return err
+	}
 	s.out.topDown.Add(1)
-	if err := t.Update(oid, leaf.Entries[li].Rect, newRect); err != nil {
+	if err := t.Update(oid, stored, newRect); err != nil {
 		return err
 	}
 	return s.adapter.Err()

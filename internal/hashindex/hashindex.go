@@ -7,7 +7,10 @@
 //
 // The table is a static-directory chained hash: a fixed array of bucket
 // head pages, each a chain of slot pages. All traffic flows through the
-// buffer pool, so hot buckets may be cached just like hot tree nodes.
+// buffer pool, so hot buckets may be cached just like hot tree nodes, and
+// the slots are scanned and patched where they lie, in the pinned frame
+// (one pin at a time: a chained bucket releases a page before it pins the
+// next, and pins an earlier page again if it has to come back to it).
 package hashindex
 
 import (
@@ -40,16 +43,7 @@ type Index struct {
 	buckets  []pagestore.PageID
 	slotsPer int
 	size     atomic.Int64
-	stripes  [64]stripe
-}
-
-// stripe is one latch plus its private scratch page. Operations scan
-// and patch hash pages directly in the scratch: it holds a view of the
-// page most recently loaded on the stripe and of nothing else, so
-// whatever a chained bucket needs from an earlier page is re-loaded.
-type stripe struct {
-	mu      sync.Mutex
-	pageBuf []byte
+	stripes  [64]sync.Mutex
 }
 
 // New creates an index with capacity sized for expectedSize entries at
@@ -65,17 +59,13 @@ func New(pool *buffer.Pool, expectedSize int) *Index {
 	if nb < 1 {
 		nb = 1
 	}
-	idx := &Index{
+	// Bucket heads are created lazily (InvalidPage marks an empty bucket)
+	// so small indexes stay small.
+	return &Index{
 		pool:     pool,
 		buckets:  make([]pagestore.PageID, nb),
 		slotsPer: slots,
 	}
-	for i := range idx.stripes {
-		idx.stripes[i].pageBuf = make([]byte, ps)
-	}
-	// Bucket heads are created lazily (InvalidPage marks an empty bucket)
-	// so small indexes stay small.
-	return idx
 }
 
 // Size returns the number of mapped object ids.
@@ -103,15 +93,23 @@ func (x *Index) Bucket(oid uint64) int { return x.bucketFor(oid) }
 func (x *Index) Lookup(oid uint64) (pagestore.PageID, error) {
 	b := x.bucketFor(oid)
 	st := &x.stripes[b%len(x.stripes)]
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.Lock()
+	defer st.Unlock()
 	for pid := x.buckets[b]; pid != pagestore.InvalidPage; {
-		count, next, err := x.load(st, pid)
+		pg, err := x.pin(pid, false)
 		if err != nil {
 			return pagestore.InvalidPage, err
 		}
-		if i := st.find(count, oid); i >= 0 {
-			return st.leafAt(i), nil
+		i, next := pg.find(oid), pg.next()
+		leaf := pagestore.InvalidPage
+		if i >= 0 {
+			leaf = pg.leafAt(i)
+		}
+		if err := pg.release(); err != nil {
+			return pagestore.InvalidPage, err
+		}
+		if i >= 0 {
+			return leaf, nil
 		}
 		pid = next
 	}
@@ -120,126 +118,165 @@ func (x *Index) Lookup(oid uint64) (pagestore.PageID, error) {
 
 // Set maps oid to leaf, inserting or updating as needed. Updating an
 // entry to the leaf it already maps to performs no write.
+//
+//burlint:hotpath
 func (x *Index) Set(oid uint64, leaf pagestore.PageID) error {
 	if leaf == pagestore.InvalidPage {
 		return fmt.Errorf("hashindex: mapping oid %d to invalid page", oid)
 	}
 	b := x.bucketFor(oid)
 	st := &x.stripes[b%len(x.stripes)]
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.Lock()
+	defer st.Unlock()
 
 	// spacious is the first page of the chain with a free slot, slot its
-	// first free slot; loaded is the page the scratch holds, the chain's
-	// last once the scan ends.
-	spacious, loaded, slot := pagestore.InvalidPage, pagestore.InvalidPage, 0
+	// first free slot; last is the chain's last page.
+	spacious, last, slot := pagestore.InvalidPage, pagestore.InvalidPage, 0
 	for pid := x.buckets[b]; pid != pagestore.InvalidPage; {
-		count, next, err := x.load(st, pid)
+		pg, err := x.pin(pid, true)
 		if err != nil {
 			return err
 		}
-		if i := st.find(count, oid); i >= 0 {
-			if st.leafAt(i) == leaf {
-				return nil
+		if i := pg.find(oid); i >= 0 {
+			if pg.leafAt(i) != leaf {
+				pg.putSlot(i, oid, leaf)
 			}
-			st.putSlot(i, oid, leaf)
-			return x.store(st, pid)
+			return pg.release()
 		}
-		if spacious == pagestore.InvalidPage && count < x.slotsPer {
-			spacious, slot = pid, count
+		if spacious == pagestore.InvalidPage && pg.count < x.slotsPer {
+			spacious, slot = pid, pg.count
 		}
-		loaded, pid = pid, next
+		next := pg.next()
+		if next == pagestore.InvalidPage && spacious == pid {
+			// The free slot is on the page in hand.
+			pg.putSlot(slot, oid, leaf)
+			pg.setCount(slot + 1)
+			x.size.Add(1)
+			return pg.release()
+		}
+		if err := pg.release(); err != nil {
+			return err
+		}
+		last, pid = pid, next
 	}
 	x.size.Add(1)
 	if spacious != pagestore.InvalidPage {
-		if spacious != loaded {
-			if _, _, err := x.load(st, spacious); err != nil {
-				return err
-			}
+		// An earlier page of the chain: pinned again, one more page access.
+		pg, err := x.pin(spacious, true)
+		if err != nil {
+			return err
 		}
-		st.putSlot(slot, oid, leaf)
-		st.setCount(slot + 1)
-		return x.store(st, spacious)
+		pg.putSlot(slot, oid, leaf)
+		pg.setCount(slot + 1)
+		return pg.release()
 	}
 	// Allocate a new page: either a new bucket head or an overflow page.
 	// It is written before the chain links to it, so a failed write
 	// leaves the chain intact.
 	np := x.pool.Store().Alloc()
-	clear(st.pageBuf)
-	st.pageBuf[0] = pageMagic
-	st.setNext(pagestore.InvalidPage)
-	st.putSlot(0, oid, leaf)
-	st.setCount(1)
-	if err := x.store(st, np); err != nil {
+	h, err := x.pool.PinOverwrite(np)
+	if err != nil {
+		return fmt.Errorf("hashindex: writing page %d: %w", np, err)
+	}
+	pg := page{h: h, id: np}
+	clear(h.Bytes())
+	h.Bytes()[0] = pageMagic
+	pg.putSlot(0, oid, leaf)
+	pg.setCount(1)
+	if err := pg.release(); err != nil {
 		return err
 	}
-	if loaded == pagestore.InvalidPage {
+	if last == pagestore.InvalidPage {
 		x.buckets[b] = np
 		return nil
 	}
-	if _, _, err := x.load(st, loaded); err != nil {
+	if pg, err = x.pin(last, true); err != nil {
 		return err
 	}
-	st.setNext(np)
-	return x.store(st, loaded)
+	pg.setNext(np)
+	return pg.release()
 }
 
 // Delete removes the mapping for oid.
 func (x *Index) Delete(oid uint64) error {
 	b := x.bucketFor(oid)
 	st := &x.stripes[b%len(x.stripes)]
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st.Lock()
+	defer st.Unlock()
 	for pid := x.buckets[b]; pid != pagestore.InvalidPage; {
-		count, next, err := x.load(st, pid)
+		pg, err := x.pin(pid, true)
 		if err != nil {
 			return err
 		}
-		if i := st.find(count, oid); i >= 0 {
+		if i := pg.find(oid); i >= 0 {
 			// The last slot fills the hole and is zeroed, so a page's
 			// bytes depend only on the slots it holds.
-			last := count - 1
-			st.putSlot(i, st.oidAt(last), st.leafAt(last))
-			st.putSlot(last, 0, 0)
-			st.setCount(last)
+			last := pg.count - 1
+			pg.putSlot(i, pg.oidAt(last), pg.leafAt(last))
+			pg.putSlot(last, 0, 0)
+			pg.setCount(last)
 			x.size.Add(-1)
-			return x.store(st, pid)
+			return pg.release()
+		}
+		next := pg.next()
+		if err := pg.release(); err != nil {
+			return err
 		}
 		pid = next
 	}
 	return fmt.Errorf("%w: %d", ErrNotFound, oid)
 }
 
-// load reads hash page id into the stripe's scratch and validates its
-// header, returning the slot count and the next page of the chain.
-func (x *Index) load(st *stripe, id pagestore.PageID) (count int, next pagestore.PageID, err error) {
-	if err := x.pool.ReadPage(id, st.pageBuf); err != nil {
-		return 0, pagestore.InvalidPage, fmt.Errorf("hashindex: reading page %d: %w", id, err)
-	}
-	b := st.pageBuf
-	if b[0] != pageMagic {
-		return 0, pagestore.InvalidPage, fmt.Errorf("hashindex: page %d is not a hash page (magic %#x)", id, b[0])
-	}
-	count = int(binary.LittleEndian.Uint16(b[2:]))
-	if count > x.slotsPer {
-		return 0, pagestore.InvalidPage, fmt.Errorf("hashindex: page %d count %d exceeds capacity %d", id, count, x.slotsPer)
-	}
-	return count, pagestore.PageID(binary.LittleEndian.Uint64(b[8:])), nil
+// page is a pinned hash page with its header validated. Its accessors
+// read and patch the frame's own bytes; a patch marks the page dirty.
+type page struct {
+	h     buffer.Handle
+	id    pagestore.PageID
+	count int
 }
 
-// store writes the scratch out as page id.
-func (x *Index) store(st *stripe, id pagestore.PageID) error {
-	if err := x.pool.WritePage(id, st.pageBuf); err != nil {
-		return fmt.Errorf("hashindex: writing page %d: %w", id, err)
+// pin pins hash page id — for patching when write is set — and validates
+// its header. Each call is one logical page read.
+func (x *Index) pin(id pagestore.PageID, write bool) (page, error) {
+	var h buffer.Handle
+	var err error
+	if write {
+		h, err = x.pool.PinExclusive(id)
+	} else {
+		h, err = x.pool.Pin(id)
+	}
+	if err != nil {
+		return page{}, fmt.Errorf("hashindex: reading page %d: %w", id, err)
+	}
+	b := h.Bytes()
+	if b[0] != pageMagic {
+		_ = h.Release() // nothing was stored
+		return page{}, fmt.Errorf("hashindex: page %d is not a hash page (magic %#x)", id, b[0])
+	}
+	count := int(binary.LittleEndian.Uint16(b[2:]))
+	if count > x.slotsPer {
+		_ = h.Release() // nothing was stored
+		return page{}, fmt.Errorf("hashindex: page %d count %d exceeds capacity %d", id, count, x.slotsPer)
+	}
+	return page{h: h, id: id, count: count}, nil
+}
+
+func (pg *page) release() error {
+	if err := pg.h.Release(); err != nil {
+		return fmt.Errorf("hashindex: writing page %d: %w", pg.id, err)
 	}
 	return nil
 }
 
-// find returns the slot of the scratch page holding oid among its first
-// count slots, or -1.
-func (st *stripe) find(count int, oid uint64) int {
-	b := st.pageBuf[headerSize : headerSize+count*slotSize]
-	for i := 0; i < count; i++ {
+// next returns the next page of the chain.
+func (pg *page) next() pagestore.PageID {
+	return pagestore.PageID(binary.LittleEndian.Uint64(pg.h.Bytes()[8:]))
+}
+
+// find returns the slot holding oid, or -1.
+func (pg *page) find(oid uint64) int {
+	b := pg.h.Bytes()[headerSize : headerSize+pg.count*slotSize]
+	for i := 0; i < pg.count; i++ {
 		if binary.LittleEndian.Uint64(b[i*slotSize:]) == oid {
 			return i
 		}
@@ -247,26 +284,30 @@ func (st *stripe) find(count int, oid uint64) int {
 	return -1
 }
 
-func (st *stripe) oidAt(i int) uint64 {
-	return binary.LittleEndian.Uint64(st.pageBuf[headerSize+i*slotSize:])
+func (pg *page) oidAt(i int) uint64 {
+	return binary.LittleEndian.Uint64(pg.h.Bytes()[headerSize+i*slotSize:])
 }
 
-func (st *stripe) leafAt(i int) pagestore.PageID {
-	return pagestore.PageID(binary.LittleEndian.Uint64(st.pageBuf[headerSize+i*slotSize+8:]))
+func (pg *page) leafAt(i int) pagestore.PageID {
+	return pagestore.PageID(binary.LittleEndian.Uint64(pg.h.Bytes()[headerSize+i*slotSize+8:]))
 }
 
-func (st *stripe) putSlot(i int, oid uint64, leaf pagestore.PageID) {
-	off := headerSize + i*slotSize
-	binary.LittleEndian.PutUint64(st.pageBuf[off:], oid)
-	binary.LittleEndian.PutUint64(st.pageBuf[off+8:], uint64(leaf))
+func (pg *page) putSlot(i int, oid uint64, leaf pagestore.PageID) {
+	b := pg.h.Bytes()[headerSize+i*slotSize:]
+	binary.LittleEndian.PutUint64(b, oid)
+	binary.LittleEndian.PutUint64(b[8:], uint64(leaf))
+	pg.h.MarkDirty()
 }
 
-func (st *stripe) setCount(n int) {
-	binary.LittleEndian.PutUint16(st.pageBuf[2:], uint16(n))
+func (pg *page) setCount(n int) {
+	binary.LittleEndian.PutUint16(pg.h.Bytes()[2:], uint16(n))
+	pg.count = n
+	pg.h.MarkDirty()
 }
 
-func (st *stripe) setNext(id pagestore.PageID) {
-	binary.LittleEndian.PutUint64(st.pageBuf[8:], uint64(id))
+func (pg *page) setNext(id pagestore.PageID) {
+	binary.LittleEndian.PutUint64(pg.h.Bytes()[8:], uint64(id))
+	pg.h.MarkDirty()
 }
 
 // Stats summarizes the physical shape of the index.
@@ -284,18 +325,22 @@ func (x *Index) ComputeStats() (Stats, error) {
 	used := 0
 	for b, head := range x.buckets {
 		st := &x.stripes[b%len(x.stripes)]
-		st.mu.Lock()
+		st.Lock()
 		chain := 0
 		for pid := head; pid != pagestore.InvalidPage; {
-			_, next, err := x.load(st, pid)
+			pg, err := x.pin(pid, false)
 			if err != nil {
-				st.mu.Unlock()
+				st.Unlock()
 				return s, err
 			}
 			chain++
-			pid = next
+			pid = pg.next()
+			if err := pg.release(); err != nil {
+				st.Unlock()
+				return s, err
+			}
 		}
-		st.mu.Unlock()
+		st.Unlock()
 		if chain > 0 {
 			used++
 			s.Pages += chain

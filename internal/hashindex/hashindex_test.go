@@ -248,14 +248,16 @@ func TestComputeStatsEmpty(t *testing.T) {
 // of each page.
 func chainOf(t *testing.T, x *Index, b int) (pages []pagestore.PageID, counts []int) {
 	t.Helper()
-	st := &x.stripes[b%len(x.stripes)]
 	for pid := x.buckets[b]; pid != pagestore.InvalidPage; {
-		count, next, err := x.load(st, pid)
+		pg, err := x.pin(pid, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages, counts = append(pages, pid), append(counts, count)
-		pid = next
+		pages, counts = append(pages, pid), append(counts, pg.count)
+		pid = pg.next()
+		if err := pg.release(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return pages, counts
 }
@@ -286,8 +288,8 @@ func checkMappings(t *testing.T, x *Index, want map[uint64]pagestore.PageID) {
 }
 
 // TestChainedSetFillsEarlierPage: Set finds its free slot on the first
-// page only after scanning the later ones, by which time the scratch
-// holds the chain's last page. The new slot must land on the first page
+// page only after scanning the later ones, by which time that page is no
+// longer pinned. The new slot must land on the first page
 // and the later pages must come through untouched.
 func TestChainedSetFillsEarlierPage(t *testing.T) {
 	x := chained(t, 40) // pages of 15, 15 and 10 slots

@@ -47,7 +47,7 @@ type Store struct {
 	mu       sync.RWMutex
 	pageSize int
 	pages    [][]byte
-	freed    map[PageID]bool
+	freed    []bool // parallel to pages: the page is on the free list
 	freeList []PageID
 	io       *stats.IO
 	latency  time.Duration
@@ -65,7 +65,7 @@ func New(pageSize int, io *stats.IO) *Store {
 	return &Store{
 		pageSize: pageSize,
 		pages:    make([][]byte, 1), // index 0 reserved for InvalidPage
-		freed:    make(map[PageID]bool),
+		freed:    make([]bool, 1),
 		io:       io,
 	}
 }
@@ -93,11 +93,12 @@ func (s *Store) Alloc() PageID {
 	if n := len(s.freeList); n > 0 {
 		id := s.freeList[n-1]
 		s.freeList = s.freeList[:n-1]
-		delete(s.freed, id)
+		s.freed[id] = false
 		clearPage(s.pages[id])
 		return id
 	}
 	s.pages = append(s.pages, make([]byte, s.pageSize))
+	s.freed = append(s.freed, false)
 	return PageID(len(s.pages) - 1)
 }
 
@@ -200,6 +201,7 @@ func (s *Store) Dump() (pageSize int, pages [][]byte, freed []PageID) {
 func NewFromDump(pageSize int, pages [][]byte, freed []PageID, io *stats.IO) (*Store, error) {
 	s := New(pageSize, io)
 	s.pages = make([][]byte, len(pages)+1)
+	s.freed = make([]bool, len(pages)+1)
 	for i, p := range pages {
 		if len(p) != pageSize {
 			return nil, fmt.Errorf("pagestore: dump page %d has %d bytes, want %d", i+1, len(p), pageSize)

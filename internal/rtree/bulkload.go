@@ -142,7 +142,7 @@ func (t *Tree) fixTrailingUnderfull(nodes []*Node, level int, prepend bool) ([]*
 				t.notifyPlaced(en.OID, prev.Page)
 			}
 		}
-		if err := t.freeNode(last); err != nil {
+		if err := t.freeNode(last.Page, last.Level); err != nil {
 			return nil, err
 		}
 		return nodes[:len(nodes)-1], nil

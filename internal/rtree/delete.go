@@ -16,15 +16,17 @@ func (t *Tree) Delete(oid OID, at geom.Rect) error {
 	if t.root == pagestore.InvalidPage {
 		return ErrNotFound
 	}
-	root, err := t.ReadNode(t.root)
+	root, err := t.BorrowNode(t.root)
 	if err != nil {
 		return err
 	}
-	path, found, err := t.findLeaf(root, oid, at, nil)
+	var pathBuf [8]*Node
+	path, found, err := t.findLeaf(root, oid, at, pathBuf[:0])
 	if err != nil {
 		return err
 	}
 	if !found {
+		t.ReturnNode(root)
 		return fmt.Errorf("%w: oid %d at %v", ErrNotFound, oid, at)
 	}
 	leaf := path[len(path)-1]
@@ -33,6 +35,7 @@ func (t *Tree) Delete(oid OID, at geom.Rect) error {
 	if err := t.condense(path); err != nil {
 		return err
 	}
+	t.returnNodes(path)
 	t.size--
 	return nil
 }
@@ -47,8 +50,12 @@ func (t *Tree) Update(oid OID, old, new geom.Rect) error {
 	return t.Insert(oid, new)
 }
 
-// findLeaf performs a depth-first containment search for the entry,
-// returning the full node path from n to the owning leaf.
+// findLeaf performs a depth-first containment search for the entry below
+// the decoded node n, returning the full node path from n to the owning
+// leaf. Leaves are scanned where they lie; only the owning one is decoded.
+// The nodes findLeaf adds to a successful path are borrowed (the caller
+// returns them); on a miss it has returned its own and the path comes
+// back as it was passed in.
 func (t *Tree) findLeaf(n *Node, oid OID, at geom.Rect, path []*Node) ([]*Node, bool, error) {
 	path = append(path, n)
 	if n.IsLeaf() {
@@ -63,9 +70,15 @@ func (t *Tree) findLeaf(n *Node, oid OID, at geom.Rect, path []*Node) ([]*Node, 
 		if !n.Entries[i].Rect.ContainsRect(at) {
 			continue
 		}
-		child, err := t.ReadNode(n.Entries[i].Child)
+		child, found, err := t.probe(n.Entries[i].Child, oid, at)
 		if err != nil {
 			return nil, false, err
+		}
+		if found {
+			return append(path, child), true, nil
+		}
+		if child == nil {
+			continue // a leaf without the entry
 		}
 		sub, found, err := t.findLeaf(child, oid, at, path)
 		if err != nil {
@@ -74,8 +87,31 @@ func (t *Tree) findLeaf(n *Node, oid OID, at geom.Rect, path []*Node) ([]*Node, 
 		if found {
 			return sub, true, nil
 		}
+		t.ReturnNode(child)
 	}
 	return path[:len(path)-1], false, nil
+}
+
+// probe is one step of findLeaf's descent, one logical page read. A leaf
+// is scanned in place for the entry and decoded only when it holds it
+// (found); an internal node is decoded for the descent to continue. It
+// returns no node for a leaf without the entry.
+//
+//burlint:hotpath
+func (t *Tree) probe(page pagestore.PageID, oid OID, at geom.Rect) (n *Node, found bool, err error) {
+	r, err := t.PinNode(page)
+	if err != nil {
+		return nil, false, err
+	}
+	if r.IsLeaf() {
+		for i := 0; i < r.v.count && !found; i++ {
+			found = r.v.id(i) == oid && r.v.rect(i) == at
+		}
+	}
+	if found || !r.IsLeaf() {
+		n = r.Decode()
+	}
+	return n, found, r.Release()
 }
 
 // condense implements Guttman's CondenseTree: walking from the leaf back
@@ -85,8 +121,7 @@ func (t *Tree) findLeaf(n *Node, oid OID, at geom.Rect, path []*Node) ([]*Node, 
 // while it is an internal node with a single child.
 func (t *Tree) condense(path []*Node) error {
 	var orphans []pendingReinsert
-	dirty := make([]bool, len(path))
-	dirty[len(path)-1] = true // the leaf lost an entry
+	touched := true // the leaf lost an entry
 
 	for i := len(path) - 1; i >= 1; i-- {
 		n := path[i]
@@ -97,34 +132,31 @@ func (t *Tree) condense(path []*Node) error {
 		}
 		if len(n.Entries) < t.minEntries {
 			parent.RemoveEntry(idx)
-			dirty[i-1] = true
 			for _, e := range n.Entries {
 				orphans = append(orphans, pendingReinsert{e, n.Level})
 			}
-			if err := t.freeNode(n); err != nil {
+			if err := t.freeNode(n.Page, n.Level); err != nil {
 				return err
 			}
+			touched = true
 			continue
 		}
-		if dirty[i] {
-			if len(n.Entries) > 0 {
-				if tight := n.EntriesMBR(); tight != n.Self {
-					n.Self = tight
-				}
-			}
-			if err := t.WriteNode(n); err != nil {
-				return err
-			}
-			if parent.Entries[idx].Rect != n.Self {
-				parent.Entries[idx].Rect = n.Self
-				dirty[i-1] = true
-			}
+		if !touched {
+			continue
 		}
+		if len(n.Entries) > 0 {
+			n.Self = n.EntriesMBR()
+		}
+		if err := t.WriteNode(n); err != nil {
+			return err
+		}
+		touched = parent.Entries[idx].Rect != n.Self
+		parent.Entries[idx].Rect = n.Self
 	}
 
 	// Root: tighten and write if touched.
 	root := path[0]
-	if dirty[0] {
+	if touched {
 		if len(root.Entries) > 0 {
 			root.Self = root.EntriesMBR()
 		}
@@ -135,8 +167,8 @@ func (t *Tree) condense(path []*Node) error {
 
 	// Reinsert orphans at their original levels.
 	if len(orphans) > 0 {
-		op := &insertOp{reinserted: make(map[int]bool), pending: orphans}
-		if err := t.drainReinserts(op); err != nil {
+		op := insertOp{pending: orphans}
+		if err := t.drainReinserts(&op); err != nil {
 			return err
 		}
 	}
@@ -147,28 +179,32 @@ func (t *Tree) condense(path []*Node) error {
 // collapseRoot shrinks the tree while the root is an internal node with a
 // single child, or empties it when the last entry is gone.
 func (t *Tree) collapseRoot() error {
-	for {
-		if t.root == pagestore.InvalidPage {
-			return nil
-		}
-		root, err := t.ReadNode(t.root)
+	for t.root != pagestore.InvalidPage {
+		r, err := t.PinNode(t.root)
 		if err != nil {
 			return err
 		}
-		if root.IsLeaf() {
-			if len(root.Entries) == 0 {
-				if err := t.freeNode(root); err != nil {
+		level, count := r.Level(), r.Count()
+		child := pagestore.InvalidPage
+		if level > 0 && count == 1 {
+			child = r.Child(0)
+		}
+		if err := r.Release(); err != nil {
+			return err
+		}
+		if level == 0 {
+			if count == 0 {
+				if err := t.freeNode(t.root, 0); err != nil {
 					return err
 				}
 				t.setRoot(pagestore.InvalidPage, 0)
 			}
 			return nil
 		}
-		if len(root.Entries) > 1 {
+		if count > 1 {
 			return nil
 		}
-		child := root.Entries[0].Child
-		if err := t.freeNode(root); err != nil {
+		if err := t.freeNode(t.root, level); err != nil {
 			return err
 		}
 		t.setRoot(child, t.height-1)
@@ -178,4 +214,5 @@ func (t *Tree) collapseRoot() error {
 			}
 		}
 	}
+	return nil
 }

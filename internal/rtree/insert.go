@@ -29,13 +29,14 @@ func (t *Tree) Insert(oid OID, rect geom.Rect) error {
 		t.setRoot(root.Page, 1)
 		t.notifyPlaced(oid, root.Page)
 		t.size++
+		t.ReturnNode(root)
 		return nil
 	}
-	op := &insertOp{reinserted: make(map[int]bool)}
-	if err := t.insertEntry(nil, t.root, Entry{Rect: rect, OID: oid}, 0, op); err != nil {
+	var op insertOp
+	if err := t.insertEntry(nil, t.root, Entry{Rect: rect, OID: oid}, 0, &op); err != nil {
 		return err
 	}
-	if err := t.drainReinserts(op); err != nil {
+	if err := t.drainReinserts(&op); err != nil {
 		return err
 	}
 	t.size++
@@ -53,18 +54,32 @@ func (t *Tree) Insert(oid OID, rect geom.Rect) error {
 // The caller is responsible for accounting (size) when e is a data entry
 // that is logically new; for GBU updates the object count is unchanged.
 func (t *Tree) InsertEntryAt(abovePath []pagestore.PageID, start pagestore.PageID, e Entry, targetLevel int) error {
-	op := &insertOp{reinserted: make(map[int]bool)}
-	if err := t.insertEntry(abovePath, start, e, targetLevel, op); err != nil {
+	var op insertOp
+	if err := t.insertEntry(abovePath, start, e, targetLevel, &op); err != nil {
 		return err
 	}
-	return t.drainReinserts(op)
+	return t.drainReinserts(&op)
 }
 
 // insertOp carries per-operation state: the set of levels already treated
-// with forced reinsertion and the queue of entries awaiting reinsertion.
+// with forced reinsertion (bit l for level l) and the queue of entries
+// awaiting reinsertion.
 type insertOp struct {
-	reinserted map[int]bool
+	reinserted uint64
 	pending    []pendingReinsert
+}
+
+// markReinserted records that level is being treated with forced
+// reinsertion in this operation and reports whether it already had been.
+// Levels beyond the mask (no tree is that tall) count as treated.
+func (op *insertOp) markReinserted(level int) (already bool) {
+	if level >= 64 {
+		return true
+	}
+	bit := uint64(1) << level
+	already = op.reinserted&bit != 0
+	op.reinserted |= bit
+	return already
 }
 
 type pendingReinsert struct {
@@ -87,24 +102,11 @@ func (t *Tree) drainReinserts(op *insertOp) error {
 // tree on the way back up. abovePath (root first) is consulted only when
 // changes propagate above start.
 func (t *Tree) insertEntry(abovePath []pagestore.PageID, start pagestore.PageID, e Entry, targetLevel int, op *insertOp) error {
-	// Descend, choosing the subtree needing least enlargement.
-	var path []*Node
-	cur := start
-	for {
-		n, err := t.ReadNode(cur)
-		if err != nil {
-			return err
-		}
-		path = append(path, n)
-		if n.Level == targetLevel {
-			break
-		}
-		if n.Level < targetLevel || n.IsLeaf() {
-			return fmt.Errorf("rtree: insert at level %d: descent hit level %d", targetLevel, n.Level)
-		}
-		cur = n.Entries[chooseSubtree(n, e.Rect)].Child
+	var pathBuf [8]*Node
+	path, err := t.descend(pathBuf[:0], start, e.Rect, targetLevel)
+	if err != nil {
+		return err
 	}
-
 	target := path[len(path)-1]
 	target.Entries = append(target.Entries, e)
 	target.Self = target.Self.Union(e.Rect)
@@ -115,7 +117,38 @@ func (t *Tree) insertEntry(abovePath []pagestore.PageID, start pagestore.PageID,
 			return err
 		}
 	}
-	return t.adjustUp(path, abovePath, op)
+	if err := t.adjustUp(path, abovePath, op); err != nil {
+		return err
+	}
+	t.returnNodes(path)
+	return nil
+}
+
+// descend reads the nodes from start down to targetLevel into path
+// (borrowed nodes), choosing at each level the subtree needing least
+// enlargement to take r.
+func (t *Tree) descend(path []*Node, start pagestore.PageID, r geom.Rect, targetLevel int) ([]*Node, error) {
+	for cur := start; ; {
+		n, err := t.BorrowNode(cur)
+		if err != nil {
+			return nil, err
+		}
+		path = append(path, n)
+		if n.Level == targetLevel {
+			return path, nil
+		}
+		if n.Level < targetLevel || n.IsLeaf() {
+			return nil, fmt.Errorf("rtree: insert at level %d: descent hit level %d", targetLevel, n.Level)
+		}
+		cur = n.Entries[chooseSubtree(n, r)].Child
+	}
+}
+
+// written is what the level above needs to know of a node just written.
+type written struct {
+	page  pagestore.PageID
+	level int
+	self  geom.Rect
 }
 
 // adjustUp writes the deepest node of path and propagates MBR changes and
@@ -131,72 +164,118 @@ func (t *Tree) adjustUp(path []*Node, abovePath []pagestore.PageID, op *insertOp
 	if err := t.WriteNode(child); err != nil {
 		return err
 	}
+	below := written{child.Page, child.Level, child.Self}
 
 	// Walk up through the in-memory path, then lazily through abovePath.
-	above := len(abovePath)
-	for i := len(path) - 2; i >= -above; i-- {
-		var parent *Node
-		if i >= 0 {
-			parent = path[i]
-		} else {
-			parent, err = t.ReadNode(abovePath[above+i])
-			if err != nil {
+	for i := len(path) - 2; i >= 0; i-- {
+		parent := path[i]
+		isRoot := i == 0 && len(abovePath) == 0 && parent.Page == t.root
+		var changed bool
+		if changed, split, err = t.absorb(parent, isRoot, below, split, op); err != nil || !changed {
+			return err // nothing to propagate further
+		}
+		below = written{parent.Page, parent.Level, parent.Self}
+	}
+	for i := len(abovePath) - 1; i >= 0; i-- {
+		if split == nil {
+			// Only an MBR may still change: patch the ancestor in place.
+			var changed bool
+			if changed, below, err = t.tighten(abovePath[i], below); err != nil || !changed {
 				return err
 			}
+			continue
 		}
-		idx := parent.FindChild(child.Page)
-		if idx < 0 {
-			return fmt.Errorf("rtree: node %d missing child entry for %d", parent.Page, child.Page)
-		}
-		changed := false
-		if parent.Entries[idx].Rect != child.Self {
-			parent.Entries[idx].Rect = child.Self
-			changed = true
-		}
-		if split != nil {
-			parent.Entries = append(parent.Entries, Entry{Rect: split.Self, Child: split.Page})
-			if t.cfg.ParentPointers {
-				if err := t.setParent(split.Page, parent.Page); err != nil {
-					return err
-				}
-			}
-			changed = true
-		}
-		if !changed {
-			return nil // nothing to propagate further
-		}
-		parent.Self = parent.EntriesMBR()
-		parentIsRoot := (i == -above) && parent.Page == t.root
-		split, err = t.resolveOverflow(parent, parentIsRoot, op)
+		parent, err := t.BorrowNode(abovePath[i])
 		if err != nil {
 			return err
 		}
-		if err := t.WriteNode(parent); err != nil {
+		isRoot := i == 0 && parent.Page == t.root
+		if _, split, err = t.absorb(parent, isRoot, below, split, op); err != nil {
 			return err
 		}
-		child = parent
+		below = written{parent.Page, parent.Level, parent.Self}
+		t.ReturnNode(parent)
 	}
 
 	if split != nil {
-		// The split reached the top of the chain; child must be the root.
-		if child.Page != t.root {
-			return fmt.Errorf("rtree: split escaped the ancestor chain at node %d", child.Page)
+		// The split reached the top of the chain; below must be the root.
+		if below.page != t.root {
+			return fmt.Errorf("rtree: split escaped the ancestor chain at node %d", below.page)
 		}
-		return t.growRoot(child, split)
+		err = t.growRoot(below, split)
+		t.ReturnNode(split)
 	}
-	return nil
+	return err
+}
+
+// absorb brings the decoded parent up to date with the child just
+// written below it — the child's MBR and, after a split, its new sibling
+// (which is handed back to the free list) — and, if anything changed,
+// resolves the parent's own overflow and writes it. It returns the
+// parent's new sibling when the parent split in turn.
+func (t *Tree) absorb(parent *Node, isRoot bool, below written, sibling *Node, op *insertOp) (changed bool, split *Node, err error) {
+	idx := parent.FindChild(below.page)
+	if idx < 0 {
+		return false, nil, fmt.Errorf("rtree: node %d missing child entry for %d", parent.Page, below.page)
+	}
+	if parent.Entries[idx].Rect != below.self {
+		parent.Entries[idx].Rect = below.self
+		changed = true
+	}
+	if sibling != nil {
+		parent.Entries = append(parent.Entries, Entry{Rect: sibling.Self, Child: sibling.Page})
+		if t.cfg.ParentPointers {
+			if err := t.setParent(sibling.Page, parent.Page); err != nil {
+				return false, nil, err
+			}
+		}
+		t.ReturnNode(sibling)
+		changed = true
+	}
+	if !changed {
+		return false, nil, nil
+	}
+	parent.Self = parent.EntriesMBR()
+	if split, err = t.resolveOverflow(parent, isRoot, op); err != nil {
+		return false, nil, err
+	}
+	return true, split, t.WriteNode(parent)
+}
+
+// tighten is absorb for an ancestor that was not read on the way down and
+// whose child did not split: it mirrors the child's MBR in the node on
+// page and recomputes the node's own, patching both in place. With the
+// mirror already exact nothing is written.
+//
+//burlint:hotpath
+func (t *Tree) tighten(page pagestore.PageID, below written) (changed bool, _ written, err error) {
+	r, err := t.PinNodeForPatch(page)
+	if err != nil {
+		return false, below, err
+	}
+	idx := r.FindChild(below.page)
+	if idx < 0 {
+		_ = r.Release() // nothing was patched
+		return false, below, fmt.Errorf("rtree: node %d missing child entry for %d", page, below.page)
+	}
+	if r.Rect(idx) == below.self {
+		return false, below, r.Release()
+	}
+	r.SetRect(idx, below.self)
+	self := r.entriesMBR()
+	r.SetSelf(self)
+	return true, written{page, r.Level(), self}, r.Release()
 }
 
 // resolveOverflow handles an over-full node: forced reinsertion on the
 // first overflow of a level per operation, a split otherwise. It returns
-// the new sibling node (already written) when a split occurred. The caller
-// writes n itself.
+// the new sibling node (already written, borrowed from the free list) when
+// a split occurred. The caller writes n itself.
 func (t *Tree) resolveOverflow(n *Node, isRoot bool, op *insertOp) (*Node, error) {
 	if len(n.Entries) <= t.maxEntries {
 		return nil, nil
 	}
-	if t.cfg.ReinsertFraction > 0 && !isRoot && !op.reinserted[n.Level] {
-		op.reinserted[n.Level] = true
+	if t.cfg.ReinsertFraction > 0 && !isRoot && !op.markReinserted(n.Level) {
 		t.forceReinsert(n, op)
 		return nil, nil
 	}
@@ -241,10 +320,12 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 	g1, g2 := splitEntries(n.Entries, t.minEntries, t.cfg.Split)
 	nn := t.allocNode(n.Level)
 	nn.Parent = n.Parent
-	n.Entries = g1
-	n.Self = n.EntriesMBR()
-	nn.Entries = g2
+	// Copied into the nodes' own slices (the sibling's first: g1 may alias
+	// n.Entries), so borrowed nodes keep their capacity.
+	nn.Entries = append(nn.Entries[:0], g2...)
 	nn.Self = nn.EntriesMBR()
+	n.Entries = append(n.Entries[:0], g1...)
+	n.Self = n.EntriesMBR()
 	t.io.CountSplit()
 
 	// Bookkeeping for the entries that moved to the new node: secondary
@@ -268,18 +349,18 @@ func (t *Tree) splitNode(n *Node) (*Node, error) {
 }
 
 // growRoot installs a new root above the two nodes of a root split.
-func (t *Tree) growRoot(oldRoot, sibling *Node) error {
-	root := t.allocNode(oldRoot.Level + 1)
-	root.Entries = []Entry{
-		{Rect: oldRoot.Self, Child: oldRoot.Page},
-		{Rect: sibling.Self, Child: sibling.Page},
-	}
+func (t *Tree) growRoot(oldRoot written, sibling *Node) error {
+	root := t.allocNode(oldRoot.level + 1)
+	root.Entries = append(root.Entries,
+		Entry{Rect: oldRoot.self, Child: oldRoot.page},
+		Entry{Rect: sibling.Self, Child: sibling.Page},
+	)
 	root.Self = root.EntriesMBR()
 	if err := t.WriteNode(root); err != nil {
 		return err
 	}
 	if t.cfg.ParentPointers {
-		if err := t.setParent(oldRoot.Page, root.Page); err != nil {
+		if err := t.setParent(oldRoot.page, root.Page); err != nil {
 			return err
 		}
 		if err := t.setParent(sibling.Page, root.Page); err != nil {
@@ -287,22 +368,24 @@ func (t *Tree) growRoot(oldRoot, sibling *Node) error {
 		}
 	}
 	t.setRoot(root.Page, t.height+1)
+	t.ReturnNode(root)
 	return nil
 }
 
-// setParent rewrites the parent pointer of the node on page child. Each
-// call costs one read and one write, which is exactly the maintenance
-// overhead the paper attributes to parent-pointer schemes.
+// setParent rewrites the parent pointer of the node on page child, in
+// place. Each call costs one read and one write, which is exactly the
+// maintenance overhead the paper attributes to parent-pointer schemes.
+//
+//burlint:hotpath
 func (t *Tree) setParent(child, parent pagestore.PageID) error {
-	n, err := t.ReadNode(child)
+	r, err := t.PinNodeForPatch(child)
 	if err != nil {
 		return err
 	}
-	if n.Parent == parent {
-		return nil
+	if r.Parent() != parent {
+		r.setParent(parent)
 	}
-	n.Parent = parent
-	return t.WriteNode(n)
+	return r.Release()
 }
 
 // chooseSubtree returns the index of the entry needing least area

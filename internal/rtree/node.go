@@ -8,13 +8,36 @@
 // strategies (LBU, GBU) in internal/core drive the tree through the
 // lower-level node operations it exposes.
 //
-// Layout: each node occupies exactly one page. The node header stores the
-// node's level, entry count and its official MBR (the paper's "leaf MBR",
-// which bottom-up updates may enlarge beyond the tight bound of the
-// entries). Trees configured with parent pointers (the LBU variant)
-// additionally store the parent page id in every node header, paying for
-// it with reduced fanout and extra maintenance writes — exactly the
-// overhead the paper attributes to Kwon-style localized updates.
+// Layout: each node occupies exactly one page, in a fixed-width format
+// (a 40-byte header — 48 with a parent pointer — then 40-byte entries)
+// that is read where it lies. The node header stores the node's level,
+// entry count and its official MBR (the paper's "leaf MBR", which
+// bottom-up updates may enlarge beyond the tight bound of the entries).
+// Trees configured with parent pointers (the LBU variant) additionally
+// store the parent page id in every node header, paying for it with
+// reduced fanout and extra maintenance writes — exactly the overhead the
+// paper attributes to Kwon-style localized updates.
+//
+// A page is reached in one of two ways, both one pin of its buffer frame
+// (internal/buffer: pin, look, release — one pin per goroutine):
+//
+//   - In place. Searches, scans and the single-entry writes of the
+//     update path — an entry's rectangle, the node's own MBR, the parent
+//     pointer — go through a NodeRef: a validated view over the pinned
+//     frame's bytes whose accessors read the fixed-width fields and whose
+//     setters patch them (Tree.PinNode, Tree.PinNodeForPatch,
+//     Tree.ScanNode, Tree.Search, Tree.NearestK). No Node is built.
+//   - Decoded. Structural changes — appending or removing entries,
+//     splits, reinsertion, condensing — work on a Node: ReadNode decodes
+//     straight from the pinned frame, WriteNode encodes straight into
+//     it. ReadNode's result belongs to the caller; nodes whose lifetime
+//     is one call are borrowed from the tree's free list (BorrowNode,
+//     NodeRef.Decode) and handed back with ReturnNode, so the Entries
+//     slice is reused.
+//
+// A patch replaces a ReadNode … WriteNode pair only where no other page
+// access lies between the two, so the buffer pool sees the same access
+// sequence either way.
 package rtree
 
 import (
@@ -48,6 +71,10 @@ type Node struct {
 	Self    geom.Rect
 	Parent  pagestore.PageID // maintained only in parent-pointer trees
 	Entries []Entry
+
+	// kids is scratch for the child list WriteNode hands the listener,
+	// kept with the node so that writing it again allocates nothing.
+	kids []pagestore.PageID
 }
 
 // IsLeaf reports whether the node is at leaf level.
@@ -194,47 +221,90 @@ func encodeNode(n *Node, buf []byte, parentPointers bool) error {
 	return nil
 }
 
-// decodeNode parses one page into n. The node's Page field must be set by
-// the caller.
-func decodeNode(n *Node, buf []byte, parentPointers bool) error {
+// view is a node page read where it lies: the header fields, validated
+// once, and the offset of the fixed-width entries.
+type view struct {
+	b     []byte
+	level int
+	count int
+	off   int // offset of entry 0
+}
+
+// viewNode validates the header of one page.
+func viewNode(buf []byte, parentPointers bool) (view, error) {
 	if buf[0] != nodeMagic {
-		return fmt.Errorf("rtree: page is not a node (magic %#x)", buf[0])
+		return view{}, fmt.Errorf("rtree: page is not a node (magic %#x)", buf[0])
 	}
 	flags := buf[1]
 	if got := flags&flagParent != 0; got != parentPointers {
-		return fmt.Errorf("rtree: node parent-pointer layout mismatch (page has %v, tree wants %v)", got, parentPointers)
+		return view{}, fmt.Errorf("rtree: node parent-pointer layout mismatch (page has %v, tree wants %v)", got, parentPointers)
 	}
-	n.Level = int(binary.LittleEndian.Uint16(buf[2:]))
-	count := int(binary.LittleEndian.Uint16(buf[4:]))
-	if isLeaf := flags&flagLeaf != 0; isLeaf != (n.Level == 0) {
-		return fmt.Errorf("rtree: leaf flag inconsistent with level %d", n.Level)
+	v := view{
+		b:     buf,
+		level: int(binary.LittleEndian.Uint16(buf[2:])),
+		count: int(binary.LittleEndian.Uint16(buf[4:])),
+		off:   headerSize(parentPointers),
 	}
-	n.Self = getRect(buf[8:])
-	off := baseHeaderSize
-	n.Parent = pagestore.InvalidPage
-	if parentPointers {
-		n.Parent = pagestore.PageID(binary.LittleEndian.Uint64(buf[off:]))
-		off += parentFieldSize
+	if isLeaf := flags&flagLeaf != 0; isLeaf != (v.level == 0) {
+		return view{}, fmt.Errorf("rtree: leaf flag inconsistent with level %d", v.level)
 	}
-	if off+count*entrySize > len(buf) {
-		return fmt.Errorf("rtree: node count %d exceeds page capacity", count)
+	if v.off+v.count*entrySize > len(buf) {
+		return view{}, fmt.Errorf("rtree: node count %d exceeds page capacity", v.count)
 	}
-	if cap(n.Entries) < count {
-		n.Entries = make([]Entry, count)
-	} else {
-		n.Entries = n.Entries[:count]
+	return v, nil
+}
+
+func (v view) self() geom.Rect { return getRect(v.b[8:]) }
+
+// parent returns the parent pointer, InvalidPage in a tree without them.
+func (v view) parent() pagestore.PageID {
+	if v.off == baseHeaderSize {
+		return pagestore.InvalidPage
 	}
-	for i := 0; i < count; i++ {
-		id := binary.LittleEndian.Uint64(buf[off:])
-		r := getRect(buf[off+8:])
-		e := Entry{Rect: r}
-		if n.Level > 0 {
-			e.Child = pagestore.PageID(id)
-		} else {
-			e.OID = id
+	return pagestore.PageID(binary.LittleEndian.Uint64(v.b[baseHeaderSize:]))
+}
+
+// id returns the object id (leaf) or child page (internal node) of entry i.
+func (v view) id(i int) uint64 { return binary.LittleEndian.Uint64(v.b[v.off+i*entrySize:]) }
+
+func (v view) rect(i int) geom.Rect { return getRect(v.b[v.off+i*entrySize+8:]) }
+
+// find returns the index of the entry whose id is id, or -1.
+func (v view) find(id uint64) int {
+	for i, off := 0, v.off; i < v.count; i, off = i+1, off+entrySize {
+		if binary.LittleEndian.Uint64(v.b[off:]) == id {
+			return i
 		}
-		n.Entries[i] = e
-		off += entrySize
 	}
-	return nil
+	return -1
+}
+
+// decode fills n from the view; n.Page is the caller's to set.
+func (v view) decode(n *Node) {
+	n.Level = v.level
+	n.Self = v.self()
+	n.Parent = v.parent()
+	if cap(n.Entries) < v.count {
+		n.Entries = make([]Entry, v.count)
+	} else {
+		n.Entries = n.Entries[:v.count]
+	}
+	// Stored field by field: building each Entry and copying it in costs
+	// three times as much.
+	b := v.b[v.off : v.off+v.count*entrySize]
+	internal := v.level > 0
+	for i := range n.Entries {
+		e, eb := &n.Entries[i], b[:entrySize]
+		id := binary.LittleEndian.Uint64(eb)
+		e.Rect.MinX = math.Float64frombits(binary.LittleEndian.Uint64(eb[8:]))
+		e.Rect.MinY = math.Float64frombits(binary.LittleEndian.Uint64(eb[16:]))
+		e.Rect.MaxX = math.Float64frombits(binary.LittleEndian.Uint64(eb[24:]))
+		e.Rect.MaxY = math.Float64frombits(binary.LittleEndian.Uint64(eb[32:]))
+		if internal {
+			e.Child, e.OID = pagestore.PageID(id), 0
+		} else {
+			e.Child, e.OID = 0, id
+		}
+		b = b[entrySize:]
+	}
 }

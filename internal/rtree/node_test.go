@@ -189,3 +189,14 @@ func TestNodeHelpers(t *testing.T) {
 		t.Fatal("leaf ChildPages should be nil")
 	}
 }
+
+// decodeNode parses one page into n, as every read does: a validated view
+// and a decode. The node's Page field is the caller's to set.
+func decodeNode(n *Node, buf []byte, parentPointers bool) error {
+	v, err := viewNode(buf, parentPointers)
+	if err != nil {
+		return err
+	}
+	v.decode(n)
+	return nil
+}

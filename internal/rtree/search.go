@@ -1,40 +1,73 @@
 package rtree
 
 import (
-	"container/heap"
+	"encoding/binary"
 
 	"burtree/internal/geom"
 	"burtree/internal/pagestore"
 )
 
+// ScanNode appends to out the entries of the node on page whose
+// rectangle intersects q — data entries of a leaf, child entries of an
+// internal node — reading them where they lie, and reports the node's
+// level. It performs one logical page read and holds no pin when it
+// returns, so the caller may visit out at leisure.
+//
+//burlint:hotpath
+func (t *Tree) ScanNode(page pagestore.PageID, q geom.Rect, out []Entry) (level int, _ []Entry, err error) {
+	r, err := t.PinNode(page)
+	if err != nil {
+		return 0, out, err
+	}
+	v := r.v
+	internal := v.level > 0
+	for b := v.b[v.off : v.off+v.count*entrySize]; len(b) >= entrySize; b = b[entrySize:] {
+		rect := getRect(b[8:entrySize])
+		if !q.Intersects(rect) {
+			continue
+		}
+		e := Entry{Rect: rect}
+		if id := binary.LittleEndian.Uint64(b); internal {
+			e.Child = pagestore.PageID(id)
+		} else {
+			e.OID = id
+		}
+		out = append(out, e)
+	}
+	return v.level, out, r.Release()
+}
+
 // Search visits every data entry whose rectangle intersects q. The visit
-// callback returns false to stop early. Traversal order is unspecified.
+// callback returns false to stop early; it runs with no page pinned.
+// Traversal order is unspecified.
+//
+//burlint:hotpath
 func (t *Tree) Search(q geom.Rect, visit func(oid OID, r geom.Rect) bool) error {
 	if t.root == pagestore.InvalidPage {
 		return nil
 	}
-	stack := []pagestore.PageID{t.root}
-	n := &Node{}
+	// Both scratch slices start on the stack: a window query over a
+	// resident tree allocates nothing unless it outgrows them.
+	var stackBuf [128]pagestore.PageID
+	var hitBuf [32]Entry
+	stack := append(stackBuf[:0], t.root)
 	for len(stack) > 0 {
 		page := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if err := t.readNodeInto(page, n); err != nil {
+		level, hits, err := t.ScanNode(page, q, hitBuf[:0])
+		if err != nil {
 			return err
 		}
-		if n.IsLeaf() {
-			for _, e := range n.Entries {
-				if q.Intersects(e.Rect) {
-					if !visit(e.OID, e.Rect) {
-						return nil
-					}
+		if level == 0 {
+			for i := range hits {
+				if !visit(hits[i].OID, hits[i].Rect) {
+					return nil
 				}
 			}
 			continue
 		}
-		for _, e := range n.Entries {
-			if q.Intersects(e.Rect) {
-				stack = append(stack, e.Child)
-			}
+		for i := range hits {
+			stack = append(stack, hits[i].Child)
 		}
 	}
 	return nil
@@ -66,12 +99,21 @@ func (t *Tree) Contains(oid OID, at geom.Rect) (bool, error) {
 	if t.root == pagestore.InvalidPage {
 		return false, nil
 	}
-	root, err := t.ReadNode(t.root)
+	root, err := t.BorrowNode(t.root)
 	if err != nil {
 		return false, err
 	}
-	_, found, err := t.findLeaf(root, oid, at, nil)
-	return found, err
+	var pathBuf [8]*Node
+	path, found, err := t.findLeaf(root, oid, at, pathBuf[:0])
+	if err != nil {
+		return false, err
+	}
+	if found {
+		t.returnNodes(path)
+	} else {
+		t.ReturnNode(root)
+	}
+	return found, nil
 }
 
 // Neighbor is one result of a nearest-neighbour query.
@@ -82,57 +124,97 @@ type Neighbor struct {
 }
 
 // NearestK returns the k data entries nearest to p in increasing distance
-// order, using the standard best-first MinDist traversal. It is an
-// extension beyond the paper's evaluation, provided for library
-// completeness.
+// order, using the standard best-first MinDist traversal over the pinned
+// pages. It is an extension beyond the paper's evaluation, provided for
+// library completeness.
+//
+//burlint:hotpath
 func (t *Tree) NearestK(p geom.Point, k int) ([]Neighbor, error) {
 	if t.root == pagestore.InvalidPage || k <= 0 {
 		return nil, nil
 	}
-	pq := &nnHeap{}
-	heap.Init(pq)
-	heap.Push(pq, nnItem{dist: 0, page: t.root, isNode: true})
+	pq, _ := t.heaps.Get().(*nnHeap)
+	if pq == nil {
+		pq = new(nnHeap)
+	}
+	*pq = (*pq)[:0]
+	defer t.heaps.Put(pq)
+
+	pq.push(nnItem{dist: 0, id: uint64(t.root), isNode: true})
 	var out []Neighbor
-	n := &Node{}
-	for pq.Len() > 0 && len(out) < k {
-		it := heap.Pop(pq).(nnItem)
+	for len(*pq) > 0 && len(out) < k {
+		it := pq.pop()
 		if !it.isNode {
-			out = append(out, Neighbor{OID: it.oid, Rect: it.rect, Dist: it.dist})
+			out = append(out, Neighbor{OID: it.id, Rect: it.rect, Dist: it.dist})
 			continue
 		}
-		if err := t.readNodeInto(it.page, n); err != nil {
+		r, err := t.PinNode(pagestore.PageID(it.id))
+		if err != nil {
 			return nil, err
 		}
-		for _, e := range n.Entries {
-			d := e.Rect.MinDistPoint(p)
-			if n.IsLeaf() {
-				heap.Push(pq, nnItem{dist: d, oid: e.OID, rect: e.Rect})
-			} else {
-				heap.Push(pq, nnItem{dist: d, page: e.Child, isNode: true})
+		v := r.v
+		for i := 0; i < v.count; i++ {
+			rect := v.rect(i)
+			it := nnItem{dist: rect.MinDistPoint(p), id: v.id(i), isNode: v.level > 0}
+			if !it.isNode {
+				it.rect = rect
 			}
+			pq.push(it)
+		}
+		if err := r.Release(); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
 }
 
+// nnItem is a queue element of the best-first traversal: a node still to
+// be opened (id is its page) or a data entry (id is its object id).
 type nnItem struct {
 	dist   float64
-	page   pagestore.PageID
-	oid    OID
+	id     uint64
 	rect   geom.Rect
 	isNode bool
 }
 
+// nnHeap is a binary min-heap on dist. It performs exactly the element
+// moves of container/heap (whose interface would box every item pushed),
+// so entries at equal distance leave it in the order they always have.
 type nnHeap []nnItem
 
-func (h nnHeap) Len() int            { return len(h) }
-func (h nnHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h nnHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnHeap) Push(x interface{}) { *h = append(*h, x.(nnItem)) }
-func (h *nnHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+func (h *nnHeap) push(it nnItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].dist < s[i].dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *nnHeap) pop() nnItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s[j2].dist < s[j1].dist {
+			j = j2 // right child
+		}
+		if !(s[j].dist < s[i].dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	it := s[n]
+	*h = s[:n]
 	return it
 }

@@ -73,9 +73,10 @@ func (c Config) withDefaults() Config {
 // turns the tree into the plain top-down baseline with zero bookkeeping
 // overhead.
 type Listener interface {
-	// NodeWritten fires after a node page is (re)written. children is nil
-	// for leaves; for internal nodes it lists the child pages in entry
-	// order and must not be retained.
+	// NodeWritten fires after a node page is (re)written — encoded whole
+	// or patched in place. children is nil for leaves; for internal nodes
+	// it lists the child pages in entry order and must not be retained
+	// (it is scratch the tree reuses).
 	NodeWritten(page pagestore.PageID, level int, self geom.Rect, children []pagestore.PageID, count int)
 	// NodeFreed fires when a node page is released.
 	NodeFreed(page pagestore.PageID, level int)
@@ -97,7 +98,9 @@ var (
 
 // Tree is a disk-resident R-tree. It is not safe for concurrent use by
 // itself; the DGL lock manager in internal/dgl provides isolation for the
-// multi-threaded throughput experiment.
+// multi-threaded throughput experiment: reads, and writes confined to
+// disjoint pages, may then run concurrently, which is why per-call
+// scratch comes from sync.Pools and not from the Tree.
 type Tree struct {
 	pool       *buffer.Pool
 	io         *stats.IO
@@ -109,10 +112,10 @@ type Tree struct {
 	size       int // number of data entries
 	listener   Listener
 
-	// bufPool recycles page-sized scratch buffers. Reads may run
-	// concurrently (under a shared latch above this package), so scratch
-	// space must not be shared between calls.
-	bufPool sync.Pool
+	// nodes is the free list of decoded nodes whose lifetime is one call
+	// (BorrowNode / ReturnNode); heaps recycles NearestK's queue.
+	nodes sync.Pool
+	heaps sync.Pool
 }
 
 // New creates an empty tree on the given pool.
@@ -131,7 +134,6 @@ func New(pool *buffer.Pool, cfg Config) *Tree {
 		maxEntries: maxE,
 		minEntries: minE,
 		root:       pagestore.InvalidPage,
-		bufPool:    sync.Pool{New: func() interface{} { return make([]byte, ps) }},
 	}
 }
 
@@ -174,70 +176,86 @@ func (t *Tree) RootMBR() (geom.Rect, error) {
 	if t.root == pagestore.InvalidPage {
 		return geom.Rect{}, ErrEmptyTree
 	}
-	n, err := t.ReadNode(t.root)
+	r, err := t.PinNode(t.root)
 	if err != nil {
 		return geom.Rect{}, err
 	}
-	return n.Self, nil
+	self := r.Self()
+	return self, r.Release()
 }
 
 // ReadNode fetches and decodes the node stored on the given page. Each
-// call performs one logical page read (a disk read or a buffer hit).
+// call performs one logical page read (a disk read or a buffer hit). The
+// node is the caller's to keep; see BorrowNode for the recycled kind.
 func (t *Tree) ReadNode(page pagestore.PageID) (*Node, error) {
-	n := &Node{Page: page}
+	n := &Node{}
 	if err := t.readNodeInto(page, n); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
+// readNodeInto decodes the node on page into n, straight from the pinned
+// frame.
 func (t *Tree) readNodeInto(page pagestore.PageID, n *Node) error {
-	buf := t.bufPool.Get().([]byte)
-	defer t.bufPool.Put(buf)
-	if err := t.pool.ReadPage(page, buf); err != nil {
-		return fmt.Errorf("rtree: reading node %d: %w", page, err)
-	}
-	n.Page = page
-	if err := decodeNode(n, buf, t.cfg.ParentPointers); err != nil {
-		return fmt.Errorf("rtree: decoding node %d: %w", page, err)
-	}
-	return nil
-}
-
-// WriteNode encodes and writes the node back to its page, firing the
-// listener. Exposed for the bottom-up strategies in internal/core.
-func (t *Tree) WriteNode(n *Node) error {
-	buf := t.bufPool.Get().([]byte)
-	defer t.bufPool.Put(buf)
-	if err := encodeNode(n, buf, t.cfg.ParentPointers); err != nil {
+	r, err := t.PinNode(page)
+	if err != nil {
 		return err
 	}
-	if err := t.pool.WritePage(n.Page, buf); err != nil {
+	r.v.decode(n)
+	n.Page = page
+	return r.Release()
+}
+
+// WriteNode encodes the node straight into its page's frame, firing the
+// listener. A node that does not fit leaves the page as it was. Exposed
+// for the bottom-up strategies in internal/core.
+func (t *Tree) WriteNode(n *Node) error {
+	h, err := t.pool.PinOverwrite(n.Page)
+	if err != nil {
+		return fmt.Errorf("rtree: writing node %d: %w", n.Page, err)
+	}
+	// encodeNode validates before its first store.
+	if err := encodeNode(n, h.Bytes(), t.cfg.ParentPointers); err != nil {
+		_ = h.Release() // nothing was stored, so there is nothing to write
+		return err
+	}
+	h.MarkDirty()
+	if err := h.Release(); err != nil {
 		return fmt.Errorf("rtree: writing node %d: %w", n.Page, err)
 	}
 	if t.listener != nil {
-		t.listener.NodeWritten(n.Page, n.Level, n.Self, n.ChildPages(), len(n.Entries))
+		var children []pagestore.PageID
+		if n.Level > 0 {
+			n.kids = n.kids[:0]
+			for i := range n.Entries {
+				n.kids = append(n.kids, n.Entries[i].Child)
+			}
+			children = n.kids
+		}
+		t.listener.NodeWritten(n.Page, n.Level, n.Self, children, len(n.Entries))
 	}
 	return nil
 }
 
-// allocNode creates a new empty node at the given level.
+// allocNode borrows an empty node at the given level on a new page.
 func (t *Tree) allocNode(level int) *Node {
-	return &Node{
-		Page:   t.pool.Store().Alloc(),
-		Level:  level,
-		Parent: pagestore.InvalidPage,
-	}
+	n := t.borrow()
+	n.Page = t.pool.Store().Alloc()
+	n.Level = level
+	n.Self = geom.Rect{}
+	n.Parent = pagestore.InvalidPage
+	return n
 }
 
-// freeNode releases the node's page.
-func (t *Tree) freeNode(n *Node) error {
-	t.pool.Discard(n.Page)
-	if err := t.pool.Store().Free(n.Page); err != nil {
+// freeNode releases the page of the node at the given level.
+func (t *Tree) freeNode(page pagestore.PageID, level int) error {
+	t.pool.Discard(page)
+	if err := t.pool.Store().Free(page); err != nil {
 		return err
 	}
 	if t.listener != nil {
-		t.listener.NodeFreed(n.Page, n.Level)
+		t.listener.NodeFreed(page, level)
 	}
 	return nil
 }
@@ -297,12 +315,16 @@ func (t *Tree) Restore(root pagestore.PageID, height, size int) error {
 		t.size = 0
 		return nil
 	}
-	n, err := t.ReadNode(root)
+	r, err := t.PinNode(root)
 	if err != nil {
 		return fmt.Errorf("rtree: restore: %w", err)
 	}
-	if n.Level != height-1 {
-		return fmt.Errorf("rtree: restore: root level %d does not match height %d", n.Level, height)
+	level := r.Level()
+	if err := r.Release(); err != nil {
+		return err
+	}
+	if level != height-1 {
+		return fmt.Errorf("rtree: restore: root level %d does not match height %d", level, height)
 	}
 	if size < 0 {
 		return fmt.Errorf("rtree: restore: negative size %d", size)

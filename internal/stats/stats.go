@@ -1,6 +1,6 @@
 // Package stats provides the performance counters used throughout the
-// library: physical disk reads/writes, buffer hits, and split/reinsert
-// activity. All counters are safe for concurrent use; the throughput
+// library: physical disk reads/writes, buffer hits, evictions and dirty
+// write-backs, and split/reinsert activity. All counters are safe for concurrent use; the throughput
 // experiment (paper §5.4) updates them from 50 goroutines.
 package stats
 
@@ -17,6 +17,10 @@ type IO struct {
 	bufferHits atomic.Int64 // logical reads served by the buffer pool
 	splits     atomic.Int64 // node splits
 	reinserts  atomic.Int64 // entries force-reinserted
+
+	evictions       atomic.Int64 // frames the buffer pool evicted to make room
+	dirtyWriteBacks atomic.Int64 // evicted frames that were dirty and went to disk
+	pinFallbacks    atomic.Int64 // accesses served outside the pool: every frame was pinned
 }
 
 // CountRead records one physical page read.
@@ -33,6 +37,19 @@ func (io *IO) CountSplit() { io.splits.Add(1) }
 
 // CountReinserts records n entries scheduled for forced reinsertion.
 func (io *IO) CountReinserts(n int) { io.reinserts.Add(int64(n)) }
+
+// CountEviction records one frame evicted from the buffer pool; dirty
+// says the victim had to be written back.
+func (io *IO) CountEviction(dirty bool) {
+	io.evictions.Add(1)
+	if dirty {
+		io.dirtyWriteBacks.Add(1)
+	}
+}
+
+// CountPinFallback records a page access served on a transient frame
+// because every frame of the pool was pinned.
+func (io *IO) CountPinFallback() { io.pinFallbacks.Add(1) }
 
 // Reads returns the physical read count.
 func (io *IO) Reads() int64 { return io.reads.Load() }
@@ -56,6 +73,9 @@ func (io *IO) Total() int64 { return io.Reads() + io.Writes() }
 // per-phase deltas.
 type Snapshot struct {
 	Reads, Writes, BufferHits, Splits, Reinserts int64
+	// Evictions, DirtyWriteBacks and PinFallbacks are the buffer pool's
+	// own events (see CountEviction, CountPinFallback).
+	Evictions, DirtyWriteBacks, PinFallbacks int64
 }
 
 // Snapshot returns the current counter values.
@@ -66,6 +86,10 @@ func (io *IO) Snapshot() Snapshot {
 		BufferHits: io.BufferHits(),
 		Splits:     io.Splits(),
 		Reinserts:  io.Reinserts(),
+
+		Evictions:       io.evictions.Load(),
+		DirtyWriteBacks: io.dirtyWriteBacks.Load(),
+		PinFallbacks:    io.pinFallbacks.Load(),
 	}
 }
 
@@ -76,6 +100,9 @@ func (io *IO) Reset() {
 	io.bufferHits.Store(0)
 	io.splits.Store(0)
 	io.reinserts.Store(0)
+	io.evictions.Store(0)
+	io.dirtyWriteBacks.Store(0)
+	io.pinFallbacks.Store(0)
 }
 
 // Sub returns the component-wise difference s - t.
@@ -86,6 +113,10 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		BufferHits: s.BufferHits - t.BufferHits,
 		Splits:     s.Splits - t.Splits,
 		Reinserts:  s.Reinserts - t.Reinserts,
+
+		Evictions:       s.Evictions - t.Evictions,
+		DirtyWriteBacks: s.DirtyWriteBacks - t.DirtyWriteBacks,
+		PinFallbacks:    s.PinFallbacks - t.PinFallbacks,
 	}
 }
 
@@ -104,6 +135,6 @@ func (s Snapshot) HitRate() float64 {
 
 // String implements fmt.Stringer.
 func (s Snapshot) String() string {
-	return fmt.Sprintf("reads=%d writes=%d hits=%d splits=%d reinserts=%d",
-		s.Reads, s.Writes, s.BufferHits, s.Splits, s.Reinserts)
+	return fmt.Sprintf("reads=%d writes=%d hits=%d splits=%d reinserts=%d evictions=%d writebacks=%d pinfallbacks=%d",
+		s.Reads, s.Writes, s.BufferHits, s.Splits, s.Reinserts, s.Evictions, s.DirtyWriteBacks, s.PinFallbacks)
 }

@@ -14,9 +14,18 @@ func TestCountersAndSnapshot(t *testing.T) {
 	io.CountBufferHit()
 	io.CountSplit()
 	io.CountReinserts(7)
+	io.CountEviction(true)
+	io.CountEviction(false)
+	io.CountPinFallback()
 	s := io.Snapshot()
 	if s.Reads != 2 || s.Writes != 1 || s.BufferHits != 1 || s.Splits != 1 || s.Reinserts != 7 {
 		t.Fatalf("snapshot = %+v", s)
+	}
+	if s.Evictions != 2 || s.DirtyWriteBacks != 1 || s.PinFallbacks != 1 {
+		t.Fatalf("pool events in snapshot = %+v", s)
+	}
+	if d := s.Sub(Snapshot{Evictions: 1, DirtyWriteBacks: 1}); d.Evictions != 1 || d.DirtyWriteBacks != 0 || d.PinFallbacks != 1 {
+		t.Fatalf("pool events in delta = %+v", d)
 	}
 	if io.Total() != 3 || s.Total() != 3 {
 		t.Fatalf("total = %d / %d", io.Total(), s.Total())
@@ -47,8 +56,10 @@ func TestReset(t *testing.T) {
 	io := &IO{}
 	io.CountRead()
 	io.CountWrite()
+	io.CountEviction(true)
+	io.CountPinFallback()
 	io.Reset()
-	if io.Total() != 0 || io.BufferHits() != 0 {
+	if io.Total() != 0 || io.BufferHits() != 0 || io.Snapshot() != (Snapshot{}) {
 		t.Fatal("reset did not zero counters")
 	}
 }

@@ -1168,6 +1168,9 @@ func (x *ShardedIndex) Stats() (Stats, []ConcurrencyStats) {
 		agg.BufferHits += st.BufferHits
 		agg.Splits += st.Splits
 		agg.Reinserts += st.Reinserts
+		agg.Evictions += st.Evictions
+		agg.DirtyWriteBacks += st.DirtyWriteBacks
+		agg.PinFallbacks += st.PinFallbacks
 		agg.Pages += st.Pages
 		agg.Size += st.Size
 		if st.Height > agg.Height {
