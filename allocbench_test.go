@@ -22,7 +22,6 @@ import (
 	"os"
 	"sort"
 	"testing"
-	"time"
 
 	"burtree"
 )
@@ -136,73 +135,6 @@ func BenchmarkUpdateBatchAllocsMemtable(b *testing.B) {
 	benchAllocUpdateBatch(b, x, err)
 }
 
-// BenchmarkUpdateBatchAllocsPhase drives batched updates through the
-// hot-object phase-batching path of a ShardedIndex: every change
-// targets one phase-batched cell, so each batch joins a phase, leads
-// it, and applies it through the combiner. The budget holds the
-// combiner's per-batch buffer path (join, detach, settle, apply) to a
-// fixed allocation cost on top of the shard's ordinary batch work.
-func BenchmarkUpdateBatchAllocsPhase(b *testing.B) {
-	const n = 512
-	const batch = 256
-	x, err := burtree.OpenSharded(burtree.Options{
-		Strategy:        burtree.GeneralizedBottomUp,
-		ExpectedObjects: n,
-		BufferPages:     256,
-	}, burtree.ShardOptions{Shards: 2, Partition: burtree.ShardHilbert})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer x.Close()
-	// Cluster every object in one cell so the priming window marks it
-	// hot; jitter keeps updates real (no same-point no-ops).
-	center := burtree.Point{X: 0.015, Y: 0.015}
-	rng := rand.New(rand.NewSource(11))
-	jitter := func() burtree.Point {
-		return burtree.Point{
-			X: center.X + (rng.Float64()*2-1)*0.002,
-			Y: center.Y + (rng.Float64()*2-1)*0.002,
-		}
-	}
-	for i := 0; i < n; i++ {
-		if err := x.Insert(uint64(i), jitter()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// A sub-millisecond window keeps the leader's accumulation sleep out
-	// of the measurement's way; HotFactor is set absurdly high so no
-	// boundary ever moves mid-benchmark.
-	x.SetRebalance(burtree.RebalanceOptions{
-		PhaseWindow:   50 * time.Microsecond,
-		HotCellFactor: 2,
-		MinOps:        1,
-		HotFactor:     1e9,
-	})
-	changes := make([]burtree.Change, batch)
-	for j := range changes {
-		changes[j] = burtree.Change{ID: uint64(rng.Intn(n)), To: jitter()}
-	}
-	if _, err := x.UpdateBatch(changes); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := x.Rebalance(); err != nil {
-		b.Fatal(err)
-	}
-	if len(x.HotCells()) == 0 {
-		b.Fatal("priming did not mark the cluster cell hot")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range changes {
-			changes[j] = burtree.Change{ID: uint64(rng.Intn(n)), To: jitter()}
-		}
-		if _, err := x.UpdateBatch(changes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // allocBudgetBenches maps each budget entry in BENCH_allocs.json to
 // the benchmark that measures it.
 var allocBudgetBenches = map[string]func(*testing.B){
@@ -211,7 +143,6 @@ var allocBudgetBenches = map[string]func(*testing.B){
 	"UpdateBatchLBU":           BenchmarkUpdateBatchAllocsLBU,
 	"UpdateBatchConcurrentGBU": BenchmarkUpdateBatchAllocsConcurrentGBU,
 	"UpdateBatchMemtable":      BenchmarkUpdateBatchAllocsMemtable,
-	"UpdateBatchPhase":         BenchmarkUpdateBatchAllocsPhase,
 }
 
 // allocBudgetFile is the committed allocation-threshold schema.

@@ -31,27 +31,62 @@
 // counters are exposed through Stats, so applications can reproduce the
 // paper's measurements on their own workloads.
 //
-// An Index is not safe for concurrent use; see ConcurrentIndex for the
-// DGL-locked multi-threaded variant used in the paper's throughput
-// study, which offers the same API — updates, batched updates, window
-// and nearest-neighbour queries, bulk loading and snapshots — under
-// granule locks.
+// Three front-ends share one mutation engine (engine.go). Index and
+// ConcurrentIndex are that engine — page store, buffer pool, object
+// table, checkpoint gate, write-ahead log, memtable delta tier — over a
+// small tree interface that hides the locking protocol: a serial
+// adapter around the strategy for Index, which is not safe for
+// concurrent use, and the DGL-locked layer of the paper's throughput
+// study (granule locks plus a physical latch) for ConcurrentIndex, which
+// offers the same API — updates, batched updates, window and
+// nearest-neighbour queries, bulk loading and snapshots — to any number
+// of goroutines. ShardedIndex routes to N ConcurrentIndex shards and
+// runs its own writes through the same pipeline with a routed apply and
+// a per-shard log.
+//
+// Every single-object write is one step (insert, move or delete) through
+// these stages, written once in objectTable.runStep:
+//
+//   - reserve: under the object-table lock the id is checked and the
+//     step's outcome recorded in the table, so a racing writer of the
+//     same id sees it; with the memtable tier on, the delta is absorbed
+//     into the tier in the same hold.
+//   - apply: without the table lock, the tree operation — under no lock
+//     on Index, under DGL granules and the latch on ConcurrentIndex, in
+//     the owning shard(s) on ShardedIndex. Skipped when the tier
+//     absorbed the step; its tree work happens at merge-down.
+//   - log: the record is appended to the write-ahead log (no-op with
+//     durability off); the call acknowledges only after it.
+//   - ack, or undo: on a log failure the inverse step goes through the
+//     same apply (delete the inserted object, move it back, re-insert
+//     the deleted one) and the table — with the tier's delta — is
+//     compare-and-restored: put back only if it still shows this call's
+//     outcome, so a newer concurrent write survives. A failed apply
+//     changed no tree and only restores the table.
+//
+// The engine holds its checkpoint gate shared across all of it, so Save
+// and Checkpoint, which take the gate exclusively, never catch a write
+// between apply and log. UpdateBatch is the same pipeline batch-wide:
+// coalesce, apply to the tree or absorb into the tier, log the applied
+// prefix as one record, undo that prefix if the append fails. A write
+// that returns an error is therefore never left acknowledged-but-
+// unlogged: it is undone, except for the applied (and logged) prefix of
+// a batch that failed part-way through the tree.
+// Merge-down of the memtable tier runs in a background goroutine on
+// ConcurrentIndex and the shards of a ShardedIndex, and inline — in the
+// write that trips the threshold — on the single-writer Index.
 package burtree
 
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
-	"time"
 
 	"burtree/internal/buffer"
 	"burtree/internal/core"
 	"burtree/internal/geom"
-	"burtree/internal/memtable"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 	"burtree/internal/stats"
-	"burtree/internal/wal"
 )
 
 // Point is a location in the 2-D data space.
@@ -174,29 +209,15 @@ var ErrUnknownObject = errors.New("burtree: unknown object id")
 // ErrDuplicateObject reports an insert of an existing object id.
 var ErrDuplicateObject = errors.New("burtree: object id already present")
 
-// Index is a single-writer R-tree over moving point objects.
+// Index is a single-writer R-tree over moving point objects: the engine
+// (engine.go) over a serial tree, with the memtable delta tier — when
+// enabled — merged down inline by whichever write trips its threshold.
 type Index struct {
-	store   *pagestore.Store
-	pool    *buffer.Pool
-	io      *stats.IO
-	updater core.Updater
-	objects map[uint64]Point
-	options Options // as passed to Open, for persistence
-
-	// wal is the write-ahead log when durability is enabled (nil
-	// otherwise); walSeq is the log sequence the loaded snapshot covers.
-	wal    *wal.Log
-	walSeq uint64
-
-	// mem is the in-memory delta tier when Options.Memtable is enabled
-	// (nil otherwise). The single-writer Index merges it down inline
-	// whenever a write trips the size or age threshold.
-	mem *memtable.Table
+	*engine
 }
 
-// indexParts is the machinery shared by Index and ConcurrentIndex: the
-// simulated store, its buffer pool, the physical counters and the
-// configured update strategy.
+// indexParts is the machinery under an engine: the simulated store, its
+// buffer pool, the physical counters and the configured update strategy.
 type indexParts struct {
 	store  *pagestore.Store
 	pool   *buffer.Pool
@@ -206,19 +227,16 @@ type indexParts struct {
 	walSeq uint64  // log sequence a loaded snapshot covers (0 when fresh)
 }
 
-// openParts builds the common machinery from user options, normalizing
-// the zero-value defaults exactly once for both index front-ends.
-func openParts(opts Options) (indexParts, error) {
-	var parts indexParts
+// coreOptions converts the public options to the strategy's, applying
+// the zero-value defaults in one place for fresh and restored indexes.
+func (opts Options) coreOptions() (core.Options, error) {
 	kind, err := opts.Strategy.kind()
 	if err != nil {
-		return parts, err
+		return core.Options{}, err
 	}
-	if opts.PageSize == 0 {
-		opts.PageSize = pagestore.DefaultPageSize
-	}
-	if opts.ExpectedObjects == 0 {
-		opts.ExpectedObjects = 1024
+	expected := opts.ExpectedObjects
+	if expected == 0 {
+		expected = 1024
 	}
 	reinsert := opts.ReinsertFraction
 	if reinsert == 0 {
@@ -231,23 +249,40 @@ func openParts(opts Options) (indexParts, error) {
 	if lvl == 0 {
 		lvl = core.UnrestrictedLevels
 	}
-	opts.Memtable = opts.Memtable.withDefaults()
-	io := &stats.IO{}
-	store := pagestore.New(opts.PageSize, io)
-	pool := buffer.New(store, opts.BufferPages)
-	u, err := core.New(pool, core.Options{
+	return core.Options{
 		Strategy:          kind,
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
 		LevelThreshold:    lvl,
 		NoPiggyback:       opts.DisablePiggyback,
 		NoSummaryQueries:  opts.DisableSummaryQueries,
-		ExpectedObjects:   opts.ExpectedObjects,
+		ExpectedObjects:   expected,
 		Tree: rtree.Config{
 			ReinsertFraction: reinsert,
 			Split:            opts.SplitAlgorithm,
 		},
-	})
+	}, nil
+}
+
+// openParts builds the machinery of an empty index from user options,
+// normalizing the zero-value defaults exactly once for every front-end.
+func openParts(opts Options) (indexParts, error) {
+	var parts indexParts
+	if opts.PageSize == 0 {
+		opts.PageSize = pagestore.DefaultPageSize
+	}
+	if opts.ExpectedObjects == 0 {
+		opts.ExpectedObjects = 1024
+	}
+	co, err := opts.coreOptions()
+	if err != nil {
+		return parts, err
+	}
+	opts.Memtable = opts.Memtable.withDefaults()
+	io := &stats.IO{}
+	store := pagestore.New(opts.PageSize, io)
+	pool := buffer.New(store, opts.BufferPages)
+	u, err := core.New(pool, co)
 	if err != nil {
 		return parts, err
 	}
@@ -258,33 +293,11 @@ func openParts(opts Options) (indexParts, error) {
 // durability directory must not already hold a snapshot or log
 // segments — resume existing durable state with Recover instead.
 func Open(opts Options) (*Index, error) {
-	if err := opts.Durability.validate(); err != nil {
-		return nil, err
-	}
-	parts, err := openParts(opts)
+	e, err := openEngine(opts, false)
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{
-		store:   parts.store,
-		pool:    parts.pool,
-		io:      parts.io,
-		updater: parts.u,
-		objects: make(map[uint64]Point),
-		options: parts.opts,
-	}
-	x.ensureMemtable(parts.opts.Memtable)
-	if d := opts.Durability; d.enabled() {
-		if err := checkFreshDir(d.Dir); err != nil {
-			return nil, err
-		}
-		log, err := wal.Open(d.Dir, d.logOptions(0, nil))
-		if err != nil {
-			return nil, err
-		}
-		x.wal = log
-	}
-	return x, nil
+	return &Index{e}, nil
 }
 
 // PackMethod selects the bulk-load packing algorithm.
@@ -300,7 +313,7 @@ const (
 
 // packItems validates a bulk-load input and converts it to tree items
 // plus a fresh object table, so a failed load leaves the caller's state
-// untouched. Shared by both index front-ends.
+// untouched.
 func packItems(ids []uint64, pts []Point) ([]rtree.Item, map[uint64]Point, error) {
 	if len(ids) != len(pts) {
 		return nil, nil, fmt.Errorf("burtree: BulkInsert: %d ids for %d points", len(ids), len(pts))
@@ -325,209 +338,6 @@ func bulkLoad(u core.Updater, items []rtree.Item, method PackMethod) error {
 	default:
 		return u.Tree().BulkLoad(items, 0.66)
 	}
-}
-
-// BulkInsert loads many objects at once into an empty index using the
-// chosen packing method at ~66% node fill — far faster than repeated
-// Insert calls and the usual way to start the paper's experiments.
-// With durability enabled, a successful bulk load checkpoints
-// immediately: the snapshot, not per-object log records, is the
-// durable form of a bulk load.
-func (x *Index) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
-	if len(x.objects) != 0 {
-		return fmt.Errorf("burtree: BulkInsert on non-empty index")
-	}
-	items, objects, err := packItems(ids, pts)
-	if err != nil {
-		return err
-	}
-	if err := bulkLoad(x.updater, items, method); err != nil {
-		return err
-	}
-	x.objects = objects
-	if x.wal != nil {
-		return x.Checkpoint()
-	}
-	return nil
-}
-
-// logAppend records an acknowledged mutation in the write-ahead log,
-// blocking until it is durable under the configured sync policy.
-// No-op when durability is off.
-func (x *Index) logAppend(typ wal.Type, ops []wal.Op) error {
-	if x.wal == nil || len(ops) == 0 {
-		return nil
-	}
-	if x.mem != nil {
-		// Memtable mode acknowledges at the log append alone: the
-		// background group-commit leader advances the durable horizon,
-		// and Checkpoint/Save/Close flush hard. See Options.Memtable.
-		if _, err := x.wal.AppendAsync(typ, ops); err != nil {
-			return fmt.Errorf("burtree: durability: %w", err)
-		}
-		return nil
-	}
-	if _, err := x.wal.Append(typ, ops); err != nil {
-		return fmt.Errorf("burtree: durability: %w", err)
-	}
-	return nil
-}
-
-// Checkpoint makes the whole index state durable in one snapshot and
-// truncates the log: the snapshot is written atomically to the
-// durability directory (temp file, fsync, rename), embedding the log
-// sequence it covers, and every log segment whose records the snapshot
-// covers is deleted. Requires durability to be enabled.
-func (x *Index) Checkpoint() error {
-	if x.wal == nil {
-		return errors.New("burtree: Checkpoint requires durability to be enabled")
-	}
-	if err := x.wal.Sync(); err != nil {
-		return err
-	}
-	seq := x.wal.LastSeq()
-	path := filepath.Join(x.options.Durability.Dir, snapshotFileName)
-	if err := saveToFile(path, x.Save); err != nil {
-		return err
-	}
-	return x.wal.TruncateThrough(seq)
-}
-
-// Close merges any buffered deltas down to the tree, then syncs and
-// closes the write-ahead log (no-op without durability). The index
-// itself stays usable for reads; further mutations fail their durable
-// append. Close does not checkpoint: recovery replays the log onto the
-// last snapshot.
-func (x *Index) Close() error {
-	derr := x.drainMemtable()
-	if x.wal == nil {
-		return derr
-	}
-	return errors.Join(derr, x.wal.Close())
-}
-
-// ensureMemtable installs the delta tier from cfg; used at Open and
-// when recovery re-enables the tier on a loaded snapshot.
-func (x *Index) ensureMemtable(cfg Memtable) {
-	cfg = cfg.withDefaults()
-	x.options.Memtable = cfg
-	if cfg.Enabled && x.mem == nil {
-		x.mem = memtable.New(cfg.config())
-	}
-}
-
-// maybeMerge merges the delta tier down inline when a write tripped
-// its size or age threshold (the single-writer Index has no background
-// goroutine to hand the work to).
-func (x *Index) maybeMerge() error {
-	if x.mem != nil && x.mem.NeedsMerge(time.Now()) {
-		return x.drainMemtable()
-	}
-	return nil
-}
-
-// drainMemtable merges every buffered delta down to the tree. A
-// failure to apply an acknowledged delta is sticky — see
-// memtable.Table.Fail. No-op when the tier is disabled.
-func (x *Index) drainMemtable() error {
-	if x.mem == nil {
-		return nil
-	}
-	entries := x.mem.BeginDrain()
-	if entries == nil {
-		return x.mem.Err()
-	}
-	// Attribute the drain's page accesses to the tier's merge counter
-	// (even on failure — the pages were spent), mirroring the background
-	// attribution on ConcurrentIndex; the single-writer Index just runs
-	// its merges inline.
-	pre := uint64(x.io.Reads() + x.io.Writes())
-	err := drainEntries(entries, x.updater.Delete, x.updater.Insert, func(chs []core.BatchChange) error {
-		_, err := core.ApplyBatch(x.updater, chs, func(core.BatchChange) {})
-		return err
-	}, 1)
-	if d := uint64(x.io.Reads()+x.io.Writes()) - pre; d > 0 {
-		x.mem.AddMergePages(d)
-	}
-	if err != nil {
-		x.mem.Fail(err)
-		return fmt.Errorf("burtree: memtable merge: %w", err)
-	}
-	x.mem.EndDrain()
-	return nil
-}
-
-// Insert adds a new object at p.
-func (x *Index) Insert(id uint64, p Point) error {
-	if _, ok := x.objects[id]; ok {
-		return fmt.Errorf("%w: %d", ErrDuplicateObject, id)
-	}
-	if x.mem != nil {
-		if err := validatePoint(p); err != nil {
-			return err
-		}
-		x.mem.Insert(id, p)
-		x.objects[id] = p
-		if err := x.logAppend(wal.TypeInsert, []wal.Op{{ID: id, X: p.X, Y: p.Y}}); err != nil {
-			// Absorbed but not logged: the caller sees an error, so the
-			// insert must not stick — recovery would silently lose an
-			// object the index still serves. The delete delta cancels the
-			// absorbed insert outright.
-			x.mem.Delete(id, p)
-			delete(x.objects, id)
-			return err
-		}
-		return x.maybeMerge()
-	}
-	if err := x.updater.Insert(id, p); err != nil {
-		return err
-	}
-	x.objects[id] = p
-	if err := x.logAppend(wal.TypeInsert, []wal.Op{{ID: id, X: p.X, Y: p.Y}}); err != nil {
-		// Applied but not logged: roll the tree and table back, as the
-		// sharded front-end does.
-		err = errors.Join(err, x.updater.Delete(id, p))
-		delete(x.objects, id)
-		return err
-	}
-	return nil
-}
-
-// Update moves an existing object to p using the configured strategy.
-// The index tracks each object's current position, so callers only
-// supply the new one.
-func (x *Index) Update(id uint64, p Point) error {
-	old, ok := x.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
-	}
-	if x.mem != nil {
-		if err := validatePoint(p); err != nil {
-			return err
-		}
-		x.mem.Update(id, p, old)
-		x.objects[id] = p
-		if err := x.logAppend(wal.TypeBatch, []wal.Op{{ID: id, X: p.X, Y: p.Y}}); err != nil {
-			// Absorbed but not logged: re-absorb the old position so the
-			// errored move leaves no acked-but-unreplayable state.
-			x.mem.Update(id, old, p)
-			x.objects[id] = old
-			return err
-		}
-		return x.maybeMerge()
-	}
-	if err := x.updater.Update(id, old, p); err != nil {
-		return err
-	}
-	x.objects[id] = p
-	if err := x.logAppend(wal.TypeBatch, []wal.Op{{ID: id, X: p.X, Y: p.Y}}); err != nil {
-		// Applied but not logged: move the object back and restore the
-		// table, mirroring the sharded front-end's rollback.
-		err = errors.Join(err, x.updater.Update(id, p, old))
-		x.objects[id] = old
-		return err
-	}
-	return nil
 }
 
 // Change is one object move inside a batch: object ID moves to
@@ -576,200 +386,8 @@ type BatchResult struct {
 	// attribution signal, not an exact ledger. Absorbed batches report
 	// ~0: their tree I/O is deferred to merge-down.
 	PageIO int
-	// Combined is the number of this caller's changes handed to a
-	// hot-cell phase leader and applied as part of another caller's
-	// combined batch (ShardedIndex phase batching only). Such changes
-	// are applied, just not by this caller, so Applied+Combined is this
-	// caller's end-to-end total; the phase leader excludes followers'
-	// changes from its own Applied while reporting the phase-level
-	// Coalesced/Groups/PageIO once, in its result.
+	// Combined is always zero; it is kept so callers that read it compile.
 	Combined int
-}
-
-// foregroundPages converts a bracketed (pages, background-pages) delta
-// pair into the foreground page count, clamped at zero: a background
-// drain finishing inside the bracket can make the background delta
-// exceed the foreground one.
-func foregroundPages(pages, bg uint64) int {
-	if bg >= pages {
-		return 0
-	}
-	return int(pages - bg)
-}
-
-// coalesceChanges validates every id against lookup, then coalesces
-// repeated moves of the same object to the final position through
-// core.Coalesce (one shared definition of the last-write-wins rule).
-// It returns the number of superseded input changes; an unknown id
-// aborts with ErrUnknownObject. Shared by Index and ConcurrentIndex.
-func coalesceChanges(changes []Change, lookup func(uint64) (Point, bool)) ([]core.BatchChange, int, error) {
-	raw := make([]core.BatchChange, len(changes))
-	for i, c := range changes {
-		old, ok := lookup(c.ID)
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: %d", ErrUnknownObject, c.ID)
-		}
-		raw[i] = core.BatchChange{OID: c.ID, Old: old, New: c.To}
-	}
-	out, dropped := core.Coalesce(raw)
-	return out, dropped, nil
-}
-
-// UpdateBatch moves many objects at once through the batched bottom-up
-// pipeline: repeated moves of the same object are coalesced to the last
-// position, the surviving changes are grouped by target leaf via the
-// secondary hash index, and each leaf's group is applied in one
-// bottom-up pass — one leaf read, one MBR extension decision covering
-// the whole group, one write — falling back to the configured
-// strategy's per-object path only for the changes the group pass cannot
-// resolve. With the TopDown strategy (which has no per-leaf state to
-// amortize) the batch degrades to a sequential application.
-//
-// Every id must already be in the index; an unknown id fails the whole
-// batch before anything is applied. A batch is not atomic with respect
-// to errors: if a change fails mid-batch, the error is returned and the
-// changes before it remain applied (the returned BatchResult counts
-// them).
-func (x *Index) UpdateBatch(changes []Change) (BatchResult, error) {
-	var res BatchResult
-	coalesced, dropped, err := coalesceChanges(changes, func(id uint64) (Point, bool) {
-		p, ok := x.objects[id]
-		return p, ok
-	})
-	if err != nil {
-		return res, err
-	}
-	res.Coalesced = dropped
-	if x.mem != nil {
-		return x.absorbBatch(coalesced, res)
-	}
-	var applied []wal.Op
-	prePages := uint64(x.io.Reads() + x.io.Writes())
-	st, err := core.ApplyBatch(x.updater, coalesced, func(c core.BatchChange) {
-		x.objects[c.OID] = c.New
-		res.Applied++
-		if x.wal != nil {
-			applied = append(applied, wal.Op{ID: c.OID, X: c.New.X, Y: c.New.Y})
-		}
-	})
-	res.Groups = st.Groups
-	res.GroupResolved = st.GroupResolved
-	res.Fallback = st.LocalFallback + st.Sequential
-	res.PageIO = foregroundPages(uint64(x.io.Reads()+x.io.Writes())-prePages, 0)
-	// One record covers the applied prefix — all of the batch on
-	// success, exactly the changes before the failure otherwise.
-	if werr := x.logAppend(wal.TypeBatch, applied); werr != nil {
-		return res, errors.Join(err, werr)
-	}
-	return res, err
-}
-
-// absorbBatch is the memtable-mode tail of UpdateBatch: the coalesced
-// changes are absorbed into the delta tier (atomically — no partial
-// batches at the ack level), logged as one record, and merged down
-// inline if the batch tripped the tier's threshold.
-func (x *Index) absorbBatch(coalesced []core.BatchChange, res BatchResult) (BatchResult, error) {
-	for _, c := range coalesced {
-		if err := validatePoint(c.New); err != nil {
-			return res, err
-		}
-	}
-	applied := make([]wal.Op, 0, len(coalesced))
-	for _, c := range coalesced {
-		x.mem.Update(c.OID, c.New, c.Old)
-		x.objects[c.OID] = c.New
-		applied = append(applied, wal.Op{ID: c.OID, X: c.New.X, Y: c.New.Y})
-	}
-	res.Applied = len(coalesced)
-	res.Absorbed = len(coalesced)
-	if err := x.logAppend(wal.TypeBatch, applied); err != nil {
-		// Absorbed but not logged: unwind every delta so the failed
-		// batch leaves the tier exactly as it was — the absorb path is
-		// atomic at the ack level, so the rollback must be too.
-		for _, c := range coalesced {
-			x.mem.Update(c.OID, c.Old, c.New)
-			x.objects[c.OID] = c.Old
-		}
-		res.Applied = 0
-		res.Absorbed = 0
-		return res, err
-	}
-	return res, x.maybeMerge()
-}
-
-// Delete removes an object.
-func (x *Index) Delete(id uint64) error {
-	old, ok := x.objects[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
-	}
-	if x.mem != nil {
-		x.mem.Delete(id, old)
-		delete(x.objects, id)
-		if err := x.logAppend(wal.TypeDelete, []wal.Op{{ID: id}}); err != nil {
-			// Absorbed but not logged: resurrect the object so the
-			// errored delete leaves nothing for recovery to disagree
-			// about.
-			x.mem.Insert(id, old)
-			x.objects[id] = old
-			return err
-		}
-		return x.maybeMerge()
-	}
-	if err := x.updater.Delete(id, old); err != nil {
-		return err
-	}
-	delete(x.objects, id)
-	if err := x.logAppend(wal.TypeDelete, []wal.Op{{ID: id}}); err != nil {
-		// Applied but not logged: resurrect the object in tree and
-		// table, mirroring the sharded front-end's rollback.
-		err = errors.Join(err, x.updater.Insert(id, old))
-		x.objects[id] = old
-		return err
-	}
-	return nil
-}
-
-// Location returns the current indexed position of an object.
-func (x *Index) Location(id uint64) (Point, bool) {
-	p, ok := x.objects[id]
-	return p, ok
-}
-
-// Len returns the number of indexed objects.
-func (x *Index) Len() int { return len(x.objects) }
-
-// Search returns the ids of all objects inside the window q.
-func (x *Index) Search(q Rect) ([]uint64, error) {
-	var out []uint64
-	err := x.SearchFunc(q, func(id uint64, p Point) bool {
-		out = append(out, id)
-		return true
-	})
-	return out, err
-}
-
-// SearchFunc streams the objects inside q to visit; return false to stop
-// early. With the delta tier enabled, buffered writes are merged into
-// the results (read-your-writes; tombstones mask deleted objects).
-func (x *Index) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
-	if x.mem != nil {
-		if overlay := x.mem.Snapshot(); overlay != nil {
-			return overlaySearch(overlay, q, func(emit func(uint64, Rect) bool) error {
-				return x.updater.Search(q, emit)
-			}, visit)
-		}
-	}
-	return x.updater.Search(q, func(oid rtree.OID, r geom.Rect) bool {
-		return visit(oid, Point{X: r.MinX, Y: r.MinY})
-	})
-}
-
-// Count returns the number of objects inside q.
-func (x *Index) Count(q Rect) (int, error) {
-	n := 0
-	err := x.SearchFunc(q, func(uint64, Point) bool { n++; return true })
-	return n, err
 }
 
 // Neighbor is one nearest-neighbour result.
@@ -777,31 +395,6 @@ type Neighbor struct {
 	ID       uint64
 	Location Point
 	Dist     float64
-}
-
-// Nearest returns the k objects nearest to p in increasing distance.
-func (x *Index) Nearest(p Point, k int) ([]Neighbor, error) {
-	if x.mem != nil {
-		if overlay := x.mem.Snapshot(); overlay != nil {
-			return overlayNearest(overlay, p, k, func(k int) ([]rtree.Neighbor, error) {
-				return x.updater.Nearest(p, k)
-			})
-		}
-	}
-	res, err := x.updater.Nearest(p, k)
-	if err != nil {
-		return nil, err
-	}
-	return neighborsFromTree(res), nil
-}
-
-// neighborsFromTree converts tree-level NN results to the public type.
-func neighborsFromTree(res []rtree.Neighbor) []Neighbor {
-	out := make([]Neighbor, len(res))
-	for i, n := range res {
-		out[i] = Neighbor{ID: n.OID, Location: Point{X: n.Rect.MinX, Y: n.Rect.MinY}, Dist: n.Dist}
-	}
-	return out
 }
 
 // Stats reports the physical counters and tree shape.
@@ -834,68 +427,4 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the counters.
-func (x *Index) Stats() Stats {
-	st := ioStats(x.io.Snapshot())
-	st.Height = x.updater.Tree().Height()
-	st.Pages = x.store.NumPages()
-	st.Size = x.updater.Tree().Size()
-	st.Outcomes = x.updater.Outcomes()
-	st.Memtable = memStatsOf(x.mem)
-	return st
-}
-
-// ioStats is the counter part of Stats.
-func ioStats(s stats.Snapshot) Stats {
-	return Stats{
-		DiskReads:       s.Reads,
-		DiskWrites:      s.Writes,
-		BufferHits:      s.BufferHits,
-		Splits:          s.Splits,
-		Reinserts:       s.Reinserts,
-		Evictions:       s.Evictions,
-		DirtyWriteBacks: s.DirtyWriteBacks,
-		PinFallbacks:    s.PinFallbacks,
-	}
-}
-
-// ResetStats zeroes the physical counters (tree shape is unaffected).
-func (x *Index) ResetStats() { x.io.Reset() }
-
-// Flush writes all buffered dirty pages to the simulated disk.
-func (x *Index) Flush() error { return x.pool.Flush() }
-
-// CheckInvariants validates the complete index structure; it is meant
-// for tests and costs a full tree walk.
-func (x *Index) CheckInvariants() error {
-	if err := x.updater.Err(); err != nil {
-		return err
-	}
-	if err := x.updater.Tree().CheckInvariants(); err != nil {
-		return err
-	}
-	if err := checkNoPins(x.pool); err != nil {
-		return err
-	}
-	if x.mem != nil {
-		return checkMemOverlay(x.mem, x.objects, x.updater.Tree().Size())
-	}
-	if x.updater.Tree().Size() != len(x.objects) {
-		return fmt.Errorf("burtree: tree size %d != tracked objects %d", x.updater.Tree().Size(), len(x.objects))
-	}
-	return nil
-}
-
-// checkNoPins reports page pins that outlived their operation. Every
-// access pins one frame and releases it before it returns, so with no
-// operation in flight the pool holds none; a leaked pin would keep its
-// frame from ever being evicted.
-func checkNoPins(pool *buffer.Pool) error {
-	if n := pool.Pinned(); n != 0 {
-		return fmt.Errorf("burtree: %d buffer frames still pinned with no operation in flight", n)
-	}
-	return nil
-}
-
-// Updater exposes the underlying strategy for advanced integrations
-// (e.g. wrapping in a ConcurrentIndex).
-func (x *Index) Updater() core.Updater { return x.updater }
+func (x *Index) Stats() Stats { return x.stats() }

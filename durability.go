@@ -3,6 +3,7 @@ package burtree
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -221,19 +222,9 @@ func replayRecords(a applier, recs []wal.Record) error {
 	return nil
 }
 
-// opsFromChanges converts applied batch changes to log ops.
-func opsFromChanges(changes []Change) []wal.Op {
-	ops := make([]wal.Op, len(changes))
-	for i, c := range changes {
-		ops[i] = wal.Op{ID: c.ID, X: c.To.X, Y: c.To.Y}
-	}
-	return ops
-}
-
-// loadOrFresh is the shared snapshot-or-empty step of single-index
-// recovery: it loads the checkpoint snapshot when one exists and opens
-// an empty index (durability stripped; the caller attaches the log)
-// otherwise.
+// loadOrFresh is the snapshot-or-empty step of recovery: it loads the
+// checkpoint snapshot when one exists and opens an empty index
+// (durability stripped; the caller attaches the log) otherwise.
 func loadOrFresh[T any](opts Options, loadSnap func(string) (T, error), open func(Options) (T, error)) (T, error) {
 	var zero T
 	snapPath := filepath.Join(opts.Durability.Dir, snapshotFileName)
@@ -251,23 +242,49 @@ func loadOrFresh[T any](opts Options, loadSnap func(string) (T, error), open fun
 	return open(fresh)
 }
 
-// recoverTail replays the log tail beyond afterSeq onto a and re-opens
-// the log for appending. A directory holding per-shard logs belongs to
-// a ShardedIndex: refusing it here keeps a mistaken Recover /
-// RecoverConcurrent from silently dropping the acked records in the
-// shard logs (the top-level scan would never see them).
-func recoverTail(d Durability, a applier, afterSeq uint64) (*wal.Log, error) {
+// recoverEngine rebuilds an engine from its durability directory, under
+// Recover and RecoverConcurrent (caller names the one in use).
+func recoverEngine(opts Options, caller string, background bool) (*engine, error) {
+	d := opts.Durability
+	if err := d.validate(); err != nil {
+		return nil, err
+	}
+	if !d.enabled() {
+		return nil, fmt.Errorf("burtree: %s requires a durability mode", caller)
+	}
+	load := func(r io.Reader) (*engine, error) { return loadEngine(r, background) }
+	e, err := loadOrFresh(opts,
+		func(path string) (*engine, error) { return loadFile(path, load) },
+		func(o Options) (*engine, error) { return openEngine(o, background) })
+	if err != nil {
+		return nil, err
+	}
+	// Like Durability, the delta tier is the caller's runtime choice,
+	// not snapshot state: re-enable it (if asked for) before the replay,
+	// so the log tail is absorbed exactly as the pre-crash writes were.
+	e.ensureMemtable(opts.Memtable)
+	// A directory holding per-shard logs belongs to a ShardedIndex:
+	// refusing it here keeps a mistaken Recover / RecoverConcurrent from
+	// silently dropping the acked records in the shard logs (the
+	// top-level scan would never see them).
 	if segs := shardLogSegments(d.Dir); len(segs) > 0 {
 		return nil, fmt.Errorf("%w: %s holds per-shard logs; recover it with RecoverSharded", ErrRecovery, d.Dir)
 	}
-	recs, _, err := wal.ReadDir(d.Dir, afterSeq)
+	recs, _, err := wal.ReadDir(d.Dir, e.walSeq)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
 	}
-	if err := replayRecords(a, recs); err != nil {
+	// The log is attached only after the replay, so replay does not
+	// re-log itself.
+	if err := replayRecords(e, recs); err != nil {
 		return nil, err
 	}
-	return wal.Open(d.Dir, d.logOptions(afterSeq, nil))
+	e.wal, err = wal.Open(d.Dir, d.logOptions(e.walSeq, nil))
+	if err != nil {
+		return nil, err
+	}
+	e.options.Durability = d
+	return e, nil
 }
 
 // Recover rebuilds an Index from its durability directory: the latest
@@ -278,52 +295,21 @@ func recoverTail(d Durability, a applier, afterSeq uint64) (*wal.Log, error) {
 // directory); otherwise the snapshot's embedded options win, as with
 // Load. The returned index continues logging to the same directory.
 func Recover(opts Options) (*Index, error) {
-	d := opts.Durability
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	if !d.enabled() {
-		return nil, errors.New("burtree: Recover requires a durability mode")
-	}
-	idx, err := loadOrFresh(opts, LoadFile, Open)
+	e, err := recoverEngine(opts, "Recover", false)
 	if err != nil {
 		return nil, err
 	}
-	// Like Durability, the delta tier is the caller's runtime choice,
-	// not snapshot state: re-enable it (if asked for) before the replay,
-	// so the log tail is absorbed exactly as the pre-crash writes were.
-	idx.ensureMemtable(opts.Memtable)
-	log, err := recoverTail(d, idx, idx.walSeq)
-	if err != nil {
-		return nil, err
-	}
-	idx.wal = log
-	idx.options.Durability = d
-	return idx, nil
+	return &Index{e}, nil
 }
 
 // RecoverConcurrent rebuilds a ConcurrentIndex from its durability
 // directory, exactly as Recover does for an Index.
 func RecoverConcurrent(opts Options) (*ConcurrentIndex, error) {
-	d := opts.Durability
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	if !d.enabled() {
-		return nil, errors.New("burtree: RecoverConcurrent requires a durability mode")
-	}
-	idx, err := loadOrFresh(opts, LoadConcurrentFile, OpenConcurrent)
+	e, err := recoverEngine(opts, "RecoverConcurrent", true)
 	if err != nil {
 		return nil, err
 	}
-	idx.ensureMemtable(opts.Memtable)
-	log, err := recoverTail(d, idx, idx.walSeq)
-	if err != nil {
-		return nil, err
-	}
-	idx.wal = log
-	idx.options.Durability = d
-	return idx, nil
+	return &ConcurrentIndex{e}, nil
 }
 
 // RecoverSharded rebuilds a ShardedIndex from its durability directory:
@@ -341,22 +327,9 @@ func RecoverSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
 	if !d.enabled() {
 		return nil, errors.New("burtree: RecoverSharded requires a durability mode")
 	}
-	var x *ShardedIndex
-	snapPath := filepath.Join(d.Dir, snapshotFileName)
-	if _, err := os.Stat(snapPath); err == nil {
-		x, err = LoadShardedFile(snapPath)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
-		}
-	} else if os.IsNotExist(err) {
-		fresh := opts
-		fresh.Durability = Durability{}
-		x, err = OpenSharded(fresh, sopts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
+	x, err := loadOrFresh(opts, LoadShardedFile, func(o Options) (*ShardedIndex, error) { return OpenSharded(o, sopts) })
+	if err != nil {
+		return nil, err
 	}
 
 	// Refuse to recover past acked data this scan would never see:

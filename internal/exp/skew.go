@@ -36,10 +36,9 @@ const skewHotspots = 5
 
 // SkewSweepConfig drives one cell of the skew experiment.
 type SkewSweepConfig struct {
-	Theta        float64       // zipf exponent of object selection
-	Adaptive     bool          // run the online rebalancer
-	OpCounts     bool          // adaptive arm triggers on raw op counts, not cost
-	PhaseWindow  time.Duration // hot-object phase batching window (0 = off)
+	Theta        float64 // zipf exponent of object selection
+	Adaptive     bool    // run the online rebalancer
+	OpCounts     bool    // adaptive arm triggers on raw op counts, not cost
 	Shards       int
 	Workers      int
 	NumObjects   int
@@ -91,12 +90,10 @@ func RunSkewSweep(cfg SkewSweepConfig) (SkewSweepResult, error) {
 		// and the later nudges correct the boundaries once it has.
 		sopts.Rebalance = burtree.RebalanceOptions{
 			MinOps: 64, HotFactor: 1.25, MaxStep: 256, Cooldown: 2,
-			// The comparison axes of the experiment: the op-count arm
+			// The comparison axis of the experiment: the op-count arm
 			// triggers and cuts on raw operation counts (the pre-cost
-			// signal); a non-zero PhaseWindow additionally coalesces
-			// hot-cell updates across callers (phase batching).
+			// signal).
 			UseOpCounts: cfg.OpCounts,
-			PhaseWindow: cfg.PhaseWindow,
 		}
 	}
 	idx, err := burtree.OpenSharded(burtree.Options{
@@ -271,14 +268,6 @@ func median(vs []float64) float64 {
 // it paid (its own row: adoption cost amortizes over hours in
 // production and must not be buried in whichever θ cell crosses the
 // trigger mid-run).
-//
-// The weighted arm runs without hot-object phase batching: this
-// workload partitions object ids across workers, so a phase never
-// coalesces two callers' updates to the same object and the
-// accumulation window is pure added latency (measured: 2124 → 2015
-// ups at θ=1.1 with a 50µs window, 1822 with 200µs). Phase batching
-// pays when independent callers hit the same hot ids; the smoke test
-// keeps the path exercised under race.
 func bundleSkew(s Scale, seed int64) (map[string]*Table, error) {
 	cols := make([]string, len(skewThetas))
 	for i, th := range skewThetas {
@@ -301,7 +290,6 @@ func bundleSkew(s Scale, seed int64) (map[string]*Table, error) {
 		label    string
 		adaptive bool
 		opCounts bool
-		window   time.Duration
 	}{
 		{label: "static"},
 		{label: "adaptive (op-count)", adaptive: true, opCounts: true},
@@ -315,13 +303,12 @@ func bundleSkew(s Scale, seed int64) (map[string]*Table, error) {
 		var row []float64
 		for _, th := range skewThetas {
 			r, err := RunSkewSweep(SkewSweepConfig{
-				Theta:       th,
-				Adaptive:    arm.adaptive,
-				OpCounts:    arm.opCounts,
-				PhaseWindow: arm.window,
-				Shards:      8,
-				Workers:     128,
-				NumObjects:  s.Objects,
+				Theta:      th,
+				Adaptive:   arm.adaptive,
+				OpCounts:   arm.opCounts,
+				Shards:     8,
+				Workers:    128,
+				NumObjects: s.Objects,
 				// 4× the scale's nominal op count: skew needs enough rounds for
 				// the hot set to converge and the rebalancer to adapt, with a
 				// usable median over the measured rounds.

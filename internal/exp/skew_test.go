@@ -47,20 +47,18 @@ func TestRunSkewSweepSmoke(t *testing.T) {
 	// The θ=1.1 weighted-vs-opcount round: both adaptive signal arms
 	// must complete and rebalance under a heavily skewed stream — the
 	// op-count arm exercising the pre-cost comparison path, the weighted
-	// arm exercising cost-weighted shares plus hot-object phase batching.
+	// arm exercising cost-weighted shares.
 	for _, arm := range []struct {
 		name     string
 		opCounts bool
-		window   time.Duration
 	}{
 		{name: "op-count", opCounts: true},
-		{name: "weighted+phase", window: 100 * time.Microsecond},
+		{name: "weighted"},
 	} {
 		r, err := RunSkewSweep(SkewSweepConfig{
 			Theta:        1.1,
 			Adaptive:     true,
 			OpCounts:     arm.opCounts,
-			PhaseWindow:  arm.window,
 			Shards:       4,
 			Workers:      8,
 			NumObjects:   2000,

@@ -13,13 +13,15 @@
 // front-end.
 //
 // Scope: the mutation methods (Insert/Update/Delete/UpdateBatch) on
-// WAL-carrying types — walack's surface, via the shared facts store —
-// plus same-package receiver methods reachable from them that both
-// mutate their receiver and log (the absorb helpers). In each, the
-// analyzer tracks, over the CFG:
+// WAL-carrying types plus same-package receiver methods reachable from
+// them that both mutate and log — the engine's pipeline functions the
+// one-line front-end methods delegate to. The set is walack.Checked,
+// via the shared facts store. In each, the analyzer tracks, over the
+// CFG:
 //
 //   - state mutation: an assignment, delete, or ++/-- through the
-//     receiver (x.objects[id] = p);
+//     receiver (x.objects[id] = p), or a call on the receiver to a
+//     same-package method that mutates (t.put(st), e.absorbBatch(...));
 //   - tracked fallible calls: error-returning calls to same-package
 //     functions that mutate or log, direct wal.Append/AppendAsync, or
 //     methods on receiver-reachable state (x.tree.Insert);
@@ -56,40 +58,8 @@ var Analyzer = &framework.Analyzer{
 }
 
 func run(pass *framework.Pass) error {
-	carriers := walack.Carriers(pass)
-	if len(carriers) == 0 {
-		return nil
-	}
-	mutates := mutatesSummary(pass)
-
-	var cands []*framework.Func
-	isCand := make(map[*framework.Func]bool)
-	for _, fn := range pass.Prog.SortedFuncs() {
-		decl := fn.Decl
-		if decl.Recv == nil || decl.Body == nil || !walack.MutationMethods[decl.Name.Name] {
-			continue
-		}
-		recv := fn.Obj.Signature().Recv()
-		if recv == nil || !carriers[deref(recv.Type())] {
-			continue
-		}
-		cands = append(cands, fn)
-		isCand[fn] = true
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	// Helpers the mutation methods delegate to (absorbBatch): receiver
-	// methods reachable from a candidate that both mutate and log.
-	logging := walack.Logging(pass)
-	reach := pass.Prog.Reachable(cands)
-	for _, fn := range pass.Prog.SortedFuncs() {
-		if reach[fn] && !isCand[fn] && fn.Decl.Recv != nil && mutates[fn] && logging[fn] {
-			cands = append(cands, fn)
-		}
-	}
-
-	for _, fn := range cands {
+	mutates := walack.Mutates(pass)
+	for _, fn := range walack.Checked(pass) {
 		if !pass.IsTestFile(fn.Decl.Pos()) {
 			checkFunc(pass, fn, mutates)
 		}
@@ -102,11 +72,10 @@ func checkFunc(pass *framework.Pass, fn *framework.Func, mutates map[*framework.
 	if recv == nil {
 		return
 	}
-	info := pass.TypesInfo
 	cfg := pass.Prog.CFGOf(fn)
 	name := fn.Decl.Name.Name
 
-	isMutNode := func(n ast.Node) bool { return framework.WritesThrough(info, n, recv, false) }
+	isMutNode := func(n ast.Node) bool { return walack.MutatesAt(pass, n, recv, false) }
 	isLogNode := func(n ast.Node) bool {
 		found := false
 		ast.Inspect(n, func(m ast.Node) bool {
@@ -438,43 +407,12 @@ func isUndo(pass *framework.Pass, n ast.Node, recv types.Object, mutates map[*fr
 	return found
 }
 
-// mutatesSummary is the interprocedural summary "writes state through
-// a receiver, directly or transitively", cached in the facts store.
-func mutatesSummary(pass *framework.Pass) map[*framework.Func]bool {
-	return pass.Prog.FactOnce("errflow.mutates", func() any {
-		return pass.Prog.Transitive(func(fn *framework.Func) bool {
-			if fn.Decl.Recv == nil || fn.Decl.Body == nil {
-				return false
-			}
-			recv := framework.ReceiverVar(pass.TypesInfo, fn.Decl)
-			if recv == nil {
-				return false
-			}
-			found := false
-			for _, stmt := range fn.Decl.Body.List {
-				if framework.WritesThrough(pass.TypesInfo, stmt, recv, false) {
-					found = true
-					break
-				}
-			}
-			return found
-		})
-	}).(map[*framework.Func]bool)
-}
-
 func identObject(info *types.Info, e ast.Expr) types.Object {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	if !ok {
 		return nil
 	}
 	return info.Uses[id]
-}
-
-func deref(t types.Type) types.Type {
-	if ptr, ok := t.(*types.Pointer); ok {
-		return ptr.Elem()
-	}
-	return t
 }
 
 func callName(call *ast.CallExpr) string {

@@ -28,6 +28,17 @@
 // non-nil/unknown error expressions are never flagged — they are
 // failure paths or cannot be proven to ack. BulkInsert is exempt by
 // contract: it checkpoints instead of logging.
+//
+// The contract follows delegation. Since the front-ends became thin
+// wrappers over one engine, the exported methods are one-line calls
+// (`return e.mutate(step)`) and the pipeline function they share is
+// where an ack can skip the log, so the check covers it too: besides
+// the mutation methods, every same-package receiver method reachable
+// from them that both mutates and logs is held to the same rule (the
+// set errflow checks; see Checked), and a call on the receiver to a
+// same-package method that mutates counts as a mutation where it
+// stands — including in the return itself, so `return e.mutate(step)`
+// with a mutate that never logs is flagged at the wrapper.
 package walack
 
 import (
@@ -53,25 +64,51 @@ var MutationMethods = map[string]bool{
 }
 
 func run(pass *framework.Pass) error {
-	carriers := Carriers(pass)
-	if len(carriers) == 0 {
-		return nil
-	}
-	for _, fn := range pass.Prog.SortedFuncs() {
-		decl := fn.Decl
-		if decl.Recv == nil || decl.Body == nil || !MutationMethods[decl.Name.Name] {
-			continue
+	for _, fn := range Checked(pass) {
+		if !pass.IsTestFile(fn.Decl.Pos()) {
+			checkMethod(pass, fn)
 		}
-		if pass.IsTestFile(decl.Pos()) {
-			continue
-		}
-		recv := fn.Obj.Signature().Recv()
-		if recv == nil || !carriers[deref(recv.Type())] {
-			continue
-		}
-		checkMethod(pass, fn)
 	}
 	return nil
+}
+
+// Checked returns the functions that carry the mutation contract, in
+// source order: the exported mutation methods on WAL-carrying types,
+// plus the helpers they delegate it to — same-package receiver methods
+// reachable from one of them that both mutate and log (the engine's
+// pipeline functions, the absorb helpers). Cached in the facts store
+// and shared with errflow.
+func Checked(pass *framework.Pass) []*framework.Func {
+	return pass.Prog.FactOnce("walack.checked", func() any {
+		carriers := Carriers(pass)
+		if len(carriers) == 0 {
+			return []*framework.Func(nil)
+		}
+		var roots []*framework.Func
+		for _, fn := range pass.Prog.SortedFuncs() {
+			decl := fn.Decl
+			if decl.Recv == nil || decl.Body == nil || !MutationMethods[decl.Name.Name] {
+				continue
+			}
+			recv := fn.Obj.Signature().Recv()
+			if recv != nil && carriers[deref(recv.Type())] {
+				roots = append(roots, fn)
+			}
+		}
+		isRoot := make(map[*framework.Func]bool, len(roots))
+		for _, fn := range roots {
+			isRoot[fn] = true
+		}
+		mutates, logging := Mutates(pass), Logging(pass)
+		reach := pass.Prog.Reachable(roots)
+		var out []*framework.Func
+		for _, fn := range pass.Prog.SortedFuncs() {
+			if isRoot[fn] || reach[fn] && fn.Decl.Recv != nil && fn.Decl.Body != nil && mutates[fn] && logging[fn] {
+				out = append(out, fn)
+			}
+		}
+		return out
+	}).([]*framework.Func)
 }
 
 // Path states for the product dataflow: each path through the method
@@ -104,7 +141,7 @@ func checkMethod(pass *framework.Pass, fn *framework.Func) {
 		return found
 	}
 	mutatesAt := func(n ast.Node) bool {
-		return recv != nil && framework.WritesThrough(pass.TypesInfo, n, recv, true)
+		return recv != nil && MutatesAt(pass, n, recv, true)
 	}
 	// step applies one node's events to a path state.
 	step := func(state uint8, n ast.Node) uint8 {
@@ -157,8 +194,9 @@ func checkMethod(pass *framework.Pass, fn *framework.Func) {
 			continue
 		}
 		// State set at the return: entry states advanced through the
-		// block's earlier nodes.
-		bad := false
+		// block's earlier nodes. unlogged: some path gets here without a
+		// logging call; bad: one of those paths has also mutated.
+		bad, unlogged := false, false
 		for s := uint8(0); s < numStates; s++ {
 			if states[b]&(1<<s) == 0 {
 				continue
@@ -167,32 +205,90 @@ func checkMethod(pass *framework.Pass, fn *framework.Func) {
 			for _, n := range b.Nodes[:len(b.Nodes)-1] {
 				cur = step(cur, n)
 			}
-			if cur&stMut != 0 && cur&stUnlogged != 0 {
-				bad = true
+			if cur&stUnlogged != 0 {
+				unlogged = true
+				bad = bad || cur&stMut != 0
 			}
-		}
-		if !bad {
-			continue
 		}
 		errExpr := ret.Results[len(ret.Results)-1]
 		switch e := errExpr.(type) {
 		case *ast.Ident:
-			if e.Name == "nil" {
+			if bad && e.Name == "nil" {
 				pass.Reportf(ret.Pos(), "%s acknowledges success without reaching the WAL: a path mutates state and reaches this return with no wal.Append/AppendAsync (or logging helper) call", name)
 			}
 		case *ast.CallExpr:
 			// A returned call can be the ack itself (`return
-			// x.logAppend(...)`) or a same-package tail that may
-			// succeed (`return x.maybeMerge()`); the latter must come
-			// after the log call. Foreign constructors (fmt.Errorf,
-			// errors.New) only build failures and are never acks.
+			// x.logAppend(...)`, `return e.mutate(step)`) or a
+			// same-package tail that may succeed (`return
+			// x.maybeMerge()`); the latter must come after the log call,
+			// and must not be where the mutation happens. Foreign
+			// constructors (fmt.Errorf, errors.New) only build failures
+			// and are never acks.
 			callee := framework.StaticCallee(pass.TypesInfo, e)
 			samePkg := callee != nil && callee.Pkg() == pass.Pkg
-			if samePkg && !IsLoggingCall(pass, e) {
+			if samePkg && !IsLoggingCall(pass, e) && (bad || unlogged && mutatesAt(ret)) {
 				pass.Reportf(ret.Pos(), "%s acknowledges success without reaching the WAL: the returned helper does not log and a mutating path reaches it with no logging call", name)
 			}
 		}
 	}
+}
+
+// Mutates is the interprocedural summary "writes state through a
+// receiver, directly or transitively", cached in the facts store and
+// shared with errflow.
+func Mutates(pass *framework.Pass) map[*framework.Func]bool {
+	return pass.Prog.FactOnce("walack.mutates", func() any {
+		return pass.Prog.Transitive(func(fn *framework.Func) bool {
+			if fn.Decl.Recv == nil || fn.Decl.Body == nil {
+				return false
+			}
+			recv := framework.ReceiverVar(pass.TypesInfo, fn.Decl)
+			if recv == nil {
+				return false
+			}
+			for _, stmt := range fn.Decl.Body.List {
+				if framework.WritesThrough(pass.TypesInfo, stmt, recv, false) {
+					return true
+				}
+			}
+			return false
+		})
+	}).(map[*framework.Func]bool)
+}
+
+// MutatesAt reports whether node n changes state reachable from recv: a
+// write through it (an assignment, delete or ++/--), or a call on it —
+// x.mutate(...), x.shards[s].Insert(...) — to a same-package function
+// whose summary says it mutates. The second form is what keeps a
+// wrapper's one-line delegation visible as the mutation it is.
+func MutatesAt(pass *framework.Pass, n ast.Node, recv types.Object, intoFuncLits bool) bool {
+	if framework.WritesThrough(pass.TypesInfo, n, recv, intoFuncLits) {
+		return true
+	}
+	found := false
+	ast.Inspect(n, func(m ast.Node) bool {
+		if found {
+			return false
+		}
+		if _, ok := m.(*ast.FuncLit); ok {
+			return intoFuncLits
+		}
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || framework.RootObject(pass.TypesInfo, sel.X) != recv {
+			return true
+		}
+		if callee := framework.StaticCallee(pass.TypesInfo, call); callee != nil && callee.Pkg() == pass.Pkg {
+			if fn := pass.Prog.FuncOf(callee); fn != nil && Mutates(pass)[fn] {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // Carriers returns the package-level named types that carry a

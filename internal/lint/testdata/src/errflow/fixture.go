@@ -143,3 +143,66 @@ func (p *Plain) Insert(id uint64) error {
 	p.n[id] = id
 	return p.t.Apply(id)
 }
+
+// engine is the shape the front-ends took when they became wrappers:
+// the WAL-carrying struct is embedded, its exported mutation methods
+// are one-line calls into a shared pipeline, and the rollback contract
+// follows the delegation into it.
+type engine struct {
+	log     *wal.Log
+	tree    *tree
+	objects map[uint64]uint64
+}
+
+// Wrapper promotes engine's Insert/Update/Delete.
+type Wrapper struct {
+	*engine
+}
+
+func (e *engine) Insert(id uint64) error { return e.mutate(id, id) }
+func (e *engine) Update(id uint64) error { return e.mutate(id, id+1) }
+
+// put is the table transition; calling it on the receiver is the
+// mutation.
+func (e *engine) put(id, v uint64) { e.objects[id] = v }
+
+// mutate reserves, applies, logs and — on a log failure — undoes. Not
+// flagged.
+func (e *engine) mutate(id, v uint64) error {
+	prev := e.objects[id]
+	e.put(id, v)
+	if err := e.tree.Apply(id); err != nil {
+		e.put(id, prev)
+		return err
+	}
+	if err := e.log.Append(wal.TypeUpdate, nil); err != nil {
+		e.put(id, prev)
+		return err
+	}
+	return nil
+}
+
+// leaky is the same pipeline with the undo stage deleted: the table
+// keeps the move the caller was told failed.
+type leaky struct {
+	log     *wal.Log
+	tree    *tree
+	objects map[uint64]uint64
+}
+
+func (l *leaky) Insert(id uint64) error { return l.mutate(id, id) }
+
+func (l *leaky) put(id, v uint64) { l.objects[id] = v }
+
+func (l *leaky) mutate(id, v uint64) error {
+	prev := l.objects[id]
+	l.put(id, v)
+	if err := l.tree.Apply(id); err != nil {
+		l.put(id, prev)
+		return err
+	}
+	if err := l.log.Append(wal.TypeUpdate, nil); err != nil { // want `mutate mutates receiver state before Append but the failure path returns without a rollback`
+		return err
+	}
+	return nil
+}

@@ -115,3 +115,64 @@ func (p *Plain) Insert(id uint64) error {
 	p.n++
 	return nil
 }
+
+// engine is the shape the front-ends took when they became wrappers:
+// the WAL-carrying struct is embedded, its exported mutation methods
+// are one-line calls into a shared pipeline, and the wrapper's methods
+// are the promoted ones. The contract follows the delegation.
+type engine struct {
+	log     *wal.Log
+	objects map[uint64]struct{}
+}
+
+// Wrapper promotes engine's Insert/Update/Delete; it declares nothing to
+// check itself.
+type Wrapper struct {
+	*engine
+}
+
+// The one-liners ack with the pipeline call itself, which logs. Not
+// flagged: a path that acks unlogged is reported in the pipeline, where
+// the path is.
+func (e *engine) Insert(id uint64) error { return e.mutate(id, true) }
+func (e *engine) Update(id uint64) error { return e.mutate(id, true) }
+func (e *engine) Delete(id uint64) error { return e.mutate(id, false) }
+
+// mutate is the shared pipeline: it mutates and logs, so it inherits the
+// contract, and its early success return skips the log.
+func (e *engine) mutate(id uint64, present bool) error {
+	if present {
+		e.objects[id] = struct{}{}
+	} else {
+		delete(e.objects, id)
+	}
+	if len(e.objects) == 0 {
+		return nil // want `mutate acknowledges success without reaching the WAL`
+	}
+	return e.log.Append(wal.TypeUpdate, nil)
+}
+
+// quiet is the same shape with the log call missing altogether: the
+// pipeline is no logging helper, so the wrappers' one-line returns are
+// where a mutation is acked unlogged.
+type quiet struct {
+	log     *wal.Log
+	objects map[uint64]struct{}
+}
+
+func (q *quiet) Insert(id uint64) error {
+	return q.mutate(id, true) // want `Insert acknowledges success without reaching the WAL: the returned helper does not log`
+}
+
+func (q *quiet) Delete(id uint64) error {
+	return q.mutate(id, false) // want `Delete acknowledges success without reaching the WAL: the returned helper does not log`
+}
+
+func (q *quiet) mutate(id uint64, present bool) error {
+	if present {
+		q.objects[id] = struct{}{}
+	} else {
+		delete(q.objects, id)
+	}
+	return nil
+}

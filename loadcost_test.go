@@ -2,9 +2,7 @@ package burtree
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"burtree/internal/shard"
 )
@@ -234,173 +232,5 @@ func TestWeightedRebalanceDirection(t *testing.T) {
 	before, opcount := run(true)
 	if opcount >= before {
 		t.Fatalf("op-count rebalance moved the cut %d -> %d; want lowered (chasing the op-heavy shard)", before, opcount)
-	}
-}
-
-// phaseBatchFixture opens a two-shard index with a populated hot-cell
-// set: ids clustered in one cell of shard 0, primed and sampled so the
-// rebalancer marks the cell for phase batching.
-func phaseBatchFixture(t *testing.T, window time.Duration, nIDs int) (*ShardedIndex, []uint64, Point) {
-	t.Helper()
-	x, err := OpenSharded(Options{
-		Strategy:        GeneralizedBottomUp,
-		BufferPages:     64,
-		ExpectedObjects: 2048,
-	}, ShardOptions{Shards: 2, Partition: ShardHilbert})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := cellMidpoints(x, 0)
-	if len(pts) == 0 {
-		t.Fatal("probing found no shard-0 cells")
-	}
-	center := pts[0]
-	ids := make([]uint64, nIDs)
-	rng := rand.New(rand.NewSource(29))
-	for i := range ids {
-		ids[i] = uint64(i)
-		p := Point{
-			X: center.X + (rng.Float64()*2-1)*0.002,
-			Y: center.Y + (rng.Float64()*2-1)*0.002,
-		}
-		if err := x.Insert(ids[i], p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// HotFactor is set absurdly high so the priming window marks the
-	// cell hot without ever moving a boundary.
-	x.SetRebalance(RebalanceOptions{
-		PhaseWindow:   window,
-		HotCellFactor: 2,
-		MinOps:        1,
-		HotFactor:     1e9,
-	})
-	prime := make([]Change, 64)
-	for j := range prime {
-		prime[j] = Change{ID: ids[j%len(ids)], To: Point{
-			X: center.X + (rng.Float64()*2-1)*0.002,
-			Y: center.Y + (rng.Float64()*2-1)*0.002,
-		}}
-	}
-	if _, err := x.UpdateBatch(prime); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := x.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	if len(x.HotCells()) == 0 {
-		t.Fatalf("priming did not mark the cluster cell hot; loads %+v", x.ShardLoads())
-	}
-	return x, ids, center
-}
-
-// TestPhaseBatchingSingleCaller routes one caller's batch through the
-// phase path: with the cell marked hot the caller leads its own phase,
-// and the result must account every change exactly as the ordinary
-// path would.
-func TestPhaseBatchingSingleCaller(t *testing.T) {
-	x, ids, center := phaseBatchFixture(t, time.Millisecond, 8)
-	defer x.Close()
-
-	targets := make(map[uint64]Point, len(ids))
-	batch := make([]Change, 0, len(ids))
-	rng := rand.New(rand.NewSource(31))
-	for _, id := range ids {
-		p := Point{
-			X: center.X + (rng.Float64()*2-1)*0.002,
-			Y: center.Y + (rng.Float64()*2-1)*0.002,
-		}
-		targets[id] = p
-		batch = append(batch, Change{ID: id, To: p})
-	}
-	res, err := x.UpdateBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Applied != len(ids) || res.Combined != 0 {
-		t.Fatalf("single-caller phase batch: Applied %d Combined %d, want %d/0", res.Applied, res.Combined, len(ids))
-	}
-	for id, want := range targets {
-		if got, ok := x.Location(id); !ok || got != want {
-			t.Fatalf("object %d at %v after phase batch, want %v", id, got, want)
-		}
-	}
-	if err := x.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Turning phase batching off clears the hot set immediately and the
-	// next batch takes the ordinary path.
-	x.SetRebalance(RebalanceOptions{})
-	if got := x.HotCells(); len(got) != 0 {
-		t.Fatalf("hot set survived disabling phase batching: %v", got)
-	}
-}
-
-// TestPhaseBatchingCombinesCallers releases several concurrent callers
-// into one accumulation window: the first joiner leads, the rest must
-// ride its phase and report their changes as combined. Every object
-// still lands exactly where its caller sent it.
-func TestPhaseBatchingCombinesCallers(t *testing.T) {
-	const callers, perCaller = 6, 4
-	x, ids, center := phaseBatchFixture(t, 300*time.Millisecond, callers*perCaller)
-	defer x.Close()
-
-	targets := make([]map[uint64]Point, callers)
-	results := make([]BatchResult, callers)
-	errs := make([]error, callers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < callers; g++ {
-		targets[g] = make(map[uint64]Point, perCaller)
-		batch := make([]Change, 0, perCaller)
-		rng := rand.New(rand.NewSource(int64(37 + g)))
-		for i := 0; i < perCaller; i++ {
-			id := ids[g*perCaller+i]
-			p := Point{
-				X: center.X + (rng.Float64()*2-1)*0.002,
-				Y: center.Y + (rng.Float64()*2-1)*0.002,
-			}
-			targets[g][id] = p
-			batch = append(batch, Change{ID: id, To: p})
-		}
-		wg.Add(1)
-		go func(g int, batch []Change) {
-			defer wg.Done()
-			<-start
-			results[g], errs[g] = x.UpdateBatch(batch)
-		}(g, batch)
-	}
-	close(start)
-	wg.Wait()
-
-	applied, combined := 0, 0
-	for g := 0; g < callers; g++ {
-		if errs[g] != nil {
-			t.Fatalf("caller %d: %v", g, errs[g])
-		}
-		applied += results[g].Applied
-		combined += results[g].Combined
-	}
-	// Callers move disjoint ids, so Applied+Combined across callers must
-	// equal the offered stream exactly: a leader counting its followers'
-	// changes in Applied (while they also report Combined) double-counts.
-	if applied+combined != callers*perCaller {
-		t.Fatalf("Applied %d + Combined %d != %d offered changes", applied, combined, callers*perCaller)
-	}
-	// With a 300ms window and callers released together, followers must
-	// have ridden the leader's phase.
-	if combined == 0 {
-		t.Fatalf("no caller combined into a shared phase: results %+v", results)
-	}
-	for g := 0; g < callers; g++ {
-		for id, want := range targets[g] {
-			if got, ok := x.Location(id); !ok || got != want {
-				t.Fatalf("object %d at %v after combined phases, want %v", id, got, want)
-			}
-		}
-	}
-	if err := x.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -137,12 +137,16 @@ func validatePoint(p Point) error {
 // granule locks order any region overlap), and never-inserted objects
 // as inserts. The order matters only across categories: within one
 // generation each id appears once.
-func drainEntries(entries []memtable.Entry, del, ins func(id uint64, p Point) error, batch func([]core.BatchChange) error, parallelism int) error {
+func drainEntries(entries []memtable.Entry, tree treeOps, parallelism int) error {
+	batch := func(chs []core.BatchChange) error {
+		_, err := tree.UpdateBatch(chs, func(core.BatchChange) {})
+		return err
+	}
 	var moves []core.BatchChange
 	for _, e := range entries {
 		switch {
 		case e.Tombstone:
-			if err := del(e.ID, e.Base); err != nil {
+			if err := tree.Delete(e.ID, e.Base); err != nil {
 				return err
 			}
 		case e.InTree:
@@ -180,7 +184,7 @@ func drainEntries(entries []memtable.Entry, del, ins func(id uint64, p Point) er
 	}
 	for _, e := range entries {
 		if !e.Tombstone && !e.InTree {
-			if err := ins(e.ID, e.Pos); err != nil {
+			if err := tree.Insert(e.ID, e.Pos); err != nil {
 				return err
 			}
 		}
@@ -288,8 +292,9 @@ func checkMemOverlay(mem *memtable.Table, objects map[uint64]Point, treeSize int
 	return nil
 }
 
-// merger is the background merge-down loop a ConcurrentIndex (and each
-// ShardedIndex shard) runs while its memtable is enabled.
+// merger is the background merge-down loop a background engine (a
+// ConcurrentIndex, and so each ShardedIndex shard) runs while its
+// memtable is enabled.
 type merger struct {
 	trigger chan struct{}
 	stop    chan struct{}

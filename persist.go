@@ -12,7 +12,6 @@ import (
 
 	"burtree/internal/atomicfile"
 	"burtree/internal/buffer"
-	"burtree/internal/concurrent"
 	"burtree/internal/core"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
@@ -115,8 +114,8 @@ type savedSharded struct {
 const shardedFormat = 1
 
 // saveSnapshot flushes the pool and encodes the complete index state to
-// w. Shared by both single-tree front-ends; the ConcurrentIndex caller
-// holds the exclusive latch so the snapshot is quiescent.
+// w. The caller holds the tree exclusively, so the snapshot is
+// quiescent.
 func saveSnapshot(w io.Writer, store *pagestore.Store, pool *buffer.Pool, u core.Updater, objects map[uint64]Point, opts Options, walSeq uint64) error {
 	if err := pool.Flush(); err != nil {
 		return fmt.Errorf("burtree: save: %w", err)
@@ -165,64 +164,43 @@ func saveSnapshot(w io.Writer, store *pagestore.Store, pool *buffer.Pool, u core
 }
 
 // Save serializes the complete index — pages, structural metadata and
-// the object table — to w. Buffered delta-tier entries are merged down
-// first and the buffer pool is flushed, so the snapshot is
-// self-consistent and never depends on memtable contents. With
-// durability enabled the snapshot embeds the log sequence it covers,
-// so it can serve as a recovery base.
-func (x *Index) Save(w io.Writer) error {
-	if err := x.drainMemtable(); err != nil {
-		return err
-	}
-	var seq uint64
-	if x.wal != nil {
-		seq = x.wal.LastSeq()
-	}
-	return saveSnapshot(w, x.store, x.pool, x.updater, x.objects, x.options, seq)
-}
-
-// SaveFile writes the index snapshot to a file.
-func (x *Index) SaveFile(path string) error {
-	return saveToFile(path, x.Save)
-}
-
-// Save serializes the complete index to w. The whole index is locked
-// exclusively for the duration — the buffer flush and page dump must
-// not interleave with updates — so the snapshot is a quiescent point:
-// every operation that completed before Save returned is in it, none
-// that started after. With durability enabled the checkpoint gate is
-// held too, so no operation is caught between applying and logging and
-// the embedded log sequence is exact.
-func (x *ConcurrentIndex) Save(w io.Writer) error {
-	x.ckpt.Lock()
-	defer x.ckpt.Unlock()
-	return x.saveLocked(w)
+// the object table — to w. The whole index is locked exclusively for
+// the duration — the buffer flush and page dump must not interleave with
+// updates — so the snapshot is a quiescent point: every operation that
+// completed before Save returned is in it, none that started after. The
+// checkpoint gate is held too, so no operation is caught between
+// applying and logging and, with durability enabled, the embedded log
+// sequence is exact and the snapshot can serve as a recovery base.
+func (e *engine) Save(w io.Writer) error {
+	e.ckpt.Lock()
+	defer e.ckpt.Unlock()
+	return e.saveLocked(w)
 }
 
 // saveLocked is Save with the checkpoint gate already held. The delta
 // tier is merged down first — under the gate no writer can refill it,
-// so the snapshot captures every acknowledged operation in the tree
-// and a subsequent log truncation (Checkpoint) cannot drop records
-// whose effects lived only in the memtable.
-func (x *ConcurrentIndex) saveLocked(w io.Writer) error {
-	if err := x.drainMemtable(); err != nil {
+// so the snapshot is self-consistent, captures every acknowledged
+// operation in the tree and never depends on memtable contents, and a
+// subsequent log truncation (Checkpoint) cannot drop records whose
+// effects lived only in the memtable.
+func (e *engine) saveLocked(w io.Writer) error {
+	if err := e.drainMemtable(); err != nil {
 		return err
 	}
 	var seq uint64
-	if x.wal != nil {
-		seq = x.wal.LastSeq()
+	if e.wal != nil {
+		seq = e.wal.LastSeq()
 	}
-	return x.db.Exclusive(func(u core.Updater) error {
-		x.mu.RLock()
-		defer x.mu.RUnlock()
-		return saveSnapshot(w, x.store, x.pool, u, x.objects, x.options, seq)
+	return e.tree.Exclusive(func(u core.Updater) error {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		return saveSnapshot(w, e.store, e.pool, u, e.objects, e.options, seq)
 	})
 }
 
-// SaveFile writes the index snapshot to a file under the exclusive
-// lock, like Save.
-func (x *ConcurrentIndex) SaveFile(path string) error {
-	return saveToFile(path, x.Save)
+// SaveFile writes the index snapshot to a file, like Save.
+func (e *engine) SaveFile(path string) error {
+	return saveToFile(path, e.Save)
 }
 
 // Save serializes the sharded index to w: a manifest carrying the
@@ -325,7 +303,20 @@ func decodeSavedIndex(br *bufio.Reader) (savedIndex, error) {
 // page store, buffer pool, re-attached strategy and object table.
 func buildFromSaved(s savedIndex) (indexParts, map[uint64]Point, error) {
 	var parts indexParts
-	kind, err := s.Strategy.kind()
+	opts := Options{
+		Strategy:              s.Strategy,
+		PageSize:              s.PageSize,
+		BufferPages:           s.BufferPages,
+		Epsilon:               s.Epsilon,
+		DistanceThreshold:     s.DistanceThreshold,
+		LevelThreshold:        s.LevelThreshold,
+		ExpectedObjects:       s.ExpectedObjects,
+		ReinsertFraction:      s.ReinsertFraction,
+		SplitAlgorithm:        rtree.SplitAlgorithm(s.SplitAlgorithm),
+		DisablePiggyback:      s.DisablePiggyback,
+		DisableSummaryQueries: s.DisableSummaryQueries,
+	}
+	co, err := opts.coreOptions()
 	if err != nil {
 		return parts, nil, fmt.Errorf("burtree: load: %w", err)
 	}
@@ -339,39 +330,11 @@ func buildFromSaved(s savedIndex) (indexParts, map[uint64]Point, error) {
 		return parts, nil, fmt.Errorf("burtree: load: %w", err)
 	}
 	pool := buffer.New(store, s.BufferPages)
-
-	reinsert := s.ReinsertFraction
-	if reinsert == 0 {
-		reinsert = 0.3
-	}
-	if reinsert < 0 {
-		reinsert = 0
-	}
-	lvl := s.LevelThreshold
-	if lvl == 0 {
-		lvl = core.UnrestrictedLevels
-	}
-	expected := s.ExpectedObjects
-	if expected == 0 {
-		expected = 1024
-	}
 	dir := make([]rtree.PageID, len(s.HashDirectory))
 	for i, p := range s.HashDirectory {
 		dir[i] = rtree.PageID(p)
 	}
-	u, err := core.Restore(pool, core.Options{
-		Strategy:          kind,
-		Epsilon:           s.Epsilon,
-		DistanceThreshold: s.DistanceThreshold,
-		LevelThreshold:    lvl,
-		NoPiggyback:       s.DisablePiggyback,
-		NoSummaryQueries:  s.DisableSummaryQueries,
-		ExpectedObjects:   expected,
-		Tree: rtree.Config{
-			ReinsertFraction: reinsert,
-			Split:            rtree.SplitAlgorithm(s.SplitAlgorithm),
-		},
-	}, core.RestoreState{
+	u, err := core.Restore(pool, co, core.RestoreState{
 		Root:          rtree.PageID(s.Root),
 		Height:        s.Height,
 		Size:          s.Size,
@@ -385,27 +348,7 @@ func buildFromSaved(s savedIndex) (indexParts, map[uint64]Point, error) {
 	if objects == nil {
 		objects = make(map[uint64]Point)
 	}
-	parts = indexParts{
-		store:  store,
-		pool:   pool,
-		io:     io,
-		u:      u,
-		walSeq: s.WALSeq,
-		opts: Options{
-			Strategy:              s.Strategy,
-			PageSize:              s.PageSize,
-			BufferPages:           s.BufferPages,
-			Epsilon:               s.Epsilon,
-			DistanceThreshold:     s.DistanceThreshold,
-			LevelThreshold:        s.LevelThreshold,
-			ExpectedObjects:       s.ExpectedObjects,
-			ReinsertFraction:      s.ReinsertFraction,
-			SplitAlgorithm:        rtree.SplitAlgorithm(s.SplitAlgorithm),
-			DisablePiggyback:      s.DisablePiggyback,
-			DisableSummaryQueries: s.DisableSummaryQueries,
-		},
-	}
-	return parts, objects, nil
+	return indexParts{store: store, pool: pool, io: io, u: u, opts: opts, walSeq: s.WALSeq}, objects, nil
 }
 
 // decodeSavedSharded decodes and sanity-checks a sharded snapshot body.
@@ -494,139 +437,98 @@ func mergeInto(s savedSharded, bulk func(ids []uint64, pts []Point) error) error
 	return bulk(ids, pts)
 }
 
-// loadDispatch reads the envelope magic and hands the decoded snapshot
-// to the matching constructor hook: single receives the rebuilt
-// machinery of a single-tree snapshot, sharded receives the decoded
-// manifest of a sharded one. It is the one place that understands the
-// envelope, shared by Load and LoadConcurrent.
-func loadDispatch(r io.Reader, single func(indexParts, map[uint64]Point) error, sharded func(savedSharded) error) error {
+// loadEngine reconstructs an engine from a Save snapshot; it is the one
+// place that understands the envelope, under Load and LoadConcurrent. A
+// single-tree snapshot restores identically to the original: same
+// pages, same strategy, same object table (the main-memory summary
+// structure is rebuilt by one tree walk). A sharded snapshot is merged:
+// the union of the shards' objects is bulk-loaded into one fresh tree
+// under the manifest's options.
+func loadEngine(r io.Reader, background bool) (*engine, error) {
 	br := bufio.NewReader(r)
 	magic, err := readMagic(br)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	switch magic {
 	case snapshotMagic:
 		s, err := decodeSavedIndex(br)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		parts, objects, err := buildFromSaved(s)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return single(parts, objects)
+		return newEngine(parts, objects, background), nil
 	case shardedMagic:
 		s, err := decodeSavedSharded(br)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return sharded(s)
+		// Loaders are not log- or memtable-aware: drop any durability or
+		// delta-tier config the manifest carried (Recover re-attaches logs
+		// and re-enables the tier explicitly).
+		o := s.Options
+		o.Durability = Durability{}
+		o.Memtable = Memtable{}
+		e, err := openEngine(o, background)
+		if err != nil {
+			return nil, err
+		}
+		err = mergeInto(s, func(ids []uint64, pts []Point) error {
+			return e.BulkInsert(ids, pts, PackSTR)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return e, nil
 	default:
-		return fmt.Errorf("%w: unrecognized magic %q", ErrBadSnapshot, magic[:])
+		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrBadSnapshot, magic[:])
 	}
+}
+
+// loadFile opens path and hands it to one of the snapshot loaders.
+func loadFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	defer f.Close()
+	return load(f)
 }
 
 // Load reconstructs an index from a Save snapshot. A single-tree
-// snapshot restores identically to the original: same pages, same
-// strategy, same object table (the main-memory summary structure is
-// rebuilt by one tree walk). A sharded snapshot is merged: the union of
-// the shards' objects is bulk-loaded into one fresh tree under the
-// manifest's options.
+// snapshot restores identically to the original; a sharded snapshot is
+// merged into one tree under the manifest's options.
 func Load(r io.Reader) (*Index, error) {
-	var idx *Index
-	err := loadDispatch(r,
-		func(parts indexParts, objects map[uint64]Point) error {
-			idx = &Index{
-				store:   parts.store,
-				pool:    parts.pool,
-				io:      parts.io,
-				updater: parts.u,
-				objects: objects,
-				options: parts.opts,
-				walSeq:  parts.walSeq,
-			}
-			return nil
-		},
-		func(s savedSharded) error {
-			// Loaders are not log- or memtable-aware: drop any durability
-			// or delta-tier config the manifest carried (Recover re-attaches
-			// logs and re-enables the tier explicitly).
-			o := s.Options
-			o.Durability = Durability{}
-			o.Memtable = Memtable{}
-			var err error
-			idx, err = Open(o)
-			if err != nil {
-				return err
-			}
-			return mergeInto(s, func(ids []uint64, pts []Point) error {
-				return idx.BulkInsert(ids, pts, PackSTR)
-			})
-		})
+	e, err := loadEngine(r, false)
 	if err != nil {
 		return nil, err
 	}
-	return idx, nil
+	return &Index{e}, nil
 }
 
 // LoadFile reads an index snapshot from a file.
-func LoadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}
+func LoadFile(path string) (*Index, error) { return loadFile(path, Load) }
 
 // LoadConcurrent reconstructs a ConcurrentIndex from a Save snapshot.
 // Snapshots are interchangeable between the front-ends: a single-tree
 // snapshot written by an Index restores directly, and a sharded
 // snapshot is merged into one tree exactly as Load does.
 func LoadConcurrent(r io.Reader) (*ConcurrentIndex, error) {
-	var idx *ConcurrentIndex
-	err := loadDispatch(r,
-		func(parts indexParts, objects map[uint64]Point) error {
-			idx = &ConcurrentIndex{
-				store:   parts.store,
-				pool:    parts.pool,
-				io:      parts.io,
-				db:      concurrent.New(parts.u, 32),
-				objects: objects,
-				options: parts.opts,
-				walSeq:  parts.walSeq,
-			}
-			return nil
-		},
-		func(s savedSharded) error {
-			o := s.Options
-			o.Durability = Durability{}
-			o.Memtable = Memtable{}
-			var err error
-			idx, err = OpenConcurrent(o)
-			if err != nil {
-				return err
-			}
-			return mergeInto(s, func(ids []uint64, pts []Point) error {
-				return idx.BulkInsert(ids, pts, PackSTR)
-			})
-		})
+	e, err := loadEngine(r, true)
 	if err != nil {
 		return nil, err
 	}
-	return idx, nil
+	return &ConcurrentIndex{e}, nil
 }
 
 // LoadConcurrentFile reads a snapshot from a file into a
 // ConcurrentIndex.
 func LoadConcurrentFile(path string) (*ConcurrentIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadConcurrent(f)
+	return loadFile(path, LoadConcurrent)
 }
 
 // LoadSharded reconstructs a ShardedIndex from a sharded snapshot,
@@ -695,23 +597,15 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 		shards:      shards,
 		options:     o,
 		sopts:       ShardOptions{Shards: s.Shards, Partition: scheme},
-		objects:     objects,
+		objectTable: objectTable{objects: objects},
 		walSeq:      s.WALSeq,
 		load:        shard.NewLoadTracker(s.Shards),
 		pageBase:    make([]uint64, s.Shards),
 		ropts:       RebalanceOptions{}.withDefaults(),
 		routerEpoch: s.RouterEpoch,
-		combiners:   newCombiners(s.Shards),
 	}
 	return x, nil
 }
 
 // LoadShardedFile reads a sharded snapshot from a file.
-func LoadShardedFile(path string) (*ShardedIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSharded(f)
-}
+func LoadShardedFile(path string) (*ShardedIndex, error) { return loadFile(path, LoadSharded) }

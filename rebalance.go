@@ -58,18 +58,6 @@ type RebalanceOptions struct {
 	// memtable absorption, buffer hits), so the op-count signal moves
 	// boundaries toward shards that incur little actual I/O.
 	UseOpCounts bool
-	// PhaseWindow enables hot-object phase batching: updates targeting a
-	// hot cell (see HotCellFactor) are routed through a per-shard
-	// combiner that coalesces them across callers for up to PhaseWindow
-	// before entering the shard's batch path, so the one hot leaf is
-	// locked once per phase instead of once per caller. Zero (the
-	// default) disables phase batching.
-	PhaseWindow time.Duration
-	// HotCellFactor is the phase-batching threshold: a cell is hot when
-	// its weighted share of the cell histogram exceeds HotCellFactor×
-	// the uniform share 1/shard.NumCells (default 32). The hot set is
-	// recomputed at every Rebalance sampling window.
-	HotCellFactor float64
 }
 
 func (o RebalanceOptions) withDefaults() RebalanceOptions {
@@ -81,9 +69,6 @@ func (o RebalanceOptions) withDefaults() RebalanceOptions {
 	}
 	if o.MinOps == 0 {
 		o.MinOps = 1024
-	}
-	if o.HotCellFactor == 0 {
-		o.HotCellFactor = 32
 	}
 	return o
 }
@@ -157,15 +142,6 @@ func (x *ShardedIndex) SetRebalance(o RebalanceOptions) {
 	x.stopRebalancer()
 	x.rebalMu.Lock()
 	x.ropts = o.withDefaults()
-	// Phase batching reconfigures immediately: turning it off clears the
-	// hot set (in-flight phases settle on their own), turning it on takes
-	// effect at the next Rebalance sampling window.
-	if x.ropts.PhaseWindow <= 0 {
-		x.hotCells.Store(nil)
-		x.phaseWin.Store(0)
-	} else {
-		x.phaseWin.Store(int64(x.ropts.PhaseWindow))
-	}
 	x.startRebalancerLocked()
 	x.rebalMu.Unlock()
 }
@@ -232,9 +208,6 @@ func (x *ShardedIndex) Rebalance() (int, error) {
 	if o.UseOpCounts {
 		shares, cells = w.OpShares, w.CellOps
 	}
-	// The hot-cell set for phase batching refreshes every sampling
-	// window, whether or not a boundary step triggers.
-	x.refreshHotCells(o, cells, w.Ops)
 	n := len(shares)
 	if n < 2 || w.Ops < o.MinOps {
 		return 0, nil

@@ -1,176 +1,20 @@
 package burtree
 
 import (
-	"errors"
 	"math"
 	"sort"
 	"testing"
-
-	"burtree/internal/wal"
 )
 
-// This file pins the cross-shard consistency fixes with regression
-// tests that fail on the pre-fix code:
+// This file pins the cross-shard read-consistency fixes with regression
+// tests that fail on the pre-fix code (the WAL-failure rollbacks that
+// used to live here are rows of TestWALFailureMatrix):
 //
-//  1. A WAL append that fails after the shard tree applied the
-//     mutation must roll the mutation back — an acked-but-unlogged
-//     object would silently vanish on recovery.
-//  2. A scatter racing a cross-shard move can find the same id in two
+//  1. A scatter racing a cross-shard move can find the same id in two
 //     shards; the gather must de-duplicate (Search, SearchFunc, Count,
 //     Nearest).
-//  3. Nearest must not prune shards while its result set is still
+//  2. Nearest must not prune shards while its result set is still
 //     under-filled, even when every object lives in one distant shard.
-
-// failShardWAL force-closes shard s's write-ahead log so the next
-// append fails with wal.ErrClosed while the shard trees keep working —
-// the same observable state as a full log device.
-func failShardWAL(t *testing.T, x *ShardedIndex, s int) {
-	t.Helper()
-	if x.wals == nil {
-		t.Fatal("index is not durable")
-	}
-	if err := x.wals[s].Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// expectObjects asserts the index's queryable state: exactly the given
-// objects, each findable at its position by Location and Search.
-func expectObjects(t *testing.T, x *ShardedIndex, want map[uint64]Point) {
-	t.Helper()
-	if got := x.Len(); got != len(want) {
-		t.Fatalf("Len() = %d, want %d", got, len(want))
-	}
-	got := objectsOf(t, x)
-	if len(got) != len(want) {
-		t.Fatalf("search found %d objects, want %d", len(got), len(want))
-	}
-	for id, p := range want {
-		if gp, ok := got[id]; !ok || gp != p {
-			t.Fatalf("object %d: search sees %v (present %v), want %v", id, gp, ok, p)
-		}
-		if lp, ok := x.Location(id); !ok || lp != p {
-			t.Fatalf("object %d: Location sees %v (present %v), want %v", id, lp, ok, p)
-		}
-	}
-}
-
-// TestWALFailureRollsBackInsert checks that an insert whose durable
-// append fails is fully undone: the object is in neither the shard tree
-// nor the object table.
-func TestWALFailureRollsBackInsert(t *testing.T) {
-	x, err := OpenSharded(durableOpts(t.TempDir(), DurabilityBatch), ShardOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close() // double-closes the failed log; the state checks above are the test
-
-	if err := x.Insert(1, Point{X: 0.2, Y: 0.2}); err != nil {
-		t.Fatal(err)
-	}
-	failShardWAL(t, x, 0)
-
-	err = x.Insert(2, Point{X: 0.6, Y: 0.6})
-	if err == nil {
-		t.Fatal("insert with failed WAL returned nil")
-	}
-	if !errors.Is(err, wal.ErrClosed) {
-		t.Fatalf("insert error %v does not wrap wal.ErrClosed", err)
-	}
-	expectObjects(t, x, map[uint64]Point{1: {X: 0.2, Y: 0.2}})
-}
-
-// TestWALFailureRollsBackUpdate checks the in-shard move rollback: the
-// object must remain at its old position after a failed append.
-func TestWALFailureRollsBackUpdate(t *testing.T) {
-	x, err := OpenSharded(durableOpts(t.TempDir(), DurabilityBatch), ShardOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-
-	old := Point{X: 0.2, Y: 0.2}
-	if err := x.Insert(1, old); err != nil {
-		t.Fatal(err)
-	}
-	failShardWAL(t, x, 0)
-
-	err = x.Update(1, Point{X: 0.8, Y: 0.8})
-	if err == nil {
-		t.Fatal("update with failed WAL returned nil")
-	}
-	if !errors.Is(err, wal.ErrClosed) {
-		t.Fatalf("update error %v does not wrap wal.ErrClosed", err)
-	}
-	expectObjects(t, x, map[uint64]Point{1: old})
-}
-
-// TestWALFailureRollsBackCrossShardUpdate checks the cross-shard move
-// rollback: the delete in the source shard and the insert in the
-// destination shard must both be undone when the destination's log
-// append fails.
-func TestWALFailureRollsBackCrossShardUpdate(t *testing.T) {
-	x, err := OpenSharded(durableOpts(t.TempDir(), DurabilityBatch), ShardOptions{Shards: 4, Partition: ShardGrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-
-	// 2×2 grid: (0.1,0.1) and (0.9,0.9) land in different shards.
-	old := Point{X: 0.1, Y: 0.1}
-	np := Point{X: 0.9, Y: 0.9}
-	src := x.router.ShardOf(old)
-	dst := x.router.ShardOf(np)
-	if src == dst {
-		t.Fatalf("setup: src %d == dst %d, points do not cross shards", src, dst)
-	}
-	if err := x.Insert(1, old); err != nil {
-		t.Fatal(err)
-	}
-	failShardWAL(t, x, dst) // the move logs at its destination
-
-	err = x.Update(1, np)
-	if err == nil {
-		t.Fatal("cross-shard update with failed WAL returned nil")
-	}
-	if !errors.Is(err, wal.ErrClosed) {
-		t.Fatalf("update error %v does not wrap wal.ErrClosed", err)
-	}
-	expectObjects(t, x, map[uint64]Point{1: old})
-	// The object must be back in the source shard's tree, not the
-	// destination's.
-	if n := x.shards[src].Len(); n != 1 {
-		t.Fatalf("source shard holds %d objects, want 1", n)
-	}
-	if n := x.shards[dst].Len(); n != 0 {
-		t.Fatalf("destination shard holds %d objects, want 0", n)
-	}
-}
-
-// TestWALFailureRollsBackDelete checks the delete rollback: the object
-// must be re-inserted at its old position after a failed append.
-func TestWALFailureRollsBackDelete(t *testing.T) {
-	x, err := OpenSharded(durableOpts(t.TempDir(), DurabilityBatch), ShardOptions{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer x.Close()
-
-	p := Point{X: 0.4, Y: 0.4}
-	if err := x.Insert(1, p); err != nil {
-		t.Fatal(err)
-	}
-	failShardWAL(t, x, 0)
-
-	err = x.Delete(1)
-	if err == nil {
-		t.Fatal("delete with failed WAL returned nil")
-	}
-	if !errors.Is(err, wal.ErrClosed) {
-		t.Fatalf("delete error %v does not wrap wal.ErrClosed", err)
-	}
-	expectObjects(t, x, map[uint64]Point{1: p})
-}
 
 // plantDuplicate bypasses routing and inserts the same id into two
 // shard trees directly — the transient state a scatter can observe

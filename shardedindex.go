@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"burtree/internal/core"
 	"burtree/internal/shard"
 	"burtree/internal/wal"
 )
@@ -99,8 +100,10 @@ type ShardedIndex struct {
 	// logging.
 	opMu sync.RWMutex
 
-	mu      sync.RWMutex
-	objects map[uint64]Point
+	// The global object table; single-object writes run its pipeline
+	// (runStep) with this index as the target: a routed apply, and the
+	// log of the shard that owns the object afterwards.
+	objectTable
 
 	// wals holds one write-ahead log per shard when durability is
 	// enabled (nil otherwise): commit streams share no fsync, lock or
@@ -133,24 +136,6 @@ type ShardedIndex struct {
 	rebalCool int // qualifying windows left to skip (Cooldown hysteresis)
 	rebalStop chan struct{}
 	rebalWG   sync.WaitGroup
-
-	// hotCells is the current phase-batched cell set (nil ⇒ phase
-	// batching inactive; see phasebatch.go), phaseWin the accumulation
-	// window, and combiners the per-shard phase combiners. The set and
-	// window are atomics so the batch routing loop pays one pointer load
-	// when the feature is off.
-	hotCells  atomic.Pointer[hotCellSet]
-	phaseWin  atomic.Int64
-	combiners []*phaseCombiner
-}
-
-// newCombiners builds one phase combiner per shard.
-func newCombiners(n int) []*phaseCombiner {
-	out := make([]*phaseCombiner, n)
-	for i := range out {
-		out[i] = &phaseCombiner{}
-	}
-	return out
 }
 
 // ioMark brackets one shard operation for foreground I/O attribution:
@@ -222,26 +207,14 @@ func addCellCount(cells []shard.CellCount, cell uint64, n int) []shard.CellCount
 // logs.
 func (x *ShardedIndex) nextLSN() uint64 { return x.lsn.Add(1) }
 
-// logTo records an acknowledged mutation in shard s's log, blocking
-// until durable under the configured sync policy. Caller holds opMu
-// shared. No-op when durability is off.
-func (x *ShardedIndex) logTo(s int, typ wal.Type, ops []wal.Op) error {
-	if x.wals == nil || len(ops) == 0 {
-		return nil
+// shardLog returns shard s's log (nil when durability is off) and
+// whether it acknowledges at the append alone, which it does while the
+// shard runs a delta tier. Caller holds opMu shared.
+func (x *ShardedIndex) shardLog(s int) (*wal.Log, bool) {
+	if x.wals == nil {
+		return nil, false
 	}
-	if x.shards[s].mem != nil {
-		// Memtable mode acknowledges at the log append alone: the
-		// background group-commit leader advances the durable horizon,
-		// and Checkpoint/Save/Close flush hard. See Options.Memtable.
-		if _, err := x.wals[s].AppendAsync(typ, ops); err != nil {
-			return fmt.Errorf("burtree: durability: %w", err)
-		}
-		return nil
-	}
-	if _, err := x.wals[s].Append(typ, ops); err != nil {
-		return fmt.Errorf("burtree: durability: %w", err)
-	}
-	return nil
+	return x.wals[s], x.shards[s].mem != nil
 }
 
 // OpenSharded creates an empty sharded index. The Options are totals for
@@ -269,15 +242,14 @@ func OpenSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
 		return nil, err
 	}
 	x := &ShardedIndex{
-		router:    router,
-		shards:    shards,
-		options:   opts,
-		sopts:     sopts,
-		objects:   make(map[uint64]Point),
-		load:      shard.NewLoadTracker(sopts.Shards),
-		pageBase:  make([]uint64, sopts.Shards),
-		ropts:     sopts.Rebalance.withDefaults(),
-		combiners: newCombiners(sopts.Shards),
+		router:      router,
+		shards:      shards,
+		options:     opts,
+		sopts:       sopts,
+		objectTable: objectTable{objects: make(map[uint64]Point)},
+		load:        shard.NewLoadTracker(sopts.Shards),
+		pageBase:    make([]uint64, sopts.Shards),
+		ropts:       sopts.Rebalance.withDefaults(),
 	}
 	if d := opts.Durability; d.enabled() {
 		if err := checkFreshDir(d.Dir); err != nil {
@@ -544,38 +516,7 @@ func (x *ShardedIndex) ensureMemtable(cfg Memtable) {
 func (x *ShardedIndex) Insert(id uint64, p Point) error {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
-	x.mu.Lock()
-	if _, ok := x.objects[id]; ok {
-		x.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrDuplicateObject, id)
-	}
-	x.objects[id] = p
-	x.mu.Unlock()
-	s := x.router.ShardOf(p)
-	m := meterShard(x.shards[s])
-	if err := x.shards[s].Insert(id, p); err != nil {
-		x.mu.Lock()
-		if cur, ok := x.objects[id]; ok && cur == p {
-			delete(x.objects, id)
-		}
-		x.mu.Unlock()
-		return err
-	}
-	if err := x.logTo(s, wal.TypeInsert, []wal.Op{{ID: id, X: p.X, Y: p.Y}}); err != nil {
-		// Applied but not logged: the caller sees an error, so the state
-		// change must not stick — recovery would silently lose an object
-		// the index still serves. Roll the tree and table back, mirroring
-		// the apply-error path above.
-		err = errors.Join(err, x.shards[s].Delete(id))
-		x.mu.Lock()
-		if cur, ok := x.objects[id]; ok && cur == p {
-			delete(x.objects, id)
-		}
-		x.mu.Unlock()
-		return err
-	}
-	x.load.RecordUpdates(s, shard.CellKey(p), 1, m.done())
-	return nil
+	return x.runStep(step{kind: stepInsert, id: id, new: p}, x)
 }
 
 // Update moves an existing object to p. A move within one shard runs
@@ -587,109 +528,105 @@ func (x *ShardedIndex) Insert(id uint64, p Point) error {
 func (x *ShardedIndex) Update(id uint64, p Point) error {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
-	x.mu.Lock()
-	old, ok := x.objects[id]
-	if !ok {
-		x.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
-	}
-	x.objects[id] = p
-	x.mu.Unlock()
-	src, dst := x.router.ShardOf(old), x.router.ShardOf(p)
-	mDst := meterShard(x.shards[dst])
-	var mSrc ioMark
-	if src != dst {
-		mSrc = meterShard(x.shards[src])
-	}
-	err := x.moveRouted(id, old, p)
-	if err != nil {
-		x.mu.Lock()
-		if cur, ok := x.objects[id]; ok && cur == p {
-			x.objects[id] = old
-		}
-		x.mu.Unlock()
-		return err
-	}
-	// The move is logged once, in the shard that now owns the object;
-	// replay re-routes it, re-deriving the cross-shard delete+insert.
-	if err := x.logTo(dst, wal.TypeBatch, []wal.Op{{ID: id, X: p.X, Y: p.Y}}); err != nil {
-		// Applied but not logged: move the object back and restore the
-		// table so the errored call leaves no acked-but-unreplayable state.
-		err = errors.Join(err, x.moveRouted(id, p, old))
-		x.mu.Lock()
-		if cur, ok := x.objects[id]; ok && cur == p {
-			x.objects[id] = old
-		}
-		x.mu.Unlock()
-		return err
-	}
-	// The operation is accounted to the destination; a cross-shard move
-	// additionally charges the source its real departure I/O as a
-	// zero-op cost record at the object's old cell.
-	x.load.RecordUpdates(dst, shard.CellKey(p), 1, mDst.done())
-	if src != dst {
-		x.load.RecordUpdates(src, shard.CellKey(old), 0, mSrc.done())
-	}
-	return nil
-}
-
-// moveRouted applies one move against the shard trees: in-shard update
-// or cross-shard delete+insert. The caller owns the object-table entry.
-func (x *ShardedIndex) moveRouted(id uint64, old, p Point) error {
-	src, dst := x.router.ShardOf(old), x.router.ShardOf(p)
-	if src == dst {
-		return x.shards[src].Update(id, p)
-	}
-	if err := x.shards[src].Delete(id); err != nil {
-		return err
-	}
-	if err := x.shards[dst].Insert(id, p); err != nil {
-		// Try to put the object back where it was so the index stays
-		// complete; if even that fails the object is lost from the trees
-		// and the sticky shard error will surface in CheckInvariants.
-		if rerr := x.shards[src].Insert(id, old); rerr != nil {
-			return fmt.Errorf("burtree: cross-shard move of %d failed (%w) and rollback failed: %v", id, err, rerr)
-		}
-		return err
-	}
-	return nil
+	return x.runStep(step{kind: stepMove, id: id, new: p}, x)
 }
 
 // Delete removes an object from its owning shard.
 func (x *ShardedIndex) Delete(id uint64) error {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
-	x.mu.Lock()
-	old, ok := x.objects[id]
-	if !ok {
-		x.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrUnknownObject, id)
+	return x.runStep(step{kind: stepDelete, id: id}, x)
+}
+
+// absorb implements stepTarget: the sharded front-end keeps no delta
+// tier of its own — each shard absorbs for itself inside apply.
+func (x *ShardedIndex) absorb(step) bool { return false }
+
+// apply implements stepTarget by routing st to the shard trees: the
+// owning shard's insert, delete or bottom-up update, or — for a move
+// that changes shards — a delete in the source followed by an insert in
+// the destination. Each shard runs the step through its own engine
+// (which has no log: the sharded front-end owns the per-shard logs), so
+// the caller's table entry is the only state apply does not touch.
+//
+// A step that succeeds is accounted to the shard that owns the object
+// afterwards, with the pages the bracket measured; a cross-shard move
+// additionally charges the source its real departure I/O as a zero-op
+// cost record at the object's old cell. The inverse steps of an undo
+// are not accounted.
+func (x *ShardedIndex) apply(st step) error {
+	at := st.new
+	if st.kind == stepDelete {
+		at = st.old
 	}
-	delete(x.objects, id)
-	x.mu.Unlock()
-	s := x.router.ShardOf(old)
-	m := meterShard(x.shards[s])
-	if err := x.shards[s].Delete(id); err != nil {
-		x.mu.Lock()
-		if _, ok := x.objects[id]; !ok {
-			x.objects[id] = old
+	dst := x.router.ShardOf(at)
+	src := dst
+	if st.kind == stepMove {
+		src = x.router.ShardOf(st.old)
+	}
+	mDst := meterShard(x.shards[dst])
+	var mSrc ioMark
+	if src != dst {
+		mSrc = meterShard(x.shards[src])
+	}
+	var err error
+	switch {
+	case st.kind == stepInsert:
+		err = x.shards[dst].Insert(st.id, st.new)
+	case st.kind == stepDelete:
+		err = x.shards[dst].Delete(st.id)
+	case src == dst:
+		err = x.shards[dst].Update(st.id, st.new)
+	default:
+		if err = x.shards[src].Delete(st.id); err != nil {
+			break
 		}
-		x.mu.Unlock()
+		if err = x.shards[dst].Insert(st.id, st.new); err != nil {
+			// Try to put the object back where it was so the index stays
+			// complete; if even that fails the object is lost from the trees
+			// and the sticky shard error will surface in CheckInvariants.
+			if rerr := x.shards[src].Insert(st.id, st.old); rerr != nil {
+				err = fmt.Errorf("burtree: cross-shard move of %d failed (%w) and rollback failed: %v", st.id, err, rerr)
+			}
+		}
+	}
+	if err != nil || st.undo {
 		return err
 	}
-	if err := x.logTo(s, wal.TypeDelete, []wal.Op{{ID: id}}); err != nil {
-		// Applied but not logged: resurrect the object so the errored
-		// delete leaves nothing for recovery to disagree about.
-		err = errors.Join(err, x.shards[s].Insert(id, old))
-		x.mu.Lock()
-		if _, ok := x.objects[id]; !ok {
-			x.objects[id] = old
-		}
-		x.mu.Unlock()
-		return err
+	x.load.RecordUpdates(dst, shard.CellKey(at), 1, mDst.done())
+	if src != dst {
+		x.load.RecordUpdates(src, shard.CellKey(st.old), 0, mSrc.done())
 	}
-	x.load.RecordUpdates(s, shard.CellKey(old), 1, m.done())
 	return nil
+}
+
+// logOf implements stepTarget: a step is logged once, in the shard that
+// owns the object afterwards (a delete, in the one that owned it);
+// replay re-routes it, re-deriving the cross-shard delete+insert.
+func (x *ShardedIndex) logOf(st step) (*wal.Log, bool) {
+	if st.kind == stepDelete {
+		return x.shardLog(x.router.ShardOf(st.old))
+	}
+	return x.shardLog(x.router.ShardOf(st.new))
+}
+
+// reconcile makes the global table follow shard s for the given in-shard
+// changes — whatever prefix the shard applied, all of them when its
+// batch succeeded — and returns the changes that took effect, old
+// position included, when there is a log to record them in.
+func (x *ShardedIndex) reconcile(s int, changes []Change) []core.BatchChange {
+	var applied []core.BatchChange
+	x.mu.Lock()
+	for _, c := range changes {
+		if p, ok := x.shards[s].Location(c.ID); ok {
+			if x.wals != nil && p == c.To {
+				applied = append(applied, core.BatchChange{OID: c.ID, Old: x.objects[c.ID], New: p})
+			}
+			x.objects[c.ID] = p
+		}
+	}
+	x.mu.Unlock()
+	return applied
 }
 
 // crossMove is one batch change that leaves its shard: a delete in src
@@ -723,13 +660,16 @@ type shardWork struct {
 // the type comment).
 //
 // Every id must already be in the index; an unknown id fails the whole
-// batch before anything is applied. A batch is not atomic: on error the
-// changes already applied remain applied (the returned BatchResult
-// counts them). Concurrent writes to ids that are also in the batch
-// race with it — a racing cross-shard move can make part of the batch
-// fail against the moved object's old shard — so callers that need
-// per-object ordering serialize their own access (disjoint id ranges
-// per writer, as the experiment harness and examples do).
+// batch before anything is applied. A batch is not atomic: when a change
+// fails, the changes already applied remain applied (the returned
+// BatchResult counts them). Only a failed log append takes work back:
+// the changes that record would have covered — one shard's in-shard
+// moves, or its arrivals — are undone and not counted. Concurrent writes
+// to ids that are also in the batch race with it — a racing cross-shard
+// move can make part of the batch fail against the moved object's old
+// shard — so callers that need per-object ordering serialize their own
+// access (disjoint id ranges per writer, as the experiment harness and
+// examples do).
 func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
@@ -746,49 +686,23 @@ func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 		offered[s] = addCellCount(offered[s], shard.CellKey(c.To), 1)
 	}
 	x.mu.RLock()
-	coalesced, dropped, err := coalesceChanges(changes, func(id uint64) (Point, bool) {
-		p, ok := x.objects[id]
-		return p, ok
-	})
+	coalesced, dropped, err := coalesceChanges(changes, x.objects)
 	x.mu.RUnlock()
 	if err != nil {
 		return res, err
 	}
 	res.Coalesced = dropped
 
-	// Hot-cell diversion: in-shard moves targeting a phase-batched cell
-	// are combined across callers (see phasebatch.go) instead of riding
-	// this caller's per-shard batch. Their offered tally moves with them
-	// — the phase leader records one op (with measured pages) per
-	// combined change, so the deduction here keeps the op stream exact.
-	hot := x.hotCells.Load()
-	var hotWork [][]Change
-	if hot != nil {
-		hotWork = make([][]Change, len(x.shards))
-	}
 	work := make([]shardWork, len(x.shards))
 	for _, c := range coalesced {
 		src, dst := x.router.ShardOf(c.Old), x.router.ShardOf(c.New)
 		if src == dst {
-			if hot != nil {
-				if _, ok := (*hot)[shard.CellKey(c.New)]; ok {
-					hotWork[src] = append(hotWork[src], Change{ID: c.OID, To: c.New})
-					offered[src] = addCellCount(offered[src], shard.CellKey(c.New), -1)
-					continue
-				}
-			}
 			work[src].stay = append(work[src].stay, Change{ID: c.OID, To: c.New})
 			continue
 		}
 		cm := &crossMove{id: c.OID, old: c.Old, new: c.New, src: src, dst: dst}
 		work[src].del = append(work[src].del, cm)
 		work[dst].ins = append(work[dst].ins, cm)
-	}
-	var joins []phaseJoin
-	if hot != nil {
-		// Join before the ordinary phases run so the combiner accumulates
-		// other callers' changes while this caller does its cold work.
-		joins = x.joinPhases(hotWork)
 	}
 
 	pagesTally := make([]uint64, len(x.shards))
@@ -823,6 +737,24 @@ func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 				return
 			}
 			br, err := x.shards[s].UpdateBatch(w.stay)
+			// Reconcile the global table with whatever prefix the shard
+			// applied (all of it when err == nil), collecting the applied
+			// changes for the shard's log record.
+			applied := x.reconcile(s, w.stay)
+			log, async := x.shardLog(s)
+			if werr := logBatch(log, async, applied); werr != nil {
+				// Applied but not logged: the prefix goes back through the
+				// same shard batch and the table follows the shard again,
+				// so the failed record acks nothing.
+				back := make([]Change, len(applied))
+				for i, c := range applied {
+					back[i] = Change{ID: c.OID, To: c.Old}
+				}
+				_, uerr := x.shards[s].UpdateBatch(back)
+				x.reconcile(s, back)
+				br.Applied, br.Absorbed = 0, 0
+				err = errors.Join(err, werr, uerr)
+			}
 			resMu.Lock()
 			res.Applied += br.Applied
 			res.Groups += br.Groups
@@ -830,23 +762,6 @@ func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 			res.Fallback += br.Fallback
 			res.Absorbed += br.Absorbed
 			resMu.Unlock()
-			// Reconcile the global table with whatever prefix the shard
-			// applied (all of it when err == nil), collecting the applied
-			// changes for the shard's log record.
-			var applied []wal.Op
-			x.mu.Lock()
-			for _, c := range w.stay {
-				if p, ok := x.shards[s].Location(c.ID); ok {
-					x.objects[c.ID] = p
-					if x.wals != nil && p == c.To {
-						applied = append(applied, wal.Op{ID: c.ID, X: p.X, Y: p.Y})
-					}
-				}
-			}
-			x.mu.Unlock()
-			if werr := x.logTo(s, wal.TypeBatch, applied); werr != nil {
-				err = errors.Join(err, werr)
-			}
 			if err != nil {
 				errs[s] = err
 			}
@@ -868,7 +783,8 @@ func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 			m := meterShard(x.shards[s])
 			defer func() { pagesTally[s] += m.done() }()
 			sort.Slice(w.ins, func(i, j int) bool { return w.ins[i].id < w.ins[j].id })
-			var arrived []wal.Op
+			var arrived []core.BatchChange
+			n := 0
 			for _, cm := range w.ins {
 				if !cm.departed {
 					continue
@@ -887,22 +803,33 @@ func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 				x.mu.Lock()
 				x.objects[cm.id] = cm.new
 				x.mu.Unlock()
-				resMu.Lock()
-				res.Applied++
-				res.CrossShard++
-				if x.shards[s].mem != nil {
-					res.Absorbed++
-				}
-				resMu.Unlock()
+				n++
 				if x.wals != nil {
-					arrived = append(arrived, wal.Op{ID: cm.id, X: cm.new.X, Y: cm.new.Y})
+					arrived = append(arrived, core.BatchChange{OID: cm.id, Old: cm.old, New: cm.new})
 				}
 			}
 			// One record covers this shard's arrivals; replay re-routes
 			// each move, re-deriving the cross-shard delete+insert.
-			if werr := x.logTo(s, wal.TypeBatch, arrived); werr != nil {
+			log, async := x.shardLog(s)
+			if werr := logBatch(log, async, arrived); werr != nil {
+				// Arrived but not logged: each mover goes back through the
+				// routed apply to the shard it came from, and the table is
+				// compare-and-restored, so the failed record acks nothing.
+				for _, c := range arrived {
+					st := step{kind: stepMove, id: c.OID, old: c.Old, new: c.New}
+					werr = errors.Join(werr, x.apply(st.inverse()))
+					x.restore(st, x, false)
+				}
+				n = 0
 				errs[s] = errors.Join(errs[s], werr)
 			}
+			resMu.Lock()
+			res.Applied += n
+			res.CrossShard += n
+			if x.shards[s].mem != nil {
+				res.Absorbed += n
+			}
+			resMu.Unlock()
 		}(s, w)
 	}
 	wg.Wait()
@@ -915,9 +842,6 @@ func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 			x.load.RecordBatch(s, pagesTally[s], offered[s])
 			res.PageIO += int(pagesTally[s])
 		}
-	}
-	if joins != nil {
-		x.settlePhases(joins, &res, errs)
 	}
 	for _, e := range errs {
 		if e != nil {
@@ -947,6 +871,14 @@ func (x *ShardedIndex) Search(q Rect) ([]uint64, error) {
 		x.load.RecordQuery(s, m.done())
 		return out, err
 	}
+	return x.gather(q, targets)
+}
+
+// gather is the multi-shard scatter under Search and Count: every target
+// shard is searched in parallel, each visit charged its page I/O, and
+// the union is returned with duplicate ids dropped. Caller holds opMu
+// shared.
+func (x *ShardedIndex) gather(q Rect, targets []int) ([]uint64, error) {
 	outs := make([][]uint64, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -1036,29 +968,8 @@ func (x *ShardedIndex) Count(q Rect) (int, error) {
 		x.load.RecordQuery(s, m.done())
 		return n, err
 	}
-	outs := make([][]uint64, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, s := range targets {
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			m := meterShard(x.shards[s])
-			outs[i], errs[i] = x.shards[s].Search(q)
-			x.load.RecordQuery(s, m.done())
-		}(i, s)
-	}
-	wg.Wait()
-	seen := make(map[uint64]struct{})
-	for i := range targets {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		for _, id := range outs[i] {
-			seen[id] = struct{}{}
-		}
-	}
-	return len(seen), nil
+	ids, err := x.gather(q, targets)
+	return len(ids), err
 }
 
 // Nearest returns the k objects nearest to p in increasing distance. The
@@ -1135,21 +1046,6 @@ func mergeNeighbors(a, b []Neighbor, k int) []Neighbor {
 		out = out[:k]
 	}
 	return out
-}
-
-// Len returns the number of indexed objects.
-func (x *ShardedIndex) Len() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return len(x.objects)
-}
-
-// Location returns the last position accepted for the object.
-func (x *ShardedIndex) Location(id uint64) (Point, bool) {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	p, ok := x.objects[id]
-	return p, ok
 }
 
 // Stats returns the aggregated physical counters and tree shape (sums
