@@ -126,6 +126,49 @@ func BenchmarkUpdateBatchAllocsConcurrentGBU(b *testing.B) {
 	benchAllocUpdateBatch(b, x, err)
 }
 
+// BenchmarkUpdateBatchAllocsSharded is the same window through a
+// ShardedIndex over 4 Hilbert shards, with moves wide enough that about a
+// tenth of them change shards: one coalesce against the one object table,
+// then each shard's slice through its stack's batch pass plus the
+// departures and arrivals.
+func BenchmarkUpdateBatchAllocsSharded(b *testing.B) {
+	const n = allocBenchObjects
+	x, err := burtree.OpenSharded(allocBenchOptions(burtree.GeneralizedBottomUp),
+		burtree.ShardOptions{Shards: 4, Partition: burtree.ShardHilbert})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer x.Close()
+	rng := rand.New(rand.NewSource(7))
+	ids, pts := make([]uint64, n), make([]burtree.Point, n)
+	for i := range ids {
+		ids[i], pts[i] = uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	if err := x.BulkInsert(ids, pts, burtree.PackSTR); err != nil {
+		b.Fatal(err)
+	}
+	changes := make([]burtree.Change, 256)
+	applied, cross := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range changes {
+			id := uint64(rng.Intn(n))
+			p, _ := x.Location(id)
+			changes[j] = burtree.Change{ID: id, To: burtree.Point{
+				X: min(max(p.X+(rng.Float64()*2-1)*0.1, 0), 1),
+				Y: min(max(p.Y+(rng.Float64()*2-1)*0.1, 0), 1),
+			}}
+		}
+		res, err := x.UpdateBatch(changes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		applied, cross = applied+res.Applied, cross+res.CrossShard
+	}
+	b.ReportMetric(float64(cross)/float64(applied), "cross/move")
+}
+
 func BenchmarkUpdateBatchAllocsMemtable(b *testing.B) {
 	opts := allocBenchOptions(burtree.GeneralizedBottomUp)
 	// A threshold the bench never trips: the gate measures the pure
@@ -142,6 +185,7 @@ var allocBudgetBenches = map[string]func(*testing.B){
 	"UpdateBatchGBU":           BenchmarkUpdateBatchAllocsGBU,
 	"UpdateBatchLBU":           BenchmarkUpdateBatchAllocsLBU,
 	"UpdateBatchConcurrentGBU": BenchmarkUpdateBatchAllocsConcurrentGBU,
+	"UpdateBatchSharded":       BenchmarkUpdateBatchAllocsSharded,
 	"UpdateBatchMemtable":      BenchmarkUpdateBatchAllocsMemtable,
 }
 

@@ -31,32 +31,46 @@
 // counters are exposed through Stats, so applications can reproduce the
 // paper's measurements on their own workloads.
 //
-// Three front-ends share one mutation engine (engine.go). Index and
-// ConcurrentIndex are that engine — page store, buffer pool, object
-// table, checkpoint gate, write-ahead log, memtable delta tier — over a
-// small tree interface that hides the locking protocol: a serial
-// adapter around the strategy for Index, which is not safe for
+// Every index is built in two halves. The lower half is the tree stack
+// (treestack.go): one tree with what belongs to it alone — page store,
+// buffer pool and counters, the memtable delta tier with its merge-down,
+// behind a small tree interface that hides the locking protocol: a
+// serial adapter around the strategy for Index, which is not safe for
 // concurrent use, and the DGL-locked layer of the paper's throughput
-// study (granule locks plus a physical latch) for ConcurrentIndex, which
-// offers the same API — updates, batched updates, window and
-// nearest-neighbour queries, bulk loading and snapshots — to any number
-// of goroutines. ShardedIndex routes to N ConcurrentIndex shards and
-// runs its own writes through the same pipeline with a routed apply and
-// a per-shard log.
+// study (granule locks plus a physical latch) for ConcurrentIndex and
+// ShardedIndex, which offer the same API — updates, batched updates,
+// window and nearest-neighbour queries, bulk loading and snapshots — to
+// any number of goroutines. The upper half (engine.go) is what exists
+// exactly once per index, however many stacks it has: the object table
+// (the paper's secondary id → position structure, §3.1), the checkpoint
+// gate and the write-ahead log handles. Index and ConcurrentIndex are one
+// table, gate and log over one stack; ShardedIndex is one table, gate and
+// set of per-shard logs over N stacks behind a router — no shard keeps a
+// table, a gate or a log of its own.
 //
 // Every single-object write is one step (insert, move or delete) through
-// these stages, written once in objectTable.runStep:
+// these stages, written once in objectTable.runStep; routing is a stage
+// of this pipeline, not a second pipeline inside it:
 //
-//   - reserve: under the object-table lock the id is checked and the
-//     step's outcome recorded in the table, so a racing writer of the
-//     same id sees it; with the memtable tier on, the delta is absorbed
-//     into the tier in the same hold.
+//   - order: the id's stripe is held for the whole step, so racing
+//     single-object writes to one id run one after the other and the
+//     table, the tree(s) and the log agree on their order; writes to
+//     different ids run in parallel.
+//   - reserve: under the object-table lock the id is checked, the step's
+//     old position read and its outcome recorded in the table, so a
+//     racing writer of the same id sees it; with the memtable tier on,
+//     the delta is absorbed in the same hold — on ShardedIndex into the
+//     tier of the stack that owns the position, and for a move that
+//     changes shards as a tombstone in the source stack's tier plus an
+//     insert in the destination's.
 //   - apply: without the table lock, the tree operation — under no lock
-//     on Index, under DGL granules and the latch on ConcurrentIndex, in
-//     the owning shard(s) on ShardedIndex. Skipped when the tier
-//     absorbed the step; its tree work happens at merge-down.
-//   - log: the record is appended to the write-ahead log (no-op with
-//     durability off); the call acknowledges only after it.
+//     on Index, under DGL granules and the latch on ConcurrentIndex, and
+//     on ShardedIndex routed to the owning stack, or as a delete in the
+//     source stack and an insert in the destination. Skipped when the
+//     tier absorbed the step; its tree work happens at merge-down.
+//   - log: the record is appended to the write-ahead log — on
+//     ShardedIndex the log of the shard that owns the object afterwards —
+//     (no-op with durability off); the call acknowledges only after it.
 //   - ack, or undo: on a log failure the inverse step goes through the
 //     same apply (delete the inserted object, move it back, re-insert
 //     the deleted one) and the table — with the tier's delta — is
@@ -64,17 +78,18 @@
 //     outcome, so a newer concurrent write survives. A failed apply
 //     changed no tree and only restores the table.
 //
-// The engine holds its checkpoint gate shared across all of it, so Save
-// and Checkpoint, which take the gate exclusively, never catch a write
-// between apply and log. UpdateBatch is the same pipeline batch-wide:
-// coalesce, apply to the tree or absorb into the tier, log the applied
-// prefix as one record, undo that prefix if the append fails. A write
-// that returns an error is therefore never left acknowledged-but-
-// unlogged: it is undone, except for the applied (and logged) prefix of
-// a batch that failed part-way through the tree.
-// Merge-down of the memtable tier runs in a background goroutine on
-// ConcurrentIndex and the shards of a ShardedIndex, and inline — in the
-// write that trips the threshold — on the single-writer Index.
+// The gate is held shared across all of it, so Save and Checkpoint, which
+// take it exclusively, never catch a write between apply and log.
+// UpdateBatch is the same pipeline batch-wide: coalesce against the
+// table — once — then apply to the tree(s) or absorb into the tier(s),
+// log the applied prefix (one record per shard on ShardedIndex), undo
+// the changes of a record whose append fails. A write that returns an
+// error is therefore never left acknowledged-but-unlogged: it is undone,
+// except for the applied (and logged) prefix of a batch that failed
+// part-way through the tree.
+// Merge-down of the memtable tier runs in a background goroutine per
+// stack on ConcurrentIndex and ShardedIndex, and inline — in the write
+// that trips the threshold — on the single-writer Index.
 package burtree
 
 import (
@@ -210,14 +225,16 @@ var ErrUnknownObject = errors.New("burtree: unknown object id")
 var ErrDuplicateObject = errors.New("burtree: object id already present")
 
 // Index is a single-writer R-tree over moving point objects: the engine
-// (engine.go) over a serial tree, with the memtable delta tier — when
-// enabled — merged down inline by whichever write trips its threshold.
+// (engine.go) over a stack with a serial tree, the memtable delta tier —
+// when enabled — merged down inline by whichever write trips its
+// threshold.
 type Index struct {
 	*engine
 }
 
-// indexParts is the machinery under an engine: the simulated store, its
-// buffer pool, the physical counters and the configured update strategy.
+// indexParts is the machinery a tree stack wraps: the simulated store,
+// its buffer pool, the physical counters and the configured update
+// strategy.
 type indexParts struct {
 	store  *pagestore.Store
 	pool   *buffer.Pool
@@ -311,9 +328,11 @@ const (
 	PackHilbert
 )
 
-// packItems validates a bulk-load input and converts it to tree items
-// plus a fresh object table, so a failed load leaves the caller's state
-// untouched.
+// packItems validates a bulk-load input — once, for every front-end —
+// and converts it to tree items plus a fresh object table, so a failed
+// load leaves the caller's state untouched. Every point is checked
+// before anything is packed: a sharded load that failed in one shard
+// would leave the others populated.
 func packItems(ids []uint64, pts []Point) ([]rtree.Item, map[uint64]Point, error) {
 	if len(ids) != len(pts) {
 		return nil, nil, fmt.Errorf("burtree: BulkInsert: %d ids for %d points", len(ids), len(pts))
@@ -323,6 +342,9 @@ func packItems(ids []uint64, pts []Point) ([]rtree.Item, map[uint64]Point, error
 	for i := range ids {
 		if _, dup := objects[ids[i]]; dup {
 			return nil, nil, fmt.Errorf("%w: %d", ErrDuplicateObject, ids[i])
+		}
+		if validatePoint(pts[i]) != nil {
+			return nil, nil, fmt.Errorf("burtree: BulkInsert: object %d has NaN coordinates", ids[i])
 		}
 		items[i] = rtree.Item{OID: ids[i], Rect: geom.RectFromPoint(pts[i])}
 		objects[ids[i]] = pts[i]
@@ -424,6 +446,30 @@ type Stats struct {
 	// Memtable reports the in-memory delta tier's counters (zero when
 	// Options.Memtable is disabled).
 	Memtable MemtableStats
+}
+
+// add returns s plus another stack's counters: sums, and the maximum
+// Height.
+func (s Stats) add(o Stats) Stats {
+	s.DiskReads += o.DiskReads
+	s.DiskWrites += o.DiskWrites
+	s.BufferHits += o.BufferHits
+	s.Splits += o.Splits
+	s.Reinserts += o.Reinserts
+	s.Evictions += o.Evictions
+	s.DirtyWriteBacks += o.DirtyWriteBacks
+	s.PinFallbacks += o.PinFallbacks
+	s.Height = max(s.Height, o.Height)
+	s.Pages += o.Pages
+	s.Size += o.Size
+	s.Outcomes.InLeaf += o.Outcomes.InLeaf
+	s.Outcomes.Extended += o.Outcomes.Extended
+	s.Outcomes.Shifted += o.Outcomes.Shifted
+	s.Outcomes.Piggyback += o.Outcomes.Piggyback
+	s.Outcomes.Ascended += o.Outcomes.Ascended
+	s.Outcomes.TopDown += o.Outcomes.TopDown
+	s.Memtable = s.Memtable.add(o.Memtable)
+	return s
 }
 
 // Stats returns a snapshot of the counters.

@@ -327,7 +327,12 @@ func RecoverSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
 	if !d.enabled() {
 		return nil, errors.New("burtree: RecoverSharded requires a durability mode")
 	}
-	x, err := loadOrFresh(opts, LoadShardedFile, func(o Options) (*ShardedIndex, error) { return OpenSharded(o, sopts) })
+	// A fresh (never-checkpointed) index opens with the partitioning only:
+	// the rebalancer is applied last, below, so its background loop never
+	// races the replay.
+	x, err := loadOrFresh(opts, LoadShardedFile, func(o Options) (*ShardedIndex, error) {
+		return OpenSharded(o, ShardOptions{Shards: sopts.Shards, Partition: sopts.Partition})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -374,14 +379,8 @@ func RecoverSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
 		maxSeq = all[n-1].Seq
 	}
 
-	x.lsn.Store(maxSeq)
-	x.wals = make([]*wal.Log, len(x.shards))
-	for i := range x.shards {
-		log, err := wal.Open(shardLogDir(d.Dir, i), d.logOptions(maxSeq, x.nextLSN))
-		if err != nil {
-			return nil, err
-		}
-		x.wals[i] = log
+	if err := x.openLogs(d, maxSeq); err != nil {
+		return nil, err
 	}
 	x.options.Durability = d
 	// Rebalancing, like the delta tier, is the caller's runtime choice

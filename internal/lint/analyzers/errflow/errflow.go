@@ -21,7 +21,7 @@
 //
 //   - state mutation: an assignment, delete, or ++/-- through the
 //     receiver (x.objects[id] = p), or a call on the receiver to a
-//     same-package method that mutates (t.put(st), e.absorbBatch(...));
+//     same-package method that mutates (t.put(st), e.reserveBatch(...));
 //   - tracked fallible calls: error-returning calls to same-package
 //     functions that mutate or log, direct wal.Append/AppendAsync, or
 //     methods on receiver-reachable state (x.tree.Insert);

@@ -206,3 +206,84 @@ func (l *leaky) mutate(id, v uint64) error {
 	}
 	return nil
 }
+
+// stack is a log-less target: a tree and its state, with no WAL handle,
+// table or gate of its own.
+type stack struct {
+	objects map[uint64]uint64
+}
+
+func (s *stack) apply(id, v uint64) { s.objects[id] = v }
+
+// Router is the sharded shape: the per-shard WAL handles and the one
+// object table live on the router, and its targets are log-less stacks.
+// A batch is routed into per-shard groups; each group is applied to its
+// stack, recorded in the table and logged as one record in its shard's
+// log, and a record that cannot be written takes its group back.
+type Router struct {
+	logs   []*wal.Log
+	table  map[uint64]uint64
+	stacks []*stack
+}
+
+func (r *Router) route(ids []uint64) [][]uint64 {
+	groups := make([][]uint64, len(r.stacks))
+	for _, id := range ids {
+		s := int(id) % len(r.stacks)
+		groups[s] = append(groups[s], id)
+	}
+	return groups
+}
+
+// UpdateBatch hands each shard's group to the phase method; the contract
+// follows the delegation.
+func (r *Router) UpdateBatch(ids []uint64) error {
+	var first error
+	for s, group := range r.route(ids) {
+		if err := r.stays(s, group); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// stays applies, logs and — per record — undoes. Not flagged.
+func (r *Router) stays(s int, group []uint64) error {
+	prev := make([]uint64, len(group))
+	for i, id := range group {
+		prev[i] = r.table[id]
+		r.stacks[s].apply(id, id)
+		r.table[id] = id
+	}
+	if err := r.logs[s].Append(wal.TypeUpdate, nil); err != nil {
+		for i, id := range group {
+			r.stacks[s].apply(id, prev[i])
+			r.table[id] = prev[i]
+		}
+		return err
+	}
+	return nil
+}
+
+// LeakyRouter is the same router with the per-record undo deleted: the
+// stack and the table keep a group whose record was never written.
+type LeakyRouter struct {
+	logs   []*wal.Log
+	table  map[uint64]uint64
+	stacks []*stack
+}
+
+func (r *LeakyRouter) UpdateBatch(ids []uint64) error {
+	return r.stays(0, ids)
+}
+
+func (r *LeakyRouter) stays(s int, group []uint64) error {
+	for _, id := range group {
+		r.stacks[s].apply(id, id)
+		r.table[id] = id
+	}
+	if err := r.logs[s].Append(wal.TypeUpdate, nil); err != nil { // want `stays mutates receiver state before Append but the failure path returns without a rollback`
+		return err
+	}
+	return nil
+}

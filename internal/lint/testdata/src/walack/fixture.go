@@ -176,3 +176,66 @@ func (q *quiet) mutate(id uint64, present bool) error {
 	}
 	return nil
 }
+
+// stack is a log-less target of the router below: it has state to
+// mutate and no WAL handle.
+type stack struct {
+	objects map[uint64]struct{}
+}
+
+func (s *stack) apply(id uint64) { s.objects[id] = struct{}{} }
+
+// Router carries the per-shard logs and the one table; its stacks carry
+// neither. Each shard's group is applied to its stack and logged in that
+// shard's log by a phase method the batch delegates to.
+type Router struct {
+	logs   []*wal.Log
+	table  map[uint64]struct{}
+	stacks []*stack
+}
+
+// UpdateBatch acks with whatever the phases return. Not flagged: the
+// phases log.
+func (r *Router) UpdateBatch(ids []uint64) error {
+	for s := range r.stacks {
+		if err := r.stays(s, ids); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stays mutates the stack and the table, then logs the record. Not
+// flagged.
+func (r *Router) stays(s int, group []uint64) error {
+	for _, id := range group {
+		r.stacks[s].apply(id)
+		r.table[id] = struct{}{}
+	}
+	if err := r.logs[s].AppendAsync(wal.TypeUpdate, nil); err != nil {
+		return err
+	}
+	return nil
+}
+
+// MuteRouter is the same router whose phase never reaches a log: the
+// stacks have none to reach, and the router's own are forgotten.
+type MuteRouter struct {
+	logs   []*wal.Log
+	table  map[uint64]struct{}
+	stacks []*stack
+}
+
+func (r *MuteRouter) UpdateBatch(ids []uint64) error {
+	for s := range r.stacks {
+		r.stays(s, ids)
+	}
+	return nil // want `UpdateBatch acknowledges success without reaching the WAL`
+}
+
+func (r *MuteRouter) stays(s int, group []uint64) {
+	for _, id := range group {
+		r.stacks[s].apply(id)
+		r.table[id] = struct{}{}
+	}
+}

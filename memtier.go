@@ -122,7 +122,8 @@ func (s MemtableStats) add(o MemtableStats) MemtableStats {
 
 // validatePoint rejects coordinates the tree would reject at merge
 // time. The tier acknowledges writes before the tree sees them, so the
-// check the tree performs on insertion must run at the ack boundary.
+// check the tree performs on insertion must run at the ack boundary
+// (objectTable.runStep and reserveBatch).
 func validatePoint(p Point) error {
 	if p.X != p.X || p.Y != p.Y {
 		return fmt.Errorf("burtree: invalid position (%v, %v)", p.X, p.Y)
@@ -255,45 +256,8 @@ func overlayNearest(overlay map[uint64]memtable.Entry, p Point, k int, treeK fun
 	return mergeNeighbors(base, extra, k), nil
 }
 
-// checkMemOverlay validates the delta tier against the object table
-// and the tree at a quiescent point (no write or drain in flight): a
-// previous merge failure is fatal, every live delta matches the
-// tracked position, tombstones have no tracked object, and the tree
-// size accounts for deltas not yet merged down.
-func checkMemOverlay(mem *memtable.Table, objects map[uint64]Point, treeSize int) error {
-	if err := mem.Err(); err != nil {
-		return err
-	}
-	pendingInserts, tombstones := 0, 0
-	for id, e := range mem.Snapshot() {
-		if e.Tombstone {
-			tombstones++
-			if _, ok := objects[id]; ok {
-				return fmt.Errorf("burtree: memtable tombstone for live object %d", id)
-			}
-			continue
-		}
-		p, ok := objects[id]
-		if !ok {
-			return fmt.Errorf("burtree: memtable entry for unknown object %d", id)
-		}
-		if p != e.Pos {
-			return fmt.Errorf("burtree: memtable position %v != tracked %v for object %d", e.Pos, p, id)
-		}
-		if !e.InTree {
-			pendingInserts++
-		}
-	}
-	want := len(objects) - pendingInserts + tombstones
-	if treeSize != want {
-		return fmt.Errorf("burtree: tree size %d != expected %d (%d objects, %d pending inserts, %d tombstones)",
-			treeSize, want, len(objects), pendingInserts, tombstones)
-	}
-	return nil
-}
-
-// merger is the background merge-down loop a background engine (a
-// ConcurrentIndex, and so each ShardedIndex shard) runs while its
+// merger is the background merge-down loop a background stack (a
+// ConcurrentIndex's, or each shard's of a ShardedIndex) runs while its
 // memtable is enabled.
 type merger struct {
 	trigger chan struct{}

@@ -113,20 +113,21 @@ type savedSharded struct {
 
 const shardedFormat = 1
 
-// saveSnapshot flushes the pool and encodes the complete index state to
-// w. The caller holds the tree exclusively, so the snapshot is
-// quiescent.
-func saveSnapshot(w io.Writer, store *pagestore.Store, pool *buffer.Pool, u core.Updater, objects map[uint64]Point, opts Options, walSeq uint64) error {
-	if err := pool.Flush(); err != nil {
+// saveSnapshot flushes the pool and encodes the stack's complete state
+// to w, with objects as its object set. The caller holds the tree
+// exclusively, so the snapshot is quiescent.
+func (s *treeStack) saveSnapshot(w io.Writer, u core.Updater, objects map[uint64]Point, walSeq uint64) error {
+	opts := s.options
+	if err := s.pool.Flush(); err != nil {
 		return fmt.Errorf("burtree: save: %w", err)
 	}
 	st, err := core.SaveState(u)
 	if err != nil {
 		return fmt.Errorf("burtree: save: %w", err)
 	}
-	pageSize, pages, freed := store.Dump()
+	pageSize, pages, freed := s.store.Dump()
 
-	s := savedIndex{
+	img := savedIndex{
 		Format:                saveFormat,
 		Strategy:              opts.Strategy,
 		PageSize:              pageSize,
@@ -148,16 +149,22 @@ func saveSnapshot(w io.Writer, store *pagestore.Store, pool *buffer.Pool, u core
 		WALSeq:                walSeq,
 	}
 	for _, f := range freed {
-		s.Freed = append(s.Freed, uint64(f))
+		img.Freed = append(img.Freed, uint64(f))
 	}
 	for _, p := range st.HashDirectory {
-		s.HashDirectory = append(s.HashDirectory, uint64(p))
+		img.HashDirectory = append(img.HashDirectory, uint64(p))
 	}
+	return writeEnvelope(w, snapshotMagic, &img)
+}
+
+// writeEnvelope writes a snapshot: the magic that names its kind, then
+// the gob-encoded body.
+func writeEnvelope(w io.Writer, magic [8]byte, body any) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
+	if _, err := bw.Write(magic[:]); err != nil {
 		return fmt.Errorf("burtree: save: %w", err)
 	}
-	if err := gob.NewEncoder(bw).Encode(&s); err != nil {
+	if err := gob.NewEncoder(bw).Encode(body); err != nil {
 		return fmt.Errorf("burtree: save: %w", err)
 	}
 	return bw.Flush()
@@ -177,25 +184,14 @@ func (e *engine) Save(w io.Writer) error {
 	return e.saveLocked(w)
 }
 
-// saveLocked is Save with the checkpoint gate already held. The delta
-// tier is merged down first — under the gate no writer can refill it,
-// so the snapshot is self-consistent, captures every acknowledged
-// operation in the tree and never depends on memtable contents, and a
-// subsequent log truncation (Checkpoint) cannot drop records whose
-// effects lived only in the memtable.
+// saveLocked is Save with the checkpoint gate already held: the stack's
+// snapshot with the whole table as its object set.
 func (e *engine) saveLocked(w io.Writer) error {
-	if err := e.drainMemtable(); err != nil {
-		return err
-	}
 	var seq uint64
 	if e.wal != nil {
 		seq = e.wal.LastSeq()
 	}
-	return e.tree.Exclusive(func(u core.Updater) error {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		return saveSnapshot(w, e.store, e.pool, u, e.objects, e.options, seq)
-	})
+	return e.save(w, &e.objectTable, seq)
 }
 
 // SaveFile writes the index snapshot to a file, like Save.
@@ -214,10 +210,11 @@ func (x *ShardedIndex) Save(w io.Writer) error {
 	return x.saveLocked(w)
 }
 
-// saveLocked is Save with the snapshot gate already held. The manifest
-// records each shard's object count next to its blob so a reader can
-// verify the two agree — a zero-count shard must decode as an empty
-// tree, not pass as a damaged blob.
+// saveLocked is Save with the snapshot gate already held. Each shard's
+// blob carries the router's partition of the one object table as its
+// object set, and the manifest records each partition's size next to its
+// blob so a reader can verify the two agree — a zero-count shard must
+// decode as an empty tree, not pass as a damaged blob.
 func (x *ShardedIndex) saveLocked(w io.Writer) error {
 	spec := x.router.Spec()
 	s := savedSharded{
@@ -233,22 +230,24 @@ func (x *ShardedIndex) saveLocked(w io.Writer) error {
 		WALSeq:      x.lsn.Load(),
 		RouterEpoch: x.routerEpoch,
 	}
+	parts := make([]objectTable, len(x.shards))
+	for i := range parts {
+		parts[i].objects = make(map[uint64]Point, x.Len()/len(parts))
+	}
+	x.mu.RLock()
+	for id, p := range x.objects {
+		parts[x.router.ShardOf(p)].objects[id] = p
+	}
+	x.mu.RUnlock()
 	for i, sh := range x.shards {
 		var buf bytes.Buffer
-		if err := sh.Save(&buf); err != nil {
+		if err := sh.save(&buf, &parts[i], 0); err != nil {
 			return fmt.Errorf("burtree: save shard %d: %w", i, err)
 		}
 		s.Blobs[i] = buf.Bytes()
-		s.Counts[i] = sh.Len()
+		s.Counts[i] = len(parts[i].objects)
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(shardedMagic[:]); err != nil {
-		return fmt.Errorf("burtree: save: %w", err)
-	}
-	if err := gob.NewEncoder(bw).Encode(&s); err != nil {
-		return fmt.Errorf("burtree: save: %w", err)
-	}
-	return bw.Flush()
+	return writeEnvelope(w, shardedMagic, &s)
 }
 
 // SaveFile writes the sharded snapshot to a file, like Save.
@@ -371,40 +370,44 @@ func decodeSavedSharded(br *bufio.Reader) (savedSharded, error) {
 			return s, fmt.Errorf("%w: shard %d declares negative object count %d", ErrBadSnapshot, i, c)
 		}
 	}
+	// Loaders are not log- or memtable-aware: drop any durability or
+	// delta-tier config the manifest carried (Recover re-attaches logs and
+	// re-enables the tier explicitly).
+	s.Options.Durability = Durability{}
+	s.Options.Memtable = Memtable{}
 	return s, nil
 }
 
-// checkShardCount verifies one decoded shard blob against the
-// manifest's declared object count (skipped for pre-count snapshots,
-// whose manifests carry no Counts).
-func checkShardCount(s savedSharded, i, got int) error {
-	if s.Counts == nil {
-		return nil
+// decodeShard decodes shard i's blob of a sharded snapshot — a complete
+// single-tree snapshot — and verifies it against the manifest's declared
+// object count (skipped for pre-count snapshots, whose manifests carry
+// no Counts).
+func decodeShard(s savedSharded, i int) (savedIndex, error) {
+	br := bufio.NewReader(bytes.NewReader(s.Blobs[i]))
+	magic, err := readMagic(br)
+	if err != nil {
+		return savedIndex{}, fmt.Errorf("burtree: load shard %d: %w", i, err)
 	}
-	if want := s.Counts[i]; got != want {
-		return fmt.Errorf("%w: shard %d blob holds %d objects, manifest declares %d", ErrBadSnapshot, i, got, want)
+	if magic != snapshotMagic {
+		return savedIndex{}, fmt.Errorf("%w: shard %d blob has wrong magic", ErrBadSnapshot, i)
 	}
-	return nil
+	dec, err := decodeSavedIndex(br)
+	if err != nil {
+		return dec, fmt.Errorf("burtree: load shard %d: %w", i, err)
+	}
+	if s.Counts != nil && len(dec.Objects) != s.Counts[i] {
+		return dec, fmt.Errorf("%w: shard %d blob holds %d objects, manifest declares %d", ErrBadSnapshot, i, len(dec.Objects), s.Counts[i])
+	}
+	return dec, nil
 }
 
-// mergedObjects collects the object tables of every shard blob without
+// mergedObjects collects the object sets of every shard blob without
 // rebuilding the shard trees, verifying that no object appears twice.
 func mergedObjects(s savedSharded) (map[uint64]Point, error) {
 	merged := make(map[uint64]Point)
-	for i, blob := range s.Blobs {
-		br := bufio.NewReader(bytes.NewReader(blob))
-		magic, err := readMagic(br)
+	for i := range s.Blobs {
+		dec, err := decodeShard(s, i)
 		if err != nil {
-			return nil, fmt.Errorf("burtree: load shard %d: %w", i, err)
-		}
-		if magic != snapshotMagic {
-			return nil, fmt.Errorf("%w: shard %d blob has wrong magic", ErrBadSnapshot, i)
-		}
-		dec, err := decodeSavedIndex(br)
-		if err != nil {
-			return nil, fmt.Errorf("burtree: load shard %d: %w", i, err)
-		}
-		if err := checkShardCount(s, i, len(dec.Objects)); err != nil {
 			return nil, err
 		}
 		for id, p := range dec.Objects {
@@ -466,13 +469,7 @@ func loadEngine(r io.Reader, background bool) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Loaders are not log- or memtable-aware: drop any durability or
-		// delta-tier config the manifest carried (Recover re-attaches logs
-		// and re-enables the tier explicitly).
-		o := s.Options
-		o.Durability = Durability{}
-		o.Memtable = Memtable{}
-		e, err := openEngine(o, background)
+		e, err := openEngine(s.Options, background)
 		if err != nil {
 			return nil, err
 		}
@@ -563,18 +560,20 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	shards := make([]*ConcurrentIndex, s.Shards)
+	shards := make([]*treeStack, s.Shards)
 	objects := make(map[uint64]Point)
-	for i, blob := range s.Blobs {
-		ci, err := LoadConcurrent(bytes.NewReader(blob))
+	for i := range s.Blobs {
+		dec, err := decodeShard(s, i)
+		if err != nil {
+			return nil, err
+		}
+		parts, part, err := buildFromSaved(dec)
 		if err != nil {
 			return nil, fmt.Errorf("burtree: load shard %d: %w", i, err)
 		}
-		if err := checkShardCount(s, i, len(ci.objects)); err != nil {
-			return nil, err
-		}
-		shards[i] = ci
-		for id, p := range ci.objects {
+		shards[i] = new(treeStack)
+		shards[i].init(parts, true)
+		for id, p := range part {
 			if _, dup := objects[id]; dup {
 				return nil, fmt.Errorf("%w: object %d present in multiple shards", ErrBadSnapshot, id)
 			}
@@ -588,22 +587,8 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 	if shard.Scheme(s.Scheme) == shard.HilbertRange {
 		scheme = ShardHilbert
 	}
-	o := s.Options
-	// Loaders are not log- or memtable-aware; see Recover.
-	o.Durability = Durability{}
-	o.Memtable = Memtable{}
-	x := &ShardedIndex{
-		router:      router,
-		shards:      shards,
-		options:     o,
-		sopts:       ShardOptions{Shards: s.Shards, Partition: scheme},
-		objectTable: objectTable{objects: objects},
-		walSeq:      s.WALSeq,
-		load:        shard.NewLoadTracker(s.Shards),
-		pageBase:    make([]uint64, s.Shards),
-		ropts:       RebalanceOptions{}.withDefaults(),
-		routerEpoch: s.RouterEpoch,
-	}
+	x := newSharded(router, s.Options, ShardOptions{Shards: s.Shards, Partition: scheme}, objects)
+	x.shards, x.walSeq, x.routerEpoch = shards, s.WALSeq, s.RouterEpoch
 	return x, nil
 }
 

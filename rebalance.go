@@ -3,9 +3,10 @@ package burtree
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"burtree/internal/geom"
+	"burtree/internal/rtree"
 	"burtree/internal/shard"
 )
 
@@ -111,14 +112,15 @@ func (x *ShardedIndex) ShardLoads() []ShardLoad {
 	defer x.opMu.RUnlock()
 	shares := x.load.Shares()
 	opShares := x.load.OpShares()
+	counts := x.shardCounts()
 	out := make([]ShardLoad, len(x.shards))
-	for i, s := range x.shards {
+	for i := range x.shards {
 		out[i] = ShardLoad{
 			Updates:         x.load.UpdateCount(i),
 			Queries:         x.load.QueryCount(i),
 			Cost:            x.load.CostOf(i),
 			BackgroundPages: x.load.BackgroundPages(i),
-			Objects:         s.Len(),
+			Objects:         counts[i],
 			Share:           shares[i],
 			OpShare:         opShares[i],
 		}
@@ -136,19 +138,14 @@ func (x *ShardedIndex) RouterEpoch() uint64 {
 }
 
 // SetRebalance reconfigures the rebalancer at runtime, starting or
-// stopping the background loop as needed. Used to enable rebalancing on
-// an index restored by LoadSharded (loaders keep it off).
+// stopping the background loop as needed — it runs when the
+// configuration asks for one. Used to enable rebalancing on an index
+// restored by LoadSharded (loaders keep it off).
 func (x *ShardedIndex) SetRebalance(o RebalanceOptions) {
 	x.stopRebalancer()
 	x.rebalMu.Lock()
+	defer x.rebalMu.Unlock()
 	x.ropts = o.withDefaults()
-	x.startRebalancerLocked()
-	x.rebalMu.Unlock()
-}
-
-// startRebalancerLocked launches the background loop when the
-// configuration asks for one. Caller holds rebalMu.
-func (x *ShardedIndex) startRebalancerLocked() {
 	if !x.ropts.Enabled || x.ropts.Interval <= 0 || x.rebalStop != nil {
 		return
 	}
@@ -254,8 +251,7 @@ func (x *ShardedIndex) Rebalance() (int, error) {
 // exclusively and passes the cell histogram snapshot its Sample
 // returned; on any error the previous shards and router stay installed.
 func (x *ShardedIndex) upgradeToHilbertLocked(cells []uint64) (int, error) {
-	n := len(x.shards)
-	bounds, err := shard.LoadQuantileBounds(n, cells)
+	bounds, err := shard.LoadQuantileBounds(len(x.shards), cells)
 	if err != nil {
 		return 0, fmt.Errorf("burtree: rebalance: %w", err)
 	}
@@ -263,46 +259,23 @@ func (x *ShardedIndex) upgradeToHilbertLocked(cells []uint64) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("burtree: rebalance: %w", err)
 	}
-	fresh, err := openShards(x.options, n)
+	fresh, err := x.openShards()
 	if err != nil {
 		return 0, fmt.Errorf("burtree: rebalance: %w", err)
 	}
-	if d := time.Duration(x.ioLatency.Load()); d != 0 {
-		for _, s := range fresh {
-			s.SetIOLatency(d)
-		}
-	}
 	x.mu.RLock()
-	perIDs := make([][]uint64, n)
-	perPts := make([][]Point, n)
+	items := make([]rtree.Item, 0, len(x.objects))
 	for id, p := range x.objects {
-		s := router.ShardOf(p)
-		perIDs[s] = append(perIDs[s], id)
-		perPts[s] = append(perPts[s], p)
+		items = append(items, rtree.Item{OID: id, Rect: geom.RectFromPoint(p)})
 	}
 	x.mu.RUnlock()
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		if len(perIDs[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = fresh[s].BulkInsert(perIDs[s], perPts[s], PackSTR)
-		}(s)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	if err := loadShards(fresh, router, items, PackSTR); err != nil {
 		for _, s := range fresh {
-			_ = s.Close()
+			_ = s.close() // never served; the load's error is the one to report
 		}
 		return 0, fmt.Errorf("burtree: rebalance: rebuilding shards: %w", err)
 	}
-	old := x.shards
-	x.retirePagesLocked()
-	x.shards = fresh
+	closeErr := x.swapShardsLocked(fresh)
 	x.router = router
 	x.sopts.Partition = ShardHilbert
 	x.routerEpoch++
@@ -310,17 +283,10 @@ func (x *ShardedIndex) upgradeToHilbertLocked(cells []uint64) (int, error) {
 	// Reset to the post-rebuild page snapshot: the rebuild I/O just paid
 	// belongs to the retired layout, not the first window of the new one.
 	x.load.ResetShares(x.fgPagesLocked())
-	var closeErr error
-	for _, s := range old {
-		closeErr = errors.Join(closeErr, s.Close())
-	}
 	if closeErr != nil {
 		return 0, fmt.Errorf("burtree: rebalance: closing replaced shards: %w", closeErr)
 	}
-	x.mu.RLock()
-	moved := len(x.objects)
-	x.mu.RUnlock()
-	return moved, nil
+	return len(items), nil
 }
 
 // nudgeBoundaryLocked moves one boundary of the hot shard toward the
@@ -331,7 +297,7 @@ func (x *ShardedIndex) upgradeToHilbertLocked(cells []uint64) (int, error) {
 // at least one cell, so a step under budget pressure still makes
 // progress), installs the new router and moves the affected objects
 // between the two shard trees. Positions do not change, so neither the
-// global object table nor the write-ahead log is touched. The caller
+// object table nor the write-ahead log is touched. The caller
 // passes the cell histogram snapshot its Sample returned.
 func (x *ShardedIndex) nudgeBoundaryLocked(hot, maxStep int, cells []uint64) (int, error) {
 	n := len(x.shards)
@@ -434,18 +400,10 @@ func (x *ShardedIndex) nudgeBoundaryLocked(hot, maxStep int, cells []uint64) (in
 	}
 	x.mu.RUnlock()
 	for i, m := range movers {
-		err := x.shards[m.src].Delete(m.id)
-		if err == nil {
-			if err = x.shards[m.dst].Insert(m.id, m.p); err != nil {
-				// Undo this mover's delete before unwinding the rest.
-				err = errors.Join(err, x.shards[m.src].Insert(m.id, m.p))
-			}
-		}
-		if err != nil {
+		if err := relocate(x.shards[m.src], x.shards[m.dst], m.id, m.p, m.p); err != nil {
 			for j := i - 1; j >= 0; j-- {
 				u := movers[j]
-				err = errors.Join(err, x.shards[u.dst].Delete(u.id))
-				err = errors.Join(err, x.shards[u.src].Insert(u.id, u.p))
+				err = errors.Join(err, relocate(x.shards[u.dst], x.shards[u.src], u.id, u.p, u.p))
 			}
 			return 0, fmt.Errorf("burtree: rebalance: migrating boundary slice: %w", err)
 		}

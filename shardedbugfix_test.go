@@ -22,10 +22,10 @@ import (
 // delete from the source not yet visible).
 func plantDuplicate(t *testing.T, x *ShardedIndex, id uint64, a, b int, pa, pb Point) {
 	t.Helper()
-	if err := x.shards[a].Insert(id, pa); err != nil {
+	if err := x.shards[a].tree.Insert(id, pa); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.shards[b].Insert(id, pb); err != nil {
+	if err := x.shards[b].tree.Insert(id, pb); err != nil {
 		t.Fatal(err)
 	}
 	x.mu.Lock()

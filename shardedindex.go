@@ -1,15 +1,17 @@
 package burtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"burtree/internal/core"
+	"burtree/internal/rtree"
 	"burtree/internal/shard"
 	"burtree/internal/wal"
 )
@@ -41,8 +43,8 @@ func (p PartitionScheme) String() string {
 // ShardOptions configures the partitioning of a ShardedIndex.
 type ShardOptions struct {
 	// Shards is the number of partitions (default 4, max
-	// shard.MaxShards). Each shard is a self-contained ConcurrentIndex
-	// with its own page store, buffer pool, hash index and lock manager.
+	// shard.MaxShards). Each shard is a self-contained tree with its own
+	// page store, buffer pool, hash index and lock manager.
 	Shards int
 	// Partition picks the space-splitting scheme.
 	Partition PartitionScheme
@@ -58,10 +60,14 @@ func (o ShardOptions) withDefaults() ShardOptions {
 	return o
 }
 
-// ShardedIndex partitions the data space across N self-contained
-// ConcurrentIndex shards so that updates in different regions contend on
-// nothing at all — not even a shared buffer-pool latch or lock-manager
-// mutex. It offers the familiar front-end API: updates, batched updates,
+// ShardedIndex partitions the data space across N self-contained tree
+// stacks — each the DGL-locked tree, buffer pool, page store and delta
+// tier a ConcurrentIndex runs on — so that updates in different regions
+// contend on no tree-level lock at all, not even a shared buffer-pool
+// latch or lock-manager mutex. What an index has once it has once here
+// too, above the stacks: the object table, the gate and the log handles;
+// routing is a stage of the one mutation pipeline that runs on that
+// table. It offers the familiar front-end API: updates, batched updates,
 // window and nearest-neighbour queries, bulk loading and snapshots, and
 // is safe for concurrent use by any number of goroutines.
 //
@@ -87,7 +93,7 @@ func (o ShardOptions) withDefaults() ShardOptions {
 // quiesce writers first, as Save does.
 type ShardedIndex struct {
 	router  *shard.Router
-	shards  []*ConcurrentIndex
+	shards  []*treeStack
 	options Options      // as passed to OpenSharded (totals, not per shard)
 	sopts   ShardOptions // normalized
 
@@ -100,9 +106,10 @@ type ShardedIndex struct {
 	// logging.
 	opMu sync.RWMutex
 
-	// The global object table; single-object writes run its pipeline
-	// (runStep) with this index as the target: a routed apply, and the
-	// log of the shard that owns the object afterwards.
+	// The index's one object table — no shard keeps another. Writes run
+	// its pipeline (runStep, reserveBatch) with this index as the target:
+	// absorb and apply routed to the stacks the step touches, and the log
+	// of the shard that owns the object afterwards.
 	objectTable
 
 	// wals holds one write-ahead log per shard when durability is
@@ -138,28 +145,6 @@ type ShardedIndex struct {
 	rebalWG   sync.WaitGroup
 }
 
-// ioMark brackets one shard operation for foreground I/O attribution:
-// done() reports the pages the shard spent since the mark, minus the
-// background merge-down pages, clamped at zero. Pages from overlapping
-// operations on the same shard land in every open bracket, so the
-// bracketed costs over-count under concurrency — they feed per-cell
-// attribution and observability, where only relative weight within a
-// shard matters. The rebalancer's per-shard share signal samples the
-// exact cumulative page counters instead (fgPages → SampleAt).
-type ioMark struct {
-	sh    *ConcurrentIndex
-	pages uint64
-	bg    uint64
-}
-
-func meterShard(sh *ConcurrentIndex) ioMark {
-	return ioMark{sh: sh, pages: sh.pagesNow(), bg: sh.bgPages.Load()}
-}
-
-func (m ioMark) done() uint64 {
-	return uint64(foregroundPages(m.sh.pagesNow()-m.pages, m.sh.bgPages.Load()-m.bg))
-}
-
 // fgPages snapshots every shard's exact cumulative foreground page
 // count — pages read plus written, minus background merge-down pages —
 // offset by pageBase so the sequence stays monotone across shard
@@ -175,18 +160,9 @@ func (x *ShardedIndex) fgPages() []uint64 {
 func (x *ShardedIndex) fgPagesLocked() []uint64 {
 	out := make([]uint64, len(x.shards))
 	for s, sh := range x.shards {
-		out[s] = x.pageBase[s] + uint64(foregroundPages(sh.pagesNow(), sh.bgPages.Load()))
+		out[s] = x.pageBase[s] + foregroundPages(sh.pagesNow(), sh.bgPages.Load())
 	}
 	return out
-}
-
-// retirePagesLocked folds the retiring shards' foreground page counts
-// into pageBase before a rebuild replaces them; caller holds opMu
-// exclusively.
-func (x *ShardedIndex) retirePagesLocked() {
-	for s, sh := range x.shards {
-		x.pageBase[s] += uint64(foregroundPages(sh.pagesNow(), sh.bgPages.Load()))
-	}
 }
 
 // addCellCount accumulates one cell's op count in a small slice keyed
@@ -207,14 +183,13 @@ func addCellCount(cells []shard.CellCount, cell uint64, n int) []shard.CellCount
 // logs.
 func (x *ShardedIndex) nextLSN() uint64 { return x.lsn.Add(1) }
 
-// shardLog returns shard s's log (nil when durability is off) and
-// whether it acknowledges at the append alone, which it does while the
-// shard runs a delta tier. Caller holds opMu shared.
-func (x *ShardedIndex) shardLog(s int) (*wal.Log, bool) {
+// shardLog returns shard s's log (nil when durability is off). Caller
+// holds opMu shared.
+func (x *ShardedIndex) shardLog(s int) *wal.Log {
 	if x.wals == nil {
-		return nil, false
+		return nil
 	}
-	return x.wals[s], x.shards[s].mem != nil
+	return x.wals[s]
 }
 
 // OpenSharded creates an empty sharded index. The Options are totals for
@@ -237,53 +212,64 @@ func OpenSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("burtree: %w", err)
 	}
-	shards, err := openShards(opts, sopts.Shards)
-	if err != nil {
+	x := newSharded(router, opts, sopts, make(map[uint64]Point))
+	if x.shards, err = x.openShards(); err != nil {
 		return nil, err
-	}
-	x := &ShardedIndex{
-		router:      router,
-		shards:      shards,
-		options:     opts,
-		sopts:       sopts,
-		objectTable: objectTable{objects: make(map[uint64]Point)},
-		load:        shard.NewLoadTracker(sopts.Shards),
-		pageBase:    make([]uint64, sopts.Shards),
-		ropts:       sopts.Rebalance.withDefaults(),
 	}
 	if d := opts.Durability; d.enabled() {
 		if err := checkFreshDir(d.Dir); err != nil {
 			return nil, err
 		}
-		x.wals = make([]*wal.Log, len(shards))
-		for i := range shards {
-			dir := shardLogDir(d.Dir, i)
-			if err := checkFreshDir(dir); err != nil {
+		for i := range x.shards {
+			if err := checkFreshDir(shardLogDir(d.Dir, i)); err != nil {
 				return nil, err
 			}
-			log, err := wal.Open(dir, d.logOptions(0, x.nextLSN))
-			if err != nil {
-				return nil, err
-			}
-			x.wals[i] = log
+		}
+		if err := x.openLogs(d, 0); err != nil {
+			return nil, err
 		}
 	}
-	x.rebalMu.Lock()
-	x.startRebalancerLocked()
-	x.rebalMu.Unlock()
+	x.SetRebalance(sopts.Rebalance)
 	return x, nil
 }
 
+// newSharded assembles an index around its router, options and object
+// table; the caller installs the stacks (fresh or loaded).
+func newSharded(router *shard.Router, opts Options, sopts ShardOptions, objects map[uint64]Point) *ShardedIndex {
+	return &ShardedIndex{
+		router:      router,
+		options:     opts,
+		sopts:       sopts,
+		objectTable: objectTable{objects: objects},
+		load:        shard.NewLoadTracker(sopts.Shards),
+		pageBase:    make([]uint64, sopts.Shards),
+		ropts:       sopts.Rebalance.withDefaults(),
+	}
+}
+
+// openLogs opens one log per shard under d, continuing the shared
+// sequence after startAfter.
+func (x *ShardedIndex) openLogs(d Durability, startAfter uint64) error {
+	x.lsn.Store(startAfter)
+	x.wals = make([]*wal.Log, len(x.shards))
+	for i := range x.wals {
+		log, err := wal.Open(shardLogDir(d.Dir, i), d.logOptions(startAfter, x.nextLSN))
+		if err != nil {
+			return err
+		}
+		x.wals[i] = log
+	}
+	return nil
+}
+
 // perShardOptions divides the index-wide budgets across n shards. The
-// shard indexes never log for themselves — the sharded front-end owns
-// the per-shard logs — so any durability config is stripped. The
-// memtable budget, by contrast, is divided, not stripped: the delta
-// tier is per shard (each shard absorbs and merges its own deltas
-// independently), which is what keeps merge-down traffic as parallel
-// as the write traffic.
+// memtable budget is divided like the others: the delta tier is per
+// shard (each stack absorbs and merges its own deltas independently),
+// which is what keeps merge-down traffic as parallel as the write
+// traffic. Durability passes through untouched — a stack has no log to
+// open; the per-shard logs are the index's.
 func perShardOptions(opts Options, n int) Options {
 	per := opts
-	per.Durability = Durability{}
 	if per.Memtable.Enabled {
 		per.Memtable = per.Memtable.withDefaults()
 		per.Memtable.MaxObjects = per.Memtable.MaxObjects / n
@@ -307,17 +293,80 @@ func perShardOptions(opts Options, n int) Options {
 	return per
 }
 
-func openShards(opts Options, n int) ([]*ConcurrentIndex, error) {
-	per := perShardOptions(opts, n)
-	shards := make([]*ConcurrentIndex, n)
+// openShards opens a fresh, empty stack per shard under the index's
+// options. Every place that needs fresh stacks — open, a failed bulk
+// load, a partition upgrade — comes through here, so every one of them
+// keeps paying the simulated I/O latency SetIOLatency asked for.
+func (x *ShardedIndex) openShards() ([]*treeStack, error) {
+	per := perShardOptions(x.options, x.sopts.Shards)
+	shards := make([]*treeStack, x.sopts.Shards)
 	for i := range shards {
-		ci, err := OpenConcurrent(per)
+		parts, err := openParts(per)
 		if err != nil {
 			return nil, err
 		}
-		shards[i] = ci
+		parts.store.SetLatency(time.Duration(x.ioLatency.Load()))
+		shards[i] = new(treeStack)
+		shards[i].init(parts, true)
 	}
 	return shards, nil
+}
+
+// swapShardsLocked installs fresh stacks in place of the current ones,
+// folding the retiring stacks' page counts into pageBase first, and
+// closes the replaced stacks so their background mergers do not leak.
+// Caller holds opMu exclusively.
+func (x *ShardedIndex) swapShardsLocked(fresh []*treeStack) error {
+	x.pageBase = x.fgPagesLocked()
+	old := x.shards
+	x.shards = fresh
+	var err error
+	for _, s := range old {
+		err = errors.Join(err, s.close())
+	}
+	return err
+}
+
+// loadShards is the one bulk loader: it routes items to the stacks and
+// bulk-loads every stack's share in parallel. The caller has validated
+// the items (packItems), so a failure here is not the input's.
+func loadShards(stacks []*treeStack, router *shard.Router, items []rtree.Item, method PackMethod) error {
+	per := make([][]rtree.Item, len(stacks))
+	for s := range per {
+		// An even share plus slack fits a balanced partition without regrowth.
+		per[s] = make([]rtree.Item, 0, len(items)/len(stacks)+len(items)/16)
+	}
+	for _, it := range items {
+		s := router.ShardOf(Point{X: it.Rect.MinX, Y: it.Rect.MinY})
+		per[s] = append(per[s], it)
+	}
+	errs := make([]error, len(stacks))
+	var wg sync.WaitGroup
+	for s := range stacks {
+		if len(per[s]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			errs[s] = stacks[s].bulkLoad(per[s], method)
+		}(s)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// shardCounts returns the number of objects per shard. No stack counts
+// its own objects — the table is the only place that knows them — so the
+// figure is one routing pass over the table. Caller holds opMu.
+func (x *ShardedIndex) shardCounts() []int {
+	out := make([]int, len(x.shards))
+	x.mu.RLock()
+	defer x.mu.RUnlock()
+	for _, p := range x.objects {
+		out[x.router.ShardOf(p)]++
+	}
+	return out
 }
 
 // NumShards returns the shard count.
@@ -341,11 +390,7 @@ func (x *ShardedIndex) Partition() PartitionScheme {
 func (x *ShardedIndex) ShardLens() []int {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
-	out := make([]int, len(x.shards))
-	for i, s := range x.shards {
-		out[i] = s.Len()
-	}
-	return out
+	return x.shardCounts()
 }
 
 // SetIOLatency simulates a per-page-access service time on every shard's
@@ -356,7 +401,7 @@ func (x *ShardedIndex) SetIOLatency(d time.Duration) {
 	defer x.opMu.RUnlock()
 	x.ioLatency.Store(int64(d))
 	for _, s := range x.shards {
-		s.SetIOLatency(d)
+		s.store.SetLatency(d)
 	}
 }
 
@@ -368,70 +413,32 @@ func (x *ShardedIndex) SetIOLatency(d time.Duration) {
 func (x *ShardedIndex) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
 	x.opMu.Lock()
 	defer x.opMu.Unlock()
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if len(x.objects) != 0 {
+	if x.Len() != 0 {
 		return fmt.Errorf("burtree: BulkInsert on non-empty index")
 	}
-	if len(ids) != len(pts) {
-		return fmt.Errorf("burtree: BulkInsert: %d ids for %d points", len(ids), len(pts))
+	items, objects, err := packItems(ids, pts)
+	if err != nil {
+		return err
 	}
+	router := x.router
 	if x.sopts.Partition == ShardHilbert {
-		router, err := shard.NewHilbertBalanced(len(x.shards), pts)
-		if err != nil {
+		if router, err = shard.NewHilbertBalanced(len(x.shards), pts); err != nil {
 			return fmt.Errorf("burtree: %w", err)
 		}
-		x.router = router
 	}
-	objects := make(map[uint64]Point, len(ids))
-	perIDs := make([][]uint64, len(x.shards))
-	perPts := make([][]Point, len(x.shards))
-	for i, id := range ids {
-		if _, dup := objects[id]; dup {
-			return fmt.Errorf("%w: %d", ErrDuplicateObject, id)
+	if err := loadShards(x.shards, router, items, method); err != nil {
+		// A shard failed mid-load while others succeeded. Replace every
+		// shard with an empty one so the index returns to its pre-call
+		// state and a corrected retry is possible.
+		if fresh, rerr := x.openShards(); rerr == nil {
+			_ = x.swapShardsLocked(fresh) // the load's error is the one to report
 		}
-		// Validate every point before any shard loads anything, matching
-		// the single-tree path (which validates all rects before packing):
-		// a mid-load failure would leave some shards populated and others
-		// empty, with no way back to a loadable state.
-		if pts[i].X != pts[i].X || pts[i].Y != pts[i].Y {
-			return fmt.Errorf("burtree: BulkInsert: object %d has NaN coordinates", id)
-		}
-		objects[id] = pts[i]
-		s := x.router.ShardOf(pts[i])
-		perIDs[s] = append(perIDs[s], id)
-		perPts[s] = append(perPts[s], pts[i])
+		return err
 	}
-	errs := make([]error, len(x.shards))
-	var wg sync.WaitGroup
-	for s := range x.shards {
-		if len(perIDs[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = x.shards[s].BulkInsert(perIDs[s], perPts[s], method)
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// A shard failed mid-load while others succeeded. Rebuild every
-			// shard empty so the index returns to its pre-call state and a
-			// corrected retry is possible. The replaced shards are closed
-			// first so their background mergers do not leak.
-			if fresh, rerr := openShards(x.options, len(x.shards)); rerr == nil {
-				x.retirePagesLocked()
-				for _, s := range x.shards {
-					_ = s.Close()
-				}
-				x.shards = fresh
-			}
-			return err
-		}
-	}
+	x.router = router
+	x.mu.Lock()
 	x.objects = objects
+	x.mu.Unlock()
 	// With durability on, the snapshot (not per-object log records) is
 	// the durable form of a bulk load — it also persists the router the
 	// Hilbert path just rebuilt, which recovery must route with.
@@ -456,24 +463,9 @@ func (x *ShardedIndex) Checkpoint() error {
 // checkpointLocked is Checkpoint with the snapshot gate already held.
 func (x *ShardedIndex) checkpointLocked() error {
 	if x.wals == nil {
-		return errors.New("burtree: Checkpoint requires durability to be enabled")
+		return errNoDurability
 	}
-	for _, l := range x.wals {
-		if err := l.Sync(); err != nil {
-			return err
-		}
-	}
-	seq := x.lsn.Load()
-	path := filepath.Join(x.options.Durability.Dir, snapshotFileName)
-	if err := saveToFile(path, x.saveLocked); err != nil {
-		return err
-	}
-	for _, l := range x.wals {
-		if err := l.TruncateThrough(seq); err != nil {
-			return err
-		}
-	}
-	return nil
+	return checkpoint(x.options.Durability.Dir, x.wals, x.lsn.Load, x.saveLocked)
 }
 
 // Close stops the rebalancer loop (if running) and closes every shard
@@ -486,10 +478,7 @@ func (x *ShardedIndex) Close() error {
 	x.stopRebalancer()
 	var err error
 	for _, s := range x.shards {
-		err = errors.Join(err, s.Close())
-	}
-	if x.wals == nil {
-		return err
+		err = errors.Join(err, s.close())
 	}
 	for _, l := range x.wals {
 		err = errors.Join(err, l.Close())
@@ -501,11 +490,7 @@ func (x *ShardedIndex) Close() error {
 // snapshot (loaders never enable the tier themselves); used by
 // RecoverSharded before replaying the log tails.
 func (x *ShardedIndex) ensureMemtable(cfg Memtable) {
-	cfg = cfg.withDefaults()
-	x.options.Memtable = cfg
-	if !cfg.Enabled {
-		return
-	}
+	x.options.Memtable = cfg.withDefaults()
 	per := perShardOptions(x.options, len(x.shards))
 	for _, s := range x.shards {
 		s.ensureMemtable(per.Memtable)
@@ -522,9 +507,8 @@ func (x *ShardedIndex) Insert(id uint64, p Point) error {
 // Update moves an existing object to p. A move within one shard runs
 // that shard's bottom-up update; a move across shards becomes a delete
 // in the source shard followed by an insert in the destination. As with
-// ConcurrentIndex, racing updates of the same object are last-writer-
-// wins on the object table; callers that need per-object ordering
-// serialize their own access.
+// ConcurrentIndex, racing single-object writes to one id run one after
+// the other, whichever shards they touch; see engine.Update.
 func (x *ShardedIndex) Update(id uint64, p Point) error {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
@@ -538,16 +522,44 @@ func (x *ShardedIndex) Delete(id uint64) error {
 	return x.runStep(step{kind: stepDelete, id: id}, x)
 }
 
-// absorb implements stepTarget: the sharded front-end keeps no delta
-// tier of its own — each shard absorbs for itself inside apply.
-func (x *ShardedIndex) absorb(step) bool { return false }
+// route names the stack st takes the object from and the one that owns
+// it afterwards — the same for an insert, a delete and a move that stays
+// in its shard — with the position that decides the latter.
+func (x *ShardedIndex) route(st step) (src, dst int, at Point) {
+	at = st.new
+	if st.kind == stepDelete {
+		at = st.old
+	}
+	dst = x.router.ShardOf(at)
+	src = dst
+	if st.kind == stepMove {
+		src = x.router.ShardOf(st.old)
+	}
+	return src, dst, at
+}
 
-// apply implements stepTarget by routing st to the shard trees: the
-// owning shard's insert, delete or bottom-up update, or — for a move
-// that changes shards — a delete in the source followed by an insert in
-// the destination. Each shard runs the step through its own engine
-// (which has no log: the sharded front-end owns the per-shard logs), so
-// the caller's table entry is the only state apply does not touch.
+// tiered implements stepTarget: the stacks run a delta tier each, or none
+// does.
+func (x *ShardedIndex) tiered() bool { return x.shards[0].tiered() }
+
+// absorb implements stepTarget, routed, under the one table lock: a step
+// that stays in its shard is that stack's delta; a move that changes
+// shards leaves a tombstone in the source stack's tier and an insert in
+// the destination's, so each stack's merge-down later does its own half.
+func (x *ShardedIndex) absorb(st step) {
+	src, dst, _ := x.route(st)
+	if src == dst {
+		x.shards[dst].absorb(st)
+		return
+	}
+	x.shards[src].absorb(step{kind: stepDelete, id: st.id, old: st.old})
+	x.shards[dst].absorb(step{kind: stepInsert, id: st.id, new: st.new})
+}
+
+// apply implements stepTarget by routing st to the stack trees, with
+// st.old from the one table: the owning stack's insert, delete or
+// bottom-up update, or — for a move that changes shards — a relocation
+// from the source stack to the destination.
 //
 // A step that succeeds is accounted to the shard that owns the object
 // afterwards, with the pages the bracket measured; a cross-shard move
@@ -555,125 +567,240 @@ func (x *ShardedIndex) absorb(step) bool { return false }
 // cost record at the object's old cell. The inverse steps of an undo
 // are not accounted.
 func (x *ShardedIndex) apply(st step) error {
-	at := st.new
-	if st.kind == stepDelete {
-		at = st.old
-	}
-	dst := x.router.ShardOf(at)
-	src := dst
-	if st.kind == stepMove {
-		src = x.router.ShardOf(st.old)
-	}
+	src, dst, at := x.route(st)
 	mDst := meterShard(x.shards[dst])
-	var mSrc ioMark
-	if src != dst {
-		mSrc = meterShard(x.shards[src])
-	}
 	var err error
-	switch {
-	case st.kind == stepInsert:
-		err = x.shards[dst].Insert(st.id, st.new)
-	case st.kind == stepDelete:
-		err = x.shards[dst].Delete(st.id)
-	case src == dst:
-		err = x.shards[dst].Update(st.id, st.new)
-	default:
-		if err = x.shards[src].Delete(st.id); err != nil {
-			break
+	if src == dst {
+		if err = x.shards[dst].apply(st); err != nil || st.undo {
+			return err
 		}
-		if err = x.shards[dst].Insert(st.id, st.new); err != nil {
-			// Try to put the object back where it was so the index stays
-			// complete; if even that fails the object is lost from the trees
-			// and the sticky shard error will surface in CheckInvariants.
-			if rerr := x.shards[src].Insert(st.id, st.old); rerr != nil {
-				err = fmt.Errorf("burtree: cross-shard move of %d failed (%w) and rollback failed: %v", st.id, err, rerr)
-			}
+	} else {
+		mSrc := meterShard(x.shards[src])
+		if err = relocate(x.shards[src], x.shards[dst], st.id, st.old, st.new); err != nil || st.undo {
+			return err
 		}
-	}
-	if err != nil || st.undo {
-		return err
-	}
-	x.load.RecordUpdates(dst, shard.CellKey(at), 1, mDst.done())
-	if src != dst {
 		x.load.RecordUpdates(src, shard.CellKey(st.old), 0, mSrc.done())
 	}
+	x.load.RecordUpdates(dst, shard.CellKey(at), 1, mDst.done())
 	return nil
 }
 
 // logOf implements stepTarget: a step is logged once, in the shard that
 // owns the object afterwards (a delete, in the one that owned it);
 // replay re-routes it, re-deriving the cross-shard delete+insert.
-func (x *ShardedIndex) logOf(st step) (*wal.Log, bool) {
-	if st.kind == stepDelete {
-		return x.shardLog(x.router.ShardOf(st.old))
+func (x *ShardedIndex) logOf(st step) *wal.Log {
+	if x.wals == nil {
+		return nil // nothing to route for
 	}
-	return x.shardLog(x.router.ShardOf(st.new))
+	_, dst, _ := x.route(st)
+	return x.wals[dst]
 }
 
-// reconcile makes the global table follow shard s for the given in-shard
-// changes — whatever prefix the shard applied, all of them when its
-// batch succeeded — and returns the changes that took effect, old
-// position included, when there is a log to record them in.
-func (x *ShardedIndex) reconcile(s int, changes []Change) []core.BatchChange {
-	var applied []core.BatchChange
-	x.mu.Lock()
-	for _, c := range changes {
-		if p, ok := x.shards[s].Location(c.ID); ok {
-			if x.wals != nil && p == c.To {
-				applied = append(applied, core.BatchChange{OID: c.ID, Old: x.objects[c.ID], New: p})
-			}
-			x.objects[c.ID] = p
-		}
+// acked implements stepTarget. An absorbed step never reached apply, so
+// it is accounted here — to the shard that owns the object afterwards,
+// at no page cost — and the stacks whose tiers it grew get their
+// merge-down kick (background stacks only kick; they return no error).
+func (x *ShardedIndex) acked(st step) error {
+	if !x.tiered() {
+		return nil
 	}
-	x.mu.Unlock()
-	return applied
+	src, dst, at := x.route(st)
+	x.load.RecordUpdates(dst, shard.CellKey(at), 1, 0)
+	if src != dst {
+		_ = x.shards[src].afterAck()
+	}
+	return x.shards[dst].afterAck()
 }
 
 // crossMove is one batch change that leaves its shard: a delete in src
 // followed by an insert in dst, with enough state to roll back.
 type crossMove struct {
-	id       uint64
-	old, new Point
+	core.BatchChange
 	src, dst int
 	departed bool // the src delete succeeded; dst owes an insert
 }
 
-// shardWork is one shard's slice of a batch: in-shard moves plus its
-// sides of the cross-shard moves.
+// shardWork is one shard's slice of a batch: the coalesced moves that
+// end in this shard — on the tree path only those that also start here,
+// the others being the batch's cross moves — plus how many cross moves
+// it has a side of.
 type shardWork struct {
-	stay []Change     // moves that stay in this shard
-	del  []*crossMove // departures (delete here)
-	ins  []*crossMove // arrivals (insert here)
+	stay    []core.BatchChange
+	departs int // cross moves that leave this shard
+	arrives int // moves that came from another shard: cross moves that end here or, on the tiered path, changes in stay
 }
 
-// UpdateBatch moves many objects at once. The batch is coalesced once
-// against the global object table, routed to shards by target cell, and
-// applied per shard in parallel: each shard receives its in-shard moves
-// as one batched bottom-up pass (its ConcurrentIndex.UpdateBatch) plus
-// its share of the cross-shard moves as delete+insert pairs. Work inside
-// a shard is applied in a deterministic order (departures sorted by id,
-// then the batched moves, then arrivals sorted by id) and no operation
-// ever holds locks in two shards, so the schedule is deadlock-free by
-// construction. All departures complete before any arrival starts, so
-// no mover ever resides in two shards at once (a racing scatter can
-// still observe one twice if its shard visits straddle the move; see
-// the type comment).
+// batchRun is the state the phases of one UpdateBatch share: the routed
+// work — per shard, and the tree path's cross-shard moves in id order —
+// and, per shard, the foreground pages measured and the first failure;
+// res is guarded by mu while a phase runs.
+type batchRun struct {
+	work  []shardWork
+	cross []crossMove
+	pages []uint64
+	errs  []error
+	mu    sync.Mutex
+	res   BatchResult
+}
+
+// routeBatch splits a coalesced batch by shard. On the tiered path there
+// are no departures or arrivals to schedule — the batch is already
+// absorbed — so a shard's group is everything it owns afterwards, the
+// unit of its log record.
+func (x *ShardedIndex) routeBatch(b *batchRun, coalesced []core.BatchChange, tiered bool) {
+	b.work = make([]shardWork, len(x.shards))
+	for _, c := range coalesced {
+		src, dst := x.router.ShardOf(c.Old), x.router.ShardOf(c.New)
+		if src != dst {
+			b.work[dst].arrives++
+			if !tiered {
+				b.work[src].departs++
+				b.cross = append(b.cross, crossMove{BatchChange: c, src: src, dst: dst})
+				continue
+			}
+		}
+		b.work[dst].stay = append(b.work[dst].stay, c)
+	}
+	// Each shard carries out its departures, and later its arrivals, in id
+	// order (slices.SortFunc: unlike sort.Slice it allocates nothing).
+	slices.SortFunc(b.cross, func(a, c crossMove) int { return cmp.Compare(a.OID, c.OID) })
+}
+
+// scatter runs one phase of a batch on every shard the phase has work
+// for, in parallel — no operation ever holds locks in two shards, so the
+// schedule is deadlock-free by construction — and folds each shard's
+// result, failure and bracketed page I/O into the run. It returns when
+// every shard is done: the barrier between the phases.
+func (x *ShardedIndex) scatter(b *batchRun, has func(*shardWork) bool, phase func(s int) (BatchResult, error)) {
+	var wg sync.WaitGroup
+	for s := range b.work {
+		if !has(&b.work[s]) {
+			continue
+		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			m := meterShard(x.shards[s])
+			br, err := phase(s)
+			b.pages[s] += m.done()
+			// Join rather than keep-first: a phase-1 error must not mask an
+			// arrival failure (possible object loss).
+			b.errs[s] = errors.Join(b.errs[s], err)
+			b.mu.Lock()
+			b.res.Applied += br.Applied
+			b.res.Groups += br.Groups
+			b.res.GroupResolved += br.GroupResolved
+			b.res.Fallback += br.Fallback
+			b.res.CrossShard += br.CrossShard
+			b.mu.Unlock()
+		}(s)
+	}
+	wg.Wait()
+}
+
+// batchStays is phase 1 of a batch on shard s: the departures, then the
+// shard's group — on the tree path its in-shard moves, through the
+// stack's batched bottom-up pass; on the tiered path, where the group is
+// already absorbed, nothing — and then the group's log record. An error
+// stops the shard's remaining work; the other shards and phase 2 still
+// run, so every departed mover gets its arrival attempted — a batch is
+// not atomic, but it never strands an object outside every shard.
+func (x *ShardedIndex) batchStays(b *batchRun, s int, tiered bool) (BatchResult, error) {
+	w := &b.work[s]
+	var br BatchResult
+	for i := range b.cross {
+		cm := &b.cross[i]
+		if cm.src != s {
+			continue
+		}
+		if err := x.shards[s].apply(step{kind: stepDelete, id: cm.OID, old: cm.Old}); err != nil {
+			return br, err
+		}
+		cm.departed = true
+	}
+	// Each change the stack applies updates the one table as it lands;
+	// applied is that prefix (all of w.stay when err == nil), kept for the
+	// shard's log record.
+	applied, err := w.stay, error(nil)
+	if tiered {
+		br.Applied, br.CrossShard = len(w.stay), w.arrives
+	} else {
+		applied, err = x.shards[s].applyBatch(&x.objectTable, w.stay, x.wals != nil, &br)
+	}
+	if werr := logBatch(x.shardLog(s), tiered, applied); werr != nil {
+		// Applied (or absorbed) but not logged: the prefix goes back the
+		// way it came and the table is compare-and-restored, so the failed
+		// record acks nothing.
+		br.Applied, br.CrossShard = 0, 0
+		return br, errors.Join(err, werr, x.undoBatch(applied, x))
+	}
+	return br, err
+}
+
+// batchArrivals is phase 2 of a tree-path batch on shard s: the arrivals
+// of the movers whose departure succeeded, and their log record.
+func (x *ShardedIndex) batchArrivals(b *batchRun, s int) (BatchResult, error) {
+	var arrived []core.BatchChange
+	var err error
+	n := 0
+	for i := range b.cross {
+		cm := &b.cross[i]
+		if cm.dst != s || !cm.departed {
+			continue
+		}
+		if aerr := arrive(x.shards[cm.src], x.shards[s], cm.OID, cm.Old, cm.New); aerr != nil {
+			// The mover is back in its source shard (or lost, and reported
+			// so); the table keeps the old point.
+			err = errors.Join(err, aerr)
+			continue
+		}
+		x.record(cm.BatchChange)
+		n++
+		if x.wals != nil {
+			arrived = append(arrived, cm.BatchChange)
+		}
+	}
+	// One record covers this shard's arrivals; replay re-routes each
+	// move, re-deriving the cross-shard delete+insert.
+	if werr := logBatch(x.shardLog(s), false, arrived); werr != nil {
+		// Arrived but not logged: each mover goes back through the routed
+		// apply to the shard it came from, and the table is compare-and-
+		// restored, so the failed record acks nothing.
+		return BatchResult{}, errors.Join(err, werr, x.undoBatch(arrived, x))
+	}
+	return BatchResult{Applied: n, CrossShard: n}, err
+}
+
+// UpdateBatch moves many objects at once. The batch is coalesced once,
+// against the index's one object table, and routed to shards by target
+// cell. On the tree path it is applied per shard in parallel: each shard
+// receives its in-shard moves, already coalesced, as one batched
+// bottom-up pass over its stack plus its share of the cross-shard moves
+// as delete+insert pairs. Work inside a shard is applied in a
+// deterministic order (departures sorted by id, then the batched moves,
+// then arrivals sorted by id). All departures complete before any
+// arrival starts, so no mover ever resides in two shards at once (a
+// racing scatter can still observe one twice if its shard visits
+// straddle the move; see the type comment). With the memtable tier on
+// the apply is not scattered: the batch is absorbed atomically under the
+// table lock, each change routed to the tier(s) of the stacks it
+// touches, and only the log records — one per destination shard — go out
+// in parallel.
 //
 // Every id must already be in the index; an unknown id fails the whole
 // batch before anything is applied. A batch is not atomic: when a change
 // fails, the changes already applied remain applied (the returned
 // BatchResult counts them). Only a failed log append takes work back:
 // the changes that record would have covered — one shard's in-shard
-// moves, or its arrivals — are undone and not counted. Concurrent writes
-// to ids that are also in the batch race with it — a racing cross-shard
-// move can make part of the batch fail against the moved object's old
-// shard — so callers that need per-object ordering serialize their own
-// access (disjoint id ranges per writer, as the experiment harness and
-// examples do).
+// moves (its whole group, on the tiered path), or its arrivals — are
+// undone and not counted. Concurrent writes to ids that are also in the
+// batch race with it — a racing cross-shard move can make part of the
+// batch fail against the moved object's old shard — so callers that need
+// per-object ordering serialize their own access (disjoint id ranges per
+// writer, as the experiment harness and examples do).
 func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
-	var res BatchResult
 	// Load accounting tallies the offered stream, before coalescing: a
 	// hot object updated many times per batch coalesces into one applied
 	// change, but each of those updates was traffic the owning shard
@@ -685,170 +812,43 @@ func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 		s := x.router.ShardOf(c.To)
 		offered[s] = addCellCount(offered[s], shard.CellKey(c.To), 1)
 	}
-	x.mu.RLock()
-	coalesced, dropped, err := coalesceChanges(changes, x.objects)
-	x.mu.RUnlock()
+	b := batchRun{pages: make([]uint64, len(x.shards)), errs: make([]error, len(x.shards))}
+	tiered := x.tiered()
+	coalesced, dropped, err := x.reserveBatch(changes, x)
 	if err != nil {
-		return res, err
+		return b.res, err
 	}
-	res.Coalesced = dropped
-
-	work := make([]shardWork, len(x.shards))
-	for _, c := range coalesced {
-		src, dst := x.router.ShardOf(c.Old), x.router.ShardOf(c.New)
-		if src == dst {
-			work[src].stay = append(work[src].stay, Change{ID: c.OID, To: c.New})
-			continue
+	b.res.Coalesced = dropped
+	x.routeBatch(&b, coalesced, tiered)
+	// The phases are handed over as closures, not method values: burlint
+	// reads the calls in them where they stand.
+	x.scatter(&b, func(w *shardWork) bool { return len(w.stay)+w.departs > 0 },
+		func(s int) (BatchResult, error) { return x.batchStays(&b, s, tiered) })
+	if tiered {
+		b.res.Absorbed = b.res.Applied
+		for _, sh := range x.shards {
+			_ = sh.afterAck() // a background stack only kicks its merger
 		}
-		cm := &crossMove{id: c.OID, old: c.Old, new: c.New, src: src, dst: dst}
-		work[src].del = append(work[src].del, cm)
-		work[dst].ins = append(work[dst].ins, cm)
+	} else {
+		x.scatter(&b, func(w *shardWork) bool { return w.arrives > 0 },
+			func(s int) (BatchResult, error) { return x.batchArrivals(&b, s) })
 	}
-
-	pagesTally := make([]uint64, len(x.shards))
-	var resMu sync.Mutex
-
-	// Phase 1, per shard in parallel: departures (sorted by id), then
-	// the in-shard batch. An error stops that shard's remaining work;
-	// the other shards and phase 2 still run, so every departed mover
-	// gets its arrival attempted — a batch is not atomic, but it never
-	// strands an object outside every shard.
-	errs := make([]error, len(x.shards))
-	var wg sync.WaitGroup
-	for s := range x.shards {
-		w := &work[s]
-		if len(w.stay) == 0 && len(w.del) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, w *shardWork) {
-			defer wg.Done()
-			m := meterShard(x.shards[s])
-			defer func() { pagesTally[s] += m.done() }()
-			sort.Slice(w.del, func(i, j int) bool { return w.del[i].id < w.del[j].id })
-			for _, cm := range w.del {
-				if err := x.shards[s].Delete(cm.id); err != nil {
-					errs[s] = err
-					return
-				}
-				cm.departed = true
-			}
-			if len(w.stay) == 0 {
-				return
-			}
-			br, err := x.shards[s].UpdateBatch(w.stay)
-			// Reconcile the global table with whatever prefix the shard
-			// applied (all of it when err == nil), collecting the applied
-			// changes for the shard's log record.
-			applied := x.reconcile(s, w.stay)
-			log, async := x.shardLog(s)
-			if werr := logBatch(log, async, applied); werr != nil {
-				// Applied but not logged: the prefix goes back through the
-				// same shard batch and the table follows the shard again,
-				// so the failed record acks nothing.
-				back := make([]Change, len(applied))
-				for i, c := range applied {
-					back[i] = Change{ID: c.OID, To: c.Old}
-				}
-				_, uerr := x.shards[s].UpdateBatch(back)
-				x.reconcile(s, back)
-				br.Applied, br.Absorbed = 0, 0
-				err = errors.Join(err, werr, uerr)
-			}
-			resMu.Lock()
-			res.Applied += br.Applied
-			res.Groups += br.Groups
-			res.GroupResolved += br.GroupResolved
-			res.Fallback += br.Fallback
-			res.Absorbed += br.Absorbed
-			resMu.Unlock()
-			if err != nil {
-				errs[s] = err
-			}
-		}(s, w)
-	}
-	wg.Wait()
-
-	// Phase 2, per shard in parallel: arrivals (sorted by id) of the
-	// movers whose departure succeeded. The barrier between the phases
-	// is what keeps a mover from being visible in two shards at once.
-	for s := range x.shards {
-		w := &work[s]
-		if len(w.ins) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, w *shardWork) {
-			defer wg.Done()
-			m := meterShard(x.shards[s])
-			defer func() { pagesTally[s] += m.done() }()
-			sort.Slice(w.ins, func(i, j int) bool { return w.ins[i].id < w.ins[j].id })
-			var arrived []core.BatchChange
-			n := 0
-			for _, cm := range w.ins {
-				if !cm.departed {
-					continue
-				}
-				if err := x.shards[s].Insert(cm.id, cm.new); err != nil {
-					// Put the object back in its source shard so the index
-					// stays complete; the global table keeps the old point.
-					if rerr := x.shards[cm.src].Insert(cm.id, cm.old); rerr != nil {
-						err = fmt.Errorf("burtree: cross-shard move of %d failed (%w) and rollback failed: %v", cm.id, err, rerr)
-					}
-					// Join rather than keep-first: a phase-1 error must not
-					// mask an arrival failure (possible object loss).
-					errs[s] = errors.Join(errs[s], err)
-					continue
-				}
-				x.mu.Lock()
-				x.objects[cm.id] = cm.new
-				x.mu.Unlock()
-				n++
-				if x.wals != nil {
-					arrived = append(arrived, core.BatchChange{OID: cm.id, Old: cm.old, New: cm.new})
-				}
-			}
-			// One record covers this shard's arrivals; replay re-routes
-			// each move, re-deriving the cross-shard delete+insert.
-			log, async := x.shardLog(s)
-			if werr := logBatch(log, async, arrived); werr != nil {
-				// Arrived but not logged: each mover goes back through the
-				// routed apply to the shard it came from, and the table is
-				// compare-and-restored, so the failed record acks nothing.
-				for _, c := range arrived {
-					st := step{kind: stepMove, id: c.OID, old: c.Old, new: c.New}
-					werr = errors.Join(werr, x.apply(st.inverse()))
-					x.restore(st, x, false)
-				}
-				n = 0
-				errs[s] = errors.Join(errs[s], werr)
-			}
-			resMu.Lock()
-			res.Applied += n
-			res.CrossShard += n
-			if x.shards[s].mem != nil {
-				res.Absorbed += n
-			}
-			resMu.Unlock()
-		}(s, w)
-	}
-	wg.Wait()
 	// Record each shard's offered ops with its measured foreground pages
 	// (even on error — the I/O was spent). Departure-only shards record
 	// pages with zero histogram ops: their moves were tallied at the
 	// destination.
 	for s := range x.shards {
-		if len(offered[s]) > 0 || pagesTally[s] > 0 {
-			x.load.RecordBatch(s, pagesTally[s], offered[s])
-			res.PageIO += int(pagesTally[s])
+		if len(offered[s]) > 0 || b.pages[s] > 0 {
+			x.load.RecordBatch(s, b.pages[s], offered[s])
+			b.res.PageIO += int(b.pages[s])
 		}
 	}
-	for _, e := range errs {
+	for _, e := range b.errs {
 		if e != nil {
-			return res, e
+			return b.res, e
 		}
 	}
-	return res, nil
+	return b.res, nil
 }
 
 // Search returns the ids of all objects inside the window q, scattering
@@ -1057,28 +1057,8 @@ func (x *ShardedIndex) Stats() (Stats, []ConcurrencyStats) {
 	var agg Stats
 	cs := make([]ConcurrencyStats, len(x.shards))
 	for i, s := range x.shards {
-		st, c := s.Stats()
-		cs[i] = c
-		agg.DiskReads += st.DiskReads
-		agg.DiskWrites += st.DiskWrites
-		agg.BufferHits += st.BufferHits
-		agg.Splits += st.Splits
-		agg.Reinserts += st.Reinserts
-		agg.Evictions += st.Evictions
-		agg.DirtyWriteBacks += st.DirtyWriteBacks
-		agg.PinFallbacks += st.PinFallbacks
-		agg.Pages += st.Pages
-		agg.Size += st.Size
-		if st.Height > agg.Height {
-			agg.Height = st.Height
-		}
-		agg.Outcomes.InLeaf += st.Outcomes.InLeaf
-		agg.Outcomes.Extended += st.Outcomes.Extended
-		agg.Outcomes.Shifted += st.Outcomes.Shifted
-		agg.Outcomes.Piggyback += st.Outcomes.Piggyback
-		agg.Outcomes.Ascended += st.Outcomes.Ascended
-		agg.Outcomes.TopDown += st.Outcomes.TopDown
-		agg.Memtable = agg.Memtable.add(st.Memtable)
+		agg = agg.add(s.stats())
+		cs[i] = s.tree.Stats()
 	}
 	return agg, cs
 }
@@ -1105,33 +1085,19 @@ func (x *ShardedIndex) Flush() error {
 	return nil
 }
 
-// CheckInvariants validates every shard plus the sharding invariants:
-// the global object table partitions exactly into the shard tables, and
-// every object lives in the shard its position routes to. Callers must
-// ensure no updates are in flight.
+// CheckInvariants validates every shard's stack against the index's one
+// object table — the same entry-by-entry walk Index and ConcurrentIndex
+// run, with the sharding invariant added: every object lives in the
+// stack its position routes to, and nowhere else. Callers must ensure no
+// updates are in flight.
 func (x *ShardedIndex) CheckInvariants() error {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
-	total := 0
+	counts := x.shardCounts()
 	for i, s := range x.shards {
-		if err := s.CheckInvariants(); err != nil {
+		owns := func(p Point) bool { return x.router.ShardOf(p) == i }
+		if err := s.checkInvariants(&x.objectTable, counts[i], owns); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		total += s.Len()
-	}
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if total != len(x.objects) {
-		return fmt.Errorf("burtree: shard sizes sum to %d, global table has %d", total, len(x.objects))
-	}
-	for id, p := range x.objects {
-		s := x.router.ShardOf(p)
-		got, ok := x.shards[s].Location(id)
-		if !ok {
-			return fmt.Errorf("burtree: object %d (at %v) missing from owning shard %d", id, p, s)
-		}
-		if got != p {
-			return fmt.Errorf("burtree: object %d at %v in shard %d, global table says %v", id, got, s, p)
 		}
 	}
 	return nil

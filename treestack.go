@@ -1,0 +1,551 @@
+package burtree
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"burtree/internal/buffer"
+	"burtree/internal/concurrent"
+	"burtree/internal/core"
+	"burtree/internal/memtable"
+	"burtree/internal/pagestore"
+	"burtree/internal/rtree"
+	"burtree/internal/stats"
+)
+
+// This file is the lower half of an index: a tree stack is one tree with
+// everything that belongs to that tree alone. What exists once per index
+// — the object table, the checkpoint gate, the log — lives above it, in
+// the engine (one stack) or in ShardedIndex (N stacks behind a router).
+
+// treeOps is what a stack needs of the tree under it. The two
+// implementations hide the locking protocol: serialTree takes no locks
+// (Index is single-writer), *concurrent.DB takes DGL granule locks and
+// the physical latch per operation.
+type treeOps interface {
+	Insert(id uint64, p Point) error
+	Update(id uint64, old, p Point) error
+	Delete(id uint64, at Point) error
+	// UpdateBatch applies coalesced changes through the batched bottom-up
+	// pipeline, calling done for each applied change in application
+	// order; on error done has run for exactly the applied prefix.
+	UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)) (core.BatchStats, error)
+	Search(q Rect, visit func(uint64, Rect) bool) error
+	Nearest(p Point, k int) ([]rtree.Neighbor, error)
+	// Exclusive runs fn with every other operation locked out; View runs
+	// it at a physically consistent point alongside readers.
+	Exclusive(fn func(core.Updater) error) error
+	View(fn func(core.Updater))
+	Stats() concurrent.Stats
+}
+
+// serialTree is the lock-free treeOps of the single-writer Index.
+type serialTree struct{ core.Updater }
+
+func (s serialTree) UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)) (core.BatchStats, error) {
+	return core.ApplyBatch(s.Updater, changes, done)
+}
+func (s serialTree) Exclusive(fn func(core.Updater) error) error { return fn(s.Updater) }
+func (s serialTree) View(fn func(core.Updater))                  { fn(s.Updater) }
+func (s serialTree) Stats() concurrent.Stats                     { return concurrent.Stats{} }
+
+// treeStack is one tree with what it owns: page store, buffer pool and
+// counters, the tree behind its locking protocol, and the memtable delta
+// tier with its merge-down. It knows nothing of object ids it was not
+// handed: every step and batch arrives with the old position already
+// looked up in the index's one object table, and the stack has no table,
+// no checkpoint gate and no log of its own.
+type treeStack struct {
+	store *pagestore.Store
+	pool  *buffer.Pool
+	io    *stats.IO
+	tree  treeOps
+	// options is the normalized copy this stack was opened with (a
+	// shard's split of the index-wide budgets), retained for persistence.
+	options Options
+
+	// mem is the in-memory delta tier when Options.Memtable is enabled
+	// (nil otherwise). With background set, merge is the goroutine
+	// draining it (ConcurrentIndex and the stacks of a ShardedIndex);
+	// without, the single-writer Index merges down inline whenever a
+	// write trips the size or age threshold. mergeMu serializes drains
+	// (background, checkpoint-time and close-time), and is the outermost
+	// of the drain's locks: a drain never takes a checkpoint gate, so
+	// checkpoints (which hold theirs exclusively and then drain) cannot
+	// deadlock against the background merger.
+	mem        *memtable.Table
+	background bool
+	mergeMu    sync.Mutex
+	merge      *merger
+
+	// bgPages counts physical page accesses incurred by merge-down
+	// drains, so foreground cost attribution (the sharded front-end's
+	// load metering and BatchResult.PageIO) can subtract deferred work
+	// from the window deltas it measures around io.
+	bgPages atomic.Uint64
+}
+
+// init wraps the shared machinery in the stack — over a DGL-locked tree
+// with background merge-down, or over a serial one merging inline — and
+// installs the delta tier if the options ask for one (a loaded
+// snapshot's never do: the tier is the caller's runtime choice).
+func (s *treeStack) init(parts indexParts, background bool) {
+	s.store, s.pool, s.io = parts.store, parts.pool, parts.io
+	s.options, s.background = parts.opts, background
+	if background {
+		s.tree = concurrent.New(parts.u, 32)
+	} else {
+		s.tree = serialTree{parts.u}
+	}
+	s.ensureMemtable(parts.opts.Memtable)
+}
+
+// pagesNow returns the cumulative physical page accesses (reads +
+// writes) this stack has performed. Together with bgPages it lets
+// callers bracket an operation and attribute the delta as that
+// operation's foreground I/O. Under concurrency the delta can include
+// pages from overlapping operations on the same stack; the attribution
+// is per shard either way, so the rebalancer's share signal keeps its
+// direction.
+func (s *treeStack) pagesNow() uint64 {
+	return uint64(s.io.Reads() + s.io.Writes())
+}
+
+// foregroundPages converts a bracketed (pages, background-pages) delta
+// pair into the foreground page count, clamped at zero: a background
+// drain finishing inside the bracket can make the background delta
+// exceed the foreground one.
+func foregroundPages(pages, bg uint64) uint64 {
+	if bg >= pages {
+		return 0
+	}
+	return pages - bg
+}
+
+// ioMark brackets one shard operation for foreground I/O attribution:
+// done() reports the pages the shard spent since the mark, minus the
+// background merge-down pages, clamped at zero. Pages from overlapping
+// operations on the same shard land in every open bracket, so the
+// bracketed costs over-count under concurrency — they feed per-cell
+// attribution and observability, where only relative weight within a
+// shard matters. The rebalancer's per-shard share signal samples the
+// exact cumulative page counters instead (fgPages → SampleAt).
+type ioMark struct {
+	sh    *treeStack
+	pages uint64
+	bg    uint64
+}
+
+func meterShard(sh *treeStack) ioMark {
+	return ioMark{sh: sh, pages: sh.pagesNow(), bg: sh.bgPages.Load()}
+}
+
+func (m ioMark) done() uint64 {
+	return foregroundPages(m.sh.pagesNow()-m.pages, m.sh.bgPages.Load()-m.bg)
+}
+
+// tiered reports whether the stack runs a delta tier, in which case
+// writes are absorbed instead of applied.
+func (s *treeStack) tiered() bool { return s.mem != nil }
+
+// absorb hands st to the delta tier as a delta (the inverse steps of an
+// undo cancel or re-absorb theirs). The caller holds the object table's
+// lock and has established that the stack is tiered.
+func (s *treeStack) absorb(st step) {
+	switch st.kind {
+	case stepInsert:
+		s.mem.Insert(st.id, st.new)
+	case stepMove:
+		s.mem.Update(st.id, st.new, st.old)
+	case stepDelete:
+		s.mem.Delete(st.id, st.old)
+	}
+}
+
+// apply carries st out on the tree.
+func (s *treeStack) apply(st step) error {
+	switch st.kind {
+	case stepInsert:
+		return s.tree.Insert(st.id, st.new)
+	case stepMove:
+		return s.tree.Update(st.id, st.old, st.new)
+	}
+	return s.tree.Delete(st.id, st.old)
+}
+
+// run carries st out on this stack the way every step is: absorbed by
+// the delta tier when the stack runs one, applied to the tree otherwise.
+func (s *treeStack) run(st step) error {
+	if s.tiered() {
+		s.absorb(st)
+		return nil
+	}
+	return s.apply(st)
+}
+
+// relocate moves an object between two stacks without changing what the
+// object table says: a delete at old in src, then an arrival at new in
+// dst.
+func relocate(src, dst *treeStack, id uint64, old, new Point) error {
+	if err := src.run(step{kind: stepDelete, id: id, old: old}); err != nil {
+		return err
+	}
+	return arrive(src, dst, id, old, new)
+}
+
+// arrive is the second half of a relocation, for an object already
+// deleted from src: the insert at new in dst. If that fails the object is
+// put back where it was so the index stays complete; if even that fails
+// it is lost from the trees, both errors are reported and the sticky
+// tree error will surface in CheckInvariants.
+func arrive(src, dst *treeStack, id uint64, old, new Point) error {
+	err := dst.run(step{kind: stepInsert, id: id, new: new})
+	if err != nil {
+		if rerr := src.run(step{kind: stepInsert, id: id, new: old}); rerr != nil {
+			err = fmt.Errorf("burtree: cross-shard move of %d failed (%w) and rollback failed: %v", id, err, rerr)
+		}
+	}
+	return err
+}
+
+// afterAck hands an acknowledged write's merge-down on when the write
+// tripped the tier's size or age threshold: a kick to the background
+// merger, which never blocks the writer and never fails, or — on the
+// single-writer Index, which has no goroutine to hand the work to — an
+// inline drain whose failure the write reports.
+func (s *treeStack) afterAck() error {
+	if s.mem == nil || !s.mem.NeedsMerge(time.Now()) {
+		return nil
+	}
+	if s.merge != nil {
+		s.merge.kick()
+		return nil
+	}
+	return s.drainMemtable()
+}
+
+// applyBatch is the tree-path apply stage of a batch: the coalesced
+// changes go through the batched bottom-up pipeline, and each one is
+// recorded in the object table t as it lands. With keep set it returns
+// the applied changes, for the log record that covers them.
+func (s *treeStack) applyBatch(t *objectTable, coalesced []core.BatchChange, keep bool, res *BatchResult) ([]core.BatchChange, error) {
+	var applied []core.BatchChange
+	m := meterShard(s)
+	st, err := s.tree.UpdateBatch(coalesced, func(c core.BatchChange) {
+		t.record(c)
+		res.Applied++
+		if keep {
+			applied = append(applied, c)
+		}
+	})
+	res.Groups = st.Groups
+	res.GroupResolved = st.GroupResolved
+	res.Fallback = st.LocalFallback + st.Sequential
+	res.PageIO = int(m.done())
+	return applied, err
+}
+
+// bulkLoad packs items into the empty tree with the whole stack locked
+// exclusively: bulk loading rebuilds the tree from scratch, so no reader
+// or writer may observe the intermediate state.
+func (s *treeStack) bulkLoad(items []rtree.Item, method PackMethod) error {
+	return s.tree.Exclusive(func(u core.Updater) error { return bulkLoad(u, items, method) })
+}
+
+// ensureMemtable installs the delta tier from cfg and, on a background
+// stack, starts the merge-down loop; used by init and when recovery
+// re-enables the tier on a loaded snapshot.
+func (s *treeStack) ensureMemtable(cfg Memtable) {
+	cfg = cfg.withDefaults()
+	s.options.Memtable = cfg
+	if !cfg.Enabled {
+		return
+	}
+	if s.mem == nil {
+		s.mem = memtable.New(cfg.config())
+	}
+	if s.background && s.merge == nil {
+		s.merge = newMerger()
+		s.merge.done.Add(1)
+		go s.merge.run(cfg.MaxAge,
+			func() bool { return s.mem.NeedsMerge(time.Now()) },
+			func() { _ = s.drainMemtable() }) // failure is sticky; surfaces via CheckInvariants/Checkpoint
+	}
+}
+
+// drainMemtable merges every buffered delta down to the tree — on a
+// background stack split across Memtable.MergeParallelism concurrent
+// group-apply chunks, sequentially on the single-writer Index.
+// Serialized with other drains by mergeMu; a failure to apply an
+// acknowledged delta is sticky — see memtable.Table.Fail. No-op when the
+// tier is disabled.
+func (s *treeStack) drainMemtable() error {
+	if s.mem == nil {
+		return nil
+	}
+	s.mergeMu.Lock()
+	defer s.mergeMu.Unlock()
+	entries := s.mem.BeginDrain()
+	if entries == nil {
+		return s.mem.Err()
+	}
+	parallelism := 1
+	if s.background {
+		parallelism = s.options.Memtable.MergeParallelism
+	}
+	// The drain's page accesses are background work: deferred I/O from
+	// updates acknowledged in earlier windows. Attribute them to bgPages
+	// (and the memtable's merge stats) so foreground cost metering can
+	// subtract them — charging them to whichever foreground op happens to
+	// overlap the drain would re-skew the balance the cost weighting
+	// exists to fix. Attributed even on failure: the pages were spent.
+	pre := s.pagesNow()
+	err := drainEntries(entries, s.tree, parallelism)
+	if d := s.pagesNow() - pre; d > 0 {
+		s.bgPages.Add(d)
+		s.mem.AddMergePages(d)
+	}
+	if err != nil {
+		s.mem.Fail(err)
+		return fmt.Errorf("burtree: memtable merge: %w", err)
+	}
+	s.mem.EndDrain()
+	return nil
+}
+
+// close stops the background merger (if one runs) and merges any
+// buffered deltas down to the tree.
+func (s *treeStack) close() error {
+	if s.merge != nil {
+		s.merge.halt()
+	}
+	return s.drainMemtable()
+}
+
+// Search returns the ids of all objects inside the window q. On a
+// ConcurrentIndex the query runs under shared granule locks covering the
+// window (phantom-protected at granule granularity).
+func (s *treeStack) Search(q Rect) ([]uint64, error) {
+	var out []uint64
+	err := s.SearchFunc(q, func(id uint64, p Point) bool {
+		out = append(out, id)
+		return true
+	})
+	return out, err
+}
+
+// SearchFunc streams the objects inside q to visit; return false to stop
+// early. With the delta tier enabled, buffered writes are merged into
+// the results (read-your-writes; tombstones mask deleted objects). On a
+// ConcurrentIndex the visit callback runs with the query's shared locks
+// held: it must be fast and must not call back into the index, or
+// updates to the locked region stall behind it.
+func (s *treeStack) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
+	if s.mem != nil {
+		// The overlay snapshot is taken before the tree scan: a merge
+		// completing in between leaves its objects masked in the scan and
+		// reported from the overlay, never missed (see overlaySearch). The
+		// overlay portion of the results streams after the tree's shared
+		// locks are released.
+		if overlay := s.mem.Snapshot(); overlay != nil {
+			return overlaySearch(overlay, q, func(emit func(uint64, Rect) bool) error {
+				return s.tree.Search(q, emit)
+			}, visit)
+		}
+	}
+	return s.tree.Search(q, func(oid uint64, r Rect) bool {
+		return visit(oid, Point{X: r.MinX, Y: r.MinY})
+	})
+}
+
+// Count returns the number of objects inside q, under the same locks
+// and with the same overlay as SearchFunc.
+func (s *treeStack) Count(q Rect) (int, error) {
+	n := 0
+	err := s.SearchFunc(q, func(uint64, Point) bool { n++; return true })
+	return n, err
+}
+
+// Nearest returns the k objects nearest to p in increasing distance. On
+// a ConcurrentIndex the traversal's footprint cannot be declared up
+// front, so the query holds the whole-tree granule shared: it runs in
+// parallel with other reads but excludes updates for its duration.
+func (s *treeStack) Nearest(p Point, k int) ([]Neighbor, error) {
+	if s.mem != nil {
+		if overlay := s.mem.Snapshot(); overlay != nil {
+			return overlayNearest(overlay, p, k, func(k int) ([]rtree.Neighbor, error) {
+				return s.tree.Nearest(p, k)
+			})
+		}
+	}
+	res, err := s.tree.Nearest(p, k)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Neighbor, len(res))
+	for i, n := range res {
+		out[i] = Neighbor{ID: n.OID, Location: Point{X: n.Rect.MinX, Y: n.Rect.MinY}, Dist: n.Dist}
+	}
+	return out, nil
+}
+
+// stats fills the counter snapshot. It is taken at a physically
+// consistent point (the shared latch, on a DGL-locked tree), so the tree
+// shape values are mutually consistent; the atomic I/O counters may
+// include operations still in their lock-acquisition phase.
+func (s *treeStack) stats() Stats {
+	var st Stats
+	s.tree.View(func(u core.Updater) {
+		c := s.io.Snapshot()
+		st = Stats{
+			DiskReads:       c.Reads,
+			DiskWrites:      c.Writes,
+			BufferHits:      c.BufferHits,
+			Splits:          c.Splits,
+			Reinserts:       c.Reinserts,
+			Evictions:       c.Evictions,
+			DirtyWriteBacks: c.DirtyWriteBacks,
+			PinFallbacks:    c.PinFallbacks,
+			Height:          u.Tree().Height(),
+			Pages:           s.store.NumPages(),
+			Size:            u.Tree().Size(),
+			Outcomes:        u.Outcomes(),
+			Memtable:        memStatsOf(s.mem),
+		}
+	})
+	return st
+}
+
+// ResetStats zeroes the physical counters (tree shape is unaffected).
+// Operations in flight keep counting after the reset point.
+func (s *treeStack) ResetStats() { s.io.Reset() }
+
+// Flush writes all buffered dirty pages to the simulated disk, with the
+// index locked exclusively so no update is mid-way through a multi-page
+// change when the pages go out.
+func (s *treeStack) Flush() error {
+	return s.tree.Exclusive(func(core.Updater) error { return s.pool.Flush() })
+}
+
+// save writes the stack's snapshot with t as its object set — the
+// index's table, or for a shard the router's partition of it. The delta
+// tier is merged down first: the caller's exclusive gate keeps writers
+// from refilling it, so the snapshot is self-consistent, captures every
+// acknowledged operation in the tree and never depends on memtable
+// contents, and a subsequent log truncation (Checkpoint) cannot drop
+// records whose effects lived only in the memtable.
+func (s *treeStack) save(w io.Writer, t *objectTable, walSeq uint64) error {
+	if err := s.drainMemtable(); err != nil {
+		return err
+	}
+	return s.tree.Exclusive(func(u core.Updater) error {
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		return s.saveSnapshot(w, u, t.objects, walSeq)
+	})
+}
+
+// checkInvariants is the one invariant walk under all three front-ends:
+// it validates the tree's structure, then checks the tree against the
+// index's object table t — every leaf entry the delta overlay does not
+// mask must be the table's entry for its id, at exactly that position and
+// on the stack that position routes to — and the delta tier against both.
+// owns reports whether a position belongs to this stack (always, unless
+// the index is sharded) and owned is the number of table entries that
+// do. It costs a full tree walk and is only meaningful at a quiescent
+// point; on a DGL-locked tree it holds the shared latch for the walk, so
+// concurrent readers keep running (the closing check for leaked page
+// pins takes the exclusive latch for a moment).
+func (s *treeStack) checkInvariants(t *objectTable, owned int, owns func(Point) bool) error {
+	// Holding mergeMu excludes drains for the duration, so the delta
+	// overlay and the tree are compared at a point where no generation
+	// is half-applied.
+	if s.mem != nil {
+		s.mergeMu.Lock()
+		defer s.mergeMu.Unlock()
+	}
+	var err error
+	s.tree.View(func(u core.Updater) {
+		if err = u.Err(); err != nil {
+			return
+		}
+		if err = u.Tree().CheckInvariants(); err != nil {
+			return
+		}
+		t.mu.RLock()
+		defer t.mu.RUnlock()
+		err = s.checkTable(u.Tree(), t.objects, owned, owns)
+	})
+	if err != nil {
+		return err
+	}
+	// Every access pins one frame and releases it before it returns, so
+	// with no operation in flight the pool holds none; a leaked pin would
+	// keep its frame from ever being evicted. Readers still running under
+	// the shared latch each hold a pin for the length of a page scan; the
+	// exclusive latch waits them out, and any pin left after that is a
+	// leak.
+	return s.tree.Exclusive(func(core.Updater) error {
+		if n := s.pool.Pinned(); n != 0 {
+			return fmt.Errorf("burtree: %d buffer frames still pinned with no operation in flight", n)
+		}
+		return nil
+	})
+}
+
+// checkTable is the table half of checkInvariants, at a point with no
+// write or drain in flight: a previous merge failure is fatal; every
+// live delta matches the tracked position and belongs here; a tombstone
+// masks no object the table still places here; the tree's size accounts
+// for the deltas not yet merged down; and every unmasked leaf entry is
+// the table's.
+func (s *treeStack) checkTable(tree *rtree.Tree, objects map[uint64]Point, owned int, owns func(Point) bool) error {
+	var overlay map[uint64]memtable.Entry
+	pendingInserts, tombstones := 0, 0
+	if s.mem != nil {
+		if err := s.mem.Err(); err != nil {
+			return err
+		}
+		overlay = s.mem.Snapshot()
+	}
+	for id, e := range overlay {
+		p, ok := objects[id]
+		here := ok && owns(p)
+		switch {
+		case e.Tombstone && here:
+			return fmt.Errorf("burtree: memtable tombstone for live object %d", id)
+		case e.Tombstone:
+			tombstones++
+		case !here || p != e.Pos:
+			return fmt.Errorf("burtree: memtable holds object %d at %v, the object table says %v (tracked here: %v)", id, e.Pos, p, here)
+		case !e.InTree:
+			pendingInserts++
+		}
+	}
+	if want := owned - pendingInserts + tombstones; tree.Size() != want {
+		return fmt.Errorf("burtree: tree size %d != expected %d (%d tracked objects, %d pending inserts, %d tombstones)",
+			tree.Size(), want, owned, pendingInserts, tombstones)
+	}
+	var stale error
+	everywhere := Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
+	err := tree.Search(everywhere, func(id uint64, r Rect) bool {
+		if _, masked := overlay[id]; masked {
+			return true
+		}
+		at := Point{X: r.MinX, Y: r.MinY}
+		if p, ok := objects[id]; !ok || p != at {
+			stale = fmt.Errorf("burtree: tree holds object %d at %v, the object table says %v (tracked: %v)", id, at, p, ok)
+		} else if !owns(at) {
+			stale = fmt.Errorf("burtree: object %d at %v lives in a shard its position does not route to", id, at)
+		}
+		return stale == nil
+	})
+	if err != nil {
+		return err
+	}
+	return stale
+}
