@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint selflint allocs bench-smoke fmt clean
+.PHONY: all build test race lint burlint allocs bench-smoke fmt clean
 
 all: build test lint
 
@@ -15,19 +15,15 @@ race:
 
 # burlint: the repo's invariant analyzers (see internal/lint and the
 # "Static analysis & invariants" section of README.md), run through the
-# go vet -vettool protocol so results land in the build cache.
+# go vet -vettool protocol — the only one the tool speaks — so results
+# land in the build cache; ./... covers the analyzers and the tool too.
 burlint: bin/burlint
 	$(GO) vet -vettool=$(CURDIR)/bin/burlint ./...
-
-# selflint runs burlint over its own analyzers through the standalone
-# `go list -export` protocol, exercising the loader path go vet skips.
-selflint: bin/burlint
-	./bin/burlint ./internal/lint/... ./cmd/burlint/...
 
 bin/burlint: FORCE
 	$(GO) build -o bin/burlint ./cmd/burlint
 
-lint: burlint selflint
+lint: burlint
 	$(GO) vet ./...
 	$(GO) test ./internal/lint/...
 

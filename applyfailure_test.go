@@ -1,0 +1,208 @@
+package burtree
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"burtree/internal/core"
+)
+
+// This file executes the two failures the WAL matrix (walfailure_test.go)
+// never reaches, both before the log: a write the reserve stage must turn
+// away (an invalid position), and a tree operation that fails after the
+// table has been reserved (the apply-failure undo). In both the contract
+// is the matrix's: the call errors, the queryable state is the one the
+// contract names, the invariants hold, and recovery agrees.
+
+var failureStrategies = []Strategy{GeneralizedBottomUp, LocalizedBottomUp, TopDown}
+
+// TestInvalidPointLeavesIndexUntouched: an insert, a move or a batched
+// move to a NaN position fails at reserve on every front-end, with or
+// without the delta tier — nothing is recorded, absorbed or applied.
+func TestInvalidPointLeavesIndexUntouched(t *testing.T) {
+	nan := Point{X: 0.3, Y: math.NaN()}
+	ops := map[string]func(t *testing.T, x walFailureIndex) error{
+		"Insert": func(_ *testing.T, x walFailureIndex) error { return x.Insert(9, nan) },
+		"Update": func(_ *testing.T, x walFailureIndex) error { return x.Update(1, nan) },
+		"UpdateBatch": func(t *testing.T, x walFailureIndex) error {
+			// The valid change must not land either: the batch fails whole.
+			res, err := x.UpdateBatch([]Change{{ID: 2, To: Point{X: 0.25, Y: 0.25}}, {ID: 1, To: nan}})
+			if res != (BatchResult{}) {
+				t.Errorf("rejected batch reports %+v, want the zero result", res)
+			}
+			return err
+		},
+	}
+	for _, fe := range walFailureFrontEnds[:3] {
+		for _, tier := range walFailureTiers {
+			for _, strategy := range failureStrategies {
+				for name, op := range ops {
+					t.Run(fe.name+"/"+tier.name+"/"+strategy.String()+"/"+name, func(t *testing.T) {
+						x, err := fe.open(Options{Strategy: strategy, PageSize: 256, BufferPages: 8,
+							ExpectedObjects: 128, Memtable: Memtable{Enabled: tier.memtable}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer x.Close()
+						before := applyFailureObjects(t, x)
+						if err := op(t, x); err == nil {
+							t.Fatal("a NaN position was accepted")
+						}
+						expectState(t, x, before)
+					})
+				}
+			}
+		}
+	}
+}
+
+// applyFailureObjects inserts four objects that share a shard of
+// walFailureShards and returns them.
+func applyFailureObjects(t *testing.T, x walFailureIndex) map[uint64]Point {
+	t.Helper()
+	objects := map[uint64]Point{1: {X: 0.1, Y: 0.1}, 2: {X: 0.2, Y: 0.3}, 3: {X: 0.3, Y: 0.2}, 4: {X: 0.15, Y: 0.35}}
+	for id, p := range objects {
+		if err := x.Insert(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return objects
+}
+
+var errInjected = errors.New("injected tree failure")
+
+// failingTree wraps a stack's tree and, once armed, fails the next
+// mutation without touching the tree — what a full page store or a
+// tree-level rejection leaves behind. An armed UpdateBatch applies the
+// first half of its changes and fails the rest.
+type failingTree struct {
+	treeOps
+	armed bool
+}
+
+func (f *failingTree) trip() bool {
+	was := f.armed
+	f.armed = false
+	return was
+}
+
+func (f *failingTree) Insert(id uint64, p Point) error {
+	if f.trip() {
+		return errInjected
+	}
+	return f.treeOps.Insert(id, p)
+}
+
+func (f *failingTree) Update(id uint64, old, p Point) error {
+	if f.trip() {
+		return errInjected
+	}
+	return f.treeOps.Update(id, old, p)
+}
+
+func (f *failingTree) Delete(id uint64, at Point) error {
+	if f.trip() {
+		return errInjected
+	}
+	return f.treeOps.Delete(id, at)
+}
+
+func (f *failingTree) UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)) (core.BatchStats, error) {
+	if !f.trip() {
+		return f.treeOps.UpdateBatch(changes, done)
+	}
+	st, err := f.treeOps.UpdateBatch(changes[:len(changes)/2], done)
+	return st, errors.Join(err, errInjected)
+}
+
+// failNextMutation arms the tree of every stack of idx, or on a
+// ShardedIndex with only set, the tree of the shard owning that point.
+func failNextMutation(idx walFailureIndex, only *Point) {
+	var stacks []*treeStack
+	switch v := idx.(type) {
+	case *Index:
+		stacks = []*treeStack{&v.treeStack}
+	case *ConcurrentIndex:
+		stacks = []*treeStack{&v.treeStack}
+	case *ShardedIndex:
+		stacks = v.shards
+		if only != nil {
+			stacks = stacks[v.router.ShardOf(*only):][:1]
+		}
+	}
+	for _, s := range stacks {
+		s.tree = &failingTree{treeOps: s.tree, armed: true}
+	}
+}
+
+// TestApplyFailureMatrix: a tree operation that fails after the step was
+// reserved takes the table back (runStep's restore; arrive's put-back for
+// a cross-shard move), and a batch that fails mid-way keeps exactly its
+// applied prefix — applied, logged and counted.
+func TestApplyFailureMatrix(t *testing.T) {
+	near, far := Point{X: 0.4, Y: 0.4}, Point{X: 0.9, Y: 0.9}
+	type row struct {
+		name string
+		arm  *Point // the one shard whose tree fails; nil for every tree
+		run  func(t *testing.T, x walFailureIndex, want map[uint64]Point) error
+	}
+	rows := []row{
+		{name: "Insert", run: func(_ *testing.T, x walFailureIndex, _ map[uint64]Point) error { return x.Insert(9, near) }},
+		{name: "Update", run: func(_ *testing.T, x walFailureIndex, _ map[uint64]Point) error { return x.Update(1, near) }},
+		{name: "Delete", run: func(_ *testing.T, x walFailureIndex, _ map[uint64]Point) error { return x.Delete(1) }},
+		{name: "UpdateBatch", run: func(t *testing.T, x walFailureIndex, want map[uint64]Point) error {
+			var changes []Change
+			for id, p := range want {
+				changes = append(changes, Change{ID: id, To: Point{X: p.X + 0.05, Y: p.Y + 0.05}})
+			}
+			res, err := x.UpdateBatch(changes)
+			// Which half the tree applied is its choice (leaf order); the
+			// table says which, and the checks hold the tree, the search
+			// and the recovered log to the same answer.
+			moved := 0
+			for _, c := range changes {
+				if p, _ := x.Location(c.ID); p == c.To {
+					want[c.ID] = c.To
+					moved++
+				}
+			}
+			if moved != len(changes)/2 || res.Applied != moved {
+				t.Errorf("batch failed mid-way: %d of %d moved, Applied=%d, want %d", moved, len(changes), res.Applied, len(changes)/2)
+			}
+			return err
+		}},
+		// The arrival in the destination shard fails after the departure
+		// succeeded: the mover is put back where it was.
+		{name: "CrossShardArrival", arm: &far, run: func(_ *testing.T, x walFailureIndex, _ map[uint64]Point) error { return x.Update(1, far) }},
+	}
+	for _, fe := range walFailureFrontEnds[:3] {
+		for _, r := range rows {
+			if r.arm != nil && fe.name != "ShardedInShard" {
+				continue // one tree: no shard to single out
+			}
+			t.Run(fe.name+"/"+r.name, func(t *testing.T) {
+				opts := durableOpts(t.TempDir(), DurabilityBatch)
+				x, err := fe.open(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := applyFailureObjects(t, x)
+				failNextMutation(x, r.arm)
+				if err := r.run(t, x, want); !errors.Is(err, errInjected) {
+					t.Fatalf("%s over a failing tree returned %v, want the injected error", r.name, err)
+				}
+				expectState(t, x, want)
+				if err := x.Close(); err != nil {
+					t.Fatal(err)
+				}
+				rec, err := fe.recover(opts)
+				if err != nil {
+					t.Fatalf("recover: %v", err)
+				}
+				defer rec.Close()
+				expectState(t, rec, want)
+			})
+		}
+	}
+}

@@ -1,19 +1,16 @@
 // Command burlint runs the repo's invariant analyzers
-// (internal/lint). It speaks two protocols:
+// (internal/lint). It speaks go vet's -vettool protocol (the
+// unitchecker contract) and nothing else: go vet invokes the tool once
+// per compilation unit — test units included — with a *.cfg file
+// describing sources and export data, and fails the run on a package
+// that does not type-check.
 //
-//   - go vet's -vettool protocol (the unitchecker contract): go vet
-//     invokes the tool once per compilation unit with a *.cfg file
-//     describing sources and export data. This is the CI entry point:
+//	go build -o bin/burlint ./cmd/burlint
+//	go vet -vettool=$PWD/bin/burlint ./...
 //
-//     go build -o bin/burlint ./cmd/burlint
-//     go vet -vettool=$PWD/bin/burlint ./...
-//
-//   - standalone package patterns, loaded via `go list -export`:
-//
-//     bin/burlint ./...
-//
-// Diagnostics print as file:line:col: [analyzer] message; the exit
-// status is 1 if any finding survives //burlint:ignore suppression.
+// Diagnostics print as file:line:col: message; the exit status is 1 if
+// any finding survives //burlint:ignore suppression. `burlint -list`
+// describes the analyzers.
 package main
 
 import (
@@ -61,21 +58,17 @@ func main() {
 		return
 	}
 
-	rest := flag.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
+	if rest := flag.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
 		os.Exit(unitcheck(rest[0]))
 	}
-	if len(rest) == 0 {
-		rest = []string{"./..."}
-	}
-	os.Exit(standalone(rest))
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
-  burlint [packages]       analyze packages (default ./...)
-  burlint -list            describe the analyzers
   go vet -vettool=$(command -v burlint) [packages]
+  burlint -list            describe the analyzers
 `)
 }
 
@@ -100,31 +93,6 @@ func printVersion() {
 		}
 	}
 	fmt.Printf("%s version %s\n", name, token)
-}
-
-// standalone loads packages with `go list -export` and analyzes them.
-func standalone(patterns []string) int {
-	pkgs, err := loader.Load("", patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "burlint:", err)
-		return 2
-	}
-	found := false
-	for _, pkg := range pkgs {
-		diags, err := framework.RunAnalyzers(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, lint.All())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "burlint:", err)
-			return 2
-		}
-		for _, d := range diags {
-			found = true
-			fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
-	}
-	if found {
-		return 1
-	}
-	return 0
 }
 
 // vetConfig is the unitchecker Config schema go vet writes (see

@@ -24,7 +24,8 @@ import (
 // stripe of a single-object write; a stack's mergeMu; the tree's own
 // locks (DGL granules, then the latch); the table's mu; the
 // delta tier's mutex. The table lock is therefore never held across a
-// tree operation, and a tree operation's callback may take it.
+// tree operation (BulkInsert's load excepted, under the exclusive gate),
+// and a tree operation's callback may take it.
 
 // stepKind names the three single-object mutations.
 type stepKind uint8
@@ -127,10 +128,11 @@ var stageProbe func(stage string)
 //	order    take the id's stripe, held to the end: steps on one object
 //	         run one after the other, steps on different objects in
 //	         parallel
-//	reserve  under the table lock: check the id (an insert needs it
-//	         absent, a move or delete present), record st's outcome in
-//	         the table so a racing writer of the same id sees it, and
-//	         let a tiered target absorb st in the same hold
+//	reserve  check the new position; then, under the table lock: check
+//	         the id (an insert needs it absent, a move or delete
+//	         present), record st's outcome in the table so a racing
+//	         writer of the same id sees it, and let a tiered target
+//	         absorb st in the same hold
 //	apply    without the table lock, unless absorbed: the tree
 //	         operation, under whatever locks the target's tree takes
 //	log      append st's record; the call acknowledges only after it
@@ -151,10 +153,11 @@ func (t *objectTable) runStep(st step, tgt stepTarget) error {
 	order.Lock()
 	defer order.Unlock()
 	tiered := tgt.tiered()
-	if tiered && st.kind != stepDelete {
-		// The tier acknowledges a write before the tree sees it, so the
-		// check the tree performs on insertion runs here, at the ack
-		// boundary.
+	if st.kind != stepDelete {
+		// The check the tree performs on insertion runs here, before
+		// anything is reserved: the tier acknowledges a write before the
+		// tree sees it, and on the tree path a position the tree turns away
+		// is one the undo could not compare against (NaN != NaN).
 		if err := validatePoint(st.new); err != nil {
 			return err
 		}
@@ -239,8 +242,10 @@ func (t *objectTable) Location(id uint64) (Point, bool) {
 // coalesceChanges validates every id against the object table, then
 // coalesces repeated moves of the same object to the final position
 // through core.Coalesce (one shared definition of the last-write-wins
-// rule). It returns the number of superseded input changes; an unknown
-// id aborts with ErrUnknownObject. The caller holds the table's lock.
+// rule) and validates the positions that survive. It returns the number
+// of superseded input changes; an unknown id aborts with
+// ErrUnknownObject, an invalid position with validatePoint's error. The
+// caller holds the table's lock.
 func coalesceChanges(changes []Change, objects map[uint64]Point) ([]core.BatchChange, int, error) {
 	if stageProbe != nil {
 		stageProbe("coalesce")
@@ -254,16 +259,22 @@ func coalesceChanges(changes []Change, objects map[uint64]Point) ([]core.BatchCh
 		raw[i] = core.BatchChange{OID: c.ID, Old: old, New: c.To}
 	}
 	out, dropped := core.Coalesce(raw)
+	for _, c := range out {
+		if err := validatePoint(c.New); err != nil {
+			return nil, 0, err
+		}
+	}
 	return out, dropped, nil
 }
 
-// reserveBatch is the reserve stage of a batch: the changes are
-// coalesced against the table, and on a tiered target also recorded in it
-// and absorbed into the delta tier(s), all under one hold of the table
-// lock — racing writers see either none or all of the batch at the ack
-// level. (An untiered target's changes reach the table one by one, as the
-// tree applies them.) It returns the coalesced changes and the number of
-// input changes they superseded.
+// reserveBatch is the reserve stage of a batch: the changes are checked
+// and coalesced against the table — an unknown id or an invalid position
+// fails the batch here, before anything is applied — and on a tiered
+// target also recorded in it and absorbed into the delta tier(s), all
+// under one hold of the table lock — racing writers see either none or
+// all of the batch at the ack level. (An untiered target's changes reach
+// the table one by one, as the tree applies them.) It returns the
+// coalesced changes and the number of input changes they superseded.
 func (t *objectTable) reserveBatch(changes []Change, tgt stepTarget) ([]core.BatchChange, int, error) {
 	if !tgt.tiered() {
 		t.mu.RLock()
@@ -275,11 +286,6 @@ func (t *objectTable) reserveBatch(changes []Change, tgt stepTarget) ([]core.Bat
 	coalesced, dropped, err := coalesceChanges(changes, t.objects)
 	if err != nil {
 		return nil, 0, err
-	}
-	for _, c := range coalesced {
-		if err := validatePoint(c.New); err != nil {
-			return nil, 0, err
-		}
 	}
 	for _, c := range coalesced {
 		st := step{kind: stepMove, id: c.OID, old: c.Old, new: c.New}
@@ -346,9 +352,16 @@ func logStep(log *wal.Log, async bool, st step) error {
 	return logAppend(log, async, typ, []wal.Op{op})
 }
 
-// logBatch appends one record covering the applied changes of a batch.
-func logBatch(log *wal.Log, async bool, applied []core.BatchChange) error {
-	if log == nil || len(applied) == 0 {
+// logBatch appends one record covering the applied changes of a batch,
+// or of one shard's group of it: the changes all end in one shard, so the
+// log of the first is the log of all (logOf is the one place that asks
+// whether there are logs).
+func logBatch(tgt stepTarget, async bool, applied []core.BatchChange) error {
+	if len(applied) == 0 {
+		return nil
+	}
+	log := tgt.logOf(step{kind: stepMove, id: applied[0].OID, old: applied[0].Old, new: applied[0].New})
+	if log == nil {
 		return nil
 	}
 	ops := make([]wal.Op, len(applied))
@@ -427,18 +440,20 @@ func (e *engine) BulkInsert(ids []uint64, pts []Point, method PackMethod) error 
 	if err != nil {
 		return err
 	}
-	err = e.tree.Exclusive(func(u core.Updater) error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if len(e.objects) != 0 {
-			return fmt.Errorf("burtree: BulkInsert on non-empty index")
-		}
-		if err := bulkLoad(u, items, method); err != nil {
-			return err
-		}
+	// The exclusive gate keeps out everything that waits for the table
+	// under a tree lock — writers and snapshots; CheckInvariants is for
+	// quiescent points — so here alone the table is held across a tree
+	// operation: the empty-check, the load and the table swap are
+	// invisible to readers.
+	e.ckpt.Lock()
+	e.mu.Lock()
+	if len(e.objects) != 0 {
+		err = fmt.Errorf("burtree: BulkInsert on non-empty index")
+	} else if err = e.bulkLoad(items, method); err == nil {
 		e.objects = objects
-		return nil
-	})
+	}
+	e.mu.Unlock()
+	e.ckpt.Unlock()
 	if err != nil || e.wal == nil {
 		return err
 	}
@@ -533,7 +548,7 @@ func (e *engine) UpdateBatch(changes []Change) (BatchResult, error) {
 	}
 	// One record covers the applied prefix — all of the batch on
 	// success, exactly the changes before the failure otherwise.
-	if werr := logBatch(e.wal, tiered, applied); werr != nil {
+	if werr := logBatch(e, tiered, applied); werr != nil {
 		res.Applied, res.Absorbed = 0, 0
 		return res, errors.Join(err, werr, e.undoBatch(applied, e))
 	}

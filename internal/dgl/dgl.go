@@ -96,7 +96,9 @@ type lock struct {
 // Txn is one lock owner. A transaction holds a handful of granules (a
 // leaf group takes the tree, a few cells, the leaf and its parent), so
 // the held set is a slice scanned linearly, backed by the descriptor
-// itself until it outgrows it.
+// itself until it outgrows it. A Txn is handled by pointer only — a
+// copy would make ReleaseAll unlock a ghost owner — and the by-value
+// sync.Mutex is what lets go vet's copylocks reject a copy.
 type Txn struct {
 	id   uint64
 	mu   sync.Mutex
@@ -117,7 +119,8 @@ func (t *Txn) record(g GranuleID, mode Mode) {
 	t.held = append(t.held, lock{g, mode})
 }
 
-// Manager is the lock table.
+// Manager is the lock table. Like Txn it must not be copied; its
+// by-value sync.Mutex makes go vet's copylocks say so.
 type Manager struct {
 	mu       sync.Mutex
 	granules map[GranuleID]*granule

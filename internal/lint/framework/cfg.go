@@ -14,11 +14,10 @@ import (
 // defer-aware (defers are collected in Defers and also appear, at
 // their syntactic position, in the block that registers them).
 //
-// The graph is deliberately coarse — one bit of precision per path
+// The graph is deliberately coarse — one bit of precision per
 // question, answered by the analyzers themselves — but it is sound
-// for the queries the suite needs: "does some path reach X without
-// passing an event of kind Y" (walack, errflow) and "does every path
-// from here fail" (hotpath's cold-branch exemption).
+// for the query the suite needs: "does the block this statement is in
+// end the function on a failure" (hotpath's cold-branch exemption).
 type CFG struct {
 	Entry *Block
 	Exit  *Block
@@ -45,27 +44,22 @@ type Block struct {
 	Succs []*Block
 }
 
-// Return reports the return statement terminating b, if any.
-func (b *Block) Return() (*ast.ReturnStmt, bool) {
-	if len(b.Nodes) == 0 {
-		return nil, false
-	}
-	r, ok := b.Nodes[len(b.Nodes)-1].(*ast.ReturnStmt)
-	return r, ok
-}
-
 // Fails reports whether b itself ends the function on a failure: its
 // own trailing return carries a non-nil-literal final result, or its
-// last node panics. Unlike MustFail this does not aggregate over
-// successor paths, so it stays meaningful inside loops — a loop body
-// whose function eventually forwards an error variable would be
-// vacuously "must fail" on every path, while Fails still distinguishes
-// the error-construction branch from the loop's steady state.
+// last node panics. It does not aggregate over successor paths, so it
+// stays meaningful inside loops — a loop body whose function eventually
+// forwards an error variable "must fail" on every path, vacuously,
+// while Fails still distinguishes the error-construction branch from
+// the loop's steady state.
 func (b *Block) Fails() bool {
-	if r, ok := b.Return(); ok {
+	if len(b.Nodes) == 0 {
+		return false
+	}
+	last := b.Nodes[len(b.Nodes)-1]
+	if r, ok := last.(*ast.ReturnStmt); ok {
 		return returnsNonNil(r)
 	}
-	return len(b.Nodes) > 0 && isPanicNode(b.Nodes[len(b.Nodes)-1])
+	return isPanicNode(last)
 }
 
 // NewCFG builds the graph for one function or function-literal body.
@@ -80,54 +74,6 @@ func NewCFG(body *ast.BlockStmt) *CFG {
 	b.stmtList(body.List)
 	b.jump(b.cfg.Exit) // falling off the end
 	return b.cfg
-}
-
-// Predecessors returns the reverse edge map, for must-style forward
-// dataflow (every path to a block).
-func (c *CFG) Predecessors() map[*Block][]*Block {
-	preds := make(map[*Block][]*Block, len(c.Blocks))
-	for _, b := range c.Blocks {
-		for _, s := range b.Succs {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	return preds
-}
-
-// MustFail reports whether every terminating path from b leaves the
-// function through panic or through a return whose final result is not
-// the nil literal — i.e. b is an error/cold branch. Paths that never
-// terminate (infinite loops) hold vacuously. Used by hotpath to exempt
-// error-construction branches from the allocation rules and by errflow
-// to recognize failure paths.
-func (c *CFG) MustFail(b *Block) bool {
-	return c.mustFail(b, make(map[*Block]bool))
-}
-
-func (c *CFG) mustFail(b *Block, inProgress map[*Block]bool) bool {
-	if b == c.Exit {
-		return false // fell off the end: a no-result return, not a failure
-	}
-	if inProgress[b] {
-		return true // cycle: the path never terminates, vacuously failing
-	}
-	if r, ok := b.Return(); ok {
-		return returnsNonNil(r)
-	}
-	if len(b.Nodes) > 0 && isPanicNode(b.Nodes[len(b.Nodes)-1]) {
-		return true
-	}
-	if len(b.Succs) == 0 {
-		return true // dead continuation: vacuous
-	}
-	inProgress[b] = true
-	defer delete(inProgress, b)
-	for _, s := range b.Succs {
-		if !c.mustFail(s, inProgress) {
-			return false
-		}
-	}
-	return true
 }
 
 // returnsNonNil reports whether r's final result expression is

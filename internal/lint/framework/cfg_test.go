@@ -100,6 +100,9 @@ done:
 	}
 }
 
+// TestCFGMustFail: the blocks that must fail — the error return and the
+// panic — are the ones Fails reports; the loop's steady state and the
+// nil return are not.
 func TestCFGMustFail(t *testing.T) {
 	_, files, _, _ := typecheck(t, `package p
 
@@ -125,36 +128,23 @@ func f(xs []int) (int, error) {
 `)
 	cfg := NewCFG(funcDecl(files, "f").Body)
 
-	failing, ok := 0, 0
+	returns, panics := 0, 0
 	for _, b := range cfg.Blocks {
-		if r, has := b.Return(); has {
-			if cfg.MustFail(b) {
-				failing++
-				if !returnsNonNil(r) {
-					t.Errorf("block %d must-fails but returns nil", b.Index)
-				}
-			} else {
-				ok++
+		if !b.Fails() {
+			continue
+		}
+		switch last := b.Nodes[len(b.Nodes)-1]; {
+		case isPanicNode(last):
+			panics++
+		default:
+			if r, ok := last.(*ast.ReturnStmt); !ok || !returnsNonNil(r) {
+				t.Errorf("block %d fails but does not end in an error return or a panic", b.Index)
 			}
+			returns++
 		}
 	}
-	if failing != 1 {
-		t.Errorf("want exactly 1 failing return block, got %d", failing)
-	}
-	if ok != 1 {
-		t.Errorf("want exactly 1 succeeding return block, got %d", ok)
-	}
-	// The panic block must-fails even though it is not a return.
-	found := false
-	for _, b := range cfg.Blocks {
-		for _, n := range b.Nodes {
-			if isPanicNode(n) && cfg.MustFail(b) {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("panic block not recognized as must-fail")
+	if returns != 1 || panics != 1 {
+		t.Errorf("failing blocks: %d error returns and %d panics, want 1 and 1", returns, panics)
 	}
 }
 
@@ -198,51 +188,23 @@ func unrelated() {}
 	}
 
 	// The interface call in root must devirtualize to both local
-	// implementations, making helper reachable through *negate.
-	reach := prog.Reachable([]*Func{root})
-	names := make(map[string]bool)
-	for fn := range reach {
-		names[fn.Obj.Name()] = true
-	}
-	for _, want := range []string{"root", "apply", "helper"} {
-		if !names[want] {
-			t.Errorf("%s not reachable from root; reachable: %v", want, names)
+	// implementations, and (*negate).apply must resolve its call to
+	// helper; nothing reaches unrelated.
+	called := make(map[string]int)
+	for _, fn := range prog.Funcs {
+		for _, cs := range fn.Calls {
+			for _, t := range cs.Targets {
+				called[t.Obj.Name()]++
+			}
 		}
 	}
-	if names["unrelated"] {
-		t.Error("unrelated spuriously reachable")
+	if called["apply"] != 2 || called["helper"] != 1 || called["unrelated"] != 0 {
+		t.Errorf("call targets %v, want apply×2 (devirtualized), helper×1, unrelated×0", called)
 	}
-
-	// Transitive: "calls helper" holds for negate.apply and root (via
-	// devirtualization), not for double.apply or unrelated.
-	callsHelper := prog.Transitive(func(fn *Func) bool { return fn.Obj.Name() == "helper" })
-	byName := func(name string, recvPtr bool) *Func {
-		for _, fn := range prog.Funcs {
-			if fn.Obj.Name() != name {
-				continue
-			}
-			recv := fn.Obj.Signature().Recv()
-			if (recv != nil && types.IsInterface(recv.Type())) != false {
-				continue
-			}
-			if name == "apply" {
-				_, isPtr := recv.Type().(*types.Pointer)
-				if isPtr != recvPtr {
-					continue
-				}
-			}
-			return fn
+	for _, cs := range root.Calls {
+		if len(cs.Targets) != 2 {
+			t.Errorf("root's interface call has %d targets, want both implementations", len(cs.Targets))
 		}
-		return nil
-	}
-	if fn := byName("apply", true); fn == nil || !callsHelper[fn] {
-		t.Error("(*negate).apply should transitively call helper")
-	}
-	if fn := byName("apply", false); fn != nil && callsHelper[fn] {
-		t.Error("double.apply should not transitively call helper")
-	}
-	if !callsHelper[root] {
-		t.Error("root should transitively call helper via devirtualized apply")
 	}
 
 	// Facts: computed once, shared.

@@ -1,11 +1,11 @@
 // Package framework is a small, dependency-free analogue of
 // golang.org/x/tools/go/analysis: just enough driver-independent
 // structure to write this repo's invariant analyzers and run them from
-// three drivers (the go vet -vettool protocol, a standalone package
-// loader, and the analysistest fixture runner). The API mirrors
-// go/analysis deliberately — Analyzer{Name, Doc, Run}, Pass with
-// Fset/Files/Pkg/TypesInfo and Reportf — so the suite can be rebased
-// onto x/tools wholesale if the dependency ever becomes available.
+// two drivers (the go vet -vettool protocol and the analysistest
+// fixture runner). The API mirrors go/analysis deliberately —
+// Analyzer{Name, Doc, Run}, Pass with Fset/Files/Pkg/TypesInfo and
+// Reportf — so the suite can be rebased onto x/tools wholesale if the
+// dependency ever becomes available.
 //
 // Suppression: a diagnostic is suppressed by a
 //
@@ -69,7 +69,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // IsTestFile reports whether the file declaring pos is a _test.go
 // file. The invariant analyzers skip test files: the contracts they
-// encode (ack ordering, lock order, artifact atomicity) bind the
+// encode (lock order, goroutine lifetime, artifact atomicity) bind the
 // engine, not its test harnesses, and test idiom (deferred unchecked
 // closes, scratch files) would otherwise drown the signal.
 func (p *Pass) IsTestFile(pos token.Pos) bool {

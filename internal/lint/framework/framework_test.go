@@ -12,7 +12,7 @@ const directiveSrc = `package p
 func f() {
 	//burlint:ignore closecheck error path: open failure is the one to surface
 	a()
-	//burlint:ignore walack
+	//burlint:ignore lockorder
 	b()
 	//burlint:ignore
 	c()
@@ -38,7 +38,7 @@ func TestDirectives(t *testing.T) {
 		analyzer, reason string
 	}{
 		{"closecheck", "error path: open failure is the one to surface"},
-		{"walack", ""},
+		{"lockorder", ""},
 		{"", ""},
 	}
 	if len(got) != len(want) {

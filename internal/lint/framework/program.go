@@ -120,69 +120,11 @@ func (p *Program) SortedFuncs() []*Func {
 	return out
 }
 
-// Reachable returns the functions reachable from roots through the
-// static call graph, roots included.
-func (p *Program) Reachable(roots []*Func) map[*Func]bool {
-	seen := make(map[*Func]bool)
-	var walk func(*Func)
-	walk = func(fn *Func) {
-		if fn == nil || seen[fn] {
-			return
-		}
-		seen[fn] = true
-		for _, cs := range fn.Calls {
-			for _, t := range cs.Targets {
-				walk(t)
-			}
-		}
-	}
-	for _, r := range roots {
-		walk(r)
-	}
-	return seen
-}
-
-// Transitive computes the least fixed point of a boolean summary: the
-// returned set holds every function for which base holds directly, or
-// that can reach — through the static call graph — a function for
-// which base holds. This is the common callee-to-caller propagation
-// shape ("transitively appends to the WAL", "transitively calls
-// Done").
-func (p *Program) Transitive(base func(*Func) bool) map[*Func]bool {
-	holds := make(map[*Func]bool)
-	for _, fn := range p.Funcs {
-		if base(fn) {
-			holds[fn] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range p.Funcs {
-			if holds[fn] {
-				continue
-			}
-			for _, cs := range fn.Calls {
-				for _, t := range cs.Targets {
-					if holds[t] {
-						holds[fn] = true
-						changed = true
-						break
-					}
-				}
-				if holds[fn] {
-					break
-				}
-			}
-		}
-	}
-	return holds
-}
-
 // FactOnce returns the fact stored under key, computing and caching it
 // on first request. Facts live for one RunAnalyzers invocation, so an
-// expensive summary (the WAL-logging closure, the hot-path reachable
-// set) is computed by whichever analyzer asks first and reused by the
-// rest.
+// expensive summary (the lock-acquisition closure, the hot-path
+// reachable set) is computed by whichever analyzer asks first and
+// reused by the rest.
 func (p *Program) FactOnce(key string, compute func() any) any {
 	if v, ok := p.facts[key]; ok {
 		return v

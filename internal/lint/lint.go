@@ -8,35 +8,34 @@
 //	go build -o bin/burlint ./cmd/burlint
 //	go vet -vettool=$PWD/bin/burlint ./...
 //
-// or standalone: `bin/burlint ./...`. Suppress a finding with
-// `//burlint:ignore <analyzer> <reason>` on the flagged line or the
-// line above — the reason is mandatory and machine-checked.
+// Suppress a finding with `//burlint:ignore <analyzer> <reason>` on the
+// flagged line or the line above — the reason is mandatory and
+// machine-checked.
+//
+// The suite holds only checks that nothing else performs. An invariant
+// a test executes (WAL-before-ack and undo-on-failure: the failure
+// matrices in the root package) or a stock vet pass already reports
+// (copied locks: copylocks) has no analyzer here.
 package lint
 
 import (
 	"burtree/internal/lint/analyzers/atomicwrite"
 	"burtree/internal/lint/analyzers/closecheck"
-	"burtree/internal/lint/analyzers/errflow"
 	"burtree/internal/lint/analyzers/goroutinelife"
-	"burtree/internal/lint/analyzers/granulecopy"
 	"burtree/internal/lint/analyzers/hotpath"
 	"burtree/internal/lint/analyzers/ignoredirective"
 	"burtree/internal/lint/analyzers/lockorder"
-	"burtree/internal/lint/analyzers/walack"
 	"burtree/internal/lint/framework"
 )
 
-// invariant is the eight invariant analyzers, without the directive
+// invariant is the five invariant analyzers, without the directive
 // validator.
 var invariant = []*framework.Analyzer{
 	atomicwrite.Analyzer,
 	closecheck.Analyzer,
-	errflow.Analyzer,
 	goroutinelife.Analyzer,
-	granulecopy.Analyzer,
 	hotpath.Analyzer,
 	lockorder.Analyzer,
-	walack.Analyzer,
 }
 
 // All returns the full suite: the invariant analyzers plus the

@@ -27,19 +27,16 @@ func run(t *testing.T, name string) {
 
 func TestAtomicwrite(t *testing.T)     { run(t, "atomicwrite") }
 func TestClosecheck(t *testing.T)      { run(t, "closecheck") }
-func TestErrflow(t *testing.T)         { run(t, "errflow") }
 func TestGoroutinelife(t *testing.T)   { run(t, "goroutinelife") }
-func TestGranulecopy(t *testing.T)     { run(t, "granulecopy") }
 func TestHotpath(t *testing.T)         { run(t, "hotpath") }
 func TestLockorder(t *testing.T)       { run(t, "lockorder") }
-func TestWalack(t *testing.T)          { run(t, "walack") }
 func TestIgnoreDirective(t *testing.T) { run(t, "ignoredirective") }
 
-// TestRegistry pins the suite's composition: eight invariant analyzers
+// TestRegistry pins the suite's composition: five invariant analyzers
 // plus the directive validator, all with docs.
 func TestRegistry(t *testing.T) {
 	all := lint.All()
-	want := []string{"atomicwrite", "closecheck", "errflow", "goroutinelife", "granulecopy", "hotpath", "lockorder", "walack", "ignoredirective"}
+	want := []string{"atomicwrite", "closecheck", "goroutinelife", "hotpath", "lockorder", "ignoredirective"}
 	if len(all) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(all), len(want))
 	}

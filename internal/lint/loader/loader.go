@@ -1,8 +1,10 @@
-// Package loader type-checks packages for the burlint drivers without
-// golang.org/x/tools: package metadata and compiled export data come
-// from `go list -export`, ASTs from go/parser, and types from
-// go/types with the stdlib gc-export-data importer — the same pieces
-// the go vet unitchecker protocol is built from.
+// Package loader is the fixture loader of the analyzer tests: it
+// type-checks packages under a testdata/src tree without
+// golang.org/x/tools — ASTs from go/parser, types from go/types, and
+// the stdlib packages a fixture imports from the compiled export data
+// `go list -export` names, read by the stdlib gc importer. (Outside the
+// tests burlint loads nothing itself: go vet hands it each compilation
+// unit with its export data.)
 package loader
 
 import (
@@ -34,30 +36,14 @@ type Package struct {
 // listedPkg is the subset of `go list -json` output the loader needs.
 type listedPkg struct {
 	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
 	Export     string
-	DepOnly    bool
-	Standard   bool
-	Incomplete bool
-	Error      *listedError
 }
 
-// listedError is go list's per-package load error.
-type listedError struct {
-	Err string
-}
-
-// goList runs `go list -deps -export -json` over the patterns in dir
-// and decodes the object stream.
-func goList(dir string, patterns []string) ([]listedPkg, error) {
-	args := append([]string{
-		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Name,GoFiles,Export,DepOnly,Standard,Incomplete,Error",
-	}, patterns...)
+// goList runs `go list -deps -export -json` over the patterns and
+// decodes the object stream.
+func goList(patterns []string) ([]listedPkg, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -76,19 +62,6 @@ func goList(dir string, patterns []string) ([]listedPkg, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// exportImporter satisfies types.Importer over a package-path →
-// export-data-file map, caching loaded packages in the underlying gc
-// importer.
-func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
-	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := exports[path]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
 }
 
 // NewInfo allocates the types.Info maps the analyzers rely on.
@@ -118,61 +91,6 @@ func Check(path string, fset *token.FileSet, files []*ast.File, imp types.Import
 	return pkg, info, nil
 }
 
-// Load type-checks the packages matching the patterns (resolved by the
-// go command from dir; "" means the current directory). Dependencies
-// are read from compiled export data; only the matched packages get
-// ASTs. Test files are not loaded — the vet -vettool path covers test
-// compilation units.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(listed))
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	var out []*Package
-	for _, p := range listed {
-		if p.DepOnly {
-			continue
-		}
-		// A matched package that failed to load must fail the run — a
-		// lint pass that silently skips a broken package reports "clean"
-		// for code it never saw.
-		if p.Error != nil {
-			return nil, fmt.Errorf("loading %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Incomplete {
-			return nil, fmt.Errorf("loading %s: package is incomplete (see go list -e output)", p.ImportPath)
-		}
-		if len(p.GoFiles) == 0 {
-			continue // e.g. a test-only directory: nothing to analyze
-		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		tpkg, info, err := Check(p.ImportPath, fset, files, imp, "")
-		if err != nil {
-			return nil, fmt.Errorf("type-checking %s: %w", p.ImportPath, err)
-		}
-		out = append(out, &Package{Path: p.ImportPath, Fset: fset, Files: files, Types: tpkg, Info: info})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("go list %v: matched no analyzable packages", patterns)
-	}
-	return out, nil
-}
-
 // stdExports caches export-data paths for non-fixture (stdlib) imports
 // across every fixture load in a test process; `go list -export`
 // compiles on first use and is pure cache hits afterwards.
@@ -189,7 +107,7 @@ func stdExportFile(path string) (string, error) {
 	if f, ok := stdExports.files[path]; ok {
 		return f, nil
 	}
-	listed, err := goList("", []string{path})
+	listed, err := goList([]string{path})
 	if err != nil {
 		return "", err
 	}

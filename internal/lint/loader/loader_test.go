@@ -1,7 +1,6 @@
 package loader_test
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -25,33 +24,5 @@ func TestFixtureLoadErrors(t *testing.T) {
 	}
 	if _, err := l.Load("no-such-fixture"); err == nil {
 		t.Error("Load(no-such-fixture) succeeded, want an error")
-	}
-}
-
-// TestLoadBrokenPackage: the standalone loader (the bin/burlint entry
-// point) must fail, not skip, when a matched package does not compile.
-func TestLoadBrokenPackage(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, dir, "go.mod", "module brokenmod\n\ngo 1.24\n")
-	writeFile(t, dir, "main.go", "package brokenmod\n\nfunc f() int { return \"not an int\" }\n")
-	if _, err := loader.Load(dir, []string{"./..."}); err == nil {
-		t.Fatal("Load on a module with a type error succeeded, want an error")
-	}
-}
-
-// TestLoadNoPackages: a pattern matching nothing is a configuration
-// error, not a clean run.
-func TestLoadNoPackages(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, dir, "go.mod", "module emptymod\n\ngo 1.24\n")
-	if _, err := loader.Load(dir, []string{"./..."}); err == nil {
-		t.Fatal("Load on an empty module succeeded, want a matched-no-packages error")
-	}
-}
-
-func writeFile(t *testing.T, dir, name, content string) {
-	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o666); err != nil {
-		t.Fatal(err)
 	}
 }

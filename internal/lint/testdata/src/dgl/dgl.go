@@ -1,7 +1,7 @@
 // Package dgl is a fixture stand-in for burtree/internal/dgl: same
 // shape (Manager, Txn, GranuleID, modes), no behavior. The analyzers
 // match collaborator packages by path tail, so this local copy lets
-// fixtures exercise lockorder and granulecopy without importing the
+// fixtures exercise lockorder without importing the
 // real module.
 package dgl
 

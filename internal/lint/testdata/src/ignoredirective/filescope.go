@@ -9,7 +9,7 @@
 //burlint:ignore closecheck fixture: closes in this file are audited by hand
 
 // want `has no reason`
-//burlint:ignore walack
+//burlint:ignore lockorder
 
 package ignoredirective
 

@@ -1,5 +1,5 @@
 // Package wal is a fixture stand-in for burtree/internal/wal: the Log
-// type with the methods the walack and closecheck analyzers key on.
+// type with the methods the closecheck analyzer keys on.
 package wal
 
 // Type tags a logged record.

@@ -183,15 +183,6 @@ func addCellCount(cells []shard.CellCount, cell uint64, n int) []shard.CellCount
 // logs.
 func (x *ShardedIndex) nextLSN() uint64 { return x.lsn.Add(1) }
 
-// shardLog returns shard s's log (nil when durability is off). Caller
-// holds opMu shared.
-func (x *ShardedIndex) shardLog(s int) *wal.Log {
-	if x.wals == nil {
-		return nil
-	}
-	return x.wals[s]
-}
-
 // OpenSharded creates an empty sharded index. The Options are totals for
 // the whole index: the buffer pool and hash-index budgets are divided
 // evenly among the shards, so comparing shard counts compares equal
@@ -727,7 +718,7 @@ func (x *ShardedIndex) batchStays(b *batchRun, s int, tiered bool) (BatchResult,
 	} else {
 		applied, err = x.shards[s].applyBatch(&x.objectTable, w.stay, x.wals != nil, &br)
 	}
-	if werr := logBatch(x.shardLog(s), tiered, applied); werr != nil {
+	if werr := logBatch(x, tiered, applied); werr != nil {
 		// Applied (or absorbed) but not logged: the prefix goes back the
 		// way it came and the table is compare-and-restored, so the failed
 		// record acks nothing.
@@ -762,7 +753,7 @@ func (x *ShardedIndex) batchArrivals(b *batchRun, s int) (BatchResult, error) {
 	}
 	// One record covers this shard's arrivals; replay re-routes each
 	// move, re-deriving the cross-shard delete+insert.
-	if werr := logBatch(x.shardLog(s), false, arrived); werr != nil {
+	if werr := logBatch(x, false, arrived); werr != nil {
 		// Arrived but not logged: each mover goes back through the routed
 		// apply to the shard it came from, and the table is compare-and-
 		// restored, so the failed record acks nothing.
@@ -820,8 +811,6 @@ func (x *ShardedIndex) UpdateBatch(changes []Change) (BatchResult, error) {
 	}
 	b.res.Coalesced = dropped
 	x.routeBatch(&b, coalesced, tiered)
-	// The phases are handed over as closures, not method values: burlint
-	// reads the calls in them where they stand.
 	x.scatter(&b, func(w *shardWork) bool { return len(w.stay)+w.departs > 0 },
 		func(s int) (BatchResult, error) { return x.batchStays(&b, s, tiered) })
 	if tiered {
