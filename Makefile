@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint allocs bench-smoke fmt clean
+.PHONY: all build test race lint burlint allocs baselines bench-smoke fmt clean
 
 all: build test lint
 
@@ -31,6 +31,20 @@ lint: burlint
 # BENCH_allocs.json (see allocbench_test.go).
 allocs:
 	$(GO) test -run TestAllocBudget -count=1 -v .
+
+# baselines keeps the committed BENCH_*.json files and the references to
+# them in step: every one a .go, .md, Makefile or workflow file names is
+# committed, and every committed one is named by at least one of them.
+# CHANGES.md, ROADMAP.md and ISSUE.md are history and task text, which
+# name retired files on purpose.
+baselines:
+	@named=$$(git ls-files '*.go' '*.md' Makefile '.github/workflows/*' \
+		| grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md' \
+		| xargs grep -ohE 'BENCH_[A-Za-z0-9]+\.json' | sort -u); \
+	have=$$(git ls-files 'BENCH_*.json'); bad=; \
+	for f in $$named; do echo "$$have" | grep -qx "$$f" || { echo "baselines: $$f is named but not committed"; bad=1; }; done; \
+	for f in $$have; do echo "$$named" | grep -qx "$$f" || { echo "baselines: $$f is committed but nothing names it"; bad=1; }; done; \
+	[ -z "$$bad" ] && echo "baselines: $$(echo $$have) committed and named"
 
 # bench-smoke builds and smoke-tests the end-to-end benchmark (bench/ is
 # a module of its own, which `go build ./... && go test ./...` skips), so

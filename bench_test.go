@@ -1,9 +1,9 @@
 package burtree_test
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md for the experiment index), plus per-
-// operation micro-benchmarks and ablation benches for the design choices
-// the paper motivates.
+// evaluation (README.md, "Reproducing the paper's experiments", is the
+// experiment index), plus per-operation micro-benchmarks and ablation
+// benches for the design choices the paper motivates.
 //
 // The figure benches run a whole scaled-down experiment per iteration —
 // they are seconds-long by design; use -benchtime=1x. The tables they
@@ -179,7 +179,7 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) --------
+// --- Ablation benches (burbench -experiment ablation-*; see README.md) --
 
 // BenchmarkAblationPiggyback isolates the effect of piggybacked sibling
 // shifts on update cost.

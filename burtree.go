@@ -201,10 +201,6 @@ type Options struct {
 	ReinsertFraction float64
 	// SplitAlgorithm selects the node split (default Guttman quadratic).
 	SplitAlgorithm rtree.SplitAlgorithm
-	// DisablePiggyback turns off the GBU shift piggybacking optimization.
-	DisablePiggyback bool
-	// DisableSummaryQueries turns off GBU's memory-assisted queries.
-	DisableSummaryQueries bool
 	// Durability configures the write-ahead log. The zero value keeps
 	// the index volatile (snapshots only); see Durability for the
 	// per-batch and group-commit modes, Checkpoint and Recover.
@@ -271,8 +267,6 @@ func (opts Options) coreOptions() (core.Options, error) {
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
 		LevelThreshold:    lvl,
-		NoPiggyback:       opts.DisablePiggyback,
-		NoSummaryQueries:  opts.DisableSummaryQueries,
 		ExpectedObjects:   expected,
 		Tree: rtree.Config{
 			ReinsertFraction: reinsert,

@@ -3,6 +3,8 @@ package burtree
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -402,5 +404,39 @@ func TestStatsSurfacePoolEvents(t *testing.T) {
 		if err := fe.check(); err != nil {
 			t.Fatalf("%s: after the release: %v", fe.name, err)
 		}
+	}
+}
+
+// TestPublicKnobs pins the option surface: every independently settable
+// field of the five option structs, by name. Each one doubles the
+// configurations tests and benchmarks must cover, so adding or removing
+// one has to show up as a diff of this list. Fields that only nest
+// another of the structs are not knobs and are not listed.
+func TestPublicKnobs(t *testing.T) {
+	want := []string{
+		"Options.Strategy", "Options.PageSize", "Options.BufferPages",
+		"Options.Epsilon", "Options.DistanceThreshold", "Options.LevelThreshold",
+		"Options.ExpectedObjects", "Options.ReinsertFraction", "Options.SplitAlgorithm",
+		"Durability.Mode", "Durability.Dir", "Durability.GroupWindow",
+		"Memtable.Enabled", "Memtable.MaxObjects", "Memtable.MaxAge", "Memtable.MergeParallelism",
+		"ShardOptions.Shards", "ShardOptions.Partition",
+		"RebalanceOptions.Enabled", "RebalanceOptions.HotFactor", "RebalanceOptions.MaxStep",
+		"RebalanceOptions.MinOps", "RebalanceOptions.Cooldown", "RebalanceOptions.Interval",
+		"RebalanceOptions.UseOpCounts",
+	}
+	structs := []reflect.Type{
+		reflect.TypeOf(Options{}), reflect.TypeOf(Durability{}), reflect.TypeOf(Memtable{}),
+		reflect.TypeOf(ShardOptions{}), reflect.TypeOf(RebalanceOptions{}),
+	}
+	var got []string
+	for _, st := range structs {
+		for i := 0; i < st.NumField(); i++ {
+			if f := st.Field(i); f.IsExported() && !slices.Contains(structs, f.Type) {
+				got = append(got, st.Name()+"."+f.Name)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("public option fields changed:\n got  %d %v\n want %d %v", len(got), got, len(want), want)
 	}
 }

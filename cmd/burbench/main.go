@@ -1,6 +1,9 @@
 // Command burbench reproduces the tables and figures of the paper's
 // performance study (§5). Each experiment prints the same series the
-// paper plots: rows are strategies, columns the swept parameter.
+// paper plots: rows are strategies, columns the swept parameter. The
+// registry is the paper's study — fig5a–fig8, mixed, batch, naive, the
+// three ablations, table-summary-size, cost — plus skew; wall-clock
+// measurements of everything else are bench/'s (see BENCHMARK.json).
 //
 // Usage:
 //
@@ -9,7 +12,7 @@
 //	burbench -experiment all -scale 0.5
 //	burbench -experiment fig8 -paper        # full 1M-object workloads
 //	burbench -experiment fig6e -csv -o out.csv
-//	burbench -experiment shard -json BENCH_shard.json
+//	burbench -experiment skew -json BENCH_skew.json
 //
 // The default scale is 1/50 of the paper's workloads (20k objects, 20k
 // updates) so the complete suite finishes in minutes; -scale multiplies

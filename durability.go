@@ -70,13 +70,6 @@ type Durability struct {
 	// the next one. Larger windows trade commit latency for fewer
 	// device syncs.
 	GroupWindow time.Duration
-	// SegmentBytes caps one log segment file (default 16 MiB).
-	SegmentBytes int
-	// SyncDelay adds a simulated device-sync latency on top of the real
-	// fsync, mirroring the page store's simulated access latency so the
-	// wal experiment measures the commit policy rather than the host's
-	// page cache. Zero (the default) for real use.
-	SyncDelay time.Duration
 }
 
 // enabled reports whether the configuration asks for logging.
@@ -102,12 +95,10 @@ func (d Durability) logOptions(startAfter uint64, nextSeq func() uint64) wal.Opt
 		sync = wal.SyncGroup
 	}
 	return wal.Options{
-		Sync:         sync,
-		GroupWindow:  d.GroupWindow,
-		SegmentBytes: int64(d.SegmentBytes),
-		SyncDelay:    d.SyncDelay,
-		NextSeq:      nextSeq,
-		StartAfter:   startAfter,
+		Sync:        sync,
+		GroupWindow: d.GroupWindow,
+		NextSeq:     nextSeq,
+		StartAfter:  startAfter,
 	}
 }
 

@@ -281,6 +281,64 @@ func TestDurableConcurrentGroupCommit(t *testing.T) {
 	}
 }
 
+// The memtable tier acknowledges a durable write at the log append; the
+// group-commit leader syncs behind it. With the log swapped for one
+// whose every sync is slow enough to count, n Updates on the tiered index
+// return in a fraction of n sync times, while the tree path, whose ack
+// waits for a sync covering its record, cannot return in less.
+func TestMemtableAckSkipsSync(t *testing.T) {
+	const (
+		n       = 10
+		devSync = 30 * time.Millisecond
+	)
+	run := func(mem Memtable) time.Duration {
+		t.Helper()
+		opts := durableOpts(t.TempDir(), DurabilityGroup)
+		opts.Memtable = mem
+		idx, err := OpenConcurrent(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < n; i++ {
+			if err := idx.Insert(i, Point{X: float64(i) / n, Y: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := idx.wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		slowDir := t.TempDir()
+		if idx.wal, err = wal.Open(slowDir, wal.Options{Sync: wal.SyncGroup, SyncDelay: devSync}); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		for i := uint64(0); i < n; i++ {
+			if err := idx.Update(i, Point{X: float64(i) / n, Y: 0.25}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		elapsed := time.Since(start)
+		// Every ack is in the slow log all the same: Close flushes hard.
+		if err := idx.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if recs, _, err := wal.ReadDir(slowDir, 0); err != nil || len(recs) != n {
+			t.Fatalf("slow log holds %d records (err %v), want %d", len(recs), err, n)
+		}
+		return elapsed
+	}
+	tiered, tree := run(Memtable{Enabled: true}), run(Memtable{})
+	t.Logf("%d updates, %v per sync: memtable %v, tree path %v", n, devSync, tiered, tree)
+	if tiered > n*devSync/4 {
+		t.Fatalf("memtable: %d updates took %v, want under %v (a quarter of %d syncs): acks are waiting out syncs",
+			n, tiered, n*devSync/4, n)
+	}
+	if tree < n*devSync {
+		t.Fatalf("tree path: %d updates took %v, under %d syncs (%v): an ack returned before its sync",
+			n, tree, n, n*devSync)
+	}
+}
+
 func TestRecoverShardedRoundTrip(t *testing.T) {
 	for _, part := range []PartitionScheme{ShardGrid, ShardHilbert} {
 		t.Run(part.String(), func(t *testing.T) {

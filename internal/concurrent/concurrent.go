@@ -25,8 +25,8 @@
 // Physical integrity is provided by a coarse reader-writer latch: the
 // paper's interest is the throughput effect of cheaper updates (shorter
 // exclusive sections), which this preserves, while queries — the
-// read-heavy end of the mix — run fully in parallel. DESIGN.md records
-// this substitution.
+// read-heavy end of the mix — run fully in parallel. README.md,
+// "Concurrent reads & consistency", records this substitution.
 package concurrent
 
 import (

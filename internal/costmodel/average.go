@@ -55,7 +55,8 @@ func CrossoverDistance(tdCost float64, prm BottomUpParams) (float64, bool) {
 // LeafExtentForUniform estimates the side length of a leaf MBR for n
 // uniformly distributed points in the unit square with the given
 // average leaf occupancy — the quantity that fixes the locality regime
-// (see EXPERIMENTS.md on length rescaling).
+// (see README.md, "Reproducing the paper's experiments", on length
+// rescaling).
 func LeafExtentForUniform(n int, avgLeafEntries float64) float64 {
 	if n <= 0 || avgLeafEntries <= 0 {
 		return 0

@@ -58,7 +58,7 @@ func TestCrossoverDistance(t *testing.T) {
 
 func TestLeafExtentForUniform(t *testing.T) {
 	// 1M points at ~16 entries/leaf: extent ≈ 0.004 — the paper regime
-	// discussed in EXPERIMENTS.md.
+	// discussed in README.md, "Reproducing the paper's experiments".
 	got := LeafExtentForUniform(1_000_000, 16)
 	if math.Abs(got-0.004) > 1e-6 {
 		t.Fatalf("extent = %v, want 0.004", got)

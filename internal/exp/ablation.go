@@ -9,7 +9,7 @@ import (
 // (piggybacked shifts, summary-assisted queries, directional extension);
 // these bundles isolate each choice by toggling it off, and compare the
 // split algorithms under the TD baseline. They go beyond the paper's own
-// sweeps and are referenced from DESIGN.md.
+// sweeps; README.md, "Reproducing the paper's experiments", lists them.
 
 func bundlePiggyback(s Scale, seed int64) (map[string]*Table, error) {
 	t := &Table{

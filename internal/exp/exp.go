@@ -56,7 +56,8 @@ type Config struct {
 	// 1/sqrt(N), so movement distances must shrink by sqrt(N/N_paper)
 	// for "distance moved in leaf diameters" to match the paper's
 	// setup. Zero means 1 (no scaling). The experiment registry sets it
-	// from the workload scale; see EXPERIMENTS.md.
+	// from the workload scale; see README.md, "Reproducing the paper's
+	// experiments".
 	LengthScale float64
 
 	Validate bool // run invariant checks after the run (tests set this)

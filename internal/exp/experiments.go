@@ -78,10 +78,7 @@ func Registry() []Experiment {
 		{"fig7b", "Figure 7(b)", "Scalability (dataset size): querying", run("fig7b")},
 		{"fig8", "Figure 8", "Throughput for varying update/query mix (50 threads, DGL)", run("fig8")},
 		{"mixed", "beyond §5.4", "Mixed read/write sweep: throughput and per-op I/O vs query fraction", run("mixed")},
-		{"shard", "beyond §5.4", "Sharded scatter-gather: update throughput vs shard count x goroutines", run("shard")},
 		{"skew", "beyond §5.4", "Zipfian hotspot workload: static grid vs adaptive rebalancing", run("skew")},
-		{"wal", "beyond §5", "Durable updates: throughput vs commit policy x goroutines", run("wal")},
-		{"memtable", "beyond §5", "Memtable delta tier: durable update throughput vs tier size x goroutines", run("memtable")},
 		{"batch", "beyond §5", "Batched bottom-up updates: disk I/O and throughput vs batch size", run("batch")},
 		{"naive", "§3.1", "Naive bottom-up: share of updates that stay top-down", run("naive")},
 		{"table-summary-size", "§3.2", "Summary structure size ratios", run("table-summary-size")},
@@ -178,14 +175,8 @@ func computeBundle(bundle string, s Scale, seed int64) (map[string]*Table, error
 		return bundleThroughput(s, seed)
 	case "mixed":
 		return bundleMixed(s, seed)
-	case "shard":
-		return bundleShard(s, seed)
 	case "skew":
 		return bundleSkew(s, seed)
-	case "wal":
-		return bundleWal(s, seed)
-	case "memtable":
-		return bundleMemtable(s, seed)
 	case "batch":
 		return bundleBatch(s, seed)
 	case "naive":

@@ -39,7 +39,7 @@ type Window struct {
 	// pre-cost signal), kept for observability and comparison runs.
 	OpShares []float64
 	// Ops and Cost are the window's totals: operations recorded and
-	// cost units accumulated since the previous Sample.
+	// cost units accumulated since the previous SampleAt.
 	Ops  uint64
 	Cost uint64
 	// Cells is the cost-weighted per-cell update histogram; CellOps is
@@ -53,7 +53,7 @@ type Window struct {
 // histogram, and maintains a windowed EWMA of each shard's share of the
 // recent load. Counters are atomics so the sharded front-end can record
 // from its per-shard worker goroutines without extra locking;
-// Sample/Shares snapshots and histogram decay are serialized by a
+// SampleAt/Shares snapshots and histogram decay are serialized by a
 // mutex.
 //
 // Load is tracked twice: as raw operation counts (updates, queries) and
@@ -67,12 +67,12 @@ type Window struct {
 // counts stay available for observability.
 //
 // Background merge-down I/O (the memtable tier draining to the tree)
-// is attributed separately via RecordBackground: it is deferred work
-// already acknowledged in a previous window, and folding it into the
-// foreground signal would re-skew the balance the weighting exists to
-// fix.
+// never reaches the tracker — the caller subtracts it from the page
+// counters it passes to SampleAt: it is deferred work already
+// acknowledged in a previous window, and folding it into the foreground
+// signal would re-skew the balance the weighting exists to fix.
 //
-// The EWMA is sample-indexed, not wall-clock-indexed: every Sample call
+// The EWMA is sample-indexed, not wall-clock-indexed: every SampleAt call
 // closes one window, computes each shard's share of the cost that
 // arrived during the window and folds it in with weight ½. Rebalancing
 // decisions therefore depend only on the operation stream, which keeps
@@ -81,14 +81,12 @@ type LoadTracker struct {
 	updates []atomic.Uint64 // per-shard update ops (insert/update/delete), cumulative
 	queries []atomic.Uint64 // per-shard read ops (search/nearest visits), cumulative
 	cost    []atomic.Uint64 // per-shard foreground cost units, cumulative
-	bg      []atomic.Uint64 // per-shard background merge-down pages, cumulative
 	cells   []atomic.Uint64 // per-cell cost-weighted update histogram, cumulative
 	cellOps []atomic.Uint64 // per-cell update-op histogram, cumulative
 
 	mu        sync.Mutex
-	lastOps   []uint64  // updates+queries snapshot at the previous Sample
-	lastCost  []uint64  // cost snapshot at the previous Sample
-	lastPages []uint64  // exact page-counter snapshot at the previous SampleAt
+	lastOps   []uint64  // updates+queries snapshot at the previous SampleAt
+	lastPages []uint64  // the caller's page counters at the previous SampleAt
 	ewma      []float64 // EWMA of per-shard cost share
 	ewmaOps   []float64 // EWMA of per-shard op-count share
 	sampled   bool      // true once the first window has closed
@@ -100,19 +98,14 @@ func NewLoadTracker(n int) *LoadTracker {
 		updates:   make([]atomic.Uint64, n),
 		queries:   make([]atomic.Uint64, n),
 		cost:      make([]atomic.Uint64, n),
-		bg:        make([]atomic.Uint64, n),
 		cells:     make([]atomic.Uint64, NumCells),
 		cellOps:   make([]atomic.Uint64, NumCells),
 		lastOps:   make([]uint64, n),
-		lastCost:  make([]uint64, n),
 		lastPages: make([]uint64, n),
 		ewma:      make([]float64, n),
 		ewmaOps:   make([]float64, n),
 	}
 }
-
-// NumShards returns the tracked shard count.
-func (t *LoadTracker) NumShards() int { return len(t.updates) }
 
 // RecordUpdates adds n update operations that together incurred pages
 // physical page accesses to shard s and the cell histograms at curve
@@ -171,16 +164,6 @@ func (t *LoadTracker) RecordQuery(s int, pages uint64) {
 	t.cost[s].Add(1 + pages*CostPerPage)
 }
 
-// RecordBackground attributes pages of background merge-down I/O to
-// shard s. Background pages are excluded from the foreground cost
-// shares — they are deferred work from already-acknowledged updates —
-// but kept per shard for observability (ShardLoads).
-func (t *LoadTracker) RecordBackground(s int, pages uint64) {
-	if pages != 0 {
-		t.bg[s].Add(pages)
-	}
-}
-
 // UpdateCount returns shard s's cumulative update-operation count.
 func (t *LoadTracker) UpdateCount(s int) uint64 { return t.updates[s].Load() }
 
@@ -190,64 +173,46 @@ func (t *LoadTracker) QueryCount(s int) uint64 { return t.queries[s].Load() }
 // CostOf returns shard s's cumulative foreground cost units.
 func (t *LoadTracker) CostOf(s int) uint64 { return t.cost[s].Load() }
 
-// BackgroundPages returns shard s's cumulative background merge-down
-// page count.
-func (t *LoadTracker) BackgroundPages(s int) uint64 { return t.bg[s].Load() }
-
-// Sample closes the current window: it computes each shard's share of
-// the cost (and, separately, of the raw op count) recorded since the
-// previous Sample, folds the shares into the EWMAs with weight ½, and
+// SampleAt closes the current window: it computes each shard's share of
+// the cost (and, separately, of the raw op count) that arrived since the
+// previous call, folds the shares into the EWMAs with weight ½, and
 // returns the updated shares together with a snapshot of the cell
 // histograms. The histogram snapshot is taken under the same mutex
 // hold, so a concurrent DecayCells cannot zero the cells between the
 // share sample and a boundary decision computed from the returned
 // Window. A window with no operations leaves the EWMAs untouched.
 //
-// The window cost is taken from the per-operation cost counters, which
-// measure each operation's page I/O with a bracket around the call.
-// Brackets from concurrent operations on the same shard overlap and
-// each measures the union of the interval, so the recorded cost
-// over-counts under concurrency; when an exact cumulative page counter
-// per shard is available, use SampleAt instead.
-func (t *LoadTracker) Sample() Window { return t.sample(nil) }
-
-// SampleAt closes the current window like Sample, but computes each
-// shard's window cost from pages — the caller's exact cumulative
-// foreground page counters, one per shard, monotone across calls —
-// instead of the bracket-measured cost counters: window cost =
-// window ops + CostPerPage × window pages. This keeps the share signal
-// exact under concurrency, where per-operation brackets overlap and
-// inflate the recorded cost roughly quadratically with the number of
-// concurrent operations per shard. The bracket-based counters remain
-// the source for cell attribution and observability.
-func (t *LoadTracker) SampleAt(pages []uint64) Window { return t.sample(pages) }
-
-func (t *LoadTracker) sample(pages []uint64) Window {
+// pages is the caller's exact cumulative foreground page counters, one
+// per shard, monotone across calls: window cost = window ops +
+// CostPerPage × window pages. The per-operation cost counters are not
+// the source: they bracket each call, brackets of concurrent operations
+// on one shard overlap and each measures the union of the interval, so
+// they over-count roughly quadratically with the number of concurrent
+// operations per shard. They remain the source for cell attribution and
+// observability (CostOf).
+func (t *LoadTracker) SampleAt(pages []uint64) Window {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := len(t.updates)
 	curOps := make([]uint64, n)
-	curCost := make([]uint64, n)
+	winCost := make([]uint64, n)
 	var ops, cost uint64
 	for i := 0; i < n; i++ {
 		curOps[i] = t.updates[i].Load() + t.queries[i].Load()
-		curCost[i] = t.cost[i].Load()
-		if pages != nil {
-			winPages := uint64(0)
-			if pages[i] > t.lastPages[i] {
-				winPages = pages[i] - t.lastPages[i]
-			}
-			curCost[i] = t.lastCost[i] + (curOps[i] - t.lastOps[i]) + winPages*CostPerPage
+		winPages := uint64(0)
+		if pages[i] > t.lastPages[i] {
+			winPages = pages[i] - t.lastPages[i]
 		}
+		winCost[i] = (curOps[i] - t.lastOps[i]) + winPages*CostPerPage
 		ops += curOps[i] - t.lastOps[i]
-		cost += curCost[i] - t.lastCost[i]
+		cost += winCost[i]
 	}
 	if ops > 0 {
 		for i := 0; i < n; i++ {
 			opShare := float64(curOps[i]-t.lastOps[i]) / float64(ops)
 			costShare := opShare
 			if cost > 0 {
-				costShare = float64(curCost[i]-t.lastCost[i]) / float64(cost)
+				costShare = float64(winCost[i]) / float64(cost)
 			}
 			if t.sampled {
 				t.ewma[i] = 0.5*t.ewma[i] + 0.5*costShare
@@ -259,10 +224,7 @@ func (t *LoadTracker) sample(pages []uint64) Window {
 		}
 		t.sampled = true
 		copy(t.lastOps, curOps)
-		copy(t.lastCost, curCost)
-		if pages != nil {
-			copy(t.lastPages, pages)
-		}
+		copy(t.lastPages, pages)
 	}
 	return Window{
 		Shares:   append([]float64(nil), t.ewma...),
@@ -298,19 +260,10 @@ func (t *LoadTracker) OpShares() []float64 {
 	return append([]float64(nil), t.ewmaOps...)
 }
 
-// CellLoads snapshots the cost-weighted per-cell update histogram
-// (len == NumCells). Boundary decisions should use the Window returned
-// by Sample instead, whose snapshot is atomic with the shares.
-func (t *LoadTracker) CellLoads() []uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.cellSnapshotLocked(t.cells)
-}
-
 // DecayCells halves every cell count so past hotspots fade from the
 // histograms instead of anchoring boundaries forever. Called after each
 // rebalance step while the front-end holds its exclusive gate;
-// serialized with Sample so a decay never lands between a share sample
+// serialized with SampleAt so a decay never lands between a share sample
 // and the histogram snapshot it pairs with.
 func (t *LoadTracker) DecayCells() {
 	t.mu.Lock()
@@ -329,9 +282,9 @@ func (t *LoadTracker) DecayCells() {
 
 // ResetShares forgets the EWMA history and restarts the current window
 // at the present counter values. Called after a boundary change: the old
-// shares describe shards that no longer exist. pages, when non-nil, is
-// the caller's exact cumulative foreground page snapshot (as passed to
-// SampleAt) taken after the boundary change, so the migration I/O the
+// shares describe shards that no longer exist. pages is the caller's
+// exact cumulative foreground page snapshot (as passed to SampleAt)
+// taken after the boundary change, so the migration I/O the
 // change itself paid is charged to the closed history rather than
 // polluting the first window of the new layout.
 func (t *LoadTracker) ResetShares(pages []uint64) {
@@ -341,10 +294,7 @@ func (t *LoadTracker) ResetShares(pages []uint64) {
 		t.ewma[i] = 0
 		t.ewmaOps[i] = 0
 		t.lastOps[i] = t.updates[i].Load() + t.queries[i].Load()
-		t.lastCost[i] = t.cost[i].Load()
 	}
-	if pages != nil {
-		copy(t.lastPages, pages)
-	}
+	copy(t.lastPages, pages)
 	t.sampled = false
 }

@@ -114,7 +114,8 @@ func TestLoadTrackerSampleEWMA(t *testing.T) {
 	tr := NewLoadTracker(4)
 	tr.RecordUpdates(0, 5, 30, 0)
 	tr.RecordUpdates(1, 900, 10, 0)
-	w := tr.Sample()
+	noPages := make([]uint64, 4)
+	w := tr.SampleAt(noPages)
 	if w.Ops != 40 {
 		t.Fatalf("window ops = %d, want 40", w.Ops)
 	}
@@ -129,7 +130,7 @@ func TestLoadTrackerSampleEWMA(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tr.RecordQuery(2, 0)
 	}
-	w = tr.Sample()
+	w = tr.SampleAt(noPages)
 	if w.Ops != 20 {
 		t.Fatalf("second window ops = %d", w.Ops)
 	}
@@ -137,7 +138,7 @@ func TestLoadTrackerSampleEWMA(t *testing.T) {
 		t.Fatalf("EWMA shares = %v", w.Shares)
 	}
 	// Empty window leaves the EWMA untouched.
-	again := tr.Sample()
+	again := tr.SampleAt(noPages)
 	if again.Ops != 0 || again.Shares[0] != 0.375 {
 		t.Fatalf("empty window changed shares: %v (ops %d)", again.Shares, again.Ops)
 	}
@@ -155,7 +156,7 @@ func TestLoadTrackerCostWeighting(t *testing.T) {
 	// Op shares say shard 0 is hot; cost shares must say shard 1 is.
 	tr.RecordUpdates(0, 5, 90, 0)
 	tr.RecordUpdates(1, 900, 10, 90) // 90 pages → 10 + 90·CostPerPage cost
-	w := tr.Sample()
+	w := tr.SampleAt([]uint64{0, 90})
 	if w.OpShares[0] != 0.9 {
 		t.Fatalf("op shares = %v, want shard 0 at 0.9", w.OpShares)
 	}
@@ -186,7 +187,7 @@ func TestLoadTrackerRecordBatch(t *testing.T) {
 	if got := tr.CostOf(0); got != wantCost {
 		t.Fatalf("CostOf = %d, want %d", got, wantCost)
 	}
-	cl := tr.CellLoads()
+	cl := tr.SampleAt([]uint64{7, 0}).Cells
 	if cl[3]+cl[4] != wantCost {
 		t.Fatalf("cell cost %d + %d != %d", cl[3], cl[4], wantCost)
 	}
@@ -219,14 +220,18 @@ func TestLoadTrackerQueryPages(t *testing.T) {
 	}
 }
 
+// Background pages must not leak into the foreground cost signal. The
+// tracker keeps no ledger of them (ShardLoads reports the stacks' own
+// counters): the caller subtracts a merge-down's pages from the counters
+// it passes, so a window in which shard 0's stack spent 500 pages
+// draining costs its ten operations and nothing more.
 func TestLoadTrackerBackground(t *testing.T) {
 	tr := NewLoadTracker(2)
 	tr.RecordUpdates(0, 0, 10, 0)
-	tr.RecordBackground(0, 500)
-	if got := tr.BackgroundPages(0); got != 500 {
-		t.Fatalf("BackgroundPages = %d", got)
+	foreground := []uint64{0, 0} // shard 0: 500 pages spent − 500 spent draining
+	if w := tr.SampleAt(foreground); w.Cost != 10 || w.Shares[0] != 1 {
+		t.Fatalf("window cost = %d, shares %v, want 10 and all on shard 0", w.Cost, w.Shares)
 	}
-	// Background pages must not leak into the foreground cost signal.
 	if got := tr.CostOf(0); got != 10 {
 		t.Fatalf("CostOf = %d, want 10", got)
 	}
@@ -236,20 +241,21 @@ func TestLoadTrackerCells(t *testing.T) {
 	tr := NewLoadTracker(2)
 	tr.RecordUpdates(0, 7, 8, 0)
 	tr.RecordUpdates(1, 7, 4, 0)
-	cl := tr.CellLoads()
+	noPages := make([]uint64, 2)
+	cl := tr.SampleAt(noPages).Cells
 	if cl[7] != 12 {
 		t.Fatalf("cell 7 load = %d", cl[7])
 	}
 	tr.DecayCells()
-	if cl = tr.CellLoads(); cl[7] != 6 {
+	if cl = tr.SampleAt(noPages).Cells; cl[7] != 6 {
 		t.Fatalf("decayed cell 7 load = %d", cl[7])
 	}
 }
 
 // TestLoadTrackerSampleDecayAtomic is the regression test for the
 // decay-vs-sample race: a DecayCells landing between the share sample
-// and a CellLoads read could zero the histogram a boundary cut was
-// computed from. Sample's Window snapshots the cells under the same
+// and a separate histogram read could zero the histogram a boundary cut
+// was computed from. SampleAt's Window snapshots the cells under the same
 // mutex hold, so concurrent decays can halve what later samples see but
 // never desynchronize one Window's shares from its cells.
 func TestLoadTrackerSampleDecayAtomic(t *testing.T) {
@@ -269,8 +275,9 @@ func TestLoadTrackerSampleDecayAtomic(t *testing.T) {
 			}
 		}
 	}()
+	noPages := make([]uint64, 2)
 	for i := 0; i < 200; i++ {
-		w := tr.Sample()
+		w := tr.SampleAt(noPages)
 		// The recorded load only ever halves; whatever survives must sit
 		// in cell 42, and shares/cells must describe the same state: if
 		// the share says shard 0 carried everything, the histogram must
@@ -291,20 +298,23 @@ func TestLoadTrackerSampleDecayAtomic(t *testing.T) {
 func TestLoadTrackerResetShares(t *testing.T) {
 	tr := NewLoadTracker(2)
 	tr.RecordUpdates(0, 0, 100, 0)
-	tr.Sample()
-	tr.ResetShares(nil)
+	tr.SampleAt([]uint64{40, 0})
+	// The boundary change itself cost shard 0 ten more pages; the reset
+	// takes the post-change counters, so they belong to the closed
+	// history.
+	tr.ResetShares([]uint64{50, 0})
 	if s := tr.Shares(); s[0] != 0 || s[1] != 0 {
 		t.Fatalf("shares after reset = %v", s)
 	}
 	if s := tr.OpShares(); s[0] != 0 || s[1] != 0 {
 		t.Fatalf("op shares after reset = %v", s)
 	}
-	// The reset also restarts the window: the old 100 ops must not count
-	// toward the next sample.
+	// The reset also restarts the window: neither the old 100 ops nor
+	// the migration's pages may count toward the next sample.
 	tr.RecordUpdates(1, 0, 10, 0)
-	w := tr.Sample()
-	if w.Ops != 10 || w.Shares[1] != 1 {
-		t.Fatalf("post-reset window = %v (ops %d)", w.Shares, w.Ops)
+	w := tr.SampleAt([]uint64{50, 0})
+	if w.Ops != 10 || w.Cost != 10 || w.Shares[1] != 1 {
+		t.Fatalf("post-reset window = %v (ops %d, cost %d)", w.Shares, w.Ops, w.Cost)
 	}
 }
 
@@ -356,25 +366,23 @@ func TestLoadTrackerConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				tr.RecordUpdates(w%4, uint64(i%NumCells), 1, uint64(i%3))
 				tr.RecordQuery(w%4, uint64(i%2))
-				tr.RecordBackground(w%4, 1)
 			}
 		}(w)
 	}
 	done := make(chan struct{})
 	go func() {
-		for {
+		for pages := make([]uint64, 4); ; pages[0]++ {
 			select {
 			case <-done:
 				return
 			default:
-				tr.Sample()
+				tr.SampleAt(pages)
 				tr.Shares()
 			}
 		}
 	}()
 	wg.Wait()
 	close(done)
-	tr.Sample()
 	var tot uint64
 	for s := 0; s < 4; s++ {
 		tot += tr.UpdateCount(s) + tr.QueryCount(s)

@@ -97,9 +97,9 @@ type Options struct {
 	// SegmentBytes caps a segment file; the log rotates past it
 	// (default 16 MiB).
 	SegmentBytes int64
-	// SyncDelay simulates a device sync latency on top of the real
-	// fsync, so group-commit experiments measure the policy rather than
-	// the test machine's page cache. Zero (the default) for real use.
+	// SyncDelay adds a sleep to every successful fsync. It is a test
+	// seam, set by no public option: the commit-policy tests use it to
+	// make a sync slow enough to count. Zero for real use.
 	SyncDelay time.Duration
 	// NextSeq, when set, assigns record sequence numbers from an
 	// external source (the sharded index shares one atomic counter
@@ -811,7 +811,7 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// simulateSync models extra device sync latency (experiments only).
+// simulateSync sleeps out Options.SyncDelay (tests only).
 func simulateSync(d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)

@@ -271,6 +271,64 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// Group commit is worth its code only if concurrent committers share
+// syncs: with a sync slow enough to count, G goroutines x k Appends
+// under SyncGroup must finish in a small fraction of G*k sync times — a
+// round covers every record appended before it — while SyncEach, which
+// syncs each record under the append latch, cannot finish in less.
+func TestGroupCommitSharesSyncs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sleeps out 32 slow syncs; run without -short")
+	}
+	const (
+		goroutines, per = 16, 2
+		devSync         = 20 * time.Millisecond
+		serial          = goroutines * per * devSync
+	)
+	run := func(policy SyncPolicy) time.Duration {
+		t.Helper()
+		l, err := Open(t.TempDir(), Options{Sync: policy, SyncDelay: devSync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		var wg sync.WaitGroup
+		var fail atomic.Value
+		start := time.Now()
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					if _, err := l.Append(TypeBatch, []Op{{ID: uint64(g*per + i), X: 1, Y: 2}}); err != nil {
+						fail.Store(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		if v := fail.Load(); v != nil {
+			t.Fatalf("append: %v", v)
+		}
+		return elapsed
+	}
+	// At most two rounds per record a goroutine appends (the round in
+	// flight when it arrived, then the one that covers it): ~4 syncs
+	// here against 32, so a third of the serial time is a wide margin.
+	group, each := run(SyncGroup), run(SyncEach)
+	t.Logf("%d appends, %v per sync: SyncGroup %v, SyncEach %v", goroutines*per, devSync, group, each)
+	if group > serial/3 {
+		t.Fatalf("SyncGroup took %v, want under %v (a third of %d syncs): committers are not sharing syncs",
+			group, serial/3, goroutines*per)
+	}
+	if each < serial {
+		t.Fatalf("SyncEach took %v, under %d syncs (%v): some append returned without its own sync",
+			each, goroutines*per, serial)
+	}
+}
+
 func TestExternalNextSeqMergesAcrossLogs(t *testing.T) {
 	var ctr atomic.Uint64
 	next := func() uint64 { return ctr.Add(1) }

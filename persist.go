@@ -39,17 +39,15 @@ var ErrBadSnapshot = errors.New("burtree: not a valid snapshot")
 type savedIndex struct {
 	Format int // format version
 
-	Strategy              Strategy
-	PageSize              int
-	BufferPages           int
-	Epsilon               float64
-	DistanceThreshold     float64
-	LevelThreshold        int
-	ExpectedObjects       int
-	ReinsertFraction      float64
-	SplitAlgorithm        int
-	DisablePiggyback      bool
-	DisableSummaryQueries bool
+	Strategy          Strategy
+	PageSize          int
+	BufferPages       int
+	Epsilon           float64
+	DistanceThreshold float64
+	LevelThreshold    int
+	ExpectedObjects   int
+	ReinsertFraction  float64
+	SplitAlgorithm    int
 
 	Pages [][]byte
 	Freed []uint64
@@ -128,25 +126,23 @@ func (s *treeStack) saveSnapshot(w io.Writer, u core.Updater, objects map[uint64
 	pageSize, pages, freed := s.store.Dump()
 
 	img := savedIndex{
-		Format:                saveFormat,
-		Strategy:              opts.Strategy,
-		PageSize:              pageSize,
-		BufferPages:           opts.BufferPages,
-		Epsilon:               opts.Epsilon,
-		DistanceThreshold:     opts.DistanceThreshold,
-		LevelThreshold:        opts.LevelThreshold,
-		ExpectedObjects:       opts.ExpectedObjects,
-		ReinsertFraction:      opts.ReinsertFraction,
-		SplitAlgorithm:        int(opts.SplitAlgorithm),
-		DisablePiggyback:      opts.DisablePiggyback,
-		DisableSummaryQueries: opts.DisableSummaryQueries,
-		Pages:                 pages,
-		Root:                  uint64(st.Root),
-		Height:                st.Height,
-		Size:                  st.Size,
-		HashSize:              st.HashSize,
-		Objects:               objects,
-		WALSeq:                walSeq,
+		Format:            saveFormat,
+		Strategy:          opts.Strategy,
+		PageSize:          pageSize,
+		BufferPages:       opts.BufferPages,
+		Epsilon:           opts.Epsilon,
+		DistanceThreshold: opts.DistanceThreshold,
+		LevelThreshold:    opts.LevelThreshold,
+		ExpectedObjects:   opts.ExpectedObjects,
+		ReinsertFraction:  opts.ReinsertFraction,
+		SplitAlgorithm:    int(opts.SplitAlgorithm),
+		Pages:             pages,
+		Root:              uint64(st.Root),
+		Height:            st.Height,
+		Size:              st.Size,
+		HashSize:          st.HashSize,
+		Objects:           objects,
+		WALSeq:            walSeq,
 	}
 	for _, f := range freed {
 		img.Freed = append(img.Freed, uint64(f))
@@ -303,17 +299,15 @@ func decodeSavedIndex(br *bufio.Reader) (savedIndex, error) {
 func buildFromSaved(s savedIndex) (indexParts, map[uint64]Point, error) {
 	var parts indexParts
 	opts := Options{
-		Strategy:              s.Strategy,
-		PageSize:              s.PageSize,
-		BufferPages:           s.BufferPages,
-		Epsilon:               s.Epsilon,
-		DistanceThreshold:     s.DistanceThreshold,
-		LevelThreshold:        s.LevelThreshold,
-		ExpectedObjects:       s.ExpectedObjects,
-		ReinsertFraction:      s.ReinsertFraction,
-		SplitAlgorithm:        rtree.SplitAlgorithm(s.SplitAlgorithm),
-		DisablePiggyback:      s.DisablePiggyback,
-		DisableSummaryQueries: s.DisableSummaryQueries,
+		Strategy:          s.Strategy,
+		PageSize:          s.PageSize,
+		BufferPages:       s.BufferPages,
+		Epsilon:           s.Epsilon,
+		DistanceThreshold: s.DistanceThreshold,
+		LevelThreshold:    s.LevelThreshold,
+		ExpectedObjects:   s.ExpectedObjects,
+		ReinsertFraction:  s.ReinsertFraction,
+		SplitAlgorithm:    rtree.SplitAlgorithm(s.SplitAlgorithm),
 	}
 	co, err := opts.coreOptions()
 	if err != nil {

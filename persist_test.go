@@ -1,7 +1,9 @@
 package burtree
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"sort"
 	"testing"
@@ -176,4 +178,69 @@ func TestSaveLoadEmptyIndex(t *testing.T) {
 	if err := loaded.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The snapshot format did not change when savedIndex lost its
+// DisablePiggyback and DisableSummaryQueries mirrors: gob skips stream
+// fields the receiving struct lacks, so saveFormat stays 1 and a snapshot
+// written before the removal — with both fields set, so the encoder does
+// not omit them as zero values — loads as the same index.
+func TestLoadSnapshotWithRemovedOptionFields(t *testing.T) {
+	type savedIndexWithKnobs struct {
+		Format int
+
+		Strategy              Strategy
+		PageSize              int
+		BufferPages           int
+		Epsilon               float64
+		DistanceThreshold     float64
+		LevelThreshold        int
+		ExpectedObjects       int
+		ReinsertFraction      float64
+		SplitAlgorithm        int
+		DisablePiggyback      bool
+		DisableSummaryQueries bool
+
+		Pages [][]byte
+		Freed []uint64
+
+		Root   uint64
+		Height int
+		Size   int
+
+		HashDirectory []uint64
+		HashSize      int
+
+		Objects map[uint64]Point
+
+		WALSeq uint64
+	}
+	orig, rng := buildForPersist(t, GeneralizedBottomUp)
+	var cur bytes.Buffer
+	if err := orig.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	var old savedIndexWithKnobs
+	if err := gob.NewDecoder(bufio.NewReader(bytes.NewReader(cur.Bytes()[len(snapshotMagic):]))).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	old.DisablePiggyback, old.DisableSummaryQueries = true, true
+	var buf bytes.Buffer
+	if err := writeEnvelope(&buf, snapshotMagic, &old); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("DisableSummaryQueries")) {
+		t.Fatal("setup: the removed fields are not in the stream")
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("loading a snapshot with the removed fields: %v", err)
+	}
+	if loaded.Len() != orig.Len() {
+		t.Fatalf("Len = %d, want %d", loaded.Len(), orig.Len())
+	}
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	queriesMatch(t, orig, loaded, rng, 30)
 }

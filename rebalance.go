@@ -88,7 +88,8 @@ type ShardLoad struct {
 	Cost uint64
 	// BackgroundPages is the shard's cumulative page count from
 	// background memtable merge-downs — deferred work attributed
-	// separately so it never skews the foreground shares.
+	// separately so it never skews the foreground shares. It keeps
+	// counting across a rebalance that rebuilds the shard.
 	BackgroundPages uint64
 	// Objects is the shard's current object count.
 	Objects int
@@ -119,7 +120,7 @@ func (x *ShardedIndex) ShardLoads() []ShardLoad {
 			Updates:         x.load.UpdateCount(i),
 			Queries:         x.load.QueryCount(i),
 			Cost:            x.load.CostOf(i),
-			BackgroundPages: x.load.BackgroundPages(i),
+			BackgroundPages: x.bgBase[i] + x.shards[i].bgPages.Load(),
 			Objects:         counts[i],
 			Share:           shares[i],
 			OpShare:         opShares[i],
@@ -194,9 +195,9 @@ func (x *ShardedIndex) Rebalance() (int, error) {
 	x.rebalMu.Lock()
 	o := x.ropts
 	x.rebalMu.Unlock()
-	// One Sample delivers shares and cell histograms snapshot together:
-	// boundary cuts below use w's cells, never a fresh CellLoads read
-	// that a concurrent decay could have zeroed in between. The cost
+	// One sample delivers shares and cell histograms snapshot together:
+	// boundary cuts below use w's cells, never a later read of the
+	// histogram that a concurrent decay could have zeroed. The cost
 	// shares are computed from the shards' exact cumulative page
 	// counters (fgPages), not the per-operation brackets, which
 	// over-count overlapping I/O under concurrency.

@@ -15,6 +15,9 @@ import (
 //     Nearest).
 //  2. Nearest must not prune shards while its result set is still
 //     under-filled, even when every object lives in one distant shard.
+//
+// and one accounting fix: ShardLoad.BackgroundPages reports the merge-down
+// pages the stacks counted (it read a tracker ledger nothing fed).
 
 // plantDuplicate bypasses routing and inserts the same id into two
 // shard trees directly — the transient state a scatter can observe
@@ -167,5 +170,60 @@ func TestNearestUnderfilledShards(t *testing.T) {
 				t.Fatalf("Nearest(k=%d) result %d at dist %g, brute force says %g", k, i, nb.Dist, dists[i])
 			}
 		}
+	}
+}
+
+// TestShardLoadsBackgroundPages pins ShardLoad.BackgroundPages to the
+// pages merge-down actually spent: summed over the shards it equals
+// Stats().Memtable.MergePages, and it stays cumulative when a rebalance
+// retires the stacks that counted them (Stats restarts with the fresh
+// stacks; the load accounting must not).
+func TestShardLoadsBackgroundPages(t *testing.T) {
+	x, err := OpenSharded(Options{
+		Strategy:        GeneralizedBottomUp,
+		BufferPages:     8,
+		ExpectedObjects: 4096,
+		Memtable:        Memtable{Enabled: true, MaxObjects: 64},
+	}, ShardOptions{Shards: 2, Partition: ShardGrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, pts := randomPoints(600, 3)
+	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	background := func() (sum uint64) {
+		for _, l := range x.ShardLoads() {
+			sum += l.BackgroundPages
+		}
+		return sum
+	}
+
+	// Updates far past MaxObjects, all on one shard: merge-downs run, and
+	// the grid upgrade below has a hot shard to act on. The upgrade closes
+	// both stacks, which drains what their tiers still held.
+	hammerCorner(t, x, ids, 0.02, 0.02, 3000, 5)
+	// Trigger on op shares: the cost shares of this window also hold the
+	// bulk load's pages and move with drains in flight.
+	x.SetRebalance(RebalanceOptions{UseOpCounts: true})
+	if moved, err := x.Rebalance(); err != nil || moved == 0 {
+		t.Fatalf("grid upgrade moved %d objects, err %v", moved, err)
+	}
+	carried := background()
+	if carried == 0 {
+		t.Fatal("BackgroundPages is 0 after 3000 updates through a 64-object tier")
+	}
+
+	hammerCorner(t, x, ids, 0.9, 0.9, 3000, 6)
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := x.Stats()
+	if st.Memtable.MergePages == 0 {
+		t.Fatal("setup: no merge-down pages on the rebuilt stacks")
+	}
+	if got, want := background(), carried+uint64(st.Memtable.MergePages); got != want {
+		t.Fatalf("summed BackgroundPages = %d, want %d (%d carried across the rebalance + %d merge pages since)",
+			got, want, carried, st.Memtable.MergePages)
 	}
 }

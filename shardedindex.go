@@ -131,8 +131,10 @@ type ShardedIndex struct {
 	// count across shard rebuilds (guarded by opMu like the shards
 	// slice): a boundary change that replaces the shards would otherwise
 	// reset their page counters to zero and make the cumulative sequence
-	// fgPages feeds to LoadTracker.SampleAt run backward.
+	// fgPages feeds to LoadTracker.SampleAt run backward. bgBase does
+	// the same for the merge-down pages ShardLoads reports.
 	pageBase []uint64
+	bgBase   []uint64
 	// ioLatency remembers the simulated per-page latency so shards
 	// rebuilt by a rebalance keep paying it.
 	ioLatency atomic.Int64
@@ -234,6 +236,7 @@ func newSharded(router *shard.Router, opts Options, sopts ShardOptions, objects 
 		objectTable: objectTable{objects: objects},
 		load:        shard.NewLoadTracker(sopts.Shards),
 		pageBase:    make([]uint64, sopts.Shards),
+		bgBase:      make([]uint64, sopts.Shards),
 		ropts:       sopts.Rebalance.withDefaults(),
 	}
 }
@@ -304,7 +307,7 @@ func (x *ShardedIndex) openShards() ([]*treeStack, error) {
 }
 
 // swapShardsLocked installs fresh stacks in place of the current ones,
-// folding the retiring stacks' page counts into pageBase first, and
+// folding the retiring stacks' page counts into pageBase and bgBase, and
 // closes the replaced stacks so their background mergers do not leak.
 // Caller holds opMu exclusively.
 func (x *ShardedIndex) swapShardsLocked(fresh []*treeStack) error {
@@ -312,8 +315,9 @@ func (x *ShardedIndex) swapShardsLocked(fresh []*treeStack) error {
 	old := x.shards
 	x.shards = fresh
 	var err error
-	for _, s := range old {
-		err = errors.Join(err, s.close())
+	for s, sh := range old {
+		err = errors.Join(err, sh.close())
+		x.bgBase[s] += sh.bgPages.Load() // after close: its final drain counts
 	}
 	return err
 }
