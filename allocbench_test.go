@@ -1,8 +1,8 @@
 package burtree_test
 
-// Per-op allocation benchmarks for the hot update paths, plus the budget
-// gate that holds them to the thresholds committed in
-// BENCH_allocs.json. The static side of the same contract is the
+// Per-op allocation benchmarks for the hot update paths and the delta
+// tier's overlay reads, plus the budget gate that holds them to the
+// thresholds committed in BENCH_allocs.json. The static side of the same contract is the
 // hotpath analyzer (internal/lint/analyzers/hotpath): burlint rejects
 // per-op allocation sites reachable from //burlint:hotpath roots, and
 // this gate catches what escapes static analysis (allocations inside
@@ -18,6 +18,7 @@ package burtree_test
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -178,6 +179,104 @@ func BenchmarkUpdateBatchAllocsMemtable(b *testing.B) {
 	benchAllocUpdateBatch(b, x, err)
 }
 
+// memtableReadIndex is an index of allocBenchObjects objects of which the
+// first buffered sit in the delta tier (its threshold never trips), each
+// as a delta that leaves the object where it is: whatever the tier's
+// depth, every read returns the same objects.
+func memtableReadIndex(tb testing.TB, buffered int) *burtree.Index {
+	const n = allocBenchObjects
+	opts := allocBenchOptions(burtree.GeneralizedBottomUp)
+	opts.Memtable = burtree.Memtable{Enabled: true, MaxObjects: 1 << 20}
+	x, err := burtree.Open(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	ids, pts := make([]uint64, n), make([]burtree.Point, n)
+	for i := range ids {
+		ids[i], pts[i] = uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	if err := x.BulkInsert(ids, pts, burtree.PackSTR); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < buffered; i++ {
+		if err := x.Update(ids[i], pts[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := x.Stats().Memtable.Entries; got != buffered {
+		tb.Fatalf("%d deltas buffered, want %d", got, buffered)
+	}
+	return x
+}
+
+// overlayReadWindow is the window the overlay read benchmarks query: it
+// holds about 0.4% of the objects, so half a full tier's share of them
+// still fits the read path's on-stack result buffer.
+var overlayReadWindow = burtree.NewRect(0.47, 0.47, 0.53, 0.53)
+
+// BenchmarkSearchAllocsMemtable is a window of 256 Search calls with half
+// the objects buffered in the delta tier: the view, the masked tree scan
+// and the result slice.
+func BenchmarkSearchAllocsMemtable(b *testing.B) {
+	x := memtableReadIndex(b, allocBenchObjects/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 256; j++ {
+			if _, err := x.Search(overlayReadWindow); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkNearestAllocsMemtable is the same window of 256 Nearest calls,
+// k = 10.
+func BenchmarkNearestAllocsMemtable(b *testing.B) {
+	x := memtableReadIndex(b, allocBenchObjects/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 256; j++ {
+			if _, err := x.Nearest(burtree.Point{X: 0.5, Y: 0.5}, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestOverlayReadAllocsIgnoreDepth pins what the view buys: a read
+// allocates for what it reports, not for what the tier holds, so Search
+// and Nearest cost the same allocations with 64 deltas buffered as with
+// 4096.
+func TestOverlayReadAllocsIgnoreDepth(t *testing.T) {
+	measure := func(buffered int) (search, nearest float64) {
+		x := memtableReadIndex(t, buffered)
+		search = testing.AllocsPerRun(50, func() {
+			if _, err := x.Search(overlayReadWindow); err != nil {
+				t.Fatal(err)
+			}
+		})
+		nearest = testing.AllocsPerRun(50, func() {
+			if _, err := x.Nearest(burtree.Point{X: 0.5, Y: 0.5}, 10); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return search, nearest
+	}
+	s64, n64 := measure(64)
+	s4096, n4096 := measure(4096)
+	// Nearest borrows its queue from a sync.Pool, which under the race
+	// detector drops a quarter of what it is handed: there, and only there,
+	// the two averages can round to neighbouring integers.
+	if s64 != s4096 || math.Abs(n64-n4096) > 1 {
+		t.Fatalf("allocs/read with 64 deltas buffered: Search %v, Nearest %v; with 4096: Search %v, Nearest %v",
+			s64, n64, s4096, n4096)
+	}
+	t.Logf("allocs/read: Search %v, Nearest %v with 64 deltas buffered; %v, %v with 4096", s64, n64, s4096, n4096)
+}
+
 // allocBudgetBenches maps each budget entry in BENCH_allocs.json to
 // the benchmark that measures it.
 var allocBudgetBenches = map[string]func(*testing.B){
@@ -187,6 +286,8 @@ var allocBudgetBenches = map[string]func(*testing.B){
 	"UpdateBatchConcurrentGBU": BenchmarkUpdateBatchAllocsConcurrentGBU,
 	"UpdateBatchSharded":       BenchmarkUpdateBatchAllocsSharded,
 	"UpdateBatchMemtable":      BenchmarkUpdateBatchAllocsMemtable,
+	"SearchMemtable":           BenchmarkSearchAllocsMemtable,
+	"NearestMemtable":          BenchmarkNearestAllocsMemtable,
 }
 
 // allocBudgetFile is the committed allocation-threshold schema.

@@ -25,7 +25,11 @@ import (
 // locks (DGL granules, then the latch); the table's mu; the
 // delta tier's mutex. The table lock is therefore never held across a
 // tree operation (BulkInsert's load excepted, under the exclusive gate),
-// and a tree operation's callback may take it.
+// and a tree operation's callback may take it. The tier's mutex is a
+// leaf — no memtable.Table method calls out while holding it — taken
+// under the table lock by an absorb and under the tree's shared locks by
+// an overlay read's mask lookup (memtable.View.Masks), once per
+// candidate.
 
 // stepKind names the three single-object mutations.
 type stepKind uint8

@@ -383,6 +383,23 @@ func (d *DB) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 	return res, err
 }
 
+// NearestFunc streams the objects to visit in non-decreasing distance
+// from p until visit returns false, under the locks Nearest takes and
+// for the same reason. The visit callback runs with the locks held and
+// must not call back into the DB.
+func (d *DB) NearestFunc(p geom.Point, visit func(rtree.Neighbor) bool) error {
+	txn := d.lm.Begin()
+	defer d.lm.ReleaseAll(txn)
+	if err := d.lm.Acquire(txn, TreeGranule, dgl.S, d.timeout); err != nil {
+		return err
+	}
+	d.latch.RLock()
+	defer d.latch.RUnlock()
+	err := d.u.Tree().NearestFunc(p, visit)
+	d.queries.Add(1)
+	return err
+}
+
 // Exclusive runs fn with the whole index locked out: X on the tree
 // granule plus the exclusive physical latch. It is the hook for
 // operations that restructure or snapshot the entire index (bulk

@@ -20,8 +20,52 @@
 // Readers overlay both generations on top of the tree (mutable wins
 // over draining wins over tree), and the drain only discards the
 // draining generation after every entry has been applied, so a reader
-// that snapshots the overlay before scanning the tree observes each
-// object exactly once no matter how a concurrent merge interleaves.
+// that fixes its overlay before scanning the tree observes each object
+// exactly once no matter how a concurrent merge interleaves.
+//
+// A reader fixes its overlay as a View, which costs what the read
+// reports and not what the tier holds. Under one hold of the table's
+// mutex, before the tree scan starts, ViewWindow/ViewNearest
+//
+//   - capture the two generations by pointer and the absorb counter,
+//     and
+//   - copy out the live entries the read will report — those inside
+//     the window, or the k nearest the point — in one pass over each
+//     generation's dense entry slice.
+//
+// During the scan View.Masks decides per tree candidate, by lookup,
+// whether a captured delta supersedes it. A candidate is masked iff its
+// id is
+//
+//   - in the captured draining generation. A generation is never
+//     written again once BeginDrain has promoted it, and EndDrain only
+//     drops the table's pointer to it, so the view reads it without the
+//     mutex for as long as it likes; or
+//   - in the captured mutable generation with a birth stamp no later
+//     than the captured counter. An entry keeps the stamp of the absorb
+//     that first created it in its generation, however often it is
+//     rewritten afterwards. Born at or before the view, the entry was
+//     there when the view copied out what it reports, so the object was
+//     reported (or, a tombstone, withheld) from its at-view state and
+//     the tree's copy must stay hidden — even if the delta has moved on
+//     since, and even once a merge has carried it into the tree
+//     mid-scan: that costs a masked duplicate, never a missed object.
+//     Born after the view, the delta was not there to be reported, and
+//     hiding the tree's copy would lose the object: it stays visible, at
+//     the position the tree has for it.
+//
+// Only a delta created over a tree-resident object is stamped. One for
+// an object the tree has never held (or holds condemned under a
+// draining tombstone, which masks it) is born at zero, masked in every
+// view: the tree shows nothing of the object until this generation
+// merges, and what it shows then either postdates the view or — the
+// delta was cancelled by a delete and re-created since the view — is a
+// later incarnation of an entry the view has already reported.
+// A mutable generation that is empty when the view is taken is not
+// captured at all: whatever enters it later postdates the view.
+//
+// The mutex is a leaf: no method calls out while holding it. Masks takes
+// it under the tree's shared locks and latch, where the scan runs.
 //
 // Each entry records, besides the object's latest position, what the
 // tree will hold for that object once all earlier generations have
@@ -32,7 +76,9 @@
 package memtable
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -86,6 +132,63 @@ type Stats struct {
 	MergePages int64
 }
 
+// delta is a buffered entry with its birth stamp: the value of the
+// table's absorb counter when the id first entered its generation, or
+// zero for a delta created over an object the tree does not hold (see
+// the package comment).
+type delta struct {
+	Entry
+	born int64
+}
+
+// generation is one table of deltas: a dense slice, which the views
+// scan, beside the id → slot index every lookup goes through. It is
+// written only under the table's mutex and only while it is the mutable
+// generation.
+type generation struct {
+	slot map[uint64]int
+	ents []delta
+}
+
+func newGeneration() *generation {
+	return &generation{slot: make(map[uint64]int)}
+}
+
+// get returns id's delta, or nil. The pointer is good until the next
+// add or remove.
+func (g *generation) get(id uint64) *delta {
+	if g == nil {
+		return nil
+	}
+	if i, ok := g.slot[id]; ok {
+		return &g.ents[i]
+	}
+	return nil
+}
+
+func (g *generation) add(e Entry, born int64) {
+	g.slot[e.ID] = len(g.ents)
+	g.ents = append(g.ents, delta{Entry: e, born: born})
+}
+
+// remove drops id's delta, moving the last one into its slot.
+func (g *generation) remove(id uint64) {
+	i, last := g.slot[id], len(g.ents)-1
+	delete(g.slot, id)
+	if i != last {
+		g.ents[i] = g.ents[last]
+		g.slot[g.ents[i].ID] = i
+	}
+	g.ents = g.ents[:last]
+}
+
+func (g *generation) len() int {
+	if g == nil {
+		return 0
+	}
+	return len(g.ents)
+}
+
 // Table is the delta tier. All methods are safe for concurrent use; the
 // drain protocol (BeginDrain → apply → EndDrain) is serialized by the
 // caller (the front-ends hold a merge mutex across it).
@@ -93,9 +196,9 @@ type Table struct {
 	mu  sync.Mutex
 	cfg Config
 
-	mut    map[uint64]Entry
-	flush  map[uint64]Entry // non-nil only while a drain is applying
-	oldest time.Time        // arrival time of the mutable generation's first entry
+	mut    *generation
+	flush  *generation // non-nil only while a drain is applying
+	oldest time.Time   // arrival time of the mutable generation's first entry
 
 	absorbed   int64
 	merges     int64
@@ -106,7 +209,7 @@ type Table struct {
 
 // New returns an empty table.
 func New(cfg Config) *Table {
-	return &Table{cfg: cfg, mut: make(map[uint64]Entry)}
+	return &Table{cfg: cfg, mut: newGeneration()}
 }
 
 // treeState reports what the tree will hold for id once every earlier
@@ -115,11 +218,11 @@ func New(cfg Config) *Table {
 // table is authoritative: a live object without deltas lives in the
 // tree at its current position.
 func (t *Table) treeState(id uint64, cur geom.Point, haveCur bool) (inTree bool, base geom.Point) {
-	if e, ok := t.flush[id]; ok {
-		if e.Tombstone {
+	if d := t.flush.get(id); d != nil {
+		if d.Tombstone {
 			return false, geom.Point{}
 		}
-		return true, e.Pos
+		return true, d.Pos
 	}
 	if haveCur {
 		return true, cur
@@ -127,30 +230,51 @@ func (t *Table) treeState(id uint64, cur geom.Point, haveCur bool) (inTree bool,
 	return false, geom.Point{}
 }
 
-// touch stamps the mutable generation's age clock.
-func (t *Table) touch() {
-	if len(t.mut) == 0 {
+// begin opens an absorb (caller holds t.mu): it counts the write and
+// stamps the mutable generation's age clock.
+func (t *Table) begin() {
+	t.absorbed++
+	if len(t.mut.ents) == 0 {
 		t.oldest = time.Now()
 	}
 }
 
+// create buffers e as id's first delta in the mutable generation, born
+// now if the tree holds the object and at zero otherwise.
+func (t *Table) create(e Entry) {
+	var born int64
+	if e.InTree {
+		born = t.absorbed
+	}
+	t.mut.add(e, born)
+}
+
+// full reports whether the mutable generation has reached the size
+// threshold and a merge could take it (caller holds t.mu).
+func (t *Table) full() bool {
+	return t.cfg.MaxObjects > 0 && len(t.mut.ents) >= t.cfg.MaxObjects && t.err == nil
+}
+
 // Insert absorbs the insertion of a fresh object at p. The caller has
-// already established that no live object with this id exists.
+// already established that no live object with this id exists. Like
+// Update and Delete it reports whether the mutable generation now stands
+// at the size threshold, so the caller's ack path need not ask
+// NeedsMerge.
 //
 //burlint:hotpath
-func (t *Table) Insert(id uint64, p geom.Point) {
+func (t *Table) Insert(id uint64, p geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.absorbed++
-	t.touch()
-	if e, ok := t.mut[id]; ok {
+	t.begin()
+	if d := t.mut.get(id); d != nil {
 		// A pending tombstone: the tree still holds the object, so the
 		// re-insert becomes a move of the tree-resident copy.
-		t.mut[id] = Entry{ID: id, Pos: p, InTree: e.InTree, Base: e.Base}
-		return
+		d.Entry = Entry{ID: id, Pos: p, InTree: d.InTree, Base: d.Base}
+		return t.full()
 	}
 	inTree, base := t.treeState(id, geom.Point{}, false)
-	t.mut[id] = Entry{ID: id, Pos: p, InTree: inTree, Base: base}
+	t.create(Entry{ID: id, Pos: p, InTree: inTree, Base: base})
+	return t.full()
 }
 
 // Update absorbs a move of a live object to p; cur is the object's
@@ -158,18 +282,23 @@ func (t *Table) Insert(id uint64, p geom.Point) {
 // when no delta is buffered).
 //
 //burlint:hotpath
-func (t *Table) Update(id uint64, p, cur geom.Point) {
+func (t *Table) Update(id uint64, p, cur geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.absorbed++
-	t.touch()
-	if e, ok := t.mut[id]; ok && !e.Tombstone {
-		e.Pos = p
-		t.mut[id] = e
-		return
+	t.begin()
+	d := t.mut.get(id)
+	if d != nil && !d.Tombstone {
+		d.Pos = p
+		return t.full()
 	}
 	inTree, base := t.treeState(id, cur, true)
-	t.mut[id] = Entry{ID: id, Pos: p, InTree: inTree, Base: base}
+	e := Entry{ID: id, Pos: p, InTree: inTree, Base: base}
+	if d != nil {
+		d.Entry = e
+	} else {
+		t.create(e)
+	}
+	return t.full()
 }
 
 // Delete absorbs the removal of a live object; cur is its current
@@ -178,48 +307,39 @@ func (t *Table) Update(id uint64, p, cur geom.Point) {
 // merge to delete.
 //
 //burlint:hotpath
-func (t *Table) Delete(id uint64, cur geom.Point) {
+func (t *Table) Delete(id uint64, cur geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.absorbed++
-	t.touch()
-	if e, ok := t.mut[id]; ok {
-		if !e.InTree {
-			delete(t.mut, id)
-			return
+	t.begin()
+	if d := t.mut.get(id); d != nil {
+		if !d.InTree {
+			t.mut.remove(id)
+		} else {
+			d.Entry = Entry{ID: id, InTree: true, Base: d.Base, Tombstone: true}
 		}
-		t.mut[id] = Entry{ID: id, InTree: true, Base: e.Base, Tombstone: true}
-		return
+		return t.full()
 	}
-	inTree, base := t.treeState(id, cur, true)
-	if !inTree {
-		// Only possible while the draining generation holds a tombstone
-		// for id and the object was re-inserted and re-deleted since:
-		// the tree copy is already condemned, nothing more to buffer.
-		return
+	// Without a tree copy to condemn there is nothing to buffer: only
+	// possible while the draining generation holds a tombstone for id and
+	// the object was re-inserted and re-deleted since.
+	if inTree, base := t.treeState(id, cur, true); inTree {
+		t.create(Entry{ID: id, InTree: true, Base: base, Tombstone: true})
 	}
-	t.mut[id] = Entry{ID: id, InTree: true, Base: base, Tombstone: true}
+	return t.full()
 }
 
 // Get returns the buffered delta for id, newest generation first.
 func (t *Table) Get(id uint64) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if e, ok := t.mut[id]; ok {
-		return e, true
+	d := t.mut.get(id)
+	if d == nil {
+		d = t.flush.get(id)
 	}
-	e, ok := t.flush[id]
-	return e, ok
-}
-
-// Len returns the number of buffered deltas across both generations
-// (an object mid-drain with a fresh mutable delta counts twice; the
-// value is an upper bound on the number of distinct buffered ids,
-// which is what read-path sizing needs).
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.mut) + len(t.flush)
+	if d == nil {
+		return Entry{}, false
+	}
+	return d.Entry, true
 }
 
 // NeedsMerge reports whether the mutable generation has tripped the
@@ -230,32 +350,31 @@ func (t *Table) NeedsMerge(now time.Time) bool {
 	if t.err != nil {
 		return false // merging is stuck; see Fail
 	}
-	if len(t.mut) == 0 {
+	if len(t.mut.ents) == 0 {
 		return false
 	}
-	if t.cfg.MaxObjects > 0 && len(t.mut) >= t.cfg.MaxObjects {
-		return true
-	}
-	return t.cfg.MaxAge > 0 && now.Sub(t.oldest) >= t.cfg.MaxAge
+	return t.full() || t.cfg.MaxAge > 0 && now.Sub(t.oldest) >= t.cfg.MaxAge
 }
 
 // BeginDrain promotes the mutable generation to draining and returns
 // its entries sorted by id, or nil when there is nothing to drain, a
 // drain is already in flight, or a previous drain failed. The entries
-// stay visible to readers (via Snapshot/Get) until EndDrain.
+// stay visible to readers (through their views and Get) until EndDrain,
+// and the promoted generation is never written again: views that
+// captured it read it without the mutex.
 func (t *Table) BeginDrain() []Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.flush != nil || len(t.mut) == 0 || t.err != nil {
+	if t.flush != nil || len(t.mut.ents) == 0 || t.err != nil {
 		return nil
 	}
 	t.flush = t.mut
-	t.mut = make(map[uint64]Entry)
-	out := make([]Entry, 0, len(t.flush))
-	for _, e := range t.flush {
-		out = append(out, e)
+	t.mut = newGeneration()
+	out := make([]Entry, len(t.flush.ents))
+	for i := range t.flush.ents {
+		out[i] = t.flush.ents[i].Entry
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -273,7 +392,7 @@ func (t *Table) EndDrain() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.merges++
-	t.merged += int64(len(t.flush))
+	t.merged += int64(t.flush.len())
 	t.flush = nil
 }
 
@@ -299,23 +418,24 @@ func (t *Table) Err() error {
 	return t.err
 }
 
-// Snapshot returns the current overlay: every buffered delta, mutable
-// generation winning over draining. Read paths take the snapshot
-// before scanning the tree; because a drain discards its generation
-// only after fully applying it, every object is observed exactly once
-// regardless of how a concurrent merge interleaves with the scan.
+// Snapshot copies the whole overlay out: every buffered delta, mutable
+// generation winning over draining. It costs the tier's depth, so no
+// read takes it — reads fix their overlay as a View; it serves the
+// invariant checker, which compares the tier entry by entry at a
+// quiescent point.
 func (t *Table) Snapshot() map[uint64]Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.mut) == 0 && len(t.flush) == 0 {
+	if t.mut.len()+t.flush.len() == 0 {
 		return nil
 	}
-	out := make(map[uint64]Entry, len(t.mut)+len(t.flush))
-	for id, e := range t.flush {
-		out[id] = e
-	}
-	for id, e := range t.mut {
-		out[id] = e
+	out := make(map[uint64]Entry, t.mut.len()+t.flush.len())
+	for _, g := range [...]*generation{t.flush, t.mut} {
+		if g != nil {
+			for i := range g.ents {
+				out[g.ents[i].ID] = g.ents[i].Entry
+			}
+		}
 	}
 	return out
 }
@@ -325,10 +445,144 @@ func (t *Table) Stats() Stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return Stats{
-		Entries:    len(t.mut) + len(t.flush),
+		Entries:    t.mut.len() + t.flush.len(),
 		Absorbed:   t.absorbed,
 		Merges:     t.merges,
 		Merged:     t.merged,
 		MergePages: t.mergePages,
 	}
+}
+
+// Hit is one live buffered object a view reports: at Pos, Dist from the
+// query point (zero for a window query).
+type Hit struct {
+	ID   uint64
+	Pos  geom.Point
+	Dist float64
+}
+
+// View is a read's fixed picture of the tier: which tree candidates the
+// deltas buffered when it was taken supersede. See the package comment
+// for what it captures and why that suffices. The zero View masks
+// nothing.
+type View struct {
+	t          *Table
+	mut, flush *generation
+	seq        int64
+}
+
+// view captures the generations (caller holds t.mu).
+func (t *Table) view() View {
+	v := View{t: t, flush: t.flush, seq: t.absorbed}
+	if len(t.mut.ents) > 0 {
+		v.mut = t.mut
+	}
+	return v
+}
+
+// Empty reports whether the view captured no delta at all, in which
+// case the tree alone answers the read.
+func (v View) Empty() bool { return v.mut == nil && v.flush == nil }
+
+// Masks reports whether a delta the view captured supersedes the tree's
+// entry for id.
+func (v View) Masks(id uint64) bool {
+	if v.flush != nil {
+		if _, ok := v.flush.slot[id]; ok {
+			return true
+		}
+	}
+	if v.mut == nil {
+		return false
+	}
+	v.t.mu.Lock()
+	d := v.mut.get(id)
+	masked := d != nil && d.born <= v.seq
+	v.t.mu.Unlock()
+	return masked
+}
+
+// shadowed reports whether the mutable generation overrides the draining
+// generation's delta for id (caller holds t.mu).
+func (t *Table) shadowed(id uint64) bool {
+	_, ok := t.mut.slot[id]
+	return ok
+}
+
+// ViewWindow takes a view and appends to buf the live buffered objects
+// inside q, mutable generation winning over draining, in no particular
+// order.
+func (t *Table) ViewWindow(q geom.Rect, buf []Hit) (View, []Hit) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.view()
+	for _, g := range [...]*generation{t.flush, t.mut} {
+		if g == nil {
+			continue
+		}
+		for i := range g.ents {
+			d := &g.ents[i]
+			if d.Tombstone || !q.ContainsPoint(d.Pos) || g == t.flush && t.shadowed(d.ID) {
+				continue
+			}
+			buf = append(buf, Hit{ID: d.ID, Pos: d.Pos})
+		}
+	}
+	return v, buf
+}
+
+// ViewNearest takes a view and appends to buf the k live buffered
+// objects nearest p (fewer if the tier holds fewer, none for k <= 0),
+// mutable generation winning over draining, ascending by (distance, id).
+// Distances are the tree's degenerate-rectangle metric, so they compare
+// exactly with the tree's own.
+func (t *Table) ViewNearest(p geom.Point, k int, buf []Hit) (View, []Hit) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.view()
+	if k <= 0 {
+		return v, buf
+	}
+	base := len(buf)
+	for _, g := range [...]*generation{t.flush, t.mut} {
+		if g == nil {
+			continue
+		}
+		for i := range g.ents {
+			d := &g.ents[i]
+			if d.Tombstone {
+				continue
+			}
+			best := buf[base:]
+			if len(best) == k {
+				// The k-th distance bounds the rest: an entry farther than
+				// that along either axis alone cannot enter, whatever the
+				// other says, and is turned away before math.Hypot, which
+				// is most of what a pass over the tier costs.
+				kth := best[k-1].Dist
+				if math.Abs(d.Pos.X-p.X) > kth || math.Abs(d.Pos.Y-p.Y) > kth {
+					continue
+				}
+			}
+			h := Hit{ID: d.ID, Pos: d.Pos, Dist: geom.RectFromPoint(d.Pos).MinDistPoint(p)}
+			at, _ := slices.BinarySearchFunc(best, h, compareHits)
+			if at == k || g == t.flush && t.shadowed(d.ID) {
+				continue
+			}
+			if len(best) < k {
+				buf = append(buf, Hit{})
+			}
+			best = buf[base:]
+			copy(best[at+1:], best[at:])
+			best[at] = h
+		}
+	}
+	return v, buf
+}
+
+func compareHits(a, b Hit) int {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }

@@ -2,6 +2,7 @@ package memtable
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -84,8 +85,8 @@ func TestDrainLifecycle(t *testing.T) {
 	if e, ok := tb.Get(2); !ok || !e.Tombstone {
 		t.Fatalf("draining tombstone invisible: %+v ok=%v", e, ok)
 	}
-	if tb.Len() != 3 {
-		t.Fatalf("Len=%d during drain, want 3", tb.Len())
+	if n := tb.Stats().Entries; n != 3 {
+		t.Fatalf("Entries=%d during drain, want 3", n)
 	}
 
 	// A write landing mid-drain goes to the new mutable generation and
@@ -125,8 +126,8 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 	// Only id 1 survives in the new mutable generation: id 2's
 	// insert+delete cancelled, id 3 drained.
-	if tb.Len() != 1 {
-		t.Fatalf("Len=%d after drain, want 1", tb.Len())
+	if n := tb.Stats().Entries; n != 1 {
+		t.Fatalf("Entries=%d after drain, want 1", n)
 	}
 }
 
@@ -191,5 +192,175 @@ func TestSnapshotEmpty(t *testing.T) {
 	tb.Delete(1, pt(1, 1))
 	if tb.Snapshot() != nil {
 		t.Fatal("cancelled delta should leave table empty")
+	}
+}
+
+// TestViewFixesTheOverlay drives a view through the interleavings its
+// consistency argument names: what the view reports is what the tier held
+// when it was taken, and what it masks is every id it could have
+// reported or withheld then — whatever absorbs and drains follow.
+func TestViewFixesTheOverlay(t *testing.T) {
+	all := geom.NewRect(0, 0, 10, 10)
+	for _, tc := range []struct {
+		name          string
+		before, after func(tb *Table)
+		hits          []Hit
+		masked, clear []uint64
+	}{{
+		name:   "entry born after the view is unmasked",
+		before: func(tb *Table) { tb.Update(1, pt(1, 1), pt(0, 0)) },
+		after:  func(tb *Table) { tb.Update(2, pt(2, 2), pt(0, 0)); tb.Delete(3, pt(3, 3)) },
+		hits:   []Hit{{ID: 1, Pos: pt(1, 1)}},
+		masked: []uint64{1},
+		clear:  []uint64{2, 3},
+	}, {
+		name:   "entry updated after the view stays masked, reported where it was",
+		before: func(tb *Table) { tb.Update(1, pt(1, 1), pt(0, 0)) },
+		after:  func(tb *Table) { tb.Update(1, pt(5, 5), pt(1, 1)) },
+		hits:   []Hit{{ID: 1, Pos: pt(1, 1)}},
+		masked: []uint64{1},
+	}, {
+		name:   "entry tombstoned after the view stays masked, reported where it was",
+		before: func(tb *Table) { tb.Update(1, pt(1, 1), pt(0, 0)) },
+		after:  func(tb *Table) { tb.Delete(1, pt(1, 1)) },
+		hits:   []Hit{{ID: 1, Pos: pt(1, 1)}},
+		masked: []uint64{1},
+	}, {
+		name:   "tombstone revived after the view stays masked and withheld",
+		before: func(tb *Table) { tb.Delete(1, pt(1, 1)) },
+		after:  func(tb *Table) { tb.Insert(1, pt(4, 4)) },
+		masked: []uint64{1},
+	}, {
+		name: "mutable wins over draining",
+		before: func(tb *Table) {
+			tb.Update(1, pt(1, 1), pt(0, 0))
+			tb.Update(2, pt(2, 2), pt(0, 0))
+			tb.Delete(3, pt(3, 3))
+			tb.BeginDrain()
+			tb.Update(1, pt(6, 6), pt(1, 1))
+			tb.Insert(3, pt(7, 7)) // over the draining tombstone
+		},
+		after:  func(tb *Table) {},
+		hits:   []Hit{{ID: 1, Pos: pt(6, 6)}, {ID: 2, Pos: pt(2, 2)}, {ID: 3, Pos: pt(7, 7)}},
+		masked: []uint64{1, 2, 3},
+	}, {
+		name:   "a drain begun and ended after the view",
+		before: func(tb *Table) { tb.Update(1, pt(1, 1), pt(0, 0)) },
+		after: func(tb *Table) {
+			tb.BeginDrain()
+			tb.Update(2, pt(2, 2), pt(0, 0))
+			tb.EndDrain()
+			tb.BeginDrain() // and the next generation after it
+			tb.EndDrain()
+		},
+		hits:   []Hit{{ID: 1, Pos: pt(1, 1)}},
+		masked: []uint64{1},
+		clear:  []uint64{2},
+	}, {
+		name:   "a drain in flight at the view, ended after it",
+		before: func(tb *Table) { tb.Update(1, pt(1, 1), pt(0, 0)); tb.BeginDrain(); tb.Update(2, pt(2, 2), pt(0, 0)) },
+		after:  func(tb *Table) { tb.EndDrain(); tb.Update(1, pt(8, 8), pt(1, 1)) },
+		hits:   []Hit{{ID: 1, Pos: pt(1, 1)}, {ID: 2, Pos: pt(2, 2)}},
+		masked: []uint64{1, 2},
+	}, {
+		name:   "delete of a never-in-tree delta",
+		before: func(tb *Table) { tb.Insert(1, pt(1, 1)); tb.Update(2, pt(2, 2), pt(0, 0)) },
+		after:  func(tb *Table) { tb.Delete(1, pt(1, 1)) },
+		hits:   []Hit{{ID: 1, Pos: pt(1, 1)}, {ID: 2, Pos: pt(2, 2)}},
+		masked: []uint64{2},
+		clear:  []uint64{1}, // the tree never held it: nothing to mask
+	}, {
+		name:   "never-in-tree delta cancelled and re-created after the view",
+		before: func(tb *Table) { tb.Insert(1, pt(1, 1)) },
+		after:  func(tb *Table) { tb.Delete(1, pt(1, 1)); tb.Insert(1, pt(9, 9)) },
+		hits:   []Hit{{ID: 1, Pos: pt(1, 1)}},
+		// Reported once already: the copy a merge puts in the tree mid-scan
+		// must not be reported again.
+		masked: []uint64{1},
+	}, {
+		name:   "mutable generation empty at the view",
+		before: func(tb *Table) { tb.Update(1, pt(1, 1), pt(0, 0)); tb.BeginDrain() },
+		after:  func(tb *Table) { tb.Update(2, pt(2, 2), pt(0, 0)) },
+		hits:   []Hit{{ID: 1, Pos: pt(1, 1)}},
+		masked: []uint64{1},
+		clear:  []uint64{2},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := New(Config{MaxObjects: 100})
+			tc.before(tb)
+			view, hits := tb.ViewWindow(all, nil)
+			_, near := tb.ViewNearest(pt(0, 0), 100, nil)
+			tc.after(tb)
+			if view.Empty() {
+				t.Fatal("view of a non-empty tier is empty")
+			}
+			slices.SortFunc(hits, compareHits) // window hits come unordered, all at Dist 0
+			if !slices.Equal(hits, tc.hits) {
+				t.Errorf("window reports %+v, want %+v", hits, tc.hits)
+			}
+			for i := range near {
+				near[i].Dist = 0
+			}
+			slices.SortFunc(near, compareHits)
+			if !slices.Equal(near, tc.hits) {
+				t.Errorf("nearest reports %+v, want %+v", near, tc.hits)
+			}
+			for _, id := range tc.masked {
+				if !view.Masks(id) {
+					t.Errorf("id %d is not masked", id)
+				}
+			}
+			for _, id := range tc.clear {
+				if view.Masks(id) {
+					t.Errorf("id %d is masked", id)
+				}
+			}
+		})
+	}
+}
+
+// TestViewOfEmptyTier: with nothing buffered the view is empty and stays
+// so, and a window or a tombstone keeps entries out of what is reported
+// but not out of what is masked.
+func TestViewOfEmptyTier(t *testing.T) {
+	tb := New(Config{MaxObjects: 100})
+	view, hits := tb.ViewWindow(geom.NewRect(0, 0, 10, 10), nil)
+	tb.Update(1, pt(1, 1), pt(0, 0))
+	if !view.Empty() || len(hits) != 0 || view.Masks(1) {
+		t.Fatalf("view of an empty tier: empty=%v hits=%v masks(1)=%v", view.Empty(), hits, view.Masks(1))
+	}
+	tb.Delete(2, pt(2, 2))
+	view, hits = tb.ViewWindow(geom.NewRect(5, 5, 10, 10), nil)
+	if len(hits) != 0 || !view.Masks(1) || !view.Masks(2) {
+		t.Fatalf("outside the window: hits=%v masks(1)=%v masks(2)=%v", hits, view.Masks(1), view.Masks(2))
+	}
+	// Asked for no neighbours, the view still masks and reports none.
+	for _, k := range []int{0, -1} {
+		view, hits = tb.ViewNearest(pt(1, 1), k, nil)
+		if len(hits) != 0 || !view.Masks(1) {
+			t.Fatalf("k=%d: hits=%v masks(1)=%v", k, hits, view.Masks(1))
+		}
+	}
+}
+
+// TestViewNearestOrder checks the bounded k-selection: the k nearest live
+// entries across both generations, ascending by (distance, id), equal
+// distances included.
+func TestViewNearestOrder(t *testing.T) {
+	tb := New(Config{MaxObjects: 100})
+	// Ids 1-4 on a ring of radius 5 around the origin, 5 and 6 beyond it.
+	for id, p := range map[uint64]geom.Point{4: pt(3, 4), 2: pt(-3, 4), 1: pt(4, -3), 3: pt(-4, -3), 5: pt(6, 0), 6: pt(0, 7)} {
+		tb.Update(id, p, pt(0, 0))
+	}
+	tb.BeginDrain()
+	tb.Update(7, pt(1, 0), pt(0, 0))
+	tb.Delete(2, pt(-3, 4))          // tombstone shadows the draining entry
+	tb.Update(5, pt(0, 2), pt(6, 0)) // moved nearer since
+	want := []Hit{{7, pt(1, 0), 1}, {5, pt(0, 2), 2}, {1, pt(4, -3), 5}, {3, pt(-4, -3), 5}, {4, pt(3, 4), 5}, {6, pt(0, 7), 7}}
+	for _, k := range []int{1, 3, 4, 6, 50} {
+		_, got := tb.ViewNearest(pt(0, 0), k, nil)
+		if !slices.Equal(got, want[:min(k, len(want))]) {
+			t.Errorf("k=%d: %+v, want %+v", k, got, want[:min(k, len(want))])
+		}
 	}
 }

@@ -26,7 +26,7 @@
 //     pointer — go through a NodeRef: a validated view over the pinned
 //     frame's bytes whose accessors read the fixed-width fields and whose
 //     setters patch them (Tree.PinNode, Tree.PinNodeForPatch,
-//     Tree.ScanNode, Tree.Search, Tree.NearestK). No Node is built.
+//     Tree.ScanNode, Tree.Search, Tree.NearestFunc). No Node is built.
 //   - Decoded. Structural changes — appending or removing entries,
 //     splits, reinsertion, condensing — work on a Node: ReadNode decodes
 //     straight from the pinned frame, WriteNode encodes straight into

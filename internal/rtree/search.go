@@ -124,14 +124,37 @@ type Neighbor struct {
 }
 
 // NearestK returns the k data entries nearest to p in increasing distance
-// order, using the standard best-first MinDist traversal over the pinned
-// pages. It is an extension beyond the paper's evaluation, provided for
-// library completeness.
+// order: the first k of NearestFunc's stream. It is an extension beyond
+// the paper's evaluation, provided for library completeness.
 //
 //burlint:hotpath
 func (t *Tree) NearestK(p geom.Point, k int) ([]Neighbor, error) {
-	if t.root == pagestore.InvalidPage || k <= 0 {
+	if k <= 0 {
 		return nil, nil
+	}
+	var out []Neighbor
+	err := t.NearestFunc(p, func(n Neighbor) bool {
+		out = append(out, n)
+		return len(out) < k
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// NearestFunc streams the data entries to visit in non-decreasing
+// distance from p, using the standard best-first MinDist traversal over
+// the pinned pages, until visit returns false or the tree is exhausted.
+// The traversal is incremental: it opens only the nodes that lie nearer
+// than the last entry visited, so a caller that stops after n entries
+// pays for n, whatever it discarded on the way. visit runs with no page
+// pinned.
+//
+//burlint:hotpath
+func (t *Tree) NearestFunc(p geom.Point, visit func(Neighbor) bool) error {
+	if t.root == pagestore.InvalidPage {
+		return nil
 	}
 	pq, _ := t.heaps.Get().(*nnHeap)
 	if pq == nil {
@@ -141,16 +164,17 @@ func (t *Tree) NearestK(p geom.Point, k int) ([]Neighbor, error) {
 	defer t.heaps.Put(pq)
 
 	pq.push(nnItem{dist: 0, id: uint64(t.root), isNode: true})
-	var out []Neighbor
-	for len(*pq) > 0 && len(out) < k {
+	for len(*pq) > 0 {
 		it := pq.pop()
 		if !it.isNode {
-			out = append(out, Neighbor{OID: it.id, Rect: it.rect, Dist: it.dist})
+			if !visit(Neighbor{OID: it.id, Rect: it.rect, Dist: it.dist}) {
+				return nil
+			}
 			continue
 		}
 		r, err := t.PinNode(pagestore.PageID(it.id))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v := r.v
 		for i := 0; i < v.count; i++ {
@@ -162,10 +186,10 @@ func (t *Tree) NearestK(p geom.Point, k int) ([]Neighbor, error) {
 			pq.push(it)
 		}
 		if err := r.Release(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // nnItem is a queue element of the best-first traversal: a node still to

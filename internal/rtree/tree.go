@@ -113,7 +113,7 @@ type Tree struct {
 	listener   Listener
 
 	// nodes is the free list of decoded nodes whose lifetime is one call
-	// (BorrowNode / ReturnNode); heaps recycles NearestK's queue.
+	// (BorrowNode / ReturnNode); heaps recycles NearestFunc's queue.
 	nodes sync.Pool
 	heaps sync.Pool
 }

@@ -397,6 +397,78 @@ func TestNearestK(t *testing.T) {
 	}
 }
 
+// TestNearestFunc checks the incremental stream against brute force on
+// seeded trees whose points sit on a coarse lattice, so many lie at
+// exactly the same distance from a query: the stream is the whole tree in
+// non-decreasing distance, NearestK is its first k, and a visit that
+// stops early leaves no frame pinned.
+func TestNearestFunc(t *testing.T) {
+	for _, seed := range []int64{3, 17, 101} {
+		tr := newTestTree(t, 512, 8, Config{})
+		rng := rand.New(rand.NewSource(seed))
+		const n = 300
+		var rects []geom.Rect
+		for i := 0; i < n; i++ {
+			r := geom.RectFromPoint(geom.Point{X: float64(rng.Intn(12)) / 12, Y: float64(rng.Intn(12)) / 12})
+			if err := tr.Insert(OID(i), r); err != nil {
+				t.Fatal(err)
+			}
+			rects = append(rects, r)
+		}
+		for trial := 0; trial < 10; trial++ {
+			// Queries on the lattice too: whole rings of equidistant points.
+			p := geom.Point{X: float64(rng.Intn(12)) / 12, Y: float64(rng.Intn(12)) / 12}
+			want := make([]float64, n)
+			for i, r := range rects {
+				want[i] = r.MinDistPoint(p)
+			}
+			sort.Float64s(want)
+
+			var stream []Neighbor
+			if err := tr.NearestFunc(p, func(nb Neighbor) bool { stream = append(stream, nb); return true }); err != nil {
+				t.Fatal(err)
+			}
+			if len(stream) != n {
+				t.Fatalf("seed %d: stream of %d entries, tree holds %d", seed, len(stream), n)
+			}
+			seen := make(map[OID]bool, n)
+			for i, nb := range stream {
+				if nb.Dist != want[i] {
+					t.Fatalf("seed %d: stream[%d] at distance %v, brute force %v", seed, i, nb.Dist, want[i])
+				}
+				if seen[nb.OID] || nb.Rect != rects[nb.OID] {
+					t.Fatalf("seed %d: stream[%d] = object %d at %v (repeated: %v)", seed, i, nb.OID, nb.Rect, seen[nb.OID])
+				}
+				seen[nb.OID] = true
+			}
+			for _, k := range []int{1, 10, 100, n} {
+				got, err := tr.NearestK(p, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("NearestK(%d) returned %d", k, len(got))
+				}
+				for i := range got {
+					if got[i] != stream[i] {
+						t.Fatalf("seed %d: NearestK(%d)[%d] = %+v, stream has %+v", seed, k, i, got[i], stream[i])
+					}
+				}
+			}
+			visits := 0
+			if err := tr.NearestFunc(p, func(Neighbor) bool { visits++; return visits < 7 }); err != nil {
+				t.Fatal(err)
+			}
+			if visits != 7 {
+				t.Fatalf("early stop visited %d, want 7", visits)
+			}
+			if pinned := tr.Pool().Pinned(); pinned != 0 {
+				t.Fatalf("%d frames pinned after an early stop", pinned)
+			}
+		}
+	}
+}
+
 func TestSplitCountersAdvance(t *testing.T) {
 	tr := newTestTree(t, 512, 0, Config{ReinsertFraction: 0.3})
 	rng := rand.New(rand.NewSource(23))

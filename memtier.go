@@ -3,8 +3,9 @@ package burtree
 // This file wires the in-memory delta tier (internal/memtable) into the
 // index front-ends: the Memtable options block, the drain that merges
 // absorbed deltas down to the tree through the batched bottom-up
-// pipeline, and the overlay read helpers that make buffered deltas
-// visible to Search/Count/Nearest before they reach the tree.
+// pipeline, and the loop that runs it in the background. The reads that
+// make buffered deltas visible before they reach the tree are the
+// stack's own (treeStack.SearchFunc, Nearest), over a memtable.View.
 
 import (
 	"errors"
@@ -13,9 +14,7 @@ import (
 	"time"
 
 	"burtree/internal/core"
-	"burtree/internal/geom"
 	"burtree/internal/memtable"
-	"burtree/internal/rtree"
 )
 
 // Memtable configures the in-memory delta tier. When enabled, write
@@ -44,10 +43,16 @@ import (
 // Reads remain read-your-writes: Search, SearchFunc, Count and Nearest
 // overlay the buffered deltas on the tree results — the buffer wins
 // per object and tombstones mask deleted objects — so an acknowledged
-// write is immediately visible. Recovery replays the WAL tail into the
-// buffer, so crash safety is exactly the write-ahead log's: everything
-// the log retained is replayed, whether or not it was merged down
-// before the crash.
+// write is immediately visible. A read does not copy the buffer: it
+// takes a view of it (package memtable) that collects only the buffered
+// objects it will report and decides per tree candidate, by lookup,
+// whether a buffered delta supersedes it, and Nearest pulls neighbours
+// from the tree one at a time until k are in hand. What a read pays for
+// the tier is one pass over the buffered positions plus the masked
+// candidates in its range, and it allocates for its results alone.
+// Recovery replays the WAL tail into the buffer, so crash safety is
+// exactly the write-ahead log's: everything the log retained is
+// replayed, whether or not it was merged down before the crash.
 type Memtable struct {
 	// Enabled turns the tier on.
 	Enabled bool
@@ -192,69 +197,6 @@ func drainEntries(entries []memtable.Entry, tree treeOps, parallelism int) error
 		}
 	}
 	return nil
-}
-
-// overlaySearch answers a window query with the delta overlay applied:
-// tree hits for buffered objects are masked (the overlay's version of
-// the object wins, whether moved or deleted), then the live overlay
-// entries inside the window are streamed. The overlay snapshot must be
-// taken before the tree scan starts: a merge that completes in between
-// then costs at most a masked duplicate, never a missed object.
-func overlaySearch(overlay map[uint64]memtable.Entry, q Rect, scan func(emit func(oid uint64, r Rect) bool) error, visit func(id uint64, p Point) bool) error {
-	stopped := false
-	err := scan(func(oid uint64, r Rect) bool {
-		if _, masked := overlay[oid]; masked {
-			return true
-		}
-		if !visit(oid, Point{X: r.MinX, Y: r.MinY}) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if err != nil || stopped {
-		return err
-	}
-	for _, e := range overlay {
-		if e.Tombstone || !q.ContainsPoint(e.Pos) {
-			continue
-		}
-		if !visit(e.ID, e.Pos) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// overlayNearest answers a k-NN query with the delta overlay applied.
-// The tree is asked for k+len(overlay) neighbours: at most len(overlay)
-// of them can be masked, so at least k unmasked survivors remain
-// whenever the index holds k reachable objects. Overlay distances use
-// the same degenerate-rectangle metric as the tree, so merged profiles
-// are bitwise identical to an overlay-free index.
-func overlayNearest(overlay map[uint64]memtable.Entry, p Point, k int, treeK func(k int) ([]rtree.Neighbor, error)) ([]Neighbor, error) {
-	res, err := treeK(k + len(overlay))
-	if err != nil {
-		return nil, err
-	}
-	base := make([]Neighbor, 0, k)
-	for _, n := range res {
-		if _, masked := overlay[n.OID]; masked {
-			continue
-		}
-		base = append(base, Neighbor{ID: n.OID, Location: Point{X: n.Rect.MinX, Y: n.Rect.MinY}, Dist: n.Dist})
-		if len(base) == k {
-			break
-		}
-	}
-	extra := make([]Neighbor, 0, len(overlay))
-	for _, e := range overlay {
-		if e.Tombstone {
-			continue
-		}
-		extra = append(extra, Neighbor{ID: e.ID, Location: e.Pos, Dist: geom.RectFromPoint(e.Pos).MinDistPoint(p)})
-	}
-	return mergeNeighbors(base, extra, k), nil
 }
 
 // merger is the background merge-down loop a background stack (a

@@ -2,6 +2,8 @@ package burtree
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -116,6 +118,48 @@ func TestScatterDedup(t *testing.T) {
 	}
 	if hits != 1 {
 		t.Fatalf("Nearest returned id 42 %d times, want once (%v)", hits, ns)
+	}
+}
+
+// TestMergeNeighbors checks the linear merge against sort-and-dedupe on
+// seeded lists that share some ids (at different distances) and some
+// distances (at different ids).
+func TestMergeNeighbors(t *testing.T) {
+	byDistThenID := func(a, b Neighbor) int {
+		if a.Dist != b.Dist {
+			return int(math.Copysign(1, a.Dist-b.Dist))
+		}
+		return int(a.ID) - int(b.ID)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, size := range []int{0, 1, 7, 60} {
+		for trial := 0; trial < 20; trial++ {
+			// Ids drawn from a range that forces repeats across the lists,
+			// distances from a lattice that forces ties.
+			list := func(n int) []Neighbor {
+				out := make([]Neighbor, 0, n)
+				for _, id := range rng.Perm(2*size + 1)[:n] {
+					out = append(out, Neighbor{ID: uint64(id), Dist: float64(rng.Intn(size+1)) / 4})
+				}
+				slices.SortFunc(out, byDistThenID)
+				return out
+			}
+			a, b := list(rng.Intn(size+1)), list(size)
+			want := slices.Concat(a, b)
+			slices.SortStableFunc(want, byDistThenID)
+			seen := make(map[uint64]bool)
+			want = slices.DeleteFunc(want, func(n Neighbor) bool {
+				dup := seen[n.ID]
+				seen[n.ID] = true
+				return dup
+			})
+			for _, k := range []int{1, size/2 + 1, 2*size + 5} {
+				got := mergeNeighbors(slices.Clone(a), slices.Clone(b), k)
+				if !slices.Equal(got, want[:min(k, len(want))]) {
+					t.Fatalf("size %d, k %d: merged\n%v\nand\n%v\ninto\n%v\nwant\n%v", size, k, a, b, got, want[:min(k, len(want))])
+				}
+			}
+		}
 	}
 }
 

@@ -972,6 +972,10 @@ func (x *ShardedIndex) Count(q Rect) (int, error) {
 // queries most shards are never touched. Within each visited shard the
 // query holds that shard's whole-tree granule shared — updates elsewhere
 // keep running, which is the point of sharding the NN path.
+//
+// Objects at exactly the same distance come back in no particular order
+// (each shard's tree reports ties as its queue pops them), as on Index
+// and ConcurrentIndex.
 func (x *ShardedIndex) Nearest(p Point, k int) ([]Neighbor, error) {
 	x.opMu.RLock()
 	defer x.opMu.RUnlock()
@@ -1013,30 +1017,31 @@ func (x *ShardedIndex) Nearest(p Point, k int) ([]Neighbor, error) {
 	return best, nil
 }
 
-// mergeNeighbors merges two ascending neighbour lists, keeping the k
-// nearest with deterministic (distance, id) ordering. Ids are
-// de-duplicated, keeping the nearest copy: shard visits racing a
-// cross-shard move can both report the mover.
+// mergeNeighbors merges two neighbour lists, each ascending by distance
+// and free of repeated ids, into the k nearest: ascending by distance,
+// the smaller id first where one of a meets one of b at the same
+// distance. An id both lists hold is kept once, at its nearer copy: shard
+// visits racing a cross-shard move can both report the mover.
 func mergeNeighbors(a, b []Neighbor, k int) []Neighbor {
-	out := append(a, b...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
-	seen := make(map[uint64]struct{}, len(out))
-	kept := out[:0]
-	for _, n := range out {
-		if _, dup := seen[n.ID]; dup {
-			continue
-		}
-		seen[n.ID] = struct{}{}
-		kept = append(kept, n)
+	if len(a) == 0 {
+		a, b = b, a
 	}
-	out = kept
-	if len(out) > k {
-		out = out[:k]
+	if len(b) == 0 {
+		return a[:min(k, len(a))]
+	}
+	out := make([]Neighbor, 0, min(k, len(a)+len(b)))
+	for len(out) < k && len(a)+len(b) > 0 {
+		from := &a
+		if len(a) == 0 || len(b) > 0 &&
+			(b[0].Dist < a[0].Dist || b[0].Dist == a[0].Dist && b[0].ID < a[0].ID) {
+			from = &b
+		}
+		n := (*from)[0]
+		*from = (*from)[1:]
+		// A repeated id is looked for among the neighbours already taken.
+		if !slices.ContainsFunc(out, func(o Neighbor) bool { return o.ID == n.ID }) {
+			out = append(out, n)
+		}
 	}
 	return out
 }

@@ -36,6 +36,9 @@ type treeOps interface {
 	UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)) (core.BatchStats, error)
 	Search(q Rect, visit func(uint64, Rect) bool) error
 	Nearest(p Point, k int) ([]rtree.Neighbor, error)
+	// NearestFunc streams neighbours in non-decreasing distance, under the
+	// locks Nearest holds, until visit returns false.
+	NearestFunc(p Point, visit func(rtree.Neighbor) bool) error
 	// Exclusive runs fn with every other operation locked out; View runs
 	// it at a physically consistent point alongside readers.
 	Exclusive(fn func(core.Updater) error) error
@@ -48,6 +51,9 @@ type serialTree struct{ core.Updater }
 
 func (s serialTree) UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)) (core.BatchStats, error) {
 	return core.ApplyBatch(s.Updater, changes, done)
+}
+func (s serialTree) NearestFunc(p Point, visit func(rtree.Neighbor) bool) error {
+	return s.Tree().NearestFunc(p, visit)
 }
 func (s serialTree) Exclusive(fn func(core.Updater) error) error { return fn(s.Updater) }
 func (s serialTree) View(fn func(core.Updater))                  { fn(s.Updater) }
@@ -81,6 +87,13 @@ type treeStack struct {
 	background bool
 	mergeMu    sync.Mutex
 	merge      *merger
+	// memFull is what the tier told the latest absorb: its mutable
+	// generation stands at the size threshold. afterAck reads it outside
+	// the table lock, so it may read a true the merger has since acted on;
+	// on a sharded batch, which acks every shard, it may also read one left
+	// by an earlier write to a shard this batch never touched. Either
+	// costs a kick that the merger's NeedsMerge turns away.
+	memFull atomic.Bool
 
 	// bgPages counts physical page accesses incurred by merge-down
 	// drains, so foreground cost attribution (the sharded front-end's
@@ -153,17 +166,20 @@ func (m ioMark) done() uint64 {
 func (s *treeStack) tiered() bool { return s.mem != nil }
 
 // absorb hands st to the delta tier as a delta (the inverse steps of an
-// undo cancel or re-absorb theirs). The caller holds the object table's
-// lock and has established that the stack is tiered.
+// undo cancel or re-absorb theirs), and leaves the tier's answer — is it
+// at the size threshold now — where afterAck finds it. The caller holds
+// the object table's lock and has established that the stack is tiered.
 func (s *treeStack) absorb(st step) {
+	var full bool
 	switch st.kind {
 	case stepInsert:
-		s.mem.Insert(st.id, st.new)
+		full = s.mem.Insert(st.id, st.new)
 	case stepMove:
-		s.mem.Update(st.id, st.new, st.old)
+		full = s.mem.Update(st.id, st.new, st.old)
 	case stepDelete:
-		s.mem.Delete(st.id, st.old)
+		full = s.mem.Delete(st.id, st.old)
 	}
+	s.memFull.Store(full)
 }
 
 // apply carries st out on the tree.
@@ -217,8 +233,16 @@ func arrive(src, dst *treeStack, id uint64, old, new Point) error {
 // merger, which never blocks the writer and never fails, or — on the
 // single-writer Index, which has no goroutine to hand the work to — an
 // inline drain whose failure the write reports.
+//
+// The size trigger is the latest absorb's own answer, so the ack path
+// takes the tier's mutex once, in absorb; a stale answer — the merger got
+// there first — costs a kick the merger's own check turns away. The clock
+// is read only when an age trigger is configured.
 func (s *treeStack) afterAck() error {
-	if s.mem == nil || !s.mem.NeedsMerge(time.Now()) {
+	if s.mem == nil {
+		return nil
+	}
+	if !s.memFull.Load() && !(s.options.Memtable.MaxAge > 0 && s.mem.NeedsMerge(time.Now())) {
 		return nil
 	}
 	if s.merge != nil {
@@ -346,15 +370,29 @@ func (s *treeStack) Search(q Rect) ([]uint64, error) {
 // updates to the locked region stall behind it.
 func (s *treeStack) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
 	if s.mem != nil {
-		// The overlay snapshot is taken before the tree scan: a merge
-		// completing in between leaves its objects masked in the scan and
-		// reported from the overlay, never missed (see overlaySearch). The
-		// overlay portion of the results streams after the tree's shared
-		// locks are released.
-		if overlay := s.mem.Snapshot(); overlay != nil {
-			return overlaySearch(overlay, q, func(emit func(uint64, Rect) bool) error {
-				return s.tree.Search(q, emit)
-			}, visit)
+		// The view is taken before the tree scan: a merge completing in
+		// between leaves its objects masked in the scan and reported from
+		// the view, never missed (see package memtable). The buffered part of
+		// the results streams after the tree's shared locks are released.
+		var buf [32]memtable.Hit
+		if view, hits := s.mem.ViewWindow(q, buf[:0]); !view.Empty() {
+			stopped := false
+			err := s.tree.Search(q, func(oid uint64, r Rect) bool {
+				if view.Masks(oid) {
+					return true
+				}
+				stopped = !visit(oid, Point{X: r.MinX, Y: r.MinY})
+				return !stopped
+			})
+			if err != nil || stopped {
+				return err
+			}
+			for _, h := range hits {
+				if !visit(h.ID, h.Pos) {
+					break
+				}
+			}
+			return nil
 		}
 	}
 	return s.tree.Search(q, func(oid uint64, r Rect) bool {
@@ -375,11 +413,13 @@ func (s *treeStack) Count(q Rect) (int, error) {
 // front, so the query holds the whole-tree granule shared: it runs in
 // parallel with other reads but excludes updates for its duration.
 func (s *treeStack) Nearest(p Point, k int) ([]Neighbor, error) {
+	if k <= 0 {
+		return nil, nil
+	}
 	if s.mem != nil {
-		if overlay := s.mem.Snapshot(); overlay != nil {
-			return overlayNearest(overlay, p, k, func(k int) ([]rtree.Neighbor, error) {
-				return s.tree.Nearest(p, k)
-			})
+		var buf [16]memtable.Hit
+		if view, near := s.mem.ViewNearest(p, k, buf[:0]); !view.Empty() {
+			return s.overlayNearest(view, near, p, k)
 		}
 	}
 	res, err := s.tree.Nearest(p, k)
@@ -390,6 +430,37 @@ func (s *treeStack) Nearest(p Point, k int) ([]Neighbor, error) {
 	for i, n := range res {
 		out[i] = Neighbor{ID: n.OID, Location: Point{X: n.Rect.MinX, Y: n.Rect.MinY}, Dist: n.Dist}
 	}
+	return out, nil
+}
+
+// overlayNearest answers a k-NN query under view: the tree's neighbours
+// stream in, nearest first, and merge with near, the view's own k
+// nearest. A masked candidate is dropped, and the stream is cut as soon
+// as k neighbours are in hand — which the buffered ones nearer than the
+// next candidate may complete on their own — so the tree is asked for k
+// plus the masked candidates in range, whatever the tier holds. No object
+// comes from both sides: what the view reports, the tree does not hold or
+// the view masks.
+func (s *treeStack) overlayNearest(view memtable.View, near []memtable.Hit, p Point, k int) ([]Neighbor, error) {
+	out := make([]Neighbor, 0, k)
+	// takeNear moves the buffered neighbours nearer than dist into out.
+	takeNear := func(dist float64) {
+		for len(near) > 0 && len(out) < k && near[0].Dist <= dist {
+			out = append(out, Neighbor{ID: near[0].ID, Location: near[0].Pos, Dist: near[0].Dist})
+			near = near[1:]
+		}
+	}
+	err := s.tree.NearestFunc(p, func(n rtree.Neighbor) bool {
+		takeNear(n.Dist)
+		if len(out) < k && !view.Masks(n.OID) {
+			out = append(out, Neighbor{ID: n.OID, Location: Point{X: n.Rect.MinX, Y: n.Rect.MinY}, Dist: n.Dist})
+		}
+		return len(out) < k
+	})
+	if err != nil {
+		return nil, err
+	}
+	takeNear(math.Inf(1))
 	return out, nil
 }
 
