@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint allocs baselines bench-smoke fmt clean
+.PHONY: all build test race lint burlint allocs baselines bench-smoke loc fmt clean
 
 all: build test lint
 
@@ -52,6 +52,14 @@ baselines:
 bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# loc prints the root package's non-test code lines — no blank and no
+# comment-only lines — per file and for the package: the figure the
+# simplicity PRs report in CHANGES.md.
+loc:
+	@total=0; for f in $$(ls *.go | grep -v '_test\.go$$'); do \
+		n=$$(grep -cvE '^\s*$$|^\s*//' $$f); total=$$((total+n)); printf '%-20s %5d\n' $$f $$n; \
+	done; printf '%-20s %5d\n' 'package burtree' $$total
 
 fmt:
 	gofmt -w $$(git ls-files '*.go')

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"burtree/internal/core"
 )
@@ -116,20 +117,13 @@ func (f *failingTree) UpdateBatch(changes []core.BatchChange, done func(core.Bat
 	return st, errors.Join(err, errInjected)
 }
 
-// failNextMutation arms the tree of every stack of idx, or on a
-// ShardedIndex with only set, the tree of the shard owning that point.
+// failNextMutation arms the tree of every stack of idx, or with only set,
+// the tree of the stack owning that point.
 func failNextMutation(idx walFailureIndex, only *Point) {
-	var stacks []*treeStack
-	switch v := idx.(type) {
-	case *Index:
-		stacks = []*treeStack{&v.treeStack}
-	case *ConcurrentIndex:
-		stacks = []*treeStack{&v.treeStack}
-	case *ShardedIndex:
-		stacks = v.shards
-		if only != nil {
-			stacks = stacks[v.router.ShardOf(*only):][:1]
-		}
+	x := indexOf(idx)
+	stacks := x.shards
+	if only != nil {
+		stacks = stacks[x.router.ShardOf(*only):][:1]
 	}
 	for _, s := range stacks {
 		s.tree = &failingTree{treeOps: s.tree, armed: true}
@@ -202,6 +196,77 @@ func TestApplyFailureMatrix(t *testing.T) {
 				}
 				defer rec.Close()
 				expectState(t, rec, want)
+			})
+		}
+	}
+}
+
+// TestMergeFailureReachesTheWrite: a merge-down that fails inline — on
+// Index, which has no goroutine to hand it to — fails the write that
+// tripped it, single or batched, and every write after it; none of them is
+// taken back. Behind a background merger the same write returns nil. On
+// every front-end the failure is sticky and CheckInvariants reports it.
+func TestMergeFailureReachesTheWrite(t *testing.T) {
+	const threshold = 16
+	at := func(id uint64, y float64) Point { return Point{X: 0.1 + 0.01*float64(id), Y: y} } // one shard of walFailureShards
+	for _, fe := range walFailureFrontEnds[:3] {
+		for _, op := range []string{"Update", "UpdateBatch"} {
+			t.Run(fe.name+"/"+op, func(t *testing.T) {
+				x, err := fe.open(Options{Strategy: GeneralizedBottomUp, PageSize: 256, BufferPages: 8,
+					ExpectedObjects: 128, Memtable: Memtable{Enabled: true, MaxObjects: threshold}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer x.Close() // reports the sticky failure too; the checks below are the test
+				// Objects in the tree, so that each one's next move is one new
+				// delta, and moves up to one short of the threshold.
+				for id := uint64(0); id < threshold+4; id++ {
+					if err := x.Insert(id, at(id, 0.2)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, s := range indexOf(x).shards {
+					if err := s.drainMemtable(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id := uint64(0); id < threshold-1; id++ {
+					if err := x.Update(id, at(id, 0.3)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				failNextMutation(x, nil)
+				check := func(what string, err error) {
+					t.Helper()
+					if inline := fe.name == "Index"; inline != errors.Is(err, errInjected) || !inline && err != nil {
+						t.Fatalf("%s returned %v; inline merge-down: %v (its failure is the write's, a background one's is not)", what, err, inline)
+					}
+				}
+				tripped := at(threshold, 0.3)
+				if op == "Update" {
+					check(op, x.Update(threshold, tripped))
+				} else {
+					res, err := x.UpdateBatch([]Change{{ID: threshold, To: tripped}, {ID: threshold + 1, To: at(threshold+1, 0.3)}})
+					check(op, err)
+					if res.Applied != 2 || res.Absorbed != 2 {
+						t.Errorf("the batch that tripped the merge reports %+v, want 2 applied and absorbed", res)
+					}
+				}
+				// The background merger fails on its own time.
+				for deadline := time.Now().Add(10 * time.Second); err == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					err = x.CheckInvariants()
+				}
+				if !errors.Is(err, errInjected) {
+					t.Fatalf("CheckInvariants after a failed merge-down: %v, want the sticky injected error", err)
+				}
+				check("a later Update", x.Update(0, at(0, 0.35)))
+				_, err = x.UpdateBatch([]Change{{ID: 1, To: at(1, 0.35)}})
+				check("a later UpdateBatch", err)
+				for id, want := range map[uint64]Point{threshold: tripped, 0: at(0, 0.35), 1: at(1, 0.35)} {
+					if p, _ := x.Location(id); p != want {
+						t.Errorf("object %d is at %v, want %v: a write over a failed merge is acknowledged, not undone", id, p, want)
+					}
+				}
 			})
 		}
 	}

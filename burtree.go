@@ -31,65 +31,40 @@
 // counters are exposed through Stats, so applications can reproduce the
 // paper's measurements on their own workloads.
 //
-// Every index is built in two halves. The lower half is the tree stack
-// (treestack.go): one tree with what belongs to it alone — page store,
-// buffer pool and counters, the memtable delta tier with its merge-down,
-// behind a small tree interface that hides the locking protocol: a
-// serial adapter around the strategy for Index, which is not safe for
-// concurrent use, and the DGL-locked layer of the paper's throughput
-// study (granule locks plus a physical latch) for ConcurrentIndex and
-// ShardedIndex, which offer the same API — updates, batched updates,
-// window and nearest-neighbour queries, bulk loading and snapshots — to
-// any number of goroutines. The upper half (engine.go) is what exists
-// exactly once per index, however many stacks it has: the object table
-// (the paper's secondary id → position structure, §3.1), the checkpoint
-// gate and the write-ahead log handles. Index and ConcurrentIndex are one
-// table, gate and log over one stack; ShardedIndex is one table, gate and
-// set of per-shard logs over N stacks behind a router — no shard keeps a
-// table, a gate or a log of its own.
+// Every index is one type (engine.go) built in two halves. The lower half
+// is the tree stack (treestack.go): one tree with what belongs to it
+// alone — page store, buffer pool and counters, the memtable delta tier
+// with its merge-down — behind a small tree interface that hides the
+// locking protocol. The upper half is what exists exactly once per index,
+// however many stacks it has: the object table (the paper's secondary
+// id → position structure, §3.1), the gate, the router and the
+// write-ahead log handles, one log per stack. The three front-ends are
+// that index told at open what its stacks are: Index, which is not safe
+// for concurrent use, runs one stack over a serial adapter around the
+// strategy; ConcurrentIndex one stack over the DGL-locked layer of the
+// paper's throughput study (granule locks plus a physical latch);
+// ShardedIndex N of those behind a spatial router, whose boundaries its
+// rebalancer moves. All three offer the same API — updates, batched
+// updates, window and nearest-neighbour queries, bulk loading and
+// snapshots — the latter two to any number of goroutines.
 //
 // Every single-object write is one step (insert, move or delete) through
-// these stages, written once in objectTable.runStep; routing is a stage
-// of this pipeline, not a second pipeline inside it:
-//
-//   - order: the id's stripe is held for the whole step, so racing
-//     single-object writes to one id run one after the other and the
-//     table, the tree(s) and the log agree on their order; writes to
-//     different ids run in parallel.
-//   - reserve: under the object-table lock the id is checked, the step's
-//     old position read and its outcome recorded in the table, so a
-//     racing writer of the same id sees it; with the memtable tier on,
-//     the delta is absorbed in the same hold — on ShardedIndex into the
-//     tier of the stack that owns the position, and for a move that
-//     changes shards as a tombstone in the source stack's tier plus an
-//     insert in the destination's.
-//   - apply: without the table lock, the tree operation — under no lock
-//     on Index, under DGL granules and the latch on ConcurrentIndex, and
-//     on ShardedIndex routed to the owning stack, or as a delete in the
-//     source stack and an insert in the destination. Skipped when the
-//     tier absorbed the step; its tree work happens at merge-down.
-//   - log: the record is appended to the write-ahead log — on
-//     ShardedIndex the log of the shard that owns the object afterwards —
-//     (no-op with durability off); the call acknowledges only after it.
-//   - ack, or undo: on a log failure the inverse step goes through the
-//     same apply (delete the inserted object, move it back, re-insert
-//     the deleted one) and the table — with the tier's delta — is
-//     compare-and-restored: put back only if it still shows this call's
-//     outcome, so a newer concurrent write survives. A failed apply
-//     changed no tree and only restores the table.
-//
-// The gate is held shared across all of it, so Save and Checkpoint, which
-// take it exclusively, never catch a write between apply and log.
-// UpdateBatch is the same pipeline batch-wide: coalesce against the
-// table — once — then apply to the tree(s) or absorb into the tier(s),
-// log the applied prefix (one record per shard on ShardedIndex), undo
-// the changes of a record whose append fails. A write that returns an
-// error is therefore never left acknowledged-but-unlogged: it is undone,
-// except for the applied (and logged) prefix of a batch that failed
-// part-way through the tree.
-// Merge-down of the memtable tier runs in a background goroutine per
-// stack on ConcurrentIndex and ShardedIndex, and inline — in the write
-// that trips the threshold — on the single-writer Index.
+// one pipeline, written once in index.runStep, under the gate held
+// shared: order (the id's stripe) → reserve in the object table, routing
+// the step and — with the memtable tier on — absorbing it in the same
+// hold → apply to the owning stack's tree, unless absorbed → log in the
+// owning stack's log → ack, or on an apply or log failure undo: the
+// inverse step through the same apply and a compare-and-restore of the
+// table. Routing is a stage of this pipeline, and with one stack every
+// route is to it. UpdateBatch is the same pipeline batch-wide: coalesce
+// against the table — once — then apply or absorb per stack, log one
+// record per stack, undo the changes of a record whose append fails. A
+// write that returns an error is therefore never left
+// acknowledged-but-unlogged: it is undone, except for the applied (and
+// logged) prefix of a batch that failed part-way through the tree, and
+// except that a failure of the merge-down a write trips inline — on the
+// single-writer Index; the other two merge down in a background goroutine
+// per stack — is reported by that write, which stays logged.
 package burtree
 
 import (
@@ -220,24 +195,23 @@ var ErrUnknownObject = errors.New("burtree: unknown object id")
 // ErrDuplicateObject reports an insert of an existing object id.
 var ErrDuplicateObject = errors.New("burtree: object id already present")
 
-// Index is a single-writer R-tree over moving point objects: the engine
-// (engine.go) over a stack with a serial tree, the memtable delta tier —
+// Index is a single-writer R-tree over moving point objects: the index
+// (engine.go) over one stack with a serial tree, the memtable delta tier —
 // when enabled — merged down inline by whichever write trips its
 // threshold.
 type Index struct {
-	*engine
+	*index
 }
 
 // indexParts is the machinery a tree stack wraps: the simulated store,
 // its buffer pool, the physical counters and the configured update
 // strategy.
 type indexParts struct {
-	store  *pagestore.Store
-	pool   *buffer.Pool
-	io     *stats.IO
-	u      core.Updater
-	opts   Options // normalized copy, retained for persistence
-	walSeq uint64  // log sequence a loaded snapshot covers (0 when fresh)
+	store *pagestore.Store
+	pool  *buffer.Pool
+	io    *stats.IO
+	u     core.Updater
+	opts  Options // normalized copy, retained for persistence
 }
 
 // coreOptions converts the public options to the strategy's, applying
@@ -304,11 +278,7 @@ func openParts(opts Options) (indexParts, error) {
 // durability directory must not already hold a snapshot or log
 // segments — resume existing durable state with Recover instead.
 func Open(opts Options) (*Index, error) {
-	e, err := openEngine(opts, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{e}, nil
+	return front[Index](open(opts, single, kindIndex))
 }
 
 // PackMethod selects the bulk-load packing algorithm.
@@ -467,4 +437,7 @@ func (s Stats) add(o Stats) Stats {
 }
 
 // Stats returns a snapshot of the counters.
-func (x *Index) Stats() Stats { return x.stats() }
+func (x *Index) Stats() Stats {
+	st, _ := x.stats()
+	return st
+}

@@ -384,8 +384,8 @@ func TestStatsSurfacePoolEvents(t *testing.T) {
 		pool  *buffer.Pool
 		check func() error
 	}{
-		{"Index", x.pool, x.CheckInvariants},
-		{"ConcurrentIndex", c.pool, c.CheckInvariants},
+		{"Index", x.shards[0].pool, x.CheckInvariants},
+		{"ConcurrentIndex", c.shards[0].pool, c.CheckInvariants},
 		{"ShardedIndex", s.shards[1].pool, s.CheckInvariants},
 	} {
 		if err := fe.check(); err != nil {

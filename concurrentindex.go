@@ -7,7 +7,7 @@ import (
 )
 
 // ConcurrentIndex is the multi-threaded variant of Index: the same
-// engine (engine.go) over a tree whose operations are isolated with
+// index (engine.go) over a tree whose operations are isolated with
 // Dynamic-Granular-Locking-style granule locks (paper §3.2.2 and §5.4),
 // so bottom-up updates in disjoint regions proceed in parallel while
 // top-down work holds the whole tree, and with the memtable delta tier —
@@ -25,7 +25,7 @@ import (
 // they read, and run in parallel with each other and with updates
 // elsewhere in the data space.
 type ConcurrentIndex struct {
-	*engine
+	*index
 }
 
 // OpenConcurrent creates an empty concurrent index. With
@@ -33,26 +33,27 @@ type ConcurrentIndex struct {
 // already hold a snapshot or log segments — resume existing durable
 // state with RecoverConcurrent instead.
 func OpenConcurrent(opts Options) (*ConcurrentIndex, error) {
-	e, err := openEngine(opts, true)
-	if err != nil {
-		return nil, err
-	}
-	return &ConcurrentIndex{e}, nil
+	return front[ConcurrentIndex](open(opts, single, kindConcurrent))
 }
 
 // BackgroundPages returns the cumulative physical page accesses
 // incurred by background memtable merge-down drains.
-func (x *ConcurrentIndex) BackgroundPages() uint64 { return x.bgPages.Load() }
+func (x *ConcurrentIndex) BackgroundPages() uint64 {
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	return x.bgBase[0] + x.shards[0].bgPages.Load()
+}
 
 // SetIOLatency simulates a per-page-access service time, making
 // throughput figures I/O-bound as on the paper's hardware. Zero disables
 // the simulation.
-func (x *ConcurrentIndex) SetIOLatency(d time.Duration) { x.store.SetLatency(d) }
+func (x *ConcurrentIndex) SetIOLatency(d time.Duration) { x.setIOLatency(d) }
 
 // ConcurrencyStats reports lock-layer behaviour.
 type ConcurrencyStats = concurrent.Stats
 
 // Stats returns physical counters, tree shape and lock-layer counters.
 func (x *ConcurrentIndex) Stats() (Stats, ConcurrencyStats) {
-	return x.stats(), x.tree.Stats()
+	st, cs := x.stats()
+	return st, cs[0]
 }

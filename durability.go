@@ -1,12 +1,12 @@
 package burtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"burtree/internal/wal"
@@ -105,11 +105,6 @@ func (d Durability) logOptions(startAfter uint64, nextSeq func() uint64) wal.Opt
 // snapshotFileName is the checkpoint snapshot inside Durability.Dir.
 const snapshotFileName = "snapshot.burtree"
 
-// shardLogDir returns shard i's log directory under the durability dir.
-func shardLogDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
-}
-
 // ErrRecovery reports that crash recovery could not replay the log tail
 // onto the snapshot. The index state on disk is left untouched.
 var ErrRecovery = errors.New("burtree: recovery failed")
@@ -120,68 +115,44 @@ var ErrRecovery = errors.New("burtree: recovery failed")
 // to resume from it, or point Dir at an empty directory.
 var ErrExistingState = errors.New("burtree: durability dir already holds state; use Recover")
 
-// hasDurableState reports whether dir holds a snapshot or log segments
-// (top-level or per-shard).
-func hasDurableState(dir string) (bool, error) {
-	if _, err := os.Stat(filepath.Join(dir, snapshotFileName)); err == nil {
-		return true, nil
-	} else if !os.IsNotExist(err) {
-		return false, err
+// logSegments is the one probe of a durability directory: the log
+// segments directly under it (a single-stack index's) and those in shard
+// directories beneath it (a sharded index's).
+func logSegments(dir string) (top, sharded []string, err error) {
+	if top, err = filepath.Glob(filepath.Join(dir, "wal-*.seg")); err != nil {
+		return nil, nil, err
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil {
-		return false, err
-	}
-	if len(segs) > 0 {
-		return true, nil
-	}
-	shardSegs, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
-	if err != nil {
-		return false, err
-	}
-	return len(shardSegs) > 0, nil
-}
-
-// shardLogSegments lists per-shard log segments under dir.
-func shardLogSegments(dir string) []string {
-	segs, _ := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
-	return segs
-}
-
-// topLogSegments lists top-level (single-index) log segments under dir.
-func topLogSegments(dir string) []string {
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	return segs
+	sharded, err = filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
+	return top, sharded, err
 }
 
 // checkFreshDir validates that an Open with durability enabled targets
-// a directory without prior durable state.
+// a directory without prior durable state: no snapshot, and no log
+// segments of either layout.
 func checkFreshDir(dir string) error {
-	has, err := hasDurableState(dir)
-	if err != nil {
-		return fmt.Errorf("burtree: durability dir: %w", err)
+	_, err := os.Stat(filepath.Join(dir, snapshotFileName))
+	has := err == nil
+	if os.IsNotExist(err) {
+		var top, sharded []string
+		top, sharded, err = logSegments(dir)
+		has = len(top)+len(sharded) > 0
 	}
-	if has {
+	switch {
+	case has:
 		return fmt.Errorf("%w: %s", ErrExistingState, dir)
+	case err != nil:
+		return fmt.Errorf("burtree: durability dir: %w", err)
 	}
 	return nil
 }
 
-// applier is the mutation surface shared by the three front-ends,
-// used to replay log records during recovery (with logging detached,
-// so replay does not re-log itself).
-type applier interface {
-	Insert(id uint64, p Point) error
-	Delete(id uint64) error
-	UpdateBatch(changes []Change) (BatchResult, error)
-}
-
-// replayRecords applies a sequence-ordered record stream. Any apply
-// failure aborts with ErrRecovery: a record that was acknowledged
-// against the pre-crash state must apply cleanly onto the snapshot
-// plus the records before it, so a failure means the log and snapshot
-// disagree.
-func replayRecords(a applier, recs []wal.Record) error {
+// replayRecords applies a sequence-ordered record stream through the
+// ordinary write path (with logging detached, so replay does not re-log
+// itself). Any apply failure aborts with ErrRecovery: a record that was
+// acknowledged against the pre-crash state must apply cleanly onto the
+// snapshot plus the records before it, so a failure means the log and
+// snapshot disagree.
+func replayRecords(a *index, recs []wal.Record) error {
 	for _, r := range recs {
 		var err error
 		switch r.Type {
@@ -213,69 +184,97 @@ func replayRecords(a applier, recs []wal.Record) error {
 	return nil
 }
 
-// loadOrFresh is the snapshot-or-empty step of recovery: it loads the
-// checkpoint snapshot when one exists and opens an empty index
-// (durability stripped; the caller attaches the log) otherwise.
-func loadOrFresh[T any](opts Options, loadSnap func(string) (T, error), open func(Options) (T, error)) (T, error) {
-	var zero T
-	snapPath := filepath.Join(opts.Durability.Dir, snapshotFileName)
-	if _, err := os.Stat(snapPath); err == nil {
-		idx, err := loadSnap(snapPath)
-		if err != nil {
-			return zero, fmt.Errorf("%w: %v", ErrRecovery, err)
-		}
-		return idx, nil
-	} else if !os.IsNotExist(err) {
-		return zero, fmt.Errorf("%w: %v", ErrRecovery, err)
-	}
-	fresh := opts
-	fresh.Durability = Durability{}
-	return open(fresh)
-}
-
-// recoverEngine rebuilds an engine from its durability directory, under
-// Recover and RecoverConcurrent (caller names the one in use).
-func recoverEngine(opts Options, caller string, background bool) (*engine, error) {
+// recoverIndex rebuilds an index of kind k from its durability directory:
+// the latest checkpoint snapshot (if one exists; it carries the saved
+// partitioning, and its embedded options win, as with Load) or else an
+// empty index under opts and sopts, plus a replay of the log tails —
+// merged back into one total order by their shared sequence counter —
+// through the batched update path: exactly the acknowledged prefix the
+// configured sync policy made durable. The returned index continues
+// logging to the same directory, one log per stack.
+func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	d := opts.Durability
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
 	if !d.enabled() {
-		return nil, fmt.Errorf("burtree: %s requires a durability mode", caller)
+		return nil, fmt.Errorf("burtree: %s requires a durability mode", k.recoverName())
 	}
-	load := func(r io.Reader) (*engine, error) { return loadEngine(r, background) }
-	e, err := loadOrFresh(opts,
-		func(path string) (*engine, error) { return loadFile(path, load) },
-		func(o Options) (*engine, error) { return openEngine(o, background) })
-	if err != nil {
-		return nil, err
-	}
-	// Like Durability, the delta tier is the caller's runtime choice,
-	// not snapshot state: re-enable it (if asked for) before the replay,
-	// so the log tail is absorbed exactly as the pre-crash writes were.
-	e.ensureMemtable(opts.Memtable)
-	// A directory holding per-shard logs belongs to a ShardedIndex:
-	// refusing it here keeps a mistaken Recover / RecoverConcurrent from
-	// silently dropping the acked records in the shard logs (the
-	// top-level scan would never see them).
-	if segs := shardLogSegments(d.Dir); len(segs) > 0 {
+	// Refuse to recover past acked data this scan would never see: logs
+	// of the other layout belong to the other kind of index.
+	top, sharded, err := logSegments(d.Dir)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
+	case k.sharded() && len(top) > 0:
+		return nil, fmt.Errorf("%w: %s holds a single-index log; recover it with Recover or RecoverConcurrent", ErrRecovery, d.Dir)
+	case !k.sharded() && len(sharded) > 0:
 		return nil, fmt.Errorf("%w: %s holds per-shard logs; recover it with RecoverSharded", ErrRecovery, d.Dir)
 	}
-	recs, _, err := wal.ReadDir(d.Dir, e.walSeq)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
+
+	// The snapshot, or else an empty index — with durability stripped (the
+	// logs are attached after the replay, so it does not re-log itself)
+	// and no rebalancer, whose loop would race the replay.
+	var x *index
+	snapPath := filepath.Join(d.Dir, snapshotFileName)
+	if _, serr := os.Stat(snapPath); serr == nil {
+		if x, err = loadFile(snapPath, k); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
+		}
+	} else if !os.IsNotExist(serr) {
+		return nil, fmt.Errorf("%w: %v", ErrRecovery, serr)
+	} else {
+		fresh := opts
+		fresh.Durability = Durability{}
+		if x, err = open(fresh, ShardOptions{Shards: sopts.Shards, Partition: sopts.Partition}, k); err != nil {
+			return nil, err
+		}
 	}
-	// The log is attached only after the replay, so replay does not
-	// re-log itself.
-	if err := replayRecords(e, recs); err != nil {
+	// Shard directories beyond the count being restored belong to a
+	// crashed instance with more shards and no checkpoint yet.
+	for _, seg := range sharded {
+		var i int
+		if _, err := fmt.Sscanf(filepath.Base(filepath.Dir(seg)), "shard-%d", &i); err == nil && i >= len(x.shards) {
+			return nil, fmt.Errorf("%w: log directory %s exceeds the %d shards being restored (recover with the original shard count)",
+				ErrRecovery, filepath.Dir(seg), len(x.shards))
+		}
+	}
+
+	// Like Durability, the delta tier is the caller's runtime choice, not
+	// snapshot state: re-enable it (if asked for) before the replay, so the
+	// log tails are absorbed exactly as the pre-crash writes were.
+	x.options.Memtable = opts.Memtable.withDefaults()
+	tier := perShardOptions(x.options, len(x.shards)).Memtable
+	for _, s := range x.shards {
+		s.ensureMemtable(tier)
+	}
+
+	var all []wal.Record
+	for i := range x.shards {
+		recs, _, err := wal.ReadDir(x.logDir(d.Dir, i), x.walSeq)
+		if err != nil {
+			return nil, fmt.Errorf("%w: log %d: %v", ErrRecovery, i, err)
+		}
+		all = append(all, recs...)
+	}
+	slices.SortFunc(all, func(a, b wal.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+	for i := 1; i < len(all); i++ {
+		if all[i].Seq == all[i-1].Seq {
+			return nil, fmt.Errorf("%w: sequence %d appears in two logs", ErrRecovery, all[i].Seq)
+		}
+	}
+	if err := replayRecords(x, all); err != nil {
 		return nil, err
 	}
-	e.wal, err = wal.Open(d.Dir, d.logOptions(e.walSeq, nil))
-	if err != nil {
+	maxSeq := x.walSeq
+	if n := len(all); n > 0 {
+		maxSeq = all[n-1].Seq
+	}
+	if err := x.openLogs(d, maxSeq); err != nil {
 		return nil, err
 	}
-	e.options.Durability = d
-	return e, nil
+	x.options.Durability = d
+	return x, nil
 }
 
 // Recover rebuilds an Index from its durability directory: the latest
@@ -286,21 +285,13 @@ func recoverEngine(opts Options, caller string, background bool) (*engine, error
 // directory); otherwise the snapshot's embedded options win, as with
 // Load. The returned index continues logging to the same directory.
 func Recover(opts Options) (*Index, error) {
-	e, err := recoverEngine(opts, "Recover", false)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{e}, nil
+	return front[Index](recoverIndex(opts, single, kindIndex))
 }
 
 // RecoverConcurrent rebuilds a ConcurrentIndex from its durability
 // directory, exactly as Recover does for an Index.
 func RecoverConcurrent(opts Options) (*ConcurrentIndex, error) {
-	e, err := recoverEngine(opts, "RecoverConcurrent", true)
-	if err != nil {
-		return nil, err
-	}
-	return &ConcurrentIndex{e}, nil
+	return front[ConcurrentIndex](recoverIndex(opts, single, kindConcurrent))
 }
 
 // RecoverSharded rebuilds a ShardedIndex from its durability directory:
@@ -311,71 +302,12 @@ func RecoverConcurrent(opts Options) (*ConcurrentIndex, error) {
 // OpenSharded would. The returned index continues logging, one log per
 // shard.
 func RecoverSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
-	d := opts.Durability
-	if err := d.validate(); err != nil {
-		return nil, err
-	}
-	if !d.enabled() {
-		return nil, errors.New("burtree: RecoverSharded requires a durability mode")
-	}
-	// A fresh (never-checkpointed) index opens with the partitioning only:
-	// the rebalancer is applied last, below, so its background loop never
-	// races the replay.
-	x, err := loadOrFresh(opts, LoadShardedFile, func(o Options) (*ShardedIndex, error) {
-		return OpenSharded(o, ShardOptions{Shards: sopts.Shards, Partition: sopts.Partition})
-	})
+	x, err := front[ShardedIndex](recoverIndex(opts, sopts, kindSharded))
 	if err != nil {
 		return nil, err
 	}
-
-	// Refuse to recover past acked data this scan would never see:
-	// top-level segments belong to a single-index log (use Recover),
-	// and shard directories beyond the count being restored belong to a
-	// crashed instance with more shards and no checkpoint yet.
-	if segs := topLogSegments(d.Dir); len(segs) > 0 {
-		return nil, fmt.Errorf("%w: %s holds a single-index log; recover it with Recover or RecoverConcurrent", ErrRecovery, d.Dir)
-	}
-	for _, seg := range shardLogSegments(d.Dir) {
-		var i int
-		if _, err := fmt.Sscanf(filepath.Base(filepath.Dir(seg)), "shard-%d", &i); err == nil && i >= len(x.shards) {
-			return nil, fmt.Errorf("%w: log directory %s exceeds the %d shards being restored (recover with the original shard count)",
-				ErrRecovery, filepath.Dir(seg), len(x.shards))
-		}
-	}
-
-	// Re-enable the per-shard delta tiers (the caller's runtime choice,
-	// as with Durability) before the replay, so the log tails are
-	// absorbed exactly as the pre-crash writes were.
-	x.ensureMemtable(opts.Memtable)
-
-	var all []wal.Record
-	maxSeq := x.walSeq
-	for i := range x.shards {
-		recs, _, err := wal.ReadDir(shardLogDir(d.Dir, i), x.walSeq)
-		if err != nil {
-			return nil, fmt.Errorf("%w: shard %d log: %v", ErrRecovery, i, err)
-		}
-		all = append(all, recs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	for i := 1; i < len(all); i++ {
-		if all[i].Seq == all[i-1].Seq {
-			return nil, fmt.Errorf("%w: sequence %d appears in two shard logs", ErrRecovery, all[i].Seq)
-		}
-	}
-	if err := replayRecords(x, all); err != nil {
-		return nil, err
-	}
-	if n := len(all); n > 0 {
-		maxSeq = all[n-1].Seq
-	}
-
-	if err := x.openLogs(d, maxSeq); err != nil {
-		return nil, err
-	}
-	x.options.Durability = d
 	// Rebalancing, like the delta tier, is the caller's runtime choice
-	// rather than snapshot state: apply it last so the background loop
+	// rather than snapshot state: applied last, so the background loop
 	// never races the replay.
 	x.SetRebalance(sopts.Rebalance)
 	return x, nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"burtree/internal/atomicfile"
 	"burtree/internal/wal"
 )
 
@@ -304,11 +305,11 @@ func TestMemtableAckSkipsSync(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := idx.wal.Close(); err != nil {
+		if err := idx.wals[0].Close(); err != nil {
 			t.Fatal(err)
 		}
 		slowDir := t.TempDir()
-		if idx.wal, err = wal.Open(slowDir, wal.Options{Sync: wal.SyncGroup, SyncDelay: devSync}); err != nil {
+		if idx.wals[0], err = wal.Open(slowDir, wal.Options{Sync: wal.SyncGroup, SyncDelay: devSync}); err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
@@ -522,18 +523,18 @@ func TestRecoverRefusesWrongFrontEnd(t *testing.T) {
 }
 
 func TestSnapshotSurvivesFailedSave(t *testing.T) {
-	// saveToFile must leave the previous snapshot intact when the save
+	// atomicfile.Write, under SaveFile and Checkpoint, must leave the previous snapshot intact when the save
 	// callback fails, and leave no temp litter behind.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap")
-	if err := saveToFile(path, func(w io.Writer) error {
+	if err := atomicfile.Write(path, func(w io.Writer) error {
 		_, err := w.Write([]byte("good snapshot"))
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	failed := errors.New("mid-save failure")
-	err := saveToFile(path, func(w io.Writer) error {
+	err := atomicfile.Write(path, func(w io.Writer) error {
 		w.Write([]byte("partial"))
 		return failed
 	})

@@ -3,30 +3,32 @@ package burtree
 import (
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"burtree/internal/atomicfile"
 	"burtree/internal/core"
+	"burtree/internal/shard"
 	"burtree/internal/wal"
 )
 
 // This file is the upper half of an index, the part that exists once
-// however many trees there are: the object table with the mutation
-// pipeline that runs on it, the log helpers, and the engine — table,
-// checkpoint gate, log and one tree stack (treestack.go) — that Index and
-// ConcurrentIndex are. ShardedIndex is the same upper half over N stacks:
-// it runs the same pipeline on its one table, as a target whose absorb,
-// apply and log are routed by position.
+// however many trees there are: the index type — object table, gate,
+// router, tree stacks (treestack.go) and log handles — and the mutation
+// pipeline that runs on it. Index, ConcurrentIndex and ShardedIndex are
+// this one type, told at open what its stacks are. How a step or a batch
+// is routed to them, and a read scattered over them, is in
+// shardedindex.go.
 //
-// Lock order, outermost first: the gate (engine.ckpt, ShardedIndex.opMu),
-// shared by writers and exclusive for snapshots; the table's per-id
-// stripe of a single-object write; a stack's mergeMu; the tree's own
-// locks (DGL granules, then the latch); the table's mu; the
-// delta tier's mutex. The table lock is therefore never held across a
-// tree operation (BulkInsert's load excepted, under the exclusive gate),
-// and a tree operation's callback may take it. The tier's mutex is a
-// leaf — no memtable.Table method calls out while holding it — taken
+// Lock order, outermost first: the gate, shared by every operation and
+// exclusive for snapshots, bulk loads and boundary changes; the table's
+// per-id stripe of a single-object write; a stack's mergeMu; the tree's
+// own locks (DGL granules, then the latch); the table's mu; the delta
+// tier's mutex. The table lock is therefore never held across a tree
+// operation, and a tree operation's callback may take it. The tier's mutex
+// is a leaf — no memtable.Table method calls out while holding it — taken
 // under the table lock by an absorb and under the tree's shared locks by
 // an overlay read's mask lookup (memtable.View.Masks), once per
 // candidate.
@@ -42,14 +44,18 @@ const (
 
 // step is one single-object mutation: an insert puts id at new, a move
 // takes it from old to new, a delete removes it from old. The caller
-// supplies kind, id and new; the pipeline fills old from the object
-// table when it reserves the step.
+// supplies kind, id and new; the pipeline fills old from the object table
+// when it reserves the step, and routes it: src is the stack the object
+// leaves and dst the one that owns it afterwards — the same for an insert,
+// a delete and a move that stays in its shard. The gate keeps the router
+// still for as long as a step runs.
 type step struct {
 	kind     stepKind
 	id       uint64
 	old, new Point
-	// undo marks the inverse of a step whose log append failed, so a
-	// target that meters its applies does not count the way back.
+	src, dst int
+	// undo marks the inverse of a step whose log append failed, so the
+	// load accounting does not count the way back.
 	undo bool
 }
 
@@ -57,7 +63,7 @@ type step struct {
 // it: a delete of the inserted object, a move back, a re-insert of the
 // deleted object at its old position.
 func (st step) inverse() step {
-	inv := step{kind: stepMove, id: st.id, old: st.new, new: st.old, undo: true}
+	inv := step{kind: stepMove, id: st.id, old: st.new, new: st.old, src: st.dst, dst: st.src, undo: true}
 	switch st.kind {
 	case stepInsert:
 		inv.kind = stepDelete
@@ -67,32 +73,16 @@ func (st step) inverse() step {
 	return inv
 }
 
-// stepTarget is where the pipeline carries a step out and logs it: an
-// engine's one stack and log, or ShardedIndex's routed stacks and
-// per-shard logs.
-type stepTarget interface {
-	// tiered reports whether the target's stacks run a delta tier: steps
-	// are then absorbed under the table lock, never applied, and the log
-	// acknowledges at the append alone.
-	tiered() bool
-	// absorb hands st to the delta tier of the stack(s) it touches.
-	// Called with the object table locked: the table and the tier
-	// transition together, so racing writers to one id absorb their
-	// deltas in the order the table accepted them.
-	absorb(st step)
-	// apply applies st to the tree(s); called without the table lock,
-	// and only on an untiered target.
-	apply(st step) error
-	// logOf names the log st is recorded in (nil when durability is off).
-	logOf(st step) *wal.Log
-	// acked runs after st is logged: it hands on the merge-down the write
-	// may have tripped. Its error does not take the write back.
-	acked(st step) error
+// at is the position that decides which stack owns the object after st.
+func (st step) at() Point {
+	if st.kind == stepDelete {
+		return st.old
+	}
+	return st.new
 }
 
 // objectTable is the id → position table an index keeps beside its
-// tree(s) — exactly one per index, whatever the number of stacks — and
-// the home of the mutation pipeline.
+// tree(s): exactly one per index, whatever the number of stacks.
 type objectTable struct {
 	mu      sync.RWMutex
 	objects map[uint64]Point
@@ -121,110 +111,6 @@ func (t *objectTable) record(c core.BatchChange) {
 	t.mu.Unlock()
 }
 
-// stageProbe, when a test installs one, is told each time a write enters
-// the pipeline ("step") and each time a batch is coalesced ("coalesce");
-// the tests that pin "once per write, once per batch" count the calls.
-var stageProbe func(stage string)
-
-// runStep is the single-object mutation pipeline, the only one in the
-// package:
-//
-//	order    take the id's stripe, held to the end: steps on one object
-//	         run one after the other, steps on different objects in
-//	         parallel
-//	reserve  check the new position; then, under the table lock: check
-//	         the id (an insert needs it absent, a move or delete
-//	         present), record st's outcome in the table so a racing
-//	         writer of the same id sees it, and let a tiered target
-//	         absorb st in the same hold
-//	apply    without the table lock, unless absorbed: the tree
-//	         operation, under whatever locks the target's tree takes
-//	log      append st's record; the call acknowledges only after it
-//	ack      hand on the merge-down the write may have tripped
-//	undo     on an apply or log failure: the inverse step goes through
-//	         the same apply (after a log failure; a failed apply changed
-//	         nothing), and the table — with the delta tier — is
-//	         compare-and-restored
-//
-// so an error return leaves the tree, the tier and the table as the call
-// found them, and recovery never disagrees with what the index serves. A
-// failure of the undo itself is joined into the returned error.
-func (t *objectTable) runStep(st step, tgt stepTarget) error {
-	if stageProbe != nil {
-		stageProbe("step")
-	}
-	order := &t.ids[st.id%uint64(len(t.ids))]
-	order.Lock()
-	defer order.Unlock()
-	tiered := tgt.tiered()
-	if st.kind != stepDelete {
-		// The check the tree performs on insertion runs here, before
-		// anything is reserved: the tier acknowledges a write before the
-		// tree sees it, and on the tree path a position the tree turns away
-		// is one the undo could not compare against (NaN != NaN).
-		if err := validatePoint(st.new); err != nil {
-			return err
-		}
-	}
-	t.mu.Lock()
-	old, ok := t.objects[st.id]
-	if ok == (st.kind == stepInsert) {
-		t.mu.Unlock()
-		if ok {
-			return fmt.Errorf("%w: %d", ErrDuplicateObject, st.id)
-		}
-		return fmt.Errorf("%w: %d", ErrUnknownObject, st.id)
-	}
-	st.old = old
-	t.put(st)
-	if tiered {
-		tgt.absorb(st)
-	}
-	t.mu.Unlock()
-	if !tiered {
-		if err := tgt.apply(st); err != nil {
-			t.restore(st, tgt, false)
-			return err
-		}
-	}
-	if err := logStep(tgt.logOf(st), tiered, st); err != nil {
-		// Applied but not logged: the caller sees an error, so the change
-		// must not stick — recovery would silently lose (or resurrect) an
-		// object the index still serves.
-		if !tiered {
-			err = errors.Join(err, tgt.apply(st.inverse()))
-		}
-		t.restore(st, tgt, tiered)
-		return err
-	}
-	return tgt.acked(st)
-}
-
-// restore is the table half of an undo, a compare-and-restore: st's
-// outcome is taken back only if the table still shows it. A concurrent
-// batch that moves the same id (batches do not take the id's stripe) may
-// have superseded the entry between this call's failure and its rollback,
-// and that writer's state must survive; an unconditional restore would
-// diverge the table from the tree. With absorbed set the delta tier is
-// unwound in the same hold, as it was absorbed.
-func (t *objectTable) restore(st step, tgt stepTarget, absorbed bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cur, ok := t.objects[st.id]
-	if st.kind == stepDelete {
-		if ok {
-			return // re-created by a concurrent Insert
-		}
-	} else if !ok || cur != st.new {
-		return
-	}
-	inv := st.inverse()
-	t.put(inv)
-	if absorbed {
-		tgt.absorb(inv)
-	}
-}
-
 // Len returns the number of indexed objects.
 func (t *objectTable) Len() int {
 	t.mu.RLock()
@@ -241,6 +127,328 @@ func (t *objectTable) Location(id uint64) (Point, bool) {
 	defer t.mu.RUnlock()
 	p, ok := t.objects[id]
 	return p, ok
+}
+
+// kind names the front-end an index is opened, loaded or recovered as:
+// what its stacks are, and which of the two on-disk layouts it keeps.
+type kind uint8
+
+const (
+	kindIndex kind = iota
+	kindConcurrent
+	kindSharded
+)
+
+// background reports whether the stacks run DGL-locked trees with a
+// background merger each (Index runs a serial tree and merges inline).
+func (k kind) background() bool { return k != kindIndex }
+
+// sharded reports the on-disk layout: a BURSHRD2 manifest and one log
+// directory per shard, against a bare BURSNAP2 blob and the segments
+// directly under Durability.Dir.
+func (k kind) sharded() bool { return k == kindSharded }
+
+// recoverName is the exported function that recovers this kind.
+func (k kind) recoverName() string {
+	return [...]string{"Recover", "RecoverConcurrent", "RecoverSharded"}[k]
+}
+
+// index is an index: one object table, one gate and one router over
+// N ≥ 1 tree stacks, with one write-ahead log per stack. The three
+// exported front-ends embed it and add only the methods whose shapes
+// differ (Stats) or that one of them alone offers (the rebalancer).
+type index struct {
+	objectTable
+
+	kind    kind
+	router  *shard.Router
+	shards  []*treeStack
+	options Options      // as passed at open (totals, not per stack)
+	sopts   ShardOptions // normalized; one grid cell for the single-stack kinds
+
+	// gate is the snapshot gate: operations hold it shared for their whole
+	// duration — a write across reserve → apply → log — and Save,
+	// Checkpoint, BulkInsert, Flush and a boundary change exclusively: they
+	// never catch a write between applying and logging, so they see a
+	// quiescent state and the sequence a snapshot embeds is exact. It also
+	// guards the shards slice, the router and the fields that say so.
+	gate sync.RWMutex
+
+	// wals holds one write-ahead log per stack when durability is enabled
+	// (nil otherwise): commit streams share no fsync, lock or buffer — only
+	// the lsn counter, one atomic increment per record, which stitches the
+	// streams into a single total order for recovery. walSeq is the
+	// sequence the loaded snapshot covers.
+	wals   []*wal.Log
+	lsn    atomic.Uint64
+	walSeq uint64
+
+	// load accumulates per-stack operation counts and the per-cell update
+	// histogram the rebalancer splits on; see ShardLoads.
+	load *shard.LoadTracker
+	// routerEpoch counts boundary changes (guarded by the gate, persisted
+	// in the sharded manifest).
+	routerEpoch uint64
+	// pageBase carries each stack slot's cumulative foreground page count
+	// across stack rebuilds (guarded by the gate): a boundary change that
+	// replaces the stacks would otherwise reset their page counters to zero
+	// and make the cumulative sequence fgPages feeds to
+	// LoadTracker.SampleAt run backward. bgBase does the same for the
+	// merge-down pages ShardLoads reports.
+	pageBase []uint64
+	bgBase   []uint64
+	// ioLatency remembers the simulated per-page latency so stacks rebuilt
+	// by a rebalance or a failed bulk load keep paying it.
+	ioLatency atomic.Int64
+
+	// rebalMu guards the rebalancer configuration and loop lifecycle
+	// (rebalance.go; only a ShardedIndex ever starts the loop).
+	rebalMu   sync.Mutex
+	ropts     RebalanceOptions
+	rebalCool int // qualifying windows left to skip (Cooldown hysteresis)
+	rebalStop chan struct{}
+	rebalWG   sync.WaitGroup
+}
+
+// single is the partitioning of Index and ConcurrentIndex: one grid cell.
+var single = ShardOptions{Shards: 1}
+
+// newIndex assembles an index around its router, options and object
+// table; the caller installs the stacks (fresh or loaded).
+func newIndex(k kind, router *shard.Router, opts Options, sopts ShardOptions, objects map[uint64]Point) *index {
+	return &index{
+		objectTable: objectTable{objects: objects},
+		kind:        k,
+		router:      router,
+		options:     opts,
+		sopts:       sopts,
+		load:        shard.NewLoadTracker(sopts.Shards),
+		pageBase:    make([]uint64, sopts.Shards),
+		bgBase:      make([]uint64, sopts.Shards),
+		ropts:       sopts.Rebalance.withDefaults(),
+	}
+}
+
+// open creates an empty index of kind k. The Options are totals for the
+// whole index: the buffer pool, hash-index and memtable budgets are
+// divided evenly among the stacks. With durability enabled the directory
+// must not already hold a snapshot or log segments.
+func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
+	d := opts.Durability
+	if err := d.validate(); err != nil {
+		return nil, err
+	}
+	if d.enabled() {
+		if err := checkFreshDir(d.Dir); err != nil {
+			return nil, err
+		}
+	}
+	sopts = sopts.withDefaults()
+	var router *shard.Router
+	var err error
+	switch sopts.Partition {
+	case ShardHilbert:
+		router, err = shard.NewHilbertUniform(sopts.Shards)
+	default:
+		router, err = shard.NewGrid(sopts.Shards)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("burtree: %w", err)
+	}
+	x := newIndex(k, router, opts, sopts, make(map[uint64]Point))
+	if x.shards, err = x.openShards(); err != nil {
+		return nil, err
+	}
+	if d.enabled() {
+		if err := x.openLogs(d, 0); err != nil {
+			return nil, err
+		}
+	}
+	return x, nil
+}
+
+// openShards opens a fresh, empty stack per shard under the index's
+// options. Every place that needs fresh stacks — open, a failed bulk
+// load, a partition upgrade — comes through here, so every one of them
+// keeps paying the simulated I/O latency SetIOLatency asked for.
+func (x *index) openShards() ([]*treeStack, error) {
+	per := perShardOptions(x.options, x.sopts.Shards)
+	shards := make([]*treeStack, x.sopts.Shards)
+	for i := range shards {
+		parts, err := openParts(per)
+		if err != nil {
+			return nil, err
+		}
+		parts.store.SetLatency(time.Duration(x.ioLatency.Load()))
+		shards[i] = newStack(parts, x.kind.background())
+	}
+	return shards, nil
+}
+
+// logDir is where stack i's log segments live: directly under the
+// durability directory, or in the shard's own directory beneath it.
+func (x *index) logDir(dir string, i int) string {
+	if !x.kind.sharded() {
+		return dir
+	}
+	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
+}
+
+// openLogs opens one log per stack under d, continuing the shared
+// sequence after startAfter.
+func (x *index) openLogs(d Durability, startAfter uint64) error {
+	x.lsn.Store(startAfter)
+	x.wals = make([]*wal.Log, len(x.shards))
+	for i := range x.wals {
+		// The shared counter hands out globally ordered record sequences.
+		log, err := wal.Open(x.logDir(d.Dir, i), d.logOptions(startAfter, func() uint64 { return x.lsn.Add(1) }))
+		if err != nil {
+			return err
+		}
+		x.wals[i] = log
+	}
+	return nil
+}
+
+// stageProbe, when a test installs one, is told each time a write enters
+// the pipeline ("step") and each time a batch is coalesced ("coalesce");
+// the tests that pin "once per write, once per batch" count the calls.
+var stageProbe func(stage string)
+
+// Insert adds a new object at p, in the stack that owns p.
+func (x *index) Insert(id uint64, p Point) error {
+	return x.runStep(step{kind: stepInsert, id: id, new: p})
+}
+
+// Update moves an existing object to p using the configured strategy.
+// The index tracks each object's current position, so callers only
+// supply the new one. On a ShardedIndex a move within one shard is that
+// shard's bottom-up update; a move across shards becomes a delete in the
+// source shard followed by an insert in the destination. Updates to
+// different objects run in parallel when the strategy can resolve them
+// locally (not on Index, which is single-writer). Racing Insert, Update
+// and Delete calls on the same object run one after the other (runStep's
+// per-id stripe), whichever stacks they touch, in an order the callers do
+// not choose: the table, the tree(s) and the log agree on the last one. A
+// caller that reads Location and then moves the object relative to it
+// still serializes its own read-modify-write, and so does one that races
+// an UpdateBatch against single writes of the batch's ids (disjoint id
+// ranges per writer, or a striped lock, as the examples do).
+func (x *index) Update(id uint64, p Point) error {
+	return x.runStep(step{kind: stepMove, id: id, new: p})
+}
+
+// Delete removes an object from the stack that owns it.
+func (x *index) Delete(id uint64) error {
+	return x.runStep(step{kind: stepDelete, id: id})
+}
+
+// runStep is the single-object mutation pipeline, the only one in the
+// package, run under the shared gate:
+//
+//	order    take the id's stripe, held to the end: steps on one object
+//	         run one after the other, steps on different objects in
+//	         parallel
+//	reserve  check the new position; then, under the table lock: check
+//	         the id (an insert needs it absent, a move or delete
+//	         present), record st's outcome in the table so a racing
+//	         writer of the same id sees it, route st, and on a tiered
+//	         index absorb it in the same hold
+//	apply    without the table lock, unless absorbed: the tree
+//	         operation(s), under whatever locks the stacks' trees take
+//	log      append st's record; the call acknowledges only after it
+//	ack      account the step and hand on the merge-down it may have
+//	         tripped
+//	undo     on an apply or log failure: the inverse step goes through
+//	         the same apply (after a log failure; a failed apply changed
+//	         nothing), and the table — with the delta tier — is
+//	         compare-and-restored
+//
+// so an error return leaves the tree(s), the tier(s) and the table as the
+// call found them, and recovery never disagrees with what the index
+// serves. A failure of the undo itself is joined into the returned error.
+func (x *index) runStep(st step) error {
+	if stageProbe != nil {
+		stageProbe("step")
+	}
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	order := &x.ids[st.id%uint64(len(x.ids))]
+	order.Lock()
+	defer order.Unlock()
+	tiered := x.tiered()
+	if st.kind != stepDelete {
+		// The check the tree performs on insertion runs here, before
+		// anything is reserved: the tier acknowledges a write before the
+		// tree sees it, and on the tree path a position the tree turns away
+		// is one the undo could not compare against (NaN != NaN).
+		if err := validatePoint(st.new); err != nil {
+			return err
+		}
+	}
+	x.mu.Lock()
+	old, ok := x.objects[st.id]
+	if ok == (st.kind == stepInsert) {
+		x.mu.Unlock()
+		if ok {
+			return fmt.Errorf("%w: %d", ErrDuplicateObject, st.id)
+		}
+		return fmt.Errorf("%w: %d", ErrUnknownObject, st.id)
+	}
+	st.old = old
+	x.put(st)
+	var full fullStacks
+	if tiered {
+		x.route(&st)
+		full = x.absorb(st)
+	}
+	x.mu.Unlock()
+	if !tiered {
+		x.route(&st) // outside the table lock, which every writer takes
+		if err := x.apply(st); err != nil {
+			x.restore(st, false)
+			return err
+		}
+	}
+	if err := logStep(x.logOf(st), tiered, st); err != nil {
+		// Applied but not logged: the caller sees an error, so the change
+		// must not stick — recovery would silently lose (or resurrect) an
+		// object the index still serves.
+		if !tiered {
+			err = errors.Join(err, x.apply(st.inverse()))
+		}
+		x.restore(st, tiered)
+		return err
+	}
+	if !tiered {
+		return nil
+	}
+	return x.acked(st, full)
+}
+
+// restore is the table half of an undo, a compare-and-restore: st's
+// outcome is taken back only if the table still shows it. A concurrent
+// batch that moves the same id (batches do not take the id's stripe) may
+// have superseded the entry between this call's failure and its rollback,
+// and that writer's state must survive; an unconditional restore would
+// diverge the table from the tree. With absorbed set the delta tier is
+// unwound in the same hold, as it was absorbed.
+func (x *index) restore(st step, absorbed bool) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	cur, ok := x.objects[st.id]
+	if st.kind == stepDelete {
+		if ok {
+			return // re-created by a concurrent Insert
+		}
+	} else if !ok || cur != st.new {
+		return
+	}
+	inv := st.inverse()
+	x.put(inv)
+	if absorbed {
+		x.absorb(inv)
+	}
 }
 
 // coalesceChanges validates every id against the object table, then
@@ -271,49 +479,61 @@ func coalesceChanges(changes []Change, objects map[uint64]Point) ([]core.BatchCh
 	return out, dropped, nil
 }
 
+// moveStep is a batch change as the routed step the undo and the tier
+// handle it as.
+func (x *index) moveStep(c core.BatchChange) step {
+	st := step{kind: stepMove, id: c.OID, old: c.Old, new: c.New}
+	x.route(&st)
+	return st
+}
+
 // reserveBatch is the reserve stage of a batch: the changes are checked
 // and coalesced against the table — an unknown id or an invalid position
 // fails the batch here, before anything is applied — and on a tiered
-// target also recorded in it and absorbed into the delta tier(s), all
+// index also recorded in it and absorbed into the delta tier(s), all
 // under one hold of the table lock — racing writers see either none or
-// all of the batch at the ack level. (An untiered target's changes reach
-// the table one by one, as the tree applies them.) It returns the
-// coalesced changes and the number of input changes they superseded.
-func (t *objectTable) reserveBatch(changes []Change, tgt stepTarget) ([]core.BatchChange, int, error) {
-	if !tgt.tiered() {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		return coalesceChanges(changes, t.objects)
+// all of the batch at the ack level. (An untiered index's changes reach
+// the table one by one, as the trees apply them.) It returns the
+// coalesced changes and the number of input changes they superseded, and
+// marks in b the stacks whose tier the batch brought to its size
+// threshold.
+func (x *index) reserveBatch(changes []Change, b *batchRun) ([]core.BatchChange, int, error) {
+	if !x.tiered() {
+		x.mu.RLock()
+		defer x.mu.RUnlock()
+		return coalesceChanges(changes, x.objects)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	coalesced, dropped, err := coalesceChanges(changes, t.objects)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	coalesced, dropped, err := coalesceChanges(changes, x.objects)
 	if err != nil {
 		return nil, 0, err
 	}
 	for _, c := range coalesced {
-		st := step{kind: stepMove, id: c.OID, old: c.Old, new: c.New}
-		t.put(st)
-		tgt.absorb(st)
+		st := x.moveStep(c)
+		x.put(st)
+		full := x.absorb(st)
+		b.work[st.src].full = b.work[st.src].full || full.src
+		b.work[st.dst].full = b.work[st.dst].full || full.dst
 	}
 	return coalesced, dropped, nil
 }
 
 // undoBatch is the undo stage of a batch whose log append failed: every
 // applied change goes back the way a single step does — its inverse
-// through the target's apply, or re-absorbed at its old position on a
-// tiered target — with the table compare-and-restored per object, so
+// through the routed apply, or re-absorbed at its old position on a
+// tiered index — with the table compare-and-restored per object, so
 // concurrent writers that superseded an entry keep theirs and the failed
 // record acks nothing.
-func (t *objectTable) undoBatch(applied []core.BatchChange, tgt stepTarget) error {
-	tiered := tgt.tiered()
+func (x *index) undoBatch(applied []core.BatchChange) error {
+	tiered := x.tiered()
 	var err error
 	for _, c := range applied {
-		st := step{kind: stepMove, id: c.OID, old: c.Old, new: c.New}
+		st := x.moveStep(c)
 		if !tiered {
-			err = errors.Join(err, tgt.apply(st.inverse()))
+			err = errors.Join(err, x.apply(st.inverse()))
 		}
-		t.restore(st, tgt, tiered)
+		x.restore(st, tiered)
 	}
 	return err
 }
@@ -356,245 +576,100 @@ func logStep(log *wal.Log, async bool, st step) error {
 	return logAppend(log, async, typ, []wal.Op{op})
 }
 
-// logBatch appends one record covering the applied changes of a batch,
-// or of one shard's group of it: the changes all end in one shard, so the
-// log of the first is the log of all (logOf is the one place that asks
-// whether there are logs).
-func logBatch(tgt stepTarget, async bool, applied []core.BatchChange) error {
-	if len(applied) == 0 {
-		return nil
-	}
-	log := tgt.logOf(step{kind: stepMove, id: applied[0].OID, old: applied[0].Old, new: applied[0].New})
-	if log == nil {
+// logBatch appends one record covering the changes of a batch that ended
+// in stack s, in that stack's log.
+func (x *index) logBatch(s int, async bool, applied []core.BatchChange) error {
+	if len(applied) == 0 || x.wals == nil {
 		return nil
 	}
 	ops := make([]wal.Op, len(applied))
 	for i, c := range applied {
 		ops[i] = wal.Op{ID: c.OID, X: c.New.X, Y: c.New.Y}
 	}
-	return logAppend(log, async, wal.TypeBatch, ops)
-}
-
-// engine is an index over one tree: the object table, the checkpoint
-// gate and the write-ahead log above one tree stack. Index and
-// ConcurrentIndex embed it and differ only in the treeOps under the
-// stack and in where its merge-down runs. As the pipeline's target it is
-// the stack itself (tiered, absorb and apply are the stack's) plus the
-// one log.
-type engine struct {
-	treeStack
-	objectTable
-
-	// ckpt is the durability gate: mutating operations hold it shared
-	// across reserve → apply → log, Save and Checkpoint hold it
-	// exclusively so the snapshot's embedded log sequence is consistent
-	// with its contents (no operation is ever caught between applying and
-	// logging). Uncontended outside checkpoints.
-	ckpt sync.RWMutex
-	// wal is the write-ahead log when durability is enabled (nil
-	// otherwise); walSeq is the log sequence the loaded snapshot covers.
-	wal    *wal.Log
-	walSeq uint64
-}
-
-// newEngine wraps the shared machinery and an object table in an engine:
-// over a DGL-locked tree with background merge-down, or over a serial one
-// merging inline.
-func newEngine(parts indexParts, objects map[uint64]Point, background bool) *engine {
-	e := &engine{objectTable: objectTable{objects: objects}, walSeq: parts.walSeq}
-	e.treeStack.init(parts, background)
-	return e
-}
-
-// openEngine creates an empty engine from user options. With durability
-// enabled the directory must not already hold a snapshot or log
-// segments.
-func openEngine(opts Options, background bool) (*engine, error) {
-	if err := opts.Durability.validate(); err != nil {
-		return nil, err
-	}
-	parts, err := openParts(opts)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(parts, make(map[uint64]Point), background)
-	if d := opts.Durability; d.enabled() {
-		if err := checkFreshDir(d.Dir); err != nil {
-			return nil, err
-		}
-		log, err := wal.Open(d.Dir, d.logOptions(0, nil))
-		if err != nil {
-			return nil, err
-		}
-		e.wal = log
-	}
-	return e, nil
+	return logAppend(x.wals[s], async, wal.TypeBatch, ops)
 }
 
 // BulkInsert loads many objects at once into an empty index using the
 // chosen packing method at ~66% node fill — far faster than repeated
-// Insert calls and the usual way to start the paper's experiments. The
-// whole index is locked exclusively for the duration: bulk loading
-// rebuilds the tree from scratch, so no reader or writer may observe
-// the intermediate state. With durability enabled, a successful bulk
-// load checkpoints immediately: the snapshot, not per-object log
-// records, is the durable form of a bulk load.
-func (e *engine) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
+// Insert calls and the usual way to start the paper's experiments. With
+// the ShardHilbert partition the router is rebuilt first so the Hilbert
+// ranges are balanced over the actual data; the objects are then routed
+// and every stack bulk-loads its partition in parallel. The whole index
+// is locked exclusively for the duration: bulk loading rebuilds the trees
+// from scratch, so no reader or writer may observe the intermediate
+// state. With durability enabled, a successful bulk load checkpoints
+// immediately: the snapshot, not per-object log records, is the durable
+// form of a bulk load — it also persists the router the Hilbert path just
+// rebuilt, which recovery must route with.
+func (x *index) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
 	items, objects, err := packItems(ids, pts)
 	if err != nil {
 		return err
 	}
-	// The exclusive gate keeps out everything that waits for the table
-	// under a tree lock — writers and snapshots; CheckInvariants is for
-	// quiescent points — so here alone the table is held across a tree
-	// operation: the empty-check, the load and the table swap are
-	// invisible to readers.
-	e.ckpt.Lock()
-	e.mu.Lock()
-	if len(e.objects) != 0 {
-		err = fmt.Errorf("burtree: BulkInsert on non-empty index")
-	} else if err = e.bulkLoad(items, method); err == nil {
-		e.objects = objects
+	x.gate.Lock()
+	defer x.gate.Unlock()
+	if x.Len() != 0 {
+		return fmt.Errorf("burtree: BulkInsert on non-empty index")
 	}
-	e.mu.Unlock()
-	e.ckpt.Unlock()
-	if err != nil || e.wal == nil {
+	router := x.router
+	if x.sopts.Partition == ShardHilbert {
+		if router, err = shard.NewHilbertBalanced(len(x.shards), pts); err != nil {
+			return fmt.Errorf("burtree: %w", err)
+		}
+	}
+	if err := loadShards(x.shards, router, items, method); err != nil {
+		// A stack failed mid-load while others succeeded. Replace every
+		// stack with an empty one so the index returns to its pre-call
+		// state and a corrected retry is possible.
+		if fresh, rerr := x.openShards(); rerr == nil {
+			_ = x.swapShardsLocked(fresh) // the load's error is the one to report
+		}
 		return err
 	}
-	return e.Checkpoint()
-}
-
-// Insert adds a new object at p.
-func (e *engine) Insert(id uint64, p Point) error {
-	return e.mutate(step{kind: stepInsert, id: id, new: p})
-}
-
-// Update moves an existing object to p using the configured strategy.
-// The index tracks each object's current position, so callers only
-// supply the new one. On a ConcurrentIndex, updates to different objects
-// run in parallel when the strategy can resolve them locally. Racing
-// Insert, Update and Delete calls on the same object run one after the
-// other (runStep's per-id stripe), in an order the callers do not choose:
-// the table, the tree and the log agree on the last one. A caller that
-// reads Location and then moves the object relative to it still
-// serializes its own read-modify-write, and so does one that races an
-// UpdateBatch against single writes of the batch's ids (disjoint id
-// ranges per writer, or a striped lock, as the examples do).
-func (e *engine) Update(id uint64, p Point) error {
-	return e.mutate(step{kind: stepMove, id: id, new: p})
-}
-
-// Delete removes an object.
-func (e *engine) Delete(id uint64) error {
-	return e.mutate(step{kind: stepDelete, id: id})
-}
-
-// mutate runs one step through the pipeline under the checkpoint gate.
-func (e *engine) mutate(st step) error {
-	e.ckpt.RLock()
-	defer e.ckpt.RUnlock()
-	return e.runStep(st, e)
-}
-
-// logOf implements stepTarget: one log.
-func (e *engine) logOf(step) *wal.Log { return e.wal }
-
-// acked implements stepTarget: the one stack's merge-down hand-off.
-func (e *engine) acked(step) error { return e.afterAck() }
-
-// UpdateBatch moves many objects at once through the batched bottom-up
-// pipeline: repeated moves of the same object are coalesced to the last
-// position, the surviving changes are sorted into per-leaf runs with one
-// hash probe each, and each run is applied in one bottom-up pass — one
-// leaf read, one MBR extension decision covering the whole group, one
-// write — falling back to the configured strategy's per-object path only
-// for the changes the group pass cannot resolve. With the TopDown
-// strategy (which has no per-leaf state to amortize) the batch degrades
-// to a sequential application. On a ConcurrentIndex each run acquires
-// its granule locks once — the union of the members' movement cells plus
-// the run's leaf and parent page granules, derived from the leaf — and
-// changes that need an ascent or a top-down pass are applied after the
-// runs under exclusive access, at most 32 per exclusive section, so
-// readers queued behind the batch get in between sections.
-//
-// Every id must already be in the index; an unknown id fails the whole
-// batch before anything is applied. A batch is not atomic: concurrent
-// readers may observe any subset of its changes applied (each change
-// whole), and if a change fails mid-batch the changes applied before it
-// — in leaf order, not the caller's — remain applied and are the ones
-// logged and counted in BatchResult.Applied. Only a failed log append
-// takes a batch back: the applied changes are undone and Applied is
-// zero. A batch does not take the per-id stripes single writes are
-// ordered by: concurrent writes to ids that are also in the batch race
-// with it, last writer wins on the object table only, and the tree may
-// keep the other's position; callers keep such writers apart (disjoint id
-// ranges per writer, as the experiment harness and examples do).
-//
-// The stages are the pipeline's, batch-wide: reserve (coalesce against
-// the table, and absorb into the delta tier when there is one), apply to
-// the tree unless absorbed, log the applied prefix as one record, and on
-// a log failure undo that prefix.
-func (e *engine) UpdateBatch(changes []Change) (BatchResult, error) {
-	e.ckpt.RLock()
-	defer e.ckpt.RUnlock()
-	var res BatchResult
-	tiered := e.tiered()
-	coalesced, dropped, err := e.reserveBatch(changes, e)
-	if err != nil {
-		return res, err
+	x.router = router
+	x.mu.Lock()
+	x.objects = objects
+	x.mu.Unlock()
+	if x.wals != nil {
+		return x.checkpointLocked()
 	}
-	res.Coalesced = dropped
-	applied := coalesced
-	if tiered {
-		res.Applied, res.Absorbed = len(coalesced), len(coalesced)
-	} else {
-		applied, err = e.applyBatch(&e.objectTable, coalesced, e.wal != nil, &res)
-	}
-	// One record covers the applied prefix — all of the batch on
-	// success, exactly the changes before the failure otherwise.
-	if werr := logBatch(e, tiered, applied); werr != nil {
-		res.Applied, res.Absorbed = 0, 0
-		return res, errors.Join(err, werr, e.undoBatch(applied, e))
-	}
-	if err != nil {
-		return res, err
-	}
-	return res, e.afterAck()
+	return nil
 }
 
 // Checkpoint makes the whole index state durable in one snapshot and
-// truncates the log: the snapshot is written atomically to the
-// durability directory (temp file, fsync, rename), embedding the log
-// sequence it covers, and every log segment whose records the snapshot
-// covers is deleted. The index is gated exclusively for the duration:
-// no operation is caught between applying and logging, so the embedded
-// sequence is exact. Requires durability to be enabled.
-func (e *engine) Checkpoint() error {
-	if e.wal == nil {
-		return errNoDurability
-	}
-	e.ckpt.Lock()
-	defer e.ckpt.Unlock()
-	return checkpoint(e.options.Durability.Dir, []*wal.Log{e.wal}, e.wal.LastSeq, e.saveLocked)
+// truncates every log: the snapshot is written atomically to the
+// durability directory (temp file, fsync, rename), embedding the shared
+// log sequence it covers, and every log segment whose records the
+// snapshot covers is deleted. The whole index is gated exclusively for
+// the duration: no operation is caught between applying and logging, so
+// the snapshot is a globally quiescent point and the embedded sequence
+// is exact. Requires durability to be enabled.
+func (x *index) Checkpoint() error {
+	x.gate.Lock()
+	defer x.gate.Unlock()
+	return x.checkpointLocked()
 }
 
 var errNoDurability = errors.New("burtree: Checkpoint requires durability to be enabled")
 
-// checkpoint is the body of Checkpoint on every front-end, under the
-// caller's exclusive gate: sync the log(s), write the snapshot atomically
-// with the sequence it covers — read after the sync, while the gate keeps
-// every writer out — and truncate the log(s) through that sequence.
-func checkpoint(dir string, logs []*wal.Log, lastSeq func() uint64, save func(io.Writer) error) error {
-	for _, l := range logs {
+// checkpointLocked is Checkpoint with the gate already held: sync the
+// logs, write the snapshot atomically with the sequence it covers — read
+// after the sync, while the gate keeps every writer out — and truncate
+// the logs through that sequence.
+func (x *index) checkpointLocked() error {
+	if x.wals == nil {
+		return errNoDurability
+	}
+	for _, l := range x.wals {
 		if err := l.Sync(); err != nil {
 			return err
 		}
 	}
-	seq := lastSeq()
-	if err := saveToFile(filepath.Join(dir, snapshotFileName), save); err != nil {
+	seq := x.lsn.Load()
+	if err := atomicfile.Write(filepath.Join(x.options.Durability.Dir, snapshotFileName), x.saveLocked); err != nil {
 		return err
 	}
-	for _, l := range logs {
+	for _, l := range x.wals {
 		if err := l.TruncateThrough(seq); err != nil {
 			return err
 		}
@@ -602,25 +677,95 @@ func checkpoint(dir string, logs []*wal.Log, lastSeq func() uint64, save func(io
 	return nil
 }
 
-// Close stops the background merger (if one runs) and merges any
-// buffered deltas down to the tree, then syncs and closes the
-// write-ahead log (no-op without durability). The index itself stays
-// usable for reads; further mutations fail their durable append. Close
-// does not checkpoint: recovery replays the log onto the last snapshot.
-func (e *engine) Close() error {
-	err := e.close()
-	if e.wal != nil {
-		err = errors.Join(err, e.wal.Close())
+// Close stops the rebalancer loop (if one runs) and closes every stack
+// (stopping its background merger and merging buffered deltas down to the
+// tree), then syncs and closes every write-ahead log (no-op without
+// durability). Reads keep working; further mutations fail their durable
+// append. Close does not checkpoint: recovery replays the logs onto the
+// last snapshot.
+func (x *index) Close() error {
+	x.stopRebalancer()
+	var err error
+	for _, s := range x.shards {
+		err = errors.Join(err, s.close())
+	}
+	for _, l := range x.wals {
+		err = errors.Join(err, l.Close())
 	}
 	return err
 }
 
-// CheckInvariants validates the complete index structure — the tree, and
-// the tree and delta tier against the object table, entry by entry; it is
-// meant for tests and costs a full tree walk. On a ConcurrentIndex
-// concurrent readers keep running, but callers must still ensure no
-// updates are in flight: the comparison with the object table is only
-// meaningful at a quiescent point.
-func (e *engine) CheckInvariants() error {
-	return e.checkInvariants(&e.objectTable, e.Len(), func(Point) bool { return true })
+// CheckInvariants validates the complete index structure: every stack's
+// tree, and the tree and delta tier against the index's one object table,
+// entry by entry — every object lives in the stack its position routes
+// to, and nowhere else. It is meant for tests and costs a full walk of
+// every tree. Concurrent readers keep running (except on the
+// single-writer Index), but callers must ensure no updates are in flight:
+// the comparison with the object table is only meaningful at a quiescent
+// point.
+func (x *index) CheckInvariants() error {
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	counts := x.shardCounts()
+	for i, s := range x.shards {
+		owns := func(p Point) bool { return x.router.ShardOf(p) == i }
+		if err := s.checkInvariants(&x.objectTable, counts[i], owns); err != nil {
+			if x.kind.sharded() {
+				err = fmt.Errorf("shard %d: %w", i, err)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// ResetStats zeroes the physical counters of every stack (tree shape is
+// unaffected). Operations in flight keep counting after the reset point.
+func (x *index) ResetStats() {
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	for _, s := range x.shards {
+		s.ResetStats()
+	}
+}
+
+// Flush writes all buffered dirty pages of every stack to the simulated
+// disk, with the whole index locked exclusively so no update is mid-way
+// through a multi-page change when the pages go out.
+func (x *index) Flush() error {
+	x.gate.Lock()
+	defer x.gate.Unlock()
+	for _, s := range x.shards {
+		if err := s.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stats aggregates the physical counters and tree shape over the stacks
+// (sums; Height is the maximum) and returns each stack's lock-layer
+// counters beside them.
+func (x *index) stats() (Stats, []ConcurrencyStats) {
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	var agg Stats
+	cs := make([]ConcurrencyStats, len(x.shards))
+	for i, s := range x.shards {
+		agg = agg.add(s.stats())
+		cs[i] = s.tree.Stats()
+	}
+	return agg, cs
+}
+
+// setIOLatency simulates a per-page-access service time on every stack's
+// store. Zero disables the simulation. The setting survives stack
+// rebuilds.
+func (x *index) setIOLatency(d time.Duration) {
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	x.ioLatency.Store(int64(d))
+	for _, s := range x.shards {
+		s.store.SetLatency(d)
+	}
 }

@@ -322,10 +322,14 @@ func (r *Router) shardOfKey(h uint64) int {
 	return sort.Search(len(r.bounds), func(i int) bool { return r.bounds[i] > h })
 }
 
+// onlyShard is ShardsFor's answer on a one-shard router, shared by every
+// call: callers only read the list.
+var onlyShard = []int{0}
+
 // ShardsFor returns the sorted, deduplicated list of shards whose region
-// intersects q. Every object inside q is owned by one of them: object
-// routing clamps positions exactly the way the query window is clamped
-// here, and clamping is monotone.
+// intersects q; callers must not modify it. Every object inside q is
+// owned by one of them: object routing clamps positions exactly the way
+// the query window is clamped here, and clamping is monotone.
 func (r *Router) ShardsFor(q geom.Rect) []int {
 	// An inverted (or NaN) window contains no points; the single-tree
 	// search answers it with an empty result, so the scatter must too —
@@ -334,7 +338,7 @@ func (r *Router) ShardsFor(q geom.Rect) []int {
 		return nil
 	}
 	if r.n == 1 {
-		return []int{0}
+		return onlyShard
 	}
 	switch r.scheme {
 	case Grid:

@@ -29,11 +29,11 @@ func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 	}{
 		{"Index", func(t *testing.T) (walFailureIndex, func() error) {
 			x := openTest(t, GeneralizedBottomUp)
-			return x, func() error { return x.tree.Update(1, a, near) }
+			return x, func() error { return x.shards[0].tree.Update(1, a, near) }
 		}, "the object table says"},
 		{"ConcurrentIndex", func(t *testing.T) (walFailureIndex, func() error) {
 			x := openConcurrentTest(t, GeneralizedBottomUp)
-			return x, func() error { return x.tree.Update(1, a, near) }
+			return x, func() error { return x.shards[0].tree.Update(1, a, near) }
 		}, "the object table says"},
 		{"ShardedSameShard", func(t *testing.T) (walFailureIndex, func() error) {
 			x := openShardedTest(t, GeneralizedBottomUp, grid)
@@ -76,7 +76,7 @@ func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 }
 
 // TestShardedWriteRunsPipelineOnce counts, through stageProbe, how often a
-// ShardedIndex call enters the pipeline: every single-object write —
+// call enters the pipeline, on every front-end: every single-object write —
 // whichever shards it touches — is one runStep, and a batch — however many
 // shards it spreads over — is one coalesceChanges and no runStep. Routing
 // is a stage of the one pipeline, not a second pipeline nested in the
@@ -97,55 +97,58 @@ func TestShardedWriteRunsPipelineOnce(t *testing.T) {
 	// Grid cells of the four shards, and a second point in the first.
 	corners := []Point{{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.1}, {X: 0.1, Y: 0.9}, {X: 0.9, Y: 0.9}}
 	near := Point{X: 0.2, Y: 0.2}
-	for _, tier := range []Memtable{{}, {Enabled: true, MaxObjects: 1 << 20}} {
-		x, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, BufferPages: 64, ExpectedObjects: 256, Memtable: tier},
-			ShardOptions{Shards: 4, Partition: ShardGrid})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer x.Close()
-		owners := map[int]bool{}
-		for _, p := range corners {
-			owners[x.router.ShardOf(p)] = true
-		}
-		if len(owners) != len(corners) || x.router.ShardOf(near) != x.router.ShardOf(corners[0]) {
-			t.Fatalf("the test's points do not fall one corner per shard, with %v beside %v", near, corners[0])
-		}
-		calls := []struct {
-			name string
-			call func() error
-			want string
-		}{
-			{"Insert", func() error { return x.Insert(1, corners[0]) }, "step"},
-			{"Insert2", func() error { return x.Insert(2, corners[1]) }, "step"},
-			{"Insert3", func() error { return x.Insert(3, corners[2]) }, "step"},
-			{"UpdateSameShard", func() error { return x.Update(1, near) }, "step"},
-			{"UpdateCrossShard", func() error { return x.Update(1, corners[3]) }, "step"},
-			{"UpdateBatch", func() error {
-				// In-shard moves in two shards, a cross-shard move out of a
-				// third, and a repeated id for the coalesce to drop.
-				res, err := x.UpdateBatch([]Change{
-					{ID: 2, To: Point{X: 0.8, Y: 0.2}}, {ID: 3, To: Point{X: 0.2, Y: 0.8}},
-					{ID: 1, To: near}, {ID: 1, To: corners[0]},
-				})
-				if err == nil && (res.Applied != 3 || res.Coalesced != 1 || res.CrossShard != 1) {
-					t.Errorf("UpdateBatch result %+v, want 3 applied, 1 coalesced, 1 cross-shard", res)
+	for _, fe := range walFailureFrontEnds[:3] {
+		for _, tier := range []Memtable{{}, {Enabled: true, MaxObjects: 1 << 20}} {
+			x, err := fe.open(Options{Strategy: GeneralizedBottomUp, BufferPages: 64, ExpectedObjects: 256, Memtable: tier})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix := indexOf(x)
+			defer x.Close()
+			owners := map[int]bool{}
+			for _, p := range corners {
+				owners[ix.router.ShardOf(p)] = true
+			}
+			if len(owners) != len(ix.shards) || ix.router.ShardOf(near) != ix.router.ShardOf(corners[0]) {
+				t.Fatalf("%s: the test's points do not fall one corner per shard, with %v beside %v", fe.name, near, corners[0])
+			}
+			crossShard := min(len(ix.shards)-1, 1) // the batch's one move out of a third shard, when there is one
+			calls := []struct {
+				name string
+				call func() error
+				want string
+			}{
+				{"Insert", func() error { return x.Insert(1, corners[0]) }, "step"},
+				{"Insert2", func() error { return x.Insert(2, corners[1]) }, "step"},
+				{"Insert3", func() error { return x.Insert(3, corners[2]) }, "step"},
+				{"UpdateSameShard", func() error { return x.Update(1, near) }, "step"},
+				{"UpdateCrossShard", func() error { return x.Update(1, corners[3]) }, "step"},
+				{"UpdateBatch", func() error {
+					// In-shard moves in two shards, a cross-shard move out of a
+					// third, and a repeated id for the coalesce to drop.
+					res, err := x.UpdateBatch([]Change{
+						{ID: 2, To: Point{X: 0.8, Y: 0.2}}, {ID: 3, To: Point{X: 0.2, Y: 0.8}},
+						{ID: 1, To: near}, {ID: 1, To: corners[0]},
+					})
+					if err == nil && (res.Applied != 3 || res.Coalesced != 1 || res.CrossShard != crossShard) {
+						t.Errorf("%s: UpdateBatch result %+v, want 3 applied, 1 coalesced, %d cross-shard", fe.name, res, crossShard)
+					}
+					return err
+				}, "coalesce"},
+				{"Delete", func() error { return x.Delete(1) }, "step"},
+			}
+			for _, c := range calls {
+				clear(counts)
+				if err := c.call(); err != nil {
+					t.Fatalf("%s: %s: %v", fe.name, c.name, err)
 				}
-				return err
-			}, "coalesce"},
-			{"Delete", func() error { return x.Delete(1) }, "step"},
-		}
-		for _, c := range calls {
-			clear(counts)
-			if err := c.call(); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+				if len(counts) != 1 || counts[c.want] != 1 {
+					t.Errorf("%s, memtable %v: %s entered the pipeline as %v, want exactly one %q", fe.name, tier.Enabled, c.name, counts, c.want)
+				}
 			}
-			if len(counts) != 1 || counts[c.want] != 1 {
-				t.Errorf("memtable %v: %s entered the pipeline as %v, want exactly one %q", tier.Enabled, c.name, counts, c.want)
+			if err := x.CheckInvariants(); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -172,7 +172,7 @@ func FuzzMemtableMerge(f *testing.F) {
 					t.Fatalf("op %d: batch with unknown id: got %v, want ErrUnknownObject", ops, err)
 				}
 			case 6:
-				if err := idx.drainMemtable(); err != nil {
+				if err := idx.shards[0].drainMemtable(); err != nil {
 					t.Fatalf("op %d: forced drain: %v", ops, err)
 				}
 			}

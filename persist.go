@@ -167,51 +167,32 @@ func writeEnvelope(w io.Writer, magic [8]byte, body any) error {
 }
 
 // Save serializes the complete index — pages, structural metadata and
-// the object table — to w. The whole index is locked exclusively for
-// the duration — the buffer flush and page dump must not interleave with
-// updates — so the snapshot is a quiescent point: every operation that
-// completed before Save returned is in it, none that started after. The
-// checkpoint gate is held too, so no operation is caught between
-// applying and logging and, with durability enabled, the embedded log
-// sequence is exact and the snapshot can serve as a recovery base.
-func (e *engine) Save(w io.Writer) error {
-	e.ckpt.Lock()
-	defer e.ckpt.Unlock()
-	return e.saveLocked(w)
-}
-
-// saveLocked is Save with the checkpoint gate already held: the stack's
-// snapshot with the whole table as its object set.
-func (e *engine) saveLocked(w io.Writer) error {
-	var seq uint64
-	if e.wal != nil {
-		seq = e.wal.LastSeq()
-	}
-	return e.save(w, &e.objectTable, seq)
-}
-
-// SaveFile writes the index snapshot to a file, like Save.
-func (e *engine) SaveFile(path string) error {
-	return saveToFile(path, e.Save)
-}
-
-// Save serializes the sharded index to w: a manifest carrying the
-// partitioning spec plus one complete single-index snapshot per shard.
-// The whole index is gated exclusively for the duration, so the
-// snapshot is a globally quiescent point — no cross-shard move is ever
-// captured half-applied.
-func (x *ShardedIndex) Save(w io.Writer) error {
-	x.opMu.Lock()
-	defer x.opMu.Unlock()
+// the object table — to w: Index and ConcurrentIndex write their one
+// stack's snapshot, a ShardedIndex a manifest carrying the partitioning
+// spec plus one complete stack snapshot per shard. The whole index is
+// gated exclusively for the duration — the buffer flush and page dump
+// must not interleave with updates — so the snapshot is a globally
+// quiescent point: every operation that completed before Save returned is
+// in it, none that started after, and no cross-shard move is captured
+// half-applied. No operation is caught between applying and logging
+// either, so with durability enabled the embedded log sequence is exact
+// and the snapshot can serve as a recovery base.
+func (x *index) Save(w io.Writer) error {
+	x.gate.Lock()
+	defer x.gate.Unlock()
 	return x.saveLocked(w)
 }
 
-// saveLocked is Save with the snapshot gate already held. Each shard's
-// blob carries the router's partition of the one object table as its
-// object set, and the manifest records each partition's size next to its
-// blob so a reader can verify the two agree — a zero-count shard must
-// decode as an empty tree, not pass as a damaged blob.
-func (x *ShardedIndex) saveLocked(w io.Writer) error {
+// saveLocked is Save with the gate already held. A single-stack index
+// writes the stack's snapshot with the whole table as its object set. A
+// sharded one gives each shard's blob the router's partition of the table
+// as its object set, and the manifest records each partition's size next
+// to its blob so a reader can verify the two agree — a zero-count shard
+// must decode as an empty tree, not pass as a damaged blob.
+func (x *index) saveLocked(w io.Writer) error {
+	if !x.kind.sharded() {
+		return x.shards[0].save(w, &x.objectTable, x.lsn.Load())
+	}
 	spec := x.router.Spec()
 	s := savedSharded{
 		Format:      shardedFormat,
@@ -246,17 +227,12 @@ func (x *ShardedIndex) saveLocked(w io.Writer) error {
 	return writeEnvelope(w, shardedMagic, &s)
 }
 
-// SaveFile writes the sharded snapshot to a file, like Save.
-func (x *ShardedIndex) SaveFile(path string) error {
-	return saveToFile(path, x.Save)
-}
-
-// saveToFile writes a snapshot atomically through the shared
-// temp+fsync+rename helper: a failure at any point leaves the previous
-// snapshot intact — the destination is never truncated before its
-// replacement is safely on disk.
-func saveToFile(path string, save func(io.Writer) error) error {
-	return atomicfile.Write(path, save)
+// SaveFile writes the snapshot to a file, like Save, atomically: a
+// failure at any point leaves the previous snapshot intact — the
+// destination is never truncated before its replacement is safely on
+// disk.
+func (x *index) SaveFile(path string) error {
+	return atomicfile.Write(path, x.Save)
 }
 
 // readMagic consumes and returns the 8-byte envelope magic.
@@ -341,7 +317,7 @@ func buildFromSaved(s savedIndex) (indexParts, map[uint64]Point, error) {
 	if objects == nil {
 		objects = make(map[uint64]Point)
 	}
-	return indexParts{store: store, pool: pool, io: io, u: u, opts: opts, walSeq: s.WALSeq}, objects, nil
+	return indexParts{store: store, pool: pool, io: io, u: u, opts: opts}, objects, nil
 }
 
 // decodeSavedSharded decodes and sanity-checks a sharded snapshot body.
@@ -434,21 +410,22 @@ func mergeInto(s savedSharded, bulk func(ids []uint64, pts []Point) error) error
 	return bulk(ids, pts)
 }
 
-// loadEngine reconstructs an engine from a Save snapshot; it is the one
-// place that understands the envelope, under Load and LoadConcurrent. A
-// single-tree snapshot restores identically to the original: same
-// pages, same strategy, same object table (the main-memory summary
-// structure is rebuilt by one tree walk). A sharded snapshot is merged:
-// the union of the shards' objects is bulk-loaded into one fresh tree
-// under the manifest's options.
-func loadEngine(r io.Reader, background bool) (*engine, error) {
+// load reconstructs an index of kind k from a Save snapshot; it is the one
+// place that understands the envelope. A snapshot of k's own layout
+// restores identically to the original: same pages, same strategy, same
+// object table, same partitioning (the main-memory summary structure is
+// rebuilt by one tree walk per stack). A single-stack kind merges a
+// sharded snapshot: the union of the shards' objects is bulk-loaded into
+// one fresh tree under the manifest's options. The sharded kind refuses a
+// single-tree snapshot.
+func load(r io.Reader, k kind) (*index, error) {
 	br := bufio.NewReader(r)
 	magic, err := readMagic(br)
 	if err != nil {
 		return nil, err
 	}
-	switch magic {
-	case snapshotMagic:
+	switch {
+	case magic == snapshotMagic && !k.sharded():
 		s, err := decodeSavedIndex(br)
 		if err != nil {
 			return nil, err
@@ -457,92 +434,34 @@ func loadEngine(r io.Reader, background bool) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newEngine(parts, objects, background), nil
-	case shardedMagic:
-		s, err := decodeSavedSharded(br)
+		router, err := shard.NewGrid(1)
 		if err != nil {
 			return nil, err
 		}
-		e, err := openEngine(s.Options, background)
-		if err != nil {
-			return nil, err
-		}
-		err = mergeInto(s, func(ids []uint64, pts []Point) error {
-			return e.BulkInsert(ids, pts, PackSTR)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return e, nil
-	default:
-		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrBadSnapshot, magic[:])
-	}
-}
-
-// loadFile opens path and hands it to one of the snapshot loaders.
-func loadFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	defer f.Close()
-	return load(f)
-}
-
-// Load reconstructs an index from a Save snapshot. A single-tree
-// snapshot restores identically to the original; a sharded snapshot is
-// merged into one tree under the manifest's options.
-func Load(r io.Reader) (*Index, error) {
-	e, err := loadEngine(r, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{e}, nil
-}
-
-// LoadFile reads an index snapshot from a file.
-func LoadFile(path string) (*Index, error) { return loadFile(path, Load) }
-
-// LoadConcurrent reconstructs a ConcurrentIndex from a Save snapshot.
-// Snapshots are interchangeable between the front-ends: a single-tree
-// snapshot written by an Index restores directly, and a sharded
-// snapshot is merged into one tree exactly as Load does.
-func LoadConcurrent(r io.Reader) (*ConcurrentIndex, error) {
-	e, err := loadEngine(r, true)
-	if err != nil {
-		return nil, err
-	}
-	return &ConcurrentIndex{e}, nil
-}
-
-// LoadConcurrentFile reads a snapshot from a file into a
-// ConcurrentIndex.
-func LoadConcurrentFile(path string) (*ConcurrentIndex, error) {
-	return loadFile(path, LoadConcurrent)
-}
-
-// LoadSharded reconstructs a ShardedIndex from a sharded snapshot,
-// restoring the saved partitioning (scheme, shard count and range
-// boundaries) and every shard's tree exactly. Single-tree snapshots are
-// rejected: load those through Load or LoadConcurrent, then BulkInsert
-// into a fresh sharded index to re-partition.
-func LoadSharded(r io.Reader) (*ShardedIndex, error) {
-	br := bufio.NewReader(r)
-	magic, err := readMagic(br)
-	if err != nil {
-		return nil, err
-	}
-	switch magic {
-	case shardedMagic:
-	case snapshotMagic:
+		x := newIndex(k, router, parts.opts, single, objects)
+		x.shards, x.walSeq = []*treeStack{newStack(parts, k.background())}, s.WALSeq
+		return x, nil
+	case magic == snapshotMagic:
 		return nil, fmt.Errorf("burtree: LoadSharded: single-tree snapshot; load it with Load or LoadConcurrent and BulkInsert into a new sharded index")
-	default:
+	case magic != shardedMagic:
 		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrBadSnapshot, magic[:])
 	}
 	s, err := decodeSavedSharded(br)
 	if err != nil {
 		return nil, err
+	}
+	if !k.sharded() {
+		x, err := open(s.Options, single, k)
+		if err != nil {
+			return nil, err
+		}
+		err = mergeInto(s, func(ids []uint64, pts []Point) error {
+			return x.BulkInsert(ids, pts, PackSTR)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return x, nil
 	}
 	router, err := shard.FromSpec(shard.Spec{
 		Scheme: shard.Scheme(s.Scheme),
@@ -565,8 +484,7 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("burtree: load shard %d: %w", i, err)
 		}
-		shards[i] = new(treeStack)
-		shards[i].init(parts, true)
+		shards[i] = newStack(parts, k.background())
 		for id, p := range part {
 			if _, dup := objects[id]; dup {
 				return nil, fmt.Errorf("%w: object %d present in multiple shards", ErrBadSnapshot, id)
@@ -581,10 +499,68 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 	if shard.Scheme(s.Scheme) == shard.HilbertRange {
 		scheme = ShardHilbert
 	}
-	x := newSharded(router, s.Options, ShardOptions{Shards: s.Shards, Partition: scheme}, objects)
+	x := newIndex(k, router, s.Options, ShardOptions{Shards: s.Shards, Partition: scheme}, objects)
 	x.shards, x.walSeq, x.routerEpoch = shards, s.WALSeq, s.RouterEpoch
 	return x, nil
 }
 
+// loadFile opens path and loads the snapshot in it as kind k.
+func loadFile(path string, k kind) (*index, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return load(f, k)
+}
+
+// front wraps a built index in its exported front-end type, or passes on
+// the error that kept it from being built; the three types differ in
+// their method sets only.
+func front[T Index | ConcurrentIndex | ShardedIndex](x *index, err error) (*T, error) {
+	if err != nil {
+		return nil, err
+	}
+	f := T(struct{ *index }{x})
+	return &f, nil
+}
+
+// Load reconstructs an index from a Save snapshot. A single-tree
+// snapshot restores identically to the original; a sharded snapshot is
+// merged into one tree under the manifest's options.
+func Load(r io.Reader) (*Index, error) {
+	return front[Index](load(r, kindIndex))
+}
+
+// LoadFile reads an index snapshot from a file.
+func LoadFile(path string) (*Index, error) {
+	return front[Index](loadFile(path, kindIndex))
+}
+
+// LoadConcurrent reconstructs a ConcurrentIndex from a Save snapshot.
+// Snapshots are interchangeable between the front-ends: a single-tree
+// snapshot written by an Index restores directly, and a sharded
+// snapshot is merged into one tree exactly as Load does.
+func LoadConcurrent(r io.Reader) (*ConcurrentIndex, error) {
+	return front[ConcurrentIndex](load(r, kindConcurrent))
+}
+
+// LoadConcurrentFile reads a snapshot from a file into a
+// ConcurrentIndex.
+func LoadConcurrentFile(path string) (*ConcurrentIndex, error) {
+	return front[ConcurrentIndex](loadFile(path, kindConcurrent))
+}
+
+// LoadSharded reconstructs a ShardedIndex from a sharded snapshot,
+// restoring the saved partitioning (scheme, shard count and range
+// boundaries) and every shard's tree exactly. Single-tree snapshots are
+// rejected: load those through Load or LoadConcurrent, then BulkInsert
+// into a fresh sharded index to re-partition.
+func LoadSharded(r io.Reader) (*ShardedIndex, error) {
+	return front[ShardedIndex](load(r, kindSharded))
+}
+
 // LoadShardedFile reads a sharded snapshot from a file.
-func LoadShardedFile(path string) (*ShardedIndex, error) { return loadFile(path, LoadSharded) }
+func LoadShardedFile(path string) (*ShardedIndex, error) {
+	return front[ShardedIndex](loadFile(path, kindSharded))
+}

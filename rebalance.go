@@ -109,8 +109,8 @@ type ShardLoad struct {
 // op-count). Companion to Stats for balance monitoring and the
 // rebalancer's own trigger.
 func (x *ShardedIndex) ShardLoads() []ShardLoad {
-	x.opMu.RLock()
-	defer x.opMu.RUnlock()
+	x.gate.RLock()
+	defer x.gate.RUnlock()
 	shares := x.load.Shares()
 	opShares := x.load.OpShares()
 	counts := x.shardCounts()
@@ -133,8 +133,8 @@ func (x *ShardedIndex) ShardLoads() []ShardLoad {
 // starts at the value restored from the snapshot manifest); tests and
 // monitors use it to tell whether a rebalance actually moved boundaries.
 func (x *ShardedIndex) RouterEpoch() uint64 {
-	x.opMu.RLock()
-	defer x.opMu.RUnlock()
+	x.gate.RLock()
+	defer x.gate.RUnlock()
 	return x.routerEpoch
 }
 
@@ -172,7 +172,7 @@ func (x *ShardedIndex) SetRebalance(o RebalanceOptions) {
 }
 
 // stopRebalancer stops the background loop and waits it out.
-func (x *ShardedIndex) stopRebalancer() {
+func (x *index) stopRebalancer() {
 	x.rebalMu.Lock()
 	stop := x.rebalStop
 	x.rebalStop = nil
@@ -226,8 +226,8 @@ func (x *ShardedIndex) Rebalance() (int, error) {
 	if hotShare*float64(n) <= o.HotFactor {
 		return 0, nil
 	}
-	x.opMu.Lock()
-	defer x.opMu.Unlock()
+	x.gate.Lock()
+	defer x.gate.Unlock()
 	var moved int
 	var err error
 	if x.router.Scheme() == shard.Grid {
@@ -248,10 +248,10 @@ func (x *ShardedIndex) Rebalance() (int, error) {
 // of the cell histogram and every shard is rebuilt by a parallel bulk
 // load of its new slice of the object table. One rebuild costs far less
 // than migrating nearly every object through per-object delete+insert,
-// which is why the upgrade ignores MaxStep. Caller holds opMu
+// which is why the upgrade ignores MaxStep. Caller holds the gate
 // exclusively and passes the cell histogram snapshot its Sample
 // returned; on any error the previous shards and router stay installed.
-func (x *ShardedIndex) upgradeToHilbertLocked(cells []uint64) (int, error) {
+func (x *index) upgradeToHilbertLocked(cells []uint64) (int, error) {
 	bounds, err := shard.LoadQuantileBounds(len(x.shards), cells)
 	if err != nil {
 		return 0, fmt.Errorf("burtree: rebalance: %w", err)
@@ -292,7 +292,7 @@ func (x *ShardedIndex) upgradeToHilbertLocked(cells []uint64) (int, error) {
 
 // nudgeBoundaryLocked moves one boundary of the hot shard toward the
 // load-quantile target, migrating at most maxStep objects to the
-// adjacent shard. Caller holds opMu exclusively. The step picks the hot
+// adjacent shard. Caller holds the gate exclusively. The step picks the hot
 // shard's boundary with the larger pull toward the target, walks it
 // inward cell by cell while the migration stays within budget (always
 // at least one cell, so a step under budget pressure still makes
@@ -300,7 +300,7 @@ func (x *ShardedIndex) upgradeToHilbertLocked(cells []uint64) (int, error) {
 // between the two shard trees. Positions do not change, so neither the
 // object table nor the write-ahead log is touched. The caller
 // passes the cell histogram snapshot its Sample returned.
-func (x *ShardedIndex) nudgeBoundaryLocked(hot, maxStep int, cells []uint64) (int, error) {
+func (x *index) nudgeBoundaryLocked(hot, maxStep int, cells []uint64) (int, error) {
 	n := len(x.shards)
 	cur := x.router.Bounds()
 	target, err := shard.LoadQuantileBounds(n, cells)

@@ -19,8 +19,8 @@ import (
 
 // This file is the lower half of an index: a tree stack is one tree with
 // everything that belongs to that tree alone. What exists once per index
-// — the object table, the checkpoint gate, the log — lives above it, in
-// the engine (one stack) or in ShardedIndex (N stacks behind a router).
+// — the object table, the gate, the router and the log handles — lives
+// above it, in the index (engine.go), which runs on one stack or on many.
 
 // treeOps is what a stack needs of the tree under it. The two
 // implementations hide the locking protocol: serialTree takes no locks
@@ -87,13 +87,6 @@ type treeStack struct {
 	background bool
 	mergeMu    sync.Mutex
 	merge      *merger
-	// memFull is what the tier told the latest absorb: its mutable
-	// generation stands at the size threshold. afterAck reads it outside
-	// the table lock, so it may read a true the merger has since acted on;
-	// on a sharded batch, which acks every shard, it may also read one left
-	// by an earlier write to a shard this batch never touched. Either
-	// costs a kick that the merger's NeedsMerge turns away.
-	memFull atomic.Bool
 
 	// bgPages counts physical page accesses incurred by merge-down
 	// drains, so foreground cost attribution (the sharded front-end's
@@ -102,19 +95,19 @@ type treeStack struct {
 	bgPages atomic.Uint64
 }
 
-// init wraps the shared machinery in the stack — over a DGL-locked tree
+// newStack wraps the shared machinery in a stack — over a DGL-locked tree
 // with background merge-down, or over a serial one merging inline — and
 // installs the delta tier if the options ask for one (a loaded
 // snapshot's never do: the tier is the caller's runtime choice).
-func (s *treeStack) init(parts indexParts, background bool) {
-	s.store, s.pool, s.io = parts.store, parts.pool, parts.io
-	s.options, s.background = parts.opts, background
+func newStack(parts indexParts, background bool) *treeStack {
+	s := &treeStack{store: parts.store, pool: parts.pool, io: parts.io, options: parts.opts, background: background}
 	if background {
 		s.tree = concurrent.New(parts.u, 32)
 	} else {
 		s.tree = serialTree{parts.u}
 	}
 	s.ensureMemtable(parts.opts.Memtable)
+	return s
 }
 
 // pagesNow returns the cumulative physical page accesses (reads +
@@ -166,20 +159,18 @@ func (m ioMark) done() uint64 {
 func (s *treeStack) tiered() bool { return s.mem != nil }
 
 // absorb hands st to the delta tier as a delta (the inverse steps of an
-// undo cancel or re-absorb theirs), and leaves the tier's answer — is it
-// at the size threshold now — where afterAck finds it. The caller holds
-// the object table's lock and has established that the stack is tiered.
-func (s *treeStack) absorb(st step) {
-	var full bool
+// undo cancel or re-absorb theirs) and returns the tier's answer: its
+// mutable generation stands at the size threshold now, which the caller
+// carries to afterAck. The caller holds the object table's lock and has
+// established that the stack is tiered.
+func (s *treeStack) absorb(st step) (full bool) {
 	switch st.kind {
 	case stepInsert:
-		full = s.mem.Insert(st.id, st.new)
+		return s.mem.Insert(st.id, st.new)
 	case stepMove:
-		full = s.mem.Update(st.id, st.new, st.old)
-	case stepDelete:
-		full = s.mem.Delete(st.id, st.old)
+		return s.mem.Update(st.id, st.new, st.old)
 	}
-	s.memFull.Store(full)
+	return s.mem.Delete(st.id, st.old)
 }
 
 // apply carries st out on the tree.
@@ -197,7 +188,7 @@ func (s *treeStack) apply(st step) error {
 // the delta tier when the stack runs one, applied to the tree otherwise.
 func (s *treeStack) run(st step) error {
 	if s.tiered() {
-		s.absorb(st)
+		s.absorb(st) // a rebalance's relocation: the next write's ack carries the size trigger
 		return nil
 	}
 	return s.apply(st)
@@ -232,24 +223,30 @@ func arrive(src, dst *treeStack, id uint64, old, new Point) error {
 // tripped the tier's size or age threshold: a kick to the background
 // merger, which never blocks the writer and never fails, or — on the
 // single-writer Index, which has no goroutine to hand the work to — an
-// inline drain whose failure the write reports.
+// inline drain whose failure the write reports. That failure is sticky,
+// and with nobody else to notice it every later write reports it too.
+// None of them is taken back: each is logged, and recovery replays it.
 //
-// The size trigger is the latest absorb's own answer, so the ack path
-// takes the tier's mutex once, in absorb; a stale answer — the merger got
-// there first — costs a kick the merger's own check turns away. The clock
-// is read only when an age trigger is configured.
-func (s *treeStack) afterAck() error {
+// The size trigger, full, is what the write's own absorb returned, so a
+// background stack's ack path takes the tier's mutex once, in absorb; an
+// answer the merger has since acted on costs a kick the merger's own
+// check turns away. The clock is read only when an age trigger is
+// configured.
+func (s *treeStack) afterAck(full bool) error {
 	if s.mem == nil {
 		return nil
 	}
-	if !s.memFull.Load() && !(s.options.Memtable.MaxAge > 0 && s.mem.NeedsMerge(time.Now())) {
+	due := full || s.options.Memtable.MaxAge > 0 && s.mem.NeedsMerge(time.Now())
+	switch {
+	case s.merge != nil:
+		if due {
+			s.merge.kick()
+		}
 		return nil
+	case due:
+		return s.drainMemtable()
 	}
-	if s.merge != nil {
-		s.merge.kick()
-		return nil
-	}
-	return s.drainMemtable()
+	return s.mem.Err()
 }
 
 // applyBatch is the tree-path apply stage of a batch: the coalesced
@@ -258,7 +255,6 @@ func (s *treeStack) afterAck() error {
 // the applied changes, for the log record that covers them.
 func (s *treeStack) applyBatch(t *objectTable, coalesced []core.BatchChange, keep bool, res *BatchResult) ([]core.BatchChange, error) {
 	var applied []core.BatchChange
-	m := meterShard(s)
 	st, err := s.tree.UpdateBatch(coalesced, func(c core.BatchChange) {
 		t.record(c)
 		res.Applied++
@@ -269,7 +265,6 @@ func (s *treeStack) applyBatch(t *objectTable, coalesced []core.BatchChange, kee
 	res.Groups = st.Groups
 	res.GroupResolved = st.GroupResolved
 	res.Fallback = st.LocalFallback + st.Sequential
-	res.PageIO = int(m.done())
 	return applied, err
 }
 
@@ -281,7 +276,7 @@ func (s *treeStack) bulkLoad(items []rtree.Item, method PackMethod) error {
 }
 
 // ensureMemtable installs the delta tier from cfg and, on a background
-// stack, starts the merge-down loop; used by init and when recovery
+// stack, starts the merge-down loop; used by newStack and when recovery
 // re-enables the tier on a loaded snapshot.
 func (s *treeStack) ensureMemtable(cfg Memtable) {
 	cfg = cfg.withDefaults()

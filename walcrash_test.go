@@ -63,7 +63,7 @@ func newCrashStream() *crashStream {
 
 // apply issues the next operation against a (nil = oracle only) and
 // mirrors it into the oracle.
-func (s *crashStream) apply(a applier) error {
+func (s *crashStream) apply(a walFailureIndex) error {
 	defer func() { s.op++ }()
 	insert := func() error {
 		id := s.nextID
@@ -313,7 +313,7 @@ func TestCrashChildProcess(t *testing.T) {
 		t.Skip("crash child; driven by TestCrashKillRecovers")
 	}
 	stateDir := filepath.Join(dir, "state")
-	var a applier
+	var a walFailureIndex
 	var err error
 	switch os.Getenv("BURTREE_CRASH_KIND") {
 	case "sharded":

@@ -66,21 +66,27 @@ var walFailureTiers = []struct {
 
 var walFailureOps = []string{"Insert", "Update", "Delete", "UpdateBatch"}
 
+// indexOf returns the one index under any of the three front-ends, for
+// the white-box steps of the failure tests.
+func indexOf(idx walFailureIndex) *index {
+	switch v := idx.(type) {
+	case *Index:
+		return v.index
+	case *ConcurrentIndex:
+		return v.index
+	case *ShardedIndex:
+		return v.index
+	}
+	return nil
+}
+
 // failLogs force-closes every write-ahead log of the index so the next
 // append fails with wal.ErrClosed while the trees keep working — the
 // same observable state as a full log device.
 func failLogs(t *testing.T, idx walFailureIndex) {
 	t.Helper()
-	var logs []*wal.Log
-	switch v := idx.(type) {
-	case *Index:
-		logs = []*wal.Log{v.wal}
-	case *ConcurrentIndex:
-		logs = []*wal.Log{v.wal}
-	case *ShardedIndex:
-		logs = v.wals
-	}
-	if len(logs) == 0 || logs[0] == nil {
+	logs := indexOf(idx).wals
+	if len(logs) == 0 {
 		t.Fatalf("%T is not durable", idx)
 	}
 	for _, l := range logs {
