@@ -1,0 +1,146 @@
+package burtree
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"burtree/internal/pagestore"
+)
+
+// A page id stored in a page is outside input: snapshots carry no
+// checksum, and the summary table and the pool's frame table are arrays
+// indexed by page id. These tests plant a page pointer the store never
+// allocated and require an error — no panic, and no table sized by the
+// pointer.
+
+// Page-format offsets the tests patch (internal/rtree/node.go,
+// internal/hashindex/hashindex.go).
+const (
+	nodeMagicByte   = 0xA7
+	nodeFirstEntry  = 40 // header of a tree without parent pointers
+	hashMagicByte   = 0xB3
+	hashNextPointer = 8
+)
+
+// strayPointers are far beyond any store here: the first would panic in
+// makeslice if it sized a table, the second would quietly allocate
+// hundreds of megabytes.
+var strayPointers = []uint64{1 << 40, 1 << 24}
+
+// corruptSnapshot saves a 2 000-object GBU index, hands the decoded
+// snapshot to patch, and writes the result to a file.
+func corruptSnapshot(t *testing.T, patch func(s *savedIndex)) string {
+	t.Helper()
+	x, err := Open(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 256, BufferPages: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, pts := randomPoints(2000, 77)
+	for i := range ids {
+		if err := x.Insert(ids[i], pts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := x.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var s savedIndex
+	if err := gob.NewDecoder(bufio.NewReader(bytes.NewReader(buf.Bytes()[8:]))).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	patch(&s)
+	path := filepath.Join(t.TempDir(), "corrupt.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeEnvelope(f, snapshotMagic, &s); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// allocatedBy returns the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func TestLoadRejectsStrayChildPointer(t *testing.T) {
+	clean := corruptSnapshot(t, func(*savedIndex) {})
+	base := allocatedBy(func() {
+		if _, err := LoadFile(clean); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, stray := range strayPointers {
+		path := corruptSnapshot(t, func(s *savedIndex) {
+			root := s.Pages[s.Root-1]
+			if root[0] != nodeMagicByte || s.Height < 2 {
+				t.Fatalf("root page is not an internal node (magic %#x, height %d)", root[0], s.Height)
+			}
+			binary.LittleEndian.PutUint64(root[nodeFirstEntry:], stray)
+		})
+		var err error
+		got := allocatedBy(func() { _, err = LoadFile(path) })
+		if !errors.Is(err, pagestore.ErrPageBounds) {
+			t.Fatalf("child pointer %d: LoadFile error = %v, want ErrPageBounds", stray, err)
+		}
+		if got > base+1<<20 {
+			t.Fatalf("child pointer %d: load allocated %d bytes, a clean load %d", stray, got, base)
+		}
+	}
+}
+
+func TestStrayOverflowPointerFailsCleanly(t *testing.T) {
+	for _, stray := range strayPointers {
+		path := corruptSnapshot(t, func(s *savedIndex) {
+			for _, pg := range s.Pages {
+				if pg[0] == hashMagicByte && binary.LittleEndian.Uint64(pg[hashNextPointer:]) != 0 {
+					binary.LittleEndian.PutUint64(pg[hashNextPointer:], stray)
+					return
+				}
+			}
+			t.Fatal("no hash page with an overflow pointer")
+		})
+		// Loading does not walk the bucket chains, so the pointer is met by
+		// the first update whose object lies behind it.
+		failed := 0
+		got := allocatedBy(func() {
+			x, err := LoadFile(path)
+			if err != nil {
+				failed++
+				return
+			}
+			for id := uint64(0); id < 2000; id++ {
+				p, _ := x.Location(id)
+				if err := x.Update(id, p); err != nil {
+					if !errors.Is(err, pagestore.ErrPageBounds) {
+						t.Fatalf("overflow pointer %d: update %d: %v, want ErrPageBounds", stray, id, err)
+					}
+					failed++
+				}
+			}
+		})
+		if failed == 0 {
+			t.Fatalf("overflow pointer %d: no operation met it", stray)
+		}
+		if got > 8<<20 {
+			t.Fatalf("overflow pointer %d: load and 2 000 updates allocated %d bytes", stray, got)
+		}
+	}
+}

@@ -41,14 +41,21 @@
 // outside the pool with the physical I/O a pool of capacity zero would
 // do: one read, and one write when the handle is released dirty.
 //
+// A page's frame is found through a table indexed by page id — ids are
+// dense, the store appends or recycles — so a lookup is an array load.
+// The table follows the store's page count; a page id the store never
+// allocated is refused before the table sees it, so a pointer read from a
+// corrupt page cannot size it.
+//
 // Frames are recycled, never reallocated: a frame keeps its page buffer
-// for life and moves between the LRU table, the in-flight write-back
-// table and a free list, so a steady-state access allocates nothing.
-// Frames are created on demand, at most a few more than the capacity.
+// for life and moves between the page table with its LRU ring, the
+// in-flight write-back list and a free list, so a steady-state access
+// allocates nothing. Frames are created on demand, at most a few more
+// than the capacity.
 //
 // The pool latch is never held across physical I/O: misses read the disk
 // after releasing it, and dirty evictions move the victim to an in-flight
-// table that readers consult, so concurrent operations overlap their disk
+// list that readers consult, so concurrent operations overlap their disk
 // time — essential for the multi-threaded throughput study, where page
 // latency is simulated.
 package buffer
@@ -72,30 +79,46 @@ type Pool struct {
 	io    *stats.IO
 	cap   int
 
-	frames map[pagestore.PageID]*frame
-	lru    frame  // ring sentinel: lru.next is the most, lru.prev the least recently used
-	free   *frame // recycled frames, linked through next; nfree of them
-	nfree  int
+	// table is indexed by page id. It is grown to the store's page count
+	// (coverLocked) before a page is lent a frame, so the id of every
+	// resident, lent or in-flight frame lies within it.
+	table    []slot
+	resident int    // slots holding a frame
+	lru      frame  // ring sentinel: lru.next is the most, lru.prev the least recently used
+	free     *frame // recycled frames, linked through next; nfree of them
+	nfree    int
 	// lent counts frames handed to a caller outside the table (a read in
 	// progress, a transient frame, a PinOverwrite miss).
 	lent int
 
 	// inflight holds, per page, the latest dirty victim on its way to
-	// disk. Readers serve from it; a newer eviction of the same page
-	// chains behind it (frame.earlier) so disk writes of one page are
-	// totally ordered. wbDone is signalled whenever a write-back ends.
-	inflight map[pagestore.PageID]*frame
+	// disk — one entry per goroutine in the middle of an eviction, so a
+	// handful, scanned linearly. Readers serve from it; a newer eviction
+	// of the same page chains behind it (frame.earlier) so disk writes of
+	// one page are totally ordered. wbDone is signalled whenever a
+	// write-back ends.
+	inflight []*frame
 	wbDone   sync.Cond
-	// version counts disk-content events per page (write-back
-	// completions and discards), indexed by page id. A read miss
-	// snapshots it before its unlatched disk read and re-checks after: a
-	// bump means the disk may have changed under the read, so caching it
-	// could serve stale bytes forever.
-	version []uint32
 }
 
+// slot is the table's entry for one page.
+type slot struct {
+	f *frame // the resident frame, nil when the page is not cached
+	// version counts disk-content events of the page (write-back
+	// completions and discards). A read miss snapshots it before its
+	// unlatched disk read and re-checks after: a bump means the disk may
+	// have changed under the read, so caching it could serve stale bytes
+	// forever.
+	version uint32
+}
+
+// tableSlack is how many slots the table grows beyond the store's page
+// count, so that a growing store costs one table copy per that many
+// allocations and the table never exceeds the store by more.
+const tableSlack = 256
+
 // frame is one page buffer. Its role changes, its buffer never does:
-// resident (in frames and on the LRU ring), in flight (a dirty victim
+// resident (in the table and on the LRU ring), in flight (a dirty victim
 // being written back), lent to a caller, or on the free list.
 type frame struct {
 	id   pagestore.PageID
@@ -115,7 +138,7 @@ type frame struct {
 	dirty bool
 
 	// In-flight state, guarded by p.mu. The entry stays in the in-flight
-	// table until its write-back completes — even when canceled by
+	// list until its write-back completes — even when canceled by
 	// Discard — so Flush's drain and later evictions of the same page
 	// keep their ordering against it.
 	earlier  *frame // earlier write of the same page, while it is still running
@@ -129,13 +152,7 @@ func New(store *pagestore.Store, capacity int) *Pool {
 	if capacity < 0 {
 		capacity = 0
 	}
-	p := &Pool{
-		store:    store,
-		io:       store.IO(),
-		cap:      capacity,
-		frames:   make(map[pagestore.PageID]*frame, capacity),
-		inflight: make(map[pagestore.PageID]*frame),
-	}
+	p := &Pool{store: store, io: store.IO(), cap: capacity}
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	p.wbDone.L = &p.mu
 	return p
@@ -148,7 +165,7 @@ func (p *Pool) Capacity() int { return p.cap }
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.frames)
+	return p.resident
 }
 
 // Pinned returns the number of handles not yet released. At a quiescent
@@ -235,8 +252,12 @@ func (p *Pool) PinExclusive(id pagestore.PageID) (Handle, error) { return p.pin(
 //burlint:hotpath
 func (p *Pool) PinOverwrite(id pagestore.PageID) (Handle, error) {
 	p.mu.Lock()
-	if f := p.frames[id]; f != nil {
+	if f := p.residentLocked(id); f != nil {
 		return p.pinResidentLocked(f, pinOverwrite), nil
+	}
+	if p.cap > 0 && !p.coverLocked(id) {
+		p.mu.Unlock()
+		return Handle{}, fmt.Errorf("%w: %d", pagestore.ErrPageBounds, id)
 	}
 	f := p.lendLocked(id)
 	p.mu.Unlock()
@@ -280,12 +301,19 @@ func (p *Pool) WritePage(id pagestore.PageID, src []byte) error {
 }
 
 // pin is Pin and PinExclusive.
+//
+//burlint:hotpath
 func (p *Pool) pin(id pagestore.PageID, mode pinMode) (Handle, error) {
 	p.mu.Lock()
-	if r := p.frames[id]; r != nil {
+	if r := p.residentLocked(id); r != nil {
 		h := p.pinResidentLocked(r, mode)
 		p.io.CountBufferHit()
 		return h, nil
+	}
+	if p.cap > 0 && !p.coverLocked(id) {
+		// The read below would fail the same way.
+		p.mu.Unlock()
+		return Handle{}, fmt.Errorf("%w: %d", pagestore.ErrPageBounds, id)
 	}
 	f := p.lendLocked(id)
 	if p.cap == 0 {
@@ -306,7 +334,7 @@ func (p *Pool) pin(id pagestore.PageID, mode pinMode) (Handle, error) {
 func (p *Pool) loadLocked(f *frame, mode pinMode) (Handle, error) {
 	id := f.id
 	for attempt := 0; ; attempt++ {
-		if iw := p.inflight[id]; iw != nil && !iw.canceled {
+		if iw := p.inflightLocked(id); iw != nil && !iw.canceled {
 			// The latest contents are on their way to disk; serve them and
 			// re-cache without any physical read. (A canceled write holds
 			// discarded data and must never resurface.)
@@ -315,7 +343,7 @@ func (p *Pool) loadLocked(f *frame, mode pinMode) (Handle, error) {
 			p.io.CountBufferHit()
 			return h, err
 		}
-		ver := p.versionLocked(id)
+		ver := p.table[id].version
 		if attempt >= 2 {
 			// Repeated disk-content changes raced the unlatched reads
 			// below; read under the latch, which is totally ordered
@@ -337,15 +365,15 @@ func (p *Pool) loadLocked(f *frame, mode pinMode) (Handle, error) {
 		}
 
 		p.mu.Lock()
-		if r := p.frames[id]; r != nil {
+		if r := p.table[id].f; r != nil {
 			// Another thread cached the page meanwhile; its copy may be
 			// newer (a logical write could have landed), so prefer it.
 			p.unlendLocked(f)
 			return p.pinResidentLocked(r, mode), nil
 		}
-		if iw := p.inflight[id]; iw != nil && !iw.canceled {
+		if iw := p.inflightLocked(id); iw != nil && !iw.canceled {
 			copy(f.data, iw.data)
-		} else if p.versionLocked(id) != ver {
+		} else if p.table[id].version != ver {
 			// A write-back or discard completed during the unlatched
 			// read: the bytes read may predate it. Caching them would
 			// serve stale data until the next eviction; read again.
@@ -393,14 +421,12 @@ func (p *Pool) installLocked(f *frame, mode pinMode) (Handle, error) {
 }
 
 // admitLocked adds the lent frame f to the table as the most recently
-// used frame. If the pool is full it first detaches the least recently
-// used frame that is not pinned: a clean victim goes to the free list, a
-// dirty one is published to the in-flight table and returned for
-// physical write-back by the caller after the latch is released. It
-// reports false, with nothing changed, when there is no room and no
-// victim.
+// used frame. If the pool is full it first evicts the least recently
+// used frame that is not pinned, and returns it when it is dirty: the
+// caller writes it back after the latch is released. It reports false,
+// with nothing changed, when there is no room and no victim.
 func (p *Pool) admitLocked(f *frame) (victim *frame, ok bool) {
-	if len(p.frames) >= p.cap {
+	if p.resident >= p.cap {
 		v := p.lru.prev
 		for v != &p.lru && v.pins.Load() != 0 {
 			v = v.prev
@@ -408,27 +434,57 @@ func (p *Pool) admitLocked(f *frame) (victim *frame, ok bool) {
 		if v == &p.lru {
 			return nil, false
 		}
-		p.unlinkLocked(v)
-		delete(p.frames, v.id)
-		p.io.CountEviction(v.dirty)
-		if v.dirty {
-			p.publishLocked(v)
-			victim = v
-		} else {
-			p.freeLocked(v)
-		}
+		victim = p.evictLocked(v)
 	}
 	p.lent--
-	p.frames[f.id] = f
+	p.table[f.id].f = f
+	p.resident++
 	p.linkFrontLocked(f)
 	return victim, true
 }
 
+// evictLocked takes the resident frame v, which nobody pins, out of the
+// table: a clean frame goes to the free list, a dirty one is published
+// to the in-flight list and returned for physical write-back.
+func (p *Pool) evictLocked(v *frame) (victim *frame) {
+	p.detachLocked(v)
+	p.io.CountEviction(v.dirty)
+	if !v.dirty {
+		p.freeLocked(v)
+		return nil
+	}
+	p.publishLocked(v)
+	return v
+}
+
+// detachLocked removes resident frame f from the table and the LRU ring.
+func (p *Pool) detachLocked(f *frame) {
+	p.unlinkLocked(f)
+	p.table[f.id].f = nil
+	p.resident--
+}
+
+// inflightLocked returns the latest write of page id still in flight.
+func (p *Pool) inflightLocked(id pagestore.PageID) *frame {
+	for _, w := range p.inflight {
+		if w.id == id {
+			return w
+		}
+	}
+	return nil
+}
+
 // publishLocked enters the dirty, non-resident frame v into the in-flight
-// table, behind any write of the same page still running.
+// list, behind any write of the same page still running.
 func (p *Pool) publishLocked(v *frame) {
-	v.earlier = p.inflight[v.id]
-	p.inflight[v.id] = v
+	for i, w := range p.inflight {
+		if w.id == v.id {
+			v.earlier, p.inflight[i] = w, v
+			return
+		}
+	}
+	v.earlier = nil
+	p.inflight = append(p.inflight, v)
 }
 
 // releaseLent ends a handle on a frame outside the table. A clean frame
@@ -448,7 +504,7 @@ func (p *Pool) releaseLent(f *frame, mode pinMode) error {
 		return err
 	}
 	p.mu.Lock()
-	if r := p.frames[f.id]; r != nil {
+	if r := p.table[f.id].f; r != nil {
 		h := p.pinResidentLocked(r, pinExclusive)
 		copy(r.data, f.data)
 		r.dirty = true
@@ -458,7 +514,7 @@ func (p *Pool) releaseLent(f *frame, mode pinMode) error {
 	}
 	victim, ok := p.admitLocked(f)
 	if !ok {
-		// Written through the in-flight table, like an eviction, so a
+		// Written through the in-flight list, like an eviction, so a
 		// concurrent miss of the page is served these bytes rather than
 		// caching the ones on disk.
 		if mode == pinOverwrite {
@@ -495,18 +551,24 @@ func (p *Pool) writeBack(iw *frame) error {
 	id := iw.id
 	p.mu.Lock()
 	// iw was the oldest running write of its page: unlink it from its
-	// successor, or from the table when it is also the latest.
-	if p.inflight[id] == iw {
-		delete(p.inflight, id)
-	} else {
-		for w := p.inflight[id]; w != nil; w = w.earlier {
-			if w.earlier == iw {
-				w.earlier = nil
-				break
-			}
+	// successor, or from the list when it is also the latest.
+	for i, w := range p.inflight {
+		if w.id != id {
+			continue
 		}
+		if w == iw {
+			last := len(p.inflight) - 1
+			p.inflight[i], p.inflight[last] = p.inflight[last], nil
+			p.inflight = p.inflight[:last]
+			break
+		}
+		for w.earlier != nil && w.earlier != iw {
+			w = w.earlier
+		}
+		w.earlier = nil
+		break
 	}
-	p.bumpVersionLocked(id)
+	p.table[id].version++
 	p.freeLocked(iw)
 	p.wbDone.Broadcast()
 	p.mu.Unlock()
@@ -579,28 +641,42 @@ func (p *Pool) touchLocked(f *frame) {
 	}
 }
 
-func (p *Pool) versionLocked(id pagestore.PageID) uint32 {
-	if int(id) < len(p.version) {
-		return p.version[id]
+// residentLocked returns the frame page id occupies, nil when it is not
+// cached.
+func (p *Pool) residentLocked(id pagestore.PageID) *frame {
+	if uint64(id) < uint64(len(p.table)) {
+		return p.table[id].f
 	}
-	return 0
+	return nil
 }
 
-func (p *Pool) bumpVersionLocked(id pagestore.PageID) {
-	// Page ids are dense (the store hands them out in sequence), so the
-	// table is as long as the store is large.
-	for int(id) >= len(p.version) {
-		p.version = append(p.version, 0)
+// coverLocked makes the table hold page id, growing it to the store's
+// page count when the id lies beyond it. It reports false for an id the
+// store never allocated, which no read or write of the store can serve.
+func (p *Pool) coverLocked(id pagestore.PageID) bool {
+	if uint64(id) < uint64(len(p.table)) {
+		return true
 	}
-	p.version[id]++
+	n := p.store.NumAllocated() + 1 // ids run from 1 to NumAllocated
+	if uint64(id) >= uint64(n) {
+		return false
+	}
+	p.growLocked(n + tableSlack)
+	return true
+}
+
+// growLocked lengthens the table to n slots.
+func (p *Pool) growLocked(n int) {
+	t := make([]slot, n)
+	copy(t, p.table)
+	p.table = t
 }
 
 // dropLocked removes resident frame f from the table without writing it
 // back. An unpinned frame is recycled; a pinned one is left to its
 // holders and then to the collector.
 func (p *Pool) dropLocked(f *frame) {
-	p.unlinkLocked(f)
-	delete(p.frames, f.id)
+	p.detachLocked(f)
 	if f.pins.Load() == 0 {
 		p.freeLocked(f)
 	}
@@ -618,7 +694,7 @@ func cancelLocked(iw *frame) {
 // a page is freed: its contents must not resurface.
 //
 // An in-flight eviction of the page is canceled, not forgotten: the
-// entry stays in the table until its write-back completes, so Flush
+// entry stays in the list until its write-back completes, so Flush
 // still drains it and a later eviction of a reallocated page with the
 // same id still orders behind it — but the discarded bytes themselves
 // never reach the disk. (Dropping the entry instead would let the
@@ -631,11 +707,14 @@ func (p *Pool) Discard(id pagestore.PageID) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if f := p.frames[id]; f != nil {
+	if !p.coverLocked(id) {
+		return // never allocated, so never cached and never read
+	}
+	if f := p.table[id].f; f != nil {
 		p.dropLocked(f)
 	}
-	cancelLocked(p.inflight[id])
-	p.bumpVersionLocked(id)
+	cancelLocked(p.inflightLocked(id))
+	p.table[id].version++
 }
 
 // Flush writes all dirty frames to disk. Frames stay resident (clean).
@@ -687,5 +766,5 @@ func (p *Pool) Invalidate() {
 func (p *Pool) Resident(id pagestore.PageID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.frames[id] != nil
+	return p.residentLocked(id) != nil
 }

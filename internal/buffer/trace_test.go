@@ -27,10 +27,29 @@ type traceResult struct {
 	StoreHash                 uint64
 }
 
+// traceShape is what a trace does beside its seeded mix.
+type traceShape struct {
+	// pages is the number of pages allocated before the first access.
+	pages int
+	// growing lets the store grow: a retirement sometimes allocates a
+	// second page, whose id lies beyond every table sized so far.
+	growing bool
+	// midFlight stages, every so many accesses, an eviction that is still
+	// in flight while the trace goes on (0: never); see stageEviction.
+	midFlight int
+}
+
+// steadyShape is the trace the copying pool was recorded on.
+var steadyShape = traceShape{pages: 400}
+
+// growingShape starts small and grows about tenfold, past several table
+// sizes, with evictions caught mid-flight all along.
+var growingShape = traceShape{pages: 120, growing: true, midFlight: 500}
+
 // runTrace replays a seeded mix of reads, writes, patches, discards (with
 // free and reallocation) and reads of freed pages against a pool of the
 // given capacity, through mk's access functions.
-func runTrace(t *testing.T, capacity, accesses int, mk func(*Pool) traceAccess) traceResult {
+func runTrace(t *testing.T, capacity, accesses int, shape traceShape, mk func(*Pool) traceAccess) traceResult {
 	t.Helper()
 	const tracePage = 256
 	io := &stats.IO{}
@@ -39,7 +58,7 @@ func runTrace(t *testing.T, capacity, accesses int, mk func(*Pool) traceAccess) 
 	acc := mk(pool)
 	rng := rand.New(rand.NewSource(20030909))
 
-	live := make([]pagestore.PageID, 400)
+	live := make([]pagestore.PageID, shape.pages)
 	for i := range live {
 		live[i] = store.Alloc()
 	}
@@ -54,6 +73,10 @@ func runTrace(t *testing.T, capacity, accesses int, mk func(*Pool) traceAccess) 
 		return rng.Intn(len(live))
 	}
 	for i := 0; i < accesses; i++ {
+		if shape.midFlight > 0 && i%shape.midFlight == shape.midFlight-1 {
+			n := i / shape.midFlight
+			stageEviction(t, pool, acc, live[n*7%len(live)], n%2 == 0, buf)
+		}
 		switch r := rng.Intn(100); {
 		case r < 45:
 			if err := acc.read(live[pick()], buf); err != nil {
@@ -87,6 +110,9 @@ func runTrace(t *testing.T, capacity, accesses int, mk func(*Pool) traceAccess) 
 					break
 				}
 			}
+			if shape.growing && rng.Intn(4) == 0 {
+				live = append(live, store.Alloc())
+			}
 		default:
 			// A read that fails (the batch path reads leaves an earlier
 			// change freed) must leave the pool as it was.
@@ -108,6 +134,59 @@ func runTrace(t *testing.T, capacity, accesses int, mk func(*Pool) traceAccess) 
 		h.Write(pg)
 	}
 	return traceResult{s.Reads, s.Writes, s.BufferHits, h.Sum64()}
+}
+
+// stageEviction does by hand what a second goroutine's miss would do to
+// the pool — evict a dirty frame and leave it in flight — lets the
+// trace's goroutine act on that page while the write-back has not run,
+// and then runs it. The page is written first, so that it has a dirty
+// frame to evict. With retire it is then discarded, freed, reallocated
+// under the same id and rewritten mid-flight (the write-back must be
+// skipped and the new contents reach the disk); without, it is read
+// mid-flight (served from the frame in flight and cached again) and
+// patched, so the late write-back lands under a newer resident version.
+// A pool of capacity zero has no frame to evict and sees the same
+// accesses without the flight.
+func stageEviction(t *testing.T, p *Pool, acc traceAccess, id pagestore.PageID, retire bool, buf []byte) {
+	t.Helper()
+	must := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("staged eviction of page %d: %s: %v", id, what, err)
+		}
+	}
+	fill := func(salt byte) {
+		for j := range buf {
+			buf[j] = byte(id) + byte(j) + salt
+		}
+	}
+	fill(1)
+	must("write", acc.write(id, buf))
+	p.mu.Lock()
+	v := p.residentLocked(id)
+	if v != nil {
+		v = p.evictLocked(v)
+	}
+	p.mu.Unlock()
+
+	if retire {
+		p.Discard(id)
+		must("free", p.Store().Free(id))
+		if again := p.Store().Alloc(); again != id {
+			t.Fatalf("allocator handed out %d, not the page just freed (%d)", again, id)
+		}
+		fill(2)
+		must("rewrite", acc.write(id, buf))
+	} else {
+		must("read", acc.read(id, buf))
+		if buf[0] != byte(id)+1 {
+			t.Fatalf("page %d read mid-flight starts with %d, not the byte just written", id, buf[0])
+		}
+		must("patch", acc.patch(id, 8, uint64(id)))
+	}
+	if v != nil {
+		must("write-back", p.writeBack(v))
+	}
 }
 
 // pinAccess drives the trace through the pin primitives and, on every
@@ -162,27 +241,45 @@ func (a *pinAccess) patch(id pagestore.PageID, off int, val uint64) error {
 }
 
 // TestTraceMatchesCopyingPool is the proof that replacement order and
-// accounting did not move when frames became pinnable: the constants were
-// recorded by replaying the same trace against the pool this one replaced
-// (container/list LRU, copy-in/copy-out, ReadPage+WritePage for a patch).
+// accounting did not move when frames became pinnable, nor when the frame
+// table became an array: the steady constants were recorded by replaying
+// the same trace against the pool the pinnable one replaced
+// (container/list LRU, copy-in/copy-out, ReadPage+WritePage for a patch),
+// the growing ones against the pool that found its frames through maps.
 func TestTraceMatchesCopyingPool(t *testing.T) {
-	want := map[int]traceResult{
-		0:   {139942, 89913, 0, 0x5e8c5fdcc0ff91c0},
-		1:   {138837, 89504, 1105, 0x5e8c5fdcc0ff91c0},
-		8:   {131040, 86559, 8902, 0x5e8c5fdcc0ff91c0},
-		100: {62686, 44157, 77256, 0x5e8c5fdcc0ff91c0},
-	}
-	for _, capacity := range []int{0, 1, 8, 100} {
-		var pool *Pool
-		got := runTrace(t, capacity, 200000, func(p *Pool) traceAccess {
-			pool = p
-			return &pinAccess{p: p, buf: make([]byte, 256)}
-		})
-		if got != want[capacity] {
-			t.Errorf("capacity %d: trace left %+v, the copying pool left %+v", capacity, got, want[capacity])
-		}
-		if n := pool.Pinned(); n != 0 {
-			t.Errorf("capacity %d: %d pins leaked", capacity, n)
+	for _, tc := range []struct {
+		name  string
+		shape traceShape
+		want  map[int]traceResult
+	}{
+		{"steady", steadyShape, map[int]traceResult{
+			0:   {139942, 89913, 0, 0x5e8c5fdcc0ff91c0},
+			1:   {138837, 89504, 1105, 0x5e8c5fdcc0ff91c0},
+			8:   {131040, 86559, 8902, 0x5e8c5fdcc0ff91c0},
+			100: {62686, 44157, 77256, 0x5e8c5fdcc0ff91c0},
+		}},
+		{"growing", growingShape, map[int]traceResult{
+			0:   {140126, 90618, 0, 0x6d6311d2ee78c38a},
+			1:   {139154, 90184, 972, 0x6d6311d2ee78c38a},
+			8:   {135205, 88659, 4921, 0x6d6311d2ee78c38a},
+			100: {99500, 69970, 40626, 0x6d6311d2ee78c38a},
+		}},
+	} {
+		for _, capacity := range []int{0, 1, 8, 100} {
+			var pool *Pool
+			got := runTrace(t, capacity, 200000, tc.shape, func(p *Pool) traceAccess {
+				pool = p
+				return &pinAccess{p: p, buf: make([]byte, 256)}
+			})
+			if got != tc.want[capacity] {
+				t.Errorf("%s, capacity %d: trace left %+v, the reference pool left %+v", tc.name, capacity, got, tc.want[capacity])
+			}
+			if n := pool.Pinned(); n != 0 {
+				t.Errorf("%s, capacity %d: %d pins leaked", tc.name, capacity, n)
+			}
+			if tc.shape.growing && capacity > 0 && len(pool.table) < 4*(tc.shape.pages+tableSlack) {
+				t.Errorf("%s, capacity %d: the table ended at %d slots; the trace did not make it grow", tc.name, capacity, len(pool.table))
+			}
 		}
 	}
 }

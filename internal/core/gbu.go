@@ -224,7 +224,7 @@ func (s *gbuStrategy) ascend(oid rtree.OID, new geom.Point, newRect geom.Rect, l
 	if err := t.WriteNode(leaf); err != nil {
 		return err
 	}
-	if err := t.InsertEntryAt(fp.PathAbove, fp.Ancestor, rtree.Entry{Rect: newRect, OID: oid}, 0); err != nil {
+	if err := t.InsertEntryAt(fp.PathAbove(), fp.Ancestor, rtree.Entry{Rect: newRect, OID: oid}, 0); err != nil {
 		return err
 	}
 	s.out.ascended.Add(1)

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"burtree/internal/buffer"
@@ -128,7 +129,7 @@ func TestParentOfAndChainAbove(t *testing.T) {
 	if tr.Height() < 3 {
 		t.Fatalf("height = %d", tr.Height())
 	}
-	// Verify ParentOf and ChainAbove against a manual walk.
+	// Verify ParentOf and the ancestor chain against a manual walk.
 	root, err := tr.ReadNode(tr.Root())
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +150,14 @@ func TestParentOfAndChainAbove(t *testing.T) {
 		}
 		leafPage = mid.Entries[0].Child
 	}
-	chain, err := s.ChainAbove(leafPage)
+	// The chain above the leaf, root first: what FindParent hands out
+	// above the ancestor it names, and that ancestor — the leaf's parent
+	// when the point lies inside it.
+	res, err := s.FindParent(leafPage, mid.Self.Center(), tr.Height()-1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	chain := append(slices.Clone(res.PathAbove()), res.Ancestor)
 	if len(chain) != tr.Height()-1 {
 		t.Fatalf("chain length = %d, want %d", len(chain), tr.Height()-1)
 	}
@@ -210,11 +215,11 @@ func TestFindParentContainment(t *testing.T) {
 	if res.Ancestor != parentPage || res.Level != 1 {
 		t.Fatalf("FindParent = %+v, want parent %d at level 1", res, parentPage)
 	}
-	if len(res.PathAbove) != h-2 {
-		t.Fatalf("PathAbove length = %d, want %d", len(res.PathAbove), h-2)
+	if len(res.PathAbove()) != h-2 {
+		t.Fatalf("PathAbove length = %d, want %d", len(res.PathAbove()), h-2)
 	}
-	if h >= 3 && res.PathAbove[0] != tr.Root() {
-		t.Fatalf("PathAbove[0] = %d, want root", res.PathAbove[0])
+	if h >= 3 && res.PathAbove()[0] != tr.Root() {
+		t.Fatalf("PathAbove[0] = %d, want root", res.PathAbove()[0])
 	}
 
 	// A point far outside everything must fall through to the root.
@@ -258,15 +263,38 @@ func TestLeafFullBitVector(t *testing.T) {
 }
 
 func TestOverlappingAtLevel(t *testing.T) {
-	tr, s := newTrackedTree(t, 512, rtree.Config{})
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 1500; i++ {
-		if err := tr.Insert(rtree.OID(i), geom.RectFromPoint(pt(rng))); err != nil {
-			t.Fatal(err)
+	// The history mixes inserts with deletes, so level-1 nodes are freed
+	// and their places in the level's array refilled.
+	build := func() (*rtree.Tree, *Structure) {
+		tr, s := newTrackedTree(t, 512, rtree.Config{})
+		rng := rand.New(rand.NewSource(7))
+		rects := make([]geom.Rect, 2500)
+		for i := range rects {
+			rects[i] = geom.RectFromPoint(pt(rng))
+			if err := tr.Insert(rtree.OID(i), rects[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
+		for _, i := range rng.Perm(len(rects))[:1000] {
+			if err := tr.Delete(rtree.OID(i), rects[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr, s
 	}
+	tr, s := build()
 	q := geom.Rect{MinX: 0.4, MinY: 0.4, MaxX: 0.6, MaxY: 0.6}
 	got := s.OverlappingAtLevel(1, q, nil)
+	// The order is a function of the history: a second structure fed the
+	// same one answers in the same order.
+	_, twin := build()
+	if again := twin.OverlappingAtLevel(1, q, nil); !slices.Equal(got, again) {
+		t.Fatalf("two structures with one history answer in different orders:\n%v\n%v", got, again)
+	}
+	everything := geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}
+	if a, b := s.OverlappingAtLevel(1, everything, nil), twin.OverlappingAtLevel(1, everything, nil); !slices.Equal(a, b) || len(a) < 20 {
+		t.Fatalf("level-1 arrays differ or are too short to tell:\n%v\n%v", a, b)
+	}
 	// Cross-check against a tree walk.
 	want := map[pagestore.PageID]bool{}
 	var walk func(page pagestore.PageID) error
