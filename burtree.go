@@ -251,7 +251,9 @@ func (opts Options) coreOptions() (core.Options, error) {
 
 // openParts builds the machinery of an empty index from user options,
 // normalizing the zero-value defaults exactly once for every front-end.
-func openParts(opts Options) (indexParts, error) {
+// io is the ledger the new store counts its page accesses in: that of the
+// stack it replaces, or nil for one of its own.
+func openParts(opts Options, io *stats.IO) (indexParts, error) {
 	var parts indexParts
 	if opts.PageSize == 0 {
 		opts.PageSize = pagestore.DefaultPageSize
@@ -264,14 +266,13 @@ func openParts(opts Options) (indexParts, error) {
 		return parts, err
 	}
 	opts.Memtable = opts.Memtable.withDefaults()
-	io := &stats.IO{}
 	store := pagestore.New(opts.PageSize, io)
 	pool := buffer.New(store, opts.BufferPages)
 	u, err := core.New(pool, co)
 	if err != nil {
 		return parts, err
 	}
-	return indexParts{store: store, pool: pool, io: io, u: u, opts: opts}, nil
+	return indexParts{store: store, pool: pool, io: store.IO(), u: u, opts: opts}, nil
 }
 
 // Open creates an empty index. With Options.Durability enabled, the

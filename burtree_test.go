@@ -418,7 +418,7 @@ func TestPublicKnobs(t *testing.T) {
 		"Options.Epsilon", "Options.DistanceThreshold", "Options.LevelThreshold",
 		"Options.ExpectedObjects", "Options.ReinsertFraction", "Options.SplitAlgorithm",
 		"Durability.Mode", "Durability.Dir", "Durability.GroupWindow",
-		"Memtable.Enabled", "Memtable.MaxObjects", "Memtable.MaxAge", "Memtable.MergeParallelism",
+		"Memtable.Enabled", "Memtable.MaxObjects", "Memtable.MaxAge",
 		"ShardOptions.Shards", "ShardOptions.Partition",
 		"RebalanceOptions.Enabled", "RebalanceOptions.HotFactor", "RebalanceOptions.MaxStep",
 		"RebalanceOptions.MinOps", "RebalanceOptions.Cooldown", "RebalanceOptions.Interval",

@@ -41,7 +41,7 @@ func OpenConcurrent(opts Options) (*ConcurrentIndex, error) {
 func (x *ConcurrentIndex) BackgroundPages() uint64 {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
-	return x.bgBase[0] + x.shards[0].bgPages.Load()
+	return uint64(x.shards[0].io.Background())
 }
 
 // SetIOLatency simulates a per-page-access service time, making

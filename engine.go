@@ -11,6 +11,7 @@ import (
 	"burtree/internal/atomicfile"
 	"burtree/internal/core"
 	"burtree/internal/shard"
+	"burtree/internal/stats"
 	"burtree/internal/wal"
 )
 
@@ -184,19 +185,14 @@ type index struct {
 	walSeq uint64
 
 	// load accumulates per-stack operation counts and the per-cell update
-	// histogram the rebalancer splits on; see ShardLoads.
+	// histogram the rebalancer splits on; see ShardLoads. Only a
+	// ShardedIndex keeps one — a one-stack index has nothing to balance and
+	// nobody to read it — and the pipeline reaches it through recordStep,
+	// recordBatch and readFrom (shardedindex.go), which ask.
 	load *shard.LoadTracker
 	// routerEpoch counts boundary changes (guarded by the gate, persisted
 	// in the sharded manifest).
 	routerEpoch uint64
-	// pageBase carries each stack slot's cumulative foreground page count
-	// across stack rebuilds (guarded by the gate): a boundary change that
-	// replaces the stacks would otherwise reset their page counters to zero
-	// and make the cumulative sequence fgPages feeds to
-	// LoadTracker.SampleAt run backward. bgBase does the same for the
-	// merge-down pages ShardLoads reports.
-	pageBase []uint64
-	bgBase   []uint64
 	// ioLatency remembers the simulated per-page latency so stacks rebuilt
 	// by a rebalance or a failed bulk load keep paying it.
 	ioLatency atomic.Int64
@@ -216,17 +212,18 @@ var single = ShardOptions{Shards: 1}
 // newIndex assembles an index around its router, options and object
 // table; the caller installs the stacks (fresh or loaded).
 func newIndex(k kind, router *shard.Router, opts Options, sopts ShardOptions, objects map[uint64]Point) *index {
-	return &index{
+	x := &index{
 		objectTable: objectTable{objects: objects},
 		kind:        k,
 		router:      router,
 		options:     opts,
 		sopts:       sopts,
-		load:        shard.NewLoadTracker(sopts.Shards),
-		pageBase:    make([]uint64, sopts.Shards),
-		bgBase:      make([]uint64, sopts.Shards),
 		ropts:       sopts.Rebalance.withDefaults(),
 	}
+	if k.sharded() {
+		x.load = shard.NewLoadTracker(sopts.Shards)
+	}
+	return x
 }
 
 // open creates an empty index of kind k. The Options are totals for the
@@ -270,12 +267,18 @@ func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
 // openShards opens a fresh, empty stack per shard under the index's
 // options. Every place that needs fresh stacks — open, a failed bulk
 // load, a partition upgrade — comes through here, so every one of them
-// keeps paying the simulated I/O latency SetIOLatency asked for.
+// keeps paying the simulated I/O latency SetIOLatency asked for, and
+// keeps counting in the ledger of the stack it replaces: a shard slot's
+// page counters belong to the slot and never restart under a caller.
 func (x *index) openShards() ([]*treeStack, error) {
 	per := perShardOptions(x.options, x.sopts.Shards)
 	shards := make([]*treeStack, x.sopts.Shards)
 	for i := range shards {
-		parts, err := openParts(per)
+		var io *stats.IO
+		if i < len(x.shards) {
+			io = x.shards[i].io
+		}
+		parts, err := openParts(per, io)
 		if err != nil {
 			return nil, err
 		}
@@ -719,8 +722,9 @@ func (x *index) CheckInvariants() error {
 	return nil
 }
 
-// ResetStats zeroes the physical counters of every stack (tree shape is
-// unaffected). Operations in flight keep counting after the reset point.
+// ResetStats zeroes the physical counters of every stack, foreground and
+// background pages together (tree shape is unaffected). Operations in
+// flight keep counting after the reset point.
 func (x *index) ResetStats() {
 	x.gate.RLock()
 	defer x.gate.RUnlock()

@@ -18,8 +18,8 @@ import (
 const CostPerPage = 64
 
 // CellCount pairs a routing-cell curve position with the number of
-// update operations a batch aimed at it; RecordBatch distributes the
-// batch's measured I/O cost over these.
+// update operations a write aimed at it; RecordBatch distributes the
+// write's measured I/O cost over these.
 type CellCount struct {
 	Cell uint64
 	N    int
@@ -38,10 +38,9 @@ type Window struct {
 	// OpShares is the EWMA of per-shard raw operation-count shares (the
 	// pre-cost signal), kept for observability and comparison runs.
 	OpShares []float64
-	// Ops and Cost are the window's totals: operations recorded and
-	// cost units accumulated since the previous SampleAt.
-	Ops  uint64
-	Cost uint64
+	// Ops is the window's total: operations recorded since the previous
+	// SampleAt.
+	Ops uint64
 	// Cells is the cost-weighted per-cell update histogram; CellOps is
 	// the op-count histogram. Both are cumulative (decayed after each
 	// boundary change, not reset per window).
@@ -56,21 +55,23 @@ type Window struct {
 // SampleAt/Shares snapshots and histogram decay are serialized by a
 // mutex.
 //
-// Load is tracked twice: as raw operation counts (updates, queries) and
-// as *cost* — each operation's base unit plus CostPerPage per physical
-// page it read or wrote. Under extreme skew the two diverge: the
-// hottest objects coalesce in batches, absorb into the memtable and hit
-// the buffer pool, so they are nearly free while cold traffic pays full
-// I/O, and a rebalancer that chases op counts moves boundaries toward
-// the wrong shards. The EWMA shares and the cell histogram the
-// quantile cuts consume are therefore cost-weighted by default; op
-// counts stay available for observability.
+// The tracker counts operations (updates, queries) and keeps no page
+// counter of its own: a shard's page accesses are counted once, in its
+// stats.IO ledger, and the caller hands SampleAt that ledger's foreground
+// reading. A window's *cost* is its operations' base units plus
+// CostPerPage per foreground page. Under extreme skew cost and op counts
+// diverge: the hottest objects coalesce in batches, absorb into the
+// memtable and hit the buffer pool, so they are nearly free while cold
+// traffic pays full I/O, and a rebalancer that chases op counts moves
+// boundaries toward the wrong shards. The EWMA shares and the cell
+// histogram the quantile cuts consume are therefore cost-weighted by
+// default; op counts stay available for observability.
 //
 // Background merge-down I/O (the memtable tier draining to the tree)
-// never reaches the tracker — the caller subtracts it from the page
-// counters it passes to SampleAt: it is deferred work already
-// acknowledged in a previous window, and folding it into the foreground
-// signal would re-skew the balance the weighting exists to fix.
+// never reaches the tracker — the ledger's foreground reading leaves it
+// out: it is deferred work already acknowledged in a previous window, and
+// folding it into the foreground signal would re-skew the balance the
+// weighting exists to fix.
 //
 // The EWMA is sample-indexed, not wall-clock-indexed: every SampleAt call
 // closes one window, computes each shard's share of the cost that
@@ -80,7 +81,6 @@ type Window struct {
 type LoadTracker struct {
 	updates []atomic.Uint64 // per-shard update ops (insert/update/delete), cumulative
 	queries []atomic.Uint64 // per-shard read ops (search/nearest visits), cumulative
-	cost    []atomic.Uint64 // per-shard foreground cost units, cumulative
 	cells   []atomic.Uint64 // per-cell cost-weighted update histogram, cumulative
 	cellOps []atomic.Uint64 // per-cell update-op histogram, cumulative
 
@@ -97,7 +97,6 @@ func NewLoadTracker(n int) *LoadTracker {
 	return &LoadTracker{
 		updates:   make([]atomic.Uint64, n),
 		queries:   make([]atomic.Uint64, n),
-		cost:      make([]atomic.Uint64, n),
 		cells:     make([]atomic.Uint64, NumCells),
 		cellOps:   make([]atomic.Uint64, NumCells),
 		lastOps:   make([]uint64, n),
@@ -107,71 +106,49 @@ func NewLoadTracker(n int) *LoadTracker {
 	}
 }
 
-// RecordUpdates adds n update operations that together incurred pages
-// physical page accesses to shard s and the cell histograms at curve
-// position cell. n may be zero with pages non-zero: the source side of
-// a cross-shard move pays real I/O for an operation accounted to the
-// destination.
-func (t *LoadTracker) RecordUpdates(s int, cell uint64, n int, pages uint64) {
-	c := uint64(n) + pages*CostPerPage
-	if n != 0 {
-		t.updates[s].Add(uint64(n))
-		t.cellOps[cell].Add(uint64(n))
-	}
-	if c != 0 {
-		t.cost[s].Add(c)
-		t.cells[cell].Add(c)
-	}
-}
-
-// RecordBatch charges shard s with one batch's worth of update
+// RecordBatch charges shard s with one write's worth of update
 // operations — the per-cell op counts in cells, whose applies together
-// incurred pages physical page accesses — distributing the page cost
-// over the cells in proportion to their op counts. A batch with page
-// cost but no ops (pure cross-shard departures) charges the shard
-// without touching the histogram: the ops were accounted to their
-// destination cells.
+// incurred pages physical page accesses, as the caller's bracket of them
+// measured — distributing the page cost over the cells in proportion to
+// their op counts. The cost lands in the cell histogram alone: the
+// shard's own is read from its ledger. Cells that carry no ops at all
+// name where the source side of a cross-shard move paid real I/O for an
+// operation accounted to its destination; they weigh alike.
 func (t *LoadTracker) RecordBatch(s int, pages uint64, cells []CellCount) {
 	total := 0
 	for _, cc := range cells {
 		total += cc.N
 	}
-	pageCost := pages * CostPerPage
-	t.cost[s].Add(uint64(total) + pageCost)
+	even := 0
 	if total == 0 {
-		return
+		even = 1
+	} else {
+		t.updates[s].Add(uint64(total))
 	}
-	t.updates[s].Add(uint64(total))
-	// Distribute pageCost over cells ∝ op counts with a running
+	// Distribute pageCost over the cells by weight with a running
 	// cumulative so integer rounding never loses cost units.
-	cum, assigned := 0, uint64(0)
+	pageCost := pages * CostPerPage
+	weight := uint64(total + even*len(cells))
+	cum, assigned := uint64(0), uint64(0)
 	for _, cc := range cells {
-		cum += cc.N
-		upto := pageCost * uint64(cum) / uint64(total)
+		cum += uint64(cc.N + even)
+		upto := pageCost * cum / weight
 		t.cellOps[cc.Cell].Add(uint64(cc.N))
 		t.cells[cc.Cell].Add(uint64(cc.N) + (upto - assigned))
 		assigned = upto
 	}
 }
 
-// RecordQuery adds one read operation that incurred pages physical page
-// accesses in shard s. Charging actual pages (instead of a flat visit)
-// keeps broad windows over cold shards from inflating their apparent
-// load: a scatter leg that answers from an empty or fully-buffered
-// shard costs its base unit, nothing more.
-func (t *LoadTracker) RecordQuery(s int, pages uint64) {
-	t.queries[s].Add(1)
-	t.cost[s].Add(1 + pages*CostPerPage)
-}
+// RecordQuery adds one read operation in shard s. What the visit cost is
+// in the shard's ledger: a scatter leg that answers from an empty or
+// fully-buffered shard costs its base unit, nothing more.
+func (t *LoadTracker) RecordQuery(s int) { t.queries[s].Add(1) }
 
 // UpdateCount returns shard s's cumulative update-operation count.
 func (t *LoadTracker) UpdateCount(s int) uint64 { return t.updates[s].Load() }
 
 // QueryCount returns shard s's cumulative read-operation count.
 func (t *LoadTracker) QueryCount(s int) uint64 { return t.queries[s].Load() }
-
-// CostOf returns shard s's cumulative foreground cost units.
-func (t *LoadTracker) CostOf(s int) uint64 { return t.cost[s].Load() }
 
 // SampleAt closes the current window: it computes each shard's share of
 // the cost (and, separately, of the raw op count) that arrived since the
@@ -183,13 +160,9 @@ func (t *LoadTracker) CostOf(s int) uint64 { return t.cost[s].Load() }
 // Window. A window with no operations leaves the EWMAs untouched.
 //
 // pages is the caller's exact cumulative foreground page counters, one
-// per shard, monotone across calls: window cost = window ops +
-// CostPerPage × window pages. The per-operation cost counters are not
-// the source: they bracket each call, brackets of concurrent operations
-// on one shard overlap and each measures the union of the interval, so
-// they over-count roughly quadratically with the number of concurrent
-// operations per shard. They remain the source for cell attribution and
-// observability (CostOf).
+// per shard (stats.IO.Foreground): window cost = window ops +
+// CostPerPage × window pages. A counter that ran backward — the caller
+// reset its statistics — closes its window at zero pages.
 func (t *LoadTracker) SampleAt(pages []uint64) Window {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -230,7 +203,6 @@ func (t *LoadTracker) SampleAt(pages []uint64) Window {
 		Shares:   append([]float64(nil), t.ewma...),
 		OpShares: append([]float64(nil), t.ewmaOps...),
 		Ops:      ops,
-		Cost:     cost,
 		Cells:    t.cellSnapshotLocked(t.cells),
 		CellOps:  t.cellSnapshotLocked(t.cellOps),
 	}

@@ -110,10 +110,16 @@ func TestLoadQuantileBounds(t *testing.T) {
 	}
 }
 
+// recordUpdates records n update operations at one cell: a write's
+// RecordBatch with a single CellCount.
+func recordUpdates(tr *LoadTracker, s int, cell uint64, n int, pages uint64) {
+	tr.RecordBatch(s, pages, []CellCount{{Cell: cell, N: n}})
+}
+
 func TestLoadTrackerSampleEWMA(t *testing.T) {
 	tr := NewLoadTracker(4)
-	tr.RecordUpdates(0, 5, 30, 0)
-	tr.RecordUpdates(1, 900, 10, 0)
+	recordUpdates(tr, 0, 5, 30, 0)
+	recordUpdates(tr, 1, 900, 10, 0)
 	noPages := make([]uint64, 4)
 	w := tr.SampleAt(noPages)
 	if w.Ops != 40 {
@@ -128,7 +134,7 @@ func TestLoadTrackerSampleEWMA(t *testing.T) {
 	}
 	// Second window: all load on shard 2 → EWMA folds with weight ½.
 	for i := 0; i < 20; i++ {
-		tr.RecordQuery(2, 0)
+		tr.RecordQuery(2)
 	}
 	w = tr.SampleAt(noPages)
 	if w.Ops != 20 {
@@ -154,8 +160,8 @@ func TestLoadTrackerCostWeighting(t *testing.T) {
 	tr := NewLoadTracker(2)
 	// Shard 0: many cheap ops (no pages). Shard 1: few expensive ops.
 	// Op shares say shard 0 is hot; cost shares must say shard 1 is.
-	tr.RecordUpdates(0, 5, 90, 0)
-	tr.RecordUpdates(1, 900, 10, 90) // 90 pages → 10 + 90·CostPerPage cost
+	recordUpdates(tr, 0, 5, 90, 0)
+	recordUpdates(tr, 1, 900, 10, 90) // 90 pages → 10 + 90·CostPerPage cost
 	w := tr.SampleAt([]uint64{0, 90})
 	if w.OpShares[0] != 0.9 {
 		t.Fatalf("op shares = %v, want shard 0 at 0.9", w.OpShares)
@@ -163,8 +169,9 @@ func TestLoadTrackerCostWeighting(t *testing.T) {
 	if w.Shares[1] <= w.Shares[0] {
 		t.Fatalf("cost shares = %v, want shard 1 dominant", w.Shares)
 	}
-	if want := uint64(100 + 90*CostPerPage); w.Cost != want {
-		t.Fatalf("window cost = %d, want %d", w.Cost, want)
+	// The window cost 100 ops + 90·CostPerPage, all of the pages shard 1's.
+	if want := float64(10+90*CostPerPage) / float64(100+90*CostPerPage); w.Shares[1] != want {
+		t.Fatalf("shard 1 cost share = %v, want %v", w.Shares[1], want)
 	}
 	// The cell histogram is cost-weighted too; the op histogram is not.
 	if w.Cells[900] <= w.Cells[5] {
@@ -184,24 +191,31 @@ func TestLoadTrackerRecordBatch(t *testing.T) {
 		t.Fatalf("UpdateCount = %d", got)
 	}
 	wantCost := uint64(10 + 7*CostPerPage)
-	if got := tr.CostOf(0); got != wantCost {
-		t.Fatalf("CostOf = %d, want %d", got, wantCost)
+	// Zero ops with pages (the ops were accounted to their destination
+	// cells): nothing for the tracker to count — the shard is charged
+	// through the ledger reading SampleAt is handed.
+	tr.RecordBatch(1, 3, nil)
+	if got := tr.UpdateCount(1); got != 0 {
+		t.Fatalf("departure-only ops = %d", got)
 	}
-	cl := tr.SampleAt([]uint64{7, 0}).Cells
+	w := tr.SampleAt([]uint64{7, 3})
+	total := float64(wantCost + 3*CostPerPage)
+	if w.Shares[0] != float64(wantCost)/total || w.Shares[1] != 3*CostPerPage/total {
+		t.Fatalf("cost shares = %v, want %d and %d of %v", w.Shares, wantCost, 3*CostPerPage, total)
+	}
+	cl := w.Cells
 	if cl[3]+cl[4] != wantCost {
 		t.Fatalf("cell cost %d + %d != %d", cl[3], cl[4], wantCost)
 	}
 	if cl[3] <= cl[4] {
 		t.Fatalf("cell 3 (%d) should carry more cost than cell 4 (%d)", cl[3], cl[4])
 	}
-	// Zero ops with pages: shard is charged, histogram untouched (the ops
-	// were accounted to their destination cells).
-	tr.RecordBatch(1, 3, nil)
-	if got := tr.CostOf(1); got != 3*CostPerPage {
-		t.Fatalf("departure-only cost = %d", got)
-	}
-	if got := tr.UpdateCount(1); got != 0 {
-		t.Fatalf("departure-only ops = %d", got)
+	// A cell named with no ops — where a cross-shard mover left — takes the
+	// page weight and counts no operation.
+	tr.RecordBatch(1, 3, []CellCount{{Cell: 9}})
+	w = tr.SampleAt([]uint64{7, 3})
+	if w.Cells[9] != 3*CostPerPage || w.CellOps[9] != 0 || tr.UpdateCount(1) != 0 {
+		t.Fatalf("departure cell: cost %d, ops %d, shard updates %d; want %d, 0, 0", w.Cells[9], w.CellOps[9], tr.UpdateCount(1), 3*CostPerPage)
 	}
 }
 
@@ -210,37 +224,36 @@ func TestLoadTrackerQueryPages(t *testing.T) {
 	// A scatter read touching both shards: shard 0 answers from 12 pages,
 	// shard 1 is empty. Equal-per-visit accounting would charge them the
 	// same; per-page accounting must not.
-	tr.RecordQuery(0, 12)
-	tr.RecordQuery(1, 0)
+	tr.RecordQuery(0)
+	tr.RecordQuery(1)
 	if q0, q1 := tr.QueryCount(0), tr.QueryCount(1); q0 != 1 || q1 != 1 {
 		t.Fatalf("query counts = %d / %d", q0, q1)
 	}
-	if c0, c1 := tr.CostOf(0), tr.CostOf(1); c0 != 1+12*CostPerPage || c1 != 1 {
-		t.Fatalf("query costs = %d / %d", c0, c1)
+	const total = 2 + 12*CostPerPage
+	if w := tr.SampleAt([]uint64{12, 0}); w.Shares[0] != (1+12*CostPerPage)/float64(total) || w.Shares[1] != 1/float64(total) {
+		t.Fatalf("query cost shares = %v, want %d and 1 of %d", w.Shares, 1+12*CostPerPage, total)
 	}
 }
 
 // Background pages must not leak into the foreground cost signal. The
 // tracker keeps no ledger of them (ShardLoads reports the stacks' own
-// counters): the caller subtracts a merge-down's pages from the counters
-// it passes, so a window in which shard 0's stack spent 500 pages
-// draining costs its ten operations and nothing more.
+// counters): the caller passes the ledgers' foreground readings, so a
+// window in which shard 0's stack spent 500 pages draining costs its ten
+// operations and nothing more — as much as shard 1's ten.
 func TestLoadTrackerBackground(t *testing.T) {
 	tr := NewLoadTracker(2)
-	tr.RecordUpdates(0, 0, 10, 0)
+	recordUpdates(tr, 0, 0, 10, 0)
+	recordUpdates(tr, 1, 1, 10, 0)
 	foreground := []uint64{0, 0} // shard 0: 500 pages spent − 500 spent draining
-	if w := tr.SampleAt(foreground); w.Cost != 10 || w.Shares[0] != 1 {
-		t.Fatalf("window cost = %d, shares %v, want 10 and all on shard 0", w.Cost, w.Shares)
-	}
-	if got := tr.CostOf(0); got != 10 {
-		t.Fatalf("CostOf = %d, want 10", got)
+	if w := tr.SampleAt(foreground); w.Shares[0] != 0.5 || w.Shares[1] != 0.5 {
+		t.Fatalf("shares = %v, want ten cost units on either shard", w.Shares)
 	}
 }
 
 func TestLoadTrackerCells(t *testing.T) {
 	tr := NewLoadTracker(2)
-	tr.RecordUpdates(0, 7, 8, 0)
-	tr.RecordUpdates(1, 7, 4, 0)
+	recordUpdates(tr, 0, 7, 8, 0)
+	recordUpdates(tr, 1, 7, 4, 0)
 	noPages := make([]uint64, 2)
 	cl := tr.SampleAt(noPages).Cells
 	if cl[7] != 12 {
@@ -260,7 +273,7 @@ func TestLoadTrackerCells(t *testing.T) {
 // never desynchronize one Window's shares from its cells.
 func TestLoadTrackerSampleDecayAtomic(t *testing.T) {
 	tr := NewLoadTracker(2)
-	tr.RecordUpdates(0, 42, 1<<20, 0)
+	recordUpdates(tr, 0, 42, 1<<20, 0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -297,7 +310,7 @@ func TestLoadTrackerSampleDecayAtomic(t *testing.T) {
 
 func TestLoadTrackerResetShares(t *testing.T) {
 	tr := NewLoadTracker(2)
-	tr.RecordUpdates(0, 0, 100, 0)
+	recordUpdates(tr, 0, 0, 100, 0)
 	tr.SampleAt([]uint64{40, 0})
 	// The boundary change itself cost shard 0 ten more pages; the reset
 	// takes the post-change counters, so they belong to the closed
@@ -311,23 +324,23 @@ func TestLoadTrackerResetShares(t *testing.T) {
 	}
 	// The reset also restarts the window: neither the old 100 ops nor
 	// the migration's pages may count toward the next sample.
-	tr.RecordUpdates(1, 0, 10, 0)
+	recordUpdates(tr, 1, 0, 10, 0)
 	w := tr.SampleAt([]uint64{50, 0})
-	if w.Ops != 10 || w.Cost != 10 || w.Shares[1] != 1 {
-		t.Fatalf("post-reset window = %v (ops %d, cost %d)", w.Shares, w.Ops, w.Cost)
+	if w.Ops != 10 || w.Shares[1] != 1 {
+		t.Fatalf("post-reset window = %v (ops %d), want all ten cost units on shard 1", w.Shares, w.Ops)
 	}
 }
 
 // SampleAt must derive each shard's window cost from the caller's exact
-// cumulative page counters, not the bracket-recorded cost: with equal op
-// counts and equal (inflated) recorded costs, the shard whose exact
-// pages advanced dominates the cost share while op shares stay even.
+// cumulative page counters, not the brackets that weigh the cells: with
+// equal op counts and equal (inflated) bracketed pages, the shard whose
+// exact pages advanced dominates the cost share while op shares stay even.
 func TestLoadTrackerSampleAt(t *testing.T) {
 	tr := NewLoadTracker(2)
 	// Both shards record 10 ops with 50 bracketed pages each — as if
 	// overlapping brackets double-counted identically on both.
-	tr.RecordUpdates(0, 0, 10, 50)
-	tr.RecordUpdates(1, 1, 10, 50)
+	recordUpdates(tr, 0, 0, 10, 50)
+	recordUpdates(tr, 1, 1, 10, 50)
 	w := tr.SampleAt([]uint64{0, 90})
 	if w.OpShares[0] != 0.5 || w.OpShares[1] != 0.5 {
 		t.Fatalf("op shares = %v, want even", w.OpShares)
@@ -336,23 +349,23 @@ func TestLoadTrackerSampleAt(t *testing.T) {
 		t.Fatalf("cost shares = %v, want shard 1 dominant (exact pages 90 vs 0)", w.Shares)
 	}
 	// The exact cost is ops + pages*CostPerPage, unaffected by the
-	// inflated recorded 100 pages.
-	if want := uint64(20 + 90*CostPerPage); w.Cost != want {
-		t.Fatalf("window cost = %d, want %d", w.Cost, want)
+	// inflated bracketed 100 pages.
+	first := float64(10) / float64(20+90*CostPerPage)
+	if w.Shares[0] != first {
+		t.Fatalf("shard 0 cost share = %v, want 10 of %d", w.Shares[0], 20+90*CostPerPage)
 	}
 	// The next window consumes only the page delta since the last
 	// SampleAt; a counter that does not advance contributes its base
 	// units alone.
-	tr.RecordUpdates(0, 0, 10, 0)
-	tr.RecordUpdates(1, 1, 10, 0)
+	recordUpdates(tr, 0, 0, 10, 0)
+	recordUpdates(tr, 1, 1, 10, 0)
 	w = tr.SampleAt([]uint64{8, 90})
-	if want := uint64(20 + 8*CostPerPage); w.Cost != want {
-		t.Fatalf("second window cost = %d, want %d", w.Cost, want)
-	}
-	// EWMA: shard 0 carried this window's pages, pulling its share up
-	// from ~0 toward (0.5·prev + 0.5·now).
-	if w.Shares[0] < 0.3 || w.Shares[0] > 0.5 {
-		t.Fatalf("folded cost shares = %v", w.Shares)
+	// EWMA: shard 0 carried this window's pages — 10 + 8·CostPerPage of
+	// its 20 + 8·CostPerPage — pulling its share up from ~0 to
+	// 0.5·prev + 0.5·now.
+	second := float64(10+8*CostPerPage) / float64(20+8*CostPerPage)
+	if want := 0.5*first + 0.5*second; w.Shares[0] != want {
+		t.Fatalf("folded cost shares = %v, want %v on shard 0", w.Shares, want)
 	}
 }
 
@@ -364,8 +377,8 @@ func TestLoadTrackerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				tr.RecordUpdates(w%4, uint64(i%NumCells), 1, uint64(i%3))
-				tr.RecordQuery(w%4, uint64(i%2))
+				recordUpdates(tr, w%4, uint64(i%NumCells), 1, uint64(i%3))
+				tr.RecordQuery(w % 4)
 			}
 		}(w)
 	}

@@ -9,11 +9,14 @@ import (
 	"sync/atomic"
 )
 
-// IO aggregates the disk and buffer counters for one database instance.
-// The zero value is ready to use.
+// IO aggregates the disk and buffer counters for one database instance:
+// the one ledger its page accesses are counted in. An index keeps one per
+// shard slot and hands it from a stack to the stack that replaces it, so
+// the counters outlive a rebuild. The zero value is ready to use.
 type IO struct {
 	reads      atomic.Int64 // physical page reads
 	writes     atomic.Int64 // physical page writes
+	background atomic.Int64 // of reads+writes, the accesses made by deferred (merge-down) work
 	bufferHits atomic.Int64 // logical reads served by the buffer pool
 	splits     atomic.Int64 // node splits
 	reinserts  atomic.Int64 // entries force-reinserted
@@ -28,6 +31,11 @@ func (io *IO) CountRead() { io.reads.Add(1) }
 
 // CountWrite records one physical page write.
 func (io *IO) CountWrite() { io.writes.Add(1) }
+
+// CountBackground marks n of the page accesses already counted as reads
+// or writes as background work: deferred I/O of writes acknowledged
+// earlier (a memtable merge-down), which Foreground leaves out.
+func (io *IO) CountBackground(n int64) { io.background.Add(n) }
 
 // CountBufferHit records a logical read served from the buffer pool.
 func (io *IO) CountBufferHit() { io.bufferHits.Add(1) }
@@ -69,6 +77,14 @@ func (io *IO) Reinserts() int64 { return io.reinserts.Load() }
 // Total returns reads+writes, the paper's "disk I/O" metric.
 func (io *IO) Total() int64 { return io.Reads() + io.Writes() }
 
+// Background returns the page accesses marked as background work.
+func (io *IO) Background() int64 { return io.background.Load() }
+
+// Foreground returns reads+writes less the background accesses: the pages
+// operations paid for while their callers waited. A Reset racing the
+// reading can catch the counters half-zeroed, hence the floor.
+func (io *IO) Foreground() int64 { return max(io.Total()-io.Background(), 0) }
+
 // Snapshot is an immutable copy of the counters, used to compute
 // per-phase deltas.
 type Snapshot struct {
@@ -97,6 +113,7 @@ func (io *IO) Snapshot() Snapshot {
 func (io *IO) Reset() {
 	io.reads.Store(0)
 	io.writes.Store(0)
+	io.background.Store(0)
 	io.bufferHits.Store(0)
 	io.splits.Store(0)
 	io.reinserts.Store(0)

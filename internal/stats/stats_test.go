@@ -30,6 +30,10 @@ func TestCountersAndSnapshot(t *testing.T) {
 	if io.Total() != 3 || s.Total() != 3 {
 		t.Fatalf("total = %d / %d", io.Total(), s.Total())
 	}
+	io.CountBackground(2)
+	if io.Background() != 2 || io.Foreground() != 1 || io.Total() != 3 {
+		t.Fatalf("background = %d, foreground = %d, total = %d; want 2, 1, 3", io.Background(), io.Foreground(), io.Total())
+	}
 }
 
 func TestSubAndHitRate(t *testing.T) {
@@ -58,8 +62,9 @@ func TestReset(t *testing.T) {
 	io.CountWrite()
 	io.CountEviction(true)
 	io.CountPinFallback()
+	io.CountBackground(1)
 	io.Reset()
-	if io.Total() != 0 || io.BufferHits() != 0 || io.Snapshot() != (Snapshot{}) {
+	if io.Total() != 0 || io.Background() != 0 || io.Foreground() != 0 || io.BufferHits() != 0 || io.Snapshot() != (Snapshot{}) {
 		t.Fatal("reset did not zero counters")
 	}
 }

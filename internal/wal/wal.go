@@ -386,24 +386,31 @@ const maxOpsPerRecord = (maxRecordBody - 13) / 24
 // ordered) and returns once everything is durable under the configured
 // policy. The last assigned sequence number is returned.
 func (l *Log) Append(typ Type, ops []Op) (uint64, error) {
-	l.mu.Lock()
-	seq, target, err := l.appendLocked(typ, ops)
-	if err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-
-	if l.opts.Sync == SyncEach {
-		err := l.f.Sync()
-		if err == nil {
-			simulateSync(l.opts.SyncDelay)
-		}
-		err = l.finishSync(target, err)
-		l.mu.Unlock()
+	seq, target, done, err := l.append(typ, ops)
+	if done {
 		return seq, err
 	}
-	l.mu.Unlock()
 	return seq, l.waitSynced(target)
+}
+
+// append is what Append and AppendAsync share: the record(s) go out under
+// l.mu and, under SyncEach, are synced in the same hold. It returns the
+// last assigned sequence number and the post-append logical extent; done
+// says the call is over — the append failed, or the sync has happened.
+func (l *Log) append(typ Type, ops []Op) (seq uint64, target int64, done bool, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq, target, err = l.appendLocked(typ, ops); err != nil {
+		return 0, 0, true, err
+	}
+	if l.opts.Sync != SyncEach {
+		return seq, target, false, nil
+	}
+	err = l.f.Sync()
+	if err == nil {
+		simulateSync(l.opts.SyncDelay)
+	}
+	return seq, target, true, l.finishSync(target, err)
 }
 
 // AppendAsync logs the ops like Append but does not wait for the bytes
@@ -415,23 +422,10 @@ func (l *Log) Append(typ Type, ops []Op) (uint64, error) {
 // returns — so per-record-durability configurations keep their
 // acked-implies-durable guarantee.
 func (l *Log) AppendAsync(typ Type, ops []Op) (uint64, error) {
-	l.mu.Lock()
-	seq, target, err := l.appendLocked(typ, ops)
-	if err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-
-	if l.opts.Sync == SyncEach {
-		err := l.f.Sync()
-		if err == nil {
-			simulateSync(l.opts.SyncDelay)
-		}
-		err = l.finishSync(target, err)
-		l.mu.Unlock()
+	seq, _, done, err := l.append(typ, ops)
+	if done {
 		return seq, err
 	}
-	l.mu.Unlock()
 	l.kickSync()
 	// Surface a poisoned log (earlier sync failure) rather than silently
 	// accepting writes that can never become durable.

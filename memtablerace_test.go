@@ -203,10 +203,9 @@ func stressOpts(dir string) Options {
 		ExpectedObjects: 2000,
 		Durability:      Durability{Mode: DurabilityBatch, Dir: dir},
 		Memtable: Memtable{
-			Enabled:          true,
-			MaxObjects:       256,
-			MaxAge:           2 * time.Millisecond,
-			MergeParallelism: 2,
+			Enabled:    true,
+			MaxObjects: 256,
+			MaxAge:     2 * time.Millisecond,
 		},
 	}
 }

@@ -8,7 +8,6 @@ package burtree
 // stack's own (treeStack.SearchFunc, Nearest), over a memtable.View.
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -63,11 +62,6 @@ type Memtable struct {
 	// before a merge is triggered; zero (the default) disables the age
 	// trigger, so only MaxObjects schedules merges.
 	MaxAge time.Duration
-	// MergeParallelism is the number of concurrent UpdateBatch chunks a
-	// merge-down splits its moves into (default 1). Only ConcurrentIndex
-	// and ShardedIndex exploit it; the single-writer Index merges
-	// sequentially.
-	MergeParallelism int
 }
 
 // withDefaults normalizes the configuration; a disabled tier
@@ -78,9 +72,6 @@ func (m Memtable) withDefaults() Memtable {
 	}
 	if m.MaxObjects <= 0 {
 		m.MaxObjects = 4096
-	}
-	if m.MergeParallelism <= 0 {
-		m.MergeParallelism = 1
 	}
 	return m
 }
@@ -139,16 +130,10 @@ func validatePoint(p Point) error {
 
 // drainEntries applies one drained generation to the tree: tombstones
 // as bottom-up deletes, tree-resident moves through the batched
-// group-apply pipeline (split across parallelism concurrent chunks —
-// entry ids are distinct, so chunks touch disjoint objects and the
-// granule locks order any region overlap), and never-inserted objects
-// as inserts. The order matters only across categories: within one
-// generation each id appears once.
-func drainEntries(entries []memtable.Entry, tree treeOps, parallelism int) error {
-	batch := func(chs []core.BatchChange) error {
-		_, err := tree.UpdateBatch(chs, func(core.BatchChange) {})
-		return err
-	}
+// group-apply pipeline, and never-inserted objects as inserts. The order
+// matters only across categories: within one generation each id appears
+// once.
+func drainEntries(entries []memtable.Entry, tree treeOps) error {
 	var moves []core.BatchChange
 	for _, e := range entries {
 		switch {
@@ -161,32 +146,8 @@ func drainEntries(entries []memtable.Entry, tree treeOps, parallelism int) error
 		}
 	}
 	if len(moves) > 0 {
-		if parallelism <= 1 || len(moves) < 2*parallelism {
-			if err := batch(moves); err != nil {
-				return err
-			}
-		} else {
-			chunk := (len(moves) + parallelism - 1) / parallelism
-			errs := make([]error, parallelism)
-			var wg sync.WaitGroup
-			for i := 0; i < parallelism; i++ {
-				lo, hi := i*chunk, (i+1)*chunk
-				if hi > len(moves) {
-					hi = len(moves)
-				}
-				if lo >= hi {
-					break
-				}
-				wg.Add(1)
-				go func(i int, part []core.BatchChange) {
-					defer wg.Done()
-					errs[i] = batch(part)
-				}(i, moves[lo:hi])
-			}
-			wg.Wait()
-			if err := errors.Join(errs...); err != nil {
-				return err
-			}
+		if _, err := tree.UpdateBatch(moves, func(core.BatchChange) {}); err != nil {
+			return err
 		}
 	}
 	for _, e := range entries {

@@ -21,7 +21,7 @@ func TestOverlayReadsUnderMotion(t *testing.T) {
 		Strategy:        GeneralizedBottomUp,
 		BufferPages:     64,
 		ExpectedObjects: 1000,
-		Memtable:        Memtable{Enabled: true, MaxObjects: 16, MergeParallelism: 2},
+		Memtable:        Memtable{Enabled: true, MaxObjects: 16},
 	}
 	t.Run("ConcurrentIndex", func(t *testing.T) {
 		idx, err := OpenConcurrent(opts)

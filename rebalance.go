@@ -83,13 +83,15 @@ type ShardLoad struct {
 	// nearest-neighbour scatters that touched the shard).
 	Queries uint64
 	// Cost is the shard's cumulative foreground load cost: one unit per
-	// operation plus shard.CostPerPage per physical page the operation
-	// read or wrote. This is the currency the rebalancer balances.
+	// operation (Updates + Queries) plus shard.CostPerPage per foreground
+	// page of the shard's ledger — the pages Stats counts, less
+	// BackgroundPages. This is the currency the rebalancer balances.
 	Cost uint64
 	// BackgroundPages is the shard's cumulative page count from
 	// background memtable merge-downs — deferred work attributed
-	// separately so it never skews the foreground shares. It keeps
-	// counting across a rebalance that rebuilds the shard.
+	// separately so it never skews the foreground shares. Like every
+	// counter of the ledger it keeps counting across a rebalance that
+	// rebuilds the shard, and restarts at ResetStats.
 	BackgroundPages uint64
 	// Objects is the shard's current object count.
 	Objects int
@@ -115,12 +117,13 @@ func (x *ShardedIndex) ShardLoads() []ShardLoad {
 	opShares := x.load.OpShares()
 	counts := x.shardCounts()
 	out := make([]ShardLoad, len(x.shards))
-	for i := range x.shards {
+	for i, sh := range x.shards {
+		updates, queries := x.load.UpdateCount(i), x.load.QueryCount(i)
 		out[i] = ShardLoad{
-			Updates:         x.load.UpdateCount(i),
-			Queries:         x.load.QueryCount(i),
-			Cost:            x.load.CostOf(i),
-			BackgroundPages: x.bgBase[i] + x.shards[i].bgPages.Load(),
+			Updates:         updates,
+			Queries:         queries,
+			Cost:            updates + queries + shard.CostPerPage*uint64(sh.io.Foreground()),
+			BackgroundPages: uint64(sh.io.Background()),
 			Objects:         counts[i],
 			Share:           shares[i],
 			OpShare:         opShares[i],
@@ -198,9 +201,7 @@ func (x *ShardedIndex) Rebalance() (int, error) {
 	// One sample delivers shares and cell histograms snapshot together:
 	// boundary cuts below use w's cells, never a later read of the
 	// histogram that a concurrent decay could have zeroed. The cost
-	// shares are computed from the shards' exact cumulative page
-	// counters (fgPages), not the per-operation brackets, which
-	// over-count overlapping I/O under concurrency.
+	// shares are computed from the shards' ledgers (fgPages).
 	w := x.load.SampleAt(x.fgPages())
 	shares, cells := w.Shares, w.Cells
 	if o.UseOpCounts {

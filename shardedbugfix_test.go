@@ -220,8 +220,8 @@ func TestNearestUnderfilledShards(t *testing.T) {
 // TestShardLoadsBackgroundPages pins ShardLoad.BackgroundPages to the
 // pages merge-down actually spent: summed over the shards it equals
 // Stats().Memtable.MergePages, and it stays cumulative when a rebalance
-// retires the stacks that counted them (Stats restarts with the fresh
-// stacks; the load accounting must not).
+// retires the stacks that counted them (the tier's own MergePages
+// restarts with the fresh stacks' tiers; the shard's ledger must not).
 func TestShardLoadsBackgroundPages(t *testing.T) {
 	x, err := OpenSharded(Options{
 		Strategy:        GeneralizedBottomUp,

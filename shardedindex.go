@@ -147,10 +147,11 @@ func (x *ShardedIndex) SetIOLatency(d time.Duration) { x.setIOLatency(d) }
 // lock-layer counters.
 func (x *ShardedIndex) Stats() (Stats, []ConcurrencyStats) { return x.stats() }
 
-// fgPages snapshots every stack's exact cumulative foreground page
-// count — pages read plus written, minus background merge-down pages —
-// offset by pageBase so the sequence stays monotone across stack
-// rebuilds. This is the page stream LoadTracker.SampleAt consumes.
+// fgPages reads every shard slot's ledger: its exact cumulative
+// foreground page count — pages read plus written, less the merge-down's.
+// A slot's ledger outlives its stacks (openShards), so the sequence is
+// monotone across rebuilds. This is the page stream LoadTracker.SampleAt
+// consumes.
 func (x *index) fgPages() []uint64 {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
@@ -162,7 +163,7 @@ func (x *index) fgPages() []uint64 {
 func (x *index) fgPagesLocked() []uint64 {
 	out := make([]uint64, len(x.shards))
 	for s, sh := range x.shards {
-		out[s] = x.pageBase[s] + foregroundPages(sh.pagesNow(), sh.bgPages.Load())
+		out[s] = uint64(sh.io.Foreground())
 	}
 	return out
 }
@@ -207,18 +208,16 @@ func perShardOptions(opts Options, n int) Options {
 	return per
 }
 
-// swapShardsLocked installs fresh stacks in place of the current ones,
-// folding the retiring stacks' page counts into pageBase and bgBase, and
-// closes the replaced stacks so their background mergers do not leak.
+// swapShardsLocked installs fresh stacks (from openShards, so each counts
+// on in the ledger of the stack it replaces) in place of the current ones,
+// and closes the replaced stacks so their background mergers do not leak.
 // Caller holds the gate exclusively.
 func (x *index) swapShardsLocked(fresh []*treeStack) error {
-	x.pageBase = x.fgPagesLocked()
 	old := x.shards
 	x.shards = fresh
 	var err error
-	for s, sh := range old {
+	for _, sh := range old {
 		err = errors.Join(err, sh.close())
-		x.bgBase[s] += sh.bgPages.Load() // after close: its final drain counts
 	}
 	return err
 }
@@ -307,27 +306,73 @@ func (x *index) absorb(st step) (full fullStacks) {
 // stack's insert, delete or bottom-up update, or — for a move that changes
 // shards — a relocation from the source stack to the destination.
 //
-// A step that succeeds is accounted to the stack that owns the object
-// afterwards, with the pages the bracket measured; a cross-shard move
-// additionally charges the source its real departure I/O as a zero-op
-// cost record at the object's old cell. The inverse steps of an undo
-// are not accounted.
+// A step that succeeds is accounted (recordStep) with the pages its
+// brackets measured in the stack(s) it touched. The inverse steps of an
+// undo are not accounted.
 func (x *index) apply(st step) error {
-	mDst := meterShard(x.shards[st.dst])
+	mDst, mSrc := meterShard(x.shards[st.dst]), meterShard(x.shards[st.src])
 	var err error
 	if st.src == st.dst {
-		if err = x.shards[st.dst].apply(st); err != nil || st.undo {
-			return err
-		}
+		err = x.shards[st.dst].apply(st)
 	} else {
-		mSrc := meterShard(x.shards[st.src])
-		if err = relocate(x.shards[st.src], x.shards[st.dst], st.id, st.old, st.new); err != nil || st.undo {
-			return err
-		}
-		x.load.RecordUpdates(st.src, shard.CellKey(st.old), 0, mSrc.done())
+		err = relocate(x.shards[st.src], x.shards[st.dst], st.id, st.old, st.new)
 	}
-	x.load.RecordUpdates(st.dst, shard.CellKey(st.at()), 1, mDst.done())
-	return nil
+	if err == nil && !st.undo {
+		x.recordStep(st, mDst.done(), mSrc.done())
+	}
+	return err
+}
+
+// recordStep, recordBatch and readFrom are where the pipeline reaches the
+// load tracker, and the only places that ask whether the index keeps one
+// (a ShardedIndex does): the write paths' two and the read paths' one.
+//
+// recordStep accounts one update operation to the stack that owns st's
+// object afterwards, weighing its cell with the pages the step cost
+// there; a cross-shard move also weighs the cell the object left with
+// its real departure I/O, at no operation.
+func (x *index) recordStep(st step, dstPages, srcPages uint64) {
+	if x.load == nil {
+		return
+	}
+	x.load.RecordBatch(st.dst, dstPages, []shard.CellCount{{Cell: shard.CellKey(st.at()), N: 1}})
+	if st.src != st.dst {
+		x.load.RecordBatch(st.src, srcPages, []shard.CellCount{{Cell: shard.CellKey(st.old)}})
+	}
+}
+
+// recordBatch accounts a batch by its offered stream, before coalescing: a
+// hot object updated many times per batch coalesces into one applied
+// change, but each of those updates was traffic the owning stack absorbed
+// — undercounting them would hide exactly the skew the rebalancer exists
+// to detect. Each stack's tally weighs its cells with the foreground pages
+// the stack's phases measured (even on error — the I/O was spent); what a
+// departure-only stack spent stays in its ledger: its moves are tallied
+// at their destination.
+func (x *index) recordBatch(changes []Change, work []shardWork) {
+	if x.load == nil {
+		return
+	}
+	for _, c := range changes {
+		w := &work[x.router.ShardOf(c.To)]
+		if w.offered == nil {
+			w.offered = make([]shard.CellCount, 0, evenShare(len(changes), len(work)))
+		}
+		w.offered = addCellCount(w.offered, shard.CellKey(c.To), 1)
+	}
+	for s := range work {
+		x.load.RecordBatch(s, work[s].pages, work[s].offered)
+	}
+}
+
+// readFrom counts one read visit to stack s and returns the stack. What
+// the visit costs is in the stack's ledger: a wide window over a cold or
+// empty shard costs that shard almost nothing, and the load signal says so.
+func (x *index) readFrom(s int) *treeStack {
+	if x.load != nil {
+		x.load.RecordQuery(s)
+	}
+	return x.shards[s]
 }
 
 // logOf names the log st is recorded in (nil when durability is off): a
@@ -347,7 +392,7 @@ func (x *index) logOf(st step) *wal.Log {
 // merge-down it may have tripped (treeStack.afterAck); an inline drain's
 // failure is the write's to report, though the write stays logged.
 func (x *index) acked(st step, full fullStacks) error {
-	x.load.RecordUpdates(st.dst, shard.CellKey(st.at()), 1, 0)
+	x.recordStep(st, 0, 0)
 	err := x.shards[st.dst].afterAck(full.dst)
 	if st.src != st.dst {
 		err = errors.Join(x.shards[st.src].afterAck(full.src), err)
@@ -377,10 +422,10 @@ type shardWork struct {
 	departs int // cross moves that leave this stack
 	arrives int // moves that came from another stack: cross moves that end here or, on the tiered path, changes in stay
 
-	offered []shard.CellCount // the input changes that target this stack, per cell
 	pages   uint64            // foreground pages the phases measured
 	err     error             // the phases' failures, joined
 	full    bool              // the batch brought this stack's tier to its size threshold
+	offered []shard.CellCount // recordBatch's tally of the input changes that target this stack, per cell
 }
 
 // batchRun is the state the phases of one UpdateBatch share: the routed
@@ -597,19 +642,6 @@ func (x *index) UpdateBatch(changes []Change) (BatchResult, error) {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
 	b := batchRun{work: make([]shardWork, len(x.shards)), tiered: x.tiered()}
-	// Load accounting tallies the offered stream, before coalescing: a
-	// hot object updated many times per batch coalesces into one applied
-	// change, but each of those updates was traffic the owning stack
-	// absorbed — undercounting them would hide exactly the skew the
-	// rebalancer exists to detect. The tallies are recorded after the
-	// apply phases, together with each stack's measured page I/O.
-	for _, c := range changes {
-		w := &b.work[x.router.ShardOf(c.To)]
-		if w.offered == nil {
-			w.offered = make([]shard.CellCount, 0, evenShare(len(changes), len(b.work)))
-		}
-		w.offered = addCellCount(w.offered, shard.CellKey(c.To), 1)
-	}
 	coalesced, dropped, err := x.reserveBatch(changes, &b)
 	if err != nil {
 		return b.res, err
@@ -629,16 +661,10 @@ func (x *index) UpdateBatch(changes []Change) (BatchResult, error) {
 	} else {
 		x.scatter(&b, true)
 	}
-	// Record each stack's offered ops with its measured foreground pages
-	// (even on error — the I/O was spent). Departure-only stacks record
-	// pages with zero histogram ops: their moves were tallied at the
-	// destination.
+	x.recordBatch(changes, b.work)
 	for s := range b.work {
 		w := &b.work[s]
-		if len(w.offered) > 0 || w.pages > 0 {
-			x.load.RecordBatch(s, w.pages, w.offered)
-			b.res.PageIO += int(w.pages)
-		}
+		b.res.PageIO += int(w.pages)
 		if err == nil {
 			err = w.err // the first stack's failure is the batch's
 		}
@@ -659,23 +685,15 @@ func (x *index) Search(q Rect) ([]uint64, error) {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
 	targets := x.router.ShardsFor(q)
-	// Each shard visit is charged its actual page I/O, not a flat count:
-	// a wide window over a cold or empty shard costs that shard almost
-	// nothing, and the load signal must say so.
 	if len(targets) == 1 {
-		s := targets[0]
-		m := meterShard(x.shards[s])
-		out, err := x.shards[s].Search(q)
-		x.load.RecordQuery(s, m.done())
-		return out, err
+		return x.readFrom(targets[0]).Search(q)
 	}
 	return x.gather(q, targets)
 }
 
 // gather is the multi-shard scatter under Search and Count: every target
-// shard is searched in parallel, each visit charged its page I/O, and
-// the union is returned with duplicate ids dropped. Caller holds the gate
-// shared.
+// shard is searched in parallel and the union is returned with duplicate
+// ids dropped. Caller holds the gate shared.
 func (x *index) gather(q Rect, targets []int) ([]uint64, error) {
 	outs := make([][]uint64, len(targets))
 	errs := make([]error, len(targets))
@@ -684,9 +702,7 @@ func (x *index) gather(q Rect, targets []int) ([]uint64, error) {
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
-			m := meterShard(x.shards[s])
-			outs[i], errs[i] = x.shards[s].Search(q)
-			x.load.RecordQuery(s, m.done())
+			outs[i], errs[i] = x.readFrom(s).Search(q)
 		}(i, s)
 	}
 	wg.Wait()
@@ -729,8 +745,7 @@ func (x *index) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
 	}
 	stopped := false
 	for _, s := range targets {
-		m := meterShard(x.shards[s])
-		err := x.shards[s].SearchFunc(q, func(id uint64, p Point) bool {
+		err := x.readFrom(s).SearchFunc(q, func(id uint64, p Point) bool {
 			if seen != nil {
 				if _, dup := seen[id]; dup {
 					return true
@@ -743,7 +758,6 @@ func (x *index) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
 			}
 			return true
 		})
-		x.load.RecordQuery(s, m.done())
 		if err != nil {
 			return err
 		}
@@ -763,11 +777,7 @@ func (x *index) Count(q Rect) (int, error) {
 	defer x.gate.RUnlock()
 	targets := x.router.ShardsFor(q)
 	if len(targets) == 1 {
-		s := targets[0]
-		m := meterShard(x.shards[s])
-		n, err := x.shards[s].Count(q)
-		x.load.RecordQuery(s, m.done())
-		return n, err
+		return x.readFrom(targets[0]).Count(q)
 	}
 	ids, err := x.gather(q, targets)
 	return len(ids), err
@@ -814,9 +824,7 @@ func (x *index) Nearest(p Point, k int) ([]Neighbor, error) {
 		if len(best) == k && sd.dist > best[k-1].Dist {
 			break
 		}
-		m := meterShard(x.shards[sd.s])
-		ns, err := x.shards[sd.s].Nearest(p, k)
-		x.load.RecordQuery(sd.s, m.done())
+		ns, err := x.readFrom(sd.s).Nearest(p, k)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"burtree/internal/buffer"
@@ -87,12 +86,6 @@ type treeStack struct {
 	background bool
 	mergeMu    sync.Mutex
 	merge      *merger
-
-	// bgPages counts physical page accesses incurred by merge-down
-	// drains, so foreground cost attribution (the sharded front-end's
-	// load metering and BatchResult.PageIO) can subtract deferred work
-	// from the window deltas it measures around io.
-	bgPages atomic.Uint64
 }
 
 // newStack wraps the shared machinery in a stack — over a DGL-locked tree
@@ -110,48 +103,27 @@ func newStack(parts indexParts, background bool) *treeStack {
 	return s
 }
 
-// pagesNow returns the cumulative physical page accesses (reads +
-// writes) this stack has performed. Together with bgPages it lets
-// callers bracket an operation and attribute the delta as that
-// operation's foreground I/O. Under concurrency the delta can include
-// pages from overlapping operations on the same stack; the attribution
-// is per shard either way, so the rebalancer's share signal keeps its
-// direction.
-func (s *treeStack) pagesNow() uint64 {
-	return uint64(s.io.Reads() + s.io.Writes())
-}
-
-// foregroundPages converts a bracketed (pages, background-pages) delta
-// pair into the foreground page count, clamped at zero: a background
-// drain finishing inside the bracket can make the background delta
-// exceed the foreground one.
-func foregroundPages(pages, bg uint64) uint64 {
-	if bg >= pages {
-		return 0
-	}
-	return pages - bg
-}
-
-// ioMark brackets one shard operation for foreground I/O attribution:
-// done() reports the pages the shard spent since the mark, minus the
-// background merge-down pages, clamped at zero. Pages from overlapping
-// operations on the same shard land in every open bracket, so the
-// bracketed costs over-count under concurrency — they feed per-cell
-// attribution and observability, where only relative weight within a
-// shard matters. The rebalancer's per-shard share signal samples the
-// exact cumulative page counters instead (fgPages → SampleAt).
+// ioMark brackets one stack's share of a write: done() reports the
+// foreground pages the stack's ledger counted since the mark. Pages from
+// overlapping operations on the same stack land in every open bracket, so
+// a bracketed figure over-counts under concurrency. It is kept for the two
+// figures no cumulative counter can give: the weight of an update in its
+// cell of the rebalancer's histogram, where only relative weight within a
+// shard matters, and BatchResult.PageIO. Everything per shard — its cost,
+// its share, what Stats reports — is read from the ledger itself.
 type ioMark struct {
-	sh    *treeStack
-	pages uint64
-	bg    uint64
+	io    *stats.IO
+	pages int64
 }
 
 func meterShard(sh *treeStack) ioMark {
-	return ioMark{sh: sh, pages: sh.pagesNow(), bg: sh.bgPages.Load()}
+	return ioMark{io: sh.io, pages: sh.io.Foreground()}
 }
 
+// done floors the figure at zero: a ResetStats inside the bracket runs the
+// ledger backward.
 func (m ioMark) done() uint64 {
-	return foregroundPages(m.sh.pagesNow()-m.pages, m.sh.bgPages.Load()-m.bg)
+	return uint64(max(m.io.Foreground()-m.pages, 0))
 }
 
 // tiered reports whether the stack runs a delta tier, in which case
@@ -296,12 +268,9 @@ func (s *treeStack) ensureMemtable(cfg Memtable) {
 	}
 }
 
-// drainMemtable merges every buffered delta down to the tree — on a
-// background stack split across Memtable.MergeParallelism concurrent
-// group-apply chunks, sequentially on the single-writer Index.
-// Serialized with other drains by mergeMu; a failure to apply an
-// acknowledged delta is sticky — see memtable.Table.Fail. No-op when the
-// tier is disabled.
+// drainMemtable merges every buffered delta down to the tree. Serialized
+// with other drains by mergeMu; a failure to apply an acknowledged delta
+// is sticky — see memtable.Table.Fail. No-op when the tier is disabled.
 func (s *treeStack) drainMemtable() error {
 	if s.mem == nil {
 		return nil
@@ -312,21 +281,19 @@ func (s *treeStack) drainMemtable() error {
 	if entries == nil {
 		return s.mem.Err()
 	}
-	parallelism := 1
-	if s.background {
-		parallelism = s.options.Memtable.MergeParallelism
-	}
 	// The drain's page accesses are background work: deferred I/O from
-	// updates acknowledged in earlier windows. Attribute them to bgPages
-	// (and the memtable's merge stats) so foreground cost metering can
-	// subtract them — charging them to whichever foreground op happens to
-	// overlap the drain would re-skew the balance the cost weighting
-	// exists to fix. Attributed even on failure: the pages were spent.
-	pre := s.pagesNow()
-	err := drainEntries(entries, s.tree, parallelism)
-	if d := s.pagesNow() - pre; d > 0 {
-		s.bgPages.Add(d)
-		s.mem.AddMergePages(d)
+	// updates acknowledged in earlier windows. The ledger marks them so
+	// (and the memtable's merge stats count them), which keeps them out of
+	// every foreground reading — charging them to whichever foreground op
+	// happens to overlap the drain would re-skew the balance the cost
+	// weighting exists to fix. Marked even on failure: the pages were
+	// spent. (A ResetStats inside the drain can run the total backward;
+	// the restarted ledger has nothing to mark then.)
+	pre := s.io.Total()
+	err := drainEntries(entries, s.tree)
+	if d := s.io.Total() - pre; d > 0 {
+		s.io.CountBackground(d)
+		s.mem.AddMergePages(uint64(d))
 	}
 	if err != nil {
 		s.mem.Fail(err)
@@ -486,8 +453,8 @@ func (s *treeStack) stats() Stats {
 	return st
 }
 
-// ResetStats zeroes the physical counters (tree shape is unaffected).
-// Operations in flight keep counting after the reset point.
+// ResetStats zeroes the ledger (tree shape is unaffected). Operations in
+// flight keep counting after the reset point.
 func (s *treeStack) ResetStats() { s.io.Reset() }
 
 // Flush writes all buffered dirty pages to the simulated disk, with the
