@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint allocs baselines bench-smoke loc fmt clean
+.PHONY: all build test race lint burlint allocs scale baselines bench-smoke loc fmt clean
 
 all: build test lint
 
@@ -31,6 +31,15 @@ lint: burlint
 # BENCH_allocs.json (see allocbench_test.go).
 allocs:
 	$(GO) test -run TestAllocBudget -count=1 -v .
+
+# scale runs the two-writer scaling instrument (scale_test.go): µs/move,
+# wall and CPU, for one batch writer, two on one ConcurrentIndex and two
+# on an index each. Not a gate — the reference box moves ±10 % between
+# minutes — its figures are recorded in CHANGES.md by hand. For the parks
+# per batch, add `-blockprofile block.out -blockprofilerate 1` to one leg
+# and read `go tool pprof -sample_index=contentions -top`.
+scale:
+	$(GO) test -run '^$$' -bench BenchmarkTwoWriters -benchtime 1x -count 3 -timeout 30m .
 
 # baselines keeps the committed BENCH_*.json files and the references to
 # them in step: every one a .go, .md, Makefile or workflow file names is

@@ -22,6 +22,27 @@
 // changes, so a reader waits for a bounded slice of a batch's
 // escalations, never for all of them.
 //
+// The lock cycle of a leaf is optimistic (lockLeaf). A bottom-up update
+// knows its few granules before it touches anything and nearly always
+// finds them free, so it synchronises once: it takes the shared latch,
+// reads the leaf's scope, and asks the lock table for the whole set —
+// tree, cells, leaf and parent — in one visit (dgl.TryAcquireAll), which
+// grants all of it or none and never waits. Under that one unbroken
+// latch hold the scope it read is the scope it locked: a leaf changes
+// parents only in a split, a merge or a re-insertion, and those run
+// under the exclusive latch, which cannot be taken while this hold
+// lasts. So there is nothing to read again and nothing to compare, and
+// the work is applied under the same hold. Only when the try is refused
+// — a granule is held in a conflicting mode, or somebody is queued on
+// one — does the update drop the latch and fall back to the blocking
+// protocol: granule by granule in canonical order, waiting its turn in
+// each queue, with the latch released (a waiter must not hold up an
+// exclusive section), and therefore with the scope read before and
+// again after, and the cycle repeated if the two differ. A query's cell
+// set is tried the same way before the latch is taken. One lock owner
+// (dgl.Txn) serves all the cycles of a batch, and queries borrow theirs
+// from a pool, so a cycle allocates nothing.
+//
 // Physical integrity is provided by a coarse reader-writer latch: the
 // paper's interest is the throughput effect of cheaper updates (shorter
 // exclusive sections), which this preserves, while queries — the
@@ -39,6 +60,7 @@ import (
 	"burtree/internal/core"
 	"burtree/internal/dgl"
 	"burtree/internal/geom"
+	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 )
 
@@ -52,6 +74,14 @@ type DB struct {
 	latch   sync.RWMutex
 	gridN   int
 	timeout time.Duration
+
+	// txns holds idle lock owners, each holding nothing: an operation
+	// borrows one for its lock cycles and hands it back released.
+	txns sync.Pool
+	// refuseTry makes every optimistic lock attempt report a refusal, so
+	// that a test can run on the blocking protocol alone. Nothing else
+	// sets it.
+	refuseTry bool
 
 	updates   atomic.Int64
 	queries   atomic.Int64
@@ -86,7 +116,7 @@ type Stats struct {
 	Updates   int64
 	Queries   int64
 	Timeouts  int64
-	Retries   int64
+	Retries   int64 // lock sets asked for again: after a refused try, a timeout, or a re-parented leaf
 	Local     int64 // updates resolved on the fine-grained path
 	Escalated int64 // updates that required exclusive access
 	Batched   int64 // updates resolved under a leaf-group lock (UpdateBatch)
@@ -112,25 +142,31 @@ func (d *DB) cellOf(p geom.Point) dgl.GranuleID {
 	return dgl.GranuleID(1 + y*d.gridN + x)
 }
 
-// cellsOfRect lists the granules covering r, sorted ascending. An
+// stackCells is the longest cell list an operation keeps on its stack,
+// and the longest it tries to lock in one go: a query window of a tenth
+// of the unit square's side covers at most 5×5 cells of the 32×32 grid,
+// and a leaf run of 16 changes has 32 cells before the duplicates go. A
+// longer list spills to the heap.
+const stackCells = 32
+
+// cellsOfRect appends the granules covering r to dst, ascending. An
 // inverted (or NaN) rectangle covers nothing: the query that carries it
 // matches no objects, needs no cell locks, and must not compute a
 // negative covering-range size.
-func (d *DB) cellsOfRect(r geom.Rect) []dgl.GranuleID {
+func (d *DB) cellsOfRect(r geom.Rect, dst []dgl.GranuleID) []dgl.GranuleID {
 	if !r.Valid() {
-		return nil
+		return dst
 	}
 	x0 := geom.ClampCell(r.MinX, d.gridN)
 	x1 := geom.ClampCell(r.MaxX, d.gridN)
 	y0 := geom.ClampCell(r.MinY, d.gridN)
 	y1 := geom.ClampCell(r.MaxY, d.gridN)
-	out := make([]dgl.GranuleID, 0, (x1-x0+1)*(y1-y0+1))
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
-			out = append(out, dgl.GranuleID(1+y*d.gridN+x))
+			dst = append(dst, dgl.GranuleID(1+y*d.gridN+x))
 		}
 	}
-	return out
+	return dst
 }
 
 // pageGranule maps a tree page id into the granule space, above the grid
@@ -149,6 +185,20 @@ const residueSection = 32
 // maxAttempts bounds the lock retries of one leaf scope or one
 // exclusive section after timeouts.
 const maxAttempts = 8
+
+// begin borrows a lock owner holding nothing; end releases whatever it
+// holds by then and hands it back.
+func (d *DB) begin() *dgl.Txn {
+	if txn, ok := d.txns.Get().(*dgl.Txn); ok {
+		return txn
+	}
+	return d.lm.Begin()
+}
+
+func (d *DB) end(txn *dgl.Txn) {
+	d.lm.ReleaseAll(txn)
+	d.txns.Put(txn)
+}
 
 // Update moves an object. Bottom-up strategies first attempt the local
 // path in parallel: IX on the tree, X on the movement cells, X on the
@@ -189,15 +239,15 @@ func (d *DB) tryLocal(ga core.GroupApplier, c core.BatchChange) (bool, error) {
 		return false, nil
 	}
 	cells := [2]dgl.GranuleID{d.cellOf(c.Old), d.cellOf(c.New)}
-	txn, ok := d.lockLeaf(ga, leaf, sortedCells(cells[:]))
-	if !ok {
+	txn := d.begin()
+	defer d.end(txn)
+	if !d.lockLeaf(ga, txn, leaf, sortedCells(cells[:])) {
 		return false, nil
 	}
 	// An object that left the leaf before the locks were granted is
 	// declined here (its entry is gone), like any non-local outcome.
 	done, err := ga.UpdateAtLeaf(leaf, c, true)
 	d.latch.RUnlock()
-	d.lm.ReleaseAll(txn)
 	return done, err
 }
 
@@ -208,26 +258,85 @@ func sortedCells(cells []dgl.GranuleID) []dgl.GranuleID {
 	return slices.Compact(cells)
 }
 
-// lockLeaf takes the fine-grained locks of one leaf: IX on the tree, X
-// on cells (sorted) and X on the page granules of the leaf's scope. The
-// scope is read before locking and again under the locks; when the two
-// agree — nobody re-parented the leaf in between — it returns with the
-// locks and the shared latch held, and the caller releases both once it
-// has applied its work. It reports false, holding nothing, when the
-// scope cannot be read or the locks keep timing out: the work then
-// belongs to the exclusive path.
-func (d *DB) lockLeaf(ga core.GroupApplier, leaf rtree.PageID, cells []dgl.GranuleID) (*dgl.Txn, bool) {
+// scopePages lists the page granules of a leaf's scope in acquisition
+// order: ascending, the parent left out when there is none.
+func scopePages(sc core.Scope) ([2]rtree.PageID, int) {
+	switch {
+	case sc.Parent == pagestore.InvalidPage:
+		return [2]rtree.PageID{sc.Leaf}, 1
+	case sc.Parent < sc.Leaf:
+		return [2]rtree.PageID{sc.Parent, sc.Leaf}, 2
+	}
+	return [2]rtree.PageID{sc.Leaf, sc.Parent}, 2
+}
+
+// tryLock asks for a whole lock set — the tree, the cells (sorted) and
+// the pages (sorted) — in one visit to the lock table. It never waits:
+// it reports false, with txn holding nothing, when the set cannot be
+// granted as a whole right now. A set of more than stackCells cells is
+// not tried at all: the visit would be a long one, and everybody else's
+// wait at the table's door with it.
+//
+//burlint:hotpath
+func (d *DB) tryLock(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.GranuleID, pages []rtree.PageID) bool {
+	if d.refuseTry || len(cells) > stackCells {
+		return false
+	}
+	var buf [1 + stackCells + 2]dgl.Req
+	reqs := append(buf[:0], dgl.Req{G: TreeGranule, Mode: treeMode})
+	for _, c := range cells {
+		reqs = append(reqs, dgl.Req{G: c, Mode: cellMode})
+	}
+	for _, p := range pages {
+		reqs = append(reqs, dgl.Req{G: d.pageGranule(p), Mode: cellMode})
+	}
+	return d.lm.TryAcquireAll(txn, reqs)
+}
+
+// lockLeaf takes the fine-grained locks of one leaf on txn, which holds
+// nothing: IX on the tree, X on cells (sorted) and X on the page
+// granules of the leaf's scope. When it reports true the locks and the
+// shared latch are held, and the caller releases both once it has
+// applied its work; when it reports false — the scope cannot be read, or
+// the locks keep timing out — nothing is held and the work belongs to
+// the exclusive path.
+//
+// The first attempt is made under the latch it returns with: the scope
+// is read and the whole set tried at once. Re-parenting a leaf takes the
+// exclusive latch, so the scope cannot change while the shared latch is
+// held, and a set granted under the hold that read the scope is the
+// right set. The try is the only way into the lock table that may be
+// used there — it never waits. When it is refused the latch is dropped
+// and the blocking protocol takes over: read the scope, wait for the
+// granules one by one with no latch held, then read the scope again
+// under the latch and start over if somebody re-parented the leaf in
+// between.
+//
+//burlint:hotpath
+func (d *DB) lockLeaf(ga core.GroupApplier, txn *dgl.Txn, leaf rtree.PageID, cells []dgl.GranuleID) bool {
+	d.latch.RLock()
+	scope, err := ga.LeafScope(leaf)
+	if err == nil {
+		pages, n := scopePages(scope)
+		if d.tryLock(txn, dgl.IX, dgl.X, cells, pages[:n]) {
+			return true
+		}
+	}
+	d.latch.RUnlock()
+	if err != nil {
+		return false
+	}
+	d.retries.Add(1)
+
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		d.latch.RLock()
 		scope, err := ga.LeafScope(leaf)
 		d.latch.RUnlock()
 		if err != nil {
-			return nil, false
+			return false
 		}
-		slices.Sort(scope)
-
-		txn := d.lm.Begin()
-		if err := d.lockAll(txn, dgl.IX, dgl.X, cells, scope); err != nil {
+		pages, n := scopePages(scope)
+		if err := d.lockAll(txn, dgl.IX, dgl.X, cells, pages[:n]); err != nil {
 			d.lm.ReleaseAll(txn)
 			d.timeouts.Add(1)
 			d.retries.Add(1)
@@ -235,35 +344,31 @@ func (d *DB) lockLeaf(ga core.GroupApplier, leaf rtree.PageID, cells []dgl.Granu
 		}
 		d.latch.RLock()
 		again, err := ga.LeafScope(leaf)
-		if err == nil {
-			slices.Sort(again)
-			if slices.Equal(scope, again) {
-				return txn, true
-			}
+		if err == nil && again == scope {
+			return true
 		}
 		d.latch.RUnlock()
 		d.lm.ReleaseAll(txn)
 		if err != nil {
-			return nil, false
+			return false
 		}
 		d.retries.Add(1)
 	}
-	return nil, false
+	return false
 }
 
 // lockTree takes X on the tree granule for an exclusive section,
 // retrying timed-out requests.
-func (d *DB) lockTree() (*dgl.Txn, error) {
+func (d *DB) lockTree(txn *dgl.Txn) error {
 	for attempt := 0; ; attempt++ {
-		txn := d.lm.Begin()
 		err := d.lm.Acquire(txn, TreeGranule, dgl.X, d.timeout)
 		if err == nil {
-			return txn, nil
+			return nil
 		}
 		d.lm.ReleaseAll(txn)
 		d.timeouts.Add(1)
 		if attempt+1 >= maxAttempts {
-			return nil, err
+			return err
 		}
 		d.retries.Add(1)
 	}
@@ -275,11 +380,16 @@ func (d *DB) lockTree() (*dgl.Txn, error) {
 // latch, taken once per section instead of once per change. done runs
 // after the section's latch is released.
 func (d *DB) applyResidue(cs []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) error {
+	if len(cs) == 0 {
+		return nil
+	}
+	txn := d.begin()
+	defer d.end(txn)
 	for len(cs) > 0 {
 		section := cs[:min(len(cs), residueSection)]
 		cs = cs[len(section):]
 
-		txn, err := d.lockTree()
+		err := d.lockTree(txn)
 		if err != nil {
 			return fmt.Errorf("concurrent: update %d: %w", section[0].OID, err)
 		}
@@ -312,8 +422,8 @@ func (d *DB) applyResidue(cs []core.BatchChange, st *core.BatchStats, done func(
 
 // Insert adds an object under IX(tree) + X(cell).
 func (d *DB) Insert(oid rtree.OID, p geom.Point) error {
-	txn := d.lm.Begin()
-	defer d.lm.ReleaseAll(txn)
+	txn := d.begin()
+	defer d.end(txn)
 	if err := d.lockAll(txn, dgl.IX, dgl.X, []dgl.GranuleID{d.cellOf(p)}, nil); err != nil {
 		return err
 	}
@@ -324,8 +434,8 @@ func (d *DB) Insert(oid rtree.OID, p geom.Point) error {
 
 // Delete removes an object under IX(tree) + X(cell).
 func (d *DB) Delete(oid rtree.OID, at geom.Point) error {
-	txn := d.lm.Begin()
-	defer d.lm.ReleaseAll(txn)
+	txn := d.begin()
+	defer d.end(txn)
 	if err := d.lockAll(txn, dgl.IX, dgl.X, []dgl.GranuleID{d.cellOf(at)}, nil); err != nil {
 		return err
 	}
@@ -338,13 +448,19 @@ func (d *DB) Delete(oid rtree.OID, at geom.Point) error {
 // the shared physical latch, delegating to the strategy's Search (so
 // GBU's memory-assisted query planning stays active). Phantom
 // protection: any update that could move an object into or out of the
-// window must take X on one of these cells first. The visit callback
-// runs with the locks held and must not call back into the DB.
+// window must take X on one of these cells first. The cell set is tried
+// as a whole first and waited for, cell by cell, only when that is
+// refused. The visit callback runs with the locks held and must not call
+// back into the DB.
 func (d *DB) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool) error {
-	txn := d.lm.Begin()
-	defer d.lm.ReleaseAll(txn)
-	if err := d.lockAll(txn, dgl.IS, dgl.S, d.cellsOfRect(q), nil); err != nil {
-		return err
+	txn := d.begin()
+	defer d.end(txn)
+	var cellBuf [stackCells]dgl.GranuleID
+	cells := d.cellsOfRect(q, cellBuf[:0])
+	if !d.tryLock(txn, dgl.IS, dgl.S, cells, nil) {
+		if err := d.lockAll(txn, dgl.IS, dgl.S, cells, nil); err != nil {
+			return err
+		}
 	}
 	d.latch.RLock()
 	defer d.latch.RUnlock()
@@ -371,8 +487,8 @@ func (d *DB) Query(q geom.Rect) (int, error) {
 // each other; only updates are held off, exactly DGL's escalation rule
 // for operations whose scope cannot be pre-declared.
 func (d *DB) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
-	txn := d.lm.Begin()
-	defer d.lm.ReleaseAll(txn)
+	txn := d.begin()
+	defer d.end(txn)
 	if err := d.lm.Acquire(txn, TreeGranule, dgl.S, d.timeout); err != nil {
 		return nil, err
 	}
@@ -388,8 +504,8 @@ func (d *DB) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 // for the same reason. The visit callback runs with the locks held and
 // must not call back into the DB.
 func (d *DB) NearestFunc(p geom.Point, visit func(rtree.Neighbor) bool) error {
-	txn := d.lm.Begin()
-	defer d.lm.ReleaseAll(txn)
+	txn := d.begin()
+	defer d.end(txn)
 	if err := d.lm.Acquire(txn, TreeGranule, dgl.S, d.timeout); err != nil {
 		return err
 	}
@@ -405,8 +521,8 @@ func (d *DB) NearestFunc(p geom.Point, visit func(rtree.Neighbor) bool) error {
 // operations that restructure or snapshot the entire index (bulk
 // loading, persistence, buffer flushes).
 func (d *DB) Exclusive(fn func(core.Updater) error) error {
-	txn := d.lm.Begin()
-	defer d.lm.ReleaseAll(txn)
+	txn := d.begin()
+	defer d.end(txn)
 	if err := d.lm.Acquire(txn, TreeGranule, dgl.X, d.timeout); err != nil {
 		return err
 	}
@@ -482,48 +598,73 @@ func (d *DB) UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)
 	plan := core.PlanBatch(d.u, ga, changes)
 	d.latch.RUnlock()
 
-	var residue []core.BatchChange
-	for _, run := range plan.Runs {
-		st.Groups++
-		var err error
-		if residue, err = d.applyGroup(ga, run, residue, &st, done); err != nil {
-			return st, err
-		}
+	// Room for half the batch up front: about a third of a batch of small
+	// moves escalates, and growing the residue to that by doubling is most
+	// of what a batch would still allocate here.
+	residue, err := d.applyRuns(ga, plan.Runs, make([]core.BatchChange, 0, len(changes)/2), &st, done)
+	// What the runs resolved is counted once, from the sums they kept.
+	local := int64(st.GroupResolved + st.LocalFallback)
+	d.updates.Add(local)
+	d.local.Add(local)
+	d.batched.Add(local)
+	if err != nil {
+		return st, err
 	}
 	return st, d.applyResidue(append(residue, plan.Loose...), &st, done)
 }
 
-// applyGroup locks one leaf run's scope and resolves as much of the run
-// as the scope can hold under the shared latch; the members it cannot
-// are appended to residue, which is returned.
+// applyRuns applies the leaf runs of a planned batch one after the other,
+// all their lock cycles on one lock owner, and returns residue with the
+// members no run could hold appended.
+func (d *DB) applyRuns(ga core.GroupApplier, runs []core.LeafRun, residue []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) ([]core.BatchChange, error) {
+	txn := d.begin()
+	defer d.end(txn)
+	for _, run := range runs {
+		st.Groups++
+		var err error
+		if residue, err = d.applyGroup(ga, txn, run, residue, st, done); err != nil {
+			return residue, err
+		}
+	}
+	return residue, nil
+}
+
+// applyGroup locks one leaf run's scope on txn, which holds nothing
+// before and after, and resolves as much of the run as the scope can
+// hold under the shared latch; the members it cannot are appended to
+// residue, which is returned.
 //
 //burlint:hotpath
-func (d *DB) applyGroup(ga core.GroupApplier, run core.LeafRun, residue []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) ([]core.BatchChange, error) {
-	cells := make([]dgl.GranuleID, 0, 2*len(run.Changes))
+func (d *DB) applyGroup(ga core.GroupApplier, txn *dgl.Txn, run core.LeafRun, residue []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) ([]core.BatchChange, error) {
+	var cellBuf [stackCells]dgl.GranuleID
+	cells := cellBuf[:0]
 	for _, c := range run.Changes {
 		cells = append(cells, d.cellOf(c.Old), d.cellOf(c.New))
 	}
-	txn, ok := d.lockLeaf(ga, run.Leaf, sortedCells(cells))
-	if !ok {
+	if !d.lockLeaf(ga, txn, run.Leaf, sortedCells(cells)) {
 		return append(residue, run.Changes...), nil
 	}
 	// The group pass declines a member whose entry is no longer in the
 	// leaf, and a leaf page that was freed or recycled declines them all,
-	// so membership needs no second probe. Declined members get a
-	// per-object local attempt while the leaf is still buffered and the
-	// granules are still held.
+	// so membership needs no second probe. Declined members land behind
+	// the residue and get a per-object local attempt while the leaf is
+	// still buffered and the granules are still held; the ones the scope
+	// cannot hold stay there.
 	mark := len(residue)
-	declined, err := ga.ApplyLeafGroup(run.Leaf, run.Changes)
+	residue, err := ga.ApplyLeafGroup(run.Leaf, run.Changes, residue)
+	declined := len(residue) - mark
 	if err == nil {
-		for _, c := range declined {
+		kept := residue[:mark]
+		for _, c := range residue[mark:] {
 			var held bool
 			if held, err = ga.UpdateAtLeaf(run.Leaf, c, true); err != nil {
 				break
 			}
 			if !held {
-				residue = append(residue, c)
+				kept = append(kept, c)
 			}
 		}
+		residue = kept
 	}
 	d.latch.RUnlock()
 	d.lm.ReleaseAll(txn)
@@ -531,14 +672,11 @@ func (d *DB) applyGroup(ga core.GroupApplier, run core.LeafRun, residue []core.B
 		return residue, err
 	}
 
-	grouped := len(run.Changes) - len(declined)
+	grouped := len(run.Changes) - declined
 	resolved := len(run.Changes) - (len(residue) - mark)
 	st.GroupResolved += grouped
 	st.LocalFallback += resolved - grouped
 	st.Changes += resolved
-	d.updates.Add(int64(resolved))
-	d.local.Add(int64(resolved))
-	d.batched.Add(int64(resolved))
 	if done != nil {
 		for _, c := range run.Changes {
 			if !core.HasOID(residue[mark:], c.OID) {

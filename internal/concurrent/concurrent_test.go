@@ -5,14 +5,21 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"burtree/internal/buffer"
 	"burtree/internal/core"
+	"burtree/internal/dgl"
 	"burtree/internal/geom"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 	"burtree/internal/stats"
 )
+
+// refuseEveryTry makes newDB build databases whose optimistic lock
+// attempts are all refused: TestBlockingProtocolAlone sets it to run the
+// package's concurrency tests on the fallback protocol alone.
+var refuseEveryTry bool
 
 func newDB(t testing.TB, kind core.Kind, n int) (*DB, []geom.Point) {
 	t.Helper()
@@ -23,6 +30,7 @@ func newDB(t testing.TB, kind core.Kind, n int) (*DB, []geom.Point) {
 		t.Fatal(err)
 	}
 	db := New(u, 16)
+	db.refuseTry = refuseEveryTry
 	rng := rand.New(rand.NewSource(5))
 	pos := make([]geom.Point, n)
 	for i := range pos {
@@ -47,7 +55,7 @@ func TestCellMapping(t *testing.T) {
 		t.Fatalf("cell(-5,2) = %d", c)
 	}
 	// The rect spans x cells 0-1 and y cells 0-1 at N=4: four granules.
-	cells := db.cellsOfRect(geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.4, MaxY: 0.3})
+	cells := db.cellsOfRect(geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.4, MaxY: 0.3}, nil)
 	if len(cells) != 4 {
 		t.Fatalf("cells covering rect = %v", cells)
 	}
@@ -496,7 +504,9 @@ func TestStaleRunMemberJoinsResidue(t *testing.T) {
 
 			var st core.BatchStats
 			done := func(c core.BatchChange) { model[c.OID] = c.New }
-			residue, err := db.applyGroup(ga, run, nil, &st, done)
+			txn := db.begin()
+			residue, err := db.applyGroup(ga, txn, run, nil, &st, done)
+			db.end(txn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -515,4 +525,145 @@ func TestStaleRunMemberJoinsResidue(t *testing.T) {
 			checkAgainstModel(t, db, model)
 		})
 	}
+}
+
+// TestRefusedTryFallsBack: a leaf run whose optimistic attempt is turned
+// away — one of its cells is held by a reader, or an exclusive request
+// for the tree is queued ahead of it — waits its turn on the blocking
+// protocol and is then applied exactly once, and the refusal is counted
+// as a retry.
+func TestRefusedTryFallsBack(t *testing.T) {
+	obstacles := []struct {
+		name string
+		// put stands in the run's way and returns what steps aside again;
+		// queued is the number of requests it leaves waiting in the table.
+		put func(t *testing.T, db *DB, run core.LeafRun) (queued int, undo func())
+	}{
+		{"cell held", func(t *testing.T, db *DB, run core.LeafRun) (int, func()) {
+			reader := db.lm.Begin()
+			if err := db.lm.Acquire(reader, db.cellOf(run.Changes[0].Old), dgl.S, 0); err != nil {
+				t.Fatal(err)
+			}
+			return 0, func() { db.lm.ReleaseAll(reader) }
+		}},
+		{"X(tree) queued", func(t *testing.T, db *DB, run core.LeafRun) (int, func()) {
+			// The reader's IS admits the run's IX; the exclusive request
+			// parked behind the reader is what the try may not overtake.
+			reader, writer := db.lm.Begin(), db.lm.Begin()
+			if err := db.lm.Acquire(reader, TreeGranule, dgl.IS, 0); err != nil {
+				t.Fatal(err)
+			}
+			parked := make(chan error, 1)
+			go func() {
+				err := db.lm.Acquire(writer, TreeGranule, dgl.X, 10*time.Second)
+				db.lm.ReleaseAll(writer)
+				parked <- err
+			}()
+			waitForWaiters(t, db, 1)
+			return 1, func() {
+				db.lm.ReleaseAll(reader)
+				if err := <-parked; err != nil {
+					t.Error(err)
+				}
+			}
+		}},
+	}
+	for _, kind := range []core.Kind{core.LBU, core.GBU} {
+		for _, ob := range obstacles {
+			t.Run(kind.String()+"/"+ob.name, func(t *testing.T) {
+				const n = 600
+				db, model := newDB(t, kind, n)
+				ga := db.Updater().(core.GroupApplier)
+				batch := make([]core.BatchChange, n/2)
+				for i := range batch {
+					old := model[i]
+					batch[i] = core.BatchChange{OID: rtree.OID(i), Old: old, New: geom.Point{X: old.X + 0.001, Y: old.Y + 0.001}}
+				}
+				var run core.LeafRun
+				for _, r := range core.PlanBatch(db.Updater(), ga, batch).Runs {
+					if len(r.Changes) > len(run.Changes) {
+						run = r
+					}
+				}
+				if len(run.Changes) < 2 {
+					t.Fatal("no leaf run with two members")
+				}
+
+				queued, undo := ob.put(t, db, run)
+				before := db.Stats()
+				applied := map[rtree.OID]int{}
+				var st core.BatchStats
+				var residue []core.BatchChange
+				finished := make(chan error, 1)
+				done := func(c core.BatchChange) {
+					applied[c.OID]++
+					model[c.OID] = c.New
+				}
+				go func() {
+					txn := db.begin()
+					defer db.end(txn)
+					var err error
+					residue, err = db.applyGroup(ga, txn, run, nil, &st, done)
+					finished <- err
+				}()
+				// The run is waiting in a queue now, not applied and not failed.
+				waitForWaiters(t, db, queued+1)
+				select {
+				case err := <-finished:
+					t.Fatalf("the run got past the obstacle (err %v)", err)
+				default:
+				}
+				undo()
+				if err := <-finished; err != nil {
+					t.Fatal(err)
+				}
+
+				// Most of the tiny moves stay in the leaf; whatever does not is
+				// the residue's, and no change is anybody's twice.
+				if st.Changes == 0 || st.Changes+len(residue) != len(run.Changes) {
+					t.Fatalf("run of %d tiny moves: %d resolved, residue %v", len(run.Changes), st.Changes, residue)
+				}
+				if err := db.applyResidue(residue, &st, done); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range run.Changes {
+					if applied[c.OID] != 1 {
+						t.Fatalf("change of object %d reported done %d times", c.OID, applied[c.OID])
+					}
+				}
+				after := db.Stats()
+				if got := after.Retries - before.Retries; got != 1 || after.Timeouts != before.Timeouts {
+					t.Fatalf("retries went up by %d, timeouts by %d; want the one refusal and no timeout", got, after.Timeouts-before.Timeouts)
+				}
+				checkAgainstModel(t, db, model)
+				if s := db.lm.Stats(); s.Granules != 0 || s.Waiters != 0 {
+					t.Fatalf("lock table not empty after the run: %+v", s)
+				}
+			})
+		}
+	}
+}
+
+func waitForWaiters(t *testing.T, db *DB, waiters int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); db.lm.Stats().Waiters != waiters; {
+		if time.Now().After(deadline) {
+			t.Fatalf("lock table never reached %d waiters: %+v", waiters, db.lm.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBlockingProtocolAlone runs the package's concurrency tests with
+// every optimistic attempt refused: the fallback is the whole protocol
+// then, as it was before there was a try, and has to carry them alone.
+func TestBlockingProtocolAlone(t *testing.T) {
+	refuseEveryTry = true
+	defer func() { refuseEveryTry = false }()
+	t.Run("MixedLoad", TestConcurrentMixedLoad)
+	t.Run("BatchUpdate", TestBatchUpdateUnderConcurrency)
+	t.Run("OverlappingLeaves", TestBatchWritersOverlappingLeaves)
+	t.Run("StaleRunMember", TestStaleRunMemberJoinsResidue)
+	t.Run("FarJumps", TestBatchOfFarJumpsIsAllResidue)
+	t.Run("MostlyLocal", TestGBUMostlyLocalUnderLocality)
 }

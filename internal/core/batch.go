@@ -92,17 +92,18 @@ type GroupApplier interface {
 	// secondary hash index.
 	LeafOf(oid rtree.OID) (rtree.PageID, error)
 	// LeafScope returns the pages a group pass or a local update on leaf
-	// can touch: the leaf, then its parent when it has one (sibling
-	// shifts stay below the same parent). The DGL layer locks these page
-	// granules before applying a group; the scope is derived from the
-	// leaf itself, so it is the group's own whatever has happened to any
-	// one member since the batch was planned.
-	LeafScope(leaf rtree.PageID) ([]rtree.PageID, error)
+	// can touch: the leaf and its parent (sibling shifts stay below the
+	// same parent). The DGL layer locks these page granules before
+	// applying a group; the scope is derived from the leaf itself, so it
+	// is the group's own whatever has happened to any one member since the
+	// batch was planned.
+	LeafScope(leaf rtree.PageID) (Scope, error)
 	// ApplyLeafGroup applies one leaf's group in a single bottom-up
 	// pass — one leaf read, one extension decision for the whole group,
-	// one leaf write, one parent sync — and returns the changes it could
-	// not resolve group-wise. Unresolved changes are not modified.
-	ApplyLeafGroup(leaf rtree.PageID, group []BatchChange) (unresolved []BatchChange, err error)
+	// one leaf write, one parent sync — and appends the changes it could
+	// not resolve group-wise to unresolved, the caller's scratch, which it
+	// returns. Unresolved changes are not modified.
+	ApplyLeafGroup(leaf rtree.PageID, group, unresolved []BatchChange) ([]BatchChange, error)
 	// UpdateAtLeaf applies one change whose object lives in leaf using
 	// the strategy's per-object path, skipping the secondary-index
 	// lookup (the caller already resolved the leaf). With localOnly set
@@ -113,6 +114,20 @@ type GroupApplier interface {
 	// was recycled as another node.
 	UpdateAtLeaf(leaf rtree.PageID, c BatchChange, localOnly bool) (bool, error)
 }
+
+// Scope is the pages one leaf's group pass can touch: a value, so that
+// reading a scope allocates nothing.
+type Scope struct {
+	Leaf rtree.PageID
+	// Parent is pagestore.InvalidPage for a leaf that is the root.
+	Parent rtree.PageID
+}
+
+// groupScratch is how many members of a leaf group a group pass can set
+// aside for its extension decision without leaving the stack; a longer
+// list spills to the heap. A leaf holds a few dozen objects and a batch
+// moves a handful of them, most of them without leaving the leaf's MBR.
+const groupScratch = 16
 
 // bucketHinter is implemented by strategies whose secondary index can
 // name the hash bucket of an object without I/O.
@@ -251,10 +266,11 @@ func ApplyBatch(u Updater, changes []BatchChange, done func(BatchChange)) (Batch
 
 	plan := PlanBatch(u, ga, changes)
 	slices.SortFunc(plan.Runs, func(a, b LeafRun) int { return cmp.Compare(b.first, a.first) })
+	var unresolved []BatchChange // one scratch for all the runs
 	for _, g := range plan.Runs {
 		st.Groups++
-		unresolved, err := ga.ApplyLeafGroup(g.Leaf, g.Changes)
-		if err != nil {
+		var err error
+		if unresolved, err = ga.ApplyLeafGroup(g.Leaf, g.Changes, unresolved[:0]); err != nil {
 			return st, err
 		}
 		for _, c := range g.Changes {

@@ -458,11 +458,9 @@ func (s *gbuStrategy) LeafOf(oid rtree.OID) (rtree.PageID, error) {
 
 // LeafScope names the leaf and its parent, resolved in the summary
 // table without I/O (GroupApplier).
-func (s *gbuStrategy) LeafScope(leaf rtree.PageID) ([]rtree.PageID, error) {
-	if parent, ok := s.sum.ParentOf(leaf); ok {
-		return []rtree.PageID{leaf, parent}, nil
-	}
-	return []rtree.PageID{leaf}, nil
+func (s *gbuStrategy) LeafScope(leaf rtree.PageID) (Scope, error) {
+	parent, _ := s.sum.ParentOf(leaf) // InvalidPage when none is recorded
+	return Scope{Leaf: leaf, Parent: parent}, nil
 }
 
 // ApplyLeafGroup applies one leaf's share of a batch in a single
@@ -474,28 +472,31 @@ func (s *gbuStrategy) LeafScope(leaf rtree.PageID) ([]rtree.PageID, error) {
 // per-object Algorithm 4 extensions would produce — and the leaf and
 // its parent entry are written back once for the whole group. Fast
 // movers, underflow risks and points beyond the achievable extension
-// are returned unresolved, untouched, for the per-object path.
+// are appended to unresolved, untouched, for the per-object path.
 //
 //burlint:hotpath
-func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group []BatchChange) ([]BatchChange, error) {
+func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []BatchChange) ([]BatchChange, error) {
 	t := s.tree
 	if t.Height() <= 1 {
-		return group, nil // no internal structure to exploit
+		return append(unresolved, group...), nil // no internal structure to exploit
 	}
 	ref, err := t.PinNodeForPatch(leafPage)
 	if err != nil {
 		if errors.Is(err, pagestore.ErrPageFreed) {
-			return group, nil // leaf freed by an earlier change in the batch
+			return append(unresolved, group...), nil // leaf freed by an earlier change in the batch
 		}
 		return nil, err
 	}
 	if !ref.IsLeaf() {
-		return group, ref.Release() // page recycled as an internal node
+		return append(unresolved, group...), ref.Release() // page recycled as an internal node
 	}
 
 	// Every resolved move is patched into the pinned leaf; the page goes
-	// out once, when the pin is released.
-	var unresolved, outside []BatchChange
+	// out once, when the pin is released. The members outside the leaf's
+	// MBR wait for the extension decision in a list that starts on the
+	// stack.
+	var outsideBuf [groupScratch]BatchChange
+	outside := outsideBuf[:0]
 	oldSelf := ref.Self()
 	self := oldSelf
 	for _, c := range group {

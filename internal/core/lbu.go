@@ -240,19 +240,16 @@ func (s *lbuStrategy) LeafOf(oid rtree.OID) (rtree.PageID, error) {
 
 // LeafScope names the leaf and its parent, read through the leaf's
 // parent pointer (GroupApplier).
-func (s *lbuStrategy) LeafScope(leaf rtree.PageID) ([]rtree.PageID, error) {
+func (s *lbuStrategy) LeafScope(leaf rtree.PageID) (Scope, error) {
 	ref, err := s.tree.PinNode(leaf)
 	if err != nil {
-		return nil, err
+		return Scope{}, err
 	}
 	parent := ref.Parent()
 	if err := ref.Release(); err != nil {
-		return nil, err
+		return Scope{}, err
 	}
-	if parent == pagestore.InvalidPage {
-		return []rtree.PageID{leaf}, nil
-	}
-	return []rtree.PageID{leaf, parent}, nil
+	return Scope{Leaf: leaf, Parent: parent}, nil
 }
 
 // ApplyLeafGroup applies one leaf's share of a batch in a single
@@ -265,21 +262,24 @@ func (s *lbuStrategy) LeafScope(leaf rtree.PageID) ([]rtree.PageID, error) {
 // the parent's mirroring entry are written back once for the group.
 //
 //burlint:hotpath
-func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group []BatchChange) ([]BatchChange, error) {
+func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []BatchChange) ([]BatchChange, error) {
 	t := s.tree
 	leaf, err := t.BorrowNode(leafPage)
 	if err != nil {
 		if errors.Is(err, pagestore.ErrPageFreed) {
-			return group, nil // leaf freed by an earlier change in the batch
+			return append(unresolved, group...), nil // leaf freed by an earlier change in the batch
 		}
 		return nil, err
 	}
 	defer t.ReturnNode(leaf)
 	if !leaf.IsLeaf() {
-		return group, nil // page recycled as an internal node
+		return append(unresolved, group...), nil // page recycled as an internal node
 	}
 
-	var unresolved, outside []BatchChange
+	// The members outside the leaf's MBR wait for the enlargement decision
+	// in a list that starts on the stack.
+	var outsideBuf [groupScratch]BatchChange
+	outside := outsideBuf[:0]
 	dirty := false
 	for _, c := range group {
 		li := leaf.FindOID(c.OID)

@@ -10,13 +10,22 @@
 // + leaf granules). Bottom-up updates acquire their granules directly at
 // the fine level, which is why they "fit naturally into DGL": top-down
 // operations meet their locks on the way down.
+//
+// There are two ways in. Acquire takes one granule and waits for it, in
+// FIFO order behind whoever asked first. TryAcquireAll takes a whole lock
+// set in one visit to the table, or nothing: it never waits and never
+// queues, so it may be called where waiting is forbidden, and it is
+// refused behind any queued request, so it cannot overtake one. The
+// bottom-up paths know their few granules up front and nearly always
+// find them free, so they try first and fall back to Acquire, granule by
+// granule, only when refused. A Txn is reset by ReleaseAll and may then
+// be used again: a batch runs all its lock cycles on one descriptor.
 package dgl
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -87,36 +96,49 @@ type GranuleID uint64
 // caller should release everything and retry (deadlock recovery).
 var ErrTimeout = errors.New("dgl: lock wait timed out")
 
-// lock is one granule held in a mode.
+// lock is one granule held in a mode. The table keeps a granule's entry
+// for as long as anybody holds it, so the holder's pointer to it stays
+// good until the release, which then needs no lookup.
 type lock struct {
 	g    GranuleID
 	mode Mode
+	gr   *granule
 }
 
 // Txn is one lock owner. A transaction holds a handful of granules (a
 // leaf group takes the tree, a few cells, the leaf and its parent), so
 // the held set is a slice scanned linearly, backed by the descriptor
-// itself until it outgrows it. A Txn is handled by pointer only — a
-// copy would make ReleaseAll unlock a ghost owner — and the by-value
-// sync.Mutex is what lets go vet's copylocks reject a copy.
+// itself until it outgrows it. A Txn has one owner at a time — the
+// goroutine acquiring and releasing through it; the manager only ever
+// compares the pointer — so the held set needs no lock of its own. It is
+// handled by pointer only — a copy would make ReleaseAll unlock a ghost
+// owner — and the noCopy marker is what lets go vet's copylocks reject a
+// copy.
 type Txn struct {
-	id   uint64
-	mu   sync.Mutex
+	_    noCopy
 	held []lock
 	buf  [8]lock
 }
 
-// record notes that the transaction now holds g in mode.
-func (t *Txn) record(g GranuleID, mode Mode) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// noCopy makes go vet's copylocks check flag copies of the struct that
+// embeds it; it takes no space and does nothing.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// cover notes that the transaction takes g, the table's gr, in mode on
+// top of whatever it holds there, and returns the mode it holds g in from
+// now on.
+func (t *Txn) cover(g GranuleID, mode Mode, gr *granule) Mode {
 	for i := range t.held {
 		if t.held[i].g == g {
-			t.held[i].mode = mode
-			return
+			t.held[i].mode = sup[t.held[i].mode][mode]
+			return t.held[i].mode
 		}
 	}
-	t.held = append(t.held, lock{g, mode})
+	t.held = append(t.held, lock{g, mode, gr})
+	return mode
 }
 
 // Manager is the lock table. Like Txn it must not be copied; its
@@ -125,7 +147,6 @@ type Manager struct {
 	mu       sync.Mutex
 	granules map[GranuleID]*granule
 	free     []*granule // emptied granules, reused so a lock cycle allocates nothing
-	nextTxn  atomic.Uint64
 }
 
 type waiter struct {
@@ -177,17 +198,17 @@ func NewManager() *Manager {
 	return &Manager{granules: make(map[GranuleID]*granule)}
 }
 
-// Begin starts a new lock owner.
+// Begin starts a new lock owner. The descriptor holds nothing, and holds
+// nothing again after each ReleaseAll: one Begin serves any number of
+// lock cycles.
 func (m *Manager) Begin() *Txn {
-	t := &Txn{id: m.nextTxn.Add(1)}
+	t := &Txn{}
 	t.held = t.buf[:0]
 	return t
 }
 
 // Held returns the mode txn holds on g (and whether it holds anything).
 func (t *Txn) Held(g GranuleID) (Mode, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, l := range t.held {
 		if l.g == g {
 			return l.mode, true
@@ -197,11 +218,7 @@ func (t *Txn) Held(g GranuleID) (Mode, bool) {
 }
 
 // HeldCount returns the number of granules the transaction holds.
-func (t *Txn) HeldCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.held)
-}
+func (t *Txn) HeldCount() int { return len(t.held) }
 
 // Acquire obtains (or upgrades to) the given mode on granule g, waiting
 // up to timeout (0 means wait forever). On ErrTimeout the request is
@@ -219,19 +236,11 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 	}
 
 	m.mu.Lock()
-	gr := m.granules[g]
-	if gr == nil {
-		if n := len(m.free); n > 0 {
-			gr, m.free = m.free[n-1], m.free[:n-1]
-		} else {
-			gr = &granule{}
-		}
-		m.granules[g] = gr
-	}
+	gr := m.granuleLocked(g)
 	if m.grantableLocked(gr, txn, target, upgrade) {
 		gr.grant(txn, target)
 		m.mu.Unlock()
-		txn.record(g, target)
+		txn.cover(g, target, gr)
 		return nil
 	}
 	w := &waiter{txn: txn, mode: target, upgrade: upgrade, ready: make(chan struct{})}
@@ -252,7 +261,7 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 	}
 	select {
 	case <-w.ready:
-		txn.record(g, target)
+		txn.cover(g, target, gr)
 		return nil
 	case <-timeoutC:
 		m.mu.Lock()
@@ -260,7 +269,7 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 			// Lost the race: the grant landed before the withdrawal.
 			m.mu.Unlock()
 			<-w.ready
-			txn.record(g, target)
+			txn.cover(g, target, gr)
 			return nil
 		}
 		for i, q := range gr.queue {
@@ -275,6 +284,57 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 		m.mu.Unlock()
 		return fmt.Errorf("%w: granule %d mode %v", ErrTimeout, g, target)
 	}
+}
+
+// granuleLocked returns g's entry in the table, entering a recycled or a
+// new one when the granule has neither holder nor waiter.
+func (m *Manager) granuleLocked(g GranuleID) *granule {
+	gr := m.granules[g]
+	if gr == nil {
+		if n := len(m.free); n > 0 {
+			gr, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			gr = &granule{}
+		}
+		m.granules[g] = gr
+	}
+	return gr
+}
+
+// Req is one granule of a lock set, with the mode it is wanted in.
+type Req struct {
+	G    GranuleID
+	Mode Mode
+}
+
+// TryAcquireAll takes every granule of reqs in its mode, or none of
+// them, in one visit to the lock table. It never waits and never queues:
+// when any of the granules is held in a conflicting mode by another
+// transaction, or has a request queued on it — even one the modes would
+// admit, so that FIFO holds and a queued exclusive request is not starved
+// by a stream of try-ers — it reports false and the table is as it was,
+// with no entry made for a granule nobody holds. A granule txn already
+// holds is converted to the covering mode, as Acquire would.
+//
+//burlint:hotpath
+func (m *Manager) TryAcquireAll(txn *Txn, reqs []Req) bool {
+	m.mu.Lock()
+	for _, r := range reqs {
+		if gr := m.granules[r.G]; gr != nil && (len(gr.queue) > 0 || !gr.compatibleWithOthers(txn, r.Mode)) {
+			m.mu.Unlock()
+			return false
+		}
+	}
+	// Nothing stands in the way of any of them: grant. A conversion needs
+	// no second look — the covering mode conflicts with another holder
+	// only if the held or the requested mode does, and the one was granted
+	// and the other just checked against the same holders.
+	for _, r := range reqs {
+		gr := m.granuleLocked(r.G)
+		gr.grant(txn, txn.cover(r.G, r.Mode, gr))
+	}
+	m.mu.Unlock()
+	return true
 }
 
 // grantableLocked reports whether txn may take mode on gr right now.
@@ -300,45 +360,33 @@ func (gr *granule) compatibleWithOthers(txn *Txn, mode Mode) bool {
 
 // Release drops txn's lock on g and wakes compatible waiters.
 func (m *Manager) Release(txn *Txn, g GranuleID) {
-	txn.mu.Lock()
-	ok := false
-	for i := range txn.held {
-		if txn.held[i].g == g {
+	for i, l := range txn.held {
+		if l.g == g {
 			txn.held = append(txn.held[:i], txn.held[i+1:]...)
-			ok = true
-			break
+			m.mu.Lock()
+			l.gr.drop(txn)
+			m.wakeLocked(g, l.gr)
+			m.mu.Unlock()
+			return
 		}
-	}
-	txn.mu.Unlock()
-	if !ok {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if gr := m.granules[g]; gr != nil {
-		gr.drop(txn)
-		m.wakeLocked(g, gr)
 	}
 }
 
-// ReleaseAll drops every lock txn holds.
+// ReleaseAll drops every lock txn holds and resets the descriptor: it
+// holds nothing, keeps the room its held set grew to, and is ready for
+// the next lock cycle.
 func (m *Manager) ReleaseAll(txn *Txn) {
-	// Detach the held set instead of copying it: a later Acquire on the
-	// same descriptor appends to a fresh slice, never to the one walked
-	// below.
-	txn.mu.Lock()
-	held := txn.held
-	txn.held = nil
-	txn.mu.Unlock()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, l := range held {
-		if gr := m.granules[l.g]; gr != nil {
-			gr.drop(txn)
-			m.wakeLocked(l.g, gr)
-		}
+	if len(txn.held) == 0 {
+		return
 	}
+	m.mu.Lock()
+	for _, l := range txn.held {
+		l.gr.drop(txn)
+		m.wakeLocked(l.g, l.gr)
+	}
+	m.mu.Unlock()
+	clear(txn.held) // an idle descriptor keeps no granule alive
+	txn.held = txn.held[:0]
 }
 
 // wakeLocked grants the longest compatible prefix of the wait queue.

@@ -2,6 +2,8 @@ package dgl
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,15 +201,6 @@ func TestUpgradeDeadlockTimesOut(t *testing.T) {
 // (FIFO) must be granted then, not at the holder's next release.
 func TestTimeoutWakesWaitersBehind(t *testing.T) {
 	m := NewManager()
-	waitFor := func(waiters int) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); m.Stats().Waiters != waiters; {
-			if time.Now().After(deadline) {
-				t.Fatalf("lock table never reached %d waiters: %+v", waiters, m.Stats())
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	holder := m.Begin()
 	if err := m.Acquire(holder, 5, IS, 0); err != nil {
 		t.Fatal(err)
@@ -215,11 +208,11 @@ func TestTimeoutWakesWaitersBehind(t *testing.T) {
 	writer := m.Begin()
 	wErr := make(chan error, 1)
 	go func() { wErr <- m.Acquire(writer, 5, X, 50*time.Millisecond) }()
-	waitFor(1)
+	waitForWaiters(t, m, 1)
 	reader := m.Begin()
 	rErr := make(chan error, 1)
 	go func() { rErr <- m.Acquire(reader, 5, IS, 10*time.Second) }()
-	waitFor(2)
+	waitForWaiters(t, m, 2)
 
 	if err := <-wErr; !errors.Is(err, ErrTimeout) {
 		t.Fatalf("writer: %v, want ErrTimeout", err)
@@ -321,4 +314,300 @@ func TestModeString(t *testing.T) {
 	if Mode(17).String() == "" {
 		t.Fatal("unknown mode name empty")
 	}
+}
+
+// waitForWaiters returns once the table holds the given number of queued
+// requests.
+func waitForWaiters(t *testing.T, m *Manager, waiters int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); m.Stats().Waiters != waiters; {
+		if time.Now().After(deadline) {
+			t.Fatalf("lock table never reached %d waiters: %+v", waiters, m.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTryAcquireAll: the try takes a whole set or nothing, whatever
+// stands in its way and wherever in the set it stands; it is turned away
+// behind a queued request even when the modes would admit it; a refused
+// try leaves the table as it found it; and a descriptor that ReleaseAll
+// has reset holds nothing and serves the next cycle.
+func TestTryAcquireAll(t *testing.T) {
+	const n = 4
+	// The lock set of an update and the lock set of a window query.
+	update := func() []Req {
+		return []Req{{G: 0, Mode: IX}, {G: 11, Mode: X}, {G: 12, Mode: X}, {G: 1<<32 + 7, Mode: X}}
+	}
+	query := func() []Req {
+		return []Req{{G: 0, Mode: IS}, {G: 11, Mode: S}, {G: 12, Mode: S}, {G: 13, Mode: S}}
+	}
+	// Each obstacle is put on granule k of its set; granted says whether
+	// the try must succeed all the same, and put returns what removes the
+	// obstacle again.
+	obstacles := []struct {
+		name    string
+		set     func() []Req
+		granted bool
+		put     func(t *testing.T, m *Manager, r Req) (undo func())
+	}{
+		{"free", update, true, func(*testing.T, *Manager, Req) func() { return func() {} }},
+		{"compatible holder", query, true, func(t *testing.T, m *Manager, r Req) func() {
+			h := m.Begin()
+			if err := m.Acquire(h, r.G, r.Mode, 0); err != nil {
+				t.Fatal(err)
+			}
+			return func() { m.ReleaseAll(h) }
+		}},
+		{"incompatible holder", update, false, func(t *testing.T, m *Manager, r Req) func() {
+			h := m.Begin()
+			if err := m.Acquire(h, r.G, S, 0); err != nil {
+				t.Fatal(err)
+			}
+			return func() { m.ReleaseAll(h) }
+		}},
+		{"queued waiter", query, false, func(t *testing.T, m *Manager, r Req) func() {
+			// The holder's IS admits whatever the query asks for; what turns
+			// the try away is the X request queued behind the holder.
+			h, w := m.Begin(), m.Begin()
+			if err := m.Acquire(h, r.G, IS, 0); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- m.Acquire(w, r.G, X, 10*time.Second) }()
+			waitForWaiters(t, m, 1)
+			return func() {
+				m.ReleaseAll(h)
+				if err := <-done; err != nil {
+					t.Error(err)
+				}
+				m.ReleaseAll(w)
+			}
+		}},
+	}
+	for _, ob := range obstacles {
+		for k := 0; k < n; k++ {
+			t.Run(fmt.Sprintf("%s at %d", ob.name, k), func(t *testing.T) {
+				m := NewManager()
+				reqs := ob.set()
+				undo := ob.put(t, m, reqs[k])
+				before := m.Stats()
+
+				txn := m.Begin()
+				if got := m.TryAcquireAll(txn, reqs); got != ob.granted {
+					t.Fatalf("TryAcquireAll = %v, want %v", got, ob.granted)
+				}
+				if !ob.granted {
+					if txn.HeldCount() != 0 {
+						t.Fatalf("refused try left %d granules on the descriptor", txn.HeldCount())
+					}
+					if after := m.Stats(); after != before {
+						t.Fatalf("refused try changed the table: %+v, was %+v", after, before)
+					}
+					// Nothing of the set is held on its behalf: the granules
+					// ahead of the obstacle are free for anyone.
+					other := m.Begin()
+					for _, r := range reqs[:k] {
+						if err := m.Acquire(other, r.G, X, time.Second); err != nil {
+							t.Fatalf("granule %d ahead of the refusal: %v", r.G, err)
+						}
+					}
+					m.ReleaseAll(other)
+					undo()
+					// With the obstacle gone the same descriptor gets the set.
+					if !m.TryAcquireAll(txn, reqs) {
+						t.Fatal("try refused on a free table")
+					}
+				} else {
+					defer undo()
+				}
+				for _, r := range reqs {
+					if mode, ok := txn.Held(r.G); !ok || mode != r.Mode {
+						t.Fatalf("granule %d held in %v (held=%v), want %v", r.G, mode, ok, r.Mode)
+					}
+				}
+				// Held for real: a conflicting try by another owner is refused.
+				other := m.Begin()
+				if m.TryAcquireAll(other, []Req{{G: reqs[n-1].G, Mode: X}}) {
+					t.Fatal("a second owner got X on a granule of the set")
+				}
+				m.ReleaseAll(txn)
+				if txn.HeldCount() != 0 {
+					t.Fatalf("descriptor holds %d granules after ReleaseAll", txn.HeldCount())
+				}
+				// The reset descriptor is as good as new, and left nothing behind.
+				if !m.TryAcquireAll(other, reqs) {
+					t.Fatal("the set is not free after its holder released it")
+				}
+				m.ReleaseAll(other)
+				if !m.TryAcquireAll(txn, reqs) {
+					t.Fatal("reused descriptor refused on a free set")
+				}
+				m.ReleaseAll(txn)
+			})
+		}
+	}
+
+	t.Run("table empties", func(t *testing.T) {
+		m := NewManager()
+		txn := m.Begin()
+		for i := 0; i < 3; i++ {
+			if !m.TryAcquireAll(txn, update()) {
+				t.Fatal("try refused on a free table")
+			}
+			m.ReleaseAll(txn)
+		}
+		if s := m.Stats(); s.Granules != 0 || s.Waiters != 0 {
+			t.Fatalf("lock table not empty after releases: %+v", s)
+		}
+	})
+
+	t.Run("conversion", func(t *testing.T) {
+		m := NewManager()
+		txn := m.Begin()
+		if err := m.Acquire(txn, 5, S, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !m.TryAcquireAll(txn, []Req{{G: 5, Mode: IX}, {G: 6, Mode: X}}) {
+			t.Fatal("try refused on granules only its owner holds")
+		}
+		if mode, _ := txn.Held(5); mode != SIX {
+			t.Fatalf("S + IX held as %v, want SIX", mode)
+		}
+		m.ReleaseAll(txn)
+		if s := m.Stats(); s.Granules != 0 {
+			t.Fatalf("lock table not empty after releases: %+v", s)
+		}
+	})
+
+	t.Run("release wakes the queue", func(t *testing.T) {
+		// A blocking request queued behind a set taken by a try is granted
+		// when the set is released.
+		m := NewManager()
+		txn, w := m.Begin(), m.Begin()
+		if !m.TryAcquireAll(txn, update()) {
+			t.Fatal("try refused on a free table")
+		}
+		done := make(chan error, 1)
+		go func() { done <- m.Acquire(w, 0, X, 10*time.Second) }()
+		waitForWaiters(t, m, 1)
+		m.ReleaseAll(txn)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseAll(w)
+	})
+}
+
+// TestTryAndBlockingStress mixes try-ers, blocking requests and requests
+// that give up after a short wait on a few shared granules, every owner
+// reusing one descriptor for all its cycles. Exclusive holders check that
+// they are alone; a lost wake-up would leave a blocking request waiting
+// out its long timeout, which fails the test; and a grant left behind on
+// a reset descriptor would keep the table from emptying.
+func TestTryAndBlockingStress(t *testing.T) {
+	m := NewManager()
+	const (
+		workers  = 12
+		granules = 4
+		rounds   = 400
+	)
+	var exclusive, shared [granules]atomic.Int32
+	enter := func(g GranuleID, mode Mode) {
+		if mode == X {
+			if n := exclusive[g].Add(1); n != 1 || shared[g].Load() != 0 {
+				t.Errorf("X on %d beside %d exclusive and %d shared holders", g, n-1, shared[g].Load())
+			}
+		} else {
+			shared[g].Add(1)
+			if n := exclusive[g].Load(); n != 0 {
+				t.Errorf("S on %d beside %d exclusive holders", g, n)
+			}
+		}
+	}
+	leave := func(g GranuleID, mode Mode) {
+		if mode == X {
+			exclusive[g].Add(-1)
+		} else {
+			shared[g].Add(-1)
+		}
+	}
+	var granted, refused, timedOut atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			txn := m.Begin()
+			for i := 0; i < rounds; i++ {
+				// Two granules in ascending order, as the protocol has it.
+				a := GranuleID((w + i) % granules)
+				b := GranuleID((w*7 + i*3) % granules)
+				if a > b {
+					a, b = b, a
+				}
+				reqs := []Req{{G: a, Mode: S}}
+				if b != a {
+					reqs = append(reqs, Req{G: b, Mode: X})
+				} else if (w+i)%2 == 0 {
+					reqs[0].Mode = X
+				}
+				ok := false
+				switch w % 3 {
+				case 0: // try only
+					ok = m.TryAcquireAll(txn, reqs)
+					if !ok {
+						refused.Add(1)
+					}
+				case 1: // try, then wait for as long as it takes
+					if ok = m.TryAcquireAll(txn, reqs); ok {
+						break
+					}
+					for _, r := range reqs {
+						if err := m.Acquire(txn, r.G, r.Mode, 30*time.Second); err != nil {
+							t.Errorf("blocking request starved: %v", err)
+							m.ReleaseAll(txn)
+							return
+						}
+					}
+					ok = true
+				case 2: // wait briefly and withdraw
+					ok = true
+					for _, r := range reqs {
+						if err := m.Acquire(txn, r.G, r.Mode, 50*time.Microsecond); err != nil {
+							if !errors.Is(err, ErrTimeout) {
+								t.Error(err)
+							}
+							timedOut.Add(1)
+							ok = false
+							break
+						}
+					}
+				}
+				if ok {
+					granted.Add(1)
+					for _, r := range reqs {
+						enter(r.G, r.Mode)
+					}
+					runtime.Gosched() // let the others find the granules held
+					for _, r := range reqs {
+						leave(r.G, r.Mode)
+					}
+				}
+				m.ReleaseAll(txn)
+				if txn.HeldCount() != 0 {
+					t.Errorf("descriptor holds %d granules after ReleaseAll", txn.HeldCount())
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s := m.Stats(); s.Granules != 0 || s.Waiters != 0 {
+		t.Fatalf("lock table not empty after the run: %+v", s)
+	}
+	if granted.Load() == 0 || refused.Load() == 0 {
+		t.Fatalf("the mix exercised too little: %d granted, %d refused, %d timed out", granted.Load(), refused.Load(), timedOut.Load())
+	}
+	t.Logf("%d granted, %d tries refused, %d requests timed out", granted.Load(), refused.Load(), timedOut.Load())
 }

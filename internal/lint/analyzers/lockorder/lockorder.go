@@ -14,12 +14,18 @@
 //     tracking). PR 2's rollback race was exactly a path that touched
 //     granules out of protocol after a failed update.
 //
-//  2. No granule waits under the exclusive latch. The physical latch
-//     serializes page access and is always taken *after* the granule
-//     locks; a Manager.Acquire while holding an exclusive latch can
-//     deadlock against a holder waiting for the latch. The analyzer
-//     flags any Acquire between a sync .Lock() and its .Unlock() in
-//     the same function.
+//  2. No granule waits under the latch. The physical latch serializes
+//     page access and is always taken *after* the granule locks; a
+//     Manager.Acquire while holding it, exclusive or shared, can
+//     deadlock against a holder waiting for the latch (a reader that
+//     sleeps in a granule queue keeps the exclusive section its granule
+//     holder is about to enter from ever starting). The analyzer flags
+//     any Acquire between a sync .Lock() and its .Unlock(), or between
+//     an .RLock() and its .RUnlock(), in the same function.
+//     Manager.TryAcquireAll is the one entry to the lock table allowed
+//     there: it takes its whole set or nothing and never waits, which
+//     is what lets the optimistic lock cycle read a leaf's scope and
+//     lock it under one hold of the shared latch.
 //
 // The analysis is a single lexical pass per function body (branches
 // are treated as sequential), which matches how the engine's lock
@@ -49,7 +55,8 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "lockorder",
 	Doc: "enforces DGL acquisition order (tree → cell → page granules, by name tier) and forbids " +
-		"Manager.Acquire while an exclusive sync lock is held (granules are always taken before the latch)",
+		"Manager.Acquire while a sync lock is held, exclusive or shared (granules are waited for before the latch; " +
+		"only TryAcquireAll, which never waits, may be called under it)",
 	Run: run,
 }
 
@@ -158,9 +165,20 @@ func summaryOf(pass *framework.Pass, call *ast.CallExpr, acq map[*framework.Func
 // literals get their own scan with fresh state. Same-package calls
 // acquire their summary tiers at the call site.
 func scanBody(pass *framework.Pass, body *ast.BlockStmt, acq map[*framework.Func]int) {
-	latchHeld := false
-	var latchPos token.Pos
+	latchHeld, sharedHeld := false, false
+	var latchPos, sharedPos token.Pos
 	maxTier := tierUnknown
+
+	// underLatch reports a granule wait at pos — by whom says who waits —
+	// when a latch is held there.
+	underLatch := func(pos token.Pos, by string) {
+		switch {
+		case latchHeld:
+			pass.Reportf(pos, "granule lock acquired%s while holding the exclusive latch (taken at %s); granules must be acquired before the latch", by, pass.Fset.Position(latchPos))
+		case sharedHeld:
+			pass.Reportf(pos, "granule lock waited for%s while holding the shared latch (taken at %s); under the latch only TryAcquireAll, which never waits, may enter the lock table", by, pass.Fset.Position(sharedPos))
+		}
+	}
 
 	// viaHelper applies a same-package callee's summary at its call
 	// site: every tier it acquires is checked against the latch and the
@@ -168,13 +186,13 @@ func scanBody(pass *framework.Pass, body *ast.BlockStmt, acq map[*framework.Func
 	// shares a transaction with the caller.
 	viaHelper := func(call *ast.CallExpr) {
 		mask, sharesTxn := summaryOf(pass, call, acq)
+		if mask != 0 {
+			underLatch(call.Pos(), " by the called helper")
+		}
 		held := maxTier
 		for tier := tierTree; tier <= tierPage; tier++ {
 			if mask&(1<<tier) == 0 {
 				continue
-			}
-			if latchHeld {
-				pass.Reportf(call.Pos(), "granule lock acquired by the called helper while holding the exclusive latch (taken at %s); granules must be acquired before the latch", pass.Fset.Position(latchPos))
 			}
 			if held != tierUnknown && tier < held {
 				pass.Reportf(call.Pos(), "%s granule acquired by the called helper after a %s granule; canonical DGL order is tree → cell → page", tierName[tier], tierName[held])
@@ -204,12 +222,17 @@ func scanBody(pass *framework.Pass, body *ast.BlockStmt, acq map[*framework.Func
 			latchHeld, latchPos = true, call.Pos()
 		case isSyncLock(recv) && name == "Unlock":
 			latchHeld = false
+		case isSyncLock(recv) && name == "RLock":
+			sharedHeld, sharedPos = true, call.Pos()
+		case isSyncLock(recv) && name == "RUnlock":
+			sharedHeld = false
 		case isDGLManager(recv):
+			// TryAcquireAll is not listed: it never waits, so no latch
+			// forbids it, and its set is a slice whose tiers cannot be
+			// read off the call.
 			switch name {
 			case "Acquire":
-				if latchHeld {
-					pass.Reportf(call.Pos(), "granule lock acquired while holding the exclusive latch (taken at %s); granules must be acquired before the latch", pass.Fset.Position(latchPos))
-				}
+				underLatch(call.Pos(), "")
 				if len(call.Args) >= 2 {
 					tier := tierOf(call.Args[1])
 					if tier != tierUnknown {

@@ -33,6 +33,15 @@ func (m *Manager) Begin() *Txn { return &Txn{} }
 // Acquire takes g in the given mode on behalf of t.
 func (m *Manager) Acquire(t *Txn, g GranuleID, mode Mode, timeout time.Duration) error { return nil }
 
+// Req is one granule of a lock set.
+type Req struct {
+	G    GranuleID
+	Mode Mode
+}
+
+// TryAcquireAll takes the whole set or nothing, and never waits.
+func (m *Manager) TryAcquireAll(t *Txn, reqs []Req) bool { return true }
+
 // Release drops one granule.
 func (m *Manager) Release(t *Txn, g GranuleID) {}
 

@@ -70,6 +70,35 @@ func afterUnlock(m *dgl.Manager, txn *dgl.Txn, latch *sync.Mutex) {
 	_ = m.Acquire(txn, treeGranule, dgl.X, 0)
 }
 
+// tryUnderSharedLatch is the optimistic lock cycle: the whole set is
+// tried under the shared latch, and waited for only once the latch is
+// dropped. Not flagged.
+func tryUnderSharedLatch(m *dgl.Manager, txn *dgl.Txn, latch *sync.RWMutex, reqs []dgl.Req) bool {
+	latch.RLock()
+	if m.TryAcquireAll(txn, reqs) {
+		return true
+	}
+	latch.RUnlock()
+	_ = m.Acquire(txn, treeGranule, dgl.IX, 0)
+	return false
+}
+
+// tryUnderExclusiveLatch never waits either. Not flagged.
+func tryUnderExclusiveLatch(m *dgl.Manager, txn *dgl.Txn, latch *sync.RWMutex, reqs []dgl.Req) {
+	latch.Lock()
+	_ = m.TryAcquireAll(txn, reqs)
+	latch.Unlock()
+}
+
+// acquireUnderSharedLatch is the cycle with the try swapped for a wait: a
+// reader asleep in a granule queue holds up the exclusive section the
+// granule's holder is about to enter.
+func acquireUnderSharedLatch(m *dgl.Manager, txn *dgl.Txn, latch *sync.RWMutex) {
+	latch.RLock()
+	_ = m.Acquire(txn, treeGranule, dgl.IX, 0) // want `granule lock waited for while holding the shared latch`
+	latch.RUnlock()
+}
+
 // lockCells is a same-package helper: its interprocedural summary
 // carries the cell tier to every call site.
 func lockCells(m *dgl.Manager, txn *dgl.Txn, cells []dgl.GranuleID) {
@@ -91,6 +120,14 @@ func helperUnderLatch(m *dgl.Manager, txn *dgl.Txn, cells []dgl.GranuleID, latch
 	latch.Lock()
 	lockCells(m, txn, cells) // want `granule lock acquired by the called helper while holding the exclusive latch`
 	latch.Unlock()
+}
+
+// helperUnderSharedLatch is the same wait behind a call, under the
+// shared latch.
+func helperUnderSharedLatch(m *dgl.Manager, txn *dgl.Txn, cells []dgl.GranuleID, latch *sync.RWMutex) {
+	latch.RLock()
+	lockCells(m, txn, cells) // want `granule lock waited for by the called helper while holding the shared latch`
+	latch.RUnlock()
 }
 
 // helperCanonical calls the helper in protocol order. Not flagged.

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"burtree/internal/buffer"
 	"burtree/internal/geom"
@@ -375,62 +377,268 @@ func TestModelAgainstMapSummary(t *testing.T) {
 }
 
 // TestReadersRaceWriter runs every read accessor from several goroutines
-// while the tree's single writer grows and shrinks it — the table grows
-// and the level arrays are appended to and swap-deleted under them. The
-// race detector is the judge; the answers only have to be well-formed.
+// while a single writer changes the structure under them. In the first
+// leg the writer is a tree that grows and shrinks — the table grows and
+// the level arrays are appended to and swap-deleted — and the race
+// detector is the judge: the answers only have to be well-formed. In the
+// second the writer is the test itself and every answer is checked: each
+// node alternates between two known rectangles, each leaf between two
+// known parents and two known counts, some page ids between the leaf and
+// the internal role, and the table grows chunk by chunk all the while, so
+// a reader that saw half of a write, or lost one to the table's growth,
+// holds a value nobody ever stored.
 func TestReadersRaceWriter(t *testing.T) {
-	tr, s := newTrackedTree(t, 512, rtree.Config{})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(r)))
-			var buf []pagestore.PageID
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	t.Run("tree", func(t *testing.T) {
+		tr, s := newTrackedTree(t, 512, rtree.Config{})
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(r)))
+				var buf []pagestore.PageID
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					id := pagestore.PageID(rng.Intn(400))
+					s.ParentOf(id)
+					s.MBROf(id)
+					s.IsLeafFull(id)
+					s.LeafCount(id)
+					s.RootMBR()
+					s.Counts()
+					s.SizeBytes()
+					buf = s.OverlappingAtLevel(1, geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.7, MaxY: 0.7}, buf[:0])
+					// The chain may be cut mid-restructuring; an error is fine.
+					if res, err := s.FindParent(id, pt(rng), 8); err == nil && len(res.PathAbove()) > maxPath {
+						t.Errorf("PathAbove of %d entries", len(res.PathAbove()))
+						return
+					}
 				}
-				id := pagestore.PageID(rng.Intn(400))
-				s.ParentOf(id)
-				s.MBROf(id)
-				s.IsLeafFull(id)
-				s.LeafCount(id)
-				s.RootMBR()
-				s.Counts()
-				s.SizeBytes()
-				buf = s.OverlappingAtLevel(1, geom.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.7, MaxY: 0.7}, buf[:0])
-				// The chain may be cut mid-restructuring; an error is fine.
-				if res, err := s.FindParent(id, pt(rng), 8); err == nil && len(res.PathAbove()) > maxPath {
-					t.Errorf("PathAbove of %d entries", len(res.PathAbove()))
-					return
+			}(r)
+		}
+		rng := rand.New(rand.NewSource(99))
+		rects := map[rtree.OID]geom.Rect{}
+		for wave := 0; wave < 2; wave++ {
+			for i := 0; i < 1500; i++ {
+				oid := rtree.OID(wave*10000 + i)
+				rects[oid] = geom.RectFromPoint(pt(rng))
+				if err := tr.Insert(oid, rects[oid]); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}(r)
-	}
-	rng := rand.New(rand.NewSource(99))
-	rects := map[rtree.OID]geom.Rect{}
-	for wave := 0; wave < 2; wave++ {
-		for i := 0; i < 1500; i++ {
-			oid := rtree.OID(wave*10000 + i)
-			rects[oid] = geom.RectFromPoint(pt(rng))
-			if err := tr.Insert(oid, rects[oid]); err != nil {
-				t.Fatal(err)
+			for oid, r := range rects {
+				if err := tr.Delete(oid, r); err != nil {
+					t.Fatal(err)
+				}
+				delete(rects, oid)
 			}
 		}
-		for oid, r := range rects {
-			if err := tr.Delete(oid, r); err != nil {
-				t.Fatal(err)
-			}
-			delete(rects, oid)
+		close(stop)
+		wg.Wait()
+		if err := s.Validate(tr); err != nil {
+			t.Fatal(err)
 		}
-	}
-	close(stop)
-	wg.Wait()
-	if err := s.Validate(tr); err != nil {
-		t.Fatal(err)
+	})
+
+	t.Run("known values", func(t *testing.T) {
+		// Page 1 is the root, at level 2. The ids from 16 on come in groups
+		// of 16: two level-1 nodes, eight leaves that change hands between
+		// the two, and one id that is a leaf, then nothing, then a level-1
+		// node, then nothing again. No coordinate of one rectangle occurs in
+		// the other, and no count of one kind in the other.
+		const (
+			root      = pagestore.PageID(1)
+			groups    = 5 * growStep / 16 // five chunks' worth of ids
+			leavesPer = 8
+			rounds    = groups + groups/2 // at least
+		)
+		rectOf := [2]geom.Rect{{MinX: 0.1, MinY: 0.2, MaxX: 0.6, MaxY: 0.7}, {MinX: 0.3, MinY: 0.4, MaxX: 0.8, MaxY: 0.9}}
+		countOf := [2]int{3, 7}
+		inside := geom.Point{X: 0.5, Y: 0.5} // in both rectangles
+		base := func(g int) pagestore.PageID { return pagestore.PageID(16 + 16*g) }
+		known := func(r geom.Rect) bool { return r == rectOf[0] || r == rectOf[1] }
+
+		s := New(8)
+		var active atomic.Int64 // groups the writer has reached: ids below base(active) may be anything
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(r)))
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if mbr, ok := s.RootMBR(); ok && !known(mbr) {
+						t.Errorf("RootMBR = %v, which nobody stored", mbr)
+						return
+					}
+					// Half the probes go to the groups already there, half
+					// anywhere up to the table's final size and a little beyond.
+					g := rng.Intn(groups + 2)
+					if n := int(active.Load()); n > 0 && rng.Intn(2) == 0 {
+						g = rng.Intn(n)
+					}
+					off := pagestore.PageID(rng.Intn(11))
+					id, pa, pb := base(g)+off, base(g), base(g)+1
+					mbr, isNode := s.MBROf(id)
+					parent, hasParent := s.ParentOf(id)
+					count, isLeaf := s.LeafCount(id)
+					full := s.IsLeafFull(id)
+					if isNode && !known(mbr) {
+						t.Errorf("MBROf(%d) = %v, which nobody stored", id, mbr)
+						return
+					}
+					if isLeaf && count != countOf[0] && count != countOf[1] {
+						t.Errorf("LeafCount(%d) = %d, which nobody stored", id, count)
+						return
+					}
+					switch {
+					case off < 2: // a level-1 node: below the root or not linked yet
+						if isLeaf || !full || hasParent && parent != root {
+							t.Errorf("node %d: leaf=%v full=%v parent=%d,%v", id, isLeaf, full, parent, hasParent)
+							return
+						}
+					case off < 2+leavesPer: // a leaf: below one of its two parents
+						if isNode || hasParent && parent != pa && parent != pb {
+							t.Errorf("leaf %d: node=%v parent=%d,%v, want %d or %d", id, isNode, parent, hasParent, pa, pb)
+							return
+						}
+						res, err := s.FindParent(id, inside, 8)
+						if err == nil && res.Ancestor != pa && res.Ancestor != pb && res.Ancestor != root {
+							t.Errorf("FindParent(%d) = node %d at level %d, want %d, %d or the root", id, res.Ancestor, res.Level, pa, pb)
+							return
+						}
+					default: // the id that changes roles: never anybody's child
+						if hasParent || isLeaf && count != countOf[0] {
+							t.Errorf("recycled id %d: parent=%d,%v count=%d,%v", id, parent, hasParent, count, isLeaf)
+							return
+						}
+					}
+				}
+			}(r)
+		}
+
+		s.RootChanged(root, 3)
+		var below []pagestore.PageID // the root's children
+		leaves := make([]pagestore.PageID, leavesPer)
+		// Every group is in after groups rounds; the writer then keeps the
+		// values changing for a while longer, always ending on a full round.
+		last := 0
+		for deadline := time.Now().Add(200 * time.Millisecond); !t.Failed() && (last < rounds || time.Now().Before(deadline)); last++ {
+			round := last
+			// One more group per round until all are in, so the table keeps
+			// growing while the groups already there keep changing.
+			n := min(round+1, groups)
+			if n > len(below)/2 {
+				below = append(below, base(n-1), base(n-1)+1)
+			}
+			for g := 0; g < n; g++ {
+				turn := (round + g) % 2
+				rect := rectOf[turn]
+				winner, loser := base(g)+pagestore.PageID(turn), base(g)+pagestore.PageID(1-turn)
+				for i := range leaves {
+					leaves[i] = base(g) + 2 + pagestore.PageID(i)
+					s.NodeWritten(leaves[i], 0, geom.Rect{}, nil, countOf[turn])
+				}
+				s.NodeWritten(loser, 1, rect, nil, 0)
+				s.NodeWritten(winner, 1, rect, leaves, leavesPer)
+				switch x := base(g) + 2 + leavesPer; (round + g) % 4 {
+				case 0:
+					s.NodeWritten(x, 0, geom.Rect{}, nil, countOf[0])
+				case 1:
+					s.NodeFreed(x, 0)
+				case 2:
+					s.NodeWritten(x, 1, rect, nil, 0)
+				case 3:
+					s.NodeFreed(x, 1)
+				}
+				// The root, which every reader asks about every time, changes
+				// rectangles with every group.
+				s.NodeWritten(root, 2, rect, below, len(below))
+			}
+			active.Store(int64(n))
+		}
+		close(stop)
+		wg.Wait()
+		if t.Failed() {
+			return // the writer stopped where a reader failed
+		}
+		s.mu.RLock()
+		err := s.validateLevels()
+		s.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Quiescent, every answer is the last one written.
+		for g := 0; g < groups; g++ {
+			turn := (last - 1 + g) % 2
+			winner := base(g) + pagestore.PageID(turn)
+			if mbr, ok := s.MBROf(winner); !ok || mbr != rectOf[turn] {
+				t.Fatalf("MBROf(%d) = %v,%v after the run, want %v", winner, mbr, ok, rectOf[turn])
+			}
+			for i := 0; i < leavesPer; i++ {
+				leaf := base(g) + 2 + pagestore.PageID(i)
+				if p, ok := s.ParentOf(leaf); !ok || p != winner {
+					t.Fatalf("ParentOf(%d) = %d,%v after the run, want %d", leaf, p, ok, winner)
+				}
+				if c, ok := s.LeafCount(leaf); !ok || c != countOf[turn] {
+					t.Fatalf("LeafCount(%d) = %d,%v after the run, want %d", leaf, c, ok, countOf[turn])
+				}
+			}
+		}
+	})
+}
+
+// TestReadsNeedNoLock: the point reads of the update path return while
+// a writer holds the structure's mutex.
+func TestReadsNeedNoLock(t *testing.T) {
+	s := New(8)
+	wide := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
+	s.RootChanged(5, 2)
+	s.NodeWritten(5, 1, wide, []pagestore.PageID{11, 12}, 2)
+	s.NodeWritten(11, 0, geom.Rect{}, nil, 8)
+	s.NodeWritten(12, 0, geom.Rect{}, nil, 3)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done := make(chan string, 1)
+	go func() {
+		switch {
+		case func() bool { p, ok := s.ParentOf(11); return !ok || p != 5 }():
+			done <- "ParentOf"
+		case func() bool { r, ok := s.MBROf(5); return !ok || r != wide }():
+			done <- "MBROf"
+		case func() bool { r, ok := s.RootMBR(); return !ok || r != wide }():
+			done <- "RootMBR"
+		case !s.IsLeafFull(11) || s.IsLeafFull(12):
+			done <- "IsLeafFull"
+		case func() bool { c, ok := s.LeafCount(12); return !ok || c != 3 }():
+			done <- "LeafCount"
+		case func() bool {
+			res, err := s.FindParent(12, geom.Point{X: 0.5, Y: 0.5}, 1)
+			return err != nil || res.Ancestor != 5
+		}():
+			done <- "FindParent"
+		default:
+			done <- ""
+		}
+	}()
+	select {
+	case wrong := <-done:
+		if wrong != "" {
+			t.Fatalf("%s answered wrongly with the mutex held", wrong)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a point read is waiting for the structure's mutex")
 	}
 }

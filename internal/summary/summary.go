@@ -14,7 +14,8 @@
 // position there, new nodes are appended and a freed node's position is
 // filled from the end, which makes the scan order a function of the
 // operation history alone. The real footprint is 24 bytes per store page
-// plus 40 per internal node; SizeBytes reports the paper's accounting.
+// (plus 8 per 256 for the chunk directory) and 80 per internal node;
+// SizeBytes reports the paper's accounting.
 //
 // The structure is maintained through the rtree.Listener hooks, so its
 // upkeep costs no disk I/O: "We only need to update the direct access
@@ -25,6 +26,27 @@
 // fullness before reading any of them, and (d) answer the internal-level
 // overlap tests of a window query entirely in memory.
 //
+// Locking. The point reads — Root, RootMBR, ParentOf, MBROf, IsLeafFull,
+// LeafCount and FindParent, everything a bottom-up update asks — take no
+// lock: every slot field is one atomic word, a node's MBR is four words
+// under a per-node sequence counter, and a slot never moves once the
+// table has published it (the table is a directory of fixed-size chunks;
+// growing it copies the directory, never a slot, so a store made while
+// it grows cannot be lost). A reader racing a writer sees, for each
+// answer, the value from before or from after the write — a parent, a
+// count or a whole MBR that some event put there, never a mixture — but
+// two answers need not come from the same moment: a FindParent climbing
+// a chain that is being restructured may find it cut and report an
+// error. Callers that need the answers to agree hold the tree's own
+// locks against the writers of the pages they ask about, as the DGL
+// layer does. The hooks serialize among themselves on the structure's
+// mutex, with one exception: a leaf write that only changes the count
+// of a leaf already tracked — every in-leaf move — is a single atomic
+// store and takes no lock either. The level arrays move when they grow
+// and shrink, so OverlappingAtLevel, Counts, SizeBytes, Validate and
+// Rebuild hold the mutex. Events for one page must arrive in order, which
+// the tree's latch and page locks ensure.
+//
 // Page ids reach the hooks from the tree's own allocations. Rebuild is
 // the one place they come from outside — child pointers read from a
 // loaded snapshot — and it checks each against the store's page count
@@ -34,8 +56,11 @@ package summary
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"burtree/internal/geom"
 	"burtree/internal/pagestore"
@@ -43,22 +68,59 @@ import (
 )
 
 // NodeInfo is one direct-access-table entry: the summary of an internal
-// node. Its MBR lives in the level array, at position at.
+// node. Level, Children and at belong to the hooks, under the mutex. The
+// MBR is kept twice: in the level array, at position at, for the scans,
+// and here for the point reads, which take no lock — the coordinates'
+// bits in four atomic words, and around them a sequence counter that is
+// odd while a write is between the first word and the last.
 type NodeInfo struct {
 	Page     pagestore.PageID
 	Level    int
 	Children []pagestore.PageID
 
 	at int // index of the node's entry in levels[Level]
+
+	seq atomic.Uint32
+	mbr [4]atomic.Uint64
 }
 
-// slot is what the table records for one page id. The zero slot is a
-// page the summary knows nothing about.
+// storeMBR publishes r to the lock-free readers. Caller holds the mutex.
+func (n *NodeInfo) storeMBR(r geom.Rect) {
+	n.seq.Add(1)
+	n.mbr[0].Store(math.Float64bits(r.MinX))
+	n.mbr[1].Store(math.Float64bits(r.MinY))
+	n.mbr[2].Store(math.Float64bits(r.MaxX))
+	n.mbr[3].Store(math.Float64bits(r.MaxY))
+	n.seq.Add(1)
+}
+
+// loadMBR returns an MBR some write stored whole: the four words are
+// read again when the counter moved, or stood odd, while they were read.
+// A write is four stores long, so the reader yields instead of spinning
+// only for the case that the writer lost its processor in the middle.
+func (n *NodeInfo) loadMBR() geom.Rect {
+	for {
+		if seq := n.seq.Load(); seq&1 == 0 {
+			r := geom.Rect{
+				MinX: math.Float64frombits(n.mbr[0].Load()),
+				MinY: math.Float64frombits(n.mbr[1].Load()),
+				MaxX: math.Float64frombits(n.mbr[2].Load()),
+				MaxY: math.Float64frombits(n.mbr[3].Load()),
+			}
+			if n.seq.Load() == seq {
+				return r
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
+// slot is what the table records for one page id, each field one atomic
+// word. The zero slot is a page the summary knows nothing about.
 type slot struct {
-	parent pagestore.PageID // InvalidPage: none recorded
-	info   *NodeInfo        // non-nil: the page is an internal node
-	count  int32            // entry count of a tracked leaf
-	leaf   bool             // the page is a tracked leaf
+	parent atomic.Uint64            // a pagestore.PageID; InvalidPage: none recorded
+	info   atomic.Pointer[NodeInfo] // non-nil: the page is an internal node
+	fill   atomic.Int32             // entry count of a tracked leaf, plus one; 0: not a tracked leaf
 }
 
 // levelEntry is one internal node in its level's scan array.
@@ -67,22 +129,33 @@ type levelEntry struct {
 	page pagestore.PageID
 }
 
-// growStep is how many slots the table grows beyond the page id that
-// outgrew it. Ids arrive in allocation order, so the table tracks the
-// store's size to within this constant instead of doubling past it.
+// growStep is the number of slots in a chunk, the unit the table grows
+// by. Ids arrive in allocation order, so the table tracks the store's
+// size to within this constant instead of doubling past it.
 const growStep = 256
 
+// chunk is growStep consecutive slots. A chunk is allocated once and
+// never copied, so a pointer into it stays good for the life of the
+// table.
+type chunk [growStep]slot
+
+// rootState is the root page with the height that goes with it.
+type rootState struct {
+	page   pagestore.PageID
+	height int
+}
+
 // Structure is the main-memory summary. It is safe for concurrent use;
-// the throughput experiment updates it from many goroutines.
+// the throughput experiment updates it from many goroutines. The package
+// comment says which calls take the mutex.
 type Structure struct {
 	mu sync.RWMutex
 
 	maxLeafEntries int
 
-	root   pagestore.PageID
-	height int
+	root  atomic.Pointer[rootState] // nil: no root recorded yet
+	table atomic.Pointer[[]*chunk]  // the chunk directory, indexed by page id / growStep; replaced, never changed, when it grows
 
-	table  []slot         // indexed by page id
 	levels [][]levelEntry // indexed by level; levels[0] stays empty
 	leaves int            // tracked leaves: the length of the paper's bit vector
 }
@@ -97,50 +170,76 @@ func New(maxLeafEntries int) *Structure {
 
 // at returns the slot of page id, nil when the id lies beyond the table.
 func (s *Structure) at(id pagestore.PageID) *slot {
-	if uint64(id) < uint64(len(s.table)) {
-		return &s.table[id]
+	if dir := s.table.Load(); dir != nil {
+		if i := uint64(id) / growStep; i < uint64(len(*dir)) {
+			return &(*dir)[i][uint64(id)%growStep]
+		}
 	}
 	return nil
 }
 
-// cover grows the table to hold page id.
-func (s *Structure) cover(id pagestore.PageID) {
-	if uint64(id) < uint64(len(s.table)) {
-		return
+// cover returns the slot of page id, growing the table to hold it: the
+// directory is copied and extended with fresh chunks, the chunks it
+// already names stay where they are. Caller holds the mutex.
+func (s *Structure) cover(id pagestore.PageID) *slot {
+	if sl := s.at(id); sl != nil {
+		return sl
 	}
-	t := make([]slot, int(id)+1+growStep)
-	copy(t, s.table)
-	s.table = t
+	var old []*chunk
+	if dir := s.table.Load(); dir != nil {
+		old = *dir
+	}
+	grown := make([]*chunk, uint64(id)/growStep+1)
+	for i := copy(grown, old); i < len(grown); i++ {
+		grown[i] = new(chunk)
+	}
+	s.table.Store(&grown)
+	return &grown[uint64(id)/growStep][uint64(id)%growStep]
 }
 
 // NodeWritten maintains the table and bit vector (rtree.Listener).
 //
 //burlint:hotpath
 func (s *Structure) NodeWritten(page pagestore.PageID, level int, self geom.Rect, children []pagestore.PageID, count int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cover(page)
-	sl := &s.table[page]
 	if level == 0 {
-		if !sl.leaf {
-			sl.leaf = true
+		// A write to a leaf the table already tracks — every in-leaf move —
+		// changes one word.
+		if sl := s.at(page); sl != nil && sl.fill.Load() != 0 {
+			sl.fill.Store(int32(count) + 1)
+			return
+		}
+		s.mu.Lock()
+		sl := s.cover(page)
+		if sl.fill.Load() == 0 {
 			s.leaves++
 		}
-		sl.count = int32(count)
+		sl.fill.Store(int32(count) + 1)
+		s.mu.Unlock()
 		return
 	}
-	info := sl.info
-	if info == nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sl := s.cover(page)
+	info := sl.info.Load()
+	created := info == nil
+	entered := created // new to its level's array: its MBR there is yet to be written
+	if created {
 		info = &NodeInfo{Page: page, Level: level}
-		sl.info = info
 		s.enterLevel(info)
 	} else if info.Level != level {
 		// A recycled page id changed roles; evict from the old level.
 		s.leaveLevel(info)
 		info.Level = level
 		s.enterLevel(info)
+		entered = true
 	}
-	s.levels[level][info.at].mbr = self
+	if e := &s.levels[level][info.at]; entered || e.mbr != self {
+		e.mbr = self
+		info.storeMBR(self)
+	}
+	if created {
+		sl.info.Store(info) // published with its MBR in place
+	}
 
 	// An MBR-only write (an extension mirrored in the parent, an
 	// adjustment on the way up) leaves the child list as recorded, and
@@ -160,11 +259,11 @@ func (s *Structure) NodeWritten(page pagestore.PageID, level int, self geom.Rect
 	old := info.Children
 	info.Children = append(info.Children[:0:0], children...)
 	for _, c := range children {
-		s.table[c].parent = page
+		s.at(c).parent.Store(uint64(page))
 	}
 	for _, c := range old {
-		if s.table[c].parent == page && !slices.Contains(children, c) {
-			s.table[c].parent = pagestore.InvalidPage
+		if csl := s.at(c); csl.parent.Load() == uint64(page) && !slices.Contains(children, c) {
+			csl.parent.Store(uint64(pagestore.InvalidPage))
 		}
 	}
 }
@@ -184,7 +283,7 @@ func (s *Structure) leaveLevel(info *NodeInfo) {
 	lvl := s.levels[info.Level]
 	last := lvl[len(lvl)-1]
 	lvl[info.at] = last
-	s.table[last.page].info.at = info.at
+	s.at(last.page).info.Load().at = info.at
 	s.levels[info.Level] = lvl[:len(lvl)-1]
 }
 
@@ -196,22 +295,22 @@ func (s *Structure) NodeFreed(page pagestore.PageID, level int) {
 	if sl == nil {
 		return
 	}
-	sl.parent = pagestore.InvalidPage
+	sl.parent.Store(uint64(pagestore.InvalidPage))
 	if level == 0 {
-		if sl.leaf {
-			sl.leaf, sl.count = false, 0
+		if sl.fill.Load() != 0 {
+			sl.fill.Store(0)
 			s.leaves--
 		}
 		return
 	}
-	if info := sl.info; info != nil {
+	if info := sl.info.Load(); info != nil {
 		for _, c := range info.Children {
-			if s.table[c].parent == page {
-				s.table[c].parent = pagestore.InvalidPage
+			if csl := s.at(c); csl.parent.Load() == uint64(page) {
+				csl.parent.Store(uint64(pagestore.InvalidPage))
 			}
 		}
 		s.leaveLevel(info)
-		sl.info = nil
+		sl.info.Store(nil)
 	}
 }
 
@@ -219,10 +318,9 @@ func (s *Structure) NodeFreed(page pagestore.PageID, level int) {
 func (s *Structure) RootChanged(root pagestore.PageID, height int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.root = root
-	s.height = height
+	s.root.Store(&rootState{root, height})
 	if sl := s.at(root); sl != nil {
-		sl.parent = pagestore.InvalidPage
+		sl.parent.Store(uint64(pagestore.InvalidPage))
 	}
 }
 
@@ -232,67 +330,71 @@ func (s *Structure) DataPlaced(oid rtree.OID, leaf pagestore.PageID) {}
 // DataRemoved is a no-op.
 func (s *Structure) DataRemoved(oid rtree.OID) {}
 
+// rootNow returns the recorded root and height: no page, height 0,
+// before the first RootChanged.
+func (s *Structure) rootNow() rootState {
+	if r := s.root.Load(); r != nil {
+		return *r
+	}
+	return rootState{}
+}
+
 // Root returns the current root page and tree height.
 func (s *Structure) Root() (pagestore.PageID, int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.root, s.height
-}
-
-// mbrOf returns the table MBR of internal node page.
-func (s *Structure) mbrOf(page pagestore.PageID) (geom.Rect, bool) {
-	if sl := s.at(page); sl != nil && sl.info != nil {
-		return s.levels[sl.info.Level][sl.info.at].mbr, true
-	}
-	return geom.Rect{}, false
-}
-
-// parentOf returns the recorded parent of node.
-func (s *Structure) parentOf(node pagestore.PageID) (pagestore.PageID, bool) {
-	if sl := s.at(node); sl != nil && sl.parent != pagestore.InvalidPage {
-		return sl.parent, true
-	}
-	return pagestore.InvalidPage, false
+	r := s.rootNow()
+	return r.page, r.height
 }
 
 // RootMBR returns the MBR of the root node without disk access. For a
 // leaf root (height 1) the table has no entry and ok is false; GBU then
 // falls back to reading the root, which is a single page anyway.
+//
+//burlint:hotpath
 func (s *Structure) RootMBR() (geom.Rect, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.mbrOf(s.root)
+	return s.MBROf(s.rootNow().page)
 }
 
 // ParentOf returns the parent page of node, resolved entirely in memory.
+//
+//burlint:hotpath
 func (s *Structure) ParentOf(node pagestore.PageID) (pagestore.PageID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.parentOf(node)
+	if sl := s.at(node); sl != nil {
+		if parent := pagestore.PageID(sl.parent.Load()); parent != pagestore.InvalidPage {
+			return parent, true
+		}
+	}
+	return pagestore.InvalidPage, false
 }
 
 // MBROf returns the table MBR of an internal node.
+//
+//burlint:hotpath
 func (s *Structure) MBROf(page pagestore.PageID) (geom.Rect, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.mbrOf(page)
+	if sl := s.at(page); sl != nil {
+		if info := sl.info.Load(); info != nil {
+			return info.loadMBR(), true
+		}
+	}
+	return geom.Rect{}, false
 }
 
 // IsLeafFull consults the bit vector; a missing leaf reads as full so
 // that a stale sibling candidate is never chosen.
+//
+//burlint:hotpath
 func (s *Structure) IsLeafFull(page pagestore.PageID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sl := s.at(page)
-	return sl == nil || !sl.leaf || int(sl.count) >= s.maxLeafEntries
+	count, ok := s.LeafCount(page)
+	return !ok || count >= s.maxLeafEntries
 }
 
 // LeafCount returns the recorded entry count of a leaf.
+//
+//burlint:hotpath
 func (s *Structure) LeafCount(page pagestore.PageID) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if sl := s.at(page); sl != nil && sl.leaf {
-		return int(sl.count), true
+	if sl := s.at(page); sl != nil {
+		if fill := sl.fill.Load(); fill != 0 {
+			return int(fill) - 1, true
+		}
 	}
 	return 0, false
 }
@@ -330,18 +432,17 @@ func (r *FindParentResult) PathAbove() []pagestore.PageID { return r.path[:r.abo
 //
 //burlint:hotpath
 func (s *Structure) FindParent(leaf pagestore.PageID, p geom.Point, maxLevel int) (FindParentResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.root == pagestore.InvalidPage {
+	root := s.rootNow()
+	if root.page == pagestore.InvalidPage {
 		return FindParentResult{}, fmt.Errorf("summary: FindParent on empty tree")
 	}
-	atRoot := FindParentResult{Ancestor: s.root, Level: s.height - 1}
+	atRoot := FindParentResult{Ancestor: root.page, Level: root.height - 1}
 	// Climb to the root: up[0] is the leaf's parent (level 1), up[n-1]
 	// the root.
 	var up [maxPath]pagestore.PageID
 	n := 0
-	for cur := leaf; cur != s.root; n++ {
-		par, ok := s.parentOf(cur)
+	for cur := leaf; cur != root.page; n++ {
+		par, ok := s.ParentOf(cur)
 		if !ok {
 			return FindParentResult{}, fmt.Errorf("summary: no parent recorded for page %d", cur)
 		}
@@ -351,7 +452,7 @@ func (s *Structure) FindParent(leaf pagestore.PageID, p geom.Point, maxLevel int
 		up[n], cur = par, par
 	}
 	for i := 0; i < n && i < maxLevel; i++ {
-		mbr, ok := s.mbrOf(up[i])
+		mbr, ok := s.MBROf(up[i])
 		if !ok {
 			return FindParentResult{}, fmt.Errorf("summary: internal node %d missing from table", up[i])
 		}
@@ -413,7 +514,7 @@ func (s *Structure) SizeBytes() int {
 	bytes := 0
 	for _, lvl := range s.levels {
 		for _, e := range lvl {
-			bytes += 8 /*page*/ + 2 /*level*/ + 32 /*MBR*/ + 8*len(s.table[e.page].info.Children)
+			bytes += 8 /*page*/ + 2 /*level*/ + 32 /*MBR*/ + 8*len(s.at(e.page).info.Load().Children)
 		}
 	}
 	bytes += (s.leaves + 7) / 8 // bit vector
@@ -429,8 +530,8 @@ func (s *Structure) SizeBytes() int {
 func (s *Structure) Validate(t *rtree.Tree) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if t.Root() != s.root || t.Height() != s.height {
-		return fmt.Errorf("summary: root/height (%d,%d) != tree (%d,%d)", s.root, s.height, t.Root(), t.Height())
+	if root := s.rootNow(); t.Root() != root.page || t.Height() != root.height {
+		return fmt.Errorf("summary: root/height (%d,%d) != tree (%d,%d)", root.page, root.height, t.Root(), t.Height())
 	}
 	if err := s.validateLevels(); err != nil {
 		return err
@@ -450,7 +551,7 @@ func (s *Structure) Validate(t *rtree.Tree) error {
 			return err
 		}
 		if parent != pagestore.InvalidPage {
-			if got, ok := s.parentOf(page); !ok || got != parent {
+			if got, ok := s.ParentOf(page); !ok || got != parent {
 				return fmt.Errorf("summary: parent of %d = %d (ok=%v), want %d", page, got, ok, parent)
 			}
 		}
@@ -460,21 +561,21 @@ func (s *Structure) Validate(t *rtree.Tree) error {
 		}
 		if n.IsLeaf() {
 			seenLeaves++
-			if !sl.leaf || int(sl.count) != len(n.Entries) {
-				return fmt.Errorf("summary: leaf %d count = %d (tracked=%v), want %d", page, sl.count, sl.leaf, len(n.Entries))
+			if count, tracked := s.LeafCount(page); !tracked || count != len(n.Entries) {
+				return fmt.Errorf("summary: leaf %d count = %d (tracked=%v), want %d", page, count, tracked, len(n.Entries))
 			}
 			return nil
 		}
 		seenInternal++
-		info := sl.info
+		info := sl.info.Load()
 		if info == nil {
 			return fmt.Errorf("summary: internal node %d missing", page)
 		}
 		if info.Level != n.Level {
 			return fmt.Errorf("summary: node %d level %d, tree has %d", page, info.Level, n.Level)
 		}
-		if mbr := s.levels[info.Level][info.at].mbr; mbr != n.Self {
-			return fmt.Errorf("summary: node %d MBR %v, tree has %v", page, mbr, n.Self)
+		if mbr := s.levels[info.Level][info.at].mbr; mbr != n.Self || info.loadMBR() != n.Self {
+			return fmt.Errorf("summary: node %d MBR %v in its level's array and %v in its entry, tree has %v", page, mbr, info.loadMBR(), n.Self)
 		}
 		if len(info.Children) != len(n.Entries) {
 			return fmt.Errorf("summary: node %d has %d children, tree has %d", page, len(info.Children), len(n.Entries))
@@ -507,17 +608,20 @@ func (s *Structure) Validate(t *rtree.Tree) error {
 // table's leaves.
 func (s *Structure) validateLevels() error {
 	internal, leaves := 0, 0
-	for id := range s.table {
-		sl := &s.table[id]
-		if sl.leaf {
+	for id := pagestore.PageID(0); ; id++ {
+		sl := s.at(id)
+		if sl == nil {
+			break
+		}
+		if sl.fill.Load() != 0 {
 			leaves++
 		}
-		info := sl.info
+		info := sl.info.Load()
 		if info == nil {
 			continue
 		}
 		internal++
-		if info.Page != pagestore.PageID(id) {
+		if info.Page != id {
 			return fmt.Errorf("summary: slot %d holds the entry of node %d", id, info.Page)
 		}
 		if info.Level <= 0 || info.Level >= len(s.levels) || info.at >= len(s.levels[info.Level]) ||
@@ -549,7 +653,8 @@ func (s *Structure) validateLevels() error {
 func (s *Structure) Rebuild(t *rtree.Tree) error {
 	limit := pagestore.PageID(t.Pool().Store().NumAllocated())
 	s.mu.Lock()
-	s.table = make([]slot, limit+1)
+	s.table.Store(nil)
+	s.cover(limit)
 	s.levels = nil
 	s.leaves = 0
 	s.mu.Unlock()

@@ -692,13 +692,18 @@ func (x *index) Search(q Rect) ([]uint64, error) {
 }
 
 // gather is the multi-shard scatter under Search and Count: every target
-// shard is searched in parallel and the union is returned with duplicate
-// ids dropped. Caller holds the gate shared.
+// shard is searched in parallel — the last on the caller's goroutine,
+// which would otherwise only wait — and the union is returned with
+// duplicate ids dropped. Caller holds the gate shared.
 func (x *index) gather(q Rect, targets []int) ([]uint64, error) {
 	outs := make([][]uint64, len(targets))
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, s := range targets {
+		if i == len(targets)-1 {
+			outs[i], errs[i] = x.readFrom(s).Search(q)
+			break
+		}
 		wg.Add(1)
 		go func(i, s int) {
 			defer wg.Done()
