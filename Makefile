@@ -63,12 +63,19 @@ bench-smoke:
 	$(GO) -C bench test ./...
 
 # loc prints the root package's non-test code lines — no blank and no
-# comment-only lines — per file and for the package: the figure the
-# simplicity PRs report in CHANGES.md.
+# comment-only lines — per file and for the package, then the same count
+# for each internal package the library is built from (what package
+# burtree imports, directly or not: the experiment harness, the workload
+# generator and burlint are not part of it) and the library total: the
+# figures the simplicity PRs report in CHANGES.md.
 loc:
 	@total=0; for f in $$(ls *.go | grep -v '_test\.go$$'); do \
 		n=$$(grep -cvE '^\s*$$|^\s*//' $$f); total=$$((total+n)); printf '%-20s %5d\n' $$f $$n; \
-	done; printf '%-20s %5d\n' 'package burtree' $$total
+	done; printf '%-20s %5d\n' 'package burtree' $$total; \
+	lib=$$total; for p in $$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' . | grep '/internal/' | sort); do \
+		d=$${p#burtree/}; n=$$(cat $$(ls $$d/*.go | grep -v '_test\.go$$') | grep -cvE '^\s*$$|^\s*//'); \
+		lib=$$((lib+n)); printf '%-20s %5d\n' $$d $$n; \
+	done; printf '%-20s %5d\n' 'library' $$lib
 
 fmt:
 	gofmt -w $$(git ls-files '*.go')

@@ -137,14 +137,20 @@ func (s Strategy) kind() (core.Kind, error) {
 //	field              paper  default  used by
 //	Epsilon            ε      0.003    LBU, GBU (MBR enlargement cap)
 //	DistanceThreshold  δ      0.03     GBU (shift-before-extend cutoff)
-//	LevelThreshold     λ      ∞        GBU (max ascent above the leaves)
 //	PageSize           —      1024 B   all (node fanout follows)
-//	ReinsertFraction   —      0.3      all (R*-style forced reinsertion)
+//
+// The rest of the paper's configuration is fixed at its defaults: λ
+// unrestricted (a GBU update ascends as far as it must, Algorithm 3),
+// R*-style forced reinsertion of 30 % of an overflowing node's entries,
+// and Guttman's quadratic split. The λ sweep and the split and
+// reinsertion ablations of the evaluation run below this API.
 type Options struct {
 	// Strategy picks the update algorithm.
 	Strategy Strategy
 	// PageSize is the simulated disk page size in bytes (default 1024,
-	// the paper's setting). Node fanout follows from it.
+	// the paper's setting). Node fanout follows from it; a page too small
+	// for a fanout of 4 is refused (200 bytes is the least, 208 for
+	// LocalizedBottomUp, whose nodes carry a parent pointer).
 	PageSize int
 	// BufferPages is the LRU buffer pool capacity in pages. Zero
 	// disables caching (every access is a disk access).
@@ -161,21 +167,10 @@ type Options struct {
 	// shift before an ε-extension for them, and the reverse for slow
 	// movers (§3.2.1 optimization 2).
 	DistanceThreshold float64
-	// LevelThreshold is the paper's λ parameter: how many levels above
-	// the leaves a GBU update may ascend when the local repair fails
-	// (Algorithm 3). Zero (the default) means unrestricted — ascend as
-	// far as necessary, the paper's recommended setting.
-	LevelThreshold int
 	// ExpectedObjects sizes the secondary object-id hash index of the
 	// bottom-up strategies (default 1024; undersizing costs overflow
 	// pages, not correctness).
 	ExpectedObjects int
-	// ReinsertFraction enables R*-style forced reinsertion on overflow
-	// (default 0.3, matching the paper's "R-tree with reinsertions";
-	// set negative to disable).
-	ReinsertFraction float64
-	// SplitAlgorithm selects the node split (default Guttman quadratic).
-	SplitAlgorithm rtree.SplitAlgorithm
 	// Durability configures the write-ahead log. The zero value keeps
 	// the index volatile (snapshots only); see Durability for the
 	// per-batch and group-commit modes, Checkpoint and Recover.
@@ -215,37 +210,28 @@ type indexParts struct {
 }
 
 // coreOptions converts the public options to the strategy's, applying
-// the zero-value defaults in one place for fresh and restored indexes.
+// the zero-value defaults in one place for fresh and restored indexes,
+// and fixing what Options leaves out at the paper's defaults. It refuses
+// a page the strategy's tree cannot use, before any store is built on it.
 func (opts Options) coreOptions() (core.Options, error) {
 	kind, err := opts.Strategy.kind()
 	if err != nil {
 		return core.Options{}, err
 	}
+	if least := core.MinPageSize(kind); opts.PageSize < least {
+		return core.Options{}, fmt.Errorf("burtree: page size %d below the %v minimum of %d bytes", opts.PageSize, opts.Strategy, least)
+	}
 	expected := opts.ExpectedObjects
 	if expected == 0 {
 		expected = 1024
-	}
-	reinsert := opts.ReinsertFraction
-	if reinsert == 0 {
-		reinsert = 0.3
-	}
-	if reinsert < 0 {
-		reinsert = 0
-	}
-	lvl := opts.LevelThreshold
-	if lvl == 0 {
-		lvl = core.UnrestrictedLevels
 	}
 	return core.Options{
 		Strategy:          kind,
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
-		LevelThreshold:    lvl,
+		LevelThreshold:    core.UnrestrictedLevels,
 		ExpectedObjects:   expected,
-		Tree: rtree.Config{
-			ReinsertFraction: reinsert,
-			Split:            opts.SplitAlgorithm,
-		},
+		Tree:              rtree.Config{ReinsertFraction: 0.3, Split: rtree.SplitQuadratic},
 	}, nil
 }
 

@@ -415,10 +415,9 @@ func TestStatsSurfacePoolEvents(t *testing.T) {
 func TestPublicKnobs(t *testing.T) {
 	want := []string{
 		"Options.Strategy", "Options.PageSize", "Options.BufferPages",
-		"Options.Epsilon", "Options.DistanceThreshold", "Options.LevelThreshold",
-		"Options.ExpectedObjects", "Options.ReinsertFraction", "Options.SplitAlgorithm",
-		"Durability.Mode", "Durability.Dir", "Durability.GroupWindow",
-		"Memtable.Enabled", "Memtable.MaxObjects", "Memtable.MaxAge",
+		"Options.Epsilon", "Options.DistanceThreshold", "Options.ExpectedObjects",
+		"Durability.Mode", "Durability.Dir",
+		"Memtable.Enabled", "Memtable.MaxObjects",
 		"ShardOptions.Shards", "ShardOptions.Partition",
 		"RebalanceOptions.Enabled", "RebalanceOptions.HotFactor", "RebalanceOptions.MaxStep",
 		"RebalanceOptions.MinOps", "RebalanceOptions.Cooldown", "RebalanceOptions.Interval",

@@ -36,14 +36,6 @@ func OpenConcurrent(opts Options) (*ConcurrentIndex, error) {
 	return front[ConcurrentIndex](open(opts, single, kindConcurrent))
 }
 
-// BackgroundPages returns the cumulative physical page accesses
-// incurred by background memtable merge-down drains.
-func (x *ConcurrentIndex) BackgroundPages() uint64 {
-	x.gate.RLock()
-	defer x.gate.RUnlock()
-	return uint64(x.shards[0].io.Background())
-}
-
 // SetIOLatency simulates a per-page-access service time, making
 // throughput figures I/O-bound as on the paper's hardware. Zero disables
 // the simulation.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"time"
 
 	"burtree/internal/wal"
 )
@@ -24,10 +23,11 @@ const (
 	// disk. The durable baseline — every commit pays a device sync.
 	DurabilityBatch
 	// DurabilityGroup enables group commit: concurrent committers
-	// append their records and piggyback on one shared fsync, so the
-	// durable write path stays O(1) amortized per update. When a call
-	// returns, a sync covering its record has completed — the guarantee
-	// is the same as DurabilityBatch, only the syncs are shared.
+	// append their records and piggyback on one shared fsync — those
+	// that arrive while a sync is in flight are covered by the next one —
+	// so the durable write path stays O(1) amortized per update. When a
+	// call returns, a sync covering its record has completed — the
+	// guarantee is the same as DurabilityBatch, only the syncs are shared.
 	DurabilityGroup
 )
 
@@ -63,13 +63,6 @@ type Durability struct {
 	// Dir is where the log segments and the checkpoint snapshot live.
 	// Required when Mode is not DurabilityOff.
 	Dir string
-	// GroupWindow is how long a group-commit sync leader waits for
-	// concurrent committers to pile on before issuing the shared fsync
-	// (DurabilityGroup only). Zero still piggybacks naturally:
-	// committers that arrive while a sync is in flight are covered by
-	// the next one. Larger windows trade commit latency for fewer
-	// device syncs.
-	GroupWindow time.Duration
 }
 
 // enabled reports whether the configuration asks for logging.
@@ -95,10 +88,9 @@ func (d Durability) logOptions(startAfter uint64, nextSeq func() uint64) wal.Opt
 		sync = wal.SyncGroup
 	}
 	return wal.Options{
-		Sync:        sync,
-		GroupWindow: d.GroupWindow,
-		NextSeq:     nextSeq,
-		StartAfter:  startAfter,
+		Sync:       sync,
+		NextSeq:    nextSeq,
+		StartAfter: startAfter,
 	}
 }
 

@@ -211,7 +211,6 @@ func TestRecoverEmptyDirStartsFresh(t *testing.T) {
 func TestDurableConcurrentGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	opts := durableOpts(dir, DurabilityGroup)
-	opts.Durability.GroupWindow = 100 * time.Microsecond
 	idx, err := OpenConcurrent(opts)
 	if err != nil {
 		t.Fatal(err)

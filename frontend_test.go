@@ -22,7 +22,7 @@ func TestFrontEndMethodSets(t *testing.T) {
 		extra string
 	}{
 		{reflect.TypeOf((*Index)(nil)), ""},
-		{reflect.TypeOf((*ConcurrentIndex)(nil)), "BackgroundPages SetIOLatency"},
+		{reflect.TypeOf((*ConcurrentIndex)(nil)), "SetIOLatency"},
 		{reflect.TypeOf((*ShardedIndex)(nil)), "NumShards Partition Rebalance RouterEpoch SetIOLatency SetRebalance ShardLens ShardLoads"},
 	} {
 		want := map[string]bool{}

@@ -229,6 +229,10 @@ func New(pool *buffer.Pool, opts Options) (Updater, error) {
 	}
 }
 
+// MinPageSize is the smallest page the strategy's tree can use; LBU's is
+// larger because New gives its nodes a parent pointer.
+func MinPageSize(k Kind) int { return rtree.MinPageSize(k == LBU) }
+
 // effectiveLevelThreshold decodes the λ encoding in Options.
 func effectiveLevelThreshold(raw, height int) int {
 	switch {

@@ -80,7 +80,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"burtree/internal/geom"
 )
@@ -90,9 +89,6 @@ type Config struct {
 	// MaxObjects is the entry count at which the table asks for a
 	// merge-down.
 	MaxObjects int
-	// MaxAge bounds how long an absorbed update may stay memory-only
-	// before a merge is requested; zero disables the age trigger.
-	MaxAge time.Duration
 }
 
 // Entry is one buffered delta: the latest absorbed state of one object
@@ -196,9 +192,8 @@ type Table struct {
 	mu  sync.Mutex
 	cfg Config
 
-	mut    *generation
-	flush  *generation // non-nil only while a drain is applying
-	oldest time.Time   // arrival time of the mutable generation's first entry
+	mut   *generation
+	flush *generation // non-nil only while a drain is applying
 
 	absorbed   int64
 	merges     int64
@@ -230,15 +225,6 @@ func (t *Table) treeState(id uint64, cur geom.Point, haveCur bool) (inTree bool,
 	return false, geom.Point{}
 }
 
-// begin opens an absorb (caller holds t.mu): it counts the write and
-// stamps the mutable generation's age clock.
-func (t *Table) begin() {
-	t.absorbed++
-	if len(t.mut.ents) == 0 {
-		t.oldest = time.Now()
-	}
-}
-
 // create buffers e as id's first delta in the mutable generation, born
 // now if the tree holds the object and at zero otherwise.
 func (t *Table) create(e Entry) {
@@ -265,7 +251,7 @@ func (t *Table) full() bool {
 func (t *Table) Insert(id uint64, p geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.begin()
+	t.absorbed++
 	if d := t.mut.get(id); d != nil {
 		// A pending tombstone: the tree still holds the object, so the
 		// re-insert becomes a move of the tree-resident copy.
@@ -285,7 +271,7 @@ func (t *Table) Insert(id uint64, p geom.Point) (full bool) {
 func (t *Table) Update(id uint64, p, cur geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.begin()
+	t.absorbed++
 	d := t.mut.get(id)
 	if d != nil && !d.Tombstone {
 		d.Pos = p
@@ -310,7 +296,7 @@ func (t *Table) Update(id uint64, p, cur geom.Point) (full bool) {
 func (t *Table) Delete(id uint64, cur geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.begin()
+	t.absorbed++
 	if d := t.mut.get(id); d != nil {
 		if !d.InTree {
 			t.mut.remove(id)
@@ -342,18 +328,13 @@ func (t *Table) Get(id uint64) (Entry, bool) {
 	return d.Entry, true
 }
 
-// NeedsMerge reports whether the mutable generation has tripped the
-// size or age threshold.
-func (t *Table) NeedsMerge(now time.Time) bool {
+// NeedsMerge reports whether the mutable generation has tripped the size
+// threshold and a merge could take it: never after a failed merge (see
+// Fail).
+func (t *Table) NeedsMerge() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.err != nil {
-		return false // merging is stuck; see Fail
-	}
-	if len(t.mut.ents) == 0 {
-		return false
-	}
-	return t.full() || t.cfg.MaxAge > 0 && now.Sub(t.oldest) >= t.cfg.MaxAge
+	return t.full()
 }
 
 // BeginDrain promotes the mutable generation to draining and returns

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"slices"
 	"testing"
-	"time"
 
 	"burtree/internal/geom"
 )
@@ -131,28 +130,23 @@ func TestDrainLifecycle(t *testing.T) {
 	}
 }
 
+// TestNeedsMerge: the size threshold is the only trigger, and the mutable
+// generation alone counts toward it: promoting it to draining resets the
+// count. The writes' own answers agree with NeedsMerge.
 func TestNeedsMerge(t *testing.T) {
 	tb := New(Config{MaxObjects: 2})
-	now := time.Now()
-	if tb.NeedsMerge(now) {
+	if tb.NeedsMerge() {
 		t.Fatal("empty table should not need a merge")
 	}
-	tb.Insert(1, pt(1, 1))
-	if tb.NeedsMerge(now) {
+	if tb.Insert(1, pt(1, 1)) || tb.NeedsMerge() {
 		t.Fatal("below size threshold")
 	}
-	tb.Insert(2, pt(2, 2))
-	if !tb.NeedsMerge(now) {
+	if !tb.Insert(2, pt(2, 2)) || !tb.NeedsMerge() {
 		t.Fatal("size threshold tripped")
 	}
-
-	aged := New(Config{MaxObjects: 100, MaxAge: time.Millisecond})
-	aged.Insert(1, pt(1, 1))
-	if aged.NeedsMerge(time.Now()) {
-		t.Fatal("age threshold should not trip immediately")
-	}
-	if !aged.NeedsMerge(time.Now().Add(10 * time.Millisecond)) {
-		t.Fatal("age threshold should trip")
+	tb.BeginDrain()
+	if tb.Insert(3, pt(3, 3)) || tb.NeedsMerge() {
+		t.Fatal("the draining generation counted toward the threshold")
 	}
 }
 
@@ -175,7 +169,7 @@ func TestFailIsSticky(t *testing.T) {
 	}
 	// ...and all further merging stops.
 	tb.Insert(2, pt(2, 2))
-	if tb.NeedsMerge(time.Now()) {
+	if tb.NeedsMerge() {
 		t.Fatal("NeedsMerge after Fail")
 	}
 	if tb.BeginDrain() != nil {

@@ -29,8 +29,9 @@ const InvalidPage PageID = 0
 // experiments.
 const DefaultPageSize = 1024
 
-// MinPageSize is the smallest supported page; anything smaller cannot hold
-// a node header plus two entries.
+// MinPageSize is the smallest page the store accepts. It bounds the store
+// alone: a tree needs a larger page to reach its minimum fanout
+// (rtree.MinPageSize), and callers check that before building a store.
 const MinPageSize = 128
 
 var (

@@ -151,7 +151,14 @@ func headerSize(parentPointers bool) int {
 	return baseHeaderSize
 }
 
-// MaxEntriesFor returns the node fanout for a page size and tree mode.
+// MinPageSize returns the smallest page a tree of the given mode can use:
+// one whose fanout reaches minFanoutForPage under the mode's header.
+func MinPageSize(parentPointers bool) int {
+	return headerSize(parentPointers) + minFanoutForPage*entrySize
+}
+
+// MaxEntriesFor returns the node fanout for a page size and tree mode. It
+// panics below MinPageSize.
 func MaxEntriesFor(pageSize int, parentPointers bool) int {
 	m := (pageSize - headerSize(parentPointers)) / entrySize
 	if m < minFanoutForPage {

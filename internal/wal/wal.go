@@ -22,10 +22,11 @@
 //   - SyncEach fsyncs every append before returning — one device sync
 //     per batch, the durable baseline.
 //   - SyncGroup implements group commit: an appender publishes its
-//     record and waits; one committer becomes the sync leader, waits
-//     GroupWindow for followers to pile on, then issues a single fsync
-//     covering every record appended so far. Concurrent committers
-//     piggyback on one device sync, which is what keeps the durable
+//     record and waits; one committer becomes the sync leader and issues
+//     a single fsync covering every record appended so far. Committers
+//     that append while that sync is in flight are covered by the next
+//     one, so concurrent committers piggyback on one device sync without
+//     the leader ever waiting for them, which is what keeps the durable
 //     write path O(1) amortized per update.
 //
 // The reader replays the longest valid prefix: a torn or corrupt record
@@ -89,11 +90,6 @@ const (
 type Options struct {
 	// Sync is the commit policy.
 	Sync SyncPolicy
-	// GroupWindow is how long a group-commit sync leader waits for
-	// followers to accumulate before issuing the fsync. Zero still
-	// piggybacks naturally: committers that append while a sync is in
-	// flight are covered by the next one.
-	GroupWindow time.Duration
 	// SegmentBytes caps a segment file; the log rotates past it
 	// (default 16 MiB).
 	SegmentBytes int64
@@ -508,14 +504,10 @@ func (l *Log) waitSynced(target int64) error {
 	return err
 }
 
-// syncRound is one group-commit sync: wait the accumulation window,
-// snapshot the appended extent, fsync, and publish the new durable
-// horizon. Caller holds the gc.syncing leadership flag (not the
-// mutexes).
+// syncRound is one group-commit sync: snapshot the appended extent,
+// fsync, and publish the new durable horizon. Caller holds the
+// gc.syncing leadership flag (not the mutexes).
 func (l *Log) syncRound() {
-	if w := l.opts.GroupWindow; w > 0 {
-		time.Sleep(w) // accumulate followers
-	}
 	l.mu.Lock()
 	f := l.f
 	covered := l.appended

@@ -223,7 +223,7 @@ func TestStartAfterFloorsSequences(t *testing.T) {
 
 func TestGroupCommitConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncGroup, GroupWindow: 200 * time.Microsecond})
+	l, err := Open(dir, Options{Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func TestAppendAsyncSyncEachIsSynchronous(t *testing.T) {
 // once its own record is covered.
 func TestAppendAsyncMixedWithSyncWaiters(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: SyncGroup, GroupWindow: 100 * time.Microsecond})
+	l, err := Open(dir, Options{Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}

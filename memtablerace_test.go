@@ -11,7 +11,8 @@ import (
 // Race stress for the memtable tier: concurrent writers (single
 // updates and batches on disjoint id ranges), readers (window, k-NN
 // and count queries) and a checkpointer all run against a durable,
-// memtable-enabled index while the background merger drains — the test
+// memtable-enabled index while the background merger drains, kicked by
+// the writers' size trips — the test
 // exists to be run under -race, and finishes with an invariant check
 // plus an exact per-object position check against each writer's last
 // write.
@@ -30,6 +31,7 @@ type raceFrontEnd interface {
 	Location(id uint64) (Point, bool)
 	Len() int
 	Close() error
+	stats() (Stats, []ConcurrencyStats)
 }
 
 func memtableStress(t *testing.T, idx raceFrontEnd) {
@@ -166,6 +168,12 @@ func memtableStress(t *testing.T, idx raceFrontEnd) {
 		t.Fatal("stress did not finish in time")
 	case <-writerDone:
 	}
+	// The merge-downs the writers tripped ran while the readers did: they
+	// are still running now.
+	if st, _ := idx.stats(); st.Memtable.Merges == 0 {
+		close(stop)
+		t.Fatal("no merge-down ran during the stress")
+	}
 	close(stop)
 	aux.Wait()
 	select {
@@ -202,11 +210,9 @@ func stressOpts(dir string) Options {
 		BufferPages:     64,
 		ExpectedObjects: 2000,
 		Durability:      Durability{Mode: DurabilityBatch, Dir: dir},
-		Memtable: Memtable{
-			Enabled:    true,
-			MaxObjects: 256,
-			MaxAge:     2 * time.Millisecond,
-		},
+		// Small enough that the writers trip a background merge-down every
+		// few dozen writes (every 16 per shard on the sharded index).
+		Memtable: Memtable{Enabled: true, MaxObjects: 64},
 	}
 }
 

@@ -10,7 +10,6 @@ package burtree
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"burtree/internal/core"
 	"burtree/internal/memtable"
@@ -21,10 +20,11 @@ import (
 // ShardedIndex) memory buffer and acknowledged after the write-ahead
 // log append alone — the tree pass they eventually cost is deferred to
 // a merge-down that drains the buffer through the batched bottom-up
-// UpdateBatch pipeline. Merges run when the buffer trips the size or
-// age threshold (in background on ConcurrentIndex and ShardedIndex,
-// inline on the single-writer Index) and synchronously on Checkpoint,
-// Save and Close, so snapshots never depend on buffer contents.
+// UpdateBatch pipeline. A merge runs when a write brings the buffer to
+// MaxObjects (in background on ConcurrentIndex and ShardedIndex, inline
+// on the single-writer Index) and synchronously on Checkpoint, Save and
+// Close, so snapshots never depend on buffer contents. Nothing merges on
+// a timer: a buffer below MaxObjects stays in memory until one of those.
 //
 // Acknowledgement durability depends on the Durability mode. Under
 // DurabilityBatch every log record is fsynced before the call returns,
@@ -58,10 +58,6 @@ type Memtable struct {
 	// MaxObjects is the buffered-delta count that triggers a merge-down
 	// (default 4096). ShardedIndex divides the budget across shards.
 	MaxObjects int
-	// MaxAge bounds how long an absorbed update may stay memory-only
-	// before a merge is triggered; zero (the default) disables the age
-	// trigger, so only MaxObjects schedules merges.
-	MaxAge time.Duration
 }
 
 // withDefaults normalizes the configuration; a disabled tier
@@ -77,7 +73,7 @@ func (m Memtable) withDefaults() Memtable {
 }
 
 func (m Memtable) config() memtable.Config {
-	return memtable.Config{MaxObjects: m.MaxObjects, MaxAge: m.MaxAge}
+	return memtable.Config{MaxObjects: m.MaxObjects}
 }
 
 // MemtableStats reports the delta tier's counters (zero when the tier
@@ -191,27 +187,14 @@ func (m *merger) halt() {
 	})
 }
 
-// run executes drain() whenever kicked — and on a timer when the age
-// trigger is configured, since an aging half-full buffer generates no
-// further kicks — until halted.
-func (m *merger) run(maxAge time.Duration, need func() bool, drain func()) {
+// run executes drain() whenever kicked, until halted.
+func (m *merger) run(need func() bool, drain func()) {
 	defer m.done.Done()
-	var tickC <-chan time.Time
-	if maxAge > 0 {
-		iv := maxAge / 4
-		if iv < time.Millisecond {
-			iv = time.Millisecond
-		}
-		t := time.NewTicker(iv)
-		defer t.Stop()
-		tickC = t.C
-	}
 	for {
 		select {
 		case <-m.stop:
 			return
 		case <-m.trigger:
-		case <-tickC:
 		}
 		if need() {
 			drain()

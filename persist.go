@@ -3,6 +3,7 @@ package burtree
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -36,6 +37,10 @@ var ErrBadSnapshot = errors.New("burtree: not a valid snapshot")
 // structure is main-memory only (as in the paper) and is rebuilt on
 // load. The format is shared by Index and ConcurrentIndex, so a
 // snapshot taken from either can be restored as either.
+//
+// Snapshots written before the λ, reinsertion and split options left
+// Options still carry LevelThreshold, ReinsertFraction and SplitAlgorithm;
+// gob skips stream fields the struct lacks, so the format number stayed.
 type savedIndex struct {
 	Format int // format version
 
@@ -44,10 +49,7 @@ type savedIndex struct {
 	BufferPages       int
 	Epsilon           float64
 	DistanceThreshold float64
-	LevelThreshold    int
 	ExpectedObjects   int
-	ReinsertFraction  float64
-	SplitAlgorithm    int
 
 	Pages [][]byte
 	Freed []uint64
@@ -132,10 +134,7 @@ func (s *treeStack) saveSnapshot(w io.Writer, u core.Updater, objects map[uint64
 		BufferPages:       opts.BufferPages,
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
-		LevelThreshold:    opts.LevelThreshold,
 		ExpectedObjects:   opts.ExpectedObjects,
-		ReinsertFraction:  opts.ReinsertFraction,
-		SplitAlgorithm:    int(opts.SplitAlgorithm),
 		Pages:             pages,
 		Root:              uint64(st.Root),
 		Height:            st.Height,
@@ -255,8 +254,8 @@ func decodeSavedIndex(br *bufio.Reader) (savedIndex, error) {
 	if s.Format != saveFormat {
 		return s, fmt.Errorf("burtree: load: unsupported format %d", s.Format)
 	}
-	if s.PageSize < pagestore.MinPageSize {
-		return s, fmt.Errorf("%w: page size %d below minimum %d", ErrBadSnapshot, s.PageSize, pagestore.MinPageSize)
+	if _, err := s.options().coreOptions(); err != nil {
+		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if s.Size < 0 || s.Height < 0 || s.HashSize < 0 {
 		return s, fmt.Errorf("%w: negative structural counts", ErrBadSnapshot)
@@ -270,21 +269,23 @@ func decodeSavedIndex(br *bufio.Reader) (savedIndex, error) {
 	return s, nil
 }
 
-// buildFromSaved rebuilds the shared machinery from a decoded snapshot:
-// page store, buffer pool, re-attached strategy and object table.
-func buildFromSaved(s savedIndex) (indexParts, map[uint64]Point, error) {
-	var parts indexParts
-	opts := Options{
+// options are the index options the snapshot was saved under.
+func (s savedIndex) options() Options {
+	return Options{
 		Strategy:          s.Strategy,
 		PageSize:          s.PageSize,
 		BufferPages:       s.BufferPages,
 		Epsilon:           s.Epsilon,
 		DistanceThreshold: s.DistanceThreshold,
-		LevelThreshold:    s.LevelThreshold,
 		ExpectedObjects:   s.ExpectedObjects,
-		ReinsertFraction:  s.ReinsertFraction,
-		SplitAlgorithm:    rtree.SplitAlgorithm(s.SplitAlgorithm),
 	}
+}
+
+// buildFromSaved rebuilds the shared machinery from a decoded snapshot:
+// page store, buffer pool, re-attached strategy and object table.
+func buildFromSaved(s savedIndex) (indexParts, map[uint64]Point, error) {
+	var parts indexParts
+	opts := s.options()
 	co, err := opts.coreOptions()
 	if err != nil {
 		return parts, nil, fmt.Errorf("burtree: load: %w", err)
@@ -339,6 +340,13 @@ func decodeSavedSharded(br *bufio.Reader) (savedSharded, error) {
 		if c < 0 {
 			return s, fmt.Errorf("%w: shard %d declares negative object count %d", ErrBadSnapshot, i, c)
 		}
+	}
+	// Load opens a fresh index under these options, so refuse them here as
+	// outside input rather than there.
+	o := s.Options
+	o.PageSize = cmp.Or(o.PageSize, pagestore.DefaultPageSize)
+	if _, err := o.coreOptions(); err != nil {
+		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	// Loaders are not log- or memtable-aware: drop any durability or
 	// delta-tier config the manifest carried (Recover re-attaches logs and
@@ -528,6 +536,14 @@ func front[T Index | ConcurrentIndex | ShardedIndex](x *index, err error) (*T, e
 // Load reconstructs an index from a Save snapshot. A single-tree
 // snapshot restores identically to the original; a sharded snapshot is
 // merged into one tree under the manifest's options.
+//
+// A snapshot saved while Options still offered LevelThreshold,
+// ReinsertFraction and SplitAlgorithm loads under their defaults (λ
+// unrestricted, reinsertion 0.3, quadratic split), whatever it was saved
+// with. Those settings only steer future splits and ascents: the tree
+// they built is a valid R-tree and is restored page for page. A page size
+// the strategy's tree cannot use fails with ErrBadSnapshot, as any other
+// malformed input does.
 func Load(r io.Reader) (*Index, error) {
 	return front[Index](load(r, kindIndex))
 }

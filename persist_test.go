@@ -1,12 +1,16 @@
 package burtree
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"time"
+
+	"burtree/internal/rtree"
 )
 
 func buildForPersist(t *testing.T, s Strategy) (*Index, *rand.Rand) {
@@ -32,7 +36,7 @@ func buildForPersist(t *testing.T, s Strategy) (*Index, *rand.Rand) {
 	return x, rng
 }
 
-func queriesMatch(t *testing.T, a, b *Index, rng *rand.Rand, n int) {
+func queriesMatch(t *testing.T, a, b interface{ Search(Rect) ([]uint64, error) }, rng *rand.Rand, n int) {
 	t.Helper()
 	for q := 0; q < n; q++ {
 		cx, cy := rng.Float64(), rng.Float64()
@@ -180,11 +184,79 @@ func TestSaveLoadEmptyIndex(t *testing.T) {
 	}
 }
 
-// The snapshot format did not change when savedIndex lost its
-// DisablePiggyback and DisableSummaryQueries mirrors: gob skips stream
-// fields the receiving struct lacks, so saveFormat stays 1 and a snapshot
-// written before the removal — with both fields set, so the encoder does
-// not omit them as zero values — loads as the same index.
+// legacyOptions is Options as snapshots before the removals carry it:
+// with λ, reinsertion, split, the group-commit window and the memtable age
+// trigger.
+type legacyOptions struct {
+	Strategy          Strategy
+	PageSize          int
+	BufferPages       int
+	Epsilon           float64
+	DistanceThreshold float64
+	LevelThreshold    int
+	ExpectedObjects   int
+	ReinsertFraction  float64
+	SplitAlgorithm    int
+	Durability        legacyDurability
+	Memtable          legacyMemtable
+}
+
+type legacyDurability struct {
+	Mode        DurabilityMode
+	Dir         string
+	GroupWindow time.Duration
+}
+
+type legacyMemtable struct {
+	Enabled    bool
+	MaxObjects int
+	MaxAge     time.Duration
+}
+
+// legacySharded is savedSharded with the legacy Options.
+type legacySharded struct {
+	Format      int
+	Options     legacyOptions
+	Scheme      int
+	Shards      int
+	GridX       int
+	GridY       int
+	Bounds      []uint64
+	Blobs       [][]byte
+	Counts      []int
+	WALSeq      uint64
+	RouterEpoch uint64
+}
+
+// reencode decodes a Save stream into old, lets edit change it, writes it
+// back under the same magic and decodes the result into check, so the
+// caller can assert what the stream really carries.
+func reencode[T any](t *testing.T, saved []byte, magic [8]byte, edit func(*T)) (stream []byte, check T) {
+	t.Helper()
+	var old T
+	if err := gob.NewDecoder(bytes.NewReader(saved[len(magic):])).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	edit(&old)
+	var buf bytes.Buffer
+	if err := writeEnvelope(&buf, magic, &old); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(magic):])).Decode(&check); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), check
+}
+
+// The snapshot formats did not change when option fields left savedIndex
+// (DisablePiggyback and DisableSummaryQueries; then LevelThreshold,
+// ReinsertFraction and SplitAlgorithm) and savedSharded's Options
+// (those three, Durability.GroupWindow and Memtable.MaxAge): gob skips
+// stream fields the receiving struct lacks, so both formats stay 1. A
+// snapshot written before the removals — with every removed field set,
+// so the encoder does not omit it as a zero value — loads as the same
+// index, under the defaults: the tree the old settings built is a valid
+// R-tree.
 func TestLoadSnapshotWithRemovedOptionFields(t *testing.T) {
 	type savedIndexWithKnobs struct {
 		Format int
@@ -216,31 +288,71 @@ func TestLoadSnapshotWithRemovedOptionFields(t *testing.T) {
 		WALSeq uint64
 	}
 	orig, rng := buildForPersist(t, GeneralizedBottomUp)
-	var cur bytes.Buffer
-	if err := orig.Save(&cur); err != nil {
-		t.Fatal(err)
+	loaded := func(t *testing.T, idx interface {
+		Search(Rect) ([]uint64, error)
+		CheckInvariants() error
+		Len() int
+	}, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("loading a snapshot with the removed fields: %v", err)
+		}
+		if idx.Len() != orig.Len() {
+			t.Fatalf("Len = %d, want %d", idx.Len(), orig.Len())
+		}
+		if err := idx.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		queriesMatch(t, orig, idx, rng, 30)
 	}
-	var old savedIndexWithKnobs
-	if err := gob.NewDecoder(bufio.NewReader(bytes.NewReader(cur.Bytes()[len(snapshotMagic):]))).Decode(&old); err != nil {
-		t.Fatal(err)
-	}
-	old.DisablePiggyback, old.DisableSummaryQueries = true, true
-	var buf bytes.Buffer
-	if err := writeEnvelope(&buf, snapshotMagic, &old); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte("DisableSummaryQueries")) {
-		t.Fatal("setup: the removed fields are not in the stream")
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("loading a snapshot with the removed fields: %v", err)
-	}
-	if loaded.Len() != orig.Len() {
-		t.Fatalf("Len = %d, want %d", loaded.Len(), orig.Len())
-	}
-	if err := loaded.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	queriesMatch(t, orig, loaded, rng, 30)
+
+	t.Run("blob", func(t *testing.T) {
+		var cur bytes.Buffer
+		if err := orig.Save(&cur); err != nil {
+			t.Fatal(err)
+		}
+		stream, old := reencode(t, cur.Bytes(), snapshotMagic, func(s *savedIndexWithKnobs) {
+			s.LevelThreshold, s.ReinsertFraction, s.SplitAlgorithm = 2, -1, int(rtree.SplitRStar)
+			s.DisablePiggyback, s.DisableSummaryQueries = true, true
+		})
+		if old.LevelThreshold != 2 || old.ReinsertFraction != -1 || old.SplitAlgorithm != int(rtree.SplitRStar) ||
+			!old.DisablePiggyback || !old.DisableSummaryQueries {
+			t.Fatalf("setup: the removed fields are not in the stream: %+v", old)
+		}
+		x, err := Load(bytes.NewReader(stream))
+		loaded(t, x, err)
+	})
+
+	t.Run("manifest", func(t *testing.T) {
+		sh, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 2000, BufferPages: 32}, ShardOptions{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := slices.Sorted(maps.Keys(orig.objects))
+		pts := make([]Point, len(ids))
+		for i, id := range ids {
+			pts[i] = orig.objects[id]
+		}
+		if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
+			t.Fatal(err)
+		}
+		var cur bytes.Buffer
+		if err := sh.Save(&cur); err != nil {
+			t.Fatal(err)
+		}
+		stream, old := reencode(t, cur.Bytes(), shardedMagic, func(s *legacySharded) {
+			o := &s.Options
+			o.LevelThreshold, o.ReinsertFraction, o.SplitAlgorithm = 2, -1, int(rtree.SplitRStar)
+			o.Durability.GroupWindow = 100 * time.Microsecond
+			o.Memtable = legacyMemtable{Enabled: true, MaxObjects: 64, MaxAge: 5 * time.Millisecond}
+		})
+		if o := old.Options; o.LevelThreshold != 2 || o.ReinsertFraction != -1 || o.SplitAlgorithm != int(rtree.SplitRStar) ||
+			o.Durability.GroupWindow == 0 || o.Memtable.MaxAge == 0 {
+			t.Fatalf("setup: the removed fields are not in the stream: %+v", o)
+		}
+		merged, err := Load(bytes.NewReader(stream))
+		loaded(t, merged, err)
+		restored, err := LoadSharded(bytes.NewReader(stream))
+		loaded(t, restored, err)
+	})
 }

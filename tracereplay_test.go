@@ -55,6 +55,7 @@ func indexSubject(opts Options) traceSubject {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireMerged(t, opts, idx.index)
 			return prof
 		},
 		cleanup: func(t *testing.T) {
@@ -84,6 +85,7 @@ func concurrentSubject(opts Options) traceSubject {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireMerged(t, opts, idx.index)
 			return prof
 		},
 		cleanup: func(t *testing.T) {
@@ -113,6 +115,7 @@ func shardedSubject(opts Options, so ShardOptions) traceSubject {
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireMerged(t, opts, idx.index)
 			return prof
 		},
 		cleanup: func(t *testing.T) {
@@ -127,12 +130,31 @@ func shardedSubject(opts Options, so ShardOptions) traceSubject {
 }
 
 // memtableOpts returns opts with the delta tier enabled at a size
-// small enough to force many merge-downs mid-trace, plus an age
-// trigger so the concurrent front-ends' background mergers race the
-// replayed reads.
+// small enough to force many merge-downs mid-trace, so the concurrent
+// front-ends' background mergers race the replayed reads.
 func memtableOpts(opts Options) Options {
-	opts.Memtable = Memtable{Enabled: true, MaxObjects: 64, MaxAge: 500 * time.Microsecond}
+	opts.Memtable = Memtable{Enabled: true, MaxObjects: 64}
 	return opts
+}
+
+// requireMerged fails t unless the delta tier, when opts enable it,
+// merged down before Close's final drain: the replay's size trips reached
+// the merger. A short replay can end before a background merger, kicked
+// mid-trace, finishes its first pass on a loaded machine, so this waits
+// for the merge count (there is no event to wait on), up to a bound.
+func requireMerged(t *testing.T, opts Options, x *index) {
+	t.Helper()
+	if !opts.Memtable.Enabled {
+		return
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := x.stats(); st.Memtable.Merges > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no merge-down ran before Close")
+		}
+	}
 }
 
 // named overrides a subject's display name (memtable-enabled legs

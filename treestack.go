@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"time"
 
 	"burtree/internal/buffer"
 	"burtree/internal/concurrent"
@@ -77,7 +76,7 @@ type treeStack struct {
 	// (nil otherwise). With background set, merge is the goroutine
 	// draining it (ConcurrentIndex and the stacks of a ShardedIndex);
 	// without, the single-writer Index merges down inline whenever a
-	// write trips the size or age threshold. mergeMu serializes drains
+	// write trips the size threshold. mergeMu serializes drains
 	// (background, checkpoint-time and close-time), and is the outermost
 	// of the drain's locks: a drain never takes a checkpoint gate, so
 	// checkpoints (which hold theirs exclusively and then drain) cannot
@@ -192,30 +191,27 @@ func arrive(src, dst *treeStack, id uint64, old, new Point) error {
 }
 
 // afterAck hands an acknowledged write's merge-down on when the write
-// tripped the tier's size or age threshold: a kick to the background
-// merger, which never blocks the writer and never fails, or — on the
+// tripped the tier's size threshold: a kick to the background merger,
+// which never blocks the writer and never fails, or — on the
 // single-writer Index, which has no goroutine to hand the work to — an
 // inline drain whose failure the write reports. That failure is sticky,
 // and with nobody else to notice it every later write reports it too.
 // None of them is taken back: each is logged, and recovery replays it.
 //
-// The size trigger, full, is what the write's own absorb returned, so a
+// The trigger, full, is what the write's own absorb returned, so a
 // background stack's ack path takes the tier's mutex once, in absorb; an
 // answer the merger has since acted on costs a kick the merger's own
-// check turns away. The clock is read only when an age trigger is
-// configured.
+// check turns away.
 func (s *treeStack) afterAck(full bool) error {
-	if s.mem == nil {
-		return nil
-	}
-	due := full || s.options.Memtable.MaxAge > 0 && s.mem.NeedsMerge(time.Now())
 	switch {
+	case s.mem == nil:
+		return nil
 	case s.merge != nil:
-		if due {
+		if full {
 			s.merge.kick()
 		}
 		return nil
-	case due:
+	case full:
 		return s.drainMemtable()
 	}
 	return s.mem.Err()
@@ -262,8 +258,7 @@ func (s *treeStack) ensureMemtable(cfg Memtable) {
 	if s.background && s.merge == nil {
 		s.merge = newMerger()
 		s.merge.done.Add(1)
-		go s.merge.run(cfg.MaxAge,
-			func() bool { return s.mem.NeedsMerge(time.Now()) },
+		go s.merge.run(s.mem.NeedsMerge,
 			func() { _ = s.drainMemtable() }) // failure is sticky; surfaces via CheckInvariants/Checkpoint
 	}
 }
