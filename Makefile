@@ -66,8 +66,10 @@ bench-smoke:
 # comment-only lines — per file and for the package, then the same count
 # for each internal package the library is built from (what package
 # burtree imports, directly or not: the experiment harness, the workload
-# generator and burlint are not part of it) and the library total: the
-# figures the simplicity PRs report in CHANGES.md.
+# generator and burlint are not part of it) and the library total, and
+# last burlint's: internal/lint and cmd/burlint without tests and
+# fixtures. These are the figures the simplicity PRs report in
+# CHANGES.md.
 loc:
 	@total=0; for f in $$(ls *.go | grep -v '_test\.go$$'); do \
 		n=$$(grep -cvE '^\s*$$|^\s*//' $$f); total=$$((total+n)); printf '%-20s %5d\n' $$f $$n; \
@@ -75,7 +77,9 @@ loc:
 	lib=$$total; for p in $$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' . | grep '/internal/' | sort); do \
 		d=$${p#burtree/}; n=$$(cat $$(ls $$d/*.go | grep -v '_test\.go$$') | grep -cvE '^\s*$$|^\s*//'); \
 		lib=$$((lib+n)); printf '%-20s %5d\n' $$d $$n; \
-	done; printf '%-20s %5d\n' 'library' $$lib
+	done; printf '%-20s %5d\n' 'library' $$lib; \
+	n=$$(cat $$(find internal/lint cmd/burlint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*') | grep -cvE '^\s*$$|^\s*//'); \
+	printf '%-20s %5d\n' 'burlint' $$n
 
 fmt:
 	gofmt -w $$(git ls-files '*.go')

@@ -9,8 +9,7 @@
 //	go vet -vettool=$PWD/bin/burlint ./...
 //
 // Diagnostics print as file:line:col: message; the exit status is 1 if
-// any finding survives //burlint:ignore suppression. `burlint -list`
-// describes the analyzers.
+// there is any. `burlint -list` describes the analyzers.
 package main
 
 import (
@@ -191,13 +190,13 @@ func unitcheck(cfgFile string) int {
 }
 
 // writeVetx writes the (empty) facts file go vet expects at
-// VetxOutput; burlint's analyzers exchange no facts.
+// VetxOutput; burlint's analyzers exchange no facts. It is a go vet
+// cache entry keyed by content hash, so a torn write is a cache miss.
 func writeVetx(cfg vetConfig) int {
 	if cfg.VetxOutput == "" {
 		return 0
 	}
 	if err := os.MkdirAll(filepath.Dir(cfg.VetxOutput), 0o777); err == nil {
-		//burlint:ignore atomicwrite vetx files are go-vet cache entries keyed by content hash; a torn write is a cache miss, not a torn artifact
 		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 			fmt.Fprintln(os.Stderr, "burlint:", err)
 			return 2

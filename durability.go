@@ -222,15 +222,6 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 			return nil, err
 		}
 	}
-	// Shard directories beyond the count being restored belong to a
-	// crashed instance with more shards and no checkpoint yet.
-	for _, seg := range sharded {
-		var i int
-		if _, err := fmt.Sscanf(filepath.Base(filepath.Dir(seg)), "shard-%d", &i); err == nil && i >= len(x.shards) {
-			return nil, fmt.Errorf("%w: log directory %s exceeds the %d shards being restored (recover with the original shard count)",
-				ErrRecovery, filepath.Dir(seg), len(x.shards))
-		}
-	}
 
 	// Like Durability, the delta tier is the caller's runtime choice, not
 	// snapshot state: re-enable it (if asked for) before the replay, so the
@@ -240,33 +231,50 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	for _, s := range x.shards {
 		s.ensureMemtable(tier)
 	}
+	if err := x.replayLogs(d, sharded); err != nil {
+		// The stacks' mergers and any log already opened stop with it.
+		return nil, errors.Join(err, x.Close())
+	}
+	x.options.Durability = d
+	return x, nil
+}
 
+// replayLogs is the tail of recoverIndex, on the index it built: the log
+// tails in d are read, merged into one sequence order and replayed, and
+// then one log per stack is opened to continue them. sharded lists the
+// segments found in shard directories.
+func (x *index) replayLogs(d Durability, sharded []string) error {
+	// Shard directories beyond the count being restored belong to a
+	// crashed instance with more shards and no checkpoint yet.
+	for _, seg := range sharded {
+		var i int
+		if _, err := fmt.Sscanf(filepath.Base(filepath.Dir(seg)), "shard-%d", &i); err == nil && i >= len(x.shards) {
+			return fmt.Errorf("%w: log directory %s exceeds the %d shards being restored (recover with the original shard count)",
+				ErrRecovery, filepath.Dir(seg), len(x.shards))
+		}
+	}
 	var all []wal.Record
 	for i := range x.shards {
 		recs, _, err := wal.ReadDir(x.logDir(d.Dir, i), x.walSeq)
 		if err != nil {
-			return nil, fmt.Errorf("%w: log %d: %v", ErrRecovery, i, err)
+			return fmt.Errorf("%w: log %d: %v", ErrRecovery, i, err)
 		}
 		all = append(all, recs...)
 	}
 	slices.SortFunc(all, func(a, b wal.Record) int { return cmp.Compare(a.Seq, b.Seq) })
 	for i := 1; i < len(all); i++ {
 		if all[i].Seq == all[i-1].Seq {
-			return nil, fmt.Errorf("%w: sequence %d appears in two logs", ErrRecovery, all[i].Seq)
+			return fmt.Errorf("%w: sequence %d appears in two logs", ErrRecovery, all[i].Seq)
 		}
 	}
 	if err := replayRecords(x, all); err != nil {
-		return nil, err
+		return err
 	}
 	maxSeq := x.walSeq
 	if n := len(all); n > 0 {
 		maxSeq = all[n-1].Seq
 	}
-	if err := x.openLogs(d, maxSeq); err != nil {
-		return nil, err
-	}
-	x.options.Durability = d
-	return x, nil
+	return x.openLogs(d, maxSeq)
 }
 
 // Recover rebuilds an Index from its durability directory: the latest

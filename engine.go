@@ -258,7 +258,8 @@ func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	}
 	if d.enabled() {
 		if err := x.openLogs(d, 0); err != nil {
-			return nil, err
+			// The stacks' mergers and the logs opened so far stop with it.
+			return nil, errors.Join(err, x.Close())
 		}
 	}
 	return x, nil
@@ -298,17 +299,18 @@ func (x *index) logDir(dir string, i int) string {
 }
 
 // openLogs opens one log per stack under d, continuing the shared
-// sequence after startAfter.
+// sequence after startAfter. On failure x.wals holds the logs it did
+// open, for Close.
 func (x *index) openLogs(d Durability, startAfter uint64) error {
 	x.lsn.Store(startAfter)
-	x.wals = make([]*wal.Log, len(x.shards))
-	for i := range x.wals {
+	x.wals = make([]*wal.Log, 0, len(x.shards))
+	for i := range x.shards {
 		// The shared counter hands out globally ordered record sequences.
 		log, err := wal.Open(x.logDir(d.Dir, i), d.logOptions(startAfter, func() uint64 { return x.lsn.Add(1) }))
 		if err != nil {
 			return err
 		}
-		x.wals[i] = log
+		x.wals = append(x.wals, log)
 	}
 	return nil
 }

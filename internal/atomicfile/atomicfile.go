@@ -9,10 +9,10 @@
 //
 // This is the bug class PR 4 fixed in the snapshot writer (it used to
 // truncate the old snapshot before writing the new one): a crash
-// mid-write left a torn artifact that loaders misparse. The atomicwrite
-// analyzer in internal/lint statically forbids bare os.Create /
-// os.OpenFile(O_CREATE) outside this package, so new artifact writers
-// cannot reintroduce it.
+// mid-write left a torn artifact that loaders misparse. The root
+// package's TestFailedCheckpointKeepsPreviousSnapshot makes a Checkpoint
+// and a SaveFile fail after a good snapshot and requires that snapshot
+// to load as it was, so a writer that truncates first fails it.
 package atomicfile
 
 import (

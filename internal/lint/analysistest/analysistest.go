@@ -3,7 +3,7 @@
 // expectations, following the x/tools analysistest convention:
 //
 //	testdata/src/<pkg>/fixture.go:
-//	    os.Create(path) // want `artifact created with os\.Create`
+//	    f.Close() // want `Close error silently discarded`
 //
 // Each `// want` comment holds one or more backquoted regexps; every
 // diagnostic on that line must match one expectation and every
@@ -27,16 +27,8 @@ type T interface {
 }
 
 // Run loads the fixture package at dir/src/<path> and applies the
-// analyzers, comparing diagnostics against // want expectations.
+// analyzer, comparing diagnostics against // want expectations.
 func Run(t T, dir string, a *framework.Analyzer, path string) {
-	t.Helper()
-	RunAll(t, dir, []*framework.Analyzer{a}, path)
-}
-
-// RunAll is Run for a set of analyzers applied together (used for the
-// directive-validation tests, which need the suppression semantics of
-// the full pipeline).
-func RunAll(t T, dir string, analyzers []*framework.Analyzer, path string) {
 	t.Helper()
 	l := loader.NewFixtureLoader(dir + "/src")
 	pkg, err := l.Load(path)
@@ -44,7 +36,7 @@ func RunAll(t T, dir string, analyzers []*framework.Analyzer, path string) {
 		t.Errorf("loading fixture %s: %v", path, err)
 		return
 	}
-	diags, err := framework.RunAnalyzers(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, analyzers)
+	diags, err := framework.RunAnalyzers(pkg.Fset, pkg.Files, pkg.Types, pkg.Info, []*framework.Analyzer{a})
 	if err != nil {
 		t.Errorf("running analyzers on %s: %v", path, err)
 		return
@@ -103,16 +95,11 @@ func checkWants(t T, pkg *loader.Package, diags []framework.Diagnostic) {
 	}
 }
 
-// findWant returns the first unmatched expectation whose regexp
-// matches the message, on the diagnostic's line or the line directly
-// above it. The line-above form exists for diagnostics that land on
-// comment-only lines (ignoredirective findings point at the directive
-// comment itself, which cannot also carry a want comment).
+// findWant returns the first unmatched expectation on the diagnostic's
+// line whose regexp matches the message.
 func findWant(wants []*expectation, posn token.Position, msg string) *expectation {
 	for _, w := range wants {
-		if !w.matched && w.file == posn.Filename &&
-			(w.line == posn.Line || w.line == posn.Line-1) &&
-			w.re.MatchString(msg) {
+		if !w.matched && w.file == posn.Filename && w.line == posn.Line && w.re.MatchString(msg) {
 			return w
 		}
 	}

@@ -10,6 +10,13 @@
 // reviewable. Deferred closes are not flagged — the read-path
 // `defer f.Close()` idiom is harmless and the write paths all return
 // their close errors through the atomicfile/WAL helpers.
+//
+// This is a static check because no test can make the bug visible
+// today: the store is in memory and the log and the snapshot writer sit
+// on the real file system, so no test can make a Close or a Sync fail.
+// Once a fault-injecting file layer sits under the log and the store, a
+// test can fail each of these calls and observe what a dropped error
+// does, and this analyzer has to earn its place against that test.
 package closecheck
 
 import (

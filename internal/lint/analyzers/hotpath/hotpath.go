@@ -27,12 +27,11 @@
 // through its own calls.
 //
 // Error branches are exempt automatically: an allocation in a block
-// from which every terminating path returns a non-nil error (or
-// panics) is cold by construction, so `return fmt.Errorf(...)` needs
-// no annotation. Anything else needs an explicit per-line
-// `//burlint:ignore hotpath <reason>`; file-scope ignores are rejected
-// for this analyzer (see ignoredirective) so every exemption stays
-// auditable.
+// that itself ends the function on a non-nil error return (or a panic)
+// is cold by construction, so `return fmt.Errorf(...)` needs no
+// annotation. There is no other exemption — no ignore line: an
+// allocation the analyzer flags is hoisted, reused or moved off the
+// per-op path.
 package hotpath
 
 import (
@@ -113,14 +112,6 @@ func run(pass *framework.Pass) error {
 		}
 	}
 
-	pass.Prog.FactOnce(FactKey, func() any {
-		set := make(map[*types.Func]bool, len(hot))
-		for fn := range hot {
-			set[fn.Obj] = true
-		}
-		return set
-	})
-
 	for _, fn := range prog.SortedFuncs() {
 		if fn.Decl.Body == nil || pass.IsTestFile(fn.Decl.Pos()) {
 			continue
@@ -135,10 +126,6 @@ func run(pass *framework.Pass) error {
 	}
 	return nil
 }
-
-// FactKey stores the hot function set (map[*types.Func]bool) for other
-// analyzers.
-const FactKey = "hotpath.hot"
 
 // rootFuncs returns the functions whose doc comment carries the
 // //burlint:hotpath marker.

@@ -9,10 +9,9 @@ import (
 // go/ast alone (no SSA): blocks hold the statements and control
 // expressions executed on entry to them, in source order, and edges
 // over-approximate the possible transfers of control. It is
-// branch-aware (if/switch/type-switch/select), loop-aware
-// (for/range, break/continue/goto with labels, fallthrough) and
-// defer-aware (defers are collected in Defers and also appear, at
-// their syntactic position, in the block that registers them).
+// branch-aware (if/switch/type-switch/select) and loop-aware
+// (for/range, break/continue/goto with labels, fallthrough); a defer
+// statement sits, like any other, in the block that registers it.
 //
 // The graph is deliberately coarse — one bit of precision per
 // question, answered by the analyzers themselves — but it is sound
@@ -25,10 +24,6 @@ type CFG struct {
 	// created for unreachable continuations (code after return) stay in
 	// the list with no predecessors.
 	Blocks []*Block
-	// Defers collects every defer statement in the function, outermost
-	// first. Deferred calls run on every exit path, so path queries
-	// that care about defers consult this list rather than the edges.
-	Defers []*ast.DeferStmt
 }
 
 // A Block is a straight-line run of statements: control enters at the
@@ -336,10 +331,6 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.jump(b.cfg.Exit)
 		b.kill()
 
-	case *ast.DeferStmt:
-		b.cfg.Defers = append(b.cfg.Defers, s)
-		b.add(s)
-
 	case *ast.ExprStmt:
 		b.add(s)
 		if isPanicNode(s) {
@@ -348,8 +339,8 @@ func (b *builder) stmt(s ast.Stmt) {
 		}
 
 	default:
-		// Assignments, declarations, go statements, sends, inc/dec,
-		// empty statements: straight-line.
+		// Assignments, declarations, defer and go statements, sends,
+		// inc/dec, empty statements: straight-line.
 		b.add(s)
 	}
 }

@@ -7,14 +7,8 @@
 // Reportf — so the suite can be rebased onto x/tools wholesale if the
 // dependency ever becomes available.
 //
-// Suppression: a diagnostic is suppressed by a
-//
-//	//burlint:ignore <analyzer> <reason>
-//
-// comment on the same line as the diagnostic or on the line directly
-// above it. The reason is mandatory; the ignoredirective analyzer
-// rejects directives without one (and directives naming no known
-// analyzer), so an ignore can never silently widen.
+// There is no suppression: every diagnostic an analyzer reports is
+// returned.
 package framework
 
 import (
@@ -28,8 +22,7 @@ import (
 
 // An Analyzer describes one invariant check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //burlint:ignore directives.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the one-paragraph description shown by burlint help: the
 	// invariant encoded and where it came from.
@@ -61,134 +54,24 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Reportf records a finding at pos unless an ignore directive covers
-// it.
+// Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // IsTestFile reports whether the file declaring pos is a _test.go
 // file. The invariant analyzers skip test files: the contracts they
-// encode (lock order, goroutine lifetime, artifact atomicity) bind the
-// engine, not its test harnesses, and test idiom (deferred unchecked
-// closes, scratch files) would otherwise drown the signal.
+// encode (lock order, the allocation budget, checked closes) bind the
+// engine, not its test harnesses, and test idiom (unchecked closes,
+// scratch allocations) would otherwise drown the signal.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }
 
-// IgnorePrefix introduces an ignore directive comment.
-const IgnorePrefix = "//burlint:ignore"
-
-// A Directive is one parsed //burlint:ignore comment.
-type Directive struct {
-	Pos      token.Pos
-	Line     int    // line the comment is on
-	Target   int    // line the suppression covers (0 for file-scope)
-	File     bool   // directive precedes the package clause: whole file
-	Analyzer string // first word after the prefix ("" if missing)
-	Reason   string // rest of the comment ("" if missing)
-}
-
-// Directives parses every //burlint:ignore comment in f. A trailing
-// directive (code earlier on its line) covers its own line; a
-// directive standing alone on a line covers the next one — each form
-// covers exactly one line, so a suppression can never silently widen
-// to a neighbor. A directive above the package clause is file-scope:
-// it suppresses the named analyzer for the whole file (the
-// ignoredirective analyzer rejects this form for analyzers that
-// demand per-statement audits, e.g. hotpath).
-func Directives(fset *token.FileSet, f *ast.File) []Directive {
-	var out []Directive
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, IgnorePrefix) {
-				continue
-			}
-			rest := strings.TrimPrefix(c.Text, IgnorePrefix)
-			if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-				continue // e.g. //burlint:ignoreXXX — not a directive
-			}
-			d := Directive{Pos: c.Pos(), Line: fset.Position(c.Pos()).Line}
-			switch {
-			case c.Pos() < f.Package:
-				d.File = true
-			case hasCodeBefore(fset, f, c):
-				d.Target = d.Line
-			default:
-				d.Target = d.Line + 1
-			}
-			fields := strings.Fields(rest)
-			if len(fields) > 0 {
-				d.Analyzer = fields[0]
-				d.Reason = strings.TrimSpace(strings.Join(fields[1:], " "))
-			}
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// hasCodeBefore reports whether any code ends on c's line before c —
-// i.e. c is a trailing comment.
-func hasCodeBefore(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
-	line := fset.Position(c.Pos()).Line
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		if found || n == nil {
-			return false
-		}
-		switch n.(type) {
-		case *ast.Comment, *ast.CommentGroup:
-			return false
-		}
-		if n.End() <= c.Pos() && fset.Position(n.End()).Line == line {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// ignoreKey addresses a directive by file and line.
-type ignoreKey struct {
-	file string
-	line int
-}
-
 // RunAnalyzers applies the analyzers to one type-checked package and
-// returns the surviving diagnostics sorted by position. Suppression is
-// applied here so every driver gets identical semantics.
+// returns their diagnostics sorted by position.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	ignores := make(map[ignoreKey][]Directive)
-	fileIgnores := make(map[string]map[string]bool)
-	for _, f := range files {
-		name := fset.File(f.Pos()).Name()
-		for _, d := range Directives(fset, f) {
-			if d.File {
-				if fileIgnores[name] == nil {
-					fileIgnores[name] = make(map[string]bool)
-				}
-				fileIgnores[name][d.Analyzer] = true
-				continue
-			}
-			k := ignoreKey{file: name, line: d.Target}
-			ignores[k] = append(ignores[k], d)
-		}
-	}
-	suppressed := func(d Diagnostic) bool {
-		posn := fset.Position(d.Pos)
-		if fileIgnores[posn.Filename][d.Analyzer] {
-			return true
-		}
-		for _, dir := range ignores[ignoreKey{file: posn.Filename, line: posn.Line}] {
-			if dir.Analyzer == d.Analyzer {
-				return true
-			}
-		}
-		return false
-	}
-
 	prog := NewProgram(fset, files, pkg, info)
 	var out []Diagnostic
 	for _, a := range analyzers {
@@ -199,11 +82,7 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Pkg:       pkg,
 			TypesInfo: info,
 			Prog:      prog,
-			report: func(d Diagnostic) {
-				if !suppressed(d) {
-					out = append(out, d)
-				}
-			},
+			report:    func(d Diagnostic) { out = append(out, d) },
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)

@@ -55,10 +55,6 @@ type CallSite struct {
 	// the callee itself if declared here, or — for interface method
 	// calls — every package-local implementation's method.
 	Targets []*Func
-	// Deferred and Spawned record whether the call is the operand of a
-	// defer or go statement.
-	Deferred bool
-	Spawned  bool
 }
 
 // NewProgram indexes the package's functions and resolves the call
@@ -122,9 +118,8 @@ func (p *Program) SortedFuncs() []*Func {
 
 // FactOnce returns the fact stored under key, computing and caching it
 // on first request. Facts live for one RunAnalyzers invocation, so an
-// expensive summary (the lock-acquisition closure, the hot-path
-// reachable set) is computed by whichever analyzer asks first and
-// reused by the rest.
+// expensive summary (lockorder's lock-acquisition closure) is computed
+// once per package however often it is asked for.
 func (p *Program) FactOnce(key string, compute func() any) any {
 	if v, ok := p.facts[key]; ok {
 		return v
@@ -159,24 +154,13 @@ func (p *Program) resolveCalls(fn *Func) {
 	if fn.Decl.Body == nil {
 		return
 	}
-	deferred := make(map[*ast.CallExpr]bool)
-	spawned := make(map[*ast.CallExpr]bool)
-	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferred[n.Call] = true
-		case *ast.GoStmt:
-			spawned[n.Call] = true
-		}
-		return true
-	})
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		callee := StaticCallee(p.Info, call)
-		cs := &CallSite{Call: call, Callee: callee, Deferred: deferred[call], Spawned: spawned[call]}
+		cs := &CallSite{Call: call, Callee: callee}
 		if callee != nil {
 			if target := p.Funcs[callee]; target != nil {
 				cs.Targets = []*Func{target}

@@ -25,18 +25,15 @@ func run(t *testing.T, name string) {
 	analysistest.Run(t, dir, a, name)
 }
 
-func TestAtomicwrite(t *testing.T)     { run(t, "atomicwrite") }
-func TestClosecheck(t *testing.T)      { run(t, "closecheck") }
-func TestGoroutinelife(t *testing.T)   { run(t, "goroutinelife") }
-func TestHotpath(t *testing.T)         { run(t, "hotpath") }
-func TestLockorder(t *testing.T)       { run(t, "lockorder") }
-func TestIgnoreDirective(t *testing.T) { run(t, "ignoredirective") }
+func TestClosecheck(t *testing.T) { run(t, "closecheck") }
+func TestHotpath(t *testing.T)    { run(t, "hotpath") }
+func TestLockorder(t *testing.T)  { run(t, "lockorder") }
 
-// TestRegistry pins the suite's composition: five invariant analyzers
-// plus the directive validator, all with docs.
+// TestRegistry pins the suite's composition: three analyzers, all with
+// docs.
 func TestRegistry(t *testing.T) {
 	all := lint.All()
-	want := []string{"atomicwrite", "closecheck", "goroutinelife", "hotpath", "lockorder", "ignoredirective"}
+	want := []string{"closecheck", "hotpath", "lockorder"}
 	if len(all) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(all), len(want))
 	}

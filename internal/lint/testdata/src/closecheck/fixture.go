@@ -31,11 +31,6 @@ func explicit(f *os.File) {
 	_ = f.Close()
 }
 
-func suppressed(f *os.File) {
-	//burlint:ignore closecheck fixture: open failed; that error is the one to surface
-	f.Close()
-}
-
 // quiet has a Close that returns nothing; there is no error to drop.
 type quiet struct{}
 
