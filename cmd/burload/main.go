@@ -112,8 +112,8 @@ func mustRead(path string) *workload.Trace {
 func replayTrace(tr *workload.Trace, kind core.Kind, bufFrac float64) error {
 	io := &stats.IO{}
 	store := pagestore.New(pagestore.DefaultPageSize, io)
-	fanout := rtree.MaxEntriesFor(pagestore.DefaultPageSize, kind == core.LBU)
-	estPages := float64(len(tr.Initial)) / (float64(fanout) * 0.66) * 1.1
+	fanout := rtree.MaxEntriesFor(pagestore.DefaultPageSize, kind == core.LBU, 0)
+	estPages := float64(len(tr.Initial)) / (float64(fanout) * 0.66) * 1.1 // leaves, and a tenth for the levels above
 	pool := buffer.New(store, int(bufFrac*estPages))
 	u, err := core.New(pool, core.Options{
 		Strategy:        kind,

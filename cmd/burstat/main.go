@@ -80,7 +80,7 @@ func main() {
 	fmt.Printf("strategy        %s\n", kind)
 	fmt.Printf("objects         %d (after %d updates)\n", ts.Size, *updates)
 	fmt.Printf("height          %d\n", ts.Height)
-	fmt.Printf("nodes           %d (fanout %d)\n", ts.Nodes, u.Tree().MaxEntries())
+	fmt.Printf("nodes           %d (fanout %d per leaf, %d per internal node)\n", ts.Nodes, u.Tree().MaxEntries(0), u.Tree().MaxEntries(1))
 	fmt.Printf("database pages  %d (%.1f MB at 1 KB pages)\n", store.NumPages(), float64(store.NumPages())/1024)
 	fmt.Printf("root MBR area   %.4f\n", ts.RootMBRArea)
 	fmt.Println("\nper level (0 = leaves):")

@@ -145,9 +145,10 @@ func (d *DB) cellOf(p geom.Point) dgl.GranuleID {
 // stackCells is the longest cell list an operation keeps on its stack,
 // and the longest it tries to lock in one go: a query window of a tenth
 // of the unit square's side covers at most 5×5 cells of the 32×32 grid,
-// and a leaf run of 16 changes has 32 cells before the duplicates go. A
-// longer list spills to the heap.
-const stackCells = 32
+// and a leaf run — at most one leaf's objects, each moved once — has two
+// cells per change before the duplicates go, 82 for a full leaf at the
+// default page size. A longer list spills to the heap.
+const stackCells = 2 * rtree.DefaultLeafFanout
 
 // cellsOfRect appends the granules covering r to dst, ascending. An
 // inverted (or NaN) rectangle covers nothing: the query that carries it

@@ -125,9 +125,10 @@ type Scope struct {
 
 // groupScratch is how many members of a leaf group a group pass can set
 // aside for its extension decision without leaving the stack; a longer
-// list spills to the heap. A leaf holds a few dozen objects and a batch
-// moves a handful of them, most of them without leaving the leaf's MBR.
-const groupScratch = 16
+// list spills to the heap. A coalesced group moves each object once, so
+// it holds at most one leaf's objects: DefaultLeafFanout at the default
+// page size.
+const groupScratch = rtree.DefaultLeafFanout
 
 // bucketHinter is implemented by strategies whose secondary index can
 // name the hash bucket of an object without I/O.

@@ -208,7 +208,7 @@ func New(pool *buffer.Pool, opts Options) (Updater, error) {
 	case GBU:
 		t := rtree.New(pool, opts.Tree)
 		h := hashindex.New(pool, opts.ExpectedObjects)
-		s := summary.New(t.MaxEntries())
+		s := summary.New(t.MaxEntries(0))
 		ad := &hashAdapter{index: h}
 		t.SetListener(&fanoutListener{listeners: []rtree.Listener{s, ad}})
 		return &gbuStrategy{

@@ -67,7 +67,7 @@ func (s *gbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
 		_ = ref.Release() // a shared pin's release cannot fail
 		return fmt.Errorf("gbu: delete %d: hash points to leaf %d but entry is missing", oid, leafPage)
 	}
-	if ref.Count()-1 < t.MinEntries() {
+	if ref.Count()-1 < t.MinEntries(0) {
 		stored := ref.Rect(li)
 		if err := ref.Release(); err != nil {
 			return err
@@ -104,9 +104,12 @@ func (s *gbuStrategy) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool)
 		return t.Search(q, visit)
 	}
 	// Scratch that starts on the stack; the pages are scanned where they
-	// lie and visited with nothing pinned.
+	// lie and visited with nothing pinned. One node's hits fit: a level-1
+	// node's children in kidBuf, a whole leaf at the default page size in
+	// hitBuf.
 	var pageBuf [64]rtree.PageID
-	var kidBuf, hitBuf [32]rtree.Entry
+	var kidBuf [32]rtree.Entry
+	var hitBuf [rtree.DefaultLeafFanout]rtree.Entry
 	for _, pg := range s.sum.OverlappingAtLevel(1, q, pageBuf[:0]) {
 		_, kids, err := t.ScanNode(pg, q, kidBuf[:0])
 		if err != nil {
@@ -273,7 +276,7 @@ func (s *gbuStrategy) attemptLocalAt(old, new geom.Point, newRect geom.Rect, ref
 	if err := ref.Release(); err != nil {
 		return needTopDown, nil, err
 	}
-	wouldUnderflow := len(leaf.Entries)-1 < t.MinEntries()
+	wouldUnderflow := len(leaf.Entries)-1 < t.MinEntries(0)
 	done := false
 	var err error
 	if !wouldUnderflow {
@@ -387,7 +390,7 @@ func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect
 	if err != nil {
 		return false, err
 	}
-	if sref.Count() >= t.MaxEntries() {
+	if sref.Count() >= t.MaxEntries(0) {
 		t.ReturnNode(parent)
 		return false, sref.Release() // stale bit; never overflow a sibling
 	}
@@ -404,7 +407,7 @@ func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect
 	passengers := passengerBuf[:0]
 	if !s.opts.NoPiggyback {
 		for j := len(leaf.Entries) - 1; j >= 0; j-- {
-			if len(sib.Entries) >= t.MaxEntries() || len(leaf.Entries) <= t.MinEntries() {
+			if len(sib.Entries) >= t.MaxEntries(0) || len(leaf.Entries) <= t.MinEntries(0) {
 				break
 			}
 			if sib.Self.ContainsRect(leaf.Entries[j].Rect) {

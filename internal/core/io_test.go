@@ -41,10 +41,14 @@ func findExtensionCandidate(t *testing.T, g *gbuStrategy) (rtree.OID, geom.Point
 		if leaf.Self.ContainsPoint(target) || !pmbr.ContainsPoint(target) {
 			continue
 		}
-		if len(leaf.Entries)-1 < tr.MinEntries() {
+		if len(leaf.Entries)-1 < tr.MinEntries(0) {
 			continue
 		}
+		// A slow mover (within δ) extends before it tries a shift.
 		old := leaf.Entries[li].Rect.Center()
+		if geom.Dist(old, target) > g.opts.DistanceThreshold {
+			continue
+		}
 		return oid, old, target
 	}
 	t.Skip("no extension candidate found at this seed")
@@ -164,7 +168,7 @@ func TestGBUShiftSkipsParentReadWhenOutsideParentMBR(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(leaf.Entries)-1 < g.tree.MinEntries() {
+		if len(leaf.Entries)-1 < g.tree.MinEntries(0) {
 			continue
 		}
 		if rootMBR.ContainsPoint(cand) && !pmbr.ContainsPoint(cand) {
@@ -245,7 +249,7 @@ func TestGBUDeleteBottomUpCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(leaf.Entries)-1 >= g.tree.MinEntries() {
+		if len(leaf.Entries)-1 >= g.tree.MinEntries(0) {
 			oid, found = id, true
 			break
 		}

@@ -182,7 +182,7 @@ func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom
 
 	// "if deletion of the object from the leaf node leads to underflow:
 	// issue a top-down update."
-	if len(leaf.Entries)-1 < t.MinEntries() {
+	if len(leaf.Entries)-1 < t.MinEntries(0) {
 		return needTopDown, leaf, nil
 	}
 
@@ -201,7 +201,7 @@ func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom
 			if err != nil {
 				return needTopDown, nil, err
 			}
-			if sref.Count() >= t.MaxEntries() {
+			if sref.Count() >= t.MaxEntries(0) {
 				if err := sref.Release(); err != nil {
 					return needTopDown, nil, err
 				}

@@ -155,8 +155,10 @@ type Metrics struct {
 // size" setup, which is defined before the database exists.
 func estimateDBPages(cfg Config) int {
 	parentPtrs := cfg.Strategy == core.LBU
-	fanout := rtree.MaxEntriesFor(cfg.PageSize, parentPtrs)
-	leaves := float64(cfg.NumObjects) / (float64(fanout) * 0.66)
+	leafFanout := rtree.MaxEntriesFor(cfg.PageSize, parentPtrs, 0)
+	fanout := rtree.MaxEntriesFor(cfg.PageSize, parentPtrs, 1)
+	leaves := float64(cfg.NumObjects) / (float64(leafFanout) * 0.66)
+	// Each level above holds 1/fanout as many nodes as the one below it.
 	treePages := leaves * float64(fanout) / float64(fanout-1)
 	hashPages := 0.0
 	if cfg.Strategy != core.TD {

@@ -40,6 +40,12 @@ func (r Rect) Valid() bool {
 	return r.MinX <= r.MaxX && r.MinY <= r.MaxY // NaN comparisons are false
 }
 
+// IsPoint reports whether r is the degenerate rectangle of one point, the
+// only shape a leaf entry stores. NaN coordinates make it false.
+func (r Rect) IsPoint() bool {
+	return r.MinX == r.MaxX && r.MinY == r.MaxY
+}
+
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}

@@ -29,22 +29,17 @@ func (t *Tree) BulkLoad(items []Item, fillFactor float64) error {
 	if fillFactor <= 0 || fillFactor > 1 {
 		return fmt.Errorf("rtree: BulkLoad fill factor %v outside (0,1]", fillFactor)
 	}
-	cap := int(float64(t.maxEntries) * fillFactor)
-	if cap < t.minEntries {
-		cap = t.minEntries
-	}
-
 	entries := make([]Entry, len(items))
 	for i, it := range items {
-		if !it.Rect.Valid() {
-			return fmt.Errorf("rtree: BulkLoad item %d: invalid rect %v", it.OID, it.Rect)
+		if err := checkData(it.OID, it.Rect); err != nil {
+			return fmt.Errorf("rtree: BulkLoad: %w", err)
 		}
 		entries[i] = Entry{Rect: it.Rect, OID: it.OID}
 	}
 
 	level := 0
 	for {
-		nodes, err := t.packLevel(entries, level, cap)
+		nodes, err := t.packLevel(entries, level, t.packCap(level, fillFactor))
 		if err != nil {
 			return err
 		}
@@ -65,6 +60,12 @@ func (t *Tree) BulkLoad(items []Item, fillFactor float64) error {
 	}
 	t.size = len(items)
 	return nil
+}
+
+// packCap is how many entries a packed node at level takes: the level's
+// fanout times fillFactor, and never fewer than its minimum fill.
+func (t *Tree) packCap(level int, fillFactor float64) int {
+	return max(t.MinEntries(level), int(float64(t.MaxEntries(level))*fillFactor))
 }
 
 // packLevel tiles the entries into nodes of the given level using STR:
@@ -113,11 +114,11 @@ func (t *Tree) packLevel(entries []Entry, level, cap int) ([]*Node, error) {
 }
 
 // fixTrailingUnderfull repairs the last node of a packed level when it
-// holds fewer than minEntries (only the globally last node can be
-// underfull: every other slice and chunk is packed exactly full). The
-// runt is merged into its predecessor when the union fits in one node;
-// otherwise the two are rebalanced evenly — the union then exceeds
-// maxEntries ≥ 2·minEntries, so both halves satisfy the minimum.
+// holds fewer than the level's minimum fill (only the globally last node
+// can be underfull: every other slice and chunk is packed exactly full).
+// The runt is merged into its predecessor when the union fits in one
+// node; otherwise the two are rebalanced evenly — the union then exceeds
+// the fanout M ≥ 2·m, so both halves satisfy the minimum m.
 // prepend keeps curve order for sequentially packed levels (Hilbert):
 // entries borrowed from the predecessor go in front of the runt's own.
 func (t *Tree) fixTrailingUnderfull(nodes []*Node, level int, prepend bool) ([]*Node, error) {
@@ -126,11 +127,12 @@ func (t *Tree) fixTrailingUnderfull(nodes []*Node, level int, prepend bool) ([]*
 	}
 	last := nodes[len(nodes)-1]
 	prev := nodes[len(nodes)-2]
-	if len(last.Entries) >= t.minEntries {
+	minE := t.MinEntries(level)
+	if len(last.Entries) >= minE {
 		return nodes, nil
 	}
 	total := len(prev.Entries) + len(last.Entries)
-	if total <= t.maxEntries {
+	if total <= t.MaxEntries(level) {
 		moved := last.Entries
 		prev.Entries = append(prev.Entries, moved...)
 		prev.Self = prev.EntriesMBR()
@@ -147,8 +149,8 @@ func (t *Tree) fixTrailingUnderfull(nodes []*Node, level int, prepend bool) ([]*
 		}
 		return nodes[:len(nodes)-1], nil
 	}
-	if total/2 < t.minEntries {
-		return nodes, nil // unreachable while maxEntries >= 2*minEntries
+	if total/2 < minE {
+		return nodes, nil // unreachable while M >= 2*m
 	}
 	need := total/2 - len(last.Entries)
 	moved := prev.Entries[len(prev.Entries)-need:]

@@ -114,13 +114,14 @@ func TestBulkLoadErrors(t *testing.T) {
 		t.Fatal("invalid rect accepted")
 	}
 	tr2 := newTestTree(t, 512, 0, Config{})
-	if err := tr2.BulkLoad([]Item{{OID: 1, Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}}, 0); err == nil {
+	p := geom.RectFromPoint(geom.Point{X: 0.5, Y: 0.5})
+	if err := tr2.BulkLoad([]Item{{OID: 1, Rect: p}}, 0); err == nil {
 		t.Fatal("zero fill factor accepted")
 	}
-	if err := tr2.BulkLoad([]Item{{OID: 1, Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}}, 0.7); err != nil {
+	if err := tr2.BulkLoad([]Item{{OID: 1, Rect: p}}, 0.7); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr2.BulkLoad([]Item{{OID: 2, Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}}, 0.7); err == nil {
+	if err := tr2.BulkLoad([]Item{{OID: 2, Rect: p}}, 0.7); err == nil {
 		t.Fatal("bulk load on non-empty tree accepted")
 	}
 }

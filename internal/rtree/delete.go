@@ -42,8 +42,12 @@ func (t *Tree) Delete(oid OID, at geom.Rect) error {
 
 // Update is the traditional top-down update (the paper's TD baseline):
 // one top-down traversal to locate and delete the old entry, then a
-// separate top-down insertion of the new one.
+// separate top-down insertion of the new one. A new rect the leaf cannot
+// store is refused before anything is deleted.
 func (t *Tree) Update(oid OID, old, new geom.Rect) error {
+	if err := checkData(oid, new); err != nil {
+		return err
+	}
 	if err := t.Delete(oid, old); err != nil {
 		return err
 	}
@@ -130,7 +134,7 @@ func (t *Tree) condense(path []*Node) error {
 		if idx < 0 {
 			return fmt.Errorf("rtree: condense: node %d missing child %d", parent.Page, n.Page)
 		}
-		if len(n.Entries) < t.minEntries {
+		if len(n.Entries) < t.MinEntries(n.Level) {
 			parent.RemoveEntry(idx)
 			for _, e := range n.Entries {
 				orphans = append(orphans, pendingReinsert{e, n.Level})

@@ -59,16 +59,11 @@ func (t *Tree) BulkLoadHilbert(items []Item, fillFactor float64) error {
 	if fillFactor <= 0 || fillFactor > 1 {
 		return fmt.Errorf("rtree: BulkLoadHilbert fill factor %v outside (0,1]", fillFactor)
 	}
-	cap := int(float64(t.maxEntries) * fillFactor)
-	if cap < t.minEntries {
-		cap = t.minEntries
-	}
-
 	entries := make([]Entry, len(items))
 	rects := make([]geom.Rect, len(items))
 	for i, it := range items {
-		if !it.Rect.Valid() {
-			return fmt.Errorf("rtree: BulkLoadHilbert item %d: invalid rect %v", it.OID, it.Rect)
+		if err := checkData(it.OID, it.Rect); err != nil {
+			return fmt.Errorf("rtree: BulkLoadHilbert: %w", err)
 		}
 		entries[i] = Entry{Rect: it.Rect, OID: it.OID}
 		rects[i] = it.Rect
@@ -82,7 +77,7 @@ func (t *Tree) BulkLoadHilbert(items []Item, fillFactor float64) error {
 
 	level := 0
 	for {
-		nodes, err := t.packSequential(entries, level, cap)
+		nodes, err := t.packSequential(entries, level, t.packCap(level, fillFactor))
 		if err != nil {
 			return err
 		}

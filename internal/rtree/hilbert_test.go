@@ -101,13 +101,14 @@ func TestBulkLoadHilbertSmallAndErrors(t *testing.T) {
 	if err := tr.BulkLoadHilbert([]Item{{OID: 1, Rect: geom.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}}}, 0.7); err == nil {
 		t.Fatal("invalid rect accepted")
 	}
-	if err := tr.BulkLoadHilbert([]Item{{OID: 1, Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}}, 1.5); err == nil {
+	p := geom.RectFromPoint(geom.Point{X: 0.5, Y: 0.5})
+	if err := tr.BulkLoadHilbert([]Item{{OID: 1, Rect: p}}, 1.5); err == nil {
 		t.Fatal("bad fill accepted")
 	}
 	if err := tr.Insert(9, geom.RectFromPoint(geom.Point{X: 0.1, Y: 0.1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.BulkLoadHilbert([]Item{{OID: 1, Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}}, 0.7); err == nil {
+	if err := tr.BulkLoadHilbert([]Item{{OID: 1, Rect: p}}, 0.7); err == nil {
 		t.Fatal("non-empty tree accepted")
 	}
 }

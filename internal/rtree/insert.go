@@ -14,10 +14,10 @@ import (
 //
 // Insert does not check for duplicate object ids; callers that need
 // uniqueness enforce it above this layer (the facade keeps an object
-// table).
+// table). A rect that is not a point is refused with ErrNotPoint.
 func (t *Tree) Insert(oid OID, rect geom.Rect) error {
-	if !rect.Valid() {
-		return fmt.Errorf("rtree: insert %d: invalid rect %v", oid, rect)
+	if err := checkData(oid, rect); err != nil {
+		return err
 	}
 	if t.root == pagestore.InvalidPage {
 		root := t.allocNode(0)
@@ -40,6 +40,18 @@ func (t *Tree) Insert(oid OID, rect geom.Rect) error {
 		return err
 	}
 	t.size++
+	return nil
+}
+
+// checkData refuses a data rectangle a leaf cannot store: an invalid one,
+// or one that is not a point (ErrNotPoint).
+func checkData(oid OID, rect geom.Rect) error {
+	switch {
+	case !rect.Valid():
+		return fmt.Errorf("rtree: object %d: invalid rect %v", oid, rect)
+	case !rect.IsPoint():
+		return fmt.Errorf("%w: object %d at %v", ErrNotPoint, oid, rect)
+	}
 	return nil
 }
 
@@ -272,7 +284,7 @@ func (t *Tree) tighten(page pagestore.PageID, below written) (changed bool, _ wr
 // the new sibling node (already written, borrowed from the free list) when
 // a split occurred. The caller writes n itself.
 func (t *Tree) resolveOverflow(n *Node, isRoot bool, op *insertOp) (*Node, error) {
-	if len(n.Entries) <= t.maxEntries {
+	if len(n.Entries) <= t.MaxEntries(n.Level) {
 		return nil, nil
 	}
 	if t.cfg.ReinsertFraction > 0 && !isRoot && !op.markReinserted(n.Level) {
@@ -290,7 +302,7 @@ func (t *Tree) forceReinsert(n *Node, op *insertOp) {
 	if k < 1 {
 		k = 1
 	}
-	if max := len(n.Entries) - t.minEntries; k > max {
+	if max := len(n.Entries) - t.MinEntries(n.Level); k > max {
 		k = max
 	}
 	c := n.EntriesMBR().Center()
@@ -317,7 +329,7 @@ func (t *Tree) forceReinsert(n *Node, op *insertOp) {
 // splitNode divides n, writes the new sibling, and returns it. n keeps
 // the first group; the caller writes n.
 func (t *Tree) splitNode(n *Node) (*Node, error) {
-	g1, g2 := splitEntries(n.Entries, t.minEntries, t.cfg.Split)
+	g1, g2 := splitEntries(n.Entries, t.MinEntries(n.Level), t.cfg.Split)
 	nn := t.allocNode(n.Level)
 	nn.Parent = n.Parent
 	// Copied into the nodes' own slices (the sibling's first: g1 may alias

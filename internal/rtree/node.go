@@ -9,8 +9,13 @@
 // lower-level node operations it exposes.
 //
 // Layout: each node occupies exactly one page, in a fixed-width format
-// (a 40-byte header — 48 with a parent pointer — then 40-byte entries)
-// that is read where it lies. The node header stores the node's level,
+// that is read where it lies: a 40-byte header — 48 with a parent
+// pointer — then the entries. A leaf entry is 24 bytes, an object id and
+// the object's point (every object is a point, so a leaf stores no
+// rectangle); an internal entry is 40 bytes, a child page id and the
+// child's MBR. A 1 KB page thus holds 41 leaf entries (40 with a parent
+// pointer) or 24 internal ones. Data rectangles that are not points are
+// refused with ErrNotPoint. The node header stores the node's level,
 // entry count and its official MBR (the paper's "leaf MBR", which
 // bottom-up updates may enlarge beyond the tight bound of the entries).
 // Trees configured with parent pointers (the LBU variant) additionally
@@ -57,7 +62,8 @@ type OID = uint64
 type PageID = pagestore.PageID
 
 // Entry is one slot of a node: a bounding rectangle plus either a child
-// page reference (internal nodes) or an object id (leaves).
+// page reference (internal nodes) or an object id (leaves). A leaf
+// entry's rectangle is always a point (geom.RectFromPoint).
 type Entry struct {
 	Rect  geom.Rect
 	Child pagestore.PageID // meaningful in internal nodes
@@ -130,18 +136,35 @@ func (n *Node) ChildPages() []pagestore.PageID {
 	return out
 }
 
-// Node serialization. All integers are little-endian.
+// Node serialization. All integers are little-endian. A leaf entry is an
+// object id and the one point the object occupies; an internal entry is
+// a child page id and the child's MBR. The header is the same for both.
 const (
 	nodeMagic = 0xA7
 
 	flagLeaf   = 1 << 0
 	flagParent = 1 << 1 // header carries a parent pointer
 
-	baseHeaderSize   = 8 + 4*8 // magic,flags,level,count,pad + self MBR
-	parentFieldSize  = 8
-	entrySize        = 8 + 4*8 // child/oid + rect
-	minFanoutForPage = 4
+	baseHeaderSize    = 8 + 4*8 // magic,flags,level,count,pad + self MBR
+	parentFieldSize   = 8
+	leafEntrySize     = 8 + 2*8 // oid + x,y
+	internalEntrySize = 8 + 4*8 // child + rect
+	minFanoutForPage  = 4
 )
+
+// DefaultLeafFanout is the most entries a leaf holds at the default page
+// size (in a tree without parent pointers, which has the larger fanout).
+// Scratch that keeps one leaf's entries, or one leaf's share of a batch,
+// on the stack is sized by it.
+const DefaultLeafFanout = (pagestore.DefaultPageSize - baseHeaderSize) / leafEntrySize
+
+// entrySize returns the width of one entry of a node at level.
+func entrySize(level int) int {
+	if level == 0 {
+		return leafEntrySize
+	}
+	return internalEntrySize
+}
 
 // headerSize returns the encoded header length for the given tree mode.
 func headerSize(parentPointers bool) int {
@@ -152,15 +175,17 @@ func headerSize(parentPointers bool) int {
 }
 
 // MinPageSize returns the smallest page a tree of the given mode can use:
-// one whose fanout reaches minFanoutForPage under the mode's header.
+// one whose fanout reaches minFanoutForPage at every level under the
+// mode's header. The wider internal entry sets it.
 func MinPageSize(parentPointers bool) int {
-	return headerSize(parentPointers) + minFanoutForPage*entrySize
+	return headerSize(parentPointers) + minFanoutForPage*internalEntrySize
 }
 
-// MaxEntriesFor returns the node fanout for a page size and tree mode. It
-// panics below MinPageSize.
-func MaxEntriesFor(pageSize int, parentPointers bool) int {
-	m := (pageSize - headerSize(parentPointers)) / entrySize
+// MaxEntriesFor returns the fanout of a node at level (0 = leaf) for a
+// page size and tree mode. It panics on a fanout below 4, which an
+// internal level has below MinPageSize.
+func MaxEntriesFor(pageSize int, parentPointers bool, level int) int {
+	m := (pageSize - headerSize(parentPointers)) / entrySize(level)
 	if m < minFanoutForPage {
 		panic(fmt.Sprintf("rtree: page size %d too small (fanout %d < %d)", pageSize, m, minFanoutForPage))
 	}
@@ -183,18 +208,41 @@ func getRect(b []byte) geom.Rect {
 	}
 }
 
+// putPoint stores the point of a degenerate rectangle.
+func putPoint(b []byte, r geom.Rect) {
+	binary.LittleEndian.PutUint64(b[0:], math.Float64bits(r.MinX))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(r.MinY))
+}
+
+// getPoint reads a stored point back as its degenerate rectangle.
+func getPoint(b []byte) geom.Rect {
+	x := math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
+	y := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+	return geom.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}
+}
+
 // encodeNode serializes n into buf (one full page). parentPointers selects
-// the header layout; it must match the tree configuration.
+// the header layout; it must match the tree configuration. A node that
+// does not fit, or a leaf with an entry that is not a point, is refused
+// before the first byte is stored.
 func encodeNode(n *Node, buf []byte, parentPointers bool) error {
-	need := headerSize(parentPointers) + len(n.Entries)*entrySize
+	leaf := n.Level == 0
+	need := headerSize(parentPointers) + len(n.Entries)*entrySize(n.Level)
 	if need > len(buf) {
 		return fmt.Errorf("rtree: node %d with %d entries exceeds page size %d", n.Page, len(n.Entries), len(buf))
 	}
 	if n.Level > math.MaxUint16 || len(n.Entries) > math.MaxUint16 {
 		return fmt.Errorf("rtree: node %d level/count out of range", n.Page)
 	}
+	if leaf {
+		for i := range n.Entries {
+			if e := &n.Entries[i]; !e.Rect.IsPoint() {
+				return fmt.Errorf("%w: leaf %d entry %d (oid %d) is %v", ErrNotPoint, n.Page, i, e.OID, e.Rect)
+			}
+		}
+	}
 	var flags byte
-	if n.Level == 0 {
+	if leaf {
 		flags |= flagLeaf
 	}
 	if parentPointers {
@@ -213,13 +261,15 @@ func encodeNode(n *Node, buf []byte, parentPointers bool) error {
 	}
 	for i := range n.Entries {
 		e := &n.Entries[i]
-		id := e.OID
-		if n.Level > 0 {
-			id = uint64(e.Child)
+		if leaf {
+			binary.LittleEndian.PutUint64(buf[off:], e.OID)
+			putPoint(buf[off+8:], e.Rect)
+			off += leafEntrySize
+			continue
 		}
-		binary.LittleEndian.PutUint64(buf[off:], id)
+		binary.LittleEndian.PutUint64(buf[off:], uint64(e.Child))
 		putRect(buf[off+8:], e.Rect)
-		off += entrySize
+		off += internalEntrySize
 	}
 	// Zero the tail so page contents are deterministic.
 	for i := off; i < len(buf); i++ {
@@ -229,12 +279,13 @@ func encodeNode(n *Node, buf []byte, parentPointers bool) error {
 }
 
 // view is a node page read where it lies: the header fields, validated
-// once, and the offset of the fixed-width entries.
+// once, and the offset and width of the fixed-width entries.
 type view struct {
 	b     []byte
 	level int
 	count int
 	off   int // offset of entry 0
+	esize int // width of one entry: leafEntrySize or internalEntrySize
 }
 
 // viewNode validates the header of one page.
@@ -255,7 +306,8 @@ func viewNode(buf []byte, parentPointers bool) (view, error) {
 	if isLeaf := flags&flagLeaf != 0; isLeaf != (v.level == 0) {
 		return view{}, fmt.Errorf("rtree: leaf flag inconsistent with level %d", v.level)
 	}
-	if v.off+v.count*entrySize > len(buf) {
+	v.esize = entrySize(v.level)
+	if v.off+v.count*v.esize > len(buf) {
 		return view{}, fmt.Errorf("rtree: node count %d exceeds page capacity", v.count)
 	}
 	return v, nil
@@ -272,13 +324,21 @@ func (v view) parent() pagestore.PageID {
 }
 
 // id returns the object id (leaf) or child page (internal node) of entry i.
-func (v view) id(i int) uint64 { return binary.LittleEndian.Uint64(v.b[v.off+i*entrySize:]) }
+func (v view) id(i int) uint64 { return binary.LittleEndian.Uint64(v.b[v.off+i*v.esize:]) }
 
-func (v view) rect(i int) geom.Rect { return getRect(v.b[v.off+i*entrySize+8:]) }
+// rect returns the rectangle of entry i: a leaf entry's point as its
+// degenerate rectangle.
+func (v view) rect(i int) geom.Rect {
+	at := v.off + i*v.esize + 8
+	if v.level == 0 {
+		return getPoint(v.b[at:])
+	}
+	return getRect(v.b[at:])
+}
 
 // find returns the index of the entry whose id is id, or -1.
 func (v view) find(id uint64) int {
-	for i, off := 0, v.off; i < v.count; i, off = i+1, off+entrySize {
+	for i, off := 0, v.off; i < v.count; i, off = i+1, off+v.esize {
 		if binary.LittleEndian.Uint64(v.b[off:]) == id {
 			return i
 		}
@@ -298,20 +358,25 @@ func (v view) decode(n *Node) {
 	}
 	// Stored field by field: building each Entry and copying it in costs
 	// three times as much.
-	b := v.b[v.off : v.off+v.count*entrySize]
-	internal := v.level > 0
+	b := v.b[v.off : v.off+v.count*v.esize]
+	if v.level == 0 {
+		for i := range n.Entries {
+			e, eb := &n.Entries[i], b[:leafEntrySize]
+			e.OID, e.Child = binary.LittleEndian.Uint64(eb), 0
+			e.Rect.MinX = math.Float64frombits(binary.LittleEndian.Uint64(eb[8:]))
+			e.Rect.MinY = math.Float64frombits(binary.LittleEndian.Uint64(eb[16:]))
+			e.Rect.MaxX, e.Rect.MaxY = e.Rect.MinX, e.Rect.MinY
+			b = b[leafEntrySize:]
+		}
+		return
+	}
 	for i := range n.Entries {
-		e, eb := &n.Entries[i], b[:entrySize]
-		id := binary.LittleEndian.Uint64(eb)
+		e, eb := &n.Entries[i], b[:internalEntrySize]
+		e.Child, e.OID = pagestore.PageID(binary.LittleEndian.Uint64(eb)), 0
 		e.Rect.MinX = math.Float64frombits(binary.LittleEndian.Uint64(eb[8:]))
 		e.Rect.MinY = math.Float64frombits(binary.LittleEndian.Uint64(eb[16:]))
 		e.Rect.MaxX = math.Float64frombits(binary.LittleEndian.Uint64(eb[24:]))
 		e.Rect.MaxY = math.Float64frombits(binary.LittleEndian.Uint64(eb[32:]))
-		if internal {
-			e.Child, e.OID = pagestore.PageID(id), 0
-		} else {
-			e.Child, e.OID = 0, id
-		}
-		b = b[entrySize:]
+		b = b[internalEntrySize:]
 	}
 }

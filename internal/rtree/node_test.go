@@ -10,24 +10,31 @@ import (
 )
 
 func TestMaxEntriesFor(t *testing.T) {
-	// 1024-byte pages: (1024-40)/40 = 24 plain, (1024-48)/40 = 24 with
-	// parent pointers.
-	if got := MaxEntriesFor(1024, false); got != 24 {
-		t.Errorf("fanout(1024, plain) = %d, want 24", got)
+	// 1024-byte pages: a leaf holds (1024-40)/24 = 41 plain, (1024-48)/24
+	// = 40 with parent pointers; an internal node (1024-40)/40 = 24 and
+	// (1024-48)/40 = 24.
+	for _, c := range []struct {
+		pageSize   int
+		parent     bool
+		level, max int
+	}{
+		{1024, false, 0, 41}, {1024, true, 0, 40},
+		{1024, false, 1, 24}, {1024, true, 3, 24},
+		{4096, false, 0, 169}, {4096, false, 1, 101}, // (4096-40)/24, (4096-40)/40
+	} {
+		if got := MaxEntriesFor(c.pageSize, c.parent, c.level); got != c.max {
+			t.Errorf("fanout(%d, parent %v, level %d) = %d, want %d", c.pageSize, c.parent, c.level, got, c.max)
+		}
 	}
-	if got := MaxEntriesFor(1024, true); got != 24 {
-		t.Errorf("fanout(1024, parent) = %d, want 24", got)
-	}
-	// 4 KB pages: (4096-40)/40 = 101.
-	if got := MaxEntriesFor(4096, false); got != 101 {
-		t.Errorf("fanout(4096, plain) = %d, want 101", got)
+	if DefaultLeafFanout != MaxEntriesFor(pagestore.DefaultPageSize, false, 0) {
+		t.Errorf("DefaultLeafFanout = %d, want the default page's leaf fanout %d", DefaultLeafFanout, MaxEntriesFor(pagestore.DefaultPageSize, false, 0))
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("tiny page fanout did not panic")
 		}
 	}()
-	MaxEntriesFor(128, false)
+	MaxEntriesFor(128, false, 0)
 }
 
 func TestNodeEncodeDecodeLeaf(t *testing.T) {
@@ -36,8 +43,8 @@ func TestNodeEncodeDecodeLeaf(t *testing.T) {
 		Level: 0,
 		Self:  geom.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.3, MaxY: 0.4},
 		Entries: []Entry{
-			{Rect: geom.Rect{MinX: 0.1, MinY: 0.2, MaxX: 0.15, MaxY: 0.25}, OID: 42},
-			{Rect: geom.Rect{MinX: 0.2, MinY: 0.3, MaxX: 0.3, MaxY: 0.4}, OID: 99},
+			{Rect: geom.RectFromPoint(geom.Point{X: 0.1, Y: 0.25}), OID: 42},
+			{Rect: geom.RectFromPoint(geom.Point{X: 0.3, Y: 0.2}), OID: 99},
 		},
 	}
 	buf := make([]byte, 1024)
@@ -130,6 +137,9 @@ func TestQuickNodeRoundTrip(t *testing.T) {
 		}
 		for i := 0; i < count; i++ {
 			e := Entry{Rect: geom.NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())}
+			if level == 0 {
+				e.Rect = geom.RectFromPoint(e.Rect.Center()) // a leaf stores points
+			}
 			if level > 0 {
 				e.Child = pagestore.PageID(1 + rng.Intn(1<<30))
 			} else {

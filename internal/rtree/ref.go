@@ -97,11 +97,20 @@ func (r *NodeRef) entriesMBR() geom.Rect {
 	return mbr
 }
 
-// SetRect patches the rectangle of entry i. Like the other setters it
-// needs a PinNodeForPatch, and it makes Release write the page even when
-// the bytes did not change, as the WriteNode it replaces did.
+// SetRect patches the rectangle of entry i; in a leaf it must be a point,
+// and anything wider panics, as an index out of range would. Like the
+// other setters it needs a PinNodeForPatch, and it makes Release write
+// the page even when the bytes did not change, as the WriteNode it
+// replaces did.
 func (r *NodeRef) SetRect(i int, rect geom.Rect) {
-	putRect(r.v.b[r.v.off+i*entrySize+8:], rect)
+	at := r.v.off + i*r.v.esize + 8
+	if r.v.level > 0 {
+		putRect(r.v.b[at:], rect)
+	} else if rect.IsPoint() {
+		putPoint(r.v.b[at:], rect)
+	} else {
+		panic(fmt.Sprintf("rtree: SetRect of leaf %d entry %d to %v: %v", r.page, i, rect, ErrNotPoint))
+	}
 	r.markPatched()
 }
 
@@ -193,8 +202,9 @@ func (t *Tree) borrow() *Node {
 		n.Entries = n.Entries[:0]
 		return n
 	}
-	// Room for the one entry an insertion adds before the node splits.
-	return &Node{Entries: make([]Entry, 0, t.maxEntries+1)}
+	// Room for the one entry an insertion adds before the node splits, at
+	// the leaf fanout: the narrower leaf entry makes it the larger one.
+	return &Node{Entries: make([]Entry, 0, t.maxLeaf+1)}
 }
 
 // BorrowNode is ReadNode with a node from the tree's free list, for a

@@ -20,19 +20,19 @@ func (t *Tree) ScanNode(page pagestore.PageID, q geom.Rect, out []Entry) (level 
 		return 0, out, err
 	}
 	v := r.v
-	internal := v.level > 0
-	for b := v.b[v.off : v.off+v.count*entrySize]; len(b) >= entrySize; b = b[entrySize:] {
-		rect := getRect(b[8:entrySize])
-		if !q.Intersects(rect) {
-			continue
+	b := v.b[v.off : v.off+v.count*v.esize]
+	if v.level == 0 {
+		for ; len(b) >= leafEntrySize; b = b[leafEntrySize:] {
+			if rect := getPoint(b[8:leafEntrySize]); q.Intersects(rect) {
+				out = append(out, Entry{Rect: rect, OID: binary.LittleEndian.Uint64(b)})
+			}
 		}
-		e := Entry{Rect: rect}
-		if id := binary.LittleEndian.Uint64(b); internal {
-			e.Child = pagestore.PageID(id)
-		} else {
-			e.OID = id
+		return 0, out, r.Release()
+	}
+	for ; len(b) >= internalEntrySize; b = b[internalEntrySize:] {
+		if rect := getRect(b[8:internalEntrySize]); q.Intersects(rect) {
+			out = append(out, Entry{Rect: rect, Child: pagestore.PageID(binary.LittleEndian.Uint64(b))})
 		}
-		out = append(out, e)
 	}
 	return v.level, out, r.Release()
 }
@@ -47,9 +47,10 @@ func (t *Tree) Search(q geom.Rect, visit func(oid OID, r geom.Rect) bool) error 
 		return nil
 	}
 	// Both scratch slices start on the stack: a window query over a
-	// resident tree allocates nothing unless it outgrows them.
+	// resident tree allocates nothing unless it outgrows them. The hits
+	// of one node fit in a leaf's worth at the default page size.
 	var stackBuf [128]pagestore.PageID
-	var hitBuf [32]Entry
+	var hitBuf [DefaultLeafFanout]Entry
 	stack := append(stackBuf[:0], t.root)
 	for len(stack) > 0 {
 		page := stack[len(stack)-1]

@@ -94,6 +94,9 @@ var (
 	ErrNotFound  = errors.New("rtree: object not found")
 	ErrDuplicate = errors.New("rtree: object id already present")
 	ErrEmptyTree = errors.New("rtree: tree is empty")
+	// ErrNotPoint reports a data rectangle that is not a single point. A
+	// leaf entry stores a point, so the tree refuses anything wider.
+	ErrNotPoint = errors.New("rtree: data rectangle is not a point")
 )
 
 // Tree is a disk-resident R-tree. It is not safe for concurrent use by
@@ -102,15 +105,18 @@ var (
 // disjoint pages, may then run concurrently, which is why per-call
 // scratch comes from sync.Pools and not from the Tree.
 type Tree struct {
-	pool       *buffer.Pool
-	io         *stats.IO
-	cfg        Config
-	maxEntries int
-	minEntries int
-	root       pagestore.PageID
-	height     int // number of levels; 0 = empty tree
-	size       int // number of data entries
-	listener   Listener
+	pool     *buffer.Pool
+	io       *stats.IO
+	cfg      Config
+	root     pagestore.PageID
+	height   int // number of levels; 0 = empty tree
+	size     int // number of data entries
+	listener Listener
+
+	// The fanout M and minimum fill m, for leaves and for internal nodes:
+	// their entries differ in width, so a page holds more of the first.
+	maxLeaf, maxInternal int
+	minLeaf, minInternal int
 
 	// nodes is the free list of decoded nodes whose lifetime is one call
 	// (BorrowNode / ReturnNode); heaps recycles NearestFunc's queue.
@@ -122,19 +128,17 @@ type Tree struct {
 func New(pool *buffer.Pool, cfg Config) *Tree {
 	cfg = cfg.withDefaults()
 	ps := pool.Store().PageSize()
-	maxE := MaxEntriesFor(ps, cfg.ParentPointers)
-	minE := int(float64(maxE) * cfg.MinFillRatio)
-	if minE < 2 {
-		minE = 2
+	minFill := func(maxE int) int { return max(2, int(float64(maxE)*cfg.MinFillRatio)) }
+	t := &Tree{
+		pool:        pool,
+		io:          pool.Store().IO(),
+		cfg:         cfg,
+		root:        pagestore.InvalidPage,
+		maxLeaf:     MaxEntriesFor(ps, cfg.ParentPointers, 0),
+		maxInternal: MaxEntriesFor(ps, cfg.ParentPointers, 1),
 	}
-	return &Tree{
-		pool:       pool,
-		io:         pool.Store().IO(),
-		cfg:        cfg,
-		maxEntries: maxE,
-		minEntries: minE,
-		root:       pagestore.InvalidPage,
-	}
+	t.minLeaf, t.minInternal = minFill(t.maxLeaf), minFill(t.maxInternal)
+	return t
 }
 
 // SetListener installs l; pass nil to detach. Must be called before any
@@ -149,11 +153,21 @@ func (t *Tree) SetListener(l Listener) {
 // Config returns the tree's configuration (with defaults applied).
 func (t *Tree) Config() Config { return t.cfg }
 
-// MaxEntries returns the node fanout M.
-func (t *Tree) MaxEntries() int { return t.maxEntries }
+// MaxEntries returns the fanout M of a node at level (0 = leaf).
+func (t *Tree) MaxEntries(level int) int {
+	if level == 0 {
+		return t.maxLeaf
+	}
+	return t.maxInternal
+}
 
-// MinEntries returns the minimum fill m.
-func (t *Tree) MinEntries() int { return t.minEntries }
+// MinEntries returns the minimum fill m of a non-root node at level.
+func (t *Tree) MinEntries(level int) int {
+	if level == 0 {
+		return t.minLeaf
+	}
+	return t.minInternal
+}
 
 // Height returns the number of levels (0 for an empty tree; leaves are
 // level 0, the root of a tree with height h is at level h-1).

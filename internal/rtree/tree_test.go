@@ -161,6 +161,9 @@ func reinsertTag(cfg Config) string {
 	return tag
 }
 
+// TestRectDataInsertSearch: a leaf stores points, so rectangle data is
+// refused with ErrNotPoint as it arrives, among points that go in; the
+// tree then answers for the points alone.
 func TestRectDataInsertSearch(t *testing.T) {
 	tr := newTestTree(t, 512, 0, Config{})
 	rng := rand.New(rand.NewSource(11))
@@ -168,10 +171,17 @@ func TestRectDataInsertSearch(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		c := uniformPoint(rng)
 		r := geom.Rect{MinX: c.X, MinY: c.Y, MaxX: c.X + rng.Float64()*0.05, MaxY: c.Y + rng.Float64()*0.05}
-		if err := tr.Insert(OID(i), r); err != nil {
+		if err := tr.Insert(OID(i), r); !errors.Is(err, ErrNotPoint) {
+			t.Fatalf("insert of rectangle %v: err = %v, want ErrNotPoint", r, err)
+		}
+		p := geom.RectFromPoint(r.Center())
+		if err := tr.Insert(OID(i), p); err != nil {
 			t.Fatal(err)
 		}
-		o[OID(i)] = r
+		o[OID(i)] = p
+	}
+	if tr.Size() != len(o) {
+		t.Fatalf("size = %d, want %d", tr.Size(), len(o))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -17,8 +17,9 @@ import (
 //     (the mirror invariant — bottom-up MBR extensions update both ends);
 //   - every node's official MBR contains the MBR of its entries (leaves
 //     may be ε-extended beyond the tight bound, never the reverse);
-//   - non-root nodes hold between MinEntries and MaxEntries entries, the
-//     root holds at least 2 when internal, at least 1 when leaf;
+//   - non-root nodes hold between MinEntries and MaxEntries entries of
+//     their level, the root holds at least 2 when internal, at least 1
+//     when leaf;
 //   - no page is referenced twice; object ids are unique;
 //   - parent pointers (when configured) name the actual parent;
 //   - the tree's cached size and height match reality.
@@ -54,11 +55,11 @@ func (t *Tree) CheckInvariants() error {
 			return fmt.Errorf("rtree: page %d referenced twice", n.Page)
 		}
 		seenPages[n.Page] = true
-		if len(n.Entries) > t.maxEntries {
-			return fmt.Errorf("rtree: node %d overflows: %d > %d", n.Page, len(n.Entries), t.maxEntries)
+		if maxE := t.MaxEntries(n.Level); len(n.Entries) > maxE {
+			return fmt.Errorf("rtree: node %d overflows: %d > %d", n.Page, len(n.Entries), maxE)
 		}
-		if n.Page != t.root && len(n.Entries) < t.minEntries {
-			return fmt.Errorf("rtree: node %d underfull: %d < %d", n.Page, len(n.Entries), t.minEntries)
+		if minE := t.MinEntries(n.Level); n.Page != t.root && len(n.Entries) < minE {
+			return fmt.Errorf("rtree: node %d underfull: %d < %d", n.Page, len(n.Entries), minE)
 		}
 		if len(n.Entries) > 0 && !n.Self.ContainsRect(n.EntriesMBR()) {
 			return fmt.Errorf("rtree: node %d self MBR %v does not contain entries MBR %v", n.Page, n.Self, n.EntriesMBR())
@@ -107,7 +108,7 @@ type LevelStats struct {
 	Level     int
 	Nodes     int
 	Entries   int
-	AvgFill   float64 // mean entries per node / fanout
+	AvgFill   float64 // mean entries per node / the level's fanout
 	AreaSum   float64 // total MBR area at this level
 	Overlap   float64 // total pairwise overlap area between sibling MBRs
 	Perimeter float64
@@ -171,7 +172,7 @@ func (t *Tree) ComputeStats() (Stats, error) {
 			continue
 		}
 		if ls.Nodes > 0 {
-			ls.AvgFill = float64(ls.Entries) / float64(ls.Nodes) / float64(t.maxEntries)
+			ls.AvgFill = float64(ls.Entries) / float64(ls.Nodes) / float64(t.MaxEntries(l))
 		}
 		s.Levels = append(s.Levels, *ls)
 	}

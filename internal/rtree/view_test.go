@@ -17,8 +17,10 @@ import (
 )
 
 // refDecodeNode is the decoder every page access used before nodes were
-// read in place, kept verbatim as the reference the view is checked
-// against: it builds the whole Node, and rejects what it rejects.
+// read in place, kept as the reference the view is checked against: it
+// builds the whole Node, and rejects what it rejects. It reads both entry
+// shapes — a leaf's id and point, an internal node's id and rectangle —
+// each in its own loop.
 func refDecodeNode(n *Node, buf []byte, parentPointers bool) error {
 	if buf[0] != nodeMagic {
 		return fmt.Errorf("rtree: page is not a node (magic %#x)", buf[0])
@@ -39,21 +41,24 @@ func refDecodeNode(n *Node, buf []byte, parentPointers bool) error {
 		n.Parent = pagestore.PageID(binary.LittleEndian.Uint64(buf[off:]))
 		off += parentFieldSize
 	}
-	if off+count*entrySize > len(buf) {
+	width := 8 + 4*8 // child + rect
+	if n.Level == 0 {
+		width = 8 + 2*8 // oid + x,y
+	}
+	if off+count*width > len(buf) {
 		return fmt.Errorf("rtree: node count %d exceeds page capacity", count)
 	}
 	n.Entries = make([]Entry, count)
 	for i := 0; i < count; i++ {
 		id := binary.LittleEndian.Uint64(buf[off:])
-		r := getRect(buf[off+8:])
-		e := Entry{Rect: r}
-		if n.Level > 0 {
-			e.Child = pagestore.PageID(id)
+		if n.Level == 0 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+8:]))
+			y := math.Float64frombits(binary.LittleEndian.Uint64(buf[off+16:]))
+			n.Entries[i] = Entry{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x, MaxY: y}, OID: id}
 		} else {
-			e.OID = id
+			n.Entries[i] = Entry{Rect: getRect(buf[off+8:]), Child: pagestore.PageID(id)}
 		}
-		n.Entries[i] = e
-		off += entrySize
+		off += width
 	}
 	return nil
 }
@@ -127,7 +132,7 @@ func FuzzNodeView(f *testing.F) {
 	for _, pp := range []bool{false, true} {
 		for _, level := range []int{0, 2} {
 			n := &Node{Page: 3, Level: level, Parent: 12, Self: geom.NewRect(0.1, 0.2, 0.6, 0.9)}
-			for i := 0; i < 1+rng.Intn(MaxEntriesFor(fuzzPage, pp)); i++ {
+			for i := 0; i < 1+rng.Intn(MaxEntriesFor(fuzzPage, pp, level)); i++ {
 				p := uniformPoint(rng)
 				n.Entries = append(n.Entries, Entry{Rect: geom.RectFromPoint(p), OID: OID(i + 1), Child: pagestore.PageID(i + 20)})
 			}
@@ -146,6 +151,10 @@ func FuzzNodeView(f *testing.F) {
 			bad = bytes.Clone(buf)
 			binary.LittleEndian.PutUint16(bad[4:], 200) // count beyond the page
 			f.Add(bad, pp)
+			bad = bytes.Clone(buf)
+			bad[1] ^= flagLeaf // the other entry shape, consistently flagged
+			binary.LittleEndian.PutUint16(bad[2:], uint16(1-min(level, 1)))
+			f.Add(bad, pp)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, parentPointers bool) {
@@ -159,7 +168,8 @@ func FuzzNodeView(f *testing.F) {
 
 // randomTree builds a tree of n points and then moves, deletes and
 // re-inserts some of them, so that nodes are unevenly filled, leaf MBRs
-// are loose and pages have been freed and reused.
+// are loose and pages have been freed and reused. Every seventh point
+// lies on a coarse lattice, so some entries coincide.
 func randomTree(t testing.TB, rng *rand.Rand, pageSize, bufferPages, n int, cfg Config) (*Tree, oracle) {
 	t.Helper()
 	tr := newTestTree(t, pageSize, bufferPages, cfg)
@@ -167,7 +177,7 @@ func randomTree(t testing.TB, rng *rand.Rand, pageSize, bufferPages, n int, cfg 
 	for i := 0; i < n; i++ {
 		r := geom.RectFromPoint(uniformPoint(rng))
 		if i%7 == 0 {
-			r = geom.NewRect(r.MinX, r.MinY, r.MinX+0.02*rng.Float64(), r.MinY+0.02*rng.Float64())
+			r = geom.RectFromPoint(geom.Point{X: float64(rng.Intn(20)) / 20, Y: float64(rng.Intn(20)) / 20})
 		}
 		if err := tr.Insert(OID(i+1), r); err != nil {
 			t.Fatal(err)
@@ -592,46 +602,61 @@ func TestPatchesMatchReadMutateWrite(t *testing.T) {
 }
 
 // TestFailedEncodeLeavesPageIntact: WriteNode encodes into the frame, so a
-// node that does not fit must be rejected before the first byte is stored.
+// node that does not fit, or a leaf entry that is not a point, must be
+// rejected before the first byte is stored.
 func TestFailedEncodeLeavesPageIntact(t *testing.T) {
-	tr := newTestTree(t, 512, 8, Config{})
-	l := &eventLog{}
-	tr.SetListener(l)
-	if err := tr.Insert(1, geom.RectFromPoint(geom.Point{X: 0.5, Y: 0.5})); err != nil {
-		t.Fatal(err)
-	}
-	before := make([]byte, 512)
-	if err := tr.Pool().ReadPage(tr.Root(), before); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	l.events = nil
-	writes := tr.IO().Writes()
+	for _, bad := range []struct {
+		name  string
+		spoil func(tr *Tree, n *Node)
+	}{
+		{"oversized", func(tr *Tree, n *Node) {
+			for len(n.Entries) <= tr.MaxEntries(0)+1 {
+				n.Entries = append(n.Entries, Entry{OID: OID(len(n.Entries) + 10)})
+			}
+		}},
+		{"not a point", func(tr *Tree, n *Node) {
+			n.Entries = append(n.Entries, Entry{OID: 10, Rect: geom.NewRect(0.1, 0.1, 0.2, 0.2)})
+		}},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			tr := newTestTree(t, 512, 8, Config{})
+			l := &eventLog{}
+			tr.SetListener(l)
+			if err := tr.Insert(1, geom.RectFromPoint(geom.Point{X: 0.5, Y: 0.5})); err != nil {
+				t.Fatal(err)
+			}
+			before := make([]byte, 512)
+			if err := tr.Pool().ReadPage(tr.Root(), before); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			l.events = nil
+			writes := tr.IO().Writes()
 
-	n, err := tr.ReadNode(tr.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for len(n.Entries) <= tr.MaxEntries()+1 {
-		n.Entries = append(n.Entries, Entry{OID: OID(len(n.Entries) + 10)})
-	}
-	if err := tr.WriteNode(n); err == nil {
-		t.Fatal("an oversized node was written")
-	}
-	after := make([]byte, 512)
-	if err := tr.Pool().ReadPage(tr.Root(), after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("a failed encode changed the page")
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.IO().Writes() != writes || len(l.events) != 0 || tr.Pool().Pinned() != 0 {
-		t.Fatalf("a failed encode dirtied the frame (%d writes), told the listener %v, or leaked a pin", tr.IO().Writes()-writes, l.events)
+			n, err := tr.ReadNode(tr.Root())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad.spoil(tr, n)
+			if err := tr.WriteNode(n); err == nil {
+				t.Fatal("a node the page cannot hold was written")
+			}
+			after := make([]byte, 512)
+			if err := tr.Pool().ReadPage(tr.Root(), after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("a failed encode changed the page")
+			}
+			if err := tr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if tr.IO().Writes() != writes || len(l.events) != 0 || tr.Pool().Pinned() != 0 {
+				t.Fatalf("a failed encode dirtied the frame (%d writes), told the listener %v, or leaked a pin", tr.IO().Writes()-writes, l.events)
+			}
+		})
 	}
 }
 
@@ -675,7 +700,7 @@ func TestBorrowedNodesAreRecycled(t *testing.T) {
 		i++
 		// A move too small to split or condense anything.
 		old := o[oid]
-		nr := geom.NewRect(old.MinX, old.MinY, old.MaxX+1e-9, old.MaxY+1e-9)
+		nr := geom.RectFromPoint(geom.Point{X: old.MinX + 1e-9, Y: old.MinY + 1e-9})
 		if err := tr.Update(oid, old, nr); err != nil {
 			t.Fatal(err)
 		}

@@ -174,8 +174,8 @@ func newModelHarness(t *testing.T, cfg rtree.Config) *modelHarness {
 	tr := rtree.New(buffer.New(store, 16), cfg)
 	h := &modelHarness{
 		t: t, tree: tr, store: store,
-		sum:      New(tr.MaxEntries()),
-		ref:      newMapSummary(tr.MaxEntries()),
+		sum:      New(tr.MaxEntries(0)),
+		ref:      newMapSummary(tr.MaxEntries(0)),
 		leafOf:   map[rtree.OID]pagestore.PageID{},
 		lastRole: map[pagestore.PageID]int{},
 	}
@@ -274,7 +274,7 @@ func (h *modelHarness) bottomUp(oid rtree.OID, to geom.Rect, maxLevel int) error
 	if li < 0 {
 		return fmt.Errorf("object %d is not in leaf %d", oid, leaf.Page)
 	}
-	if tr.Height() < 2 || len(leaf.Entries)-1 < tr.MinEntries() {
+	if tr.Height() < 2 || len(leaf.Entries)-1 < tr.MinEntries(0) {
 		return tr.Update(oid, leaf.Entries[li].Rect, to)
 	}
 	fp, err := h.sum.FindParent(leaf.Page, to.Center(), maxLevel)

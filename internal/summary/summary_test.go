@@ -17,7 +17,7 @@ func newTrackedTree(t testing.TB, pageSize int, cfg rtree.Config) (*rtree.Tree, 
 	store := pagestore.New(pageSize, &stats.IO{})
 	pool := buffer.New(store, 0)
 	tr := rtree.New(pool, cfg)
-	s := New(tr.MaxEntries())
+	s := New(tr.MaxEntries(0))
 	tr.SetListener(s)
 	return tr, s
 }

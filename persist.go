@@ -41,6 +41,9 @@ var ErrBadSnapshot = errors.New("burtree: not a valid snapshot")
 // Snapshots written before the λ, reinsertion and split options left
 // Options still carry LevelThreshold, ReinsertFraction and SplitAlgorithm;
 // gob skips stream fields the struct lacks, so the format number stayed.
+// The page bytes are another matter: format 2 is the first whose leaves
+// hold 24-byte point entries, and a reader must never decode format 1's
+// 40-byte leaf entries as those.
 type savedIndex struct {
 	Format int // format version
 
@@ -70,7 +73,10 @@ type savedIndex struct {
 	WALSeq uint64
 }
 
-const saveFormat = 1
+// saveFormat is the version of savedIndex a snapshot carries. Format 1
+// held 40-byte leaf entries (id and rectangle); format 2 holds 24-byte
+// ones (id and point). Load refuses any other.
+const saveFormat = 2
 
 // savedSharded is the on-disk form of a ShardedIndex: a manifest (the
 // partitioning spec and the index-wide options) plus one complete
@@ -111,7 +117,10 @@ type savedSharded struct {
 	RouterEpoch uint64
 }
 
-const shardedFormat = 1
+// shardedFormat is the version of savedSharded a manifest carries: 2
+// since its blobs hold format-2 pages, so a format-1 manifest is refused
+// before a blob is opened.
+const shardedFormat = 2
 
 // saveSnapshot flushes the pool and encodes the stack's complete state
 // to w, with objects as its object set. The caller holds the tree
@@ -252,7 +261,7 @@ func decodeSavedIndex(br *bufio.Reader) (savedIndex, error) {
 		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if s.Format != saveFormat {
-		return s, fmt.Errorf("burtree: load: unsupported format %d", s.Format)
+		return s, fmt.Errorf("%w: snapshot format %d, this version reads format %d", ErrBadSnapshot, s.Format, saveFormat)
 	}
 	if _, err := s.options().coreOptions(); err != nil {
 		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
@@ -328,7 +337,7 @@ func decodeSavedSharded(br *bufio.Reader) (savedSharded, error) {
 		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if s.Format != shardedFormat {
-		return s, fmt.Errorf("burtree: load: unsupported sharded format %d", s.Format)
+		return s, fmt.Errorf("%w: sharded snapshot format %d, this version reads format %d", ErrBadSnapshot, s.Format, shardedFormat)
 	}
 	if len(s.Blobs) != s.Shards {
 		return s, fmt.Errorf("%w: manifest declares %d shards but snapshot carries %d", ErrBadSnapshot, s.Shards, len(s.Blobs))

@@ -3,10 +3,12 @@ package burtree
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"maps"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -252,7 +254,8 @@ func reencode[T any](t *testing.T, saved []byte, magic [8]byte, edit func(*T)) (
 // (DisablePiggyback and DisableSummaryQueries; then LevelThreshold,
 // ReinsertFraction and SplitAlgorithm) and savedSharded's Options
 // (those three, Durability.GroupWindow and Memtable.MaxAge): gob skips
-// stream fields the receiving struct lacks, so both formats stay 1. A
+// stream fields the receiving struct lacks, so the removals bumped no
+// format number (the point-shaped leaves did, for their page bytes). A
 // snapshot written before the removals — with every removed field set,
 // so the encoder does not omit it as a zero value — loads as the same
 // index, under the defaults: the tree the old settings built is a valid
@@ -355,4 +358,64 @@ func TestLoadSnapshotWithRemovedOptionFields(t *testing.T) {
 		restored, err := LoadSharded(bytes.NewReader(stream))
 		loaded(t, restored, err)
 	})
+}
+
+// TestLoadRefusesFormatOne: a format-1 snapshot's leaves hold 40-byte
+// entries, which this version's 24-byte point entries would misread. A
+// blob, a manifest, or a current manifest carrying a format-1 blob is
+// refused by every loader with ErrBadSnapshot, naming the format, before
+// any page is decoded.
+func TestLoadRefusesFormatOne(t *testing.T) {
+	orig, _ := buildForPersist(t, GeneralizedBottomUp)
+	var blob bytes.Buffer
+	if err := orig.Save(&blob); err != nil {
+		t.Fatal(err)
+	}
+	oldBlob, _ := reencode(t, blob.Bytes(), snapshotMagic, func(s *savedIndex) { s.Format = 1 })
+
+	sh, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 2000, BufferPages: 32}, ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	ids := slices.Sorted(maps.Keys(orig.objects))
+	pts := make([]Point, len(ids))
+	for i, id := range ids {
+		pts[i] = orig.objects[id]
+	}
+	if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	var manifest bytes.Buffer
+	if err := sh.Save(&manifest); err != nil {
+		t.Fatal(err)
+	}
+	oldManifest, _ := reencode(t, manifest.Bytes(), shardedMagic, func(m *savedSharded) { m.Format = 1 })
+	oldShard, _ := reencode(t, manifest.Bytes(), shardedMagic, func(m *savedSharded) {
+		m.Blobs[1], _ = reencode(t, m.Blobs[1], snapshotMagic, func(s *savedIndex) { s.Format = 1 })
+	})
+
+	loaders := []struct {
+		name string
+		load func([]byte) error
+	}{
+		{"Load", func(b []byte) error { _, err := Load(bytes.NewReader(b)); return err }},
+		{"LoadConcurrent", func(b []byte) error { _, err := LoadConcurrent(bytes.NewReader(b)); return err }},
+		{"LoadSharded", func(b []byte) error { _, err := LoadSharded(bytes.NewReader(b)); return err }},
+	}
+	for _, c := range []struct {
+		name    string
+		stream  []byte
+		sharded bool
+	}{{"blob", oldBlob, false}, {"manifest", oldManifest, true}, {"manifest with a format-1 blob", oldShard, true}} {
+		for _, l := range loaders {
+			if l.name == "LoadSharded" && !c.sharded {
+				continue // refuses any single-tree snapshot
+			}
+			err := l.load(c.stream)
+			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "format 1") {
+				t.Errorf("%s of a %s: err = %v, want ErrBadSnapshot naming format 1", l.name, c.name, err)
+			}
+		}
+	}
 }
