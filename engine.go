@@ -31,8 +31,8 @@ import (
 // operation, and a tree operation's callback may take it. The tier's mutex
 // is a leaf — no memtable.Table method calls out while holding it — taken
 // under the table lock by an absorb and under the tree's shared locks by
-// an overlay read's mask lookup (memtable.View.Masks), once per
-// candidate.
+// an overlay read's mask lookup (memtable.View.Masks), for a candidate
+// the view's presence filter cannot rule out.
 
 // stepKind names the three single-object mutations.
 type stepKind uint8

@@ -23,19 +23,18 @@
 // that fixes its overlay before scanning the tree observes each object
 // exactly once no matter how a concurrent merge interleaves.
 //
-// A reader fixes its overlay as a View, which costs what the read
-// reports and not what the tier holds. Under one hold of the table's
-// mutex, before the tree scan starts, ViewWindow/ViewNearest
+// A reader fixes its overlay as a View, which costs what the read's
+// range touches and not what the tier holds. Under one hold of the
+// table's mutex, before the tree scan starts, ViewWindow/ViewNearest
 //
 //   - capture the two generations by pointer and the absorb counter,
 //     and
 //   - copy out the live entries the read will report — those inside
-//     the window, or the k nearest the point — in one pass over each
-//     generation's dense entry slice.
+//     the window, or the k nearest the point — from the generations'
+//     grids (below).
 //
-// During the scan View.Masks decides per tree candidate, by lookup,
-// whether a captured delta supersedes it. A candidate is masked iff its
-// id is
+// During the scan View.Masks decides per tree candidate whether a
+// captured delta supersedes it. A candidate is masked iff its id is
 //
 //   - in the captured draining generation. A generation is never
 //     written again once BeginDrain has promoted it, and EndDrain only
@@ -64,8 +63,55 @@
 // A mutable generation that is empty when the view is taken is not
 // captured at all: whatever enters it later postdates the view.
 //
+// # Cells and the presence filter
+//
+// Each generation files its live deltas in a fixed gridSide × gridSide
+// grid over the unit square, by geom.ClampCell — the mapping the
+// concurrent package's lock grid uses — so a coordinate outside the
+// square lands in a border cell: still correct, and at worst a full
+// scan. The cell lists are intrusive, threaded through the dense entry
+// slice, so a generation is one allocation beside its map however many
+// cells it fills; a move across a cell boundary relinks its delta in
+// O(1); a tombstone, which no view reports, is filed nowhere. ViewWindow
+// walks the cells the window overlaps. ViewNearest walks rings of cells
+// outward from the query point's cell and stops once the k-th distance
+// in hand is below the gap to every ring not yet walked. The grid side
+// is a power of two, so a cell's bounds are exact in float64 and the gap
+// never exceeds the distance the tree's metric computes for a point
+// filed beyond it. Snapshot and BeginDrain keep one pass over the dense
+// slice: they copy every entry, which is O(depth) by nature.
+//
+// Each generation also keeps a presence filter: filterBits bits, held in
+// atomic words, with the bit of every id ever added to it set — under the
+// mutex, before the absorb returns — and never cleared. Masks loads the
+// id's bit first and takes the mutex only when it is set, which for
+// the great majority of tree candidates it is not. That answer is
+// exact:
+//
+//   - A view is captured under the mutex, after every absorb that came
+//     before it released the mutex, so every delta that exists when the
+//     view is taken has its bit visible to the view's loads.
+//   - A clear bit therefore hides only a delta added after the view. Such
+//     a delta either was born after the view, which the rule above
+//     leaves unmasked anyway, or was born at zero, for an object the
+//     tree does not hold. The tree can only still be showing such an
+//     object under a draining tombstone, and while the view's mutable
+//     generation still takes adds, the only draining generation there
+//     can be is the view's own: its exact check masks the object.
+//   - Merges cannot race the scan in the read's range: a read holds the
+//     DGL cell locks of its window (Search) or the tree granule shared
+//     (Nearest), and the serial Index merges inline, between reads.
+//
+// Put otherwise, Masks answers as the locked lookup would have at the
+// instant of its bit load. One bit per id in filterBits = 65 536 bits
+// passes an absent id with probability ≈ n / filterBits for n ids
+// added to the generation: ≈ 1.6 % at the default depth per shard
+// (4 096 / 4 = 1 024) and ≈ 6.1 % at 4 096, and the false positive
+// costs one locked lookup, never a wrong answer.
+//
 // The mutex is a leaf: no method calls out while holding it. Masks takes
-// it under the tree's shared locks and latch, where the scan runs.
+// it, for a candidate whose bit is set, under the tree's shared locks
+// and latch, where the scan runs.
 //
 // Each entry records, besides the object's latest position, what the
 // tree will hold for that object once all earlier generations have
@@ -80,8 +126,19 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"burtree/internal/geom"
+)
+
+const (
+	// gridSide is the number of cells per axis of a generation's grid. A
+	// power of two: see the package comment.
+	gridSide  = 16
+	gridCells = gridSide * gridSide
+	// filterBits is the width of a generation's presence filter.
+	filterBits  = 1 << 16
+	filterWords = filterBits / 64
 )
 
 // Config bounds the tier.
@@ -135,45 +192,134 @@ type Stats struct {
 type delta struct {
 	Entry
 	born int64
+	// prev and next thread the delta through its cell's list: 1 + the
+	// slot of the neighbour, or 0 at either end.
+	prev, next int32
 }
 
-// generation is one table of deltas: a dense slice, which the views
-// scan, beside the id → slot index every lookup goes through. It is
-// written only under the table's mutex and only while it is the mutable
-// generation.
+// generation is one table of deltas: a dense slice, the id → slot index
+// every lookup goes through, the cell lists the views walk and the
+// presence filter Masks reads first. It is written only under the
+// table's mutex and only while it is the mutable generation.
 type generation struct {
 	slot map[uint64]int
 	ents []delta
+	// head[c] is 1 + the slot of the first delta filed in cell c, or 0.
+	head [gridCells]int32
+	// filter has the bit of every id ever added set (see filterBit).
+	// Stores happen under the table's mutex; loads need none.
+	filter [filterWords]atomic.Uint64
 }
 
 func newGeneration() *generation {
 	return &generation{slot: make(map[uint64]int)}
 }
 
+// cellOf returns the cell e is filed in, or -1 for a tombstone, which no
+// view reports.
+func cellOf(e *Entry) int {
+	if e.Tombstone {
+		return -1
+	}
+	return geom.ClampCell(e.Pos.Y, gridSide)*gridSide + geom.ClampCell(e.Pos.X, gridSide)
+}
+
+// filterBit returns the word and the mask of id's bit in a presence
+// filter: the top bits of a Fibonacci hash, which spread sequential ids.
+func filterBit(id uint64) (int, uint64) {
+	h := id * 0x9e3779b97f4a7c15 >> (64 - 16)
+	return int(h >> 6), 1 << (h & 63)
+}
+
+// mayHold reports whether id's bit is set: false means id was never
+// added to g. Safe without the mutex.
+func (g *generation) mayHold(id uint64) bool {
+	w, m := filterBit(id)
+	return g.filter[w].Load()&m != 0
+}
+
+// find returns id's slot, or -1.
+func (g *generation) find(id uint64) int {
+	if g == nil {
+		return -1
+	}
+	if i, ok := g.slot[id]; ok {
+		return i
+	}
+	return -1
+}
+
 // get returns id's delta, or nil. The pointer is good until the next
 // add or remove.
 func (g *generation) get(id uint64) *delta {
-	if g == nil {
-		return nil
-	}
-	if i, ok := g.slot[id]; ok {
+	if i := g.find(id); i >= 0 {
 		return &g.ents[i]
 	}
 	return nil
 }
 
-func (g *generation) add(e Entry, born int64) {
-	g.slot[e.ID] = len(g.ents)
-	g.ents = append(g.ents, delta{Entry: e, born: born})
+// link files slot i at the head of cell c's list; unlink takes it out.
+// Both ignore c < 0, the cell of a tombstone.
+func (g *generation) link(i, c int) {
+	if c < 0 {
+		return
+	}
+	d := &g.ents[i]
+	d.prev, d.next = 0, g.head[c]
+	if d.next != 0 {
+		g.ents[d.next-1].prev = int32(i + 1)
+	}
+	g.head[c] = int32(i + 1)
 }
 
-// remove drops id's delta, moving the last one into its slot.
+func (g *generation) unlink(i, c int) {
+	if c < 0 {
+		return
+	}
+	d := &g.ents[i]
+	if d.prev != 0 {
+		g.ents[d.prev-1].next = d.next
+	} else {
+		g.head[c] = d.next
+	}
+	if d.next != 0 {
+		g.ents[d.next-1].prev = d.prev
+	}
+}
+
+func (g *generation) add(e Entry, born int64) {
+	i := len(g.ents)
+	g.slot[e.ID] = i
+	g.ents = append(g.ents, delta{Entry: e, born: born})
+	g.link(i, cellOf(&e))
+	w, m := filterBit(e.ID)
+	if v := g.filter[w].Load(); v&m == 0 {
+		g.filter[w].Store(v | m)
+	}
+}
+
+// set rewrites slot i's entry, refiling it if it changes cells.
+func (g *generation) set(i int, e Entry) {
+	from, to := cellOf(&g.ents[i].Entry), cellOf(&e)
+	if from != to {
+		g.unlink(i, from)
+		g.link(i, to)
+	}
+	g.ents[i].Entry = e
+}
+
+// remove drops id's delta, moving the last one into its slot. Its bit
+// stays set.
 func (g *generation) remove(id uint64) {
 	i, last := g.slot[id], len(g.ents)-1
+	g.unlink(i, cellOf(&g.ents[i].Entry))
 	delete(g.slot, id)
 	if i != last {
+		c := cellOf(&g.ents[last].Entry)
+		g.unlink(last, c)
 		g.ents[i] = g.ents[last]
 		g.slot[g.ents[i].ID] = i
+		g.link(i, c)
 	}
 	g.ents = g.ents[:last]
 }
@@ -252,10 +398,11 @@ func (t *Table) Insert(id uint64, p geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.absorbed++
-	if d := t.mut.get(id); d != nil {
+	if i := t.mut.find(id); i >= 0 {
 		// A pending tombstone: the tree still holds the object, so the
 		// re-insert becomes a move of the tree-resident copy.
-		d.Entry = Entry{ID: id, Pos: p, InTree: d.InTree, Base: d.Base}
+		d := &t.mut.ents[i]
+		t.mut.set(i, Entry{ID: id, Pos: p, InTree: d.InTree, Base: d.Base})
 		return t.full()
 	}
 	inTree, base := t.treeState(id, geom.Point{}, false)
@@ -272,15 +419,17 @@ func (t *Table) Update(id uint64, p, cur geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.absorbed++
-	d := t.mut.get(id)
-	if d != nil && !d.Tombstone {
-		d.Pos = p
+	i := t.mut.find(id)
+	if i >= 0 && !t.mut.ents[i].Tombstone {
+		e := t.mut.ents[i].Entry
+		e.Pos = p
+		t.mut.set(i, e)
 		return t.full()
 	}
 	inTree, base := t.treeState(id, cur, true)
 	e := Entry{ID: id, Pos: p, InTree: inTree, Base: base}
-	if d != nil {
-		d.Entry = e
+	if i >= 0 {
+		t.mut.set(i, e)
 	} else {
 		t.create(e)
 	}
@@ -297,11 +446,11 @@ func (t *Table) Delete(id uint64, cur geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.absorbed++
-	if d := t.mut.get(id); d != nil {
-		if !d.InTree {
+	if i := t.mut.find(id); i >= 0 {
+		if d := &t.mut.ents[i]; !d.InTree {
 			t.mut.remove(id)
 		} else {
-			d.Entry = Entry{ID: id, InTree: true, Base: d.Base, Tombstone: true}
+			t.mut.set(i, Entry{ID: id, InTree: true, Base: d.Base, Tombstone: true})
 		}
 		return t.full()
 	}
@@ -466,14 +615,15 @@ func (t *Table) view() View {
 func (v View) Empty() bool { return v.mut == nil && v.flush == nil }
 
 // Masks reports whether a delta the view captured supersedes the tree's
-// entry for id.
+// entry for id. It takes the table's mutex only when the mutable
+// generation's filter holds id's bit (see the package comment).
 func (v View) Masks(id uint64) bool {
-	if v.flush != nil {
+	if v.flush != nil && v.flush.mayHold(id) {
 		if _, ok := v.flush.slot[id]; ok {
 			return true
 		}
 	}
-	if v.mut == nil {
+	if v.mut == nil || !v.mut.mayHold(id) {
 		return false
 	}
 	v.t.mu.Lock()
@@ -486,27 +636,39 @@ func (v View) Masks(id uint64) bool {
 // shadowed reports whether the mutable generation overrides the draining
 // generation's delta for id (caller holds t.mu).
 func (t *Table) shadowed(id uint64) bool {
+	if !t.mut.mayHold(id) {
+		return false
+	}
 	_, ok := t.mut.slot[id]
 	return ok
 }
 
 // ViewWindow takes a view and appends to buf the live buffered objects
 // inside q, mutable generation winning over draining, in no particular
-// order.
+// order. It walks the cells q overlaps.
 func (t *Table) ViewWindow(q geom.Rect, buf []Hit) (View, []Hit) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.view()
+	if !q.Valid() {
+		return v, buf // inverted or NaN: no point is inside
+	}
+	x0, x1 := geom.ClampCell(q.MinX, gridSide), geom.ClampCell(q.MaxX, gridSide)
+	y0, y1 := geom.ClampCell(q.MinY, gridSide), geom.ClampCell(q.MaxY, gridSide)
 	for _, g := range [...]*generation{t.flush, t.mut} {
-		if g == nil {
+		if g.len() == 0 {
 			continue
 		}
-		for i := range g.ents {
-			d := &g.ents[i]
-			if d.Tombstone || !q.ContainsPoint(d.Pos) || g == t.flush && t.shadowed(d.ID) {
-				continue
+		for y := y0; y <= y1; y++ {
+			for c := y*gridSide + x0; c <= y*gridSide+x1; c++ {
+				for i := g.head[c]; i != 0; i = g.ents[i-1].next {
+					d := &g.ents[i-1]
+					if !q.ContainsPoint(d.Pos) || g == t.flush && t.shadowed(d.ID) {
+						continue
+					}
+					buf = append(buf, Hit{ID: d.ID, Pos: d.Pos})
+				}
 			}
-			buf = append(buf, Hit{ID: d.ID, Pos: d.Pos})
 		}
 	}
 	return v, buf
@@ -516,49 +678,108 @@ func (t *Table) ViewWindow(q geom.Rect, buf []Hit) (View, []Hit) {
 // objects nearest p (fewer if the tier holds fewer, none for k <= 0),
 // mutable generation winning over draining, ascending by (distance, id).
 // Distances are the tree's degenerate-rectangle metric, so they compare
-// exactly with the tree's own.
+// exactly with the tree's own. It walks rings of cells outward from p's
+// cell until the k-th distance in hand is below the gap to the next ring.
 func (t *Table) ViewNearest(p geom.Point, k int, buf []Hit) (View, []Hit) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	v := t.view()
-	if k <= 0 {
+	if k <= 0 || t.mut.len()+t.flush.len() == 0 {
 		return v, buf
 	}
-	base := len(buf)
-	for _, g := range [...]*generation{t.flush, t.mut} {
-		if g == nil {
-			continue
+	n := nearest{t: t, p: p, k: k, base: len(buf), buf: buf}
+	cx, cy := geom.ClampCell(p.X, gridSide), geom.ClampCell(p.Y, gridSide)
+	for r := 0; ; r++ {
+		if r > 0 {
+			gap, more := ringGap(p, cx, cy, r)
+			// A NaN gap (p has a NaN coordinate) stops nothing.
+			if !more || len(n.buf)-n.base == k && gap > n.buf[len(n.buf)-1].Dist {
+				break
+			}
 		}
-		for i := range g.ents {
-			d := &g.ents[i]
-			if d.Tombstone {
+		for y := max(cy-r, 0); y <= min(cy+r, gridSide-1); y++ {
+			if y == cy-r || y == cy+r {
+				for x := max(cx-r, 0); x <= min(cx+r, gridSide-1); x++ {
+					n.cell(y*gridSide + x)
+				}
 				continue
 			}
-			best := buf[base:]
-			if len(best) == k {
+			if x := cx - r; x >= 0 {
+				n.cell(y*gridSide + x)
+			}
+			if x := cx + r; x < gridSide {
+				n.cell(y*gridSide + x)
+			}
+		}
+	}
+	return v, n.buf
+}
+
+// ringGap returns a lower bound on the distance from p, in cell (cx, cy),
+// to any point filed in a cell r or more rings out, and whether the grid
+// has such a cell. A point filed in column cx+r or beyond lies at or right
+// of that column's left edge, exactly (the grid side is a power of two),
+// so its distance is at least the gap to that edge; and so on for the
+// other three sides.
+func ringGap(p geom.Point, cx, cy, r int) (gap float64, more bool) {
+	const side = 1.0 / gridSide
+	gap = math.Inf(1)
+	if cx+r < gridSide {
+		gap, more = min(gap, float64(cx+r)*side-p.X), true
+	}
+	if cx-r >= 0 {
+		gap, more = min(gap, p.X-float64(cx-r+1)*side), true
+	}
+	if cy+r < gridSide {
+		gap, more = min(gap, float64(cy+r)*side-p.Y), true
+	}
+	if cy-r >= 0 {
+		gap, more = min(gap, p.Y-float64(cy-r+1)*side), true
+	}
+	return gap, more
+}
+
+// nearest is one ViewNearest's bounded k-selection: buf[base:] holds the
+// best so far, ascending by (distance, id).
+type nearest struct {
+	t    *Table
+	p    geom.Point
+	k    int
+	base int
+	buf  []Hit
+}
+
+// cell offers the live deltas filed in cell c of both generations.
+func (n *nearest) cell(c int) {
+	for _, g := range [...]*generation{n.t.flush, n.t.mut} {
+		if g.len() == 0 {
+			continue
+		}
+		for i := g.head[c]; i != 0; i = g.ents[i-1].next {
+			d := &g.ents[i-1]
+			best := n.buf[n.base:]
+			if len(best) == n.k {
 				// The k-th distance bounds the rest: an entry farther than
 				// that along either axis alone cannot enter, whatever the
-				// other says, and is turned away before math.Hypot, which
-				// is most of what a pass over the tier costs.
-				kth := best[k-1].Dist
-				if math.Abs(d.Pos.X-p.X) > kth || math.Abs(d.Pos.Y-p.Y) > kth {
+				// other says, and is turned away before math.Hypot.
+				kth := best[n.k-1].Dist
+				if math.Abs(d.Pos.X-n.p.X) > kth || math.Abs(d.Pos.Y-n.p.Y) > kth {
 					continue
 				}
 			}
-			h := Hit{ID: d.ID, Pos: d.Pos, Dist: geom.RectFromPoint(d.Pos).MinDistPoint(p)}
+			h := Hit{ID: d.ID, Pos: d.Pos, Dist: geom.RectFromPoint(d.Pos).MinDistPoint(n.p)}
 			at, _ := slices.BinarySearchFunc(best, h, compareHits)
-			if at == k || g == t.flush && t.shadowed(d.ID) {
+			if at == n.k || g == n.t.flush && n.t.shadowed(d.ID) {
 				continue
 			}
-			if len(best) < k {
-				buf = append(buf, Hit{})
+			if len(best) < n.k {
+				n.buf = append(n.buf, Hit{})
 			}
-			best = buf[base:]
+			best = n.buf[n.base:]
 			copy(best[at+1:], best[at:])
 			best[at] = h
 		}
 	}
-	return v, buf
 }
 
 func compareHits(a, b Hit) int {

@@ -44,11 +44,16 @@ import (
 // per object and tombstones mask deleted objects — so an acknowledged
 // write is immediately visible. A read does not copy the buffer: it
 // takes a view of it (package memtable) that collects only the buffered
-// objects it will report and decides per tree candidate, by lookup,
-// whether a buffered delta supersedes it, and Nearest pulls neighbours
-// from the tree one at a time until k are in hand. What a read pays for
-// the tier is one pass over the buffered positions plus the masked
-// candidates in its range, and it allocates for its results alone.
+// objects it will report, from the buffer's grid cells that the window
+// overlaps or, for Nearest, the rings of cells around the point that can
+// still hold one of the k nearest. Per tree candidate the view decides
+// whether a buffered delta supersedes it: one lock-free filter probe
+// rules out most candidates, and a locked lookup settles the rest.
+// Nearest pulls neighbours from the tree one at a time until k are in
+// hand. What a read pays for the tier is the buffered positions in the
+// cells its range touches, a probe per candidate and a lookup per
+// buffered one, whatever the buffer's depth; it allocates for its
+// results alone.
 // Recovery replays the WAL tail into the buffer, so crash safety is
 // exactly the write-ahead log's: everything the log retained is
 // replayed, whether or not it was merged down before the crash.

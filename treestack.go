@@ -33,9 +33,8 @@ type treeOps interface {
 	// order; on error done has run for exactly the applied prefix.
 	UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)) (core.BatchStats, error)
 	Search(q Rect, visit func(uint64, Rect) bool) error
-	Nearest(p Point, k int) ([]rtree.Neighbor, error)
 	// NearestFunc streams neighbours in non-decreasing distance, under the
-	// locks Nearest holds, until visit returns false.
+	// tree granule held shared, until visit returns false.
 	NearestFunc(p Point, visit func(rtree.Neighbor) bool) error
 	// Exclusive runs fn with every other operation locked out; View runs
 	// it at a physically consistent point alongside readers.
@@ -311,11 +310,10 @@ func (s *treeStack) close() error {
 // ConcurrentIndex the query runs under shared granule locks covering the
 // window (phantom-protected at granule granularity).
 func (s *treeStack) Search(q Rect) ([]uint64, error) {
-	var out []uint64
-	err := s.SearchFunc(q, func(id uint64, p Point) bool {
-		out = append(out, id)
-		return true
-	})
+	sc := searchScans.Get().(*searchScan)
+	err := s.scan(sc, q)
+	out := sc.ids
+	sc.release()
 	return out, err
 }
 
@@ -326,35 +324,74 @@ func (s *treeStack) Search(q Rect) ([]uint64, error) {
 // held: it must be fast and must not call back into the index, or
 // updates to the locked region stall behind it.
 func (s *treeStack) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
+	sc := searchScans.Get().(*searchScan)
+	sc.visit = visit
+	err := s.scan(sc, q)
+	sc.release()
+	return err
+}
+
+// scan runs one window read into sc. The view is taken before the tree
+// scan: a merge completing in between leaves its objects masked in the
+// scan and reported from the view, never missed (see package memtable).
+// The buffered part of the results streams after the tree's shared locks
+// are released.
+func (s *treeStack) scan(sc *searchScan, q Rect) error {
+	hits := sc.buf[:0]
 	if s.mem != nil {
-		// The view is taken before the tree scan: a merge completing in
-		// between leaves its objects masked in the scan and reported from
-		// the view, never missed (see package memtable). The buffered part of
-		// the results streams after the tree's shared locks are released.
-		var buf [32]memtable.Hit
-		if view, hits := s.mem.ViewWindow(q, buf[:0]); !view.Empty() {
-			stopped := false
-			err := s.tree.Search(q, func(oid uint64, r Rect) bool {
-				if view.Masks(oid) {
-					return true
-				}
-				stopped = !visit(oid, Point{X: r.MinX, Y: r.MinY})
-				return !stopped
-			})
-			if err != nil || stopped {
-				return err
-			}
-			for _, h := range hits {
-				if !visit(h.ID, h.Pos) {
-					break
-				}
-			}
-			return nil
+		sc.view, hits = s.mem.ViewWindow(q, hits)
+	}
+	if err := s.tree.Search(q, sc.fromTree); err != nil || sc.stopped {
+		return err
+	}
+	for _, h := range hits {
+		if !sc.emit(h.ID, h.Pos) {
+			break
 		}
 	}
-	return s.tree.Search(q, func(oid uint64, r Rect) bool {
-		return visit(oid, Point{X: r.MinX, Y: r.MinY})
-	})
+	return nil
+}
+
+// searchScan is the state of one window read. The function a read hands
+// the tree escapes, since the compiler cannot see through treeOps, so a
+// pooled scan binds it once (fromTree) and a read allocates for its
+// results alone.
+type searchScan struct {
+	view     memtable.View
+	visit    func(uint64, Point) bool // SearchFunc's; nil collects into ids
+	ids      []uint64
+	stopped  bool
+	fromTree func(uint64, Rect) bool // sc.tree, bound once
+	buf      [32]memtable.Hit
+}
+
+var searchScans = sync.Pool{New: func() any {
+	sc := new(searchScan)
+	sc.fromTree = sc.tree
+	return sc
+}}
+
+// tree takes one tree candidate: dropped if a buffered delta supersedes
+// it, emitted otherwise.
+func (sc *searchScan) tree(oid uint64, r Rect) bool {
+	if sc.view.Masks(oid) {
+		return true
+	}
+	return sc.emit(oid, Point{X: r.MinX, Y: r.MinY})
+}
+
+func (sc *searchScan) emit(id uint64, p Point) bool {
+	if sc.visit == nil {
+		sc.ids = append(sc.ids, id)
+		return true
+	}
+	sc.stopped = !sc.visit(id, p)
+	return !sc.stopped
+}
+
+func (sc *searchScan) release() {
+	sc.view, sc.visit, sc.ids, sc.stopped = memtable.View{}, nil, nil, false
+	searchScans.Put(sc)
 }
 
 // Count returns the number of objects inside q, under the same locks
@@ -369,56 +406,70 @@ func (s *treeStack) Count(q Rect) (int, error) {
 // a ConcurrentIndex the traversal's footprint cannot be declared up
 // front, so the query holds the whole-tree granule shared: it runs in
 // parallel with other reads but excludes updates for its duration.
+//
+// The tree's neighbours stream in, nearest first. With the delta tier
+// enabled they merge with the view's own k nearest: a masked candidate is
+// dropped, and the stream is cut as soon as k neighbours are in hand —
+// which the buffered ones nearer than the next candidate may complete on
+// their own — so the tree is asked for k plus the masked candidates in
+// range, whatever the tier holds. No object comes from both sides: what
+// the view reports, the tree does not hold or the view masks.
 func (s *treeStack) Nearest(p Point, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
+	ns := nearestScans.Get().(*nearestScan)
+	defer ns.release()
+	ns.k, ns.out, ns.near = k, make([]Neighbor, 0, k), ns.buf[:0]
 	if s.mem != nil {
-		var buf [16]memtable.Hit
-		if view, near := s.mem.ViewNearest(p, k, buf[:0]); !view.Empty() {
-			return s.overlayNearest(view, near, p, k)
-		}
+		ns.view, ns.near = s.mem.ViewNearest(p, k, ns.near)
 	}
-	res, err := s.tree.Nearest(p, k)
-	if err != nil {
+	if err := s.tree.NearestFunc(p, ns.fromTree); err != nil {
 		return nil, err
 	}
-	out := make([]Neighbor, len(res))
-	for i, n := range res {
-		out[i] = Neighbor{ID: n.OID, Location: Point{X: n.Rect.MinX, Y: n.Rect.MinY}, Dist: n.Dist}
-	}
-	return out, nil
+	ns.takeNear(math.Inf(1))
+	return ns.out, nil
 }
 
-// overlayNearest answers a k-NN query under view: the tree's neighbours
-// stream in, nearest first, and merge with near, the view's own k
-// nearest. A masked candidate is dropped, and the stream is cut as soon
-// as k neighbours are in hand — which the buffered ones nearer than the
-// next candidate may complete on their own — so the tree is asked for k
-// plus the masked candidates in range, whatever the tier holds. No object
-// comes from both sides: what the view reports, the tree does not hold or
-// the view masks.
-func (s *treeStack) overlayNearest(view memtable.View, near []memtable.Hit, p Point, k int) ([]Neighbor, error) {
-	out := make([]Neighbor, 0, k)
-	// takeNear moves the buffered neighbours nearer than dist into out.
-	takeNear := func(dist float64) {
-		for len(near) > 0 && len(out) < k && near[0].Dist <= dist {
-			out = append(out, Neighbor{ID: near[0].ID, Location: near[0].Pos, Dist: near[0].Dist})
-			near = near[1:]
-		}
+// nearestScan is the state of one k-NN read, pooled for the reason
+// searchScan is.
+type nearestScan struct {
+	view     memtable.View
+	near     []memtable.Hit // the view's k nearest not yet taken
+	out      []Neighbor
+	k        int
+	fromTree func(rtree.Neighbor) bool // ns.tree, bound once
+	buf      [16]memtable.Hit
+}
+
+var nearestScans = sync.Pool{New: func() any {
+	ns := new(nearestScan)
+	ns.fromTree = ns.tree
+	return ns
+}}
+
+// tree takes the next tree neighbour, after the buffered ones nearer
+// than it, and reports whether more are wanted.
+func (ns *nearestScan) tree(n rtree.Neighbor) bool {
+	ns.takeNear(n.Dist)
+	if len(ns.out) < ns.k && !ns.view.Masks(n.OID) {
+		ns.out = append(ns.out, Neighbor{ID: n.OID, Location: Point{X: n.Rect.MinX, Y: n.Rect.MinY}, Dist: n.Dist})
 	}
-	err := s.tree.NearestFunc(p, func(n rtree.Neighbor) bool {
-		takeNear(n.Dist)
-		if len(out) < k && !view.Masks(n.OID) {
-			out = append(out, Neighbor{ID: n.OID, Location: Point{X: n.Rect.MinX, Y: n.Rect.MinY}, Dist: n.Dist})
-		}
-		return len(out) < k
-	})
-	if err != nil {
-		return nil, err
+	return len(ns.out) < ns.k
+}
+
+// takeNear moves the buffered neighbours no farther than dist into out.
+func (ns *nearestScan) takeNear(dist float64) {
+	for len(ns.near) > 0 && len(ns.out) < ns.k && ns.near[0].Dist <= dist {
+		h := ns.near[0]
+		ns.out = append(ns.out, Neighbor{ID: h.ID, Location: h.Pos, Dist: h.Dist})
+		ns.near = ns.near[1:]
 	}
-	takeNear(math.Inf(1))
-	return out, nil
+}
+
+func (ns *nearestScan) release() {
+	ns.view, ns.near, ns.out = memtable.View{}, nil, nil
+	nearestScans.Put(ns)
 }
 
 // stats fills the counter snapshot. It is taken at a physically
