@@ -206,13 +206,12 @@ type indexParts struct {
 	pool  *buffer.Pool
 	io    *stats.IO
 	u     core.Updater
-	opts  Options // normalized copy, retained for persistence
 }
 
-// coreOptions converts the public options to the strategy's, applying
-// the zero-value defaults in one place for fresh and restored indexes,
-// and fixing what Options leaves out at the paper's defaults. It refuses
-// a page the strategy's tree cannot use, before any store is built on it.
+// coreOptions converts a stack's options (stackOptions) to the
+// strategy's, fixing what Options leaves out at the paper's defaults. It
+// refuses a page the strategy's tree cannot use, before any store is
+// built on it.
 func (opts Options) coreOptions() (core.Options, error) {
 	kind, err := opts.Strategy.kind()
 	if err != nil {
@@ -221,44 +220,32 @@ func (opts Options) coreOptions() (core.Options, error) {
 	if least := core.MinPageSize(kind); opts.PageSize < least {
 		return core.Options{}, fmt.Errorf("burtree: page size %d below the %v minimum of %d bytes", opts.PageSize, opts.Strategy, least)
 	}
-	expected := opts.ExpectedObjects
-	if expected == 0 {
-		expected = 1024
-	}
 	return core.Options{
 		Strategy:          kind,
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
 		LevelThreshold:    core.UnrestrictedLevels,
-		ExpectedObjects:   expected,
+		ExpectedObjects:   opts.ExpectedObjects,
 		Tree:              rtree.Config{ReinsertFraction: 0.3, Split: rtree.SplitQuadratic},
 	}, nil
 }
 
-// openParts builds the machinery of an empty index from user options,
-// normalizing the zero-value defaults exactly once for every front-end.
-// io is the ledger the new store counts its page accesses in: that of the
-// stack it replaces, or nil for one of its own.
-func openParts(opts Options, io *stats.IO) (indexParts, error) {
-	var parts indexParts
-	if opts.PageSize == 0 {
-		opts.PageSize = pagestore.DefaultPageSize
-	}
-	if opts.ExpectedObjects == 0 {
-		opts.ExpectedObjects = 1024
-	}
-	co, err := opts.coreOptions()
+// openParts builds the machinery of an empty stack under per, the
+// stack's options as stackOptions derives them. io is the ledger the new
+// store counts its page accesses in: that of the stack it replaces, or
+// nil for one of its own.
+func openParts(per Options, io *stats.IO) (indexParts, error) {
+	co, err := per.coreOptions()
 	if err != nil {
-		return parts, err
+		return indexParts{}, err
 	}
-	opts.Memtable = opts.Memtable.withDefaults()
-	store := pagestore.New(opts.PageSize, io)
-	pool := buffer.New(store, opts.BufferPages)
+	store := pagestore.New(per.PageSize, io)
+	pool := buffer.New(store, per.BufferPages)
 	u, err := core.New(pool, co)
 	if err != nil {
-		return parts, err
+		return indexParts{}, err
 	}
-	return indexParts{store: store, pool: pool, io: store.IO(), u: u, opts: opts}, nil
+	return indexParts{store: store, pool: pool, io: store.IO(), u: u}, nil
 }
 
 // Open creates an empty index. With Options.Durability enabled, the

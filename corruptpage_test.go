@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,14 +32,20 @@ const (
 
 // strayPointers are far beyond any store here: the first would panic in
 // makeslice if it sized a table, the second would quietly allocate
-// hundreds of megabytes.
-var strayPointers = []uint64{1 << 40, 1 << 24}
+// hundreds of megabytes, and the third is negative as an int.
+var strayPointers = []uint64{1 << 40, 1 << 24, 1 << 63}
 
-// corruptSnapshot saves a 2 000-object GBU index, hands the decoded
-// snapshot to patch, and writes the result to a file.
-func corruptSnapshot(t *testing.T, patch func(s *savedIndex)) string {
+// poolSizes are the buffer pools the tests run under: with none, every
+// page access goes straight to the store; with one, through the pool's
+// frame table first.
+var poolSizes = []int{0, 32}
+
+// corruptSnapshot saves a 2 000-object GBU index with a pool of
+// bufferPages, hands the decoded snapshot's one stack to patch, and writes
+// the result to a file.
+func corruptSnapshot(t *testing.T, bufferPages int, patch func(s *savedStack)) string {
 	t.Helper()
-	x, err := Open(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 256, BufferPages: 32})
+	x, err := Open(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 256, BufferPages: bufferPages})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +63,13 @@ func corruptSnapshot(t *testing.T, patch func(s *savedIndex)) string {
 	if err := gob.NewDecoder(bufio.NewReader(bytes.NewReader(buf.Bytes()[8:]))).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
-	patch(&s)
+	patch(&s.Stacks[0])
 	path := filepath.Join(t.TempDir(), "corrupt.snap")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeEnvelope(f, snapshotMagic, &s); err != nil {
+	if err := writeEnvelope(f, &s); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -80,67 +87,83 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// TestLoadRejectsStrayChildPointer plants a child pointer the store never
+// allocated in the root, and a freed-list entry beyond every page: loading
+// must fail with ErrPageBounds, allocating no more than a clean load does.
 func TestLoadRejectsStrayChildPointer(t *testing.T) {
-	clean := corruptSnapshot(t, func(*savedIndex) {})
-	base := allocatedBy(func() {
-		if _, err := LoadFile(clean); err != nil {
-			t.Fatal(err)
-		}
-	})
+	type plant struct {
+		name  string
+		patch func(s *savedStack)
+	}
+	var plants []plant
 	for _, stray := range strayPointers {
-		path := corruptSnapshot(t, func(s *savedIndex) {
+		plants = append(plants, plant{fmt.Sprintf("child pointer %d", stray), func(s *savedStack) {
 			root := s.Pages[s.Root-1]
 			if root[0] != nodeMagicByte || s.Height < 2 {
 				t.Fatalf("root page is not an internal node (magic %#x, height %d)", root[0], s.Height)
 			}
 			binary.LittleEndian.PutUint64(root[nodeFirstEntry:], stray)
+		}})
+	}
+	plants = append(plants, plant{"freed page 1<<63", func(s *savedStack) { s.Freed = append(s.Freed, 1<<63) }})
+	for _, pool := range poolSizes {
+		clean := corruptSnapshot(t, pool, func(*savedStack) {})
+		base := allocatedBy(func() {
+			if _, err := LoadFile(clean); err != nil {
+				t.Fatal(err)
+			}
 		})
-		var err error
-		got := allocatedBy(func() { _, err = LoadFile(path) })
-		if !errors.Is(err, pagestore.ErrPageBounds) {
-			t.Fatalf("child pointer %d: LoadFile error = %v, want ErrPageBounds", stray, err)
-		}
-		if got > base+1<<20 {
-			t.Fatalf("child pointer %d: load allocated %d bytes, a clean load %d", stray, got, base)
+		for _, p := range plants {
+			path := corruptSnapshot(t, pool, p.patch)
+			var err error
+			got := allocatedBy(func() { _, err = LoadFile(path) })
+			if !errors.Is(err, pagestore.ErrPageBounds) {
+				t.Fatalf("%s, pool %d: LoadFile error = %v, want ErrPageBounds", p.name, pool, err)
+			}
+			if got > base+1<<20 {
+				t.Fatalf("%s, pool %d: load allocated %d bytes, a clean load %d", p.name, pool, got, base)
+			}
 		}
 	}
 }
 
 func TestStrayOverflowPointerFailsCleanly(t *testing.T) {
-	for _, stray := range strayPointers {
-		path := corruptSnapshot(t, func(s *savedIndex) {
-			for _, pg := range s.Pages {
-				if pg[0] == hashMagicByte && binary.LittleEndian.Uint64(pg[hashNextPointer:]) != 0 {
-					binary.LittleEndian.PutUint64(pg[hashNextPointer:], stray)
+	for _, pool := range poolSizes {
+		for _, stray := range strayPointers {
+			path := corruptSnapshot(t, pool, func(s *savedStack) {
+				for _, pg := range s.Pages {
+					if pg[0] == hashMagicByte && binary.LittleEndian.Uint64(pg[hashNextPointer:]) != 0 {
+						binary.LittleEndian.PutUint64(pg[hashNextPointer:], stray)
+						return
+					}
+				}
+				t.Fatal("no hash page with an overflow pointer")
+			})
+			// Loading does not walk the bucket chains, so the pointer is met by
+			// the first update whose object lies behind it.
+			failed := 0
+			got := allocatedBy(func() {
+				x, err := LoadFile(path)
+				if err != nil {
+					failed++
 					return
 				}
-			}
-			t.Fatal("no hash page with an overflow pointer")
-		})
-		// Loading does not walk the bucket chains, so the pointer is met by
-		// the first update whose object lies behind it.
-		failed := 0
-		got := allocatedBy(func() {
-			x, err := LoadFile(path)
-			if err != nil {
-				failed++
-				return
-			}
-			for id := uint64(0); id < 2000; id++ {
-				p, _ := x.Location(id)
-				if err := x.Update(id, p); err != nil {
-					if !errors.Is(err, pagestore.ErrPageBounds) {
-						t.Fatalf("overflow pointer %d: update %d: %v, want ErrPageBounds", stray, id, err)
+				for id := uint64(0); id < 2000; id++ {
+					p, _ := x.Location(id)
+					if err := x.Update(id, p); err != nil {
+						if !errors.Is(err, pagestore.ErrPageBounds) {
+							t.Fatalf("overflow pointer %d, pool %d: update %d: %v, want ErrPageBounds", stray, pool, id, err)
+						}
+						failed++
 					}
-					failed++
 				}
+			})
+			if failed == 0 {
+				t.Fatalf("overflow pointer %d, pool %d: no operation met it", stray, pool)
 			}
-		})
-		if failed == 0 {
-			t.Fatalf("overflow pointer %d: no operation met it", stray)
-		}
-		if got > 8<<20 {
-			t.Fatalf("overflow pointer %d: load and 2 000 updates allocated %d bytes", stray, got)
+			if got > 8<<20 {
+				t.Fatalf("overflow pointer %d, pool %d: load and 2 000 updates allocated %d bytes", stray, pool, got)
+			}
 		}
 	}
 }

@@ -53,10 +53,16 @@ func (m DurabilityMode) String() string {
 // latest snapshot and replaying the log tail through the batched
 // update path.
 //
-// A ShardedIndex gives each shard its own log (Dir/shard-NNN) so commit
-// streams share no fsync, lock or buffer — their records carry
-// sequences from one shared atomic counter, so recovery merges the
-// per-shard streams back into a single total order.
+// Every index keeps one log per stack, in its own directory
+// (Dir/shard-NNN: Dir/shard-000 alone for Index and ConcurrentIndex), and
+// its checkpoint snapshot in Dir/snapshot.burtree, so the three
+// front-ends' directories have one layout: Index, ConcurrentIndex and a
+// one-shard ShardedIndex recover each other's. The logs of a ShardedIndex
+// share no fsync, lock or buffer — their records carry sequences from one
+// shared atomic counter, so recovery merges the per-shard streams back
+// into a single total order. Log segments directly under Dir are the
+// layout of earlier versions, which this one refuses rather than skips:
+// Open reports them as ErrExistingState and Recover as ErrRecovery.
 type Durability struct {
 	// Mode selects the commit policy; DurabilityOff disables logging.
 	Mode DurabilityMode
@@ -107,27 +113,28 @@ var ErrRecovery = errors.New("burtree: recovery failed")
 // to resume from it, or point Dir at an empty directory.
 var ErrExistingState = errors.New("burtree: durability dir already holds state; use Recover")
 
-// logSegments is the one probe of a durability directory: the log
-// segments directly under it (a single-stack index's) and those in shard
-// directories beneath it (a sharded index's).
-func logSegments(dir string) (top, sharded []string, err error) {
-	if top, err = filepath.Glob(filepath.Join(dir, "wal-*.seg")); err != nil {
-		return nil, nil, err
+// logSegments is the one probe of a durability directory: every log
+// segment in it, in the stacks' directories or — the layout of earlier
+// versions — directly under it.
+func logSegments(dir string) ([]string, error) {
+	top, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		return nil, err
 	}
-	sharded, err = filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
-	return top, sharded, err
+	stacks, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
+	return append(top, stacks...), err
 }
 
 // checkFreshDir validates that an Open with durability enabled targets
 // a directory without prior durable state: no snapshot, and no log
-// segments of either layout.
+// segments.
 func checkFreshDir(dir string) error {
 	_, err := os.Stat(filepath.Join(dir, snapshotFileName))
 	has := err == nil
 	if os.IsNotExist(err) {
-		var top, sharded []string
-		top, sharded, err = logSegments(dir)
-		has = len(top)+len(sharded) > 0
+		var segs []string
+		segs, err = logSegments(dir)
+		has = len(segs) > 0
 	}
 	switch {
 	case has:
@@ -192,16 +199,9 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	if !d.enabled() {
 		return nil, fmt.Errorf("burtree: %s requires a durability mode", k.recoverName())
 	}
-	// Refuse to recover past acked data this scan would never see: logs
-	// of the other layout belong to the other kind of index.
-	top, sharded, err := logSegments(d.Dir)
-	switch {
-	case err != nil:
+	segs, err := logSegments(d.Dir)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
-	case k.sharded() && len(top) > 0:
-		return nil, fmt.Errorf("%w: %s holds a single-index log; recover it with Recover or RecoverConcurrent", ErrRecovery, d.Dir)
-	case !k.sharded() && len(sharded) > 0:
-		return nil, fmt.Errorf("%w: %s holds per-shard logs; recover it with RecoverSharded", ErrRecovery, d.Dir)
 	}
 
 	// The snapshot, or else an empty index — with durability stripped (the
@@ -226,12 +226,12 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	// Like Durability, the delta tier is the caller's runtime choice, not
 	// snapshot state: re-enable it (if asked for) before the replay, so the
 	// log tails are absorbed exactly as the pre-crash writes were.
-	x.options.Memtable = opts.Memtable.withDefaults()
-	tier := perShardOptions(x.options, len(x.shards)).Memtable
+	x.options.Memtable = opts.Memtable
+	tier := stackOptions(x.options, len(x.shards)).Memtable
 	for _, s := range x.shards {
 		s.ensureMemtable(tier)
 	}
-	if err := x.replayLogs(d, sharded); err != nil {
+	if err := x.replayLogs(d, segs); err != nil {
 		// The stacks' mergers and any log already opened stop with it.
 		return nil, errors.Join(err, x.Close())
 	}
@@ -241,21 +241,27 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 
 // replayLogs is the tail of recoverIndex, on the index it built: the log
 // tails in d are read, merged into one sequence order and replayed, and
-// then one log per stack is opened to continue them. sharded lists the
-// segments found in shard directories.
-func (x *index) replayLogs(d Durability, sharded []string) error {
-	// Shard directories beyond the count being restored belong to a
-	// crashed instance with more shards and no checkpoint yet.
-	for _, seg := range sharded {
+// then one log per stack is opened to continue them. segs lists every
+// segment the directory holds; each must lie in the log directory of a
+// stack being restored, or its acked records would never be replayed.
+func (x *index) replayLogs(d Durability, segs []string) error {
+	for _, seg := range segs {
 		var i int
-		if _, err := fmt.Sscanf(filepath.Base(filepath.Dir(seg)), "shard-%d", &i); err == nil && i >= len(x.shards) {
-			return fmt.Errorf("%w: log directory %s exceeds the %d shards being restored (recover with the original shard count)",
-				ErrRecovery, filepath.Dir(seg), len(x.shards))
+		dir := filepath.Dir(seg)
+		if _, err := fmt.Sscanf(filepath.Base(dir), "shard-%d", &i); err != nil || dir != logDir(d.Dir, i) {
+			// Segments directly under Dir: the layout of earlier versions.
+			return fmt.Errorf("%w: log segment %s lies outside every stack's log directory (Dir/shard-NNN): an earlier version's layout, which this one does not read",
+				ErrRecovery, seg)
+		}
+		if i >= len(x.shards) {
+			// A crashed instance with more stacks and no checkpoint yet.
+			return fmt.Errorf("%w: log directory %s exceeds the %d shards being restored (recover with RecoverSharded and the original shard count)",
+				ErrRecovery, dir, len(x.shards))
 		}
 	}
 	var all []wal.Record
 	for i := range x.shards {
-		recs, _, err := wal.ReadDir(x.logDir(d.Dir, i), x.walSeq)
+		recs, _, err := wal.ReadDir(logDir(d.Dir, i), x.walSeq)
 		if err != nil {
 			return fmt.Errorf("%w: log %d: %v", ErrRecovery, i, err)
 		}
@@ -283,7 +289,11 @@ func (x *index) replayLogs(d Durability, sharded []string) error {
 // configured sync policy made durable. The options are used as given
 // when no snapshot exists yet (an empty or never-checkpointed
 // directory); otherwise the snapshot's embedded options win, as with
-// Load. The returned index continues logging to the same directory.
+// Load. The directory may be that of any one-stack index — an Index, a
+// ConcurrentIndex or a one-shard ShardedIndex; one holding the logs of
+// more shards fails with ErrRecovery, since one stack would leave their
+// records unread. The returned index continues logging to the same
+// directory.
 func Recover(opts Options) (*Index, error) {
 	return front[Index](recoverIndex(opts, single, kindIndex))
 }
@@ -299,8 +309,9 @@ func RecoverConcurrent(opts Options) (*ConcurrentIndex, error) {
 // plus the per-shard log tails merged back into one total order by
 // their shared sequence counter and replayed through the sharded update
 // path. With no snapshot yet, the index starts from opts/sopts as
-// OpenSharded would. The returned index continues logging, one log per
-// shard.
+// OpenSharded would. The directory may be any front-end's: a snapshot of
+// one stack restores as one shard. The returned index continues logging,
+// one log per shard.
 func RecoverSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
 	x, err := front[ShardedIndex](recoverIndex(opts, sopts, kindSharded))
 	if err != nil {

@@ -127,7 +127,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 		t.Fatalf("no snapshot after checkpoint: %v", err)
 	}
 	// The log tail covered by the snapshot is gone.
-	recs, _, err := wal.ReadDir(dir, 0)
+	recs, _, err := wal.ReadDir(logDir(dir, 0), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,9 +479,11 @@ func TestRecoverShardedRefusesOrphanShardLogs(t *testing.T) {
 }
 
 func TestRecoverRefusesWrongFrontEnd(t *testing.T) {
-	// A sharded durability dir recovered through the single-index entry
-	// points would silently drop the per-shard log tails; both
-	// directions must fail typed instead.
+	// A two-shard durability dir recovered through the one-stack entry
+	// points would silently drop the second shard's log tail, so that must
+	// fail typed. The other direction is no wrong front-end: every index
+	// keeps the same layout, and RecoverSharded replays a one-stack
+	// directory's log onto as many shards as it is asked for.
 	shardedDir := t.TempDir()
 	sopts := ShardOptions{Shards: 2}
 	x, err := OpenSharded(durableOpts(shardedDir, DurabilityBatch), sopts)
@@ -516,9 +518,15 @@ func TestRecoverRefusesWrongFrontEnd(t *testing.T) {
 	if err := idx.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RecoverSharded(durableOpts(singleDir, DurabilityBatch), sopts); !errors.Is(err, ErrRecovery) {
-		t.Fatalf("RecoverSharded on single-index dir: got %v, want ErrRecovery", err)
+	rec, err := RecoverSharded(durableOpts(singleDir, DurabilityBatch), sopts)
+	if err != nil {
+		t.Fatalf("RecoverSharded on a one-stack dir: %v", err)
 	}
+	defer rec.Close()
+	if rec.NumShards() != 2 {
+		t.Fatalf("recovered %d shards, want the 2 asked for", rec.NumShards())
+	}
+	expectState(t, rec, map[uint64]Point{1: {X: 0.2, Y: 0.2}})
 }
 
 func TestSnapshotSurvivesFailedSave(t *testing.T) {

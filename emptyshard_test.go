@@ -1,10 +1,9 @@
 package burtree
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -108,10 +107,10 @@ func TestEmptyShardRoundTrips(t *testing.T) {
 	})
 }
 
-// TestShardCountMismatchRejected verifies the manifest/blob cross-check:
-// a snapshot whose manifest count disagrees with a shard blob's object
-// table — the signature of a truncated or mixed-up blob — must fail
-// with ErrBadSnapshot in every loader rather than load short.
+// TestShardCountMismatchRejected verifies the snapshot's stack count
+// check: a partition that declares more stacks than the snapshot carries,
+// or fewer — the signature of a truncated or mixed-up snapshot — fails
+// with ErrBadSnapshot in every loader rather than loading short.
 func TestShardCountMismatchRejected(t *testing.T) {
 	idx, err := OpenSharded(Options{Strategy: GeneralizedBottomUp}, ShardOptions{Shards: 2})
 	if err != nil {
@@ -123,54 +122,21 @@ func TestShardCountMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := saveSharded(t, idx)
-
-	// Decode the envelope, tamper with the manifest count, re-encode.
-	br := bufio.NewReader(bytes.NewReader(snap))
-	magic, err := readMagic(br)
-	if err != nil || magic != shardedMagic {
-		t.Fatalf("bad test snapshot: %v %v", magic, err)
-	}
-	var s savedSharded
-	if err := gob.NewDecoder(br).Decode(&s); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Counts) != 2 || s.Counts[0]+s.Counts[1] != 4 {
-		t.Fatalf("manifest counts = %v, want two counts summing to 4", s.Counts)
-	}
-	s.Counts[0]++
-	var tampered bytes.Buffer
-	tampered.Write(shardedMagic[:])
-	if err := gob.NewEncoder(&tampered).Encode(&s); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := LoadSharded(bytes.NewReader(tampered.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("LoadSharded accepted count mismatch: %v", err)
-	}
-	if _, err := Load(bytes.NewReader(tampered.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("merge Load accepted count mismatch: %v", err)
-	}
-	if _, err := LoadConcurrent(bytes.NewReader(tampered.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("merge LoadConcurrent accepted count mismatch: %v", err)
-	}
-
-	// Negative and wrong-arity count vectors are rejected outright.
-	s.Counts = []int{-1, 5}
-	var neg bytes.Buffer
-	neg.Write(shardedMagic[:])
-	if err := gob.NewEncoder(&neg).Encode(&s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSharded(bytes.NewReader(neg.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("negative count accepted: %v", err)
-	}
-	s.Counts = []int{4}
-	var short bytes.Buffer
-	short.Write(shardedMagic[:])
-	if err := gob.NewEncoder(&short).Encode(&s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSharded(bytes.NewReader(short.Bytes())); !errors.Is(err, ErrBadSnapshot) {
-		t.Fatalf("short count vector accepted: %v", err)
+	for name, edit := range map[string]func(*savedIndex){
+		"a stack missing": func(s *savedIndex) { s.Stacks = s.Stacks[:1] },
+		"a stack too many": func(s *savedIndex) {
+			s.Stacks = append(s.Stacks, savedStack{Pages: s.Stacks[0].Pages, Root: s.Stacks[0].Root})
+		},
+	} {
+		bad := reencode(t, snap, edit)
+		for loader, load := range map[string]func() error{
+			"LoadSharded":    func() error { _, err := LoadSharded(bytes.NewReader(bad)); return err },
+			"Load":           func() error { _, err := Load(bytes.NewReader(bad)); return err },
+			"LoadConcurrent": func() error { _, err := LoadConcurrent(bytes.NewReader(bad)); return err },
+		} {
+			if err := load(); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "declares 2 stacks") {
+				t.Errorf("%s with %s: err = %v, want ErrBadSnapshot on the declared count", loader, name, err)
+			}
+		}
 	}
 }

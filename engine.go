@@ -131,7 +131,8 @@ func (t *objectTable) Location(id uint64) (Point, bool) {
 }
 
 // kind names the front-end an index is opened, loaded or recovered as:
-// what its stacks are, and which of the two on-disk layouts it keeps.
+// what its stacks are. It decides no on-disk format: every kind writes the
+// same snapshot and keeps one log directory per stack.
 type kind uint8
 
 const (
@@ -144,9 +145,9 @@ const (
 // background merger each (Index runs a serial tree and merges inline).
 func (k kind) background() bool { return k != kindIndex }
 
-// sharded reports the on-disk layout: a BURSHRD2 manifest and one log
-// directory per shard, against a bare BURSNAP2 blob and the segments
-// directly under Durability.Dir.
+// sharded reports the two things a ShardedIndex does differently: it
+// keeps a load tracker, and it loads a snapshot of several stacks as
+// they are where the one-stack kinds merge them.
 func (k kind) sharded() bool { return k == kindSharded }
 
 // recoverName is the exported function that recovers this kind.
@@ -191,7 +192,7 @@ type index struct {
 	// recordBatch and readFrom (shardedindex.go), which ask.
 	load *shard.LoadTracker
 	// routerEpoch counts boundary changes (guarded by the gate, persisted
-	// in the sharded manifest).
+	// in the snapshot).
 	routerEpoch uint64
 	// ioLatency remembers the simulated per-page latency so stacks rebuilt
 	// by a rebalance or a failed bulk load keep paying it.
@@ -272,7 +273,7 @@ func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
 // keeps counting in the ledger of the stack it replaces: a shard slot's
 // page counters belong to the slot and never restart under a caller.
 func (x *index) openShards() ([]*treeStack, error) {
-	per := perShardOptions(x.options, x.sopts.Shards)
+	per := stackOptions(x.options, x.sopts.Shards)
 	shards := make([]*treeStack, x.sopts.Shards)
 	for i := range shards {
 		var io *stats.IO
@@ -285,16 +286,14 @@ func (x *index) openShards() ([]*treeStack, error) {
 		}
 		parts.store.SetLatency(time.Duration(x.ioLatency.Load()))
 		shards[i] = newStack(parts, x.kind.background())
+		shards[i].ensureMemtable(per.Memtable)
 	}
 	return shards, nil
 }
 
-// logDir is where stack i's log segments live: directly under the
-// durability directory, or in the shard's own directory beneath it.
-func (x *index) logDir(dir string, i int) string {
-	if !x.kind.sharded() {
-		return dir
-	}
+// logDir is where stack i's log segments live: in the stack's own
+// directory beneath the durability directory, whatever the kind.
+func logDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
 }
 
@@ -306,7 +305,7 @@ func (x *index) openLogs(d Durability, startAfter uint64) error {
 	x.wals = make([]*wal.Log, 0, len(x.shards))
 	for i := range x.shards {
 		// The shared counter hands out globally ordered record sequences.
-		log, err := wal.Open(x.logDir(d.Dir, i), d.logOptions(startAfter, func() uint64 { return x.lsn.Add(1) }))
+		log, err := wal.Open(logDir(d.Dir, i), d.logOptions(startAfter, func() uint64 { return x.lsn.Add(1) }))
 		if err != nil {
 			return err
 		}
@@ -715,7 +714,7 @@ func (x *index) CheckInvariants() error {
 	for i, s := range x.shards {
 		owns := func(p Point) bool { return x.router.ShardOf(p) == i }
 		if err := s.checkInvariants(&x.objectTable, counts[i], owns); err != nil {
-			if x.kind.sharded() {
+			if len(x.shards) > 1 {
 				err = fmt.Errorf("shard %d: %w", i, err)
 			}
 			return err

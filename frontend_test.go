@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"burtree/internal/wal"
 )
 
 // TestFrontEndMethodSets pins the exported surface of the three front-ends
@@ -42,25 +44,24 @@ func TestFrontEndMethodSets(t *testing.T) {
 	}
 }
 
-// TestOnDiskLayoutByKind: whether an index is sharded alone decides the
-// two format points. Index and ConcurrentIndex keep a bare BURSNAP2
-// snapshot and their log segments directly under the durability directory
-// and recover each other's (TestConcurrentSaveLoadRoundTrip loads each
-// other's snapshots); a ShardedIndex, of one shard or of four, keeps a
-// BURSHRD2 manifest and one log directory per shard.
+// TestOnDiskLayoutByKind: the kind decides no format. Index,
+// ConcurrentIndex and a ShardedIndex of one shard or of four each write
+// the one snapshot magic and one log directory per stack (Dir/shard-NNN),
+// nothing directly under Dir. The three one-stack front-ends recover each
+// other's directories. Recover and RecoverConcurrent of the four-shard
+// directory fail with ErrRecovery, since one stack would leave three
+// shards' records unread, while RecoverSharded restores the snapshot's
+// four shards whatever count it is asked for. A directory with segments
+// directly under Dir — the layout earlier versions gave a one-stack index
+// — is refused by every Recover* with ErrRecovery and by every durable
+// Open* with ErrExistingState.
 func TestOnDiskLayoutByKind(t *testing.T) {
 	index, concurrent, four := walFailureFrontEnds[0], walFailureFrontEnds[1], walFailureFrontEnds[2]
 	one := walFailureFrontEnd{name: "ShardedOneShard",
 		open:    func(o Options) (walFailureIndex, error) { return OpenSharded(o, ShardOptions{Shards: 1}) },
 		recover: func(o Options) (walFailureIndex, error) { return RecoverSharded(o, ShardOptions{Shards: 1}) }}
-	for _, fe := range []struct {
-		walFailureFrontEnd
-		magic          [8]byte
-		reopen, refuse walFailureFrontEnd // recovers the directory; is of the other layout
-	}{
-		{index, snapshotMagic, concurrent, four}, {concurrent, snapshotMagic, index, one},
-		{one, shardedMagic, one, index}, {four, shardedMagic, four, concurrent},
-	} {
+	oneStack := []walFailureFrontEnd{index, concurrent, one}
+	for _, fe := range []walFailureFrontEnd{index, concurrent, one, four} {
 		t.Run(fe.name, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := durableOpts(dir, DurabilityBatch)
@@ -87,25 +88,78 @@ func TestOnDiskLayoutByKind(t *testing.T) {
 			}
 
 			snap, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
-			if err != nil || !bytes.HasPrefix(snap, fe.magic[:]) {
-				t.Errorf("snapshot starts %q (%v), want %q", snap[:min(8, len(snap))], err, fe.magic[:])
+			if err != nil || !bytes.HasPrefix(snap, snapshotMagic[:]) {
+				t.Errorf("snapshot starts %q (%v), want %q", snap[:min(8, len(snap))], err, snapshotMagic[:])
 			}
-			top, perShard, err := logSegments(dir)
+			segs, err := logSegments(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sharded := fe.magic == shardedMagic; sharded != (len(top) == 0) || sharded != (len(perShard) == len(indexOf(x).shards)) {
-				t.Errorf("log segments: %v under the directory, %v under shard directories", top, perShard)
+			stacks := len(indexOf(x).shards)
+			dirs := map[string]bool{}
+			for _, seg := range segs {
+				dirs[filepath.Dir(seg)] = true
 			}
-			if _, err := fe.refuse.recover(opts); !errors.Is(err, ErrRecovery) {
-				t.Errorf("%s recovering the directory: %v, want ErrRecovery", fe.refuse.name, err)
+			for i := range stacks {
+				delete(dirs, logDir(dir, i))
 			}
-			rec, err := fe.reopen.recover(opts)
-			if err != nil {
-				t.Fatalf("%s recovering the directory: %v", fe.reopen.name, err)
+			if len(dirs) != 0 || len(segs) < stacks {
+				t.Errorf("log segments %v, want one log directory for each of %d stacks and nothing else", segs, stacks)
 			}
-			defer rec.Close()
-			expectState(t, rec, want)
+
+			recoverers := oneStack
+			if stacks > 1 {
+				// RecoverSharded restores the snapshot's four shards whatever
+				// count it is given; the one-stack kinds must refuse.
+				for _, r := range oneStack[:2] {
+					if rec, err := r.recover(opts); !errors.Is(err, ErrRecovery) {
+						if err == nil {
+							rec.Close()
+						}
+						t.Errorf("%s recovering the directory: %v, want ErrRecovery", r.name, err)
+					}
+				}
+				recoverers = []walFailureFrontEnd{fe, one}
+			}
+			for _, r := range recoverers {
+				rec, err := r.recover(opts)
+				if err != nil {
+					t.Fatalf("%s recovering the directory: %v", r.name, err)
+				}
+				expectState(t, rec, want)
+				if err := rec.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		})
 	}
+
+	t.Run("EarlierLayout", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := wal.Open(dir, wal.Options{Sync: wal.SyncEach})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(wal.TypeInsert, []wal.Op{{ID: 1, X: 0.1, Y: 0.1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opts := durableOpts(dir, DurabilityBatch)
+		for _, fe := range []walFailureFrontEnd{index, concurrent, one, four} {
+			if x, err := fe.recover(opts); !errors.Is(err, ErrRecovery) {
+				if err == nil {
+					x.Close()
+				}
+				t.Errorf("%s recovering segments directly under the directory: %v, want ErrRecovery", fe.name, err)
+			}
+			if x, err := fe.open(opts); !errors.Is(err, ErrExistingState) {
+				if err == nil {
+					x.Close()
+				}
+				t.Errorf("%s opening over segments directly under the directory: %v, want ErrExistingState", fe.name, err)
+			}
+		}
+	})
 }

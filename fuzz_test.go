@@ -1,6 +1,7 @@
 package burtree
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -170,6 +171,63 @@ func FuzzUpdateSequence(f *testing.F) {
 			if idx.Len() != len(oracle) {
 				t.Fatalf("op %d: Len %d, oracle %d", ops, idx.Len(), len(oracle))
 			}
+		}
+	})
+}
+
+// FuzzLoadSnapshot feeds arbitrary bytes — seeded with a saved snapshot of
+// one stack and of three per strategy — to every loader, and drives what
+// loads: CheckInvariants, a window query, a k-NN query and a few writes.
+// Each may fail, as a snapshot is outside input, but none may panic.
+func FuzzLoadSnapshot(f *testing.F) {
+	for _, s := range allFacadeStrategies() {
+		for _, shards := range []int{1, 3} {
+			x, err := OpenSharded(Options{Strategy: s, PageSize: 256, ExpectedObjects: 64}, ShardOptions{Shards: shards})
+			if err != nil {
+				f.Fatal(err)
+			}
+			ids, pts := randomPoints(150, int64(shards))
+			if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+				f.Fatal(err)
+			}
+			for i := 0; i < 50; i++ {
+				if err := x.Update(ids[i], Point{X: pts[i].Y, Y: pts[i].X}); err != nil {
+					f.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := x.Save(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, load := range []func() (walFailureIndex, error){
+			func() (walFailureIndex, error) { return Load(bytes.NewReader(data)) },
+			func() (walFailureIndex, error) { return LoadConcurrent(bytes.NewReader(data)) },
+			func() (walFailureIndex, error) { return LoadSharded(bytes.NewReader(data)) },
+		} {
+			x, err := load()
+			if err != nil {
+				continue
+			}
+			_ = x.CheckInvariants()
+			var ids []uint64
+			_ = x.SearchFunc(NewRect(-1, -1, 2, 2), func(id uint64, _ Point) bool {
+				ids = append(ids, id)
+				return len(ids) < 8
+			})
+			_, _ = indexOf(x).Nearest(Point{X: 0.5, Y: 0.5}, 4)
+			for i, id := range ids {
+				_ = x.Update(id, Point{X: float64(i) / 8, Y: 0.5})
+			}
+			_ = x.Insert(1<<40, Point{X: 0.25, Y: 0.75})
+			if len(ids) > 0 {
+				_ = x.Delete(ids[0])
+			}
+			_, _ = x.UpdateBatch([]Change{{ID: 1 << 40, To: Point{X: 0.75, Y: 0.25}}})
+			_ = x.Close()
 		}
 	})
 }

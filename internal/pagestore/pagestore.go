@@ -169,8 +169,10 @@ func (s *Store) NumAllocated() int {
 	return len(s.pages) - 1
 }
 
+// checkLocked compares in PageID: a page id is outside input (snapshots
+// carry them), and one at or above 2^63 converts to a negative int.
 func (s *Store) checkLocked(id PageID) error {
-	if id == InvalidPage || int(id) >= len(s.pages) {
+	if id == InvalidPage || id >= PageID(len(s.pages)) {
 		return fmt.Errorf("%w: %d", ErrPageBounds, id)
 	}
 	if s.freed[id] {
@@ -210,7 +212,7 @@ func NewFromDump(pageSize int, pages [][]byte, freed []PageID, io *stats.IO) (*S
 		s.pages[i+1] = append([]byte(nil), p...)
 	}
 	for _, id := range freed {
-		if id == InvalidPage || int(id) >= len(s.pages) {
+		if id == InvalidPage || id >= PageID(len(s.pages)) {
 			return nil, fmt.Errorf("%w: freed id %d", ErrPageBounds, id)
 		}
 		s.freed[id] = true

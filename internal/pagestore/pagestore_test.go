@@ -3,6 +3,7 @@ package pagestore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -86,20 +87,28 @@ func TestFreeAndRecycle(t *testing.T) {
 	}
 }
 
+// TestBoundsChecks: an id the store never allocated is out of bounds,
+// including one at or above 2^63, which is negative as an int.
 func TestBoundsChecks(t *testing.T) {
 	s := New(128, nil)
+	s.Alloc()
 	buf := make([]byte, 128)
 	if err := s.ReadInto(InvalidPage, buf); !errors.Is(err, ErrPageBounds) {
 		t.Fatalf("invalid page read err = %v", err)
 	}
-	if err := s.ReadInto(PageID(99), buf); !errors.Is(err, ErrPageBounds) {
-		t.Fatalf("out of range read err = %v", err)
-	}
-	if err := s.Write(PageID(99), buf); !errors.Is(err, ErrPageBounds) {
-		t.Fatalf("out of range write err = %v", err)
-	}
-	if err := s.Free(PageID(99)); !errors.Is(err, ErrPageBounds) {
-		t.Fatalf("out of range free err = %v", err)
+	for _, id := range []PageID{99, 1 << 63, 1<<63 + 3, math.MaxUint64} {
+		if err := s.ReadInto(id, buf); !errors.Is(err, ErrPageBounds) {
+			t.Errorf("ReadInto(%d): err = %v, want ErrPageBounds", id, err)
+		}
+		if err := s.Write(id, buf); !errors.Is(err, ErrPageBounds) {
+			t.Errorf("Write(%d): err = %v, want ErrPageBounds", id, err)
+		}
+		if err := s.Free(id); !errors.Is(err, ErrPageBounds) {
+			t.Errorf("Free(%d): err = %v, want ErrPageBounds", id, err)
+		}
+		if _, err := NewFromDump(128, [][]byte{buf}, []PageID{id}, nil); !errors.Is(err, ErrPageBounds) {
+			t.Errorf("NewFromDump with freed id %d: err = %v, want ErrPageBounds", id, err)
+		}
 	}
 }
 

@@ -212,11 +212,7 @@ func TestFailedRecoveryStopsItsMerger(t *testing.T) {
 	for _, fe := range walFailureFrontEnds[:3] {
 		t.Run(fe.name, func(t *testing.T) {
 			dir := t.TempDir()
-			logDir := dir
-			if fe.name == "ShardedInShard" {
-				logDir = filepath.Join(dir, "shard-000")
-			}
-			l, err := wal.Open(logDir, wal.Options{Sync: wal.SyncEach})
+			l, err := wal.Open(logDir(dir, 0), wal.Options{Sync: wal.SyncEach})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,9 @@ import (
 // TestUnusablePageSizesAreRefused: a page too small for a node fanout of
 // 4 under the strategy's header — 200 bytes, 208 for LBU's parent
 // pointer — is refused with an error by every way an index comes to be:
-// the three opens, a recovery that starts empty, and a snapshot blob or
-// sharded manifest that names one (outside input, so ErrBadSnapshot). The
+// the three opens, a recovery that starts empty, and a snapshot of one
+// stack (blob) or of two (manifest) that names one (outside input, so
+// ErrBadSnapshot). The
 // smallest usable size opens everywhere.
 func TestUnusablePageSizesAreRefused(t *testing.T) {
 	base := func(s Strategy, ps int) Options { return Options{Strategy: s, PageSize: ps} }
@@ -28,8 +29,7 @@ func TestUnusablePageSizesAreRefused(t *testing.T) {
 		if err := x.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		out, _ := reencode(t, buf.Bytes(), snapshotMagic, func(b *savedIndex) { b.PageSize = ps })
-		return out
+		return reencode(t, buf.Bytes(), func(s *savedIndex) { s.Options.PageSize = ps })
 	}
 	manifest := func(t *testing.T, s Strategy, ps int) []byte {
 		x, err := OpenSharded(base(s, 0), ShardOptions{Shards: 2})
@@ -41,13 +41,7 @@ func TestUnusablePageSizesAreRefused(t *testing.T) {
 		if err := x.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		out, _ := reencode(t, buf.Bytes(), shardedMagic, func(m *savedSharded) {
-			m.Options.PageSize = ps
-			for i := range m.Blobs {
-				m.Blobs[i], _ = reencode(t, m.Blobs[i], snapshotMagic, func(b *savedIndex) { b.PageSize = ps })
-			}
-		})
-		return out
+		return reencode(t, buf.Bytes(), func(s *savedIndex) { s.Options.PageSize = ps })
 	}
 	ways := []struct {
 		name     string

@@ -2,237 +2,157 @@ package burtree
 
 import (
 	"bufio"
-	"bytes"
-	"cmp"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"burtree/internal/atomicfile"
 	"burtree/internal/buffer"
 	"burtree/internal/core"
 	"burtree/internal/pagestore"
-	"burtree/internal/rtree"
 	"burtree/internal/shard"
-	"burtree/internal/stats"
 )
 
-// Snapshot envelopes start with an 8-byte magic so a reader can tell a
-// single-tree snapshot from a sharded one (and reject files that are
-// neither) before any decoding happens.
-var (
-	snapshotMagic = [8]byte{'B', 'U', 'R', 'S', 'N', 'A', 'P', '2'}
-	shardedMagic  = [8]byte{'B', 'U', 'R', 'S', 'H', 'R', 'D', '2'}
-)
+// snapshotMagic opens every snapshot, so a reader can refuse a file that
+// is not one, or is one of an earlier format, before any decoding.
+var snapshotMagic = [8]byte{'B', 'U', 'R', 'S', 'N', 'A', 'P', '3'}
 
 // ErrBadSnapshot reports a reader that does not hold a burtree snapshot
-// (wrong magic, truncated header, or corrupt body).
+// this version reads (wrong magic, earlier format, truncated header, or
+// corrupt body).
 var ErrBadSnapshot = errors.New("burtree: not a valid snapshot")
 
-// savedIndex is the on-disk form of an Index: the full simulated page
-// store plus the metadata needed to re-attach the strategy. The summary
-// structure is main-memory only (as in the paper) and is rebuilt on
-// load. The format is shared by Index and ConcurrentIndex, so a
-// snapshot taken from either can be restored as either.
-//
-// Snapshots written before the λ, reinsertion and split options left
-// Options still carry LevelThreshold, ReinsertFraction and SplitAlgorithm;
-// gob skips stream fields the struct lacks, so the format number stayed.
-// The page bytes are another matter: format 2 is the first whose leaves
-// hold 24-byte point entries, and a reader must never decode format 1's
-// 40-byte leaf entries as those.
+// saveFormat is the version of savedIndex a snapshot carries. Format 1
+// held 40-byte leaf entries; format 2 had two envelopes, a bare stack
+// (BURSNAP2) for Index and ConcurrentIndex and a manifest of nested stacks
+// (BURSHRD2) for ShardedIndex. Load refuses both.
+const saveFormat = 3
+
+// savedIndex is the on-disk form of every index, whatever the front-end:
+// the index-wide options, the partitioning, the log position, and N ≥ 1
+// stacks. A stack's durable state is its pages and its object-id hash
+// index; the summary structure is main-memory only, as in the paper, and
+// is rebuilt on load.
 type savedIndex struct {
-	Format int // format version
+	Format int
 
-	Strategy          Strategy
-	PageSize          int
-	BufferPages       int
-	Epsilon           float64
-	DistanceThreshold float64
-	ExpectedObjects   int
+	// Options are the index-wide options, totals as passed at open, with
+	// the page size the stores use filled in. Each stack's own are derived
+	// from them (stackOptions), as a fresh stack's are.
+	Options Options
+	// Partition is the router's spec; it declares the stack count.
+	Partition shard.Spec
 
+	// WALSeq is the log sequence the snapshot covers: recovery replays
+	// only records with greater sequences. Zero without durability.
+	WALSeq uint64
+	// RouterEpoch counts the boundary changes the saved index had made,
+	// so monitors see a monotone epoch across snapshots.
+	RouterEpoch uint64
+
+	Stacks []savedStack
+}
+
+// savedStack is one stack: its page store, its tree and hash-index roots,
+// and the objects the router places in it.
+type savedStack struct {
 	Pages [][]byte
-	Freed []uint64
+	Freed []pagestore.PageID
 
-	Root   uint64
+	Root   pagestore.PageID
 	Height int
 	Size   int
 
-	HashDirectory []uint64
+	HashDirectory []pagestore.PageID
 	HashSize      int
 
 	Objects map[uint64]Point
-
-	// WALSeq is the write-ahead log sequence this snapshot covers:
-	// recovery replays only records with greater sequences. Zero for
-	// snapshots taken without durability (gob also leaves it zero when
-	// decoding snapshots from before the field existed).
-	WALSeq uint64
 }
 
-// saveFormat is the version of savedIndex a snapshot carries. Format 1
-// held 40-byte leaf entries (id and rectangle); format 2 holds 24-byte
-// ones (id and point). Load refuses any other.
-const saveFormat = 2
-
-// savedSharded is the on-disk form of a ShardedIndex: a manifest (the
-// partitioning spec and the index-wide options) plus one complete
-// single-index snapshot per shard. Any front-end can load it — Load and
-// LoadConcurrent merge the shards into one tree, LoadSharded restores
-// the partition as saved.
-type savedSharded struct {
-	Format int
-
-	Options Options // index-wide options (totals, as passed to OpenSharded)
-
-	// Partitioning spec (mirrors shard.Spec).
-	Scheme int
-	Shards int
-	GridX  int
-	GridY  int
-	Bounds []uint64
-
-	// Blobs holds one complete single-index snapshot (magic included)
-	// per shard; len(Blobs) must equal Shards.
-	Blobs [][]byte
-
-	// Counts is the manifest's per-shard object count, written alongside
-	// the blobs so a reader can verify that manifest and blobs agree —
-	// in particular that a zero-entry shard really is empty rather than
-	// a truncated blob. Nil in snapshots from before the field existed
-	// (the check is skipped then).
-	Counts []int
-
-	// WALSeq is the shared log sequence this snapshot covers (see
-	// savedIndex.WALSeq); the per-shard log tails replay from it.
-	WALSeq uint64
-
-	// RouterEpoch counts the boundary changes the saved index had
-	// performed (rebalancer steps and partition upgrades); restored so
-	// monitors see a monotone epoch across snapshots. Zero in snapshots
-	// from before the field existed.
-	RouterEpoch uint64
+// snapshot fills st's tree state from the stack; the caller has placed
+// the stack's objects in it. The delta tier is merged down first: the
+// caller's exclusive gate keeps writers from refilling it, so the snapshot
+// holds every acknowledged operation in the tree and never depends on
+// memtable contents, and a log truncation after it (Checkpoint) cannot
+// drop records whose effects lived only in the memtable.
+func (s *treeStack) snapshot(st *savedStack) error {
+	if err := s.drainMemtable(); err != nil {
+		return err
+	}
+	return s.tree.Exclusive(func(u core.Updater) error {
+		if err := s.pool.Flush(); err != nil {
+			return fmt.Errorf("burtree: save: %w", err)
+		}
+		rs, err := core.SaveState(u)
+		if err != nil {
+			return fmt.Errorf("burtree: save: %w", err)
+		}
+		_, st.Pages, st.Freed = s.store.Dump()
+		st.Root, st.Height, st.Size = rs.Root, rs.Height, rs.Size
+		st.HashDirectory, st.HashSize = rs.HashDirectory, rs.HashSize
+		return nil
+	})
 }
 
-// shardedFormat is the version of savedSharded a manifest carries: 2
-// since its blobs hold format-2 pages, so a format-1 manifest is refused
-// before a blob is opened.
-const shardedFormat = 2
-
-// saveSnapshot flushes the pool and encodes the stack's complete state
-// to w, with objects as its object set. The caller holds the tree
-// exclusively, so the snapshot is quiescent.
-func (s *treeStack) saveSnapshot(w io.Writer, u core.Updater, objects map[uint64]Point, walSeq uint64) error {
-	opts := s.options
-	if err := s.pool.Flush(); err != nil {
-		return fmt.Errorf("burtree: save: %w", err)
-	}
-	st, err := core.SaveState(u)
-	if err != nil {
-		return fmt.Errorf("burtree: save: %w", err)
-	}
-	pageSize, pages, freed := s.store.Dump()
-
-	img := savedIndex{
-		Format:            saveFormat,
-		Strategy:          opts.Strategy,
-		PageSize:          pageSize,
-		BufferPages:       opts.BufferPages,
-		Epsilon:           opts.Epsilon,
-		DistanceThreshold: opts.DistanceThreshold,
-		ExpectedObjects:   opts.ExpectedObjects,
-		Pages:             pages,
-		Root:              uint64(st.Root),
-		Height:            st.Height,
-		Size:              st.Size,
-		HashSize:          st.HashSize,
-		Objects:           objects,
-		WALSeq:            walSeq,
-	}
-	for _, f := range freed {
-		img.Freed = append(img.Freed, uint64(f))
-	}
-	for _, p := range st.HashDirectory {
-		img.HashDirectory = append(img.HashDirectory, uint64(p))
-	}
-	return writeEnvelope(w, snapshotMagic, &img)
-}
-
-// writeEnvelope writes a snapshot: the magic that names its kind, then
-// the gob-encoded body.
-func writeEnvelope(w io.Writer, magic [8]byte, body any) error {
+// writeEnvelope writes a snapshot: the magic, then the gob-encoded body.
+func writeEnvelope(w io.Writer, s *savedIndex) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
+	if _, err := bw.Write(snapshotMagic[:]); err != nil {
 		return fmt.Errorf("burtree: save: %w", err)
 	}
-	if err := gob.NewEncoder(bw).Encode(body); err != nil {
+	if err := gob.NewEncoder(bw).Encode(s); err != nil {
 		return fmt.Errorf("burtree: save: %w", err)
 	}
 	return bw.Flush()
 }
 
-// Save serializes the complete index — pages, structural metadata and
-// the object table — to w: Index and ConcurrentIndex write their one
-// stack's snapshot, a ShardedIndex a manifest carrying the partitioning
-// spec plus one complete stack snapshot per shard. The whole index is
-// gated exclusively for the duration — the buffer flush and page dump
-// must not interleave with updates — so the snapshot is a globally
-// quiescent point: every operation that completed before Save returned is
-// in it, none that started after, and no cross-shard move is captured
-// half-applied. No operation is caught between applying and logging
-// either, so with durability enabled the embedded log sequence is exact
-// and the snapshot can serve as a recovery base.
+// Save serializes the complete index to w, in the one snapshot format
+// every front-end writes and reads: the index-wide options, the
+// partitioning, and one stack per shard (one for Index and
+// ConcurrentIndex) with its pages, its structural metadata and its share
+// of the object table. The whole index is gated exclusively for the
+// duration — the buffer flush and page dump must not interleave with
+// updates — so the snapshot is a globally quiescent point: every
+// operation that completed before Save returned is in it, none that
+// started after, and no cross-shard move is captured half-applied. No
+// operation is caught between applying and logging either, so with
+// durability enabled the embedded log sequence is exact and the snapshot
+// can serve as a recovery base.
 func (x *index) Save(w io.Writer) error {
 	x.gate.Lock()
 	defer x.gate.Unlock()
 	return x.saveLocked(w)
 }
 
-// saveLocked is Save with the gate already held. A single-stack index
-// writes the stack's snapshot with the whole table as its object set. A
-// sharded one gives each shard's blob the router's partition of the table
-// as its object set, and the manifest records each partition's size next
-// to its blob so a reader can verify the two agree — a zero-count shard
-// must decode as an empty tree, not pass as a damaged blob.
+// saveLocked is Save with the gate already held. Each stack is saved with
+// the router's partition of the one object table as its object set.
 func (x *index) saveLocked(w io.Writer) error {
-	if !x.kind.sharded() {
-		return x.shards[0].save(w, &x.objectTable, x.lsn.Load())
-	}
-	spec := x.router.Spec()
-	s := savedSharded{
-		Format:      shardedFormat,
+	s := savedIndex{
+		Format:      saveFormat,
 		Options:     x.options,
-		Scheme:      int(spec.Scheme),
-		Shards:      spec.Shards,
-		GridX:       spec.GridX,
-		GridY:       spec.GridY,
-		Bounds:      spec.Bounds,
-		Blobs:       make([][]byte, len(x.shards)),
-		Counts:      make([]int, len(x.shards)),
+		Partition:   x.router.Spec(),
 		WALSeq:      x.lsn.Load(),
 		RouterEpoch: x.routerEpoch,
+		Stacks:      make([]savedStack, len(x.shards)),
 	}
-	parts := make([]objectTable, len(x.shards))
-	for i := range parts {
-		parts[i].objects = make(map[uint64]Point, x.Len()/len(parts))
-	}
+	s.Options.PageSize = x.shards[0].store.PageSize()
 	x.mu.RLock()
+	for i := range s.Stacks {
+		s.Stacks[i].Objects = make(map[uint64]Point, len(x.objects)/len(s.Stacks))
+	}
 	for id, p := range x.objects {
-		parts[x.router.ShardOf(p)].objects[id] = p
+		s.Stacks[x.router.ShardOf(p)].Objects[id] = p
 	}
 	x.mu.RUnlock()
 	for i, sh := range x.shards {
-		var buf bytes.Buffer
-		if err := sh.save(&buf, &parts[i], 0); err != nil {
-			return fmt.Errorf("burtree: save shard %d: %w", i, err)
+		if err := sh.snapshot(&s.Stacks[i]); err != nil {
+			return err
 		}
-		s.Blobs[i] = buf.Bytes()
-		s.Counts[i] = len(parts[i].objects)
 	}
-	return writeEnvelope(w, shardedMagic, &s)
+	return writeEnvelope(w, &s)
 }
 
 // SaveFile writes the snapshot to a file, like Save, atomically: a
@@ -243,282 +163,146 @@ func (x *index) SaveFile(path string) error {
 	return atomicfile.Write(path, x.Save)
 }
 
-// readMagic consumes and returns the 8-byte envelope magic.
-func readMagic(br *bufio.Reader) ([8]byte, error) {
-	var m [8]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return m, fmt.Errorf("%w: reading magic: %v", ErrBadSnapshot, err)
-	}
-	return m, nil
-}
-
-// decodeSavedIndex decodes and sanity-checks a single-index snapshot
-// body, so corrupt input fails with an error instead of panicking in
-// the rebuild machinery.
-func decodeSavedIndex(br *bufio.Reader) (savedIndex, error) {
+// decodeSnapshot reads the magic and decodes the body of a snapshot of
+// this version's format.
+func decodeSnapshot(r io.Reader) (savedIndex, error) {
 	var s savedIndex
+	br := bufio.NewReader(r)
+	var magic [8]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return s, fmt.Errorf("%w: reading magic: %v", ErrBadSnapshot, err)
+	}
+	if magic != snapshotMagic {
+		return s, fmt.Errorf("%w: magic %q, this version reads %q", ErrBadSnapshot, magic[:], snapshotMagic[:])
+	}
 	if err := gob.NewDecoder(br).Decode(&s); err != nil {
 		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	if s.Format != saveFormat {
 		return s, fmt.Errorf("%w: snapshot format %d, this version reads format %d", ErrBadSnapshot, s.Format, saveFormat)
 	}
-	if _, err := s.options().coreOptions(); err != nil {
-		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if s.Size < 0 || s.Height < 0 || s.HashSize < 0 {
-		return s, fmt.Errorf("%w: negative structural counts", ErrBadSnapshot)
-	}
-	if s.Root > uint64(len(s.Pages)) {
-		return s, fmt.Errorf("%w: root page %d beyond %d pages", ErrBadSnapshot, s.Root, len(s.Pages))
-	}
-	if s.Root == 0 && s.Size > 0 {
-		return s, fmt.Errorf("%w: %d objects but no root page", ErrBadSnapshot, s.Size)
-	}
 	return s, nil
 }
 
-// options are the index options the snapshot was saved under.
-func (s savedIndex) options() Options {
-	return Options{
-		Strategy:          s.Strategy,
-		PageSize:          s.PageSize,
-		BufferPages:       s.BufferPages,
-		Epsilon:           s.Epsilon,
-		DistanceThreshold: s.DistanceThreshold,
-		ExpectedObjects:   s.ExpectedObjects,
-	}
-}
-
-// buildFromSaved rebuilds the shared machinery from a decoded snapshot:
-// page store, buffer pool, re-attached strategy and object table.
-func buildFromSaved(s savedIndex) (indexParts, map[uint64]Point, error) {
-	var parts indexParts
-	opts := s.options()
-	co, err := opts.coreOptions()
+// load reconstructs an index of kind k from a Save snapshot; it is the one
+// place that reads the format. Everything in the snapshot is outside
+// input, checked before a stack is built: the partition spec and the
+// stacks it declares, the options, each stack's structural bounds, and
+// every object — in one stack only, and the one its position routes to.
+// A one-stack kind given several stacks merges them: their objects are
+// bulk-loaded into one fresh tree under the snapshot's options. Every
+// other snapshot restores stack for stack and page for page, partition
+// and all (the main-memory summary structure is rebuilt by one tree walk
+// per stack).
+func load(r io.Reader, k kind) (*index, error) {
+	s, err := decodeSnapshot(r)
 	if err != nil {
-		return parts, nil, fmt.Errorf("burtree: load: %w", err)
+		return nil, err
 	}
-	io := &stats.IO{}
-	freed := make([]pagestore.PageID, len(s.Freed))
-	for i, f := range s.Freed {
-		freed[i] = pagestore.PageID(f)
-	}
-	store, err := pagestore.NewFromDump(s.PageSize, s.Pages, freed, io)
+	router, err := shard.FromSpec(s.Partition)
 	if err != nil {
-		return parts, nil, fmt.Errorf("burtree: load: %w", err)
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	pool := buffer.New(store, s.BufferPages)
-	dir := make([]rtree.PageID, len(s.HashDirectory))
-	for i, p := range s.HashDirectory {
-		dir[i] = rtree.PageID(p)
+	n := len(s.Stacks)
+	if n != s.Partition.Shards {
+		return nil, fmt.Errorf("%w: partition declares %d stacks but snapshot carries %d", ErrBadSnapshot, s.Partition.Shards, n)
 	}
-	u, err := core.Restore(pool, co, core.RestoreState{
-		Root:          rtree.PageID(s.Root),
-		Height:        s.Height,
-		Size:          s.Size,
-		HashDirectory: dir,
-		HashSize:      s.HashSize,
-	})
+	// Loaders are not log- or memtable-aware: Recover re-attaches the logs
+	// and re-enables the tier explicitly.
+	s.Options.Durability, s.Options.Memtable = Durability{}, Memtable{}
+	per := stackOptions(s.Options, n)
+	co, err := per.coreOptions()
 	if err != nil {
-		return parts, nil, fmt.Errorf("burtree: load: %w", err)
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	objects := s.Objects
-	if objects == nil {
-		objects = make(map[uint64]Point)
-	}
-	return indexParts{store: store, pool: pool, io: io, u: u, opts: opts}, objects, nil
-}
-
-// decodeSavedSharded decodes and sanity-checks a sharded snapshot body.
-func decodeSavedSharded(br *bufio.Reader) (savedSharded, error) {
-	var s savedSharded
-	if err := gob.NewDecoder(br).Decode(&s); err != nil {
-		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	if s.Format != shardedFormat {
-		return s, fmt.Errorf("%w: sharded snapshot format %d, this version reads format %d", ErrBadSnapshot, s.Format, shardedFormat)
-	}
-	if len(s.Blobs) != s.Shards {
-		return s, fmt.Errorf("%w: manifest declares %d shards but snapshot carries %d", ErrBadSnapshot, s.Shards, len(s.Blobs))
-	}
-	if s.Counts != nil && len(s.Counts) != s.Shards {
-		return s, fmt.Errorf("%w: manifest carries %d shard counts for %d shards", ErrBadSnapshot, len(s.Counts), s.Shards)
-	}
-	for i, c := range s.Counts {
-		if c < 0 {
-			return s, fmt.Errorf("%w: shard %d declares negative object count %d", ErrBadSnapshot, i, c)
+	objects := make(map[uint64]Point)
+	for i, st := range s.Stacks {
+		switch {
+		case st.Size < 0 || st.Height < 0 || st.HashSize < 0:
+			return nil, fmt.Errorf("%w: stack %d: negative structural counts", ErrBadSnapshot, i)
+		case st.Root > pagestore.PageID(len(st.Pages)):
+			return nil, fmt.Errorf("%w: stack %d: root page %d beyond %d pages", ErrBadSnapshot, i, st.Root, len(st.Pages))
+		case st.Root == pagestore.InvalidPage && st.Size > 0:
+			return nil, fmt.Errorf("%w: stack %d: %d objects but no root page", ErrBadSnapshot, i, st.Size)
+		}
+		for id, p := range st.Objects {
+			if _, dup := objects[id]; dup {
+				return nil, fmt.Errorf("%w: object %d present in multiple stacks", ErrBadSnapshot, id)
+			}
+			if owner := router.ShardOf(p); owner != i {
+				return nil, fmt.Errorf("%w: object %d at %v stored in stack %d but routes to %d", ErrBadSnapshot, id, p, i, owner)
+			}
+			objects[id] = p
 		}
 	}
-	// Load opens a fresh index under these options, so refuse them here as
-	// outside input rather than there.
-	o := s.Options
-	o.PageSize = cmp.Or(o.PageSize, pagestore.DefaultPageSize)
-	if _, err := o.coreOptions(); err != nil {
-		return s, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
-	}
-	// Loaders are not log- or memtable-aware: drop any durability or
-	// delta-tier config the manifest carried (Recover re-attaches logs and
-	// re-enables the tier explicitly).
-	s.Options.Durability = Durability{}
-	s.Options.Memtable = Memtable{}
-	return s, nil
-}
-
-// decodeShard decodes shard i's blob of a sharded snapshot — a complete
-// single-tree snapshot — and verifies it against the manifest's declared
-// object count (skipped for pre-count snapshots, whose manifests carry
-// no Counts).
-func decodeShard(s savedSharded, i int) (savedIndex, error) {
-	br := bufio.NewReader(bytes.NewReader(s.Blobs[i]))
-	magic, err := readMagic(br)
-	if err != nil {
-		return savedIndex{}, fmt.Errorf("burtree: load shard %d: %w", i, err)
-	}
-	if magic != snapshotMagic {
-		return savedIndex{}, fmt.Errorf("%w: shard %d blob has wrong magic", ErrBadSnapshot, i)
-	}
-	dec, err := decodeSavedIndex(br)
-	if err != nil {
-		return dec, fmt.Errorf("burtree: load shard %d: %w", i, err)
-	}
-	if s.Counts != nil && len(dec.Objects) != s.Counts[i] {
-		return dec, fmt.Errorf("%w: shard %d blob holds %d objects, manifest declares %d", ErrBadSnapshot, i, len(dec.Objects), s.Counts[i])
-	}
-	return dec, nil
-}
-
-// mergedObjects collects the object sets of every shard blob without
-// rebuilding the shard trees, verifying that no object appears twice.
-func mergedObjects(s savedSharded) (map[uint64]Point, error) {
-	merged := make(map[uint64]Point)
-	for i := range s.Blobs {
-		dec, err := decodeShard(s, i)
-		if err != nil {
+	var x *index
+	if n > 1 && !k.sharded() {
+		if x, err = merged(s.Options, k, objects); err != nil {
 			return nil, err
 		}
-		for id, p := range dec.Objects {
-			if _, dup := merged[id]; dup {
-				return nil, fmt.Errorf("%w: object %d present in multiple shards", ErrBadSnapshot, id)
+	} else {
+		shards := make([]*treeStack, n)
+		for i, st := range s.Stacks {
+			parts, err := restoreParts(st, per, co)
+			if err != nil {
+				return nil, fmt.Errorf("burtree: load stack %d: %w", i, err)
 			}
-			merged[id] = p
+			shards[i] = newStack(parts, k.background())
 		}
+		partition := ShardGrid
+		if s.Partition.Scheme == shard.HilbertRange {
+			partition = ShardHilbert
+		}
+		x = newIndex(k, router, s.Options, ShardOptions{Shards: n, Partition: partition}, objects)
+		x.shards = shards
 	}
-	return merged, nil
+	x.walSeq, x.routerEpoch = s.WALSeq, s.RouterEpoch
+	return x, nil
 }
 
-// mergeInto bulk-loads the union of a sharded snapshot's objects into a
-// freshly opened front-end (ids in ascending order, so the merge is
-// deterministic).
-func mergeInto(s savedSharded, bulk func(ids []uint64, pts []Point) error) error {
-	objects, err := mergedObjects(s)
+// merged opens a fresh one-stack index of kind k under opts and bulk-loads
+// objects into it, in ascending id order so the merge is deterministic.
+func merged(opts Options, k kind, objects map[uint64]Point) (*index, error) {
+	x, err := open(opts, single, k)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ids := make([]uint64, 0, len(objects))
 	for id := range objects {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	pts := make([]Point, len(ids))
 	for i, id := range ids {
 		pts[i] = objects[id]
 	}
-	return bulk(ids, pts)
+	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
-// load reconstructs an index of kind k from a Save snapshot; it is the one
-// place that understands the envelope. A snapshot of k's own layout
-// restores identically to the original: same pages, same strategy, same
-// object table, same partitioning (the main-memory summary structure is
-// rebuilt by one tree walk per stack). A single-stack kind merges a
-// sharded snapshot: the union of the shards' objects is bulk-loaded into
-// one fresh tree under the manifest's options. The sharded kind refuses a
-// single-tree snapshot.
-func load(r io.Reader, k kind) (*index, error) {
-	br := bufio.NewReader(r)
-	magic, err := readMagic(br)
+// restoreParts rebuilds the machinery of a saved stack under per, the
+// stack's options (co for its strategy), as openParts builds an empty
+// one's: page store, buffer pool and the re-attached strategy, whose
+// summary structure is rebuilt by one tree walk.
+func restoreParts(st savedStack, per Options, co core.Options) (indexParts, error) {
+	store, err := pagestore.NewFromDump(per.PageSize, st.Pages, st.Freed, nil)
 	if err != nil {
-		return nil, err
+		return indexParts{}, err
 	}
-	switch {
-	case magic == snapshotMagic && !k.sharded():
-		s, err := decodeSavedIndex(br)
-		if err != nil {
-			return nil, err
-		}
-		parts, objects, err := buildFromSaved(s)
-		if err != nil {
-			return nil, err
-		}
-		router, err := shard.NewGrid(1)
-		if err != nil {
-			return nil, err
-		}
-		x := newIndex(k, router, parts.opts, single, objects)
-		x.shards, x.walSeq = []*treeStack{newStack(parts, k.background())}, s.WALSeq
-		return x, nil
-	case magic == snapshotMagic:
-		return nil, fmt.Errorf("burtree: LoadSharded: single-tree snapshot; load it with Load or LoadConcurrent and BulkInsert into a new sharded index")
-	case magic != shardedMagic:
-		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrBadSnapshot, magic[:])
-	}
-	s, err := decodeSavedSharded(br)
-	if err != nil {
-		return nil, err
-	}
-	if !k.sharded() {
-		x, err := open(s.Options, single, k)
-		if err != nil {
-			return nil, err
-		}
-		err = mergeInto(s, func(ids []uint64, pts []Point) error {
-			return x.BulkInsert(ids, pts, PackSTR)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return x, nil
-	}
-	router, err := shard.FromSpec(shard.Spec{
-		Scheme: shard.Scheme(s.Scheme),
-		Shards: s.Shards,
-		GridX:  s.GridX,
-		GridY:  s.GridY,
-		Bounds: s.Bounds,
+	pool := buffer.New(store, per.BufferPages)
+	u, err := core.Restore(pool, co, core.RestoreState{
+		Root:          st.Root,
+		Height:        st.Height,
+		Size:          st.Size,
+		HashDirectory: st.HashDirectory,
+		HashSize:      st.HashSize,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+		return indexParts{}, err
 	}
-	shards := make([]*treeStack, s.Shards)
-	objects := make(map[uint64]Point)
-	for i := range s.Blobs {
-		dec, err := decodeShard(s, i)
-		if err != nil {
-			return nil, err
-		}
-		parts, part, err := buildFromSaved(dec)
-		if err != nil {
-			return nil, fmt.Errorf("burtree: load shard %d: %w", i, err)
-		}
-		shards[i] = newStack(parts, k.background())
-		for id, p := range part {
-			if _, dup := objects[id]; dup {
-				return nil, fmt.Errorf("%w: object %d present in multiple shards", ErrBadSnapshot, id)
-			}
-			if owner := router.ShardOf(p); owner != i {
-				return nil, fmt.Errorf("%w: object %d at %v stored in shard %d but routes to %d", ErrBadSnapshot, id, p, i, owner)
-			}
-			objects[id] = p
-		}
-	}
-	scheme := ShardGrid
-	if shard.Scheme(s.Scheme) == shard.HilbertRange {
-		scheme = ShardHilbert
-	}
-	x := newIndex(k, router, s.Options, ShardOptions{Shards: s.Shards, Partition: scheme}, objects)
-	x.shards, x.walSeq, x.routerEpoch = shards, s.WALSeq, s.RouterEpoch
-	return x, nil
+	return indexParts{store: store, pool: pool, io: store.IO(), u: u}, nil
 }
 
 // loadFile opens path and loads the snapshot in it as kind k.
@@ -542,17 +326,15 @@ func front[T Index | ConcurrentIndex | ShardedIndex](x *index, err error) (*T, e
 	return &f, nil
 }
 
-// Load reconstructs an index from a Save snapshot. A single-tree
-// snapshot restores identically to the original; a sharded snapshot is
-// merged into one tree under the manifest's options.
-//
-// A snapshot saved while Options still offered LevelThreshold,
-// ReinsertFraction and SplitAlgorithm loads under their defaults (λ
-// unrestricted, reinsertion 0.3, quadratic split), whatever it was saved
-// with. Those settings only steer future splits and ascents: the tree
-// they built is a valid R-tree and is restored page for page. A page size
-// the strategy's tree cannot use fails with ErrBadSnapshot, as any other
-// malformed input does.
+// Load reconstructs an Index from a Save snapshot of any front-end. A
+// snapshot of one stack — an Index's, a ConcurrentIndex's or a one-shard
+// ShardedIndex's — restores identically to the original: same pages,
+// strategy, options and object table. A snapshot of several shards is
+// merged: the union of their objects is bulk-loaded into one fresh tree
+// under the snapshot's options. Malformed input fails with
+// ErrBadSnapshot, and so do a page size the strategy's tree cannot use
+// and the snapshots of earlier versions (formats 1 and 2, under the
+// magics BURSNAP2 and BURSHRD2), which this version does not read.
 func Load(r io.Reader) (*Index, error) {
 	return front[Index](load(r, kindIndex))
 }
@@ -562,10 +344,8 @@ func LoadFile(path string) (*Index, error) {
 	return front[Index](loadFile(path, kindIndex))
 }
 
-// LoadConcurrent reconstructs a ConcurrentIndex from a Save snapshot.
-// Snapshots are interchangeable between the front-ends: a single-tree
-// snapshot written by an Index restores directly, and a sharded
-// snapshot is merged into one tree exactly as Load does.
+// LoadConcurrent reconstructs a ConcurrentIndex from a Save snapshot of
+// any front-end, exactly as Load does.
 func LoadConcurrent(r io.Reader) (*ConcurrentIndex, error) {
 	return front[ConcurrentIndex](load(r, kindConcurrent))
 }
@@ -576,16 +356,17 @@ func LoadConcurrentFile(path string) (*ConcurrentIndex, error) {
 	return front[ConcurrentIndex](loadFile(path, kindConcurrent))
 }
 
-// LoadSharded reconstructs a ShardedIndex from a sharded snapshot,
-// restoring the saved partitioning (scheme, shard count and range
-// boundaries) and every shard's tree exactly. Single-tree snapshots are
-// rejected: load those through Load or LoadConcurrent, then BulkInsert
-// into a fresh sharded index to re-partition.
+// LoadSharded reconstructs a ShardedIndex from a Save snapshot of any
+// front-end, restoring the saved partitioning (scheme, shard count and
+// range boundaries) and every shard's tree page for page. A snapshot of
+// an Index or a ConcurrentIndex restores as a one-shard ShardedIndex; to
+// re-partition, BulkInsert the objects into a fresh sharded index.
+// Malformed input fails as it does for Load.
 func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 	return front[ShardedIndex](load(r, kindSharded))
 }
 
-// LoadShardedFile reads a sharded snapshot from a file.
+// LoadShardedFile reads a snapshot from a file into a ShardedIndex.
 func LoadShardedFile(path string) (*ShardedIndex, error) {
 	return front[ShardedIndex](loadFile(path, kindSharded))
 }

@@ -1,16 +1,14 @@
 package burtree
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"testing"
 )
 
 // Error-path coverage for the persistence layer: truncated files,
-// corrupt bodies, wrong magic and sharded-manifest mismatches must all
+// corrupt bodies, wrong magic and partition/stack mismatches must all
 // surface as errors — never panics — from every load entry point.
 
 // loadEntryPoints runs all three loaders on the same bytes; each must
@@ -134,51 +132,28 @@ func TestLoadCorruptBody(t *testing.T) {
 	}
 }
 
-// TestLoadShardedManifestMismatch rewrites a sharded manifest so the
-// declared shard count disagrees with the carried blobs.
+// TestLoadShardedManifestMismatch rewrites a three-stack snapshot so its
+// partition and its stacks disagree.
 func TestLoadShardedManifestMismatch(t *testing.T) {
 	raw := savedShardedSnapshot(t)
-	var s savedSharded
-	if err := gob.NewDecoder(bufio.NewReader(bytes.NewReader(raw[8:]))).Decode(&s); err != nil {
-		t.Fatal(err)
-	}
 
-	reencode := func(s savedSharded) []byte {
-		var buf bytes.Buffer
-		buf.Write(shardedMagic[:])
-		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-			t.Fatal(err)
+	// The partition declares more stacks than the snapshot carries.
+	loadEntryPoints(t, "count mismatch (declared high)", reencode(t, raw, func(s *savedIndex) { s.Partition.Shards++ }))
+	// One id in two stacks, each copy at a position its own stack owns.
+	loadEntryPoints(t, "object in two stacks", reencode(t, raw, func(s *savedIndex) {
+		for id := range s.Stacks[1].Objects {
+			for _, p := range s.Stacks[0].Objects {
+				s.Stacks[0].Objects[id] = p
+				return
+			}
 		}
-		return buf.Bytes()
-	}
-
-	// Manifest declares more shards than the snapshot carries.
-	more := s
-	more.Shards = s.Shards + 1
-	loadEntryPoints(t, "count mismatch (declared high)", reencode(more))
-
-	// Blob list loses a shard.
-	fewer := s
-	fewer.Blobs = s.Blobs[:len(s.Blobs)-1]
-	loadEntryPoints(t, "count mismatch (blob missing)", reencode(fewer))
-
-	// A shard blob is truncated mid-body.
-	cut := s
-	cut.Blobs = append([][]byte(nil), s.Blobs...)
-	cut.Blobs[1] = cut.Blobs[1][:len(cut.Blobs[1])/2]
-	loadEntryPoints(t, "corrupt shard blob", reencode(cut))
-
-	// A shard blob carries the wrong magic.
-	wrongInner := s
-	wrongInner.Blobs = append([][]byte(nil), s.Blobs...)
-	wrongInner.Blobs[0] = append([]byte(nil), s.Blobs[0]...)
-	copy(wrongInner.Blobs[0], []byte("XXXXXXXX"))
-	loadEntryPoints(t, "wrong inner magic", reencode(wrongInner))
+	}))
+	// A stack lost its pages.
+	loadEntryPoints(t, "stack without pages", reencode(t, raw, func(s *savedIndex) { s.Stacks[1].Pages = nil }))
 
 	// A corrupt partition spec (grid that does not factor the count).
-	badSpec := s
-	badSpec.GridX, badSpec.GridY = 7, 9
-	if _, err := LoadSharded(bytes.NewReader(reencode(badSpec))); err == nil {
+	badSpec := reencode(t, raw, func(s *savedIndex) { s.Partition.GridX, s.Partition.GridY = 7, 9 })
+	if _, err := LoadSharded(bytes.NewReader(badSpec)); err == nil {
 		t.Fatal("LoadSharded accepted an inconsistent partition spec")
 	}
 
@@ -196,29 +171,57 @@ func TestLoadShardedManifestMismatch(t *testing.T) {
 }
 
 // TestLoadShardedRejectsMisrouted covers the cross-check that every
-// object in a shard blob actually routes to that shard.
+// object in a stack actually routes to that stack.
 func TestLoadShardedRejectsMisrouted(t *testing.T) {
-	raw := savedShardedSnapshot(t)
-	var s savedSharded
-	if err := gob.NewDecoder(bufio.NewReader(bytes.NewReader(raw[8:]))).Decode(&s); err != nil {
-		t.Fatal(err)
-	}
-	// Swap two shard blobs: their object tables no longer match the
-	// partition spec.
-	s.Blobs[0], s.Blobs[1] = s.Blobs[1], s.Blobs[0]
-	var buf bytes.Buffer
-	buf.Write(shardedMagic[:])
-	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSharded(bytes.NewReader(buf.Bytes())); err == nil {
+	// Swap two stacks: their object sets no longer match the partition.
+	raw := reencode(t, savedShardedSnapshot(t), func(s *savedIndex) { s.Stacks[0], s.Stacks[1] = s.Stacks[1], s.Stacks[0] })
+	if _, err := LoadSharded(bytes.NewReader(raw)); err == nil {
 		t.Fatal("LoadSharded accepted misrouted shard contents")
 	}
 }
 
-func TestLoadSingleIntoShardedRejected(t *testing.T) {
-	raw := savedSingleSnapshot(t)
-	if _, err := LoadSharded(bytes.NewReader(raw)); err == nil {
-		t.Fatal("LoadSharded must reject single-tree snapshots")
+// TestLoadShardedRestoresOneStack: a one-stack snapshot loads into a
+// one-shard ShardedIndex page for page — the same pages and height, a
+// valid index, and the same answers.
+func TestLoadShardedRestoresOneStack(t *testing.T) {
+	orig, rng := buildForPersist(t, GeneralizedBottomUp)
+	var raw bytes.Buffer
+	if err := orig.Save(&raw); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := LoadSharded(&raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	if sh.NumShards() != 1 {
+		t.Fatalf("%d shards, want 1", sh.NumShards())
+	}
+	want, got := orig.Stats(), func() Stats { st, _ := sh.Stats(); return st }()
+	if got.Pages != want.Pages || got.Height != want.Height || got.Size != want.Size {
+		t.Fatalf("pages/height/size %d/%d/%d, the saved index %d/%d/%d", got.Pages, got.Height, got.Size, want.Pages, want.Height, want.Size)
+	}
+	if err := sh.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	queriesMatch(t, orig, sh, rng, 30)
+	for q := 0; q < 10; q++ {
+		p := Point{X: rng.Float64(), Y: rng.Float64()}
+		a, err := orig.Nearest(p, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := sh.Nearest(p, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("Nearest(%v): %d vs %d neighbours", p, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].Dist != b[i].Dist {
+				t.Fatalf("Nearest(%v): neighbour %d at %g, want %g", p, i, b[i].Dist, a[i].Dist)
+			}
+		}
 	}
 }

@@ -4,15 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
-	"time"
-
-	"burtree/internal/rtree"
 )
 
 func buildForPersist(t *testing.T, s Strategy) (*Index, *rand.Rand) {
@@ -186,193 +184,36 @@ func TestSaveLoadEmptyIndex(t *testing.T) {
 	}
 }
 
-// legacyOptions is Options as snapshots before the removals carry it:
-// with λ, reinsertion, split, the group-commit window and the memtable age
-// trigger.
-type legacyOptions struct {
-	Strategy          Strategy
-	PageSize          int
-	BufferPages       int
-	Epsilon           float64
-	DistanceThreshold float64
-	LevelThreshold    int
-	ExpectedObjects   int
-	ReinsertFraction  float64
-	SplitAlgorithm    int
-	Durability        legacyDurability
-	Memtable          legacyMemtable
-}
-
-type legacyDurability struct {
-	Mode        DurabilityMode
-	Dir         string
-	GroupWindow time.Duration
-}
-
-type legacyMemtable struct {
-	Enabled    bool
-	MaxObjects int
-	MaxAge     time.Duration
-}
-
-// legacySharded is savedSharded with the legacy Options.
-type legacySharded struct {
-	Format      int
-	Options     legacyOptions
-	Scheme      int
-	Shards      int
-	GridX       int
-	GridY       int
-	Bounds      []uint64
-	Blobs       [][]byte
-	Counts      []int
-	WALSeq      uint64
-	RouterEpoch uint64
-}
-
-// reencode decodes a Save stream into old, lets edit change it, writes it
-// back under the same magic and decodes the result into check, so the
-// caller can assert what the stream really carries.
-func reencode[T any](t *testing.T, saved []byte, magic [8]byte, edit func(*T)) (stream []byte, check T) {
+// reencode decodes a Save stream, lets edit change it and encodes it
+// again under the current magic, so a test can plant what a writer never
+// would.
+func reencode(t *testing.T, saved []byte, edit func(*savedIndex)) []byte {
 	t.Helper()
-	var old T
-	if err := gob.NewDecoder(bytes.NewReader(saved[len(magic):])).Decode(&old); err != nil {
+	var s savedIndex
+	if err := gob.NewDecoder(bytes.NewReader(saved[len(snapshotMagic):])).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
-	edit(&old)
+	edit(&s)
 	var buf bytes.Buffer
-	if err := writeEnvelope(&buf, magic, &old); err != nil {
+	if err := writeEnvelope(&buf, &s); err != nil {
 		t.Fatal(err)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(magic):])).Decode(&check); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), check
+	return buf.Bytes()
 }
 
-// The snapshot formats did not change when option fields left savedIndex
-// (DisablePiggyback and DisableSummaryQueries; then LevelThreshold,
-// ReinsertFraction and SplitAlgorithm) and savedSharded's Options
-// (those three, Durability.GroupWindow and Memtable.MaxAge): gob skips
-// stream fields the receiving struct lacks, so the removals bumped no
-// format number (the point-shaped leaves did, for their page bytes). A
-// snapshot written before the removals — with every removed field set,
-// so the encoder does not omit it as a zero value — loads as the same
-// index, under the defaults: the tree the old settings built is a valid
-// R-tree.
-func TestLoadSnapshotWithRemovedOptionFields(t *testing.T) {
-	type savedIndexWithKnobs struct {
-		Format int
-
-		Strategy              Strategy
-		PageSize              int
-		BufferPages           int
-		Epsilon               float64
-		DistanceThreshold     float64
-		LevelThreshold        int
-		ExpectedObjects       int
-		ReinsertFraction      float64
-		SplitAlgorithm        int
-		DisablePiggyback      bool
-		DisableSummaryQueries bool
-
-		Pages [][]byte
-		Freed []uint64
-
-		Root   uint64
-		Height int
-		Size   int
-
-		HashDirectory []uint64
-		HashSize      int
-
-		Objects map[uint64]Point
-
-		WALSeq uint64
-	}
-	orig, rng := buildForPersist(t, GeneralizedBottomUp)
-	loaded := func(t *testing.T, idx interface {
-		Search(Rect) ([]uint64, error)
-		CheckInvariants() error
-		Len() int
-	}, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("loading a snapshot with the removed fields: %v", err)
-		}
-		if idx.Len() != orig.Len() {
-			t.Fatalf("Len = %d, want %d", idx.Len(), orig.Len())
-		}
-		if err := idx.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		queriesMatch(t, orig, idx, rng, 30)
-	}
-
-	t.Run("blob", func(t *testing.T) {
-		var cur bytes.Buffer
-		if err := orig.Save(&cur); err != nil {
-			t.Fatal(err)
-		}
-		stream, old := reencode(t, cur.Bytes(), snapshotMagic, func(s *savedIndexWithKnobs) {
-			s.LevelThreshold, s.ReinsertFraction, s.SplitAlgorithm = 2, -1, int(rtree.SplitRStar)
-			s.DisablePiggyback, s.DisableSummaryQueries = true, true
-		})
-		if old.LevelThreshold != 2 || old.ReinsertFraction != -1 || old.SplitAlgorithm != int(rtree.SplitRStar) ||
-			!old.DisablePiggyback || !old.DisableSummaryQueries {
-			t.Fatalf("setup: the removed fields are not in the stream: %+v", old)
-		}
-		x, err := Load(bytes.NewReader(stream))
-		loaded(t, x, err)
-	})
-
-	t.Run("manifest", func(t *testing.T) {
-		sh, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 2000, BufferPages: 32}, ShardOptions{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids := slices.Sorted(maps.Keys(orig.objects))
-		pts := make([]Point, len(ids))
-		for i, id := range ids {
-			pts[i] = orig.objects[id]
-		}
-		if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
-			t.Fatal(err)
-		}
-		var cur bytes.Buffer
-		if err := sh.Save(&cur); err != nil {
-			t.Fatal(err)
-		}
-		stream, old := reencode(t, cur.Bytes(), shardedMagic, func(s *legacySharded) {
-			o := &s.Options
-			o.LevelThreshold, o.ReinsertFraction, o.SplitAlgorithm = 2, -1, int(rtree.SplitRStar)
-			o.Durability.GroupWindow = 100 * time.Microsecond
-			o.Memtable = legacyMemtable{Enabled: true, MaxObjects: 64, MaxAge: 5 * time.Millisecond}
-		})
-		if o := old.Options; o.LevelThreshold != 2 || o.ReinsertFraction != -1 || o.SplitAlgorithm != int(rtree.SplitRStar) ||
-			o.Durability.GroupWindow == 0 || o.Memtable.MaxAge == 0 {
-			t.Fatalf("setup: the removed fields are not in the stream: %+v", o)
-		}
-		merged, err := Load(bytes.NewReader(stream))
-		loaded(t, merged, err)
-		restored, err := LoadSharded(bytes.NewReader(stream))
-		loaded(t, restored, err)
-	})
-}
-
-// TestLoadRefusesFormatOne: a format-1 snapshot's leaves hold 40-byte
-// entries, which this version's 24-byte point entries would misread. A
-// blob, a manifest, or a current manifest carrying a format-1 blob is
-// refused by every loader with ErrBadSnapshot, naming the format, before
-// any page is decoded.
+// TestLoadRefusesFormatOne: the snapshots of earlier versions are refused
+// by every loader with ErrBadSnapshot, naming what was found, before any
+// page is decoded. Format 1's leaves held 40-byte entries, which this
+// version's 24-byte point entries would misread; format 2 came in two
+// envelopes, a bare stack (BURSNAP2) and a manifest of nested stacks
+// (BURSHRD2). Both a body of format 1 or 2 under the current magic and
+// either of the old magics are refused.
 func TestLoadRefusesFormatOne(t *testing.T) {
 	orig, _ := buildForPersist(t, GeneralizedBottomUp)
-	var blob bytes.Buffer
-	if err := orig.Save(&blob); err != nil {
+	var one bytes.Buffer
+	if err := orig.Save(&one); err != nil {
 		t.Fatal(err)
 	}
-	oldBlob, _ := reencode(t, blob.Bytes(), snapshotMagic, func(s *savedIndex) { s.Format = 1 })
-
 	sh, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 2000, BufferPages: 32}, ShardOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -386,15 +227,31 @@ func TestLoadRefusesFormatOne(t *testing.T) {
 	if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
 		t.Fatal(err)
 	}
-	var manifest bytes.Buffer
-	if err := sh.Save(&manifest); err != nil {
+	var two bytes.Buffer
+	if err := sh.Save(&two); err != nil {
 		t.Fatal(err)
 	}
-	oldManifest, _ := reencode(t, manifest.Bytes(), shardedMagic, func(m *savedSharded) { m.Format = 1 })
-	oldShard, _ := reencode(t, manifest.Bytes(), shardedMagic, func(m *savedSharded) {
-		m.Blobs[1], _ = reencode(t, m.Blobs[1], snapshotMagic, func(s *savedIndex) { s.Format = 1 })
-	})
+	withMagic := func(b []byte, magic string) []byte {
+		return append([]byte(magic), b[len(snapshotMagic):]...)
+	}
 
+	type refused struct {
+		name, want string
+		stream     []byte
+	}
+	var cases []refused
+	for _, snap := range []struct {
+		name string
+		b    []byte
+	}{{"one stack", one.Bytes()}, {"two stacks", two.Bytes()}} {
+		for _, f := range []int{1, 2} {
+			cases = append(cases, refused{fmt.Sprintf("%s, format %d", snap.name, f), fmt.Sprintf("format %d", f),
+				reencode(t, snap.b, func(s *savedIndex) { s.Format = f })})
+		}
+		for _, magic := range []string{"BURSNAP2", "BURSHRD2"} {
+			cases = append(cases, refused{snap.name + " under " + magic, magic, withMagic(snap.b, magic)})
+		}
+	}
 	loaders := []struct {
 		name string
 		load func([]byte) error
@@ -403,18 +260,10 @@ func TestLoadRefusesFormatOne(t *testing.T) {
 		{"LoadConcurrent", func(b []byte) error { _, err := LoadConcurrent(bytes.NewReader(b)); return err }},
 		{"LoadSharded", func(b []byte) error { _, err := LoadSharded(bytes.NewReader(b)); return err }},
 	}
-	for _, c := range []struct {
-		name    string
-		stream  []byte
-		sharded bool
-	}{{"blob", oldBlob, false}, {"manifest", oldManifest, true}, {"manifest with a format-1 blob", oldShard, true}} {
+	for _, c := range cases {
 		for _, l := range loaders {
-			if l.name == "LoadSharded" && !c.sharded {
-				continue // refuses any single-tree snapshot
-			}
-			err := l.load(c.stream)
-			if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "format 1") {
-				t.Errorf("%s of a %s: err = %v, want ErrBadSnapshot naming format 1", l.name, c.name, err)
+			if err := l.load(c.stream); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s of a %s: err = %v, want ErrBadSnapshot naming %s", l.name, c.name, err, c.want)
 			}
 		}
 	}

@@ -133,7 +133,7 @@ func (x *ShardedIndex) ShardLoads() []ShardLoad {
 }
 
 // RouterEpoch counts the boundary changes this index has performed (it
-// starts at the value restored from the snapshot manifest); tests and
+// starts at the value restored from the snapshot); tests and
 // monitors use it to tell whether a rebalance actually moved boundaries.
 func (x *ShardedIndex) RouterEpoch() uint64 {
 	x.gate.RLock()

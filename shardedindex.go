@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"burtree/internal/core"
+	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 	"burtree/internal/shard"
 	"burtree/internal/wal"
@@ -182,24 +183,25 @@ func addCellCount(cells []shard.CellCount, cell uint64, n int) []shard.CellCount
 	return append(cells, shard.CellCount{Cell: cell, N: n})
 }
 
-// perShardOptions divides the index-wide budgets across n stacks. The
-// memtable budget is divided like the others: the delta tier is per
-// stack (each absorbs and merges its own deltas independently), which is
-// what keeps merge-down traffic as parallel as the write traffic. The
-// floors keep a divided share usable; one stack has the whole budget as
-// the caller gave it. Durability passes through untouched — a stack has
-// no log to open; the logs are the index's.
-func perShardOptions(opts Options, n int) Options {
+// stackOptions are the options each of n stacks runs under, given the
+// index-wide opts: the zero-value defaults filled in, and the buffer pool,
+// hash-index and memtable budgets divided evenly, each share floored to
+// stay usable (one stack keeps the whole budget). Fresh stacks
+// (openShards) and loaded ones (load) both derive theirs here, so a
+// snapshot carries the options once. The delta tier is per stack — each
+// absorbs and merges its own deltas — which keeps merge-down traffic as
+// parallel as the write traffic. Durability passes through untouched: the
+// logs are the index's.
+func stackOptions(opts Options, n int) Options {
 	per := opts
+	per.PageSize = cmp.Or(per.PageSize, pagestore.DefaultPageSize)
+	per.ExpectedObjects = cmp.Or(per.ExpectedObjects, 1024)
+	per.Memtable = per.Memtable.withDefaults()
 	if n == 1 {
 		return per
 	}
 	if per.Memtable.Enabled {
-		per.Memtable = per.Memtable.withDefaults()
 		per.Memtable.MaxObjects = max(per.Memtable.MaxObjects/n, 16)
-	}
-	if per.ExpectedObjects == 0 {
-		per.ExpectedObjects = 1024
 	}
 	per.ExpectedObjects = max(per.ExpectedObjects/n, 64)
 	if per.BufferPages > 0 {
@@ -652,9 +654,8 @@ func (x *index) UpdateBatch(changes []Change) (BatchResult, error) {
 	var ackErr error
 	if b.tiered {
 		b.res.Absorbed = b.res.Applied
-		// Only a stack the batch filled (or, with an age trigger, one whose
-		// deltas are due) hands a merge-down on; an inline drain's failure
-		// is the batch's to report.
+		// Only a stack the batch filled hands a merge-down on; an inline
+		// drain's failure is the batch's to report.
 		for s, sh := range x.shards {
 			ackErr = errors.Join(ackErr, sh.afterAck(b.work[s].full))
 		}

@@ -2,7 +2,6 @@ package burtree
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync"
 
@@ -67,9 +66,6 @@ type treeStack struct {
 	pool  *buffer.Pool
 	io    *stats.IO
 	tree  treeOps
-	// options is the normalized copy this stack was opened with (a
-	// shard's split of the index-wide budgets), retained for persistence.
-	options Options
 
 	// mem is the in-memory delta tier when Options.Memtable is enabled
 	// (nil otherwise). With background set, merge is the goroutine
@@ -87,17 +83,16 @@ type treeStack struct {
 }
 
 // newStack wraps the shared machinery in a stack — over a DGL-locked tree
-// with background merge-down, or over a serial one merging inline — and
-// installs the delta tier if the options ask for one (a loaded
-// snapshot's never do: the tier is the caller's runtime choice).
+// with background merge-down, or over a serial one merging inline —
+// without a delta tier: ensureMemtable installs one where the options ask
+// for it.
 func newStack(parts indexParts, background bool) *treeStack {
-	s := &treeStack{store: parts.store, pool: parts.pool, io: parts.io, options: parts.opts, background: background}
+	s := &treeStack{store: parts.store, pool: parts.pool, io: parts.io, background: background}
 	if background {
 		s.tree = concurrent.New(parts.u, 32)
 	} else {
 		s.tree = serialTree{parts.u}
 	}
-	s.ensureMemtable(parts.opts.Memtable)
 	return s
 }
 
@@ -242,12 +237,12 @@ func (s *treeStack) bulkLoad(items []rtree.Item, method PackMethod) error {
 	return s.tree.Exclusive(func(u core.Updater) error { return bulkLoad(u, items, method) })
 }
 
-// ensureMemtable installs the delta tier from cfg and, on a background
-// stack, starts the merge-down loop; used by newStack and when recovery
-// re-enables the tier on a loaded snapshot.
+// ensureMemtable installs the delta tier from cfg, a stack's normalized
+// share (stackOptions), and on a background stack starts the merge-down
+// loop; used by openShards and when recovery re-enables the tier on a
+// loaded snapshot (a loader never does: the tier is the caller's runtime
+// choice).
 func (s *treeStack) ensureMemtable(cfg Memtable) {
-	cfg = cfg.withDefaults()
-	s.options.Memtable = cfg
 	if !cfg.Enabled {
 		return
 	}
@@ -508,24 +503,6 @@ func (s *treeStack) ResetStats() { s.io.Reset() }
 // change when the pages go out.
 func (s *treeStack) Flush() error {
 	return s.tree.Exclusive(func(core.Updater) error { return s.pool.Flush() })
-}
-
-// save writes the stack's snapshot with t as its object set — the
-// index's table, or for a shard the router's partition of it. The delta
-// tier is merged down first: the caller's exclusive gate keeps writers
-// from refilling it, so the snapshot is self-consistent, captures every
-// acknowledged operation in the tree and never depends on memtable
-// contents, and a subsequent log truncation (Checkpoint) cannot drop
-// records whose effects lived only in the memtable.
-func (s *treeStack) save(w io.Writer, t *objectTable, walSeq uint64) error {
-	if err := s.drainMemtable(); err != nil {
-		return err
-	}
-	return s.tree.Exclusive(func(u core.Updater) error {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		return s.saveSnapshot(w, u, t.objects, walSeq)
-	})
 }
 
 // checkInvariants is the one invariant walk under all three front-ends:

@@ -223,7 +223,7 @@ func runTruncationSweep(t *testing.T, mkOpts func(string) Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segPath := filepath.Join(stateDir, "wal-00000001.seg")
+	segPath := filepath.Join(logDir(stateDir, 0), "wal-00000001.seg")
 	stat, err := os.Stat(segPath)
 	if err != nil {
 		t.Fatalf("expected active segment at %s: %v", segPath, err)
@@ -277,10 +277,10 @@ func runTruncationSweep(t *testing.T, mkOpts func(string) Options) {
 	for off := range offsets {
 		n++
 		dir := filepath.Join(workRoot, fmt.Sprintf("t%d", n))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		if err := os.MkdirAll(logDir(dir, 0), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "wal-00000001.seg"), data[:off], 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(logDir(dir, 0), "wal-00000001.seg"), data[:off], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		rec, err := Recover(mkOpts(dir))
@@ -481,7 +481,7 @@ func FuzzWALRecover(f *testing.F) {
 	if err := idx.Close(); err != nil {
 		f.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(tmpl, "wal-*.seg"))
+	segs, err := filepath.Glob(filepath.Join(logDir(tmpl, 0), "wal-*.seg"))
 	if err != nil || len(segs) != 1 {
 		f.Fatalf("template segments: %v %v", segs, err)
 	}
@@ -527,7 +527,10 @@ func FuzzWALRecover(f *testing.F) {
 		}
 
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segName), mutated, 0o644); err != nil {
+		if err := os.MkdirAll(logDir(dir, 0), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(logDir(dir, 0), segName), mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), snapBytes, 0o644); err != nil {
