@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint allocs scale baselines bench-smoke loc fmt clean
+.PHONY: all build test race lint burlint allocs scale paper-io baselines bench-smoke loc fmt clean
 
 all: build test lint
 
@@ -40,6 +40,24 @@ allocs:
 # and read `go tool pprof -sample_index=contentions -top`.
 scale:
 	$(GO) test -run '^$$' -bench BenchmarkTwoWriters -benchtime 1x -count 3 -timeout 30m .
+
+# paper-io prints the deterministic §5 I/O tables as CSV: every
+# page-counted experiment, plus batch without its timed updates/s rows.
+# The output is a function of SCALE alone (the seed is fixed at 1), so
+# two checkouts compared with cmp show whether a change moved a page.
+# Progress goes to stderr: `make paper-io > io.csv`. The batch table is
+# written to a file first so a failing burbench fails the target rather
+# than leaving grep's status behind.
+SCALE ?= 0.5
+PAPER_IO = fig5a,fig5b,fig5e,fig5f,fig5g,fig5h,fig6a,fig6b,fig6c,fig6d,fig6e,fig6f,fig6g,fig6h,fig7a,fig7b,naive,cost,table-summary-size,ablation-piggyback,ablation-summary-queries,ablation-splits
+
+paper-io: bin/burbench
+	@bin/burbench -experiment $(PAPER_IO) -scale $(SCALE) -seed 1 -csv
+	@bin/burbench -experiment batch -scale $(SCALE) -seed 1 -csv > bin/paper-io-batch.csv
+	@grep -v 'updates/s' bin/paper-io-batch.csv
+
+bin/burbench: FORCE
+	@$(GO) build -o bin/burbench ./cmd/burbench
 
 # baselines keeps the committed BENCH_*.json files and the references to
 # them in step: every one a .go, .md, Makefile or workflow file names is

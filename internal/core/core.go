@@ -1,8 +1,11 @@
-// Package core implements the paper's primary contribution: the three
-// R-tree update strategies evaluated in its performance study.
+// Package core implements the paper's primary contribution: the R-tree
+// update strategies evaluated in its performance study.
 //
 //   - TD — the traditional top-down update (baseline): a top-down delete
 //     traversal followed by a separate top-down insert.
+//   - NAIVE — §3.1's first bottom-up idea: direct leaf access through a
+//     secondary object-id hash index, an in-place update when the leaf
+//     MBR covers the new location, and top-down otherwise.
 //   - LBU — the Localized Bottom-Up update (Algorithm 1): direct leaf
 //     access through a secondary object-id hash index, Kwon-style uniform
 //     ε-enlargement of the leaf MBR bounded by the parent (which requires
@@ -14,7 +17,11 @@
 //     lowest bounding ancestor via FindParent (Algorithm 3) under the
 //     distance threshold δ and level threshold λ tuning parameters.
 //
-// All strategies expose the same Updater interface so the experiment
+// NAIVE, LBU and GBU share one per-object path (bottomUp.updateAt): reach
+// the leaf, run the scheme's local phase, otherwise end top-down or with
+// the scheme's own ascent. Update enters it through the hash index,
+// the batch pipeline's UpdateAtLeaf at a leaf it already knows. All
+// strategies expose the same Updater interface so the experiment
 // harness can swap them freely, exactly as the paper's figures do.
 package core
 
@@ -60,8 +67,8 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a strategy name ("TD", "LBU", "GBU", "NAIVE",
-// case-sensitive) to its Kind.
+// ParseKind converts a strategy name ("TD", "LBU", "GBU" or "NAIVE", or
+// the same in lower case) to its Kind.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "TD", "td":
@@ -85,7 +92,7 @@ const UnrestrictedLevels = -1
 // paper's defaults (bold entries of Table 1) for everything except the
 // strategy itself, which defaults to TD.
 type Options struct {
-	// Strategy picks TD, LBU or GBU.
+	// Strategy picks TD, NAIVE, LBU or GBU.
 	Strategy Kind
 	// Epsilon is the ε MBR-enlargement cap. Default 0.003.
 	Epsilon float64
@@ -145,9 +152,9 @@ const LevelThresholdZero = -2
 // The ε and δ sweeps of the evaluation need true zeros.
 const ZeroValue = -1.0
 
-// Updater is the uniform operation surface of the three strategies.
+// Updater is the uniform operation surface of the strategies.
 type Updater interface {
-	// Name returns "TD", "LBU" or "GBU".
+	// Name returns "TD", "NAIVE", "LBU" or "GBU".
 	Name() string
 	// Insert adds a new point object.
 	Insert(oid rtree.OID, p geom.Point) error
@@ -200,30 +207,19 @@ func New(pool *buffer.Pool, opts Options) (Updater, error) {
 	case LBU:
 		cfg := opts.Tree
 		cfg.ParentPointers = true
-		t := rtree.New(pool, cfg)
-		h := hashindex.New(pool, opts.ExpectedObjects)
-		ad := &hashAdapter{index: h}
-		t.SetListener(ad)
-		return &lbuStrategy{tree: t, hash: h, adapter: ad, eps: opts.Epsilon}, nil
+		s := &lbuStrategy{eps: opts.Epsilon}
+		s.init(pool, cfg, opts.ExpectedObjects, s)
+		return s, nil
 	case GBU:
-		t := rtree.New(pool, opts.Tree)
-		h := hashindex.New(pool, opts.ExpectedObjects)
-		s := summary.New(t.MaxEntries(0))
-		ad := &hashAdapter{index: h}
-		t.SetListener(&fanoutListener{listeners: []rtree.Listener{s, ad}})
-		return &gbuStrategy{
-			tree:    t,
-			hash:    h,
-			sum:     s,
-			adapter: ad,
-			opts:    opts,
-		}, nil
+		s := &gbuStrategy{opts: opts}
+		s.init(pool, opts.Tree, opts.ExpectedObjects, s)
+		s.sum = summary.New(s.tree.MaxEntries(0))
+		s.tree.SetListener(&fanoutListener{listeners: []rtree.Listener{s.sum, s.adapter}})
+		return s, nil
 	case Naive:
-		t := rtree.New(pool, opts.Tree)
-		h := hashindex.New(pool, opts.ExpectedObjects)
-		ad := &hashAdapter{index: h}
-		t.SetListener(ad)
-		return &naiveStrategy{tree: t, hash: h, adapter: ad}, nil
+		s := &naiveStrategy{}
+		s.init(pool, opts.Tree, opts.ExpectedObjects, s)
+		return s, nil
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", opts.Strategy)
 	}

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"burtree/internal/pagestore"
 	"errors"
 	"fmt"
 	"math"
 
 	"burtree/internal/geom"
-	"burtree/internal/hashindex"
+	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 	"burtree/internal/summary"
 )
@@ -16,13 +15,9 @@ import (
 // keeps the R-tree structure intact and adds the main-memory summary
 // structure for parent access, sibling screening and query planning.
 type gbuStrategy struct {
-	tree    *rtree.Tree
-	hash    *hashindex.Index
-	sum     *summary.Structure
-	adapter *hashAdapter
-	opts    Options
-
-	out outcomeCounters
+	bottomUp
+	sum  *summary.Structure
+	opts Options
 }
 
 var (
@@ -32,20 +27,7 @@ var (
 
 func (s *gbuStrategy) Name() string { return "GBU" }
 
-func (s *gbuStrategy) Tree() *rtree.Tree { return s.tree }
-
 func (s *gbuStrategy) Summary() *summary.Structure { return s.sum }
-
-func (s *gbuStrategy) Outcomes() Outcomes { return s.out.snapshot() }
-
-func (s *gbuStrategy) Err() error { return s.adapter.Err() }
-
-func (s *gbuStrategy) Insert(oid rtree.OID, p geom.Point) error {
-	if err := s.tree.Insert(oid, geom.RectFromPoint(p)); err != nil {
-		return err
-	}
-	return s.adapter.Err()
-}
 
 // Delete removes an object bottom-up when no underflow threatens,
 // falling back to the standard top-down delete otherwise.
@@ -95,7 +77,8 @@ func (s *gbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
 // internal-level overlap tests are resolved in memory (§3.2: "Equipped
 // with knowledge of which index nodes above the leaf level to read from
 // disk, we carry on with the query as usual"), so only the overlapping
-// parent-of-leaf nodes and leaves are read.
+// parent-of-leaf nodes and leaves are read. Nearest has no such variant:
+// the summary holds no leaf entries, and they decide the ranking.
 //
 //burlint:hotpath
 func (s *gbuStrategy) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool) error {
@@ -130,96 +113,32 @@ func (s *gbuStrategy) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool)
 	return nil
 }
 
-// Nearest answers a k-nearest-neighbour query through the tree's
-// best-first search. The summary structure holds the MBRs of internal
-// nodes but not of the leaf entries that decide the final ranking, so
-// unlike Search there is no memory-assisted variant; the traversal is
-// the plain MinDist descent.
-func (s *gbuStrategy) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
-	return s.tree.NearestK(p, k)
+// topDownFirst is Algorithm 2's opening, decided without disk access:
+// a tree of height 1 has no internal structure to exploit, and "access
+// the root entry in direct access table; if newLocation lies outside
+// rootMBR: issue a top-down update". UpdateAtLeaf checks the root MBR
+// after the pin instead (attemptLocalAt), so that the top-down pass
+// starts from the stored rectangle.
+func (s *gbuStrategy) topDownFirst(new geom.Point, atLeaf bool) bool {
+	if s.tree.Height() <= 1 {
+		return true
+	}
+	return !atLeaf && s.outsideRoot(new)
 }
 
-// localOutcome classifies the result of the local phase of Algorithm 2.
-type localOutcome int
-
-const (
-	localDone   localOutcome = iota // resolved in-leaf / extend / shift
-	needTopDown                     // full top-down fallback required
-	needAscend                      // must re-insert below a bounding ancestor
-)
-
-// Update implements Algorithm 2 (Generalized Bottom-Up Update).
-//
-//burlint:hotpath
-func (s *gbuStrategy) Update(oid rtree.OID, old, new geom.Point) error {
-	if err := s.update(oid, old, new); err != nil {
-		return err
-	}
-	return s.adapter.Err()
-}
-
-func (s *gbuStrategy) update(oid rtree.OID, old, new geom.Point) error {
-	t := s.tree
-	newRect := geom.RectFromPoint(new)
-
-	// Trees of height 1 have no internal structure to exploit.
-	if t.Height() <= 1 {
-		return s.topDown(oid, geom.RectFromPoint(old), newRect)
-	}
-
-	// "Access the root entry in direct access table; if newLocation lies
-	// outside rootMBR: issue a top-down update." No disk access needed.
+func (s *gbuStrategy) outsideRoot(new geom.Point) bool {
 	rootMBR, ok := s.sum.RootMBR()
-	if !ok {
-		return fmt.Errorf("gbu: update %d: summary has no root MBR", oid)
-	}
-	if !rootMBR.ContainsPoint(new) {
-		return s.topDown(oid, geom.RectFromPoint(old), newRect)
-	}
-
-	// "Locate via the secondary object-ID index the leaf node."
-	leafPage, err := s.hash.Lookup(oid)
-	if err != nil {
-		return fmt.Errorf("gbu: update %d: %w", oid, err)
-	}
-	ref, err := t.PinNodeForPatch(leafPage)
-	if err != nil {
-		return err
-	}
-	li := ref.FindOID(oid)
-	if li < 0 {
-		_ = ref.Release() // nothing was patched
-		return fmt.Errorf("gbu: update %d: hash points to leaf %d but entry is missing", oid, leafPage)
-	}
-	res, leaf, err := s.attemptLocalAt(old, new, newRect, &ref, li)
-	if err != nil {
-		return err
-	}
-	switch res {
-	case needTopDown:
-		// The stored rectangle is the authoritative old location.
-		err = s.topDown(oid, leaf.Entries[li].Rect, newRect)
-	case needAscend:
-		err = s.ascend(oid, new, newRect, leaf, li)
-	}
-	t.ReturnNode(leaf)
-	return err
-}
-
-// topDown hands one update to the tree's top-down path, counting it.
-func (s *gbuStrategy) topDown(oid rtree.OID, oldRect, newRect geom.Rect) error {
-	s.out.topDown.Add(1)
-	return s.tree.Update(oid, oldRect, newRect)
+	return !ok || !rootMBR.ContainsPoint(new)
 }
 
 // ascend re-inserts the object below its lowest bounding ancestor:
 // "ancestor = FindParent(node, newLocation); issue a standard R-tree
 // insert at the ancestor node." The ancestor chain comes from the
 // summary table, so the ascent itself costs no disk reads.
-func (s *gbuStrategy) ascend(oid rtree.OID, new geom.Point, newRect geom.Rect, leaf *rtree.Node, li int) error {
+func (s *gbuStrategy) ascend(c BatchChange, leaf *rtree.Node, li int) error {
 	t := s.tree
 	lambda := effectiveLevelThreshold(s.opts.LevelThreshold, t.Height())
-	fp, err := s.sum.FindParent(leaf.Page, new, lambda)
+	fp, err := s.sum.FindParent(leaf.Page, c.New, lambda)
 	if err != nil {
 		return err
 	}
@@ -227,24 +146,25 @@ func (s *gbuStrategy) ascend(oid rtree.OID, new geom.Point, newRect geom.Rect, l
 	if err := t.WriteNode(leaf); err != nil {
 		return err
 	}
-	if err := t.InsertEntryAt(fp.PathAbove(), fp.Ancestor, rtree.Entry{Rect: newRect, OID: oid}, 0); err != nil {
+	if err := t.InsertEntryAt(fp.PathAbove(), fp.Ancestor, rtree.Entry{Rect: geom.RectFromPoint(c.New), OID: c.OID}, 0); err != nil {
 		return err
 	}
 	s.out.ascended.Add(1)
 	return nil
 }
 
-// attemptLocalAt runs the local phase of Algorithm 2 on the leaf holding
-// the object, pinned for patching with the object at entry li: the
-// in-leaf case and the δ-ordered extension/shift attempts. It releases
-// the pin. The in-leaf move and a slow mover's extension are patched
-// into the pinned page; the other outcomes need the decoded leaf — a
-// shift restructures it — which is returned (borrowed: the caller hands
-// it back), entry li still unmodified, unless the update was resolved
-// (localDone). The batch pipeline enters here with the group's leaf,
-// skipping the hash lookup.
-func (s *gbuStrategy) attemptLocalAt(old, new geom.Point, newRect geom.Rect, ref *rtree.NodeRef, li int) (localOutcome, *rtree.Node, error) {
+// attemptLocalAt runs the local phase of Algorithm 2: the root-MBR
+// check, the in-leaf case and the δ-ordered extension/shift attempts.
+// The in-leaf move and a slow mover's extension are patched into the
+// pinned page; the other outcomes need the decoded leaf — a shift
+// restructures it. needAscend means "re-insert below the lowest bounding
+// ancestor".
+func (s *gbuStrategy) attemptLocalAt(c BatchChange, ref rtree.NodeRef, li int) (localOutcome, *rtree.Node, error) {
 	t := s.tree
+	old, new, newRect := c.Old, c.New, geom.RectFromPoint(c.New)
+	if s.outsideRoot(new) {
+		return needTopDown, nil, ref.Release()
+	}
 
 	// "if newLocation lies within leafMBR: update in place."
 	if ref.Self().ContainsPoint(new) {
@@ -454,11 +374,6 @@ func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect
 	return true, nil
 }
 
-// LeafOf resolves the leaf currently holding the object (GroupApplier).
-func (s *gbuStrategy) LeafOf(oid rtree.OID) (rtree.PageID, error) {
-	return s.hash.Lookup(oid)
-}
-
 // LeafScope names the leaf and its parent, resolved in the summary
 // table without I/O (GroupApplier).
 func (s *gbuStrategy) LeafScope(leaf rtree.PageID) (Scope, error) {
@@ -564,82 +479,3 @@ func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 	}
 	return append(unresolved, outside...), nil
 }
-
-// UpdateAtLeaf applies one change whose object lives in leaf, skipping
-// the secondary-index lookup (GroupApplier). Directly after a group
-// pass the leaf is still buffered, so the read costs no disk access.
-func (s *gbuStrategy) UpdateAtLeaf(leafPage rtree.PageID, c BatchChange, localOnly bool) (bool, error) {
-	t := s.tree
-	newRect := geom.RectFromPoint(c.New)
-	if t.Height() <= 1 {
-		if localOnly {
-			return false, nil
-		}
-		return s.topDownEscalate(c.OID, geom.RectFromPoint(c.Old), newRect)
-	}
-	ref, err := t.PinNodeForPatch(leafPage)
-	if err != nil && !errors.Is(err, pagestore.ErrPageFreed) {
-		return false, err
-	}
-	li := -1
-	if err == nil {
-		if ref.IsLeaf() {
-			li = ref.FindOID(c.OID)
-		}
-		if li < 0 {
-			if err := ref.Release(); err != nil {
-				return false, err
-			}
-		}
-	}
-	if li < 0 {
-		if localOnly {
-			return false, nil // moved concurrently; the caller escalates
-		}
-		// The batch's own shifts (piggybacked passengers), splits and
-		// top-down deletes can relocate objects — or free or recycle the
-		// leaf page — between grouping and application; re-resolve
-		// through the always-current hash index.
-		return true, s.Update(c.OID, c.Old, c.New)
-	}
-	if rootMBR, ok := s.sum.RootMBR(); !ok || !rootMBR.ContainsPoint(c.New) {
-		stored := ref.Rect(li)
-		if err := ref.Release(); err != nil || localOnly {
-			return false, err
-		}
-		return s.topDownEscalate(c.OID, stored, newRect)
-	}
-	res, leaf, err := s.attemptLocalAt(c.Old, c.New, newRect, &ref, li)
-	if err != nil {
-		return false, err
-	}
-	if res == localDone {
-		return true, s.adapter.Err()
-	}
-	defer t.ReturnNode(leaf)
-	if localOnly {
-		return false, nil
-	}
-	if res == needTopDown {
-		return s.topDownEscalate(c.OID, leaf.Entries[li].Rect, newRect)
-	}
-	if err := s.ascend(c.OID, c.New, newRect, leaf, li); err != nil {
-		return false, err
-	}
-	return true, s.adapter.Err()
-}
-
-// topDownEscalate hands one change to the tree's top-down update path,
-// counting the escalation. A method rather than a closure inside
-// UpdateAtLeaf: the closure allocated per fallback op on the batch hot
-// path.
-func (s *gbuStrategy) topDownEscalate(oid rtree.OID, oldRect, newRect geom.Rect) (bool, error) {
-	if err := s.topDown(oid, oldRect, newRect); err != nil {
-		return false, err
-	}
-	return true, s.adapter.Err()
-}
-
-// HashBucket names the secondary-index bucket of an object without I/O
-// (batch lookup clustering).
-func (s *gbuStrategy) HashBucket(oid rtree.OID) int { return s.hash.Bucket(oid) }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"burtree/internal/geom"
-	"burtree/internal/hashindex"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 )
@@ -19,12 +18,8 @@ import (
 // sibling whose MBR already covers the new location. Anything else falls
 // back to a top-down path.
 type lbuStrategy struct {
-	tree    *rtree.Tree
-	hash    *hashindex.Index
-	adapter *hashAdapter
-	eps     float64
-
-	out outcomeCounters
+	bottomUp
+	eps float64
 }
 
 var (
@@ -34,107 +29,35 @@ var (
 
 func (s *lbuStrategy) Name() string { return "LBU" }
 
-func (s *lbuStrategy) Insert(oid rtree.OID, p geom.Point) error {
-	if err := s.tree.Insert(oid, geom.RectFromPoint(p)); err != nil {
-		return err
-	}
-	return s.adapter.Err()
-}
+// topDownFirst: Algorithm 1 always starts at the leaf.
+func (s *lbuStrategy) topDownFirst(geom.Point, bool) bool { return false }
 
-func (s *lbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
-	if err := s.tree.Delete(oid, geom.RectFromPoint(at)); err != nil {
-		return err
-	}
-	return s.adapter.Err()
-}
-
-func (s *lbuStrategy) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool) error {
-	return s.tree.Search(q, visit)
-}
-
-func (s *lbuStrategy) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
-	return s.tree.NearestK(p, k)
-}
-
-func (s *lbuStrategy) Tree() *rtree.Tree { return s.tree }
-
-func (s *lbuStrategy) Outcomes() Outcomes { return s.out.snapshot() }
-
-func (s *lbuStrategy) Err() error { return s.adapter.Err() }
-
-// Update implements Algorithm 1 (Localized Bottom-Up Update).
-func (s *lbuStrategy) Update(oid rtree.OID, old, new geom.Point) error {
-	if err := s.update(oid, old, new); err != nil {
-		return err
-	}
-	return s.adapter.Err()
-}
-
-func (s *lbuStrategy) update(oid rtree.OID, old, new geom.Point) error {
-	t := s.tree
-	newRect := geom.RectFromPoint(new)
-
-	// "Locate via the secondary object-ID index the leaf node with the
-	// object."
-	leafPage, err := s.hash.Lookup(oid)
-	if err != nil {
-		return fmt.Errorf("lbu: update %d: %w", oid, err)
-	}
-	ref, err := t.PinNodeForPatch(leafPage)
-	if err != nil {
-		return err
-	}
-	li := ref.FindOID(oid)
-	if li < 0 {
-		_ = ref.Release() // nothing was patched
-		return fmt.Errorf("lbu: update %d: hash points to leaf %d but entry is missing", oid, leafPage)
-	}
-	res, leaf, err := s.attemptLocalAt(oid, new, newRect, &ref, li)
-	if err != nil {
-		return err
-	}
-	switch res {
-	case needTopDown:
-		s.out.topDown.Add(1)
-		// The stored rectangle is the authoritative old location for the
-		// top-down delete traversal.
-		err = t.Update(oid, leaf.Entries[li].Rect, newRect)
-	case needAscend:
-		err = s.reinsertFromRoot(oid, newRect, leaf, li)
-	}
-	t.ReturnNode(leaf)
-	return err
-}
-
-// reinsertFromRoot is Algorithm 1's non-local ending: "Delete old index
-// entry for the object from leaf node; write out leaf node. ... Issue a
-// standard R-tree insert at the root."
-func (s *lbuStrategy) reinsertFromRoot(oid rtree.OID, newRect geom.Rect, leaf *rtree.Node, li int) error {
+// ascend is Algorithm 1's non-local ending: "Delete old index entry for
+// the object from leaf node; write out leaf node. ... Issue a standard
+// R-tree insert at the root."
+func (s *lbuStrategy) ascend(c BatchChange, leaf *rtree.Node, li int) error {
 	t := s.tree
 	leaf.RemoveEntry(li)
 	if err := t.WriteNode(leaf); err != nil {
 		return err
 	}
 	s.out.topDown.Add(1)
-	if err := t.Insert(oid, newRect); err != nil {
+	if err := t.Insert(c.OID, geom.RectFromPoint(c.New)); err != nil {
 		return err
 	}
 	t.AdjustSize(-1) // the object was already counted; Insert re-counted it
 	return nil
 }
 
-// attemptLocalAt performs the local portion of Algorithm 1 on the leaf
-// holding the object, pinned for patching with the object at entry li:
-// in-place update, uniform ε-enlargement, and a sibling shift. It
-// releases the pin. Only the in-place update is patched into the pinned
-// page: the other outcomes read the parent between reading and writing
-// the leaf, so they work on the decoded leaf, which is returned
-// (borrowed: the caller hands it back), entry li still unmodified, unless
-// the update was resolved (localDone). needAscend here means "delete
-// bottom-up and re-insert from the root". The batch pipeline enters here
-// with the group's leaf, skipping the hash lookup.
-func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom.Rect, ref *rtree.NodeRef, li int) (localOutcome, *rtree.Node, error) {
+// attemptLocalAt performs the local portion of Algorithm 1: in-place
+// update, uniform ε-enlargement, and a sibling shift. Only the in-place
+// update is patched into the pinned page: the other outcomes read the
+// parent between reading and writing the leaf, so they work on the
+// decoded leaf. needAscend here means "delete bottom-up and re-insert
+// from the root".
+func (s *lbuStrategy) attemptLocalAt(c BatchChange, ref rtree.NodeRef, li int) (localOutcome, *rtree.Node, error) {
 	t := s.tree
+	oid, new, newRect := c.OID, c.New, geom.RectFromPoint(c.New)
 
 	// "if newLocation lies within the leaf MBR: update in place."
 	if ref.Self().ContainsPoint(new) {
@@ -231,11 +154,6 @@ func (s *lbuStrategy) attemptLocalAt(oid rtree.OID, new geom.Point, newRect geom
 		}
 	}
 	return needAscend, leaf, nil
-}
-
-// LeafOf resolves the leaf currently holding the object (GroupApplier).
-func (s *lbuStrategy) LeafOf(oid rtree.OID) (rtree.PageID, error) {
-	return s.hash.Lookup(oid)
 }
 
 // LeafScope names the leaf and its parent, read through the leaf's
@@ -341,62 +259,3 @@ func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 	}
 	return append(unresolved, outside...), nil
 }
-
-// UpdateAtLeaf applies one change whose object lives in leaf, skipping
-// the secondary-index lookup (GroupApplier). Directly after a group
-// pass the leaf is still buffered, so the read costs no disk access.
-func (s *lbuStrategy) UpdateAtLeaf(leafPage rtree.PageID, c BatchChange, localOnly bool) (bool, error) {
-	t := s.tree
-	newRect := geom.RectFromPoint(c.New)
-	ref, err := t.PinNodeForPatch(leafPage)
-	if err != nil && !errors.Is(err, pagestore.ErrPageFreed) {
-		return false, err
-	}
-	li := -1
-	if err == nil {
-		if ref.IsLeaf() {
-			li = ref.FindOID(c.OID)
-		}
-		if li < 0 {
-			if err := ref.Release(); err != nil {
-				return false, err
-			}
-		}
-	}
-	if li < 0 {
-		if localOnly {
-			return false, nil // moved concurrently; the caller escalates
-		}
-		// The batch's own shifts, splits and top-down deletes can
-		// relocate objects — or free or recycle the leaf page — between
-		// grouping and application; re-resolve through the always-current
-		// hash index.
-		return true, s.Update(c.OID, c.Old, c.New)
-	}
-	res, leaf, err := s.attemptLocalAt(c.OID, c.New, newRect, &ref, li)
-	if err != nil {
-		return false, err
-	}
-	if res == localDone {
-		return true, s.adapter.Err()
-	}
-	defer t.ReturnNode(leaf)
-	if localOnly {
-		return false, nil
-	}
-	if res == needTopDown {
-		s.out.topDown.Add(1)
-		if err := t.Update(c.OID, leaf.Entries[li].Rect, newRect); err != nil {
-			return false, err
-		}
-		return true, s.adapter.Err()
-	}
-	if err := s.reinsertFromRoot(c.OID, newRect, leaf, li); err != nil {
-		return false, err
-	}
-	return true, s.adapter.Err()
-}
-
-// HashBucket names the secondary-index bucket of an object without I/O
-// (batch lookup clustering).
-func (s *lbuStrategy) HashBucket(oid rtree.OID) int { return s.hash.Bucket(oid) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"burtree/internal/buffer"
+	"burtree/internal/hashindex"
 	"burtree/internal/rtree"
 )
 
@@ -21,6 +22,12 @@ type RestoreState struct {
 	HashSize      int
 }
 
+// hashed is implemented by the strategies that keep the secondary hash
+// index (every one embedding bottomUp).
+type hashed interface {
+	hashIndex() *hashindex.Index
+}
+
 // Restore builds a strategy over an existing page store (reachable
 // through pool) and re-attaches it to the persisted structures.
 func Restore(pool *buffer.Pool, opts Options, st RestoreState) (Updater, error) {
@@ -31,26 +38,15 @@ func Restore(pool *buffer.Pool, opts Options, st RestoreState) (Updater, error) 
 	if err := u.Tree().Restore(st.Root, st.Height, st.Size); err != nil {
 		return nil, err
 	}
-	switch s := u.(type) {
-	case *tdStrategy:
-		// No auxiliary structures.
-	case *lbuStrategy:
-		if err := s.hash.RestoreDirectory(st.HashDirectory, st.HashSize); err != nil {
+	if h, ok := u.(hashed); ok {
+		if err := h.hashIndex().RestoreDirectory(st.HashDirectory, st.HashSize); err != nil {
 			return nil, err
 		}
-	case *naiveStrategy:
-		if err := s.hash.RestoreDirectory(st.HashDirectory, st.HashSize); err != nil {
+	}
+	if g, ok := u.(*gbuStrategy); ok {
+		if err := g.sum.Rebuild(g.tree); err != nil {
 			return nil, err
 		}
-	case *gbuStrategy:
-		if err := s.hash.RestoreDirectory(st.HashDirectory, st.HashSize); err != nil {
-			return nil, err
-		}
-		if err := s.sum.Rebuild(s.tree); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: restore: unsupported strategy %T", u)
 	}
 	return u, nil
 }
@@ -65,15 +61,9 @@ func SaveState(u Updater) (RestoreState, error) {
 	}
 	switch s := u.(type) {
 	case *tdStrategy:
-	case *lbuStrategy:
-		st.HashDirectory = s.hash.Directory()
-		st.HashSize = s.hash.Size()
-	case *naiveStrategy:
-		st.HashDirectory = s.hash.Directory()
-		st.HashSize = s.hash.Size()
-	case *gbuStrategy:
-		st.HashDirectory = s.hash.Directory()
-		st.HashSize = s.hash.Size()
+	case hashed:
+		st.HashDirectory = s.hashIndex().Directory()
+		st.HashSize = s.hashIndex().Size()
 	default:
 		return st, fmt.Errorf("core: save: unsupported strategy %T", u)
 	}
