@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint allocs scale paper-io baselines bench-smoke loc fmt clean
+.PHONY: all build test race lint burlint allocs scale paper-io paper-io-cmp baselines bench-smoke loc fmt clean
 
 all: build test lint
 
@@ -55,6 +55,20 @@ paper-io: bin/burbench
 	@bin/burbench -experiment $(PAPER_IO) -scale $(SCALE) -seed 1 -csv
 	@bin/burbench -experiment batch -scale $(SCALE) -seed 1 -csv > bin/paper-io-batch.csv
 	@grep -v 'updates/s' bin/paper-io-batch.csv
+
+# paper-io-cmp shows whether the working tree moved a page against REF
+# (default HEAD): it checks REF out into a temporary git worktree, runs
+# paper-io there and here at the same SCALE, and cmps the two tables.
+# It fails if either run fails or the tables differ, and removes the
+# worktree on every exit.
+REF ?= HEAD
+paper-io-cmp:
+	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/ref" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	git worktree add --detach --quiet "$$tmp/ref" "$(REF)" && \
+	$(MAKE) -s -C "$$tmp/ref" paper-io SCALE=$(SCALE) > "$$tmp/ref.csv" && \
+	$(MAKE) -s paper-io SCALE=$(SCALE) > "$$tmp/tree.csv" && \
+	cmp "$$tmp/ref.csv" "$$tmp/tree.csv" && \
+	echo "paper-io-cmp: $$(wc -l < "$$tmp/tree.csv") lines at SCALE=$(SCALE), identical to $(REF)"
 
 bin/burbench: FORCE
 	@$(GO) build -o bin/burbench ./cmd/burbench

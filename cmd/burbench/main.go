@@ -4,6 +4,8 @@
 // registry is the paper's study — fig5a–fig8, mixed, batch, naive, the
 // three ablations, table-summary-size, cost — plus skew; wall-clock
 // measurements of everything else are bench/'s (see BENCHMARK.json).
+// Every page-counted cell, batched ones included, runs internal/exp's
+// one Cell procedure, the one burload -replay runs on a recorded trace.
 //
 // Usage:
 //

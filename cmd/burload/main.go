@@ -9,24 +9,24 @@
 //	burload -info -in trace.gob
 //	burload -replay -in trace.gob -strategy GBU
 //
-// Replay builds the index from the trace's initial positions, applies
-// the update stream, then the query stream, and reports the same
-// "Avg Disk I/O" metrics the paper's figures use — on a byte-identical
-// workload for every strategy.
+// Replay runs the trace through the experiment harness's cell
+// (internal/exp): it builds the index from the trace's initial
+// positions, applies the update stream, then the query stream, and
+// reports the "Avg Disk I/O" metrics the paper's figures use — on a
+// byte-identical workload for every strategy. It is the procedure
+// burbench runs, with the same 1 % buffer, so a trace built from an
+// experiment's workload replays to that experiment's numbers.
+// -buffer 0 runs without a buffer.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"burtree/internal/buffer"
 	"burtree/internal/core"
+	"burtree/internal/exp"
 	"burtree/internal/geom"
-	"burtree/internal/pagestore"
-	"burtree/internal/rtree"
-	"burtree/internal/stats"
 	"burtree/internal/workload"
 )
 
@@ -88,9 +88,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := replayTrace(tr, kind, *bufFrac); err != nil {
+		fmt.Fprintf(os.Stderr, "replaying %d updates and %d queries on a %s index of %d objects...\n",
+			len(tr.Updates), len(tr.Queries), kind, len(tr.Initial))
+		m, err := runTrace(tr, kind, *bufFrac)
+		if err != nil {
 			fatal(err)
 		}
+		report(m)
 
 	default:
 		fmt.Fprintln(os.Stderr, "burload: one of -gen, -info, -replay required")
@@ -109,72 +113,50 @@ func mustRead(path string) *workload.Trace {
 	return tr
 }
 
-func replayTrace(tr *workload.Trace, kind core.Kind, bufFrac float64) error {
-	io := &stats.IO{}
-	store := pagestore.New(pagestore.DefaultPageSize, io)
-	fanout := rtree.MaxEntriesFor(pagestore.DefaultPageSize, kind == core.LBU, 0)
-	estPages := float64(len(tr.Initial)) / (float64(fanout) * 0.66) * 1.1 // leaves, and a tenth for the levels above
-	pool := buffer.New(store, int(bufFrac*estPages))
-	u, err := core.New(pool, core.Options{
-		Strategy:        kind,
-		ExpectedObjects: len(tr.Initial),
-		Tree:            rtree.Config{ReinsertFraction: 0.3},
-	})
+// cursor replays a trace as the cell's workload stream.
+type cursor struct {
+	tr   *workload.Trace
+	u, q int
+}
+
+func (c *cursor) Positions() []geom.Point { return c.tr.Initial }
+
+func (c *cursor) NextUpdate() workload.Update {
+	c.u++
+	return c.tr.Updates[c.u-1]
+}
+
+func (c *cursor) NextQuery() geom.Rect {
+	c.q++
+	return c.tr.Queries[c.q-1]
+}
+
+// runTrace runs the whole trace through one cell with a buffer of bufFrac
+// of the database (0: none) and checks the index afterwards.
+func runTrace(tr *workload.Trace, kind core.Kind, bufFrac float64) (exp.Metrics, error) {
+	if bufFrac == 0 {
+		bufFrac = -1 // exp.Config's zero means its default 1 %
+	}
+	c, err := exp.NewCell(exp.Config{Strategy: kind, NumObjects: len(tr.Initial), BufferFrac: bufFrac, Validate: true})
 	if err != nil {
-		return err
+		return exp.Metrics{}, err
 	}
+	return c.Run(&cursor{tr: tr}, len(tr.Updates), len(tr.Queries))
+}
 
-	fmt.Fprintf(os.Stderr, "building %s index from %d objects...\n", kind, len(tr.Initial))
-	start := time.Now()
-	for i, p := range tr.Initial {
-		if err := u.Insert(rtree.OID(i), p); err != nil {
-			return err
-		}
+func report(m exp.Metrics) {
+	fmt.Printf("strategy           %s\n", m.Config.Strategy)
+	fmt.Printf("build              %.2fs\n", m.BuildWall.Seconds())
+	fmt.Printf("tree height        %d\n", m.TreeHeight)
+	fmt.Printf("database pages     %d\n", m.TreePages)
+	fmt.Printf("buffer pages       %d\n", m.BufferPages)
+	if m.Config.NumUpdates > 0 {
+		fmt.Printf("avg update I/O     %.3f (CPU %.2fs)\n", m.AvgUpdateIO, m.UpdateWall.Seconds())
 	}
-	if err := u.Tree().Flush(); err != nil {
-		return err
+	if m.Config.NumQueries > 0 {
+		fmt.Printf("avg query I/O      %.3f (CPU %.2fs, %d hits)\n", m.AvgQueryIO, m.QueryWall.Seconds(), m.QueryHits)
 	}
-	buildSnap := io.Snapshot()
-	fmt.Fprintf(os.Stderr, "  built in %v (height %d)\n", time.Since(start).Round(time.Millisecond), u.Tree().Height())
-
-	start = time.Now()
-	for i, up := range tr.Updates {
-		if err := u.Update(up.OID, up.Old, up.New); err != nil {
-			return fmt.Errorf("update %d: %w", i, err)
-		}
-	}
-	if err := u.Tree().Flush(); err != nil {
-		return err
-	}
-	updWall := time.Since(start)
-	updSnap := io.Snapshot()
-
-	start = time.Now()
-	hits := int64(0)
-	for _, q := range tr.Queries {
-		if err := u.Search(q, func(rtree.OID, geom.Rect) bool { hits++; return true }); err != nil {
-			return err
-		}
-	}
-	qryWall := time.Since(start)
-	qrySnap := io.Snapshot()
-
-	upd := updSnap.Sub(buildSnap)
-	qry := qrySnap.Sub(updSnap)
-	fmt.Printf("strategy           %s\n", kind)
-	fmt.Printf("tree height        %d\n", u.Tree().Height())
-	fmt.Printf("database pages     %d\n", store.NumPages())
-	if n := len(tr.Updates); n > 0 {
-		fmt.Printf("avg update I/O     %.3f (CPU %.2fs)\n", float64(upd.Total())/float64(n), updWall.Seconds())
-	}
-	if n := len(tr.Queries); n > 0 {
-		fmt.Printf("avg query I/O      %.3f (CPU %.2fs, %d hits)\n", float64(qry.Total())/float64(n), qryWall.Seconds(), hits)
-	}
-	fmt.Printf("update outcomes    %+v\n", u.Outcomes())
-	if err := u.Err(); err != nil {
-		return err
-	}
-	return u.Tree().CheckInvariants()
+	fmt.Printf("update outcomes    %+v\n", m.Outcomes)
 }
 
 func fatal(err error) {

@@ -1,7 +1,9 @@
 // Command burstat builds an index from a synthetic workload and prints
 // its physical statistics: per-level node counts and fill factors, MBR
 // overlap, the summary-structure footprint (paper §3.2), and the §4
-// cost-model predictions for the resulting tree.
+// cost-model predictions for the resulting tree. The index is built
+// through the experiment harness's cell (internal/exp), without a
+// buffer.
 //
 // Usage:
 //
@@ -13,12 +15,10 @@ import (
 	"fmt"
 	"os"
 
-	"burtree/internal/buffer"
 	"burtree/internal/core"
 	"burtree/internal/costmodel"
+	"burtree/internal/exp"
 	"burtree/internal/pagestore"
-	"burtree/internal/rtree"
-	"burtree/internal/stats"
 	"burtree/internal/summary"
 	"burtree/internal/workload"
 )
@@ -44,25 +44,18 @@ func main() {
 		fatal(err)
 	}
 
-	io := &stats.IO{}
-	store := pagestore.New(pagestore.DefaultPageSize, io)
-	pool := buffer.New(store, 0)
-	u, err := core.New(pool, core.Options{
-		Strategy:        kind,
-		ExpectedObjects: *objects,
-		Tree:            rtree.Config{ReinsertFraction: 0.3},
+	c, err := exp.NewCell(exp.Config{
+		Strategy: kind, NumObjects: *objects, BufferFrac: -1, // no buffer
+		Distribution: d, MaxDistance: *maxDist, Seed: *seed,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	gen := workload.NewGenerator(workload.Spec{
-		NumObjects: *objects, Distribution: d, MaxDistance: *maxDist, Seed: *seed,
-	})
-	for i, p := range gen.Positions() {
-		if err := u.Insert(rtree.OID(i), p); err != nil {
-			fatal(err)
-		}
+	gen := workload.NewGenerator(c.Config.Spec())
+	if err := c.Build(gen); err != nil {
+		fatal(err)
 	}
+	u, store := c.U, c.Store
 	for i := 0; i < *updates; i++ {
 		up := gen.NextUpdate()
 		if err := u.Update(up.OID, up.Old, up.New); err != nil {

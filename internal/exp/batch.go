@@ -9,152 +9,14 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
-	"burtree/internal/buffer"
 	"burtree/internal/core"
-	"burtree/internal/geom"
-	"burtree/internal/pagestore"
-	"burtree/internal/rtree"
-	st "burtree/internal/stats"
-	"burtree/internal/workload"
 )
 
 // BatchSizes is the default batch-size sweep. Size 1 degenerates to
 // one group per change and anchors the comparison against the
 // sequential pipeline.
 var BatchSizes = []int{1, 8, 32, 128, 512}
-
-// RunBatchOnce executes one configuration like RunOnce, but applies
-// the update stream through core.ApplyBatch in windows of batchSize
-// updates, coalescing each window first. The returned BatchStats
-// accumulate over all windows.
-func RunBatchOnce(cfg Config, batchSize int) (Metrics, core.BatchStats, error) {
-	cfg = cfg.WithDefaults()
-	var m Metrics
-	var bst core.BatchStats
-	if batchSize < 1 {
-		return m, bst, fmt.Errorf("exp: batch size %d < 1", batchSize)
-	}
-	m.Config = cfg
-
-	io := &st.IO{}
-	store := pagestore.New(cfg.PageSize, io)
-	bufPages := int(cfg.BufferFrac * float64(estimateDBPages(cfg)))
-	pool := buffer.New(store, bufPages)
-	m.BufferPages = bufPages
-
-	maxDist, epsilon, distThreshold := cfg.scaledLengths()
-	u, err := core.New(pool, core.Options{
-		Strategy:          cfg.Strategy,
-		Epsilon:           epsilon,
-		DistanceThreshold: distThreshold,
-		LevelThreshold:    cfg.LevelThreshold,
-		NoPiggyback:       cfg.NoPiggyback,
-		NoSummaryQueries:  cfg.NoSummaryQueries,
-		ExpectedObjects:   cfg.NumObjects,
-		Tree: rtree.Config{
-			ReinsertFraction: cfg.ReinsertFraction,
-			Split:            cfg.Split,
-		},
-	})
-	if err != nil {
-		return m, bst, err
-	}
-
-	gen := workload.NewGenerator(workload.Spec{
-		NumObjects:   cfg.NumObjects,
-		Distribution: cfg.Distribution,
-		MaxDistance:  maxDist,
-		QueryMaxSize: cfg.QueryMaxSize,
-		Seed:         cfg.Seed,
-	})
-
-	// Phase 1: build (identical to RunOnce).
-	start := time.Now()
-	if cfg.BulkLoad {
-		if err := u.Tree().BulkLoad(gen.Items(), 0.66); err != nil {
-			return m, bst, fmt.Errorf("exp: bulk load: %w", err)
-		}
-	} else {
-		for i, p := range gen.Positions() {
-			if err := u.Insert(rtree.OID(i), p); err != nil {
-				return m, bst, fmt.Errorf("exp: building index: %w", err)
-			}
-		}
-	}
-	if err := u.Tree().Flush(); err != nil {
-		return m, bst, err
-	}
-	m.BuildWall = time.Since(start)
-	buildSnap := io.Snapshot()
-	m.BuildIO = buildSnap
-
-	// Phase 2: updates, in windows of batchSize.
-	outBase := u.Outcomes()
-	start = time.Now()
-	raw := make([]core.BatchChange, 0, batchSize)
-	for done := 0; done < cfg.NumUpdates; {
-		window := batchSize
-		if rem := cfg.NumUpdates - done; rem < window {
-			window = rem
-		}
-		raw = raw[:0]
-		for j := 0; j < window; j++ {
-			up := gen.NextUpdate()
-			raw = append(raw, core.BatchChange{OID: up.OID, Old: up.Old, New: up.New})
-		}
-		changes, _ := core.Coalesce(raw)
-		w, err := core.ApplyBatch(u, changes, nil)
-		if err != nil {
-			return m, bst, fmt.Errorf("exp: batch at update %d: %w", done, err)
-		}
-		bst.Add(w)
-		done += window
-	}
-	if err := u.Tree().Flush(); err != nil {
-		return m, bst, err
-	}
-	m.UpdateWall = time.Since(start)
-	updateSnap := io.Snapshot()
-	m.UpdateIO = updateSnap.Sub(buildSnap)
-	if cfg.NumUpdates > 0 {
-		// Charged per input update, as in RunOnce: the coalescing saving
-		// is part of what batching buys.
-		m.AvgUpdateIO = float64(m.UpdateIO.Total()) / float64(cfg.NumUpdates)
-	}
-	m.Outcomes = subOutcomes(u.Outcomes(), outBase)
-
-	// Phase 3: queries on the post-update index (identical to RunOnce).
-	start = time.Now()
-	for i := 0; i < cfg.NumQueries; i++ {
-		q := gen.NextQuery()
-		count := 0
-		if err := u.Search(q, func(rtree.OID, geom.Rect) bool { count++; return true }); err != nil {
-			return m, bst, fmt.Errorf("exp: query %d: %w", i, err)
-		}
-		m.QueryHits += int64(count)
-	}
-	m.QueryWall = time.Since(start)
-	querySnap := io.Snapshot()
-	m.QueryIO = querySnap.Sub(updateSnap)
-	if cfg.NumQueries > 0 {
-		m.AvgQueryIO = float64(m.QueryIO.Total()) / float64(cfg.NumQueries)
-	}
-
-	m.TreeHeight = u.Tree().Height()
-	m.TreePages = store.NumPages()
-
-	if cfg.Validate {
-		if err := u.Err(); err != nil {
-			return m, bst, fmt.Errorf("exp: sticky strategy error: %w", err)
-		}
-		if err := u.Tree().CheckInvariants(); err != nil {
-			return m, bst, fmt.Errorf("exp: invariants after batch run: %w", err)
-		}
-	}
-	return m, bst, nil
-}
 
 // batchSizesFor returns the sweep columns: the default sweep, or
 // {1, s.Batch} when the scale pins a single size (burbench -batch).
@@ -200,14 +62,16 @@ func bundleBatch(s Scale, seed int64) (map[string]*Table, error) {
 		}
 		var ioRow, grpRow, thrRow, seqRow []float64
 		for _, b := range sizes {
-			m, bst, err := RunBatchOnce(withStrategy(baseConfig(s, seed), kind), b)
+			cfg := withStrategy(baseConfig(s, seed), kind)
+			cfg.Batch = b
+			m, err := RunOnce(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%v batch=%d: %w", kind, b, err)
 			}
 			ioRow = append(ioRow, m.AvgUpdateIO)
 			share := 0.0
-			if bst.Changes > 0 {
-				share = 100 * float64(bst.GroupResolved) / float64(bst.Changes)
+			if m.Batch.Changes > 0 {
+				share = 100 * float64(m.Batch.GroupResolved) / float64(m.Batch.Changes)
 			}
 			grpRow = append(grpRow, share)
 			thrRow = append(thrRow, updPerSec(m))

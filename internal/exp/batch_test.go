@@ -8,10 +8,12 @@ import (
 
 // batchTestConfig is the test-scale instance of the paper's uniform
 // default workload (Table 1 bold values, locality-rescaled like every
-// other experiment in this harness).
-func batchTestConfig(kind core.Kind) Config {
+// other experiment in this harness), applied in windows of batch
+// updates (0: one Update each).
+func batchTestConfig(kind core.Kind, batch int) Config {
 	return Config{
 		Strategy:    kind,
+		Batch:       batch,
 		NumObjects:  4_000,
 		NumUpdates:  4_000,
 		NumQueries:  100,
@@ -26,15 +28,16 @@ func batchTestConfig(kind core.Kind) Config {
 // perform measurably fewer disk accesses per update than sequential
 // GBU, with the group pass actually carrying the batch.
 func TestBatchedGBUFewerDiskAccesses(t *testing.T) {
-	seq, err := RunOnce(batchTestConfig(core.GBU))
+	seq, err := RunOnce(batchTestConfig(core.GBU, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, b := range []int{32, 128, 512} {
-		m, bst, err := RunBatchOnce(batchTestConfig(core.GBU), b)
+		m, err := RunOnce(batchTestConfig(core.GBU, b))
 		if err != nil {
 			t.Fatalf("batch=%d: %v", b, err)
 		}
+		bst := m.Batch
 		if m.AvgUpdateIO >= seq.AvgUpdateIO*0.99 {
 			t.Errorf("batch=%d: %.3f disk accesses per update, sequential %.3f — batching must be measurably cheaper",
 				b, m.AvgUpdateIO, seq.AvgUpdateIO)
@@ -44,24 +47,24 @@ func TestBatchedGBUFewerDiskAccesses(t *testing.T) {
 		}
 		// Coalescing may legitimately drop repeated moves (≈6% at
 		// batch 512 over 4000 objects), never more than a small share.
-		if floor := batchTestConfig(core.GBU).NumUpdates * 9 / 10; bst.Changes < floor {
+		if floor := m.Config.NumUpdates * 9 / 10; bst.Changes < floor {
 			t.Errorf("batch=%d: only %d changes applied (floor %d)", b, bst.Changes, floor)
 		}
 	}
 }
 
 // TestRunBatchOnceSizeOneMatchesSequential pins the degenerate case:
-// a batch of one is the sequential pipeline with a reordered lookup,
-// so its I/O must stay within a whisker of RunOnce.
+// a run with Batch 1 is the sequential pipeline with a reordered
+// lookup, so its I/O must stay within a whisker of Batch 0's.
 func TestRunBatchOnceSizeOneMatchesSequential(t *testing.T) {
 	for _, kind := range []core.Kind{core.TD, core.LBU, core.GBU} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
-			seq, err := RunOnce(batchTestConfig(kind))
+			seq, err := RunOnce(batchTestConfig(kind, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, _, err := RunBatchOnce(batchTestConfig(kind), 1)
+			m, err := RunOnce(batchTestConfig(kind, 1))
 			if err != nil {
 				t.Fatal(err)
 			}

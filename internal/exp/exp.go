@@ -4,6 +4,14 @@
 // is a table whose rows are strategies and whose columns are the swept
 // parameter — the same series the paper plots.
 //
+// Every cell runs the paper's one procedure through a Cell: build the
+// index from the initial positions, apply the update stream (one Update
+// per update, or in UpdateBatch windows of Config.Batch), then the query
+// stream, counting page I/O per phase with a buffer of 1 % of the
+// database. RunOnce is that procedure on a generated workload; the
+// throughput study, the §3.2 and §4 tables, cmd/burload's trace replay
+// and cmd/burstat build their index through the same Cell.
+//
 // Workload sizes scale relative to the paper through a Scale factor so
 // the suite runs on a laptop by default and at paper scale on demand
 // (see cmd/burbench).
@@ -49,6 +57,11 @@ type Config struct {
 	ReinsertFraction float64 // default 0.3 (the paper's R-tree uses reinsertion)
 	Split            rtree.SplitAlgorithm
 	BulkLoad         bool // build the initial tree with STR instead of inserts
+
+	// Batch applies the update stream through core.ApplyBatch in
+	// windows of Batch updates, each coalesced first. Zero means one
+	// Update per update.
+	Batch int
 
 	// LengthScale rescales all length parameters (MaxDistance, Epsilon,
 	// DistanceThreshold) to preserve the paper's locality regime when
@@ -127,9 +140,24 @@ func (c Config) scaledLengths() (maxDist, epsilon, distThreshold float64) {
 	return maxDist, epsilon, distThreshold
 }
 
+// Spec is the workload the configuration's generator draws: its object
+// count, distribution, query size and seed, with movement rescaled by
+// LengthScale.
+func (c Config) Spec() workload.Spec {
+	c = c.WithDefaults()
+	maxDist, _, _ := c.scaledLengths()
+	return workload.Spec{
+		NumObjects:   c.NumObjects,
+		Distribution: c.Distribution,
+		MaxDistance:  maxDist,
+		QueryMaxSize: c.QueryMaxSize,
+		Seed:         c.Seed,
+	}
+}
+
 // Metrics is the outcome of one run.
 type Metrics struct {
-	Config Config
+	Config Config // with defaults applied and the phase counts actually run
 
 	BuildIO  stats.Snapshot
 	UpdateIO stats.Snapshot
@@ -143,6 +171,7 @@ type Metrics struct {
 	AvgQueryIO  float64 // per query
 
 	Outcomes core.Outcomes
+	Batch    core.BatchStats // summed over the windows; zero without Config.Batch
 
 	TreeHeight  int
 	TreePages   int
@@ -172,23 +201,37 @@ func estimateDBPages(cfg Config) int {
 	return n
 }
 
-// RunOnce executes one configuration: build the index from the initial
-// distribution, apply the update stream, then the query stream, and
-// report per-phase I/O and timing. The buffer is flushed between phases
-// so deferred writes are charged to the phase that produced them.
-func RunOnce(cfg Config) (Metrics, error) {
-	cfg = cfg.WithDefaults()
-	var m Metrics
-	m.Config = cfg
+// Stream is the workload a cell runs: the initial positions (object i
+// at Positions()[i]), then the update and query streams on demand. A
+// workload.Generator is one; a recorded trace replays through a cursor
+// over its slices.
+type Stream interface {
+	Positions() []geom.Point
+	NextUpdate() workload.Update
+	NextQuery() geom.Rect
+}
 
+// Cell is one experiment cell's index: a counted page store, a buffer
+// pool of Config.BufferFrac of the estimated database, and the strategy
+// over it. Run drives it through the paper's procedure; callers that
+// drive the index themselves (the throughput study, cmd/burstat) call
+// Build and then use U.
+type Cell struct {
+	Config      Config // with defaults applied
+	IO          *stats.IO
+	Store       *pagestore.Store
+	U           core.Updater
+	BufferPages int
+}
+
+// NewCell opens an empty index for cfg.
+func NewCell(cfg Config) (*Cell, error) {
+	cfg = cfg.WithDefaults()
 	io := &stats.IO{}
 	store := pagestore.New(cfg.PageSize, io)
 	bufPages := int(cfg.BufferFrac * float64(estimateDBPages(cfg)))
-	pool := buffer.New(store, bufPages)
-	m.BufferPages = bufPages
-
-	maxDist, epsilon, distThreshold := cfg.scaledLengths()
-	u, err := core.New(pool, core.Options{
+	_, epsilon, distThreshold := cfg.scaledLengths()
+	u, err := core.New(buffer.New(store, bufPages), core.Options{
 		Strategy:          cfg.Strategy,
 		Epsilon:           epsilon,
 		DistanceThreshold: distThreshold,
@@ -202,86 +245,147 @@ func RunOnce(cfg Config) (Metrics, error) {
 		},
 	})
 	if err != nil {
-		return m, err
+		return nil, err
 	}
+	return &Cell{Config: cfg, IO: io, Store: store, U: u, BufferPages: bufPages}, nil
+}
 
-	gen := workload.NewGenerator(workload.Spec{
-		NumObjects:   cfg.NumObjects,
-		Distribution: cfg.Distribution,
-		MaxDistance:  maxDist,
-		QueryMaxSize: cfg.QueryMaxSize,
-		Seed:         cfg.Seed,
-	})
-
-	// Phase 1: build.
-	start := time.Now()
-	if cfg.BulkLoad {
-		if err := u.Tree().BulkLoad(gen.Items(), 0.66); err != nil {
-			return m, fmt.Errorf("exp: bulk load: %w", err)
+// Build loads the stream's initial positions — STR-packed with
+// Config.BulkLoad, one Insert each otherwise — and flushes the buffer,
+// so the build's deferred writes are charged to the build.
+func (c *Cell) Build(s Stream) error {
+	pos := s.Positions()
+	if c.Config.BulkLoad {
+		items := make([]rtree.Item, len(pos))
+		for i, p := range pos {
+			items[i] = rtree.Item{OID: rtree.OID(i), Rect: geom.RectFromPoint(p)}
+		}
+		if err := c.U.Tree().BulkLoad(items, 0.66); err != nil {
+			return fmt.Errorf("exp: bulk load: %w", err)
 		}
 	} else {
-		for i, p := range gen.Positions() {
-			if err := u.Insert(rtree.OID(i), p); err != nil {
-				return m, fmt.Errorf("exp: building index: %w", err)
+		for i, p := range pos {
+			if err := c.U.Insert(rtree.OID(i), p); err != nil {
+				return fmt.Errorf("exp: building index: %w", err)
 			}
 		}
 	}
-	if err := u.Tree().Flush(); err != nil {
+	return c.U.Tree().Flush()
+}
+
+// Run executes the paper's procedure on an empty cell: build from the
+// stream's initial positions, apply its next updates updates, then its
+// next queries queries on the post-update index, and report per-phase
+// I/O and timing. The buffer is flushed after the build and after the
+// updates, so deferred writes are charged to the phase that produced
+// them. The phase counts are the caller's — a replayed trace passes its
+// own lengths, zero included.
+func (c *Cell) Run(s Stream, updates, queries int) (Metrics, error) {
+	m := Metrics{Config: c.Config, BufferPages: c.BufferPages}
+	m.Config.NumUpdates, m.Config.NumQueries = updates, queries
+
+	start := time.Now()
+	if err := c.Build(s); err != nil {
 		return m, err
 	}
 	m.BuildWall = time.Since(start)
-	buildSnap := io.Snapshot()
-	m.BuildIO = buildSnap
+	m.BuildIO = c.IO.Snapshot()
 
-	// Phase 2: updates.
-	outBase := u.Outcomes()
+	outBase := c.U.Outcomes()
 	start = time.Now()
-	for i := 0; i < cfg.NumUpdates; i++ {
-		up := gen.NextUpdate()
-		if err := u.Update(up.OID, up.Old, up.New); err != nil {
-			return m, fmt.Errorf("exp: update %d: %w", i, err)
-		}
+	if err := c.applyUpdates(s, updates, &m.Batch); err != nil {
+		return m, err
 	}
-	if err := u.Tree().Flush(); err != nil {
+	if err := c.U.Tree().Flush(); err != nil {
 		return m, err
 	}
 	m.UpdateWall = time.Since(start)
-	updateSnap := io.Snapshot()
-	m.UpdateIO = updateSnap.Sub(buildSnap)
-	if cfg.NumUpdates > 0 {
-		m.AvgUpdateIO = float64(m.UpdateIO.Total()) / float64(cfg.NumUpdates)
+	updateSnap := c.IO.Snapshot()
+	m.UpdateIO = updateSnap.Sub(m.BuildIO)
+	if updates > 0 {
+		// Charged per input update, batched or not: the coalescing
+		// saving is part of what batching buys.
+		m.AvgUpdateIO = float64(m.UpdateIO.Total()) / float64(updates)
 	}
-	m.Outcomes = subOutcomes(u.Outcomes(), outBase)
+	m.Outcomes = subOutcomes(c.U.Outcomes(), outBase)
 
-	// Phase 3: queries (run on the post-update index, as in the paper).
 	start = time.Now()
-	for i := 0; i < cfg.NumQueries; i++ {
-		q := gen.NextQuery()
+	for i := 0; i < queries; i++ {
 		count := 0
-		if err := u.Search(q, func(rtree.OID, geom.Rect) bool { count++; return true }); err != nil {
+		if err := c.U.Search(s.NextQuery(), func(rtree.OID, geom.Rect) bool { count++; return true }); err != nil {
 			return m, fmt.Errorf("exp: query %d: %w", i, err)
 		}
 		m.QueryHits += int64(count)
 	}
 	m.QueryWall = time.Since(start)
-	querySnap := io.Snapshot()
-	m.QueryIO = querySnap.Sub(updateSnap)
-	if cfg.NumQueries > 0 {
-		m.AvgQueryIO = float64(m.QueryIO.Total()) / float64(cfg.NumQueries)
+	m.QueryIO = c.IO.Snapshot().Sub(updateSnap)
+	if queries > 0 {
+		m.AvgQueryIO = float64(m.QueryIO.Total()) / float64(queries)
 	}
 
-	m.TreeHeight = u.Tree().Height()
-	m.TreePages = store.NumPages()
+	m.TreeHeight = c.U.Tree().Height()
+	m.TreePages = c.Store.NumPages()
 
-	if cfg.Validate {
-		if err := u.Err(); err != nil {
+	if c.Config.Validate {
+		if err := c.U.Err(); err != nil {
 			return m, fmt.Errorf("exp: sticky strategy error: %w", err)
 		}
-		if err := u.Tree().CheckInvariants(); err != nil {
+		if err := c.U.Tree().CheckInvariants(); err != nil {
 			return m, fmt.Errorf("exp: invariants after run: %w", err)
 		}
 	}
 	return m, nil
+}
+
+// applyUpdates applies the stream's next n updates: one Update each, or
+// with Config.Batch in coalesced windows through core.ApplyBatch, whose
+// statistics add up in bst.
+func (c *Cell) applyUpdates(s Stream, n int, bst *core.BatchStats) error {
+	if c.Config.Batch <= 0 {
+		for i := 0; i < n; i++ {
+			up := s.NextUpdate()
+			if err := c.U.Update(up.OID, up.Old, up.New); err != nil {
+				return fmt.Errorf("exp: update %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	raw := make([]core.BatchChange, 0, c.Config.Batch)
+	for done := 0; done < n; done += len(raw) {
+		raw = raw[:0]
+		for len(raw) < c.Config.Batch && done+len(raw) < n {
+			up := s.NextUpdate()
+			raw = append(raw, core.BatchChange{OID: up.OID, Old: up.Old, New: up.New})
+		}
+		changes, _ := core.Coalesce(raw)
+		w, err := core.ApplyBatch(c.U, changes, nil)
+		if err != nil {
+			return fmt.Errorf("exp: batch at update %d: %w", done, err)
+		}
+		bst.Add(w)
+	}
+	return nil
+}
+
+// RunOnce executes one configuration on its generated workload, which
+// streams from the generator: nothing is materialised up front.
+func RunOnce(cfg Config) (Metrics, error) {
+	c, err := NewCell(cfg)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return c.Run(workload.NewGenerator(c.Config.Spec()), c.Config.NumUpdates, c.Config.NumQueries)
+}
+
+// builtCell builds cfg's initial tree in a cell with a 0 % buffer: the
+// tree the §4 cost model and the §3.2 size table profile.
+func builtCell(cfg Config) (*Cell, error) {
+	cfg.BufferFrac = -1
+	c, err := NewCell(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c, c.Build(workload.NewGenerator(c.Config.Spec()))
 }
 
 func subOutcomes(a, b core.Outcomes) core.Outcomes {
@@ -295,34 +399,18 @@ func subOutcomes(a, b core.Outcomes) core.Outcomes {
 	}
 }
 
-// PredictCosts runs the §4 cost model against the live tree of a
-// finished configuration; used by the cost-validation experiment.
+// PredictCosts measures cfg with RunOnce and runs the §4 cost model
+// against cfg's freshly built tree; used by the cost-validation
+// experiment.
 func PredictCosts(cfg Config) (predictedTD float64, measured Metrics, err error) {
-	measured, err = RunOnce(cfg)
+	if measured, err = RunOnce(cfg); err != nil {
+		return 0, measured, err
+	}
+	c, err := builtCell(cfg)
 	if err != nil {
 		return 0, measured, err
 	}
-	// Re-build the same tree to profile it (RunOnce does not retain it).
-	cfg2 := cfg.WithDefaults()
-	cfg2.NumUpdates = 0
-	cfg2.NumQueries = 0
-	io := &stats.IO{}
-	store := pagestore.New(cfg2.PageSize, io)
-	pool := buffer.New(store, 0)
-	u, err := core.New(pool, core.Options{Strategy: core.TD, ExpectedObjects: cfg2.NumObjects,
-		Tree: rtree.Config{ReinsertFraction: cfg2.ReinsertFraction}})
-	if err != nil {
-		return 0, measured, err
-	}
-	gen := workload.NewGenerator(workload.Spec{
-		NumObjects: cfg2.NumObjects, Distribution: cfg2.Distribution, Seed: cfg2.Seed,
-	})
-	for i, p := range gen.Positions() {
-		if err := u.Insert(rtree.OID(i), p); err != nil {
-			return 0, measured, err
-		}
-	}
-	prof, err := costmodel.ProfileTree(u.Tree())
+	prof, err := costmodel.ProfileTree(c.U.Tree())
 	if err != nil {
 		return 0, measured, err
 	}

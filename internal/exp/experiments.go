@@ -8,6 +8,7 @@ import (
 
 	"burtree/internal/core"
 	"burtree/internal/costmodel"
+	"burtree/internal/summary"
 	"burtree/internal/workload"
 )
 
@@ -568,17 +569,7 @@ func bundleNaive(s Scale, seed int64) (map[string]*Table, error) {
 // direct-access-table entry to its R-tree node and of the whole table to
 // the tree.
 func bundleSummarySize(s Scale, seed int64) (map[string]*Table, error) {
-	cfg := withStrategy(baseConfig(s, seed), core.GBU)
-	cfg.NumUpdates = 0
-	cfg.NumQueries = 0
-	m, err := RunOnce(cfg)
-	if err != nil {
-		return nil, err
-	}
-	_ = m
-
-	// Re-create the structures to measure them directly.
-	ratios, err := measureSummaryRatios(cfg)
+	ratios, err := measureSummaryRatios(withStrategy(baseConfig(s, seed), core.GBU))
 	if err != nil {
 		return nil, err
 	}
@@ -592,6 +583,36 @@ func bundleSummarySize(s Scale, seed int64) (map[string]*Table, error) {
 	t.AddRow("table/tree ratio %", []float64{ratios[1] * 100})
 	t.AddRow("internal/total nodes %", []float64{ratios[2] * 100})
 	return map[string]*Table{"table-summary-size": t}, nil
+}
+
+// measureSummaryRatios builds cfg's GBU index and reports:
+//   - the mean direct-access-table entry size over the node page size,
+//   - the whole summary size over the tree size,
+//   - the share of internal nodes among all nodes.
+func measureSummaryRatios(cfg Config) ([3]float64, error) {
+	var out [3]float64
+	c, err := builtCell(cfg)
+	if err != nil {
+		return out, err
+	}
+	g, ok := c.U.(interface{ Summary() *summary.Structure })
+	if !ok {
+		return out, fmt.Errorf("exp: GBU strategy does not expose its summary")
+	}
+	sum := g.Summary()
+	internal, leaves := sum.Counts()
+	if internal == 0 {
+		return out, fmt.Errorf("exp: no internal nodes at this scale")
+	}
+	ts, err := c.U.Tree().ComputeStats()
+	if err != nil {
+		return out, err
+	}
+	pageSize := c.Config.PageSize
+	out[0] = float64(sum.SizeBytes()) / float64(internal) / float64(pageSize)
+	out[1] = float64(sum.SizeBytes()) / float64(ts.Nodes*pageSize)
+	out[2] = float64(internal) / float64(internal+leaves)
+	return out, nil
 }
 
 // bundleCost reproduces the §4 analysis: Theorem 1 predictions against

@@ -7,14 +7,11 @@ import (
 	"sync"
 	"time"
 
-	"burtree/internal/buffer"
 	"burtree/internal/concurrent"
 	"burtree/internal/core"
 	"burtree/internal/geom"
-	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 	"burtree/internal/stats"
-	"burtree/internal/summary"
 	"burtree/internal/workload"
 )
 
@@ -28,8 +25,6 @@ type ThroughputConfig struct {
 	Ops        int     // total operations across all threads
 	UpdateFrac float64 // share of operations that are updates
 	IOLatency  time.Duration
-	PageSize   int
-	BufferFrac float64
 	MaxDist    float64
 	QuerySize  float64 // fixed upper bound for window side (paper: [0, 0.01] for throughput)
 	Seed       int64
@@ -51,12 +46,6 @@ func (c ThroughputConfig) withDefaults() ThroughputConfig {
 	}
 	if c.Ops == 0 {
 		c.Ops = 6_000
-	}
-	if c.PageSize == 0 {
-		c.PageSize = pagestore.DefaultPageSize
-	}
-	if c.BufferFrac == 0 {
-		c.BufferFrac = 0.01
 	}
 	if c.MaxDist == 0 {
 		c.MaxDist = 0.03
@@ -86,40 +75,32 @@ type ThroughputResult struct {
 	IOPerOp float64
 }
 
-// RunThroughput builds the index, then replays a concurrent mixed
-// workload with the given thread count, returning operations/second.
-// The initial build is STR bulk-loaded (identically for every strategy)
-// and runs with the latency simulation off so only the measured phase
-// pays simulated I/O time.
+// RunThroughput builds the index in a cell with the paper's default
+// tuning and 1 % buffer, then replays a concurrent mixed workload on the
+// cell's updater with the given thread count, returning
+// operations/second. The initial build is STR bulk-loaded (identically
+// for every strategy) and runs with the latency simulation off so only
+// the measured phase pays simulated I/O time.
 func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 	cfg = cfg.withDefaults()
 	var res ThroughputResult
 
-	io := &stats.IO{}
-	store := pagestore.New(cfg.PageSize, io)
-	pool := buffer.New(store, int(cfg.BufferFrac*float64(estimateDBPages(Config{
-		Strategy: cfg.Strategy, NumObjects: cfg.NumObjects, PageSize: cfg.PageSize,
-	}))))
-	u, err := core.New(pool, core.Options{
-		Strategy:        cfg.Strategy,
-		ExpectedObjects: cfg.NumObjects,
-		Tree:            rtree.Config{ReinsertFraction: 0.3},
-	})
+	c, err := NewCell(Config{Strategy: cfg.Strategy, NumObjects: cfg.NumObjects, Seed: cfg.Seed, BulkLoad: true})
 	if err != nil {
 		return res, err
 	}
-	gen := workload.NewGenerator(workload.Spec{NumObjects: cfg.NumObjects, Seed: cfg.Seed})
-	if err := u.Tree().BulkLoad(gen.Items(), 0.66); err != nil {
+	gen := workload.NewGenerator(c.Config.Spec())
+	if err := c.Build(gen); err != nil {
 		return res, err
 	}
-
+	u := c.U
 	db := concurrent.New(u, 32)
 	positions := append([]geom.Point(nil), gen.Positions()...)
 	var stripes [512]sync.Mutex
 
-	buildSnap := io.Snapshot()
-	store.SetLatency(cfg.IOLatency)
-	defer store.SetLatency(0)
+	buildSnap := c.IO.Snapshot()
+	c.Store.SetLatency(cfg.IOLatency)
+	defer c.Store.SetLatency(0)
 
 	opsPerWorker := cfg.Ops / cfg.Threads
 	if opsPerWorker < 1 {
@@ -173,10 +154,10 @@ func RunThroughput(cfg ThroughputConfig) (ThroughputResult, error) {
 		return res, err
 	default:
 	}
-	store.SetLatency(0)
+	c.Store.SetLatency(0)
 	// Snapshot the measured phase before the invariant walk below reads
 	// the whole tree through the same counters.
-	runSnap := io.Snapshot()
+	runSnap := c.IO.Snapshot()
 	if err := u.Err(); err != nil {
 		return res, fmt.Errorf("exp: throughput sticky error: %w", err)
 	}
@@ -273,48 +254,4 @@ func bundleMixed(s Scale, seed int64) (map[string]*Table, error) {
 		t.AddRow(kind.String()+" IO/op", ioPerOp)
 	}
 	return map[string]*Table{"mixed": t}, nil
-}
-
-// measureSummaryRatios builds a GBU index and reports:
-//   - the mean direct-access-table entry size over the node page size,
-//   - the whole summary size over the tree size,
-//   - the share of internal nodes among all nodes.
-func measureSummaryRatios(cfg Config) ([3]float64, error) {
-	cfg = cfg.WithDefaults()
-	var out [3]float64
-	io := &stats.IO{}
-	store := pagestore.New(cfg.PageSize, io)
-	pool := buffer.New(store, 0)
-	u, err := core.New(pool, core.Options{Strategy: core.GBU, ExpectedObjects: cfg.NumObjects,
-		Tree: rtree.Config{ReinsertFraction: cfg.ReinsertFraction}})
-	if err != nil {
-		return out, err
-	}
-	gen := workload.NewGenerator(workload.Spec{
-		NumObjects: cfg.NumObjects, Distribution: cfg.Distribution, Seed: cfg.Seed,
-	})
-	for i, p := range gen.Positions() {
-		if err := u.Insert(rtree.OID(i), p); err != nil {
-			return out, err
-		}
-	}
-	type summarized interface{ Summary() *summary.Structure }
-	g, ok := u.(summarized)
-	if !ok {
-		return out, fmt.Errorf("exp: GBU strategy does not expose its summary")
-	}
-	sum := g.Summary()
-	internal, leaves := sum.Counts()
-	if internal == 0 {
-		return out, fmt.Errorf("exp: no internal nodes at this scale")
-	}
-	ts, err := u.Tree().ComputeStats()
-	if err != nil {
-		return out, err
-	}
-	treeBytes := ts.Nodes * cfg.PageSize
-	out[0] = float64(sum.SizeBytes()) / float64(internal) / float64(cfg.PageSize)
-	out[1] = float64(sum.SizeBytes()) / float64(treeBytes)
-	out[2] = float64(internal) / float64(internal+leaves)
-	return out, nil
 }
