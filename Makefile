@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint allocs scale paper-io paper-io-cmp baselines bench-smoke loc fmt clean
+.PHONY: all build test race lint burlint allocs scale paper-io paper-io-cmp text-cmp baselines bench-smoke loc fmt clean
 
 all: build test lint
 
@@ -70,6 +70,38 @@ paper-io-cmp:
 	cmp "$$tmp/ref.csv" "$$tmp/tree.csv" && \
 	echo "paper-io-cmp: $$(wc -l < "$$tmp/tree.csv") lines at SCALE=$(SCALE), identical to $(REF)"
 
+# text-cmp shows whether the working tree moved library code against REF
+# (default HEAD). It builds bench's binary in a temporary git worktree of
+# REF and in the working tree, then compares the text symbols, name and
+# address, of the packages the linker lays out first, in this order —
+# where paper-gbu's update loop runs. A 32-byte shift of them moves that
+# workload's timings with no work changed. It prints "identical" or the
+# first moved symbol with its shift mod 64, exits non-zero on a move, and
+# removes the worktree on every exit.
+TEXT_PKGS = stats|pagestore|buffer|geom|hilbert|rtree|hashindex|summary|core
+text-cmp:
+	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/ref" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	git worktree add --detach --quiet "$$tmp/ref" "$(REF)" && \
+	$(GO) -C "$$tmp/ref/bench" build -o "$$tmp/ref.bin" . && \
+	$(GO) -C bench build -o "$$tmp/tree.bin" . && \
+	for b in ref tree; do \
+		$(GO) tool nm -n "$$tmp/$$b.bin" | \
+		awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^burtree\/internal\/($(TEXT_PKGS))\./ {print $$1, $$3}' > "$$tmp/$$b.sym" || exit 1; \
+	done && \
+	first=$$(awk 'NR == FNR {a[FNR] = $$1; s[FNR] = $$2; n = FNR; next} \
+		$$1 != a[FNR] || $$2 != s[FNR] {print a[FNR] "-", s[FNR] "-", $$1 "-", $$2 "-"; d = 1; exit} \
+		END {if (!d && FNR != n) print a[FNR+1] "-", s[FNR+1] "-", "-", "-"}' "$$tmp/ref.sym" "$$tmp/tree.sym") && \
+	if [ -z "$$first" ]; then \
+		echo "text-cmp: $$(wc -l < "$$tmp/tree.sym") symbols of $(TEXT_PKGS) identical to $(REF)"; \
+	else \
+		set -- $$first; ra=$${1%-}; rs=$${2%-}; ta=$${3%-}; ts=$${4%-}; \
+		if [ -n "$$rs" ] && [ "$$rs" = "$$ts" ]; then \
+			echo "text-cmp: $$ts moved from 0x$$ra to 0x$$ta, shift mod 64 = $$(( ((0x$$ta - 0x$$ra) % 64 + 64) % 64 ))"; \
+		else \
+			echo "text-cmp: first difference: $(REF) has $${rs:-nothing} at 0x$${ra:-?}, the tree has $${ts:-nothing} at 0x$${ta:-?}"; \
+		fi; exit 1; \
+	fi
+
 bin/burbench: FORCE
 	@$(GO) build -o bin/burbench ./cmd/burbench
 
@@ -100,8 +132,9 @@ bench-smoke:
 # burtree imports, directly or not: the experiment harness, the workload
 # generator and burlint are not part of it) and the library total, and
 # last burlint's: internal/lint and cmd/burlint without tests and
-# fixtures. These are the figures the simplicity PRs report in
-# CHANGES.md.
+# fixtures, and the harness's: internal/exp with cmd/burbench,
+# cmd/burload and cmd/burstat, without tests. These are the figures the
+# simplicity PRs report in CHANGES.md.
 loc:
 	@total=0; for f in $$(ls *.go | grep -v '_test\.go$$'); do \
 		n=$$(grep -cvE '^\s*$$|^\s*//' $$f); total=$$((total+n)); printf '%-20s %5d\n' $$f $$n; \
@@ -111,7 +144,9 @@ loc:
 		lib=$$((lib+n)); printf '%-20s %5d\n' $$d $$n; \
 	done; printf '%-20s %5d\n' 'library' $$lib; \
 	n=$$(cat $$(find internal/lint cmd/burlint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*') | grep -cvE '^\s*$$|^\s*//'); \
-	printf '%-20s %5d\n' 'burlint' $$n
+	printf '%-20s %5d\n' 'burlint' $$n; \
+	n=$$(cat $$(ls internal/exp/*.go cmd/burbench/*.go cmd/burload/*.go cmd/burstat/*.go | grep -v '_test\.go$$') | grep -cvE '^\s*$$|^\s*//'); \
+	printf '%-20s %5d\n' 'harness' $$n
 
 fmt:
 	gofmt -w $$(git ls-files '*.go')

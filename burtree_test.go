@@ -419,9 +419,8 @@ func TestPublicKnobs(t *testing.T) {
 		"Durability.Mode", "Durability.Dir",
 		"Memtable.Enabled", "Memtable.MaxObjects",
 		"ShardOptions.Shards", "ShardOptions.Partition",
-		"RebalanceOptions.Enabled", "RebalanceOptions.HotFactor", "RebalanceOptions.MaxStep",
-		"RebalanceOptions.MinOps", "RebalanceOptions.Cooldown", "RebalanceOptions.Interval",
-		"RebalanceOptions.UseOpCounts",
+		"RebalanceOptions.HotFactor", "RebalanceOptions.MaxStep", "RebalanceOptions.MinOps",
+		"RebalanceOptions.Cooldown", "RebalanceOptions.Interval", "RebalanceOptions.UseOpCounts",
 	}
 	structs := []reflect.Type{
 		reflect.TypeOf(Options{}), reflect.TypeOf(Durability{}), reflect.TypeOf(Memtable{}),

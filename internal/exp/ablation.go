@@ -75,12 +75,3 @@ func bundleSplits(s Scale, seed int64) (map[string]*Table, error) {
 	}
 	return map[string]*Table{"ablation-splits": t}, nil
 }
-
-// ablationRegistry lists the extra experiments beyond the paper's own.
-func ablationRegistry() []Experiment {
-	return []Experiment{
-		{"ablation-piggyback", "(extension)", "Ablation: piggybacked sibling shifts", run("ablation-piggyback")},
-		{"ablation-summary-queries", "(extension)", "Ablation: summary-assisted queries", run("ablation-summary-queries")},
-		{"ablation-splits", "(extension)", "Ablation: split algorithms (TD)", run("ablation-splits")},
-	}
-}

@@ -2,7 +2,10 @@
 // figure of the paper's performance study (§5). Each experiment is a
 // parameter sweep over workload and strategy configurations; the output
 // is a table whose rows are strategies and whose columns are the swept
-// parameter — the same series the paper plots.
+// parameter — the same series the paper plots. Each §5 figure pair is
+// one declarative sweep in experiments.go (the parameter, the paper's
+// values of it, the series), run by one function; the registry there
+// names every experiment once.
 //
 // Every cell runs the paper's one procedure through a Cell: build the
 // index from the initial positions, apply the update stream (one Update

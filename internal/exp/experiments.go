@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"burtree/internal/core"
@@ -56,39 +55,76 @@ type Experiment struct {
 	Run    func(s Scale, seed int64) (*Table, error)
 }
 
+// registry names every experiment once, in paper order. A bundle
+// computes every table of its group from one set of runs, memoized per
+// (scale, seed); experiments of one group (empty: the experiment's own)
+// read their tables from it: fig5a–d share the ε sweep's runs, and
+// every figure pair shares its update and query runs.
+var registry = []struct {
+	id, figure, title string
+	group             string
+	bundle            func(s Scale, seed int64) (map[string]*Table, error)
+}{
+	{"fig5a", "Figure 5(a)", "Varying ε: average disk I/O, update", "epsilon", epsilonSweep.run},
+	{"fig5b", "Figure 5(b)", "Varying ε: average disk I/O, querying", "epsilon", epsilonSweep.run},
+	{"fig5c", "Figure 5(c)", "Varying ε: total CPU time (s), update", "epsilon", epsilonSweep.run},
+	{"fig5d", "Figure 5(d)", "Varying ε: total CPU time (s), querying", "epsilon", epsilonSweep.run},
+	{"fig5e", "Figure 5(e)", "Varying distance threshold δ: update", "distance", distanceSweep.run},
+	{"fig5f", "Figure 5(f)", "Varying distance threshold δ: querying", "distance", distanceSweep.run},
+	{"fig5g", "Figure 5(g)", "Varying maximum distance moved: update", "maxdist", maxDistSweep.run},
+	{"fig5h", "Figure 5(h)", "Varying maximum distance moved: querying", "maxdist", maxDistSweep.run},
+	{"fig6a", "Figure 6(a)", "Ascending the R-tree (λ): update", "level", levelSweep.run},
+	{"fig6b", "Figure 6(b)", "Ascending the R-tree (λ): querying", "level", levelSweep.run},
+	{"fig6c", "Figure 6(c)", "Varying data distributions: update", "distribution", distributionSweep.run},
+	{"fig6d", "Figure 6(d)", "Varying data distributions: querying", "distribution", distributionSweep.run},
+	{"fig6e", "Figure 6(e)", "Varying amounts of updates: update", "volume", volumeSweep.run},
+	{"fig6f", "Figure 6(f)", "Varying amounts of updates: querying", "volume", volumeSweep.run},
+	{"fig6g", "Figure 6(g)", "Varying buffer size: update", "buffer", bufferSweep.run},
+	{"fig6h", "Figure 6(h)", "Varying buffer size: querying", "buffer", bufferSweep.run},
+	{"fig7a", "Figure 7(a)", "Scalability (dataset size): update", "scalability", scalabilitySweep.run},
+	{"fig7b", "Figure 7(b)", "Scalability (dataset size): querying", "scalability", scalabilitySweep.run},
+	{"fig8", "Figure 8", "Throughput for varying update/query mix (50 threads, DGL)", "", bundleThroughput},
+	{"mixed", "beyond §5.4", "Mixed read/write sweep: throughput and per-op I/O vs query fraction", "", bundleMixed},
+	{"skew", "beyond §5.4", "Zipfian hotspot workload: static grid vs adaptive rebalancing", "", bundleSkew},
+	{"batch", "beyond §5", "Batched bottom-up updates: disk I/O and throughput vs batch size", "", bundleBatch},
+	{"naive", "§3.1", "Naive bottom-up: share of updates that stay top-down", "", bundleNaive},
+	{"table-summary-size", "§3.2", "Summary structure size ratios", "", bundleSummarySize},
+	{"cost", "§4", "Cost model: analysis vs measurement", "", bundleCost},
+	{"ablation-piggyback", "(extension)", "Ablation: piggybacked sibling shifts", "", bundlePiggyback},
+	{"ablation-summary-queries", "(extension)", "Ablation: summary-assisted queries", "", bundleSummaryQueries},
+	{"ablation-splits", "(extension)", "Ablation: split algorithms (TD)", "", bundleSplits},
+}
+
 // Registry returns every experiment, in paper order.
 func Registry() []Experiment {
-	return []Experiment{
-		{"fig5a", "Figure 5(a)", "Varying ε: average disk I/O, update", run("fig5a")},
-		{"fig5b", "Figure 5(b)", "Varying ε: average disk I/O, querying", run("fig5b")},
-		{"fig5c", "Figure 5(c)", "Varying ε: total CPU time (s), update", run("fig5c")},
-		{"fig5d", "Figure 5(d)", "Varying ε: total CPU time (s), querying", run("fig5d")},
-		{"fig5e", "Figure 5(e)", "Varying distance threshold δ: update", run("fig5e")},
-		{"fig5f", "Figure 5(f)", "Varying distance threshold δ: querying", run("fig5f")},
-		{"fig5g", "Figure 5(g)", "Varying maximum distance moved: update", run("fig5g")},
-		{"fig5h", "Figure 5(h)", "Varying maximum distance moved: querying", run("fig5h")},
-		{"fig6a", "Figure 6(a)", "Ascending the R-tree (λ): update", run("fig6a")},
-		{"fig6b", "Figure 6(b)", "Ascending the R-tree (λ): querying", run("fig6b")},
-		{"fig6c", "Figure 6(c)", "Varying data distributions: update", run("fig6c")},
-		{"fig6d", "Figure 6(d)", "Varying data distributions: querying", run("fig6d")},
-		{"fig6e", "Figure 6(e)", "Varying amounts of updates: update", run("fig6e")},
-		{"fig6f", "Figure 6(f)", "Varying amounts of updates: querying", run("fig6f")},
-		{"fig6g", "Figure 6(g)", "Varying buffer size: update", run("fig6g")},
-		{"fig6h", "Figure 6(h)", "Varying buffer size: querying", run("fig6h")},
-		{"fig7a", "Figure 7(a)", "Scalability (dataset size): update", run("fig7a")},
-		{"fig7b", "Figure 7(b)", "Scalability (dataset size): querying", run("fig7b")},
-		{"fig8", "Figure 8", "Throughput for varying update/query mix (50 threads, DGL)", run("fig8")},
-		{"mixed", "beyond §5.4", "Mixed read/write sweep: throughput and per-op I/O vs query fraction", run("mixed")},
-		{"skew", "beyond §5.4", "Zipfian hotspot workload: static grid vs adaptive rebalancing", run("skew")},
-		{"batch", "beyond §5", "Batched bottom-up updates: disk I/O and throughput vs batch size", run("batch")},
-		{"naive", "§3.1", "Naive bottom-up: share of updates that stay top-down", run("naive")},
-		{"table-summary-size", "§3.2", "Summary structure size ratios", run("table-summary-size")},
-		{"cost", "§4", "Cost model: analysis vs measurement", run("cost")},
-		ablationRegistry()[0],
-		ablationRegistry()[1],
-		ablationRegistry()[2],
+	out := make([]Experiment, len(registry))
+	for i, r := range registry {
+		group := r.group
+		if group == "" {
+			group = r.id
+		}
+		out[i] = Experiment{ID: r.id, Figure: r.figure, Title: r.title, Run: func(s Scale, seed int64) (*Table, error) {
+			// The cache is keyed by the group's name: method values of
+			// different sweeps are not told apart by their pointers.
+			key := fmt.Sprintf("%s|%+v|%d", group, s, seed)
+			v, ok := bundleCache.Load(key)
+			if !ok {
+				tables, err := r.bundle(s, seed)
+				if err != nil {
+					return nil, err
+				}
+				v, _ = bundleCache.LoadOrStore(key, tables)
+			}
+			if t, ok := v.(map[string]*Table)[r.id]; ok {
+				return t, nil
+			}
+			return nil, fmt.Errorf("exp: bundle %s did not produce table %s", group, r.id)
+		}}
 	}
+	return out
 }
+
+var bundleCache sync.Map // "group|scale|seed" -> map[string]*Table
 
 // Find returns the experiment with the given id.
 func Find(id string) (Experiment, bool) {
@@ -98,103 +134,6 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// run dispatches through the bundle cache: families of figures that
-// share a sweep are computed together and memoized per (scale, seed).
-func run(id string) func(Scale, int64) (*Table, error) {
-	return func(s Scale, seed int64) (*Table, error) {
-		return cachedTable(id, s, seed)
-	}
-}
-
-var bundleCache sync.Map // key string -> map[string]*Table
-
-func cachedTable(id string, s Scale, seed int64) (*Table, error) {
-	bundle := bundleOf(id)
-	key := fmt.Sprintf("%s|%+v|%d", bundle, s, seed)
-	if v, ok := bundleCache.Load(key); ok {
-		if t, ok := v.(map[string]*Table)[id]; ok {
-			return t, nil
-		}
-		return nil, fmt.Errorf("exp: bundle %s did not produce table %s", bundle, id)
-	}
-	tables, err := computeBundle(bundle, s, seed)
-	if err != nil {
-		return nil, err
-	}
-	bundleCache.Store(key, tables)
-	t, ok := tables[id]
-	if !ok {
-		return nil, fmt.Errorf("exp: bundle %s did not produce table %s", bundle, id)
-	}
-	return t, nil
-}
-
-func bundleOf(id string) string {
-	switch id {
-	case "fig5a", "fig5b", "fig5c", "fig5d":
-		return "epsilon"
-	case "fig5e", "fig5f":
-		return "distance"
-	case "fig5g", "fig5h":
-		return "maxdist"
-	case "fig6a", "fig6b":
-		return "level"
-	case "fig6c", "fig6d":
-		return "distribution"
-	case "fig6e", "fig6f":
-		return "volume"
-	case "fig6g", "fig6h":
-		return "buffer"
-	case "fig7a", "fig7b":
-		return "scalability"
-	default:
-		return id
-	}
-}
-
-func computeBundle(bundle string, s Scale, seed int64) (map[string]*Table, error) {
-	switch bundle {
-	case "epsilon":
-		return bundleEpsilon(s, seed)
-	case "distance":
-		return bundleDistance(s, seed)
-	case "maxdist":
-		return bundleMaxDist(s, seed)
-	case "level":
-		return bundleLevel(s, seed)
-	case "distribution":
-		return bundleDistribution(s, seed)
-	case "volume":
-		return bundleVolume(s, seed)
-	case "buffer":
-		return bundleBuffer(s, seed)
-	case "scalability":
-		return bundleScalability(s, seed)
-	case "fig8":
-		return bundleThroughput(s, seed)
-	case "mixed":
-		return bundleMixed(s, seed)
-	case "skew":
-		return bundleSkew(s, seed)
-	case "batch":
-		return bundleBatch(s, seed)
-	case "naive":
-		return bundleNaive(s, seed)
-	case "table-summary-size":
-		return bundleSummarySize(s, seed)
-	case "cost":
-		return bundleCost(s, seed)
-	case "ablation-piggyback":
-		return bundlePiggyback(s, seed)
-	case "ablation-summary-queries":
-		return bundleSummaryQueries(s, seed)
-	case "ablation-splits":
-		return bundleSplits(s, seed)
-	default:
-		return nil, fmt.Errorf("exp: unknown bundle %q", bundle)
-	}
 }
 
 func baseConfig(s Scale, seed int64) Config {
@@ -215,63 +154,7 @@ func lengthScale(s Scale) float64 {
 	return math.Sqrt(float64(s.Objects) / 1e6)
 }
 
-// strategyRows runs one configuration per strategy and returns metrics
-// keyed by strategy name.
-func metricsFor(cfg Config, kinds ...core.Kind) (map[string]Metrics, error) {
-	out := make(map[string]Metrics, len(kinds))
-	for _, k := range kinds {
-		c := cfg
-		c.Strategy = k
-		m, err := RunOnce(c)
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", k, err)
-		}
-		out[k.String()] = m
-	}
-	return out, nil
-}
-
 var defaultKinds = []core.Kind{core.TD, core.LBU, core.GBU}
-
-// bundleEpsilon reproduces Figures 5(a)–(d): ε ∈ {0, .003, .007, .015,
-// .03}. TD does not depend on ε, so it is run once and replicated.
-func bundleEpsilon(s Scale, seed int64) (map[string]*Table, error) {
-	epss := []float64{0, 0.003, 0.007, 0.015, 0.03}
-	cols := make([]string, len(epss))
-	for i, e := range epss {
-		cols[i] = fmt.Sprintf("%g", e)
-	}
-	newT := func(id, title, y string) *Table {
-		return &Table{ID: id, Title: title, XLabel: "epsilon", YLabel: y, Columns: cols}
-	}
-	tables := map[string]*Table{
-		"fig5a": newT("fig5a", "Varying ε: Average Disk I/O, Update", "avg disk I/O per update"),
-		"fig5b": newT("fig5b", "Varying ε: Average Disk I/O, Querying", "avg disk I/O per query"),
-		"fig5c": newT("fig5c", "Varying ε: Total CPU Cost, Update", "update CPU seconds"),
-		"fig5d": newT("fig5d", "Varying ε: Total CPU Cost, Querying", "query CPU seconds"),
-	}
-
-	td, err := RunOnce(withStrategy(baseConfig(s, seed), core.TD))
-	if err != nil {
-		return nil, err
-	}
-	addReplicated(tables, "TD", td, len(epss))
-
-	for _, kind := range []core.Kind{core.LBU, core.GBU} {
-		rows := [4][]float64{}
-		for _, eps := range epss {
-			cfg := withStrategy(baseConfig(s, seed), kind)
-			cfg.Epsilon = sentinel(eps)
-			m, err := RunOnce(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%v eps=%g: %w", kind, eps, err)
-			}
-			appendMetrics(&rows, m)
-		}
-		addRows(tables, kind.String(), rows)
-	}
-	return tables, nil
-}
 
 func withStrategy(cfg Config, k core.Kind) Config {
 	cfg.Strategy = k
@@ -287,263 +170,187 @@ func sentinel(v float64) float64 {
 	return v
 }
 
-func appendMetrics(rows *[4][]float64, m Metrics) {
-	rows[0] = append(rows[0], m.AvgUpdateIO)
-	rows[1] = append(rows[1], m.AvgQueryIO)
-	rows[2] = append(rows[2], m.UpdateWall.Seconds())
-	rows[3] = append(rows[3], m.QueryWall.Seconds())
+// sweep is one §5 figure pair: a Table 1 parameter swept over the
+// paper's values, one series per scheme, and the update and query
+// tables read from the same runs. Every cell is one RunOnce at the
+// default workload (baseConfig) with the series' and the column's
+// settings applied.
+type sweep struct {
+	xLabel string
+	cols   []string
+	set    func(c *Config, col int) // applies column col's parameter value
+	series []series
+	tables []figure
 }
 
-func addRows(tables map[string]*Table, label string, rows [4][]float64) {
-	ids := []string{"fig5a", "fig5b", "fig5c", "fig5d"}
-	for i, id := range ids {
-		if t, ok := tables[id]; ok {
-			t.AddRow(label, rows[i])
-		}
+// series is one plotted line of a sweep.
+type series struct {
+	kind  core.Kind
+	label string        // default: the strategy's name
+	set   func(*Config) // the series' own setting, such as GBU's λ
+	// flat marks a strategy that ignores the swept parameter: it runs
+	// once at the defaults and is replicated across the columns, as the
+	// paper plots it.
+	flat bool
+}
+
+// figure is one table of a sweep: a metric of every cell's Metrics.
+type figure struct {
+	id, title, yLabel string
+	metric            func(Metrics) float64
+}
+
+// ioPair is the update and query I/O figures of a pair titled title.
+func ioPair(updateID, queryID, title string) []figure {
+	return []figure{
+		{updateID, title + ", Update", "avg disk I/O per update", func(m Metrics) float64 { return m.AvgUpdateIO }},
+		{queryID, title + ", Querying", "avg disk I/O per query", func(m Metrics) float64 { return m.AvgQueryIO }},
 	}
 }
 
-func addReplicated(tables map[string]*Table, label string, m Metrics, n int) {
-	rows := [4][]float64{}
-	for i := 0; i < n; i++ {
-		appendMetrics(&rows, m)
+// labels formats one column label per swept value.
+func labels[T any](format string, vs []T) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprintf(format, v)
 	}
-	addRows(tables, label, rows)
+	return out
 }
 
-// bundleDistance reproduces Figures 5(e)–(f): δ ∈ {0, 0.03, 0.3, 3}.
-// TD and LBU do not use δ; they are run once and replicated flat, as the
-// paper plots them.
-func bundleDistance(s Scale, seed int64) (map[string]*Table, error) {
-	deltas := []float64{0, 0.03, 0.3, 3}
-	cols := make([]string, len(deltas))
-	for i, d := range deltas {
-		cols[i] = fmt.Sprintf("%g", d)
+// run executes every cell of the sweep, series by series, and returns
+// its tables keyed by id.
+func (sw sweep) run(s Scale, seed int64) (map[string]*Table, error) {
+	tables := make(map[string]*Table, len(sw.tables))
+	for _, f := range sw.tables {
+		tables[f.id] = &Table{ID: f.id, Title: f.title, XLabel: sw.xLabel, YLabel: f.yLabel, Columns: sw.cols}
 	}
-	upd := &Table{ID: "fig5e", Title: "Varying Distance Threshold δ, Update", XLabel: "distance threshold", YLabel: "avg disk I/O per update", Columns: cols}
-	qry := &Table{ID: "fig5f", Title: "Varying Distance Threshold δ, Querying", XLabel: "distance threshold", YLabel: "avg disk I/O per query", Columns: cols}
-
-	for _, kind := range []core.Kind{core.TD, core.LBU} {
-		m, err := RunOnce(withStrategy(baseConfig(s, seed), kind))
-		if err != nil {
-			return nil, err
+	for _, sr := range sw.series {
+		label := sr.label
+		if label == "" {
+			label = sr.kind.String()
 		}
-		u := make([]float64, len(deltas))
-		q := make([]float64, len(deltas))
-		for i := range deltas {
-			u[i], q[i] = m.AvgUpdateIO, m.AvgQueryIO
-		}
-		upd.AddRow(kind.String(), u)
-		qry.AddRow(kind.String(), q)
-	}
-	var u, q []float64
-	for _, delta := range deltas {
-		cfg := withStrategy(baseConfig(s, seed), core.GBU)
-		cfg.DistanceThreshold = sentinel(delta)
-		m, err := RunOnce(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("GBU delta=%g: %w", delta, err)
-		}
-		u = append(u, m.AvgUpdateIO)
-		q = append(q, m.AvgQueryIO)
-	}
-	upd.AddRow("GBU", u)
-	qry.AddRow("GBU", q)
-	return map[string]*Table{"fig5e": upd, "fig5f": qry}, nil
-}
-
-var maxDistances = []float64{0.003, 0.015, 0.03, 0.06, 0.1, 0.15}
-
-// bundleMaxDist reproduces Figures 5(g)–(h): the maximum distance moved
-// between updates varies from 0.003 to 0.15.
-func bundleMaxDist(s Scale, seed int64) (map[string]*Table, error) {
-	cols := make([]string, len(maxDistances))
-	for i, d := range maxDistances {
-		cols[i] = fmt.Sprintf("%g", d)
-	}
-	upd := &Table{ID: "fig5g", Title: "Varying Maximum Distance, Update", XLabel: "max distance moved", YLabel: "avg disk I/O per update", Columns: cols}
-	qry := &Table{ID: "fig5h", Title: "Varying Maximum Distance, Querying", XLabel: "max distance moved", YLabel: "avg disk I/O per query", Columns: cols}
-	for _, kind := range defaultKinds {
-		var u, q []float64
-		for _, d := range maxDistances {
-			cfg := withStrategy(baseConfig(s, seed), kind)
-			cfg.MaxDistance = d
-			m, err := RunOnce(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%v maxdist=%g: %w", kind, d, err)
+		runs := make([]Metrics, len(sw.cols))
+		for i, col := range sw.cols {
+			if sr.flat && i > 0 {
+				runs[i] = runs[0]
+				continue
 			}
-			u = append(u, m.AvgUpdateIO)
-			q = append(q, m.AvgQueryIO)
-		}
-		upd.AddRow(kind.String(), u)
-		qry.AddRow(kind.String(), q)
-	}
-	return map[string]*Table{"fig5g": upd, "fig5h": qry}, nil
-}
-
-// bundleLevel reproduces Figures 6(a)–(b): GBU with λ ∈ {0,1,2,3}
-// against TD and LBU, across the max-distance sweep.
-func bundleLevel(s Scale, seed int64) (map[string]*Table, error) {
-	cols := make([]string, len(maxDistances))
-	for i, d := range maxDistances {
-		cols[i] = fmt.Sprintf("%g", d)
-	}
-	upd := &Table{ID: "fig6a", Title: "Ascending the R-Tree, Update", XLabel: "max distance moved", YLabel: "avg disk I/O per update", Columns: cols}
-	qry := &Table{ID: "fig6b", Title: "Ascending the R-Tree, Querying", XLabel: "max distance moved", YLabel: "avg disk I/O per query", Columns: cols}
-
-	type series struct {
-		label  string
-		kind   core.Kind
-		lambda int
-	}
-	all := []series{
-		{"TD", core.TD, 0},
-		{"LBU", core.LBU, 0},
-		{"GBU-0", core.GBU, core.LevelThresholdZero},
-		{"GBU-1", core.GBU, 1},
-		{"GBU-2", core.GBU, 2},
-		{"GBU-3", core.GBU, 3},
-	}
-	for _, sr := range all {
-		var u, q []float64
-		for _, d := range maxDistances {
 			cfg := withStrategy(baseConfig(s, seed), sr.kind)
-			cfg.MaxDistance = d
-			if sr.kind == core.GBU {
-				cfg.LevelThreshold = sr.lambda
+			if sr.set != nil {
+				sr.set(&cfg)
+			}
+			if !sr.flat {
+				sw.set(&cfg, i)
 			}
 			m, err := RunOnce(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("%s maxdist=%g: %w", sr.label, d, err)
+				return nil, fmt.Errorf("%s %s=%s: %w", label, sw.xLabel, col, err)
 			}
-			u = append(u, m.AvgUpdateIO)
-			q = append(q, m.AvgQueryIO)
+			runs[i] = m
 		}
-		upd.AddRow(sr.label, u)
-		qry.AddRow(sr.label, q)
+		for _, f := range sw.tables {
+			row := make([]float64, len(runs))
+			for i, m := range runs {
+				row[i] = f.metric(m)
+			}
+			tables[f.id].AddRow(label, row)
+		}
 	}
-	return map[string]*Table{"fig6a": upd, "fig6b": qry}, nil
+	return tables, nil
 }
 
-// bundleDistribution reproduces Figures 6(c)–(d): Uniform, Gaussian and
-// Skewed initial distributions.
-func bundleDistribution(s Scale, seed int64) (map[string]*Table, error) {
-	dists := []workload.Distribution{workload.Uniform, workload.Gaussian, workload.Skewed}
-	cols := []string{"Uniform", "Gaussian", "Skew"}
-	upd := &Table{ID: "fig6c", Title: "Varying Data Distributions, Update", XLabel: "data distribution", YLabel: "avg disk I/O per update", Columns: cols}
-	qry := &Table{ID: "fig6d", Title: "Varying Data Distributions, Querying", XLabel: "data distribution", YLabel: "avg disk I/O per query", Columns: cols}
-	for _, kind := range defaultKinds {
-		var u, q []float64
-		for _, d := range dists {
-			cfg := withStrategy(baseConfig(s, seed), kind)
-			cfg.Distribution = d
-			m, err := RunOnce(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%v %v: %w", kind, d, err)
-			}
-			u = append(u, m.AvgUpdateIO)
-			q = append(q, m.AvgQueryIO)
-		}
-		upd.AddRow(kind.String(), u)
-		qry.AddRow(kind.String(), q)
-	}
-	return map[string]*Table{"fig6c": upd, "fig6d": qry}, nil
+// paperSchemes are the three schemes every §5 figure compares.
+var paperSchemes = []series{{kind: core.TD}, {kind: core.LBU}, {kind: core.GBU}}
+
+var (
+	epsilons     = []float64{0, 0.003, 0.007, 0.015, 0.03}
+	deltas       = []float64{0, 0.03, 0.3, 3}
+	maxDistances = []float64{0.003, 0.015, 0.03, 0.06, 0.1, 0.15}
+	volumes      = []int{1, 2, 3, 5, 7, 10}
+	datasetSizes = []int{1, 2, 5, 10}
+)
+
+// Figures 5(a)–(d): ε. TD does not use ε.
+var epsilonSweep = sweep{
+	xLabel: "epsilon", cols: labels("%g", epsilons),
+	set:    func(c *Config, i int) { c.Epsilon = sentinel(epsilons[i]) },
+	series: []series{{kind: core.TD, flat: true}, {kind: core.LBU}, {kind: core.GBU}},
+	tables: append(ioPair("fig5a", "fig5b", "Varying ε: Average Disk I/O"),
+		figure{"fig5c", "Varying ε: Total CPU Cost, Update", "update CPU seconds", func(m Metrics) float64 { return m.UpdateWall.Seconds() }},
+		figure{"fig5d", "Varying ε: Total CPU Cost, Querying", "query CPU seconds", func(m Metrics) float64 { return m.QueryWall.Seconds() }}),
 }
 
-// bundleVolume reproduces Figures 6(e)–(f): the number of updates grows
-// from 1× to 10× the base volume (the paper's 1–10 M).
-func bundleVolume(s Scale, seed int64) (map[string]*Table, error) {
-	mult := []int{1, 2, 3, 5, 7, 10}
-	cols := make([]string, len(mult))
-	for i, m := range mult {
-		cols[i] = fmt.Sprintf("%dx", m)
-	}
-	upd := &Table{ID: "fig6e", Title: "Varying Amounts of Updates, Update", XLabel: "number of updates (x base)", YLabel: "avg disk I/O per update", Columns: cols}
-	qry := &Table{ID: "fig6f", Title: "Varying Amounts of Updates, Querying", XLabel: "number of updates (x base)", YLabel: "avg disk I/O per query", Columns: cols}
-	for _, kind := range defaultKinds {
-		var u, q []float64
-		for _, k := range mult {
-			cfg := withStrategy(baseConfig(s, seed), kind)
-			cfg.NumUpdates = s.Updates * k
-			m, err := RunOnce(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%v %dx updates: %w", kind, k, err)
-			}
-			u = append(u, m.AvgUpdateIO)
-			q = append(q, m.AvgQueryIO)
-		}
-		upd.AddRow(kind.String(), u)
-		qry.AddRow(kind.String(), q)
-	}
-	return map[string]*Table{"fig6e": upd, "fig6f": qry}, nil
+// Figures 5(e)–(f): the distance threshold δ. TD and LBU do not use δ.
+var distanceSweep = sweep{
+	xLabel: "distance threshold", cols: labels("%g", deltas),
+	set:    func(c *Config, i int) { c.DistanceThreshold = sentinel(deltas[i]) },
+	series: []series{{kind: core.TD, flat: true}, {kind: core.LBU, flat: true}, {kind: core.GBU}},
+	tables: ioPair("fig5e", "fig5f", "Varying Distance Threshold δ"),
 }
 
-// bundleBuffer reproduces Figures 6(g)–(h): buffer pool from 0% to 10%
-// of the database size.
-func bundleBuffer(s Scale, seed int64) (map[string]*Table, error) {
-	fracs := []float64{0, 0.01, 0.03, 0.05, 0.10}
-	cols := []string{"0%", "1%", "3%", "5%", "10%"}
-	upd := &Table{ID: "fig6g", Title: "Varying Buffer Size, Update", XLabel: "buffer (% of database)", YLabel: "avg disk I/O per update", Columns: cols}
-	qry := &Table{ID: "fig6h", Title: "Varying Buffer Size, Querying", XLabel: "buffer (% of database)", YLabel: "avg disk I/O per query", Columns: cols}
-	for _, kind := range defaultKinds {
-		var u, q []float64
-		for _, f := range fracs {
-			cfg := withStrategy(baseConfig(s, seed), kind)
-			if f == 0 {
-				cfg.BufferFrac = -1 // explicit 0%
-			} else {
-				cfg.BufferFrac = f
-			}
-			m, err := RunOnce(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%v buffer=%g: %w", kind, f, err)
-			}
-			u = append(u, m.AvgUpdateIO)
-			q = append(q, m.AvgQueryIO)
-		}
-		upd.AddRow(kind.String(), u)
-		qry.AddRow(kind.String(), q)
-	}
-	return map[string]*Table{"fig6g": upd, "fig6h": qry}, nil
+// Figures 5(g)–(h): the maximum distance moved between updates.
+var maxDistSweep = sweep{
+	xLabel: "max distance moved", cols: labels("%g", maxDistances),
+	set:    func(c *Config, i int) { c.MaxDistance = maxDistances[i] },
+	series: paperSchemes,
+	tables: ioPair("fig5g", "fig5h", "Varying Maximum Distance"),
 }
 
-// bundleScalability reproduces Figures 7(a)–(b): the dataset grows from
-// 1× to 10× while the data space stays fixed (density increases).
-func bundleScalability(s Scale, seed int64) (map[string]*Table, error) {
-	mult := []int{1, 2, 5, 10}
-	cols := make([]string, len(mult))
-	for i, m := range mult {
-		cols[i] = fmt.Sprintf("%dx", m)
-	}
-	upd := &Table{ID: "fig7a", Title: "Scalability, Update", XLabel: "dataset size (x base)", YLabel: "avg disk I/O per update", Columns: cols}
-	qry := &Table{ID: "fig7b", Title: "Scalability, Querying", XLabel: "dataset size (x base)", YLabel: "avg disk I/O per query", Columns: cols}
-	for _, kind := range defaultKinds {
-		var u, q []float64
-		for _, k := range mult {
-			cfg := withStrategy(baseConfig(s, seed), kind)
-			cfg.NumObjects = s.Objects * k
-			m, err := RunOnce(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%v %dx objects: %w", kind, k, err)
-			}
-			u = append(u, m.AvgUpdateIO)
-			q = append(q, m.AvgQueryIO)
-		}
-		upd.AddRow(kind.String(), u)
-		qry.AddRow(kind.String(), q)
-	}
-	return map[string]*Table{"fig7a": upd, "fig7b": qry}, nil
+// Figures 6(a)–(b): GBU restricted to ascending λ levels, against TD
+// and LBU, across the max-distance sweep.
+var levelSweep = sweep{
+	xLabel: "max distance moved", cols: maxDistSweep.cols, set: maxDistSweep.set,
+	series: []series{{kind: core.TD}, {kind: core.LBU},
+		gbuLevel("GBU-0", core.LevelThresholdZero), gbuLevel("GBU-1", 1), gbuLevel("GBU-2", 2), gbuLevel("GBU-3", 3)},
+	tables: ioPair("fig6a", "fig6b", "Ascending the R-Tree"),
+}
+
+func gbuLevel(label string, lambda int) series {
+	return series{kind: core.GBU, label: label, set: func(c *Config) { c.LevelThreshold = lambda }}
+}
+
+// Figures 6(c)–(d): the initial data distribution.
+var distributionSweep = sweep{
+	xLabel: "data distribution", cols: []string{"Uniform", "Gaussian", "Skew"},
+	set: func(c *Config, i int) {
+		c.Distribution = []workload.Distribution{workload.Uniform, workload.Gaussian, workload.Skewed}[i]
+	},
+	series: paperSchemes,
+	tables: ioPair("fig6c", "fig6d", "Varying Data Distributions"),
+}
+
+// Figures 6(e)–(f): the number of updates, 1× to 10× the base volume
+// (the paper's 1–10 M).
+var volumeSweep = sweep{
+	xLabel: "number of updates (x base)", cols: labels("%dx", volumes),
+	set:    func(c *Config, i int) { c.NumUpdates *= volumes[i] },
+	series: paperSchemes,
+	tables: ioPair("fig6e", "fig6f", "Varying Amounts of Updates"),
+}
+
+// Figures 6(g)–(h): the buffer pool, 0 % to 10 % of the database.
+var bufferSweep = sweep{
+	xLabel: "buffer (% of database)", cols: []string{"0%", "1%", "3%", "5%", "10%"},
+	// -1 is Config's explicit 0 % buffer.
+	set:    func(c *Config, i int) { c.BufferFrac = []float64{-1, 0.01, 0.03, 0.05, 0.10}[i] },
+	series: paperSchemes,
+	tables: ioPair("fig6g", "fig6h", "Varying Buffer Size"),
+}
+
+// Figures 7(a)–(b): the dataset grows 1× to 10× in a fixed data space,
+// so density increases.
+var scalabilitySweep = sweep{
+	xLabel: "dataset size (x base)", cols: labels("%dx", datasetSizes),
+	set:    func(c *Config, i int) { c.NumObjects *= datasetSizes[i] },
+	series: paperSchemes,
+	tables: ioPair("fig7a", "fig7b", "Scalability"),
 }
 
 // bundleNaive reproduces the §3.1 observation that the naive bottom-up
 // scheme leaves most updates top-down (82% on the paper's uniform
 // million-point dataset).
 func bundleNaive(s Scale, seed int64) (map[string]*Table, error) {
-	cols := make([]string, len(maxDistances))
-	for i, d := range maxDistances {
-		cols[i] = fmt.Sprintf("%g", d)
-	}
-	t := &Table{ID: "naive", Title: "Naive bottom-up: % of updates resolved top-down", XLabel: "max distance moved", YLabel: "% of updates", Columns: cols}
+	t := &Table{ID: "naive", Title: "Naive bottom-up: % of updates resolved top-down", XLabel: "max distance moved", YLabel: "% of updates", Columns: maxDistSweep.cols}
 	var tdShare, ioRow []float64
 	for _, d := range maxDistances {
 		cfg := withStrategy(baseConfig(s, seed), core.Naive)
@@ -646,15 +453,4 @@ func bundleCost(s Scale, seed int64) (map[string]*Table, error) {
 		t.AddRow(fmt.Sprintf("bound h=%d: T(best)=2h+1", h), []float64{td})
 	}
 	return map[string]*Table{"cost": t}, nil
-}
-
-// SortedIDs lists all experiment ids.
-func SortedIDs() []string {
-	reg := Registry()
-	ids := make([]string, len(reg))
-	for i, e := range reg {
-		ids[i] = e.ID
-	}
-	sort.Strings(ids)
-	return ids
 }

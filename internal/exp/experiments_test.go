@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -221,8 +222,58 @@ func TestScalesDefined(t *testing.T) {
 	}
 }
 
-func TestMetricsForUnknownStrategy(t *testing.T) {
-	if _, err := metricsFor(tinyConfig(), core.Kind(77)); err == nil {
+func TestRunOnceUnknownStrategy(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Strategy = core.Kind(77)
+	if _, err := RunOnce(cfg); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// TestSweepsKeepTheirOwnTables runs two figure pairs through the
+// registry at one scale and seed: each must come back as its own table
+// (the cache is keyed per group, and every sweep's bundle is the same
+// method), with that figure's columns and series in paper order.
+func TestSweepsKeepTheirOwnTables(t *testing.T) {
+	s := microScale()
+	cases := []struct {
+		id   string
+		cols []string
+		rows []string
+		flat []string
+	}{
+		{"fig5e", []string{"0", "0.03", "0.3", "3"}, []string{"TD", "LBU", "GBU"}, []string{"TD", "LBU"}},
+		{"fig6c", []string{"Uniform", "Gaussian", "Skew"}, []string{"TD", "LBU", "GBU"}, nil},
+	}
+	for _, c := range cases {
+		e, ok := Find(c.id)
+		if !ok {
+			t.Fatalf("experiment %s missing", c.id)
+		}
+		tab, err := e.Run(s, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.ID != c.id {
+			t.Fatalf("%s: got table %q", c.id, tab.ID)
+		}
+		if !reflect.DeepEqual(tab.Columns, c.cols) {
+			t.Fatalf("%s: columns %v, want %v", c.id, tab.Columns, c.cols)
+		}
+		var rows []string
+		for _, r := range tab.Rows {
+			rows = append(rows, r.Label)
+		}
+		if !reflect.DeepEqual(rows, c.rows) {
+			t.Fatalf("%s: rows %v, want %v", c.id, rows, c.rows)
+		}
+		for _, label := range c.flat {
+			row, _ := tab.Row(label)
+			for _, v := range row {
+				if v != row[0] {
+					t.Fatalf("%s: %s row not flat: %v", c.id, label, row)
+				}
+			}
+		}
 	}
 }

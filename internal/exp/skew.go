@@ -24,9 +24,6 @@ import (
 // skewThetas is the zipf-θ sweep of the skew experiment.
 var skewThetas = []float64{0, 0.6, 0.9, 1.1}
 
-// skewDebug prints per-round timing; calibration aid only.
-const skewDebug = false
-
 // skewHotspots is the number of wandering attractor points. Fewer
 // hotspots than shards means a static partition cannot help but leave
 // some shards cold while the shards owning the attractors saturate; a
@@ -76,8 +73,8 @@ func RunSkewSweep(cfg SkewSweepConfig) (SkewSweepResult, error) {
 	sopts := burtree.ShardOptions{Shards: cfg.Shards, Partition: burtree.ShardGrid}
 	if cfg.Adaptive {
 		// The adaptive arm drives Rebalance explicitly between rounds (see
-		// below), which keeps the step count deterministic; Enabled stays
-		// false so no background ticker races the measurement. MinOps is
+		// below), which keeps the step count deterministic; Interval stays
+		// zero so no background ticker races the measurement. MinOps is
 		// set below the default so a bench-scale round qualifies as a
 		// sampling window, and the trigger threshold is slightly lower
 		// than the default: a hot cluster pair over 8 shards already
@@ -171,9 +168,6 @@ func RunSkewSweep(cfg SkewSweepConfig) (SkewSweepResult, error) {
 	var applySum time.Duration
 	var roundRates []float64
 	for r := 0; r < rounds; r++ {
-		if r == warmup && skewDebug {
-			idx.ResetStats()
-		}
 		roundStart := time.Now()
 		errCh := make(chan error, cfg.Workers)
 		var wg sync.WaitGroup
@@ -207,29 +201,15 @@ func RunSkewSweep(cfg SkewSweepConfig) (SkewSweepResult, error) {
 			applySum += applyDur
 			roundRates = append(roundRates, float64(roundOps[r])/applyDur.Seconds())
 		}
-		var rebDur time.Duration
-		var movedN int
 		if cfg.Adaptive && r >= warmup-1 && r < rounds-1 {
 			rebStart := time.Now()
-			moved, err := idx.Rebalance()
-			if err != nil {
+			if _, err := idx.Rebalance(); err != nil {
 				return res, err
 			}
-			rebDur = time.Since(rebStart)
-			res.RebalanceDur += rebDur
-			movedN = moved
-		}
-		if skewDebug {
-			fmt.Printf("[diag θ=%g adaptive=%v] r=%d apply=%v rebalance=%v moved=%d epoch=%d lens=%v\n",
-				cfg.Theta, cfg.Adaptive, r, applyDur, rebDur, movedN, idx.RouterEpoch(), idx.ShardLens())
+			res.RebalanceDur += time.Since(rebStart)
 		}
 	}
 	res.Elapsed = applySum
-	if skewDebug {
-		st, _ := idx.Stats()
-		fmt.Printf("[diag θ=%g adaptive=%v] outcomes=%+v reads=%d writes=%d hits=%d splits=%d\n",
-			cfg.Theta, cfg.Adaptive, st.Outcomes, st.DiskReads, st.DiskWrites, st.BufferHits, st.Splits)
-	}
 	close(crossCh)
 	<-crossDone
 	idx.SetIOLatency(0)

@@ -115,7 +115,7 @@ func TestCloseJoinsEveryGoroutine(t *testing.T) {
 		{"ConcurrentIndex", func(o Options) (walFailureIndex, error) { return OpenConcurrent(o) }},
 		{"ShardedIndex", func(o Options) (walFailureIndex, error) {
 			return OpenSharded(o, ShardOptions{Shards: 4,
-				Rebalance: RebalanceOptions{Enabled: true, Interval: time.Millisecond, MinOps: 64}})
+				Rebalance: RebalanceOptions{Interval: time.Millisecond, MinOps: 64}})
 		}},
 	}
 	for _, k := range kinds {

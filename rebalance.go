@@ -25,10 +25,6 @@ import (
 // record by position, so shard placement is derived state — a crash
 // simply recovers onto the boundaries of the last checkpoint.
 type RebalanceOptions struct {
-	// Enabled turns the rebalancer on. Manual Rebalance calls work even
-	// when false; Enabled gates the background loop and is what the skew
-	// experiment toggles between its static and adaptive arms.
-	Enabled bool
 	// HotFactor is the trigger threshold: a shard is hot when its EWMA
 	// load share exceeds HotFactor× the fair share 1/n (default 1.5).
 	HotFactor float64
@@ -143,14 +139,14 @@ func (x *ShardedIndex) RouterEpoch() uint64 {
 
 // SetRebalance reconfigures the rebalancer at runtime, starting or
 // stopping the background loop as needed — it runs when the
-// configuration asks for one. Used to enable rebalancing on an index
-// restored by LoadSharded (loaders keep it off).
+// configuration sets a positive Interval. Used to enable rebalancing
+// on an index restored by LoadSharded (loaders keep it off).
 func (x *ShardedIndex) SetRebalance(o RebalanceOptions) {
 	x.stopRebalancer()
 	x.rebalMu.Lock()
 	defer x.rebalMu.Unlock()
 	x.ropts = o.withDefaults()
-	if !x.ropts.Enabled || x.ropts.Interval <= 0 || x.rebalStop != nil {
+	if x.ropts.Interval <= 0 || x.rebalStop != nil {
 		return
 	}
 	stop := make(chan struct{})
@@ -192,8 +188,9 @@ func (x *index) stopRebalancer() {
 // a Hilbert partition has the hot shard's boundary nudged toward the
 // load quantiles, migrating at most MaxStep objects to a neighbor. It
 // returns the number of objects that changed shards (0 when no shard is
-// hot or the window was too quiet). Safe to call manually regardless of
-// RebalanceOptions.Enabled, including on a loaded snapshot.
+// hot or the window was too quiet). Safe to call manually whether or not
+// the background loop runs (RebalanceOptions.Interval), including on a
+// loaded snapshot.
 func (x *ShardedIndex) Rebalance() (int, error) {
 	x.rebalMu.Lock()
 	o := x.ropts

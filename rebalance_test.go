@@ -331,7 +331,7 @@ func TestRebalanceAutoLoop(t *testing.T) {
 		Partition: ShardGrid,
 		// MinOps is lowered so the short 2ms sampling windows can carry a
 		// full window's worth of the test's update stream.
-		Rebalance: RebalanceOptions{Enabled: true, Interval: 2 * time.Millisecond, MinOps: 64},
+		Rebalance: RebalanceOptions{Interval: 2 * time.Millisecond, MinOps: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
