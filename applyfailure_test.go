@@ -130,10 +130,11 @@ func failNextMutation(idx walFailureIndex, only *Point) {
 	}
 }
 
-// TestApplyFailureMatrix: a tree operation that fails after the step was
-// reserved takes the table back (runStep's restore; arrive's put-back for
-// a cross-shard move), and a batch that fails mid-way keeps exactly its
-// applied prefix — applied, logged and counted.
+// TestApplyFailureMatrix: a tree operation that fails after the write was
+// reserved leaves the table as it was (the table learns a tree-path change
+// only as it lands; arrive's put-back for a cross-shard move), and a batch
+// that fails mid-way keeps exactly its applied prefix — applied, logged
+// and counted.
 func TestApplyFailureMatrix(t *testing.T) {
 	near, far := Point{X: 0.4, Y: 0.4}, Point{X: 0.9, Y: 0.9}
 	type row struct {

@@ -48,18 +48,19 @@
 // updates, window and nearest-neighbour queries, bulk loading and
 // snapshots — the latter two to any number of goroutines.
 //
-// Every single-object write is one step (insert, move or delete) through
-// one pipeline, written once in index.runStep, under the gate held
-// shared: order (the id's stripe) → reserve in the object table, routing
-// the step and — with the memtable tier on — absorbing it in the same
-// hold → apply to the owning stack's tree, unless absorbed → log in the
-// owning stack's log → ack, or on an apply or log failure undo: the
-// inverse step through the same apply and a compare-and-restore of the
-// table. Routing is a stage of this pipeline, and with one stack every
-// route is to it. UpdateBatch is the same pipeline batch-wide: coalesce
-// against the table — once — then apply or absorb per stack, log one
-// record per stack, undo the changes of a record whose append fails. A
-// write that returns an error is therefore never left
+// Every write runs one pipeline, written once in index.write: Insert,
+// Update and Delete are writes of one change of their kind (insert, move
+// or delete), UpdateBatch a write of many moves. Under the gate held
+// shared it validates the new positions → takes the stripes of its id set
+// in ascending order, the one ordering rule of every writer → reserves in
+// the object table, coalescing repeated moves and — with the memtable tier
+// on — absorbing the changes in the same hold → routes them to the stacks
+// they leave and end in → applies each stack's group to its tree, unless
+// absorbed: one change through the tree's per-object call, more through
+// the batched bottom-up pass → logs one record per stack → acks, or on a
+// failed append undoes that record's changes and restores the table.
+// Routing is a stage of this pipeline, and with one stack every route is
+// to it. A write that returns an error is therefore never left
 // acknowledged-but-unlogged: it is undone, except for the applied (and
 // logged) prefix of a batch that failed part-way through the tree, and
 // except that a failure of the merge-down a write trips inline — on the

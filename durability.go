@@ -146,35 +146,26 @@ func checkFreshDir(dir string) error {
 }
 
 // replayRecords applies a sequence-ordered record stream through the
-// ordinary write path (with logging detached, so replay does not re-log
-// itself). Any apply failure aborts with ErrRecovery: a record that was
-// acknowledged against the pre-crash state must apply cleanly onto the
-// snapshot plus the records before it, so a failure means the log and
-// snapshot disagree.
+// one write pipeline, each record as the write of the kind it was logged
+// by (with logging detached, so replay does not re-log itself). Any apply
+// failure aborts with ErrRecovery: a record that was acknowledged against
+// the pre-crash state must apply cleanly onto the snapshot plus the
+// records before it, so a failure means the log and snapshot disagree.
 func replayRecords(a *index, recs []wal.Record) error {
 	for _, r := range recs {
+		k := slices.Index(logTypes[:], r.Type)
 		var err error
-		switch r.Type {
-		case wal.TypeInsert:
-			if len(r.Ops) != 1 {
-				err = fmt.Errorf("insert record carries %d ops", len(r.Ops))
-				break
-			}
-			err = a.Insert(r.Ops[0].ID, Point{X: r.Ops[0].X, Y: r.Ops[0].Y})
-		case wal.TypeDelete:
-			if len(r.Ops) != 1 {
-				err = fmt.Errorf("delete record carries %d ops", len(r.Ops))
-				break
-			}
-			err = a.Delete(r.Ops[0].ID)
-		case wal.TypeBatch:
+		switch {
+		case k < 0:
+			err = fmt.Errorf("unknown record type %d", r.Type)
+		case opKind(k) != opMove && len(r.Ops) != 1:
+			err = fmt.Errorf("record of type %d carries %d ops", r.Type, len(r.Ops))
+		default:
 			changes := make([]Change, len(r.Ops))
 			for i, op := range r.Ops {
 				changes[i] = Change{ID: op.ID, To: Point{X: op.X, Y: op.Y}}
 			}
-			_, err = a.UpdateBatch(changes)
-		default:
-			err = fmt.Errorf("unknown record type %d", r.Type)
+			_, err = a.write(opKind(k), changes)
 		}
 		if err != nil {
 			return fmt.Errorf("%w: replaying record %d: %v", ErrRecovery, r.Seq, err)

@@ -1,9 +1,12 @@
 package burtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,96 +22,90 @@ import (
 // however many trees there are: the index type — object table, gate,
 // router, tree stacks (treestack.go) and log handles — and the mutation
 // pipeline that runs on it. Index, ConcurrentIndex and ShardedIndex are
-// this one type, told at open what its stacks are. How a step or a batch
-// is routed to them, and a read scattered over them, is in
-// shardedindex.go.
+// this one type, told at open what its stacks are. How a write is routed
+// to them, and a read scattered over them, is in shardedindex.go.
 //
 // Lock order, outermost first: the gate, shared by every operation and
 // exclusive for snapshots, bulk loads and boundary changes; the table's
-// per-id stripe of a single-object write; a stack's mergeMu; the tree's
-// own locks (DGL granules, then the latch); the table's mu; the delta
-// tier's mutex. The table lock is therefore never held across a tree
+// stripes of a write's id set, in ascending order; a stack's mergeMu; the
+// tree's own locks (DGL granules, then the latch); the table's mu; the
+// delta tier's mutex. The table lock is therefore never held across a tree
 // operation, and a tree operation's callback may take it. The tier's mutex
 // is a leaf — no memtable.Table method calls out while holding it — taken
 // under the table lock by an absorb and under the tree's shared locks by
 // an overlay read's mask lookup (memtable.View.Masks), for a candidate
 // the view's presence filter cannot rule out.
 
-// stepKind names the three single-object mutations.
-type stepKind uint8
+// opKind names what a write does to each of its objects: Insert and
+// Delete are writes of one change of their kind, UpdateBatch a write of
+// moves and Update a write of one.
+type opKind uint8
 
 const (
-	stepInsert stepKind = iota
-	stepMove
-	stepDelete
+	opMove opKind = iota
+	opInsert
+	opDelete
 )
 
-// step is one single-object mutation: an insert puts id at new, a move
-// takes it from old to new, a delete removes it from old. The caller
-// supplies kind, id and new; the pipeline fills old from the object table
-// when it reserves the step, and routes it: src is the stack the object
-// leaves and dst the one that owns it afterwards — the same for an insert,
-// a delete and a move that stays in its shard. The gate keeps the router
-// still for as long as a step runs.
-type step struct {
-	kind     stepKind
-	id       uint64
-	old, new Point
-	src, dst int
-	// undo marks the inverse of a step whose log append failed, so the
-	// load accounting does not count the way back.
-	undo bool
-}
-
-// inverse returns the step that takes the index back to where st found
-// it: a delete of the inserted object, a move back, a re-insert of the
-// deleted object at its old position.
-func (st step) inverse() step {
-	inv := step{kind: stepMove, id: st.id, old: st.new, new: st.old, src: st.dst, dst: st.src, undo: true}
-	switch st.kind {
-	case stepInsert:
-		inv.kind = stepDelete
-	case stepDelete:
-		inv.kind = stepInsert
-	}
-	return inv
-}
-
-// at is the position that decides which stack owns the object after st.
-func (st step) at() Point {
-	if st.kind == stepDelete {
-		return st.old
-	}
-	return st.new
-}
+// inverse is the kind of the change that takes one of kind k back: a
+// delete of the inserted object, a move back, a re-insert of the deleted
+// object at its old position.
+func (k opKind) inverse() opKind { return [...]opKind{opMove, opDelete, opInsert}[k] }
 
 // objectTable is the id → position table an index keeps beside its
 // tree(s): exactly one per index, whatever the number of stacks.
 type objectTable struct {
 	mu      sync.RWMutex
 	objects map[uint64]Point
-	// ids orders the single-object writes of one id: runStep holds the
-	// id's stripe from reserve to ack or undo, so racing steps on one
-	// object reach the tree(s) and the log in the order the table accepted
-	// them — the table lock alone orders only the table. Taken inside the
-	// gate and outside every other lock.
+	// ids orders the writes of one id: every write holds the stripes of
+	// its id set from reserve to ack or undo, so racing writes of one
+	// object reach the table, the tree(s) and the log in one order — the
+	// table lock alone orders only the table. Taken inside the gate and
+	// outside every other lock, in ascending stripe order (lockIDs).
 	ids [256]sync.Mutex
 }
 
-// put makes the table show st's outcome. Caller holds mu.
-func (t *objectTable) put(st step) {
-	if st.kind == stepDelete {
-		delete(t.objects, st.id)
-		return
+// stripes is a set of the table's id stripes, one bit each: a bitmap on
+// the stack, so taking them allocates nothing.
+type stripes [4]uint64
+
+// lockIDs takes the stripes of the ids in changes, each once, in
+// ascending order — the one order every writer takes them in — and
+// returns the set, for unlockIDs.
+func (t *objectTable) lockIDs(changes []Change) (held stripes) {
+	for _, c := range changes {
+		held[c.ID/64%4] |= 1 << (c.ID % 64) // stripe c.ID % 256
 	}
-	t.objects[st.id] = st.new
+	for w, word := range held {
+		for ; word != 0; word &= word - 1 {
+			t.ids[w*64+bits.TrailingZeros64(word)].Lock()
+		}
+	}
+	return held
 }
 
-// record makes the table show a move a batch has just applied to a
-// tree: batches reach the table change by change, as they land.
-func (t *objectTable) record(c core.BatchChange) {
-	t.mu.Lock()
+func (t *objectTable) unlockIDs(held stripes) {
+	for w, word := range held {
+		for ; word != 0; word &= word - 1 {
+			t.ids[w*64+bits.TrailingZeros64(word)].Unlock()
+		}
+	}
+}
+
+// put makes the table show c, of kind k, applied. Caller holds mu.
+func (t *objectTable) put(k opKind, c core.BatchChange) {
+	if k == opDelete {
+		delete(t.objects, c.OID)
+		return
+	}
 	t.objects[c.OID] = c.New
+}
+
+// record makes the table show a change the tree has just applied: on the
+// tree path the table learns a write change by change, as it lands.
+func (t *objectTable) record(k opKind, c core.BatchChange) {
+	t.mu.Lock()
+	t.put(k, c)
 	t.mu.Unlock()
 }
 
@@ -188,8 +185,8 @@ type index struct {
 	// load accumulates per-stack operation counts and the per-cell update
 	// histogram the rebalancer splits on; see ShardLoads. Only a
 	// ShardedIndex keeps one — a one-stack index has nothing to balance and
-	// nobody to read it — and the pipeline reaches it through recordStep,
-	// recordBatch and readFrom (shardedindex.go), which ask.
+	// nobody to read it — and the pipeline reaches it through recordBatch
+	// and readFrom (shardedindex.go), which ask.
 	load *shard.LoadTracker
 	// routerEpoch counts boundary changes (guarded by the gate, persisted
 	// in the snapshot).
@@ -315,14 +312,11 @@ func (x *index) openLogs(d Durability, startAfter uint64) error {
 }
 
 // stageProbe, when a test installs one, is told each time a write enters
-// the pipeline ("step") and each time a batch is coalesced ("coalesce");
-// the tests that pin "once per write, once per batch" count the calls.
+// the pipeline; the test that pins "once per write" counts the calls.
 var stageProbe func(stage string)
 
 // Insert adds a new object at p, in the stack that owns p.
-func (x *index) Insert(id uint64, p Point) error {
-	return x.runStep(step{kind: stepInsert, id: id, new: p})
-}
+func (x *index) Insert(id uint64, p Point) error { return x.writeOne(opInsert, id, p) }
 
 // Update moves an existing object to p using the configured strategy.
 // The index tracks each object's current position, so callers only
@@ -330,267 +324,262 @@ func (x *index) Insert(id uint64, p Point) error {
 // shard's bottom-up update; a move across shards becomes a delete in the
 // source shard followed by an insert in the destination. Updates to
 // different objects run in parallel when the strategy can resolve them
-// locally (not on Index, which is single-writer). Racing Insert, Update
-// and Delete calls on the same object run one after the other (runStep's
-// per-id stripe), whichever stacks they touch, in an order the callers do
-// not choose: the table, the tree(s) and the log agree on the last one. A
-// caller that reads Location and then moves the object relative to it
-// still serializes its own read-modify-write, and so does one that races
-// an UpdateBatch against single writes of the batch's ids (disjoint id
-// ranges per writer, or a striped lock, as the examples do).
-func (x *index) Update(id uint64, p Point) error {
-	return x.runStep(step{kind: stepMove, id: id, new: p})
-}
+// locally (not on Index, which is single-writer). Racing writes of the
+// same object — Insert, Update, Delete and UpdateBatch calls alike — run
+// one after the other (each holds the stripes of its ids), whichever
+// stacks they touch, in an order the callers do not choose: the table,
+// the tree(s) and the log agree on the last one. A caller that reads
+// Location and then moves the object relative to it still serializes its
+// own read-modify-write.
+func (x *index) Update(id uint64, p Point) error { return x.writeOne(opMove, id, p) }
 
 // Delete removes an object from the stack that owns it.
-func (x *index) Delete(id uint64) error {
-	return x.runStep(step{kind: stepDelete, id: id})
-}
+func (x *index) Delete(id uint64) error { return x.writeOne(opDelete, id, Point{}) }
 
-// runStep is the single-object mutation pipeline, the only one in the
-// package, run under the shared gate:
+// UpdateBatch moves many objects at once through the batched bottom-up
+// pipeline: repeated moves of the same object are coalesced to the last
+// position — once, against the index's one object table — and the
+// surviving changes are routed to the stacks by target cell. Each stack
+// sorts its in-shard moves into per-leaf runs with one hash probe each and
+// applies each run in one bottom-up pass — one leaf read, one MBR
+// extension decision covering the whole group, one write — falling back
+// to the configured strategy's per-object path only for the changes the
+// group pass cannot resolve; a stack handed a single move makes it through
+// that per-object path directly. With the TopDown strategy (which has no
+// per-leaf state to amortize) the batch degrades to a sequential
+// application. On a DGL-locked tree each run acquires its granule locks
+// once — the union of the members' movement cells plus the run's leaf and
+// parent page granules, derived from the leaf — and changes that need an
+// ascent or a top-down pass are applied after the runs under exclusive
+// access, at most 32 per exclusive section, so readers queued behind the
+// batch get in between sections.
 //
-//	order    take the id's stripe, held to the end: steps on one object
-//	         run one after the other, steps on different objects in
-//	         parallel
-//	reserve  check the new position; then, under the table lock: check
-//	         the id (an insert needs it absent, a move or delete
-//	         present), record st's outcome in the table so a racing
-//	         writer of the same id sees it, route st, and on a tiered
-//	         index absorb it in the same hold
-//	apply    without the table lock, unless absorbed: the tree
-//	         operation(s), under whatever locks the stacks' trees take
-//	log      append st's record; the call acknowledges only after it
-//	ack      account the step and hand on the merge-down it may have
-//	         tripped
-//	undo     on an apply or log failure: the inverse step goes through
-//	         the same apply (after a log failure; a failed apply changed
-//	         nothing), and the table — with the delta tier — is
-//	         compare-and-restored
+// On a ShardedIndex the stacks work in parallel, each on its in-shard
+// moves plus its share of the cross-shard moves as delete+insert pairs,
+// in a deterministic order (departures sorted by id, then the batched
+// moves, then arrivals sorted by id). All departures complete before any
+// arrival starts, so no mover ever resides in two shards at once. With
+// the memtable tier on nothing is applied: the batch is absorbed
+// atomically, under the table lock, each change into the tier(s) of the
+// stacks it touches. Either way the changes are logged as one record per
+// stack they ended in.
 //
-// so an error return leaves the tree(s), the tier(s) and the table as the
-// call found them, and recovery never disagrees with what the index
-// serves. A failure of the undo itself is joined into the returned error.
-func (x *index) runStep(st step) error {
-	if stageProbe != nil {
-		stageProbe("step")
-	}
-	x.gate.RLock()
-	defer x.gate.RUnlock()
-	order := &x.ids[st.id%uint64(len(x.ids))]
-	order.Lock()
-	defer order.Unlock()
-	tiered := x.tiered()
-	if st.kind != stepDelete {
-		// The check the tree performs on insertion runs here, before
-		// anything is reserved: the tier acknowledges a write before the
-		// tree sees it, and on the tree path a position the tree turns away
-		// is one the undo could not compare against (NaN != NaN).
-		if err := validatePoint(st.new); err != nil {
-			return err
-		}
-	}
-	x.mu.Lock()
-	old, ok := x.objects[st.id]
-	if ok == (st.kind == stepInsert) {
-		x.mu.Unlock()
-		if ok {
-			return fmt.Errorf("%w: %d", ErrDuplicateObject, st.id)
-		}
-		return fmt.Errorf("%w: %d", ErrUnknownObject, st.id)
-	}
-	st.old = old
-	x.put(st)
-	var full fullStacks
-	if tiered {
-		x.route(&st)
-		full = x.absorb(st)
-	}
-	x.mu.Unlock()
-	if !tiered {
-		x.route(&st) // outside the table lock, which every writer takes
-		if err := x.apply(st); err != nil {
-			x.restore(st, false)
-			return err
-		}
-	}
-	if err := logStep(x.logOf(st), tiered, st); err != nil {
-		// Applied but not logged: the caller sees an error, so the change
-		// must not stick — recovery would silently lose (or resurrect) an
-		// object the index still serves.
-		if !tiered {
-			err = errors.Join(err, x.apply(st.inverse()))
-		}
-		x.restore(st, tiered)
-		return err
-	}
-	if !tiered {
-		return nil
-	}
-	return x.acked(st, full)
+// Every id must already be in the index and every position valid; an
+// unknown id or an invalid position fails the whole batch before
+// anything is applied. A batch is a write like any other: it holds the
+// stripes of its ids from reserve to ack, so it runs one after the other
+// with any write that shares a stripe (ids equal mod 256) — another
+// batch included — and in parallel with the rest. A batch is not atomic:
+// concurrent readers may observe any subset of its changes applied (each
+// change whole), and if a change fails mid-batch the changes applied
+// before it — in leaf order, not the caller's — remain applied and are
+// the ones logged and counted in BatchResult.Applied. Only a failed log
+// append takes work back: the changes that record would have covered —
+// one stack's in-shard moves (its whole group, on the tiered path), or
+// its arrivals — are undone and not counted.
+func (x *index) UpdateBatch(changes []Change) (BatchResult, error) {
+	return x.write(opMove, changes)
 }
 
-// restore is the table half of an undo, a compare-and-restore: st's
-// outcome is taken back only if the table still shows it. A concurrent
-// batch that moves the same id (batches do not take the id's stripe) may
-// have superseded the entry between this call's failure and its rollback,
-// and that writer's state must survive; an unconditional restore would
-// diverge the table from the tree. With absorbed set the delta tier is
-// unwound in the same hold, as it was absorbed.
-func (x *index) restore(st step, absorbed bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	cur, ok := x.objects[st.id]
-	if st.kind == stepDelete {
-		if ok {
-			return // re-created by a concurrent Insert
-		}
-	} else if !ok || cur != st.new {
-		return
-	}
-	inv := st.inverse()
-	x.put(inv)
-	if absorbed {
-		x.absorb(inv)
-	}
-}
-
-// coalesceChanges validates every id against the object table, then
-// coalesces repeated moves of the same object to the final position
-// through core.Coalesce (one shared definition of the last-write-wins
-// rule) and validates the positions that survive. It returns the number
-// of superseded input changes; an unknown id aborts with
-// ErrUnknownObject, an invalid position with validatePoint's error. The
-// caller holds the table's lock.
-func coalesceChanges(changes []Change, objects map[uint64]Point) ([]core.BatchChange, int, error) {
-	if stageProbe != nil {
-		stageProbe("coalesce")
-	}
-	raw := make([]core.BatchChange, len(changes))
-	for i, c := range changes {
-		old, ok := objects[c.ID]
-		if !ok {
-			return nil, 0, fmt.Errorf("%w: %d", ErrUnknownObject, c.ID)
-		}
-		raw[i] = core.BatchChange{OID: c.ID, Old: old, New: c.To}
-	}
-	out, dropped := core.Coalesce(raw)
-	for _, c := range out {
-		if err := validatePoint(c.New); err != nil {
-			return nil, 0, err
-		}
-	}
-	return out, dropped, nil
-}
-
-// moveStep is a batch change as the routed step the undo and the tier
-// handle it as.
-func (x *index) moveStep(c core.BatchChange) step {
-	st := step{kind: stepMove, id: c.OID, old: c.Old, new: c.New}
-	x.route(&st)
-	return st
-}
-
-// reserveBatch is the reserve stage of a batch: the changes are checked
-// and coalesced against the table — an unknown id or an invalid position
-// fails the batch here, before anything is applied — and on a tiered
-// index also recorded in it and absorbed into the delta tier(s), all
-// under one hold of the table lock — racing writers see either none or
-// all of the batch at the ack level. (An untiered index's changes reach
-// the table one by one, as the trees apply them.) It returns the
-// coalesced changes and the number of input changes they superseded, and
-// marks in b the stacks whose tier the batch brought to its size
-// threshold.
-func (x *index) reserveBatch(changes []Change, b *batchRun) ([]core.BatchChange, int, error) {
-	if !x.tiered() {
-		x.mu.RLock()
-		defer x.mu.RUnlock()
-		return coalesceChanges(changes, x.objects)
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	coalesced, dropped, err := coalesceChanges(changes, x.objects)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, c := range coalesced {
-		st := x.moveStep(c)
-		x.put(st)
-		full := x.absorb(st)
-		b.work[st.src].full = b.work[st.src].full || full.src
-		b.work[st.dst].full = b.work[st.dst].full || full.dst
-	}
-	return coalesced, dropped, nil
-}
-
-// undoBatch is the undo stage of a batch whose log append failed: every
-// applied change goes back the way a single step does — its inverse
-// through the routed apply, or re-absorbed at its old position on a
-// tiered index — with the table compare-and-restored per object, so
-// concurrent writers that superseded an entry keep theirs and the failed
-// record acks nothing.
-func (x *index) undoBatch(applied []core.BatchChange) error {
-	tiered := x.tiered()
-	var err error
-	for _, c := range applied {
-		st := x.moveStep(c)
-		if !tiered {
-			err = errors.Join(err, x.apply(st.inverse()))
-		}
-		x.restore(st, tiered)
-	}
+// writeOne is a write of one change: the pipeline's batch of one.
+func (x *index) writeOne(k opKind, id uint64, p Point) error {
+	_, err := x.write(k, []Change{{ID: id, To: p}})
 	return err
 }
 
-// logAppend records an acknowledged mutation in log, blocking until it
-// is durable under the configured sync policy (concurrent callers
-// piggyback on shared fsyncs in group-commit mode). Its two callers
-// return first when durability is off (log is nil).
-func logAppend(log *wal.Log, async bool, typ wal.Type, ops []wal.Op) error {
-	var err error
-	if async {
-		// Memtable mode acknowledges at the log append alone: the
-		// background group-commit leader advances the durable horizon,
-		// and Checkpoint/Save/Close flush hard. See Options.Memtable.
-		_, err = log.AppendAsync(typ, ops)
-	} else {
-		_, err = log.Append(typ, ops)
+// write is the mutation pipeline, the only one in the package: Insert,
+// Update and Delete run it with one change of their kind, UpdateBatch
+// with its moves. Under the shared gate:
+//
+//	validate  every new position is one the tree accepts
+//	stripes   take the stripes of the write's id set in ascending order,
+//	          held to the end: writes that share an id run one after the
+//	          other, writes on different stripes in parallel
+//	reserve   under the table lock: check each id (an insert needs it
+//	          absent, a move or delete present), read its old position,
+//	          coalesce repeated moves; on a tiered index also record the
+//	          outcome in the table and absorb it, in the same hold
+//	route     in the same hold, split the changes by the stacks they
+//	          leave and end in
+//	apply     per stack, in parallel: the departures, then the stack's
+//	          group — one change through the tree's per-object call for
+//	          its kind, more through the batched bottom-up pass, none on a
+//	          tiered index — then, after a barrier, the arrivals; the table
+//	          learns each change as it lands
+//	log       one record per stack and phase, in the log of the stack the
+//	          changes ended in; the call acknowledges only after it
+//	ack       account the write and hand on the merge-down it may have
+//	          tripped
+//	undo      on a failed append: the changes the record covered go back
+//	          the way they came, and the table is restored
+//
+// so an error return leaves the tree(s), the tier(s) and the table as the
+// call found them — except for the applied and logged prefix of a batch
+// that failed part-way through a tree — and recovery never disagrees with
+// what the index serves. A failure of the undo itself is joined into the
+// returned error.
+func (x *index) write(k opKind, changes []Change) (BatchResult, error) {
+	if stageProbe != nil {
+		stageProbe("write")
 	}
-	if err != nil {
-		return fmt.Errorf("burtree: durability: %w", err)
+	if k != opDelete {
+		// The check the tree performs on insertion runs before anything is
+		// reserved: the tier acknowledges a write before the tree sees it.
+		for _, c := range changes {
+			if err := validatePoint(c.To); err != nil {
+				return BatchResult{}, err
+			}
+		}
+	}
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	held := x.lockIDs(changes)
+	defer x.unlockIDs(held)
+	b := batchRuns.Get().(*batchRun)
+	b.kind, b.tiered = k, x.tiered()
+	b.work = slices.Grow(b.work[:0], len(x.shards))[:len(x.shards)] // one slot per stack
+	defer b.release()
+	if err := x.reserve(b, changes); err != nil {
+		return BatchResult{}, err
+	}
+	if !b.tiered {
+		x.scatter(b, false)
+		x.scatter(b, true)
+	} else if x.wals != nil {
+		x.scatter(b, false) // an absorbed write has only its log records left
+	}
+	x.recordBatch(b)
+	var err, ackErr error
+	for _, s := range b.stacks {
+		w := &b.work[s]
+		b.res.Applied += w.res.Applied
+		b.res.Groups += w.res.Groups
+		b.res.GroupResolved += w.res.GroupResolved
+		b.res.Fallback += w.res.Fallback
+		b.res.CrossShard += w.res.CrossShard
+		b.res.PageIO += int(w.pages)
+		if err == nil {
+			err = w.err // the first stack's failure is the write's
+		}
+		// Only a tier the write filled hands a merge-down on; an inline
+		// drain's failure is the write's to report.
+		ackErr = errors.Join(ackErr, x.shards[s].afterAck(w.full))
+	}
+	if err == nil {
+		err = ackErr
+	}
+	if b.tiered {
+		b.res.Absorbed = b.res.Applied
+	}
+	return b.res, err
+}
+
+// reserve is the reserve and route stages of a write, in one hold of
+// the table lock. Each id is checked and its old position read into b.raw
+// — an insert's Old set to its new position and a delete's New to its old
+// one, so a change's New is always the position that decides its owner —
+// and repeated moves of one object coalesce to the last through
+// core.Coalesce (one shared definition of the last-write-wins rule). Each
+// surviving change is then routed (route). On a tiered index it is also
+// recorded in the table and absorbed in the same hold, so racing writers
+// see either none or all of the write at the ack level; an untiered
+// index's changes reach the table one by one, as the trees apply them.
+func (x *index) reserve(b *batchRun, changes []Change) error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for _, c := range changes {
+		old, ok := x.objects[c.ID]
+		switch {
+		case ok && b.kind == opInsert:
+			return fmt.Errorf("%w: %d", ErrDuplicateObject, c.ID)
+		case !ok && b.kind != opInsert:
+			return fmt.Errorf("%w: %d", ErrUnknownObject, c.ID)
+		case b.kind == opInsert:
+			old = c.To
+		case b.kind == opDelete:
+			c.To = old
+		}
+		b.raw = append(b.raw, core.BatchChange{OID: c.ID, Old: old, New: c.To})
+	}
+	coalesced := b.raw
+	if len(coalesced) > 1 {
+		coalesced, b.res.Coalesced = core.Coalesce(coalesced)
+	}
+	for _, c := range coalesced {
+		if b.tiered {
+			x.put(b.kind, c)
+		}
+		x.route(b, c)
+	}
+	// Each stack carries out its departures, and later its arrivals, in id
+	// order (slices.SortFunc: unlike sort.Slice it allocates nothing).
+	if len(b.cross) > 1 {
+		slices.SortFunc(b.cross, func(a, c crossMove) int { return cmp.Compare(a.OID, c.OID) })
 	}
 	return nil
 }
 
-// logStep appends st's record. A move is logged as a one-change batch;
-// replay re-routes it through the batched update path. The nil check
-// comes before the record is built, so a volatile index allocates
-// nothing here.
-func logStep(log *wal.Log, async bool, st step) error {
-	if log == nil {
-		return nil
+// undo is the undo stage, for the changes of b a record whose append
+// failed would have covered: each goes back the way it came — on the tree
+// path its inverse through the stack, or the two stacks, it touched; on a
+// tiered index its inverse absorbed, cancelling or superseding its delta —
+// and the table is restored. The write still holds its ids' stripes, so
+// no other writer can have moved the entries on since.
+func (x *index) undo(b *batchRun, applied []core.BatchChange) error {
+	var err error
+	ik := b.kind.inverse()
+	for _, c := range applied {
+		inv := core.BatchChange{OID: c.OID, Old: c.New, New: c.Old}
+		src, dst := x.ends(inv)
+		switch {
+		case b.tiered:
+		case src == dst:
+			err = errors.Join(err, x.shards[src].apply(ik, inv))
+		default:
+			err = errors.Join(err, relocate(x.shards[src], x.shards[dst], inv.OID, inv.Old, inv.New))
+		}
+		x.mu.Lock()
+		x.put(ik, inv)
+		if b.tiered {
+			x.absorb(b, ik, inv, src, dst)
+		}
+		x.mu.Unlock()
 	}
-	typ, op := wal.TypeBatch, wal.Op{ID: st.id, X: st.new.X, Y: st.new.Y}
-	switch st.kind {
-	case stepInsert:
-		typ = wal.TypeInsert
-	case stepDelete:
-		typ, op = wal.TypeDelete, wal.Op{ID: st.id}
-	}
-	return logAppend(log, async, typ, []wal.Op{op})
+	return err
 }
 
-// logBatch appends one record covering the changes of a batch that ended
-// in stack s, in that stack's log.
-func (x *index) logBatch(s int, async bool, applied []core.BatchChange) error {
+// logTypes is the record type a phase of each kind of write is logged as:
+// moves as a batch record, which replay re-routes change by change,
+// re-deriving a cross-shard delete+insert.
+var logTypes = [...]wal.Type{opMove: wal.TypeBatch, opInsert: wal.TypeInsert, opDelete: wal.TypeDelete}
+
+// logBatch appends one record covering the changes of kind k a phase
+// applied (or absorbed) in stack s, in that stack's log, encoded in w's
+// buffer, and blocks until it is durable under the configured sync policy
+// (concurrent callers piggyback on shared fsyncs in group-commit mode).
+// With async set — memtable mode — it acknowledges at the append alone:
+// the background group-commit leader advances the durable horizon, and
+// Checkpoint/Save/Close flush hard. See Options.Memtable.
+func (x *index) logBatch(w *shardWork, s int, k opKind, async bool, applied []core.BatchChange) error {
 	if len(applied) == 0 || x.wals == nil {
 		return nil
 	}
-	ops := make([]wal.Op, len(applied))
-	for i, c := range applied {
-		ops[i] = wal.Op{ID: c.OID, X: c.New.X, Y: c.New.Y}
+	w.ops = w.ops[:0]
+	for _, c := range applied {
+		op := wal.Op{ID: c.OID, X: c.New.X, Y: c.New.Y}
+		if k == opDelete {
+			op = wal.Op{ID: c.OID} // a delete record names the id alone
+		}
+		w.ops = append(w.ops, op)
 	}
-	return logAppend(x.wals[s], async, wal.TypeBatch, ops)
+	appendOps := x.wals[s].Append
+	if async {
+		appendOps = x.wals[s].AppendAsync
+	}
+	if _, err := appendOps(logTypes[k], w.ops); err != nil {
+		return fmt.Errorf("burtree: durability: %w", err)
+	}
+	return nil
 }
 
 // BulkInsert loads many objects at once into an empty index using the

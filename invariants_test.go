@@ -76,12 +76,12 @@ func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 }
 
 // TestShardedWriteRunsPipelineOnce counts, through stageProbe, how often a
-// call enters the pipeline, on every front-end: every single-object write —
-// whichever shards it touches — is one runStep, and a batch — however many
-// shards it spreads over — is one coalesceChanges and no runStep. Routing
-// is a stage of the one pipeline, not a second pipeline nested in the
-// first; and there is no second table for one to run on: a tree stack
-// holds no object table, no gate and no log.
+// call enters the pipeline, on every front-end and tier: every write —
+// Insert, Update and Delete, whichever shards they touch, and a batch,
+// however many shards it spreads over — is one index.write. Routing is a
+// stage of the one pipeline, not a second pipeline nested in the first;
+// and there is no second table for one to run on: a tree stack holds no
+// object table, no gate and no log.
 func TestShardedWriteRunsPipelineOnce(t *testing.T) {
 	stack := reflect.TypeOf(treeStack{})
 	for i := 0; i < stack.NumField(); i++ {
@@ -116,13 +116,12 @@ func TestShardedWriteRunsPipelineOnce(t *testing.T) {
 			calls := []struct {
 				name string
 				call func() error
-				want string
 			}{
-				{"Insert", func() error { return x.Insert(1, corners[0]) }, "step"},
-				{"Insert2", func() error { return x.Insert(2, corners[1]) }, "step"},
-				{"Insert3", func() error { return x.Insert(3, corners[2]) }, "step"},
-				{"UpdateSameShard", func() error { return x.Update(1, near) }, "step"},
-				{"UpdateCrossShard", func() error { return x.Update(1, corners[3]) }, "step"},
+				{"Insert", func() error { return x.Insert(1, corners[0]) }},
+				{"Insert2", func() error { return x.Insert(2, corners[1]) }},
+				{"Insert3", func() error { return x.Insert(3, corners[2]) }},
+				{"UpdateSameShard", func() error { return x.Update(1, near) }},
+				{"UpdateCrossShard", func() error { return x.Update(1, corners[3]) }},
 				{"UpdateBatch", func() error {
 					// In-shard moves in two shards, a cross-shard move out of a
 					// third, and a repeated id for the coalesce to drop.
@@ -134,16 +133,16 @@ func TestShardedWriteRunsPipelineOnce(t *testing.T) {
 						t.Errorf("%s: UpdateBatch result %+v, want 3 applied, 1 coalesced, %d cross-shard", fe.name, res, crossShard)
 					}
 					return err
-				}, "coalesce"},
-				{"Delete", func() error { return x.Delete(1) }, "step"},
+				}},
+				{"Delete", func() error { return x.Delete(1) }},
 			}
 			for _, c := range calls {
 				clear(counts)
 				if err := c.call(); err != nil {
 					t.Fatalf("%s: %s: %v", fe.name, c.name, err)
 				}
-				if len(counts) != 1 || counts[c.want] != 1 {
-					t.Errorf("%s, memtable %v: %s entered the pipeline as %v, want exactly one %q", fe.name, tier.Enabled, c.name, counts, c.want)
+				if len(counts) != 1 || counts["write"] != 1 {
+					t.Errorf("%s, memtable %v: %s entered the pipeline as %v, want exactly one \"write\"", fe.name, tier.Enabled, c.name, counts)
 				}
 			}
 			if err := x.CheckInvariants(); err != nil {
@@ -153,12 +152,14 @@ func TestShardedWriteRunsPipelineOnce(t *testing.T) {
 	}
 }
 
-// TestRacingSameIDWritesStayConsistent races single-object writes on the
-// same few ids from several goroutines: the per-id stripe runStep holds
-// orders them, so whatever order they ran in, the tree(s) end where the
-// object table says — which the entry-by-entry CheckInvariants verifies.
-// (Ordered by the table lock alone, two racing moves can both succeed and
-// leave the tree at the position the table has already replaced.)
+// TestRacingSameIDWritesStayConsistent races writes on the same few ids
+// from several goroutines — single writers and two UpdateBatch writers
+// whose 4-change batches move the same ids: every write holds the stripes
+// of its ids, so whatever order they ran in, the tree(s) and the delta
+// tier end where the object table says — which the entry-by-entry
+// CheckInvariants verifies. (Ordered by the table lock alone, two racing
+// moves can both succeed and leave the tree at the position the table has
+// already replaced.)
 func TestRacingSameIDWritesStayConsistent(t *testing.T) {
 	rows := []struct {
 		name string
@@ -167,6 +168,14 @@ func TestRacingSameIDWritesStayConsistent(t *testing.T) {
 		{"ConcurrentIndex", func(t *testing.T) walFailureIndex { return openConcurrentTest(t, GeneralizedBottomUp) }},
 		{"ShardedIndex", func(t *testing.T) walFailureIndex {
 			return openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardGrid})
+		}},
+		{"ShardedIndexMemtable", func(t *testing.T) walFailureIndex {
+			x, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, PageSize: 256, ExpectedObjects: 256,
+				Memtable: Memtable{Enabled: true, MaxObjects: 64}}, ShardOptions{Shards: 4, Partition: ShardGrid})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return x
 		}},
 	}
 	for _, row := range rows {
@@ -179,14 +188,30 @@ func TestRacingSameIDWritesStayConsistent(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			anywhere := func(r *rand.Rand) Point { return Point{X: r.Float64(), Y: r.Float64()} } // most moves cross shards
 			var wg sync.WaitGroup
-			errs := make([]error, 4)
+			errs := make([]error, 6)
 			for w := range errs {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					r := rand.New(rand.NewSource(int64(w)))
 					for i := 0; i < 300 && errs[w] == nil; i++ {
+						if w >= 4 {
+							// A batch writer, over ids that were present a moment
+							// ago: a racing delete may have taken one since, which
+							// fails the batch whole.
+							batch := make([]Change, 0, 4)
+							for tries := 0; len(batch) < cap(batch) && tries < 64; tries++ {
+								if id := uint64(r.Intn(ids)); func() bool { _, ok := x.Location(id); return ok }() {
+									batch = append(batch, Change{ID: id, To: anywhere(r)})
+								}
+							}
+							if _, err := x.UpdateBatch(batch); err != nil && !errors.Is(err, ErrUnknownObject) {
+								errs[w] = err
+							}
+							continue
+						}
 						id := uint64(r.Intn(ids))
 						switch err := error(nil); r.Intn(8) {
 						case 0:
@@ -195,12 +220,11 @@ func TestRacingSameIDWritesStayConsistent(t *testing.T) {
 								errs[w] = err
 							}
 						case 1:
-							if err = x.Insert(id, Point{X: r.Float64(), Y: r.Float64()}); err != nil && !errors.Is(err, ErrDuplicateObject) {
+							if err = x.Insert(id, anywhere(r)); err != nil && !errors.Is(err, ErrDuplicateObject) {
 								errs[w] = err
 							}
 						default:
-							// Anywhere in the unit square: most moves cross shards.
-							if err = x.Update(id, Point{X: r.Float64(), Y: r.Float64()}); err != nil && !errors.Is(err, ErrUnknownObject) {
+							if err = x.Update(id, anywhere(r)); err != nil && !errors.Is(err, ErrUnknownObject) {
 								errs[w] = err
 							}
 						}

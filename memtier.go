@@ -118,10 +118,9 @@ func (s MemtableStats) add(o MemtableStats) MemtableStats {
 }
 
 // validatePoint rejects coordinates the tree would reject on insertion.
-// It runs at the reserve stage of every write, tiered or not
-// (objectTable.runStep and coalesceChanges): the tier acknowledges
-// writes before the tree sees them, and on the tree path a NaN that got
-// as far as the table could not be compared away again by the undo.
+// It runs at the validate stage of every write, tiered or not (index.write),
+// before anything is reserved: the tier acknowledges writes before the
+// tree sees them.
 func validatePoint(p Point) error {
 	if p.X != p.X || p.Y != p.Y {
 		return fmt.Errorf("burtree: invalid position (%v, %v)", p.X, p.Y)

@@ -16,7 +16,7 @@ import (
 )
 
 // This file is how an index (engine.go) uses its stacks: the routing of a
-// step and of a batch to the stacks they touch, the scatter of a read
+// write to the stacks it touches, the scatter of a read
 // over the stacks its window meets, and what only a ShardedIndex offers.
 // With one stack every route is to stack 0 and every scatter has one
 // target.
@@ -266,14 +266,15 @@ func (x *index) shardCounts() []int {
 	return out
 }
 
-// route fills in the stack st takes the object from and the one that
-// owns it afterwards; st.old must be known.
-func (x *index) route(st *step) {
-	st.dst = x.router.ShardOf(st.at())
-	st.src = st.dst
-	if st.kind == stepMove {
-		st.src = x.router.ShardOf(st.old)
+// ends returns the stacks change c leaves and ends in — the same one for
+// an insert, a delete and a move that stays in its shard. Reserve gives an
+// insert's and a delete's change the one position they have as both Old
+// and New.
+func (x *index) ends(c core.BatchChange) (src, dst int) {
+	if dst = x.router.ShardOf(c.New); c.Old == c.New {
+		return dst, dst
 	}
+	return x.router.ShardOf(c.Old), dst
 }
 
 // tiered reports whether writes are absorbed, never applied, and the log
@@ -281,89 +282,52 @@ func (x *index) route(st *step) {
 // none does.
 func (x *index) tiered() bool { return x.shards[0].tiered() }
 
-// fullStacks is what the tiers told the absorb of one step — the source
-// or the destination stack's tier stands at its size threshold — carried
-// from the absorb, under the table lock, to the ack.
-type fullStacks struct{ src, dst bool }
-
-// absorb hands st to the delta tier of the stack(s) it touches. Called
-// with the object table locked: the table and the tiers transition
-// together, so racing writers to one id absorb their deltas in the order
-// the table accepted them. A step that stays in its shard is that stack's
-// delta; a move that changes shards leaves a tombstone in the source
-// stack's tier and an insert in the destination's, so each stack's
-// merge-down later does its own half.
-func (x *index) absorb(st step) (full fullStacks) {
-	if st.src == st.dst {
-		full.dst = x.shards[st.dst].absorb(st)
-		return full
+// absorb hands c, of kind k, to the delta tier of the stack(s) it
+// touches, src and dst, and marks in b the stacks whose tier now stands at
+// its size threshold, for the ack to hand their merge-down on. Called with
+// the object table locked: the table and the tiers transition together,
+// so racing writers to one id absorb their deltas in the order the table
+// accepted them. A change that stays in its shard is that stack's delta; a
+// move that changes shards leaves a tombstone in the source stack's tier
+// and an insert in the destination's, so each stack's merge-down later
+// does its own half.
+func (x *index) absorb(b *batchRun, k opKind, c core.BatchChange, src, dst int) {
+	if src != dst {
+		// Each absorb runs whatever the flag already says.
+		b.work[src].full = x.shards[src].absorb(opDelete, c) || b.work[src].full
+		k = opInsert
 	}
-	full.src = x.shards[st.src].absorb(step{kind: stepDelete, id: st.id, old: st.old})
-	full.dst = x.shards[st.dst].absorb(step{kind: stepInsert, id: st.id, new: st.new})
-	return full
+	b.work[dst].full = x.shards[dst].absorb(k, c) || b.work[dst].full
 }
 
-// apply carries st out on the stack trees, without the table lock and
-// only on an untiered index, with st.old from the one table: the owning
-// stack's insert, delete or bottom-up update, or — for a move that changes
-// shards — a relocation from the source stack to the destination.
+// recordBatch and readFrom are where the pipeline reaches the load
+// tracker, and the only places that ask whether the index keeps one (a
+// ShardedIndex does): the write path's one and the read paths' one.
 //
-// A step that succeeds is accounted (recordStep) with the pages its
-// brackets measured in the stack(s) it touched. The inverse steps of an
-// undo are not accounted.
-func (x *index) apply(st step) error {
-	mDst, mSrc := meterShard(x.shards[st.dst]), meterShard(x.shards[st.src])
-	var err error
-	if st.src == st.dst {
-		err = x.shards[st.dst].apply(st)
-	} else {
-		err = relocate(x.shards[st.src], x.shards[st.dst], st.id, st.old, st.new)
-	}
-	if err == nil && !st.undo {
-		x.recordStep(st, mDst.done(), mSrc.done())
-	}
-	return err
-}
-
-// recordStep, recordBatch and readFrom are where the pipeline reaches the
-// load tracker, and the only places that ask whether the index keeps one
-// (a ShardedIndex does): the write paths' two and the read paths' one.
-//
-// recordStep accounts one update operation to the stack that owns st's
-// object afterwards, weighing its cell with the pages the step cost
-// there; a cross-shard move also weighs the cell the object left with
-// its real departure I/O, at no operation.
-func (x *index) recordStep(st step, dstPages, srcPages uint64) {
-	if x.load == nil {
-		return
-	}
-	x.load.RecordBatch(st.dst, dstPages, []shard.CellCount{{Cell: shard.CellKey(st.at()), N: 1}})
-	if st.src != st.dst {
-		x.load.RecordBatch(st.src, srcPages, []shard.CellCount{{Cell: shard.CellKey(st.old)}})
-	}
-}
-
-// recordBatch accounts a batch by its offered stream, before coalescing: a
+// recordBatch accounts a write by its offered stream, before coalescing: a
 // hot object updated many times per batch coalesces into one applied
 // change, but each of those updates was traffic the owning stack absorbed
 // — undercounting them would hide exactly the skew the rebalancer exists
-// to detect. Each stack's tally weighs its cells with the foreground pages
-// the stack's phases measured (even on error — the I/O was spent); what a
-// departure-only stack spent stays in its ledger: its moves are tallied
-// at their destination.
-func (x *index) recordBatch(changes []Change, work []shardWork) {
+// to detect. Each change is tallied at the position that decides its
+// owner: a delete's old position, otherwise the new one. Each stack's
+// tally weighs its cells with the foreground pages the stack's phases
+// measured (even on error — the I/O was spent); what a departure-only
+// stack spent stays in its ledger: its moves are tallied at their
+// destination.
+func (x *index) recordBatch(b *batchRun) {
 	if x.load == nil {
 		return
 	}
-	for _, c := range changes {
-		w := &work[x.router.ShardOf(c.To)]
-		if w.offered == nil {
-			w.offered = make([]shard.CellCount, 0, evenShare(len(changes), len(work)))
+	for _, c := range b.raw {
+		s := b.owner // a write of one change is routed as offered
+		if len(b.raw) > 1 {
+			s = x.router.ShardOf(c.New)
 		}
-		w.offered = addCellCount(w.offered, shard.CellKey(c.To), 1)
+		w := b.touch(s)
+		w.offered = addCellCount(w.offered, shard.CellKey(c.New), 1)
 	}
-	for s := range work {
-		x.load.RecordBatch(s, work[s].pages, work[s].offered)
+	for _, s := range b.stacks {
+		x.load.RecordBatch(s, b.work[s].pages, b.work[s].offered)
 	}
 }
 
@@ -377,107 +341,111 @@ func (x *index) readFrom(s int) *treeStack {
 	return x.shards[s]
 }
 
-// logOf names the log st is recorded in (nil when durability is off): a
-// step is logged once, in the log of the stack that owns the object
-// afterwards (a delete, in the one that owned it); replay re-routes it,
-// re-deriving the cross-shard delete+insert.
-func (x *index) logOf(st step) *wal.Log {
-	if x.wals == nil {
-		return nil
-	}
-	return x.wals[st.dst]
-}
-
-// acked runs after an absorbed step is logged. It never reached apply,
-// so it is accounted here — to the stack that owns the object afterwards,
-// at no page cost — and the stacks whose tiers it grew hand on the
-// merge-down it may have tripped (treeStack.afterAck); an inline drain's
-// failure is the write's to report, though the write stays logged.
-func (x *index) acked(st step, full fullStacks) error {
-	x.recordStep(st, 0, 0)
-	err := x.shards[st.dst].afterAck(full.dst)
-	if st.src != st.dst {
-		err = errors.Join(x.shards[st.src].afterAck(full.src), err)
-	}
-	return err
-}
-
-// evenShare is the capacity a stack's slice of an n-element batch starts
-// with: an even share plus slack, so a balanced batch — or one stack's
-// whole batch — fills it without regrowth.
-func evenShare(n, stacks int) int { return n/stacks + 8 }
-
-// crossMove is one batch change that leaves its shard: a delete in src
-// followed by an insert in dst, with enough state to roll back.
+// crossMove is one move that leaves its shard: a delete in src followed
+// by an insert in dst, with enough state to roll back.
 type crossMove struct {
 	core.BatchChange
 	src, dst int
 	departed bool // the src delete succeeded; dst owes an insert
 }
 
-// shardWork is one stack's slice of a batch: the coalesced moves that
+// shardWork is one stack's slice of a write: the coalesced changes that
 // end in this stack — on the tree path only those that also start here,
-// the others being the batch's cross moves — plus how many cross moves
-// it has a side of, and what the batch's phases leave behind for it.
+// the others being the write's cross moves — plus how many cross moves
+// it has a side of, and what the write's phases leave behind for it.
 type shardWork struct {
 	stay    []core.BatchChange
 	departs int // cross moves that leave this stack
-	arrives int // moves that came from another stack: cross moves that end here or, on the tiered path, changes in stay
+	arrives int // cross moves that end in this stack
 
+	res     BatchResult       // what the write applied here: counted by route on a tiered index, by the phases otherwise
 	pages   uint64            // foreground pages the phases measured
 	err     error             // the phases' failures, joined
-	full    bool              // the batch brought this stack's tier to its size threshold
-	offered []shard.CellCount // recordBatch's tally of the input changes that target this stack, per cell
+	full    bool              // the write brought this stack's tier to its size threshold
+	offered []shard.CellCount // recordBatch's tally of the offered changes this stack owns, per cell
+	ops     []wal.Op          // logBatch's buffer
+	listed  bool              // the stack is in batchRun.stacks
 }
 
-// batchRun is the state the phases of one UpdateBatch share: the routed
-// work, per stack — one allocation, sized by the stack count — and the
-// tree path's cross-shard moves in id order; res is guarded by mu while a
-// phase runs.
+// batchRun is the state the stages of one write share: its kind, the
+// offered changes with their old positions (raw), the routed work per
+// stack, the tree path's cross-shard moves in id order and the write's
+// result. Runs are pooled with their buffers, so a write of one change
+// allocates nothing.
 type batchRun struct {
-	work   []shardWork
-	cross  []crossMove
+	kind   opKind
 	tiered bool
+	raw    []core.BatchChange
+	work   []shardWork
+	stacks []int // the stacks the write touches, in the order first touched
+	cross  []crossMove
+	owner  int            // the stack the last routed change ends in
 	wg     sync.WaitGroup // the phase in flight
-	mu     sync.Mutex
 	res    BatchResult
 }
 
-// routeBatch splits a coalesced batch by stack. On the tiered path there
-// are no departures or arrivals to schedule — the batch is already
-// absorbed — so a stack's group is everything it owns afterwards, the
-// unit of its log record.
-func (x *index) routeBatch(b *batchRun, coalesced []core.BatchChange) {
-	for _, c := range coalesced {
-		src, dst := x.router.ShardOf(c.Old), x.router.ShardOf(c.New)
-		if src != dst {
-			b.work[dst].arrives++
-			if !b.tiered {
-				b.work[src].departs++
-				b.cross = append(b.cross, crossMove{BatchChange: c, src: src, dst: dst})
-				continue
-			}
-		}
-		w := &b.work[dst]
-		if w.stay == nil {
-			w.stay = make([]core.BatchChange, 0, evenShare(len(coalesced), len(b.work)))
-		}
-		w.stay = append(w.stay, c)
+var batchRuns = sync.Pool{New: func() any { return new(batchRun) }}
+
+// touch returns stack s's work, listing s among the stacks the write
+// touches the first time.
+func (b *batchRun) touch(s int) *shardWork {
+	w := &b.work[s]
+	if !w.listed {
+		w.listed = true
+		b.stacks = append(b.stacks, s)
 	}
-	// Each stack carries out its departures, and later its arrivals, in id
-	// order (slices.SortFunc: unlike sort.Slice it allocates nothing).
-	slices.SortFunc(b.cross, func(a, c crossMove) int { return cmp.Compare(a.OID, c.OID) })
+	return w
 }
 
-// scatter runs one phase of a batch — the stays, or the arrivals — on
+// release empties the run, keeping its buffers, and returns it to the
+// pool. Only the stacks the write touched have work to clear.
+func (b *batchRun) release() {
+	for _, s := range b.stacks {
+		w := &b.work[s]
+		w.stay, w.offered, w.ops = w.stay[:0], w.offered[:0], w.ops[:0]
+		w.listed, w.departs, w.arrives, w.res, w.pages, w.err, w.full = false, 0, 0, BatchResult{}, 0, nil, false
+	}
+	b.raw, b.stacks, b.cross, b.res = b.raw[:0], b.stacks[:0], b.cross[:0], BatchResult{}
+	batchRuns.Put(b)
+}
+
+// route hands one coalesced change to the stacks it leaves and ends in.
+// On a tiered index it is absorbed there — the caller holds the table
+// lock and records the change in the table in the same hold — and joins
+// the group of the stack that owns it afterwards: the unit of that stack's
+// log record. On the tree path a change that stays in its shard joins its
+// stack's group; one that changes shards becomes a cross move, a
+// departure from its source stack and an arrival in its destination.
+func (x *index) route(b *batchRun, c core.BatchChange) {
+	src, dst := x.ends(c)
+	b.owner = dst
+	from, to := b.touch(src), b.touch(dst)
+	switch {
+	case b.tiered:
+		x.absorb(b, b.kind, c, src, dst)
+		to.res.Applied++
+		if src != dst {
+			to.res.CrossShard++
+		}
+	case src != dst:
+		from.departs++
+		to.arrives++
+		b.cross = append(b.cross, crossMove{BatchChange: c, src: src, dst: dst})
+		return
+	}
+	to.stay = append(to.stay, c)
+}
+
+// scatter runs one phase of a write — the stays, or the arrivals — on
 // every stack the phase has work for, in parallel: no operation ever
 // holds locks in two stacks, so the schedule is deadlock-free by
 // construction. The last such stack runs on the caller's goroutine, which
-// would otherwise only wait, so a phase with one target starts none. It
-// returns when every stack is done: the barrier between the phases.
+// would otherwise only wait, so a phase with one target — every phase of a
+// write of one change — starts none. It returns when every stack is done:
+// the barrier between the phases.
 func (x *index) scatter(b *batchRun, arrivals bool) {
 	last := -1
-	for s := range b.work {
+	for _, s := range b.stacks {
 		w := &b.work[s]
 		if arrivals && w.arrives == 0 || !arrivals && len(w.stay)+w.departs == 0 {
 			continue
@@ -497,47 +465,52 @@ func (x *index) scatter(b *batchRun, arrivals bool) {
 	b.wg.Wait()
 }
 
-// runPhase runs one phase on stack s and folds its result, failure and
-// bracketed page I/O into the run.
+// runPhase runs one phase on stack s and folds its failure into the
+// stack's work; the phase adds its result there. No other stack's phase
+// touches that work.
+//
+// The phase is bracketed in the stack's ledger: the foreground pages
+// counted meanwhile are its pages, floored at zero (a ResetStats inside
+// the bracket runs the ledger backward). Pages from overlapping operations
+// on the same stack land in every open bracket, so the figure over-counts
+// under concurrency. It is kept for the two figures no cumulative counter
+// can give: the weight of an update in its cell of the rebalancer's
+// histogram, where only relative weight within a shard matters, and
+// BatchResult.PageIO. Everything per shard — its cost, its share, what
+// Stats reports — is read from the ledger itself.
 func (x *index) runPhase(b *batchRun, s int, arrivals bool) {
-	m := meterShard(x.shards[s])
-	var br BatchResult
+	w, io := &b.work[s], x.shards[s].io
+	before := io.Foreground()
 	var err error
 	if arrivals {
-		br, err = x.batchArrivals(b, s)
+		err = x.batchArrivals(b, s)
 	} else {
-		br, err = x.batchStays(b, s)
+		err = x.batchStays(b, s)
 	}
-	b.work[s].pages += m.done()
+	w.pages += uint64(max(io.Foreground()-before, 0))
 	// Join rather than keep-first: a phase-1 error must not mask an
 	// arrival failure (possible object loss).
-	b.work[s].err = errors.Join(b.work[s].err, err)
-	b.mu.Lock()
-	b.res.Applied += br.Applied
-	b.res.Groups += br.Groups
-	b.res.GroupResolved += br.GroupResolved
-	b.res.Fallback += br.Fallback
-	b.res.CrossShard += br.CrossShard
-	b.mu.Unlock()
+	w.err = errors.Join(w.err, err)
 }
 
-// batchStays is phase 1 of a batch on stack s: the departures, then the
-// stack's group — on the tree path its in-shard moves, through the
-// stack's batched bottom-up pass; on the tiered path, where the group is
-// already absorbed, nothing — and then the group's log record. An error
-// stops the stack's remaining work; the other stacks and phase 2 still
-// run, so every departed mover gets its arrival attempted — a batch is
-// not atomic, but it never strands an object outside every stack.
-func (x *index) batchStays(b *batchRun, s int) (BatchResult, error) {
+// batchStays is phase 1 of a write on stack s: the departures, then the
+// stack's group — on the tree path through the tree's per-object call for
+// the write's kind when the group is one change, so a single write costs
+// the tree what it always has, and through the stack's batched bottom-up
+// pass when it is more; on the tiered path, where the group is already
+// absorbed, nothing — and then the group's log record. An error stops the
+// stack's remaining work; the other stacks and phase 2 still run, so
+// every departed mover gets its arrival attempted — a batch is not
+// atomic, but it never strands an object outside every stack.
+func (x *index) batchStays(b *batchRun, s int) error {
 	w := &b.work[s]
-	var br BatchResult
 	for i := range b.cross {
 		cm := &b.cross[i]
 		if cm.src != s {
 			continue
 		}
-		if err := x.shards[s].apply(step{kind: stepDelete, id: cm.OID, old: cm.Old}); err != nil {
-			return br, err
+		if err := x.shards[s].apply(opDelete, cm.BatchChange); err != nil {
+			return err
 		}
 		cm.departed = true
 	}
@@ -545,31 +518,36 @@ func (x *index) batchStays(b *batchRun, s int) (BatchResult, error) {
 	// applied is that prefix (all of w.stay when err == nil), kept for the
 	// stack's log record.
 	applied, err := w.stay, error(nil)
-	if b.tiered {
-		br.Applied, br.CrossShard = len(w.stay), w.arrives
-	} else {
-		var tree BatchResult // escapes into the tree's callback: allocated on this path only
-		applied, err = x.shards[s].applyBatch(&x.objectTable, w.stay, x.wals != nil, &tree)
-		br = tree
+	switch {
+	case b.tiered: // absorbed and counted at reserve: only the log record is left
+	case len(w.stay) == 1:
+		if err = x.shards[s].apply(b.kind, w.stay[0]); err != nil {
+			applied = nil
+		} else {
+			x.record(b.kind, w.stay[0])
+			w.res.Applied, w.res.Fallback = 1, 1
+		}
+	case len(w.stay) > 1:
+		applied, err = x.shards[s].applyBatch(&x.objectTable, w.stay, x.wals != nil, &w.res)
 	}
 	// One record covers the applied prefix — all of the group on success,
 	// exactly the changes before the failure otherwise.
-	if werr := x.logBatch(s, b.tiered, applied); werr != nil {
+	if werr := x.logBatch(w, s, b.kind, b.tiered, applied); werr != nil {
 		// Applied (or absorbed) but not logged: the prefix goes back the
-		// way it came and the table is compare-and-restored, so the failed
-		// record acks nothing.
-		br.Applied, br.CrossShard = 0, 0
-		return br, errors.Join(err, werr, x.undoBatch(applied))
+		// way it came and the table is restored, so the failed record acks
+		// nothing.
+		w.res.Applied, w.res.CrossShard = 0, 0
+		return errors.Join(err, werr, x.undo(b, applied))
 	}
-	return br, err
+	return err
 }
 
-// batchArrivals is phase 2 of a tree-path batch on stack s: the arrivals
+// batchArrivals is phase 2 of a tree-path write on stack s: the arrivals
 // of the movers whose departure succeeded, and their log record.
-func (x *index) batchArrivals(b *batchRun, s int) (BatchResult, error) {
+func (x *index) batchArrivals(b *batchRun, s int) error {
+	w := &b.work[s]
 	var arrived []core.BatchChange
 	var err error
-	n := 0
 	for i := range b.cross {
 		cm := &b.cross[i]
 		if cm.dst != s || !cm.departed {
@@ -581,99 +559,24 @@ func (x *index) batchArrivals(b *batchRun, s int) (BatchResult, error) {
 			err = errors.Join(err, aerr)
 			continue
 		}
-		x.record(cm.BatchChange)
-		n++
+		x.record(opMove, cm.BatchChange)
+		w.res.Applied++
+		w.res.CrossShard++
 		if x.wals != nil {
 			arrived = append(arrived, cm.BatchChange)
 		}
 	}
 	// One record covers this stack's arrivals; replay re-routes each
 	// move, re-deriving the cross-shard delete+insert.
-	if werr := x.logBatch(s, false, arrived); werr != nil {
-		// Arrived but not logged: each mover goes back through the routed
-		// apply to the stack it came from, and the table is compare-and-
-		// restored, so the failed record acks nothing.
-		return BatchResult{}, errors.Join(err, werr, x.undoBatch(arrived))
+	if werr := x.logBatch(w, s, opMove, false, arrived); werr != nil {
+		// Arrived but not logged: each mover goes back through the stacks
+		// it crossed and the table is restored, so the failed record acks
+		// nothing.
+		w.res.Applied -= len(arrived)
+		w.res.CrossShard -= len(arrived)
+		return errors.Join(err, werr, x.undo(b, arrived))
 	}
-	return BatchResult{Applied: n, CrossShard: n}, err
-}
-
-// UpdateBatch moves many objects at once through the batched bottom-up
-// pipeline: repeated moves of the same object are coalesced to the last
-// position — once, against the index's one object table — and the
-// surviving changes are routed to the stacks by target cell. Each stack
-// sorts its in-shard moves into per-leaf runs with one hash probe each and
-// applies each run in one bottom-up pass — one leaf read, one MBR
-// extension decision covering the whole group, one write — falling back
-// to the configured strategy's per-object path only for the changes the
-// group pass cannot resolve. With the TopDown strategy (which has no
-// per-leaf state to amortize) the batch degrades to a sequential
-// application. On a DGL-locked tree each run acquires its granule locks
-// once — the union of the members' movement cells plus the run's leaf and
-// parent page granules, derived from the leaf — and changes that need an
-// ascent or a top-down pass are applied after the runs under exclusive
-// access, at most 32 per exclusive section, so readers queued behind the
-// batch get in between sections.
-//
-// On a ShardedIndex the stacks work in parallel, each on its in-shard
-// moves plus its share of the cross-shard moves as delete+insert pairs,
-// in a deterministic order (departures sorted by id, then the batched
-// moves, then arrivals sorted by id). All departures complete before any
-// arrival starts, so no mover ever resides in two shards at once. With
-// the memtable tier on nothing is applied: the batch is absorbed
-// atomically, under the table lock, each change into the tier(s) of the
-// stacks it touches. Either way the changes are logged as one record per
-// stack they ended in.
-//
-// Every id must already be in the index; an unknown id fails the whole
-// batch before anything is applied. A batch is not atomic: concurrent
-// readers may observe any subset of its changes applied (each change
-// whole), and if a change fails mid-batch the changes applied before it
-// — in leaf order, not the caller's — remain applied and are the ones
-// logged and counted in BatchResult.Applied. Only a failed log append
-// takes work back: the changes that record would have covered — one
-// stack's in-shard moves (its whole group, on the tiered path), or its
-// arrivals — are undone and not counted. A batch does not take the
-// per-id stripes single writes are ordered by: concurrent writes to ids
-// that are also in the batch race with it — last writer wins on the
-// object table only, the tree may keep the other's position, and a racing
-// cross-shard move can make part of the batch fail against the moved
-// object's old shard — so callers keep such writers apart (disjoint id
-// ranges per writer, as the experiment harness and examples do).
-func (x *index) UpdateBatch(changes []Change) (BatchResult, error) {
-	x.gate.RLock()
-	defer x.gate.RUnlock()
-	b := batchRun{work: make([]shardWork, len(x.shards)), tiered: x.tiered()}
-	coalesced, dropped, err := x.reserveBatch(changes, &b)
-	if err != nil {
-		return b.res, err
-	}
-	b.res.Coalesced = dropped
-	x.routeBatch(&b, coalesced)
-	x.scatter(&b, false)
-	var ackErr error
-	if b.tiered {
-		b.res.Absorbed = b.res.Applied
-		// Only a stack the batch filled hands a merge-down on; an inline
-		// drain's failure is the batch's to report.
-		for s, sh := range x.shards {
-			ackErr = errors.Join(ackErr, sh.afterAck(b.work[s].full))
-		}
-	} else {
-		x.scatter(&b, true)
-	}
-	x.recordBatch(changes, b.work)
-	for s := range b.work {
-		w := &b.work[s]
-		b.res.PageIO += int(w.pages)
-		if err == nil {
-			err = w.err // the first stack's failure is the batch's
-		}
-	}
-	if err == nil {
-		err = ackErr
-	}
-	return b.res, err
+	return err
 }
 
 // Search returns the ids of all objects inside the window q, scattering

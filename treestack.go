@@ -58,7 +58,7 @@ func (s serialTree) Stats() concurrent.Stats                     { return concur
 // treeStack is one tree with what it owns: page store, buffer pool and
 // counters, the tree behind its locking protocol, and the memtable delta
 // tier with its merge-down. It knows nothing of object ids it was not
-// handed: every step and batch arrives with the old position already
+// handed: every write arrives with the old position already
 // looked up in the index's one object table, and the stack has no table,
 // no checkpoint gate and no log of its own.
 type treeStack struct {
@@ -96,74 +96,53 @@ func newStack(parts indexParts, background bool) *treeStack {
 	return s
 }
 
-// ioMark brackets one stack's share of a write: done() reports the
-// foreground pages the stack's ledger counted since the mark. Pages from
-// overlapping operations on the same stack land in every open bracket, so
-// a bracketed figure over-counts under concurrency. It is kept for the two
-// figures no cumulative counter can give: the weight of an update in its
-// cell of the rebalancer's histogram, where only relative weight within a
-// shard matters, and BatchResult.PageIO. Everything per shard — its cost,
-// its share, what Stats reports — is read from the ledger itself.
-type ioMark struct {
-	io    *stats.IO
-	pages int64
-}
-
-func meterShard(sh *treeStack) ioMark {
-	return ioMark{io: sh.io, pages: sh.io.Foreground()}
-}
-
-// done floors the figure at zero: a ResetStats inside the bracket runs the
-// ledger backward.
-func (m ioMark) done() uint64 {
-	return uint64(max(m.io.Foreground()-m.pages, 0))
-}
-
 // tiered reports whether the stack runs a delta tier, in which case
 // writes are absorbed instead of applied.
 func (s *treeStack) tiered() bool { return s.mem != nil }
 
-// absorb hands st to the delta tier as a delta (the inverse steps of an
-// undo cancel or re-absorb theirs) and returns the tier's answer: its
-// mutable generation stands at the size threshold now, which the caller
-// carries to afterAck. The caller holds the object table's lock and has
-// established that the stack is tiered.
-func (s *treeStack) absorb(st step) (full bool) {
-	switch st.kind {
-	case stepInsert:
-		return s.mem.Insert(st.id, st.new)
-	case stepMove:
-		return s.mem.Update(st.id, st.new, st.old)
+// absorb hands c, of kind k, to the delta tier as a delta (the inverse
+// changes of an undo cancel or re-absorb theirs) and returns the tier's
+// answer: its mutable generation stands at the size threshold now, which
+// the caller carries to afterAck. The caller holds the object table's
+// lock and has established that the stack is tiered.
+func (s *treeStack) absorb(k opKind, c core.BatchChange) (full bool) {
+	switch k {
+	case opInsert:
+		return s.mem.Insert(c.OID, c.New)
+	case opMove:
+		return s.mem.Update(c.OID, c.New, c.Old)
 	}
-	return s.mem.Delete(st.id, st.old)
+	return s.mem.Delete(c.OID, c.Old)
 }
 
-// apply carries st out on the tree.
-func (s *treeStack) apply(st step) error {
-	switch st.kind {
-	case stepInsert:
-		return s.tree.Insert(st.id, st.new)
-	case stepMove:
-		return s.tree.Update(st.id, st.old, st.new)
+// apply carries c, of kind k, out on the tree through the tree's
+// per-object call for that kind.
+func (s *treeStack) apply(k opKind, c core.BatchChange) error {
+	switch k {
+	case opInsert:
+		return s.tree.Insert(c.OID, c.New)
+	case opMove:
+		return s.tree.Update(c.OID, c.Old, c.New)
 	}
-	return s.tree.Delete(st.id, st.old)
+	return s.tree.Delete(c.OID, c.Old)
 }
 
-// run carries st out on this stack the way every step is: absorbed by
-// the delta tier when the stack runs one, applied to the tree otherwise.
-func (s *treeStack) run(st step) error {
+// run carries c out on this stack the way a relocation needs:
+// absorbed by the delta tier when the stack runs one, applied to the tree
+// otherwise.
+func (s *treeStack) run(k opKind, c core.BatchChange) error {
 	if s.tiered() {
-		s.absorb(st) // a rebalance's relocation: the next write's ack carries the size trigger
+		s.absorb(k, c) // the next write's ack carries the size trigger
 		return nil
 	}
-	return s.apply(st)
+	return s.apply(k, c)
 }
 
 // relocate moves an object between two stacks without changing what the
 // object table says: a delete at old in src, then an arrival at new in
 // dst.
 func relocate(src, dst *treeStack, id uint64, old, new Point) error {
-	if err := src.run(step{kind: stepDelete, id: id, old: old}); err != nil {
+	if err := src.run(opDelete, core.BatchChange{OID: id, Old: old}); err != nil {
 		return err
 	}
 	return arrive(src, dst, id, old, new)
@@ -175,9 +154,9 @@ func relocate(src, dst *treeStack, id uint64, old, new Point) error {
 // it is lost from the trees, both errors are reported and the sticky
 // tree error will surface in CheckInvariants.
 func arrive(src, dst *treeStack, id uint64, old, new Point) error {
-	err := dst.run(step{kind: stepInsert, id: id, new: new})
+	err := dst.run(opInsert, core.BatchChange{OID: id, New: new})
 	if err != nil {
-		if rerr := src.run(step{kind: stepInsert, id: id, new: old}); rerr != nil {
+		if rerr := src.run(opInsert, core.BatchChange{OID: id, New: old}); rerr != nil {
 			err = fmt.Errorf("burtree: cross-shard move of %d failed (%w) and rollback failed: %v", id, err, rerr)
 		}
 	}
@@ -211,14 +190,14 @@ func (s *treeStack) afterAck(full bool) error {
 	return s.mem.Err()
 }
 
-// applyBatch is the tree-path apply stage of a batch: the coalesced
-// changes go through the batched bottom-up pipeline, and each one is
-// recorded in the object table t as it lands. With keep set it returns
-// the applied changes, for the log record that covers them.
+// applyBatch is the tree-path apply stage of a group of more than one
+// move: the changes go through the batched bottom-up pipeline, and each
+// one is recorded in the object table t as it lands. With keep set it
+// returns the applied changes, for the log record that covers them.
 func (s *treeStack) applyBatch(t *objectTable, coalesced []core.BatchChange, keep bool, res *BatchResult) ([]core.BatchChange, error) {
 	var applied []core.BatchChange
 	st, err := s.tree.UpdateBatch(coalesced, func(c core.BatchChange) {
-		t.record(c)
+		t.record(opMove, c)
 		res.Applied++
 		if keep {
 			applied = append(applied, c)
