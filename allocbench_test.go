@@ -83,7 +83,7 @@ func BenchmarkUpdateBatchAllocsGBU(b *testing.B) {
 }
 
 // BenchmarkUpdateAllocsGBU is the same window of 256 moves issued one
-// Update at a time: the paper's own update path (hash probe, leaf patch
+// Update at a time: the paper's own update path (leaf lookup, leaf patch
 // or shift or ascent), with no batch to amortize anything over.
 func BenchmarkUpdateAllocsGBU(b *testing.B) {
 	const n = allocBenchObjects

@@ -202,6 +202,25 @@ func TestApplyFailureMatrix(t *testing.T) {
 	}
 }
 
+// settleMerges drains every stack's delta tier with its background merger
+// idle. Writes that trip the size threshold leave the merger a kick, or a
+// pass already waiting on mergeMu, which would otherwise drain the next
+// writes on the merger's own time. Halting waits out the pass in flight,
+// and a fresh merger with no kick pending takes over after the drain.
+func settleMerges(t *testing.T, x walFailureIndex) {
+	t.Helper()
+	for _, s := range indexOf(x).shards {
+		if s.merge != nil {
+			s.merge.halt()
+			s.merge = nil
+		}
+		if err := s.drainMemtable(); err != nil {
+			t.Fatal(err)
+		}
+		s.ensureMemtable(Memtable{Enabled: true})
+	}
+}
+
 // TestMergeFailureReachesTheWrite: a merge-down that fails inline — on
 // Index, which has no goroutine to hand it to — fails the write that
 // tripped it, single or batched, and every write after it; none of them is
@@ -226,11 +245,7 @@ func TestMergeFailureReachesTheWrite(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				for _, s := range indexOf(x).shards {
-					if err := s.drainMemtable(); err != nil {
-						t.Fatal(err)
-					}
-				}
+				settleMerges(t, x)
 				for id := uint64(0); id < threshold-1; id++ {
 					if err := x.Update(id, at(id, 0.3)); err != nil {
 						t.Fatal(err)

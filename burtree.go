@@ -11,7 +11,7 @@
 //   - TopDown — the classical R-tree update (delete + insert, both
 //     top-down): the baseline.
 //   - LocalizedBottomUp — Algorithm 1: direct leaf access through a
-//     secondary object-id hash index, uniform ε-enlargement of leaf MBRs
+//     secondary object-id index, uniform ε-enlargement of leaf MBRs
 //     (bounded by the parent, via leaf parent pointers), sibling shifts.
 //   - GeneralizedBottomUp — Algorithm 2: a compact main-memory summary
 //     structure over the internal nodes plus a leaf fullness bit vector
@@ -168,9 +168,10 @@ type Options struct {
 	// shift before an ε-extension for them, and the reverse for slow
 	// movers (§3.2.1 optimization 2).
 	DistanceThreshold float64
-	// ExpectedObjects sizes the secondary object-id hash index of the
-	// bottom-up strategies (default 1024; undersizing costs overflow
-	// pages, not correctness).
+	// ExpectedObjects is a capacity hint for the in-memory id → leaf map
+	// the bottom-up strategies reach each object's leaf through. It costs
+	// no page and changes no result: the map grows with the data, so
+	// zero or a wrong guess costs only the map's growth.
 	ExpectedObjects int
 	// Durability configures the write-ahead log. The zero value keeps
 	// the index volatile (snapshots only); see Durability for the
@@ -210,7 +211,10 @@ type indexParts struct {
 }
 
 // coreOptions converts a stack's options (stackOptions) to the
-// strategy's, fixing what Options leaves out at the paper's defaults. It
+// strategy's, fixing what Options leaves out at the paper's defaults. The
+// strategy reaches leaves through the in-memory id → leaf map, not the
+// paper's paged hash: every write path — the three front-ends,
+// merge-down, rebalance and log replay — builds its stacks here. It
 // refuses a page the strategy's tree cannot use, before any store is
 // built on it.
 func (opts Options) coreOptions() (core.Options, error) {
@@ -226,6 +230,7 @@ func (opts Options) coreOptions() (core.Options, error) {
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
 		LevelThreshold:    core.UnrestrictedLevels,
+		MemoryLocator:     true,
 		ExpectedObjects:   opts.ExpectedObjects,
 		Tree:              rtree.Config{ReinsertFraction: 0.3, Split: rtree.SplitQuadratic},
 	}, nil

@@ -21,13 +21,10 @@ import (
 // allocated and require an error — no panic, and no table sized by the
 // pointer.
 
-// Page-format offsets the tests patch (internal/rtree/node.go,
-// internal/hashindex/hashindex.go).
+// Page-format offsets the tests patch (internal/rtree/node.go).
 const (
-	nodeMagicByte   = 0xA7
-	nodeFirstEntry  = 40 // header of a tree without parent pointers
-	hashMagicByte   = 0xB3
-	hashNextPointer = 8
+	nodeMagicByte  = 0xA7
+	nodeFirstEntry = 40 // header of a tree without parent pointers
 )
 
 // strayPointers are far beyond any store here: the first would panic in
@@ -122,47 +119,6 @@ func TestLoadRejectsStrayChildPointer(t *testing.T) {
 			}
 			if got > base+1<<20 {
 				t.Fatalf("%s, pool %d: load allocated %d bytes, a clean load %d", p.name, pool, got, base)
-			}
-		}
-	}
-}
-
-func TestStrayOverflowPointerFailsCleanly(t *testing.T) {
-	for _, pool := range poolSizes {
-		for _, stray := range strayPointers {
-			path := corruptSnapshot(t, pool, func(s *savedStack) {
-				for _, pg := range s.Pages {
-					if pg[0] == hashMagicByte && binary.LittleEndian.Uint64(pg[hashNextPointer:]) != 0 {
-						binary.LittleEndian.PutUint64(pg[hashNextPointer:], stray)
-						return
-					}
-				}
-				t.Fatal("no hash page with an overflow pointer")
-			})
-			// Loading does not walk the bucket chains, so the pointer is met by
-			// the first update whose object lies behind it.
-			failed := 0
-			got := allocatedBy(func() {
-				x, err := LoadFile(path)
-				if err != nil {
-					failed++
-					return
-				}
-				for id := uint64(0); id < 2000; id++ {
-					p, _ := x.Location(id)
-					if err := x.Update(id, p); err != nil {
-						if !errors.Is(err, pagestore.ErrPageBounds) {
-							t.Fatalf("overflow pointer %d, pool %d: update %d: %v, want ErrPageBounds", stray, pool, id, err)
-						}
-						failed++
-					}
-				}
-			})
-			if failed == 0 {
-				t.Fatalf("overflow pointer %d, pool %d: no operation met it", stray, pool)
-			}
-			if got > 8<<20 {
-				t.Fatalf("overflow pointer %d, pool %d: load and 2 000 updates allocated %d bytes", stray, pool, got)
 			}
 		}
 	}

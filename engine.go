@@ -225,7 +225,7 @@ func newIndex(k kind, router *shard.Router, opts Options, sopts ShardOptions, ob
 }
 
 // open creates an empty index of kind k. The Options are totals for the
-// whole index: the buffer pool, hash-index and memtable budgets are
+// whole index: the buffer pool, id-map capacity and memtable budgets are
 // divided evenly among the stacks. With durability enabled the directory
 // must not already hold a snapshot or log segments.
 func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
@@ -340,7 +340,7 @@ func (x *index) Delete(id uint64) error { return x.writeOne(opDelete, id, Point{
 // pipeline: repeated moves of the same object are coalesced to the last
 // position — once, against the index's one object table — and the
 // surviving changes are routed to the stacks by target cell. Each stack
-// sorts its in-shard moves into per-leaf runs with one hash probe each and
+// sorts its in-shard moves into per-leaf runs with one leaf lookup each and
 // applies each run in one bottom-up pass — one leaf read, one MBR
 // extension decision covering the whole group, one write — falling back
 // to the configured strategy's per-object path only for the changes the

@@ -87,12 +87,12 @@ func ExampleIndex_Stats() {
 		idx.Insert(i, burtree.Point{X: float64(i) / 100, Y: 0.5})
 	}
 	idx.ResetStats()
-	// A tiny move resolves inside the leaf: one hash read, one leaf
-	// read, one leaf write.
+	// A tiny move resolves inside the leaf: the in-memory id map names
+	// the leaf, then one leaf read and one leaf write.
 	if err := idx.Update(50, burtree.Point{X: 0.501, Y: 0.5}); err != nil {
 		log.Fatal(err)
 	}
 	st := idx.Stats()
 	fmt.Printf("reads=%d writes=%d inLeaf=%d\n", st.DiskReads, st.DiskWrites, st.Outcomes.InLeaf)
-	// Output: reads=2 writes=1 inLeaf=1
+	// Output: reads=1 writes=1 inLeaf=1
 }

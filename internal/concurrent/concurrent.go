@@ -564,7 +564,7 @@ func (d *DB) lockAll(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.Gran
 
 // UpdateBatch applies an already-coalesced batch of moves, resolving,
 // locking and applying each change once. The batch is planned under the
-// shared latch (core.PlanBatch: one hash probe per change, changes
+// shared latch (core.PlanBatch: one locator lookup per change, changes
 // sorted into per-leaf runs); each run then locks its own scope once —
 // IX on the tree, X on the union of its members' movement cells, X on
 // the leaf's and its parent's page granules, the pages derived from the

@@ -469,7 +469,7 @@ func TestBatchOfFarJumpsIsAllResidue(t *testing.T) {
 // TestStaleRunMemberJoinsResidue: an object that leaves its leaf after
 // the batch was planned, before its run's locks are granted, is declined
 // by the run (its entry is gone from the leaf) and applied with the
-// residue, re-resolved through the hash index.
+// residue, re-resolved through the locator.
 func TestStaleRunMemberJoinsResidue(t *testing.T) {
 	for _, kind := range []core.Kind{core.LBU, core.GBU} {
 		t.Run(kind.String(), func(t *testing.T) {

@@ -2,7 +2,7 @@ package core
 
 // Batched bottom-up updates. A batch coalesces repeated moves of the
 // same object to the final position, groups the surviving changes by
-// target leaf through the secondary object-id hash index, and applies
+// target leaf through the strategy's locator, and applies
 // each leaf's group in one bottom-up pass: one leaf read, one MBR
 // extension decision covering the whole group, one leaf write and one
 // parent sync. Changes the group pass cannot resolve fall back to the
@@ -22,6 +22,7 @@ import (
 	"slices"
 
 	"burtree/internal/geom"
+	"burtree/internal/hashindex"
 	"burtree/internal/rtree"
 )
 
@@ -89,7 +90,7 @@ func Coalesce(changes []BatchChange) ([]BatchChange, int) {
 // shares no state between objects, so there is nothing to amortize).
 type GroupApplier interface {
 	// LeafOf resolves the leaf currently holding the object through the
-	// secondary hash index.
+	// strategy's locator.
 	LeafOf(oid rtree.OID) (rtree.PageID, error)
 	// LeafScope returns the pages a group pass or a local update on leaf
 	// can touch: the leaf and its parent (sibling shifts stay below the
@@ -130,25 +131,24 @@ type Scope struct {
 // page size.
 const groupScratch = rtree.DefaultLeafFanout
 
-// bucketHinter is implemented by strategies whose secondary index can
-// name the hash bucket of an object without I/O.
-type bucketHinter interface {
-	HashBucket(oid rtree.OID) int
-}
-
 // OrderForGrouping returns the changes in the order the lookup phase
-// should resolve them: clustered by secondary-index bucket when the
-// strategy can hint it, so lookups landing on the same hash page run
-// back to back and all but the first hit the buffer. The input is not
-// modified; without a hint it is returned as is.
+// should resolve them: clustered by hash bucket when the strategy's
+// locator is the paged hash index, so lookups landing on the same hash
+// page run back to back and all but the first hit the buffer. The input
+// is not modified; without a paged locator (TD, or the in-memory map,
+// whose lookups touch no page) it is returned as is.
 func OrderForGrouping(u Updater, changes []BatchChange) []BatchChange {
-	bh, ok := u.(bucketHinter)
+	l, ok := u.(located)
 	if !ok || len(changes) < 2 {
+		return changes
+	}
+	h, ok := l.locator().(*hashindex.Index)
+	if !ok {
 		return changes
 	}
 	out := slices.Clone(changes)
 	slices.SortStableFunc(out, func(a, b BatchChange) int {
-		return cmp.Compare(bh.HashBucket(a.OID), bh.HashBucket(b.OID))
+		return cmp.Compare(h.Bucket(a.OID), h.Bucket(b.OID))
 	})
 	return out
 }

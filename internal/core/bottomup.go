@@ -11,15 +11,15 @@ import (
 	"burtree/internal/rtree"
 )
 
-// bottomUp is what the strategies that reach an object's leaf through
-// the secondary hash index (§3.1, Figure 2) — NAIVE, LBU and GBU — share:
-// the tree, the hash index its placement events keep, the outcome
-// counters and the one per-object update path. A strategy embeds it and
-// supplies its own algorithm as the leafAlgorithm.
+// bottomUp is what the strategies that reach an object's leaf directly
+// (§3.1, Figure 2) — NAIVE, LBU and GBU — share: the tree, the locator
+// its placement events keep, the outcome counters and the one per-object
+// update path. A strategy embeds it and supplies its own algorithm as
+// the leafAlgorithm.
 type bottomUp struct {
 	tree    *rtree.Tree
-	hash    *hashindex.Index
-	adapter *hashAdapter
+	loc     locator
+	adapter *locatorAdapter
 	alg     leafAlgorithm
 
 	out outcomeCounters
@@ -30,7 +30,7 @@ type leafAlgorithm interface {
 	Name() string
 	// topDownFirst reports, without I/O, that an update to new skips the
 	// leaf and goes top-down from the caller's old point. Update asks
-	// before the hash lookup, UpdateAtLeaf (atLeaf) before the pin.
+	// before the locator lookup, UpdateAtLeaf (atLeaf) before the pin.
 	topDownFirst(new geom.Point, atLeaf bool) bool
 	// attemptLocalAt runs the scheme's local phase on the leaf pinned for
 	// patching, the object at entry li, and releases the pin. The ref
@@ -52,12 +52,16 @@ const (
 	needAscend                      // the scheme's non-local ending
 )
 
-// init builds the tree and the hash index the tree's placement events
-// keep, with alg as the scheme.
-func (b *bottomUp) init(pool *buffer.Pool, cfg rtree.Config, expectedObjects int, alg leafAlgorithm) {
+// init builds the tree and the locator opts selects, which the tree's
+// placement events keep, with alg as the scheme.
+func (b *bottomUp) init(pool *buffer.Pool, cfg rtree.Config, opts Options, alg leafAlgorithm) {
 	b.tree = rtree.New(pool, cfg)
-	b.hash = hashindex.New(pool, expectedObjects)
-	b.adapter = &hashAdapter{index: b.hash}
+	if opts.MemoryLocator {
+		b.loc = newLeafMap(opts.ExpectedObjects)
+	} else {
+		b.loc = hashindex.New(pool, opts.ExpectedObjects)
+	}
+	b.adapter = &locatorAdapter{loc: b.loc}
 	b.alg = alg
 	b.tree.SetListener(b.adapter)
 }
@@ -90,16 +94,12 @@ func (b *bottomUp) Outcomes() Outcomes { return b.out.snapshot() }
 
 func (b *bottomUp) Err() error { return b.adapter.Err() }
 
-func (b *bottomUp) hashIndex() *hashindex.Index { return b.hash }
+func (b *bottomUp) locator() locator { return b.loc }
 
 // LeafOf resolves the leaf currently holding the object (GroupApplier).
 func (b *bottomUp) LeafOf(oid rtree.OID) (rtree.PageID, error) {
-	return b.hash.Lookup(oid)
+	return b.loc.Lookup(oid)
 }
-
-// HashBucket names the secondary-index bucket of an object without I/O
-// (batch lookup clustering).
-func (b *bottomUp) HashBucket(oid rtree.OID) int { return b.hash.Bucket(oid) }
 
 // Update moves an object bottom-up: the scheme's no-I/O check, then
 // "locate via the secondary object-ID index the leaf node" and run the
@@ -111,7 +111,7 @@ func (b *bottomUp) Update(oid rtree.OID, old, new geom.Point) error {
 		_, err := b.topDown(oid, geom.RectFromPoint(old), geom.RectFromPoint(new))
 		return err
 	}
-	leaf, err := b.hash.Lookup(oid)
+	leaf, err := b.loc.Lookup(oid)
 	if err != nil {
 		return fmt.Errorf("%s: update %d: %w", b.alg.Name(), oid, err)
 	}
@@ -120,7 +120,7 @@ func (b *bottomUp) Update(oid rtree.OID, old, new geom.Point) error {
 }
 
 // UpdateAtLeaf applies one change whose object lives in leaf, skipping
-// the secondary-index lookup (GroupApplier). Directly after a group
+// the locator lookup (GroupApplier). Directly after a group
 // pass the leaf is still buffered, so the read costs no disk access.
 func (b *bottomUp) UpdateAtLeaf(leaf rtree.PageID, c BatchChange, localOnly bool) (bool, error) {
 	return b.updateAt(leaf, c, localOnly, false)
@@ -131,7 +131,7 @@ func (b *bottomUp) UpdateAtLeaf(leaf rtree.PageID, c BatchChange, localOnly bool
 // localOnly, end the update — top-down from the stored rectangle, or the
 // scheme's ascent. It reports whether the change was applied.
 //
-// Strict is Update's mode: the hash index has just named the leaf, so an
+// Strict is Update's mode: the locator has just named the leaf, so an
 // object missing from it is an error. Otherwise the leaf comes from a
 // plan that may be stale.
 func (b *bottomUp) updateAt(leafPage rtree.PageID, c BatchChange, localOnly, strict bool) (bool, error) {
@@ -161,14 +161,14 @@ func (b *bottomUp) updateAt(leafPage rtree.PageID, c BatchChange, localOnly, str
 	switch {
 	case li >= 0:
 	case strict:
-		return false, fmt.Errorf("%s: update %d: hash points to leaf %d but entry is missing", b.alg.Name(), c.OID, leafPage)
+		return false, fmt.Errorf("%s: update %d: locator points to leaf %d but entry is missing", b.alg.Name(), c.OID, leafPage)
 	case localOnly:
 		return false, nil // moved concurrently; the caller escalates
 	default:
 		// The batch's own shifts (piggybacked passengers), splits and
 		// top-down deletes can relocate objects — or free or recycle the
 		// leaf page — between grouping and application; re-resolve
-		// through the always-current hash index.
+		// through the always-current locator.
 		return true, b.Update(c.OID, c.Old, c.New)
 	}
 	// The stored rectangle is the authoritative old location for the

@@ -19,7 +19,8 @@
 //
 // NAIVE, LBU and GBU share one per-object path (bottomUp.updateAt): reach
 // the leaf, run the scheme's local phase, otherwise end top-down or with
-// the scheme's own ascent. Update enters it through the hash index,
+// the scheme's own ascent. Update enters it through the locator — the
+// paper's paged hash index, or an in-memory map (Options.MemoryLocator) —
 // the batch pipeline's UpdateAtLeaf at a leaf it already knows. All
 // strategies expose the same Updater interface so the experiment
 // harness can swap them freely, exactly as the paper's figures do.
@@ -111,7 +112,14 @@ type Options struct {
 	// NoSummaryQueries disables the summary-assisted window query and
 	// uses the plain top-down search. Ablation knob.
 	NoSummaryQueries bool
-	// ExpectedObjects sizes the secondary hash index. Default 1024.
+	// MemoryLocator reaches each object's leaf through an in-memory id →
+	// leaf map instead of the paper's paged hash index (Figure 2), whose
+	// page accesses §5 charges. The zero value keeps the paged hash, so
+	// the experiments count what the paper counts.
+	MemoryLocator bool
+	// ExpectedObjects sizes the locator: the paged hash's static
+	// directory (default 1024; undersizing costs overflow pages), or the
+	// in-memory map's initial capacity, a hint only.
 	ExpectedObjects int
 	// Tree carries the structural R-tree parameters. LBU forces
 	// ParentPointers on.
@@ -208,17 +216,17 @@ func New(pool *buffer.Pool, opts Options) (Updater, error) {
 		cfg := opts.Tree
 		cfg.ParentPointers = true
 		s := &lbuStrategy{eps: opts.Epsilon}
-		s.init(pool, cfg, opts.ExpectedObjects, s)
+		s.init(pool, cfg, opts, s)
 		return s, nil
 	case GBU:
 		s := &gbuStrategy{opts: opts}
-		s.init(pool, opts.Tree, opts.ExpectedObjects, s)
+		s.init(pool, opts.Tree, opts, s)
 		s.sum = summary.New(s.tree.MaxEntries(0))
 		s.tree.SetListener(&fanoutListener{listeners: []rtree.Listener{s.sum, s.adapter}})
 		return s, nil
 	case Naive:
 		s := &naiveStrategy{}
-		s.init(pool, opts.Tree, opts.ExpectedObjects, s)
+		s.init(pool, opts.Tree, opts, s)
 		return s, nil
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", opts.Strategy)
@@ -241,36 +249,36 @@ func effectiveLevelThreshold(raw, height int) int {
 	}
 }
 
-// hashAdapter routes the tree's data-placement events into the hash
-// index. Listener hooks cannot return errors, so the first failure is
+// locatorAdapter routes the tree's data-placement events into the
+// locator. Listener hooks cannot return errors, so the first failure is
 // recorded and surfaced through Updater.Err.
-type hashAdapter struct {
-	index *hashindex.Index
+type locatorAdapter struct {
+	loc locator
 
 	mu  sync.Mutex
 	err error
 }
 
-var _ rtree.Listener = (*hashAdapter)(nil)
+var _ rtree.Listener = (*locatorAdapter)(nil)
 
-func (a *hashAdapter) NodeWritten(rtreePage rtree.PageID, level int, self geom.Rect, children []rtree.PageID, count int) {
+func (a *locatorAdapter) NodeWritten(rtreePage rtree.PageID, level int, self geom.Rect, children []rtree.PageID, count int) {
 }
-func (a *hashAdapter) NodeFreed(page rtree.PageID, level int)    {}
-func (a *hashAdapter) RootChanged(root rtree.PageID, height int) {}
+func (a *locatorAdapter) NodeFreed(page rtree.PageID, level int)    {}
+func (a *locatorAdapter) RootChanged(root rtree.PageID, height int) {}
 
-func (a *hashAdapter) DataPlaced(oid rtree.OID, leaf rtree.PageID) {
-	if err := a.index.Set(oid, leaf); err != nil {
+func (a *locatorAdapter) DataPlaced(oid rtree.OID, leaf rtree.PageID) {
+	if err := a.loc.Set(oid, leaf); err != nil {
 		a.record(err)
 	}
 }
 
-func (a *hashAdapter) DataRemoved(oid rtree.OID) {
-	if err := a.index.Delete(oid); err != nil && !errors.Is(err, hashindex.ErrNotFound) {
+func (a *locatorAdapter) DataRemoved(oid rtree.OID) {
+	if err := a.loc.Delete(oid); err != nil && !errors.Is(err, hashindex.ErrNotFound) {
 		a.record(err)
 	}
 }
 
-func (a *hashAdapter) record(err error) {
+func (a *locatorAdapter) record(err error) {
 	a.mu.Lock()
 	if a.err == nil {
 		a.err = err
@@ -278,7 +286,7 @@ func (a *hashAdapter) record(err error) {
 	a.mu.Unlock()
 }
 
-func (a *hashAdapter) Err() error {
+func (a *locatorAdapter) Err() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.err

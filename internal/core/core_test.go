@@ -99,62 +99,6 @@ func checkSearchMatches(t *testing.T, u Updater, w *world, queries int) {
 	}
 }
 
-// checkHashConsistency verifies that every object's hash entry names the
-// leaf that actually stores it.
-func checkHashConsistency(t *testing.T, u Updater) {
-	t.Helper()
-	type hashed interface {
-		lookup(oid rtree.OID) (pagestore.PageID, error)
-	}
-	var look func(oid rtree.OID) (pagestore.PageID, error)
-	switch s := u.(type) {
-	case *lbuStrategy:
-		look = func(oid rtree.OID) (pagestore.PageID, error) { return s.hash.Lookup(oid) }
-	case *gbuStrategy:
-		look = func(oid rtree.OID) (pagestore.PageID, error) { return s.hash.Lookup(oid) }
-	default:
-		return
-	}
-	tr := u.Tree()
-	if tr.Root() == pagestore.InvalidPage {
-		return
-	}
-	// Walk all leaves recording oid -> page.
-	actual := map[rtree.OID]pagestore.PageID{}
-	var walk func(page pagestore.PageID) error
-	walk = func(page pagestore.PageID) error {
-		n, err := tr.ReadNode(page)
-		if err != nil {
-			return err
-		}
-		if n.IsLeaf() {
-			for _, e := range n.Entries {
-				actual[e.OID] = page
-			}
-			return nil
-		}
-		for _, e := range n.Entries {
-			if err := walk(e.Child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(tr.Root()); err != nil {
-		t.Fatal(err)
-	}
-	for oid, page := range actual {
-		got, err := look(oid)
-		if err != nil {
-			t.Fatalf("hash lookup %d: %v", oid, err)
-		}
-		if got != page {
-			t.Fatalf("hash maps %d to page %d, tree stores it in %d", oid, got, page)
-		}
-	}
-	var _ hashed // documentation: the interface shape checked above
-}
-
 func validateAll(t *testing.T, u Updater) {
 	t.Helper()
 	if err := u.Err(); err != nil {
@@ -163,7 +107,9 @@ func validateAll(t *testing.T, u Updater) {
 	if err := u.Tree().CheckInvariants(); err != nil {
 		t.Fatalf("%s invariants: %v", u.Name(), err)
 	}
-	checkHashConsistency(t, u)
+	if err := CheckLocator(u); err != nil {
+		t.Fatalf("%s locator: %v", u.Name(), err)
+	}
 	if g, ok := u.(*gbuStrategy); ok {
 		if err := g.sum.Validate(g.tree); err != nil {
 			t.Fatalf("GBU summary: %v", err)
@@ -489,34 +435,40 @@ func TestLBUUsesParentPointers(t *testing.T) {
 func TestGBUInLeafUpdateCost(t *testing.T) {
 	// Paper cost analysis, case 1: an in-leaf update costs exactly 3 I/O
 	// with no buffer — one hash-index read, one leaf read, one leaf
-	// write. Move an object to the center of its own leaf MBR so the
-	// in-leaf path is guaranteed.
-	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, ExpectedObjects: 4000})
-	g := u.(*gbuStrategy)
-	w := newWorld(141)
-	w.populate(t, u, 4000)
-	io := g.tree.IO()
+	// write. The in-memory locator drops the hash read. Move an object to
+	// the center of its own leaf MBR so the in-leaf path is guaranteed.
+	for _, memory := range []bool{false, true} {
+		u := newUpdater(t, 1024, 0, Options{Strategy: GBU, ExpectedObjects: 4000, MemoryLocator: memory})
+		g := u.(*gbuStrategy)
+		w := newWorld(141)
+		w.populate(t, u, 4000)
+		io := g.tree.IO()
+		wantReads := int64(2)
+		if memory {
+			wantReads = 1
+		}
 
-	for trial := 0; trial < 25; trial++ {
-		oid := w.ids[w.rng.Intn(len(w.ids))]
-		leafPage, err := g.hash.Lookup(oid)
-		if err != nil {
-			t.Fatal(err)
+		for trial := 0; trial < 25; trial++ {
+			oid := w.ids[w.rng.Intn(len(w.ids))]
+			leafPage, err := g.loc.Lookup(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf, err := g.tree.ReadNode(leafPage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := leaf.Self.Center()
+			base := io.Snapshot()
+			if err := u.Update(oid, w.pos[oid], target); err != nil {
+				t.Fatal(err)
+			}
+			w.pos[oid] = target
+			d := io.Snapshot().Sub(base)
+			if d.Reads != wantReads || d.Writes != 1 {
+				t.Fatalf("memory locator %v: in-leaf update cost = %dR+%dW, want %dR+1W", memory, d.Reads, d.Writes, wantReads)
+			}
 		}
-		leaf, err := g.tree.ReadNode(leafPage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		target := leaf.Self.Center()
-		base := io.Snapshot()
-		if err := u.Update(oid, w.pos[oid], target); err != nil {
-			t.Fatal(err)
-		}
-		w.pos[oid] = target
-		d := io.Snapshot().Sub(base)
-		if d.Reads != 2 || d.Writes != 1 {
-			t.Fatalf("in-leaf update cost = %dR+%dW, want 2R+1W (hash + leaf R/W)", d.Reads, d.Writes)
-		}
+		validateAll(t, u)
 	}
-	validateAll(t, u)
 }

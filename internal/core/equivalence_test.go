@@ -2,8 +2,8 @@ package core
 
 // Cross-strategy equivalence: the paper's strategies differ only in HOW
 // the index is maintained, never in WHAT it answers. Replaying one
-// workload trace against TD, LBU, GBU and Naive must give identical
-// query results at every checkpoint.
+// workload trace against TD, LBU, GBU and Naive, over either locator,
+// must give identical query results at every checkpoint.
 
 import (
 	"sort"
@@ -26,6 +26,9 @@ func TestStrategiesAnswerIdentically(t *testing.T) {
 		{Strategy: LBU, ExpectedObjects: 1500},
 		{Strategy: GBU, ExpectedObjects: 1500},
 		{Strategy: Naive, ExpectedObjects: 1500},
+		{Strategy: LBU, MemoryLocator: true},
+		{Strategy: GBU, MemoryLocator: true},
+		{Strategy: Naive, MemoryLocator: true},
 	}
 	// Results per strategy: query index -> sorted oids.
 	results := make([][][]rtree.OID, len(kinds))
@@ -88,6 +91,8 @@ func TestStrategiesAnswerIdenticallyFastMovers(t *testing.T) {
 		{Strategy: GBU, ExpectedObjects: 800, LevelThreshold: LevelThresholdZero},
 		{Strategy: GBU, ExpectedObjects: 800, NoPiggyback: true, NoSummaryQueries: true},
 		{Strategy: LBU, ExpectedObjects: 800, Epsilon: 0.05},
+		{Strategy: GBU, MemoryLocator: true},
+		{Strategy: LBU, MemoryLocator: true, Epsilon: 0.05},
 	} {
 		u := newUpdater(t, 512, 8, opts)
 		for i, p := range trace.Initial {

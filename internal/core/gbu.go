@@ -36,7 +36,7 @@ func (s *gbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
 	if t.Height() <= 1 {
 		return t.Delete(oid, geom.RectFromPoint(at))
 	}
-	leafPage, err := s.hash.Lookup(oid)
+	leafPage, err := s.loc.Lookup(oid)
 	if err != nil {
 		return fmt.Errorf("gbu: delete %d: %w", oid, err)
 	}
@@ -47,7 +47,7 @@ func (s *gbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
 	li := ref.FindOID(oid)
 	if li < 0 {
 		_ = ref.Release() // a shared pin's release cannot fail
-		return fmt.Errorf("gbu: delete %d: hash points to leaf %d but entry is missing", oid, leafPage)
+		return fmt.Errorf("gbu: delete %d: locator points to leaf %d but entry is missing", oid, leafPage)
 	}
 	if ref.Count()-1 < t.MinEntries(0) {
 		stored := ref.Rect(li)
@@ -361,11 +361,11 @@ func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect
 	t.ReturnNode(sib)
 	t.ReturnNode(parent)
 
-	if err := s.hash.Set(oid, sibPage); err != nil {
+	if err := s.loc.Set(oid, sibPage); err != nil {
 		return false, err
 	}
 	for _, p := range passengers {
-		if err := s.hash.Set(p, sibPage); err != nil {
+		if err := s.loc.Set(p, sibPage); err != nil {
 			return false, err
 		}
 	}

@@ -19,7 +19,7 @@ func findExtensionCandidate(t *testing.T, g *gbuStrategy) (rtree.OID, geom.Point
 	t.Helper()
 	tr := g.tree
 	for oid := rtree.OID(0); oid < rtree.OID(tr.Size()); oid++ {
-		leafPage, err := g.hash.Lookup(oid)
+		leafPage, err := g.loc.Lookup(oid)
 		if err != nil {
 			continue
 		}
@@ -92,7 +92,7 @@ func TestLBUInPlaceCostExact(t *testing.T) {
 
 	// Move an object to its own leaf's MBR center: guaranteed in place.
 	oid := w.ids[17]
-	leafPage, err := l.hash.Lookup(oid)
+	leafPage, err := l.loc.Lookup(oid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGBUShiftSkipsParentReadWhenOutsideParentMBR(t *testing.T) {
 	var target geom.Point
 	found := false
 	for _, id := range w.ids {
-		leafPage, err := g.hash.Lookup(id)
+		leafPage, err := g.loc.Lookup(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestGBUDeleteBottomUpCost(t *testing.T) {
 	var oid rtree.OID
 	found := false
 	for _, id := range w.ids {
-		leafPage, err := g.hash.Lookup(id)
+		leafPage, err := g.loc.Lookup(id)
 		if err != nil {
 			t.Fatal(err)
 		}

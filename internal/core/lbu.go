@@ -146,7 +146,7 @@ func (s *lbuStrategy) attemptLocalAt(c BatchChange, ref rtree.NodeRef, li int) (
 				return needTopDown, nil, err
 			}
 			t.ReturnNode(leaf)
-			if err := s.hash.Set(oid, sibPage); err != nil {
+			if err := s.loc.Set(oid, sibPage); err != nil {
 				return needTopDown, nil, err
 			}
 			s.out.shifted.Add(1)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"burtree/internal/buffer"
@@ -22,10 +24,19 @@ func rebuildStore(t *testing.T, s *pagestore.Store) *pagestore.Store {
 }
 
 func TestCoreSaveRestoreEveryStrategy(t *testing.T) {
+	var all []Options
 	for _, kind := range []Kind{TD, LBU, GBU, Naive} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			opts := Options{Strategy: kind, ExpectedObjects: 800}
+		all = append(all, Options{Strategy: kind, ExpectedObjects: 800})
+	}
+	for _, kind := range []Kind{LBU, GBU, Naive} {
+		all = append(all, Options{Strategy: kind, MemoryLocator: true})
+	}
+	for _, opts := range all {
+		name := opts.Strategy.String()
+		if opts.MemoryLocator {
+			name += "-MemoryLocator"
+		}
+		t.Run(name, func(t *testing.T) {
 			u := newUpdater(t, 512, 8, opts)
 			w := newWorld(71)
 			w.populate(t, u, 800)
@@ -35,10 +46,7 @@ func TestCoreSaveRestoreEveryStrategy(t *testing.T) {
 			if err := u.Tree().Flush(); err != nil {
 				t.Fatal(err)
 			}
-			st, err := SaveState(u)
-			if err != nil {
-				t.Fatal(err)
-			}
+			st := SaveState(u)
 			store2 := rebuildStore(t, u.Tree().Pool().Store())
 			pool2 := buffer.New(store2, 8)
 			u2, err := Restore(pool2, opts, st)
@@ -75,7 +83,7 @@ func TestRestoreEmpty(t *testing.T) {
 	opts := Options{Strategy: GBU, ExpectedObjects: 16}
 	store := pagestore.New(512, &stats.IO{})
 	pool := buffer.New(store, 0)
-	u, err := Restore(pool, opts, RestoreState{HashDirectory: []rtree.PageID{pagestore.InvalidPage}})
+	u, err := Restore(pool, opts, RestoreState{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +103,7 @@ func TestRestoreRejectsBadMetadata(t *testing.T) {
 	if err := u.Tree().Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := SaveState(u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := SaveState(u)
 	store2 := rebuildStore(t, u.Tree().Pool().Store())
 	pool2 := buffer.New(store2, 0)
 
@@ -114,5 +119,39 @@ func TestRestoreRejectsBadMetadata(t *testing.T) {
 	bad2.Root = 999999 // out of range page
 	if _, err := Restore(pool3, Options{Strategy: GBU, ExpectedObjects: 100}, bad2); err == nil {
 		t.Fatal("bad root accepted")
+	}
+}
+
+// TestRestoreRejectsStrayChild: a child pointer the store never allocated
+// fails Restore with ErrPageBounds for every bottom-up strategy, over
+// either locator and with or without a buffer pool: the leaf walk that
+// re-fills the locator reads no page the store never allocated.
+func TestRestoreRejectsStrayChild(t *testing.T) {
+	for _, kind := range []Kind{Naive, LBU, GBU} {
+		for _, memory := range []bool{false, true} {
+			opts := Options{Strategy: kind, ExpectedObjects: 400, MemoryLocator: memory}
+			u := newUpdater(t, 512, 0, opts)
+			newWorld(73).populate(t, u, 400)
+			if u.Tree().Height() < 2 {
+				t.Fatal("root is a leaf; the test needs an internal root")
+			}
+			ps, pages, freed := u.Tree().Pool().Store().Dump()
+			// The first entry's child pointer opens the entry, after the
+			// 40-byte header (48 with LBU's parent pointer).
+			off := 40
+			if kind == LBU {
+				off = 48
+			}
+			binary.LittleEndian.PutUint64(pages[u.Tree().Root()-1][off:], 1<<40)
+			store, err := pagestore.NewFromDump(ps, pages, freed, &stats.IO{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, frames := range []int{0, 8} {
+				if _, err := Restore(buffer.New(store, frames), opts, SaveState(u)); !errors.Is(err, pagestore.ErrPageBounds) {
+					t.Errorf("%v, memory locator %v, %d frames: Restore over a stray child pointer: %v, want ErrPageBounds", kind, memory, frames, err)
+				}
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"burtree/internal/geom"
-	"burtree/internal/hashindex"
 	"burtree/internal/rtree"
 )
 
@@ -12,19 +11,14 @@ import (
 // that no longer holds the object, and Update led astray by a stale
 // hash entry.
 
-// hashOf returns the secondary hash index of a bottom-up strategy.
-func hashOf(t *testing.T, u Updater) *hashindex.Index {
+// locatorOf returns the locator of a bottom-up strategy.
+func locatorOf(t *testing.T, u Updater) locator {
 	t.Helper()
-	switch s := u.(type) {
-	case *naiveStrategy:
-		return s.hash
-	case *lbuStrategy:
-		return s.hash
-	case *gbuStrategy:
-		return s.hash
+	l, ok := u.(located)
+	if !ok {
+		t.Fatalf("%s keeps no locator", u.Name())
 	}
-	t.Fatalf("%s keeps no hash index", u.Name())
-	return nil
+	return l.locator()
 }
 
 // contents maps every object to its stored rectangle.
@@ -192,7 +186,7 @@ func TestUpdateStaleHashEntry(t *testing.T) {
 			u := newUpdater(t, 512, 8, opts)
 			w := newWorld(41)
 			w.populate(t, u, 1200)
-			h := hashOf(t, u)
+			h := locatorOf(t, u)
 			oid := w.ids[3]
 			home, err := h.Lookup(oid)
 			if err != nil {

@@ -354,23 +354,3 @@ func (x *Index) ComputeStats() (Stats, error) {
 	}
 	return s, nil
 }
-
-// Directory returns a copy of the bucket-head page directory, for
-// persistence alongside the page store.
-func (x *Index) Directory() []pagestore.PageID {
-	return append([]pagestore.PageID(nil), x.buckets...)
-}
-
-// RestoreDirectory replaces the directory and entry count after the
-// backing pages have been reloaded. The index must not have been used.
-func (x *Index) RestoreDirectory(dir []pagestore.PageID, size int) error {
-	if x.Size() != 0 {
-		return errors.New("hashindex: RestoreDirectory on non-empty index")
-	}
-	if len(dir) == 0 {
-		return errors.New("hashindex: empty directory")
-	}
-	x.buckets = append([]pagestore.PageID(nil), dir...)
-	x.size.Store(int64(size))
-	return nil
-}

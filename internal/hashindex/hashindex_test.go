@@ -1,8 +1,10 @@
 package hashindex
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -405,5 +407,56 @@ func TestCorruptPagesRejected(t *testing.T) {
 				t.Fatal("ComputeStats walked a corrupt page")
 			}
 		})
+	}
+}
+
+// TestStrayOverflowPointerFailsCleanly: a page id stored in a hash page is
+// outside input once the pages come from a file. An overflow pointer the
+// store never allocated must fail every operation that follows it with
+// ErrPageBounds — no panic, and no table sized by the pointer — with or
+// without a buffer pool in front of the store. The pages before it keep
+// answering.
+func TestStrayOverflowPointerFailsCleanly(t *testing.T) {
+	// The first would panic in makeslice if it sized a table, the second
+	// would quietly allocate hundreds of megabytes, and the third is
+	// negative as an int.
+	for _, stray := range []uint64{1 << 40, 1 << 24, 1 << 63} {
+		for _, bufferPages := range []int{0, 32} {
+			x, _ := newIndex(t, 256, bufferPages, 1)
+			for i := 0; i < 40; i++ { // pages of 15, 15 and 10 slots
+				if err := x.Set(uint64(i), pagestore.PageID(1000+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pages, _ := chainOf(t, x, 0)
+			buf := make([]byte, 256)
+			if err := x.pool.ReadPage(pages[0], buf); err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(buf[8:], stray)
+			if err := x.pool.WritePage(pages[0], buf); err != nil {
+				t.Fatal(err)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if got, err := x.Lookup(2); err != nil || got != 1002 {
+				t.Fatalf("overflow pointer %d, pool %d: Lookup(2) on the first page = %d, %v", stray, bufferPages, got, err)
+			}
+			ops := map[string]error{}
+			_, ops["Lookup behind the pointer"] = x.Lookup(35)
+			ops["Set behind the pointer"] = x.Set(35, 9)
+			ops["Set of a new oid"] = x.Set(900, 9)
+			ops["Delete behind the pointer"] = x.Delete(35)
+			runtime.ReadMemStats(&after)
+			for op, err := range ops {
+				if !errors.Is(err, pagestore.ErrPageBounds) {
+					t.Errorf("overflow pointer %d, pool %d: %s: %v, want ErrPageBounds", stray, bufferPages, op, err)
+				}
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("overflow pointer %d, pool %d: five operations allocated %d bytes", stray, bufferPages, got)
+			}
+		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"burtree/internal/core"
+	"burtree/internal/rtree"
 	"burtree/internal/wal"
 )
 
@@ -16,12 +18,21 @@ import (
 // the object table's back, so that every size still matches: the one
 // invariant walk under all three front-ends compares the leaf entries
 // with the table one by one and must fail. (A size-only comparison
-// passes every row.)
+// passes every row.) The Map rows leave the tree and the table alone and
+// plant a stale entry in a stack's id → leaf map instead, through the
+// tree's own placement events: an entry naming the wrong leaf, an id the
+// tree does not hold, and a lost entry.
 func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 	grid := ShardOptions{Shards: 4, Partition: ShardGrid}
 	// (0.1,0.1) and (0.2,0.2) share the grid's first cell; (0.9,0.9) lies
 	// in another.
 	a, near, far := Point{X: 0.1, Y: 0.1}, Point{X: 0.2, Y: 0.2}, Point{X: 0.9, Y: 0.9}
+	// plant reports a placement to s's map that the tree did not make.
+	plant := func(s *treeStack, event func(*rtree.Tree)) func() error {
+		return func() error {
+			return s.tree.Exclusive(func(u core.Updater) error { event(u.Tree()); return nil })
+		}
+	}
 	rows := []struct {
 		name  string
 		open  func(t *testing.T) (idx walFailureIndex, stale func() error)
@@ -51,6 +62,18 @@ func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 				return relocate(sb, sa, 2, far, far)
 			}
 		}, "does not route to"},
+		{"MapWrongLeaf", func(t *testing.T) (walFailureIndex, func() error) {
+			x := openTest(t, GeneralizedBottomUp)
+			return x, plant(x.shards[0], func(tr *rtree.Tree) { tr.NotifyDataPlaced(1, tr.Root()+1000) })
+		}, "its locator entry names"},
+		{"MapExtraID", func(t *testing.T) (walFailureIndex, func() error) {
+			x := openConcurrentTest(t, GeneralizedBottomUp)
+			return x, plant(x.shards[0], func(tr *rtree.Tree) { tr.NotifyDataPlaced(3, tr.Root()) })
+		}, "locator maps 3 ids"},
+		{"MapLostEntry", func(t *testing.T) (walFailureIndex, func() error) {
+			x := openShardedTest(t, GeneralizedBottomUp, grid)
+			return x, plant(x.shards[x.router.ShardOf(a)], func(tr *rtree.Tree) { tr.NotifyDataRemoved(1) })
+		}, "has no locator entry"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -69,7 +92,7 @@ func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := x.CheckInvariants(); err == nil || !strings.Contains(err.Error(), row.wants) {
-				t.Fatalf("CheckInvariants with a stale tree entry: %v, want an error containing %q", err, row.wants)
+				t.Fatalf("CheckInvariants with a stale entry: %v, want an error containing %q", err, row.wants)
 			}
 		})
 	}

@@ -18,7 +18,7 @@ import (
 
 // snapshotMagic opens every snapshot, so a reader can refuse a file that
 // is not one, or is one of an earlier format, before any decoding.
-var snapshotMagic = [8]byte{'B', 'U', 'R', 'S', 'N', 'A', 'P', '3'}
+var snapshotMagic = [8]byte{'B', 'U', 'R', 'S', 'N', 'A', 'P', '4'}
 
 // ErrBadSnapshot reports a reader that does not hold a burtree snapshot
 // this version reads (wrong magic, earlier format, truncated header, or
@@ -28,14 +28,15 @@ var ErrBadSnapshot = errors.New("burtree: not a valid snapshot")
 // saveFormat is the version of savedIndex a snapshot carries. Format 1
 // held 40-byte leaf entries; format 2 had two envelopes, a bare stack
 // (BURSNAP2) for Index and ConcurrentIndex and a manifest of nested stacks
-// (BURSHRD2) for ShardedIndex. Load refuses both.
-const saveFormat = 3
+// (BURSHRD2) for ShardedIndex; format 3 (BURSNAP3) carried each stack's
+// paged object-id hash index. Load refuses all three.
+const saveFormat = 4
 
 // savedIndex is the on-disk form of every index, whatever the front-end:
 // the index-wide options, the partitioning, the log position, and N ≥ 1
-// stacks. A stack's durable state is its pages and its object-id hash
-// index; the summary structure is main-memory only, as in the paper, and
-// is rebuilt on load.
+// stacks. A stack's durable state is its tree pages; the summary
+// structure and the id → leaf map are main-memory only and are rebuilt
+// on load, one walk over each tree.
 type savedIndex struct {
 	Format int
 
@@ -56,8 +57,8 @@ type savedIndex struct {
 	Stacks []savedStack
 }
 
-// savedStack is one stack: its page store, its tree and hash-index roots,
-// and the objects the router places in it.
+// savedStack is one stack: its page store, its tree's root and shape, and
+// the objects the router places in it.
 type savedStack struct {
 	Pages [][]byte
 	Freed []pagestore.PageID
@@ -65,9 +66,6 @@ type savedStack struct {
 	Root   pagestore.PageID
 	Height int
 	Size   int
-
-	HashDirectory []pagestore.PageID
-	HashSize      int
 
 	Objects map[uint64]Point
 }
@@ -86,13 +84,9 @@ func (s *treeStack) snapshot(st *savedStack) error {
 		if err := s.pool.Flush(); err != nil {
 			return fmt.Errorf("burtree: save: %w", err)
 		}
-		rs, err := core.SaveState(u)
-		if err != nil {
-			return fmt.Errorf("burtree: save: %w", err)
-		}
+		rs := core.SaveState(u)
 		_, st.Pages, st.Freed = s.store.Dump()
 		st.Root, st.Height, st.Size = rs.Root, rs.Height, rs.Size
-		st.HashDirectory, st.HashSize = rs.HashDirectory, rs.HashSize
 		return nil
 	})
 }
@@ -192,8 +186,8 @@ func decodeSnapshot(r io.Reader) (savedIndex, error) {
 // A one-stack kind given several stacks merges them: their objects are
 // bulk-loaded into one fresh tree under the snapshot's options. Every
 // other snapshot restores stack for stack and page for page, partition
-// and all (the main-memory summary structure is rebuilt by one tree walk
-// per stack).
+// and all (the main-memory summary structure and id → leaf map are rebuilt
+// by tree walks per stack).
 func load(r io.Reader, k kind) (*index, error) {
 	s, err := decodeSnapshot(r)
 	if err != nil {
@@ -218,7 +212,7 @@ func load(r io.Reader, k kind) (*index, error) {
 	objects := make(map[uint64]Point)
 	for i, st := range s.Stacks {
 		switch {
-		case st.Size < 0 || st.Height < 0 || st.HashSize < 0:
+		case st.Size < 0 || st.Height < 0:
 			return nil, fmt.Errorf("%w: stack %d: negative structural counts", ErrBadSnapshot, i)
 		case st.Root > pagestore.PageID(len(st.Pages)):
 			return nil, fmt.Errorf("%w: stack %d: root page %d beyond %d pages", ErrBadSnapshot, i, st.Root, len(st.Pages))
@@ -285,20 +279,14 @@ func merged(opts Options, k kind, objects map[uint64]Point) (*index, error) {
 // restoreParts rebuilds the machinery of a saved stack under per, the
 // stack's options (co for its strategy), as openParts builds an empty
 // one's: page store, buffer pool and the re-attached strategy, whose
-// summary structure is rebuilt by one tree walk.
+// summary structure and id → leaf map are rebuilt from the tree.
 func restoreParts(st savedStack, per Options, co core.Options) (indexParts, error) {
 	store, err := pagestore.NewFromDump(per.PageSize, st.Pages, st.Freed, nil)
 	if err != nil {
 		return indexParts{}, err
 	}
 	pool := buffer.New(store, per.BufferPages)
-	u, err := core.Restore(pool, co, core.RestoreState{
-		Root:          st.Root,
-		Height:        st.Height,
-		Size:          st.Size,
-		HashDirectory: st.HashDirectory,
-		HashSize:      st.HashSize,
-	})
+	u, err := core.Restore(pool, co, core.RestoreState{Root: st.Root, Height: st.Height, Size: st.Size})
 	if err != nil {
 		return indexParts{}, err
 	}
@@ -333,8 +321,9 @@ func front[T Index | ConcurrentIndex | ShardedIndex](x *index, err error) (*T, e
 // merged: the union of their objects is bulk-loaded into one fresh tree
 // under the snapshot's options. Malformed input fails with
 // ErrBadSnapshot, and so do a page size the strategy's tree cannot use
-// and the snapshots of earlier versions (formats 1 and 2, under the
-// magics BURSNAP2 and BURSHRD2), which this version does not read.
+// and the snapshots of earlier versions (formats 1 to 3, under the
+// magics BURSNAP2, BURSHRD2 and BURSNAP3), which this version does not
+// read.
 func Load(r io.Reader) (*Index, error) {
 	return front[Index](load(r, kindIndex))
 }

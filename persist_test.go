@@ -11,6 +11,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"burtree/internal/pagestore"
+	"burtree/internal/shard"
 )
 
 func buildForPersist(t *testing.T, s Strategy) (*Index, *rand.Rand) {
@@ -264,6 +267,67 @@ func TestLoadRefusesFormatOne(t *testing.T) {
 		for _, l := range loaders {
 			if err := l.load(c.stream); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s of a %s: err = %v, want ErrBadSnapshot naming %s", l.name, c.name, err, c.want)
+			}
+		}
+	}
+}
+
+// TestLoadRefusesFormatThree: format 3 carried each stack's paged
+// object-id hash index (its bucket directory and entry count) beside the
+// tree pages; this version keeps the id → leaf map in memory and rebuilds
+// it from the leaves. A format-3 snapshot is refused on purpose by every
+// loader with ErrBadSnapshot, under its own magic BURSNAP3 and as a
+// format-3 body under the current magic.
+func TestLoadRefusesFormatThree(t *testing.T) {
+	// The shapes format 3 wrote; gob matches fields by name.
+	type stackV3 struct {
+		Pages         [][]byte
+		Freed         []pagestore.PageID
+		Root          pagestore.PageID
+		Height, Size  int
+		HashDirectory []pagestore.PageID
+		HashSize      int
+		Objects       map[uint64]Point
+	}
+	type indexV3 struct {
+		Format              int
+		Options             Options
+		Partition           shard.Spec
+		WALSeq, RouterEpoch uint64
+		Stacks              []stackV3
+	}
+	orig, _ := buildForPersist(t, GeneralizedBottomUp)
+	var cur bytes.Buffer
+	if err := orig.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	var s savedIndex
+	if err := gob.NewDecoder(bytes.NewReader(cur.Bytes()[len(snapshotMagic):])).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	v3 := indexV3{Format: 3, Options: s.Options, Partition: s.Partition, WALSeq: s.WALSeq, RouterEpoch: s.RouterEpoch}
+	for _, st := range s.Stacks {
+		v3.Stacks = append(v3.Stacks, stackV3{Pages: st.Pages, Freed: st.Freed, Root: st.Root, Height: st.Height, Size: st.Size,
+			HashDirectory: []pagestore.PageID{1, 2}, HashSize: st.Size, Objects: st.Objects})
+	}
+	envelope := func(magic string) []byte {
+		var buf bytes.Buffer
+		buf.WriteString(magic)
+		if err := gob.NewEncoder(&buf).Encode(v3); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cases := []struct{ name, want string }{{"BURSNAP3", "BURSNAP3"}, {string(snapshotMagic[:]), "format 3"}}
+	for _, c := range cases {
+		stream := envelope(c.name)
+		for name, load := range map[string]func([]byte) error{
+			"Load":           func(b []byte) error { _, err := Load(bytes.NewReader(b)); return err },
+			"LoadConcurrent": func(b []byte) error { _, err := LoadConcurrent(bytes.NewReader(b)); return err },
+			"LoadSharded":    func(b []byte) error { _, err := LoadSharded(bytes.NewReader(b)); return err },
+		} {
+			if err := load(stream); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s of a format-3 body under %s: err = %v, want ErrBadSnapshot naming %s", name, c.name, err, c.want)
 			}
 		}
 	}

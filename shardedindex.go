@@ -49,7 +49,7 @@ func (p PartitionScheme) String() string {
 type ShardOptions struct {
 	// Shards is the number of partitions (default 4, max
 	// shard.MaxShards). Each shard is a self-contained tree with its own
-	// page store, buffer pool, hash index and lock manager.
+	// page store, buffer pool, id → leaf map and lock manager.
 	Shards int
 	// Partition picks the space-splitting scheme.
 	Partition PartitionScheme
@@ -102,7 +102,7 @@ type ShardedIndex struct {
 }
 
 // OpenSharded creates an empty sharded index. The Options are totals for
-// the whole index: the buffer pool and hash-index budgets are divided
+// the whole index: the buffer pool and id-map capacity budgets are divided
 // evenly among the shards, so comparing shard counts compares equal
 // hardware.
 func OpenSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
@@ -185,8 +185,9 @@ func addCellCount(cells []shard.CellCount, cell uint64, n int) []shard.CellCount
 
 // stackOptions are the options each of n stacks runs under, given the
 // index-wide opts: the zero-value defaults filled in, and the buffer pool,
-// hash-index and memtable budgets divided evenly, each share floored to
-// stay usable (one stack keeps the whole budget). Fresh stacks
+// id-map capacity hint and memtable budgets divided evenly, the buffer and
+// memtable shares floored to stay usable (one stack keeps the whole
+// budget). Fresh stacks
 // (openShards) and loaded ones (load) both derive theirs here, so a
 // snapshot carries the options once. The delta tier is per stack — each
 // absorbs and merges its own deltas — which keeps merge-down traffic as
@@ -195,7 +196,6 @@ func addCellCount(cells []shard.CellCount, cell uint64, n int) []shard.CellCount
 func stackOptions(opts Options, n int) Options {
 	per := opts
 	per.PageSize = cmp.Or(per.PageSize, pagestore.DefaultPageSize)
-	per.ExpectedObjects = cmp.Or(per.ExpectedObjects, 1024)
 	per.Memtable = per.Memtable.withDefaults()
 	if n == 1 {
 		return per
@@ -203,7 +203,7 @@ func stackOptions(opts Options, n int) Options {
 	if per.Memtable.Enabled {
 		per.Memtable.MaxObjects = max(per.Memtable.MaxObjects/n, 16)
 	}
-	per.ExpectedObjects = max(per.ExpectedObjects/n, 64)
+	per.ExpectedObjects /= n
 	if per.BufferPages > 0 {
 		per.BufferPages = max(per.BufferPages/n, 1)
 	}

@@ -485,8 +485,8 @@ func (s *treeStack) Flush() error {
 }
 
 // checkInvariants is the one invariant walk under all three front-ends:
-// it validates the tree's structure, then checks the tree against the
-// index's object table t — every leaf entry the delta overlay does not
+// it validates the tree's structure and the id → leaf map against the
+// tree's leaves, then checks the tree against the index's object table t — every leaf entry the delta overlay does not
 // mask must be the table's entry for its id, at exactly that position and
 // on the stack that position routes to — and the delta tier against both.
 // owns reports whether a position belongs to this stack (always, unless
@@ -509,6 +509,9 @@ func (s *treeStack) checkInvariants(t *objectTable, owned int, owns func(Point) 
 			return
 		}
 		if err = u.Tree().CheckInvariants(); err != nil {
+			return
+		}
+		if err = core.CheckLocator(u); err != nil {
 			return
 		}
 		t.mu.RLock()
