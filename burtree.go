@@ -153,8 +153,14 @@ type Options struct {
 	// for a fanout of 4 is refused (200 bytes is the least, 208 for
 	// LocalizedBottomUp, whose nodes carry a parent pointer).
 	PageSize int
-	// BufferPages is the LRU buffer pool capacity in pages. Zero
-	// disables caching (every access is a disk access).
+	// BufferPages is the LRU buffer pool capacity in pages, spent on
+	// leaves: the internal nodes are cached beyond it and never evicted,
+	// because the paper's bottom-up updates (§3.2) assume the levels
+	// above the leaves live in main memory. They cost about one frame per
+	// 16 pages of the tree (≈ 0.28 MB at 100 000 objects with 1 KB
+	// pages; Stats.ResidentPages). Zero disables caching of both kinds
+	// (every access is a disk access). The paper's §5 experiments
+	// (internal/exp) keep a pure LRU pool of their own.
 	BufferPages int
 	// Epsilon is the paper's ε parameter: the cap on how far a leaf MBR
 	// may be enlarged per update (default 0.003, in data-space units of
@@ -245,9 +251,20 @@ func openParts(per Options, io *stats.IO) (indexParts, error) {
 	if err != nil {
 		return indexParts{}, err
 	}
-	store := pagestore.New(per.PageSize, io)
-	pool := buffer.New(store, per.BufferPages)
-	u, err := core.New(pool, co)
+	return stackParts(pagestore.New(per.PageSize, io), per, func(pool *buffer.Pool) (core.Updater, error) {
+		return core.New(pool, co)
+	})
+}
+
+// stackParts completes the machinery of a stack over store — an empty
+// one's (openParts) or a saved one's (restoreParts) — with attach the
+// strategy to run on its buffer pool. Every stack's pool is built here:
+// BufferPages frames of leaves, and the internal levels resident beyond
+// them, as the paper's §3.2 keeps the levels above the leaves in main
+// memory.
+func stackParts(store *pagestore.Store, per Options, attach func(*buffer.Pool) (core.Updater, error)) (indexParts, error) {
+	pool := buffer.NewResident(store, per.BufferPages, rtree.InternalPage)
+	u, err := attach(pool)
 	if err != nil {
 		return indexParts{}, err
 	}
@@ -379,6 +396,11 @@ type Stats struct {
 	DirtyWriteBacks int64
 	PinFallbacks    int64
 
+	// ResidentPages counts the frames the buffer pool holds beyond
+	// Options.BufferPages: the cached internal nodes, which are never
+	// evicted (every one of them once the index is warm).
+	ResidentPages int
+
 	Height int
 	Pages  int
 	Size   int
@@ -403,6 +425,7 @@ func (s Stats) add(o Stats) Stats {
 	s.Evictions += o.Evictions
 	s.DirtyWriteBacks += o.DirtyWriteBacks
 	s.PinFallbacks += o.PinFallbacks
+	s.ResidentPages += o.ResidentPages
 	s.Height = max(s.Height, o.Height)
 	s.Pages += o.Pages
 	s.Size += o.Size

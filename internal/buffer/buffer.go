@@ -10,6 +10,21 @@
 // zero the pool degrades to direct disk access, which reproduces the
 // paper's 0 %-buffer configuration.
 //
+// # Two page classes: LRU and resident
+//
+// A pool built with NewResident has a second class of frame. The
+// caller's predicate judges a page on its bytes when its frame is
+// admitted — a read miss, or the release of a dirty PinOverwrite miss —
+// and a page it accepts is resident: never an eviction victim, not
+// counted against the capacity, and kept on a ring of its own, so a hit
+// on it moves no LRU link. Flush still writes it, Discard and Invalidate
+// still drop it, and Pinned counts its pins. The capacity then bounds the
+// LRU class alone. A page keeps its class while it is cached; a page
+// discarded and allocated again is judged afresh. The library passes
+// rtree.InternalPage, so the levels above the leaves stay in memory, as
+// the paper's §3.2 assumes; pools built with New — the §5 harness's —
+// are the paper's pure LRU.
+//
 // # Access protocol: pin, look, release
 //
 // A caller does not copy a page out of the pool; it pins the frame and
@@ -48,10 +63,10 @@
 // corrupt page cannot size it.
 //
 // Frames are recycled, never reallocated: a frame keeps its page buffer
-// for life and moves between the page table with its LRU ring, the
+// for life and moves between the page table with its two rings, the
 // in-flight write-back list and a free list, so a steady-state access
 // allocates nothing. Frames are created on demand, at most a few more
-// than the capacity.
+// than the capacity plus the resident pages.
 //
 // The pool latch is never held across physical I/O: misses read the disk
 // after releasing it, and dirty evictions move the victim to an in-flight
@@ -78,15 +93,20 @@ type Pool struct {
 	store *pagestore.Store
 	io    *stats.IO
 	cap   int
+	// isResident classifies a page when its frame is admitted; nil when
+	// the pool has no resident class.
+	isResident func(page []byte) bool
 
 	// table is indexed by page id. It is grown to the store's page count
 	// (coverLocked) before a page is lent a frame, so the id of every
-	// resident, lent or in-flight frame lies within it.
-	table    []slot
-	resident int    // slots holding a frame
-	lru      frame  // ring sentinel: lru.next is the most, lru.prev the least recently used
-	free     *frame // recycled frames, linked through next; nfree of them
-	nfree    int
+	// cached, lent or in-flight frame lies within it.
+	table  []slot
+	cached int   // frames on the LRU ring, the ones the capacity bounds
+	lru    frame // ring sentinel: lru.next is the most, lru.prev the least recently used
+	res    frame // ring sentinel of the resident frames, nres of them, in no order
+	nres   int
+	free   *frame // recycled frames, linked through next; nfree of them
+	nfree  int
 	// lent counts frames handed to a caller outside the table (a read in
 	// progress, a transient frame, a PinOverwrite miss).
 	lent int
@@ -103,7 +123,7 @@ type Pool struct {
 
 // slot is the table's entry for one page.
 type slot struct {
-	f *frame // the resident frame, nil when the page is not cached
+	f *frame // the cached frame, nil when the page is not cached
 	// version counts disk-content events of the page (write-back
 	// completions and discards). A read miss snapshots it before its
 	// unlatched disk read and re-checks after: a bump means the disk may
@@ -118,20 +138,22 @@ type slot struct {
 const tableSlack = 256
 
 // frame is one page buffer. Its role changes, its buffer never does:
-// resident (in the table and on the LRU ring), in flight (a dirty victim
-// being written back), lent to a caller, or on the free list.
+// cached (in the table, and on the LRU ring or the resident ring), in
+// flight (a dirty victim being written back), lent to a caller, or on the
+// free list.
 type frame struct {
-	id   pagestore.PageID
-	data []byte
+	id       pagestore.PageID
+	data     []byte
+	resident bool // cached on the resident ring: never evicted, not counted against the capacity
 
-	prev, next *frame // LRU ring; next alone links the free list
+	prev, next *frame // LRU or resident ring; next alone links the free list
 
-	// latch orders access to data and dirty while the frame is resident:
+	// latch orders access to data and dirty while the frame is cached:
 	// shared for readers, exclusive for a patch or an overwrite. It is
 	// taken only after pins was raised under p.mu, and released before
 	// pins drops.
 	latch sync.RWMutex
-	// pins counts handles on the resident frame. Raised under p.mu,
+	// pins counts handles on the cached frame. Raised under p.mu,
 	// dropped without it; the evictor reads zero under p.mu, and nobody
 	// can raise it again without p.mu.
 	pins  atomic.Int32
@@ -149,11 +171,20 @@ type frame struct {
 // accesses are charged to the store's counters; buffer hits are charged to
 // the same counter set. Capacity zero disables caching entirely.
 func New(store *pagestore.Store, capacity int) *Pool {
-	if capacity < 0 {
-		capacity = 0
+	return NewResident(store, capacity, nil)
+}
+
+// NewResident creates a pool like New with a resident class: a page
+// isResident accepts, judged on its bytes when its frame is admitted, is
+// cached beyond the capacity and never evicted. Capacity zero still
+// disables caching entirely, of both classes.
+func NewResident(store *pagestore.Store, capacity int, isResident func(page []byte) bool) *Pool {
+	if capacity <= 0 {
+		capacity, isResident = 0, nil
 	}
-	p := &Pool{store: store, io: store.IO(), cap: capacity}
+	p := &Pool{store: store, io: store.IO(), cap: capacity, isResident: isResident}
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	p.res.prev, p.res.next = &p.res, &p.res
 	p.wbDone.L = &p.mu
 	return p
 }
@@ -161,11 +192,19 @@ func New(store *pagestore.Store, capacity int) *Pool {
 // Capacity returns the configured frame count.
 func (p *Pool) Capacity() int { return p.cap }
 
-// Len returns the number of resident frames.
+// Len returns the number of cached frames, of both classes.
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.resident
+	return p.cached + p.nres
+}
+
+// ResidentPages returns the number of frames of the resident class: the
+// frames the pool holds beyond its capacity.
+func (p *Pool) ResidentPages() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.nres
 }
 
 // Pinned returns the number of handles not yet released. At a quiescent
@@ -174,11 +213,17 @@ func (p *Pool) Pinned() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := p.lent
-	for f := p.lru.next; f != &p.lru; f = f.next {
-		n += int(f.pins.Load())
+	for _, ring := range p.rings() {
+		for f := ring.next; f != ring; f = f.next {
+			n += int(f.pins.Load())
+		}
 	}
 	return n
 }
+
+// rings returns the sentinels of the two rings every cached frame is on
+// one of: the LRU ring and the resident ring.
+func (p *Pool) rings() [2]*frame { return [2]*frame{&p.lru, &p.res} }
 
 // Store returns the underlying page store.
 func (p *Pool) Store() *pagestore.Store { return p.store }
@@ -206,7 +251,7 @@ func (h Handle) Bytes() []byte { return h.f.data }
 
 // MarkDirty records that the caller changed Bytes. Only a PinExclusive
 // or PinOverwrite handle may be patched; a change that is not marked is
-// lost (and, on a resident frame, visible until eviction) — release
+// lost (and, on a cached frame, visible until eviction) — release
 // without marking only when nothing was stored.
 func (h Handle) MarkDirty() {
 	if h.mode == pinShared {
@@ -245,15 +290,15 @@ func (p *Pool) Pin(id pagestore.PageID) (Handle, error) { return p.pin(id, pinSh
 func (p *Pool) PinExclusive(id pagestore.PageID) (Handle, error) { return p.pin(id, pinExclusive) }
 
 // PinOverwrite pins the page for a whole-page write. It performs no
-// logical read: a resident page is handed over as it is, a page that is
-// not resident as a frame of garbage, so the caller must either store all
+// logical read: a cached page is handed over as it is, a page that is
+// not cached as a frame of garbage, so the caller must either store all
 // of Bytes and MarkDirty, or store nothing.
 //
 //burlint:hotpath
 func (p *Pool) PinOverwrite(id pagestore.PageID) (Handle, error) {
 	p.mu.Lock()
-	if f := p.residentLocked(id); f != nil {
-		return p.pinResidentLocked(f, pinOverwrite), nil
+	if f := p.cachedLocked(id); f != nil {
+		return p.pinCachedLocked(f, pinOverwrite), nil
 	}
 	if p.cap > 0 && !p.coverLocked(id) {
 		p.mu.Unlock()
@@ -305,8 +350,8 @@ func (p *Pool) WritePage(id pagestore.PageID, src []byte) error {
 //burlint:hotpath
 func (p *Pool) pin(id pagestore.PageID, mode pinMode) (Handle, error) {
 	p.mu.Lock()
-	if r := p.residentLocked(id); r != nil {
-		h := p.pinResidentLocked(r, mode)
+	if r := p.cachedLocked(id); r != nil {
+		h := p.pinCachedLocked(r, mode)
 		p.io.CountBufferHit()
 		return h, nil
 	}
@@ -329,7 +374,7 @@ func (p *Pool) pin(id pagestore.PageID, mode pinMode) (Handle, error) {
 }
 
 // loadLocked fills the lent frame f with the current contents of its
-// page, which is not resident, and installs it. It is entered with p.mu
+// page, which is not cached, and installs it. It is entered with p.mu
 // held and returns without it.
 func (p *Pool) loadLocked(f *frame, mode pinMode) (Handle, error) {
 	id := f.id
@@ -369,7 +414,7 @@ func (p *Pool) loadLocked(f *frame, mode pinMode) (Handle, error) {
 			// Another thread cached the page meanwhile; its copy may be
 			// newer (a logical write could have landed), so prefer it.
 			p.unlendLocked(f)
-			return p.pinResidentLocked(r, mode), nil
+			return p.pinCachedLocked(r, mode), nil
 		}
 		if iw := p.inflightLocked(id); iw != nil && !iw.canceled {
 			copy(f.data, iw.data)
@@ -383,10 +428,12 @@ func (p *Pool) loadLocked(f *frame, mode pinMode) (Handle, error) {
 	}
 }
 
-// pinResidentLocked pins resident frame f as the most recently used,
-// releases p.mu and takes the frame latch.
-func (p *Pool) pinResidentLocked(f *frame, mode pinMode) Handle {
-	p.touchLocked(f)
+// pinCachedLocked pins cached frame f — an LRU frame as the most
+// recently used — releases p.mu and takes the frame latch.
+func (p *Pool) pinCachedLocked(f *frame, mode pinMode) Handle {
+	if !f.resident {
+		p.touchLocked(f)
+	}
 	f.pins.Add(1)
 	p.mu.Unlock()
 	if mode == pinShared {
@@ -398,7 +445,7 @@ func (p *Pool) pinResidentLocked(f *frame, mode pinMode) Handle {
 }
 
 // installLocked makes the lent frame f, which holds the current contents
-// of its page, resident and pinned for the caller, evicting the LRU frame
+// of its page, cached and pinned for the caller, evicting the LRU frame
 // if the pool is full; when every frame is pinned (or the capacity is
 // zero) f stays lent as a transient frame. It releases p.mu and writes a
 // dirty victim back.
@@ -412,21 +459,23 @@ func (p *Pool) installLocked(f *frame, mode pinMode) (Handle, error) {
 		return Handle{p: p, f: f, mode: mode, lent: true}, nil
 	}
 	// Nobody else can hold the latch of a frame that was not in the table.
-	h := p.pinResidentLocked(f, mode)
+	h := p.pinCachedLocked(f, mode)
 	if err := p.writeBack(victim); err != nil {
-		_ = h.Release() // a resident frame's release cannot fail
+		_ = h.Release() // a cached frame's release cannot fail
 		return Handle{}, err
 	}
 	return h, nil
 }
 
-// admitLocked adds the lent frame f to the table as the most recently
-// used frame. If the pool is full it first evicts the least recently
+// admitLocked adds the lent frame f to the table: to the resident ring
+// when its bytes are of the resident class, else as the most recently
+// used frame. If the LRU ring is full it first evicts its least recently
 // used frame that is not pinned, and returns it when it is dirty: the
 // caller writes it back after the latch is released. It reports false,
 // with nothing changed, when there is no room and no victim.
 func (p *Pool) admitLocked(f *frame) (victim *frame, ok bool) {
-	if p.resident >= p.cap {
+	f.resident = p.isResident != nil && p.isResident(f.data)
+	if !f.resident && p.cached >= p.cap {
 		v := p.lru.prev
 		for v != &p.lru && v.pins.Load() != 0 {
 			v = v.prev
@@ -438,12 +487,17 @@ func (p *Pool) admitLocked(f *frame) (victim *frame, ok bool) {
 	}
 	p.lent--
 	p.table[f.id].f = f
-	p.resident++
-	p.linkFrontLocked(f)
+	if f.resident {
+		p.nres++
+		linkAfter(&p.res, f)
+	} else {
+		p.cached++
+		linkAfter(&p.lru, f)
+	}
 	return victim, true
 }
 
-// evictLocked takes the resident frame v, which nobody pins, out of the
+// evictLocked takes the cached frame v, which nobody pins, out of the
 // table: a clean frame goes to the free list, a dirty one is published
 // to the in-flight list and returned for physical write-back.
 func (p *Pool) evictLocked(v *frame) (victim *frame) {
@@ -457,11 +511,15 @@ func (p *Pool) evictLocked(v *frame) (victim *frame) {
 	return v
 }
 
-// detachLocked removes resident frame f from the table and the LRU ring.
+// detachLocked removes cached frame f from the table and its ring.
 func (p *Pool) detachLocked(f *frame) {
-	p.unlinkLocked(f)
+	unlink(f)
 	p.table[f.id].f = nil
-	p.resident--
+	if f.resident {
+		p.nres--
+	} else {
+		p.cached--
+	}
 }
 
 // inflightLocked returns the latest write of page id still in flight.
@@ -474,7 +532,7 @@ func (p *Pool) inflightLocked(id pagestore.PageID) *frame {
 	return nil
 }
 
-// publishLocked enters the dirty, non-resident frame v into the in-flight
+// publishLocked enters the dirty, uncached frame v into the in-flight
 // list, behind any write of the same page still running.
 func (p *Pool) publishLocked(v *frame) {
 	for i, w := range p.inflight {
@@ -489,8 +547,8 @@ func (p *Pool) publishLocked(v *frame) {
 
 // releaseLent ends a handle on a frame outside the table. A clean frame
 // is just recycled. A dirty one carries the newest contents of its page:
-// it replaces the contents of the page's resident frame when another
-// goroutine cached the page meanwhile, else it becomes resident, else —
+// it replaces the contents of the page's cached frame when another
+// goroutine cached the page meanwhile, else it is cached, else —
 // no room — it is written through. A pool of capacity zero writes
 // straight to the store.
 func (p *Pool) releaseLent(f *frame, mode pinMode) error {
@@ -505,7 +563,7 @@ func (p *Pool) releaseLent(f *frame, mode pinMode) error {
 	}
 	p.mu.Lock()
 	if r := p.table[f.id].f; r != nil {
-		h := p.pinResidentLocked(r, pinExclusive)
+		h := p.pinCachedLocked(r, pinExclusive)
 		copy(r.data, f.data)
 		r.dirty = true
 		err := h.Release() // before p.mu is taken again: Flush latches frames under it
@@ -623,27 +681,29 @@ func (p *Pool) freeLocked(f *frame) {
 	p.nfree++
 }
 
-func (p *Pool) linkFrontLocked(f *frame) {
-	f.prev, f.next = &p.lru, p.lru.next
+// linkAfter links f into a ring right after its sentinel: on the LRU
+// ring, as the most recently used frame.
+func linkAfter(ring, f *frame) {
+	f.prev, f.next = ring, ring.next
 	f.prev.next, f.next.prev = f, f
 }
 
-func (p *Pool) unlinkLocked(f *frame) {
+func unlink(f *frame) {
 	f.prev.next, f.next.prev = f.next, f.prev
 	f.prev, f.next = nil, nil
 }
 
-// touchLocked makes resident frame f the most recently used.
+// touchLocked makes LRU frame f the most recently used.
 func (p *Pool) touchLocked(f *frame) {
 	if p.lru.next != f {
-		p.unlinkLocked(f)
-		p.linkFrontLocked(f)
+		unlink(f)
+		linkAfter(&p.lru, f)
 	}
 }
 
-// residentLocked returns the frame page id occupies, nil when it is not
+// cachedLocked returns the frame page id occupies, nil when it is not
 // cached.
-func (p *Pool) residentLocked(id pagestore.PageID) *frame {
+func (p *Pool) cachedLocked(id pagestore.PageID) *frame {
 	if uint64(id) < uint64(len(p.table)) {
 		return p.table[id].f
 	}
@@ -672,7 +732,7 @@ func (p *Pool) growLocked(n int) {
 	p.table = t
 }
 
-// dropLocked removes resident frame f from the table without writing it
+// dropLocked removes cached frame f from the table without writing it
 // back. An unpinned frame is recycled; a pinned one is left to its
 // holders and then to the collector.
 func (p *Pool) dropLocked(f *frame) {
@@ -717,7 +777,7 @@ func (p *Pool) Discard(id pagestore.PageID) {
 	p.table[id].version++
 }
 
-// Flush writes all dirty frames to disk. Frames stay resident (clean).
+// Flush writes all dirty frames to disk. Frames stay cached (clean).
 // Any in-flight eviction writes are drained first so the flushed
 // contents are the final disk state.
 func (p *Pool) Flush() error {
@@ -729,19 +789,21 @@ func (p *Pool) Flush() error {
 	for len(p.inflight) > 0 {
 		p.wbDone.Wait()
 	}
-	for f := p.lru.next; f != &p.lru; f = f.next {
-		// A patch in progress finishes first: its holder needs no pool
-		// latch to release.
-		f.latch.RLock()
-		var err error
-		if f.dirty {
-			if err = p.store.Write(f.id, f.data); err == nil {
-				f.dirty = false
+	for _, ring := range p.rings() {
+		for f := ring.next; f != ring; f = f.next {
+			// A patch in progress finishes first: its holder needs no pool
+			// latch to release.
+			f.latch.RLock()
+			var err error
+			if f.dirty {
+				if err = p.store.Write(f.id, f.data); err == nil {
+					f.dirty = false
+				}
 			}
-		}
-		f.latch.RUnlock()
-		if err != nil {
-			return fmt.Errorf("buffer: flushing page %d: %w", f.id, err)
+			f.latch.RUnlock()
+			if err != nil {
+				return fmt.Errorf("buffer: flushing page %d: %w", f.id, err)
+			}
 		}
 	}
 	return nil
@@ -752,8 +814,10 @@ func (p *Pool) Flush() error {
 func (p *Pool) Invalidate() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.lru.next != &p.lru {
-		p.dropLocked(p.lru.next)
+	for _, ring := range p.rings() {
+		for ring.next != ring {
+			p.dropLocked(ring.next)
+		}
 	}
 	// Cancel (rather than drop) in-flight evictions so their stale data
 	// cannot land after the invalidation point.
@@ -762,9 +826,9 @@ func (p *Pool) Invalidate() {
 	}
 }
 
-// Resident reports whether the page currently occupies a frame.
-func (p *Pool) Resident(id pagestore.PageID) bool {
+// Cached reports whether the page currently occupies a frame.
+func (p *Pool) Cached(id pagestore.PageID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.residentLocked(id) != nil
+	return p.cachedLocked(id) != nil
 }

@@ -105,9 +105,9 @@ func TestLRUOrderRespectsReads(t *testing.T) {
 	if err := p.WritePage(ids[2], page(3)); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Resident(ids[0]) || p.Resident(ids[1]) || !p.Resident(ids[2]) {
-		t.Fatalf("residency after eviction: A=%v B=%v C=%v; want A,C resident",
-			p.Resident(ids[0]), p.Resident(ids[1]), p.Resident(ids[2]))
+	if !p.Cached(ids[0]) || p.Cached(ids[1]) || !p.Cached(ids[2]) {
+		t.Fatalf("residency after eviction: A=%v B=%v C=%v; want A,C cached",
+			p.Cached(ids[0]), p.Cached(ids[1]), p.Cached(ids[2]))
 	}
 }
 
@@ -174,8 +174,8 @@ func TestDiscardDropsDirtyData(t *testing.T) {
 	if d := io.Snapshot().Sub(base); d.Writes != 0 {
 		t.Fatalf("discarded page still flushed: %v", d)
 	}
-	if p.Resident(ids[0]) {
-		t.Fatal("discarded page still resident")
+	if p.Cached(ids[0]) {
+		t.Fatal("discarded page still cached")
 	}
 }
 

@@ -41,7 +41,7 @@ func TestPinnedFrameSurvivesEvictionPressure(t *testing.T) {
 			}
 		}
 	}
-	if !p.Resident(ids[0]) {
+	if !p.Cached(ids[0]) {
 		t.Fatal("pinned page was evicted")
 	}
 	if h.Bytes()[0] != 7 {
@@ -61,7 +61,7 @@ func TestPinnedFrameSurvivesEvictionPressure(t *testing.T) {
 	if err := p.ReadPage(ids[2], buf); err != nil {
 		t.Fatal(err)
 	}
-	if p.Resident(ids[0]) {
+	if p.Cached(ids[0]) {
 		t.Fatal("released page survived two misses in a pool of two")
 	}
 }
@@ -84,7 +84,7 @@ func TestEveryFramePinnedFallsBackToTransientFrame(t *testing.T) {
 	if d := io.Snapshot().Sub(base); d.Reads != 1 || d.Writes != 0 || d.BufferHits != 0 || d.PinFallbacks != 1 || d.Evictions != 0 {
 		t.Fatalf("transient read: %v", d)
 	}
-	if p.Resident(ids[2]) || p.Len() != 2 {
+	if p.Cached(ids[2]) || p.Len() != 2 {
 		t.Fatal("transient frame entered the table")
 	}
 
@@ -118,8 +118,8 @@ func TestEveryFramePinnedFallsBackToTransientFrame(t *testing.T) {
 	if err := p.ReadPage(ids[2], buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf[0] != 5 || !p.Resident(ids[2]) {
-		t.Fatalf("after the pins are gone: read %d, resident %v", buf[0], p.Resident(ids[2]))
+	if buf[0] != 5 || !p.Cached(ids[2]) {
+		t.Fatalf("after the pins are gone: read %d, cached %v", buf[0], p.Cached(ids[2]))
 	}
 	if n := p.Pinned(); n != 0 {
 		t.Fatalf("%d pins leaked", n)
@@ -172,13 +172,13 @@ func TestAbandonedPatchLeavesFrameCleanAndUnchanged(t *testing.T) {
 	mustRelease(t, h)
 	h = mustPin(t, p.PinOverwrite, ids[0]) // hit
 	if h.Bytes()[0] != 10 {
-		t.Fatalf("overwrite pin of a resident page shows %d, want its contents (10)", h.Bytes()[0])
+		t.Fatalf("overwrite pin of a cached page shows %d, want its contents (10)", h.Bytes()[0])
 	}
 	mustRelease(t, h)
 	h = mustPin(t, p.PinOverwrite, ids[1]) // miss: garbage, abandoned
 	mustRelease(t, h)
-	if p.Resident(ids[1]) {
-		t.Fatal("an abandoned overwrite made its page resident")
+	if p.Cached(ids[1]) {
+		t.Fatal("an abandoned overwrite made its page cached")
 	}
 
 	// Evict everything: a clean frame costs no write.

@@ -144,7 +144,7 @@ func runTrace(t *testing.T, capacity, accesses int, shape traceShape, mk func(*P
 // under the same id and rewritten mid-flight (the write-back must be
 // skipped and the new contents reach the disk); without, it is read
 // mid-flight (served from the frame in flight and cached again) and
-// patched, so the late write-back lands under a newer resident version.
+// patched, so the late write-back lands under a newer cached version.
 // A pool of capacity zero has no frame to evict and sees the same
 // accesses without the flight.
 func stageEviction(t *testing.T, p *Pool, acc traceAccess, id pagestore.PageID, retire bool, buf []byte) {
@@ -163,7 +163,7 @@ func stageEviction(t *testing.T, p *Pool, acc traceAccess, id pagestore.PageID, 
 	fill(1)
 	must("write", acc.write(id, buf))
 	p.mu.Lock()
-	v := p.residentLocked(id)
+	v := p.cachedLocked(id)
 	if v != nil {
 		v = p.evictLocked(v)
 	}

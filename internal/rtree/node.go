@@ -278,6 +278,14 @@ func encodeNode(n *Node, buf []byte, parentPointers bool) error {
 	return nil
 }
 
+// InternalPage reports whether page holds a node above the leaf level,
+// by its header's magic and leaf flag. It is the library's buffer pool's
+// resident class (buffer.NewResident): the directory levels stay in
+// memory and the capacity is spent on leaves.
+func InternalPage(page []byte) bool {
+	return len(page) > 1 && page[0] == nodeMagic && page[1]&flagLeaf == 0
+}
+
 // view is a node page read where it lies: the header fields, validated
 // once, and the offset and width of the fixed-width entries.
 type view struct {

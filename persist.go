@@ -285,12 +285,9 @@ func restoreParts(st savedStack, per Options, co core.Options) (indexParts, erro
 	if err != nil {
 		return indexParts{}, err
 	}
-	pool := buffer.New(store, per.BufferPages)
-	u, err := core.Restore(pool, co, core.RestoreState{Root: st.Root, Height: st.Height, Size: st.Size})
-	if err != nil {
-		return indexParts{}, err
-	}
-	return indexParts{store: store, pool: pool, io: store.IO(), u: u}, nil
+	return stackParts(store, per, func(pool *buffer.Pool) (core.Updater, error) {
+		return core.Restore(pool, co, core.RestoreState{Root: st.Root, Height: st.Height, Size: st.Size})
+	})
 }
 
 // loadFile opens path and loads the snapshot in it as kind k.

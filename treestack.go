@@ -463,6 +463,7 @@ func (s *treeStack) stats() Stats {
 			Evictions:       c.Evictions,
 			DirtyWriteBacks: c.DirtyWriteBacks,
 			PinFallbacks:    c.PinFallbacks,
+			ResidentPages:   s.pool.ResidentPages(),
 			Height:          u.Tree().Height(),
 			Pages:           s.store.NumPages(),
 			Size:            u.Tree().Size(),
