@@ -1,8 +1,8 @@
 package burtree_test
 
-// Per-op allocation benchmarks for the hot update paths and the delta
-// tier's overlay reads, plus the budget gate that holds them to the
-// thresholds committed in BENCH_allocs.json. The static side of the same contract is the
+// Per-op allocation benchmarks for the hot update paths and the read
+// paths, plus the budget gate that holds them to the thresholds committed
+// in BENCH_allocs.json. The static side of the same contract is the
 // hotpath analyzer (internal/lint/analyzers/hotpath): burlint rejects
 // per-op allocation sites reachable from //burlint:hotpath roots, and
 // this gate catches what escapes static analysis (allocations inside
@@ -12,15 +12,18 @@ package burtree_test
 //
 //	go test -run TestAllocBudget -v .
 //
-// and copy the reported allocs/op into BENCH_allocs.json with ~25%
-// headroom (the paths are deterministic, but map/append growth varies
-// a little with b.N).
+// and copy the reported allocs/op into BENCH_allocs.json: a write window
+// with ~25% headroom (the paths are deterministic, but map/append growth
+// varies a little with b.N), a read window at one allocation per read —
+// its result, which is all a read allocates.
 
 import (
 	"encoding/json"
-	"math"
+	"fmt"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"testing"
 
@@ -170,6 +173,41 @@ func BenchmarkUpdateBatchAllocsSharded(b *testing.B) {
 	b.ReportMetric(float64(cross)/float64(applied), "cross/move")
 }
 
+// BenchmarkUpdateBatchAllocsOverflow is a window of 256 moves that jump
+// anywhere in the unit square: the group pass declines them, so each goes
+// through the strategy's full path, and the window overflows leaves —
+// forced reinsertion, then splits — and leaves nodes underfull, which
+// condenses them. It reports the splits and reinserted entries per window
+// so the gate shows the overflow path ran.
+func BenchmarkUpdateBatchAllocsOverflow(b *testing.B) {
+	const n = allocBenchObjects
+	x, err := burtree.Open(allocBenchOptions(burtree.GeneralizedBottomUp))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		if err := x.Insert(uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	changes := make([]burtree.Change, 256)
+	before := x.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range changes {
+			changes[j] = burtree.Change{ID: uint64(rng.Intn(n)), To: burtree.Point{X: rng.Float64(), Y: rng.Float64()}}
+		}
+		if _, err := x.UpdateBatch(changes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	after := x.Stats()
+	b.ReportMetric(float64(after.Splits-before.Splits)/float64(b.N), "splits/window")
+	b.ReportMetric(float64(after.Reinserts-before.Reinserts)/float64(b.N), "reinserts/window")
+}
+
 func BenchmarkUpdateBatchAllocsMemtable(b *testing.B) {
 	opts := allocBenchOptions(burtree.GeneralizedBottomUp)
 	// A threshold the bench never trips: the gate measures the pure
@@ -184,9 +222,24 @@ func BenchmarkUpdateBatchAllocsMemtable(b *testing.B) {
 // as a delta that leaves the object where it is: whatever the tier's
 // depth, every read returns the same objects.
 func memtableReadIndex(tb testing.TB, buffered int) *burtree.Index {
-	const n = allocBenchObjects
 	opts := allocBenchOptions(burtree.GeneralizedBottomUp)
 	opts.Memtable = burtree.Memtable{Enabled: true, MaxObjects: 1 << 20}
+	x, ids, pts := readIndex(tb, opts)
+	for i := 0; i < buffered; i++ {
+		if err := x.Update(ids[i], pts[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := x.Stats().Memtable.Entries; got != buffered {
+		tb.Fatalf("%d deltas buffered, want %d", got, buffered)
+	}
+	return x
+}
+
+// readIndex opens an Index under opts and bulk-loads allocBenchObjects
+// uniform objects into it, returning their ids and positions too.
+func readIndex(tb testing.TB, opts burtree.Options) (*burtree.Index, []uint64, []burtree.Point) {
+	const n = allocBenchObjects
 	x, err := burtree.Open(opts)
 	if err != nil {
 		tb.Fatal(err)
@@ -199,21 +252,28 @@ func memtableReadIndex(tb testing.TB, buffered int) *burtree.Index {
 	if err := x.BulkInsert(ids, pts, burtree.PackSTR); err != nil {
 		tb.Fatal(err)
 	}
-	for i := 0; i < buffered; i++ {
-		if err := x.Update(ids[i], pts[i]); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if got := x.Stats().Memtable.Entries; got != buffered {
-		tb.Fatalf("%d deltas buffered, want %d", got, buffered)
-	}
-	return x
+	return x, ids, pts
 }
 
 // overlayReadWindow is the window the overlay read benchmarks query: it
 // holds about 0.4% of the objects, so half a full tier's share of them
 // still fits the read path's on-stack result buffer.
 var overlayReadWindow = burtree.NewRect(0.47, 0.47, 0.53, 0.53)
+
+// BenchmarkSearchAllocsIndex is a window of 256 Search calls on a plain
+// Index: the tree scan into kept scratch and the result, copied out once.
+func BenchmarkSearchAllocsIndex(b *testing.B) {
+	x, _, _ := readIndex(b, allocBenchOptions(burtree.GeneralizedBottomUp))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 256; j++ {
+			if _, err := x.Search(overlayReadWindow); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
 
 // BenchmarkSearchAllocsMemtable is a window of 256 Search calls with half
 // the objects buffered in the delta tier: the view, the masked tree scan
@@ -267,10 +327,9 @@ func TestOverlayReadAllocsIgnoreDepth(t *testing.T) {
 	}
 	s64, n64 := measure(64)
 	s4096, n4096 := measure(4096)
-	// Nearest borrows its queue from a sync.Pool, which under the race
-	// detector drops a quarter of what it is handed: there, and only there,
-	// the two averages can round to neighbouring integers.
-	if s64 != s4096 || math.Abs(n64-n4096) > 1 {
+	// A read's scratch comes from free lists that drop nothing, so the
+	// counts are exact, under the race detector too.
+	if s64 != s4096 || n64 != n4096 {
 		t.Fatalf("allocs/read with 64 deltas buffered: Search %v, Nearest %v; with 4096: Search %v, Nearest %v",
 			s64, n64, s4096, n4096)
 	}
@@ -285,7 +344,9 @@ var allocBudgetBenches = map[string]func(*testing.B){
 	"UpdateBatchLBU":           BenchmarkUpdateBatchAllocsLBU,
 	"UpdateBatchConcurrentGBU": BenchmarkUpdateBatchAllocsConcurrentGBU,
 	"UpdateBatchSharded":       BenchmarkUpdateBatchAllocsSharded,
+	"UpdateBatchOverflow":      BenchmarkUpdateBatchAllocsOverflow,
 	"UpdateBatchMemtable":      BenchmarkUpdateBatchAllocsMemtable,
+	"SearchIndex":              BenchmarkSearchAllocsIndex,
 	"SearchMemtable":           BenchmarkSearchAllocsMemtable,
 	"NearestMemtable":          BenchmarkNearestAllocsMemtable,
 }
@@ -337,6 +398,10 @@ func TestAllocBudget(t *testing.T) {
 				name, got, budget)
 			continue
 		}
-		t.Logf("%s: %d allocs/op (budget %d)", name, got, budget)
+		extra := ""
+		for _, unit := range slices.Sorted(maps.Keys(r.Extra)) {
+			extra += fmt.Sprintf(", %.3g %s", r.Extra[unit], unit)
+		}
+		t.Logf("%s: %d allocs/op (budget %d)%s", name, got, budget, extra)
 	}
 }

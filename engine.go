@@ -436,8 +436,7 @@ func (x *index) write(k opKind, changes []Change) (BatchResult, error) {
 	held := x.lockIDs(changes)
 	defer x.unlockIDs(held)
 	b := batchRuns.Get().(*batchRun)
-	b.kind, b.tiered = k, x.tiered()
-	b.work = slices.Grow(b.work[:0], len(x.shards))[:len(x.shards)] // one slot per stack
+	b.prepare(x, k)
 	defer b.release()
 	if err := x.reserve(b, changes); err != nil {
 		return BatchResult{}, err
@@ -451,7 +450,7 @@ func (x *index) write(k opKind, changes []Change) (BatchResult, error) {
 	x.recordBatch(b)
 	var err, ackErr error
 	for _, s := range b.stacks {
-		w := &b.work[s]
+		w := b.work[s]
 		b.res.Applied += w.res.Applied
 		b.res.Groups += w.res.Groups
 		b.res.GroupResolved += w.res.GroupResolved
@@ -478,8 +477,8 @@ func (x *index) write(k opKind, changes []Change) (BatchResult, error) {
 // the table lock. Each id is checked and its old position read into b.raw
 // — an insert's Old set to its new position and a delete's New to its old
 // one, so a change's New is always the position that decides its owner —
-// and repeated moves of one object coalesce to the last through
-// core.Coalesce (one shared definition of the last-write-wins rule). Each
+// and repeated moves of one object coalesce to the last through the run's
+// core.Coalescer (one shared definition of the last-write-wins rule). Each
 // surviving change is then routed (route). On a tiered index it is also
 // recorded in the table and absorbed in the same hold, so racing writers
 // see either none or all of the write at the ack level; an untiered
@@ -503,7 +502,7 @@ func (x *index) reserve(b *batchRun, changes []Change) error {
 	}
 	coalesced := b.raw
 	if len(coalesced) > 1 {
-		coalesced, b.res.Coalesced = core.Coalesce(coalesced)
+		coalesced, b.res.Coalesced = b.co.Coalesce(coalesced)
 	}
 	for _, c := range coalesced {
 		if b.tiered {

@@ -62,6 +62,7 @@ import (
 	"burtree/internal/geom"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
+	"burtree/internal/scratch"
 )
 
 // TreeGranule is the whole-index granule (DGL's external granule).
@@ -76,8 +77,10 @@ type DB struct {
 	timeout time.Duration
 
 	// txns holds idle lock owners, each holding nothing: an operation
-	// borrows one for its lock cycles and hands it back released.
-	txns sync.Pool
+	// borrows one for its lock cycles and hands it back released. A free
+	// list that drops none, so a read's lock cycle allocates nothing, on
+	// every call.
+	txns scratch.List[dgl.Txn]
 	// refuseTry makes every optimistic lock attempt report a refusal, so
 	// that a test can run on the blocking protocol alone. Nothing else
 	// sets it.
@@ -97,12 +100,14 @@ func New(u core.Updater, gridN int) *DB {
 	if gridN <= 0 {
 		gridN = 32
 	}
-	return &DB{
+	d := &DB{
 		u:       u,
 		lm:      dgl.NewManager(),
 		gridN:   gridN,
 		timeout: 2 * time.Second,
 	}
+	d.txns.New = d.lm.Begin
+	return d
 }
 
 // Updater returns the wrapped strategy.
@@ -189,12 +194,7 @@ const maxAttempts = 8
 
 // begin borrows a lock owner holding nothing; end releases whatever it
 // holds by then and hands it back.
-func (d *DB) begin() *dgl.Txn {
-	if txn, ok := d.txns.Get().(*dgl.Txn); ok {
-		return txn
-	}
-	return d.lm.Begin()
-}
+func (d *DB) begin() *dgl.Txn { return d.txns.Get() }
 
 func (d *DB) end(txn *dgl.Txn) {
 	d.lm.ReleaseAll(txn)
@@ -595,14 +595,15 @@ func (d *DB) UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)
 		return st, d.applyResidue(changes, &st, done)
 	}
 
+	plan := core.BorrowPlan()
+	defer core.ReturnPlan(plan)
 	d.latch.RLock()
-	plan := core.PlanBatch(d.u, ga, changes)
+	core.PlanBatch(plan, d.u, ga, changes)
 	d.latch.RUnlock()
 
-	// Room for half the batch up front: about a third of a batch of small
-	// moves escalates, and growing the residue to that by doubling is most
-	// of what a batch would still allocate here.
-	residue, err := d.applyRuns(ga, plan.Runs, make([]core.BatchChange, 0, len(changes)/2), &st, done)
+	// The residue collects in the plan's room for it.
+	residue, err := d.applyRuns(ga, plan.Runs, plan.Residue, &st, done)
+	plan.Residue = append(residue, plan.Loose...)
 	// What the runs resolved is counted once, from the sums they kept.
 	local := int64(st.GroupResolved + st.LocalFallback)
 	d.updates.Add(local)
@@ -611,7 +612,7 @@ func (d *DB) UpdateBatch(changes []core.BatchChange, done func(core.BatchChange)
 	if err != nil {
 		return st, err
 	}
-	return st, d.applyResidue(append(residue, plan.Loose...), &st, done)
+	return st, d.applyResidue(plan.Residue, &st, done)
 }
 
 // applyRuns applies the leaf runs of a planned batch one after the other,

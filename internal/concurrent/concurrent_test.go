@@ -449,7 +449,9 @@ func TestBatchOfFarJumpsIsAllResidue(t *testing.T) {
 			New: geom.Point{X: 2 + rng.Float64(), Y: 2 + rng.Float64()}})
 	}
 	ga := db.Updater().(core.GroupApplier)
-	groups := len(core.PlanBatch(db.Updater(), ga, batch).Runs)
+	var plan core.Plan
+	core.PlanBatch(&plan, db.Updater(), ga, batch)
+	groups := len(plan.Runs)
 
 	before := db.Stats()
 	st, err := db.UpdateBatch(batch, func(c core.BatchChange) { model[c.OID] = c.New })
@@ -481,7 +483,8 @@ func TestStaleRunMemberJoinsResidue(t *testing.T) {
 				old := model[i]
 				batch[i] = core.BatchChange{OID: rtree.OID(i), Old: old, New: geom.Point{X: old.X + 0.001, Y: old.Y + 0.001}}
 			}
-			plan := core.PlanBatch(db.Updater(), ga, batch)
+			var plan core.Plan
+			core.PlanBatch(&plan, db.Updater(), ga, batch)
 			var run core.LeafRun
 			for _, r := range plan.Runs {
 				if len(r.Changes) > len(run.Changes) {
@@ -580,7 +583,9 @@ func TestRefusedTryFallsBack(t *testing.T) {
 					batch[i] = core.BatchChange{OID: rtree.OID(i), Old: old, New: geom.Point{X: old.X + 0.001, Y: old.Y + 0.001}}
 				}
 				var run core.LeafRun
-				for _, r := range core.PlanBatch(db.Updater(), ga, batch).Runs {
+				var plan core.Plan
+				core.PlanBatch(&plan, db.Updater(), ga, batch)
+				for _, r := range plan.Runs {
 					if len(r.Changes) > len(run.Changes) {
 						run = r
 					}

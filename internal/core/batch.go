@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"burtree/internal/geom"
 	"burtree/internal/hashindex"
@@ -70,18 +71,43 @@ func (s *BatchStats) Add(o BatchStats) {
 // of superseded input changes alongside the compacted slice (a new
 // slice; the input is not modified).
 func Coalesce(changes []BatchChange) ([]BatchChange, int) {
-	out := make([]BatchChange, 0, len(changes))
-	at := make(map[rtree.OID]int, len(changes))
+	c := Coalescer{out: make([]BatchChange, 0, len(changes))}
+	return c.Coalesce(changes)
+}
+
+// Coalescer is Coalesce with its buffers kept between calls: a writer
+// that coalesces batch after batch through one allocates nothing once its
+// buffers have grown to a batch. The zero value is ready for use; a
+// Coalescer is not safe for concurrent use.
+type Coalescer struct {
+	out []BatchChange
+	at  map[rtree.OID]int
+}
+
+// maxKept bounds the batch whose buffers a Coalescer keeps: emptying a map
+// costs what it once held, so the one a huge batch grew is dropped.
+const maxKept = 1 << 12
+
+// Coalesce is the package-level Coalesce into c's buffers: the slice it
+// returns is c's, valid until c's next call.
+func (c *Coalescer) Coalesce(changes []BatchChange) ([]BatchChange, int) {
+	if c.at == nil || len(c.at) > maxKept {
+		c.at = make(map[rtree.OID]int, len(changes))
+	} else {
+		clear(c.at)
+	}
+	out := c.out[:0]
 	dropped := 0
-	for _, c := range changes {
-		if j, ok := at[c.OID]; ok {
-			out[j].New = c.New
+	for _, ch := range changes {
+		if j, ok := c.at[ch.OID]; ok {
+			out[j].New = ch.New
 			dropped++
 			continue
 		}
-		at[c.OID] = len(out)
-		out = append(out, c)
+		c.at[ch.OID] = len(out)
+		out = append(out, ch)
 	}
+	c.out = out
 	return out, dropped
 }
 
@@ -163,13 +189,22 @@ type LeafRun struct {
 }
 
 // Plan is a batch resolved against the secondary index: the one order →
-// resolve → group step shared by ApplyBatch and the DGL layer.
+// resolve → group step shared by ApplyBatch and the DGL layer. A Plan
+// keeps its buffers from one PlanBatch to the next; BorrowPlan and
+// ReturnPlan recycle plans, so a writer plans and applies batch after
+// batch with no allocation once the buffers have grown to a batch.
 type Plan struct {
 	// Runs lists the leaf groups by ascending leaf page.
 	Runs []LeafRun
 	// Loose holds the changes without a secondary-index entry; the plain
 	// Update path surfaces the error the sequential API would.
 	Loose []BatchChange
+	// Residue is room for the changes the caller's group passes leave
+	// over. PlanBatch empties it.
+	Residue []BatchChange
+
+	ps   []planned
+	flat []BatchChange // the runs' changes, run after run
 }
 
 // planned is one change with the leaf it resolved to and its position
@@ -180,12 +215,32 @@ type planned struct {
 	seq  int
 }
 
+// byLeafThenSeq orders planned changes by leaf page, then lookup order.
+func byLeafThenSeq(a, b planned) int {
+	if c := cmp.Compare(a.leaf, b.leaf); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+var plans = sync.Pool{New: func() any { return new(Plan) }}
+
+// BorrowPlan takes a plan, with whatever room it kept, from a free list.
+func BorrowPlan() *Plan { return plans.Get().(*Plan) }
+
+// ReturnPlan hands p back for a later BorrowPlan; the caller must not
+// touch p, or any slice of it, afterwards.
+func ReturnPlan(p *Plan) { plans.Put(p) }
+
 // PlanBatch resolves each change's leaf with one LeafOf probe, in
 // OrderForGrouping's bucket-clustered order, and sorts the changes into
-// per-leaf runs of one flat slice. The input is not modified.
-func PlanBatch(u Updater, ga GroupApplier, changes []BatchChange) Plan {
-	var p Plan
-	ps := make([]planned, 0, len(changes))
+// per-leaf runs of one flat slice, overwriting p. The input is not
+// modified.
+//
+//burlint:hotpath
+func PlanBatch(p *Plan, u Updater, ga GroupApplier, changes []BatchChange) {
+	p.Loose, p.Residue = p.Loose[:0], p.Residue[:0]
+	ps := p.ps[:0]
 	for i, c := range OrderForGrouping(u, changes) {
 		leaf, err := ga.LeafOf(c.OID)
 		if err != nil {
@@ -194,22 +249,17 @@ func PlanBatch(u Updater, ga GroupApplier, changes []BatchChange) Plan {
 		}
 		ps = append(ps, planned{c, leaf, i})
 	}
-	slices.SortFunc(ps, func(a, b planned) int {
-		if c := cmp.Compare(a.leaf, b.leaf); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	flat := make([]BatchChange, len(ps))
-	p.Runs = make([]LeafRun, 0, len(ps))
+	slices.SortFunc(ps, byLeafThenSeq)
+	flat := slices.Grow(p.flat[:0], len(ps))[:len(ps)]
+	runs := p.Runs[:0]
 	for i, start := 0, 0; i < len(ps); i++ {
 		flat[i] = ps[i].BatchChange
 		if i+1 == len(ps) || ps[i+1].leaf != ps[i].leaf {
-			p.Runs = append(p.Runs, LeafRun{Leaf: ps[i].leaf, Changes: flat[start : i+1 : i+1], first: ps[start].seq})
+			runs = append(runs, LeafRun{Leaf: ps[i].leaf, Changes: flat[start : i+1 : i+1], first: ps[start].seq})
 			start = i + 1
 		}
 	}
-	return p
+	p.ps, p.flat, p.Runs = ps, flat, runs
 }
 
 // HasOID reports whether changes holds an entry for oid. A linear
@@ -265,13 +315,16 @@ func ApplyBatch(u Updater, changes []BatchChange, done func(BatchChange)) (Batch
 		return st, applySequential(changes)
 	}
 
-	plan := PlanBatch(u, ga, changes)
-	slices.SortFunc(plan.Runs, func(a, b LeafRun) int { return cmp.Compare(b.first, a.first) })
-	var unresolved []BatchChange // one scratch for all the runs
+	plan := BorrowPlan()
+	defer ReturnPlan(plan)
+	PlanBatch(plan, u, ga, changes)
+	slices.SortFunc(plan.Runs, latestResolvedFirst)
 	for _, g := range plan.Runs {
 		st.Groups++
-		var err error
-		if unresolved, err = ga.ApplyLeafGroup(g.Leaf, g.Changes, unresolved[:0]); err != nil {
+		// The plan's residue is one scratch for all the runs.
+		unresolved, err := ga.ApplyLeafGroup(g.Leaf, g.Changes, plan.Residue[:0])
+		plan.Residue = unresolved
+		if err != nil {
 			return st, err
 		}
 		for _, c := range g.Changes {
@@ -301,3 +354,7 @@ func ApplyBatch(u Updater, changes []BatchChange, done func(BatchChange)) (Batch
 	}
 	return st, applySequential(plan.Loose)
 }
+
+// latestResolvedFirst orders leaf runs by their first change's lookup
+// position, latest first.
+func latestResolvedFirst(a, b LeafRun) int { return cmp.Compare(b.first, a.first) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"burtree/internal/geom"
@@ -195,5 +196,46 @@ func TestBatchSharesLeafAccesses(t *testing.T) {
 
 	if batched >= sequential {
 		t.Fatalf("batched same-leaf pair cost %d accesses, sequential cost %d", batched, sequential)
+	}
+}
+
+// TestPlanningReusesItsBuffers: coalescing and planning batch after batch
+// through one Coalescer and one Plan allocates nothing once their buffers
+// have grown to a batch, and gives what the fresh forms give.
+func TestPlanningReusesItsBuffers(t *testing.T) {
+	u := newUpdater(t, 1024, 16, Options{Strategy: GBU, MemoryLocator: true})
+	w := newWorld(11)
+	w.populate(t, u, 1500)
+	ga := u.(GroupApplier)
+	raw := w.batchMoves(256, 0.01)
+
+	var co Coalescer
+	var plan Plan
+	changes, _ := co.Coalesce(raw)
+	PlanBatch(&plan, u, ga, changes)
+	allocs := testing.AllocsPerRun(20, func() {
+		changes, _ = co.Coalesce(raw)
+		PlanBatch(&plan, u, ga, changes)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per coalesce and plan of %d changes into reused buffers; want 0", allocs, len(raw))
+	}
+
+	want, wantDropped := Coalesce(raw)
+	got, dropped := co.Coalesce(raw)
+	if !slices.Equal(got, want) || dropped != wantDropped {
+		t.Fatalf("Coalescer gives %d changes (%d dropped), Coalesce %d (%d dropped)", len(got), dropped, len(want), wantDropped)
+	}
+	var fresh Plan
+	PlanBatch(&fresh, u, ga, want)
+	PlanBatch(&plan, u, ga, got)
+	if len(plan.Runs) != len(fresh.Runs) || len(plan.Loose) != len(fresh.Loose) || len(plan.Residue) != 0 {
+		t.Fatalf("reused plan: %d runs, %d loose, %d residue; fresh plan: %d runs, %d loose",
+			len(plan.Runs), len(plan.Loose), len(plan.Residue), len(fresh.Runs), len(fresh.Loose))
+	}
+	for i, r := range plan.Runs {
+		if f := fresh.Runs[i]; r.Leaf != f.Leaf || r.first != f.first || !slices.Equal(r.Changes, f.Changes) {
+			t.Fatalf("run %d: reused plan has leaf %d with %d changes, fresh plan leaf %d with %d", i, r.Leaf, len(r.Changes), f.Leaf, len(f.Changes))
+		}
 	}
 }

@@ -323,7 +323,9 @@ func (s *gbuStrategy) tryShift(leaf *rtree.Node, li int, new geom.Point, newRect
 	leaf.RemoveEntry(li)
 	sib.Entries = append(sib.Entries, rtree.Entry{Rect: newRect, OID: oid})
 
-	var passengerBuf [8]rtree.OID
+	// At most a leaf's worth ride along: on the stack at the default page
+	// size.
+	var passengerBuf [rtree.DefaultLeafFanout]rtree.OID
 	passengers := passengerBuf[:0]
 	if !s.opts.NoPiggyback {
 		for j := len(leaf.Entries) - 1; j >= 0; j-- {

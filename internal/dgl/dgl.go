@@ -25,6 +25,7 @@ package dgl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -114,10 +115,16 @@ type lock struct {
 // handled by pointer only — a copy would make ReleaseAll unlock a ghost
 // owner — and the noCopy marker is what lets go vet's copylocks reject a
 // copy.
+//
+// Its owner waits for one granule at a time, so a Txn also carries the
+// one request it can have queued, w, and the timer that bounds the wait:
+// a blocking Acquire reuses both and allocates nothing.
 type Txn struct {
-	_    noCopy
-	held []lock
-	buf  [8]lock
+	_     noCopy
+	held  []lock
+	buf   [8]lock
+	w     waiter
+	timer *time.Timer // Acquire's deadline, stopped between waits
 }
 
 // noCopy makes go vet's copylocks check flag copies of the struct that
@@ -149,10 +156,12 @@ type Manager struct {
 	free     []*granule // emptied granules, reused so a lock cycle allocates nothing
 }
 
+// waiter is a queued request. A grant sets granted and signals ready,
+// under the table's lock; ready holds one signal, so the grant never
+// blocks, and the waiter takes the signal before its next wait.
 type waiter struct {
 	txn     *Txn
 	mode    Mode
-	upgrade bool
 	ready   chan struct{}
 	granted bool
 }
@@ -204,6 +213,7 @@ func NewManager() *Manager {
 func (m *Manager) Begin() *Txn {
 	t := &Txn{}
 	t.held = t.buf[:0]
+	t.w = waiter{txn: t, ready: make(chan struct{}, 1)}
 	return t
 }
 
@@ -221,8 +231,8 @@ func (t *Txn) Held(g GranuleID) (Mode, bool) {
 func (t *Txn) HeldCount() int { return len(t.held) }
 
 // Acquire obtains (or upgrades to) the given mode on granule g, waiting
-// up to timeout (0 means wait forever). On ErrTimeout the request is
-// withdrawn; locks already held are untouched.
+// up to timeout (0 means wait forever). On ErrTimeout, returned as is,
+// the request is withdrawn; locks already held are untouched.
 func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duration) error {
 	cur, holds := txn.Held(g)
 	target := mode
@@ -243,21 +253,27 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 		txn.cover(g, target, gr)
 		return nil
 	}
-	w := &waiter{txn: txn, mode: target, upgrade: upgrade, ready: make(chan struct{})}
+	w := &txn.w
+	w.mode, w.granted = target, false
 	if upgrade {
 		// Conversions queue ahead of fresh requests to bound starvation.
-		gr.queue = append([]*waiter{w}, gr.queue...)
+		gr.queue = slices.Insert(gr.queue, 0, w)
 	} else {
 		gr.queue = append(gr.queue, w)
 	}
 	m.mu.Unlock()
 
-	var timer *time.Timer
 	var timeoutC <-chan time.Time
 	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutC = timer.C
+		if txn.timer == nil {
+			txn.timer = time.NewTimer(timeout)
+		} else {
+			txn.timer.Reset(timeout)
+		}
+		// Since Go 1.23 a stopped timer's channel holds no stale tick, so
+		// the next wait's Reset starts clean.
+		defer txn.timer.Stop()
+		timeoutC = txn.timer.C
 	}
 	select {
 	case <-w.ready:
@@ -266,23 +282,19 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 	case <-timeoutC:
 		m.mu.Lock()
 		if w.granted {
-			// Lost the race: the grant landed before the withdrawal.
+			// Lost the race: the grant landed before the withdrawal, and
+			// its signal is waiting in ready.
 			m.mu.Unlock()
 			<-w.ready
 			txn.cover(g, target, gr)
 			return nil
 		}
-		for i, q := range gr.queue {
-			if q == w {
-				gr.queue = append(gr.queue[:i], gr.queue[i+1:]...)
-				break
-			}
-		}
+		gr.queue = slices.DeleteFunc(gr.queue, func(q *waiter) bool { return q == w })
 		// The withdrawn request may have been the only thing standing
 		// between the waiters queued behind it and the current holders.
 		m.wakeLocked(g, gr)
 		m.mu.Unlock()
-		return fmt.Errorf("%w: granule %d mode %v", ErrTimeout, g, target)
+		return ErrTimeout
 	}
 }
 
@@ -391,19 +403,20 @@ func (m *Manager) ReleaseAll(txn *Txn) {
 
 // wakeLocked grants the longest compatible prefix of the wait queue.
 func (m *Manager) wakeLocked(g GranuleID, gr *granule) {
-	for len(gr.queue) > 0 {
-		w := gr.queue[0]
+	granted := 0
+	for _, w := range gr.queue {
 		if !gr.compatibleWithOthers(w.txn, w.mode) {
 			break
 		}
-		gr.queue = gr.queue[1:]
 		gr.grant(w.txn, w.mode)
 		w.granted = true
-		close(w.ready)
+		w.ready <- struct{}{}
+		granted++
 	}
+	// Shifted down, not resliced, so the queue keeps its room.
+	gr.queue = slices.Delete(gr.queue, 0, granted)
 	if len(gr.holders) == 0 && len(gr.queue) == 0 {
 		delete(m.granules, g)
-		gr.queue = nil // drop the consumed backing array and its waiters
 		m.free = append(m.free, gr)
 	}
 }

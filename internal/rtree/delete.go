@@ -123,8 +123,12 @@ func (t *Tree) probe(page pagestore.PageID, oid OID, at geom.Rect) (n *Node, fou
 // reinsertion at their original level; surviving nodes have their MBRs
 // tightened. Orphans are reinserted and finally the root is collapsed
 // while it is an internal node with a single child.
+//
+// The orphans queue on a pooled insertion op, whose room the reinsertions
+// reuse.
 func (t *Tree) condense(path []*Node) error {
-	var orphans []pendingReinsert
+	op := t.borrowOp()
+	defer t.returnOp(op)
 	touched := true // the leaf lost an entry
 
 	for i := len(path) - 1; i >= 1; i-- {
@@ -137,7 +141,7 @@ func (t *Tree) condense(path []*Node) error {
 		if len(n.Entries) < t.MinEntries(n.Level) {
 			parent.RemoveEntry(idx)
 			for _, e := range n.Entries {
-				orphans = append(orphans, pendingReinsert{e, n.Level})
+				op.pending = append(op.pending, pendingReinsert{e, n.Level})
 			}
 			if err := t.freeNode(n.Page, n.Level); err != nil {
 				return err
@@ -170,11 +174,8 @@ func (t *Tree) condense(path []*Node) error {
 	}
 
 	// Reinsert orphans at their original levels.
-	if len(orphans) > 0 {
-		op := insertOp{pending: orphans}
-		if err := t.drainReinserts(&op); err != nil {
-			return err
-		}
+	if err := t.drainReinserts(op); err != nil {
+		return err
 	}
 
 	return t.collapseRoot()

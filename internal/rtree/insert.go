@@ -15,6 +15,8 @@ import (
 // Insert does not check for duplicate object ids; callers that need
 // uniqueness enforce it above this layer (the facade keeps an object
 // table). A rect that is not a point is refused with ErrNotPoint.
+//
+//burlint:hotpath
 func (t *Tree) Insert(oid OID, rect geom.Rect) error {
 	if err := checkData(oid, rect); err != nil {
 		return err
@@ -32,11 +34,12 @@ func (t *Tree) Insert(oid OID, rect geom.Rect) error {
 		t.ReturnNode(root)
 		return nil
 	}
-	var op insertOp
-	if err := t.insertEntry(nil, t.root, Entry{Rect: rect, OID: oid}, 0, &op); err != nil {
+	op := t.borrowOp()
+	defer t.returnOp(op)
+	if err := t.insertEntry(nil, t.root, Entry{Rect: rect, OID: oid}, 0, op); err != nil {
 		return err
 	}
-	if err := t.drainReinserts(&op); err != nil {
+	if err := t.drainReinserts(op); err != nil {
 		return err
 	}
 	t.size++
@@ -65,20 +68,42 @@ func checkData(oid OID, rect geom.Rect) error {
 //
 // The caller is responsible for accounting (size) when e is a data entry
 // that is logically new; for GBU updates the object count is unchanged.
+//
+//burlint:hotpath
 func (t *Tree) InsertEntryAt(abovePath []pagestore.PageID, start pagestore.PageID, e Entry, targetLevel int) error {
-	var op insertOp
-	if err := t.insertEntry(abovePath, start, e, targetLevel, &op); err != nil {
+	op := t.borrowOp()
+	defer t.returnOp(op)
+	if err := t.insertEntry(abovePath, start, e, targetLevel, op); err != nil {
 		return err
 	}
-	return t.drainReinserts(&op)
+	return t.drainReinserts(op)
 }
 
 // insertOp carries per-operation state: the set of levels already treated
-// with forced reinsertion (bit l for level l) and the queue of entries
-// awaiting reinsertion.
+// with forced reinsertion (bit l for level l), the queue of entries
+// awaiting reinsertion, and the overflow path's scratch. Ops come from the
+// tree's free list with the room their buffers grew to, so an insertion
+// that reinserts, splits or condenses allocates nothing once warm.
 type insertOp struct {
 	reinserted uint64
 	pending    []pendingReinsert
+	next       int // pending[next] is the next entry to reinsert
+	dists      byDistDesc
+	split      splitScratch
+}
+
+// borrowOp takes an empty op from the tree's free list; returnOp empties
+// it, keeping its buffers, and hands it back.
+func (t *Tree) borrowOp() *insertOp {
+	if op, ok := t.ops.Get().(*insertOp); ok {
+		return op
+	}
+	return new(insertOp)
+}
+
+func (t *Tree) returnOp(op *insertOp) {
+	op.reinserted, op.pending, op.next = 0, op.pending[:0], 0
+	t.ops.Put(op)
 }
 
 // markReinserted records that level is being treated with forced
@@ -99,10 +124,13 @@ type pendingReinsert struct {
 	level int
 }
 
+// drainReinserts reinserts the queued entries first in, first out; the
+// reinsertions may queue more behind them. The queue is walked, not
+// resliced, so its room survives for the next op.
 func (t *Tree) drainReinserts(op *insertOp) error {
-	for len(op.pending) > 0 {
-		p := op.pending[0]
-		op.pending = op.pending[1:]
+	for op.next < len(op.pending) {
+		p := op.pending[op.next]
+		op.next++
 		if err := t.insertEntry(nil, t.root, p.e, p.level, op); err != nil {
 			return err
 		}
@@ -291,7 +319,7 @@ func (t *Tree) resolveOverflow(n *Node, isRoot bool, op *insertOp) (*Node, error
 		t.forceReinsert(n, op)
 		return nil, nil
 	}
-	return t.splitNode(n)
+	return t.splitNode(n, &op.split)
 }
 
 // forceReinsert removes the ReinsertFraction of entries whose centers lie
@@ -306,15 +334,12 @@ func (t *Tree) forceReinsert(n *Node, op *insertOp) {
 		k = max
 	}
 	c := n.EntriesMBR().Center()
-	type distEntry struct {
-		d float64
-		e Entry
+	ds := op.dists[:0]
+	for _, e := range n.Entries {
+		ds = append(ds, distEntry{geom.DistSq(c, e.Rect.Center()), e})
 	}
-	ds := make([]distEntry, len(n.Entries))
-	for i, e := range n.Entries {
-		ds[i] = distEntry{geom.DistSq(c, e.Rect.Center()), e}
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].d > ds[j].d })
+	op.dists = ds
+	sort.Sort(&op.dists) // by pointer: boxing the slice itself would allocate
 	n.Entries = n.Entries[:0]
 	for _, de := range ds[k:] {
 		n.Entries = append(n.Entries, de.e)
@@ -326,14 +351,30 @@ func (t *Tree) forceReinsert(n *Node, op *insertOp) {
 	t.io.CountReinserts(k)
 }
 
+// distEntry is an entry of an overflowing node with the squared distance
+// of its center from the node's.
+type distEntry struct {
+	d float64
+	e Entry
+}
+
+// byDistDesc sorts distEntries farthest first. A named sort.Interface:
+// the sort takes no reflection swapper, and makes exactly the comparisons
+// and swaps sort.Slice would, so equal distances keep their order.
+type byDistDesc []distEntry
+
+func (s byDistDesc) Len() int           { return len(s) }
+func (s byDistDesc) Less(i, j int) bool { return s[i].d > s[j].d }
+func (s byDistDesc) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
 // splitNode divides n, writes the new sibling, and returns it. n keeps
 // the first group; the caller writes n.
-func (t *Tree) splitNode(n *Node) (*Node, error) {
-	g1, g2 := splitEntries(n.Entries, t.MinEntries(n.Level), t.cfg.Split)
+func (t *Tree) splitNode(n *Node, s *splitScratch) (*Node, error) {
+	g1, g2 := s.split(n.Entries, t.MinEntries(n.Level), t.cfg.Split)
 	nn := t.allocNode(n.Level)
 	nn.Parent = n.Parent
-	// Copied into the nodes' own slices (the sibling's first: g1 may alias
-	// n.Entries), so borrowed nodes keep their capacity.
+	// Copied out of the scratch into the nodes' own slices, so borrowed
+	// nodes keep their capacity.
 	nn.Entries = append(nn.Entries[:0], g2...)
 	nn.Self = nn.EntriesMBR()
 	n.Entries = append(n.Entries[:0], g1...)

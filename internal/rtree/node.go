@@ -49,6 +49,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"burtree/internal/geom"
 	"burtree/internal/pagestore"
@@ -359,11 +360,7 @@ func (v view) decode(n *Node) {
 	n.Level = v.level
 	n.Self = v.self()
 	n.Parent = v.parent()
-	if cap(n.Entries) < v.count {
-		n.Entries = make([]Entry, v.count)
-	} else {
-		n.Entries = n.Entries[:v.count]
-	}
+	n.Entries = slices.Grow(n.Entries[:0], v.count)[:v.count] // a borrowed node has the room
 	// Stored field by field: building each Entry and copying it in costs
 	// three times as much.
 	b := v.b[v.off : v.off+v.count*v.esize]

@@ -5,6 +5,7 @@ import (
 
 	"burtree/internal/geom"
 	"burtree/internal/pagestore"
+	"burtree/internal/scratch"
 )
 
 // ScanNode appends to out the entries of the node on page whose
@@ -157,12 +158,8 @@ func (t *Tree) NearestFunc(p geom.Point, visit func(Neighbor) bool) error {
 	if t.root == pagestore.InvalidPage {
 		return nil
 	}
-	pq, _ := t.heaps.Get().(*nnHeap)
-	if pq == nil {
-		pq = new(nnHeap)
-	}
-	*pq = (*pq)[:0]
-	defer t.heaps.Put(pq)
+	pq := heaps.Get()
+	defer putHeap(pq)
 
 	pq.push(nnItem{dist: 0, id: uint64(t.root), isNode: true})
 	for len(*pq) > 0 {
@@ -191,6 +188,21 @@ func (t *Tree) NearestFunc(p geom.Point, visit func(Neighbor) bool) error {
 		}
 	}
 	return nil
+}
+
+// heaps recycles NearestFunc's queues, for every tree: on a list that
+// keeps them, so a read allocates the same on every call, and one list,
+// so a reader visiting tree after tree (the shards of an index) reuses
+// one queue.
+var heaps scratch.List[nnHeap]
+
+// maxIdleHeap is the most queue room, in items, a heap keeps between
+// reads: a k-nearest read at the default page size uses a few hundred.
+const maxIdleHeap = 1 << 10
+
+func putHeap(pq *nnHeap) {
+	*pq = scratch.Trim(*pq, maxIdleHeap)
+	heaps.Put(pq)
 }
 
 // nnItem is a queue element of the best-first traversal: a node still to

@@ -2,35 +2,51 @@ package rtree
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"burtree/internal/geom"
 )
 
-// splitEntries divides an overflowing entry set (M+1 entries) into two
-// groups, each with at least minFill entries, using the configured
-// algorithm. The input slice is consumed.
-func splitEntries(entries []Entry, minFill int, alg SplitAlgorithm) (g1, g2 []Entry) {
+// splitScratch is the room a split builds its two groups in, and
+// splitQuadratic its list of unassigned entries: an insertion op's, kept
+// with the room it grew to, so a split allocates nothing once warm.
+type splitScratch struct {
+	g1, g2, rest []Entry
+	sides        bySide // the R* split's sort, handed to package sort by pointer
+}
+
+// split divides an overflowing entry set (M+1 entries) into two groups,
+// each with at least minFill entries, using the configured algorithm. The
+// input slice is consumed; the groups are s's until its next split.
+func (s *splitScratch) split(entries []Entry, minFill int, alg SplitAlgorithm) (g1, g2 []Entry) {
+	g1 = slices.Grow(s.g1[:0], len(entries))
+	g2 = slices.Grow(s.g2[:0], len(entries))
 	switch alg {
 	case SplitLinear:
-		return splitLinear(entries, minFill)
+		g1, g2 = splitLinear(entries, minFill, g1, g2)
 	case SplitRStar:
-		return splitRStar(entries, minFill)
+		g1, g2 = splitRStar(entries, minFill, g1, g2, &s.sides)
 	default:
-		return splitQuadratic(entries, minFill)
+		s.rest = slices.Grow(s.rest[:0], len(entries))
+		g1, g2 = splitQuadratic(entries, minFill, g1, g2, s.rest)
 	}
+	s.g1, s.g2 = g1, g2
+	return g1, g2
 }
 
 // splitQuadratic is Guttman's quadratic split: pick the pair of entries
 // that would waste the most area together as seeds, then assign the rest
 // by greatest affinity difference.
-func splitQuadratic(entries []Entry, minFill int) (g1, g2 []Entry) {
+//
+// The groups are appended to g1 and g2, and rest is the room the
+// unassigned entries are listed in.
+func splitQuadratic(entries []Entry, minFill int, g1, g2, rest []Entry) ([]Entry, []Entry) {
 	s1, s2 := pickSeedsQuadratic(entries)
 	g1 = append(g1, entries[s1])
 	g2 = append(g2, entries[s2])
 	mbr1, mbr2 := entries[s1].Rect, entries[s2].Rect
 
-	rest := make([]Entry, 0, len(entries)-2)
 	for i := range entries {
 		if i != s1 && i != s2 {
 			rest = append(rest, entries[i])
@@ -99,8 +115,8 @@ func pickSeedsQuadratic(entries []Entry) (int, int) {
 
 // splitLinear is Guttman's linear split: seeds are the pair with the
 // greatest normalized separation along any dimension; the rest are
-// assigned by least enlargement.
-func splitLinear(entries []Entry, minFill int) (g1, g2 []Entry) {
+// assigned by least enlargement. The groups are appended to g1 and g2.
+func splitLinear(entries []Entry, minFill int, g1, g2 []Entry) ([]Entry, []Entry) {
 	s1, s2 := pickSeedsLinear(entries)
 	g1 = append(g1, entries[s1])
 	g2 = append(g2, entries[s2])
@@ -110,8 +126,6 @@ func splitLinear(entries []Entry, minFill int) (g1, g2 []Entry) {
 			continue
 		}
 		e := entries[i]
-		remaining := len(entries) - i - 1 // not counting seeds precisely; conservative fill guard below
-		_ = remaining
 		switch {
 		case len(g1)+1 < minFill && len(g2) >= minFill:
 			g1 = append(g1, e)
@@ -189,59 +203,26 @@ func pickSeedsLinear(entries []Entry) (int, int) {
 
 // splitRStar implements the R*-tree split: choose the axis with the
 // minimum total margin over all valid distributions, then the
-// distribution with minimum overlap (ties by minimum area).
-func splitRStar(entries []Entry, minFill int) (g1, g2 []Entry) {
-	type axisSort struct {
-		byMin func(i, j int) bool
-		byMax func(i, j int) bool
-	}
+// distribution with minimum overlap (ties by minimum area). The groups
+// are appended to g1 and g2; by is the room for the sorts' state.
+func splitRStar(entries []Entry, minFill int, g1, g2 []Entry, by *bySide) ([]Entry, []Entry) {
 	es := entries
-	sortBy := func(less func(i, j int) bool) { sort.SliceStable(es, less) }
-
-	axes := []axisSort{
-		{ // x axis
-			byMin: func(i, j int) bool { return es[i].Rect.MinX < es[j].Rect.MinX },
-			byMax: func(i, j int) bool { return es[i].Rect.MaxX < es[j].Rect.MaxX },
-		},
-		{ // y axis
-			byMin: func(i, j int) bool { return es[i].Rect.MinY < es[j].Rect.MinY },
-			byMax: func(i, j int) bool { return es[i].Rect.MaxY < es[j].Rect.MaxY },
-		},
-	}
-
 	n := len(es)
-	marginOf := func() float64 {
-		total := 0.0
-		for k := minFill; k <= n-minFill; k++ {
-			l := geom.UnionAll(rectsOf(es[:k]))
-			r := geom.UnionAll(rectsOf(es[k:]))
-			total += l.Margin() + r.Margin()
-		}
-		return total
-	}
-
-	bestAxis, bestMargin := 0, math.MaxFloat64
-	bestUseMax := false
-	for a, ax := range axes {
-		sortBy(ax.byMin)
-		if m := marginOf(); m < bestMargin {
-			bestMargin, bestAxis, bestUseMax = m, a, false
-		}
-		sortBy(ax.byMax)
-		if m := marginOf(); m < bestMargin {
-			bestMargin, bestAxis, bestUseMax = m, a, true
+	by.es = es
+	bestSide, bestMargin := sideMinX, math.MaxFloat64
+	for by.side = sideMinX; by.side <= sideMaxY; by.side++ {
+		sort.Stable(by)
+		if m := splitMargin(es, minFill); m < bestMargin {
+			bestMargin, bestSide = m, by.side
 		}
 	}
-	if bestUseMax {
-		sortBy(axes[bestAxis].byMax)
-	} else {
-		sortBy(axes[bestAxis].byMin)
-	}
+	by.side = bestSide
+	sort.Stable(by)
+	by.es = nil
 
 	bestK, bestOverlap, bestArea := minFill, math.MaxFloat64, math.MaxFloat64
 	for k := minFill; k <= n-minFill; k++ {
-		l := geom.UnionAll(rectsOf(es[:k]))
-		r := geom.UnionAll(rectsOf(es[k:]))
+		l, r := unionOf(es[:k]), unionOf(es[k:])
 		ov := l.OverlapArea(r)
 		area := l.Area() + r.Area()
 		if ov < bestOverlap || (ov == bestOverlap && area < bestArea) {
@@ -253,12 +234,55 @@ func splitRStar(entries []Entry, minFill int) (g1, g2 []Entry) {
 	return g1, g2
 }
 
-func rectsOf(es []Entry) []geom.Rect {
-	out := make([]geom.Rect, len(es))
-	for i := range es {
-		out[i] = es[i].Rect
+// splitMargin is the total margin of the two groups over every valid
+// distribution of es in its current order.
+func splitMargin(es []Entry, minFill int) float64 {
+	total := 0.0
+	for k := minFill; k <= len(es)-minFill; k++ {
+		total += unionOf(es[:k]).Margin() + unionOf(es[k:]).Margin()
 	}
-	return out
+	return total
+}
+
+// The sides of a rectangle the R* split sorts by, in the order it tries
+// them: each axis by its low side, then by its high side.
+const (
+	sideMinX = iota
+	sideMaxX
+	sideMinY
+	sideMaxY
+)
+
+// bySide orders entries by one side of their rectangles: a named
+// sort.Interface, so the R* split's sorts build no closure and take no
+// reflection swapper.
+type bySide struct {
+	es   []Entry
+	side int
+}
+
+func (s bySide) Len() int      { return len(s.es) }
+func (s bySide) Swap(i, j int) { s.es[i], s.es[j] = s.es[j], s.es[i] }
+func (s bySide) Less(i, j int) bool {
+	a, b := &s.es[i].Rect, &s.es[j].Rect
+	switch s.side {
+	case sideMinX:
+		return a.MinX < b.MinX
+	case sideMaxX:
+		return a.MaxX < b.MaxX
+	case sideMinY:
+		return a.MinY < b.MinY
+	}
+	return a.MaxY < b.MaxY
+}
+
+// unionOf returns the MBR of the entries' rectangles (es is not empty).
+func unionOf(es []Entry) geom.Rect {
+	u := es[0].Rect
+	for _, e := range es[1:] {
+		u = u.Union(e.Rect)
+	}
+	return u
 }
 
 // rebalanceMin moves entries from the larger group to the smaller until
@@ -279,7 +303,7 @@ func rebalanceMin(g1, g2 []Entry, minFill int) ([]Entry, []Entry) {
 }
 
 func cheapestDonor(from, to []Entry) int {
-	mbr := geom.UnionAll(rectsOf(to))
+	mbr := unionOf(to)
 	best, bestCost := 0, math.MaxFloat64
 	for i := range from {
 		if c := mbr.Enlargement(from[i].Rect); c < bestCost {

@@ -28,7 +28,7 @@ func checkSplit(t *testing.T, alg SplitAlgorithm, entries []Entry, minFill int) 
 	}
 	in := make([]Entry, len(entries))
 	copy(in, entries)
-	g1, g2 := splitEntries(in, minFill, alg)
+	g1, g2 := new(splitScratch).split(in, minFill, alg)
 	if len(g1)+len(g2) != len(entries) {
 		t.Fatalf("%v: split lost entries: %d + %d != %d", alg, len(g1), len(g2), len(entries))
 	}
@@ -94,7 +94,7 @@ func TestQuadraticSeparatesClusters(t *testing.T) {
 	for i := 10; i < 20; i++ {
 		entries = append(entries, Entry{Rect: geom.RectFromPoint(geom.Point{X: 0.9 + rng.Float64()*0.1, Y: 0.9 + rng.Float64()*0.1}), OID: OID(i)})
 	}
-	g1, g2 := splitQuadratic(entries, 4)
+	g1, g2 := new(splitScratch).split(entries, 4, SplitQuadratic)
 	low1, low2 := 0, 0
 	for _, e := range g1 {
 		if e.OID < 10 {
@@ -121,10 +121,10 @@ func TestRStarSplitLowOverlap(t *testing.T) {
 	copy(in1, entries)
 	in2 := make([]Entry, len(entries))
 	copy(in2, entries)
-	q1, q2 := splitQuadratic(in1, 16)
-	r1, r2 := splitRStar(in2, 16)
-	qOv := geom.UnionAll(rectsOf(q1)).OverlapArea(geom.UnionAll(rectsOf(q2)))
-	rOv := geom.UnionAll(rectsOf(r1)).OverlapArea(geom.UnionAll(rectsOf(r2)))
+	q1, q2 := new(splitScratch).split(in1, 16, SplitQuadratic)
+	r1, r2 := new(splitScratch).split(in2, 16, SplitRStar)
+	qOv := unionOf(q1).OverlapArea(unionOf(q2))
+	rOv := unionOf(r1).OverlapArea(unionOf(r2))
 	if rOv > qOv*1.5+1e-9 {
 		t.Fatalf("R* overlap %v much worse than quadratic %v", rOv, qOv)
 	}
@@ -141,7 +141,7 @@ func TestQuickSplitProperties(t *testing.T) {
 		}
 		entries := randomEntries(rng, n)
 		orig := len(entries)
-		g1, g2 := splitEntries(entries, minFill, alg)
+		g1, g2 := new(splitScratch).split(entries, minFill, alg)
 		if len(g1)+len(g2) != orig || len(g1) < minFill || len(g2) < minFill {
 			return false
 		}

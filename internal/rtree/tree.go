@@ -103,7 +103,8 @@ var (
 // itself; the DGL lock manager in internal/dgl provides isolation for the
 // multi-threaded throughput experiment: reads, and writes confined to
 // disjoint pages, may then run concurrently, which is why per-call
-// scratch comes from sync.Pools and not from the Tree.
+// scratch is borrowed per call (sync.Pools, free lists) and never kept on
+// the Tree as one buffer.
 type Tree struct {
 	pool     *buffer.Pool
 	io       *stats.IO
@@ -119,9 +120,10 @@ type Tree struct {
 	minLeaf, minInternal int
 
 	// nodes is the free list of decoded nodes whose lifetime is one call
-	// (BorrowNode / ReturnNode); heaps recycles NearestFunc's queue.
+	// (BorrowNode / ReturnNode), ops that of insertion ops (borrowOp /
+	// returnOp).
 	nodes sync.Pool
-	heaps sync.Pool
+	ops   sync.Pool
 }
 
 // New creates an empty tree on the given pool.

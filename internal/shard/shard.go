@@ -21,6 +21,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"burtree/internal/geom"
@@ -331,14 +332,23 @@ var onlyShard = []int{0}
 // owned by one of them: object routing clamps positions exactly the way
 // the query window is clamped here, and clamping is monotone.
 func (r *Router) ShardsFor(q geom.Rect) []int {
+	if r.n == 1 && q.Valid() {
+		return onlyShard
+	}
+	return r.AppendShardsFor(nil, q)
+}
+
+// AppendShardsFor appends ShardsFor's list to dst and returns the result,
+// so a caller with room for it allocates nothing.
+func (r *Router) AppendShardsFor(dst []int, q geom.Rect) []int {
 	// An inverted (or NaN) window contains no points; the single-tree
 	// search answers it with an empty result, so the scatter must too —
 	// and must not compute a negative covering-range size.
 	if !q.Valid() {
-		return nil
+		return dst
 	}
 	if r.n == 1 {
-		return onlyShard
+		return append(dst, 0)
 	}
 	switch r.scheme {
 	case Grid:
@@ -346,31 +356,31 @@ func (r *Router) ShardsFor(q geom.Rect) []int {
 		x1 := geom.ClampCell(q.MaxX, r.gx)
 		y0 := geom.ClampCell(q.MinY, r.gy)
 		y1 := geom.ClampCell(q.MaxY, r.gy)
-		out := make([]int, 0, (x1-x0+1)*(y1-y0+1))
+		dst = slices.Grow(dst, (x1-x0+1)*(y1-y0+1))
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
-				out = append(out, cy*r.gx+cx)
+				dst = append(dst, cy*r.gx+cx)
 			}
 		}
-		return out
+		return dst
 	default:
 		x0 := geom.ClampCell(q.MinX, hilbertSide)
 		x1 := geom.ClampCell(q.MaxX, hilbertSide)
 		y0 := geom.ClampCell(q.MinY, hilbertSide)
 		y1 := geom.ClampCell(q.MaxY, hilbertSide)
-		seen := make([]bool, r.n)
-		var out []int
+		var seen [MaxShards / 64]uint64
+		start := len(dst)
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
 				s := r.shardOfKey(hilbert.D(uint32(cx), uint32(cy), hilbertOrder))
-				if !seen[s] {
-					seen[s] = true
-					out = append(out, s)
+				if seen[s/64]&(1<<(s%64)) == 0 {
+					seen[s/64] |= 1 << (s % 64)
+					dst = append(dst, s)
 				}
 			}
 		}
-		sort.Ints(out)
-		return out
+		slices.Sort(dst[start:])
+		return dst
 	}
 }
 

@@ -158,6 +158,8 @@ type Structure struct {
 
 	levels [][]levelEntry // indexed by level; levels[0] stays empty
 	leaves int            // tracked leaves: the length of the paper's bit vector
+
+	old []pagestore.PageID // NodeWritten's copy of a replaced child list; under mu
 }
 
 var _ rtree.Listener = (*Structure)(nil)
@@ -256,12 +258,14 @@ func (s *Structure) NodeWritten(page pagestore.PageID, level int, self geom.Rect
 		top = max(top, c)
 	}
 	s.cover(top)
-	old := info.Children
-	info.Children = append(info.Children[:0:0], children...)
+	// The old list is set aside in the structure's scratch, and the new one
+	// written over it in place: a child-list change allocates nothing.
+	s.old = append(s.old[:0], info.Children...)
+	info.Children = append(info.Children[:0], children...)
 	for _, c := range children {
 		s.at(c).parent.Store(uint64(page))
 	}
-	for _, c := range old {
+	for _, c := range s.old {
 		if csl := s.at(c); csl.parent.Load() == uint64(page) && !slices.Contains(children, c) {
 			csl.parent.Store(uint64(pagestore.InvalidPage))
 		}

@@ -154,7 +154,7 @@ func TestMergeNeighbors(t *testing.T) {
 				return dup
 			})
 			for _, k := range []int{1, size/2 + 1, 2*size + 5} {
-				got := mergeNeighbors(slices.Clone(a), slices.Clone(b), k)
+				got := mergeNeighbors(nil, slices.Clone(a), slices.Clone(b), k)
 				if !slices.Equal(got, want[:min(k, len(want))]) {
 					t.Fatalf("size %d, k %d: merged\n%v\nand\n%v\ninto\n%v\nwant\n%v", size, k, a, b, got, want[:min(k, len(want))])
 				}

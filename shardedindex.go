@@ -11,6 +11,7 @@ import (
 	"burtree/internal/core"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
+	"burtree/internal/scratch"
 	"burtree/internal/shard"
 	"burtree/internal/wal"
 )
@@ -365,31 +366,76 @@ type shardWork struct {
 	offered []shard.CellCount // recordBatch's tally of the offered changes this stack owns, per cell
 	ops     []wal.Op          // logBatch's buffer
 	listed  bool              // the stack is in batchRun.stacks
+
+	// applied and arrived are the changes the phases applied here, kept
+	// for the log records.
+	applied, arrived []core.BatchChange
+
+	// The slot's stack, its run, and its callbacks, bound once when the
+	// run made the slot: a write builds no closure.
+	s      int
+	run    *batchRun
+	landed func(core.BatchChange) // land
+	phase  func()                 // runPhase, on a goroutine of scatter's
 }
 
-// batchRun is the state the stages of one write share: its kind, the
-// offered changes with their old positions (raw), the routed work per
-// stack, the tree path's cross-shard moves in id order and the write's
-// result. Runs are pooled with their buffers, so a write of one change
-// allocates nothing.
+// land records a change the stack's batch pass has just applied: in the
+// one table, in the stack's count and, when the index keeps a log, in the
+// applied prefix the stack's record covers.
+func (w *shardWork) land(c core.BatchChange) {
+	x := w.run.x
+	x.record(opMove, c)
+	w.res.Applied++
+	if x.wals != nil {
+		w.applied = append(w.applied, c)
+	}
+}
+
+// runPhase runs the run's phase in flight on the slot's stack, for a
+// scatter that waits on the run's WaitGroup.
+func (w *shardWork) runPhase() {
+	defer w.run.wg.Done()
+	w.run.x.runPhase(w.run, w.s, w.run.arrivals)
+}
+
+// batchRun is the state the stages of one write share: the index and
+// the write's kind, the offered changes with their old positions (raw),
+// the routed work per stack, the tree path's cross-shard moves in id
+// order and the write's result. Runs are pooled with their buffers and
+// their slots' bound callbacks, so a write allocates nothing once its
+// run has grown to it.
 type batchRun struct {
-	kind   opKind
-	tiered bool
-	raw    []core.BatchChange
-	work   []shardWork
-	stacks []int // the stacks the write touches, in the order first touched
-	cross  []crossMove
-	owner  int            // the stack the last routed change ends in
-	wg     sync.WaitGroup // the phase in flight
-	res    BatchResult
+	x        *index
+	kind     opKind
+	tiered   bool
+	raw      []core.BatchChange
+	co       core.Coalescer // reserve's
+	work     []*shardWork   // a slot per stack, at least
+	stacks   []int          // the stacks the write touches, in the order first touched
+	cross    []crossMove
+	owner    int            // the stack the last routed change ends in
+	wg       sync.WaitGroup // the phase in flight
+	arrivals bool           // which phase is in flight
+	res      BatchResult
 }
 
 var batchRuns = sync.Pool{New: func() any { return new(batchRun) }}
 
+// prepare readies a run from the pool for a write of kind k on x, making
+// the slots it lacks for x's stacks.
+func (b *batchRun) prepare(x *index, k opKind) {
+	b.x, b.kind, b.tiered = x, k, x.tiered()
+	for s := len(b.work); s < len(x.shards); s++ {
+		w := &shardWork{s: s, run: b}
+		w.landed, w.phase = w.land, w.runPhase
+		b.work = append(b.work, w)
+	}
+}
+
 // touch returns stack s's work, listing s among the stacks the write
 // touches the first time.
 func (b *batchRun) touch(s int) *shardWork {
-	w := &b.work[s]
+	w := b.work[s]
 	if !w.listed {
 		w.listed = true
 		b.stacks = append(b.stacks, s)
@@ -401,11 +447,11 @@ func (b *batchRun) touch(s int) *shardWork {
 // pool. Only the stacks the write touched have work to clear.
 func (b *batchRun) release() {
 	for _, s := range b.stacks {
-		w := &b.work[s]
-		w.stay, w.offered, w.ops = w.stay[:0], w.offered[:0], w.ops[:0]
+		w := b.work[s]
+		w.stay, w.offered, w.ops, w.applied, w.arrived = w.stay[:0], w.offered[:0], w.ops[:0], w.applied[:0], w.arrived[:0]
 		w.listed, w.departs, w.arrives, w.res, w.pages, w.err, w.full = false, 0, 0, BatchResult{}, 0, nil, false
 	}
-	b.raw, b.stacks, b.cross, b.res = b.raw[:0], b.stacks[:0], b.cross[:0], BatchResult{}
+	b.x, b.raw, b.stacks, b.cross, b.res = nil, b.raw[:0], b.stacks[:0], b.cross[:0], BatchResult{}
 	batchRuns.Put(b)
 }
 
@@ -441,21 +487,20 @@ func (x *index) route(b *batchRun, c core.BatchChange) {
 // holds locks in two stacks, so the schedule is deadlock-free by
 // construction. The last such stack runs on the caller's goroutine, which
 // would otherwise only wait, so a phase with one target — every phase of a
-// write of one change — starts none. It returns when every stack is done:
+// write of one change — starts none; the others start their slot's bound
+// runPhase, which costs no closure. It returns when every stack is done:
 // the barrier between the phases.
 func (x *index) scatter(b *batchRun, arrivals bool) {
+	b.arrivals = arrivals
 	last := -1
 	for _, s := range b.stacks {
-		w := &b.work[s]
+		w := b.work[s]
 		if arrivals && w.arrives == 0 || !arrivals && len(w.stay)+w.departs == 0 {
 			continue
 		}
 		if last >= 0 {
 			b.wg.Add(1)
-			go func(s int) {
-				defer b.wg.Done()
-				x.runPhase(b, s, arrivals)
-			}(last)
+			go b.work[last].phase()
 		}
 		last = s
 	}
@@ -479,7 +524,7 @@ func (x *index) scatter(b *batchRun, arrivals bool) {
 // BatchResult.PageIO. Everything per shard — its cost, its share, what
 // Stats reports — is read from the ledger itself.
 func (x *index) runPhase(b *batchRun, s int, arrivals bool) {
-	w, io := &b.work[s], x.shards[s].io
+	w, io := b.work[s], x.shards[s].io
 	before := io.Foreground()
 	var err error
 	if arrivals {
@@ -503,7 +548,7 @@ func (x *index) runPhase(b *batchRun, s int, arrivals bool) {
 // every departed mover gets its arrival attempted — a batch is not
 // atomic, but it never strands an object outside every stack.
 func (x *index) batchStays(b *batchRun, s int) error {
-	w := &b.work[s]
+	w := b.work[s]
 	for i := range b.cross {
 		cm := &b.cross[i]
 		if cm.src != s {
@@ -528,7 +573,8 @@ func (x *index) batchStays(b *batchRun, s int) error {
 			w.res.Applied, w.res.Fallback = 1, 1
 		}
 	case len(w.stay) > 1:
-		applied, err = x.shards[s].applyBatch(&x.objectTable, w.stay, x.wals != nil, &w.res)
+		err = x.shards[s].applyBatch(w.stay, w.landed, &w.res)
+		applied = w.applied
 	}
 	// One record covers the applied prefix — all of the group on success,
 	// exactly the changes before the failure otherwise.
@@ -545,8 +591,8 @@ func (x *index) batchStays(b *batchRun, s int) error {
 // batchArrivals is phase 2 of a tree-path write on stack s: the arrivals
 // of the movers whose departure succeeded, and their log record.
 func (x *index) batchArrivals(b *batchRun, s int) error {
-	w := &b.work[s]
-	var arrived []core.BatchChange
+	w := b.work[s]
+	arrived := w.arrived[:0]
 	var err error
 	for i := range b.cross {
 		cm := &b.cross[i]
@@ -566,6 +612,7 @@ func (x *index) batchArrivals(b *batchRun, s int) error {
 			arrived = append(arrived, cm.BatchChange)
 		}
 	}
+	w.arrived = arrived
 	// One record covers this stack's arrivals; replay re-routes each
 	// move, re-deriving the cross-shard delete+insert.
 	if werr := x.logBatch(w, s, opMove, false, arrived); werr != nil {
@@ -588,55 +635,110 @@ func (x *index) batchArrivals(b *batchRun, s int) error {
 func (x *index) Search(q Rect) ([]uint64, error) {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
-	targets := x.router.ShardsFor(q)
+	var buf [stackShards]int
+	targets := x.router.AppendShardsFor(buf[:0], q)
 	if len(targets) == 1 {
 		return x.readFrom(targets[0]).Search(q)
 	}
-	return x.gather(q, targets)
+	g := gathers.Get()
+	defer g.release()
+	if err := x.gather(g, q, targets); err != nil {
+		return nil, err
+	}
+	if len(g.ids) == 0 {
+		return nil, nil
+	}
+	return append(make([]uint64, 0, len(g.ids)), g.ids...), nil
+}
+
+// stackShards is how many target shards a read lists on its stack; a
+// window over more spills the list to the heap.
+const stackShards = 16
+
+// gatherScan is the state of one multi-shard read: a scan per target
+// shard, the ids gathered from them and the set that drops repeats, and,
+// for SearchFunc, the caller's visit and the one that filters repeats in
+// front of it (dedup, bound once). Kept on a free list, like the scans.
+type gatherScan struct {
+	scans   []*searchScan
+	wg      sync.WaitGroup
+	ids     []uint64
+	seen    map[uint64]struct{}
+	visit   func(uint64, Point) bool
+	stopped bool
+	dedup   func(uint64, Point) bool // g.visitOnce, bound once
+}
+
+var gathers = scratch.List[gatherScan]{New: func() *gatherScan {
+	g := &gatherScan{seen: make(map[uint64]struct{})}
+	g.dedup = g.visitOnce
+	return g
+}}
+
+// visitOnce hands visit each id the first time any shard reports it.
+func (g *gatherScan) visitOnce(id uint64, p Point) bool {
+	if _, dup := g.seen[id]; dup {
+		return true
+	}
+	g.seen[id] = struct{}{}
+	if !g.visit(id, p) {
+		g.stopped = true
+		return false
+	}
+	return true
+}
+
+func (g *gatherScan) release() {
+	for _, sc := range g.scans {
+		sc.release()
+	}
+	clear(g.scans)
+	g.scans, g.ids, g.visit, g.stopped = g.scans[:0], scratch.Trim(g.ids, maxIdleIDs), nil, false
+	if len(g.seen) > maxIdleIDs {
+		g.seen = make(map[uint64]struct{})
+	} else {
+		clear(g.seen)
+	}
+	gathers.Put(g)
 }
 
 // gather is the multi-shard scatter under Search and Count: every target
-// shard is searched in parallel — the last on the caller's goroutine,
-// which would otherwise only wait — and the union is returned with
-// duplicate ids dropped. Caller holds the gate shared.
-func (x *index) gather(q Rect, targets []int) ([]uint64, error) {
-	outs := make([][]uint64, len(targets))
-	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i, s := range targets {
-		if i == len(targets)-1 {
-			outs[i], errs[i] = x.readFrom(s).Search(q)
-			break
+// shard is scanned in parallel — the last on the caller's goroutine,
+// which would otherwise only wait; the others on the scan's bound
+// runAsync — and the union collects in g.ids with duplicate ids dropped.
+// Caller holds the gate shared.
+func (x *index) gather(g *gatherScan, q Rect, targets []int) error {
+	if len(targets) == 0 {
+		return nil // an invalid window meets no shard
+	}
+	for _, s := range targets {
+		sc := searchScans.Get()
+		sc.stack, sc.q, sc.wg = x.readFrom(s), q, &g.wg
+		g.scans = append(g.scans, sc)
+	}
+	last := len(g.scans) - 1
+	g.wg.Add(last)
+	for _, sc := range g.scans[:last] {
+		go sc.runAsync()
+	}
+	sc := g.scans[last]
+	sc.err = sc.stack.scan(sc, q)
+	g.wg.Wait()
+	for _, sc := range g.scans {
+		if sc.err != nil {
+			return sc.err
 		}
-		wg.Add(1)
-		go func(i, s int) {
-			defer wg.Done()
-			outs[i], errs[i] = x.readFrom(s).Search(q)
-		}(i, s)
 	}
-	wg.Wait()
-	total := 0
-	for i := range targets {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		total += len(outs[i])
-	}
-	if total == 0 {
-		return nil, nil
-	}
-	seen := make(map[uint64]struct{}, total)
-	out := make([]uint64, 0, total)
-	for i := range targets {
-		for _, id := range outs[i] {
-			if _, dup := seen[id]; dup {
+	for _, sc := range g.scans {
+		for _, id := range sc.ids {
+			if _, dup := g.seen[id]; dup {
 				continue
 			}
-			seen[id] = struct{}{}
-			out = append(out, id)
+			g.seen[id] = struct{}{}
+			g.ids = append(g.ids, id)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // SearchFunc streams the objects inside q to visit; return false to stop
@@ -647,31 +749,17 @@ func (x *index) gather(q Rect, targets []int) ([]uint64, error) {
 func (x *index) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
-	targets := x.router.ShardsFor(q)
-	var seen map[uint64]struct{}
-	if len(targets) > 1 {
-		seen = make(map[uint64]struct{})
+	var buf [stackShards]int
+	targets := x.router.AppendShardsFor(buf[:0], q)
+	if len(targets) == 1 {
+		return x.readFrom(targets[0]).SearchFunc(q, visit)
 	}
-	stopped := false
+	g := gathers.Get()
+	defer g.release()
+	g.visit = visit
 	for _, s := range targets {
-		err := x.readFrom(s).SearchFunc(q, func(id uint64, p Point) bool {
-			if seen != nil {
-				if _, dup := seen[id]; dup {
-					return true
-				}
-				seen[id] = struct{}{}
-			}
-			if !visit(id, p) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
+		if err := x.readFrom(s).SearchFunc(q, g.dedup); err != nil || g.stopped {
 			return err
-		}
-		if stopped {
-			return nil
 		}
 	}
 	return nil
@@ -684,12 +772,15 @@ func (x *index) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
 func (x *index) Count(q Rect) (int, error) {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
-	targets := x.router.ShardsFor(q)
+	var buf [stackShards]int
+	targets := x.router.AppendShardsFor(buf[:0], q)
 	if len(targets) == 1 {
 		return x.readFrom(targets[0]).Count(q)
 	}
-	ids, err := x.gather(q, targets)
-	return len(ids), err
+	g := gathers.Get()
+	defer g.release()
+	err := x.gather(g, q, targets)
+	return len(g.ids), err
 }
 
 // Nearest returns the k objects nearest to p in increasing distance. The
@@ -700,6 +791,9 @@ func (x *index) Count(q Rect) (int, error) {
 // query holds that shard's whole-tree granule shared — updates elsewhere
 // keep running, which is the point of sharding the NN path.
 //
+// The shards' lists and their merges are built in a kept scratch, and
+// the result is copied out of it once.
+//
 // Objects at exactly the same distance come back in no particular order
 // (each shard's tree reports ties as its queue pops them), as on Index
 // and ConcurrentIndex.
@@ -709,21 +803,20 @@ func (x *index) Nearest(p Point, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	type shardDist struct {
-		s    int
-		dist float64
+	if len(x.shards) == 1 {
+		return x.readFrom(0).Nearest(p, k)
 	}
 	// The order lives on the stack up to 16 shards, and the sort takes no
-	// reflection swapper: a one-stack index pays for neither.
-	var buf [16]shardDist
+	// reflection swapper.
+	var buf [stackShards]shardDist
 	order := buf[:0]
 	for s := range x.shards {
 		order = append(order, shardDist{s: s, dist: x.router.Region(s).MinDistPoint(p)})
 	}
-	slices.SortFunc(order, func(a, b shardDist) int {
-		return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.s, b.s))
-	})
-	var best []Neighbor
+	slices.SortFunc(order, nearerShard)
+	m := merges.Get()
+	defer m.release()
+	best := m.best[:0]
 	for _, sd := range order {
 		// Prune only when k candidates are already in hand: with fewer
 		// than k gathered (empty or sparse shards — the common state under
@@ -733,29 +826,56 @@ func (x *index) Nearest(p Point, k int) ([]Neighbor, error) {
 		if len(best) == k && sd.dist > best[k-1].Dist {
 			break
 		}
-		ns, err := x.readFrom(sd.s).Nearest(p, k)
+		ns, err := x.readFrom(sd.s).nearest(p, k, slices.Grow(m.shard[:0], k))
+		m.shard = ns
 		if err != nil {
 			return nil, err
 		}
-		best = mergeNeighbors(best, ns, k)
+		m.merged = mergeNeighbors(m.merged[:0], best, ns, k)
+		best, m.merged = m.merged, best
 	}
-	return best, nil
+	m.best = best
+	return slices.Clone(best), nil
 }
 
-// mergeNeighbors merges two neighbour lists, each ascending by distance
-// and free of repeated ids, into the k nearest: ascending by distance,
+// shardDist is a shard and the distance from the query point to its
+// region.
+type shardDist struct {
+	s    int
+	dist float64
+}
+
+// nearerShard orders shards by distance, then by number.
+func nearerShard(a, b shardDist) int {
+	return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.s, b.s))
+}
+
+// nearestMerge is the scratch of one multi-shard Nearest: the best list
+// so far, the shard list being merged in, and the room the merge fills.
+type nearestMerge struct {
+	best, shard, merged []Neighbor
+}
+
+var merges scratch.List[nearestMerge]
+
+// maxIdleNeighbors is the most room a merge keeps per list between reads.
+const maxIdleNeighbors = 1 << 8
+
+func (m *nearestMerge) release() {
+	m.best = scratch.Trim(m.best, maxIdleNeighbors)
+	m.shard = scratch.Trim(m.shard, maxIdleNeighbors)
+	m.merged = scratch.Trim(m.merged, maxIdleNeighbors)
+	merges.Put(m)
+}
+
+// mergeNeighbors appends to dst the k nearest of two neighbour lists, each
+// ascending by distance and free of repeated ids: ascending by distance,
 // the smaller id first where one of a meets one of b at the same
 // distance. An id both lists hold is kept once, at its nearer copy: shard
 // visits racing a cross-shard move can both report the mover.
-func mergeNeighbors(a, b []Neighbor, k int) []Neighbor {
-	if len(a) == 0 {
-		a, b = b, a
-	}
-	if len(b) == 0 {
-		return a[:min(k, len(a))]
-	}
-	out := make([]Neighbor, 0, min(k, len(a)+len(b)))
-	for len(out) < k && len(a)+len(b) > 0 {
+func mergeNeighbors(dst, a, b []Neighbor, k int) []Neighbor {
+	start := len(dst)
+	for len(dst)-start < k && len(a)+len(b) > 0 {
 		from := &a
 		if len(a) == 0 || len(b) > 0 &&
 			(b[0].Dist < a[0].Dist || b[0].Dist == a[0].Dist && b[0].ID < a[0].ID) {
@@ -764,9 +884,9 @@ func mergeNeighbors(a, b []Neighbor, k int) []Neighbor {
 		n := (*from)[0]
 		*from = (*from)[1:]
 		// A repeated id is looked for among the neighbours already taken.
-		if !slices.ContainsFunc(out, func(o Neighbor) bool { return o.ID == n.ID }) {
-			out = append(out, n)
+		if !slices.ContainsFunc(dst[start:], func(o Neighbor) bool { return o.ID == n.ID }) {
+			dst = append(dst, n)
 		}
 	}
-	return out
+	return dst
 }

@@ -11,6 +11,7 @@ import (
 	"burtree/internal/memtable"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
+	"burtree/internal/scratch"
 	"burtree/internal/stats"
 )
 
@@ -191,22 +192,14 @@ func (s *treeStack) afterAck(full bool) error {
 }
 
 // applyBatch is the tree-path apply stage of a group of more than one
-// move: the changes go through the batched bottom-up pipeline, and each
-// one is recorded in the object table t as it lands. With keep set it
-// returns the applied changes, for the log record that covers them.
-func (s *treeStack) applyBatch(t *objectTable, coalesced []core.BatchChange, keep bool, res *BatchResult) ([]core.BatchChange, error) {
-	var applied []core.BatchChange
-	st, err := s.tree.UpdateBatch(coalesced, func(c core.BatchChange) {
-		t.record(opMove, c)
-		res.Applied++
-		if keep {
-			applied = append(applied, c)
-		}
-	})
+// move: the changes go through the batched bottom-up pipeline, and landed
+// runs for each one as it lands (shardWork.land, which records it).
+func (s *treeStack) applyBatch(coalesced []core.BatchChange, landed func(core.BatchChange), res *BatchResult) error {
+	st, err := s.tree.UpdateBatch(coalesced, landed)
 	res.Groups = st.Groups
 	res.GroupResolved = st.GroupResolved
 	res.Fallback = st.LocalFallback + st.Sequential
-	return applied, err
+	return err
 }
 
 // bulkLoad packs items into the empty tree with the whole stack locked
@@ -282,13 +275,16 @@ func (s *treeStack) close() error {
 
 // Search returns the ids of all objects inside the window q. On a
 // ConcurrentIndex the query runs under shared granule locks covering the
-// window (phantom-protected at granule granularity).
+// window (phantom-protected at granule granularity). The ids collect in
+// the scan's kept buffer and are copied out once, at their exact number:
+// the result is the read's one allocation.
 func (s *treeStack) Search(q Rect) ([]uint64, error) {
-	sc := searchScans.Get().(*searchScan)
-	err := s.scan(sc, q)
-	out := sc.ids
-	sc.release()
-	return out, err
+	sc := searchScans.Get()
+	defer sc.release()
+	if err := s.scan(sc, q); err != nil {
+		return nil, err
+	}
+	return sc.result(), nil
 }
 
 // SearchFunc streams the objects inside q to visit; return false to stop
@@ -298,11 +294,10 @@ func (s *treeStack) Search(q Rect) ([]uint64, error) {
 // held: it must be fast and must not call back into the index, or
 // updates to the locked region stall behind it.
 func (s *treeStack) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
-	sc := searchScans.Get().(*searchScan)
+	sc := searchScans.Get()
+	defer sc.release()
 	sc.visit = visit
-	err := s.scan(sc, q)
-	sc.release()
-	return err
+	return s.scan(sc, q)
 }
 
 // scan runs one window read into sc. The view is taken before the tree
@@ -328,8 +323,8 @@ func (s *treeStack) scan(sc *searchScan, q Rect) error {
 
 // searchScan is the state of one window read. The function a read hands
 // the tree escapes, since the compiler cannot see through treeOps, so a
-// pooled scan binds it once (fromTree) and a read allocates for its
-// results alone.
+// scan binds it once (fromTree), and scans are kept on a free list that
+// drops none: a read allocates for its result alone, on every call.
 type searchScan struct {
 	view     memtable.View
 	visit    func(uint64, Point) bool // SearchFunc's; nil collects into ids
@@ -337,13 +332,29 @@ type searchScan struct {
 	stopped  bool
 	fromTree func(uint64, Rect) bool // sc.tree, bound once
 	buf      [32]memtable.Hit
+
+	n        int                      // Count's tally
+	countOne func(uint64, Point) bool // sc.count, bound once
+
+	// A scan of one shard of a gather, run on a goroutine of its own
+	// (runAsync, bound once): where, and what it found.
+	stack    *treeStack
+	q        Rect
+	err      error
+	wg       *sync.WaitGroup
+	runAsync func()
 }
 
-var searchScans = sync.Pool{New: func() any {
+var searchScans = scratch.List[searchScan]{New: func() *searchScan {
 	sc := new(searchScan)
-	sc.fromTree = sc.tree
+	sc.fromTree, sc.countOne, sc.runAsync = sc.tree, sc.count, sc.run
 	return sc
 }}
+
+// maxIdleIDs is the most id room a scan keeps between reads: a window of
+// a tenth of the unit square's side over 100 000 uniform objects holds
+// about a thousand.
+const maxIdleIDs = 1 << 11
 
 // tree takes one tree candidate: dropped if a buffered delta supersedes
 // it, emitted otherwise.
@@ -363,23 +374,56 @@ func (sc *searchScan) emit(id uint64, p Point) bool {
 	return !sc.stopped
 }
 
+// count is Count's visit.
+func (sc *searchScan) count(uint64, Point) bool {
+	sc.n++
+	return true
+}
+
+// run is one shard's scan of a gather.
+func (sc *searchScan) run() {
+	defer sc.wg.Done()
+	sc.err = sc.stack.scan(sc, sc.q)
+}
+
+// result copies the collected ids out at their exact number; nil when
+// there are none.
+func (sc *searchScan) result() []uint64 {
+	if len(sc.ids) == 0 {
+		return nil
+	}
+	return append(make([]uint64, 0, len(sc.ids)), sc.ids...)
+}
+
 func (sc *searchScan) release() {
-	sc.view, sc.visit, sc.ids, sc.stopped = memtable.View{}, nil, nil, false
+	sc.view, sc.visit, sc.ids, sc.stopped = memtable.View{}, nil, scratch.Trim(sc.ids, maxIdleIDs), false
+	sc.n, sc.stack, sc.err, sc.wg = 0, nil, nil, nil
 	searchScans.Put(sc)
 }
 
 // Count returns the number of objects inside q, under the same locks
 // and with the same overlay as SearchFunc.
 func (s *treeStack) Count(q Rect) (int, error) {
-	n := 0
-	err := s.SearchFunc(q, func(uint64, Point) bool { n++; return true })
-	return n, err
+	sc := searchScans.Get()
+	defer sc.release()
+	sc.visit = sc.countOne
+	err := s.scan(sc, q)
+	return sc.n, err
 }
 
 // Nearest returns the k objects nearest to p in increasing distance. On
 // a ConcurrentIndex the traversal's footprint cannot be declared up
 // front, so the query holds the whole-tree granule shared: it runs in
 // parallel with other reads but excludes updates for its duration.
+func (s *treeStack) Nearest(p Point, k int) ([]Neighbor, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	return s.nearest(p, k, make([]Neighbor, 0, k))
+}
+
+// nearest appends the k objects nearest to p, in increasing distance, to
+// out, which is empty with room for k.
 //
 // The tree's neighbours stream in, nearest first. With the delta tier
 // enabled they merge with the view's own k nearest: a masked candidate is
@@ -388,13 +432,10 @@ func (s *treeStack) Count(q Rect) (int, error) {
 // their own — so the tree is asked for k plus the masked candidates in
 // range, whatever the tier holds. No object comes from both sides: what
 // the view reports, the tree does not hold or the view masks.
-func (s *treeStack) Nearest(p Point, k int) ([]Neighbor, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	ns := nearestScans.Get().(*nearestScan)
+func (s *treeStack) nearest(p Point, k int, out []Neighbor) ([]Neighbor, error) {
+	ns := nearestScans.Get()
 	defer ns.release()
-	ns.k, ns.out, ns.near = k, make([]Neighbor, 0, k), ns.buf[:0]
+	ns.k, ns.out, ns.near = k, out, ns.buf[:0]
 	if s.mem != nil {
 		ns.view, ns.near = s.mem.ViewNearest(p, k, ns.near)
 	}
@@ -405,8 +446,8 @@ func (s *treeStack) Nearest(p Point, k int) ([]Neighbor, error) {
 	return ns.out, nil
 }
 
-// nearestScan is the state of one k-NN read, pooled for the reason
-// searchScan is.
+// nearestScan is the state of one k-NN read, kept on a free list for the
+// reason searchScan is.
 type nearestScan struct {
 	view     memtable.View
 	near     []memtable.Hit // the view's k nearest not yet taken
@@ -416,7 +457,7 @@ type nearestScan struct {
 	buf      [16]memtable.Hit
 }
 
-var nearestScans = sync.Pool{New: func() any {
+var nearestScans = scratch.List[nearestScan]{New: func() *nearestScan {
 	ns := new(nearestScan)
 	ns.fromTree = ns.tree
 	return ns
