@@ -129,24 +129,29 @@ bench-smoke:
 # loc prints the root package's non-test code lines — no blank and no
 # comment-only lines — per file and for the package, then the same count
 # for each internal package the library is built from (what package
-# burtree imports, directly or not: the experiment harness, the workload
-# generator and burlint are not part of it) and the library total, and
-# last burlint's: internal/lint and cmd/burlint without tests and
-# fixtures, and the harness's: internal/exp with cmd/burbench,
-# cmd/burload and cmd/burstat, without tests. These are the figures the
-# simplicity PRs report in CHANGES.md.
+# burtree imports, directly or not) and the library total, then
+# burlint's: internal/lint and cmd/burlint without tests and fixtures,
+# and last the harness's, per package and in total: cmd/burbench,
+# cmd/burload, cmd/burstat and every package of this module they reach
+# that the library does not (internal/exp, its cost model, workload
+# generator and paged hash index), without tests. These are the figures
+# the simplicity PRs report in CHANGES.md.
+HARNESS = ./cmd/burbench ./cmd/burload ./cmd/burstat
 loc:
-	@total=0; for f in $$(ls *.go | grep -v '_test\.go$$'); do \
+	@count() { cat $$(ls $$1/*.go | grep -v '_test\.go$$') | grep -cvE '^\s*$$|^\s*//'; }; \
+	total=0; for f in $$(ls *.go | grep -v '_test\.go$$'); do \
 		n=$$(grep -cvE '^\s*$$|^\s*//' $$f); total=$$((total+n)); printf '%-20s %5d\n' $$f $$n; \
 	done; printf '%-20s %5d\n' 'package burtree' $$total; \
-	lib=$$total; for p in $$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' . | grep '/internal/' | sort); do \
-		d=$${p#burtree/}; n=$$(cat $$(ls $$d/*.go | grep -v '_test\.go$$') | grep -cvE '^\s*$$|^\s*//'); \
-		lib=$$((lib+n)); printf '%-20s %5d\n' $$d $$n; \
+	libpkgs=$$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' . | grep '/internal/' | sort); \
+	lib=$$total; for p in $$libpkgs; do \
+		d=$${p#burtree/}; n=$$(count $$d); lib=$$((lib+n)); printf '%-20s %5d\n' $$d $$n; \
 	done; printf '%-20s %5d\n' 'library' $$lib; \
 	n=$$(cat $$(find internal/lint cmd/burlint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*') | grep -cvE '^\s*$$|^\s*//'); \
 	printf '%-20s %5d\n' 'burlint' $$n; \
-	n=$$(cat $$(ls internal/exp/*.go cmd/burbench/*.go cmd/burload/*.go cmd/burstat/*.go | grep -v '_test\.go$$') | grep -cvE '^\s*$$|^\s*//'); \
-	printf '%-20s %5d\n' 'harness' $$n
+	harness=0; for p in $$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' $(HARNESS) | grep -E '^burtree/(internal|cmd)/' | sort); do \
+		echo "$$libpkgs" | grep -qx "$$p" && continue; \
+		d=$${p#burtree/}; n=$$(count $$d); harness=$$((harness+n)); printf '%-20s %5d\n' $$d $$n; \
+	done; printf '%-20s %5d\n' 'harness' $$harness
 
 fmt:
 	gofmt -w $$(git ls-files '*.go')

@@ -116,11 +116,6 @@ func BenchmarkUpdateAllocsGBU(b *testing.B) {
 	}
 }
 
-func BenchmarkUpdateBatchAllocsLBU(b *testing.B) {
-	x, err := burtree.Open(allocBenchOptions(burtree.LocalizedBottomUp))
-	benchAllocUpdateBatch(b, x, err)
-}
-
 // BenchmarkUpdateBatchAllocsConcurrentGBU is the same window through
 // ConcurrentIndex: plan, leaf-scoped group locks and exclusive residue
 // sections on top of the group pass — the path the sharded front-end
@@ -341,7 +336,6 @@ func TestOverlayReadAllocsIgnoreDepth(t *testing.T) {
 var allocBudgetBenches = map[string]func(*testing.B){
 	"UpdateGBU":                BenchmarkUpdateAllocsGBU,
 	"UpdateBatchGBU":           BenchmarkUpdateBatchAllocsGBU,
-	"UpdateBatchLBU":           BenchmarkUpdateBatchAllocsLBU,
 	"UpdateBatchConcurrentGBU": BenchmarkUpdateBatchAllocsConcurrentGBU,
 	"UpdateBatchSharded":       BenchmarkUpdateBatchAllocsSharded,
 	"UpdateBatchOverflow":      BenchmarkUpdateBatchAllocsOverflow,

@@ -16,7 +16,7 @@ import (
 // is the matrix's: the call errors, the queryable state is the one the
 // contract names, the invariants hold, and recovery agrees.
 
-var failureStrategies = []Strategy{GeneralizedBottomUp, LocalizedBottomUp, TopDown}
+var failureStrategies = []Strategy{GeneralizedBottomUp, TopDown}
 
 // TestInvalidPointLeavesIndexUntouched: an insert, a move or a batched
 // move to a NaN position fails at reserve on every front-end, with or

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-var equivalenceStrategies = []Strategy{TopDown, LocalizedBottomUp, GeneralizedBottomUp}
+var equivalenceStrategies = []Strategy{TopDown, GeneralizedBottomUp}
 
 // buildPair populates two identical indexes (batch target, sequential
 // reference) plus the driving RNG.

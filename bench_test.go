@@ -104,7 +104,6 @@ func benchUpdates(b *testing.B, s burtree.Strategy, maxDist float64) {
 }
 
 func BenchmarkUpdateTD(b *testing.B)  { benchUpdates(b, burtree.TopDown, 0.03) }
-func BenchmarkUpdateLBU(b *testing.B) { benchUpdates(b, burtree.LocalizedBottomUp, 0.03) }
 func BenchmarkUpdateGBU(b *testing.B) { benchUpdates(b, burtree.GeneralizedBottomUp, 0.03) }
 
 // benchUpdateBatch drives the batched pipeline with windows of the
@@ -138,7 +137,6 @@ func benchUpdateBatch(b *testing.B, s burtree.Strategy, batch int) {
 
 func BenchmarkUpdateBatchGBU32(b *testing.B)  { benchUpdateBatch(b, burtree.GeneralizedBottomUp, 32) }
 func BenchmarkUpdateBatchGBU512(b *testing.B) { benchUpdateBatch(b, burtree.GeneralizedBottomUp, 512) }
-func BenchmarkUpdateBatchLBU512(b *testing.B) { benchUpdateBatch(b, burtree.LocalizedBottomUp, 512) }
 
 func benchQueries(b *testing.B, s burtree.Strategy) {
 	const n = 20_000

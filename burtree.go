@@ -5,19 +5,22 @@
 //	"Supporting Frequent Updates in R-Trees: A Bottom-Up Approach",
 //	VLDB 2003.
 //
-// The package indexes moving 2-D point objects and supports three update
+// The package indexes moving 2-D point objects and supports two update
 // strategies from the paper:
 //
 //   - TopDown — the classical R-tree update (delete + insert, both
 //     top-down): the baseline.
-//   - LocalizedBottomUp — Algorithm 1: direct leaf access through a
-//     secondary object-id index, uniform ε-enlargement of leaf MBRs
-//     (bounded by the parent, via leaf parent pointers), sibling shifts.
-//   - GeneralizedBottomUp — Algorithm 2: a compact main-memory summary
+//   - GeneralizedBottomUp — Algorithm 2: direct leaf access through an
+//     in-memory object-id → leaf map, and a compact main-memory summary
 //     structure over the internal nodes plus a leaf fullness bit vector
-//     enables directional ε-extension, bit-vector-screened sibling shifts
-//     with piggybacking, ascent to the lowest bounding ancestor
+//     that enables directional ε-extension, bit-vector-screened sibling
+//     shifts with piggybacking, ascent to the lowest bounding ancestor
 //     (Algorithm 3), and memory-resident query planning.
+//
+// The paper's Localized Bottom-Up update (Algorithm 1) and its paged
+// object-id hash index are kept for its §5 experiments (internal/exp,
+// cmd/burbench), not offered here: in those experiments LBU's queries
+// read more leaf pages than GBU's and its updates are no cheaper.
 //
 // Beyond the paper, UpdateBatch applies buffered moves through a
 // batched bottom-up pipeline: repeated moves of an object coalesce to
@@ -89,25 +92,23 @@ type Rect = geom.Rect
 // NewRect builds a rectangle from two corner points in any order.
 func NewRect(x1, y1, x2, y2 float64) Rect { return geom.NewRect(x1, y1, x2, y2) }
 
-// Strategy selects the update algorithm.
+// Strategy selects the update algorithm. Its values are stored in
+// snapshots, so they never change meaning: 1 was LocalizedBottomUp, which
+// the package no longer offers, and Open, Load and Recover refuse it.
 type Strategy int
 
 const (
 	// TopDown is the traditional R-tree update (paper baseline "TD").
-	TopDown Strategy = iota
-	// LocalizedBottomUp is the paper's Algorithm 1 ("LBU").
-	LocalizedBottomUp
+	TopDown Strategy = 0
 	// GeneralizedBottomUp is the paper's Algorithm 2 ("GBU") and the
 	// recommended default for update-heavy workloads.
-	GeneralizedBottomUp
+	GeneralizedBottomUp Strategy = 2
 )
 
 func (s Strategy) String() string {
 	switch s {
 	case TopDown:
 		return "TopDown"
-	case LocalizedBottomUp:
-		return "LocalizedBottomUp"
 	case GeneralizedBottomUp:
 		return "GeneralizedBottomUp"
 	default:
@@ -119,8 +120,6 @@ func (s Strategy) kind() (core.Kind, error) {
 	switch s {
 	case TopDown:
 		return core.TD, nil
-	case LocalizedBottomUp:
-		return core.LBU, nil
 	case GeneralizedBottomUp:
 		return core.GBU, nil
 	default:
@@ -136,7 +135,7 @@ func (s Strategy) kind() (core.Kind, error) {
 // The tuning parameters carry the paper's names:
 //
 //	field              paper  default  used by
-//	Epsilon            ε      0.003    LBU, GBU (MBR enlargement cap)
+//	Epsilon            ε      0.003    GBU (MBR extension cap)
 //	DistanceThreshold  δ      0.03     GBU (shift-before-extend cutoff)
 //	PageSize           —      1024 B   all (node fanout follows)
 //
@@ -150,8 +149,7 @@ type Options struct {
 	Strategy Strategy
 	// PageSize is the simulated disk page size in bytes (default 1024,
 	// the paper's setting). Node fanout follows from it; a page too small
-	// for a fanout of 4 is refused (200 bytes is the least, 208 for
-	// LocalizedBottomUp, whose nodes carry a parent pointer).
+	// for a fanout of 4 is refused (200 bytes is the least).
 	PageSize int
 	// BufferPages is the LRU buffer pool capacity in pages, spent on
 	// leaves: the internal nodes are cached beyond it and never evicted,
@@ -164,9 +162,8 @@ type Options struct {
 	BufferPages int
 	// Epsilon is the paper's ε parameter: the cap on how far a leaf MBR
 	// may be enlarged per update (default 0.003, in data-space units of
-	// the unit square). LBU enlarges uniformly in all directions; GBU
-	// enlarges only toward the movement (Algorithm 4). TopDown ignores
-	// it.
+	// the unit square). GBU enlarges only toward the movement
+	// (Algorithm 4). TopDown ignores it.
 	Epsilon float64
 	// DistanceThreshold is the paper's δ parameter (default 0.03):
 	// objects that moved farther than δ since their last position are
@@ -217,18 +214,18 @@ type indexParts struct {
 }
 
 // coreOptions converts a stack's options (stackOptions) to the
-// strategy's, fixing what Options leaves out at the paper's defaults. The
-// strategy reaches leaves through the in-memory id → leaf map, not the
-// paper's paged hash: every write path — the three front-ends,
+// strategy's, fixing what Options leaves out at the paper's defaults. It
+// passes no locator, so the strategy reaches leaves through core's
+// in-memory id → leaf map: every write path — the three front-ends,
 // merge-down, rebalance and log replay — builds its stacks here. It
-// refuses a page the strategy's tree cannot use, before any store is
-// built on it.
+// refuses a strategy the package does not offer and a page the tree
+// cannot use, before any store is built on it.
 func (opts Options) coreOptions() (core.Options, error) {
 	kind, err := opts.Strategy.kind()
 	if err != nil {
 		return core.Options{}, err
 	}
-	if least := core.MinPageSize(kind); opts.PageSize < least {
+	if least := rtree.MinPageSize(false); opts.PageSize < least {
 		return core.Options{}, fmt.Errorf("burtree: page size %d below the %v minimum of %d bytes", opts.PageSize, opts.Strategy, least)
 	}
 	return core.Options{
@@ -236,7 +233,6 @@ func (opts Options) coreOptions() (core.Options, error) {
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
 		LevelThreshold:    core.UnrestrictedLevels,
-		MemoryLocator:     true,
 		ExpectedObjects:   opts.ExpectedObjects,
 		Tree:              rtree.Config{ReinsertFraction: 0.3, Split: rtree.SplitQuadratic},
 	}, nil

@@ -23,7 +23,7 @@ func openTest(t testing.TB, s Strategy) *Index {
 }
 
 func allFacadeStrategies() []Strategy {
-	return []Strategy{TopDown, LocalizedBottomUp, GeneralizedBottomUp}
+	return []Strategy{TopDown, GeneralizedBottomUp}
 }
 
 func TestOpenRejectsUnknownStrategy(t *testing.T) {
@@ -191,7 +191,6 @@ func TestStatsResetAndFlush(t *testing.T) {
 
 func TestStrategyNames(t *testing.T) {
 	if TopDown.String() != "TopDown" ||
-		LocalizedBottomUp.String() != "LocalizedBottomUp" ||
 		GeneralizedBottomUp.String() != "GeneralizedBottomUp" {
 		t.Fatal("strategy names wrong")
 	}

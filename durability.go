@@ -104,7 +104,9 @@ func (d Durability) logOptions(startAfter uint64, nextSeq func() uint64) wal.Opt
 const snapshotFileName = "snapshot.burtree"
 
 // ErrRecovery reports that crash recovery could not replay the log tail
-// onto the snapshot. The index state on disk is left untouched.
+// onto the snapshot. The index state on disk is left untouched. A
+// snapshot recovery cannot load also wraps the load's error, so a
+// refused one is ErrBadSnapshot as well.
 var ErrRecovery = errors.New("burtree: recovery failed")
 
 // ErrExistingState reports an Open with durability enabled on a
@@ -202,7 +204,7 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	snapPath := filepath.Join(d.Dir, snapshotFileName)
 	if _, serr := os.Stat(snapPath); serr == nil {
 		if x, err = loadFile(snapPath, k); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRecovery, err)
+			return nil, fmt.Errorf("%w: %w", ErrRecovery, err)
 		}
 	} else if !os.IsNotExist(serr) {
 		return nil, fmt.Errorf("%w: %v", ErrRecovery, serr)

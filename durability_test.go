@@ -571,7 +571,7 @@ func TestSaveFileAtomicOverIndex(t *testing.T) {
 	// otherwise.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index.bur")
-	idx, err := Open(Options{Strategy: LocalizedBottomUp, ExpectedObjects: 64})
+	idx, err := Open(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestEmptyShardRoundTrips(t *testing.T) {
 	})
 
 	t.Run("wholly-empty", func(t *testing.T) {
-		idx, err := OpenSharded(Options{Strategy: LocalizedBottomUp}, ShardOptions{Shards: 2})
+		idx, err := OpenSharded(Options{Strategy: GeneralizedBottomUp}, ShardOptions{Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

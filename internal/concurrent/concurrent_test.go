@@ -11,6 +11,7 @@ import (
 	"burtree/internal/core"
 	"burtree/internal/dgl"
 	"burtree/internal/geom"
+	"burtree/internal/hashindex"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 	"burtree/internal/stats"
@@ -25,7 +26,13 @@ func newDB(t testing.TB, kind core.Kind, n int) (*DB, []geom.Point) {
 	t.Helper()
 	store := pagestore.New(1024, &stats.IO{})
 	pool := buffer.New(store, 64)
-	u, err := core.New(pool, core.Options{Strategy: kind, ExpectedObjects: n, Tree: rtree.Config{ReinsertFraction: 0.3}})
+	// The bottom-up kinds run over the paper's paged hash index, as the
+	// experiments' throughput study does.
+	var loc core.Locator
+	if kind != core.TD {
+		loc = hashindex.New(pool, n)
+	}
+	u, err := core.New(pool, core.Options{Strategy: kind, Locator: loc, Tree: rtree.Config{ReinsertFraction: 0.3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"sync"
 
 	"burtree/internal/geom"
-	"burtree/internal/hashindex"
 	"burtree/internal/rtree"
 )
 
@@ -157,18 +156,24 @@ type Scope struct {
 // page size.
 const groupScratch = rtree.DefaultLeafFanout
 
+// bucketed is a Locator whose ids live in pages, such as the paper's
+// paged hash index: Bucket names the page chain oid's lookup reads.
+type bucketed interface {
+	Bucket(oid uint64) int
+}
+
 // OrderForGrouping returns the changes in the order the lookup phase
-// should resolve them: clustered by hash bucket when the strategy's
-// locator is the paged hash index, so lookups landing on the same hash
-// page run back to back and all but the first hit the buffer. The input
-// is not modified; without a paged locator (TD, or the in-memory map,
-// whose lookups touch no page) it is returned as is.
+// should resolve them: clustered by bucket when the strategy's locator
+// is bucketed, so lookups landing on the same page run back to back and
+// all but the first hit the buffer. The input is not modified; without a
+// bucketed locator (TD, or the in-memory map, whose lookups touch no
+// page) it is returned as is.
 func OrderForGrouping(u Updater, changes []BatchChange) []BatchChange {
 	l, ok := u.(located)
 	if !ok || len(changes) < 2 {
 		return changes
 	}
-	h, ok := l.locator().(*hashindex.Index)
+	h, ok := l.locator().(bucketed)
 	if !ok {
 		return changes
 	}

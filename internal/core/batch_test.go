@@ -66,7 +66,7 @@ func (w *world) batchMoves(size int, maxDist float64) []BatchChange {
 // consistency, and query results against a positional oracle after
 // every batch.
 func TestApplyBatchMatchesOracle(t *testing.T) {
-	for _, opts := range append(allStrategies(), Options{Strategy: Naive, ExpectedObjects: 2000}) {
+	for _, opts := range append(allStrategies(), Options{Strategy: Naive, Locator: paged(2000)}) {
 		opts := opts
 		t.Run(opts.Strategy.String(), func(t *testing.T) {
 			u := newUpdater(t, 1024, 16, opts)
@@ -142,7 +142,7 @@ func TestApplyBatchStats(t *testing.T) {
 // makes the sharing deterministic.
 func TestBatchSharesLeafAccesses(t *testing.T) {
 	build := func() (Updater, *world) {
-		u := newUpdater(t, 1024, 0, Options{Strategy: GBU, ExpectedObjects: 256})
+		u := newUpdater(t, 1024, 0, Options{Strategy: GBU, Locator: paged(256)})
 		w := newWorld(11)
 		w.populate(t, u, 200)
 		return u, w
@@ -199,11 +199,58 @@ func TestBatchSharesLeafAccesses(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under the race detector (race_test.go), which makes
+// sync.Pool drop a quarter of what it is handed: an allocation count is
+// then a matter of chance.
+var raceEnabled bool
+
+// TestLBUBatchAllocatesNothing: once warm, LBU's batch pass over the
+// in-memory map allocates nothing — plan, group passes, ε-enlargements,
+// sibling shifts and top-down fallbacks alike. The batches are drawn and
+// coalesced before the count, one window of 256 moves each.
+func TestLBUBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are a matter of chance under the race detector")
+	}
+	u := newUpdater(t, 1024, 256, Options{Strategy: LBU, Tree: rtree.Config{ReinsertFraction: 0.3}})
+	w := newWorld(7)
+	w.populate(t, u, 4096)
+	const warm, runs = 8, 20
+	batches := make([][]BatchChange, warm+runs+1)
+	for i := range batches {
+		batches[i], _ = Coalesce(w.batchMoves(256, 0.03))
+		for _, c := range batches[i] {
+			w.pos[c.OID] = c.New
+		}
+	}
+	next := 0
+	apply := func() {
+		if _, err := ApplyBatch(u, batches[next], nil); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for range warm {
+		apply()
+	}
+	before := u.Outcomes()
+	allocs := testing.AllocsPerRun(runs, apply)
+	if after := u.Outcomes(); after.Extended == before.Extended || after.Shifted == before.Shifted || after.TopDown == before.TopDown {
+		t.Fatalf("the batches extended %d leaves, shifted %d objects and went top-down %d times: a path went unexercised",
+			after.Extended-before.Extended, after.Shifted-before.Shifted, after.TopDown-before.TopDown)
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per LBU batch of %d moves; want 0", allocs, len(batches[warm]))
+	}
+	validateAll(t, u)
+	checkSearchMatches(t, u, w, 10)
+}
+
 // TestPlanningReusesItsBuffers: coalescing and planning batch after batch
 // through one Coalescer and one Plan allocates nothing once their buffers
 // have grown to a batch, and gives what the fresh forms give.
 func TestPlanningReusesItsBuffers(t *testing.T) {
-	u := newUpdater(t, 1024, 16, Options{Strategy: GBU, MemoryLocator: true})
+	u := newUpdater(t, 1024, 16, Options{Strategy: GBU})
 	w := newWorld(11)
 	w.populate(t, u, 1500)
 	ga := u.(GroupApplier)

@@ -6,7 +6,6 @@ import (
 
 	"burtree/internal/buffer"
 	"burtree/internal/geom"
-	"burtree/internal/hashindex"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 )
@@ -18,7 +17,7 @@ import (
 // the leafAlgorithm.
 type bottomUp struct {
 	tree    *rtree.Tree
-	loc     locator
+	loc     Locator
 	adapter *locatorAdapter
 	alg     leafAlgorithm
 
@@ -52,14 +51,14 @@ const (
 	needAscend                      // the scheme's non-local ending
 )
 
-// init builds the tree and the locator opts selects, which the tree's
-// placement events keep, with alg as the scheme.
+// init builds the tree and its locator — the one opts passes, or else an
+// in-memory map — which the tree's placement events keep, with alg as the
+// scheme.
 func (b *bottomUp) init(pool *buffer.Pool, cfg rtree.Config, opts Options, alg leafAlgorithm) {
 	b.tree = rtree.New(pool, cfg)
-	if opts.MemoryLocator {
+	b.loc = opts.Locator
+	if b.loc == nil {
 		b.loc = newLeafMap(opts.ExpectedObjects)
-	} else {
-		b.loc = hashindex.New(pool, opts.ExpectedObjects)
 	}
 	b.adapter = &locatorAdapter{loc: b.loc}
 	b.alg = alg
@@ -94,7 +93,7 @@ func (b *bottomUp) Outcomes() Outcomes { return b.out.snapshot() }
 
 func (b *bottomUp) Err() error { return b.adapter.Err() }
 
-func (b *bottomUp) locator() locator { return b.loc }
+func (b *bottomUp) locator() Locator { return b.loc }
 
 // LeafOf resolves the leaf currently holding the object (GroupApplier).
 func (b *bottomUp) LeafOf(oid rtree.OID) (rtree.PageID, error) {

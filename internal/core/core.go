@@ -19,21 +19,20 @@
 //
 // NAIVE, LBU and GBU share one per-object path (bottomUp.updateAt): reach
 // the leaf, run the scheme's local phase, otherwise end top-down or with
-// the scheme's own ascent. Update enters it through the locator — the
-// paper's paged hash index, or an in-memory map (Options.MemoryLocator) —
-// the batch pipeline's UpdateAtLeaf at a leaf it already knows. All
-// strategies expose the same Updater interface so the experiment
-// harness can swap them freely, exactly as the paper's figures do.
+// the scheme's own ascent. Update enters it through the locator — an
+// in-memory map, or the Locator the caller passes in Options (the
+// experiment harness passes the paper's paged hash index) — the batch
+// pipeline's UpdateAtLeaf at a leaf it already knows. All strategies
+// expose the same Updater interface so the experiment harness can swap
+// them freely, exactly as the paper's figures do.
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"burtree/internal/buffer"
 	"burtree/internal/geom"
-	"burtree/internal/hashindex"
 	"burtree/internal/rtree"
 	"burtree/internal/summary"
 )
@@ -91,7 +90,8 @@ const UnrestrictedLevels = -1
 
 // Options configures a strategy instance. The zero value gives the
 // paper's defaults (bold entries of Table 1) for everything except the
-// strategy itself, which defaults to TD.
+// strategy itself, which defaults to TD, and the locator, which defaults
+// to the in-memory map, not the paper's paged hash.
 type Options struct {
 	// Strategy picks TD, NAIVE, LBU or GBU.
 	Strategy Kind
@@ -112,14 +112,13 @@ type Options struct {
 	// NoSummaryQueries disables the summary-assisted window query and
 	// uses the plain top-down search. Ablation knob.
 	NoSummaryQueries bool
-	// MemoryLocator reaches each object's leaf through an in-memory id →
-	// leaf map instead of the paper's paged hash index (Figure 2), whose
-	// page accesses §5 charges. The zero value keeps the paged hash, so
-	// the experiments count what the paper counts.
-	MemoryLocator bool
-	// ExpectedObjects sizes the locator: the paged hash's static
-	// directory (default 1024; undersizing costs overflow pages), or the
-	// in-memory map's initial capacity, a hint only.
+	// Locator reaches each object's leaf for the bottom-up strategies and
+	// belongs to the one strategy built with it; TD ignores it. Nil
+	// selects an in-memory id → leaf map. The experiments pass the
+	// paper's paged hash index (Figure 2), whose page accesses §5 charges.
+	Locator Locator
+	// ExpectedObjects is the in-memory map's initial capacity (default
+	// 1024), a hint only.
 	ExpectedObjects int
 	// Tree carries the structural R-tree parameters. LBU forces
 	// ParentPointers on.
@@ -233,10 +232,6 @@ func New(pool *buffer.Pool, opts Options) (Updater, error) {
 	}
 }
 
-// MinPageSize is the smallest page the strategy's tree can use; LBU's is
-// larger because New gives its nodes a parent pointer.
-func MinPageSize(k Kind) int { return rtree.MinPageSize(k == LBU) }
-
 // effectiveLevelThreshold decodes the λ encoding in Options.
 func effectiveLevelThreshold(raw, height int) int {
 	switch {
@@ -253,7 +248,7 @@ func effectiveLevelThreshold(raw, height int) int {
 // locator. Listener hooks cannot return errors, so the first failure is
 // recorded and surfaced through Updater.Err.
 type locatorAdapter struct {
-	loc locator
+	loc Locator
 
 	mu  sync.Mutex
 	err error
@@ -273,7 +268,7 @@ func (a *locatorAdapter) DataPlaced(oid rtree.OID, leaf rtree.PageID) {
 }
 
 func (a *locatorAdapter) DataRemoved(oid rtree.OID) {
-	if err := a.loc.Delete(oid); err != nil && !errors.Is(err, hashindex.ErrNotFound) {
+	if err := a.loc.Delete(oid); err != nil {
 		a.record(err)
 	}
 }

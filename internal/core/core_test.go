@@ -7,6 +7,7 @@ import (
 
 	"burtree/internal/buffer"
 	"burtree/internal/geom"
+	"burtree/internal/hashindex"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 	"burtree/internal/stats"
@@ -16,11 +17,32 @@ func newUpdater(t testing.TB, pageSize, bufferPages int, opts Options) Updater {
 	t.Helper()
 	store := pagestore.New(pageSize, &stats.IO{})
 	pool := buffer.New(store, bufferPages)
-	u, err := New(pool, opts)
+	u, err := New(pool, bind(pool, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return u
+}
+
+// pagedHash is a test row's request for the paper's paged hash index
+// (Figure 2) sized for n objects, the locator whose page accesses the
+// exact-I/O tests count. It is a placeholder with no working methods:
+// bind replaces it with a hash index over the pool the row's strategy is
+// built on.
+type pagedHash struct {
+	Locator
+	n int
+}
+
+func paged(n int) Locator { return pagedHash{n: n} }
+
+// bind returns opts with a pagedHash placeholder replaced by
+// hashindex.New over pool.
+func bind(pool *buffer.Pool, opts Options) Options {
+	if p, ok := opts.Locator.(pagedHash); ok {
+		opts.Locator = hashindex.New(pool, p.n)
+	}
+	return opts
 }
 
 // world tracks object positions and drives random movement.
@@ -120,8 +142,8 @@ func validateAll(t *testing.T, u Updater) {
 func allStrategies() []Options {
 	return []Options{
 		{Strategy: TD, Tree: rtree.Config{ReinsertFraction: 0.3}},
-		{Strategy: LBU, Tree: rtree.Config{ReinsertFraction: 0.3}, ExpectedObjects: 2000},
-		{Strategy: GBU, Tree: rtree.Config{ReinsertFraction: 0.3}, ExpectedObjects: 2000},
+		{Strategy: LBU, Tree: rtree.Config{ReinsertFraction: 0.3}, Locator: paged(2000)},
+		{Strategy: GBU, Tree: rtree.Config{ReinsertFraction: 0.3}, Locator: paged(2000)},
 	}
 }
 
@@ -175,7 +197,7 @@ func TestStrategiesFastMovement(t *testing.T) {
 }
 
 func TestGBUOutcomeMixUnderLocality(t *testing.T) {
-	u := newUpdater(t, 512, 0, Options{Strategy: GBU, ExpectedObjects: 2000})
+	u := newUpdater(t, 512, 0, Options{Strategy: GBU, Locator: paged(2000)})
 	w := newWorld(303)
 	w.populate(t, u, 1500)
 	const moves = 5000
@@ -196,7 +218,7 @@ func TestGBUOutcomeMixUnderLocality(t *testing.T) {
 func TestGBULevelThresholdZero(t *testing.T) {
 	// λ = 0 disables ascent: no update may resolve as "ascended" below
 	// the root... ascents still count, but they must all target the root.
-	u := newUpdater(t, 512, 0, Options{Strategy: GBU, LevelThreshold: LevelThresholdZero, ExpectedObjects: 1000})
+	u := newUpdater(t, 512, 0, Options{Strategy: GBU, LevelThreshold: LevelThresholdZero, Locator: paged(1000)})
 	w := newWorld(404)
 	w.populate(t, u, 800)
 	for step := 0; step < 3000; step++ {
@@ -208,7 +230,7 @@ func TestGBULevelThresholdZero(t *testing.T) {
 
 func TestGBULevelThresholdSweepStaysValid(t *testing.T) {
 	for _, lambda := range []int{LevelThresholdZero, 1, 2, 3, UnrestrictedLevels} {
-		u := newUpdater(t, 512, 0, Options{Strategy: GBU, LevelThreshold: lambda, ExpectedObjects: 1000})
+		u := newUpdater(t, 512, 0, Options{Strategy: GBU, LevelThreshold: lambda, Locator: paged(1000)})
 		w := newWorld(505)
 		w.populate(t, u, 700)
 		for step := 0; step < 1500; step++ {
@@ -223,8 +245,8 @@ func TestGBUDistanceThresholdOrdersPaths(t *testing.T) {
 	// δ = 3 (larger than any possible move) forces extend-first; δ = 0
 	// forces shift-first. Both must remain correct; the shift-first run
 	// should resolve at least as many updates by shifting.
-	shiftFirst := newUpdater(t, 512, 0, Options{Strategy: GBU, DistanceThreshold: 1e-12, ExpectedObjects: 1000})
-	extendFirst := newUpdater(t, 512, 0, Options{Strategy: GBU, DistanceThreshold: 3, ExpectedObjects: 1000})
+	shiftFirst := newUpdater(t, 512, 0, Options{Strategy: GBU, DistanceThreshold: 1e-12, Locator: paged(1000)})
+	extendFirst := newUpdater(t, 512, 0, Options{Strategy: GBU, DistanceThreshold: 3, Locator: paged(1000)})
 	for _, u := range []Updater{shiftFirst, extendFirst} {
 		w := newWorld(606)
 		w.populate(t, u, 800)
@@ -243,8 +265,8 @@ func TestGBUDistanceThresholdOrdersPaths(t *testing.T) {
 }
 
 func TestGBUPiggybackAblation(t *testing.T) {
-	with := newUpdater(t, 512, 0, Options{Strategy: GBU, ExpectedObjects: 1000})
-	without := newUpdater(t, 512, 0, Options{Strategy: GBU, NoPiggyback: true, ExpectedObjects: 1000})
+	with := newUpdater(t, 512, 0, Options{Strategy: GBU, Locator: paged(1000)})
+	without := newUpdater(t, 512, 0, Options{Strategy: GBU, NoPiggyback: true, Locator: paged(1000)})
 	for _, u := range []Updater{with, without} {
 		w := newWorld(707)
 		w.populate(t, u, 800)
@@ -262,7 +284,7 @@ func TestGBUPiggybackAblation(t *testing.T) {
 }
 
 func TestGBUSummaryQueryMatchesPlain(t *testing.T) {
-	u := newUpdater(t, 512, 0, Options{Strategy: GBU, ExpectedObjects: 1500})
+	u := newUpdater(t, 512, 0, Options{Strategy: GBU, Locator: paged(1500)})
 	g := u.(*gbuStrategy)
 	w := newWorld(808)
 	w.populate(t, u, 1200)
@@ -301,7 +323,7 @@ func TestGBUSummaryQueryMatchesPlain(t *testing.T) {
 }
 
 func TestGBUSummaryQuerySavesInternalReads(t *testing.T) {
-	u := newUpdater(t, 512, 0, Options{Strategy: GBU, ExpectedObjects: 3000})
+	u := newUpdater(t, 512, 0, Options{Strategy: GBU, Locator: paged(3000)})
 	g := u.(*gbuStrategy)
 	w := newWorld(909)
 	w.populate(t, u, 2500)
@@ -348,7 +370,7 @@ func TestGBUUpdateBeatsTDOnIO(t *testing.T) {
 		return float64(io.Snapshot().Sub(base).Total()) / moves
 	}
 	td := run(Options{Strategy: TD, Tree: rtree.Config{ReinsertFraction: 0.3}})
-	gbu := run(Options{Strategy: GBU, Tree: rtree.Config{ReinsertFraction: 0.3}, ExpectedObjects: 3000})
+	gbu := run(Options{Strategy: GBU, Tree: rtree.Config{ReinsertFraction: 0.3}, Locator: paged(3000)})
 	if gbu >= td*0.7 {
 		t.Fatalf("GBU avg update I/O %.2f not clearly below TD %.2f", gbu, td)
 	}
@@ -420,7 +442,7 @@ func TestNewUnknownStrategy(t *testing.T) {
 }
 
 func TestLBUUsesParentPointers(t *testing.T) {
-	u := newUpdater(t, 512, 0, Options{Strategy: LBU, ExpectedObjects: 500})
+	u := newUpdater(t, 512, 0, Options{Strategy: LBU, Locator: paged(500)})
 	if !u.Tree().Config().ParentPointers {
 		t.Fatal("LBU tree must have parent pointers")
 	}
@@ -438,7 +460,11 @@ func TestGBUInLeafUpdateCost(t *testing.T) {
 	// write. The in-memory locator drops the hash read. Move an object to
 	// the center of its own leaf MBR so the in-leaf path is guaranteed.
 	for _, memory := range []bool{false, true} {
-		u := newUpdater(t, 1024, 0, Options{Strategy: GBU, ExpectedObjects: 4000, MemoryLocator: memory})
+		opts := Options{Strategy: GBU}
+		if !memory {
+			opts.Locator = paged(4000)
+		}
+		u := newUpdater(t, 1024, 0, opts)
 		g := u.(*gbuStrategy)
 		w := newWorld(141)
 		w.populate(t, u, 4000)

@@ -22,13 +22,13 @@ func TestStrategiesAnswerIdentically(t *testing.T) {
 	}, 6000, 120)
 
 	kinds := []Options{
-		{Strategy: TD, ExpectedObjects: 1500},
-		{Strategy: LBU, ExpectedObjects: 1500},
-		{Strategy: GBU, ExpectedObjects: 1500},
-		{Strategy: Naive, ExpectedObjects: 1500},
-		{Strategy: LBU, MemoryLocator: true},
-		{Strategy: GBU, MemoryLocator: true},
-		{Strategy: Naive, MemoryLocator: true},
+		{Strategy: TD, Locator: paged(1500)},
+		{Strategy: LBU, Locator: paged(1500)},
+		{Strategy: GBU, Locator: paged(1500)},
+		{Strategy: Naive, Locator: paged(1500)},
+		{Strategy: LBU},
+		{Strategy: GBU},
+		{Strategy: Naive},
 	}
 	// Results per strategy: query index -> sorted oids.
 	results := make([][][]rtree.OID, len(kinds))
@@ -86,13 +86,13 @@ func TestStrategiesAnswerIdenticallyFastMovers(t *testing.T) {
 
 	var reference [][]rtree.OID
 	for _, opts := range []Options{
-		{Strategy: TD, ExpectedObjects: 800},
-		{Strategy: GBU, ExpectedObjects: 800},
-		{Strategy: GBU, ExpectedObjects: 800, LevelThreshold: LevelThresholdZero},
-		{Strategy: GBU, ExpectedObjects: 800, NoPiggyback: true, NoSummaryQueries: true},
-		{Strategy: LBU, ExpectedObjects: 800, Epsilon: 0.05},
-		{Strategy: GBU, MemoryLocator: true},
-		{Strategy: LBU, MemoryLocator: true, Epsilon: 0.05},
+		{Strategy: TD, Locator: paged(800)},
+		{Strategy: GBU, Locator: paged(800)},
+		{Strategy: GBU, Locator: paged(800), LevelThreshold: LevelThresholdZero},
+		{Strategy: GBU, Locator: paged(800), NoPiggyback: true, NoSummaryQueries: true},
+		{Strategy: LBU, Locator: paged(800), Epsilon: 0.05},
+		{Strategy: GBU},
+		{Strategy: LBU, Epsilon: 0.05},
 	} {
 		u := newUpdater(t, 512, 8, opts)
 		for i, p := range trace.Initial {

@@ -56,7 +56,7 @@ func findExtensionCandidate(t *testing.T, g *gbuStrategy) (rtree.OID, geom.Point
 }
 
 func TestGBUExtensionCostExact(t *testing.T) {
-	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, Epsilon: 0.01, ExpectedObjects: 4000})
+	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, Epsilon: 0.01, Locator: paged(4000)})
 	g := u.(*gbuStrategy)
 	w := newWorld(999)
 	w.populate(t, u, 4000)
@@ -84,7 +84,7 @@ func TestGBUExtensionCostExact(t *testing.T) {
 }
 
 func TestLBUInPlaceCostExact(t *testing.T) {
-	u := newUpdater(t, 1024, 0, Options{Strategy: LBU, ExpectedObjects: 4000})
+	u := newUpdater(t, 1024, 0, Options{Strategy: LBU, Locator: paged(4000)})
 	l := u.(*lbuStrategy)
 	w := newWorld(888)
 	w.populate(t, u, 4000)
@@ -115,7 +115,7 @@ func TestLBUInPlaceCostExact(t *testing.T) {
 }
 
 func TestGBUOutsideRootFallsBackTopDown(t *testing.T) {
-	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, ExpectedObjects: 1000})
+	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, Locator: paged(1000)})
 	w := newWorld(777)
 	w.populate(t, u, 1000)
 	g := u.(*gbuStrategy)
@@ -142,7 +142,7 @@ func TestGBUOutsideRootFallsBackTopDown(t *testing.T) {
 func TestGBUShiftSkipsParentReadWhenOutsideParentMBR(t *testing.T) {
 	// The summary-table check must prevent a parent read when the new
 	// location lies outside the parent MBR entirely (fast-path ascends).
-	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, DistanceThreshold: 1e-12, ExpectedObjects: 4000})
+	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, DistanceThreshold: 1e-12, Locator: paged(4000)})
 	g := u.(*gbuStrategy)
 	w := newWorld(666)
 	w.populate(t, u, 4000)
@@ -195,7 +195,7 @@ func TestGBUShiftSkipsParentReadWhenOutsideParentMBR(t *testing.T) {
 }
 
 func TestNaiveStrategyBasics(t *testing.T) {
-	u := newUpdater(t, 512, 0, Options{Strategy: Naive, ExpectedObjects: 1500})
+	u := newUpdater(t, 512, 0, Options{Strategy: Naive, Locator: paged(1500)})
 	w := newWorld(555)
 	w.populate(t, u, 1200)
 	for i := 0; i < 3000; i++ {
@@ -231,7 +231,7 @@ func TestParseKind(t *testing.T) {
 }
 
 func TestGBUDeleteBottomUpCost(t *testing.T) {
-	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, ExpectedObjects: 4000})
+	u := newUpdater(t, 1024, 0, Options{Strategy: GBU, Locator: paged(4000)})
 	g := u.(*gbuStrategy)
 	w := newWorld(444)
 	w.populate(t, u, 4000)
@@ -278,7 +278,7 @@ func TestGBUDeleteBottomUpCost(t *testing.T) {
 func TestRandomSeedsSweepGBU(t *testing.T) {
 	// Fuzz-style: several seeds, moderate workloads, full validation.
 	for seed := int64(1); seed <= 5; seed++ {
-		u := newUpdater(t, 512, 4, Options{Strategy: GBU, ExpectedObjects: 800})
+		u := newUpdater(t, 512, 4, Options{Strategy: GBU, Locator: paged(800)})
 		w := newWorld(seed)
 		w.populate(t, u, 600)
 		rng := rand.New(rand.NewSource(seed))

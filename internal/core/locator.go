@@ -1,31 +1,37 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
-	"burtree/internal/hashindex"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 )
 
-// locator is how the bottom-up strategies reach an object's leaf: the
+// Locator is how the bottom-up strategies reach an object's leaf: the
 // lookup an update starts with, and the placements the tree's listener
-// (locatorAdapter) and the sibling shifts report. Two types satisfy it:
-// the paper's paged hash index (*hashindex.Index, Figure 2), whose page
-// accesses §5 charges, and leafMap, which keeps the same map in main
-// memory at no page cost. Options.MemoryLocator picks one.
-type locator interface {
+// (locatorAdapter) and the sibling shifts report. The tree reports the
+// removal only of an entry it placed, so an error from Delete, as from
+// Set, is a bookkeeping failure that Updater.Err surfaces. Keeping a
+// locator consistent with the tree under concurrent writers is the
+// caller's job (DGL).
+//
+// Options.Locator passes one in; nil selects leafMap, which keeps the
+// map in main memory at no page cost. The paper's paged hash index
+// (Figure 2, internal/hashindex), whose page accesses §5 charges, is one
+// the experiment harness passes.
+type Locator interface {
 	Lookup(oid uint64) (pagestore.PageID, error)
 	Set(oid uint64, leaf pagestore.PageID) error
 	Delete(oid uint64) error
 	Size() int
 }
 
-var (
-	_ locator = (*hashindex.Index)(nil)
-	_ locator = (*leafMap)(nil)
-)
+var _ Locator = (*leafMap)(nil)
+
+// errNotMapped reports a lookup of an id the in-memory map does not hold.
+var errNotMapped = errors.New("core: oid not mapped")
 
 // leafMapStripes is the number of independently locked shards of a
 // leafMap. Stripe = oid mod leafMapStripes, so writers that own ids of
@@ -36,7 +42,7 @@ const leafMapStripes = 64
 // stripes, each a Go map under its own mutex, so concurrent updates,
 // batch lookups and piggybacked shifts proceed in parallel. It is safe
 // for concurrent use; keeping it consistent with the tree is the
-// caller's job, as it is for the paged hash (DGL).
+// caller's job, as it is for any Locator.
 type leafMap struct {
 	stripes [leafMapStripes]leafStripe
 }
@@ -70,7 +76,7 @@ func (m *leafMap) Lookup(oid uint64) (pagestore.PageID, error) {
 	leaf, ok := s.leaves[oid]
 	s.mu.Unlock()
 	if !ok {
-		return pagestore.InvalidPage, fmt.Errorf("%w: %d", hashindex.ErrNotFound, oid)
+		return pagestore.InvalidPage, fmt.Errorf("%w: %d", errNotMapped, oid)
 	}
 	return leaf, nil
 }
@@ -86,8 +92,7 @@ func (m *leafMap) Set(oid uint64, leaf pagestore.PageID) error {
 	return nil
 }
 
-// Delete removes the mapping for oid; an unmapped oid is no error (the
-// tree's listener reports every removal, mapped or not).
+// Delete removes the mapping for oid, if there is one.
 func (m *leafMap) Delete(oid uint64) error {
 	s := m.stripe(oid)
 	s.mu.Lock()
@@ -111,7 +116,7 @@ func (m *leafMap) Size() int {
 // located is implemented by the strategies that keep a locator (every
 // one embedding bottomUp).
 type located interface {
-	locator() locator
+	locator() Locator
 }
 
 // forEachLeafEntry calls visit with every object of t and the leaf

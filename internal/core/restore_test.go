@@ -26,14 +26,14 @@ func rebuildStore(t *testing.T, s *pagestore.Store) *pagestore.Store {
 func TestCoreSaveRestoreEveryStrategy(t *testing.T) {
 	var all []Options
 	for _, kind := range []Kind{TD, LBU, GBU, Naive} {
-		all = append(all, Options{Strategy: kind, ExpectedObjects: 800})
+		all = append(all, Options{Strategy: kind, Locator: paged(800)})
 	}
 	for _, kind := range []Kind{LBU, GBU, Naive} {
-		all = append(all, Options{Strategy: kind, MemoryLocator: true})
+		all = append(all, Options{Strategy: kind})
 	}
 	for _, opts := range all {
 		name := opts.Strategy.String()
-		if opts.MemoryLocator {
+		if opts.Locator == nil {
 			name += "-MemoryLocator"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -49,7 +49,7 @@ func TestCoreSaveRestoreEveryStrategy(t *testing.T) {
 			st := SaveState(u)
 			store2 := rebuildStore(t, u.Tree().Pool().Store())
 			pool2 := buffer.New(store2, 8)
-			u2, err := Restore(pool2, opts, st)
+			u2, err := Restore(pool2, bind(pool2, opts), st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,10 +80,10 @@ func TestCoreSaveRestoreEveryStrategy(t *testing.T) {
 }
 
 func TestRestoreEmpty(t *testing.T) {
-	opts := Options{Strategy: GBU, ExpectedObjects: 16}
+	opts := Options{Strategy: GBU, Locator: paged(16)}
 	store := pagestore.New(512, &stats.IO{})
 	pool := buffer.New(store, 0)
-	u, err := Restore(pool, opts, RestoreState{})
+	u, err := Restore(pool, bind(pool, opts), RestoreState{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRestoreEmpty(t *testing.T) {
 }
 
 func TestRestoreRejectsBadMetadata(t *testing.T) {
-	u := newUpdater(t, 512, 0, Options{Strategy: GBU, ExpectedObjects: 100})
+	u := newUpdater(t, 512, 0, Options{Strategy: GBU, Locator: paged(100)})
 	w := newWorld(72)
 	w.populate(t, u, 100)
 	if err := u.Tree().Flush(); err != nil {
@@ -109,7 +109,7 @@ func TestRestoreRejectsBadMetadata(t *testing.T) {
 
 	bad := st
 	bad.Height = st.Height + 2 // root level will not match
-	if _, err := Restore(pool2, Options{Strategy: GBU, ExpectedObjects: 100}, bad); err == nil {
+	if _, err := Restore(pool2, bind(pool2, Options{Strategy: GBU, Locator: paged(100)}), bad); err == nil {
 		t.Fatal("bad height accepted")
 	}
 
@@ -117,7 +117,7 @@ func TestRestoreRejectsBadMetadata(t *testing.T) {
 	pool3 := buffer.New(store3, 0)
 	bad2 := st
 	bad2.Root = 999999 // out of range page
-	if _, err := Restore(pool3, Options{Strategy: GBU, ExpectedObjects: 100}, bad2); err == nil {
+	if _, err := Restore(pool3, bind(pool3, Options{Strategy: GBU, Locator: paged(100)}), bad2); err == nil {
 		t.Fatal("bad root accepted")
 	}
 }
@@ -129,7 +129,10 @@ func TestRestoreRejectsBadMetadata(t *testing.T) {
 func TestRestoreRejectsStrayChild(t *testing.T) {
 	for _, kind := range []Kind{Naive, LBU, GBU} {
 		for _, memory := range []bool{false, true} {
-			opts := Options{Strategy: kind, ExpectedObjects: 400, MemoryLocator: memory}
+			opts := Options{Strategy: kind}
+			if !memory {
+				opts.Locator = paged(400)
+			}
 			u := newUpdater(t, 512, 0, opts)
 			newWorld(73).populate(t, u, 400)
 			if u.Tree().Height() < 2 {
@@ -148,7 +151,8 @@ func TestRestoreRejectsStrayChild(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, frames := range []int{0, 8} {
-				if _, err := Restore(buffer.New(store, frames), opts, SaveState(u)); !errors.Is(err, pagestore.ErrPageBounds) {
+				pool := buffer.New(store, frames)
+				if _, err := Restore(pool, bind(pool, opts), SaveState(u)); !errors.Is(err, pagestore.ErrPageBounds) {
 					t.Errorf("%v, memory locator %v, %d frames: Restore over a stray child pointer: %v, want ErrPageBounds", kind, memory, frames, err)
 				}
 			}

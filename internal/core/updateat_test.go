@@ -12,7 +12,7 @@ import (
 // hash entry.
 
 // locatorOf returns the locator of a bottom-up strategy.
-func locatorOf(t *testing.T, u Updater) locator {
+func locatorOf(t *testing.T, u Updater) Locator {
 	t.Helper()
 	l, ok := u.(located)
 	if !ok {
@@ -113,8 +113,8 @@ func TestUpdateAtLeafEdgePaths(t *testing.T) {
 		}},
 	}
 	for _, opts := range []Options{
-		{Strategy: LBU, ExpectedObjects: 1500},
-		{Strategy: GBU, ExpectedObjects: 1500},
+		{Strategy: LBU, Locator: paged(1500)},
+		{Strategy: GBU, Locator: paged(1500)},
 	} {
 		for _, st := range states {
 			for _, localOnly := range []bool{true, false} {
@@ -178,9 +178,9 @@ func TestUpdateAtLeafEdgePaths(t *testing.T) {
 // does not hold it: Update must fail and leave the tree as it was.
 func TestUpdateStaleHashEntry(t *testing.T) {
 	for _, opts := range []Options{
-		{Strategy: Naive, ExpectedObjects: 1500},
-		{Strategy: LBU, ExpectedObjects: 1500},
-		{Strategy: GBU, ExpectedObjects: 1500},
+		{Strategy: Naive, Locator: paged(1500)},
+		{Strategy: LBU, Locator: paged(1500)},
+		{Strategy: GBU, Locator: paged(1500)},
 	} {
 		t.Run(opts.Strategy.String(), func(t *testing.T) {
 			u := newUpdater(t, 512, 8, opts)

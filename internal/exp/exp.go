@@ -28,6 +28,7 @@ import (
 	"burtree/internal/core"
 	"burtree/internal/costmodel"
 	"burtree/internal/geom"
+	"burtree/internal/hashindex"
 	"burtree/internal/pagestore"
 	"burtree/internal/rtree"
 	"burtree/internal/stats"
@@ -234,14 +235,21 @@ func NewCell(cfg Config) (*Cell, error) {
 	store := pagestore.New(cfg.PageSize, io)
 	bufPages := int(cfg.BufferFrac * float64(estimateDBPages(cfg)))
 	_, epsilon, distThreshold := cfg.scaledLengths()
-	u, err := core.New(buffer.New(store, bufPages), core.Options{
+	pool := buffer.New(store, bufPages)
+	// The bottom-up kinds reach leaves through the paper's paged hash
+	// index (Figure 2), whose page accesses §5 charges.
+	var loc core.Locator
+	if cfg.Strategy != core.TD {
+		loc = hashindex.New(pool, cfg.NumObjects)
+	}
+	u, err := core.New(pool, core.Options{
 		Strategy:          cfg.Strategy,
 		Epsilon:           epsilon,
 		DistanceThreshold: distThreshold,
 		LevelThreshold:    cfg.LevelThreshold,
 		NoPiggyback:       cfg.NoPiggyback,
 		NoSummaryQueries:  cfg.NoSummaryQueries,
-		ExpectedObjects:   cfg.NumObjects,
+		Locator:           loc,
 		Tree: rtree.Config{
 			ReinsertFraction: cfg.ReinsertFraction,
 			Split:            cfg.Split,

@@ -37,7 +37,10 @@ const MinPageSize = 128
 var (
 	// ErrPageBounds reports an access to an unallocated page.
 	ErrPageBounds = errors.New("pagestore: page id out of bounds")
-	// ErrPageFreed reports an access to a freed page.
+	// ErrPageFreed reports an access to a freed page. It is returned
+	// bare, with no page id: a batch whose plan names a leaf an earlier
+	// change freed meets it routinely and moves on, so building a
+	// message for it would cost the batch an allocation.
 	ErrPageFreed = errors.New("pagestore: page is freed")
 	// ErrPageSize reports a buffer whose length does not match the page size.
 	ErrPageSize = errors.New("pagestore: buffer length != page size")
@@ -176,7 +179,7 @@ func (s *Store) checkLocked(id PageID) error {
 		return fmt.Errorf("%w: %d", ErrPageBounds, id)
 	}
 	if s.freed[id] {
-		return fmt.Errorf("%w: %d", ErrPageFreed, id)
+		return ErrPageFreed
 	}
 	return nil
 }

@@ -43,7 +43,10 @@ func (t *Tree) PinNodeForPatch(page pagestore.PageID) (NodeRef, error) {
 }
 
 func (t *Tree) ref(page pagestore.PageID, h buffer.Handle, err error) (NodeRef, error) {
-	if err != nil {
+	switch {
+	case err == pagestore.ErrPageFreed:
+		return NodeRef{}, err // bare, like the store's (ErrPageFreed)
+	case err != nil:
 		return NodeRef{}, fmt.Errorf("rtree: reading node %d: %w", page, err)
 	}
 	v, err := viewNode(h.Bytes(), t.cfg.ParentPointers)
@@ -213,6 +216,7 @@ func (t *Tree) borrow() *Node {
 func (t *Tree) BorrowNode(page pagestore.PageID) (*Node, error) {
 	n := t.borrow()
 	if err := t.readNodeInto(page, n); err != nil {
+		t.ReturnNode(n)
 		return nil, err
 	}
 	return n, nil

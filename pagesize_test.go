@@ -9,8 +9,7 @@ import (
 )
 
 // TestUnusablePageSizesAreRefused: a page too small for a node fanout of
-// 4 under the strategy's header — 200 bytes, 208 for LBU's parent
-// pointer — is refused with an error by every way an index comes to be:
+// 4 under the node header — 200 bytes — is refused with an error by every way an index comes to be:
 // the three opens, a recovery that starts empty, and a snapshot of one
 // stack (blob) or of two (manifest) that names one (outside input, so
 // ErrBadSnapshot). The
@@ -68,24 +67,22 @@ func TestUnusablePageSizesAreRefused(t *testing.T) {
 			return LoadSharded(bytes.NewReader(manifest(t, s, ps)))
 		}},
 	}
-	for _, c := range []struct {
-		s     Strategy
-		least int
-	}{{TopDown, 200}, {GeneralizedBottomUp, 200}, {LocalizedBottomUp, 208}} {
+	const least = 200
+	for _, s := range []Strategy{TopDown, GeneralizedBottomUp} {
 		for _, ps := range []int{100, 150, 199, 200, 207, 208} {
 			for _, w := range ways {
-				t.Run(fmt.Sprintf("%v/%d/%s", c.s, ps, w.name), func(t *testing.T) {
-					x, err := w.open(t, c.s, ps)
+				t.Run(fmt.Sprintf("%v/%d/%s", s, ps, w.name), func(t *testing.T) {
+					x, err := w.open(t, s, ps)
 					switch {
-					case ps >= c.least && err != nil:
+					case ps >= least && err != nil:
 						t.Fatalf("a usable page refused: %v", err)
-					case ps >= c.least:
+					case ps >= least:
 						if err := x.Close(); err != nil {
 							t.Fatal(err)
 						}
 					case err == nil:
 						x.Close()
-						t.Fatalf("page size %d accepted, below the minimum of %d", ps, c.least)
+						t.Fatalf("page size %d accepted, below the minimum of %d", ps, least)
 					case w.snapshot && !errors.Is(err, ErrBadSnapshot):
 						t.Fatalf("error %v does not wrap ErrBadSnapshot", err)
 					}

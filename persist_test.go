@@ -5,8 +5,11 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -137,7 +140,7 @@ func TestLoadedIndexKeepsWorking(t *testing.T) {
 }
 
 func TestSaveLoadFile(t *testing.T) {
-	orig, rng := buildForPersist(t, LocalizedBottomUp)
+	orig, rng := buildForPersist(t, GeneralizedBottomUp)
 	path := t.TempDir() + "/index.bur"
 	if err := orig.SaveFile(path); err != nil {
 		t.Fatal(err)
@@ -329,6 +332,68 @@ func TestLoadRefusesFormatThree(t *testing.T) {
 			if err := load(stream); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s of a format-3 body under %s: err = %v, want ErrBadSnapshot naming %s", name, c.name, err, c.want)
 			}
+		}
+	}
+}
+
+// TestLoadRefusesRetiredStrategy: every snapshot gob-encodes Options, so
+// the Strategy values keep their meaning — TopDown 0, GeneralizedBottomUp
+// 2 — and 1, LocalizedBottomUp, which the package no longer offers, is
+// refused. A snapshot that names it fails Load, LoadConcurrent,
+// LoadSharded, LoadFile and Recover with ErrBadSnapshot at the strategy
+// check, before any stack is built, and the opens refuse it too.
+func TestLoadRefusesRetiredStrategy(t *testing.T) {
+	if TopDown != 0 || GeneralizedBottomUp != 2 {
+		t.Fatalf("TopDown = %d, GeneralizedBottomUp = %d; saved snapshots store 0 and 2", TopDown, GeneralizedBottomUp)
+	}
+	const retired = Strategy(1)
+	for name, open := range map[string]func() (io.Closer, error){
+		"Open":           func() (io.Closer, error) { return Open(Options{Strategy: retired}) },
+		"OpenConcurrent": func() (io.Closer, error) { return OpenConcurrent(Options{Strategy: retired}) },
+		"OpenSharded":    func() (io.Closer, error) { return OpenSharded(Options{Strategy: retired}, ShardOptions{Shards: 2}) },
+	} {
+		if x, err := open(); err == nil {
+			x.Close()
+			t.Errorf("%s accepted Strategy 1", name)
+		}
+	}
+
+	orig, _ := buildForPersist(t, GeneralizedBottomUp)
+	var cur bytes.Buffer
+	if err := orig.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	var s savedIndex
+	if err := gob.NewDecoder(bytes.NewReader(cur.Bytes()[len(snapshotMagic):])).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	s.Options.Strategy = retired
+	var buf bytes.Buffer
+	buf.Write(snapshotMagic[:])
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	file := filepath.Join(t.TempDir(), "lbu.bur")
+	dir := t.TempDir()
+	for _, path := range []string{file, filepath.Join(dir, snapshotFileName)} {
+		if err := os.WriteFile(path, stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, load := range map[string]func() (io.Closer, error){
+		"Load":           func() (io.Closer, error) { return Load(bytes.NewReader(stream)) },
+		"LoadConcurrent": func() (io.Closer, error) { return LoadConcurrent(bytes.NewReader(stream)) },
+		"LoadSharded":    func() (io.Closer, error) { return LoadSharded(bytes.NewReader(stream)) },
+		"LoadFile":       func() (io.Closer, error) { return LoadFile(file) },
+		"Recover":        func() (io.Closer, error) { return Recover(durableOpts(dir, DurabilityBatch)) },
+	} {
+		x, err := load()
+		if err == nil {
+			x.Close()
+		}
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "unknown strategy 1") {
+			t.Errorf("%s of a snapshot saved with Strategy 1: err = %v, want ErrBadSnapshot naming the unknown strategy", name, err)
 		}
 	}
 }
