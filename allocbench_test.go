@@ -133,7 +133,7 @@ func BenchmarkUpdateBatchAllocsConcurrentGBU(b *testing.B) {
 func BenchmarkUpdateBatchAllocsSharded(b *testing.B) {
 	const n = allocBenchObjects
 	x, err := burtree.OpenSharded(allocBenchOptions(burtree.GeneralizedBottomUp),
-		burtree.ShardOptions{Shards: 4, Partition: burtree.ShardHilbert})
+		burtree.ShardOptions{Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

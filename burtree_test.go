@@ -365,7 +365,7 @@ func TestStatsSurfacePoolEvents(t *testing.T) {
 	cst, _ := c.Stats()
 	check("ConcurrentIndex", cst)
 
-	s, err := OpenSharded(opts, ShardOptions{Shards: 2, Partition: ShardHilbert})
+	s, err := OpenSharded(opts, ShardOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,6 +189,9 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
+	if err := sopts.check(); err != nil {
+		return nil, err
+	}
 	if !d.enabled() {
 		return nil, fmt.Errorf("burtree: %s requires a durability mode", k.recoverName())
 	}
@@ -211,7 +214,7 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	} else {
 		fresh := opts
 		fresh.Durability = Durability{}
-		if x, err = open(fresh, ShardOptions{Shards: sopts.Shards, Partition: sopts.Partition}, k); err != nil {
+		if x, err = open(fresh, ShardOptions{Shards: sopts.Shards}, k); err != nil {
 			return nil, err
 		}
 	}

@@ -57,11 +57,13 @@ func TestEmptyShardRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Everything in one corner: grid shards 1..3 stay empty.
+		// Everything in one corner, inserted into the uniform ranges of
+		// open: the quadrants of shards 1..3 stay empty.
 		ids := []uint64{1, 2, 3, 4, 5}
 		pts := []Point{{X: 0.01, Y: 0.01}, {X: 0.02, Y: 0.02}, {X: 0.03, Y: 0.01}, {X: 0.04, Y: 0.04}, {X: 0.05, Y: 0.02}}
-		if err := idx.BulkInsert(ids, pts, PackSTR); err != nil {
-			t.Fatal(err)
+		insertEach(t, idx, ids, pts)
+		if lens := idx.ShardLens(); lens[0] != 5 {
+			t.Fatalf("shard occupancy %v, want all 5 in shard 0", lens)
 		}
 		roundTripAll(t, saveSharded(t, idx), 5)
 	})
@@ -93,7 +95,7 @@ func TestEmptyShardRoundTrips(t *testing.T) {
 	})
 
 	t.Run("hilbert-empty-range", func(t *testing.T) {
-		idx, err := OpenSharded(Options{Strategy: GeneralizedBottomUp}, ShardOptions{Shards: 4, Partition: ShardHilbert})
+		idx, err := OpenSharded(Options{Strategy: GeneralizedBottomUp}, ShardOptions{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,7 +163,7 @@ type index struct {
 	router  *shard.Router
 	shards  []*treeStack
 	options Options      // as passed at open (totals, not per stack)
-	sopts   ShardOptions // normalized; one grid cell for the single-stack kinds
+	sopts   ShardOptions // normalized; one range for the single-stack kinds
 
 	// gate is the snapshot gate: operations hold it shared for their whole
 	// duration — a write across reserve → apply → log — and Save,
@@ -204,7 +204,7 @@ type index struct {
 	rebalWG   sync.WaitGroup
 }
 
-// single is the partitioning of Index and ConcurrentIndex: one grid cell.
+// single is the partitioning of Index and ConcurrentIndex: one range.
 var single = ShardOptions{Shards: 1}
 
 // newIndex assembles an index around its router, options and object
@@ -233,20 +233,16 @@ func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
+	if err := sopts.check(); err != nil {
+		return nil, err
+	}
 	if d.enabled() {
 		if err := checkFreshDir(d.Dir); err != nil {
 			return nil, err
 		}
 	}
 	sopts = sopts.withDefaults()
-	var router *shard.Router
-	var err error
-	switch sopts.Partition {
-	case ShardHilbert:
-		router, err = shard.NewHilbertUniform(sopts.Shards)
-	default:
-		router, err = shard.NewGrid(sopts.Shards)
-	}
+	router, err := shard.NewHilbertUniform(sopts.Shards)
 	if err != nil {
 		return nil, fmt.Errorf("burtree: %w", err)
 	}
@@ -584,15 +580,15 @@ func (x *index) logBatch(w *shardWork, s int, k opKind, async bool, applied []co
 // BulkInsert loads many objects at once into an empty index using the
 // chosen packing method at ~66% node fill — far faster than repeated
 // Insert calls and the usual way to start the paper's experiments. With
-// the ShardHilbert partition the router is rebuilt first so the Hilbert
-// ranges are balanced over the actual data; the objects are then routed
-// and every stack bulk-loads its partition in parallel. The whole index
+// more than one stack the router is rebuilt first so the Hilbert ranges
+// are balanced over the actual data; the objects are then routed and
+// every stack bulk-loads its partition in parallel. The whole index
 // is locked exclusively for the duration: bulk loading rebuilds the trees
 // from scratch, so no reader or writer may observe the intermediate
 // state. With durability enabled, a successful bulk load checkpoints
 // immediately: the snapshot, not per-object log records, is the durable
-// form of a bulk load — it also persists the router the Hilbert path just
-// rebuilt, which recovery must route with.
+// form of a bulk load — it also persists the router the balanced cut
+// just rebuilt, which recovery must route with.
 func (x *index) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
 	items, objects, err := packItems(ids, pts)
 	if err != nil {
@@ -604,7 +600,7 @@ func (x *index) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
 		return fmt.Errorf("burtree: BulkInsert on non-empty index")
 	}
 	router := x.router
-	if x.sopts.Partition == ShardHilbert {
+	if len(x.shards) > 1 {
 		if router, err = shard.NewHilbertBalanced(len(x.shards), pts); err != nil {
 			return fmt.Errorf("burtree: %w", err)
 		}

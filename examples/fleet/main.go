@@ -59,7 +59,7 @@ func runSharded(shards int) error {
 		Strategy:        burtree.GeneralizedBottomUp,
 		ExpectedObjects: vehicles,
 		BufferPages:     24,
-	}, burtree.ShardOptions{Shards: shards, Partition: burtree.ShardHilbert})
+	}, burtree.ShardOptions{Shards: shards})
 	if err != nil {
 		return err
 	}

@@ -25,7 +25,7 @@ func TestFrontEndMethodSets(t *testing.T) {
 	}{
 		{reflect.TypeOf((*Index)(nil)), ""},
 		{reflect.TypeOf((*ConcurrentIndex)(nil)), "SetIOLatency"},
-		{reflect.TypeOf((*ShardedIndex)(nil)), "NumShards Partition Rebalance RouterEpoch SetIOLatency SetRebalance ShardLens ShardLoads"},
+		{reflect.TypeOf((*ShardedIndex)(nil)), "NumShards Rebalance RouterEpoch SetIOLatency SetRebalance ShardLens ShardLoads"},
 	} {
 		want := map[string]bool{}
 		for _, name := range strings.Fields(shared + " " + fe.extra) {

@@ -13,7 +13,7 @@ import (
 // FuzzUpdateSequence decodes arbitrary bytes into an operation sequence
 // — inserts, updates, deletes, batched updates, window and k-NN queries
 // — and runs it on every route of the one write pipeline: a GBU Index,
-// a 4-shard grid ShardedIndex (so single moves and batch changes cross
+// a 4-shard ShardedIndex (so single moves and batch changes cross
 // shards) and an Index with a small memtable tier (so inline merge-downs
 // trigger), all with small pages (so splits, merges, ε-extensions and
 // ascents trigger quickly). After every operation it validates the
@@ -52,7 +52,7 @@ func FuzzUpdateSequence(f *testing.F) {
 	}{
 		{"Index", func() (fuzzIndex, error) { return Open(opts) }},
 		{"ShardedIndex", func() (fuzzIndex, error) {
-			return OpenSharded(opts, ShardOptions{Shards: 4, Partition: ShardGrid})
+			return OpenSharded(opts, ShardOptions{Shards: 4})
 		}},
 		{"IndexMemtable", func() (fuzzIndex, error) { return Open(tiered) }},
 	}

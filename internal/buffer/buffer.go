@@ -189,9 +189,6 @@ func NewResident(store *pagestore.Store, capacity int, isResident func(page []by
 	return p
 }
 
-// Capacity returns the configured frame count.
-func (p *Pool) Capacity() int { return p.cap }
-
 // Len returns the number of cached frames, of both classes.
 func (p *Pool) Len() int {
 	p.mu.Lock()

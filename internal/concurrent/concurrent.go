@@ -113,9 +113,6 @@ func New(u core.Updater, gridN int) *DB {
 // Updater returns the wrapped strategy.
 func (d *DB) Updater() core.Updater { return d.u }
 
-// LockManager exposes the DGL table (for stats and tests).
-func (d *DB) LockManager() *dgl.Manager { return d.lm }
-
 // Stats reports operation and contention counters.
 type Stats struct {
 	Updates   int64

@@ -15,11 +15,11 @@ import (
 // index and whether the adaptive rebalancer earns its keep: the update
 // stream selects objects zipfian over ranks (θ sweeps from the paper's
 // uniform selection to heavily skewed) while hotspot drift concentrates
-// the hot set around wandering attractor points. A static grid
-// partition then funnels most of the traffic through whichever shards
-// own the attractors; the adaptive arm runs the online rebalancer,
-// which upgrades the partition to load-balanced Hilbert ranges and
-// keeps nudging boundaries as the hotspots wander.
+// the hot set around wandering attractor points. A static partition —
+// the Hilbert ranges BulkInsert balances by object count — then funnels
+// most of the traffic through whichever shards own the attractors; the
+// adaptive arm runs the online rebalancer, which nudges the range
+// boundaries toward the load quantiles as the hotspots wander.
 
 // skewThetas is the zipf-θ sweep of the skew experiment.
 var skewThetas = []float64{0, 0.6, 0.9, 1.1}
@@ -59,18 +59,18 @@ type SkewSweepResult struct {
 	RouterEpoch   uint64 // boundary changes performed (0 = never rebalanced)
 }
 
-// RunSkewSweep bulk-loads a sharded GBU index (grid partition), replays
-// a pre-generated zipfian hotspot update stream from a worker pool and
-// reports update throughput. The stream is generated up front — its
-// cost must not pollute the measurement — and split by object id so
-// per-object ordering stays externally serialized, as the API requires
-// of concurrent writers.
+// RunSkewSweep bulk-loads a sharded GBU index (Hilbert ranges balanced
+// by object count), replays a pre-generated zipfian hotspot update
+// stream from a worker pool and reports update throughput. The stream is
+// generated up front — its cost must not pollute the measurement — and
+// split by object id so per-object ordering stays externally
+// serialized, as the API requires of concurrent writers.
 func RunSkewSweep(cfg SkewSweepConfig) (SkewSweepResult, error) {
 	var res SkewSweepResult
 	if cfg.Workers > cfg.NumObjects {
 		cfg.Workers = cfg.NumObjects
 	}
-	sopts := burtree.ShardOptions{Shards: cfg.Shards, Partition: burtree.ShardGrid}
+	sopts := burtree.ShardOptions{Shards: cfg.Shards}
 	if cfg.Adaptive {
 		// The adaptive arm drives Rebalance explicitly between rounds (see
 		// below), which keeps the step count deterministic; Interval stays
@@ -82,9 +82,10 @@ func RunSkewSweep(cfg SkewSweepConfig) (SkewSweepResult, error) {
 		// chasing its own wake — a boundary change disturbs the very
 		// signal it triggers on (cold buffers, re-forming shares), so two
 		// windows pass before the next step. That still leaves room for
-		// follow-up nudges, which matter here: the upgrade happens while
-		// the hot set is still physically converging on the attractors,
-		// and the later nudges correct the boundaries once it has.
+		// follow-up nudges, which matter here: the first steps happen
+		// while the hot set is still physically converging on the
+		// attractors, and the later nudges correct the boundaries once it
+		// has.
 		sopts.Rebalance = burtree.RebalanceOptions{
 			MinOps: 64, HotFactor: 1.25, MaxStep: 256, Cooldown: 2,
 			// The comparison axis of the experiment: the op-count arm
@@ -240,9 +241,10 @@ func median(vs []float64) float64 {
 	}
 }
 
-// bundleSkew runs the θ sweep three ways — static grid partition,
-// adaptive rebalancing on raw op counts (the pre-cost signal, kept as
-// the comparison arm), and adaptive rebalancing on cost-weighted load —
+// bundleSkew runs the θ sweep three ways — static Hilbert ranges cut at
+// bulk load, adaptive rebalancing on raw op counts (the pre-cost signal,
+// kept as the comparison arm), and adaptive rebalancing on cost-weighted
+// load —
 // and reports update throughput, the per-arm/static ratios, the
 // boundary changes each adaptive arm performed and the migration cost
 // it paid (its own row: adoption cost amortizes over hours in
@@ -255,7 +257,7 @@ func bundleSkew(s Scale, seed int64) (map[string]*Table, error) {
 	}
 	t := &Table{
 		ID:      "skew",
-		Title:   "Zipfian hotspot workload: update throughput (updates/s), static grid vs adaptive rebalancing (op-count vs cost-weighted signal)",
+		Title:   "Zipfian hotspot workload: update throughput (updates/s), static Hilbert cut vs adaptive rebalancing (op-count vs cost-weighted signal)",
 		XLabel:  "zipf exponent θ (object selection; movement drifts toward wandering hotspots)",
 		YLabel:  "updates/s (batched updates, 128 goroutines, 8 shards)",
 		Columns: cols,

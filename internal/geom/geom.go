@@ -128,11 +128,6 @@ func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
 }
 
-// EnlargementPoint returns the increase in area needed for r to cover p.
-func (r Rect) EnlargementPoint(p Point) float64 {
-	return r.UnionPoint(p).Area() - r.Area()
-}
-
 // Expand returns r grown by eps in every direction (the LBU / Kwon-style
 // uniform enlargement). A negative eps shrinks the rectangle; callers must
 // ensure the result remains valid.
@@ -164,14 +159,6 @@ func clamp(v, lo, hi float64) float64 {
 
 // Equal reports exact equality of all four coordinates.
 func (r Rect) Equal(s Rect) bool { return r == s }
-
-// AlmostEqual reports coordinate-wise equality within tol.
-func (r Rect) AlmostEqual(s Rect, tol float64) bool {
-	return math.Abs(r.MinX-s.MinX) <= tol &&
-		math.Abs(r.MinY-s.MinY) <= tol &&
-		math.Abs(r.MaxX-s.MaxX) <= tol &&
-		math.Abs(r.MaxY-s.MaxY) <= tol
-}
 
 // Dist returns the Euclidean distance between two points.
 func Dist(a, b Point) float64 {

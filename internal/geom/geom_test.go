@@ -141,9 +141,6 @@ func TestEnlargement(t *testing.T) {
 	if got := a.Enlargement(Rect{1, 1, 1.5, 1.5}); got != 0 {
 		t.Errorf("enlargement for contained rect = %v, want 0", got)
 	}
-	if got := a.EnlargementPoint(Point{4, 2}); got != 4 {
-		t.Errorf("enlargement for point = %v, want 4", got)
-	}
 }
 
 func TestExpandAndClip(t *testing.T) {

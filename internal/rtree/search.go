@@ -85,16 +85,6 @@ func (t *Tree) SearchCollect(q geom.Rect) ([]OID, error) {
 	return out, err
 }
 
-// SearchCount returns the number of objects intersecting q.
-func (t *Tree) SearchCount(q geom.Rect) (int, error) {
-	count := 0
-	err := t.Search(q, func(OID, geom.Rect) bool {
-		count++
-		return true
-	})
-	return count, err
-}
-
 // Contains reports whether an entry with the given oid exists at the
 // given rectangle.
 func (t *Tree) Contains(oid OID, at geom.Rect) (bool, error) {

@@ -33,9 +33,9 @@ func TestCellKeyRange(t *testing.T) {
 }
 
 func TestBoundsAccessor(t *testing.T) {
-	g, _ := NewGrid(4)
-	if g.Bounds() != nil {
-		t.Fatal("grid router reports bounds")
+	one, _ := NewHilbertUniform(1)
+	if len(one.Bounds()) != 0 {
+		t.Fatal("one-range router reports bounds")
 	}
 	h, _ := NewHilbertUniform(4)
 	b := h.Bounds()
@@ -53,8 +53,11 @@ func TestNewHilbertBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumShards() != 4 || r.Scheme() != HilbertRange {
-		t.Fatalf("router = %d shards scheme %v", r.NumShards(), r.Scheme())
+	if r.NumShards() != 4 || r.Uniform() {
+		t.Fatalf("router = %d shards, uniform %v", r.NumShards(), r.Uniform())
+	}
+	if u, _ := NewHilbertUniform(4); !u.Uniform() {
+		t.Fatalf("uniform router %v does not report Uniform", u.Bounds())
 	}
 	if _, err := NewHilbertBounds([]uint64{500, 500}); err == nil {
 		t.Fatal("non-increasing bounds accepted")

@@ -1,16 +1,15 @@
 // Package shard partitions the 2-D data space into N disjoint regions so
 // a sharded index can run one self-contained tree — with its own buffer
-// pool, hash index and lock manager — per region.
+// pool, id → leaf map and lock manager — per region.
 //
-// Two schemes are provided:
-//
-//   - Grid: the unit square is tiled into a gx×gy grid of equal cells,
-//     one shard per cell. Cheap to route, ideal for uniform data.
-//   - HilbertRange: a fine 2^k × 2^k cell grid is linearized along a
-//     Hilbert curve and split into N contiguous curve ranges. When built
-//     from a data sample the ranges are balanced by object count, which
-//     adapts the partition to skewed distributions while keeping each
-//     shard spatially compact (Hilbert ranges are clustered).
+// A fine 2^k × 2^k cell grid is linearized along a Hilbert curve and
+// split into N contiguous curve ranges, one shard per range. Uniform
+// ranges (equal curve length) serve an index that has seen no data yet;
+// ranges cut from a data sample or a load histogram are balanced by
+// object count or load, which adapts the partition to skewed
+// distributions while keeping each shard spatially compact (Hilbert
+// ranges are clustered). A one-range router answers every point with
+// shard 0 without computing a curve position.
 //
 // Every point maps to exactly one shard. Points outside the unit square
 // are clamped onto the boundary cells, so boundary shards own the
@@ -28,28 +27,6 @@ import (
 	"burtree/internal/hilbert"
 )
 
-// Scheme selects the partitioning algorithm.
-type Scheme int
-
-const (
-	// Grid tiles the unit square into equal rectangular cells.
-	Grid Scheme = iota
-	// HilbertRange splits a Hilbert linearization of the space into
-	// contiguous, optionally data-balanced ranges.
-	HilbertRange
-)
-
-func (s Scheme) String() string {
-	switch s {
-	case Grid:
-		return "grid"
-	case HilbertRange:
-		return "hilbert"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
-
 // hilbertOrder is the resolution of the Hilbert partition: the space is
 // cut into 2^hilbertOrder cells per axis (32×32 = 1024 cells), which
 // bounds routing cost while leaving plenty of granularity for balanced
@@ -60,7 +37,7 @@ const hilbertOrder = 5
 const hilbertSide = 1 << hilbertOrder
 
 // MaxShards bounds the shard count; beyond this the per-shard fixed
-// costs (buffer pool, hash directory, lock table) dominate.
+// costs (buffer pool, id → leaf map, lock table) dominate.
 const MaxShards = 256
 
 // NumCells is the number of Hilbert cells the load tracker and the
@@ -70,35 +47,14 @@ const NumCells = hilbertSide * hilbertSide
 
 // Router maps points and rectangles to shards.
 type Router struct {
-	scheme Scheme
-	n      int
+	n int
 
-	// Grid scheme.
-	gx, gy int
-
-	// HilbertRange scheme: sorted curve positions (cell granularity);
-	// shard(i) owns curve range [bounds[i-1], bounds[i]), with bounds[-1]
-	// = 0 and bounds[n-1] = +inf implied. len(bounds) == n-1.
+	// Sorted curve positions (cell granularity): shard(i) owns curve
+	// range [bounds[i-1], bounds[i]), with bounds[-1] = 0 and
+	// bounds[n-1] = +inf implied. len(bounds) == n-1.
 	bounds []uint64
 
 	regions []geom.Rect // cached per-shard responsibility rectangles
-}
-
-// NewGrid builds an n-shard grid router. n is factored into the most
-// square gx×gy decomposition available (a prime n degrades to stripes).
-func NewGrid(n int) (*Router, error) {
-	if err := checkShards(n); err != nil {
-		return nil, err
-	}
-	gx := 1
-	for d := 1; d*d <= n; d++ {
-		if n%d == 0 {
-			gx = d
-		}
-	}
-	r := &Router{scheme: Grid, n: n, gx: n / gx, gy: gx}
-	r.buildRegions()
-	return r, nil
 }
 
 // NewHilbertUniform builds an n-shard Hilbert-range router with ranges
@@ -107,15 +63,24 @@ func NewHilbertUniform(n int) (*Router, error) {
 	if err := checkShards(n); err != nil {
 		return nil, err
 	}
-	total := uint64(hilbertSide) * uint64(hilbertSide)
-	bounds := make([]uint64, n-1)
-	for i := range bounds {
-		bounds[i] = uint64(i+1) * total / uint64(n)
-	}
-	r := &Router{scheme: HilbertRange, n: n, bounds: bounds}
+	r := &Router{n: n, bounds: uniformBounds(n)}
 	r.buildRegions()
 	return r, nil
 }
+
+// uniformBounds cuts the curve into n ranges of equal length.
+func uniformBounds(n int) []uint64 {
+	bounds := make([]uint64, n-1)
+	for i := range bounds {
+		bounds[i] = uint64(i+1) * NumCells / uint64(n)
+	}
+	return bounds
+}
+
+// Uniform reports whether the router's ranges are the equal-length cut
+// NewHilbertUniform builds: no data sample or load histogram has cut
+// them yet.
+func (r *Router) Uniform() bool { return slices.Equal(r.bounds, uniformBounds(r.n)) }
 
 // NewHilbertBalanced builds an n-shard Hilbert-range router whose range
 // boundaries are quantiles of the sample's curve positions, so each
@@ -130,11 +95,9 @@ func NewHilbertBalanced(n int, sample []geom.Point) (*Router, error) {
 	}
 	keys := make([]uint64, len(sample))
 	for i, p := range sample {
-		cx, cy := cellOf(p, hilbertSide)
-		keys[i] = hilbert.D(uint32(cx), uint32(cy), hilbertOrder)
+		keys[i] = CellKey(p)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	total := uint64(hilbertSide) * uint64(hilbertSide)
 	bounds := make([]uint64, n-1)
 	prev := uint64(0)
 	for i := range bounds {
@@ -145,13 +108,13 @@ func NewHilbertBalanced(n int, sample []geom.Point) (*Router, error) {
 		if b <= prev {
 			b = prev + 1
 		}
-		if max := total - uint64(n-1-i); b > max {
+		if max := uint64(NumCells) - uint64(n-1-i); b > max {
 			b = max
 		}
 		bounds[i] = b
 		prev = b
 	}
-	r := &Router{scheme: HilbertRange, n: n, bounds: bounds}
+	r := &Router{n: n, bounds: bounds}
 	r.buildRegions()
 	return r, nil
 }
@@ -161,7 +124,7 @@ func NewHilbertBalanced(n int, sample []geom.Point) (*Router, error) {
 // (0, NumCells)). This is how the rebalancer installs nudged boundaries;
 // validation matches FromSpec so a bad nudge fails loudly.
 func NewHilbertBounds(bounds []uint64) (*Router, error) {
-	return FromSpec(Spec{Scheme: HilbertRange, Shards: len(bounds) + 1, Bounds: bounds})
+	return FromSpec(Spec{Shards: len(bounds) + 1, Bounds: bounds})
 }
 
 // LoadQuantileBounds computes n-shard Hilbert boundaries as load
@@ -272,9 +235,6 @@ func checkShards(n int) error {
 	return nil
 }
 
-// Scheme returns the partitioning scheme.
-func (r *Router) Scheme() Scheme { return r.scheme }
-
 // NumShards returns the shard count.
 func (r *Router) NumShards() int { return r.n }
 
@@ -287,35 +247,24 @@ func cellOf(p geom.Point, side int) (int, int) {
 }
 
 // CellKey returns p's Hilbert curve position at routing-cell granularity
-// (in [0, NumCells)). It is scheme-independent: load histograms are kept
-// in curve space even while a grid router is installed, so a grid
-// partition can upgrade to load-balanced Hilbert ranges without
-// re-observing the workload.
+// (in [0, NumCells)): the key load histograms are kept by, so a
+// rebalancer can cut new ranges from them without re-observing the
+// workload.
 func CellKey(p geom.Point) uint64 {
 	cx, cy := cellOf(p, hilbertSide)
 	return hilbert.D(uint32(cx), uint32(cy), hilbertOrder)
 }
 
-// Bounds returns a copy of the Hilbert range boundaries (nil for a grid
-// router).
-func (r *Router) Bounds() []uint64 {
-	if r.bounds == nil {
-		return nil
-	}
-	return append([]uint64(nil), r.bounds...)
-}
+// Bounds returns a copy of the Hilbert range boundaries (empty for one
+// shard).
+func (r *Router) Bounds() []uint64 { return slices.Clone(r.bounds) }
 
-// ShardOf returns the shard owning p.
+// ShardOf returns the shard owning p. One range owns every point.
 func (r *Router) ShardOf(p geom.Point) int {
-	switch r.scheme {
-	case Grid:
-		cx := geom.ClampCell(p.X, r.gx)
-		cy := geom.ClampCell(p.Y, r.gy)
-		return cy*r.gx + cx
-	default:
-		cx, cy := cellOf(p, hilbertSide)
-		return r.shardOfKey(hilbert.D(uint32(cx), uint32(cy), hilbertOrder))
+	if r.n == 1 {
+		return 0
 	}
+	return r.shardOfKey(CellKey(p))
 }
 
 // shardOfKey locates a curve position in the boundary list.
@@ -350,38 +299,23 @@ func (r *Router) AppendShardsFor(dst []int, q geom.Rect) []int {
 	if r.n == 1 {
 		return append(dst, 0)
 	}
-	switch r.scheme {
-	case Grid:
-		x0 := geom.ClampCell(q.MinX, r.gx)
-		x1 := geom.ClampCell(q.MaxX, r.gx)
-		y0 := geom.ClampCell(q.MinY, r.gy)
-		y1 := geom.ClampCell(q.MaxY, r.gy)
-		dst = slices.Grow(dst, (x1-x0+1)*(y1-y0+1))
-		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				dst = append(dst, cy*r.gx+cx)
+	x0 := geom.ClampCell(q.MinX, hilbertSide)
+	x1 := geom.ClampCell(q.MaxX, hilbertSide)
+	y0 := geom.ClampCell(q.MinY, hilbertSide)
+	y1 := geom.ClampCell(q.MaxY, hilbertSide)
+	var seen [MaxShards / 64]uint64
+	start := len(dst)
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			s := r.shardOfKey(hilbert.D(uint32(cx), uint32(cy), hilbertOrder))
+			if seen[s/64]&(1<<(s%64)) == 0 {
+				seen[s/64] |= 1 << (s % 64)
+				dst = append(dst, s)
 			}
 		}
-		return dst
-	default:
-		x0 := geom.ClampCell(q.MinX, hilbertSide)
-		x1 := geom.ClampCell(q.MaxX, hilbertSide)
-		y0 := geom.ClampCell(q.MinY, hilbertSide)
-		y1 := geom.ClampCell(q.MaxY, hilbertSide)
-		var seen [MaxShards / 64]uint64
-		start := len(dst)
-		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				s := r.shardOfKey(hilbert.D(uint32(cx), uint32(cy), hilbertOrder))
-				if seen[s/64]&(1<<(s%64)) == 0 {
-					seen[s/64] |= 1 << (s % 64)
-					dst = append(dst, s)
-				}
-			}
-		}
-		slices.Sort(dst[start:])
-		return dst
 	}
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Region returns shard i's responsibility rectangle: the bounding box of
@@ -393,38 +327,27 @@ func (r *Router) AppendShardsFor(dst []int, q geom.Rect) []int {
 func (r *Router) Region(i int) geom.Rect { return r.regions[i] }
 
 func (r *Router) buildRegions() {
+	if r.n == 1 {
+		r.regions = []geom.Rect{geom.WorldRect}
+		return
+	}
 	r.regions = make([]geom.Rect, r.n)
-	switch r.scheme {
-	case Grid:
-		for cy := 0; cy < r.gy; cy++ {
-			for cx := 0; cx < r.gx; cx++ {
-				rect := geom.Rect{
-					MinX: float64(cx) / float64(r.gx),
-					MinY: float64(cy) / float64(r.gy),
-					MaxX: float64(cx+1) / float64(r.gx),
-					MaxY: float64(cy+1) / float64(r.gy),
-				}
-				r.regions[cy*r.gx+cx] = extendAtBoundary(rect)
+	have := make([]bool, r.n)
+	for cy := 0; cy < hilbertSide; cy++ {
+		for cx := 0; cx < hilbertSide; cx++ {
+			s := r.shardOfKey(hilbert.D(uint32(cx), uint32(cy), hilbertOrder))
+			rect := geom.Rect{
+				MinX: float64(cx) / hilbertSide,
+				MinY: float64(cy) / hilbertSide,
+				MaxX: float64(cx+1) / hilbertSide,
+				MaxY: float64(cy+1) / hilbertSide,
 			}
-		}
-	default:
-		have := make([]bool, r.n)
-		for cy := 0; cy < hilbertSide; cy++ {
-			for cx := 0; cx < hilbertSide; cx++ {
-				s := r.shardOfKey(hilbert.D(uint32(cx), uint32(cy), hilbertOrder))
-				rect := geom.Rect{
-					MinX: float64(cx) / hilbertSide,
-					MinY: float64(cy) / hilbertSide,
-					MaxX: float64(cx+1) / hilbertSide,
-					MaxY: float64(cy+1) / hilbertSide,
-				}
-				rect = extendAtBoundary(rect)
-				if !have[s] {
-					have[s] = true
-					r.regions[s] = rect
-				} else {
-					r.regions[s] = r.regions[s].Union(rect)
-				}
+			rect = extendAtBoundary(rect)
+			if !have[s] {
+				have[s] = true
+				r.regions[s] = rect
+			} else {
+				r.regions[s] = r.regions[s].Union(rect)
 			}
 		}
 	}
@@ -448,26 +371,18 @@ func extendAtBoundary(rect geom.Rect) geom.Rect {
 	return rect
 }
 
-// Spec is the serializable form of a Router (the sharded-snapshot
-// manifest embeds it).
+// Spec is the serializable form of a Router (the snapshot embeds it).
 type Spec struct {
-	Scheme Scheme
 	Shards int
-	GridX  int
-	GridY  int
 	Bounds []uint64
+	// GridX and GridY are read only from snapshots written while a grid
+	// partition existed; FromSpec refuses a grid of more than one cell.
+	// A one-cell grid is the one-range router, so those snapshots load.
+	GridX, GridY int
 }
 
 // Spec returns the router's serializable description.
-func (r *Router) Spec() Spec {
-	return Spec{
-		Scheme: r.scheme,
-		Shards: r.n,
-		GridX:  r.gx,
-		GridY:  r.gy,
-		Bounds: append([]uint64(nil), r.bounds...),
-	}
-}
+func (r *Router) Spec() Spec { return Spec{Shards: r.n, Bounds: r.Bounds()} }
 
 // FromSpec reconstructs a router, validating the description so corrupt
 // snapshots fail with an error rather than a panic.
@@ -475,30 +390,20 @@ func FromSpec(s Spec) (*Router, error) {
 	if err := checkShards(s.Shards); err != nil {
 		return nil, err
 	}
-	switch s.Scheme {
-	case Grid:
-		if s.GridX < 1 || s.GridY < 1 || s.GridX*s.GridY != s.Shards {
-			return nil, fmt.Errorf("shard: grid %dx%d does not cover %d shards", s.GridX, s.GridY, s.Shards)
-		}
-		r := &Router{scheme: Grid, n: s.Shards, gx: s.GridX, gy: s.GridY}
-		r.buildRegions()
-		return r, nil
-	case HilbertRange:
-		if len(s.Bounds) != s.Shards-1 {
-			return nil, fmt.Errorf("shard: %d Hilbert boundaries for %d shards", len(s.Bounds), s.Shards)
-		}
-		total := uint64(hilbertSide) * uint64(hilbertSide)
-		prev := uint64(0)
-		for i, b := range s.Bounds {
-			if b <= prev || b >= total {
-				return nil, fmt.Errorf("shard: Hilbert boundary %d (%d) not strictly increasing within (0, %d)", i, b, total)
-			}
-			prev = b
-		}
-		r := &Router{scheme: HilbertRange, n: s.Shards, bounds: append([]uint64(nil), s.Bounds...)}
-		r.buildRegions()
-		return r, nil
-	default:
-		return nil, fmt.Errorf("shard: unknown scheme %d", int(s.Scheme))
+	if max(s.GridX, s.GridY) > 1 {
+		return nil, fmt.Errorf("shard: a %dx%d grid partition: the grid scheme is retired, only Hilbert ranges load", s.GridX, s.GridY)
 	}
+	if len(s.Bounds) != s.Shards-1 {
+		return nil, fmt.Errorf("shard: %d Hilbert boundaries for %d shards", len(s.Bounds), s.Shards)
+	}
+	prev := uint64(0)
+	for i, b := range s.Bounds {
+		if b <= prev || b >= NumCells {
+			return nil, fmt.Errorf("shard: Hilbert boundary %d (%d) not strictly increasing within (0, %d)", i, b, NumCells)
+		}
+		prev = b
+	}
+	r := &Router{n: s.Shards, bounds: slices.Clone(s.Bounds)}
+	r.buildRegions()
+	return r, nil
 }

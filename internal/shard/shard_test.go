@@ -1,18 +1,17 @@
 package shard
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"burtree/internal/geom"
+	"burtree/internal/hilbert"
 )
 
 func routersForTest(t *testing.T, n int, sample []geom.Point) map[string]*Router {
 	t.Helper()
-	grid, err := NewGrid(n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hu, err := NewHilbertUniform(n)
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +20,7 @@ func routersForTest(t *testing.T, n int, sample []geom.Point) map[string]*Router
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*Router{"grid": grid, "hilbert-uniform": hu, "hilbert-balanced": hb}
+	return map[string]*Router{"hilbert-uniform": hu, "hilbert-balanced": hb}
 }
 
 func samplePoints(n int, seed int64, skewed bool) []geom.Point {
@@ -123,7 +122,7 @@ func TestShardsForWholeSpace(t *testing.T) {
 }
 
 // The balanced Hilbert split must distribute a skewed sample far more
-// evenly than the grid does.
+// evenly than equal-length ranges do.
 func TestHilbertBalancedSkew(t *testing.T) {
 	const n = 8
 	pts := samplePoints(8000, 11, true)
@@ -162,33 +161,152 @@ func TestSpecRoundTrip(t *testing.T) {
 
 func TestFromSpecRejectsCorrupt(t *testing.T) {
 	cases := []Spec{
-		{Scheme: Grid, Shards: 0},
-		{Scheme: Grid, Shards: MaxShards + 1},
-		{Scheme: Grid, Shards: 4, GridX: 3, GridY: 2},
-		{Scheme: Grid, Shards: 4, GridX: 0, GridY: 0},
-		{Scheme: HilbertRange, Shards: 4, Bounds: []uint64{1, 2}},    // wrong arity
-		{Scheme: HilbertRange, Shards: 3, Bounds: []uint64{5, 5}},    // not increasing
-		{Scheme: HilbertRange, Shards: 3, Bounds: []uint64{0, 7}},    // zero boundary
-		{Scheme: HilbertRange, Shards: 2, Bounds: []uint64{1 << 62}}, // beyond curve
-		{Scheme: Scheme(99), Shards: 2},
+		{Shards: 0},
+		{Shards: MaxShards + 1},
+		{Shards: 4, GridX: 2, GridY: 2}, // the retired grid scheme
+		{Shards: 2, GridX: 2, GridY: 1, Bounds: []uint64{512}}, // grid fields beside valid bounds
+		{Shards: 4, Bounds: []uint64{1, 2}},                    // wrong arity
+		{Shards: 3, Bounds: []uint64{5, 5}},                    // not increasing
+		{Shards: 3, Bounds: []uint64{0, 7}},                    // zero boundary
+		{Shards: 2, Bounds: []uint64{1 << 62}},                 // beyond curve
 	}
 	for i, c := range cases {
 		if _, err := FromSpec(c); err == nil {
 			t.Fatalf("case %d (%+v): expected error", i, c)
 		}
 	}
+	// A one-cell grid is the one-range router: snapshots of one-stack
+	// indexes carry it.
+	r, err := FromSpec(Spec{Shards: 1, GridX: 1, GridY: 1})
+	if err != nil {
+		t.Fatalf("one-cell grid spec: %v", err)
+	}
+	if r.NumShards() != 1 || r.Region(0) != geom.WorldRect {
+		t.Fatalf("one-cell grid spec: %d shards, region %v", r.NumShards(), r.Region(0))
+	}
 }
 
-func TestGridFactorization(t *testing.T) {
-	for _, tc := range []struct{ n, gx, gy int }{
-		{1, 1, 1}, {2, 2, 1}, {4, 2, 2}, {6, 3, 2}, {7, 7, 1}, {8, 4, 2}, {9, 3, 3}, {12, 4, 3},
-	} {
-		r, err := NewGrid(tc.n)
+// With the grid scheme retired, the uniform Hilbert cut takes its place
+// at open. For 2 and 4 shards its ranges cover exactly the cells the
+// grid's most-square factorization tiled, numbered differently; for 8
+// they are equal rectangles too, the upper four the 4×2 grid's upper
+// row, but the lower four lie across (1/2 × 1/4) where the grid's stood
+// upright (1/4 × 1/2).
+func TestUniformRegionsMatchGrid(t *testing.T) {
+	for _, tc := range []struct{ n, cols, rows int }{{2, 2, 1}, {4, 2, 2}, {8, 4, 2}} {
+		r, err := NewHilbertUniform(tc.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.gx != tc.gx || r.gy != tc.gy {
-			t.Fatalf("NewGrid(%d): %dx%d, want %dx%d", tc.n, r.gx, r.gy, tc.gx, tc.gy)
+		var grid []geom.Rect
+		for cy := 0; cy < tc.rows; cy++ {
+			for cx := 0; cx < tc.cols; cx++ {
+				grid = append(grid, extendAtBoundary(geom.Rect{
+					MinX: float64(cx) / float64(tc.cols), MinY: float64(cy) / float64(tc.rows),
+					MaxX: float64(cx+1) / float64(tc.cols), MaxY: float64(cy+1) / float64(tc.rows),
+				}))
+			}
+		}
+		matched := 0
+		for i := 0; i < tc.n; i++ {
+			// Every range is a rectangle of 1/n of the square.
+			reg, _ := r.Region(i).Intersection(geom.Rect{MaxX: 1, MaxY: 1})
+			if got := reg.Area(); math.Abs(got-1/float64(tc.n)) > 1e-12 {
+				t.Fatalf("n=%d: region %d %v covers %g of the square, want 1/%d", tc.n, i, reg, got, tc.n)
+			}
+			if j := slices.Index(grid, r.Region(i)); j >= 0 {
+				grid = slices.Delete(grid, j, j+1)
+				matched++
+			}
+		}
+		if want := map[int]int{2: 2, 4: 4, 8: 4}[tc.n]; matched != want {
+			t.Fatalf("n=%d: %d regions are cells of the %dx%d grid, want %d", tc.n, matched, tc.cols, tc.rows, want)
 		}
 	}
+}
+
+// A one-range router answers without computing a curve position; its
+// answers must be the general Hilbert computation's, on any input.
+func TestOneRangeFastPaths(t *testing.T) {
+	ones := map[string]*Router{}
+	for name, r := range routersForTest(t, 1, samplePoints(100, 2, true)) {
+		ones[name] = r
+	}
+	spec, err := FromSpec(Spec{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ones["spec"] = spec
+	nan := math.NaN()
+	rng := rand.New(rand.NewSource(4))
+	var pts []geom.Point
+	var windows []geom.Rect
+	for i := 0; i < 500; i++ {
+		p := geom.Point{X: rng.Float64()*3 - 1, Y: rng.Float64()*3 - 1}
+		pts = append(pts, p)
+		w, h := rng.Float64()*2-0.5, rng.Float64()*2-0.5 // negative: inverted
+		windows = append(windows, geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X + w, MaxY: p.Y + h})
+	}
+	pts = append(pts, geom.Point{X: nan, Y: 0.5}, geom.Point{X: nan, Y: nan}, geom.Point{X: 1e300, Y: -1e300})
+	windows = append(windows, geom.Rect{MinX: nan, MinY: 0, MaxX: 1, MaxY: 1}, geom.Rect{MinX: 0, MinY: 0, MaxX: nan, MaxY: nan},
+		geom.Rect{MinX: -1e300, MinY: -1e300, MaxX: 1e300, MaxY: 1e300}, geom.WorldRect)
+	for name, r := range ones {
+		if got := r.Region(0); got != generalRegions(r)[0] || got != geom.WorldRect {
+			t.Fatalf("%s: region %v, general %v", name, got, generalRegions(r)[0])
+		}
+		for _, p := range pts {
+			if got, want := r.ShardOf(p), r.shardOfKey(CellKey(p)); got != want {
+				t.Fatalf("%s: ShardOf(%v) = %d, general %d", name, p, got, want)
+			}
+		}
+		for _, q := range windows {
+			want := generalShardsFor(r, q)
+			if got := r.ShardsFor(q); !slices.Equal(got, want) {
+				t.Fatalf("%s: ShardsFor(%v) = %v, general %v", name, q, got, want)
+			}
+			if got := r.AppendShardsFor(nil, q); !slices.Equal(got, want) {
+				t.Fatalf("%s: AppendShardsFor(%v) = %v, general %v", name, q, got, want)
+			}
+		}
+	}
+}
+
+// generalShardsFor is ShardsFor computed cell by cell, with no shortcut
+// for one range.
+func generalShardsFor(r *Router, q geom.Rect) []int {
+	var out []int
+	if !q.Valid() {
+		return out
+	}
+	for cy := geom.ClampCell(q.MinY, hilbertSide); cy <= geom.ClampCell(q.MaxY, hilbertSide); cy++ {
+		for cx := geom.ClampCell(q.MinX, hilbertSide); cx <= geom.ClampCell(q.MaxX, hilbertSide); cx++ {
+			s := r.shardOfKey(hilbert.D(uint32(cx), uint32(cy), hilbertOrder))
+			if !slices.Contains(out, s) {
+				out = append(out, s)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// generalRegions is Region computed as the union of each shard's cells,
+// with no shortcut for one range.
+func generalRegions(r *Router) []geom.Rect {
+	regions := make([]geom.Rect, r.n)
+	have := make([]bool, r.n)
+	for cy := 0; cy < hilbertSide; cy++ {
+		for cx := 0; cx < hilbertSide; cx++ {
+			s := r.shardOfKey(hilbert.D(uint32(cx), uint32(cy), hilbertOrder))
+			rect := extendAtBoundary(geom.Rect{
+				MinX: float64(cx) / hilbertSide, MinY: float64(cy) / hilbertSide,
+				MaxX: float64(cx+1) / hilbertSide, MaxY: float64(cy+1) / hilbertSide,
+			})
+			if have[s] {
+				rect = regions[s].Union(rect)
+			}
+			regions[s], have[s] = rect, true
+		}
+	}
+	return regions
 }

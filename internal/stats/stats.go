@@ -140,16 +140,6 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 // Total returns reads+writes for the snapshot.
 func (s Snapshot) Total() int64 { return s.Reads + s.Writes }
 
-// HitRate returns the fraction of logical reads served by the buffer,
-// or 0 when there were no logical reads.
-func (s Snapshot) HitRate() float64 {
-	logical := s.Reads + s.BufferHits
-	if logical == 0 {
-		return 0
-	}
-	return float64(s.BufferHits) / float64(logical)
-}
-
 // String implements fmt.Stringer.
 func (s Snapshot) String() string {
 	return fmt.Sprintf("reads=%d writes=%d hits=%d splits=%d reinserts=%d evictions=%d writebacks=%d pinfallbacks=%d",

@@ -48,12 +48,6 @@ func TestSubAndHitRate(t *testing.T) {
 	if d.Reads != 1 || d.BufferHits != 3 {
 		t.Fatalf("delta = %+v", d)
 	}
-	if got := d.HitRate(); got != 0.75 {
-		t.Fatalf("hit rate = %v, want 0.75", got)
-	}
-	if (Snapshot{}).HitRate() != 0 {
-		t.Fatal("empty snapshot hit rate should be 0")
-	}
 }
 
 func TestReset(t *testing.T) {

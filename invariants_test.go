@@ -23,9 +23,9 @@ import (
 // tree's own placement events: an entry naming the wrong leaf, an id the
 // tree does not hold, and a lost entry.
 func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
-	grid := ShardOptions{Shards: 4, Partition: ShardGrid}
-	// (0.1,0.1) and (0.2,0.2) share the grid's first cell; (0.9,0.9) lies
-	// in another.
+	quadrants := ShardOptions{Shards: 4}
+	// (0.1,0.1) and (0.2,0.2) share the first of the four uniform ranges
+	// (the lower-left quadrant); (0.9,0.9) lies in another.
 	a, near, far := Point{X: 0.1, Y: 0.1}, Point{X: 0.2, Y: 0.2}, Point{X: 0.9, Y: 0.9}
 	// plant reports a placement to s's map that the tree did not make.
 	plant := func(s *treeStack, event func(*rtree.Tree)) func() error {
@@ -47,11 +47,11 @@ func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 			return x, func() error { return x.shards[0].tree.Update(1, a, near) }
 		}, "the object table says"},
 		{"ShardedSameShard", func(t *testing.T) (walFailureIndex, func() error) {
-			x := openShardedTest(t, GeneralizedBottomUp, grid)
+			x := openShardedTest(t, GeneralizedBottomUp, quadrants)
 			return x, func() error { return x.shards[x.router.ShardOf(a)].tree.Update(1, a, near) }
 		}, "the object table says"},
 		{"ShardedSwapped", func(t *testing.T) (walFailureIndex, func() error) {
-			x := openShardedTest(t, GeneralizedBottomUp, grid)
+			x := openShardedTest(t, GeneralizedBottomUp, quadrants)
 			// Objects 1 and 2 trade shards, each keeping the position the
 			// table has for it: every stack's size is what it was.
 			return x, func() error {
@@ -71,7 +71,7 @@ func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 			return x, plant(x.shards[0], func(tr *rtree.Tree) { tr.NotifyDataPlaced(3, tr.Root()) })
 		}, "locator maps 3 ids"},
 		{"MapLostEntry", func(t *testing.T) (walFailureIndex, func() error) {
-			x := openShardedTest(t, GeneralizedBottomUp, grid)
+			x := openShardedTest(t, GeneralizedBottomUp, quadrants)
 			return x, plant(x.shards[x.router.ShardOf(a)], func(tr *rtree.Tree) { tr.NotifyDataRemoved(1) })
 		}, "has no locator entry"},
 	}
@@ -117,7 +117,7 @@ func TestShardedWriteRunsPipelineOnce(t *testing.T) {
 	counts := map[string]int{}
 	stageProbe = func(stage string) { counts[stage]++ } // calls below are sequential
 	defer func() { stageProbe = nil }()
-	// Grid cells of the four shards, and a second point in the first.
+	// Quadrants of the four shards, and a second point in the first.
 	corners := []Point{{X: 0.1, Y: 0.1}, {X: 0.9, Y: 0.1}, {X: 0.1, Y: 0.9}, {X: 0.9, Y: 0.9}}
 	near := Point{X: 0.2, Y: 0.2}
 	for _, fe := range walFailureFrontEnds[:3] {
@@ -190,11 +190,11 @@ func TestRacingSameIDWritesStayConsistent(t *testing.T) {
 	}{
 		{"ConcurrentIndex", func(t *testing.T) walFailureIndex { return openConcurrentTest(t, GeneralizedBottomUp) }},
 		{"ShardedIndex", func(t *testing.T) walFailureIndex {
-			return openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardGrid})
+			return openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 		}},
 		{"ShardedIndexMemtable", func(t *testing.T) walFailureIndex {
 			x, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, PageSize: 256, ExpectedObjects: 256,
-				Memtable: Memtable{Enabled: true, MaxObjects: 64}}, ShardOptions{Shards: 4, Partition: ShardGrid})
+				Memtable: Memtable{Enabled: true, MaxObjects: 64}}, ShardOptions{Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ func TestRacingSameIDWritesStayConsistent(t *testing.T) {
 // must keep paying the simulated latency SetIOLatency asked for.
 func TestShardedBulkInsertFailureKeepsIOLatency(t *testing.T) {
 	x, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 256},
-		ShardOptions{Shards: 4, Partition: ShardGrid})
+		ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,27 +45,33 @@ func checkOneReading(t *testing.T, x *ShardedIndex) {
 }
 
 // TestStatsMonotoneAcrossRebuild pins the ledger to the shard slot: a
-// rebalance that replaces the stacks (the grid→Hilbert upgrade) or moves
-// objects between them (a boundary nudge) leaves every physical counter of
-// Stats where it was or further, never restarted with the fresh stacks,
-// and the load figures stay readings of the same ledgers.
+// rebalance that replaces the stacks (the re-cut of the uniform ranges an
+// index filled by Insert still has) or moves objects between them (a
+// boundary nudge of the Hilbert cut a bulk load balanced) leaves every
+// physical counter of Stats where it was or further, never restarted with
+// the fresh stacks, and the load figures stay readings of the same
+// ledgers.
 func TestStatsMonotoneAcrossRebuild(t *testing.T) {
-	for _, partition := range []PartitionScheme{ShardGrid, ShardHilbert} {
+	for _, cut := range []string{"uniform", "hilbert"} {
 		for _, tier := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/memtable=%v", partition, tier), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/memtable=%v", cut, tier), func(t *testing.T) {
 				x, err := OpenSharded(Options{
 					Strategy:        GeneralizedBottomUp,
 					BufferPages:     8,
 					ExpectedObjects: 4096,
 					Memtable:        Memtable{Enabled: tier, MaxObjects: 64},
-				}, ShardOptions{Shards: 4, Partition: partition})
+				}, ShardOptions{Shards: 4})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer x.Close()
 				ids, pts := randomPoints(1600, 23)
-				if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
-					t.Fatal(err)
+				if cut == "hilbert" {
+					if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					insertEach(t, x, ids, pts)
 				}
 				hammerCorner(t, x, ids, 0.02, 0.02, 3000, 6)
 				checkOneReading(t, x)
@@ -75,8 +81,13 @@ func TestStatsMonotoneAcrossRebuild(t *testing.T) {
 				// Trigger on op shares: with the tier on the cost shares move
 				// with the drains in flight.
 				x.SetRebalance(RebalanceOptions{UseOpCounts: true})
-				if moved, err := x.Rebalance(); err != nil || moved == 0 {
+				moved, err := x.Rebalance()
+				if err != nil || moved == 0 {
 					t.Fatalf("rebalance moved %d objects, err %v", moved, err)
+				}
+				// A re-cut rebuilds every shard; a nudge moves at most MaxStep.
+				if recut := moved == len(ids); recut != (cut == "uniform") {
+					t.Fatalf("%s ranges: rebalance moved %d of %d objects", cut, moved, len(ids))
 				}
 				after, _ := x.Stats()
 				for _, c := range []struct {
@@ -96,8 +107,8 @@ func TestStatsMonotoneAcrossRebuild(t *testing.T) {
 						t.Errorf("%s ran backward across the rebalance: %d -> %d", c.name, c.before, c.after)
 					}
 				}
-				// The upgrade bulk-loads every shard afresh, on top of the count.
-				if partition == ShardGrid && after.DiskWrites == before.DiskWrites {
+				// The re-cut bulk-loads every shard afresh, on top of the count.
+				if cut == "uniform" && after.DiskWrites == before.DiskWrites {
 					t.Errorf("the rebuild wrote no page: DiskWrites stays %d", after.DiskWrites)
 				}
 				checkOneReading(t, x)
@@ -116,7 +127,7 @@ func TestForegroundPagesAfterResetStats(t *testing.T) {
 		BufferPages:     4, // one page per shard: the reads below pay physical I/O
 		ExpectedObjects: 4096,
 		Memtable:        Memtable{Enabled: true, MaxObjects: 64},
-	}, ShardOptions{Shards: 4, Partition: ShardGrid})
+	}, ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +256,7 @@ func TestShardCostIsExact(t *testing.T) {
 		Strategy:        GeneralizedBottomUp,
 		BufferPages:     2, // one page per shard: every operation pays physical I/O
 		ExpectedObjects: 2048,
-	}, ShardOptions{Shards: 2, Partition: ShardGrid})
+	}, ShardOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

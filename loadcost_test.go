@@ -36,23 +36,26 @@ func TestScatterQueryCostPerShard(t *testing.T) {
 		// pays physical reads instead of disappearing into the pool.
 		BufferPages:     4,
 		ExpectedObjects: 4096,
-	}, ShardOptions{Shards: 4, Partition: ShardGrid})
+	}, ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer x.Close()
 
-	// All objects in one quadrant: three shards stay empty.
+	// All objects in one quadrant, inserted into the uniform ranges of
+	// open, which are the quadrants: three shards stay empty.
 	rng := rand.New(rand.NewSource(3))
-	ids := make([]uint64, 600)
-	pts := make([]Point, 600)
-	for i := range ids {
-		ids[i] = uint64(i)
-		pts[i] = Point{X: rng.Float64() * 0.5, Y: rng.Float64() * 0.5}
+	for i := uint64(0); i < 600; i++ {
+		if err := x.Insert(i, Point{X: rng.Float64() * 0.5, Y: rng.Float64() * 0.5}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
-		t.Fatal(err)
+	if lens := x.ShardLens(); lens[0] != 600 {
+		t.Fatalf("setup: shard occupancy %v, want all 600 in shard 0", lens)
 	}
+	// The inserts' cost is not the scatter's: each shard is charged
+	// what the one search adds.
+	inserted := x.ShardLoads()
 
 	if _, err := x.Search(NewRect(0, 0, 1, 1)); err != nil {
 		t.Fatal(err)
@@ -60,16 +63,16 @@ func TestScatterQueryCostPerShard(t *testing.T) {
 
 	loads := x.ShardLoads()
 	popCost, emptyMax := uint64(0), uint64(0)
-	for _, l := range loads {
+	for i, l := range loads {
 		// The op-count signal cannot tell the visits apart — that is the
 		// bug this test pins down.
 		if l.Queries != 1 {
 			t.Fatalf("whole-space scatter: per-shard visit counts %+v, want 1 each", loads)
 		}
-		if l.Objects > 0 {
-			popCost = l.Cost
-		} else if l.Cost > emptyMax {
-			emptyMax = l.Cost
+		if cost := l.Cost - inserted[i].Cost; l.Objects > 0 {
+			popCost = cost
+		} else if cost > emptyMax {
+			emptyMax = cost
 		}
 	}
 	if popCost == 0 {
@@ -124,7 +127,7 @@ func openCheapHotExpensiveCold(t *testing.T) (x *ShardedIndex, hotIDs []uint64, 
 		Strategy:        GeneralizedBottomUp,
 		BufferPages:     2, // one page per shard: cold updates pay physical I/O
 		ExpectedObjects: 512,
-	}, ShardOptions{Shards: 2, Partition: ShardHilbert})
+	}, ShardOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,9 @@ func randomMoves(ids []uint64, pts []Point, n int, step float64, seed int64) []C
 // the pages of one sized for its data. (A paged hash sized by the hint's
 // old default of 1 024 read and wrote 41.3 pages per update here,
 // against 7.27 sized.) A four-shard index, whose shards a skewed
-// Rebalance rebuilds at sizes no hint named, must match too.
+// Rebalance rebuilds at sizes no hint named, must match too: it is filled
+// by Insert, so its ranges are still the uniform cut the Rebalance
+// re-cuts.
 func TestLocatorNeedsNoSizing(t *testing.T) {
 	const objects = 100_000
 	ids, pts := randomPoints(objects, 91)
@@ -40,6 +42,8 @@ func TestLocatorNeedsNoSizing(t *testing.T) {
 	rows := []struct {
 		name string
 		open func(expected int) (*index, error)
+		// insert fills the index by Insert instead of BulkInsert.
+		insert bool
 		// skew loads the index before the measured moves.
 		skew func(t *testing.T, x *index)
 	}{
@@ -49,19 +53,24 @@ func TestLocatorNeedsNoSizing(t *testing.T) {
 				return nil, err
 			}
 			return x.index, nil
-		}, func(*testing.T, *index) {}},
+		}, false, func(*testing.T, *index) {}},
 		{"ShardedAfterRebalance", func(expected int) (*index, error) {
 			x, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, BufferPages: 100, ExpectedObjects: expected},
-				ShardOptions{Shards: 4, Partition: ShardGrid})
+				ShardOptions{Shards: 4})
 			if err != nil {
 				return nil, err
 			}
 			return x.index, nil
-		}, func(t *testing.T, x *index) {
+		}, true, func(t *testing.T, x *index) {
 			s := &ShardedIndex{x}
+			// Close the even window the Inserts filled, so the corner
+			// window is the one the step sees.
+			if _, err := s.Rebalance(); err != nil {
+				t.Fatal(err)
+			}
 			hammerCorner(t, s, ids[:2000], 0.02, 0.02, 4000, 93)
-			if moved, err := s.Rebalance(); err != nil || moved == 0 {
-				t.Fatalf("skewed Rebalance moved %d objects: %v", moved, err)
+			if moved, err := s.Rebalance(); err != nil || moved != len(ids) {
+				t.Fatalf("skewed Rebalance moved %d objects, want all %d re-cut: %v", moved, len(ids), err)
 			}
 		}},
 	}
@@ -74,7 +83,9 @@ func TestLocatorNeedsNoSizing(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer x.Close()
-				if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+				if row.insert {
+					insertEach(t, x, ids, pts)
+				} else if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
 					t.Fatal(err)
 				}
 				row.skew(t, x)

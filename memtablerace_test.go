@@ -225,7 +225,7 @@ func TestMemtableRaceConcurrent(t *testing.T) {
 }
 
 func TestMemtableRaceSharded(t *testing.T) {
-	idx, err := OpenSharded(stressOpts(t.TempDir()), ShardOptions{Shards: 4, Partition: ShardGrid})
+	idx, err := OpenSharded(stressOpts(t.TempDir()), ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,19 @@ func TestOverlayReadsUnderMotion(t *testing.T) {
 		overlayReadsUnderMotion(t, idx)
 	})
 	t.Run("ShardedIndex", func(t *testing.T) {
-		// W lies inside one grid cell: a scatter over several shards is not
-		// one snapshot, and may miss a resident caught changing shards.
-		idx, err := OpenSharded(opts, ShardOptions{Shards: 4, Partition: ShardGrid})
+		// W must lie inside one shard's range: a scatter over several
+		// shards is not one snapshot, and may miss a resident caught
+		// changing shards. The lower-left quadrant holds fewer than a
+		// quarter of the objects, so the balanced cut gives it all to
+		// shard 0.
+		idx, err := OpenSharded(opts, ShardOptions{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		overlayReadsUnderMotion(t, idx)
+		if got := idx.router.ShardsFor(NewRect(0.05, 0.05, 0.45, 0.45)); len(got) != 1 {
+			t.Fatalf("the window spans shards %v", got)
+		}
 	})
 }
 

@@ -243,11 +243,7 @@ func load(r io.Reader, k kind) (*index, error) {
 			}
 			shards[i] = newStack(parts, k.background())
 		}
-		partition := ShardGrid
-		if s.Partition.Scheme == shard.HilbertRange {
-			partition = ShardHilbert
-		}
-		x = newIndex(k, router, s.Options, ShardOptions{Shards: n, Partition: partition}, objects)
+		x = newIndex(k, router, s.Options, ShardOptions{Shards: n}, objects)
 		x.shards = shards
 	}
 	x.walSeq, x.routerEpoch = s.WALSeq, s.RouterEpoch

@@ -151,7 +151,7 @@ func TestLoadShardedManifestMismatch(t *testing.T) {
 	// A stack lost its pages.
 	loadEntryPoints(t, "stack without pages", reencode(t, raw, func(s *savedIndex) { s.Stacks[1].Pages = nil }))
 
-	// A corrupt partition spec (grid that does not factor the count).
+	// A corrupt partition spec (grid fields, which no index writes).
 	badSpec := reencode(t, raw, func(s *savedIndex) { s.Partition.GridX, s.Partition.GridY = 7, 9 })
 	if _, err := LoadSharded(bytes.NewReader(badSpec)); err == nil {
 		t.Fatal("LoadSharded accepted an inconsistent partition spec")

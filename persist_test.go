@@ -397,3 +397,142 @@ func TestLoadRefusesRetiredStrategy(t *testing.T) {
 		}
 	}
 }
+
+// gridEraSpec is the partition spec BURSNAP4 snapshots carried while a
+// ShardedIndex could split space into a grid: Scheme 0 was the grid,
+// Scheme 1 Hilbert ranges. gob matches fields by name.
+type gridEraSpec struct {
+	Scheme       int
+	Shards       int
+	GridX, GridY int
+	Bounds       []uint64
+}
+
+// gridEraSnapshot re-encodes a current snapshot with spec as its
+// partition, in the encoding snapshots had while the grid existed.
+func gridEraSnapshot(t *testing.T, raw []byte, spec gridEraSpec) []byte {
+	t.Helper()
+	type indexGridEra struct {
+		Format              int
+		Options             Options
+		Partition           gridEraSpec
+		WALSeq, RouterEpoch uint64
+		Stacks              []savedStack
+	}
+	var s savedIndex
+	if err := gob.NewDecoder(bytes.NewReader(raw[len(snapshotMagic):])).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.Write(snapshotMagic[:])
+	old := indexGridEra{Format: s.Format, Options: s.Options, Partition: spec, WALSeq: s.WALSeq, RouterEpoch: s.RouterEpoch, Stacks: s.Stacks}
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadGridEraOneRange: every Index and ConcurrentIndex snapshot
+// written while the grid existed carries a one-cell grid, which is the
+// one-range router; such snapshots, and Hilbert ones in that encoding,
+// load unchanged and answer as the saved index did.
+func TestLoadGridEraOneRange(t *testing.T) {
+	orig, rng := buildForPersist(t, GeneralizedBottomUp)
+	var cur bytes.Buffer
+	if err := orig.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	one := gridEraSnapshot(t, cur.Bytes(), gridEraSpec{Scheme: 0, Shards: 1, GridX: 1, GridY: 1})
+	type loaded interface {
+		Search(Rect) ([]uint64, error)
+		CheckInvariants() error
+	}
+	for name, load := range map[string]func([]byte) (loaded, error){
+		"Load":           func(b []byte) (loaded, error) { return Load(bytes.NewReader(b)) },
+		"LoadConcurrent": func(b []byte) (loaded, error) { return LoadConcurrent(bytes.NewReader(b)) },
+		"LoadSharded":    func(b []byte) (loaded, error) { return LoadSharded(bytes.NewReader(b)) },
+	} {
+		x, err := load(one)
+		if err != nil {
+			t.Fatalf("%s of a one-cell grid snapshot: %v", name, err)
+		}
+		if err := x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		queriesMatch(t, orig, x, rng, 50)
+	}
+
+	sh := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
+	ids, pts := randomPoints(600, 5)
+	if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	cur.Reset()
+	if err := sh.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	hil := gridEraSnapshot(t, cur.Bytes(), gridEraSpec{Scheme: 1, Shards: 4, Bounds: sh.router.Bounds()})
+	y, err := LoadSharded(bytes.NewReader(hil))
+	if err != nil {
+		t.Fatalf("LoadSharded of a Hilbert snapshot in the grid-era encoding: %v", err)
+	}
+	if got, want := y.ShardLens(), sh.ShardLens(); !slices.Equal(got, want) {
+		t.Fatalf("shard occupancy %v, saved %v", got, want)
+	}
+	queriesMatch(t, sh, y, rng, 50)
+}
+
+// TestLoadRefusesGridPartition: the grid scheme is retired, so a
+// snapshot whose partition is a grid of more than one cell fails every
+// loader and recovery with ErrBadSnapshot naming the grid, and an open
+// that asks for a Partition other than ShardHilbert fails too.
+func TestLoadRefusesGridPartition(t *testing.T) {
+	// Filled by Insert, the four ranges are the 2×2 grid's quadrants.
+	sh := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
+	ids, pts := randomPoints(400, 9)
+	insertEach(t, sh, ids, pts)
+	var cur bytes.Buffer
+	if err := sh.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	stream := gridEraSnapshot(t, cur.Bytes(), gridEraSpec{Scheme: 0, Shards: 4, GridX: 2, GridY: 2})
+	file := filepath.Join(t.TempDir(), "grid.bur")
+	dir := t.TempDir()
+	for _, path := range []string{file, filepath.Join(dir, snapshotFileName)} {
+		if err := os.WriteFile(path, stream, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, load := range map[string]func() (io.Closer, error){
+		"Load":            func() (io.Closer, error) { return Load(bytes.NewReader(stream)) },
+		"LoadConcurrent":  func() (io.Closer, error) { return LoadConcurrent(bytes.NewReader(stream)) },
+		"LoadSharded":     func() (io.Closer, error) { return LoadSharded(bytes.NewReader(stream)) },
+		"LoadFile":        func() (io.Closer, error) { return LoadFile(file) },
+		"LoadShardedFile": func() (io.Closer, error) { return LoadShardedFile(file) },
+		"Recover":         func() (io.Closer, error) { return Recover(durableOpts(dir, DurabilityBatch)) },
+		"RecoverSharded": func() (io.Closer, error) {
+			return RecoverSharded(durableOpts(dir, DurabilityBatch), ShardOptions{Shards: 4})
+		},
+	} {
+		x, err := load()
+		if err == nil {
+			x.Close()
+		}
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "grid") {
+			t.Errorf("%s of a 2x2 grid snapshot: err = %v, want ErrBadSnapshot naming the grid", name, err)
+		}
+	}
+
+	const retired = PartitionScheme(1)
+	for name, open := range map[string]func() (io.Closer, error){
+		"OpenSharded": func() (io.Closer, error) { return OpenSharded(Options{}, ShardOptions{Shards: 4, Partition: retired}) },
+		"RecoverSharded": func() (io.Closer, error) {
+			return RecoverSharded(durableOpts(t.TempDir(), DurabilityBatch), ShardOptions{Shards: 4, Partition: retired})
+		},
+	} {
+		if x, err := open(); err == nil {
+			x.Close()
+			t.Errorf("%s accepted Partition %d", name, retired)
+		}
+	}
+}

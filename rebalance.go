@@ -14,9 +14,9 @@ import (
 // ShardedIndex. The rebalancer watches the per-shard load shares (a
 // windowed EWMA over the operation stream; see ShardLoads) and, when one
 // shard draws more than its fair share, migrates a boundary slice of its
-// objects to a neighboring Hilbert range. A grid partition upgrades to
-// Hilbert ranges on its first rebalance — range boundaries are the only
-// partition shape that can be re-split incrementally.
+// objects to a neighboring Hilbert range. Ranges still at the uniform cut
+// an index opens with (no BulkInsert has balanced them) are re-cut at the
+// load quantiles in one rebuild instead.
 //
 // Every step runs under the index's exclusive snapshot gate, so the
 // trees are quiescent while boundaries move; MaxStep bounds how many
@@ -29,8 +29,8 @@ type RebalanceOptions struct {
 	// load share exceeds HotFactor× the fair share 1/n (default 1.5).
 	HotFactor float64
 	// MaxStep caps the objects migrated per rebalance step (default
-	// 512). The grid→Hilbert upgrade is exempt: it rebuilds every shard
-	// once, in parallel, rather than paying per-object migration.
+	// 512). The re-cut of uniform ranges is exempt: it rebuilds every
+	// shard once, in parallel, rather than paying per-object migration.
 	MaxStep int
 	// MinOps is the minimum number of operations a sampling window must
 	// carry before a step may trigger (default 1024) — idle indexes and
@@ -183,9 +183,9 @@ func (x *index) stopRebalancer() {
 }
 
 // Rebalance closes one load-sampling window and, if a shard is hot,
-// performs one bounded rebalance step: a grid partition is upgraded to
-// load-balanced Hilbert ranges (all shards rebuilt in parallel, once);
-// a Hilbert partition has the hot shard's boundary nudged toward the
+// performs one bounded rebalance step: ranges still at the uniform cut of
+// open are re-cut at the load quantiles (all shards rebuilt in parallel,
+// once); any other cut has the hot shard's boundary nudged toward the
 // load quantiles, migrating at most MaxStep objects to a neighbor. It
 // returns the number of objects that changed shards (0 when no shard is
 // hot or the window was too quiet). Safe to call manually whether or not
@@ -228,8 +228,8 @@ func (x *ShardedIndex) Rebalance() (int, error) {
 	defer x.gate.Unlock()
 	var moved int
 	var err error
-	if x.router.Scheme() == shard.Grid {
-		moved, err = x.upgradeToHilbertLocked(cells)
+	if x.router.Uniform() {
+		moved, err = x.recutLocked(cells)
 	} else {
 		moved, err = x.nudgeBoundaryLocked(hot, o.MaxStep, cells)
 	}
@@ -241,15 +241,15 @@ func (x *ShardedIndex) Rebalance() (int, error) {
 	return moved, err
 }
 
-// upgradeToHilbertLocked replaces a grid partition with load-balanced
-// Hilbert ranges in one shot: a new router is cut at the load quantiles
-// of the cell histogram and every shard is rebuilt by a parallel bulk
-// load of its new slice of the object table. One rebuild costs far less
-// than migrating nearly every object through per-object delete+insert,
-// which is why the upgrade ignores MaxStep. Caller holds the gate
-// exclusively and passes the cell histogram snapshot its Sample
-// returned; on any error the previous shards and router stay installed.
-func (x *index) upgradeToHilbertLocked(cells []uint64) (int, error) {
+// recutLocked replaces the uniform ranges with load-balanced ones in one
+// shot: a new router is cut at the load quantiles of the cell histogram
+// and every shard is rebuilt by a parallel bulk load of its new slice of
+// the object table. One rebuild costs far less than migrating most
+// objects through per-object delete+insert, which is why the re-cut
+// ignores MaxStep. Caller holds the gate exclusively and passes the cell
+// histogram snapshot its Sample returned; on any error the previous
+// shards and router stay installed.
+func (x *index) recutLocked(cells []uint64) (int, error) {
 	bounds, err := shard.LoadQuantileBounds(len(x.shards), cells)
 	if err != nil {
 		return 0, fmt.Errorf("burtree: rebalance: %w", err)
@@ -276,7 +276,6 @@ func (x *index) upgradeToHilbertLocked(cells []uint64) (int, error) {
 	}
 	closeErr := x.swapShardsLocked(fresh)
 	x.router = router
-	x.sopts.Partition = ShardHilbert
 	x.routerEpoch++
 	x.load.DecayCells()
 	// Reset to the post-rebuild page snapshot: the rebuild I/O just paid

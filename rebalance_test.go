@@ -34,18 +34,17 @@ func allIDs(t *testing.T, x *ShardedIndex) []uint64 {
 	return sortedShardedIDs(t, x.Search, NewRect(-10, -10, 10, 10))
 }
 
-// TestRebalanceGridUpgrade concentrates the update stream in one corner
-// of a grid-partitioned index and checks that one Rebalance call
-// upgrades the partition to load-balanced Hilbert ranges without
-// changing any query answer.
-func TestRebalanceGridUpgrade(t *testing.T) {
-	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardGrid})
+// TestRebalanceRecutsUniform concentrates the update stream in one
+// corner of an index filled by Insert, whose ranges are still the uniform
+// cut of open, and checks that one Rebalance call re-cuts them at the
+// load quantiles — every shard rebuilt — without changing any query
+// answer, and that the next step nudges instead.
+func TestRebalanceRecutsUniform(t *testing.T) {
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	defer x.Close()
 
 	ids, pts := randomPoints(1200, 11)
-	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
-		t.Fatal(err)
-	}
+	insertEach(t, x, ids, pts)
 	before := allIDs(t, x)
 
 	hammerCorner(t, x, ids, 0.02, 0.02, 2000, 5)
@@ -65,17 +64,14 @@ func TestRebalanceGridUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved == 0 {
-		t.Fatal("grid upgrade moved no objects")
-	}
-	if got := x.Partition(); got != ShardHilbert {
-		t.Fatalf("partition after upgrade = %v, want ShardHilbert", got)
+	if moved != len(ids) {
+		t.Fatalf("re-cut moved %d objects, want all %d (every shard rebuilt)", moved, len(ids))
 	}
 	if got := x.RouterEpoch(); got != 1 {
-		t.Fatalf("router epoch after upgrade = %d, want 1", got)
+		t.Fatalf("router epoch after re-cut = %d, want 1", got)
 	}
 	if err := x.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after upgrade: %v", err)
+		t.Fatalf("invariants after re-cut: %v", err)
 	}
 	after := allIDs(t, x)
 	if len(before) != len(after) {
@@ -86,13 +82,23 @@ func TestRebalanceGridUpgrade(t *testing.T) {
 			t.Fatalf("id set changed across rebalance at %d: %d vs %d", i, before[i], after[i])
 		}
 	}
+
+	// The ranges are cut from load now: the next hot window nudges.
+	hammerCorner(t, x, ids, 0.9, 0.9, 3000, 6)
+	if moved, err = x.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if moved >= len(ids) {
+		t.Fatalf("second step rebuilt again (moved %d of %d)", moved, len(ids))
+	}
 }
 
-// TestRebalanceNudge starts from a Hilbert partition, makes one shard
-// hot, and checks that rebalance steps shrink that shard by migrating
-// boundary slices to its neighbors.
+// TestRebalanceNudge starts from the Hilbert cut a bulk load balances,
+// makes one shard hot, and checks that rebalance steps shrink that shard
+// by migrating boundary slices (at most MaxStep objects) to its
+// neighbors.
 func TestRebalanceNudge(t *testing.T) {
-	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardHilbert})
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	defer x.Close()
 
 	ids, pts := randomPoints(1600, 23)
@@ -116,8 +122,8 @@ func TestRebalanceNudge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved == 0 {
-		t.Fatalf("nudge moved no objects; loads %+v", loads)
+	if moved == 0 || moved > 512 {
+		t.Fatalf("nudge moved %d objects, want 1..MaxStep; loads %+v", moved, loads)
 	}
 	if got := x.RouterEpoch(); got != 1 {
 		t.Fatalf("router epoch after nudge = %d, want 1", got)
@@ -147,7 +153,7 @@ func TestRebalanceNudge(t *testing.T) {
 // window (below MinOps) and a balanced window (no shard above
 // HotFactor× fair share) both leave the boundaries alone.
 func TestRebalanceQuietWindow(t *testing.T) {
-	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardHilbert})
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	defer x.Close()
 	ids, pts := randomPoints(800, 31)
 	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
@@ -175,7 +181,7 @@ func TestRebalanceQuietWindow(t *testing.T) {
 
 	// Balanced: uniform updates well above MinOps, no hot shard. A fresh
 	// index keeps the skewed window above out of the EWMA memory.
-	y := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardHilbert})
+	y := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	defer y.Close()
 	if err := y.BulkInsert(ids, pts, PackSTR); err != nil {
 		t.Fatal(err)
@@ -200,7 +206,7 @@ func TestRebalanceQuietWindow(t *testing.T) {
 // operation stream: updates count inserts, moves and deletes; queries
 // count the shards a scatter visits.
 func TestShardLoadsAccounting(t *testing.T) {
-	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardGrid})
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	defer x.Close()
 
 	// One insert per quadrant: each shard's update counter reaches 1.
@@ -257,7 +263,7 @@ func TestShardLoadsAccounting(t *testing.T) {
 // requires the rebalanced boundaries (witnessed by the router epoch and
 // identical shard occupancy) and every object to survive the trip.
 func TestRebalanceSnapshotRoundTrip(t *testing.T) {
-	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardGrid})
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	ids, pts := randomPoints(1000, 17)
 	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
 		t.Fatal(err)
@@ -287,9 +293,6 @@ func TestRebalanceSnapshotRoundTrip(t *testing.T) {
 	defer y.Close()
 	if got := y.RouterEpoch(); got != 1 {
 		t.Fatalf("router epoch after reload = %d, want 1", got)
-	}
-	if got := y.Partition(); got != ShardHilbert {
-		t.Fatalf("partition after reload = %v, want ShardHilbert", got)
 	}
 	lensAfter := y.ShardLens()
 	for i := range lensBefore {
@@ -327,8 +330,7 @@ func TestRebalanceAutoLoop(t *testing.T) {
 		BufferPages:     64,
 		ExpectedObjects: 4096,
 	}, ShardOptions{
-		Shards:    4,
-		Partition: ShardGrid,
+		Shards: 4,
 		// MinOps is lowered so the short 2ms sampling windows can carry a
 		// full window's worth of the test's update stream.
 		Rebalance: RebalanceOptions{Interval: 2 * time.Millisecond, MinOps: 64},
@@ -363,7 +365,7 @@ func TestRebalanceAutoLoop(t *testing.T) {
 // moves; the final state must pass invariants and match the object
 // table.
 func TestRebalanceRaceStress(t *testing.T) {
-	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardGrid})
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	defer x.Close()
 	ids, pts := randomPoints(1000, 53)
 	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
@@ -540,9 +542,9 @@ func TestTraceReplayZipfian(t *testing.T) {
 	opts := Options{Strategy: GeneralizedBottomUp, BufferPages: 48, ExpectedObjects: n}
 	replayEquivalence(t, tr,
 		indexSubject(opts),
-		shardedSubject(opts, ShardOptions{Shards: 4, Partition: ShardGrid}),
-		rebalancingShardedSubject(opts, ShardOptions{Shards: 4, Partition: ShardGrid}, 256),
-		rebalancingShardedSubject(opts, ShardOptions{Shards: 5, Partition: ShardHilbert}, 256),
+		shardedSubject(opts, ShardOptions{Shards: 4}),
+		rebalancingShardedSubject(opts, ShardOptions{Shards: 4}, 256),
+		rebalancingShardedSubject(opts, ShardOptions{Shards: 5}, 256),
 	)
 }
 

@@ -144,16 +144,19 @@ func TestRestoredStacksKeepInternalPagesResident(t *testing.T) {
 		{"ShardedIndex after Rebalance", func(t *testing.T) (*index, func() error) {
 			sopts := opts
 			sopts.BufferPages = 4 // one leaf frame for each of the four shards
-			x, err := OpenSharded(sopts, ShardOptions{Shards: 4, Partition: ShardGrid})
+			x, err := OpenSharded(sopts, ShardOptions{Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+			// Filled by Insert, the ranges are still the uniform cut, so
+			// the Rebalance re-cuts them and rebuilds every stack.
+			insertEach(t, x, ids, pts)
+			if _, err := x.Rebalance(); err != nil { // closes the even window the inserts filled
 				t.Fatal(err)
 			}
 			hammerCorner(t, x, ids, 0.02, 0.02, 2000, 5)
-			if moved, err := x.Rebalance(); err != nil || moved == 0 {
-				t.Fatalf("Rebalance moved %d objects: %v", moved, err)
+			if moved, err := x.Rebalance(); err != nil || moved != len(ids) {
+				t.Fatalf("Rebalance moved %d objects, want all %d re-cut: %v", moved, len(ids), err)
 			}
 			return x.index, x.Close
 		}},

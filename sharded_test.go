@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -12,10 +13,10 @@ import (
 
 func shardVariants() []ShardOptions {
 	return []ShardOptions{
-		{Shards: 1, Partition: ShardGrid},
-		{Shards: 4, Partition: ShardGrid},
-		{Shards: 5, Partition: ShardHilbert},
-		{Shards: 8, Partition: ShardHilbert},
+		{Shards: 1},
+		{Shards: 4},
+		{Shards: 5},
+		{Shards: 8},
 	}
 }
 
@@ -43,6 +44,18 @@ func randomPoints(n int, seed int64) ([]uint64, []Point) {
 	return ids, pts
 }
 
+// insertEach fills x one Insert at a time. Unlike BulkInsert, which
+// balances a ShardedIndex's ranges over its data, it leaves the uniform
+// ranges of open in place.
+func insertEach(t testing.TB, x interface{ Insert(uint64, Point) error }, ids []uint64, pts []Point) {
+	t.Helper()
+	for i, id := range ids {
+		if err := x.Insert(id, pts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func sortedShardedIDs(t *testing.T, search func(Rect) ([]uint64, error), q Rect) []uint64 {
 	t.Helper()
 	got, err := search(q)
@@ -60,7 +73,7 @@ func sortedShardedIDs(t *testing.T, search func(Rect) ([]uint64, error), q Rect)
 func TestShardedEquivalence(t *testing.T) {
 	for _, so := range shardVariants() {
 		so := so
-		t.Run(fmt.Sprintf("%s-%d", so.Partition, so.Shards), func(t *testing.T) {
+		t.Run(fmt.Sprintf("hilbert-%d", so.Shards), func(t *testing.T) {
 			ref := openTest(t, GeneralizedBottomUp)
 			sh := openShardedTest(t, GeneralizedBottomUp, so)
 
@@ -160,9 +173,9 @@ func TestShardedEquivalence(t *testing.T) {
 // cross-shard delete+insert pairs — matches one-by-one application on a
 // reference index.
 func TestShardedUpdateBatch(t *testing.T) {
-	for _, so := range []ShardOptions{{Shards: 4}, {Shards: 6, Partition: ShardHilbert}} {
+	for _, so := range []ShardOptions{{Shards: 4}, {Shards: 6}} {
 		so := so
-		t.Run(fmt.Sprintf("%s-%d", so.Partition, so.Shards), func(t *testing.T) {
+		t.Run(fmt.Sprintf("hilbert-%d", so.Shards), func(t *testing.T) {
 			ref := openTest(t, GeneralizedBottomUp)
 			sh := openShardedTest(t, GeneralizedBottomUp, so)
 			ids, pts := randomPoints(2000, 5)
@@ -221,8 +234,8 @@ func TestShardedUpdateBatch(t *testing.T) {
 }
 
 // TestShardedHilbertBalance bulk-loads heavily skewed data and expects
-// the balanced Hilbert partition to spread it far better than a grid
-// would.
+// the balanced Hilbert partition to spread it far better than equal
+// ranges would.
 func TestShardedHilbertBalance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 4000
@@ -233,7 +246,7 @@ func TestShardedHilbertBalance(t *testing.T) {
 		u, v := rng.Float64(), rng.Float64()
 		pts[i] = Point{X: u * u * u, Y: v * v * v}
 	}
-	sh := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 8, Partition: ShardHilbert})
+	sh := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 8})
 	if err := sh.BulkInsert(ids, pts, PackHilbert); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +304,7 @@ func TestShardedDegenerateQueries(t *testing.T) {
 		{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1},  // NaN corner
 	}
 	huge := Rect{MinX: 0.8, MinY: 0, MaxX: 1e20, MaxY: 1}
-	for _, so := range []ShardOptions{{Shards: 9}, {Shards: 8, Partition: ShardHilbert}} {
+	for _, so := range []ShardOptions{{Shards: 9}, {Shards: 8}} {
 		sh := openShardedTest(t, GeneralizedBottomUp, so)
 		ci := openConcurrentTest(t, GeneralizedBottomUp)
 		ids, pts := randomPoints(300, 8)
@@ -305,10 +318,10 @@ func TestShardedDegenerateQueries(t *testing.T) {
 			for name, search := range map[string]func(Rect) ([]uint64, error){"sharded": sh.Search, "concurrent": ci.Search} {
 				got, err := search(q)
 				if err != nil {
-					t.Fatalf("%v/%d %s: Search(%v): %v", so.Partition, so.Shards, name, q, err)
+					t.Fatalf("%d shards %s: Search(%v): %v", so.Shards, name, q, err)
 				}
 				if len(got) != 0 {
-					t.Fatalf("%v/%d %s: Search(%v) returned %d results", so.Partition, so.Shards, name, q, len(got))
+					t.Fatalf("%d shards %s: Search(%v) returned %d results", so.Shards, name, q, len(got))
 				}
 			}
 			if n, err := sh.Count(q); err != nil || n != 0 {
@@ -447,7 +460,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 // LoadConcurrent and Load (merged single tree). All must answer queries
 // identically.
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
-	sh := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardHilbert})
+	sh := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	ids, pts := randomPoints(1800, 77)
 	if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
 		t.Fatal(err)
@@ -470,8 +483,8 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh2.NumShards() != 4 || sh2.Partition() != ShardHilbert {
-		t.Fatalf("restored partition %v/%d", sh2.Partition(), sh2.NumShards())
+	if got, want := sh2.ShardLens(), sh.ShardLens(); !slices.Equal(got, want) {
+		t.Fatalf("restored shard occupancy %v, saved %v", got, want)
 	}
 	if err := sh2.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -42,7 +42,7 @@ func plantDuplicate(t *testing.T, x *ShardedIndex, id uint64, a, b int, pa, pb P
 // present in two shards (the racing-reader anomaly), Search, SearchFunc,
 // Count and Nearest must each report the object exactly once.
 func TestScatterDedup(t *testing.T) {
-	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4, Partition: ShardGrid})
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
 	defer x.Close()
 
 	// A normal object in each quadrant, then one id planted in two shards.
@@ -168,7 +168,7 @@ func TestMergeNeighbors(t *testing.T) {
 // k larger than the object count, Nearest must keep visiting shards
 // until the result is as full as the data allows, matching brute force.
 func TestNearestUnderfilledShards(t *testing.T) {
-	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 8, Partition: ShardHilbert})
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 8})
 	defer x.Close()
 
 	// Per-object inserts do not rebuild the uniform Hilbert router, so
@@ -228,14 +228,14 @@ func TestShardLoadsBackgroundPages(t *testing.T) {
 		BufferPages:     8,
 		ExpectedObjects: 4096,
 		Memtable:        Memtable{Enabled: true, MaxObjects: 64},
-	}, ShardOptions{Shards: 2, Partition: ShardGrid})
+	}, ShardOptions{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Filled by Insert, the ranges stay the uniform cut, which the
+	// Rebalance below re-cuts by rebuilding both stacks.
 	ids, pts := randomPoints(600, 3)
-	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
-		t.Fatal(err)
-	}
+	insertEach(t, x, ids, pts)
 	background := func() (sum uint64) {
 		for _, l := range x.ShardLoads() {
 			sum += l.BackgroundPages
@@ -244,14 +244,14 @@ func TestShardLoadsBackgroundPages(t *testing.T) {
 	}
 
 	// Updates far past MaxObjects, all on one shard: merge-downs run, and
-	// the grid upgrade below has a hot shard to act on. The upgrade closes
-	// both stacks, which drains what their tiers still held.
+	// the re-cut below has a hot shard to act on. The re-cut closes both
+	// stacks, which drains what their tiers still held.
 	hammerCorner(t, x, ids, 0.02, 0.02, 3000, 5)
 	// Trigger on op shares: the cost shares of this window also hold the
-	// bulk load's pages and move with drains in flight.
+	// Inserts' pages and move with drains in flight.
 	x.SetRebalance(RebalanceOptions{UseOpCounts: true})
 	if moved, err := x.Rebalance(); err != nil || moved == 0 {
-		t.Fatalf("grid upgrade moved %d objects, err %v", moved, err)
+		t.Fatalf("re-cut moved %d objects, err %v", moved, err)
 	}
 	carried := background()
 	if carried == 0 {

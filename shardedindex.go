@@ -22,41 +22,40 @@ import (
 // With one stack every route is to stack 0 and every scatter has one
 // target.
 
-// PartitionScheme selects how a ShardedIndex splits the data space.
+// PartitionScheme is retired: every index splits space into Hilbert
+// ranges. The type and its one value remain so code that names them
+// still compiles.
 type PartitionScheme int
 
-const (
-	// ShardGrid tiles the unit square into equal cells, one per shard
-	// (the default; best on uniform data).
-	ShardGrid PartitionScheme = iota
-	// ShardHilbert splits a Hilbert linearization of the space into
-	// contiguous ranges, balanced by object count at bulk-load time;
-	// better on skewed data.
-	ShardHilbert
-)
+// ShardHilbert is the zero value and the only partition scheme: a
+// Hilbert linearization of the space cut into contiguous ranges.
+const ShardHilbert PartitionScheme = 0
 
-func (p PartitionScheme) String() string {
-	switch p {
-	case ShardGrid:
-		return "grid"
-	case ShardHilbert:
-		return "hilbert"
-	default:
-		return fmt.Sprintf("PartitionScheme(%d)", int(p))
-	}
-}
-
-// ShardOptions configures the partitioning of a ShardedIndex.
+// ShardOptions configures the partitioning of a ShardedIndex. Space is
+// split into Shards contiguous ranges of a Hilbert linearization: equal
+// ranges at open, ranges balanced by object count at BulkInsert, and
+// ranges cut from the observed load by Rebalance.
 type ShardOptions struct {
 	// Shards is the number of partitions (default 4, max
 	// shard.MaxShards). Each shard is a self-contained tree with its own
 	// page store, buffer pool, id → leaf map and lock manager.
 	Shards int
-	// Partition picks the space-splitting scheme.
+	// Partition is retired: Hilbert ranges are the only scheme, so the
+	// zero value ShardHilbert is the only one accepted and any other
+	// value fails at open. The field remains because the benchmark
+	// harness sets it; a benchmark change deletes it.
 	Partition PartitionScheme
 	// Rebalance configures the online load-based rebalancer (off by
 	// default); see RebalanceOptions.
 	Rebalance RebalanceOptions
+}
+
+// check refuses a retired Partition value.
+func (o ShardOptions) check() error {
+	if o.Partition != ShardHilbert {
+		return fmt.Errorf("burtree: ShardOptions.Partition %d is retired: Hilbert ranges (ShardHilbert, the zero value) are the only scheme", int(o.Partition))
+	}
+	return nil
 }
 
 func (o ShardOptions) withDefaults() ShardOptions {
@@ -122,15 +121,6 @@ func (x *ShardedIndex) NumShards() int {
 	return len(x.shards)
 }
 
-// Partition returns the partitioning scheme in use. A grid partition
-// reports ShardHilbert after its first rebalance upgraded it to Hilbert
-// ranges.
-func (x *ShardedIndex) Partition() PartitionScheme {
-	x.gate.RLock()
-	defer x.gate.RUnlock()
-	return x.sopts.Partition
-}
-
 // ShardLens returns the number of objects per shard (diagnostics and
 // balance monitoring).
 func (x *ShardedIndex) ShardLens() []int {
@@ -141,7 +131,7 @@ func (x *ShardedIndex) ShardLens() []int {
 
 // SetIOLatency simulates a per-page-access service time on every shard's
 // store. Zero disables the simulation. The setting survives rebalances:
-// shards rebuilt by a partition upgrade inherit it.
+// shards rebuilt by a re-cut inherit it.
 func (x *ShardedIndex) SetIOLatency(d time.Duration) { x.setIOLatency(d) }
 
 // Stats returns the aggregated physical counters and tree shape (sums

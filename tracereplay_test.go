@@ -102,7 +102,7 @@ func concurrentSubject(opts Options) traceSubject {
 func shardedSubject(opts Options, so ShardOptions) traceSubject {
 	var idx *ShardedIndex
 	return traceSubject{
-		name: fmt.Sprintf("ShardedIndex-%s-%d", so.Partition, so.Shards),
+		name: fmt.Sprintf("ShardedIndex-%d", so.Shards),
 		replay: func(t *testing.T, tr *workload.MixedTrace) *workload.Profile {
 			var err error
 			idx, err = OpenSharded(opts, so)
@@ -204,15 +204,15 @@ func TestTraceReplayEquivalence(t *testing.T) {
 			replayEquivalence(t, tr,
 				indexSubject(opts),
 				concurrentSubject(opts),
-				shardedSubject(opts, ShardOptions{Shards: 4, Partition: ShardGrid}),
-				shardedSubject(opts, ShardOptions{Shards: 5, Partition: ShardHilbert}),
+				shardedSubject(opts, ShardOptions{Shards: 4}),
+				shardedSubject(opts, ShardOptions{Shards: 5}),
 				// Memtable-enabled legs against the memtable-disabled
 				// oracle above: the delta tier must be observationally
 				// invisible.
 				named("Index+memtable", indexSubject(memtableOpts(opts))),
 				named("ConcurrentIndex+memtable", concurrentSubject(memtableOpts(opts))),
-				named("ShardedIndex-grid-4+memtable",
-					shardedSubject(memtableOpts(opts), ShardOptions{Shards: 4, Partition: ShardGrid})),
+				named("ShardedIndex-4+memtable",
+					shardedSubject(memtableOpts(opts), ShardOptions{Shards: 4})),
 			)
 		})
 	}
@@ -231,9 +231,9 @@ func TestTraceReplaySkewed(t *testing.T) {
 	replayEquivalence(t, tr,
 		indexSubject(opts),
 		concurrentSubject(opts),
-		shardedSubject(opts, ShardOptions{Shards: 8, Partition: ShardHilbert}),
+		shardedSubject(opts, ShardOptions{Shards: 8}),
 		named("ConcurrentIndex+memtable", concurrentSubject(memtableOpts(opts))),
-		named("ShardedIndex-hilbert-8+memtable",
-			shardedSubject(memtableOpts(opts), ShardOptions{Shards: 8, Partition: ShardHilbert})),
+		named("ShardedIndex-8+memtable",
+			shardedSubject(memtableOpts(opts), ShardOptions{Shards: 8})),
 	)
 }

@@ -40,9 +40,9 @@ type walFailureFrontEnd struct {
 	recover func(Options) (walFailureIndex, error)
 }
 
-// A 2×2 grid, so that (0.1,0.1)…(0.4,0.4) share a shard and (0.9,0.9)
-// lies in another.
-var walFailureShards = ShardOptions{Shards: 4, Partition: ShardGrid}
+// Four uniform ranges, the quadrants, so that (0.1,0.1)…(0.4,0.4) share
+// a shard and (0.9,0.9) lies in another.
+var walFailureShards = ShardOptions{Shards: 4}
 
 var walFailureFrontEnds = []walFailureFrontEnd{
 	{name: "Index",
