@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -56,8 +57,31 @@ func TestNewHilbertBounds(t *testing.T) {
 	if r.NumShards() != 4 || r.Uniform() {
 		t.Fatalf("router = %d shards, uniform %v", r.NumShards(), r.Uniform())
 	}
-	if u, _ := NewHilbertUniform(4); !u.Uniform() {
+	u, _ := NewHilbertUniform(4)
+	if !u.Uniform() {
 		t.Fatalf("uniform router %v does not report Uniform", u.Bounds())
+	}
+	// Uniform records how the ranges were made: the same boundaries cut
+	// from explicit bounds or from a sample that happens to put its
+	// quantiles there (two points at every cell centre) are not uniform.
+	same, err := NewHilbertBounds(u.Bounds())
+	if err != nil || same.Uniform() {
+		t.Fatalf("NewHilbertBounds(%v): uniform %v, %v", u.Bounds(), same.Uniform(), err)
+	}
+	var even []geom.Point
+	for cy := 0; cy < hilbertSide; cy++ {
+		for cx := 0; cx < hilbertSide; cx++ {
+			p := geom.Point{X: (float64(cx) + 0.5) / hilbertSide, Y: (float64(cy) + 0.5) / hilbertSide}
+			even = append(even, p, p)
+		}
+	}
+	balanced, err := NewHilbertBalanced(4, even)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(balanced.Bounds(), u.Bounds()) || balanced.Uniform() {
+		t.Fatalf("balanced cut of an even sample: bounds %v (uniform %v), uniform %v",
+			balanced.Bounds(), u.Bounds(), balanced.Uniform())
 	}
 	if _, err := NewHilbertBounds([]uint64{500, 500}); err == nil {
 		t.Fatal("non-increasing bounds accepted")

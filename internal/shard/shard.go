@@ -55,6 +55,11 @@ type Router struct {
 	bounds []uint64
 
 	regions []geom.Rect // cached per-shard responsibility rectangles
+
+	// uniform marks the equal-length cut NewHilbertUniform builds. It
+	// records how the ranges were made, not what they are: a sample or
+	// load histogram may cut the same boundaries by chance.
+	uniform bool
 }
 
 // NewHilbertUniform builds an n-shard Hilbert-range router with ranges
@@ -63,7 +68,7 @@ func NewHilbertUniform(n int) (*Router, error) {
 	if err := checkShards(n); err != nil {
 		return nil, err
 	}
-	r := &Router{n: n, bounds: uniformBounds(n)}
+	r := &Router{n: n, bounds: uniformBounds(n), uniform: true}
 	r.buildRegions()
 	return r, nil
 }
@@ -77,10 +82,11 @@ func uniformBounds(n int) []uint64 {
 	return bounds
 }
 
-// Uniform reports whether the router's ranges are the equal-length cut
-// NewHilbertUniform builds: no data sample or load histogram has cut
-// them yet.
-func (r *Router) Uniform() bool { return slices.Equal(r.bounds, uniformBounds(r.n)) }
+// Uniform reports whether the router is the equal-length cut
+// NewHilbertUniform builds (or its Spec restored): no data sample or load
+// histogram has cut its ranges yet. A cut from data that lands on the
+// same boundaries is not uniform.
+func (r *Router) Uniform() bool { return r.uniform }
 
 // NewHilbertBalanced builds an n-shard Hilbert-range router whose range
 // boundaries are quantiles of the sample's curve positions, so each
@@ -375,6 +381,9 @@ func extendAtBoundary(rect geom.Rect) geom.Rect {
 type Spec struct {
 	Shards int
 	Bounds []uint64
+	// Uniform marks NewHilbertUniform's cut; its Bounds must be that cut.
+	// Snapshots written before the field existed decode it as false.
+	Uniform bool
 	// GridX and GridY are read only from snapshots written while a grid
 	// partition existed; FromSpec refuses a grid of more than one cell.
 	// A one-cell grid is the one-range router, so those snapshots load.
@@ -382,7 +391,7 @@ type Spec struct {
 }
 
 // Spec returns the router's serializable description.
-func (r *Router) Spec() Spec { return Spec{Shards: r.n, Bounds: r.Bounds()} }
+func (r *Router) Spec() Spec { return Spec{Shards: r.n, Bounds: r.Bounds(), Uniform: r.uniform} }
 
 // FromSpec reconstructs a router, validating the description so corrupt
 // snapshots fail with an error rather than a panic.
@@ -403,7 +412,10 @@ func FromSpec(s Spec) (*Router, error) {
 		}
 		prev = b
 	}
-	r := &Router{n: s.Shards, bounds: slices.Clone(s.Bounds)}
+	if s.Uniform && !slices.Equal(s.Bounds, uniformBounds(s.Shards)) {
+		return nil, fmt.Errorf("shard: Hilbert boundaries %v marked uniform are not the equal-length cut", s.Bounds)
+	}
+	r := &Router{n: s.Shards, bounds: slices.Clone(s.Bounds), uniform: s.Uniform}
 	r.buildRegions()
 	return r, nil
 }

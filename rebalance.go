@@ -1,8 +1,10 @@
 package burtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"burtree/internal/geom"
@@ -382,7 +384,9 @@ func (x *index) nudgeBoundaryLocked(hot, maxStep int, cells []uint64) (int, erro
 
 	// Migrate the objects whose owning shard changed. Collect first,
 	// then apply, so a mid-migration failure can put every already-moved
-	// object back and leave the old router installed.
+	// object back and leave the old router installed. The movers apply in
+	// id order, not the object table's map order, so the same step on the
+	// same index builds the same trees.
 	type mover struct {
 		id       uint64
 		p        Point
@@ -397,6 +401,7 @@ func (x *index) nudgeBoundaryLocked(hot, maxStep int, cells []uint64) (int, erro
 		}
 	}
 	x.mu.RUnlock()
+	slices.SortFunc(movers, func(a, b mover) int { return cmp.Compare(a.id, b.id) })
 	for i, m := range movers {
 		if err := relocate(x.shards[m.src], x.shards[m.dst], m.id, m.p, m.p); err != nil {
 			for j := i - 1; j >= 0; j-- {
