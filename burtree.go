@@ -46,8 +46,8 @@
 // for concurrent use, runs one stack over a serial adapter around the
 // strategy; ConcurrentIndex one stack over the DGL-locked layer of the
 // paper's throughput study (granule locks plus a physical latch);
-// ShardedIndex N of those behind a spatial router, whose boundaries its
-// rebalancer moves. All three offer the same API — updates, batched
+// ShardedIndex N of those behind a spatial router, whose Hilbert ranges
+// a bulk load balances. All three offer the same API — updates, batched
 // updates, window and nearest-neighbour queries, bulk loading and
 // snapshots — the latter two to any number of goroutines.
 //
@@ -217,7 +217,7 @@ type indexParts struct {
 // strategy's, fixing what Options leaves out at the paper's defaults. It
 // passes no locator, so the strategy reaches leaves through core's
 // in-memory id → leaf map: every write path — the three front-ends,
-// merge-down, rebalance and log replay — builds its stacks here. It
+// merge-down and log replay — builds its stacks here. It
 // refuses a strategy the package does not offer and a page the tree
 // cannot use, before any store is built on it.
 func (opts Options) coreOptions() (core.Options, error) {

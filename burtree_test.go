@@ -407,7 +407,7 @@ func TestStatsSurfacePoolEvents(t *testing.T) {
 }
 
 // TestPublicKnobs pins the option surface: every independently settable
-// field of the five option structs, by name. Each one doubles the
+// field of the four option structs, by name. Each one doubles the
 // configurations tests and benchmarks must cover, so adding or removing
 // one has to show up as a diff of this list. Fields that only nest
 // another of the structs are not knobs and are not listed.
@@ -418,12 +418,10 @@ func TestPublicKnobs(t *testing.T) {
 		"Durability.Mode", "Durability.Dir",
 		"Memtable.Enabled", "Memtable.MaxObjects",
 		"ShardOptions.Shards", "ShardOptions.Partition",
-		"RebalanceOptions.HotFactor", "RebalanceOptions.MaxStep", "RebalanceOptions.MinOps",
-		"RebalanceOptions.Cooldown", "RebalanceOptions.Interval", "RebalanceOptions.UseOpCounts",
 	}
 	structs := []reflect.Type{
 		reflect.TypeOf(Options{}), reflect.TypeOf(Durability{}), reflect.TypeOf(Memtable{}),
-		reflect.TypeOf(ShardOptions{}), reflect.TypeOf(RebalanceOptions{}),
+		reflect.TypeOf(ShardOptions{}),
 	}
 	var got []string
 	for _, st := range structs {

@@ -201,8 +201,7 @@ func recoverIndex(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	}
 
 	// The snapshot, or else an empty index — with durability stripped (the
-	// logs are attached after the replay, so it does not re-log itself)
-	// and no rebalancer, whose loop would race the replay.
+	// logs are attached after the replay, so it does not re-log itself).
 	var x *index
 	snapPath := filepath.Join(d.Dir, snapshotFileName)
 	if _, serr := os.Stat(snapPath); serr == nil {
@@ -309,13 +308,5 @@ func RecoverConcurrent(opts Options) (*ConcurrentIndex, error) {
 // one stack restores as one shard. The returned index continues logging,
 // one log per shard.
 func RecoverSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
-	x, err := front[ShardedIndex](recoverIndex(opts, sopts, kindSharded))
-	if err != nil {
-		return nil, err
-	}
-	// Rebalancing, like the delta tier, is the caller's runtime choice
-	// rather than snapshot state: applied last, so the background loop
-	// never races the replay.
-	x.SetRebalance(sopts.Rebalance)
-	return x, nil
+	return front[ShardedIndex](recoverIndex(opts, sopts, kindSharded))
 }

@@ -155,7 +155,7 @@ func (k kind) recoverName() string {
 // index is an index: one object table, one gate and one router over
 // N ≥ 1 tree stacks, with one write-ahead log per stack. The three
 // exported front-ends embed it and add only the methods whose shapes
-// differ (Stats) or that one of them alone offers (the rebalancer).
+// differ (Stats) or that one of them alone offers (ShardLoads).
 type index struct {
 	objectTable
 
@@ -167,10 +167,10 @@ type index struct {
 
 	// gate is the snapshot gate: operations hold it shared for their whole
 	// duration — a write across reserve → apply → log — and Save,
-	// Checkpoint, BulkInsert, Flush and a boundary change exclusively: they
-	// never catch a write between applying and logging, so they see a
-	// quiescent state and the sequence a snapshot embeds is exact. It also
-	// guards the shards slice, the router and the fields that say so.
+	// Checkpoint, BulkInsert and Flush exclusively: they never catch a
+	// write between applying and logging, so they see a quiescent state
+	// and the sequence a snapshot embeds is exact. It also guards the
+	// shards slice, the router and the fields that say so.
 	gate sync.RWMutex
 
 	// wals holds one write-ahead log per stack when durability is enabled
@@ -182,26 +182,14 @@ type index struct {
 	lsn    atomic.Uint64
 	walSeq uint64
 
-	// load accumulates per-stack operation counts and the per-cell update
-	// histogram the rebalancer splits on; see ShardLoads. Only a
+	// load accumulates per-stack operation counts; see ShardLoads. Only a
 	// ShardedIndex keeps one — a one-stack index has nothing to balance and
 	// nobody to read it — and the pipeline reaches it through recordBatch
 	// and readFrom (shardedindex.go), which ask.
 	load *shard.LoadTracker
-	// routerEpoch counts boundary changes (guarded by the gate, persisted
-	// in the snapshot).
-	routerEpoch uint64
 	// ioLatency remembers the simulated per-page latency so stacks rebuilt
-	// by a rebalance or a failed bulk load keep paying it.
+	// by a failed bulk load keep paying it.
 	ioLatency atomic.Int64
-
-	// rebalMu guards the rebalancer configuration and loop lifecycle
-	// (rebalance.go; only a ShardedIndex ever starts the loop).
-	rebalMu   sync.Mutex
-	ropts     RebalanceOptions
-	rebalCool int // qualifying windows left to skip (Cooldown hysteresis)
-	rebalStop chan struct{}
-	rebalWG   sync.WaitGroup
 }
 
 // single is the partitioning of Index and ConcurrentIndex: one range.
@@ -216,7 +204,6 @@ func newIndex(k kind, router *shard.Router, opts Options, sopts ShardOptions, ob
 		router:      router,
 		options:     opts,
 		sopts:       sopts,
-		ropts:       sopts.Rebalance.withDefaults(),
 	}
 	if k.sharded() {
 		x.load = shard.NewLoadTracker(sopts.Shards)
@@ -260,11 +247,11 @@ func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
 }
 
 // openShards opens a fresh, empty stack per shard under the index's
-// options. Every place that needs fresh stacks — open, a failed bulk
-// load, a partition upgrade — comes through here, so every one of them
-// keeps paying the simulated I/O latency SetIOLatency asked for, and
-// keeps counting in the ledger of the stack it replaces: a shard slot's
-// page counters belong to the slot and never restart under a caller.
+// options. Both places that need fresh stacks — open and a failed bulk
+// load — come through here, so the fresh stacks keep paying the
+// simulated I/O latency SetIOLatency asked for, and keep counting in the
+// ledger of the stack they replace: a shard slot's page counters belong
+// to the slot and never restart under a caller.
 func (x *index) openShards() ([]*treeStack, error) {
 	per := stackOptions(x.options, x.sopts.Shards)
 	shards := make([]*treeStack, x.sopts.Shards)
@@ -665,14 +652,12 @@ func (x *index) checkpointLocked() error {
 	return nil
 }
 
-// Close stops the rebalancer loop (if one runs) and closes every stack
-// (stopping its background merger and merging buffered deltas down to the
-// tree), then syncs and closes every write-ahead log (no-op without
+// Close closes every stack (stopping its background merger and merging
+// buffered deltas down to the tree), then syncs and closes every write-ahead log (no-op without
 // durability). Reads keep working; further mutations fail their durable
 // append. Close does not checkpoint: recovery replays the logs onto the
 // last snapshot.
 func (x *index) Close() error {
-	x.stopRebalancer()
 	var err error
 	for _, s := range x.shards {
 		err = errors.Join(err, s.close())

@@ -14,7 +14,7 @@ import (
 
 // TestFrontEndMethodSets pins the exported surface of the three front-ends
 // to what it was before they became one type: embedding the one index must
-// not leak what only a ShardedIndex offers (Rebalance, ShardLoads,
+// not leak what only a ShardedIndex offers (ShardLoads, ShardLens,
 // SetIOLatency, …) onto Index, nor drop anything.
 func TestFrontEndMethodSets(t *testing.T) {
 	shared := "BulkInsert CheckInvariants Checkpoint Close Count Delete Flush Insert Len Location Nearest " +
@@ -25,7 +25,7 @@ func TestFrontEndMethodSets(t *testing.T) {
 	}{
 		{reflect.TypeOf((*Index)(nil)), ""},
 		{reflect.TypeOf((*ConcurrentIndex)(nil)), "SetIOLatency"},
-		{reflect.TypeOf((*ShardedIndex)(nil)), "NumShards Rebalance RouterEpoch SetIOLatency SetRebalance ShardLens ShardLoads"},
+		{reflect.TypeOf((*ShardedIndex)(nil)), "NumShards SetIOLatency ShardLens ShardLoads"},
 	} {
 		want := map[string]bool{}
 		for _, name := range strings.Fields(shared + " " + fe.extra) {

@@ -170,13 +170,13 @@ func TestTableRenderAndCSV(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// The exact ids, in registry order: the paper's §5 plus skew. Every
+	// The exact ids, in registry order: the paper's §5. Every
 	// wall-clock comparison of the beyond-the-paper designs lives in
 	// bench/ (BENCHMARK.json), so a new id here is a visible diff.
 	want := []string{
 		"fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f", "fig5g", "fig5h",
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig6g", "fig6h",
-		"fig7a", "fig7b", "fig8", "mixed", "skew", "batch", "naive", "table-summary-size", "cost",
+		"fig7a", "fig7b", "fig8", "mixed", "batch", "naive", "table-summary-size", "cost",
 		"ablation-piggyback", "ablation-summary-queries", "ablation-splits",
 	}
 	var got []string

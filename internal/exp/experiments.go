@@ -85,7 +85,6 @@ var registry = []struct {
 	{"fig7b", "Figure 7(b)", "Scalability (dataset size): querying", "scalability", scalabilitySweep.run},
 	{"fig8", "Figure 8", "Throughput for varying update/query mix (50 threads, DGL)", "", bundleThroughput},
 	{"mixed", "beyond §5.4", "Mixed read/write sweep: throughput and per-op I/O vs query fraction", "", bundleMixed},
-	{"skew", "beyond §5.4", "Zipfian hotspot workload: static Hilbert cut vs adaptive rebalancing", "", bundleSkew},
 	{"batch", "beyond §5", "Batched bottom-up updates: disk I/O and throughput vs batch size", "", bundleBatch},
 	{"naive", "§3.1", "Naive bottom-up: share of updates that stay top-down", "", bundleNaive},
 	{"table-summary-size", "§3.2", "Summary structure size ratios", "", bundleSummarySize},

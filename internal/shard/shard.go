@@ -5,11 +5,10 @@
 // A fine 2^k × 2^k cell grid is linearized along a Hilbert curve and
 // split into N contiguous curve ranges, one shard per range. Uniform
 // ranges (equal curve length) serve an index that has seen no data yet;
-// ranges cut from a data sample or a load histogram are balanced by
-// object count or load, which adapts the partition to skewed
-// distributions while keeping each shard spatially compact (Hilbert
-// ranges are clustered). A one-range router answers every point with
-// shard 0 without computing a curve position.
+// ranges cut from a data sample are balanced by object count, which
+// adapts the partition to skewed distributions while keeping each shard
+// spatially compact (Hilbert ranges are clustered). A one-range router
+// answers every point with shard 0 without computing a curve position.
 //
 // Every point maps to exactly one shard. Points outside the unit square
 // are clamped onto the boundary cells, so boundary shards own the
@@ -40,9 +39,8 @@ const hilbertSide = 1 << hilbertOrder
 // costs (buffer pool, id → leaf map, lock table) dominate.
 const MaxShards = 256
 
-// NumCells is the number of Hilbert cells the load tracker and the
-// balanced-bounds builders histogram over (one per cell of the routing
-// grid).
+// NumCells is the number of Hilbert cells of the routing grid: curve
+// positions, and so boundaries, lie in [0, NumCells).
 const NumCells = hilbertSide * hilbertSide
 
 // Router maps points and rectangles to shards.
@@ -55,11 +53,6 @@ type Router struct {
 	bounds []uint64
 
 	regions []geom.Rect // cached per-shard responsibility rectangles
-
-	// uniform marks the equal-length cut NewHilbertUniform builds. It
-	// records how the ranges were made, not what they are: a sample or
-	// load histogram may cut the same boundaries by chance.
-	uniform bool
 }
 
 // NewHilbertUniform builds an n-shard Hilbert-range router with ranges
@@ -68,25 +61,14 @@ func NewHilbertUniform(n int) (*Router, error) {
 	if err := checkShards(n); err != nil {
 		return nil, err
 	}
-	r := &Router{n: n, bounds: uniformBounds(n), uniform: true}
-	r.buildRegions()
-	return r, nil
-}
-
-// uniformBounds cuts the curve into n ranges of equal length.
-func uniformBounds(n int) []uint64 {
 	bounds := make([]uint64, n-1)
 	for i := range bounds {
 		bounds[i] = uint64(i+1) * NumCells / uint64(n)
 	}
-	return bounds
+	r := &Router{n: n, bounds: bounds}
+	r.buildRegions()
+	return r, nil
 }
-
-// Uniform reports whether the router is the equal-length cut
-// NewHilbertUniform builds (or its Spec restored): no data sample or load
-// histogram has cut its ranges yet. A cut from data that lands on the
-// same boundaries is not uniform.
-func (r *Router) Uniform() bool { return r.uniform }
 
 // NewHilbertBalanced builds an n-shard Hilbert-range router whose range
 // boundaries are quantiles of the sample's curve positions, so each
@@ -101,7 +83,7 @@ func NewHilbertBalanced(n int, sample []geom.Point) (*Router, error) {
 	}
 	keys := make([]uint64, len(sample))
 	for i, p := range sample {
-		keys[i] = CellKey(p)
+		keys[i] = cellKey(p)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	bounds := make([]uint64, n-1)
@@ -125,115 +107,6 @@ func NewHilbertBalanced(n int, sample []geom.Point) (*Router, error) {
 	return r, nil
 }
 
-// NewHilbertBounds builds an n-shard Hilbert-range router from explicit
-// curve boundaries (len(bounds) == n-1, strictly increasing within
-// (0, NumCells)). This is how the rebalancer installs nudged boundaries;
-// validation matches FromSpec so a bad nudge fails loudly.
-func NewHilbertBounds(bounds []uint64) (*Router, error) {
-	return FromSpec(Spec{Shards: len(bounds) + 1, Bounds: bounds})
-}
-
-// LoadQuantileBounds computes n-shard Hilbert boundaries as load
-// quantiles over a per-cell histogram (indexed by curve position,
-// len == NumCells): each shard's range receives ≈ 1/n of the observed
-// load. Every cell is smoothed by +1 so unobserved space still spreads
-// across shards instead of collapsing into one range; ties fall back to
-// the next free curve position, exactly like NewHilbertBalanced.
-func LoadQuantileBounds(n int, cellLoad []uint64) ([]uint64, error) {
-	if err := checkShards(n); err != nil {
-		return nil, err
-	}
-	if len(cellLoad) != NumCells {
-		return nil, fmt.Errorf("shard: cell histogram has %d cells, want %d", len(cellLoad), NumCells)
-	}
-	total := uint64(0)
-	for _, c := range cellLoad {
-		total += c + 1
-	}
-	bounds := make([]uint64, n-1)
-	acc := uint64(0)
-	next := 0 // next boundary to place
-	for cell := 0; cell < NumCells && next < len(bounds); cell++ {
-		before := acc
-		acc += cellLoad[cell] + 1
-		// Place every boundary whose load quantile this cell crosses —
-		// before the cell when the pre-cell cumulative is closer to the
-		// target, which isolates a cell heavy enough to cross several
-		// quantiles on its own into a minimal range instead of gluing the
-		// whole cold prefix to it.
-		for next < len(bounds) && acc >= uint64(next+1)*total/uint64(n) {
-			target := uint64(next+1) * total / uint64(n)
-			b := uint64(cell + 1)
-			if target-before < acc-target {
-				b = uint64(cell)
-			}
-			bounds[next] = b
-			next++
-		}
-	}
-	// Enforce strict monotonicity within (0, NumCells): heavy
-	// concentration can put several quantiles in one cell.
-	prev := uint64(0)
-	for i := range bounds {
-		b := bounds[i]
-		if b <= prev {
-			b = prev + 1
-		}
-		if max := uint64(NumCells) - uint64(n-1-i); b > max {
-			b = max
-		}
-		bounds[i] = b
-		prev = b
-	}
-	// Snap each cut to the load valley nearest its quantile position: a
-	// boundary flanked by hot cells sits inside a cluster, and objects
-	// orbiting there cross shards on every other move. Minimizing the
-	// load adjacent to the cut keeps clusters whole on one side at the
-	// cost of at most snapWindow cells of balance. Ties (uniform load)
-	// keep the exact quantile position.
-	prev = 0
-	for i := range bounds {
-		lo, hi := bounds[i], bounds[i]
-		if lo > snapWindow && lo-snapWindow > prev {
-			lo = bounds[i] - snapWindow
-		} else {
-			lo = prev + 1
-		}
-		if max := uint64(NumCells) - uint64(n-1-i); hi+snapWindow <= max {
-			hi = bounds[i] + snapWindow
-		} else {
-			hi = max
-		}
-		start := bounds[i]
-		if start < lo {
-			start = lo
-		} else if start > hi {
-			start = hi
-		}
-		best, bestScore := start, cellLoad[start-1]+cellLoad[start]
-		for b := lo; b <= hi; b++ {
-			score := cellLoad[b-1] + cellLoad[b]
-			if score < bestScore || (score == bestScore && absDiff(b, bounds[i]) < absDiff(best, bounds[i])) {
-				best, bestScore = b, score
-			}
-		}
-		bounds[i] = best
-		prev = best
-	}
-	return bounds, nil
-}
-
-// snapWindow is how far (in Hilbert cells) a quantile cut may move to
-// settle in a load valley.
-const snapWindow = 8
-
-func absDiff(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
-}
-
 func checkShards(n int) error {
 	if n < 1 || n > MaxShards {
 		return fmt.Errorf("shard: shard count %d outside [1, %d]", n, MaxShards)
@@ -252,14 +125,17 @@ func cellOf(p geom.Point, side int) (int, int) {
 	return geom.ClampCell(p.X, side), geom.ClampCell(p.Y, side)
 }
 
-// CellKey returns p's Hilbert curve position at routing-cell granularity
-// (in [0, NumCells)): the key load histograms are kept by, so a
-// rebalancer can cut new ranges from them without re-observing the
-// workload.
-func CellKey(p geom.Point) uint64 {
+// cellKey returns p's Hilbert curve position at routing-cell granularity
+// (in [0, NumCells)): the key the boundaries cut.
+func cellKey(p geom.Point) uint64 {
 	cx, cy := cellOf(p, hilbertSide)
 	return hilbert.D(uint32(cx), uint32(cy), hilbertOrder)
 }
+
+// CellKey is cellKey, exported only while the benchmark's record_batch
+// micro-benchmark builds its CellCounts with it; a benchmark change deletes
+// it.
+func CellKey(p geom.Point) uint64 { return cellKey(p) }
 
 // Bounds returns a copy of the Hilbert range boundaries (empty for one
 // shard).
@@ -270,7 +146,7 @@ func (r *Router) ShardOf(p geom.Point) int {
 	if r.n == 1 {
 		return 0
 	}
-	return r.shardOfKey(CellKey(p))
+	return r.shardOfKey(cellKey(p))
 }
 
 // shardOfKey locates a curve position in the boundary list.
@@ -381,9 +257,6 @@ func extendAtBoundary(rect geom.Rect) geom.Rect {
 type Spec struct {
 	Shards int
 	Bounds []uint64
-	// Uniform marks NewHilbertUniform's cut; its Bounds must be that cut.
-	// Snapshots written before the field existed decode it as false.
-	Uniform bool
 	// GridX and GridY are read only from snapshots written while a grid
 	// partition existed; FromSpec refuses a grid of more than one cell.
 	// A one-cell grid is the one-range router, so those snapshots load.
@@ -391,7 +264,7 @@ type Spec struct {
 }
 
 // Spec returns the router's serializable description.
-func (r *Router) Spec() Spec { return Spec{Shards: r.n, Bounds: r.Bounds(), Uniform: r.uniform} }
+func (r *Router) Spec() Spec { return Spec{Shards: r.n, Bounds: r.Bounds()} }
 
 // FromSpec reconstructs a router, validating the description so corrupt
 // snapshots fail with an error rather than a panic.
@@ -412,10 +285,7 @@ func FromSpec(s Spec) (*Router, error) {
 		}
 		prev = b
 	}
-	if s.Uniform && !slices.Equal(s.Bounds, uniformBounds(s.Shards)) {
-		return nil, fmt.Errorf("shard: Hilbert boundaries %v marked uniform are not the equal-length cut", s.Bounds)
-	}
-	r := &Router{n: s.Shards, bounds: slices.Clone(s.Bounds), uniform: s.Uniform}
+	r := &Router{n: s.Shards, bounds: slices.Clone(s.Bounds)}
 	r.buildRegions()
 	return r, nil
 }

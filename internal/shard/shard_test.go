@@ -148,8 +148,8 @@ func TestSpecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: FromSpec: %v", name, err)
 		}
-		if r2.Uniform() != r.Uniform() {
-			t.Fatalf("%s: Uniform %v became %v across the round trip", name, r.Uniform(), r2.Uniform())
+		if !slices.Equal(r2.Bounds(), r.Bounds()) {
+			t.Fatalf("%s: bounds %v became %v across the round trip", name, r.Bounds(), r2.Bounds())
 		}
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 500; i++ {
@@ -172,7 +172,6 @@ func TestFromSpecRejectsCorrupt(t *testing.T) {
 		{Shards: 3, Bounds: []uint64{5, 5}},                    // not increasing
 		{Shards: 3, Bounds: []uint64{0, 7}},                    // zero boundary
 		{Shards: 2, Bounds: []uint64{1 << 62}},                 // beyond curve
-		{Shards: 2, Bounds: []uint64{500}, Uniform: true},      // marked uniform, cut elsewhere
 	}
 	for i, c := range cases {
 		if _, err := FromSpec(c); err == nil {

@@ -3,6 +3,7 @@ package burtree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -45,12 +46,13 @@ func checkOneReading(t *testing.T, x *ShardedIndex) {
 }
 
 // TestStatsMonotoneAcrossRebuild pins the ledger to the shard slot: a
-// rebalance that replaces the stacks (the re-cut of the uniform ranges an
-// index filled by Insert still has) or moves objects between them (a
-// boundary nudge of the Hilbert cut a bulk load balanced) leaves every
-// physical counter of Stats where it was or further, never restarted with
-// the fresh stacks, and the load figures stay readings of the same
-// ledgers.
+// BulkInsert that fails in one stack replaces every stack with a fresh
+// one (openShards, swapShardsLocked), and that leaves every physical
+// counter of Stats where it was or further, never restarted with the
+// fresh stacks, and the load figures stay readings of the same ledgers.
+// The index the load fails on was filled, churned and emptied first,
+// under either cut: the uniform one of open (filled by Insert) or the
+// balanced one of a bulk load.
 func TestStatsMonotoneAcrossRebuild(t *testing.T) {
 	for _, cut := range []string{"uniform", "hilbert"} {
 		for _, tier := range []bool{false, true} {
@@ -74,20 +76,36 @@ func TestStatsMonotoneAcrossRebuild(t *testing.T) {
 					insertEach(t, x, ids, pts)
 				}
 				hammerCorner(t, x, ids, 0.02, 0.02, 3000, 6)
+				for _, id := range ids {
+					if err := x.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The tier's deltas reach the trees, so they are empty when
+				// the bulk load below starts.
+				for _, sh := range x.shards {
+					if err := sh.drainMemtable(); err != nil {
+						t.Fatal(err)
+					}
+				}
 				checkOneReading(t, x)
 
 				var before Stats
 				quiesced(x.index, func() { before, _ = x.Stats() })
-				// Trigger on op shares: with the tier on the cost shares move
-				// with the drains in flight.
-				x.SetRebalance(RebalanceOptions{UseOpCounts: true})
-				moved, err := x.Rebalance()
-				if err != nil || moved == 0 {
-					t.Fatalf("rebalance moved %d objects, err %v", moved, err)
+				// An object planted in one stack's tree behind the table's
+				// back makes that stack's bulk load fail after the others
+				// succeeded, and every stack is replaced.
+				if err := x.shards[0].tree.Insert(1<<40, Point{X: 0.1, Y: 0.1}); err != nil {
+					t.Fatal(err)
 				}
-				// A re-cut rebuilds every shard; a nudge moves at most MaxStep.
-				if recut := moved == len(ids); recut != (cut == "uniform") {
-					t.Fatalf("%s ranges: rebalance moved %d of %d objects", cut, moved, len(ids))
+				old := slices.Clone(x.shards)
+				if err := x.BulkInsert(ids, pts, PackSTR); err == nil {
+					t.Fatal("BulkInsert over a non-empty shard tree succeeded")
+				}
+				for i, sh := range x.shards {
+					if sh == old[i] {
+						t.Fatalf("shard %d: the failed bulk load kept its stack", i)
+					}
 				}
 				after, _ := x.Stats()
 				for _, c := range []struct {
@@ -104,12 +122,21 @@ func TestStatsMonotoneAcrossRebuild(t *testing.T) {
 					{"PinFallbacks", before.PinFallbacks, after.PinFallbacks},
 				} {
 					if c.after < c.before {
-						t.Errorf("%s ran backward across the rebalance: %d -> %d", c.name, c.before, c.after)
+						t.Errorf("%s ran backward across the rebuild: %d -> %d", c.name, c.before, c.after)
 					}
 				}
-				// The re-cut bulk-loads every shard afresh, on top of the count.
-				if cut == "uniform" && after.DiskWrites == before.DiskWrites {
-					t.Errorf("the rebuild wrote no page: DiskWrites stays %d", after.DiskWrites)
+				// The stacks that loaded before the failure wrote their
+				// trees, on top of the count.
+				if after.DiskWrites == before.DiskWrites {
+					t.Errorf("the failed load wrote no page: DiskWrites stays %d", after.DiskWrites)
+				}
+				checkOneReading(t, x)
+				// The fresh stacks take a corrected retry.
+				if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+					t.Fatal(err)
+				}
+				if err := x.CheckInvariants(); err != nil {
+					t.Fatal(err)
 				}
 				checkOneReading(t, x)
 			})
@@ -162,14 +189,13 @@ func TestForegroundPagesAfterResetStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fg := x.fgPages()
 	for i, l := range x.ShardLoads() {
 		if l.Queries < 50 {
 			t.Fatalf("setup: shard %d was visited %d times", i, l.Queries)
 		}
-		if fg[i] == 0 || l.Cost <= l.Updates+l.Queries {
+		if fg := x.shards[i].io.Foreground(); fg == 0 || l.Cost <= l.Updates+l.Queries {
 			t.Errorf("shard %d: %d foreground pages, cost %d for %d operations, after 50 window scans through a one-page buffer",
-				i, fg[i], l.Cost, l.Updates+l.Queries)
+				i, fg, l.Cost, l.Updates+l.Queries)
 		}
 	}
 	checkOneReading(t, x)

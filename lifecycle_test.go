@@ -103,9 +103,8 @@ func expectNothingLeft(t *testing.T, before map[string]string, dir string) {
 // TestCloseJoinsEveryGoroutine: each front-end, with and without the
 // delta tier and the group-commit log, is driven until its background
 // goroutines have run, and Close must join all of them. The delta tier's
-// merger, the log's sync leader, the rebalancer loop (on ShardedIndex,
-// every millisecond) and the batch and read scatters all start
-// goroutines here.
+// merger (one per stack: four on ShardedIndex), the log's sync leader and
+// the batch and read scatters all start goroutines here.
 func TestCloseJoinsEveryGoroutine(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -113,10 +112,7 @@ func TestCloseJoinsEveryGoroutine(t *testing.T) {
 	}{
 		{"Index", func(o Options) (walFailureIndex, error) { return Open(o) }},
 		{"ConcurrentIndex", func(o Options) (walFailureIndex, error) { return OpenConcurrent(o) }},
-		{"ShardedIndex", func(o Options) (walFailureIndex, error) {
-			return OpenSharded(o, ShardOptions{Shards: 4,
-				Rebalance: RebalanceOptions{Interval: time.Millisecond, MinOps: 64}})
-		}},
+		{"ShardedIndex", func(o Options) (walFailureIndex, error) { return OpenSharded(o, ShardOptions{Shards: 4}) }},
 	}
 	for _, k := range kinds {
 		for _, memtable := range []bool{false, true} {
@@ -146,7 +142,7 @@ func TestCloseJoinsEveryGoroutine(t *testing.T) {
 
 // driveAllPaths runs enough writes to trip the delta tier's size trigger
 // many times over and keep the log's sync leader busy, skewed into one
-// corner so that the rebalancer finds a hot shard, and reads that scatter
+// corner so that one shard's tier fills fastest, and reads that scatter
 // over every shard.
 func driveAllPaths(t *testing.T, x walFailureIndex) {
 	t.Helper()

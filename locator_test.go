@@ -31,12 +31,10 @@ func randomMoves(ids []uint64, pts []Point, n int, step float64, seed int64) []C
 // nothing else. An index opened without it must read and write exactly
 // the pages of one sized for its data. (A paged hash sized by the hint's
 // old default of 1 024 read and wrote 41.3 pages per update here,
-// against 7.27 sized.) A four-shard index must match too after a skewed
-// Rebalance: bulk-loaded, it migrates a boundary slice between shards;
-// filled by Insert, its ranges are still the uniform cut, which the step
-// re-cuts, rebuilding every shard at a size no hint named. The sharded
-// rows hold fewer objects, the Insert-filled one fewest, to keep the
-// test quick under the race detector.
+// against 7.27 sized.) A four-shard index must match too, bulk-loaded
+// and filled by Insert, whose trees grow by splits to a size no hint
+// named. The sharded rows hold fewer objects, the Insert-filled one
+// fewest, to keep the test quick under the race detector.
 func TestLocatorNeedsNoSizing(t *testing.T) {
 	openSharded := func(expected int) (*index, error) {
 		x, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, BufferPages: 100, ExpectedObjects: expected},
@@ -52,8 +50,6 @@ func TestLocatorNeedsNoSizing(t *testing.T) {
 		open    func(expected int) (*index, error)
 		// insert fills the index by Insert instead of BulkInsert.
 		insert bool
-		// skew loads the index before the measured moves.
-		skew func(t *testing.T, x *ShardedIndex, ids []uint64)
 	}{
 		{"Index", 100_000, func(expected int) (*index, error) {
 			x, err := Open(Options{Strategy: GeneralizedBottomUp, BufferPages: 100, ExpectedObjects: expected})
@@ -61,28 +57,9 @@ func TestLocatorNeedsNoSizing(t *testing.T) {
 				return nil, err
 			}
 			return x.index, nil
-		}, false, nil},
-		{"ShardedAfterNudge", 50_000, openSharded, false, func(t *testing.T, s *ShardedIndex, ids []uint64) {
-			hammerCorner(t, s, ids[:2000], 0.02, 0.02, 4000, 93)
-			moved, err := s.Rebalance()
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkFirstStep(t, false, moved, len(ids))
-		}},
-		{"ShardedAfterRebalance", 10_000, openSharded, true, func(t *testing.T, s *ShardedIndex, ids []uint64) {
-			// Close the even window the Inserts filled, so the corner
-			// window is the one the step sees.
-			if _, err := s.Rebalance(); err != nil {
-				t.Fatal(err)
-			}
-			hammerCorner(t, s, ids[:2000], 0.02, 0.02, 4000, 93)
-			moved, err := s.Rebalance()
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkFirstStep(t, true, moved, len(ids))
-		}},
+		}, false},
+		{"ShardedBulkLoaded", 50_000, openSharded, false},
+		{"ShardedInserted", 10_000, openSharded, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -99,9 +76,6 @@ func TestLocatorNeedsNoSizing(t *testing.T) {
 					insertEach(t, x, ids, pts)
 				} else if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
 					t.Fatal(err)
-				}
-				if row.skew != nil {
-					row.skew(t, &ShardedIndex{x}, ids)
 				}
 				x.ResetStats()
 				for _, m := range moves {

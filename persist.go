@@ -36,7 +36,10 @@ const saveFormat = 4
 // the index-wide options, the partitioning, the log position, and N ≥ 1
 // stacks. A stack's durable state is its tree pages; the summary
 // structure and the id → leaf map are main-memory only and are rebuilt
-// on load, one walk over each tree.
+// on load, one walk over each tree. Snapshots written while ShardedIndex
+// had an online rebalancer also carry its count of boundary changes and
+// the partition's mark of the equal-length cut; the decoder skips both,
+// and a reader of that time decodes their absence as zero.
 type savedIndex struct {
 	Format int
 
@@ -50,9 +53,6 @@ type savedIndex struct {
 	// WALSeq is the log sequence the snapshot covers: recovery replays
 	// only records with greater sequences. Zero without durability.
 	WALSeq uint64
-	// RouterEpoch counts the boundary changes the saved index had made,
-	// so monitors see a monotone epoch across snapshots.
-	RouterEpoch uint64
 
 	Stacks []savedStack
 }
@@ -125,12 +125,11 @@ func (x *index) Save(w io.Writer) error {
 // the router's partition of the one object table as its object set.
 func (x *index) saveLocked(w io.Writer) error {
 	s := savedIndex{
-		Format:      saveFormat,
-		Options:     x.options,
-		Partition:   x.router.Spec(),
-		WALSeq:      x.lsn.Load(),
-		RouterEpoch: x.routerEpoch,
-		Stacks:      make([]savedStack, len(x.shards)),
+		Format:    saveFormat,
+		Options:   x.options,
+		Partition: x.router.Spec(),
+		WALSeq:    x.lsn.Load(),
+		Stacks:    make([]savedStack, len(x.shards)),
 	}
 	s.Options.PageSize = x.shards[0].store.PageSize()
 	x.mu.RLock()
@@ -246,7 +245,7 @@ func load(r io.Reader, k kind) (*index, error) {
 		x = newIndex(k, router, s.Options, ShardOptions{Shards: n}, objects)
 		x.shards = shards
 	}
-	x.walSeq, x.routerEpoch = s.WALSeq, s.RouterEpoch
+	x.walSeq = s.WALSeq
 	return x, nil
 }
 

@@ -2,6 +2,7 @@ package burtree
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -308,7 +309,7 @@ func TestLoadRefusesFormatThree(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(cur.Bytes()[len(snapshotMagic):])).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
-	v3 := indexV3{Format: 3, Options: s.Options, Partition: s.Partition, WALSeq: s.WALSeq, RouterEpoch: s.RouterEpoch}
+	v3 := indexV3{Format: 3, Options: s.Options, Partition: s.Partition, WALSeq: s.WALSeq}
 	for _, st := range s.Stacks {
 		v3.Stacks = append(v3.Stacks, stackV3{Pages: st.Pages, Freed: st.Freed, Root: st.Root, Height: st.Height, Size: st.Size,
 			HashDirectory: []pagestore.PageID{1, 2}, HashSize: st.Size, Objects: st.Objects})
@@ -425,7 +426,7 @@ func gridEraSnapshot(t *testing.T, raw []byte, spec gridEraSpec) []byte {
 	}
 	var buf bytes.Buffer
 	buf.Write(snapshotMagic[:])
-	old := indexGridEra{Format: s.Format, Options: s.Options, Partition: spec, WALSeq: s.WALSeq, RouterEpoch: s.RouterEpoch, Stacks: s.Stacks}
+	old := indexGridEra{Format: s.Format, Options: s.Options, Partition: spec, WALSeq: s.WALSeq, Stacks: s.Stacks}
 	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
 		t.Fatal(err)
 	}
@@ -533,6 +534,242 @@ func TestLoadRefusesGridPartition(t *testing.T) {
 		if x, err := open(); err == nil {
 			x.Close()
 			t.Errorf("%s accepted Partition %d", name, retired)
+		}
+	}
+}
+
+// rebalancerEraIndex is what a snapshot carried beside this version's
+// fields while ShardedIndex had an online rebalancer: the index's
+// RouterEpoch, the count of boundary changes the rebalancer had made,
+// and the partition's Uniform mark of the equal-length cut of open. The
+// format stayed BURSNAP4; this version's decoder skips both fields.
+// gob matches fields by name, so this shape reads them back.
+type rebalancerEraIndex struct {
+	Format    int
+	Partition struct {
+		Shards  int
+		Bounds  []uint64
+		Uniform bool
+	}
+	RouterEpoch uint64
+}
+
+// rebalancerEraFixture returns a snapshot of testdata/snapshots, written
+// gzipped while ShardedIndex had an online rebalancer, and the legacy
+// fields it carries. Every fixture is a four-shard index (PageSize 256)
+// of randomPoints(300, 17), filled by BulkInsert for "nudge" and by
+// Insert otherwise, and moved by hammerCorner (1 000 updates at
+// (0.02, 0.02), seed 12); the rebalanced ones then stepped the
+// rebalancer, took 1 000 more updates at (0.9, 0.9), seed 13, and
+// stepped it again. fixtureReference rebuilds the same objects.
+func rebalancerEraFixture(t *testing.T, name string) ([]byte, rebalancerEraIndex) {
+	t.Helper()
+	f, err := os.Open(filepath.Join("testdata", "snapshots", name+".bursnap.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy rebalancerEraIndex
+	if err := gob.NewDecoder(bytes.NewReader(raw[len(snapshotMagic):])).Decode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	return raw, legacy
+}
+
+// fixtureReference builds, in this version, the index a fixture holds:
+// the same objects at the same positions (see rebalancerEraFixture).
+func fixtureReference(t *testing.T, rebalanced, insert bool) (*ShardedIndex, []uint64) {
+	t.Helper()
+	x, err := OpenSharded(Options{Strategy: GeneralizedBottomUp, PageSize: 256, ExpectedObjects: 300}, ShardOptions{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { x.Close() })
+	ids, pts := randomPoints(300, 17)
+	if insert {
+		insertEach(t, x, ids, pts)
+	} else if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	hammerCorner(t, x, ids, 0.02, 0.02, 1000, 12)
+	if rebalanced {
+		hammerCorner(t, x, ids, 0.9, 0.9, 1000, 13)
+	}
+	return x, ids
+}
+
+// sameAnswers requires got to hold want's objects and answer its window,
+// count and nearest-neighbour queries alike.
+func sameAnswers(t *testing.T, want, got *ShardedIndex, ids []uint64) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
+	}
+	for _, id := range ids {
+		if p, ok := got.Location(id); !ok || p != mustLocation(t, want, id) {
+			t.Fatalf("object %d at %v (%v), want %v", id, p, ok, mustLocation(t, want, id))
+		}
+	}
+	windows := []Rect{NewRect(-10, -10, 10, 10), NewRect(0, 0, 0.1, 0.1), NewRect(0.85, 0.85, 1, 1)}
+	for i := 0; i < 16; i++ {
+		x, y := float64(i%4)/4, float64(i/4)/4
+		windows = append(windows, NewRect(x, y, x+0.3, y+0.3))
+	}
+	for _, w := range windows {
+		a, b := sortedShardedIDs(t, want.Search, w), sortedShardedIDs(t, got.Search, w)
+		if !slices.Equal(a, b) {
+			t.Fatalf("Search(%v): %d ids, want %d", w, len(b), len(a))
+		}
+		if n, err := got.Count(w); err != nil || n != len(a) {
+			t.Fatalf("Count(%v) = %d, %v; want %d", w, n, err, len(a))
+		}
+	}
+	for _, p := range []Point{{X: 0.03, Y: 0.03}, {X: 0.5, Y: 0.5}, {X: 0.93, Y: 0.93}, {X: 1, Y: 0}} {
+		a, err := want.Nearest(p, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.Nearest(p, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("Nearest(%v): %d neighbours, want %d", p, len(b), len(a))
+		}
+		for i := range a {
+			if a[i].Dist != b[i].Dist {
+				t.Fatalf("Nearest(%v)[%d] at distance %v, want %v", p, i, b[i].Dist, a[i].Dist)
+			}
+		}
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustLocation(t *testing.T, x *ShardedIndex, id uint64) Point {
+	t.Helper()
+	p, ok := x.Location(id)
+	if !ok {
+		t.Fatalf("object %d missing from the reference", id)
+	}
+	return p
+}
+
+// routerBounds is x's Hilbert cut.
+func routerBounds(x *ShardedIndex) []uint64 {
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	return x.router.Bounds()
+}
+
+// TestRebalanceSnapshotRoundTrip: a snapshot a rebalanced four-shard
+// index wrote — its boundaries moved by a nudge of the balanced cut or a
+// re-cut of the uniform one, its RouterEpoch non-zero — loads through
+// LoadSharded and RecoverSharded onto the boundaries it was saved with,
+// answers as the index that wrote it did, and takes writes, which the
+// recovered index logs and recovers again.
+func TestRebalanceSnapshotRoundTrip(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		insert bool
+		bounds []uint64
+	}{
+		{"nudge", false, []uint64{6, 671, 737}},
+		{"recut", true, []uint64{6, 10, 682}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			raw, legacy := rebalancerEraFixture(t, "rebalanced-"+row.name)
+			if legacy.RouterEpoch == 0 || legacy.Partition.Uniform || !slices.Equal(legacy.Partition.Bounds, row.bounds) {
+				t.Fatalf("fixture carries epoch %d, uniform %v, bounds %v; want a rebalanced cut %v",
+					legacy.RouterEpoch, legacy.Partition.Uniform, legacy.Partition.Bounds, row.bounds)
+			}
+			ref, ids := fixtureReference(t, true, row.insert)
+
+			loaded, err := LoadSharded(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			if got := routerBounds(loaded); !slices.Equal(got, row.bounds) {
+				t.Fatalf("LoadSharded routes by %v, the snapshot by %v", got, row.bounds)
+			}
+			sameAnswers(t, ref, loaded, ids)
+
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapshotFileName), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts := durableOpts(dir, DurabilityBatch)
+			recovered, err := RecoverSharded(opts, ShardOptions{Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := routerBounds(recovered); !slices.Equal(got, row.bounds) {
+				t.Fatalf("RecoverSharded routes by %v, the snapshot by %v", got, row.bounds)
+			}
+			sameAnswers(t, ref, recovered, ids)
+
+			rng := rand.New(rand.NewSource(29))
+			for i := 0; i < 100; i++ {
+				id, p := ids[rng.Intn(len(ids))], Point{X: rng.Float64(), Y: rng.Float64()}
+				for _, x := range []*ShardedIndex{ref, loaded, recovered} {
+					if err := x.Update(id, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sameAnswers(t, ref, loaded, ids)
+			if err := recovered.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := RecoverSharded(opts, ShardOptions{Shards: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			sameAnswers(t, ref, again, ids)
+		})
+	}
+}
+
+// TestUniformCutSurvivesSnapshot: an index filled by Insert routes by the
+// equal-length cut of open, and a snapshot keeps that cut — one this
+// version writes, and one written while the partition carried a Uniform
+// mark for it, which loads as the same cut and answers as its writer did.
+func TestUniformCutSurvivesSnapshot(t *testing.T) {
+	uniform := []uint64{256, 512, 768}
+	raw, legacy := rebalancerEraFixture(t, "uniform")
+	if !legacy.Partition.Uniform || !slices.Equal(legacy.Partition.Bounds, uniform) {
+		t.Fatalf("fixture carries uniform %v, bounds %v; want the marked equal-length cut", legacy.Partition.Uniform, legacy.Partition.Bounds)
+	}
+	ref, ids := fixtureReference(t, false, true)
+	if got := routerBounds(ref); !slices.Equal(got, uniform) {
+		t.Fatalf("an Insert-filled index routes by %v, want the equal-length cut %v", got, uniform)
+	}
+	var cur bytes.Buffer
+	if err := ref.Save(&cur); err != nil {
+		t.Fatal(err)
+	}
+	for name, stream := range map[string][]byte{"this version's": cur.Bytes(), "the marked": raw} {
+		y, err := LoadSharded(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatalf("%s snapshot: %v", name, err)
+		}
+		if got := routerBounds(y); !slices.Equal(got, uniform) {
+			t.Fatalf("%s snapshot loads onto %v, want the equal-length cut %v", name, got, uniform)
+		}
+		sameAnswers(t, ref, y, ids)
+		if err := y.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

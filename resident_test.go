@@ -82,8 +82,8 @@ func TestResidentPagesAreTheInternalNodes(t *testing.T) {
 }
 
 // TestRestoredStacksKeepInternalPagesResident: a stack a snapshot,
-// a log recovery or a rebalance rebuilt gets the same pool as an opened
-// one. Once warm, it reads no internal page from disk: with one leaf
+// a log recovery or a failed bulk load rebuilt gets the same pool as an
+// opened one. Once warm, it reads no internal page from disk: with one leaf
 // frame per stack, a whole-space search reads each leaf at most once and
 // nothing else, where a pure LRU pool would miss every node it visits.
 func TestRestoredStacksKeepInternalPagesResident(t *testing.T) {
@@ -141,23 +141,23 @@ func TestRestoredStacksKeepInternalPagesResident(t *testing.T) {
 			}
 			return x.index, x.Close
 		}},
-		{"ShardedIndex after Rebalance", func(t *testing.T) (*index, func() error) {
+		{"ShardedIndex after a failed BulkInsert", func(t *testing.T) (*index, func() error) {
 			sopts := opts
 			sopts.BufferPages = 4 // one leaf frame for each of the four shards
 			x, err := OpenSharded(sopts, ShardOptions{Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Filled by Insert, the ranges are still the uniform cut, so
-			// the Rebalance re-cuts them and rebuilds every stack.
-			insertEach(t, x, ids, pts)
-			if _, err := x.Rebalance(); err != nil { // closes the even window the inserts filled
+			// An object planted in one stack's tree behind the table's back
+			// fails that stack's bulk load, and every stack is rebuilt;
+			// the fresh stacks are then filled by Insert.
+			if err := x.shards[0].tree.Insert(1<<40, Point{X: 0.1, Y: 0.1}); err != nil {
 				t.Fatal(err)
 			}
-			hammerCorner(t, x, ids, 0.02, 0.02, 2000, 5)
-			if moved, err := x.Rebalance(); err != nil || moved != len(ids) {
-				t.Fatalf("Rebalance moved %d objects, want all %d re-cut: %v", moved, len(ids), err)
+			if err := x.BulkInsert(ids, pts, PackSTR); err == nil {
+				t.Fatal("BulkInsert over a non-empty shard tree succeeded")
 			}
+			insertEach(t, x, ids, pts)
 			return x.index, x.Close
 		}},
 	}

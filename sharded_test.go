@@ -56,6 +56,21 @@ func insertEach(t testing.TB, x interface{ Insert(uint64, Point) error }, ids []
 	}
 }
 
+// hammerCorner drives n update operations at the given index, all
+// landing inside a small square around (cx, cy), so the shard owning
+// that corner accumulates (nearly) the whole load window.
+func hammerCorner(t testing.TB, x *ShardedIndex, ids []uint64, cx, cy float64, n int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		id := ids[rng.Intn(len(ids))]
+		p := Point{X: cx + rng.Float64()*0.05, Y: cy + rng.Float64()*0.05}
+		if err := x.Update(id, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func sortedShardedIDs(t *testing.T, search func(Rect) ([]uint64, error), q Rect) []uint64 {
 	t.Helper()
 	got, err := search(q)
@@ -525,5 +540,61 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	}
 	if err := sh2.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardLoadsAccounting: every write counts as an update of the shard
+// that owns it and every scatter leg as a query of the shard it visits.
+func TestShardLoadsAccounting(t *testing.T) {
+	x := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
+	defer x.Close()
+
+	// One insert per quadrant: each shard's update counter reaches 1.
+	quadrants := []Point{
+		{X: 0.2, Y: 0.2}, {X: 0.8, Y: 0.2},
+		{X: 0.2, Y: 0.8}, {X: 0.8, Y: 0.8},
+	}
+	for i, p := range quadrants {
+		if err := x.Insert(uint64(i), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var updates, queries uint64
+	for _, l := range x.ShardLoads() {
+		updates += l.Updates
+		queries += l.Queries
+		if l.Updates != 1 {
+			t.Fatalf("per-shard updates %+v, want 1 each", x.ShardLoads())
+		}
+	}
+	if queries != 0 {
+		t.Fatalf("queries before any read: %d", queries)
+	}
+
+	// A whole-space window visits all four shards.
+	if _, err := x.Search(NewRect(0, 0, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	queries = 0
+	for _, l := range x.ShardLoads() {
+		queries += l.Queries
+	}
+	if queries != 4 {
+		t.Fatalf("whole-space search recorded %d shard visits, want 4", queries)
+	}
+
+	// A move and a delete both count as updates.
+	if err := x.Update(0, Point{X: 0.25, Y: 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	updates = 0
+	for _, l := range x.ShardLoads() {
+		updates += l.Updates
+	}
+	if updates != 6 {
+		t.Fatalf("total updates = %d, want 6 (4 inserts + 1 move + 1 delete)", updates)
 	}
 }

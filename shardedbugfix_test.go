@@ -219,9 +219,7 @@ func TestNearestUnderfilledShards(t *testing.T) {
 
 // TestShardLoadsBackgroundPages pins ShardLoad.BackgroundPages to the
 // pages merge-down actually spent: summed over the shards it equals
-// Stats().Memtable.MergePages, and it stays cumulative when a rebalance
-// retires the stacks that counted them (the tier's own MergePages
-// restarts with the fresh stacks' tiers; the shard's ledger must not).
+// Stats().Memtable.MergePages.
 func TestShardLoadsBackgroundPages(t *testing.T) {
 	x, err := OpenSharded(Options{
 		Strategy:        GeneralizedBottomUp,
@@ -232,8 +230,6 @@ func TestShardLoadsBackgroundPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Filled by Insert, the ranges stay the uniform cut, which the
-	// Rebalance below re-cuts by rebuilding both stacks.
 	ids, pts := randomPoints(600, 3)
 	insertEach(t, x, ids, pts)
 	background := func() (sum uint64) {
@@ -243,31 +239,27 @@ func TestShardLoadsBackgroundPages(t *testing.T) {
 		return sum
 	}
 
-	// Updates far past MaxObjects, all on one shard: merge-downs run, and
-	// the re-cut below has a hot shard to act on. The re-cut closes both
-	// stacks, which drains what their tiers still held.
+	// Updates far past MaxObjects, first in one corner and then in the
+	// opposite one, so merge-downs run; Close drains what the tiers still
+	// hold.
 	hammerCorner(t, x, ids, 0.02, 0.02, 3000, 5)
-	// Trigger on op shares: the cost shares of this window also hold the
-	// Inserts' pages and move with drains in flight.
-	x.SetRebalance(RebalanceOptions{UseOpCounts: true})
-	if moved, err := x.Rebalance(); err != nil || moved == 0 {
-		t.Fatalf("re-cut moved %d objects, err %v", moved, err)
+	for _, sh := range x.shards {
+		if err := sh.drainMemtable(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	carried := background()
-	if carried == 0 {
+	if background() == 0 {
 		t.Fatal("BackgroundPages is 0 after 3000 updates through a 64-object tier")
 	}
-
 	hammerCorner(t, x, ids, 0.9, 0.9, 3000, 6)
 	if err := x.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := x.Stats()
 	if st.Memtable.MergePages == 0 {
-		t.Fatal("setup: no merge-down pages on the rebuilt stacks")
+		t.Fatal("setup: no merge-down pages")
 	}
-	if got, want := background(), carried+uint64(st.Memtable.MergePages); got != want {
-		t.Fatalf("summed BackgroundPages = %d, want %d (%d carried across the rebalance + %d merge pages since)",
-			got, want, carried, st.Memtable.MergePages)
+	if got, want := background(), uint64(st.Memtable.MergePages); got != want {
+		t.Fatalf("summed BackgroundPages = %d, want the %d merge pages", got, want)
 	}
 }

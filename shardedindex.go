@@ -33,8 +33,8 @@ const ShardHilbert PartitionScheme = 0
 
 // ShardOptions configures the partitioning of a ShardedIndex. Space is
 // split into Shards contiguous ranges of a Hilbert linearization: equal
-// ranges at open, ranges balanced by object count at BulkInsert, and
-// ranges cut from the observed load by Rebalance.
+// ranges at open, ranges balanced by object count at BulkInsert. The
+// ranges stay where they were cut: no boundary moves with the load.
 type ShardOptions struct {
 	// Shards is the number of partitions (default 4, max
 	// shard.MaxShards). Each shard is a self-contained tree with its own
@@ -45,9 +45,6 @@ type ShardOptions struct {
 	// value fails at open. The field remains because the benchmark
 	// harness sets it; a benchmark change deletes it.
 	Partition PartitionScheme
-	// Rebalance configures the online load-based rebalancer (off by
-	// default); see RebalanceOptions.
-	Rebalance RebalanceOptions
 }
 
 // check refuses a retired Partition value.
@@ -106,12 +103,7 @@ type ShardedIndex struct {
 // evenly among the shards, so comparing shard counts compares equal
 // hardware.
 func OpenSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
-	x, err := front[ShardedIndex](open(opts, sopts, kindSharded))
-	if err != nil {
-		return nil, err
-	}
-	x.SetRebalance(sopts.Rebalance)
-	return x, nil
+	return front[ShardedIndex](open(opts, sopts, kindSharded))
 }
 
 // NumShards returns the shard count.
@@ -130,8 +122,8 @@ func (x *ShardedIndex) ShardLens() []int {
 }
 
 // SetIOLatency simulates a per-page-access service time on every shard's
-// store. Zero disables the simulation. The setting survives rebalances:
-// shards rebuilt by a re-cut inherit it.
+// store. Zero disables the simulation. The setting survives a failed
+// BulkInsert: the shards it rebuilds inherit it.
 func (x *ShardedIndex) SetIOLatency(d time.Duration) { x.setIOLatency(d) }
 
 // Stats returns the aggregated physical counters and tree shape (sums
@@ -139,39 +131,51 @@ func (x *ShardedIndex) SetIOLatency(d time.Duration) { x.setIOLatency(d) }
 // lock-layer counters.
 func (x *ShardedIndex) Stats() (Stats, []ConcurrencyStats) { return x.stats() }
 
-// fgPages reads every shard slot's ledger: its exact cumulative
-// foreground page count — pages read plus written, less the merge-down's.
-// A slot's ledger outlives its stacks (openShards), so the sequence is
-// monotone across rebuilds. This is the page stream LoadTracker.SampleAt
-// consumes.
-func (x *index) fgPages() []uint64 {
+// ShardLoad is one shard's load-accounting snapshot (see ShardLoads).
+type ShardLoad struct {
+	// Updates is the cumulative count of update operations (inserts,
+	// moves, deletes) the shard owned.
+	Updates uint64
+	// Queries is the cumulative count of read visits (window, count and
+	// nearest-neighbour scatters that touched the shard).
+	Queries uint64
+	// Cost is the shard's cumulative foreground load cost: one unit per
+	// operation (Updates + Queries) plus shard.CostPerPage per foreground
+	// page of the shard's ledger — the pages Stats counts, less
+	// BackgroundPages. It weighs the shards by the work they did, where
+	// the operation counts alone would rate a shard whose writes coalesce,
+	// absorb in the memtable or hit the buffer pool as busy as one whose
+	// writes pay I/O.
+	Cost uint64
+	// BackgroundPages is the shard's cumulative page count from
+	// background memtable merge-downs — deferred work attributed
+	// separately so it never skews the foreground cost. Like every
+	// counter of the ledger it keeps counting across a failed BulkInsert
+	// that rebuilds the shard, and restarts at ResetStats.
+	BackgroundPages uint64
+	// Objects is the shard's current object count.
+	Objects int
+}
+
+// ShardLoads returns each shard's load accounting: cumulative update and
+// query counts, foreground cost and background page attribution, and
+// current object count. Companion to Stats for balance monitoring.
+func (x *ShardedIndex) ShardLoads() []ShardLoad {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
-	return x.fgPagesLocked()
-}
-
-// fgPagesLocked is fgPages for callers already holding the gate (shared
-// or exclusive).
-func (x *index) fgPagesLocked() []uint64 {
-	out := make([]uint64, len(x.shards))
-	for s, sh := range x.shards {
-		out[s] = uint64(sh.io.Foreground())
-	}
-	return out
-}
-
-// addCellCount accumulates one cell's op count in a small slice keyed
-// by linear scan: batches concentrate on few distinct cells (that is
-// what makes batching pay), so the scan beats a map and allocates only
-// on new cells.
-func addCellCount(cells []shard.CellCount, cell uint64, n int) []shard.CellCount {
-	for i := range cells {
-		if cells[i].Cell == cell {
-			cells[i].N += n
-			return cells
+	counts := x.shardCounts()
+	out := make([]ShardLoad, len(x.shards))
+	for i, sh := range x.shards {
+		updates, queries := x.load.UpdateCount(i), x.load.QueryCount(i)
+		out[i] = ShardLoad{
+			Updates:         updates,
+			Queries:         queries,
+			Cost:            updates + queries + shard.CostPerPage*uint64(sh.io.Foreground()),
+			BackgroundPages: uint64(sh.io.Background()),
+			Objects:         counts[i],
 		}
 	}
-	return append(cells, shard.CellCount{Cell: cell, N: n})
+	return out
 }
 
 // stackOptions are the options each of n stacks runs under, given the
@@ -297,14 +301,11 @@ func (x *index) absorb(b *batchRun, k opKind, c core.BatchChange, src, dst int) 
 //
 // recordBatch accounts a write by its offered stream, before coalescing: a
 // hot object updated many times per batch coalesces into one applied
-// change, but each of those updates was traffic the owning stack absorbed
-// — undercounting them would hide exactly the skew the rebalancer exists
-// to detect. Each change is tallied at the position that decides its
-// owner: a delete's old position, otherwise the new one. Each stack's
-// tally weighs its cells with the foreground pages the stack's phases
-// measured (even on error — the I/O was spent); what a departure-only
-// stack spent stays in its ledger: its moves are tallied at their
-// destination.
+// change, but each of those updates was traffic the owning stack absorbed.
+// Each change counts as an update of the stack that owns it: the one its
+// position routes to — a delete's old position, otherwise the new one. A
+// departure-only stack counts none: its moves count at their
+// destination, and what it spent on them is in its ledger.
 func (x *index) recordBatch(b *batchRun) {
 	if x.load == nil {
 		return
@@ -314,11 +315,10 @@ func (x *index) recordBatch(b *batchRun) {
 		if len(b.raw) > 1 {
 			s = x.router.ShardOf(c.New)
 		}
-		w := b.touch(s)
-		w.offered = addCellCount(w.offered, shard.CellKey(c.New), 1)
+		b.touch(s).offered++
 	}
 	for _, s := range b.stacks {
-		x.load.RecordBatch(s, b.work[s].pages, b.work[s].offered)
+		x.load.RecordUpdates(s, b.work[s].offered)
 	}
 }
 
@@ -349,13 +349,13 @@ type shardWork struct {
 	departs int // cross moves that leave this stack
 	arrives int // cross moves that end in this stack
 
-	res     BatchResult       // what the write applied here: counted by route on a tiered index, by the phases otherwise
-	pages   uint64            // foreground pages the phases measured
-	err     error             // the phases' failures, joined
-	full    bool              // the write brought this stack's tier to its size threshold
-	offered []shard.CellCount // recordBatch's tally of the offered changes this stack owns, per cell
-	ops     []wal.Op          // logBatch's buffer
-	listed  bool              // the stack is in batchRun.stacks
+	res     BatchResult // what the write applied here: counted by route on a tiered index, by the phases otherwise
+	pages   uint64      // foreground pages the phases measured
+	err     error       // the phases' failures, joined
+	full    bool        // the write brought this stack's tier to its size threshold
+	offered uint64      // recordBatch's count of the offered changes this stack owns
+	ops     []wal.Op    // logBatch's buffer
+	listed  bool        // the stack is in batchRun.stacks
 
 	// applied and arrived are the changes the phases applied here, kept
 	// for the log records.
@@ -438,8 +438,8 @@ func (b *batchRun) touch(s int) *shardWork {
 func (b *batchRun) release() {
 	for _, s := range b.stacks {
 		w := b.work[s]
-		w.stay, w.offered, w.ops, w.applied, w.arrived = w.stay[:0], w.offered[:0], w.ops[:0], w.applied[:0], w.arrived[:0]
-		w.listed, w.departs, w.arrives, w.res, w.pages, w.err, w.full = false, 0, 0, BatchResult{}, 0, nil, false
+		w.stay, w.ops, w.applied, w.arrived = w.stay[:0], w.ops[:0], w.applied[:0], w.arrived[:0]
+		w.listed, w.departs, w.arrives, w.res, w.pages, w.err, w.full, w.offered = false, 0, 0, BatchResult{}, 0, nil, false, 0
 	}
 	b.x, b.raw, b.stacks, b.cross, b.res = nil, b.raw[:0], b.stacks[:0], b.cross[:0], BatchResult{}
 	batchRuns.Put(b)
@@ -508,11 +508,9 @@ func (x *index) scatter(b *batchRun, arrivals bool) {
 // counted meanwhile are its pages, floored at zero (a ResetStats inside
 // the bracket runs the ledger backward). Pages from overlapping operations
 // on the same stack land in every open bracket, so the figure over-counts
-// under concurrency. It is kept for the two figures no cumulative counter
-// can give: the weight of an update in its cell of the rebalancer's
-// histogram, where only relative weight within a shard matters, and
-// BatchResult.PageIO. Everything per shard — its cost, its share, what
-// Stats reports — is read from the ledger itself.
+// under concurrency. Its one reader is BatchResult.PageIO, a figure of
+// the write that no cumulative counter can give. Everything per shard —
+// its cost, what Stats reports — is read from the ledger itself.
 func (x *index) runPhase(b *batchRun, s int, arrivals bool) {
 	w, io := b.work[s], x.shards[s].io
 	before := io.Foreground()

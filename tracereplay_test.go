@@ -2,6 +2,8 @@ package burtree
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,7 +13,7 @@ import (
 // This file is the canonical cross-front-end equivalence test: one
 // recorded trace of inserts, updates, deletes, window queries and k-NN
 // queries is replayed against Index, ConcurrentIndex and ShardedIndex
-// (both partitioning schemes), and all observation profiles — final
+// (at several shard counts), and all observation profiles — final
 // object tables, window-query id sets and NN distance profiles — must
 // be identical. The suites for each front-end call replayEquivalence
 // with their own configurations.
@@ -236,4 +238,69 @@ func TestTraceReplaySkewed(t *testing.T) {
 		named("ShardedIndex-8+memtable",
 			shardedSubject(memtableOpts(opts), ShardOptions{Shards: 8})),
 	)
+}
+
+// TestTraceReplayZipfian replays a zipfian hotspot trace — hot objects
+// drifting toward a few wandering hotspots, so most moves concentrate in
+// a few shards and many cross a boundary — against the plain index and
+// sharded indexes of four and five shards, whose answers must be the
+// plain index's.
+func TestTraceReplayZipfian(t *testing.T) {
+	n, ops := 800, 4000
+	if testing.Short() {
+		n, ops = 400, 1500
+	}
+	tr := workload.BuildMixedTrace(workload.Spec{
+		NumObjects:  n,
+		MaxDistance: 0.05,
+		ZipfTheta:   0.9,
+		Hotspots:    3,
+		HotspotPull: 0.6,
+		Seed:        77,
+	}, ops, workload.DefaultMixedRatios())
+	opts := Options{Strategy: GeneralizedBottomUp, BufferPages: 48, ExpectedObjects: n}
+	replayEquivalence(t, tr,
+		indexSubject(opts),
+		shardedSubject(opts, ShardOptions{Shards: 4}),
+		shardedSubject(opts, ShardOptions{Shards: 5}),
+	)
+}
+
+// TestZipfianTraceIsSkewed sanity-checks that the zipfian trace
+// TestTraceReplayZipfian replays actually concentrates spatial load: the
+// busiest deciles of the space receive disproportionally many updates.
+func TestZipfianTraceIsSkewed(t *testing.T) {
+	spec := workload.Spec{
+		NumObjects:  500,
+		MaxDistance: 0.05,
+		ZipfTheta:   1.1,
+		Hotspots:    2,
+		HotspotPull: 0.8,
+		Seed:        5,
+	}
+	// An empty ratio struct makes every operation an update.
+	tr := workload.BuildMixedTrace(spec, 4000, workload.MixedTraceRatios{})
+	counts := make(map[int]int)
+	total := 0
+	for _, op := range tr.Ops {
+		if op.Kind != workload.TraceUpdate {
+			continue
+		}
+		cellX := int(math.Min(op.P.X, 0.999) * 10)
+		cellY := int(math.Min(op.P.Y, 0.999) * 10)
+		counts[cellY*10+cellX]++
+		total++
+	}
+	loads := make([]int, 0, len(counts))
+	for _, c := range counts {
+		loads = append(loads, c)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(loads)))
+	top := 0
+	for i := 0; i < len(loads) && i < 10; i++ {
+		top += loads[i]
+	}
+	if frac := float64(top) / float64(total); frac < 0.4 {
+		t.Fatalf("top 10 cells carry %.2f of updates, want >= 0.4 (hotspot trace not skewed)", frac)
+	}
 }
