@@ -27,10 +27,14 @@ lint: burlint
 	$(GO) vet ./...
 	$(GO) test ./internal/lint/...
 
-# allocs enforces the hot-path allocation budgets committed in
-# BENCH_allocs.json (see allocbench_test.go).
+# allocs is the allocation gate: TestAllocBudget holds the write, churn
+# and read windows to the budgets committed in BENCH_allocs.json (see
+# allocbench_test.go), and the per-layer tests hold the overlay reads
+# exact and the tree's search, its overflow path, the batch planner,
+# LBU's batch pass and a blocked DGL acquire at zero allocations.
+ALLOC_TESTS = TestAllocBudget|TestOverlayReadAllocsIgnoreDepth|TestSearchAllocatesNothing|TestOverflowPathAllocatesNothing|TestPlanningReusesItsBuffers|TestLBUBatchAllocatesNothing|TestBlockedAcquireAllocatesNothing
 allocs:
-	$(GO) test -run TestAllocBudget -count=1 -v .
+	$(GO) test -run '^($(ALLOC_TESTS))$$' -count=1 -v . ./internal/rtree ./internal/core ./internal/dgl
 
 # scale runs the two-writer scaling instrument (scale_test.go): µs/move,
 # wall and CPU, for one batch writer, two on one ConcurrentIndex and two

@@ -2,11 +2,15 @@ package burtree_test
 
 // Per-op allocation benchmarks for the hot update paths and the read
 // paths, plus the budget gate that holds them to the thresholds committed
-// in BENCH_allocs.json. The static side of the same contract is the
-// hotpath analyzer (internal/lint/analyzers/hotpath): burlint rejects
-// per-op allocation sites reachable from //burlint:hotpath roots, and
-// this gate catches what escapes static analysis (allocations inside
-// the runtime, map growth, append growth).
+// in BENCH_allocs.json. Each window drives whole public calls, so it
+// counts every allocation under them: a make or a closure in the code,
+// and also what the runtime does on the code's behalf (map growth,
+// append growth, interface boxing). Between them the windows reach
+// single and batched moves under both strategies, Delete and Insert on
+// every kind of index, the DGL lock cycle, splits, forced reinsertion
+// and condensing, the delta tier and the reads. make allocs runs this
+// gate with the per-layer zero-allocation tests (README, "Allocation
+// contract").
 //
 // To re-baseline after an intentional change, run
 //
@@ -30,10 +34,11 @@ import (
 	"burtree"
 )
 
-// batchIndex is the slice of the index API the batch-window benchmark
-// drives; Index and ConcurrentIndex both provide it.
-type batchIndex interface {
+// windowIndex is the slice of the index API the batch and churn windows
+// drive; Index and ConcurrentIndex both provide it.
+type windowIndex interface {
 	Insert(id uint64, p burtree.Point) error
+	Delete(id uint64) error
 	Location(id uint64) (burtree.Point, bool)
 	UpdateBatch(changes []burtree.Change) (burtree.BatchResult, error)
 }
@@ -47,21 +52,28 @@ func allocBenchOptions(s burtree.Strategy) burtree.Options {
 	return burtree.Options{Strategy: s, ExpectedObjects: allocBenchObjects, BufferPages: 256}
 }
 
-// benchAllocUpdateBatch drives steady-state batched updates against x
-// once populated; allocs/op is the allocation cost of one whole batch
-// window (256 moves).
-func benchAllocUpdateBatch(b *testing.B, x batchIndex, err error) {
-	const n = allocBenchObjects
-	const batch = 256
+// fillIndex inserts allocBenchObjects uniform objects into x, one Insert
+// at a time, and returns the generator the window goes on with.
+func fillIndex(b *testing.B, x windowIndex, err error) *rand.Rand {
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
+	for i := 0; i < allocBenchObjects; i++ {
 		if err := x.Insert(uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return rng
+}
+
+// benchAllocUpdateBatch drives steady-state batched updates against x
+// once populated; allocs/op is the allocation cost of one whole batch
+// window (256 moves).
+func benchAllocUpdateBatch(b *testing.B, x windowIndex, err error) {
+	const n = allocBenchObjects
+	const batch = 256
+	rng := fillIndex(b, x, err)
 	changes := make([]burtree.Change, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -80,9 +92,66 @@ func benchAllocUpdateBatch(b *testing.B, x batchIndex, err error) {
 	}
 }
 
+// benchAllocChurn drives steady-state churn against x once populated:
+// each window deletes 128 objects one Delete at a time and inserts each
+// again near where it was, so allocs/op is the allocation cost of 128
+// Delete+Insert pairs.
+func benchAllocChurn(b *testing.B, x windowIndex, err error) {
+	const n = allocBenchObjects
+	rng := fillIndex(b, x, err)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 128; j++ {
+			id := uint64(rng.Intn(n))
+			p, _ := x.Location(id)
+			if err := x.Delete(id); err != nil {
+				b.Fatal(err)
+			}
+			if err := x.Insert(id, burtree.Point{
+				X: p.X + (rng.Float64()*2-1)*0.03,
+				Y: p.Y + (rng.Float64()*2-1)*0.03,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkUpdateBatchAllocsGBU(b *testing.B) {
 	x, err := burtree.Open(allocBenchOptions(burtree.GeneralizedBottomUp))
 	benchAllocUpdateBatch(b, x, err)
+}
+
+// BenchmarkUpdateBatchAllocsTD is the same window on the zero-value
+// strategy: every member of a batch goes down from the root.
+func BenchmarkUpdateBatchAllocsTD(b *testing.B) {
+	x, err := burtree.Open(allocBenchOptions(burtree.TopDown))
+	benchAllocUpdateBatch(b, x, err)
+}
+
+// BenchmarkChurnAllocsGBU is the churn window on a plain Index: the
+// stack's Delete and the tree's Insert, one call at a time.
+func BenchmarkChurnAllocsGBU(b *testing.B) {
+	x, err := burtree.Open(allocBenchOptions(burtree.GeneralizedBottomUp))
+	benchAllocChurn(b, x, err)
+}
+
+// BenchmarkChurnAllocsConcurrent is the churn window through
+// ConcurrentIndex, whose Insert and Delete take their granule locks per
+// call.
+func BenchmarkChurnAllocsConcurrent(b *testing.B) {
+	x, err := burtree.OpenConcurrent(allocBenchOptions(burtree.GeneralizedBottomUp))
+	benchAllocChurn(b, x, err)
+}
+
+// BenchmarkChurnAllocsMemtable is the churn window absorbed by the delta
+// tier (its threshold never trips): the tier's Delete and Insert.
+func BenchmarkChurnAllocsMemtable(b *testing.B) {
+	opts := allocBenchOptions(burtree.GeneralizedBottomUp)
+	opts.Memtable = burtree.Memtable{Enabled: true, MaxObjects: 1 << 20}
+	x, err := burtree.Open(opts)
+	benchAllocChurn(b, x, err)
 }
 
 // BenchmarkUpdateAllocsGBU is the same window of 256 moves issued one
@@ -91,15 +160,7 @@ func BenchmarkUpdateBatchAllocsGBU(b *testing.B) {
 func BenchmarkUpdateAllocsGBU(b *testing.B) {
 	const n = allocBenchObjects
 	x, err := burtree.Open(allocBenchOptions(burtree.GeneralizedBottomUp))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
-		if err := x.Insert(uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	rng := fillIndex(b, x, err)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -177,15 +238,7 @@ func BenchmarkUpdateBatchAllocsSharded(b *testing.B) {
 func BenchmarkUpdateBatchAllocsOverflow(b *testing.B) {
 	const n = allocBenchObjects
 	x, err := burtree.Open(allocBenchOptions(burtree.GeneralizedBottomUp))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < n; i++ {
-		if err := x.Insert(uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	rng := fillIndex(b, x, err)
 	changes := make([]burtree.Change, 256)
 	before := x.Stats()
 	b.ReportAllocs()
@@ -336,10 +389,14 @@ func TestOverlayReadAllocsIgnoreDepth(t *testing.T) {
 var allocBudgetBenches = map[string]func(*testing.B){
 	"UpdateGBU":                BenchmarkUpdateAllocsGBU,
 	"UpdateBatchGBU":           BenchmarkUpdateBatchAllocsGBU,
+	"UpdateBatchTD":            BenchmarkUpdateBatchAllocsTD,
 	"UpdateBatchConcurrentGBU": BenchmarkUpdateBatchAllocsConcurrentGBU,
 	"UpdateBatchSharded":       BenchmarkUpdateBatchAllocsSharded,
 	"UpdateBatchOverflow":      BenchmarkUpdateBatchAllocsOverflow,
 	"UpdateBatchMemtable":      BenchmarkUpdateBatchAllocsMemtable,
+	"ChurnGBU":                 BenchmarkChurnAllocsGBU,
+	"ChurnConcurrent":          BenchmarkChurnAllocsConcurrent,
+	"ChurnMemtable":            BenchmarkChurnAllocsMemtable,
 	"SearchIndex":              BenchmarkSearchAllocsIndex,
 	"SearchMemtable":           BenchmarkSearchAllocsMemtable,
 	"NearestMemtable":          BenchmarkNearestAllocsMemtable,
@@ -353,9 +410,9 @@ type allocBudgetFile struct {
 	Budgets map[string]int64 `json:"budgets"`
 }
 
-// TestAllocBudget fails when a hot-path benchmark exceeds its
-// committed allocs/op threshold — the dynamic complement of the
-// hotpath analyzer. Run without -short (CI has a dedicated step).
+// TestAllocBudget fails when a window benchmark exceeds its committed
+// allocs/op threshold. Run without -short: make allocs runs it, beside
+// the per-layer zero-allocation tests, as CI's allocation gate.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget gate runs full benchmarks; skipped with -short")

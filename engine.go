@@ -322,9 +322,9 @@ func (x *index) Delete(id uint64) error { return x.writeOne(opDelete, id, Point{
 // UpdateBatch moves many objects at once through the batched bottom-up
 // pipeline: repeated moves of the same object are coalesced to the last
 // position — once, against the index's one object table — and the
-// surviving changes are routed to the stacks by target cell. Each stack
-// sorts its in-shard moves into per-leaf runs with one leaf lookup each and
-// applies each run in one bottom-up pass — one leaf read, one MBR
+// surviving changes are routed to the Hilbert range that owns each new
+// position. Each stack sorts its in-shard moves into per-leaf runs with
+// one leaf lookup each and applies each run in one bottom-up pass — one leaf read, one MBR
 // extension decision covering the whole group, one write — falling back
 // to the configured strategy's per-object path only for the changes the
 // group pass cannot resolve; a stack handed a single move makes it through

@@ -276,22 +276,16 @@ func (h Handle) Release() error {
 
 // Pin pins the page for reading. Each call is one logical page read: a
 // buffer hit or a physical read.
-//
-//burlint:hotpath
 func (p *Pool) Pin(id pagestore.PageID) (Handle, error) { return p.pin(id, pinShared) }
 
 // PinExclusive pins the page for a read-modify-write: one logical page
 // read, after which the caller may patch Bytes and MarkDirty.
-//
-//burlint:hotpath
 func (p *Pool) PinExclusive(id pagestore.PageID) (Handle, error) { return p.pin(id, pinExclusive) }
 
 // PinOverwrite pins the page for a whole-page write. It performs no
 // logical read: a cached page is handed over as it is, a page that is
 // not cached as a frame of garbage, so the caller must either store all
 // of Bytes and MarkDirty, or store nothing.
-//
-//burlint:hotpath
 func (p *Pool) PinOverwrite(id pagestore.PageID) (Handle, error) {
 	p.mu.Lock()
 	if f := p.cachedLocked(id); f != nil {
@@ -343,8 +337,6 @@ func (p *Pool) WritePage(id pagestore.PageID, src []byte) error {
 }
 
 // pin is Pin and PinExclusive.
-//
-//burlint:hotpath
 func (p *Pool) pin(id pagestore.PageID, mode pinMode) (Handle, error) {
 	p.mu.Lock()
 	if r := p.cachedLocked(id); r != nil {

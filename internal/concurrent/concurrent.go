@@ -274,8 +274,6 @@ func scopePages(sc core.Scope) ([2]rtree.PageID, int) {
 // granted as a whole right now. A set of more than stackCells cells is
 // not tried at all: the visit would be a long one, and everybody else's
 // wait at the table's door with it.
-//
-//burlint:hotpath
 func (d *DB) tryLock(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.GranuleID, pages []rtree.PageID) bool {
 	if d.refuseTry || len(cells) > stackCells {
 		return false
@@ -309,8 +307,6 @@ func (d *DB) tryLock(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.Gran
 // granules one by one with no latch held, then read the scope again
 // under the latch and start over if somebody re-parented the leaf in
 // between.
-//
-//burlint:hotpath
 func (d *DB) lockLeaf(ga core.GroupApplier, txn *dgl.Txn, leaf rtree.PageID, cells []dgl.GranuleID) bool {
 	d.latch.RLock()
 	scope, err := ga.LeafScope(leaf)
@@ -632,8 +628,6 @@ func (d *DB) applyRuns(ga core.GroupApplier, runs []core.LeafRun, residue []core
 // before and after, and resolves as much of the run as the scope can
 // hold under the shared latch; the members it cannot are appended to
 // residue, which is returned.
-//
-//burlint:hotpath
 func (d *DB) applyGroup(ga core.GroupApplier, txn *dgl.Txn, run core.LeafRun, residue []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) ([]core.BatchChange, error) {
 	var cellBuf [stackCells]dgl.GranuleID
 	cells := cellBuf[:0]

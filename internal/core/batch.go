@@ -241,8 +241,6 @@ func ReturnPlan(p *Plan) { plans.Put(p) }
 // OrderForGrouping's bucket-clustered order, and sorts the changes into
 // per-leaf runs of one flat slice, overwriting p. The input is not
 // modified.
-//
-//burlint:hotpath
 func PlanBatch(p *Plan, u Updater, ga GroupApplier, changes []BatchChange) {
 	p.Loose, p.Residue = p.Loose[:0], p.Residue[:0]
 	ps := p.ps[:0]
@@ -297,8 +295,6 @@ func HasOID(changes []BatchChange, oid rtree.OID) bool {
 // application order (not the caller's); on error the batch stops, so
 // done has been called for exactly the applied changes (a batch is not
 // atomic).
-//
-//burlint:hotpath
 func ApplyBatch(u Updater, changes []BatchChange, done func(BatchChange)) (BatchStats, error) {
 	var st BatchStats
 	applySequential := func(cs []BatchChange) error {

@@ -103,8 +103,6 @@ func (b *bottomUp) LeafOf(oid rtree.OID) (rtree.PageID, error) {
 // Update moves an object bottom-up: the scheme's no-I/O check, then
 // "locate via the secondary object-ID index the leaf node" and run the
 // per-object path strictly.
-//
-//burlint:hotpath
 func (b *bottomUp) Update(oid rtree.OID, old, new geom.Point) error {
 	if b.alg.topDownFirst(new, false) {
 		_, err := b.topDown(oid, geom.RectFromPoint(old), geom.RectFromPoint(new))

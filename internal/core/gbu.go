@@ -79,8 +79,6 @@ func (s *gbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
 // disk, we carry on with the query as usual"), so only the overlapping
 // parent-of-leaf nodes and leaves are read. Nearest has no such variant:
 // the summary holds no leaf entries, and they decide the ranking.
-//
-//burlint:hotpath
 func (s *gbuStrategy) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool) error {
 	t := s.tree
 	if s.opts.NoSummaryQueries || t.Height() <= 1 {
@@ -393,8 +391,6 @@ func (s *gbuStrategy) LeafScope(leaf rtree.PageID) (Scope, error) {
 // its parent entry are written back once for the whole group. Fast
 // movers, underflow risks and points beyond the achievable extension
 // are appended to unresolved, untouched, for the per-object path.
-//
-//burlint:hotpath
 func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []BatchChange) ([]BatchChange, error) {
 	t := s.tree
 	if t.Height() <= 1 {

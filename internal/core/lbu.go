@@ -178,8 +178,6 @@ func (s *lbuStrategy) LeafScope(leaf rtree.PageID) (Scope, error) {
 // movement direction, so a single Kwon-style eMBR covers every change
 // the sequential path could have resolved by extension. The leaf and
 // the parent's mirroring entry are written back once for the group.
-//
-//burlint:hotpath
 func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []BatchChange) ([]BatchChange, error) {
 	t := s.tree
 	leaf, err := t.BorrowNode(leafPage)

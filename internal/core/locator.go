@@ -68,8 +68,6 @@ func newLeafMap(capacity int) *leafMap {
 func (m *leafMap) stripe(oid uint64) *leafStripe { return &m.stripes[oid%leafMapStripes] }
 
 // Lookup returns the leaf page currently holding oid.
-//
-//burlint:hotpath
 func (m *leafMap) Lookup(oid uint64) (pagestore.PageID, error) {
 	s := m.stripe(oid)
 	s.mu.Lock()
@@ -82,8 +80,6 @@ func (m *leafMap) Lookup(oid uint64) (pagestore.PageID, error) {
 }
 
 // Set maps oid to leaf, inserting or updating as needed.
-//
-//burlint:hotpath
 func (m *leafMap) Set(oid uint64, leaf pagestore.PageID) error {
 	s := m.stripe(oid)
 	s.mu.Lock()

@@ -327,8 +327,6 @@ type Req struct {
 // by a stream of try-ers — it reports false and the table is as it was,
 // with no entry made for a granule nobody holds. A granule txn already
 // holds is converted to the covering mode, as Acquire would.
-//
-//burlint:hotpath
 func (m *Manager) TryAcquireAll(txn *Txn, reqs []Req) bool {
 	m.mu.Lock()
 	for _, r := range reqs {

@@ -88,8 +88,6 @@ func (x *Index) bucketFor(oid uint64) int {
 func (x *Index) Bucket(oid uint64) int { return x.bucketFor(oid) }
 
 // Lookup returns the leaf page currently holding oid.
-//
-//burlint:hotpath
 func (x *Index) Lookup(oid uint64) (pagestore.PageID, error) {
 	b := x.bucketFor(oid)
 	st := &x.stripes[b%len(x.stripes)]
@@ -118,8 +116,6 @@ func (x *Index) Lookup(oid uint64) (pagestore.PageID, error) {
 
 // Set maps oid to leaf, inserting or updating as needed. Updating an
 // entry to the leaf it already maps to performs no write.
-//
-//burlint:hotpath
 func (x *Index) Set(oid uint64, leaf pagestore.PageID) error {
 	if leaf == pagestore.InvalidPage {
 		return fmt.Errorf("hashindex: mapping oid %d to invalid page", oid)

@@ -46,9 +46,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Prog is the package's interprocedural view — functions, CFGs,
-	// call graph, shared facts — built once per RunAnalyzers invocation
-	// and shared by every analyzer in the suite.
+	// Prog is the package's interprocedural view — functions, call
+	// graph, shared facts — built once per RunAnalyzers invocation and
+	// shared by every analyzer in the suite.
 	Prog *Program
 
 	report func(Diagnostic)

@@ -8,11 +8,10 @@ import (
 )
 
 // A Program is the interprocedural view of one package under analysis:
-// every declared function with its (lazily built) CFG, a call graph
-// whose edges are resolved statically — including devirtualized calls
-// through interfaces to their package-local implementations — and a
-// facts store so analyzers can share computed summaries within one
-// RunAnalyzers invocation.
+// every declared function, a call graph whose edges are resolved
+// statically — including devirtualized calls through interfaces to
+// their package-local implementations — and a facts store so analyzers
+// can share computed summaries within one RunAnalyzers invocation.
 //
 // The graph covers the package under analysis: calls into other
 // packages appear as call sites with no targets (the vet unitchecker
@@ -40,8 +39,6 @@ type Func struct {
 	// the declaring function: if the literal runs, it runs on the
 	// declarer's behalf).
 	Calls []*CallSite
-
-	cfg *CFG
 }
 
 // A CallSite is one call expression with its resolved targets.
@@ -94,15 +91,6 @@ func NewProgram(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 // FuncOf returns the Func for a declared function object, or nil.
 func (p *Program) FuncOf(obj *types.Func) *Func {
 	return p.Funcs[obj]
-}
-
-// CFGOf returns fn's control-flow graph, building it on first use.
-// Nil for functions without bodies.
-func (p *Program) CFGOf(fn *Func) *CFG {
-	if fn.cfg == nil && fn.Decl.Body != nil {
-		fn.cfg = NewCFG(fn.Decl.Body)
-	}
-	return fn.cfg
 }
 
 // SortedFuncs returns the package's functions in source order, so

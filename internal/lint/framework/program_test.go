@@ -32,122 +32,6 @@ func typecheck(t *testing.T, src string) (*token.FileSet, []*ast.File, *types.Pa
 	return fset, []*ast.File{f}, pkg, info
 }
 
-func funcDecl(files []*ast.File, name string) *ast.FuncDecl {
-	for _, f := range files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
-				return fd
-			}
-		}
-	}
-	return nil
-}
-
-func TestCFGShapes(t *testing.T) {
-	_, files, _, _ := typecheck(t, `package p
-
-import "errors"
-
-func branches(n int) (int, error) {
-	total := 0
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			continue
-		}
-		total += i
-		if total > 100 {
-			break
-		}
-	}
-	switch {
-	case n < 0:
-		return 0, errors.New("negative")
-	case n == 0:
-		goto done
-	}
-	total++
-done:
-	return total, nil
-}
-`)
-	cfg := NewCFG(funcDecl(files, "branches").Body)
-	if cfg.Entry == nil || cfg.Exit == nil || len(cfg.Blocks) < 6 {
-		t.Fatalf("implausible CFG: %d blocks", len(cfg.Blocks))
-	}
-	// Every reachable block's successors must be in the block list, and
-	// the exit must be reachable from the entry.
-	index := make(map[*Block]bool)
-	for _, b := range cfg.Blocks {
-		index[b] = true
-	}
-	seen := make(map[*Block]bool)
-	var walk func(*Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			if !index[s] {
-				t.Fatalf("block %d has successor outside Blocks", b.Index)
-			}
-			walk(s)
-		}
-	}
-	walk(cfg.Entry)
-	if !seen[cfg.Exit] {
-		t.Fatal("exit unreachable from entry")
-	}
-}
-
-// TestCFGMustFail: the blocks that must fail — the error return and the
-// panic — are the ones Fails reports; the loop's steady state and the
-// nil return are not.
-func TestCFGMustFail(t *testing.T) {
-	_, files, _, _ := typecheck(t, `package p
-
-import "fmt"
-
-func f(xs []int) (int, error) {
-	sum := 0
-	for _, x := range xs {
-		if x < 0 {
-			return 0, fmt.Errorf("negative %d", x)
-		}
-		if x == 0 {
-			sum--
-			continue
-		}
-		sum += x
-	}
-	if sum > 1000 {
-		panic("overflow")
-	}
-	return sum, nil
-}
-`)
-	cfg := NewCFG(funcDecl(files, "f").Body)
-
-	returns, panics := 0, 0
-	for _, b := range cfg.Blocks {
-		if !b.Fails() {
-			continue
-		}
-		switch last := b.Nodes[len(b.Nodes)-1]; {
-		case isPanicNode(last):
-			panics++
-		default:
-			if r, ok := last.(*ast.ReturnStmt); !ok || !returnsNonNil(r) {
-				t.Errorf("block %d fails but does not end in an error return or a panic", b.Index)
-			}
-			returns++
-		}
-	}
-	if returns != 1 || panics != 1 {
-		t.Errorf("failing blocks: %d error returns and %d panics, want 1 and 1", returns, panics)
-	}
-}
-
 func TestProgramCallGraph(t *testing.T) {
 	fset, files, pkg, info := typecheck(t, `package p
 

@@ -15,14 +15,15 @@
 // test executes has no analyzer here: WAL-before-ack and
 // undo-on-failure (the failure matrices in the root package), goroutine
 // lifetime (TestCloseJoinsEveryGoroutine and the failed-open and
-// failed-recovery tests) and atomic snapshot replacement
-// (TestFailedCheckpointKeepsPreviousSnapshot). Neither has one that a
-// stock vet pass already reports (copied locks: copylocks). What is left:
+// failed-recovery tests), atomic snapshot replacement
+// (TestFailedCheckpointKeepsPreviousSnapshot) and the per-op allocation
+// budget (make allocs: TestAllocBudget's windows and the per-layer
+// zero-allocation tests). Neither has one that a stock vet pass already
+// reports (copied locks: copylocks). What is left:
 //
-//   - lockorder and hotpath guard protocols whose breach no test
-//     observes reliably — a lock-order inversion deadlocks only under
-//     the wrong interleaving, and an allocation in a hot loop is slow,
-//     not wrong. Each caught a planted regression by mutation.
+//   - lockorder guards a protocol whose breach no test observes
+//     reliably: a lock-order inversion deadlocks only under the wrong
+//     interleaving. It caught a planted regression by mutation.
 //   - closecheck guards a dropped Close or Sync error. No test can make
 //     one of those calls fail until the store and the log sit on a
 //     fault-injecting file layer; when they do, the analyzer's case is
@@ -31,14 +32,13 @@ package lint
 
 import (
 	"burtree/internal/lint/analyzers/closecheck"
-	"burtree/internal/lint/analyzers/hotpath"
 	"burtree/internal/lint/analyzers/lockorder"
 	"burtree/internal/lint/framework"
 )
 
 // All returns the full suite.
 func All() []*framework.Analyzer {
-	return []*framework.Analyzer{closecheck.Analyzer, hotpath.Analyzer, lockorder.Analyzer}
+	return []*framework.Analyzer{closecheck.Analyzer, lockorder.Analyzer}
 }
 
 // ByName returns the analyzer with the given name, or nil.

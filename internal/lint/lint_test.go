@@ -26,14 +26,13 @@ func run(t *testing.T, name string) {
 }
 
 func TestClosecheck(t *testing.T) { run(t, "closecheck") }
-func TestHotpath(t *testing.T)    { run(t, "hotpath") }
 func TestLockorder(t *testing.T)  { run(t, "lockorder") }
 
-// TestRegistry pins the suite's composition: three analyzers, all with
+// TestRegistry pins the suite's composition: two analyzers, both with
 // docs.
 func TestRegistry(t *testing.T) {
 	all := lint.All()
-	want := []string{"closecheck", "hotpath", "lockorder"}
+	want := []string{"closecheck", "lockorder"}
 	if len(all) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(all), len(want))
 	}

@@ -392,8 +392,6 @@ func (t *Table) full() bool {
 // Update and Delete it reports whether the mutable generation now stands
 // at the size threshold, so the caller's ack path need not ask
 // NeedsMerge.
-//
-//burlint:hotpath
 func (t *Table) Insert(id uint64, p geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -413,8 +411,6 @@ func (t *Table) Insert(id uint64, p geom.Point) (full bool) {
 // Update absorbs a move of a live object to p; cur is the object's
 // current position from the caller's object table (the tree's position
 // when no delta is buffered).
-//
-//burlint:hotpath
 func (t *Table) Update(id uint64, p, cur geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -440,8 +436,6 @@ func (t *Table) Update(id uint64, p, cur geom.Point) (full bool) {
 // position, as for Update. Deltas for objects the tree never saw
 // cancel outright; tree-resident objects leave a tombstone for the
 // merge to delete.
-//
-//burlint:hotpath
 func (t *Table) Delete(id uint64, cur geom.Point) (full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -100,8 +100,6 @@ func (t *Tree) findLeaf(n *Node, oid OID, at geom.Rect, path []*Node) ([]*Node, 
 // is scanned in place for the entry and decoded only when it holds it
 // (found); an internal node is decoded for the descent to continue. It
 // returns no node for a leaf without the entry.
-//
-//burlint:hotpath
 func (t *Tree) probe(page pagestore.PageID, oid OID, at geom.Rect) (n *Node, found bool, err error) {
 	r, err := t.PinNode(page)
 	if err != nil {

@@ -15,8 +15,6 @@ import (
 // Insert does not check for duplicate object ids; callers that need
 // uniqueness enforce it above this layer (the facade keeps an object
 // table). A rect that is not a point is refused with ErrNotPoint.
-//
-//burlint:hotpath
 func (t *Tree) Insert(oid OID, rect geom.Rect) error {
 	if err := checkData(oid, rect); err != nil {
 		return err
@@ -68,8 +66,6 @@ func checkData(oid OID, rect geom.Rect) error {
 //
 // The caller is responsible for accounting (size) when e is a data entry
 // that is logically new; for GBU updates the object count is unchanged.
-//
-//burlint:hotpath
 func (t *Tree) InsertEntryAt(abovePath []pagestore.PageID, start pagestore.PageID, e Entry, targetLevel int) error {
 	op := t.borrowOp()
 	defer t.returnOp(op)
@@ -286,8 +282,6 @@ func (t *Tree) absorb(parent *Node, isRoot bool, below written, sibling *Node, o
 // whose child did not split: it mirrors the child's MBR in the node on
 // page and recomputes the node's own, patching both in place. With the
 // mirror already exact nothing is written.
-//
-//burlint:hotpath
 func (t *Tree) tighten(page pagestore.PageID, below written) (changed bool, _ written, err error) {
 	r, err := t.PinNodeForPatch(page)
 	if err != nil {
@@ -428,8 +422,6 @@ func (t *Tree) growRoot(oldRoot written, sibling *Node) error {
 // setParent rewrites the parent pointer of the node on page child, in
 // place. Each call costs one read and one write, which is exactly the
 // maintenance overhead the paper attributes to parent-pointer schemes.
-//
-//burlint:hotpath
 func (t *Tree) setParent(child, parent pagestore.PageID) error {
 	r, err := t.PinNodeForPatch(child)
 	if err != nil {

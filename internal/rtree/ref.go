@@ -24,8 +24,6 @@ type NodeRef struct {
 // PinNode pins the node on page for reading. Each call performs one
 // logical page read (a disk read or a buffer hit), like ReadNode, and
 // validates the header the way decoding does.
-//
-//burlint:hotpath
 func (t *Tree) PinNode(page pagestore.PageID) (NodeRef, error) {
 	h, err := t.pool.Pin(page)
 	return t.ref(page, h, err)
@@ -35,8 +33,6 @@ func (t *Tree) PinNode(page pagestore.PageID) (NodeRef, error) {
 // read, after which the setters may patch single fields. It stands for a
 // ReadNode whose WriteNode follows with no other page access in between;
 // Release fires the listener as that WriteNode would have.
-//
-//burlint:hotpath
 func (t *Tree) PinNodeForPatch(page pagestore.PageID) (NodeRef, error) {
 	h, err := t.pool.PinExclusive(page)
 	return t.ref(page, h, err)
@@ -182,8 +178,6 @@ func (r *NodeRef) Release() error {
 // changed. It is the in-place form of ReadNode, Entries[i].Rect = rect,
 // WriteNode: one logical read, the page always written, the parent's own
 // MBR left as it is.
-//
-//burlint:hotpath
 func (t *Tree) SetChildRect(parent, child pagestore.PageID, rect geom.Rect) error {
 	r, err := t.PinNodeForPatch(parent)
 	if err != nil {

@@ -13,8 +13,6 @@ import (
 // internal node — reading them where they lie, and reports the node's
 // level. It performs one logical page read and holds no pin when it
 // returns, so the caller may visit out at leisure.
-//
-//burlint:hotpath
 func (t *Tree) ScanNode(page pagestore.PageID, q geom.Rect, out []Entry) (level int, _ []Entry, err error) {
 	r, err := t.PinNode(page)
 	if err != nil {
@@ -41,8 +39,6 @@ func (t *Tree) ScanNode(page pagestore.PageID, q geom.Rect, out []Entry) (level 
 // Search visits every data entry whose rectangle intersects q. The visit
 // callback returns false to stop early; it runs with no page pinned.
 // Traversal order is unspecified.
-//
-//burlint:hotpath
 func (t *Tree) Search(q geom.Rect, visit func(oid OID, r geom.Rect) bool) error {
 	if t.root == pagestore.InvalidPage {
 		return nil
@@ -118,8 +114,6 @@ type Neighbor struct {
 // NearestK returns the k data entries nearest to p in increasing distance
 // order: the first k of NearestFunc's stream. It is an extension beyond
 // the paper's evaluation, provided for library completeness.
-//
-//burlint:hotpath
 func (t *Tree) NearestK(p geom.Point, k int) ([]Neighbor, error) {
 	if k <= 0 {
 		return nil, nil
@@ -142,8 +136,6 @@ func (t *Tree) NearestK(p geom.Point, k int) ([]Neighbor, error) {
 // than the last entry visited, so a caller that stops after n entries
 // pays for n, whatever it discarded on the way. visit runs with no page
 // pinned.
-//
-//burlint:hotpath
 func (t *Tree) NearestFunc(p geom.Point, visit func(Neighbor) bool) error {
 	if t.root == pagestore.InvalidPage {
 		return nil

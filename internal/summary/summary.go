@@ -200,8 +200,6 @@ func (s *Structure) cover(id pagestore.PageID) *slot {
 }
 
 // NodeWritten maintains the table and bit vector (rtree.Listener).
-//
-//burlint:hotpath
 func (s *Structure) NodeWritten(page pagestore.PageID, level int, self geom.Rect, children []pagestore.PageID, count int) {
 	if level == 0 {
 		// A write to a leaf the table already tracks — every in-leaf move —
@@ -352,15 +350,11 @@ func (s *Structure) Root() (pagestore.PageID, int) {
 // RootMBR returns the MBR of the root node without disk access. For a
 // leaf root (height 1) the table has no entry and ok is false; GBU then
 // falls back to reading the root, which is a single page anyway.
-//
-//burlint:hotpath
 func (s *Structure) RootMBR() (geom.Rect, bool) {
 	return s.MBROf(s.rootNow().page)
 }
 
 // ParentOf returns the parent page of node, resolved entirely in memory.
-//
-//burlint:hotpath
 func (s *Structure) ParentOf(node pagestore.PageID) (pagestore.PageID, bool) {
 	if sl := s.at(node); sl != nil {
 		if parent := pagestore.PageID(sl.parent.Load()); parent != pagestore.InvalidPage {
@@ -371,8 +365,6 @@ func (s *Structure) ParentOf(node pagestore.PageID) (pagestore.PageID, bool) {
 }
 
 // MBROf returns the table MBR of an internal node.
-//
-//burlint:hotpath
 func (s *Structure) MBROf(page pagestore.PageID) (geom.Rect, bool) {
 	if sl := s.at(page); sl != nil {
 		if info := sl.info.Load(); info != nil {
@@ -384,16 +376,12 @@ func (s *Structure) MBROf(page pagestore.PageID) (geom.Rect, bool) {
 
 // IsLeafFull consults the bit vector; a missing leaf reads as full so
 // that a stale sibling candidate is never chosen.
-//
-//burlint:hotpath
 func (s *Structure) IsLeafFull(page pagestore.PageID) bool {
 	count, ok := s.LeafCount(page)
 	return !ok || count >= s.maxLeafEntries
 }
 
 // LeafCount returns the recorded entry count of a leaf.
-//
-//burlint:hotpath
 func (s *Structure) LeafCount(page pagestore.PageID) (int, bool) {
 	if sl := s.at(page); sl != nil {
 		if fill := sl.fill.Load(); fill != 0 {
@@ -433,8 +421,6 @@ func (r *FindParentResult) PathAbove() []pagestore.PageID { return r.path[:r.abo
 // (maxLevel ≥ height-1 means unrestricted). If no ancestor within the
 // threshold contains p, the root is returned, matching the algorithm's
 // "return(root offset)".
-//
-//burlint:hotpath
 func (s *Structure) FindParent(leaf pagestore.PageID, p geom.Point, maxLevel int) (FindParentResult, error) {
 	root := s.rootNow()
 	if root.page == pagestore.InvalidPage {
@@ -475,8 +461,6 @@ func (s *Structure) FindParent(leaf pagestore.PageID, p geom.Point, maxLevel int
 // given level whose MBR intersects q, in the order of the level's array.
 // The query assist uses level 1 to decide which parent-of-leaf nodes to
 // read from disk, skipping all higher internal levels entirely.
-//
-//burlint:hotpath
 func (s *Structure) OverlappingAtLevel(level int, q geom.Rect, dst []pagestore.PageID) []pagestore.PageID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

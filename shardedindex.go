@@ -74,8 +74,8 @@ func (o ShardOptions) withDefaults() ShardOptions {
 // queries, bulk loading and snapshots, and is safe for concurrent use by
 // any number of goroutines.
 //
-//   - Writes route by target cell: an object lives in the shard owning
-//     its current position. A move within one shard is that shard's
+//   - Writes route to the Hilbert range that owns the new position: an
+//     object lives in the shard owning its current position. A move within one shard is that shard's
 //     bottom-up update; a move across shards becomes a delete in the
 //     source and an insert in the destination.
 //   - Search and Count scatter to the shards overlapping the window and
@@ -87,9 +87,13 @@ func (o ShardOptions) withDefaults() ShardOptions {
 //
 // Consistency is per shard: a query observes each shard it touches at a
 // consistent point (DGL granule locks, as ConcurrentIndex), but a
-// scatter is not one global snapshot — a reader racing a cross-shard
-// move can miss the mover (read after its delete, before its insert).
-// The dual anomaly, observing the mover twice when shard visits
+// scatter is not one global snapshot. The shards are visited at
+// different instants, so any cross-shard move that lands between two
+// visits hides the mover from the read, not only one caught between
+// its delete and its insert: a measurement with one object moving
+// between two shards found it missing from 58 % of the results on 4
+// shards, and from none on one shard (ROADMAP item 4, which is the
+// fix). The dual anomaly, observing the mover twice when shard visits
 // straddle the move, is absorbed by the gather: Search, SearchFunc,
 // Count and Nearest de-duplicate by id, so a racing reader sees each
 // object at most once. Readers that need a globally consistent view
