@@ -14,12 +14,14 @@ package burtree_test
 //
 // To re-baseline after an intentional change, run
 //
-//	go test -run TestAllocBudget -v .
+//	go test -run TestAllocBudget -count=20 -v .
 //
-// and copy the reported allocs/op into BENCH_allocs.json: a write window
-// with ~25% headroom (the paths are deterministic, but map/append growth
-// varies a little with b.N), a read window at one allocation per read —
-// its result, which is all a read allocates.
+// and copy the reported allocs/op into BENCH_allocs.json:
+// a write window at the highest of the runs, with no headroom (the paths
+// are deterministic; only a window that grows the index, such as new
+// pages in the shards that cross-shard moves fill, reads 1 in some
+// runs), a read window at one allocation per read — its result, which
+// is all a read allocates.
 
 import (
 	"encoding/json"

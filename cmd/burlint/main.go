@@ -1,5 +1,5 @@
-// Command burlint runs the repo's invariant analyzers
-// (internal/lint). It speaks go vet's -vettool protocol (the
+// Command burlint runs the repo's invariant analyzer suite
+// (internal/lint: closecheck). It speaks go vet's -vettool protocol (the
 // unitchecker contract) and nothing else: go vet invokes the tool once
 // per compilation unit — test units included — with a *.cfg file
 // describing sources and export data, and fails the run on a package
@@ -9,7 +9,7 @@
 //	go vet -vettool=$PWD/bin/burlint ./...
 //
 // Diagnostics print as file:line:col: message; the exit status is 1 if
-// there is any. `burlint -list` describes the analyzers.
+// there is any. `burlint -list` describes the suite.
 package main
 
 import (
@@ -49,7 +49,7 @@ func main() {
 		return
 	}
 
-	list := flag.Bool("list", false, "list the analyzers and their invariants")
+	list := flag.Bool("list", false, "describe the suite: each analyzer (closecheck alone) and its invariant")
 	flag.Usage = usage
 	flag.Parse()
 	if *list {
@@ -67,7 +67,7 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   go vet -vettool=$(command -v burlint) [packages]
-  burlint -list            describe the analyzers
+  burlint -list            describe the suite (closecheck) and its invariant
 `)
 }
 

@@ -8,9 +8,15 @@
 // paper's leaf granules; above the cells sit the tree's page granules.
 // Updates take IX on the tree, X on the cells covering the old and new
 // positions and X on the leaf's page scope; queries take IS on the tree
-// and S on the cells covering the window. Granules are acquired in id
-// order (tree, cells, pages), which makes the protocol deadlock-free;
-// timeouts remain as a safety net and are surfaced in the stats.
+// and S on the cells covering the window. Two rules make the protocol
+// deadlock-free: granules are waited for in id order (tree, cells,
+// pages), which dgl's Acquire enforces by panicking on any other; and no
+// granule is waited for with the latch held, which
+// TestBlockedWaitsHoldNoLatch checks for every operation. A timeout then
+// bounds a granule wait behind a holder that does not let go, and is
+// counted in the stats. The latch has no timeout, which is one reason a
+// Search visitor must not call back into the DB: its second read hold
+// queues behind any writer waiting for the latch.
 //
 // A write is applied once. It is resolved to its leaf, the leaf's scope
 // (core.GroupApplier.LeafScope) is locked, and whatever is confined to

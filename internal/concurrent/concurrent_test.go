@@ -656,6 +656,103 @@ func TestRefusedTryFallsBack(t *testing.T) {
 	}
 }
 
+// TestBlockedWaitsHoldNoLatch parks each operation's blocking
+// acquisition behind a granule another owner holds, and requires the
+// latch to be free while the operation waits: a waiter holding the
+// latch, shared or exclusive, keeps the holder of its granule out of the
+// exclusive section that holder may be about to enter, and the two wait
+// for each other. Every optimistic try is refused, so each operation
+// runs the blocking protocol. The obstacle is X on the tree, or X on the
+// object's cell or on its leaf page beside an IX on the tree. Only the
+// updates lock pages, and only a kind that applies at the leaf (GBU)
+// knows the page; TD's updates wait behind the IX on the tree, as in
+// the cell row.
+func TestBlockedWaitsHoldNoLatch(t *testing.T) {
+	const n = 200
+	const oid = rtree.OID(0)
+	nudge := func(p geom.Point) geom.Point { return geom.Point{X: p.X + 0.001, Y: p.Y + 0.001} }
+	ops := []struct {
+		name  string
+		pages bool // locks the object's leaf page
+		run   func(db *DB, at geom.Point) error
+	}{
+		{"Update", true, func(db *DB, at geom.Point) error { return db.Update(oid, at, nudge(at)) }},
+		{"UpdateBatch", true, func(db *DB, at geom.Point) error {
+			_, err := db.UpdateBatch([]core.BatchChange{{OID: oid, Old: at, New: nudge(at)}}, nil)
+			return err
+		}},
+		{"Insert", false, func(db *DB, at geom.Point) error { return db.Insert(n, at) }},
+		{"Delete", false, func(db *DB, at geom.Point) error { return db.Delete(oid, at) }},
+		{"Search", false, func(db *DB, at geom.Point) error {
+			return db.Search(geom.Rect{MinX: at.X, MinY: at.Y, MaxX: at.X, MaxY: at.Y}, func(rtree.OID, geom.Rect) bool { return true })
+		}},
+		{"Nearest", false, func(db *DB, at geom.Point) error {
+			_, err := db.Nearest(at, 1)
+			return err
+		}},
+		{"NearestFunc", false, func(db *DB, at geom.Point) error {
+			return db.NearestFunc(at, func(rtree.Neighbor) bool { return false })
+		}},
+		{"Exclusive", false, func(db *DB, _ geom.Point) error {
+			return db.Exclusive(func(core.Updater) error { return nil })
+		}},
+	}
+	obstacles := []struct {
+		name    string
+		pages   bool // stops only the operations that lock pages
+		granule func(t *testing.T, db *DB, at geom.Point) dgl.GranuleID
+	}{
+		{"X(tree)", false, func(*testing.T, *DB, geom.Point) dgl.GranuleID { return TreeGranule }},
+		{"X(cell)", false, func(_ *testing.T, db *DB, at geom.Point) dgl.GranuleID { return db.cellOf(at) }},
+		{"X(leaf page)", true, func(t *testing.T, db *DB, _ geom.Point) dgl.GranuleID {
+			leaf, err := db.Updater().(core.GroupApplier).LeafOf(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db.pageGranule(leaf)
+		}},
+	}
+	for _, kind := range []core.Kind{core.TD, core.GBU} {
+		for _, ob := range obstacles {
+			for _, op := range ops {
+				if ob.pages && (!op.pages || kind == core.TD) {
+					continue
+				}
+				t.Run(kind.String()+"/"+ob.name+"/"+op.name, func(t *testing.T) {
+					db, pos := newDB(t, kind, n)
+					db.refuseTry = true
+					at := pos[oid]
+					g := ob.granule(t, db, at)
+					holder := db.lm.Begin()
+					if g != TreeGranule {
+						if err := db.lm.Acquire(holder, TreeGranule, dgl.IX, 0); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := db.lm.Acquire(holder, g, dgl.X, 0); err != nil {
+						t.Fatal(err)
+					}
+					done := make(chan error, 1)
+					go func() { done <- op.run(db, at) }()
+					waitForWaiters(t, db, 1)
+					if db.latch.TryLock() {
+						db.latch.Unlock()
+					} else {
+						t.Errorf("%s waits for a granule with the latch held", op.name)
+					}
+					db.lm.ReleaseAll(holder)
+					if err := <-done; err != nil {
+						t.Fatal(err)
+					}
+					if s := db.lm.Stats(); s.Granules != 0 || s.Waiters != 0 {
+						t.Fatalf("lock table not empty after the run: %+v", s)
+					}
+				})
+			}
+		}
+	}
+}
+
 func waitForWaiters(t *testing.T, db *DB, waiters int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); db.lm.Stats().Waiters != waiters; {

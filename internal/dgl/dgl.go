@@ -2,7 +2,7 @@
 // (after Chakrabarti & Mehrotra, cited by the paper for concurrency
 // control in R-trees): multi-granularity locks with the standard
 // IS/IX/S/SIX/X mode lattice, per-granule FIFO wait queues, lock
-// upgrades, and timeouts for deadlock recovery.
+// upgrades, and wait timeouts.
 //
 // Granules are opaque 64-bit ids. The throughput experiment (paper §5.4)
 // locks a tree-level granule in intention mode plus fine leaf-region
@@ -20,6 +20,16 @@
 // find them free, so they try first and fall back to Acquire, granule by
 // granule, only when refused. A Txn is reset by ReleaseAll and may then
 // be used again: a batch runs all its lock cycles on one descriptor.
+//
+// Waits are deadlock-free as long as every transaction waits for its
+// granules in one global order, ascending id, into which the caller lays
+// out its granule tiers (tree, then cells, then pages). Acquire enforces
+// the order: asking for a granule below the highest one the transaction
+// holds, unless it holds that granule too, is a programmer error and
+// panics. With the order kept, a timeout bounds a wait that the order
+// cannot: one behind a holder that does not let go, such as an owner
+// that calls back into the index while it holds its granules, or two
+// holders upgrading the same granule.
 package dgl
 
 import (
@@ -94,7 +104,7 @@ func Covers(a, b Mode) bool { return sup[a][b] == a }
 type GranuleID uint64
 
 // ErrTimeout reports that a lock request waited past its deadline; the
-// caller should release everything and retry (deadlock recovery).
+// caller should release everything and retry.
 var ErrTimeout = errors.New("dgl: lock wait timed out")
 
 // lock is one granule held in a mode. The table keeps a granule's entry
@@ -123,6 +133,7 @@ type Txn struct {
 	_     noCopy
 	held  []lock
 	buf   [8]lock
+	top   GranuleID // the highest granule held; 0 when none is
 	w     waiter
 	timer *time.Timer // Acquire's deadline, stopped between waits
 }
@@ -145,6 +156,7 @@ func (t *Txn) cover(g GranuleID, mode Mode, gr *granule) Mode {
 		}
 	}
 	t.held = append(t.held, lock{g, mode, gr})
+	t.top = max(t.top, g)
 	return mode
 }
 
@@ -232,7 +244,9 @@ func (t *Txn) HeldCount() int { return len(t.held) }
 
 // Acquire obtains (or upgrades to) the given mode on granule g, waiting
 // up to timeout (0 means wait forever). On ErrTimeout, returned as is,
-// the request is withdrawn; locks already held are untouched.
+// the request is withdrawn; locks already held are untouched. It panics
+// when txn asks for a granule it does not hold below one it does: a
+// transaction waits for granules in ascending order.
 func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duration) error {
 	cur, holds := txn.Held(g)
 	target := mode
@@ -243,6 +257,8 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 		}
 		target = sup[cur][mode]
 		upgrade = true
+	} else if g < txn.top {
+		panic(fmt.Sprintf("dgl: Acquire of granule %d while holding granule %d: granules are waited for in ascending order", g, txn.top))
 	}
 
 	m.mu.Lock()
@@ -326,7 +342,9 @@ type Req struct {
 // admit, so that FIFO holds and a queued exclusive request is not starved
 // by a stream of try-ers — it reports false and the table is as it was,
 // with no entry made for a granule nobody holds. A granule txn already
-// holds is converted to the covering mode, as Acquire would.
+// holds is converted to the covering mode, as Acquire would. Since it
+// never waits, reqs may come in any order; what it grants counts towards
+// the order a later Acquire on txn must keep.
 func (m *Manager) TryAcquireAll(txn *Txn, reqs []Req) bool {
 	m.mu.Lock()
 	for _, r := range reqs {
@@ -368,20 +386,6 @@ func (gr *granule) compatibleWithOthers(txn *Txn, mode Mode) bool {
 	return true
 }
 
-// Release drops txn's lock on g and wakes compatible waiters.
-func (m *Manager) Release(txn *Txn, g GranuleID) {
-	for i, l := range txn.held {
-		if l.g == g {
-			txn.held = append(txn.held[:i], txn.held[i+1:]...)
-			m.mu.Lock()
-			l.gr.drop(txn)
-			m.wakeLocked(g, l.gr)
-			m.mu.Unlock()
-			return
-		}
-	}
-}
-
 // ReleaseAll drops every lock txn holds and resets the descriptor: it
 // holds nothing, keeps the room its held set grew to, and is ready for
 // the next lock cycle.
@@ -397,6 +401,7 @@ func (m *Manager) ReleaseAll(txn *Txn) {
 	m.mu.Unlock()
 	clear(txn.held) // an idle descriptor keeps no granule alive
 	txn.held = txn.held[:0]
+	txn.top = 0
 }
 
 // wakeLocked grants the longest compatible prefix of the wait queue.

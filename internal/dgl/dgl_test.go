@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,7 +83,7 @@ func TestExclusiveBlocksAndWakes(t *testing.T) {
 		t.Fatalf("t2 acquired while t1 held X: %v", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	m.Release(t1, 7)
+	m.ReleaseAll(t1)
 	select {
 	case err := <-acquired:
 		if err != nil {
@@ -121,6 +122,72 @@ func TestReacquireStrongerIsUpgrade(t *testing.T) {
 		t.Fatalf("mode degraded to %v", mode)
 	}
 	m.ReleaseAll(t1)
+}
+
+// TestAcquireKeepsTheOrder: a transaction waits for granules in
+// ascending order. Acquire panics on a granule below one it holds, and
+// names both; a held granule may be asked for again or upgraded; a
+// descriptor ReleaseAll has reset starts from the bottom again; and
+// TryAcquireAll, which never waits, takes its set in any order.
+func TestAcquireKeepsTheOrder(t *testing.T) {
+	m := NewManager()
+	txn := m.Begin()
+	acquire := func(g GranuleID, mode Mode) (msg string) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		if err := m.Acquire(txn, g, mode, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return ""
+	}
+
+	for _, g := range []GranuleID{0, 5, 1<<32 + 7} {
+		if msg := acquire(g, IX); msg != "" {
+			t.Fatalf("ascending Acquire of %d panicked: %s", g, msg)
+		}
+	}
+	msg := acquire(6, X)
+	if msg == "" {
+		t.Fatal("Acquire of granule 6 while holding 4294967303 did not panic")
+	}
+	if !strings.Contains(msg, "granule 6 ") || !strings.Contains(msg, "granule 4294967303") {
+		t.Fatalf("panic %q does not name both granules", msg)
+	}
+	if _, ok := txn.Held(6); ok || txn.HeldCount() != 3 || m.Stats() != (Stats{Granules: 3}) {
+		t.Fatalf("the refused request changed the table: %d held, %+v", txn.HeldCount(), m.Stats())
+	}
+
+	// Below the top, but held: asked for again, then upgraded.
+	for _, mode := range []Mode{IX, X} {
+		if msg := acquire(5, mode); msg != "" {
+			t.Fatalf("Acquire of held granule 5 in %v panicked: %s", mode, msg)
+		}
+	}
+	if mode, _ := txn.Held(5); mode != X {
+		t.Fatalf("granule 5 held in %v after the upgrade, want X", mode)
+	}
+
+	m.ReleaseAll(txn)
+	if msg := acquire(1, X); msg != "" {
+		t.Fatalf("Acquire of granule 1 after ReleaseAll panicked: %s", msg)
+	}
+	m.ReleaseAll(txn)
+
+	if !m.TryAcquireAll(txn, []Req{{G: 1<<32 + 7, Mode: X}, {G: 5, Mode: X}, {G: 0, Mode: IX}}) {
+		t.Fatal("try refused on a free table")
+	}
+	// What the try granted counts towards the order.
+	if msg := acquire(6, X); msg == "" {
+		t.Fatal("Acquire of granule 6 under a tried granule 4294967303 did not panic")
+	}
+	m.ReleaseAll(txn)
+	if s := m.Stats(); s.Granules != 0 || s.Waiters != 0 {
+		t.Fatalf("lock table not empty after releases: %+v", s)
+	}
 }
 
 func TestFIFOFairness(t *testing.T) {

@@ -7,6 +7,9 @@
 // Reportf — so the suite can be rebased onto x/tools wholesale if the
 // dependency ever becomes available.
 //
+// A pass sees one type-checked package: its syntax and its types, with
+// no call graph and no facts shared across functions or analyzers.
+//
 // There is no suppression: every diagnostic an analyzer reports is
 // returned.
 package framework
@@ -46,11 +49,6 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Prog is the package's interprocedural view — functions, call
-	// graph, shared facts — built once per RunAnalyzers invocation and
-	// shared by every analyzer in the suite.
-	Prog *Program
-
 	report func(Diagnostic)
 }
 
@@ -60,10 +58,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // IsTestFile reports whether the file declaring pos is a _test.go
-// file. The invariant analyzers skip test files: the contracts they
-// encode (lock order, the allocation budget, checked closes) bind the
-// engine, not its test harnesses, and test idiom (unchecked closes,
-// scratch allocations) would otherwise drown the signal.
+// file. The invariant analyzers skip test files: the contract they
+// encode (checked closes) binds the engine, not its test harnesses, and
+// test idiom (unchecked closes) would otherwise drown the signal.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
 	f := p.Fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
@@ -72,7 +69,6 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 // RunAnalyzers applies the analyzers to one type-checked package and
 // returns their diagnostics sorted by position.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	prog := NewProgram(fset, files, pkg, info)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -81,7 +77,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Files:     files,
 			Pkg:       pkg,
 			TypesInfo: info,
-			Prog:      prog,
 			report:    func(d Diagnostic) { out = append(out, d) },
 		}
 		if err := a.Run(pass); err != nil {
@@ -102,33 +97,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		return out[i].Analyzer < out[j].Analyzer
 	})
 	return out, nil
-}
-
-// PkgTail reports whether the package path's last segment equals tail
-// ("burtree/internal/dgl" matches "dgl"). Analyzers match collaborator
-// packages this way so analysistest fixtures can declare small local
-// stand-ins ("dgl", "wal") with the real packages' shapes.
-func PkgTail(pkg *types.Package, tail string) bool {
-	if pkg == nil {
-		return false
-	}
-	path := pkg.Path()
-	return path == tail || strings.HasSuffix(path, "/"+tail)
-}
-
-// NamedFrom reports whether t (after pointer indirection) is a named
-// type with the given name declared in a package whose path ends in
-// pkgTail.
-func NamedFrom(t types.Type, pkgTail, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && PkgTail(obj.Pkg(), pkgTail)
 }
 
 // ReceiverOf resolves the method called by a selector call expression,

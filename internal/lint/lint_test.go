@@ -26,13 +26,12 @@ func run(t *testing.T, name string) {
 }
 
 func TestClosecheck(t *testing.T) { run(t, "closecheck") }
-func TestLockorder(t *testing.T)  { run(t, "lockorder") }
 
-// TestRegistry pins the suite's composition: two analyzers, both with
-// docs.
+// TestRegistry pins the suite's composition: one analyzer, with its
+// doc.
 func TestRegistry(t *testing.T) {
 	all := lint.All()
-	want := []string{"closecheck", "lockorder"}
+	want := []string{"closecheck"}
 	if len(all) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(all), len(want))
 	}
