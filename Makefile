@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint burlint allocs scale paper-io paper-io-cmp text-cmp baselines bench-smoke loc fmt clean
+.PHONY: all build test race lint allocs scale paper-io paper-io-cmp text-cmp baselines bench-smoke loc fmt clean
 
 all: build test lint
 
@@ -13,19 +13,10 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# burlint: the repo's invariant analyzers (see internal/lint and the
-# "Static analysis & invariants" section of README.md), run through the
-# go vet -vettool protocol — the only one the tool speaks — so results
-# land in the build cache; ./... covers the analyzers and the tool too.
-burlint: bin/burlint
-	$(GO) vet -vettool=$(CURDIR)/bin/burlint ./...
-
-bin/burlint: FORCE
-	$(GO) build -o bin/burlint ./cmd/burlint
-
-lint: burlint
+# lint is stock go vet; the repo's own invariants are checked by tests
+# (see "Static analysis & invariants" in README.md).
+lint:
 	$(GO) vet ./...
-	$(GO) test ./internal/lint/...
 
 # allocs is the allocation gate: TestAllocBudget holds the write, churn
 # and read windows to the budgets committed in BENCH_allocs.json (see
@@ -135,9 +126,8 @@ bench-smoke:
 # loc prints the root package's non-test code lines — no blank and no
 # comment-only lines — per file and for the package, then the same count
 # for each internal package the library is built from (what package
-# burtree imports, directly or not) and the library total, then
-# burlint's: internal/lint and cmd/burlint without tests and fixtures,
-# and last the harness's, per package and in total: cmd/burbench,
+# burtree imports, directly or not) and the library total, and last the
+# harness's, per package and in total: cmd/burbench,
 # cmd/burload, cmd/burstat and every package of this module they reach
 # that the library does not (internal/exp, its cost model, workload
 # generator and paged hash index), without tests. These are the figures
@@ -152,8 +142,6 @@ loc:
 	lib=$$total; for p in $$libpkgs; do \
 		d=$${p#burtree/}; n=$$(count $$d); lib=$$((lib+n)); printf '%-20s %5d\n' $$d $$n; \
 	done; printf '%-20s %5d\n' 'library' $$lib; \
-	n=$$(cat $$(find internal/lint cmd/burlint -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*') | grep -cvE '^\s*$$|^\s*//'); \
-	printf '%-20s %5d\n' 'burlint' $$n; \
 	harness=0; for p in $$($(GO) list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' $(HARNESS) | grep -E '^burtree/(internal|cmd)/' | sort); do \
 		echo "$$libpkgs" | grep -qx "$$p" && continue; \
 		d=$${p#burtree/}; n=$$(count $$d); harness=$$((harness+n)); printf '%-20s %5d\n' $$d $$n; \

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 
+	"burtree/internal/vfs"
 	"burtree/internal/wal"
 )
 
@@ -63,6 +64,14 @@ func (m DurabilityMode) String() string {
 // into a single total order. Log segments directly under Dir are the
 // layout of earlier versions, which this one refuses rather than skips:
 // Open reports them as ErrExistingState and Recover as ErrRecovery.
+//
+// A write whose log append or fsync fails returns the error and is taken
+// back: the index no longer serves it. Recovery does not replay it
+// either, with one exception: a write whose record was written but whose
+// own fsync failed is in doubt — recovery may find it or not, and
+// nothing else changes. A failed fsync poisons its log: every later
+// write logged there fails without writing anything, until the index is
+// closed and recovered.
 type Durability struct {
 	// Mode selects the commit policy; DurabilityOff disables logging.
 	Mode DurabilityMode
@@ -87,8 +96,8 @@ func (d Durability) validate() error {
 	return nil
 }
 
-// logOptions converts the public config to wal options.
-func (d Durability) logOptions(startAfter uint64, nextSeq func() uint64) wal.Options {
+// logOptions converts the public config to wal options over fsys.
+func (d Durability) logOptions(fsys vfs.FS, startAfter uint64, nextSeq func() uint64) wal.Options {
 	sync := wal.SyncEach
 	if d.Mode == DurabilityGroup {
 		sync = wal.SyncGroup
@@ -97,6 +106,7 @@ func (d Durability) logOptions(startAfter uint64, nextSeq func() uint64) wal.Opt
 		Sync:       sync,
 		NextSeq:    nextSeq,
 		StartAfter: startAfter,
+		FS:         fsys,
 	}
 }
 

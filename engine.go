@@ -15,6 +15,7 @@ import (
 	"burtree/internal/core"
 	"burtree/internal/shard"
 	"burtree/internal/stats"
+	"burtree/internal/vfs"
 	"burtree/internal/wal"
 )
 
@@ -181,6 +182,9 @@ type index struct {
 	wals   []*wal.Log
 	lsn    atomic.Uint64
 	walSeq uint64
+	// fs is the file seam the logs and the snapshot writer run over:
+	// vfs.OS, unless a test swaps in a fault-injecting one.
+	fs vfs.FS
 
 	// load accumulates per-stack operation counts; see ShardLoads. Only a
 	// ShardedIndex keeps one — a one-stack index has nothing to balance and
@@ -204,6 +208,7 @@ func newIndex(k kind, router *shard.Router, opts Options, sopts ShardOptions, ob
 		router:      router,
 		options:     opts,
 		sopts:       sopts,
+		fs:          vfs.OS,
 	}
 	if k.sharded() {
 		x.load = shard.NewLoadTracker(sopts.Shards)
@@ -285,7 +290,7 @@ func (x *index) openLogs(d Durability, startAfter uint64) error {
 	x.wals = make([]*wal.Log, 0, len(x.shards))
 	for i := range x.shards {
 		// The shared counter hands out globally ordered record sequences.
-		log, err := wal.Open(logDir(d.Dir, i), d.logOptions(startAfter, func() uint64 { return x.lsn.Add(1) }))
+		log, err := wal.Open(logDir(d.Dir, i), d.logOptions(x.fs, startAfter, func() uint64 { return x.lsn.Add(1) }))
 		if err != nil {
 			return err
 		}
@@ -641,7 +646,7 @@ func (x *index) checkpointLocked() error {
 		}
 	}
 	seq := x.lsn.Load()
-	if err := atomicfile.Write(filepath.Join(x.options.Durability.Dir, snapshotFileName), x.saveLocked); err != nil {
+	if err := atomicfile.WriteFS(x.fs, filepath.Join(x.options.Durability.Dir, snapshotFileName), x.saveLocked); err != nil {
 		return err
 	}
 	for _, l := range x.wals {

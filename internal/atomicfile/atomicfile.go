@@ -7,6 +7,13 @@
 // temp file — the destination is never truncated before its
 // replacement is safely on disk.
 //
+// Every temp file and directory is opened, written, synced and closed
+// through the file seam, internal/vfs: Write runs over vfs.OS, WriteFS
+// over the FS it is given. The root package's fault enumeration
+// (faults_test.go) fails each of those calls under a Checkpoint and a
+// SaveFile in turn, and requires the call to report it and the previous
+// snapshot to load as it was.
+//
 // This is the bug class PR 4 fixed in the snapshot writer (it used to
 // truncate the old snapshot before writing the new one): a crash
 // mid-write left a torn artifact that loaders misparse. The root
@@ -21,13 +28,20 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"burtree/internal/vfs"
 )
 
 // Write atomically replaces path with the bytes produced by save.
 // save receives the temp file; it must not retain the writer.
-func Write(path string, save func(io.Writer) error) (err error) {
+func Write(path string, save func(io.Writer) error) error {
+	return WriteFS(vfs.OS, path, save)
+}
+
+// WriteFS is Write through the file system fsys.
+func WriteFS(fsys vfs.FS, path string, save func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -55,7 +69,7 @@ func Write(path string, save func(io.Writer) error) (err error) {
 	// Persist the rename itself; without this a crash can roll the
 	// directory entry back to the old artifact (which is still intact)
 	// or to nothing on filesystems that reorder metadata.
-	return syncDir(dir)
+	return SyncDir(fsys, dir)
 }
 
 // WriteBytes atomically replaces path with data.
@@ -66,11 +80,12 @@ func WriteBytes(path string, data []byte) error {
 	})
 }
 
-// syncDir fsyncs a directory so the rename survives a crash. Platforms
-// whose directories cannot be fsynced report os.ErrInvalid, which is
-// tolerated; any other failure is surfaced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+// SyncDir fsyncs a directory so a rename, or a file created or removed
+// in it, survives a crash. Platforms whose directories cannot be fsynced
+// report os.ErrInvalid, which is tolerated; any other failure is
+// surfaced.
+func SyncDir(fsys vfs.FS, dir string) error {
+	d, err := fsys.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return fmt.Errorf("atomicfile: %w", err)
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"burtree/internal/vfs/vfstest"
 )
 
 func TestWriteReplacesAtomically(t *testing.T) {
@@ -77,4 +79,49 @@ func leftovers(t *testing.T, dir, keep string) {
 			t.Fatalf("temp file left behind: %s", e.Name())
 		}
 	}
+}
+
+// TestFaultEnumeration fails, one at a time, every call a Write over a
+// previous artifact makes through the file seam. A failed Write must say
+// so, leave no temp file, and leave the previous artifact in place,
+// unless the failure came after the rename — at the directory's open,
+// sync or close, the second call of each kind — when the new one is in
+// place whole.
+func TestFaultEnumeration(t *testing.T) {
+	vfstest.Enumerate(t, func(t *testing.T, fs *vfstest.FS) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "artifact.bin")
+		if err := WriteBytes(path, []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+		fs.Arm()
+		err := WriteFS(fs, path, func(w io.Writer) error {
+			for _, part := range []string{"ne", "w"} {
+				if _, err := w.Write([]byte(part)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		fs.Disarm()
+		fired := fs.Fired()
+		if len(fired) > 0 && err == nil {
+			t.Fatalf("injected %v swallowed", fired)
+		}
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		want := "new"
+		if err != nil {
+			f := fired[0]
+			if f.N == 1 || f.Kind == vfstest.Write {
+				want = "old"
+			}
+		}
+		if string(got) != want {
+			t.Fatalf("after Write returned %v: artifact holds %q, want %q", err, got, want)
+		}
+		leftovers(t, dir, path)
+	})
 }

@@ -16,7 +16,9 @@
 // bounds a granule wait behind a holder that does not let go, and is
 // counted in the stats. The latch has no timeout, which is one reason a
 // Search visitor must not call back into the DB: its second read hold
-// queues behind any writer waiting for the latch.
+// queues behind any writer waiting for the latch. (The library's
+// SearchFunc collects what the read finds and visits after it, with no
+// lock held.)
 //
 // A write is applied once. It is resolved to its leaf, the leaf's scope
 // (core.GroupApplier.LeafScope) is locked, and whatever is confined to

@@ -32,6 +32,14 @@
 // The reader replays the longest valid prefix: a torn or corrupt record
 // ends the log (crash semantics — everything before it is intact,
 // everything after was never acknowledged under the sync policy).
+//
+// A failed write, fsync, truncate or close stops the call that met it:
+// the call returns the error, and a failed fsync poisons the log, so it
+// appends nothing more and no later commit reports success. Every
+// segment and directory is opened, written, synced, truncated and closed
+// through the file seam, internal/vfs (Options.FS); the package's fault
+// enumeration (faults_test.go) fails each such call of its scenarios in
+// turn.
 package wal
 
 import (
@@ -47,6 +55,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"burtree/internal/atomicfile"
+	"burtree/internal/vfs"
 )
 
 // Type discriminates log records.
@@ -108,6 +119,9 @@ type Options struct {
 	// directory. Recovery passes the snapshot's sequence so a truncated
 	// log never re-issues sequences the snapshot already covers.
 	StartAfter uint64
+	// FS is the file system the log runs over; nil is vfs.OS. Tests set a
+	// fault-injecting one.
+	FS vfs.FS
 }
 
 const (
@@ -132,7 +146,7 @@ type Log struct {
 	opts Options
 
 	mu       sync.Mutex // append latch: file, buffer, sequence
-	f        *os.File
+	f        vfs.File
 	buf      []byte // encode scratch
 	segIdx   int    // index of the active segment
 	segSize  int64  // bytes written to the active segment
@@ -167,6 +181,9 @@ func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
+	if opts.FS == nil {
+		opts.FS = vfs.OS
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -174,7 +191,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	l.gc.cond = sync.NewCond(&l.gc.mu)
 	l.lastSeq = opts.StartAfter
 
-	segs, err := segments(dir)
+	segs, err := segments(opts.FS, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +202,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	var tailEnd int64
 	var prev uint64
 	for i, seg := range segs {
-		recs, end, damaged, err := scanSegment(seg.path, prev)
+		recs, end, damaged, err := scanSegment(opts.FS, seg.path, prev)
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +231,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		keep--
 		if keep > 0 {
 			// Re-open the previous (clean, fully scanned) segment.
-			_, end, _, err := scanSegment(segs[keep-1].path, 0)
+			_, end, _, err := scanSegment(opts.FS, segs[keep-1].path, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -223,7 +240,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	}
 	if keep > 0 {
 		seg := segs[keep-1]
-		f, err := os.OpenFile(seg.path, os.O_RDWR, 0o644)
+		f, err := opts.FS.OpenFile(seg.path, os.O_RDWR, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
@@ -252,8 +269,8 @@ type segRef struct {
 }
 
 // segments lists the directory's segment files in index order.
-func segments(dir string) ([]segRef, error) {
-	entries, err := os.ReadDir(dir)
+func segments(fsys vfs.FS, dir string) ([]segRef, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
@@ -280,7 +297,7 @@ func segments(dir string) ([]segRef, error) {
 // holds l.mu (or owns the log exclusively during Open).
 func (l *Log) newSegmentLocked(idx int) error {
 	path := filepath.Join(l.dir, fmt.Sprintf("%s%08d%s", segPrefix, idx, segSuffix))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := l.opts.FS.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -292,9 +309,9 @@ func (l *Log) newSegmentLocked(idx int) error {
 		_ = f.Close() // error path: the preceding failure is the one to surface
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := atomicfile.SyncDir(l.opts.FS, l.dir); err != nil {
 		_ = f.Close() // error path: the preceding failure is the one to surface
-		return err
+		return fmt.Errorf("wal: %w", err)
 	}
 	l.f, l.segIdx, l.segSize = f, idx, headerSize
 	l.appended += headerSize
@@ -423,22 +440,30 @@ func (l *Log) AppendAsync(typ Type, ops []Op) (uint64, error) {
 		return seq, err
 	}
 	l.kickSync()
-	// Surface a poisoned log (earlier sync failure) rather than silently
-	// accepting writes that can never become durable.
-	g := &l.gc
-	g.mu.Lock()
-	err = g.err
-	g.mu.Unlock()
-	return seq, err
+	// Surface a sync failure that came after the write: the record is in
+	// doubt, like any whose covering fsync failed.
+	return seq, l.poisoned()
+}
+
+// poisoned returns the sticky error of a failed fsync, or nil.
+func (l *Log) poisoned() error {
+	l.gc.mu.Lock()
+	defer l.gc.mu.Unlock()
+	return l.gc.err
 }
 
 // appendLocked encodes and writes the ops, splitting into adjacent
 // records as needed. Caller holds l.mu in all cases; on success the
 // last assigned sequence number and the post-append logical extent are
-// returned.
+// returned. A poisoned log writes nothing: a record refused after a
+// failed fsync must not come back on replay, so only the records whose
+// own fsync failed are in doubt.
 func (l *Log) appendLocked(typ Type, ops []Op) (uint64, int64, error) {
 	if l.closed {
 		return 0, 0, ErrClosed
+	}
+	if err := l.poisoned(); err != nil {
+		return 0, 0, err
 	}
 	var seq uint64
 	rest := ops
@@ -606,7 +631,7 @@ func (l *Log) TruncateThrough(seq uint64) error {
 			return err
 		}
 	}
-	segs, err := segments(l.dir)
+	segs, err := segments(l.opts.FS, l.dir)
 	if err != nil {
 		return err
 	}
@@ -615,7 +640,7 @@ func (l *Log) TruncateThrough(seq uint64) error {
 		if s.idx == l.segIdx {
 			continue
 		}
-		recs, _, _, err := scanSegment(s.path, 0)
+		recs, _, _, err := scanSegment(l.opts.FS, s.path, 0)
 		if err != nil {
 			return err
 		}
@@ -635,7 +660,9 @@ func (l *Log) TruncateThrough(seq uint64) error {
 		removed = true
 	}
 	if removed {
-		return syncDir(l.dir)
+		if err := atomicfile.SyncDir(l.opts.FS, l.dir); err != nil {
+			return fmt.Errorf("wal: truncate: %w", err)
+		}
 	}
 	return nil
 }
@@ -691,14 +718,14 @@ type ReadStats struct {
 // damaged at that point.
 func ReadDir(dir string, afterSeq uint64) ([]Record, ReadStats, error) {
 	var st ReadStats
-	segs, err := segments(dir)
+	segs, err := segments(vfs.OS, dir)
 	if err != nil {
 		return nil, st, err
 	}
 	var out []Record
 	var lastSeq uint64
 	for _, seg := range segs {
-		recs, _, damaged, err := scanSegment(seg.path, lastSeq)
+		recs, _, damaged, err := scanSegment(vfs.OS, seg.path, lastSeq)
 		if err != nil {
 			return nil, st, err
 		}
@@ -723,8 +750,8 @@ func ReadDir(dir string, afterSeq uint64) ([]Record, ReadStats, error) {
 // (torn tail, checksum mismatch, nonsense framing, or a sequence
 // regression) rather than a clean end of file. A missing or short
 // header counts as damage at offset 0.
-func scanSegment(path string, prevSeq uint64) (recs []Record, validEnd int64, damaged bool, err error) {
-	data, err := os.ReadFile(path)
+func scanSegment(fsys vfs.FS, path string, prevSeq uint64) (recs []Record, validEnd int64, damaged bool, err error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("wal: %w", err)
 	}
@@ -781,20 +808,6 @@ func decodeRecord(data []byte, off int64) (rec Record, next int64, ok bool) {
 		}
 	}
 	return rec, off + recHeaderSize + body, true
-}
-
-// syncDir fsyncs a directory so segment creates/removes survive a
-// crash. Best effort on platforms where directories cannot be synced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, os.ErrInvalid) {
-		return fmt.Errorf("wal: sync dir: %w", err)
-	}
-	return nil
 }
 
 // simulateSync sleeps out Options.SyncDelay (tests only).

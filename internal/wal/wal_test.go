@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"burtree/internal/vfs"
 )
 
 func appendN(t *testing.T, l *Log, n int, base uint64) {
@@ -84,7 +86,7 @@ func TestTornTailTruncatedOnReadAndOpen(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := segments(dir)
+	segs, err := segments(vfs.OS, dir)
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("segments: %v, %v", segs, err)
 	}
@@ -138,7 +140,7 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, _ := segments(dir)
+	segs, _ := segments(vfs.OS, dir)
 	data, err := os.ReadFile(segs[0].path)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +174,7 @@ func TestRotationAndTruncateThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 40, 0)
-	segs, _ := segments(dir)
+	segs, _ := segments(vfs.OS, dir)
 	if len(segs) < 2 {
 		t.Fatalf("expected rotation, got %d segments", len(segs))
 	}

@@ -5,7 +5,7 @@ package burtree
 // absorbed deltas down to the tree through the batched bottom-up
 // pipeline, and the loop that runs it in the background. The reads that
 // make buffered deltas visible before they reach the tree are the
-// stack's own (treeStack.SearchFunc, Nearest), over a memtable.View.
+// stack's own (treeStack.scan, Nearest), over a memtable.View.
 
 import (
 	"fmt"

@@ -153,7 +153,7 @@ func (x *index) saveLocked(w io.Writer) error {
 // destination is never truncated before its replacement is safely on
 // disk.
 func (x *index) SaveFile(path string) error {
-	return atomicfile.Write(path, x.Save)
+	return atomicfile.WriteFS(x.fs, path, x.Save)
 }
 
 // decodeSnapshot reads the magic and decodes the body of a snapshot of

@@ -634,7 +634,7 @@ func (x *index) Search(q Rect) ([]uint64, error) {
 	}
 	g := gathers.Get()
 	defer g.release()
-	if err := x.gather(g, q, targets); err != nil {
+	if err := x.gather(g, q, targets, false); err != nil {
 		return nil, err
 	}
 	if len(g.ids) == 0 {
@@ -648,44 +648,27 @@ func (x *index) Search(q Rect) ([]uint64, error) {
 const stackShards = 16
 
 // gatherScan is the state of one multi-shard read: a scan per target
-// shard, the ids gathered from them and the set that drops repeats, and,
-// for SearchFunc, the caller's visit and the one that filters repeats in
-// front of it (dedup, bound once). Kept on a free list, like the scans.
+// shard, the ids gathered from them — with their positions, for
+// SearchFunc — and the set that drops repeats. Kept on a free list, like
+// the scans.
 type gatherScan struct {
-	scans   []*searchScan
-	wg      sync.WaitGroup
-	ids     []uint64
-	seen    map[uint64]struct{}
-	visit   func(uint64, Point) bool
-	stopped bool
-	dedup   func(uint64, Point) bool // g.visitOnce, bound once
+	scans []*searchScan
+	wg    sync.WaitGroup
+	ids   []uint64
+	pts   []Point
+	seen  map[uint64]struct{}
 }
 
 var gathers = scratch.List[gatherScan]{New: func() *gatherScan {
-	g := &gatherScan{seen: make(map[uint64]struct{})}
-	g.dedup = g.visitOnce
-	return g
+	return &gatherScan{seen: make(map[uint64]struct{})}
 }}
-
-// visitOnce hands visit each id the first time any shard reports it.
-func (g *gatherScan) visitOnce(id uint64, p Point) bool {
-	if _, dup := g.seen[id]; dup {
-		return true
-	}
-	g.seen[id] = struct{}{}
-	if !g.visit(id, p) {
-		g.stopped = true
-		return false
-	}
-	return true
-}
 
 func (g *gatherScan) release() {
 	for _, sc := range g.scans {
 		sc.release()
 	}
 	clear(g.scans)
-	g.scans, g.ids, g.visit, g.stopped = g.scans[:0], scratch.Trim(g.ids, maxIdleIDs), nil, false
+	g.scans, g.ids, g.pts = g.scans[:0], scratch.Trim(g.ids, maxIdleIDs), scratch.Trim(g.pts, maxIdleIDs)
 	if len(g.seen) > maxIdleIDs {
 		g.seen = make(map[uint64]struct{})
 	} else {
@@ -694,18 +677,22 @@ func (g *gatherScan) release() {
 	gathers.Put(g)
 }
 
-// gather is the multi-shard scatter under Search and Count: every target
-// shard is scanned in parallel — the last on the caller's goroutine,
-// which would otherwise only wait; the others on the scan's bound
-// runAsync — and the union collects in g.ids with duplicate ids dropped.
-// Caller holds the gate shared.
-func (x *index) gather(g *gatherScan, q Rect, targets []int) error {
+// gather is the multi-shard scatter under Search, SearchFunc and Count:
+// every target shard is scanned in parallel — the last on the caller's
+// goroutine, which would otherwise only wait; the others on the scan's
+// bound runAsync — and the union collects in g.ids with duplicate ids
+// dropped, and with pairs set their positions in g.pts. Caller holds the
+// gate shared.
+func (x *index) gather(g *gatherScan, q Rect, targets []int, pairs bool) error {
 	if len(targets) == 0 {
 		return nil // an invalid window meets no shard
 	}
 	for _, s := range targets {
 		sc := searchScans.Get()
 		sc.stack, sc.q, sc.wg = x.readFrom(s), q, &g.wg
+		if pairs {
+			sc.visit = sc.pairOne
+		}
 		g.scans = append(g.scans, sc)
 	}
 	last := len(g.scans) - 1
@@ -721,40 +708,53 @@ func (x *index) gather(g *gatherScan, q Rect, targets []int) error {
 			return sc.err
 		}
 	}
+	if len(g.scans) == 1 { // one shard reports each id once
+		g.ids, g.pts = append(g.ids, sc.ids...), append(g.pts, sc.pts...)
+		return nil
+	}
 	for _, sc := range g.scans {
-		for _, id := range sc.ids {
+		for i, id := range sc.ids {
 			if _, dup := g.seen[id]; dup {
 				continue
 			}
 			g.seen[id] = struct{}{}
 			g.ids = append(g.ids, id)
+			if pairs {
+				g.pts = append(g.pts, sc.pts[i])
+			}
 		}
 	}
 	return nil
 }
 
-// SearchFunc streams the objects inside q to visit; return false to stop
-// early. The scatter is sequential in shard order so the callback is
-// never invoked concurrently; each shard is visited under its own shared
-// granule locks. Each id is visited at most once, even when the scatter
-// races a cross-shard move that makes the object surface in two shards.
+// SearchFunc hands visit each object inside q, once each, even when the
+// scatter races a cross-shard move that makes the object surface in two
+// shards. The objects are collected first, into kept scratch, under the
+// read's locks — the gate, each shard's shared granule locks and latch —
+// and visit runs after every lock is released, never concurrently. So
+// visit may call back into the index. Returning false stops the visits,
+// not the scan: the read is over before the first visit.
 func (x *index) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
-	x.gate.RLock()
-	defer x.gate.RUnlock()
-	var buf [stackShards]int
-	targets := x.router.AppendShardsFor(buf[:0], q)
-	if len(targets) == 1 {
-		return x.readFrom(targets[0]).SearchFunc(q, visit)
-	}
 	g := gathers.Get()
 	defer g.release()
-	g.visit = visit
-	for _, s := range targets {
-		if err := x.readFrom(s).SearchFunc(q, g.dedup); err != nil || g.stopped {
-			return err
+	if err := x.collect(g, q); err != nil {
+		return err
+	}
+	for i, id := range g.ids {
+		if !visit(id, g.pts[i]) {
+			break
 		}
 	}
 	return nil
+}
+
+// collect is SearchFunc's read: the objects inside q, ids and positions,
+// gathered into g under the shared gate.
+func (x *index) collect(g *gatherScan, q Rect) error {
+	x.gate.RLock()
+	defer x.gate.RUnlock()
+	var buf [stackShards]int
+	return x.gather(g, q, x.router.AppendShardsFor(buf[:0], q), true)
 }
 
 // Count returns the number of objects inside q. A single-shard window
@@ -771,7 +771,7 @@ func (x *index) Count(q Rect) (int, error) {
 	}
 	g := gathers.Get()
 	defer g.release()
-	err := x.gather(g, q, targets)
+	err := x.gather(g, q, targets, false)
 	return len(g.ids), err
 }
 

@@ -287,19 +287,6 @@ func (s *treeStack) Search(q Rect) ([]uint64, error) {
 	return sc.result(), nil
 }
 
-// SearchFunc streams the objects inside q to visit; return false to stop
-// early. With the delta tier enabled, buffered writes are merged into
-// the results (read-your-writes; tombstones mask deleted objects). On a
-// ConcurrentIndex the visit callback runs with the query's shared locks
-// held: it must be fast and must not call back into the index, or
-// updates to the locked region stall behind it.
-func (s *treeStack) SearchFunc(q Rect, visit func(id uint64, p Point) bool) error {
-	sc := searchScans.Get()
-	defer sc.release()
-	sc.visit = visit
-	return s.scan(sc, q)
-}
-
 // scan runs one window read into sc. The view is taken before the tree
 // scan: a merge completing in between leaves its objects masked in the
 // scan and reported from the view, never missed (see package memtable).
@@ -310,13 +297,11 @@ func (s *treeStack) scan(sc *searchScan, q Rect) error {
 	if s.mem != nil {
 		sc.view, hits = s.mem.ViewWindow(q, hits)
 	}
-	if err := s.tree.Search(q, sc.fromTree); err != nil || sc.stopped {
+	if err := s.tree.Search(q, sc.fromTree); err != nil {
 		return err
 	}
 	for _, h := range hits {
-		if !sc.emit(h.ID, h.Pos) {
-			break
-		}
+		sc.emit(h.ID, h.Pos)
 	}
 	return nil
 }
@@ -327,14 +312,15 @@ func (s *treeStack) scan(sc *searchScan, q Rect) error {
 // drops none: a read allocates for its result alone, on every call.
 type searchScan struct {
 	view     memtable.View
-	visit    func(uint64, Point) bool // SearchFunc's; nil collects into ids
+	visit    func(uint64, Point) // Count's or SearchFunc's; nil collects into ids
 	ids      []uint64
-	stopped  bool
+	pts      []Point                 // SearchFunc's positions, beside ids
 	fromTree func(uint64, Rect) bool // sc.tree, bound once
 	buf      [32]memtable.Hit
 
-	n        int                      // Count's tally
-	countOne func(uint64, Point) bool // sc.count, bound once
+	n        int                 // Count's tally
+	countOne func(uint64, Point) // sc.count, bound once
+	pairOne  func(uint64, Point) // sc.pair, bound once
 
 	// A scan of one shard of a gather, run on a goroutine of its own
 	// (runAsync, bound once): where, and what it found.
@@ -347,7 +333,7 @@ type searchScan struct {
 
 var searchScans = scratch.List[searchScan]{New: func() *searchScan {
 	sc := new(searchScan)
-	sc.fromTree, sc.countOne, sc.runAsync = sc.tree, sc.count, sc.run
+	sc.fromTree, sc.countOne, sc.pairOne, sc.runAsync = sc.tree, sc.count, sc.pair, sc.run
 	return sc
 }}
 
@@ -359,25 +345,28 @@ const maxIdleIDs = 1 << 11
 // tree takes one tree candidate: dropped if a buffered delta supersedes
 // it, emitted otherwise.
 func (sc *searchScan) tree(oid uint64, r Rect) bool {
-	if sc.view.Masks(oid) {
-		return true
+	if !sc.view.Masks(oid) {
+		sc.emit(oid, Point{X: r.MinX, Y: r.MinY})
 	}
-	return sc.emit(oid, Point{X: r.MinX, Y: r.MinY})
+	return true
 }
 
-func (sc *searchScan) emit(id uint64, p Point) bool {
+func (sc *searchScan) emit(id uint64, p Point) {
 	if sc.visit == nil {
 		sc.ids = append(sc.ids, id)
-		return true
+		return
 	}
-	sc.stopped = !sc.visit(id, p)
-	return !sc.stopped
+	sc.visit(id, p)
 }
 
 // count is Count's visit.
-func (sc *searchScan) count(uint64, Point) bool {
-	sc.n++
-	return true
+func (sc *searchScan) count(uint64, Point) { sc.n++ }
+
+// pair is SearchFunc's visit: the ids and their positions collect in the
+// scan's kept buffers, for the caller's visit once every lock is released.
+func (sc *searchScan) pair(id uint64, p Point) {
+	sc.ids = append(sc.ids, id)
+	sc.pts = append(sc.pts, p)
 }
 
 // run is one shard's scan of a gather.
@@ -396,13 +385,14 @@ func (sc *searchScan) result() []uint64 {
 }
 
 func (sc *searchScan) release() {
-	sc.view, sc.visit, sc.ids, sc.stopped = memtable.View{}, nil, scratch.Trim(sc.ids, maxIdleIDs), false
+	sc.view, sc.visit = memtable.View{}, nil
+	sc.ids, sc.pts = scratch.Trim(sc.ids, maxIdleIDs), scratch.Trim(sc.pts, maxIdleIDs)
 	sc.n, sc.stack, sc.err, sc.wg = 0, nil, nil, nil
 	searchScans.Put(sc)
 }
 
 // Count returns the number of objects inside q, under the same locks
-// and with the same overlay as SearchFunc.
+// and with the same overlay as Search.
 func (s *treeStack) Count(q Rect) (int, error) {
 	sc := searchScans.Get()
 	defer sc.release()
