@@ -20,10 +20,12 @@ lint:
 
 # allocs is the allocation gate: TestAllocBudget holds the write, churn
 # and read windows to the budgets committed in BENCH_allocs.json (see
-# allocbench_test.go), and the per-layer tests hold the overlay reads
-# exact and the tree's search, its overflow path, the batch planner,
-# LBU's batch pass and a blocked DGL acquire at zero allocations.
-ALLOC_TESTS = TestAllocBudget|TestOverlayReadAllocsIgnoreDepth|TestSearchAllocatesNothing|TestOverflowPathAllocatesNothing|TestPlanningReusesItsBuffers|TestLBUBatchAllocatesNothing|TestBlockedAcquireAllocatesNothing
+# allocbench_test.go), TestWholeSpaceReadAllocs holds whole-space reads
+# over 1 000, 5 000 and 20 000 objects to theirs, and the per-layer tests
+# hold the overlay reads exact and the tree's search, its overflow path,
+# the batch planner, LBU's batch pass and a blocked DGL acquire at zero
+# allocations.
+ALLOC_TESTS = TestAllocBudget|TestWholeSpaceReadAllocs|TestOverlayReadAllocsIgnoreDepth|TestSearchAllocatesNothing|TestOverflowPathAllocatesNothing|TestPlanningReusesItsBuffers|TestLBUBatchAllocatesNothing|TestBlockedAcquireAllocatesNothing
 allocs:
 	$(GO) test -run '^($(ALLOC_TESTS))$$' -count=1 -v . ./internal/rtree ./internal/core ./internal/dgl
 

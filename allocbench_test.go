@@ -458,3 +458,79 @@ func TestAllocBudget(t *testing.T) {
 		t.Logf("%s: %d allocs/op (budget %d)%s", name, got, budget, extra)
 	}
 }
+
+// wholeSpaceReads budgets the allocations of one read whose window covers
+// the whole space, on a GBU ConcurrentIndex of 1 000, 5 000 and 20 000
+// objects: Search, Count and SearchFunc, and a Nearest of every object.
+// The window's cell locks come from kept scratch, so up to 2 048 objects
+// (the id room a read keeps between calls) Search allocates its result
+// alone and the others nothing; a wider read regrows its id and position
+// buffers from that room while it runs, and those allocations are
+// budgeted too. So is Nearest's queue, which a read past 1 024 queued
+// items regrows from nothing.
+var wholeSpaceReads = []struct {
+	objects                            int
+	search, count, searchFunc, nearest float64
+}{
+	{1000, 1, 0, 0, 1},
+	{5000, 5, 0, 8, 1},
+	{20000, 10, 0, 18, 14},
+}
+
+// TestWholeSpaceReadAllocs holds each row of wholeSpaceReads. Run
+// without -short: make allocs runs it.
+func TestWholeSpaceReadAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bulk-loads 26 000 objects; skipped with -short")
+	}
+	all := burtree.NewRect(-1, -1, 2, 2)
+	for _, row := range wholeSpaceReads {
+		x, err := burtree.OpenConcurrent(burtree.Options{Strategy: burtree.GeneralizedBottomUp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		ids, pts := make([]uint64, row.objects), make([]burtree.Point, row.objects)
+		for i := range ids {
+			ids[i], pts[i] = uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}
+		}
+		if err := x.BulkInsert(ids, pts, burtree.PackSTR); err != nil {
+			t.Fatal(err)
+		}
+		// A one-shard SearchFunc trades buffers with its scan, so the
+		// reads warm up over two calls before they are counted.
+		perRead := func(read func()) float64 {
+			read()
+			return testing.AllocsPerRun(20, read)
+		}
+		search := perRead(func() {
+			if got, err := x.Search(all); err != nil || len(got) != row.objects {
+				t.Fatalf("Search: %d objects, %v", len(got), err)
+			}
+		})
+		count := perRead(func() {
+			if n, err := x.Count(all); err != nil || n != row.objects {
+				t.Fatalf("Count: %d objects, %v", n, err)
+			}
+		})
+		searchFunc := perRead(func() {
+			n := 0
+			if err := x.SearchFunc(all, func(uint64, burtree.Point) bool { n++; return true }); err != nil || n != row.objects {
+				t.Fatalf("SearchFunc: %d objects, %v", n, err)
+			}
+		})
+		nearest := perRead(func() {
+			if ns, err := x.Nearest(burtree.Point{X: 0.5, Y: 0.5}, row.objects); err != nil || len(ns) != row.objects {
+				t.Fatalf("Nearest: %d objects, %v", len(ns), err)
+			}
+		})
+		t.Logf("%d objects: Search %v, Count %v, SearchFunc %v, Nearest %v allocs/read", row.objects, search, count, searchFunc, nearest)
+		if search > row.search || count > row.count || searchFunc > row.searchFunc || nearest > row.nearest {
+			t.Errorf("%d objects: Search %v, Count %v, SearchFunc %v, Nearest %v allocs/read; budget %v, %v, %v, %v",
+				row.objects, search, count, searchFunc, nearest, row.search, row.count, row.searchFunc, row.nearest)
+		}
+		if err := x.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"burtree/internal/buffer"
@@ -29,143 +27,6 @@ func allFacadeStrategies() []Strategy {
 func TestOpenRejectsUnknownStrategy(t *testing.T) {
 	if _, err := Open(Options{Strategy: Strategy(42)}); err == nil {
 		t.Fatal("unknown strategy accepted")
-	}
-}
-
-func TestInsertUpdateDeleteLifecycle(t *testing.T) {
-	for _, s := range allFacadeStrategies() {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			x := openTest(t, s)
-			if err := x.Insert(1, Point{X: 0.25, Y: 0.25}); err != nil {
-				t.Fatal(err)
-			}
-			if err := x.Insert(1, Point{X: 0.5, Y: 0.5}); !errors.Is(err, ErrDuplicateObject) {
-				t.Fatalf("duplicate insert err = %v", err)
-			}
-			if err := x.Update(2, Point{X: 0.5, Y: 0.5}); !errors.Is(err, ErrUnknownObject) {
-				t.Fatalf("unknown update err = %v", err)
-			}
-			if err := x.Update(1, Point{X: 0.75, Y: 0.75}); err != nil {
-				t.Fatal(err)
-			}
-			if p, ok := x.Location(1); !ok || p != (Point{X: 0.75, Y: 0.75}) {
-				t.Fatalf("Location = %v, %v", p, ok)
-			}
-			ids, err := x.Search(NewRect(0.7, 0.7, 0.8, 0.8))
-			if err != nil || len(ids) != 1 || ids[0] != 1 {
-				t.Fatalf("search = %v, %v", ids, err)
-			}
-			if err := x.Delete(1); err != nil {
-				t.Fatal(err)
-			}
-			if err := x.Delete(1); !errors.Is(err, ErrUnknownObject) {
-				t.Fatalf("double delete err = %v", err)
-			}
-			if x.Len() != 0 {
-				t.Fatalf("Len = %d", x.Len())
-			}
-			if err := x.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestFacadeRandomWorkload(t *testing.T) {
-	for _, s := range allFacadeStrategies() {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			x := openTest(t, s)
-			rng := rand.New(rand.NewSource(42))
-			const n = 2000
-			for i := 0; i < n; i++ {
-				if err := x.Insert(uint64(i), Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for step := 0; step < 6000; step++ {
-				id := uint64(rng.Intn(n))
-				p, _ := x.Location(id)
-				np := Point{X: p.X + (rng.Float64()-0.5)*0.05, Y: p.Y + (rng.Float64()-0.5)*0.05}
-				if err := x.Update(id, np); err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-			}
-			if err := x.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			// Oracle queries.
-			for q := 0; q < 25; q++ {
-				cx, cy := rng.Float64(), rng.Float64()
-				window := NewRect(cx, cy, cx+rng.Float64()*0.1, cy+rng.Float64()*0.1)
-				got, err := x.Search(window)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				var want []uint64
-				for id := 0; id < n; id++ {
-					if p, _ := x.Location(uint64(id)); window.ContainsPoint(p) {
-						want = append(want, uint64(id))
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("query %v: %d results, want %d", window, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("query %v: result %d mismatch", window, i)
-					}
-				}
-			}
-			st := x.Stats()
-			if st.Size != n || st.Height < 2 || st.DiskReads == 0 {
-				t.Fatalf("stats = %+v", st)
-			}
-			if st.Outcomes.Total() != 6000 {
-				t.Fatalf("outcomes total = %d", st.Outcomes.Total())
-			}
-		})
-	}
-}
-
-func TestCountAndSearchFunc(t *testing.T) {
-	x := openTest(t, GeneralizedBottomUp)
-	for i := 0; i < 100; i++ {
-		if err := x.Insert(uint64(i), Point{X: float64(i) / 100, Y: 0.5}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := x.Count(NewRect(0, 0, 0.5, 1))
-	if err != nil || n != 51 { // x = 0.00 .. 0.50 inclusive
-		t.Fatalf("Count = %d, %v; want 51", n, err)
-	}
-	// Early stop.
-	seen := 0
-	err = x.SearchFunc(NewRect(0, 0, 1, 1), func(uint64, Point) bool {
-		seen++
-		return seen < 10
-	})
-	if err != nil || seen != 10 {
-		t.Fatalf("early stop saw %d, err %v", seen, err)
-	}
-}
-
-func TestNearestFacade(t *testing.T) {
-	x := openTest(t, GeneralizedBottomUp)
-	pts := []Point{{X: 0.1, Y: 0.1}, {X: 0.2, Y: 0.2}, {X: 0.9, Y: 0.9}, {X: 0.5, Y: 0.5}}
-	for i, p := range pts {
-		if err := x.Insert(uint64(i), p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nb, err := x.Nearest(Point{X: 0.12, Y: 0.12}, 2)
-	if err != nil || len(nb) != 2 {
-		t.Fatalf("Nearest = %v, %v", nb, err)
-	}
-	if nb[0].ID != 0 || nb[1].ID != 1 {
-		t.Fatalf("neighbors = %+v", nb)
 	}
 }
 
@@ -196,58 +57,6 @@ func TestStrategyNames(t *testing.T) {
 	}
 	if Strategy(9).String() == "" {
 		t.Fatal("unknown strategy name empty")
-	}
-}
-
-func TestConcurrentIndex(t *testing.T) {
-	x, err := OpenConcurrent(Options{Strategy: GeneralizedBottomUp, ExpectedObjects: 2000, BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if err := x.Insert(uint64(i), Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w + 100)))
-			for i := 0; i < 200; i++ {
-				if r.Float64() < 0.6 {
-					id := uint64(w*100 + r.Intn(100)) // disjoint id ranges per worker
-					np := Point{X: r.Float64(), Y: r.Float64()}
-					if err := x.Update(id, np); err != nil {
-						t.Error(err)
-						return
-					}
-				} else {
-					cx, cy := r.Float64(), r.Float64()
-					if _, err := x.Count(NewRect(cx, cy, cx+0.05, cy+0.05)); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := x.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Len() != n {
-		t.Fatalf("Len = %d", x.Len())
-	}
-	st, cs := x.Stats()
-	if st.Size != n || cs.Updates == 0 || cs.Queries == 0 {
-		t.Fatalf("stats = %+v / %+v", st, cs)
-	}
-	if cs.Local == 0 {
-		t.Fatal("no updates took the fine-grained path")
 	}
 }
 

@@ -1,11 +1,8 @@
 package burtree
 
 import (
-	"bytes"
 	"errors"
-	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -196,267 +193,6 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestConcurrentReadEquivalence applies the same update set to a
-// sequential Index (in id order) and a ConcurrentIndex (concurrently,
-// with interleaved queries), then asserts the quiesced read results
-// match: the object positions are identical, so window queries must
-// return identical id sets and NN queries identical distance profiles,
-// whatever structural differences the different application orders
-// produced.
-func TestConcurrentReadEquivalence(t *testing.T) {
-	for _, s := range allFacadeStrategies() {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			t.Parallel()
-			const n = 1500
-			seq := openTest(t, s)
-			conc := openConcurrentTest(t, s)
-
-			rng := rand.New(rand.NewSource(11))
-			ids := make([]uint64, n)
-			pts := make([]Point, n)
-			for i := range ids {
-				ids[i] = uint64(i)
-				pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
-			}
-			if err := seq.BulkInsert(ids, pts, PackSTR); err != nil {
-				t.Fatal(err)
-			}
-			if err := conc.BulkInsert(ids, pts, PackSTR); err != nil {
-				t.Fatal(err)
-			}
-
-			// One deterministic move per object.
-			newPos := make([]Point, n)
-			for i := range newPos {
-				newPos[i] = Point{X: pts[i].X + (rng.Float64()-0.5)*0.04, Y: pts[i].Y + (rng.Float64()-0.5)*0.04}
-			}
-			for i := 0; i < n; i++ {
-				if err := seq.Update(uint64(i), newPos[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			const workers = 8
-			var wg sync.WaitGroup
-			errCh := make(chan error, workers)
-			per := (n + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					r := rand.New(rand.NewSource(int64(w)))
-					hi := (w + 1) * per
-					if hi > n {
-						hi = n
-					}
-					for i := w * per; i < hi; i++ {
-						if err := conc.Update(uint64(i), newPos[i]); err != nil {
-							errCh <- err
-							return
-						}
-						// Interleave reads so updates and queries contend.
-						if i%64 == 0 {
-							cx, cy := r.Float64(), r.Float64()
-							if _, err := conc.Count(NewRect(cx, cy, cx+0.03, cy+0.03)); err != nil {
-								errCh <- err
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			select {
-			case err := <-errCh:
-				t.Fatal(err)
-			default:
-			}
-
-			// Quiesced: window queries must agree exactly.
-			for q := 0; q < 30; q++ {
-				cx, cy := rng.Float64(), rng.Float64()
-				win := NewRect(cx, cy, cx+rng.Float64()*0.15, cy+rng.Float64()*0.15)
-				want, err := seq.Search(win)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := conc.Search(win)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				if len(got) != len(want) {
-					t.Fatalf("window %v: concurrent %d ids, sequential %d", win, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("window %v: id %d vs %d at position %d", win, got[i], want[i], i)
-					}
-				}
-				cnt, err := conc.Count(win)
-				if err != nil || cnt != len(want) {
-					t.Fatalf("Count(%v) = %d, %v; want %d", win, cnt, err, len(want))
-				}
-			}
-
-			// NN queries must agree on the distance profile.
-			for q := 0; q < 10; q++ {
-				p := Point{X: rng.Float64(), Y: rng.Float64()}
-				want, err := seq.Nearest(p, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := conc.Nearest(p, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("Nearest(%v): %d results, want %d", p, len(got), len(want))
-				}
-				for i := range got {
-					if math.Abs(got[i].Dist-want[i].Dist) > 1e-12 {
-						t.Fatalf("Nearest(%v): dist[%d] = %g vs %g", p, i, got[i].Dist, want[i].Dist)
-					}
-					if got[i].ID != want[i].ID {
-						t.Fatalf("Nearest(%v): id[%d] = %d vs %d", p, i, got[i].ID, want[i].ID)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestConcurrentSaveLoadRoundTrip snapshots a concurrent index and
-// restores it through both front-ends; the snapshots are
-// interchangeable by design.
-func TestConcurrentSaveLoadRoundTrip(t *testing.T) {
-	x := openConcurrentTest(t, GeneralizedBottomUp)
-	pts := bulkLoadConcurrent(t, x, 800, 3)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 400; i++ {
-		id := uint64(rng.Intn(len(pts)))
-		p, _ := x.Location(id)
-		if err := x.Update(id, Point{X: p.X + (rng.Float64()-0.5)*0.03, Y: p.Y + (rng.Float64()-0.5)*0.03}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := x.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snapshot := buf.Bytes()
-
-	// Restore as a ConcurrentIndex.
-	y, err := LoadConcurrent(bytes.NewReader(snapshot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y.Len() != x.Len() {
-		t.Fatalf("loaded Len = %d, want %d", y.Len(), x.Len())
-	}
-	if err := y.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Restore as a sequential Index from the same snapshot.
-	z, err := Load(bytes.NewReader(snapshot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 20; q++ {
-		cx, cy := rng.Float64(), rng.Float64()
-		win := NewRect(cx, cy, cx+0.1, cy+0.1)
-		a, err := x.Search(win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := y.Search(win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := z.Search(win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		if len(a) != len(b) || len(a) != len(c) {
-			t.Fatalf("window %v: %d / %d / %d results", win, len(a), len(b), len(c))
-		}
-		for i := range a {
-			if a[i] != b[i] || a[i] != c[i] {
-				t.Fatalf("window %v: result %d diverges", win, i)
-			}
-		}
-	}
-	na, err := x.Nearest(Point{X: 0.5, Y: 0.5}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := y.Nearest(Point{X: 0.5, Y: 0.5}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(na) != len(nb) {
-		t.Fatalf("Nearest: %d vs %d results", len(na), len(nb))
-	}
-	for i := range na {
-		if na[i].ID != nb[i].ID {
-			t.Fatalf("Nearest result %d: %d vs %d", i, na[i].ID, nb[i].ID)
-		}
-	}
-
-	// The restored concurrent index keeps absorbing concurrent updates.
-	var wg sync.WaitGroup
-	errCh := make(chan error, 4)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(40 + w)))
-			for i := 0; i < 100; i++ {
-				id := uint64(r.Intn(len(pts)))
-				p, ok := y.Location(id)
-				if !ok {
-					continue
-				}
-				if err := y.Update(id, Point{X: p.X + (r.Float64()-0.5)*0.02, Y: p.Y + (r.Float64()-0.5)*0.02}); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	if err := y.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	// And the sequential front-end's snapshot loads concurrently too.
-	buf.Reset()
-	if err := z.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := LoadConcurrent(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Len() != z.Len() {
-		t.Fatalf("cross-load Len = %d, want %d", w2.Len(), z.Len())
-	}
-	if err := w2.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

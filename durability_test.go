@@ -6,12 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"burtree/internal/atomicfile"
+	"burtree/internal/vfs/vfstest"
 	"burtree/internal/wal"
 )
 
@@ -39,122 +39,6 @@ func objectsOf(t *testing.T, idx interface {
 		t.Fatal(err)
 	}
 	return out
-}
-
-func TestDurableRoundTripIndex(t *testing.T) {
-	dir := t.TempDir()
-	idx, err := Open(durableOpts(dir, DurabilityBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := make(map[uint64]Point)
-	for i := uint64(0); i < 40; i++ {
-		p := Point{X: float64(i%7) / 7, Y: float64(i%5) / 5}
-		if err := idx.Insert(i, p); err != nil {
-			t.Fatal(err)
-		}
-		oracle[i] = p
-	}
-	var batch []Change
-	for i := uint64(0); i < 20; i++ {
-		to := Point{X: float64(i%9) / 9, Y: 0.25}
-		batch = append(batch, Change{ID: i, To: to})
-		oracle[i] = to
-	}
-	if _, err := idx.UpdateBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Update(33, Point{X: 0.9, Y: 0.9}); err != nil {
-		t.Fatal(err)
-	}
-	oracle[33] = Point{X: 0.9, Y: 0.9}
-	if err := idx.Delete(7); err != nil {
-		t.Fatal(err)
-	}
-	delete(oracle, 7)
-	if err := idx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := Recover(durableOpts(dir, DurabilityBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if err := rec.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if got := objectsOf(t, rec); !reflect.DeepEqual(got, oracle) {
-		t.Fatalf("recovered %d objects, want %d: diverged", len(got), len(oracle))
-	}
-
-	// The recovered index keeps logging: mutate, close, recover again.
-	if err := rec.Update(0, Point{X: 0.111, Y: 0.222}); err != nil {
-		t.Fatal(err)
-	}
-	oracle[0] = Point{X: 0.111, Y: 0.222}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rec2, err := Recover(durableOpts(dir, DurabilityBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec2.Close()
-	if got := objectsOf(t, rec2); !reflect.DeepEqual(got, oracle) {
-		t.Fatal("second recovery diverged")
-	}
-}
-
-func TestCheckpointTruncatesAndRecovers(t *testing.T) {
-	dir := t.TempDir()
-	idx, err := Open(durableOpts(dir, DurabilityBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := make(map[uint64]Point)
-	for i := uint64(0); i < 30; i++ {
-		p := Point{X: float64(i) / 30, Y: 0.5}
-		if err := idx.Insert(i, p); err != nil {
-			t.Fatal(err)
-		}
-		oracle[i] = p
-	}
-	if err := idx.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFileName)); err != nil {
-		t.Fatalf("no snapshot after checkpoint: %v", err)
-	}
-	// The log tail covered by the snapshot is gone.
-	recs, _, err := wal.ReadDir(logDir(dir, 0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("%d records survive the checkpoint truncation", len(recs))
-	}
-	// Mutations after the checkpoint land in the log tail.
-	if err := idx.Update(3, Point{X: 0.99, Y: 0.01}); err != nil {
-		t.Fatal(err)
-	}
-	oracle[3] = Point{X: 0.99, Y: 0.01}
-	if err := idx.Delete(4); err != nil {
-		t.Fatal(err)
-	}
-	delete(oracle, 4)
-	if err := idx.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, err := Recover(durableOpts(dir, DurabilityBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if got := objectsOf(t, rec); !reflect.DeepEqual(got, oracle) {
-		t.Fatal("recovery after checkpoint diverged")
-	}
 }
 
 func TestOpenRefusesExistingDurableState(t *testing.T) {
@@ -282,8 +166,8 @@ func TestDurableConcurrentGroupCommit(t *testing.T) {
 }
 
 // The memtable tier acknowledges a durable write at the log append; the
-// group-commit leader syncs behind it. With the log swapped for one
-// whose every sync is slow enough to count, n Updates on the tiered index
+// group-commit leader syncs behind it. With the log moved onto a file
+// system whose every sync is slow enough to count, n Updates on the tiered index
 // return in a fraction of n sync times, while the tree path, whose ack
 // waits for a sync covering its record, cannot return in less.
 func TestMemtableAckSkipsSync(t *testing.T) {
@@ -304,13 +188,8 @@ func TestMemtableAckSkipsSync(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := idx.wals[0].Close(); err != nil {
-			t.Fatal(err)
-		}
-		slowDir := t.TempDir()
-		if idx.wals[0], err = wal.Open(slowDir, wal.Options{Sync: wal.SyncGroup, SyncDelay: devSync}); err != nil {
-			t.Fatal(err)
-		}
+		onFS(t, idx.index, vfstest.SlowSync(devSync))
+		before := idx.lsn.Load()
 		start := time.Now()
 		for i := uint64(0); i < n; i++ {
 			if err := idx.Update(i, Point{X: float64(i) / n, Y: 0.25}); err != nil {
@@ -322,7 +201,7 @@ func TestMemtableAckSkipsSync(t *testing.T) {
 		if err := idx.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if recs, _, err := wal.ReadDir(slowDir, 0); err != nil || len(recs) != n {
+		if recs, _, err := wal.ReadDir(logDir(opts.Durability.Dir, 0), before); err != nil || len(recs) != n {
 			t.Fatalf("slow log holds %d records (err %v), want %d", len(recs), err, n)
 		}
 		return elapsed
@@ -336,120 +215,6 @@ func TestMemtableAckSkipsSync(t *testing.T) {
 	if tree < n*devSync {
 		t.Fatalf("tree path: %d updates took %v, under %d syncs (%v): an ack returned before its sync",
 			n, tree, n, n*devSync)
-	}
-}
-
-// TestRecoverShardedRoundTrip recovers a sharded index twice: once
-// filled by Insert, so the first recovery finds no snapshot and replays
-// onto the uniform ranges of open, and once bulk-loaded, so it restores
-// the balanced Hilbert cut the bulk load checkpointed.
-func TestRecoverShardedRoundTrip(t *testing.T) {
-	for _, name := range []string{"uniform", "hilbert"} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			opts := durableOpts(dir, DurabilityBatch)
-			sopts := ShardOptions{Shards: 4}
-			x, err := OpenSharded(opts, sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 80
-			rng := rand.New(rand.NewSource(3))
-			ids := make([]uint64, n)
-			pts := make([]Point, n)
-			oracle := make(map[uint64]Point, n)
-			for i := range ids {
-				ids[i] = uint64(i)
-				pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
-				oracle[ids[i]] = pts[i]
-			}
-			if name == "hilbert" {
-				// Bulk load auto-checkpoints (persisting the balanced cut).
-				if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				insertEach(t, x, ids, pts)
-			}
-			// Mixed tail: batches with cross-shard moves, single updates,
-			// inserts and deletes.
-			for r := 0; r < 5; r++ {
-				var batch []Change
-				for j := 0; j < 16; j++ {
-					id := uint64(rng.Intn(n))
-					to := Point{X: rng.Float64(), Y: rng.Float64()}
-					batch = append(batch, Change{ID: id, To: to})
-					oracle[id] = to
-				}
-				if _, err := x.UpdateBatch(batch); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := x.Update(1, Point{X: 0.05, Y: 0.95}); err != nil {
-				t.Fatal(err)
-			}
-			oracle[1] = Point{X: 0.05, Y: 0.95}
-			if err := x.Insert(1000, Point{X: 0.5, Y: 0.5}); err != nil {
-				t.Fatal(err)
-			}
-			oracle[1000] = Point{X: 0.5, Y: 0.5}
-			if err := x.Delete(2); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, 2)
-			if err := x.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			rec, err := RecoverSharded(opts, sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rec.Close()
-			if err := rec.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			if rec.Len() != len(oracle) {
-				t.Fatalf("recovered %d objects, want %d", rec.Len(), len(oracle))
-			}
-			for id, want := range oracle {
-				if got, ok := rec.Location(id); !ok || got != want {
-					t.Fatalf("object %d: recovered %v,%v want %v", id, got, ok, want)
-				}
-			}
-
-			// Keep going after recovery, checkpoint, recover once more.
-			if err := rec.Update(3, Point{X: 0.77, Y: 0.11}); err != nil {
-				t.Fatal(err)
-			}
-			oracle[3] = Point{X: 0.77, Y: 0.11}
-			if err := rec.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := rec.Delete(5); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, 5)
-			if err := rec.Close(); err != nil {
-				t.Fatal(err)
-			}
-			rec2, err := RecoverSharded(opts, sopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rec2.Close()
-			if err := rec2.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			for id, want := range oracle {
-				if got, ok := rec2.Location(id); !ok || got != want {
-					t.Fatalf("after 2nd recovery, object %d: %v,%v want %v", id, got, ok, want)
-				}
-			}
-			if rec2.Len() != len(oracle) {
-				t.Fatalf("after 2nd recovery: %d objects, want %d", rec2.Len(), len(oracle))
-			}
-		})
 	}
 }
 

@@ -89,6 +89,10 @@ type DB struct {
 	// list that drops none, so a read's lock cycle allocates nothing, on
 	// every call.
 	txns scratch.List[dgl.Txn]
+	// wideCells holds the granule lists of reads whose window covers more
+	// cells than an operation keeps on its stack (a whole-space window
+	// covers the whole grid), on a free list that drops none like txns.
+	wideCells scratch.List[[]dgl.GranuleID]
 	// refuseTry makes every optimistic lock attempt report a refusal, so
 	// that a test can run on the blocking protocol alone. Nothing else
 	// sets it.
@@ -160,18 +164,21 @@ func (d *DB) cellOf(p geom.Point) dgl.GranuleID {
 // default page size. A longer list spills to the heap.
 const stackCells = 2 * rtree.DefaultLeafFanout
 
-// cellsOfRect appends the granules covering r to dst, ascending. An
-// inverted (or NaN) rectangle covers nothing: the query that carries it
-// matches no objects, needs no cell locks, and must not compute a
-// negative covering-range size.
-func (d *DB) cellsOfRect(r geom.Rect, dst []dgl.GranuleID) []dgl.GranuleID {
+// cellRange returns the grid columns x0..x1 and rows y0..y1 that r
+// covers. An inverted (or NaN) rectangle covers nothing: the query that
+// carries it matches no objects, needs no cell locks, and must not
+// compute a negative covering-range size, so its range is empty.
+func (d *DB) cellRange(r geom.Rect) (x0, x1, y0, y1 int) {
 	if !r.Valid() {
-		return dst
+		return 0, -1, 0, -1
 	}
-	x0 := geom.ClampCell(r.MinX, d.gridN)
-	x1 := geom.ClampCell(r.MaxX, d.gridN)
-	y0 := geom.ClampCell(r.MinY, d.gridN)
-	y1 := geom.ClampCell(r.MaxY, d.gridN)
+	return geom.ClampCell(r.MinX, d.gridN), geom.ClampCell(r.MaxX, d.gridN),
+		geom.ClampCell(r.MinY, d.gridN), geom.ClampCell(r.MaxY, d.gridN)
+}
+
+// cellsOfRect appends the granules covering r to dst, ascending.
+func (d *DB) cellsOfRect(r geom.Rect, dst []dgl.GranuleID) []dgl.GranuleID {
+	x0, x1, y0, y1 := d.cellRange(r)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			dst = append(dst, dgl.GranuleID(1+y*d.gridN+x))
@@ -458,7 +465,15 @@ func (d *DB) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool) error {
 	txn := d.begin()
 	defer d.end(txn)
 	var cellBuf [stackCells]dgl.GranuleID
-	cells := d.cellsOfRect(q, cellBuf[:0])
+	cells := cellBuf[:0]
+	if x0, x1, y0, y1 := d.cellRange(q); (x1-x0+1)*(y1-y0+1) > stackCells {
+		wide := d.wideCells.Get()
+		defer d.wideCells.Put(wide)
+		*wide = d.cellsOfRect(q, (*wide)[:0])
+		cells = *wide
+	} else {
+		cells = d.cellsOfRect(q, cells)
+	}
 	if !d.tryLock(txn, dgl.IS, dgl.S, cells, nil) {
 		if err := d.lockAll(txn, dgl.IS, dgl.S, cells, nil); err != nil {
 			return err

@@ -4,7 +4,8 @@
 // fails the n-th call of a kind with a chosen error. A test runs a
 // scenario once to count its calls, then once per call with that call
 // failed (Enumerate), and checks what the scenario returned
-// against what a reader finds on disk.
+// against what a reader finds on disk. SlowSync makes every sync slow
+// instead, for the tests that count a commit policy's syncs.
 package vfstest
 
 import (
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"burtree/internal/vfs"
 )
@@ -87,17 +89,23 @@ func faultsFor(c counts) []Fault {
 
 // FS is the fault-injecting file system. It is safe for concurrent use.
 type FS struct {
-	mu     sync.Mutex
-	armed  bool
-	counts counts
-	faults []Fault
-	fired  []Fault
+	mu        sync.Mutex
+	armed     bool
+	counts    counts
+	faults    []Fault
+	fired     []Fault
+	syncDelay time.Duration
 }
 
 var _ vfs.FS = (*FS)(nil)
 
 // New returns an unarmed FS that will fail the given calls once armed.
 func New(faults ...Fault) *FS { return &FS{faults: faults} }
+
+// SlowSync returns an FS that fails nothing and makes every successful
+// Sync take d longer: a device slow enough that a test can count the
+// syncs a commit policy issues.
+func SlowSync(d time.Duration) *FS { return &FS{syncDelay: d} }
 
 // Arm starts counting calls, from zero, and failing the planned ones.
 func (fs *FS) Arm() {
@@ -194,7 +202,11 @@ func (f *file) Sync() error {
 	if ft, ok := f.fs.hit(Sync); ok {
 		return ft.Err
 	}
-	return f.File.Sync()
+	err := f.File.Sync()
+	if err == nil && f.fs.syncDelay > 0 {
+		time.Sleep(f.fs.syncDelay)
+	}
+	return err
 }
 
 func (f *file) Truncate(size int64) error {

@@ -120,7 +120,10 @@ func openBase(t *testing.T, fs *vfstest.FS, opts Options, base ...uint64) (strin
 }
 
 // appendsEach is three SyncEach appends, into segments of segmentBytes:
-// a small size makes each of them rotate first.
+// a small size makes each of them rotate first. Only a rotation opens
+// and closes files there, and one whose segment would not close or whose
+// next segment would not start poisons the log with that fault: the
+// append after it and Close must both report it.
 func appendsEach(segmentBytes int64) func(t *testing.T, fs *vfstest.FS) {
 	return func(t *testing.T, fs *vfstest.FS) {
 		dir, l := openBase(t, fs, Options{Sync: SyncEach, SegmentBytes: segmentBytes}, 1)
@@ -130,7 +133,21 @@ func appendsEach(segmentBytes int64) func(t *testing.T, fs *vfstest.FS) {
 			r.do(id, func() error { return appendOne(l, id) })
 		}
 		fs.Disarm()
-		_ = l.Close() // a poisoned log reports its failure again
+		i := slices.IndexFunc(fs.Fired(), func(f vfstest.Fault) bool {
+			return f.Kind == vfstest.Open || f.Kind == vfstest.Close
+		})
+		if i < 0 {
+			_ = l.Close() // a poisoned log reports its failure again
+			r.check(t, dir)
+			return
+		}
+		cause := fs.Fired()[i]
+		if err := r.do(5, func() error { return appendOne(l, 5) }); !errors.Is(err, cause.Err) {
+			t.Errorf("append after a failed rotation (%v): %v, want its cause", cause, err)
+		}
+		if err := l.Close(); !errors.Is(err, cause.Err) {
+			t.Errorf("Close after a failed rotation (%v): %v, want its cause", cause, err)
+		}
 		r.check(t, dir)
 	}
 }

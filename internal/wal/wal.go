@@ -54,7 +54,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"burtree/internal/atomicfile"
 	"burtree/internal/vfs"
@@ -104,10 +103,6 @@ type Options struct {
 	// SegmentBytes caps a segment file; the log rotates past it
 	// (default 16 MiB).
 	SegmentBytes int64
-	// SyncDelay adds a sleep to every successful fsync. It is a test
-	// seam, set by no public option: the commit-policy tests use it to
-	// make a sync slow enough to count. Zero for real use.
-	SyncDelay time.Duration
 	// NextSeq, when set, assigns record sequence numbers from an
 	// external source (the sharded index shares one atomic counter
 	// across its per-shard logs so their streams merge into one total
@@ -326,7 +321,9 @@ func (l *Log) newSegmentLocked(idx int) error {
 func (l *Log) finishSync(covered int64, err error) error {
 	l.gc.mu.Lock()
 	if err != nil {
-		l.gc.err = fmt.Errorf("wal: sync: %w", err)
+		if l.gc.err == nil { // the first failure is the cause
+			l.gc.err = fmt.Errorf("wal: sync: %w", err)
+		}
 	} else if covered > l.gc.syncedTo {
 		l.gc.syncedTo = covered
 	}
@@ -350,16 +347,21 @@ func (l *Log) rollbackTailLocked() error {
 // rotateLocked finishes the active segment (fsync, close) and starts
 // the next one. Everything appended so far is durable after the fsync,
 // so the group-commit horizon lifts and waiters never fsync the closed
-// file. Caller holds l.mu.
+// file. A failed close or a next segment that cannot be started leaves
+// l.f on a closed file, so either poisons the log with its cause: every
+// later call reports it, not the closed file. Caller holds l.mu.
 func (l *Log) rotateLocked() error {
 	err := l.f.Sync()
 	if serr := l.finishSync(l.appended, err); serr != nil {
 		return serr
 	}
 	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return l.finishSync(0, err)
 	}
-	return l.newSegmentLocked(l.segIdx + 1)
+	if err := l.newSegmentLocked(l.segIdx + 1); err != nil {
+		return l.finishSync(0, err)
+	}
+	return nil
 }
 
 // encodeRecord appends the framed record to dst and returns it.
@@ -419,11 +421,7 @@ func (l *Log) append(typ Type, ops []Op) (seq uint64, target int64, done bool, e
 	if l.opts.Sync != SyncEach {
 		return seq, target, false, nil
 	}
-	err = l.f.Sync()
-	if err == nil {
-		simulateSync(l.opts.SyncDelay)
-	}
-	return seq, target, true, l.finishSync(target, err)
+	return seq, target, true, l.finishSync(target, l.f.Sync())
 }
 
 // AppendAsync logs the ops like Append but does not wait for the bytes
@@ -541,9 +539,7 @@ func (l *Log) syncRound() {
 	var err error
 	if !closed {
 		err = f.Sync()
-		if err == nil {
-			simulateSync(l.opts.SyncDelay)
-		} else if errors.Is(err, os.ErrClosed) {
+		if errors.Is(err, os.ErrClosed) {
 			// Rotation or Close took the file between our snapshot of
 			// l.f and the fsync. Both fsync everything before closing,
 			// so the bytes covered here (appended before our snapshot,
@@ -808,11 +804,4 @@ func decodeRecord(data []byte, off int64) (rec Record, next int64, ok bool) {
 		}
 	}
 	return rec, off + recHeaderSize + body, true
-}
-
-// simulateSync sleeps out Options.SyncDelay (tests only).
-func simulateSync(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"burtree/internal/vfs"
+	"burtree/internal/vfs/vfstest"
 )
 
 func appendN(t *testing.T, l *Log, n int, base uint64) {
@@ -289,7 +290,7 @@ func TestGroupCommitSharesSyncs(t *testing.T) {
 	)
 	run := func(policy SyncPolicy) time.Duration {
 		t.Helper()
-		l, err := Open(t.TempDir(), Options{Sync: policy, SyncDelay: devSync})
+		l, err := Open(t.TempDir(), Options{Sync: policy, FS: vfstest.SlowSync(devSync)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -459,7 +460,7 @@ func TestEncodeDecodeRecordFraming(t *testing.T) {
 func TestAppendAsyncGroupDoesNotBlock(t *testing.T) {
 	dir := t.TempDir()
 	const devSync = 50 * time.Millisecond
-	l, err := Open(dir, Options{Sync: SyncGroup, SyncDelay: devSync})
+	l, err := Open(dir, Options{Sync: SyncGroup, FS: vfstest.SlowSync(devSync)})
 	if err != nil {
 		t.Fatal(err)
 	}

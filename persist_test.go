@@ -69,77 +69,6 @@ func queriesMatch(t *testing.T, a, b interface{ Search(Rect) ([]uint64, error) }
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	for _, s := range allFacadeStrategies() {
-		s := s
-		t.Run(s.String(), func(t *testing.T) {
-			orig, rng := buildForPersist(t, s)
-			var buf bytes.Buffer
-			if err := orig.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loaded.Len() != orig.Len() {
-				t.Fatalf("Len = %d, want %d", loaded.Len(), orig.Len())
-			}
-			if err := loaded.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			queriesMatch(t, orig, loaded, rng, 30)
-		})
-	}
-}
-
-func TestLoadedIndexKeepsWorking(t *testing.T) {
-	orig, rng := buildForPersist(t, GeneralizedBottomUp)
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	x, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The loaded index must accept the full op mix: updates (all
-	// bottom-up paths), inserts, deletes.
-	for step := 0; step < 3000; step++ {
-		id := uint64(rng.Intn(1500))
-		p, ok := x.Location(id)
-		if !ok {
-			continue
-		}
-		np := Point{X: p.X + (rng.Float64()-0.5)*0.08, Y: p.Y + (rng.Float64()-0.5)*0.08}
-		if err := x.Update(id, np); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	for i := 1500; i < 1700; i++ {
-		if err := x.Insert(uint64(i), Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		if err := x.Delete(uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := x.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Len() != 1600 {
-		t.Fatalf("Len = %d, want 1600", x.Len())
-	}
-	// Update outcomes should include local resolutions (summary and hash
-	// were rebuilt correctly).
-	out := x.Stats().Outcomes
-	if out.InLeaf+out.Extended+out.Shifted == 0 {
-		t.Fatalf("no local resolutions after load: %+v", out)
-	}
-}
-
 func TestSaveLoadFile(t *testing.T) {
 	orig, rng := buildForPersist(t, GeneralizedBottomUp)
 	path := t.TempDir() + "/index.bur"

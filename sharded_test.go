@@ -1,24 +1,12 @@
 package burtree
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
 )
-
-func shardVariants() []ShardOptions {
-	return []ShardOptions{
-		{Shards: 1},
-		{Shards: 4},
-		{Shards: 5},
-		{Shards: 8},
-	}
-}
 
 func openShardedTest(t testing.TB, s Strategy, so ShardOptions) *ShardedIndex {
 	t.Helper()
@@ -79,173 +67,6 @@ func sortedShardedIDs(t *testing.T, search func(Rect) ([]uint64, error), q Rect)
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	return got
-}
-
-// TestShardedEquivalence drives the identical workload — bulk load,
-// updates (including forced cross-shard moves), inserts, deletes —
-// through a plain Index and a ShardedIndex and requires identical query
-// answers throughout.
-func TestShardedEquivalence(t *testing.T) {
-	for _, so := range shardVariants() {
-		so := so
-		t.Run(fmt.Sprintf("hilbert-%d", so.Shards), func(t *testing.T) {
-			ref := openTest(t, GeneralizedBottomUp)
-			sh := openShardedTest(t, GeneralizedBottomUp, so)
-
-			ids, pts := randomPoints(1500, 42)
-			if err := ref.BulkInsert(ids, pts, PackSTR); err != nil {
-				t.Fatal(err)
-			}
-			if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
-				t.Fatal(err)
-			}
-
-			rng := rand.New(rand.NewSource(7))
-			for step := 0; step < 1200; step++ {
-				switch rng.Intn(10) {
-				case 0: // insert a fresh object
-					id := uint64(10_000 + step)
-					p := Point{X: rng.Float64(), Y: rng.Float64()}
-					if err := ref.Insert(id, p); err != nil {
-						t.Fatal(err)
-					}
-					if err := sh.Insert(id, p); err != nil {
-						t.Fatal(err)
-					}
-				case 1: // delete an existing object
-					id := ids[rng.Intn(len(ids))]
-					re, se := ref.Delete(id), sh.Delete(id)
-					if (re == nil) != (se == nil) {
-						t.Fatalf("delete %d: ref err %v, sharded err %v", id, re, se)
-					}
-				default: // move: long jumps force cross-shard traffic
-					id := ids[rng.Intn(len(ids))]
-					old, ok := ref.Location(id)
-					if !ok {
-						continue
-					}
-					d := rng.Float64() * 0.4
-					ang := rng.Float64() * 2 * math.Pi
-					p := Point{X: old.X + d*math.Cos(ang), Y: old.Y + d*math.Sin(ang)}
-					re, se := ref.Update(id, p), sh.Update(id, p)
-					if (re == nil) != (se == nil) {
-						t.Fatalf("update %d: ref err %v, sharded err %v", id, re, se)
-					}
-				}
-				if step%200 == 0 {
-					q := NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-					a := sortedShardedIDs(t, ref.Search, q)
-					b := sortedShardedIDs(t, sh.Search, q)
-					if len(a) != len(b) {
-						t.Fatalf("step %d: window %v: %d vs %d results", step, q, len(a), len(b))
-					}
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("step %d: window %v: id mismatch at %d: %d vs %d", step, q, i, a[i], b[i])
-						}
-					}
-					cr, _ := ref.Count(q)
-					cs, err := sh.Count(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if cr != cs {
-						t.Fatalf("step %d: Count %v: %d vs %d", step, q, cr, cs)
-					}
-				}
-			}
-			if ref.Len() != sh.Len() {
-				t.Fatalf("Len: ref %d, sharded %d", ref.Len(), sh.Len())
-			}
-			// Nearest-neighbour distance profiles must match exactly.
-			for i := 0; i < 40; i++ {
-				p := Point{X: rng.Float64()*1.2 - 0.1, Y: rng.Float64()*1.2 - 0.1}
-				na, err := ref.Nearest(p, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nb, err := sh.Nearest(p, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(na) != len(nb) {
-					t.Fatalf("NN at %v: %d vs %d results", p, len(na), len(nb))
-				}
-				for j := range na {
-					if na[j].Dist != nb[j].Dist {
-						t.Fatalf("NN at %v: dist[%d] %g vs %g", p, j, na[j].Dist, nb[j].Dist)
-					}
-				}
-			}
-			if err := sh.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestShardedUpdateBatch checks that batched application — including the
-// cross-shard delete+insert pairs — matches one-by-one application on a
-// reference index.
-func TestShardedUpdateBatch(t *testing.T) {
-	for _, so := range []ShardOptions{{Shards: 4}, {Shards: 6}} {
-		so := so
-		t.Run(fmt.Sprintf("hilbert-%d", so.Shards), func(t *testing.T) {
-			ref := openTest(t, GeneralizedBottomUp)
-			sh := openShardedTest(t, GeneralizedBottomUp, so)
-			ids, pts := randomPoints(2000, 5)
-			if err := ref.BulkInsert(ids, pts, PackSTR); err != nil {
-				t.Fatal(err)
-			}
-			if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(11))
-			crossTotal := 0
-			for round := 0; round < 12; round++ {
-				batch := make([]Change, 0, 256)
-				for i := 0; i < 256; i++ {
-					id := ids[rng.Intn(len(ids))]
-					old, _ := ref.Location(id)
-					d := rng.Float64() * 0.3
-					ang := rng.Float64() * 2 * math.Pi
-					batch = append(batch, Change{ID: id, To: Point{X: old.X + d*math.Cos(ang), Y: old.Y + d*math.Sin(ang)}})
-				}
-				res, err := sh.UpdateBatch(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				crossTotal += res.CrossShard
-				// Reference: apply the coalesced moves one by one.
-				final := make(map[uint64]Point, len(batch))
-				for _, c := range batch {
-					final[c.ID] = c.To
-				}
-				if res.Applied != len(final) {
-					t.Fatalf("round %d: Applied %d, want %d distinct ids", round, res.Applied, len(final))
-				}
-				for _, c := range batch {
-					if final[c.ID] == c.To {
-						if err := ref.Update(c.ID, c.To); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				q := NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-				a := sortedShardedIDs(t, ref.Search, q)
-				b := sortedShardedIDs(t, sh.Search, q)
-				if fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("round %d: window results diverge", round)
-				}
-				if err := sh.CheckInvariants(); err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-			}
-			if so.Shards > 1 && crossTotal == 0 {
-				t.Fatal("workload produced no cross-shard moves; test is vacuous")
-			}
-		})
-	}
 }
 
 // TestShardedHilbertBalance bulk-loads heavily skewed data and expects
@@ -467,79 +288,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 	}
 	if len(cs) != 4 {
 		t.Fatalf("expected 4 per-shard stats, got %d", len(cs))
-	}
-}
-
-// TestShardedSaveLoadRoundTrip saves a sharded index and restores it
-// through all three load paths: LoadSharded (exact partition),
-// LoadConcurrent and Load (merged single tree). All must answer queries
-// identically.
-func TestShardedSaveLoadRoundTrip(t *testing.T) {
-	sh := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})
-	ids, pts := randomPoints(1800, 77)
-	if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 600; i++ {
-		id := ids[rng.Intn(len(ids))]
-		if err := sh.Update(id, Point{X: rng.Float64() * 1.1, Y: rng.Float64() * 1.1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := sh.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	sh2, err := LoadSharded(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sh2.ShardLens(), sh.ShardLens(); !slices.Equal(got, want) {
-		t.Fatalf("restored shard occupancy %v, saved %v", got, want)
-	}
-	if err := sh2.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	ci, err := LoadConcurrent(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if idx.Len() != sh.Len() || ci.Len() != sh.Len() || sh2.Len() != sh.Len() {
-		t.Fatalf("Len diverges: sharded %d, restored %d/%d/%d", sh.Len(), sh2.Len(), ci.Len(), idx.Len())
-	}
-	for i := 0; i < 30; i++ {
-		q := NewRect(rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64())
-		want := sortedShardedIDs(t, sh.Search, q)
-		for name, search := range map[string]func(Rect) ([]uint64, error){
-			"LoadSharded": sh2.Search, "LoadConcurrent": ci.Search, "Load": idx.Search,
-		} {
-			got := sortedShardedIDs(t, search, q)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: window %v diverges: %d vs %d results", name, q, len(got), len(want))
-			}
-		}
-	}
-	// The restored sharded index must keep working, including cross-shard
-	// moves and further snapshots.
-	for i := 0; i < 200; i++ {
-		id := ids[rng.Intn(len(ids))]
-		if err := sh2.Update(id, Point{X: rng.Float64(), Y: rng.Float64()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sh2.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }
 

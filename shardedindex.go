@@ -668,7 +668,7 @@ func (g *gatherScan) release() {
 		sc.release()
 	}
 	clear(g.scans)
-	g.scans, g.ids, g.pts = g.scans[:0], scratch.Trim(g.ids, maxIdleIDs), scratch.Trim(g.pts, maxIdleIDs)
+	g.scans, g.ids, g.pts = g.scans[:0], keepRoom(g.ids), keepRoom(g.pts)
 	if len(g.seen) > maxIdleIDs {
 		g.seen = make(map[uint64]struct{})
 	} else {
@@ -708,8 +708,9 @@ func (x *index) gather(g *gatherScan, q Rect, targets []int, pairs bool) error {
 			return sc.err
 		}
 	}
-	if len(g.scans) == 1 { // one shard reports each id once
-		g.ids, g.pts = append(g.ids, sc.ids...), append(g.pts, sc.pts...)
+	if len(g.scans) == 1 { // one shard reports each id once: take its buffers
+		g.ids, sc.ids = sc.ids, g.ids
+		g.pts, sc.pts = sc.pts, g.pts
 		return nil
 	}
 	for _, sc := range g.scans {
