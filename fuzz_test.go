@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"burtree/internal/geom"
+	"burtree/internal/rtree"
 	"burtree/internal/wal"
 )
 
@@ -63,15 +64,12 @@ func TestOptionMatrix(t *testing.T) {
 		t.Run(c.String(), func(t *testing.T) {
 			cross := 0
 			for s := range 2 {
-				seed := int64(2*c.ordinal() + s)
-				data := make([]byte, 5*4*matrixSegmentOps)
-				rand.New(rand.NewSource(seed)).Read(data)
-				cross += c.run(t, matrixPlan{
-					seed:      seed,
+				cross += c.runSeed(t, matrixPlan{
+					seed:      int64(2*c.ordinal() + s),
 					bulk:      s == 1,
 					recoverAs: kind((c.ordinal()/2 + s) % 3),
 					loadAs:    kind((c.ordinal() + s) % 3),
-				}, data).cross
+				}, matrixSegmentOps, 0).cross
 			}
 			if c.shards() > 1 && !c.memtable && cross == 0 {
 				t.Fatal("no batch moved an object across shards: the cell's sharded legs are vacuous")
@@ -90,6 +88,7 @@ type matrixCell struct {
 	strategy Strategy
 	mode     DurabilityMode
 	memtable bool
+	nShards  int // a ShardedIndex's shard count other than its front-end's
 }
 
 // matrixFrontEnds is the front-end axis: a ShardedIndex is named by its
@@ -97,7 +96,12 @@ type matrixCell struct {
 var matrixFrontEnds = []string{"Index", "ConcurrentIndex", "Sharded1", "Sharded4"}
 
 // shards is the cell's shard count; 0 for Index and ConcurrentIndex.
-func (c matrixCell) shards() int { return [...]int{0, 0, 1, 4}[c.frontEnd] }
+func (c matrixCell) shards() int {
+	if c.nShards != 0 {
+		return c.nShards
+	}
+	return [...]int{0, 0, 1, 4}[c.frontEnd]
+}
 
 // matrixCells lists the 48 cells of the matrix: front-end × strategy ×
 // durability × memtable. The short subset keeps the 12 cells whose
@@ -109,7 +113,7 @@ func matrixCells(short bool) []matrixCell {
 		for _, s := range allFacadeStrategies() {
 			for mode := DurabilityOff; mode <= DurabilityGroup; mode++ {
 				for _, mem := range []bool{false, true} {
-					c := matrixCell{fe, s, mode, mem}
+					c := matrixCell{frontEnd: fe, strategy: s, mode: mode, memtable: mem}
 					if a := c.axes(); short && (a[1] != (fe+int(mode))%2 || a[3] != (fe/2+int(mode))%2) {
 						continue
 					}
@@ -160,7 +164,11 @@ func coversEveryPair(cells []matrixCell) error {
 }
 
 func (c matrixCell) String() string {
-	s := fmt.Sprintf("%s-%v-%v", matrixFrontEnds[c.frontEnd], c.strategy, c.mode)
+	fe := matrixFrontEnds[c.frontEnd]
+	if c.shards() > 0 {
+		fe = fmt.Sprintf("Sharded%d", c.shards())
+	}
+	s := fmt.Sprintf("%s-%v-%v", fe, c.strategy, c.mode)
 	if c.memtable {
 		s += "-memtable"
 	}
@@ -199,6 +207,19 @@ type matrixPlan struct {
 	seed              int64
 	bulk              bool
 	recoverAs, loadAs kind
+}
+
+// runSeed runs through the cell the five segments of segOps operations
+// each that p's seed decodes to (see runUpdateSequence). A nonzero bias
+// is the operation the chunk at every 16th byte is set to, the first
+// chunk of every four unless a batch took it as a move.
+func (c matrixCell) runSeed(t *testing.T, p matrixPlan, segOps int, bias byte) *model {
+	data := make([]byte, 5*4*segOps)
+	rand.New(rand.NewSource(p.seed)).Read(data)
+	for i := 0; bias != 0 && i < len(data); i += 16 {
+		data[i] = data[i]&^7 | bias
+	}
+	return c.run(t, p, data)
 }
 
 // run drives data through the cell in five segments, with the model
@@ -619,9 +640,9 @@ func (m *model) check(t *testing.T, idx fuzzIndex) {
 
 // segment runs one segment of a sequence and holds Stats to it: an
 // untiered index's trees hold every object, grow past one level once
-// they hold more than a leaf, read leaves from disk once they outgrow
-// the four-page pool, and on one stack resolve one update outcome per
-// move applied.
+// some stack holds more than a leaf, read leaves from disk once some
+// stack outgrows its share of the four-page pool (a page at least), and
+// on one stack resolve one update outcome per move applied.
 func (m *model) segment(t *testing.T, idx fuzzIndex, data []byte) {
 	t.Helper()
 	before, _ := indexOf(idx).stats()
@@ -632,7 +653,7 @@ func (m *model) segment(t *testing.T, idx fuzzIndex, data []byte) {
 	if m.tiered {
 		return
 	}
-	if st.Size != len(m.objects) || (st.Size > 32 && st.Height < 2) || (st.Pages-st.ResidentPages > 4 && st.DiskReads == 0) {
+	if st.Size != len(m.objects) || (slices.Max(shardLens(idx)) > leafFanout && st.Height < 2) || (st.Pages-st.ResidentPages > m.stacks*max(4/m.stacks, 1) && st.DiskReads == 0) {
 		m.fail(t, "Stats: Size %d, Height %d, %d pages with %d resident read %d from disk; model %d objects",
 			st.Size, st.Height, st.Pages, st.ResidentPages, st.DiskReads, len(m.objects))
 	}
@@ -640,6 +661,19 @@ func (m *model) segment(t *testing.T, idx fuzzIndex, data []byte) {
 		m.fail(t, "Stats: %d update outcomes for %d moves applied", out, m.moves-moves)
 	}
 }
+
+// shardLens is the object count of each of idx's stacks.
+func shardLens(idx fuzzIndex) []int {
+	if sh, ok := idx.(*ShardedIndex); ok {
+		return sh.ShardLens()
+	}
+	return []int{idx.Len()}
+}
+
+// leafFanout is the most objects a leaf of the model's 256-byte pages
+// holds under TopDown and GeneralizedBottomUp, which keep no parent
+// pointers.
+var leafFanout = rtree.MaxEntriesFor(256, false, 0)
 
 // bulkLoad bulk-loads 40 objects of the id space into the empty index
 // and the twin.
@@ -721,10 +755,7 @@ func (m *model) saveAndLoad(t *testing.T, idx fuzzIndex, as kind) fuzzIndex {
 	if err := idx.Save(&buf); err != nil {
 		m.fail(t, "Save: %v", err)
 	}
-	lens := []int{idx.Len()}
-	if sh, ok := idx.(*ShardedIndex); ok {
-		lens = sh.ShardLens()
-	}
+	lens := shardLens(idx)
 	if err := idx.Close(); err != nil {
 		m.fail(t, "Close: %v", err)
 	}
