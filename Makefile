@@ -21,7 +21,8 @@ lint:
 # allocs is the allocation gate: TestAllocBudget holds the write, churn
 # and read windows to the budgets committed in BENCH_allocs.json (see
 # allocbench_test.go), TestWholeSpaceReadAllocs holds whole-space reads
-# over 1 000, 5 000 and 20 000 objects to theirs, and the per-layer tests
+# over 1 000, 5 000 and 20 000 objects, on one stack and on four shards,
+# to theirs, and the per-layer tests
 # hold the overlay reads exact and the tree's search, its overflow path,
 # the batch planner, LBU's batch pass and a blocked DGL acquire at zero
 # allocations.

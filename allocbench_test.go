@@ -460,32 +460,56 @@ func TestAllocBudget(t *testing.T) {
 }
 
 // wholeSpaceReads budgets the allocations of one read whose window covers
-// the whole space, on a GBU ConcurrentIndex of 1 000, 5 000 and 20 000
-// objects: Search, Count and SearchFunc, and a Nearest of every object.
-// The window's cell locks come from kept scratch, so up to 2 048 objects
-// (the id room a read keeps between calls) Search allocates its result
-// alone and the others nothing; a wider read regrows its id and position
-// buffers from that room while it runs, and those allocations are
-// budgeted too. So is Nearest's queue, which a read past 1 024 queued
-// items regrows from nothing.
+// the whole space, on a GBU ConcurrentIndex and on a 4-shard GBU
+// ShardedIndex of 1 000, 5 000 and 20 000 objects: Search, Count and
+// SearchFunc, and a Nearest of every object. The window's cell locks come
+// from kept scratch, so up to 2 048 objects (the id room a read keeps
+// between calls) Search allocates its result alone and the others
+// nothing; a wider read regrows its id and position buffers from that
+// room while it runs, and those allocations are budgeted too. So are
+// Nearest's queue, which a read regrows past the 1 024 items it keeps,
+// and on 4 shards the gather's sorted copy of the ids and the nearest
+// merge's lists.
 var wholeSpaceReads = []struct {
+	shards                             int
 	objects                            int
 	search, count, searchFunc, nearest float64
 }{
-	{1000, 1, 0, 0, 1},
-	{5000, 5, 0, 8, 1},
-	{20000, 10, 0, 18, 14},
+	{1, 1000, 1, 0, 0, 1},
+	{1, 5000, 5, 0, 8, 1},
+	{1, 20000, 10, 0, 18, 4},
+	{4, 1000, 1, 1, 0, 10},
+	{4, 5000, 5, 5, 6, 20},
+	{4, 20000, 21, 21, 38, 30},
+}
+
+// wholeSpaceIndex is the read surface TestWholeSpaceReadAllocs drives,
+// common to ConcurrentIndex and ShardedIndex.
+type wholeSpaceIndex interface {
+	BulkInsert(ids []uint64, pts []burtree.Point, method burtree.PackMethod) error
+	Search(q burtree.Rect) ([]uint64, error)
+	Count(q burtree.Rect) (int, error)
+	SearchFunc(q burtree.Rect, visit func(uint64, burtree.Point) bool) error
+	Nearest(p burtree.Point, k int) ([]burtree.Neighbor, error)
+	Close() error
 }
 
 // TestWholeSpaceReadAllocs holds each row of wholeSpaceReads. Run
 // without -short: make allocs runs it.
 func TestWholeSpaceReadAllocs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("bulk-loads 26 000 objects; skipped with -short")
+		t.Skip("bulk-loads 52 000 objects; skipped with -short")
 	}
 	all := burtree.NewRect(-1, -1, 2, 2)
+	opts := burtree.Options{Strategy: burtree.GeneralizedBottomUp}
 	for _, row := range wholeSpaceReads {
-		x, err := burtree.OpenConcurrent(burtree.Options{Strategy: burtree.GeneralizedBottomUp})
+		var x wholeSpaceIndex
+		var err error
+		if row.shards == 1 {
+			x, err = burtree.OpenConcurrent(opts)
+		} else {
+			x, err = burtree.OpenSharded(opts, burtree.ShardOptions{Shards: row.shards})
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,9 +537,14 @@ func TestWholeSpaceReadAllocs(t *testing.T) {
 				t.Fatalf("Count: %d objects, %v", n, err)
 			}
 		})
+		// The visit is made once, outside the count: through the
+		// interface it escapes, and making it would count two
+		// allocations (the closure and its counter) the read does not make.
+		n := 0
+		visit := func(uint64, burtree.Point) bool { n++; return true }
 		searchFunc := perRead(func() {
-			n := 0
-			if err := x.SearchFunc(all, func(uint64, burtree.Point) bool { n++; return true }); err != nil || n != row.objects {
+			n = 0
+			if err := x.SearchFunc(all, visit); err != nil || n != row.objects {
 				t.Fatalf("SearchFunc: %d objects, %v", n, err)
 			}
 		})
@@ -524,10 +553,11 @@ func TestWholeSpaceReadAllocs(t *testing.T) {
 				t.Fatalf("Nearest: %d objects, %v", len(ns), err)
 			}
 		})
-		t.Logf("%d objects: Search %v, Count %v, SearchFunc %v, Nearest %v allocs/read", row.objects, search, count, searchFunc, nearest)
+		t.Logf("%d shard(s), %d objects: Search %v, Count %v, SearchFunc %v, Nearest %v allocs/read",
+			row.shards, row.objects, search, count, searchFunc, nearest)
 		if search > row.search || count > row.count || searchFunc > row.searchFunc || nearest > row.nearest {
-			t.Errorf("%d objects: Search %v, Count %v, SearchFunc %v, Nearest %v allocs/read; budget %v, %v, %v, %v",
-				row.objects, search, count, searchFunc, nearest, row.search, row.count, row.searchFunc, row.nearest)
+			t.Errorf("%d shard(s), %d objects: Search %v, Count %v, SearchFunc %v, Nearest %v allocs/read; budget %v, %v, %v, %v",
+				row.shards, row.objects, search, count, searchFunc, nearest, row.search, row.count, row.searchFunc, row.nearest)
 		}
 		if err := x.Close(); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // ExtendToward implements the paper's Algorithm 4 (iExtendMBR): it enlarges
 // leaf toward p only in the direction(s) of movement, by at most eps per
 // side, and never beyond parent. The enlargement is also "only enough to
@@ -14,14 +12,14 @@ import "math"
 func ExtendToward(leaf Rect, p Point, eps float64, parent Rect) Rect {
 	out := leaf
 	if p.X > leaf.MaxX {
-		out.MaxX = math.Min(math.Min(leaf.MaxX+eps, p.X), parent.MaxX)
+		out.MaxX = min(leaf.MaxX+eps, p.X, parent.MaxX)
 	} else if p.X < leaf.MinX {
-		out.MinX = math.Max(math.Max(leaf.MinX-eps, p.X), parent.MinX)
+		out.MinX = max(leaf.MinX-eps, p.X, parent.MinX)
 	}
 	if p.Y > leaf.MaxY {
-		out.MaxY = math.Min(math.Min(leaf.MaxY+eps, p.Y), parent.MaxY)
+		out.MaxY = min(leaf.MaxY+eps, p.Y, parent.MaxY)
 	} else if p.Y < leaf.MinY {
-		out.MinY = math.Max(math.Max(leaf.MinY-eps, p.Y), parent.MinY)
+		out.MinY = max(leaf.MinY-eps, p.Y, parent.MinY)
 	}
 	return out
 }

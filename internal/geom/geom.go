@@ -32,7 +32,7 @@ func RectFromPoint(p Point) Rect {
 // NewRect returns the rectangle spanning the two corner points in any
 // order.
 func NewRect(x1, y1, x2, y2 float64) Rect {
-	return Rect{math.Min(x1, x2), math.Min(y1, y2), math.Max(x1, x2), math.Max(y1, y2)}
+	return Rect{min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2)}
 }
 
 // Valid reports whether r has MinX <= MaxX and MinY <= MaxY and no NaNs.
@@ -83,10 +83,10 @@ func (r Rect) Intersects(s Rect) bool {
 // Union returns the minimum bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, s.MinX),
-		MinY: math.Min(r.MinY, s.MinY),
-		MaxX: math.Max(r.MaxX, s.MaxX),
-		MaxY: math.Max(r.MaxY, s.MaxY),
+		MinX: min(r.MinX, s.MinX),
+		MinY: min(r.MinY, s.MinY),
+		MaxX: max(r.MaxX, s.MaxX),
+		MaxY: max(r.MaxY, s.MaxY),
 	}
 }
 
@@ -102,21 +102,21 @@ func (r Rect) Intersection(s Rect) (Rect, bool) {
 		return Rect{}, false
 	}
 	return Rect{
-		MinX: math.Max(r.MinX, s.MinX),
-		MinY: math.Max(r.MinY, s.MinY),
-		MaxX: math.Min(r.MaxX, s.MaxX),
-		MaxY: math.Min(r.MaxY, s.MaxY),
+		MinX: max(r.MinX, s.MinX),
+		MinY: max(r.MinY, s.MinY),
+		MaxX: min(r.MaxX, s.MaxX),
+		MaxY: min(r.MaxY, s.MaxY),
 	}, true
 }
 
 // OverlapArea returns the area of the intersection of r and s, or zero if
 // they are disjoint.
 func (r Rect) OverlapArea(s Rect) float64 {
-	w := math.Min(r.MaxX, s.MaxX) - math.Max(r.MinX, s.MinX)
+	w := min(r.MaxX, s.MaxX) - max(r.MinX, s.MinX)
 	if w <= 0 {
 		return 0
 	}
-	h := math.Min(r.MaxY, s.MaxY) - math.Max(r.MinY, s.MinY)
+	h := min(r.MaxY, s.MaxY) - max(r.MinY, s.MinY)
 	if h <= 0 {
 		return 0
 	}

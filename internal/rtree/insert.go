@@ -434,14 +434,17 @@ func (t *Tree) setParent(child, parent pagestore.PageID) error {
 }
 
 // chooseSubtree returns the index of the entry needing least area
-// enlargement to cover r, breaking ties by smaller area (Guttman).
+// enlargement to cover r, breaking ties by smaller area (Guttman). Each
+// entry's area is computed once, and its enlargement is Enlargement's
+// expression on that area.
 func chooseSubtree(n *Node, r geom.Rect) int {
 	best := 0
-	bestEnl := n.Entries[0].Rect.Enlargement(r)
 	bestArea := n.Entries[0].Rect.Area()
+	bestEnl := n.Entries[0].Rect.Union(r).Area() - bestArea
 	for i := 1; i < len(n.Entries); i++ {
-		enl := n.Entries[i].Rect.Enlargement(r)
-		area := n.Entries[i].Rect.Area()
+		e := n.Entries[i].Rect
+		area := e.Area()
+		enl := e.Union(r).Area() - area
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}

@@ -273,9 +273,7 @@ func encodeNode(n *Node, buf []byte, parentPointers bool) error {
 		off += internalEntrySize
 	}
 	// Zero the tail so page contents are deterministic.
-	for i := off; i < len(buf); i++ {
-		buf[i] = 0
-	}
+	clear(buf[off:])
 	return nil
 }
 

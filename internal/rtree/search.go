@@ -183,7 +183,7 @@ var heaps scratch.List[nnHeap]
 const maxIdleHeap = 1 << 10
 
 func putHeap(pq *nnHeap) {
-	*pq = scratch.Trim(*pq, maxIdleHeap)
+	*pq = scratch.KeepRoom(*pq, maxIdleHeap)
 	heaps.Put(pq)
 }
 

@@ -168,10 +168,10 @@ func pickSeedsLinear(entries []Entry) (int, int) {
 	)
 	for i, e := range entries {
 		r := e.Rect
-		loX = math.Min(loX, r.MinX)
-		hiX = math.Max(hiX, r.MaxX)
-		loY = math.Min(loY, r.MinY)
-		hiY = math.Max(hiY, r.MaxY)
+		loX = min(loX, r.MinX)
+		hiX = max(hiX, r.MaxX)
+		loY = min(loY, r.MinY)
+		hiY = max(hiY, r.MaxY)
 		if r.MinX > maxLoX {
 			maxLoX, iMaxLoX = r.MinX, i
 		}

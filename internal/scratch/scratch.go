@@ -59,12 +59,14 @@ func (l *List[T]) Put(v *T) {
 	l.mu.Unlock()
 }
 
-// Trim returns buf emptied, or nil when its room exceeds max elements: a
-// value that goes back on a List keeps the buffers of an ordinary call,
-// not those of the largest one it ever served.
-func Trim[E any](buf []E, max int) []E {
+// KeepRoom returns buf emptied, with at most max elements of room: a
+// buffer a large call grew past that is swapped for one of exactly max
+// room, so a value that goes back on a List keeps the buffers of an
+// ordinary call, not those of the largest one it ever served, and the
+// next large call grows from max rather than from nothing.
+func KeepRoom[S ~[]E, E any](buf S, max int) S {
 	if cap(buf) > max {
-		return nil
+		return make(S, 0, max)
 	}
 	return buf[:0]
 }

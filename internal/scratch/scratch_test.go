@@ -32,11 +32,12 @@ func TestListKeepsWhatItIsHanded(t *testing.T) {
 	}
 }
 
-func TestTrim(t *testing.T) {
-	if got := Trim(make([]int, 3, 8), 8); len(got) != 0 || cap(got) != 8 {
-		t.Fatalf("Trim within the bound: len %d cap %d, want 0 and 8", len(got), cap(got))
+func TestKeepRoom(t *testing.T) {
+	within := make([]int, 3, 8)
+	if got := KeepRoom(within, 8); len(got) != 0 || cap(got) != 8 || &got[:1][0] != &within[0] {
+		t.Fatalf("KeepRoom within the bound: len %d cap %d, want the buffer emptied", len(got), cap(got))
 	}
-	if got := Trim(make([]int, 3, 9), 8); got != nil {
-		t.Fatal("Trim past the bound kept the buffer")
+	if got := KeepRoom(make([]int, 3, 9), 8); len(got) != 0 || cap(got) != 8 {
+		t.Fatalf("KeepRoom past the bound: len %d cap %d, want 0 and 8", len(got), cap(got))
 	}
 }

@@ -649,31 +649,25 @@ const stackShards = 16
 
 // gatherScan is the state of one multi-shard read: a scan per target
 // shard, the ids gathered from them — with their positions, for
-// SearchFunc — and the set that drops repeats. Kept on a free list, like
-// the scans.
+// SearchFunc — and a sorted copy of the ids that finds repeats. Kept on
+// a free list, like the scans.
 type gatherScan struct {
-	scans []*searchScan
-	wg    sync.WaitGroup
-	ids   []uint64
-	pts   []Point
-	seen  map[uint64]struct{}
+	scans  []*searchScan
+	wg     sync.WaitGroup
+	ids    []uint64
+	pts    []Point
+	sorted []uint64
 }
 
-var gathers = scratch.List[gatherScan]{New: func() *gatherScan {
-	return &gatherScan{seen: make(map[uint64]struct{})}
-}}
+var gathers scratch.List[gatherScan]
 
 func (g *gatherScan) release() {
 	for _, sc := range g.scans {
 		sc.release()
 	}
 	clear(g.scans)
-	g.scans, g.ids, g.pts = g.scans[:0], keepRoom(g.ids), keepRoom(g.pts)
-	if len(g.seen) > maxIdleIDs {
-		g.seen = make(map[uint64]struct{})
-	} else {
-		clear(g.seen)
-	}
+	g.scans, g.ids, g.pts = g.scans[:0], scratch.KeepRoom(g.ids, maxIdleIDs), scratch.KeepRoom(g.pts, maxIdleIDs)
+	g.sorted = scratch.KeepRoom(g.sorted, maxIdleIDs)
 	gathers.Put(g)
 }
 
@@ -713,19 +707,52 @@ func (x *index) gather(g *gatherScan, q Rect, targets []int, pairs bool) error {
 		g.pts, sc.pts = sc.pts, g.pts
 		return nil
 	}
+	total := 0
 	for _, sc := range g.scans {
-		for i, id := range sc.ids {
-			if _, dup := g.seen[id]; dup {
-				continue
-			}
-			g.seen[id] = struct{}{}
-			g.ids = append(g.ids, id)
-			if pairs {
-				g.pts = append(g.pts, sc.pts[i])
-			}
+		total += len(sc.ids)
+	}
+	g.ids = slices.Grow(g.ids, total)
+	if pairs {
+		g.pts = slices.Grow(g.pts, total)
+	}
+	for _, sc := range g.scans {
+		g.ids = append(g.ids, sc.ids...)
+		if pairs {
+			g.pts = append(g.pts, sc.pts...)
 		}
 	}
+	g.dropRepeats(pairs)
 	return nil
+}
+
+// dropRepeats keeps the first of each id in g.ids, and with pairs the
+// positions beside them. A shard reports an id once, so a repeat is a
+// mover that two shard visits straddled: rare, and found without a set,
+// by sorting a copy of the ids in the gather's kept room. Only a gather
+// that holds a repeat allocates, for the set that drops it.
+func (g *gatherScan) dropRepeats(pairs bool) {
+	g.sorted = append(g.sorted[:0], g.ids...)
+	slices.Sort(g.sorted)
+	if len(slices.Compact(g.sorted)) == len(g.ids) {
+		return
+	}
+	seen := make(map[uint64]struct{}, len(g.ids))
+	n := 0
+	for i, id := range g.ids {
+		if _, dup := seen[id]; dup {
+			continue
+		}
+		seen[id] = struct{}{}
+		g.ids[n] = id
+		if pairs {
+			g.pts[n] = g.pts[i]
+		}
+		n++
+	}
+	g.ids = g.ids[:n]
+	if pairs {
+		g.pts = g.pts[:n]
+	}
 }
 
 // SearchFunc hands visit each object inside q, once each, even when the
@@ -855,9 +882,9 @@ var merges scratch.List[nearestMerge]
 const maxIdleNeighbors = 1 << 8
 
 func (m *nearestMerge) release() {
-	m.best = scratch.Trim(m.best, maxIdleNeighbors)
-	m.shard = scratch.Trim(m.shard, maxIdleNeighbors)
-	m.merged = scratch.Trim(m.merged, maxIdleNeighbors)
+	m.best = scratch.KeepRoom(m.best, maxIdleNeighbors)
+	m.shard = scratch.KeepRoom(m.shard, maxIdleNeighbors)
+	m.merged = scratch.KeepRoom(m.merged, maxIdleNeighbors)
 	merges.Put(m)
 }
 

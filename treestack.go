@@ -342,16 +342,6 @@ var searchScans = scratch.List[searchScan]{New: func() *searchScan {
 // about a thousand.
 const maxIdleIDs = 1 << 11
 
-// keepRoom returns buf emptied, with at most maxIdleIDs of room: a buffer
-// a wide read grew past that is swapped for one of exactly that room, so
-// the next wide read grows from there rather than from nothing.
-func keepRoom[E any](buf []E) []E {
-	if cap(buf) > maxIdleIDs {
-		return make([]E, 0, maxIdleIDs)
-	}
-	return buf[:0]
-}
-
 // tree takes one tree candidate: dropped if a buffered delta supersedes
 // it, emitted otherwise.
 func (sc *searchScan) tree(oid uint64, r Rect) bool {
@@ -396,7 +386,7 @@ func (sc *searchScan) result() []uint64 {
 
 func (sc *searchScan) release() {
 	sc.view, sc.visit = memtable.View{}, nil
-	sc.ids, sc.pts = keepRoom(sc.ids), keepRoom(sc.pts)
+	sc.ids, sc.pts = scratch.KeepRoom(sc.ids, maxIdleIDs), scratch.KeepRoom(sc.pts, maxIdleIDs)
 	sc.n, sc.stack, sc.err, sc.wg = 0, nil, nil, nil
 	searchScans.Put(sc)
 }
