@@ -156,22 +156,6 @@ type Scope struct {
 // page size.
 const groupScratch = rtree.DefaultLeafFanout
 
-// groupMember is a member of a leaf group set aside for the group's
-// enlargement decision, with the index of its entry in the leaf: a group
-// pass finds each member's entry once.
-type groupMember struct {
-	BatchChange
-	at int
-}
-
-// appendChanges appends the members' changes to dst.
-func appendChanges(dst []BatchChange, ms []groupMember) []BatchChange {
-	for _, m := range ms {
-		dst = append(dst, m.BatchChange)
-	}
-	return dst
-}
-
 // bucketed is a Locator whose ids live in pages, such as the paper's
 // paged hash index: Bucket names the page chain oid's lookup reads.
 type bucketed interface {

@@ -411,7 +411,7 @@ func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 	// out once, when the pin is released. The members outside the leaf's
 	// MBR wait for the extension decision in a list that starts on the
 	// stack.
-	var outsideBuf [groupScratch]groupMember
+	var outsideBuf [groupScratch]BatchChange
 	outside := outsideBuf[:0]
 	oldSelf := ref.Self()
 	self := oldSelf
@@ -428,7 +428,7 @@ func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 			s.out.inLeaf.Add(1)
 			continue
 		}
-		outside = append(outside, groupMember{c, li})
+		outside = append(outside, c)
 	}
 
 	// One extension decision for the group's slow movers. The summary
@@ -442,18 +442,18 @@ func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 			parentMBR, okM = s.sum.MBROf(parentPage)
 		}
 		rest := outside[:0]
-		for _, m := range outside {
-			if !okM || geom.Dist(m.Old, m.New) > s.opts.DistanceThreshold {
-				rest = append(rest, m) // fast movers try a shift first (δ)
+		for _, c := range outside {
+			if !okM || geom.Dist(c.Old, c.New) > s.opts.DistanceThreshold {
+				rest = append(rest, c) // fast movers try a shift first (δ)
 				continue
 			}
-			ext := geom.ExtendToward(self, m.New, s.opts.Epsilon, parentMBR)
-			if !ext.ContainsPoint(m.New) {
-				rest = append(rest, m)
+			ext := geom.ExtendToward(self, c.New, s.opts.Epsilon, parentMBR)
+			if !ext.ContainsPoint(c.New) {
+				rest = append(rest, c)
 				continue
 			}
 			self = ext
-			ref.SetRect(m.at, geom.RectFromPoint(m.New))
+			ref.SetRect(ref.FindOID(c.OID), geom.RectFromPoint(c.New))
 			s.out.extended.Add(1)
 		}
 		outside = rest
@@ -475,5 +475,5 @@ func (s *gbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 			return nil, err
 		}
 	}
-	return appendChanges(unresolved, outside), nil
+	return append(unresolved, outside...), nil
 }

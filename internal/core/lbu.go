@@ -194,7 +194,7 @@ func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 
 	// The members outside the leaf's MBR wait for the enlargement decision
 	// in a list that starts on the stack.
-	var outsideBuf [groupScratch]groupMember
+	var outsideBuf [groupScratch]BatchChange
 	outside := outsideBuf[:0]
 	dirty := false
 	for _, c := range group {
@@ -209,7 +209,7 @@ func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 			dirty = true
 			continue
 		}
-		outside = append(outside, groupMember{c, li})
+		outside = append(outside, c)
 	}
 
 	// One uniform enlargement decision for the whole group.
@@ -223,12 +223,12 @@ func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 		defer t.ReturnNode(parent)
 		if eMBR, ok := geom.ExpandWithin(leaf.Self, s.eps, parent.Self); ok {
 			rest := outside[:0]
-			for _, m := range outside {
-				if !eMBR.ContainsPoint(m.New) {
-					rest = append(rest, m)
+			for _, c := range outside {
+				if !eMBR.ContainsPoint(c.New) {
+					rest = append(rest, c)
 					continue
 				}
-				leaf.Entries[m.at].Rect = geom.RectFromPoint(m.New)
+				leaf.Entries[leaf.FindOID(c.OID)].Rect = geom.RectFromPoint(c.New)
 				s.out.extended.Add(1)
 				enlarged = true
 				dirty = true
@@ -255,5 +255,5 @@ func (s *lbuStrategy) ApplyLeafGroup(leafPage rtree.PageID, group, unresolved []
 			return nil, err
 		}
 	}
-	return appendChanges(unresolved, outside), nil
+	return append(unresolved, outside...), nil
 }

@@ -434,17 +434,14 @@ func (t *Tree) setParent(child, parent pagestore.PageID) error {
 }
 
 // chooseSubtree returns the index of the entry needing least area
-// enlargement to cover r, breaking ties by smaller area (Guttman). Each
-// entry's area is computed once, and its enlargement is Enlargement's
-// expression on that area.
+// enlargement to cover r, breaking ties by smaller area (Guttman).
 func chooseSubtree(n *Node, r geom.Rect) int {
 	best := 0
+	bestEnl := n.Entries[0].Rect.Enlargement(r)
 	bestArea := n.Entries[0].Rect.Area()
-	bestEnl := n.Entries[0].Rect.Union(r).Area() - bestArea
 	for i := 1; i < len(n.Entries); i++ {
-		e := n.Entries[i].Rect
-		area := e.Area()
-		enl := e.Union(r).Area() - area
+		enl := n.Entries[i].Rect.Enlargement(r)
+		area := n.Entries[i].Rect.Area()
 		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}

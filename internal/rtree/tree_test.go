@@ -670,29 +670,3 @@ func TestSetListenerOnNonEmptyTreePanics(t *testing.T) {
 	}()
 	tr.SetListener(nil)
 }
-
-// TestChooseSubtreeIsLeastEnlargement holds chooseSubtree to Guttman's
-// rule written on geom's Enlargement: least enlargement, ties to the
-// smaller area, then to the first entry. Corners on a coarse grid make
-// ties of both kinds common.
-func TestChooseSubtreeIsLeastEnlargement(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	coord := func() float64 { return float64(rng.Intn(5)) / 4 }
-	for trial := 0; trial < 2000; trial++ {
-		n := &Node{Level: 1, Entries: make([]Entry, 2+rng.Intn(23))}
-		for i := range n.Entries {
-			n.Entries[i].Rect = geom.NewRect(coord(), coord(), coord(), coord())
-		}
-		r := geom.RectFromPoint(geom.Point{X: coord(), Y: coord()})
-		want := 0
-		for i := 1; i < len(n.Entries); i++ {
-			e, b := n.Entries[i].Rect, n.Entries[want].Rect
-			if enl, bestEnl := e.Enlargement(r), b.Enlargement(r); enl < bestEnl || (enl == bestEnl && e.Area() < b.Area()) {
-				want = i
-			}
-		}
-		if got := chooseSubtree(n, r); got != want {
-			t.Fatalf("trial %d: chooseSubtree = %d, Guttman's rule on Enlargement picks %d (entries %v, point %v)", trial, got, want, n.Entries, r)
-		}
-	}
-}
