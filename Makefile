@@ -22,11 +22,13 @@ lint:
 # and read windows to the budgets committed in BENCH_allocs.json (see
 # allocbench_test.go), TestWholeSpaceReadAllocs holds whole-space reads
 # over 1 000, 5 000 and 20 000 objects, on one stack and on four shards,
-# to theirs, and the per-layer tests
+# to theirs, TestObjectRecordBytes holds the live heap bytes per object of
+# a bulk-loaded index to the bytes_per_object budgets in the same file,
+# and the per-layer tests
 # hold the overlay reads exact and the tree's search, its overflow path,
 # the batch planner, LBU's batch pass and a blocked DGL acquire at zero
 # allocations.
-ALLOC_TESTS = TestAllocBudget|TestWholeSpaceReadAllocs|TestOverlayReadAllocsIgnoreDepth|TestSearchAllocatesNothing|TestOverflowPathAllocatesNothing|TestPlanningReusesItsBuffers|TestLBUBatchAllocatesNothing|TestBlockedAcquireAllocatesNothing
+ALLOC_TESTS = TestAllocBudget|TestWholeSpaceReadAllocs|TestObjectRecordBytes|TestOverlayReadAllocsIgnoreDepth|TestSearchAllocatesNothing|TestOverflowPathAllocatesNothing|TestPlanningReusesItsBuffers|TestLBUBatchAllocatesNothing|TestBlockedAcquireAllocatesNothing
 allocs:
 	$(GO) test -run '^($(ALLOC_TESTS))$$' -count=1 -v . ./internal/rtree ./internal/core ./internal/dgl
 

@@ -27,8 +27,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -410,6 +412,23 @@ type allocBudgetFile struct {
 	Note string `json:"note"`
 	// Budgets maps benchmark key to the maximum allowed allocs/op.
 	Budgets map[string]int64 `json:"budgets"`
+	// BytesPerObject maps an objectBytesRows entry to the most live heap
+	// bytes per object its index may hold (TestObjectRecordBytes).
+	BytesPerObject map[string]float64 `json:"bytes_per_object"`
+}
+
+// readAllocBudgets reads the committed budgets.
+func readAllocBudgets(t *testing.T) allocBudgetFile {
+	t.Helper()
+	data, err := os.ReadFile("BENCH_allocs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f allocBudgetFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatalf("parsing BENCH_allocs.json: %v", err)
+	}
+	return f
 }
 
 // TestAllocBudget fails when a window benchmark exceeds its committed
@@ -419,14 +438,7 @@ func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget gate runs full benchmarks; skipped with -short")
 	}
-	data, err := os.ReadFile("BENCH_allocs.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f allocBudgetFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatalf("parsing BENCH_allocs.json: %v", err)
-	}
+	f := readAllocBudgets(t)
 	for name := range f.Budgets {
 		if _, ok := allocBudgetBenches[name]; !ok {
 			t.Errorf("BENCH_allocs.json budgets %q but no benchmark measures it", name)
@@ -576,6 +588,86 @@ func TestWholeSpaceReadAllocs(t *testing.T) {
 		}
 		if err := x.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// objectBytesRows are the indexes TestObjectRecordBytes weighs: a GBU
+// ConcurrentIndex and a 4-shard GBU ShardedIndex, each bulk-loaded with
+// objectBytesObjects uniform objects under the options of the benchmark's
+// paper-gbu workload (a 100-page buffer, ExpectedObjects set).
+var objectBytesRows = []objectBytesRow{
+	{"ConcurrentGBU", 1},
+	{"Sharded4GBU", 4},
+}
+
+type objectBytesRow struct {
+	name   string
+	shards int
+}
+
+const objectBytesObjects = 100_000
+
+// TestObjectRecordBytes is the memory ratchet: the live heap an index
+// holds per object right after its bulk load — tree pages, buffer pool,
+// summary structure and the object table together, measured as the
+// growth of HeapAlloc across the open and the load, each side after two
+// forced collections — may not exceed the budget committed in
+// BENCH_allocs.json's bytes_per_object. A budget is the highest of 10
+// runs (go test -run TestObjectRecordBytes -count=10 -v .), with no
+// headroom. Run without -short: make allocs runs it.
+func TestObjectRecordBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bulk-loads 200 000 objects; skipped with -short")
+	}
+	f := readAllocBudgets(t)
+	for name := range f.BytesPerObject {
+		if !slices.ContainsFunc(objectBytesRows, func(r objectBytesRow) bool { return r.name == name }) {
+			t.Errorf("BENCH_allocs.json budgets %q bytes per object but no row measures it", name)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	ids, pts := make([]uint64, objectBytesObjects), make([]burtree.Point, objectBytesObjects)
+	for i := range ids {
+		ids[i], pts[i] = uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	opts := burtree.Options{Strategy: burtree.GeneralizedBottomUp, BufferPages: 100, ExpectedObjects: objectBytesObjects}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	for _, row := range objectBytesRows {
+		budget, ok := f.BytesPerObject[row.name]
+		if !ok {
+			t.Errorf("%s: no bytes_per_object budget in BENCH_allocs.json", row.name)
+			continue
+		}
+		before := heap()
+		var x wholeSpaceIndex
+		var err error
+		if row.shards == 1 {
+			x, err = burtree.OpenConcurrent(opts)
+		} else {
+			x, err = burtree.OpenSharded(opts, burtree.ShardOptions{Shards: row.shards})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.BulkInsert(ids, pts, burtree.PackSTR); err != nil {
+			t.Fatal(err)
+		}
+		// Rounded up to a tenth of a byte, the figure the budgets hold.
+		per := math.Ceil(float64(heap()-before)/objectBytesObjects*10) / 10
+		if err := x.Close(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %.1f live heap bytes per object (budget %.1f)", row.name, per, budget)
+		if per > budget {
+			t.Errorf("%s: %.1f live heap bytes per object exceeds the committed budget %.1f; "+
+				"find what grew, or re-baseline BENCH_allocs.json with the growth explained", row.name, per, budget)
 		}
 	}
 }

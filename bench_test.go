@@ -162,6 +162,47 @@ func benchQueries(b *testing.B, s burtree.Strategy) {
 func BenchmarkQueryTD(b *testing.B)  { benchQueries(b, burtree.TopDown) }
 func BenchmarkQueryGBU(b *testing.B) { benchQueries(b, burtree.GeneralizedBottomUp) }
 
+// BenchmarkWholeSpaceCount counts every object with a window over the
+// whole space, on one stack (a ConcurrentIndex) and on a 4-shard
+// ShardedIndex of 1 000 and 20 000 objects: a read that locks every one
+// of a stack's 1 024 grid cells, so it measures the DGL lock cycle of a
+// wide window more than the tree.
+func BenchmarkWholeSpaceCount(b *testing.B) {
+	all := burtree.NewRect(-1, -1, 2, 2)
+	opts := burtree.Options{Strategy: burtree.GeneralizedBottomUp}
+	for _, shards := range []int{1, 4} {
+		for _, objects := range []int{1000, 20000} {
+			b.Run(fmt.Sprintf("shards=%d/objects=%d", shards, objects), func(b *testing.B) {
+				var x wholeSpaceIndex
+				var err error
+				if shards == 1 {
+					x, err = burtree.OpenConcurrent(opts)
+				} else {
+					x, err = burtree.OpenSharded(opts, burtree.ShardOptions{Shards: shards})
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer x.Close()
+				rng := rand.New(rand.NewSource(7))
+				ids, pts := make([]uint64, objects), make([]burtree.Point, objects)
+				for i := range ids {
+					ids[i], pts[i] = uint64(i), burtree.Point{X: rng.Float64(), Y: rng.Float64()}
+				}
+				if err := x.BulkInsert(ids, pts, burtree.PackSTR); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if n, err := x.Count(all); err != nil || n != objects {
+						b.Fatalf("Count: %d objects, %v", n, err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	x, err := burtree.Open(burtree.Options{Strategy: burtree.GeneralizedBottomUp, ExpectedObjects: 1 << 20, BufferPages: 256})
 	if err != nil {

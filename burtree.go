@@ -10,8 +10,8 @@
 //
 //   - TopDown — the classical R-tree update (delete + insert, both
 //     top-down): the baseline.
-//   - GeneralizedBottomUp — Algorithm 2: direct leaf access through an
-//     in-memory object-id → leaf map, and a compact main-memory summary
+//   - GeneralizedBottomUp — Algorithm 2: direct leaf access through the
+//     index's in-memory object table, and a compact main-memory summary
 //     structure over the internal nodes plus a leaf fullness bit vector
 //     that enables directional ε-extension, bit-vector-screened sibling
 //     shifts with piggybacking, ascent to the lowest bounding ancestor
@@ -39,9 +39,10 @@
 // alone — page store, buffer pool and counters, the memtable delta tier
 // with its merge-down — behind a small tree interface that hides the
 // locking protocol. The upper half is what exists exactly once per index,
-// however many stacks it has: the object table (the paper's secondary
-// id → position structure, §3.1), the gate, the router and the
-// write-ahead log handles, one log per stack. The three front-ends are
+// however many stacks it has: the object table — one record per object,
+// its position (the paper's secondary id → position structure, §3.1) and
+// the leaf a tree holds it at (the id → leaf lookup of Figure 2) — the
+// gate, the router and the write-ahead log handles, one log per stack. The three front-ends are
 // that index told at open what its stacks are: Index, which is not safe
 // for concurrent use, runs one stack over a serial adapter around the
 // strategy; ConcurrentIndex one stack over the DGL-locked layer of the
@@ -171,10 +172,12 @@ type Options struct {
 	// shift before an ε-extension for them, and the reverse for slow
 	// movers (§3.2.1 optimization 2).
 	DistanceThreshold float64
-	// ExpectedObjects is a capacity hint for the in-memory id → leaf map
-	// the bottom-up strategies reach each object's leaf through. It costs
-	// no page and changes no result: the map grows with the data, so
-	// zero or a wrong guess costs only the map's growth.
+	// ExpectedObjects is a capacity hint for the index's object table:
+	// one in-memory record per object, holding its position and the leaf
+	// the bottom-up strategies reach it through (ShardedIndex keeps one
+	// table, not one per shard). It costs no page and changes no result:
+	// the table grows with the data, so zero or a wrong guess costs only
+	// the table's growth.
 	ExpectedObjects int
 	// Durability configures the write-ahead log. The zero value keeps
 	// the index volatile (snapshots only); see Durability for the
@@ -214,11 +217,11 @@ type indexParts struct {
 }
 
 // coreOptions converts a stack's options (stackOptions) to the
-// strategy's, fixing what Options leaves out at the paper's defaults. It
-// passes no locator, so the strategy reaches leaves through core's
-// in-memory id → leaf map: every write path — the three front-ends,
-// merge-down and log replay — builds its stacks here. It
-// refuses a strategy the package does not offer and a page the tree
+// strategy's, fixing what Options leaves out at the paper's defaults.
+// The locator is the caller's to fill in: every stack — of the three
+// front-ends, fresh or loaded — is built with its view of the index's
+// object table (openParts, restoreParts), never core's own id → leaf map.
+// It refuses a strategy the package does not offer and a page the tree
 // cannot use, before any store is built on it.
 func (opts Options) coreOptions() (core.Options, error) {
 	kind, err := opts.Strategy.kind()
@@ -233,20 +236,21 @@ func (opts Options) coreOptions() (core.Options, error) {
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
 		LevelThreshold:    core.UnrestrictedLevels,
-		ExpectedObjects:   opts.ExpectedObjects,
 		Tree:              rtree.Config{ReinsertFraction: 0.3, Split: rtree.SplitQuadratic},
 	}, nil
 }
 
 // openParts builds the machinery of an empty stack under per, the
-// stack's options as stackOptions derives them. io is the ledger the new
-// store counts its page accesses in: that of the stack it replaces, or
-// nil for one of its own.
-func openParts(per Options, io *stats.IO) (indexParts, error) {
+// stack's options as stackOptions derives them, with loc — the stack's
+// view of the object table — as its strategy's locator. io is the ledger
+// the new store counts its page accesses in: that of the stack it
+// replaces, or nil for one of its own.
+func openParts(per Options, io *stats.IO, loc core.Locator) (indexParts, error) {
 	co, err := per.coreOptions()
 	if err != nil {
 		return indexParts{}, err
 	}
+	co.Locator = loc
 	return stackParts(pagestore.New(per.PageSize, io), per, func(pool *buffer.Pool) (core.Updater, error) {
 		return core.New(pool, co)
 	})
@@ -286,27 +290,21 @@ const (
 )
 
 // packItems validates a bulk-load input — once, for every front-end —
-// and converts it to tree items plus a fresh object table, so a failed
-// load leaves the caller's state untouched. Every point is checked
-// before anything is packed: a sharded load that failed in one shard
-// would leave the others populated.
-func packItems(ids []uint64, pts []Point) ([]rtree.Item, map[uint64]Point, error) {
+// and converts it to tree items. Every point is checked before anything
+// is packed: a sharded load that failed in one shard would leave the
+// others populated. A repeated id is found after the load, by fill.
+func packItems(ids []uint64, pts []Point) ([]rtree.Item, error) {
 	if len(ids) != len(pts) {
-		return nil, nil, fmt.Errorf("burtree: BulkInsert: %d ids for %d points", len(ids), len(pts))
+		return nil, fmt.Errorf("burtree: BulkInsert: %d ids for %d points", len(ids), len(pts))
 	}
-	objects := make(map[uint64]Point, len(ids))
 	items := make([]rtree.Item, len(ids))
-	for i := range ids {
-		if _, dup := objects[ids[i]]; dup {
-			return nil, nil, fmt.Errorf("%w: %d", ErrDuplicateObject, ids[i])
-		}
+	for i, id := range ids {
 		if validatePoint(pts[i]) != nil {
-			return nil, nil, fmt.Errorf("burtree: BulkInsert: object %d has NaN coordinates", ids[i])
+			return nil, fmt.Errorf("burtree: BulkInsert: object %d has NaN coordinates", id)
 		}
-		items[i] = rtree.Item{OID: ids[i], Rect: geom.RectFromPoint(pts[i])}
-		objects[ids[i]] = pts[i]
+		items[i] = rtree.Item{OID: id, Rect: geom.RectFromPoint(pts[i])}
 	}
-	return items, objects, nil
+	return items, nil
 }
 
 // bulkLoad packs items into the strategy's tree with the chosen method.

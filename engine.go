@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"math/bits"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -27,15 +26,19 @@ import (
 // to them, and a read scattered over them, is in shardedindex.go.
 //
 // Lock order, outermost first: the gate, shared by every operation and
-// exclusive for snapshots, bulk loads and boundary changes; the table's
-// stripes of a write's id set, in ascending order; a stack's mergeMu; the
-// tree's own locks (DGL granules, then the latch); the table's mu; the
-// delta tier's mutex. The table lock is therefore never held across a tree
-// operation, and a tree operation's callback may take it. The tier's mutex
-// is a leaf — no memtable.Table method calls out while holding it — taken
-// under the table lock by an absorb and under the tree's shared locks by
-// an overlay read's mask lookup (memtable.View.Masks), for a candidate
-// the view's presence filter cannot rule out.
+// exclusive for snapshots and bulk loads; the ordering stripes of a
+// write's id set, in ascending order (table.go); a stack's mergeMu
+// (CheckInvariants takes every stack's, in ascending order); the
+// tree's own locks (DGL granules, then the latch); then two leaf locks,
+// each held for one access and never while another lock is taken: a
+// table stripe's record lock, and the delta tier's mutex. So no record
+// lock is held across a tree operation, and a tree operation's callback —
+// a placement its stack's view records, a change the pipeline records as
+// it lands — may take one. The tier's mutex is taken by an absorb under
+// the write's ordering stripes and under the tree's shared locks by an
+// overlay read's mask lookup (memtable.View.Masks), for a candidate the
+// view's presence filter cannot rule out; no memtable.Table method calls
+// out while holding it.
 
 // opKind names what a write does to each of its objects: Insert and
 // Delete are writes of one change of their kind, UpdateBatch a write of
@@ -52,81 +55,6 @@ const (
 // delete of the inserted object, a move back, a re-insert of the deleted
 // object at its old position.
 func (k opKind) inverse() opKind { return [...]opKind{opMove, opDelete, opInsert}[k] }
-
-// objectTable is the id → position table an index keeps beside its
-// tree(s): exactly one per index, whatever the number of stacks.
-type objectTable struct {
-	mu      sync.RWMutex
-	objects map[uint64]Point
-	// ids orders the writes of one id: every write holds the stripes of
-	// its id set from reserve to ack or undo, so racing writes of one
-	// object reach the table, the tree(s) and the log in one order — the
-	// table lock alone orders only the table. Taken inside the gate and
-	// outside every other lock, in ascending stripe order (lockIDs).
-	ids [256]sync.Mutex
-}
-
-// stripes is a set of the table's id stripes, one bit each: a bitmap on
-// the stack, so taking them allocates nothing.
-type stripes [4]uint64
-
-// lockIDs takes the stripes of the ids in changes, each once, in
-// ascending order — the one order every writer takes them in — and
-// returns the set, for unlockIDs.
-func (t *objectTable) lockIDs(changes []Change) (held stripes) {
-	for _, c := range changes {
-		held[c.ID/64%4] |= 1 << (c.ID % 64) // stripe c.ID % 256
-	}
-	for w, word := range held {
-		for ; word != 0; word &= word - 1 {
-			t.ids[w*64+bits.TrailingZeros64(word)].Lock()
-		}
-	}
-	return held
-}
-
-func (t *objectTable) unlockIDs(held stripes) {
-	for w, word := range held {
-		for ; word != 0; word &= word - 1 {
-			t.ids[w*64+bits.TrailingZeros64(word)].Unlock()
-		}
-	}
-}
-
-// put makes the table show c, of kind k, applied. Caller holds mu.
-func (t *objectTable) put(k opKind, c core.BatchChange) {
-	if k == opDelete {
-		delete(t.objects, c.OID)
-		return
-	}
-	t.objects[c.OID] = c.New
-}
-
-// record makes the table show a change the tree has just applied: on the
-// tree path the table learns a write change by change, as it lands.
-func (t *objectTable) record(k opKind, c core.BatchChange) {
-	t.mu.Lock()
-	t.put(k, c)
-	t.mu.Unlock()
-}
-
-// Len returns the number of indexed objects.
-func (t *objectTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.objects)
-}
-
-// Location returns the last position accepted for the object. Under
-// concurrent updates of the same id the value may be superseded by the
-// time the caller uses it; callers that need stable read-modify-write
-// semantics serialize their own per-object access.
-func (t *objectTable) Location(id uint64) (Point, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	p, ok := t.objects[id]
-	return p, ok
-}
 
 // kind names the front-end an index is opened, loaded or recovered as:
 // what its stacks are. It decides no on-disk format: every kind writes the
@@ -199,17 +127,18 @@ type index struct {
 // single is the partitioning of Index and ConcurrentIndex: one range.
 var single = ShardOptions{Shards: 1}
 
-// newIndex assembles an index around its router, options and object
-// table; the caller installs the stacks (fresh or loaded).
-func newIndex(k kind, router *shard.Router, opts Options, sopts ShardOptions, objects map[uint64]Point) *index {
+// newIndex assembles an index around its router and options, with an
+// empty object table sized by Options.ExpectedObjects; the caller fills
+// the table and installs the stacks (fresh or loaded).
+func newIndex(k kind, router *shard.Router, opts Options, sopts ShardOptions) *index {
 	x := &index{
-		objectTable: objectTable{objects: objects},
-		kind:        k,
-		router:      router,
-		options:     opts,
-		sopts:       sopts,
-		fs:          vfs.OS,
+		kind:    k,
+		router:  router,
+		options: opts,
+		sopts:   sopts,
+		fs:      vfs.OS,
 	}
+	x.init(opts.ExpectedObjects)
 	if k.sharded() {
 		x.load = shard.NewLoadTracker(sopts.Shards)
 	}
@@ -217,8 +146,9 @@ func newIndex(k kind, router *shard.Router, opts Options, sopts ShardOptions, ob
 }
 
 // open creates an empty index of kind k. The Options are totals for the
-// whole index: the buffer pool, id-map capacity and memtable budgets are
-// divided evenly among the stacks. With durability enabled the directory
+// whole index: the buffer pool and memtable budgets are divided evenly
+// among the stacks, and the one object table is sized for
+// ExpectedObjects. With durability enabled the directory
 // must not already hold a snapshot or log segments.
 func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	d := opts.Durability
@@ -238,7 +168,7 @@ func open(opts Options, sopts ShardOptions, k kind) (*index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("burtree: %w", err)
 	}
-	x := newIndex(k, router, opts, sopts, make(map[uint64]Point))
+	x := newIndex(k, router, opts, sopts)
 	if x.shards, err = x.openShards(); err != nil {
 		return nil, err
 	}
@@ -265,7 +195,7 @@ func (x *index) openShards() ([]*treeStack, error) {
 		if i < len(x.shards) {
 			io = x.shards[i].io
 		}
-		parts, err := openParts(per, io)
+		parts, err := openParts(per, io, x.view(i))
 		if err != nil {
 			return nil, err
 		}
@@ -347,9 +277,9 @@ func (x *index) Delete(id uint64) error { return x.writeOne(opDelete, id, Point{
 // in a deterministic order (departures sorted by id, then the batched
 // moves, then arrivals sorted by id). All departures complete before any
 // arrival starts, so no mover ever resides in two shards at once. With
-// the memtable tier on nothing is applied: the batch is absorbed
-// atomically, under the table lock, each change into the tier(s) of the
-// stacks it touches. Either way the changes are logged as one record per
+// the memtable tier on nothing is applied: the batch is absorbed, each
+// change into the tier(s) of the stacks it touches as the table accepts
+// it. Either way the changes are logged as one record per
 // stack they ended in.
 //
 // Every id must already be in the index and every position valid; an
@@ -383,12 +313,11 @@ func (x *index) writeOne(k opKind, id uint64, p Point) error {
 //	stripes   take the stripes of the write's id set in ascending order,
 //	          held to the end: writes that share an id run one after the
 //	          other, writes on different stripes in parallel
-//	reserve   under the table lock: check each id (an insert needs it
-//	          absent, a move or delete present), read its old position,
-//	          coalesce repeated moves; on a tiered index also record the
-//	          outcome in the table and absorb it, in the same hold
-//	route     in the same hold, split the changes by the stacks they
-//	          leave and end in
+//	reserve   check each id in the table (an insert needs it absent, a
+//	          move or delete present), read its old position, coalesce
+//	          repeated moves; on a tiered index also record each outcome
+//	          in the table and absorb it
+//	route     split the changes by the stacks they leave and end in
 //	apply     per stack, in parallel: the departures, then the stack's
 //	          group — one change through the tree's per-object call for
 //	          its kind, more through the batched bottom-up pass, none on a
@@ -450,7 +379,7 @@ func (x *index) write(k opKind, changes []Change) (BatchResult, error) {
 		}
 		// Only a tier the write filled hands a merge-down on; an inline
 		// drain's failure is the write's to report.
-		ackErr = errors.Join(ackErr, x.shards[s].afterAck(w.full))
+		ackErr = errors.Join(ackErr, x.shards[s].afterAck(w.full.Load()))
 	}
 	if err == nil {
 		err = ackErr
@@ -461,21 +390,19 @@ func (x *index) write(k opKind, changes []Change) (BatchResult, error) {
 	return b.res, err
 }
 
-// reserve is the reserve and route stages of a write, in one hold of
-// the table lock. Each id is checked and its old position read into b.raw
-// — an insert's Old set to its new position and a delete's New to its old
-// one, so a change's New is always the position that decides its owner —
-// and repeated moves of one object coalesce to the last through the run's
+// reserve is the reserve and route stages of a write, under the write's
+// ordering stripes: no other write can move one of its ids meanwhile.
+// Each id is checked and its old position read into b.raw — an insert's
+// Old set to its new position and a delete's New to its old one, so a
+// change's New is always the position that decides its owner — and
+// repeated moves of one object coalesce to the last through the run's
 // core.Coalescer (one shared definition of the last-write-wins rule). Each
 // surviving change is then routed (route). On a tiered index it is also
-// recorded in the table and absorbed in the same hold, so racing writers
-// see either none or all of the write at the ack level; an untiered
+// recorded in the table and absorbed, change by change; an untiered
 // index's changes reach the table one by one, as the trees apply them.
 func (x *index) reserve(b *batchRun, changes []Change) error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
 	for _, c := range changes {
-		old, ok := x.objects[c.ID]
+		old, ok := x.Location(c.ID)
 		switch {
 		case ok && b.kind == opInsert:
 			return fmt.Errorf("%w: %d", ErrDuplicateObject, c.ID)
@@ -525,12 +452,10 @@ func (x *index) undo(b *batchRun, applied []core.BatchChange) error {
 		default:
 			err = errors.Join(err, relocate(x.shards[src], x.shards[dst], inv.OID, inv.Old, inv.New))
 		}
-		x.mu.Lock()
 		x.put(ik, inv)
 		if b.tiered {
 			x.absorb(b, ik, inv, src, dst)
 		}
-		x.mu.Unlock()
 	}
 	return err
 }
@@ -582,7 +507,7 @@ func (x *index) logBatch(w *shardWork, s int, k opKind, async bool, applied []co
 // form of a bulk load — it also persists the router the balanced cut
 // just rebuilt, which recovery must route with.
 func (x *index) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
-	items, objects, err := packItems(ids, pts)
+	items, err := packItems(ids, pts)
 	if err != nil {
 		return err
 	}
@@ -597,19 +522,24 @@ func (x *index) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
 			return fmt.Errorf("burtree: %w", err)
 		}
 	}
-	if err := loadShards(x.shards, router, items, method); err != nil {
-		// A stack failed mid-load while others succeeded. Replace every
-		// stack with an empty one so the index returns to its pre-call
-		// state and a corrected retry is possible.
+	err = loadShards(x.shards, router, items, method)
+	if err == nil {
+		// The load's placements made the records; the positions go in
+		// last, which is also where an id the input repeats shows.
+		err = x.fill(ids, pts)
+	}
+	if err != nil {
+		// A stack failed mid-load while others succeeded, or the input
+		// repeats an id. Replace every stack with an empty one so the
+		// index returns to its pre-call state and a corrected retry is
+		// possible.
 		if fresh, rerr := x.openShards(); rerr == nil {
 			_ = x.swapShardsLocked(fresh) // the load's error is the one to report
 		}
+		x.init(x.options.ExpectedObjects)
 		return err
 	}
 	x.router = router
-	x.mu.Lock()
-	x.objects = objects
-	x.mu.Unlock()
 	if x.wals != nil {
 		return x.checkpointLocked()
 	}
@@ -684,10 +614,21 @@ func (x *index) Close() error {
 func (x *index) CheckInvariants() error {
 	x.gate.RLock()
 	defer x.gate.RUnlock()
+	// Holding every stack's mergeMu, in ascending order, excludes drains
+	// for the duration: each stack's delta overlay and tree are compared at
+	// a point where no generation is half-applied, and no stack's drain
+	// moves a placement of the table the other stacks are checked against.
+	for _, s := range x.shards {
+		if s.mem != nil {
+			s.mergeMu.Lock()
+			defer s.mergeMu.Unlock()
+		}
+	}
 	counts := x.shardCounts()
+	placed := x.options.Strategy != TopDown // TopDown keeps no placements
 	for i, s := range x.shards {
 		owns := func(p Point) bool { return x.router.ShardOf(p) == i }
-		if err := s.checkInvariants(&x.objectTable, counts[i], owns); err != nil {
+		if err := s.checkInvariants(x.view(i), counts[i], owns, placed); err != nil {
 			if len(x.shards) > 1 {
 				err = fmt.Errorf("shard %d: %w", i, err)
 			}

@@ -102,14 +102,19 @@ func (b *bottomUp) LeafOf(oid rtree.OID) (rtree.PageID, error) {
 
 // Update moves an object bottom-up: the scheme's no-I/O check, then
 // "locate via the secondary object-ID index the leaf node" and run the
-// per-object path strictly.
+// per-object path strictly. An object the locator does not place in this
+// tree (ErrNotPlaced) is reached top-down, from old.
 func (b *bottomUp) Update(oid rtree.OID, old, new geom.Point) error {
 	if b.alg.topDownFirst(new, false) {
 		_, err := b.topDown(oid, geom.RectFromPoint(old), geom.RectFromPoint(new))
 		return err
 	}
 	leaf, err := b.loc.Lookup(oid)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrNotPlaced):
+		_, err = b.topDown(oid, geom.RectFromPoint(old), geom.RectFromPoint(new))
+		return err
+	case err != nil:
 		return fmt.Errorf("%s: update %d: %w", b.alg.Name(), oid, err)
 	}
 	_, err = b.updateAt(leaf, BatchChange{OID: oid, Old: old, New: new}, false, true)

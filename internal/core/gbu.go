@@ -30,14 +30,22 @@ func (s *gbuStrategy) Name() string { return "GBU" }
 func (s *gbuStrategy) Summary() *summary.Structure { return s.sum }
 
 // Delete removes an object bottom-up when no underflow threatens,
-// falling back to the standard top-down delete otherwise.
+// falling back to the standard top-down delete otherwise — and for an
+// object the locator does not place in this tree (ErrNotPlaced), which
+// the top-down delete finds by its position.
 func (s *gbuStrategy) Delete(oid rtree.OID, at geom.Point) error {
 	t := s.tree
 	if t.Height() <= 1 {
 		return t.Delete(oid, geom.RectFromPoint(at))
 	}
 	leafPage, err := s.loc.Lookup(oid)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrNotPlaced):
+		if err := t.Delete(oid, geom.RectFromPoint(at)); err != nil {
+			return err
+		}
+		return s.adapter.Err()
+	case err != nil:
 		return fmt.Errorf("gbu: delete %d: %w", oid, err)
 	}
 	ref, err := t.PinNode(leafPage)

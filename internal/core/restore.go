@@ -36,7 +36,9 @@ func Restore(pool *buffer.Pool, opts Options, st RestoreState) (Updater, error) 
 	if l, ok := u.(located); ok {
 		// The snapshot carries no locator: one walk over the leaves
 		// re-fills it.
-		if err := forEachLeafEntry(u.Tree(), l.locator().Set); err != nil {
+		loc := l.locator()
+		err := ForEachLeafEntry(u.Tree(), func(leaf rtree.PageID, e rtree.Entry) error { return loc.Set(e.OID, leaf) })
+		if err != nil {
 			return nil, fmt.Errorf("core: restore: %w", err)
 		}
 	}

@@ -147,12 +147,16 @@ func (*noCopy) Unlock() {}
 
 // cover notes that the transaction takes g, the table's gr, in mode on
 // top of whatever it holds there, and returns the mode it holds g in from
-// now on.
+// now on. A granule above top is not held — granules are waited for in
+// ascending order — so it is appended without a scan: a whole-space
+// read's cell locks cost a cover each, not a scan of those before.
 func (t *Txn) cover(g GranuleID, mode Mode, gr *granule) Mode {
-	for i := range t.held {
-		if t.held[i].g == g {
-			t.held[i].mode = sup[t.held[i].mode][mode]
-			return t.held[i].mode
+	if g <= t.top {
+		for i := range t.held {
+			if t.held[i].g == g {
+				t.held[i].mode = sup[t.held[i].mode][mode]
+				return t.held[i].mode
+			}
 		}
 	}
 	t.held = append(t.held, lock{g, mode, gr})
@@ -248,7 +252,11 @@ func (t *Txn) HeldCount() int { return len(t.held) }
 // when txn asks for a granule it does not hold below one it does: a
 // transaction waits for granules in ascending order.
 func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duration) error {
-	cur, holds := txn.Held(g)
+	var cur Mode
+	holds := false
+	if g <= txn.top { // above it nothing is held
+		cur, holds = txn.Held(g)
+	}
 	target := mode
 	upgrade := false
 	if holds {

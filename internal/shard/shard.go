@@ -1,6 +1,6 @@
 // Package shard partitions the 2-D data space into N disjoint regions so
 // a sharded index can run one self-contained tree — with its own buffer
-// pool, id → leaf map and lock manager — per region.
+// pool and lock manager — per region.
 //
 // A fine 2^k × 2^k cell grid is linearized along a Hilbert curve and
 // split into N contiguous curve ranges, one shard per range. Uniform
@@ -36,7 +36,7 @@ const hilbertOrder = 5
 const hilbertSide = 1 << hilbertOrder
 
 // MaxShards bounds the shard count; beyond this the per-shard fixed
-// costs (buffer pool, id → leaf map, lock table) dominate.
+// costs (buffer pool, lock table) dominate.
 const MaxShards = 256
 
 // NumCells is the number of Hilbert cells of the routing grid: curve

@@ -18,19 +18,34 @@ import (
 // the object table's back, so that every size still matches: the one
 // invariant walk under all three front-ends compares the leaf entries
 // with the table one by one and must fail. (A size-only comparison
-// passes every row.) The Map rows leave the tree and the table alone and
-// plant a stale entry in a stack's id → leaf map instead, through the
-// tree's own placement events: an entry naming the wrong leaf, an id the
-// tree does not hold, and a lost entry.
+// passes every row.) The Map rows leave the tree and the positions alone
+// and plant a stale placement through a stack's view of the table, by the
+// tree's own placement events: a record naming the wrong leaf, an id the
+// tree does not hold, and a lost placement. The Record rows write a record
+// directly: a wrong leaf, and — on four shards — a wrong stack, which
+// names a tree that does not hold the object and leaves the one that does
+// with a copy no record and no delta accounts for.
 func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 	quadrants := ShardOptions{Shards: 4}
 	// (0.1,0.1) and (0.2,0.2) share the first of the four uniform ranges
 	// (the lower-left quadrant); (0.9,0.9) lies in another.
 	a, near, far := Point{X: 0.1, Y: 0.1}, Point{X: 0.2, Y: 0.2}, Point{X: 0.9, Y: 0.9}
-	// plant reports a placement to s's map that the tree did not make.
+	// plant reports a placement to s's view that the tree did not make.
 	plant := func(s *treeStack, event func(*rtree.Tree)) func() error {
 		return func() error {
 			return s.tree.Exclusive(func(u core.Updater) error { event(u.Tree()); return nil })
+		}
+	}
+	// edit rewrites object 1's record in x's table.
+	edit := func(x *index, change func(*record)) func() error {
+		return func() error {
+			st := x.stripe(1)
+			st.mu.Lock()
+			r := st.records[1]
+			change(&r)
+			st.records[1] = r
+			st.mu.Unlock()
+			return nil
 		}
 	}
 	rows := []struct {
@@ -74,6 +89,14 @@ func TestCheckInvariantsCatchesStaleEntry(t *testing.T) {
 			x := openShardedTest(t, GeneralizedBottomUp, quadrants)
 			return x, plant(x.shards[x.router.ShardOf(a)], func(tr *rtree.Tree) { tr.NotifyDataRemoved(1) })
 		}, "has no locator entry"},
+		{"RecordWrongLeaf", func(t *testing.T) (walFailureIndex, func() error) {
+			x := openConcurrentTest(t, GeneralizedBottomUp)
+			return x, edit(x.index, func(r *record) { r.leaf++ })
+		}, "its locator entry names"},
+		{"RecordWrongStack", func(t *testing.T) (walFailureIndex, func() error) {
+			x := openShardedTest(t, GeneralizedBottomUp, quadrants)
+			return x, edit(x.index, func(r *record) { r.stack = uint16(x.router.ShardOf(far)) + 1 })
+		}, "its record names stack"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -27,7 +27,7 @@ func randomMoves(ids []uint64, pts []Point, n int, step float64, seed int64) []C
 }
 
 // TestLocatorNeedsNoSizing: an index reaches each object's leaf through
-// an in-memory id → leaf map, so ExpectedObjects is a capacity hint and
+// its in-memory object table, so ExpectedObjects is a capacity hint and
 // nothing else. An index opened without it must read and write exactly
 // the pages of one sized for its data. (A paged hash sized by the hint's
 // old default of 1 024 read and wrote 41.3 pages per update here,
@@ -96,12 +96,12 @@ func TestLocatorNeedsNoSizing(t *testing.T) {
 	}
 }
 
-// TestLocatorUnderConcurrentWriters races every writer of a
-// ConcurrentIndex's id → leaf map: single updates on the fine-grained
-// path, UpdateBatch calls whose plans look leaves up in the map, and
-// small fast moves in a crowded tree that shift objects — with
+// TestLocatorUnderConcurrentWriters races every writer of the leaf
+// placements in a ConcurrentIndex's object table: single updates on the
+// fine-grained path, UpdateBatch calls whose plans look leaves up in the
+// table, and small fast moves in a crowded tree that shift objects — with
 // piggybacked passengers — to sibling leaves. Afterwards every leaf entry
-// must be mapped to its leaf and the map must hold nothing else, which
+// must be placed at its leaf and no record may name another, which
 // CheckInvariants verifies.
 func TestLocatorUnderConcurrentWriters(t *testing.T) {
 	const objects, writers, rounds = 4000, 4, 150

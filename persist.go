@@ -35,11 +35,12 @@ const saveFormat = 4
 // savedIndex is the on-disk form of every index, whatever the front-end:
 // the index-wide options, the partitioning, the log position, and N ≥ 1
 // stacks. A stack's durable state is its tree pages; the summary
-// structure and the id → leaf map are main-memory only and are rebuilt
-// on load, one walk over each tree. Snapshots written while ShardedIndex
-// had an online rebalancer also carry its count of boundary changes and
-// the partition's mark of the equal-length cut; the decoder skips both,
-// and a reader of that time decodes their absence as zero.
+// structure and the object table's leaf placements are main-memory only
+// and are rebuilt on load, one walk over each tree. Snapshots written
+// while ShardedIndex had an online rebalancer also carry its count of
+// boundary changes and the partition's mark of the equal-length cut; the
+// decoder skips both, and a reader of that time decodes their absence as
+// zero.
 type savedIndex struct {
 	Format int
 
@@ -132,14 +133,14 @@ func (x *index) saveLocked(w io.Writer) error {
 		Stacks:    make([]savedStack, len(x.shards)),
 	}
 	s.Options.PageSize = x.shards[0].store.PageSize()
-	x.mu.RLock()
 	for i := range s.Stacks {
-		s.Stacks[i].Objects = make(map[uint64]Point, len(x.objects)/len(s.Stacks))
+		s.Stacks[i].Objects = make(map[uint64]Point, x.Len()/len(s.Stacks))
 	}
-	for id, p := range x.objects {
-		s.Stacks[x.router.ShardOf(p)].Objects[id] = p
-	}
-	x.mu.RUnlock()
+	x.each(func(id uint64, r record) {
+		if r.live() {
+			s.Stacks[x.router.ShardOf(r.point())].Objects[id] = r.point()
+		}
+	})
 	for i, sh := range x.shards {
 		if err := sh.snapshot(&s.Stacks[i]); err != nil {
 			return err
@@ -185,8 +186,8 @@ func decodeSnapshot(r io.Reader) (savedIndex, error) {
 // A one-stack kind given several stacks merges them: their objects are
 // bulk-loaded into one fresh tree under the snapshot's options. Every
 // other snapshot restores stack for stack and page for page, partition
-// and all (the main-memory summary structure and id → leaf map are rebuilt
-// by tree walks per stack).
+// and all (the main-memory summary structure and the table's leaf
+// placements are rebuilt by tree walks per stack).
 func load(r io.Reader, k kind) (*index, error) {
 	s, err := decodeSnapshot(r)
 	if err != nil {
@@ -208,7 +209,9 @@ func load(r io.Reader, k kind) (*index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
-	objects := make(map[uint64]Point)
+	// The table of the index being loaded is the check for an object in
+	// two stacks.
+	x := newIndex(k, router, s.Options, ShardOptions{Shards: n})
 	for i, st := range s.Stacks {
 		switch {
 		case st.Size < 0 || st.Height < 0:
@@ -219,51 +222,46 @@ func load(r io.Reader, k kind) (*index, error) {
 			return nil, fmt.Errorf("%w: stack %d: %d objects but no root page", ErrBadSnapshot, i, st.Size)
 		}
 		for id, p := range st.Objects {
-			if _, dup := objects[id]; dup {
+			if !x.add(id, p) {
 				return nil, fmt.Errorf("%w: object %d present in multiple stacks", ErrBadSnapshot, id)
 			}
 			if owner := router.ShardOf(p); owner != i {
 				return nil, fmt.Errorf("%w: object %d at %v stored in stack %d but routes to %d", ErrBadSnapshot, id, p, i, owner)
 			}
-			objects[id] = p
 		}
 	}
-	var x *index
 	if n > 1 && !k.sharded() {
-		if x, err = merged(s.Options, k, objects); err != nil {
+		if x, err = merged(s.Options, k, &x.objectTable); err != nil {
 			return nil, err
 		}
 	} else {
-		shards := make([]*treeStack, n)
+		x.shards = make([]*treeStack, n)
 		for i, st := range s.Stacks {
-			parts, err := restoreParts(st, per, co)
+			parts, err := restoreParts(st, per, co, x.view(i))
 			if err != nil {
 				return nil, fmt.Errorf("burtree: load stack %d: %w", i, err)
 			}
-			shards[i] = newStack(parts, k.background())
+			x.shards[i] = newStack(parts, k.background())
 		}
-		x = newIndex(k, router, s.Options, ShardOptions{Shards: n}, objects)
-		x.shards = shards
 	}
 	x.walSeq = s.WALSeq
 	return x, nil
 }
 
 // merged opens a fresh one-stack index of kind k under opts and bulk-loads
-// objects into it, in ascending id order so the merge is deterministic.
-func merged(opts Options, k kind, objects map[uint64]Point) (*index, error) {
+// the objects of t into it, in ascending id order so the merge is
+// deterministic.
+func merged(opts Options, k kind, t *objectTable) (*index, error) {
 	x, err := open(opts, single, k)
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]uint64, 0, len(objects))
-	for id := range objects {
-		ids = append(ids, id)
-	}
+	ids := make([]uint64, 0, t.Len())
+	t.each(func(id uint64, _ record) { ids = append(ids, id) })
 	slices.Sort(ids)
 	pts := make([]Point, len(ids))
 	for i, id := range ids {
-		pts[i] = objects[id]
+		pts[i], _ = t.Location(id)
 	}
 	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
 		return nil, err
@@ -274,12 +272,14 @@ func merged(opts Options, k kind, objects map[uint64]Point) (*index, error) {
 // restoreParts rebuilds the machinery of a saved stack under per, the
 // stack's options (co for its strategy), as openParts builds an empty
 // one's: page store, buffer pool and the re-attached strategy, whose
-// summary structure and id → leaf map are rebuilt from the tree.
-func restoreParts(st savedStack, per Options, co core.Options) (indexParts, error) {
+// summary structure is rebuilt from the tree and whose locator, loc —
+// the stack's view of the object table — is told every leaf placement.
+func restoreParts(st savedStack, per Options, co core.Options, loc core.Locator) (indexParts, error) {
 	store, err := pagestore.NewFromDump(per.PageSize, st.Pages, st.Freed, nil)
 	if err != nil {
 		return indexParts{}, err
 	}
+	co.Locator = loc
 	return stackParts(store, per, func(pool *buffer.Pool) (core.Updater, error) {
 		return core.Restore(pool, co, core.RestoreState{Root: st.Root, Height: st.Height, Size: st.Size})
 	})

@@ -43,6 +43,17 @@ func buildForPersist(t *testing.T, s Strategy) (*Index, *rand.Rand) {
 	return x, rng
 }
 
+// objects returns the table's objects and their positions.
+func (t *objectTable) objects() map[uint64]Point {
+	out := make(map[uint64]Point, t.Len())
+	t.each(func(id uint64, r record) {
+		if r.live() {
+			out[id] = r.point()
+		}
+	})
+	return out
+}
+
 func queriesMatch(t *testing.T, a, b interface{ Search(Rect) ([]uint64, error) }, rng *rand.Rand, n int) {
 	t.Helper()
 	for q := 0; q < n; q++ {
@@ -155,10 +166,11 @@ func TestLoadRefusesFormatOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sh.Close()
-	ids := slices.Sorted(maps.Keys(orig.objects))
+	objects := orig.objects()
+	ids := slices.Sorted(maps.Keys(objects))
 	pts := make([]Point, len(ids))
 	for i, id := range ids {
-		pts[i] = orig.objects[id]
+		pts[i] = objects[id]
 	}
 	if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
 		t.Fatal(err)
@@ -207,8 +219,8 @@ func TestLoadRefusesFormatOne(t *testing.T) {
 
 // TestLoadRefusesFormatThree: format 3 carried each stack's paged
 // object-id hash index (its bucket directory and entry count) beside the
-// tree pages; this version keeps the id → leaf map in memory and rebuilds
-// it from the leaves. A format-3 snapshot is refused on purpose by every
+// tree pages; this version keeps each object's leaf in the in-memory
+// object table and rebuilds it from the leaves. A format-3 snapshot is refused on purpose by every
 // loader with ErrBadSnapshot, under its own magic BURSNAP3 and as a
 // format-3 body under the current magic.
 func TestLoadRefusesFormatThree(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"burtree/internal/core"
 )
 
 // This file pins the cross-shard read-consistency fixes with regression
@@ -33,9 +35,7 @@ func plantDuplicate(t *testing.T, x *ShardedIndex, id uint64, a, b int, pa, pb P
 	if err := x.shards[b].tree.Insert(id, pb); err != nil {
 		t.Fatal(err)
 	}
-	x.mu.Lock()
-	x.objects[id] = pb
-	x.mu.Unlock()
+	x.put(opInsert, core.BatchChange{OID: id, New: pb})
 }
 
 // TestScatterDedup pins the gather de-duplication: with the same id

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"burtree/internal/core"
@@ -38,7 +39,8 @@ const ShardHilbert PartitionScheme = 0
 type ShardOptions struct {
 	// Shards is the number of partitions (default 4, max
 	// shard.MaxShards). Each shard is a self-contained tree with its own
-	// page store, buffer pool, id → leaf map and lock manager.
+	// page store, buffer pool and lock manager; the object table, which
+	// also finds each object's leaf, is the index's one.
 	Shards int
 	// Partition is retired: Hilbert ranges are the only scheme, so the
 	// zero value ShardHilbert is the only one accepted and any other
@@ -103,9 +105,9 @@ type ShardedIndex struct {
 }
 
 // OpenSharded creates an empty sharded index. The Options are totals for
-// the whole index: the buffer pool and id-map capacity budgets are divided
-// evenly among the shards, so comparing shard counts compares equal
-// hardware.
+// the whole index: the buffer pool budget is divided evenly among the
+// shards, so comparing shard counts compares equal hardware, and the one
+// object table is sized for ExpectedObjects.
 func OpenSharded(opts Options, sopts ShardOptions) (*ShardedIndex, error) {
 	return front[ShardedIndex](open(opts, sopts, kindSharded))
 }
@@ -183,10 +185,10 @@ func (x *ShardedIndex) ShardLoads() []ShardLoad {
 }
 
 // stackOptions are the options each of n stacks runs under, given the
-// index-wide opts: the zero-value defaults filled in, and the buffer pool,
-// id-map capacity hint and memtable budgets divided evenly, the buffer and
-// memtable shares floored to stay usable (one stack keeps the whole
-// budget). Fresh stacks
+// index-wide opts: the zero-value defaults filled in, and the buffer pool
+// and memtable budgets divided evenly, floored to stay usable (one stack
+// keeps the whole budget). ExpectedObjects passes through: it sizes the
+// index's one object table, not a stack's. Fresh stacks
 // (openShards) and loaded ones (load) both derive theirs here, so a
 // snapshot carries the options once. The delta tier is per stack — each
 // absorbs and merges its own deltas — which keeps merge-down traffic as
@@ -202,7 +204,6 @@ func stackOptions(opts Options, n int) Options {
 	if per.Memtable.Enabled {
 		per.Memtable.MaxObjects = max(per.Memtable.MaxObjects/n, 16)
 	}
-	per.ExpectedObjects /= n
 	if per.BufferPages > 0 {
 		per.BufferPages = max(per.BufferPages/n, 1)
 	}
@@ -257,11 +258,11 @@ func loadShards(stacks []*treeStack, router *shard.Router, items []rtree.Item, m
 // figure is one routing pass over the table. Caller holds the gate.
 func (x *index) shardCounts() []int {
 	out := make([]int, len(x.shards))
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	for _, p := range x.objects {
-		out[x.router.ShardOf(p)]++
-	}
+	x.each(func(_ uint64, r record) {
+		if r.live() {
+			out[x.router.ShardOf(r.point())]++
+		}
+	})
 	return out
 }
 
@@ -283,20 +284,25 @@ func (x *index) tiered() bool { return x.shards[0].tiered() }
 
 // absorb hands c, of kind k, to the delta tier of the stack(s) it
 // touches, src and dst, and marks in b the stacks whose tier now stands at
-// its size threshold, for the ack to hand their merge-down on. Called with
-// the object table locked: the table and the tiers transition together,
-// so racing writers to one id absorb their deltas in the order the table
+// its size threshold, for the ack to hand their merge-down on. Called
+// under the write's ordering stripes, right after the table accepted c, so
+// racing writers to one id absorb their deltas in the order the table
 // accepted them. A change that stays in its shard is that stack's delta; a
 // move that changes shards leaves a tombstone in the source stack's tier
 // and an insert in the destination's, so each stack's merge-down later
-// does its own half.
+// does its own half. The undos of a failed write run on the phases'
+// goroutines, each stack's in parallel, and may mark the same stack: the
+// marks are atomic.
 func (x *index) absorb(b *batchRun, k opKind, c core.BatchChange, src, dst int) {
 	if src != dst {
-		// Each absorb runs whatever the flag already says.
-		b.work[src].full = x.shards[src].absorb(opDelete, c) || b.work[src].full
+		if x.shards[src].absorb(opDelete, c) {
+			b.work[src].full.Store(true)
+		}
 		k = opInsert
 	}
-	b.work[dst].full = x.shards[dst].absorb(k, c) || b.work[dst].full
+	if x.shards[dst].absorb(k, c) {
+		b.work[dst].full.Store(true)
+	}
 }
 
 // recordBatch and readFrom are where the pipeline reaches the load
@@ -356,7 +362,7 @@ type shardWork struct {
 	res     BatchResult // what the write applied here: counted by route on a tiered index, by the phases otherwise
 	pages   uint64      // foreground pages the phases measured
 	err     error       // the phases' failures, joined
-	full    bool        // the write brought this stack's tier to its size threshold
+	full    atomic.Bool // the write brought this stack's tier to its size threshold
 	offered uint64      // recordBatch's count of the offered changes this stack owns
 	ops     []wal.Op    // logBatch's buffer
 	listed  bool        // the stack is in batchRun.stacks
@@ -378,7 +384,7 @@ type shardWork struct {
 // applied prefix the stack's record covers.
 func (w *shardWork) land(c core.BatchChange) {
 	x := w.run.x
-	x.record(opMove, c)
+	x.put(opMove, c)
 	w.res.Applied++
 	if x.wals != nil {
 		w.applied = append(w.applied, c)
@@ -443,17 +449,17 @@ func (b *batchRun) release() {
 	for _, s := range b.stacks {
 		w := b.work[s]
 		w.stay, w.ops, w.applied, w.arrived = w.stay[:0], w.ops[:0], w.applied[:0], w.arrived[:0]
-		w.listed, w.departs, w.arrives, w.res, w.pages, w.err, w.full, w.offered = false, 0, 0, BatchResult{}, 0, nil, false, 0
+		w.listed, w.departs, w.arrives, w.res, w.pages, w.err, w.offered = false, 0, 0, BatchResult{}, 0, nil, 0
+		w.full.Store(false)
 	}
 	b.x, b.raw, b.stacks, b.cross, b.res = nil, b.raw[:0], b.stacks[:0], b.cross[:0], BatchResult{}
 	batchRuns.Put(b)
 }
 
 // route hands one coalesced change to the stacks it leaves and ends in.
-// On a tiered index it is absorbed there — the caller holds the table
-// lock and records the change in the table in the same hold — and joins
-// the group of the stack that owns it afterwards: the unit of that stack's
-// log record. On the tree path a change that stays in its shard joins its
+// On a tiered index it is absorbed there — the caller has just recorded
+// the change in the table — and joins the group of the stack that owns it
+// afterwards: the unit of that stack's log record. On the tree path a change that stays in its shard joins its
 // stack's group; one that changes shards becomes a cross move, a
 // departure from its source stack and an arrival in its destination.
 func (x *index) route(b *batchRun, c core.BatchChange) {
@@ -561,7 +567,7 @@ func (x *index) batchStays(b *batchRun, s int) error {
 		if err = x.shards[s].apply(b.kind, w.stay[0]); err != nil {
 			applied = nil
 		} else {
-			x.record(b.kind, w.stay[0])
+			x.put(b.kind, w.stay[0])
 			w.res.Applied, w.res.Fallback = 1, 1
 		}
 	case len(w.stay) > 1:
@@ -597,7 +603,7 @@ func (x *index) batchArrivals(b *batchRun, s int) error {
 			err = errors.Join(err, aerr)
 			continue
 		}
-		x.record(opMove, cm.BatchChange)
+		x.put(opMove, cm.BatchChange)
 		w.res.Applied++
 		w.res.CrossShard++
 		if x.wals != nil {

@@ -517,24 +517,24 @@ func (s *treeStack) Flush() error {
 }
 
 // checkInvariants is the one invariant walk under all three front-ends:
-// it validates the tree's structure and the id → leaf map against the
-// tree's leaves, then checks the tree against the index's object table t — every leaf entry the delta overlay does not
-// mask must be the table's entry for its id, at exactly that position and
-// on the stack that position routes to — and the delta tier against both.
-// owns reports whether a position belongs to this stack (always, unless
-// the index is sharded) and owned is the number of table entries that
-// do. It costs a full tree walk and is only meaningful at a quiescent
-// point; on a DGL-locked tree it holds the shared latch for the walk, so
-// concurrent readers keep running (the closing check for leaked page
-// pins takes the exclusive latch for a moment).
-func (s *treeStack) checkInvariants(t *objectTable, owned int, owns func(Point) bool) error {
-	// Holding mergeMu excludes drains for the duration, so the delta
-	// overlay and the tree are compared at a point where no generation
-	// is half-applied.
-	if s.mem != nil {
-		s.mergeMu.Lock()
-		defer s.mergeMu.Unlock()
-	}
+// it validates the tree's structure, then checks the tree against the
+// index's object table through v, the stack's view of it — every leaf
+// entry the delta overlay does not mask must be the table's record for its
+// id, at exactly that position and on the stack that position routes to —
+// and the delta tier against both. With placed set (the strategy reaches
+// leaves through the table), every record naming this stack must name a
+// leaf of its tree that holds the id, and a tree entry whose record names
+// another stack, or none, must be masked by this stack's tier: the copy a
+// tiered cross-shard move leaves behind until this stack's merge-down
+// deletes or moves it. owns reports whether a position belongs to this
+// stack (always, unless the index is sharded) and owned is the number of
+// live records that do. It costs a full tree walk and is only meaningful
+// at a quiescent point; on a DGL-locked tree it holds the shared latch for
+// the walk, so concurrent readers keep running (the closing check for
+// leaked page pins takes the exclusive latch for a moment).
+//
+// The caller holds the mergeMu of every tiered stack of the index.
+func (s *treeStack) checkInvariants(v *stackView, owned int, owns func(Point) bool, placed bool) error {
 	var err error
 	s.tree.View(func(u core.Updater) {
 		if err = u.Err(); err != nil {
@@ -543,12 +543,7 @@ func (s *treeStack) checkInvariants(t *objectTable, owned int, owns func(Point) 
 		if err = u.Tree().CheckInvariants(); err != nil {
 			return
 		}
-		if err = core.CheckLocator(u); err != nil {
-			return
-		}
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		err = s.checkTable(u.Tree(), t.objects, owned, owns)
+		err = s.checkTable(u.Tree(), v, owned, owns, placed)
 	})
 	if err != nil {
 		return err
@@ -569,11 +564,13 @@ func (s *treeStack) checkInvariants(t *objectTable, owned int, owns func(Point) 
 
 // checkTable is the table half of checkInvariants, at a point with no
 // write or drain in flight: a previous merge failure is fatal; every
-// live delta matches the tracked position and belongs here; a tombstone
+// live delta matches the recorded position and belongs here; a tombstone
 // masks no object the table still places here; the tree's size accounts
-// for the deltas not yet merged down; and every unmasked leaf entry is
-// the table's.
-func (s *treeStack) checkTable(tree *rtree.Tree, objects map[uint64]Point, owned int, owns func(Point) bool) error {
+// for the deltas not yet merged down; every unmasked leaf entry is the
+// table's; and, with placed, the records that name this stack are
+// exactly the leaf entries that hold their ids.
+func (s *treeStack) checkTable(tree *rtree.Tree, v *stackView, owned int, owns func(Point) bool, placed bool) error {
+	t := &v.x.objectTable
 	var overlay map[uint64]memtable.Entry
 	pendingInserts, tombstones := 0, 0
 	if s.mem != nil {
@@ -583,7 +580,7 @@ func (s *treeStack) checkTable(tree *rtree.Tree, objects map[uint64]Point, owned
 		overlay = s.mem.Snapshot()
 	}
 	for id, e := range overlay {
-		p, ok := objects[id]
+		p, ok := t.Location(id)
 		here := ok && owns(p)
 		switch {
 		case e.Tombstone && here:
@@ -600,22 +597,44 @@ func (s *treeStack) checkTable(tree *rtree.Tree, objects map[uint64]Point, owned
 		return fmt.Errorf("burtree: tree size %d != expected %d (%d tracked objects, %d pending inserts, %d tombstones)",
 			tree.Size(), want, owned, pendingInserts, tombstones)
 	}
-	var stale error
-	everywhere := Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
-	err := tree.Search(everywhere, func(id uint64, r Rect) bool {
-		if _, masked := overlay[id]; masked {
-			return true
+	matched := 0
+	err := core.ForEachLeafEntry(tree, func(leaf rtree.PageID, e rtree.Entry) error {
+		id := e.OID
+		r, ok := t.get(id)
+		_, masked := overlay[id]
+		if placed {
+			switch {
+			case r.stack == v.s && rtree.PageID(r.leaf) != leaf:
+				return fmt.Errorf("burtree: object %d is in leaf %d, its locator entry names %d", id, leaf, rtree.PageID(r.leaf))
+			case r.stack == v.s:
+				matched++
+			case masked: // a copy this stack's merge-down deletes or moves
+			case r.stack == 0:
+				return fmt.Errorf("burtree: object %d in leaf %d has no locator entry", id, leaf)
+			default:
+				return fmt.Errorf("burtree: object %d in leaf %d: its record names stack %d, and no delta masks this copy", id, leaf, int(r.stack)-1)
+			}
 		}
-		at := Point{X: r.MinX, Y: r.MinY}
-		if p, ok := objects[id]; !ok || p != at {
-			stale = fmt.Errorf("burtree: tree holds object %d at %v, the object table says %v (tracked: %v)", id, at, p, ok)
-		} else if !owns(at) {
-			stale = fmt.Errorf("burtree: object %d at %v lives in a shard its position does not route to", id, at)
+		if masked {
+			return nil
 		}
-		return stale == nil
+		at := Point{X: e.Rect.MinX, Y: e.Rect.MinY}
+		if p, live := r.point(), ok && r.live(); !live || p != at {
+			return fmt.Errorf("burtree: tree holds object %d at %v, the object table says %v (tracked: %v)", id, at, p, live)
+		}
+		if !owns(at) {
+			return fmt.Errorf("burtree: object %d at %v lives in a shard its position does not route to", id, at)
+		}
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return stale
+	if !placed {
+		return nil
+	}
+	if n := v.Size(); n != matched {
+		return fmt.Errorf("burtree: the table's locator maps %d ids to this stack, the tree's leaves hold %d of them", n, matched)
+	}
+	return nil
 }
