@@ -77,9 +77,12 @@ paper-io-cmp:
 # where paper-gbu's update loop runs. A 32-byte shift of them moves that
 # workload's timings with no work changed. internal/hashindex, which
 # paper-gbu runs too, is not listed: the linker lays it out after
-# internal/shard and the root package. It prints "identical" or the
-# first moved symbol with its shift mod 64, exits non-zero on a move, and
-# removes the worktree on every exit.
+# internal/shard and the root package. It prints "identical", or the
+# first moved symbol with its shift mod 64 and then, over every symbol
+# both builds have, the count compared, how many moved and how many
+# shifted by each amount mod 64 (a shift by a multiple of 64 keeps every
+# function's cache-line alignment), with the symbols only one build has.
+# It exits non-zero on a move, and removes the worktree on every exit.
 TEXT_PKGS = stats|pagestore|buffer|geom|hilbert|rtree|summary|core
 text-cmp:
 	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/ref" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
@@ -90,19 +93,20 @@ text-cmp:
 		$(GO) tool nm -n "$$tmp/$$b.bin" | \
 		awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^burtree\/internal\/($(TEXT_PKGS))\./ {print $$1, $$3}' > "$$tmp/$$b.sym" || exit 1; \
 	done && \
-	first=$$(awk 'NR == FNR {a[FNR] = $$1; s[FNR] = $$2; n = FNR; next} \
-		$$1 != a[FNR] || $$2 != s[FNR] {print a[FNR] "-", s[FNR] "-", $$1 "-", $$2 "-"; d = 1; exit} \
-		END {if (!d && FNR != n) print a[FNR+1] "-", s[FNR+1] "-", "-", "-"}' "$$tmp/ref.sym" "$$tmp/tree.sym") && \
-	if [ -z "$$first" ]; then \
-		echo "text-cmp: $$(wc -l < "$$tmp/tree.sym") symbols of $(TEXT_PKGS) identical to $(REF)"; \
-	else \
-		set -- $$first; ra=$${1%-}; rs=$${2%-}; ta=$${3%-}; ts=$${4%-}; \
-		if [ -n "$$rs" ] && [ "$$rs" = "$$ts" ]; then \
-			echo "text-cmp: $$ts moved from 0x$$ra to 0x$$ta, shift mod 64 = $$(( ((0x$$ta - 0x$$ra) % 64 + 64) % 64 ))"; \
-		else \
-			echo "text-cmp: first difference: $(REF) has $${rs:-nothing} at 0x$${ra:-?}, the tree has $${ts:-nothing} at 0x$${ta:-?}"; \
-		fi; exit 1; \
-	fi
+	awk -v ref='$(REF)' -v pkgs='$(TEXT_PKGS)' ' \
+		function addr(h,  i, v) { h = tolower(h); for (i = 1; i <= length(h); i++) v = v * 16 + index("0123456789abcdef", substr(h, i, 1)) - 1; return v } \
+		NR == FNR { a[$$2] = $$1; next } \
+		!($$2 in a) { added++; next } \
+		{ n++; d = addr($$1) - addr(a[$$2]); m = (d % 64 + 64) % 64; c[m]++ } \
+		d != 0 { moved++; if (!first) first = $$2 " moved from 0x" a[$$2] " to 0x" $$1 ", shift mod 64 = " m } \
+		{ delete a[$$2] } \
+		END { for (k in a) gone++; \
+			if (!moved && !gone && !added) { print "text-cmp: " n " symbols of " pkgs " identical to " ref; exit 0 } \
+			if (first) print "text-cmp: " first; \
+			line = "text-cmp: " n " symbols, " moved + 0 " moved; shift mod 64:"; \
+			for (m = 0; m < 64; m++) if (m in c) line = line " " m " ×" c[m]; \
+			print line "; " gone + 0 " only in " ref ", " added + 0 " only in the tree"; exit 1 }' \
+		"$$tmp/ref.sym" "$$tmp/tree.sym"
 
 bin/burbench: FORCE
 	@$(GO) build -o bin/burbench ./cmd/burbench

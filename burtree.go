@@ -278,16 +278,13 @@ func Open(opts Options) (*Index, error) {
 	return front[Index](open(opts, single, kindIndex))
 }
 
-// PackMethod selects the bulk-load packing algorithm.
+// PackMethod names a bulk-load packing algorithm. STR is the only one:
+// BulkInsert refuses any other value with an error.
 type PackMethod int
 
-const (
-	// PackSTR uses Sort-Tile-Recursive packing (the default).
-	PackSTR PackMethod = iota
-	// PackHilbert orders entries along a Hilbert curve before packing
-	// (Kamel & Faloutsos), often better on skewed data.
-	PackHilbert
-)
+// PackSTR packs with Sort-Tile-Recursive, the library's one packer and
+// PackMethod's zero value.
+const PackSTR PackMethod = 0
 
 // packItems validates a bulk-load input — once, for every front-end —
 // and converts it to tree items. Every point is checked before anything
@@ -305,16 +302,6 @@ func packItems(ids []uint64, pts []Point) ([]rtree.Item, error) {
 		items[i] = rtree.Item{OID: id, Rect: geom.RectFromPoint(pts[i])}
 	}
 	return items, nil
-}
-
-// bulkLoad packs items into the strategy's tree with the chosen method.
-func bulkLoad(u core.Updater, items []rtree.Item, method PackMethod) error {
-	switch method {
-	case PackHilbert:
-		return u.Tree().BulkLoadHilbert(items, 0.66)
-	default:
-		return u.Tree().BulkLoad(items, 0.66)
-	}
 }
 
 // Change is one object move inside a batch: object ID moves to

@@ -83,40 +83,78 @@ func TestConcurrentIndexErrors(t *testing.T) {
 }
 
 func TestBulkInsert(t *testing.T) {
-	for _, method := range []PackMethod{PackSTR, PackHilbert} {
-		x := openTest(t, GeneralizedBottomUp)
-		rng := rand.New(rand.NewSource(9))
-		const n = 3000
-		ids := make([]uint64, n)
-		pts := make([]Point, n)
-		for i := range ids {
-			ids[i] = uint64(i)
-			pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
-		}
-		if err := x.BulkInsert(ids, pts, method); err != nil {
+	x := openTest(t, GeneralizedBottomUp)
+	rng := rand.New(rand.NewSource(9))
+	const n = 3000
+	ids := make([]uint64, n)
+	pts := make([]Point, n)
+	for i := range ids {
+		ids[i] = uint64(i)
+		pts[i] = Point{X: rng.Float64(), Y: rng.Float64()}
+	}
+	if err := x.BulkInsert(ids, pts, PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	if x.Len() != n {
+		t.Fatalf("Len = %d", x.Len())
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	// Bottom-up updates work immediately after a bulk load (hash and
+	// summary were populated by the load).
+	for step := 0; step < 1500; step++ {
+		id := uint64(rng.Intn(n))
+		p, _ := x.Location(id)
+		if err := x.Update(id, Point{X: p.X + 0.002, Y: p.Y + 0.002}); err != nil {
 			t.Fatal(err)
 		}
-		if x.Len() != n {
-			t.Fatalf("Len = %d", x.Len())
+	}
+	if err := x.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	out := x.Stats().Outcomes
+	if out.InLeaf == 0 {
+		t.Fatalf("no in-leaf updates after a bulk load: %+v", out)
+	}
+}
+
+// TestBulkInsertRefusesOtherPackers: STR is the one packer, so a
+// PackMethod other than PackSTR is refused with an error on every
+// front-end, which is left empty and valid; a PackSTR load of the same
+// input then succeeds.
+func TestBulkInsertRefusesOtherPackers(t *testing.T) {
+	type loader interface {
+		BulkInsert(ids []uint64, pts []Point, method PackMethod) error
+		Len() int
+		CheckInvariants() error
+	}
+	ids, pts := randomPoints(2000, 21)
+	for _, fe := range []struct {
+		name string
+		x    loader
+	}{
+		{"Index", openTest(t, GeneralizedBottomUp)},
+		{"ConcurrentIndex", openConcurrentTest(t, GeneralizedBottomUp)},
+		{"ShardedIndex", openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 4})},
+	} {
+		if err := fe.x.BulkInsert(ids, pts, PackMethod(1)); err == nil {
+			t.Fatalf("%s: BulkInsert with PackMethod(1) accepted", fe.name)
 		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		if n := fe.x.Len(); n != 0 {
+			t.Fatalf("%s: refused BulkInsert left Len = %d", fe.name, n)
 		}
-		// Bottom-up updates work immediately after a bulk load (hash and
-		// summary were populated by the load).
-		for step := 0; step < 1500; step++ {
-			id := uint64(rng.Intn(n))
-			p, _ := x.Location(id)
-			if err := x.Update(id, Point{X: p.X + 0.002, Y: p.Y + 0.002}); err != nil {
-				t.Fatal(err)
-			}
+		if err := fe.x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: after the refusal: %v", fe.name, err)
 		}
-		if err := x.CheckInvariants(); err != nil {
-			t.Fatal(err)
+		if err := fe.x.BulkInsert(ids, pts, PackSTR); err != nil {
+			t.Fatalf("%s: PackSTR after the refusal: %v", fe.name, err)
 		}
-		out := x.Stats().Outcomes
-		if out.InLeaf == 0 {
-			t.Fatalf("no in-leaf updates after %v bulk load: %+v", method, out)
+		if n := fe.x.Len(); n != len(ids) {
+			t.Fatalf("%s: Len = %d after loading %d", fe.name, n, len(ids))
+		}
+		if err := fe.x.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", fe.name, err)
 		}
 	}
 }

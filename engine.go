@@ -494,19 +494,24 @@ func (x *index) logBatch(w *shardWork, s int, k opKind, async bool, applied []co
 	return nil
 }
 
-// BulkInsert loads many objects at once into an empty index using the
-// chosen packing method at ~66% node fill — far faster than repeated
-// Insert calls and the usual way to start the paper's experiments. With
-// more than one stack the router is rebuilt first so the Hilbert ranges
-// are balanced over the actual data; the objects are then routed and
-// every stack bulk-loads its partition in parallel. The whole index
-// is locked exclusively for the duration: bulk loading rebuilds the trees
-// from scratch, so no reader or writer may observe the intermediate
-// state. With durability enabled, a successful bulk load checkpoints
-// immediately: the snapshot, not per-object log records, is the durable
-// form of a bulk load — it also persists the router the balanced cut
-// just rebuilt, which recovery must route with.
+// BulkInsert loads many objects at once into an empty index with STR
+// packing at ~66% node fill — far faster than repeated Insert calls and
+// the usual way to start the paper's experiments. method must be
+// PackSTR: any other value is refused with an error before the index is
+// locked or a stack touched. With more than one stack the router is
+// rebuilt first so the Hilbert ranges are balanced over the actual
+// data; the objects are then routed and every stack bulk-loads its
+// partition in parallel. The whole index is locked exclusively for the
+// duration: bulk loading rebuilds the trees from scratch, so no reader
+// or writer may observe the intermediate state. With durability
+// enabled, a successful bulk load checkpoints immediately: the
+// snapshot, not per-object log records, is the durable form of a bulk
+// load — it also persists the router the balanced cut just rebuilt,
+// which recovery must route with.
 func (x *index) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
+	if method != PackSTR {
+		return fmt.Errorf("burtree: BulkInsert: PackMethod %d: STR (PackSTR) is the only packer", int(method))
+	}
 	items, err := packItems(ids, pts)
 	if err != nil {
 		return err
@@ -522,7 +527,7 @@ func (x *index) BulkInsert(ids []uint64, pts []Point, method PackMethod) error {
 			return fmt.Errorf("burtree: %w", err)
 		}
 	}
-	err = loadShards(x.shards, router, items, method)
+	err = loadShards(x.shards, router, items)
 	if err == nil {
 		// The load's placements made the records; the positions go in
 		// last, which is also where an id the input repeats shows.

@@ -75,7 +75,7 @@ func runSharded(shards int) error {
 			Y: clamp01(d.Y + rng.NormFloat64()*0.08),
 		}
 	}
-	if err := idx.BulkInsert(ids, pts, burtree.PackHilbert); err != nil {
+	if err := idx.BulkInsert(ids, pts, burtree.PackSTR); err != nil {
 		return err
 	}
 	idx.SetIOLatency(50 * time.Microsecond)

@@ -90,11 +90,6 @@ func (r Rect) Union(s Rect) Rect {
 	}
 }
 
-// UnionPoint returns the minimum bounding rectangle of r and p.
-func (r Rect) UnionPoint(p Point) Rect {
-	return r.Union(RectFromPoint(p))
-}
-
 // Intersection returns the overlap of r and s. If they do not intersect
 // the second result is false and the rectangle is the zero value.
 func (r Rect) Intersection(s Rect) (Rect, bool) {
@@ -133,28 +128,6 @@ func (r Rect) Enlargement(s Rect) float64 {
 // ensure the result remains valid.
 func (r Rect) Expand(eps float64) Rect {
 	return Rect{r.MinX - eps, r.MinY - eps, r.MaxX + eps, r.MaxY + eps}
-}
-
-// ClipTo returns r clipped so that it lies within bound. If r and bound
-// are disjoint the result is degenerate but still inside bound.
-func (r Rect) ClipTo(bound Rect) Rect {
-	c := Rect{
-		MinX: clamp(r.MinX, bound.MinX, bound.MaxX),
-		MinY: clamp(r.MinY, bound.MinY, bound.MaxY),
-		MaxX: clamp(r.MaxX, bound.MinX, bound.MaxX),
-		MaxY: clamp(r.MaxY, bound.MinY, bound.MaxY),
-	}
-	return c
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Equal reports exact equality of all four coordinates.
@@ -198,19 +171,6 @@ func (p Point) String() string {
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.6g,%.6g | %.6g,%.6g]", r.MinX, r.MinY, r.MaxX, r.MaxY)
-}
-
-// UnionAll returns the MBR of all given rectangles. It panics on an empty
-// slice: an empty set has no meaningful bounding rectangle.
-func UnionAll(rects []Rect) Rect {
-	if len(rects) == 0 {
-		panic("geom: UnionAll of empty slice")
-	}
-	u := rects[0]
-	for _, r := range rects[1:] {
-		u = u.Union(r)
-	}
-	return u
 }
 
 // WorldRect is a rectangle large enough to contain any workload this

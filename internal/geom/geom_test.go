@@ -149,14 +149,6 @@ func TestExpandAndClip(t *testing.T) {
 	if e != (Rect{0.5, 0.5, 2.5, 2.5}) {
 		t.Fatalf("Expand = %v", e)
 	}
-	bound := Rect{0, 0, 2.2, 10}
-	c := e.ClipTo(bound)
-	if !bound.ContainsRect(c) {
-		t.Fatalf("clip result %v escapes bound %v", c, bound)
-	}
-	if c != (Rect{0.5, 0.5, 2.2, 2.5}) {
-		t.Fatalf("ClipTo = %v", c)
-	}
 }
 
 func TestDist(t *testing.T) {
@@ -184,20 +176,6 @@ func TestMinDistPoint(t *testing.T) {
 			t.Errorf("MinDistPoint(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-}
-
-func TestUnionAll(t *testing.T) {
-	rects := []Rect{{0, 0, 1, 1}, {2, -1, 3, 0.5}, {0.5, 0.5, 0.6, 4}}
-	u := UnionAll(rects)
-	if u != (Rect{0, -1, 3, 4}) {
-		t.Fatalf("UnionAll = %v", u)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("UnionAll(empty) did not panic")
-		}
-	}()
-	UnionAll(nil)
 }
 
 func TestExtendTowardDirections(t *testing.T) {
@@ -334,7 +312,7 @@ func TestQuickExtendTowardInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		parent := NewRect(-10, -10, 10, 10)
-		leaf := randRect(rng).ClipTo(parent)
+		leaf := randRect(rng) // randRect spans [-5, 5]², inside parent
 		p := Point{rng.Float64()*24 - 12, rng.Float64()*24 - 12}
 		eps := rng.Float64() * 2
 		out := ExtendToward(leaf, p, eps, parent)
@@ -373,19 +351,6 @@ func TestQuickExtendTowardCoversNearbyPoints(t *testing.T) {
 		return out.ContainsPoint(p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickClipToStaysInside(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		bound := randRect(rng)
-		r := randRect(rng)
-		c := r.ClipTo(bound)
-		return c.Valid() && bound.ContainsRect(c)
-	}
-	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,9 @@
-// Package hilbert provides the Hilbert curve linearization shared by
-// the R-tree bulk loader (internal/rtree) and the sharded-index space
-// partitioner (internal/shard). Both must walk the identical curve:
-// the partitioner's balance guarantees rely on ordering cells exactly
-// the way the bulk loader orders entries.
+// Package hilbert provides the Hilbert curve linearization of the
+// sharded-index space partitioner (internal/shard), which cuts the
+// curve into contiguous ranges, one per shard. The benchmark's
+// calibration loop (bench/micro.go) times the same walk to tell a slow
+// box from a slow change. The R-tree's bulk loader does not use it:
+// STR is the library's one packer.
 package hilbert
 
 // D converts (x, y) cell coordinates on a 2^order × 2^order grid to

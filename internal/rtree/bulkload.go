@@ -110,7 +110,7 @@ func (t *Tree) packLevel(entries []Entry, level, cap int) ([]*Node, error) {
 			nodes = append(nodes, node)
 		}
 	}
-	return t.fixTrailingUnderfull(nodes, level, false)
+	return t.fixTrailingUnderfull(nodes, level)
 }
 
 // fixTrailingUnderfull repairs the last node of a packed level when it
@@ -119,9 +119,7 @@ func (t *Tree) packLevel(entries []Entry, level, cap int) ([]*Node, error) {
 // The runt is merged into its predecessor when the union fits in one
 // node; otherwise the two are rebalanced evenly — the union then exceeds
 // the fanout M ≥ 2·m, so both halves satisfy the minimum m.
-// prepend keeps curve order for sequentially packed levels (Hilbert):
-// entries borrowed from the predecessor go in front of the runt's own.
-func (t *Tree) fixTrailingUnderfull(nodes []*Node, level int, prepend bool) ([]*Node, error) {
+func (t *Tree) fixTrailingUnderfull(nodes []*Node, level int) ([]*Node, error) {
 	if len(nodes) < 2 {
 		return nodes, nil
 	}
@@ -155,11 +153,7 @@ func (t *Tree) fixTrailingUnderfull(nodes []*Node, level int, prepend bool) ([]*
 	need := total/2 - len(last.Entries)
 	moved := prev.Entries[len(prev.Entries)-need:]
 	prev.Entries = prev.Entries[:len(prev.Entries)-need]
-	if prepend {
-		last.Entries = append(append([]Entry(nil), moved...), last.Entries...)
-	} else {
-		last.Entries = append(last.Entries, moved...)
-	}
+	last.Entries = append(last.Entries, moved...)
 	prev.Self = prev.EntriesMBR()
 	last.Self = last.EntriesMBR()
 	if err := t.WriteNode(prev); err != nil {

@@ -97,9 +97,8 @@ func TestNodeFormatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNonPointDataRefused: Insert, Update, BulkLoad and BulkLoadHilbert
-// of a rectangle that is not a point fail with ErrNotPoint and leave the
-// tree as it was — invariants, size and every page byte — and patching a
+// TestNonPointDataRefused: Insert, Update and BulkLoad of a rectangle
+// that is not a point fail with ErrNotPoint and leave the tree as it was — invariants, size and every page byte — and patching a
 // leaf entry to one panics before it stores a byte.
 func TestNonPointDataRefused(t *testing.T) {
 	box := geom.NewRect(0.2, 0.2, 0.3, 0.3)
@@ -167,25 +166,17 @@ func TestNonPointDataRefused(t *testing.T) {
 		})
 	}
 
-	for _, load := range []struct {
-		name string
-		do   func(*Tree, []Item) error
-	}{
-		{"BulkLoad", func(tr *Tree, items []Item) error { return tr.BulkLoad(items, 0.66) }},
-		{"BulkLoadHilbert", func(tr *Tree, items []Item) error { return tr.BulkLoadHilbert(items, 0.66) }},
-	} {
-		rng := rand.New(rand.NewSource(13))
-		items, _ := bulkItems(rng, 300)
-		items[150].Rect = box
-		tr := newTestTree(t, 512, 16, Config{})
-		if err := load.do(tr, items); !errors.Is(err, ErrNotPoint) {
-			t.Fatalf("%s with a rectangle among the items: err = %v, want ErrNotPoint", load.name, err)
-		}
-		if tr.Size() != 0 || tr.Height() != 0 || tr.Pool().Store().NumPages() != 0 {
-			t.Fatalf("%s refused its items but left size %d, height %d, %d pages", load.name, tr.Size(), tr.Height(), tr.Pool().Store().NumPages())
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+	rng := rand.New(rand.NewSource(13))
+	items, _ := bulkItems(rng, 300)
+	items[150].Rect = box
+	tr := newTestTree(t, 512, 16, Config{})
+	if err := tr.BulkLoad(items, 0.66); !errors.Is(err, ErrNotPoint) {
+		t.Fatalf("BulkLoad with a rectangle among the items: err = %v, want ErrNotPoint", err)
+	}
+	if tr.Size() != 0 || tr.Height() != 0 || tr.Pool().Store().NumPages() != 0 {
+		t.Fatalf("BulkLoad refused its items but left size %d, height %d, %d pages", tr.Size(), tr.Height(), tr.Pool().Store().NumPages())
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

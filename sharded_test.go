@@ -83,7 +83,7 @@ func TestShardedHilbertBalance(t *testing.T) {
 		pts[i] = Point{X: u * u * u, Y: v * v * v}
 	}
 	sh := openShardedTest(t, GeneralizedBottomUp, ShardOptions{Shards: 8})
-	if err := sh.BulkInsert(ids, pts, PackHilbert); err != nil {
+	if err := sh.BulkInsert(ids, pts, PackSTR); err != nil {
 		t.Fatal(err)
 	}
 	lens := sh.ShardLens()

@@ -227,7 +227,7 @@ func (x *index) swapShardsLocked(fresh []*treeStack) error {
 // loadShards is the one bulk loader: it routes items to the stacks and
 // bulk-loads every stack's share in parallel. The caller has validated
 // the items (packItems), so a failure here is not the input's.
-func loadShards(stacks []*treeStack, router *shard.Router, items []rtree.Item, method PackMethod) error {
+func loadShards(stacks []*treeStack, router *shard.Router, items []rtree.Item) error {
 	per := make([][]rtree.Item, len(stacks))
 	for s := range per {
 		// An even share plus slack fits a balanced partition without regrowth.
@@ -246,7 +246,7 @@ func loadShards(stacks []*treeStack, router *shard.Router, items []rtree.Item, m
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			errs[s] = stacks[s].bulkLoad(per[s], method)
+			errs[s] = stacks[s].bulkLoad(per[s])
 		}(s)
 	}
 	wg.Wait()

@@ -202,11 +202,12 @@ func (s *treeStack) applyBatch(coalesced []core.BatchChange, landed func(core.Ba
 	return err
 }
 
-// bulkLoad packs items into the empty tree with the whole stack locked
-// exclusively: bulk loading rebuilds the tree from scratch, so no reader
-// or writer may observe the intermediate state.
-func (s *treeStack) bulkLoad(items []rtree.Item, method PackMethod) error {
-	return s.tree.Exclusive(func(u core.Updater) error { return bulkLoad(u, items, method) })
+// bulkLoad STR-packs items into the empty tree at ~66% node fill with
+// the whole stack locked exclusively: bulk loading rebuilds the tree
+// from scratch, so no reader or writer may observe the intermediate
+// state.
+func (s *treeStack) bulkLoad(items []rtree.Item) error {
+	return s.tree.Exclusive(func(u core.Updater) error { return u.Tree().BulkLoad(items, 0.66) })
 }
 
 // ensureMemtable installs the delta tier from cfg, a stack's normalized
