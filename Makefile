@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint allocs scale paper-io paper-io-cmp text-cmp baselines bench-smoke loc fmt clean
+.PHONY: all build test race lint allocs scale paper-io paper-io-cmp text-cmp baselines run-patterns bench-smoke loc fmt clean
 
 all: build test lint
 
@@ -49,7 +49,7 @@ scale:
 # written to a file first so a failing burbench fails the target rather
 # than leaving grep's status behind.
 SCALE ?= 0.5
-PAPER_IO = fig5a,fig5b,fig5e,fig5f,fig5g,fig5h,fig6a,fig6b,fig6c,fig6d,fig6e,fig6f,fig6g,fig6h,fig7a,fig7b,naive,cost,table-summary-size,ablation-piggyback,ablation-summary-queries,ablation-splits
+PAPER_IO = fig5a,fig5b,fig5e,fig5f,fig5g,fig5h,fig6a,fig6b,fig6c,fig6d,fig6e,fig6f,fig6g,fig6h,fig7a,fig7b,naive,cost,table-summary-size,ablation-piggyback,ablation-summary-queries
 
 paper-io: bin/burbench
 	@bin/burbench -experiment $(PAPER_IO) -scale $(SCALE) -seed 1 -csv
@@ -73,17 +73,18 @@ paper-io-cmp:
 # text-cmp shows whether the working tree moved library code against REF
 # (default HEAD). It builds bench's binary in a temporary git worktree of
 # REF and in the working tree, then compares the text symbols, name and
-# address, of the packages the linker lays out first, in this order —
-# where paper-gbu's update loop runs. A 32-byte shift of them moves that
-# workload's timings with no work changed. internal/hashindex, which
-# paper-gbu runs too, is not listed: the linker lays it out after
-# internal/shard and the root package. It prints "identical", or the
-# first moved symbol with its shift mod 64 and then, over every symbol
-# both builds have, the count compared, how many moved and how many
-# shifted by each amount mod 64 (a shift by a multiple of 64 keeps every
-# function's cache-line alignment), with the symbols only one build has.
-# It exits non-zero on a move, and removes the worktree on every exit.
-TEXT_PKGS = stats|pagestore|buffer|geom|hilbert|rtree|summary|core
+# address, of every package of this module the binary links: the root
+# package burtree and each burtree/internal/... one. A 32-byte shift of
+# the code paper-gbu's update loop runs moves that workload's timings
+# with no work changed, and the linker lays the standard library out
+# ahead of all of them. It prints "identical", or the first moved
+# symbol with its shift mod 64 and then, over every symbol both builds
+# have, the count compared, how many moved and how many shifted by each
+# amount mod 64 (a shift by a multiple of 64 keeps every function's
+# cache-line alignment), with the symbols only one build has. It exits
+# non-zero on a move, and removes the worktree on every exit. A name is
+# the whole rest of nm's line: a generic instantiation's holds spaces.
+TEXT_PKGS = burtree and burtree/internal/...
 text-cmp:
 	@tmp=$$(mktemp -d) && trap 'git worktree remove --force "$$tmp/ref" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
 	git worktree add --detach --quiet "$$tmp/ref" "$(REF)" && \
@@ -91,9 +92,9 @@ text-cmp:
 	$(GO) -C bench build -o "$$tmp/tree.bin" . && \
 	for b in ref tree; do \
 		$(GO) tool nm -n "$$tmp/$$b.bin" | \
-		awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^burtree\/internal\/($(TEXT_PKGS))\./ {print $$1, $$3}' > "$$tmp/$$b.sym" || exit 1; \
+		awk '$$2 ~ /^[Tt]$$/ && $$3 ~ /^burtree(\/internal\/[^.]+)?\./ { a = $$1; sub(/^ *[^ ]+ +[^ ]+ +/, ""); print a "\t" $$0 }' > "$$tmp/$$b.sym" || exit 1; \
 	done && \
-	awk -v ref='$(REF)' -v pkgs='$(TEXT_PKGS)' ' \
+	awk -F '\t' -v ref='$(REF)' -v pkgs='$(TEXT_PKGS)' ' \
 		function addr(h,  i, v) { h = tolower(h); for (i = 1; i <= length(h); i++) v = v * 16 + index("0123456789abcdef", substr(h, i, 1)) - 1; return v } \
 		NR == FNR { a[$$2] = $$1; next } \
 		!($$2 in a) { added++; next } \
@@ -124,6 +125,38 @@ baselines:
 	for f in $$named; do echo "$$have" | grep -qx "$$f" || { echo "baselines: $$f is named but not committed"; bad=1; }; done; \
 	for f in $$have; do echo "$$named" | grep -qx "$$f" || { echo "baselines: $$f is committed but nothing names it"; bad=1; }; done; \
 	[ -z "$$bad" ] && echo "baselines: $$(echo $$have) committed and named"
+
+# run-patterns fails when a go test line of the CI workflow names a test
+# that does not exist. go test passes a -run, -bench or -fuzz pattern
+# that matches nothing with only "no tests to run", so a renamed or
+# deleted test would drop out of its step unseen. For every go test line
+# it lists the names in the packages that line runs (go test -list) and
+# checks each |-separated alternative of each pattern against the names
+# of the kind its flag selects: tests, fuzz targets and examples for
+# -run, benchmarks for -bench, fuzz targets for -fuzz. The '^$' that
+# turns a line's tests off is skipped. Alternatives are matched with
+# grep -E; the workflow's are names and anchors, which read the same in
+# Go's regexp syntax.
+CI_WORKFLOW = .github/workflows/ci.yml
+run-patterns:
+	@set -f; out=$$(grep -E '^[[:space:]]*(run: )?go test ' $(CI_WORKFLOW) | sed -E 's/^[[:space:]]*(run: )?//' | \
+	while IFS= read -r cmd; do \
+		pkgs=$$(printf '%s\n' $$cmd | grep -E '^\.(/|$$)' | tr '\n' ' '); \
+		list=$$($(GO) test -list . $$pkgs) || exit 1; \
+		printf '%s\n' "$$cmd" | grep -oE -- "-(run|bench|fuzz)[= ]'[^']*'" | \
+		while IFS= read -r flag; do \
+			kind=$${flag%%[= ]*}; pat=$${flag#*\'}; pat=$${pat%\'}; \
+			[ "$$pat" = '^$$' ] && continue; \
+			case $$kind in -run) want='^(Test|Fuzz|Example)' ;; -bench) want='^Benchmark' ;; *) want='^Fuzz' ;; esac; \
+			printf '%s\n' "$$pat" | tr '|' '\n' | while IFS= read -r alt; do \
+				if printf '%s\n' "$$list" | grep -E "$$want" | grep -qE -- "$$alt"; then echo ok; \
+				else echo "run-patterns: $$kind alternative $$alt matches nothing in $${pkgs% }"; fi; \
+			done; \
+		done; \
+	done) || { echo "run-patterns: go test -list failed"; exit 1; }; \
+	dead=$$(printf '%s\n' "$$out" | grep -v '^ok$$'); \
+	[ -z "$$dead" ] || { printf '%s\n' "$$dead"; exit 1; }; \
+	echo "run-patterns: $$(printf '%s\n' "$$out" | grep -c '^ok$$') alternatives in $(CI_WORKFLOW), each matches"
 
 # bench-smoke builds and smoke-tests the end-to-end benchmark (bench/ is
 # a module of its own, which `go build ./... && go test ./...` skips), so

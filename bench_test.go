@@ -17,7 +17,6 @@ import (
 	"burtree"
 	"burtree/internal/core"
 	"burtree/internal/exp"
-	"burtree/internal/rtree"
 )
 
 // benchExperiment reruns one full experiment per iteration, varying the
@@ -262,47 +261,6 @@ func BenchmarkAblationSummaryQueries(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(m.AvgQueryIO, "queryIO")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSplitAlgorithm compares the three node splits under
-// the TD baseline.
-func BenchmarkAblationSplitAlgorithm(b *testing.B) {
-	for _, split := range []rtree.SplitAlgorithm{rtree.SplitQuadratic, rtree.SplitLinear, rtree.SplitRStar} {
-		b.Run(split.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := exp.RunOnce(exp.Config{
-					Strategy: core.TD, NumObjects: 5000, NumUpdates: 5000, NumQueries: 200,
-					Split: split, Seed: int64(300 + i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(m.AvgUpdateIO, "updateIO")
-				b.ReportMetric(m.AvgQueryIO, "queryIO")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationParentPointers quantifies the LBU parent-pointer
-// maintenance by comparing TD trees with and without parent pointers.
-func BenchmarkAblationParentPointers(b *testing.B) {
-	// LBU vs LBU-without-ε isolates extension vs pure shifting; the
-	// parent-pointer write cost itself shows up in split-heavy phases.
-	for _, eps := range []float64{core.ZeroValue, 0.003, 0.03} {
-		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				m, err := exp.RunOnce(exp.Config{
-					Strategy: core.LBU, NumObjects: 5000, NumUpdates: 5000, NumQueries: 200,
-					Epsilon: eps, Seed: int64(400 + i),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(m.AvgUpdateIO, "updateIO")
 			}
 		})
 	}

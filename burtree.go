@@ -143,8 +143,8 @@ func (s Strategy) kind() (core.Kind, error) {
 // The rest of the paper's configuration is fixed at its defaults: λ
 // unrestricted (a GBU update ascends as far as it must, Algorithm 3),
 // R*-style forced reinsertion of 30 % of an overflowing node's entries,
-// and Guttman's quadratic split. The λ sweep and the split and
-// reinsertion ablations of the evaluation run below this API.
+// and Guttman's quadratic split. The λ sweep of the evaluation runs
+// below this API.
 type Options struct {
 	// Strategy picks the update algorithm.
 	Strategy Strategy
@@ -236,7 +236,7 @@ func (opts Options) coreOptions() (core.Options, error) {
 		Epsilon:           opts.Epsilon,
 		DistanceThreshold: opts.DistanceThreshold,
 		LevelThreshold:    core.UnrestrictedLevels,
-		Tree:              rtree.Config{ReinsertFraction: 0.3, Split: rtree.SplitQuadratic},
+		Tree:              rtree.Config{ReinsertFraction: 0.3},
 	}, nil
 }
 

@@ -2,7 +2,7 @@
 // performance study (§5). Each experiment prints the same series the
 // paper plots: rows are strategies, columns the swept parameter. The
 // registry is the paper's study — fig5a–fig8, mixed, batch, naive, the
-// three ablations, table-summary-size, cost; wall-clock measurements of
+// two ablations, table-summary-size, cost; wall-clock measurements of
 // everything else are bench/'s (see BENCHMARK.json).
 // Every page-counted cell, batched ones included, runs internal/exp's
 // one Cell procedure, the one burload -replay runs on a recorded trace.

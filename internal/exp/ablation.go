@@ -1,15 +1,12 @@
 package exp
 
-import (
-	"burtree/internal/core"
-	"burtree/internal/rtree"
-)
+import "burtree/internal/core"
 
 // Ablation experiments: the paper motivates several GBU design choices
 // (piggybacked shifts, summary-assisted queries, directional extension);
-// these bundles isolate each choice by toggling it off, and compare the
-// split algorithms under the TD baseline. They go beyond the paper's own
-// sweeps; README.md, "Reproducing the paper's experiments", lists them.
+// these bundles isolate each choice by toggling it off. They go beyond
+// the paper's own sweeps; README.md, "Reproducing the paper's
+// experiments", lists them.
 
 func bundlePiggyback(s Scale, seed int64) (map[string]*Table, error) {
 	t := &Table{
@@ -55,23 +52,4 @@ func bundleSummaryQueries(s Scale, seed int64) (map[string]*Table, error) {
 		t.AddRow(label, []float64{m.AvgUpdateIO, m.AvgQueryIO})
 	}
 	return map[string]*Table{"ablation-summary-queries": t}, nil
-}
-
-func bundleSplits(s Scale, seed int64) (map[string]*Table, error) {
-	t := &Table{
-		ID:     "ablation-splits",
-		Title:  "Ablation: node split algorithms under the TD baseline",
-		XLabel: "metric", YLabel: "value",
-		Columns: []string{"update I/O", "query I/O", "splits"},
-	}
-	for _, alg := range []rtree.SplitAlgorithm{rtree.SplitQuadratic, rtree.SplitLinear, rtree.SplitRStar} {
-		cfg := withStrategy(baseConfig(s, seed), core.TD)
-		cfg.Split = alg
-		m, err := RunOnce(cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(alg.String(), []float64{m.AvgUpdateIO, m.AvgQueryIO, float64(m.UpdateIO.Splits + m.BuildIO.Splits)})
-	}
-	return map[string]*Table{"ablation-splits": t}, nil
 }

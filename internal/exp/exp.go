@@ -59,8 +59,7 @@ type Config struct {
 	Seed         int64
 
 	ReinsertFraction float64 // default 0.3 (the paper's R-tree uses reinsertion)
-	Split            rtree.SplitAlgorithm
-	BulkLoad         bool // build the initial tree with STR instead of inserts
+	BulkLoad         bool    // build the initial tree with STR instead of inserts
 
 	// Batch applies the update stream through core.ApplyBatch in
 	// windows of Batch updates, each coalesced first. Zero means one
@@ -250,10 +249,7 @@ func NewCell(cfg Config) (*Cell, error) {
 		NoPiggyback:       cfg.NoPiggyback,
 		NoSummaryQueries:  cfg.NoSummaryQueries,
 		Locator:           loc,
-		Tree: rtree.Config{
-			ReinsertFraction: cfg.ReinsertFraction,
-			Split:            cfg.Split,
-		},
+		Tree:              rtree.Config{ReinsertFraction: cfg.ReinsertFraction},
 	})
 	if err != nil {
 		return nil, err

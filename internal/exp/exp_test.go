@@ -177,7 +177,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f", "fig5g", "fig5h",
 		"fig6a", "fig6b", "fig6c", "fig6d", "fig6e", "fig6f", "fig6g", "fig6h",
 		"fig7a", "fig7b", "fig8", "mixed", "batch", "naive", "table-summary-size", "cost",
-		"ablation-piggyback", "ablation-summary-queries", "ablation-splits",
+		"ablation-piggyback", "ablation-summary-queries",
 	}
 	var got []string
 	for _, e := range Registry() {

@@ -91,7 +91,6 @@ var registry = []struct {
 	{"cost", "§4", "Cost model: analysis vs measurement", "", bundleCost},
 	{"ablation-piggyback", "(extension)", "Ablation: piggybacked sibling shifts", "", bundlePiggyback},
 	{"ablation-summary-queries", "(extension)", "Ablation: summary-assisted queries", "", bundleSummaryQueries},
-	{"ablation-splits", "(extension)", "Ablation: split algorithms (TD)", "", bundleSplits},
 }
 
 // Registry returns every experiment, in paper order.

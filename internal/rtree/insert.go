@@ -364,7 +364,7 @@ func (s byDistDesc) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 // splitNode divides n, writes the new sibling, and returns it. n keeps
 // the first group; the caller writes n.
 func (t *Tree) splitNode(n *Node, s *splitScratch) (*Node, error) {
-	g1, g2 := s.split(n.Entries, t.MinEntries(n.Level), t.cfg.Split)
+	g1, g2 := s.split(n.Entries, t.MinEntries(n.Level))
 	nn := t.allocNode(n.Level)
 	nn.Parent = n.Parent
 	// Copied out of the scratch into the nodes' own slices, so borrowed

@@ -1,5 +1,5 @@
 // Package rtree implements a disk-resident R-tree over the simulated page
-// store: Guttman's dynamic index structure with quadratic/linear splits,
+// store: Guttman's dynamic index structure with the quadratic split,
 // optional R*-style forced reinsertion, top-down insert/delete/update,
 // range search, and STR bulk loading.
 //

@@ -20,7 +20,7 @@ func randomEntries(rng *rand.Rand, n int) []Entry {
 	return out
 }
 
-func checkSplit(t *testing.T, alg SplitAlgorithm, entries []Entry, minFill int) {
+func checkSplit(t *testing.T, entries []Entry, minFill int) {
 	t.Helper()
 	orig := make(map[OID]bool, len(entries))
 	for _, e := range entries {
@@ -28,37 +28,34 @@ func checkSplit(t *testing.T, alg SplitAlgorithm, entries []Entry, minFill int) 
 	}
 	in := make([]Entry, len(entries))
 	copy(in, entries)
-	g1, g2 := new(splitScratch).split(in, minFill, alg)
+	g1, g2 := new(splitScratch).split(in, minFill)
 	if len(g1)+len(g2) != len(entries) {
-		t.Fatalf("%v: split lost entries: %d + %d != %d", alg, len(g1), len(g2), len(entries))
+		t.Fatalf("split lost entries: %d + %d != %d", len(g1), len(g2), len(entries))
 	}
 	if len(g1) < minFill || len(g2) < minFill {
-		t.Fatalf("%v: group below min fill: %d / %d (min %d)", alg, len(g1), len(g2), minFill)
+		t.Fatalf("group below min fill: %d / %d (min %d)", len(g1), len(g2), minFill)
 	}
 	seen := make(map[OID]bool)
 	for _, e := range append(append([]Entry{}, g1...), g2...) {
 		if seen[e.OID] {
-			t.Fatalf("%v: duplicate entry %d after split", alg, e.OID)
+			t.Fatalf("duplicate entry %d after split", e.OID)
 		}
 		if !orig[e.OID] {
-			t.Fatalf("%v: foreign entry %d after split", alg, e.OID)
+			t.Fatalf("foreign entry %d after split", e.OID)
 		}
 		seen[e.OID] = true
 	}
 }
 
 func TestSplitAlgorithmsPreserveEntries(t *testing.T) {
-	algs := []SplitAlgorithm{SplitQuadratic, SplitLinear, SplitRStar}
 	rng := rand.New(rand.NewSource(1))
-	for _, alg := range algs {
-		for trial := 0; trial < 50; trial++ {
-			n := 5 + rng.Intn(60)
-			minFill := 2 + rng.Intn(n/2-1)
-			if minFill > n/2 {
-				minFill = n / 2
-			}
-			checkSplit(t, alg, randomEntries(rng, n), minFill)
+	for trial := 0; trial < 50; trial++ {
+		n := 5 + rng.Intn(60)
+		minFill := 2 + rng.Intn(n/2-1)
+		if minFill > n/2 {
+			minFill = n / 2
 		}
+		checkSplit(t, randomEntries(rng, n), minFill)
 	}
 }
 
@@ -69,9 +66,7 @@ func TestSplitDegenerateIdenticalRects(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{Rect: r, OID: OID(i)}
 	}
-	for _, alg := range []SplitAlgorithm{SplitQuadratic, SplitLinear, SplitRStar} {
-		checkSplit(t, alg, entries, 10)
-	}
+	checkSplit(t, entries, 10)
 }
 
 func TestSplitCollinearPoints(t *testing.T) {
@@ -79,9 +74,7 @@ func TestSplitCollinearPoints(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{Rect: geom.RectFromPoint(geom.Point{X: float64(i) / 30, Y: 0.5}), OID: OID(i)}
 	}
-	for _, alg := range []SplitAlgorithm{SplitQuadratic, SplitLinear, SplitRStar} {
-		checkSplit(t, alg, entries, 12)
-	}
+	checkSplit(t, entries, 12)
 }
 
 func TestQuadraticSeparatesClusters(t *testing.T) {
@@ -94,7 +87,7 @@ func TestQuadraticSeparatesClusters(t *testing.T) {
 	for i := 10; i < 20; i++ {
 		entries = append(entries, Entry{Rect: geom.RectFromPoint(geom.Point{X: 0.9 + rng.Float64()*0.1, Y: 0.9 + rng.Float64()*0.1}), OID: OID(i)})
 	}
-	g1, g2 := new(splitScratch).split(entries, 4, SplitQuadratic)
+	g1, g2 := new(splitScratch).split(entries, 4)
 	low1, low2 := 0, 0
 	for _, e := range g1 {
 		if e.OID < 10 {
@@ -112,28 +105,9 @@ func TestQuadraticSeparatesClusters(t *testing.T) {
 	}
 }
 
-func TestRStarSplitLowOverlap(t *testing.T) {
-	// R* split should produce groups whose MBRs overlap no more than the
-	// quadratic split's on a grid workload.
-	rng := rand.New(rand.NewSource(3))
-	entries := randomEntries(rng, 40)
-	in1 := make([]Entry, len(entries))
-	copy(in1, entries)
-	in2 := make([]Entry, len(entries))
-	copy(in2, entries)
-	q1, q2 := new(splitScratch).split(in1, 16, SplitQuadratic)
-	r1, r2 := new(splitScratch).split(in2, 16, SplitRStar)
-	qOv := unionOf(q1).OverlapArea(unionOf(q2))
-	rOv := unionOf(r1).OverlapArea(unionOf(r2))
-	if rOv > qOv*1.5+1e-9 {
-		t.Fatalf("R* overlap %v much worse than quadratic %v", rOv, qOv)
-	}
-}
-
 func TestQuickSplitProperties(t *testing.T) {
-	f := func(seed int64, algPick uint8) bool {
+	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		alg := []SplitAlgorithm{SplitQuadratic, SplitLinear, SplitRStar}[int(algPick)%3]
 		n := 6 + rng.Intn(40)
 		minFill := 2 + rng.Intn(n/3)
 		if minFill > n/2 {
@@ -141,7 +115,7 @@ func TestQuickSplitProperties(t *testing.T) {
 		}
 		entries := randomEntries(rng, n)
 		orig := len(entries)
-		g1, g2 := new(splitScratch).split(entries, minFill, alg)
+		g1, g2 := new(splitScratch).split(entries, minFill)
 		if len(g1)+len(g2) != orig || len(g1) < minFill || len(g2) < minFill {
 			return false
 		}
@@ -159,14 +133,5 @@ func TestQuickSplitProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSplitAlgorithmString(t *testing.T) {
-	if SplitQuadratic.String() != "quadratic" || SplitLinear.String() != "linear" || SplitRStar.String() != "rstar" {
-		t.Fatal("split algorithm names wrong")
-	}
-	if SplitAlgorithm(9).String() == "" {
-		t.Fatal("unknown algorithm has empty name")
 	}
 }

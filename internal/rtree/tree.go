@@ -11,40 +11,12 @@ import (
 	"burtree/internal/stats"
 )
 
-// SplitAlgorithm selects how overflowing nodes are divided.
-type SplitAlgorithm int
-
-const (
-	// SplitQuadratic is Guttman's quadratic-cost split (the paper's
-	// baseline implementation).
-	SplitQuadratic SplitAlgorithm = iota
-	// SplitLinear is Guttman's linear-cost split.
-	SplitLinear
-	// SplitRStar is the R*-tree topological split (margin-driven axis
-	// choice, minimum-overlap distribution).
-	SplitRStar
-)
-
-func (s SplitAlgorithm) String() string {
-	switch s {
-	case SplitQuadratic:
-		return "quadratic"
-	case SplitLinear:
-		return "linear"
-	case SplitRStar:
-		return "rstar"
-	default:
-		return fmt.Sprintf("SplitAlgorithm(%d)", int(s))
-	}
-}
+// minFillRatio is the minimum node occupancy as a fraction of the fanout
+// (Guttman's m/M).
+const minFillRatio = 0.4
 
 // Config carries the structural parameters of a tree.
 type Config struct {
-	// MinFillRatio is the minimum node occupancy as a fraction of the
-	// fanout (Guttman's m/M). Zero means the default 0.4.
-	MinFillRatio float64
-	// Split selects the overflow split algorithm.
-	Split SplitAlgorithm
 	// ReinsertFraction is the share of entries force-reinserted on the
 	// first overflow of a level per operation (R*-style). Zero disables
 	// forced reinsertion; the paper's baseline R-tree uses reinsertion,
@@ -53,19 +25,6 @@ type Config struct {
 	// ParentPointers stores a parent page id in every node. Required by
 	// the LBU strategy; costs header space and maintenance writes.
 	ParentPointers bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinFillRatio == 0 {
-		c.MinFillRatio = 0.4
-	}
-	if c.MinFillRatio < 0.05 || c.MinFillRatio > 0.5 {
-		panic(fmt.Sprintf("rtree: MinFillRatio %v outside (0.05, 0.5]", c.MinFillRatio))
-	}
-	if c.ReinsertFraction < 0 || c.ReinsertFraction > 0.5 {
-		panic(fmt.Sprintf("rtree: ReinsertFraction %v outside [0, 0.5]", c.ReinsertFraction))
-	}
-	return c
 }
 
 // Listener observes structural changes to the tree. The summary structure
@@ -128,9 +87,11 @@ type Tree struct {
 
 // New creates an empty tree on the given pool.
 func New(pool *buffer.Pool, cfg Config) *Tree {
-	cfg = cfg.withDefaults()
+	if cfg.ReinsertFraction < 0 || cfg.ReinsertFraction > 0.5 {
+		panic(fmt.Sprintf("rtree: ReinsertFraction %v outside [0, 0.5]", cfg.ReinsertFraction))
+	}
 	ps := pool.Store().PageSize()
-	minFill := func(maxE int) int { return max(2, int(float64(maxE)*cfg.MinFillRatio)) }
+	minFill := func(maxE int) int { return max(2, int(float64(maxE)*minFillRatio)) }
 	t := &Tree{
 		pool:        pool,
 		io:          pool.Store().IO(),
@@ -152,7 +113,7 @@ func (t *Tree) SetListener(l Listener) {
 	t.listener = l
 }
 
-// Config returns the tree's configuration (with defaults applied).
+// Config returns the tree's configuration.
 func (t *Tree) Config() Config { return t.cfg }
 
 // MaxEntries returns the fanout M of a node at level (0 = leaf).

@@ -115,15 +115,13 @@ func TestInsertInvalidRect(t *testing.T) {
 
 func TestManyInsertsInvariantsAndOracle(t *testing.T) {
 	for _, cfg := range []Config{
-		{Split: SplitQuadratic},
-		{Split: SplitLinear},
-		{Split: SplitRStar},
-		{Split: SplitQuadratic, ReinsertFraction: 0.3},
-		{Split: SplitQuadratic, ParentPointers: true},
-		{Split: SplitQuadratic, ReinsertFraction: 0.3, ParentPointers: true},
+		{},
+		{ReinsertFraction: 0.3},
+		{ParentPointers: true},
+		{ReinsertFraction: 0.3, ParentPointers: true},
 	} {
 		cfg := cfg
-		t.Run(cfg.Split.String()+reinsertTag(cfg), func(t *testing.T) {
+		t.Run("quadratic"+reinsertTag(cfg), func(t *testing.T) {
 			tr := newTestTree(t, 512, 0, cfg)
 			rng := rand.New(rand.NewSource(7))
 			o := oracle{}
@@ -246,10 +244,9 @@ func TestMixedInsertDeleteRandomized(t *testing.T) {
 		{},
 		{ReinsertFraction: 0.3},
 		{ParentPointers: true},
-		{Split: SplitRStar, ReinsertFraction: 0.3},
 	} {
 		cfg := cfg
-		t.Run(cfg.Split.String()+reinsertTag(cfg), func(t *testing.T) {
+		t.Run("quadratic"+reinsertTag(cfg), func(t *testing.T) {
 			tr := newTestTree(t, 512, 8, cfg)
 			rng := rand.New(rand.NewSource(29))
 			o := oracle{}

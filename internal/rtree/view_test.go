@@ -305,8 +305,8 @@ func TestInPlaceReadsMatchDecodedTraversal(t *testing.T) {
 		cfg      Config
 	}{
 		{"plain-512", 512, Config{ReinsertFraction: 0.3}},
-		{"parent-512", 512, Config{ParentPointers: true, Split: SplitLinear}},
-		{"plain-2048", 2048, Config{Split: SplitRStar}}, // 50 entries: outgrows the stack scratch
+		{"parent-512", 512, Config{ParentPointers: true}},
+		{"plain-2048", 2048, Config{}}, // 50 entries: outgrows the stack scratch
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.pageSize)))

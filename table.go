@@ -33,6 +33,8 @@ type objectTable struct {
 	// stack's strategy to the object's copy by position instead (a
 	// top-down delete or update). Only a tiered index with more than one
 	// stack makes them, while a cross-shard move sits in two trees.
+	// TestOneRecordAcrossTieredShards reads it: that a stale copy is
+	// reached by position, and that no lookup misses with none.
 	misses atomic.Uint64
 }
 

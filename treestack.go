@@ -128,22 +128,12 @@ func (s *treeStack) apply(k opKind, c core.BatchChange) error {
 	return s.tree.Delete(c.OID, c.Old)
 }
 
-// run carries c out on this stack the way a relocation needs:
-// absorbed by the delta tier when the stack runs one, applied to the tree
-// otherwise.
-func (s *treeStack) run(k opKind, c core.BatchChange) error {
-	if s.tiered() {
-		s.absorb(k, c) // the next write's ack carries the size trigger
-		return nil
-	}
-	return s.apply(k, c)
-}
-
-// relocate moves an object between two stacks without changing what the
-// object table says: a delete at old in src, then an arrival at new in
-// dst.
+// relocate moves an object between two stacks' trees without changing
+// what the object table says: a delete at old in src, then an arrival at
+// new in dst. Only the tree path relocates: a tiered write absorbs its
+// cross-shard moves in the two stacks' tiers instead.
 func relocate(src, dst *treeStack, id uint64, old, new Point) error {
-	if err := src.run(opDelete, core.BatchChange{OID: id, Old: old}); err != nil {
+	if err := src.apply(opDelete, core.BatchChange{OID: id, Old: old}); err != nil {
 		return err
 	}
 	return arrive(src, dst, id, old, new)
@@ -155,9 +145,9 @@ func relocate(src, dst *treeStack, id uint64, old, new Point) error {
 // it is lost from the trees, both errors are reported and the sticky
 // tree error will surface in CheckInvariants.
 func arrive(src, dst *treeStack, id uint64, old, new Point) error {
-	err := dst.run(opInsert, core.BatchChange{OID: id, New: new})
+	err := dst.apply(opInsert, core.BatchChange{OID: id, New: new})
 	if err != nil {
-		if rerr := src.run(opInsert, core.BatchChange{OID: id, New: old}); rerr != nil {
+		if rerr := src.apply(opInsert, core.BatchChange{OID: id, New: old}); rerr != nil {
 			err = fmt.Errorf("burtree: cross-shard move of %d failed (%w) and rollback failed: %v", id, err, rerr)
 		}
 	}
