@@ -29,8 +29,9 @@ lint:
 # the batch planner, LBU's batch pass and a blocked DGL acquire at zero
 # allocations.
 ALLOC_TESTS = TestAllocBudget|TestWholeSpaceReadAllocs|TestObjectRecordBytes|TestOverlayReadAllocsIgnoreDepth|TestSearchAllocatesNothing|TestOverflowPathAllocatesNothing|TestPlanningReusesItsBuffers|TestLBUBatchAllocatesNothing|TestBlockedAcquireAllocatesNothing
+ALLOC_PKGS = . ./internal/rtree ./internal/core ./internal/dgl
 allocs:
-	$(GO) test -run '^($(ALLOC_TESTS))$$' -count=1 -v . ./internal/rtree ./internal/core ./internal/dgl
+	$(GO) test -run '^($(ALLOC_TESTS))$$' -count=1 -v $(ALLOC_PKGS)
 
 # scale runs the two-writer scaling instrument (scale_test.go): µs/move,
 # wall and CPU, for one batch writer, two on one ConcurrentIndex and two
@@ -136,7 +137,9 @@ baselines:
 # -run, benchmarks for -bench, fuzz targets for -fuzz. The '^$' that
 # turns a line's tests off is skipped. Alternatives are matched with
 # grep -E; the workflow's are names and anchors, which read the same in
-# Go's regexp syntax.
+# Go's regexp syntax. CI also runs make allocs, whose test names live in
+# ALLOC_TESTS above: each must be the whole name of a test, fuzz target
+# or example in ALLOC_PKGS, since allocs anchors the pattern.
 CI_WORKFLOW = .github/workflows/ci.yml
 run-patterns:
 	@set -f; out=$$(grep -E '^[[:space:]]*(run: )?go test ' $(CI_WORKFLOW) | sed -E 's/^[[:space:]]*(run: )?//' | \
@@ -154,9 +157,14 @@ run-patterns:
 			done; \
 		done; \
 	done) || { echo "run-patterns: go test -list failed"; exit 1; }; \
-	dead=$$(printf '%s\n' "$$out" | grep -v '^ok$$'); \
+	list=$$($(GO) test -list . $(ALLOC_PKGS) | grep -E '^(Test|Fuzz|Example)') || { echo "run-patterns: go test -list failed"; exit 1; }; \
+	allocs=$$(printf '%s\n' '$(ALLOC_TESTS)' | tr '|' '\n' | while IFS= read -r name; do \
+		if printf '%s\n' "$$list" | grep -qxF -- "$$name"; then echo ok; \
+		else echo "run-patterns: ALLOC_TESTS name $$name matches nothing in $(ALLOC_PKGS)"; fi; \
+	done); \
+	dead=$$(printf '%s\n%s\n' "$$out" "$$allocs" | grep -v '^ok$$'); \
 	[ -z "$$dead" ] || { printf '%s\n' "$$dead"; exit 1; }; \
-	echo "run-patterns: $$(printf '%s\n' "$$out" | grep -c '^ok$$') alternatives in $(CI_WORKFLOW), each matches"
+	echo "run-patterns: $$(printf '%s\n' "$$out" | grep -c '^ok$$') alternatives in $(CI_WORKFLOW) and $$(printf '%s\n' "$$allocs" | grep -c '^ok$$') ALLOC_TESTS names, each matches"
 
 # bench-smoke builds and smoke-tests the end-to-end benchmark (bench/ is
 # a module of its own, which `go build ./... && go test ./...` skips), so

@@ -6,29 +6,32 @@
 // Granule layout: granule 0 is the whole tree ("external" granule); the
 // unit square is tiled into an N×N grid whose cells stand in for the
 // paper's leaf granules; above the cells sit the tree's page granules.
-// Updates take IX on the tree, X on the cells covering the old and new
-// positions and X on the leaf's page scope; queries take IS on the tree
-// and S on the cells covering the window. Two rules make the protocol
-// deadlock-free: granules are waited for in id order (tree, cells,
-// pages), which dgl's Acquire enforces by panicking on any other; and no
-// granule is waited for with the latch held, which
-// TestBlockedWaitsHoldNoLatch checks for every operation. A timeout then
-// bounds a granule wait behind a holder that does not let go, and is
-// counted in the stats. The latch has no timeout, which is one reason a
-// Search visitor must not call back into the DB: its second read hold
-// queues behind any writer waiting for the latch. (The library's
-// SearchFunc collects what the read finds and visits after it, with no
-// lock held.)
+// A local update takes IX on the tree, X on the cells covering the old
+// and new positions and X on the leaf's page scope; queries take IS on
+// the tree and S on the cells covering the window. Three rules make the
+// protocol deadlock-free: granules are waited for in id order (tree,
+// cells, pages), which dgl's Acquire enforces by panicking on any other;
+// no granule is waited for with the latch held, which
+// TestBlockedWaitsHoldNoLatch checks for every operation that takes
+// granules; and an exclusive section waits for no granule. Insert,
+// Delete, the residue and Exclusive take the exclusive latch alone:
+// every operation that holds granules does its work inside one hold of
+// the shared latch, so the exclusive latch already keeps all of it out
+// (TestExclusiveSectionsTakeNoGranule). A timeout then bounds a granule
+// wait behind a holder that does not let go, and is counted in the
+// stats. The latch has no timeout, which is one reason a Search visitor
+// must not call back into the DB: its second read hold queues behind
+// any writer waiting for the latch. (The library's SearchFunc collects
+// what the read finds and visits after it, with no lock held.)
 //
 // A write is applied once. It is resolved to its leaf, the leaf's scope
 // (core.GroupApplier.LeafScope) is locked, and whatever is confined to
 // that scope is applied under the shared latch — one object for Update,
 // a whole leaf run for UpdateBatch. What the scope cannot hold (ascent,
 // top-down pass, an object that changed leaves meanwhile) is the
-// residue, applied by the strategy's full Update under X on the tree
-// granule and the exclusive latch in sections of at most residueSection
-// changes, so a reader waits for a bounded slice of a batch's
-// escalations, never for all of them.
+// residue, applied by the strategy's full Update under the exclusive
+// latch in sections of at most residueSection changes, so a reader waits
+// for a bounded slice of a batch's escalations, never for all of them.
 //
 // The lock cycle of a leaf is optimistic (lockLeaf). A bottom-up update
 // knows its few granules before it touches anything and nearly always
@@ -59,7 +62,6 @@
 package concurrent
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -78,11 +80,10 @@ const TreeGranule = dgl.GranuleID(0)
 
 // DB wraps an update strategy with DGL locking and a physical latch.
 type DB struct {
-	u       core.Updater
-	lm      *dgl.Manager
-	latch   sync.RWMutex
-	gridN   int
-	timeout time.Duration
+	u     core.Updater
+	lm    *dgl.Manager
+	latch sync.RWMutex
+	gridN int
 
 	// txns holds idle lock owners, each holding nothing: an operation
 	// borrows one for its lock cycles and hands it back released. A free
@@ -113,10 +114,9 @@ func New(u core.Updater, gridN int) *DB {
 		gridN = 32
 	}
 	d := &DB{
-		u:       u,
-		lm:      dgl.NewManager(),
-		gridN:   gridN,
-		timeout: 2 * time.Second,
+		u:     u,
+		lm:    dgl.NewManager(),
+		gridN: gridN,
 	}
 	d.txns.New = d.lm.Begin
 	return d
@@ -129,8 +129,8 @@ func (d *DB) Updater() core.Updater { return d.u }
 type Stats struct {
 	Updates   int64
 	Queries   int64
-	Timeouts  int64
-	Retries   int64 // lock sets asked for again: after a refused try, a timeout, or a re-parented leaf
+	Timeouts  int64 // a leaf scope's granule waits that ran past lockTimeout and were retried
+	Retries   int64 // a leaf scope's lock sets asked for again: after a refused try, a timeout, or a re-parented leaf
 	Local     int64 // updates resolved on the fine-grained path
 	Escalated int64 // updates that required exclusive access
 	Batched   int64 // updates resolved under a leaf-group lock (UpdateBatch)
@@ -194,15 +194,20 @@ func (d *DB) pageGranule(p rtree.PageID) dgl.GranuleID {
 }
 
 // residueSection bounds the changes one exclusive section applies. The
-// section holds X on the tree granule, which every reader conflicts with
-// (Search through IS, Nearest through S): 32 escalated changes are a few
-// hundred microseconds, and the section is released and re-queued behind
-// any waiting reader before the next one starts.
+// section holds the exclusive latch, which every reader waits for: 32
+// escalated changes are a few hundred microseconds. A pending Lock holds
+// off readers that arrive after it, so they cannot starve a section, and
+// its Unlock admits the readers that queued behind it before the next
+// section's Lock is granted.
 const residueSection = 32
 
-// maxAttempts bounds the lock retries of one leaf scope or one
-// exclusive section after timeouts.
+// maxAttempts bounds the lock retries of one leaf scope after timeouts
+// or re-parentings.
 const maxAttempts = 8
+
+// lockTimeout bounds one granule wait behind a holder that does not let
+// go.
+const lockTimeout = 2 * time.Second
 
 // begin borrows a lock owner holding nothing; end releases whatever it
 // holds by then and hands it back.
@@ -220,8 +225,7 @@ func (d *DB) end(txn *dgl.Txn) {
 // concurrently, which is the behaviour that gives GBU its throughput
 // edge in the paper's §5.4 study. When the strategy cannot resolve the
 // update locally (ascent, top-down fallback) or does not support local
-// updates at all (TD), the operation escalates to X on the tree granule
-// plus the exclusive latch.
+// updates at all (TD), the operation escalates to the exclusive latch.
 func (d *DB) Update(oid rtree.OID, old, new geom.Point) error {
 	c := core.BatchChange{OID: oid, Old: old, New: new}
 	if ga, ok := d.u.(core.GroupApplier); ok {
@@ -366,43 +370,18 @@ func (d *DB) lockLeaf(ga core.GroupApplier, txn *dgl.Txn, leaf rtree.PageID, cel
 	return false
 }
 
-// lockTree takes X on the tree granule for an exclusive section,
-// retrying timed-out requests.
-func (d *DB) lockTree(txn *dgl.Txn) error {
-	for attempt := 0; ; attempt++ {
-		err := d.lm.Acquire(txn, TreeGranule, dgl.X, d.timeout)
-		if err == nil {
-			return nil
-		}
-		d.lm.ReleaseAll(txn)
-		d.timeouts.Add(1)
-		if attempt+1 >= maxAttempts {
-			return err
-		}
-		d.retries.Add(1)
-	}
-}
-
 // applyResidue applies the changes the fine-grained path could not hold
 // through the strategy's full Update, in exclusive sections of at most
-// residueSection changes: X on the tree granule plus the exclusive
-// latch, taken once per section instead of once per change. done runs
-// after the section's latch is released.
+// residueSection changes: the exclusive latch alone, taken once per
+// section instead of once per change. done runs after the section's
+// latch is released.
 func (d *DB) applyResidue(cs []core.BatchChange, st *core.BatchStats, done func(core.BatchChange)) error {
-	if len(cs) == 0 {
-		return nil
-	}
-	txn := d.begin()
-	defer d.end(txn)
 	for len(cs) > 0 {
 		section := cs[:min(len(cs), residueSection)]
 		cs = cs[len(section):]
 
-		err := d.lockTree(txn)
-		if err != nil {
-			return fmt.Errorf("concurrent: update %d: %w", section[0].OID, err)
-		}
 		applied := 0
+		var err error
 		d.latch.Lock()
 		for _, c := range section {
 			if err = d.u.Update(c.OID, c.Old, c.New); err != nil {
@@ -411,7 +390,6 @@ func (d *DB) applyResidue(cs []core.BatchChange, st *core.BatchStats, done func(
 			applied++
 		}
 		d.latch.Unlock()
-		d.lm.ReleaseAll(txn)
 
 		d.updates.Add(int64(applied))
 		d.escalated.Add(int64(applied))
@@ -429,25 +407,18 @@ func (d *DB) applyResidue(cs []core.BatchChange, st *core.BatchStats, done func(
 	return nil
 }
 
-// Insert adds an object under IX(tree) + X(cell).
+// Insert adds an object under the exclusive latch, with no granule: the
+// latch keeps out every operation that holds granules, since each does
+// its work inside one hold of the shared latch.
 func (d *DB) Insert(oid rtree.OID, p geom.Point) error {
-	txn := d.begin()
-	defer d.end(txn)
-	if err := d.lockAll(txn, dgl.IX, dgl.X, []dgl.GranuleID{d.cellOf(p)}, nil); err != nil {
-		return err
-	}
 	d.latch.Lock()
 	defer d.latch.Unlock()
 	return d.u.Insert(oid, p)
 }
 
-// Delete removes an object under IX(tree) + X(cell).
+// Delete removes an object under the exclusive latch, with no granule,
+// as Insert does.
 func (d *DB) Delete(oid rtree.OID, at geom.Point) error {
-	txn := d.begin()
-	defer d.end(txn)
-	if err := d.lockAll(txn, dgl.IX, dgl.X, []dgl.GranuleID{d.cellOf(at)}, nil); err != nil {
-		return err
-	}
 	d.latch.Lock()
 	defer d.latch.Unlock()
 	return d.u.Delete(oid, at)
@@ -456,8 +427,9 @@ func (d *DB) Delete(oid rtree.OID, at geom.Point) error {
 // Search visits the objects in the window under IS(tree) + S(cells) and
 // the shared physical latch, delegating to the strategy's Search (so
 // GBU's memory-assisted query planning stays active). Phantom
-// protection: any update that could move an object into or out of the
-// window must take X on one of these cells first. The cell set is tried
+// protection: a local update that could move an object into or out of
+// the window must take X on one of these cells first, and an exclusive
+// section waits for the latch this read holds. The cell set is tried
 // as a whole first and waited for, cell by cell, only when that is
 // refused. The visit callback runs with the locks held and must not call
 // back into the DB.
@@ -499,14 +471,15 @@ func (d *DB) Query(q geom.Rect) (int, error) {
 // Nearest answers a k-nearest-neighbour query. A best-first NN
 // traversal has no a-priori granule footprint — the search region grows
 // until k results bound it — so the query takes S on the whole-tree
-// granule (every updater holds at least IX there, which conflicts)
-// plus the shared physical latch. Readers still run in parallel with
-// each other; only updates are held off, exactly DGL's escalation rule
-// for operations whose scope cannot be pre-declared.
+// granule (every local update holds IX there, which conflicts; an
+// exclusive section is kept out by the latch) plus the shared physical
+// latch. Readers still run in parallel with each other; only updates are
+// held off, exactly DGL's escalation rule for operations whose scope
+// cannot be pre-declared.
 func (d *DB) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 	txn := d.begin()
 	defer d.end(txn)
-	if err := d.lm.Acquire(txn, TreeGranule, dgl.S, d.timeout); err != nil {
+	if err := d.lm.Acquire(txn, TreeGranule, dgl.S, lockTimeout); err != nil {
 		return nil, err
 	}
 	d.latch.RLock()
@@ -523,7 +496,7 @@ func (d *DB) Nearest(p geom.Point, k int) ([]rtree.Neighbor, error) {
 func (d *DB) NearestFunc(p geom.Point, visit func(rtree.Neighbor) bool) error {
 	txn := d.begin()
 	defer d.end(txn)
-	if err := d.lm.Acquire(txn, TreeGranule, dgl.S, d.timeout); err != nil {
+	if err := d.lm.Acquire(txn, TreeGranule, dgl.S, lockTimeout); err != nil {
 		return err
 	}
 	d.latch.RLock()
@@ -533,16 +506,11 @@ func (d *DB) NearestFunc(p geom.Point, visit func(rtree.Neighbor) bool) error {
 	return err
 }
 
-// Exclusive runs fn with the whole index locked out: X on the tree
-// granule plus the exclusive physical latch. It is the hook for
-// operations that restructure or snapshot the entire index (bulk
-// loading, persistence, buffer flushes).
+// Exclusive runs fn with the whole index locked out by the exclusive
+// physical latch, which keeps out every operation that holds granules,
+// as for Insert. It is the hook for operations that restructure or
+// snapshot the entire index (bulk loading, persistence, buffer flushes).
 func (d *DB) Exclusive(fn func(core.Updater) error) error {
-	txn := d.begin()
-	defer d.end(txn)
-	if err := d.lm.Acquire(txn, TreeGranule, dgl.X, d.timeout); err != nil {
-		return err
-	}
 	d.latch.Lock()
 	defer d.latch.Unlock()
 	return fn(d.u)
@@ -562,16 +530,16 @@ func (d *DB) View(fn func(core.Updater)) {
 // lockAll takes the tree intention lock, then the cell locks, then the
 // page granules, each list in the (sorted) order given.
 func (d *DB) lockAll(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.GranuleID, pages []rtree.PageID) error {
-	if err := d.lm.Acquire(txn, TreeGranule, treeMode, d.timeout); err != nil {
+	if err := d.lm.Acquire(txn, TreeGranule, treeMode, lockTimeout); err != nil {
 		return err
 	}
 	for _, c := range cells {
-		if err := d.lm.Acquire(txn, c, cellMode, d.timeout); err != nil {
+		if err := d.lm.Acquire(txn, c, cellMode, lockTimeout); err != nil {
 			return err
 		}
 	}
 	for _, p := range pages {
-		if err := d.lm.Acquire(txn, d.pageGranule(p), cellMode, d.timeout); err != nil {
+		if err := d.lm.Acquire(txn, d.pageGranule(p), cellMode, lockTimeout); err != nil {
 			return err
 		}
 	}

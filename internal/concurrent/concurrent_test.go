@@ -73,6 +73,9 @@ func TestCellMapping(t *testing.T) {
 	}
 }
 
+// TestConcurrentMixedLoad races local writers, exclusive sections (an
+// insert of a fresh id and its delete) and window reads, then checks the
+// size, the invariants and every position against the model.
 func TestConcurrentMixedLoad(t *testing.T) {
 	for _, kind := range []core.Kind{core.TD, core.GBU} {
 		kind := kind
@@ -81,14 +84,31 @@ func TestConcurrentMixedLoad(t *testing.T) {
 			db, pos := newDB(t, kind, n)
 			var oidLocks [64]sync.Mutex
 			var wg sync.WaitGroup
-			const workers = 8
+			const workers, rounds = 8, 150
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(100 + w)))
-					for i := 0; i < 150; i++ {
-						if rng.Float64() < 0.5 {
+					for i := 0; i < rounds; i++ {
+						switch r := rng.Float64(); {
+						case r < 0.1:
+							// A fresh id, inserted and deleted again:
+							// two exclusive sections.
+							oid := n + w*rounds + i
+							lk := &oidLocks[oid%len(oidLocks)]
+							lk.Lock()
+							p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
+							err := db.Insert(rtree.OID(oid), p)
+							if err == nil {
+								err = db.Delete(rtree.OID(oid), p)
+							}
+							lk.Unlock()
+							if err != nil {
+								t.Error(err)
+								return
+							}
+						case r < 0.55:
 							oid := rng.Intn(n)
 							lk := &oidLocks[oid%len(oidLocks)]
 							lk.Lock()
@@ -101,7 +121,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 							}
 							pos[oid] = np
 							lk.Unlock()
-						} else {
+						default:
 							x, y := rng.Float64(), rng.Float64()
 							q := geom.Rect{MinX: x, MinY: y, MaxX: x + 0.05, MaxY: y + 0.05}
 							if _, err := db.Query(q); err != nil {
@@ -113,15 +133,13 @@ func TestConcurrentMixedLoad(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			if err := db.Updater().Err(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Updater().Tree().CheckInvariants(); err != nil {
-				t.Fatal(err)
+			if t.Failed() {
+				return
 			}
 			if db.Updater().Tree().Size() != n {
 				t.Fatalf("size = %d, want %d", db.Updater().Tree().Size(), n)
 			}
+			checkAgainstModel(t, db, pos)
 			s := db.Stats()
 			if s.Updates == 0 || s.Queries == 0 {
 				t.Fatalf("stats = %+v", s)
@@ -538,10 +556,10 @@ func TestStaleRunMemberJoinsResidue(t *testing.T) {
 }
 
 // TestRefusedTryFallsBack: a leaf run whose optimistic attempt is turned
-// away — one of its cells is held by a reader, or an exclusive request
-// for the tree is queued ahead of it — waits its turn on the blocking
-// protocol and is then applied exactly once, and the refusal is counted
-// as a retry.
+// away — one of its cells is held by a reader, or a Nearest's shared
+// request for the tree is queued ahead of it — waits its turn on the
+// blocking protocol and is then applied exactly once, and the refusal is
+// counted as a retry.
 func TestRefusedTryFallsBack(t *testing.T) {
 	obstacles := []struct {
 		name string
@@ -556,22 +574,22 @@ func TestRefusedTryFallsBack(t *testing.T) {
 			}
 			return 0, func() { db.lm.ReleaseAll(reader) }
 		}},
-		{"X(tree) queued", func(t *testing.T, db *DB, run core.LeafRun) (int, func()) {
-			// The reader's IS admits the run's IX; the exclusive request
-			// parked behind the reader is what the try may not overtake.
-			reader, writer := db.lm.Begin(), db.lm.Begin()
-			if err := db.lm.Acquire(reader, TreeGranule, dgl.IS, 0); err != nil {
+		{"S(tree) queued", func(t *testing.T, db *DB, run core.LeafRun) (int, func()) {
+			// A local writer's IX admits the run's IX; the Nearest parked
+			// behind the writer — the one request the library queues on
+			// the tree granule — is what the try may not overtake.
+			writer := db.lm.Begin()
+			if err := db.lm.Acquire(writer, TreeGranule, dgl.IX, 0); err != nil {
 				t.Fatal(err)
 			}
 			parked := make(chan error, 1)
 			go func() {
-				err := db.lm.Acquire(writer, TreeGranule, dgl.X, 10*time.Second)
-				db.lm.ReleaseAll(writer)
+				_, err := db.Nearest(run.Changes[0].Old, 1)
 				parked <- err
 			}()
 			waitForWaiters(t, db, 1)
 			return 1, func() {
-				db.lm.ReleaseAll(reader)
+				db.lm.ReleaseAll(writer)
 				if err := <-parked; err != nil {
 					t.Error(err)
 				}
@@ -664,16 +682,16 @@ func TestRefusedTryFallsBack(t *testing.T) {
 // for each other. Every optimistic try is refused, so each operation
 // runs the blocking protocol. The obstacle is X on the tree, or X on the
 // object's cell or on its leaf page beside an IX on the tree. Only the
-// updates lock pages, and only a kind that applies at the leaf (GBU)
-// knows the page; TD's updates wait behind the IX on the tree, as in
-// the cell row.
+// operations that take granules are parked: the reads, and the updates
+// of a kind that applies at the leaf (GBU), which alone lock pages. TD's
+// updates, Insert, Delete and Exclusive are exclusive sections and wait
+// for no granule (TestExclusiveSectionsTakeNoGranule).
 func TestBlockedWaitsHoldNoLatch(t *testing.T) {
 	const n = 200
 	const oid = rtree.OID(0)
-	nudge := func(p geom.Point) geom.Point { return geom.Point{X: p.X + 0.001, Y: p.Y + 0.001} }
 	ops := []struct {
 		name  string
-		pages bool // locks the object's leaf page
+		write bool // an update: it locks the object's leaf page, and only on GBU
 		run   func(db *DB, at geom.Point) error
 	}{
 		{"Update", true, func(db *DB, at geom.Point) error { return db.Update(oid, at, nudge(at)) }},
@@ -681,8 +699,6 @@ func TestBlockedWaitsHoldNoLatch(t *testing.T) {
 			_, err := db.UpdateBatch([]core.BatchChange{{OID: oid, Old: at, New: nudge(at)}}, nil)
 			return err
 		}},
-		{"Insert", false, func(db *DB, at geom.Point) error { return db.Insert(n, at) }},
-		{"Delete", false, func(db *DB, at geom.Point) error { return db.Delete(oid, at) }},
 		{"Search", false, func(db *DB, at geom.Point) error {
 			return db.Search(geom.Rect{MinX: at.X, MinY: at.Y, MaxX: at.X, MaxY: at.Y}, func(rtree.OID, geom.Rect) bool { return true })
 		}},
@@ -692,9 +708,6 @@ func TestBlockedWaitsHoldNoLatch(t *testing.T) {
 		}},
 		{"NearestFunc", false, func(db *DB, at geom.Point) error {
 			return db.NearestFunc(at, func(rtree.Neighbor) bool { return false })
-		}},
-		{"Exclusive", false, func(db *DB, _ geom.Point) error {
-			return db.Exclusive(func(core.Updater) error { return nil })
 		}},
 	}
 	obstacles := []struct {
@@ -715,23 +728,14 @@ func TestBlockedWaitsHoldNoLatch(t *testing.T) {
 	for _, kind := range []core.Kind{core.TD, core.GBU} {
 		for _, ob := range obstacles {
 			for _, op := range ops {
-				if ob.pages && (!op.pages || kind == core.TD) {
+				if (op.write && kind == core.TD) || (ob.pages && !op.write) {
 					continue
 				}
 				t.Run(kind.String()+"/"+ob.name+"/"+op.name, func(t *testing.T) {
 					db, pos := newDB(t, kind, n)
 					db.refuseTry = true
 					at := pos[oid]
-					g := ob.granule(t, db, at)
-					holder := db.lm.Begin()
-					if g != TreeGranule {
-						if err := db.lm.Acquire(holder, TreeGranule, dgl.IX, 0); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := db.lm.Acquire(holder, g, dgl.X, 0); err != nil {
-						t.Fatal(err)
-					}
+					holder := hold(t, db, ob.granule(t, db, at))
 					done := make(chan error, 1)
 					go func() { done <- op.run(db, at) }()
 					waitForWaiters(t, db, 1)
@@ -751,6 +755,99 @@ func TestBlockedWaitsHoldNoLatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExclusiveSectionsTakeNoGranule: Insert, Delete, Exclusive and the
+// residue (all of TD's updates) take the exclusive latch alone. With
+// another owner holding X on the tree, or IX on the tree and X on the
+// object's cell, each returns before a deadline without asking the lock
+// table for anything, and the holder's granules are as it left them.
+func TestExclusiveSectionsTakeNoGranule(t *testing.T) {
+	const n = 200
+	const oid = rtree.OID(0)
+	ops := []struct {
+		name   string
+		tdOnly bool // an update: an exclusive section on TD alone
+		run    func(db *DB, at geom.Point) error
+	}{
+		{"Insert", false, func(db *DB, at geom.Point) error { return db.Insert(n, at) }},
+		{"Delete", false, func(db *DB, at geom.Point) error { return db.Delete(oid, at) }},
+		{"Exclusive", false, func(db *DB, _ geom.Point) error {
+			return db.Exclusive(func(core.Updater) error { return nil })
+		}},
+		{"Update", true, func(db *DB, at geom.Point) error { return db.Update(oid, at, nudge(at)) }},
+		{"UpdateBatch", true, func(db *DB, at geom.Point) error {
+			_, err := db.UpdateBatch([]core.BatchChange{{OID: oid, Old: at, New: nudge(at)}}, nil)
+			return err
+		}},
+	}
+	obstacles := []struct {
+		name    string
+		granule func(db *DB, at geom.Point) dgl.GranuleID
+	}{
+		{"X(tree)", func(*DB, geom.Point) dgl.GranuleID { return TreeGranule }},
+		{"X(cell)", func(db *DB, at geom.Point) dgl.GranuleID { return db.cellOf(at) }},
+	}
+	for _, kind := range []core.Kind{core.TD, core.GBU} {
+		for _, ob := range obstacles {
+			for _, op := range ops {
+				if op.tdOnly && kind != core.TD {
+					continue
+				}
+				t.Run(kind.String()+"/"+ob.name+"/"+op.name, func(t *testing.T) {
+					db, pos := newDB(t, kind, n)
+					db.refuseTry = true
+					at := pos[oid]
+					g := ob.granule(db, at)
+					holder := hold(t, db, g)
+					held := db.lm.Stats()
+					done := make(chan error, 1)
+					go func() { done <- op.run(db, at) }()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatal(err)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatalf("%s still waits 5 s behind %s, which it does not need", op.name, ob.name)
+					}
+					if s := db.lm.Stats(); s != held {
+						t.Fatalf("lock table %+v after the section, %+v before", s, held)
+					}
+					if m, ok := holder.Held(g); !ok || m != dgl.X {
+						t.Fatalf("holder's %s is now %v (held %v)", ob.name, m, ok)
+					}
+					if g != TreeGranule {
+						if m, ok := holder.Held(TreeGranule); !ok || m != dgl.IX {
+							t.Fatalf("holder's IX(tree) is now %v (held %v)", m, ok)
+						}
+					}
+					db.lm.ReleaseAll(holder)
+					if err := db.Updater().Tree().CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+func nudge(p geom.Point) geom.Point { return geom.Point{X: p.X + 0.001, Y: p.Y + 0.001} }
+
+// hold makes another lock owner take X on g, beside IX on the tree when g
+// is not the tree, and returns it.
+func hold(t *testing.T, db *DB, g dgl.GranuleID) *dgl.Txn {
+	t.Helper()
+	holder := db.lm.Begin()
+	if g != TreeGranule {
+		if err := db.lm.Acquire(holder, TreeGranule, dgl.IX, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.lm.Acquire(holder, g, dgl.X, 0); err != nil {
+		t.Fatal(err)
+	}
+	return holder
 }
 
 func waitForWaiters(t *testing.T, db *DB, waiters int) {

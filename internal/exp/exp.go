@@ -58,8 +58,7 @@ type Config struct {
 	Distribution workload.Distribution
 	Seed         int64
 
-	ReinsertFraction float64 // default 0.3 (the paper's R-tree uses reinsertion)
-	BulkLoad         bool    // build the initial tree with STR instead of inserts
+	BulkLoad bool // build the initial tree with STR instead of inserts
 
 	// Batch applies the update stream through core.ApplyBatch in
 	// windows of Batch updates, each coalesced first. Zero means one
@@ -118,9 +117,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.ReinsertFraction == 0 {
-		c.ReinsertFraction = 0.3
 	}
 	if c.LengthScale == 0 {
 		c.LengthScale = 1
@@ -249,7 +245,7 @@ func NewCell(cfg Config) (*Cell, error) {
 		NoPiggyback:       cfg.NoPiggyback,
 		NoSummaryQueries:  cfg.NoSummaryQueries,
 		Locator:           loc,
-		Tree:              rtree.Config{ReinsertFraction: cfg.ReinsertFraction},
+		Tree:              rtree.Config{ReinsertFraction: 0.3}, // the paper's R-tree reinserts
 	})
 	if err != nil {
 		return nil, err
