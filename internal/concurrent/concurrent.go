@@ -7,8 +7,10 @@
 // unit square is tiled into an N×N grid whose cells stand in for the
 // paper's leaf granules; above the cells sit the tree's page granules.
 // A local update takes IX on the tree, X on the cells covering the old
-// and new positions and X on the leaf's page scope; queries take IS on
-// the tree and S on the cells covering the window. Three rules make the
+// and new positions and X on the leaf's page scope; a window read takes
+// S on the cells covering the window and nothing on the tree, where
+// nothing takes X; a nearest neighbour query takes S on the tree. Each
+// granule is asked for once per lock cycle. Three rules make the
 // protocol deadlock-free: granules are waited for in id order (tree,
 // cells, pages), which dgl's Acquire enforces by panicking on any other;
 // no granule is waited for with the latch held, which
@@ -90,10 +92,10 @@ type DB struct {
 	// list that drops none, so a read's lock cycle allocates nothing, on
 	// every call.
 	txns scratch.List[dgl.Txn]
-	// wideCells holds the granule lists of reads whose window covers more
-	// cells than an operation keeps on its stack (a whole-space window
-	// covers the whole grid), on a free list that drops none like txns.
-	wideCells scratch.List[[]dgl.GranuleID]
+	// wideSets holds the lock sets of reads whose window covers more cells
+	// than an operation keeps on its stack (a whole-space window covers
+	// the whole grid), on a free list that drops none like txns.
+	wideSets scratch.List[[]dgl.Req]
 	// refuseTry makes every optimistic lock attempt report a refusal, so
 	// that a test can run on the blocking protocol alone. Nothing else
 	// sets it.
@@ -156,13 +158,18 @@ func (d *DB) cellOf(p geom.Point) dgl.GranuleID {
 	return dgl.GranuleID(1 + y*d.gridN + x)
 }
 
-// stackCells is the longest cell list an operation keeps on its stack,
-// and the longest it tries to lock in one go: a query window of a tenth
-// of the unit square's side covers at most 5×5 cells of the 32×32 grid,
-// and a leaf run — at most one leaf's objects, each moved once — has two
-// cells per change before the duplicates go, 82 for a full leaf at the
-// default page size. A longer list spills to the heap.
+// stackCells is the longest cell list an operation keeps on its stack: a
+// query window of a tenth of the unit square's side covers at most 5×5
+// cells of the 32×32 grid, and a leaf run — at most one leaf's objects,
+// each moved once — has two cells per change before the duplicates go,
+// 82 for a full leaf at the default page size. A longer list spills to
+// the heap.
 const stackCells = 2 * rtree.DefaultLeafFanout
+
+// stackSet is the longest lock set an operation keeps on its stack, and
+// the longest it tries to lock in one go: a writer's tree, stackCells
+// cells, its leaf and the leaf's parent.
+const stackSet = 1 + stackCells + 2
 
 // cellRange returns the grid columns x0..x1 and rows y0..y1 that r
 // covers. An inverted (or NaN) rectangle covers nothing: the query that
@@ -176,12 +183,13 @@ func (d *DB) cellRange(r geom.Rect) (x0, x1, y0, y1 int) {
 		geom.ClampCell(r.MinY, d.gridN), geom.ClampCell(r.MaxY, d.gridN)
 }
 
-// cellsOfRect appends the granules covering r to dst, ascending.
-func (d *DB) cellsOfRect(r geom.Rect, dst []dgl.GranuleID) []dgl.GranuleID {
+// readSet appends a window read's lock set to dst: S on each cell
+// covering r, ascending, and nothing on the tree (see Search).
+func (d *DB) readSet(dst []dgl.Req, r geom.Rect) []dgl.Req {
 	x0, x1, y0, y1 := d.cellRange(r)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
-			dst = append(dst, dgl.GranuleID(1+y*d.gridN+x))
+			dst = append(dst, dgl.Req{G: dgl.GranuleID(1 + y*d.gridN + x), Mode: dgl.S})
 		}
 	}
 	return dst
@@ -275,37 +283,42 @@ func sortedCells(cells []dgl.GranuleID) []dgl.GranuleID {
 	return slices.Compact(cells)
 }
 
-// scopePages lists the page granules of a leaf's scope in acquisition
-// order: ascending, the parent left out when there is none.
-func scopePages(sc core.Scope) ([2]rtree.PageID, int) {
-	switch {
-	case sc.Parent == pagestore.InvalidPage:
-		return [2]rtree.PageID{sc.Leaf}, 1
-	case sc.Parent < sc.Leaf:
-		return [2]rtree.PageID{sc.Parent, sc.Leaf}, 2
+// writeSet appends a leaf's lock set to dst in acquisition order: IX on
+// the tree, X on the cells (sorted), and X on the page granules of the
+// leaf's scope, ascending, the parent left out when there is none.
+func (d *DB) writeSet(dst []dgl.Req, cells []dgl.GranuleID, sc core.Scope) []dgl.Req {
+	dst = append(dst, dgl.Req{G: TreeGranule, Mode: dgl.IX})
+	for _, c := range cells {
+		dst = append(dst, dgl.Req{G: c, Mode: dgl.X})
 	}
-	return [2]rtree.PageID{sc.Leaf, sc.Parent}, 2
+	leaf := dgl.Req{G: d.pageGranule(sc.Leaf), Mode: dgl.X}
+	if sc.Parent == pagestore.InvalidPage {
+		return append(dst, leaf)
+	}
+	parent := dgl.Req{G: d.pageGranule(sc.Parent), Mode: dgl.X}
+	if sc.Parent < sc.Leaf {
+		return append(dst, parent, leaf)
+	}
+	return append(dst, leaf, parent)
 }
 
-// tryLock asks for a whole lock set — the tree, the cells (sorted) and
-// the pages (sorted) — in one visit to the lock table. It never waits:
-// it reports false, with txn holding nothing, when the set cannot be
-// granted as a whole right now. A set of more than stackCells cells is
+// tryLock asks for a whole lock set in one visit to the lock table. It
+// never waits: it reports false, with txn holding nothing, when the set
+// cannot be granted as a whole right now. A set longer than stackSet is
 // not tried at all: the visit would be a long one, and everybody else's
 // wait at the table's door with it.
-func (d *DB) tryLock(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.GranuleID, pages []rtree.PageID) bool {
-	if d.refuseTry || len(cells) > stackCells {
-		return false
+func (d *DB) tryLock(txn *dgl.Txn, set []dgl.Req) bool {
+	return !d.refuseTry && len(set) <= stackSet && d.lm.TryAcquireAll(txn, set)
+}
+
+// lockAll waits for a lock set granule by granule, in the order given.
+func (d *DB) lockAll(txn *dgl.Txn, set []dgl.Req) error {
+	for _, r := range set {
+		if err := d.lm.Acquire(txn, r.G, r.Mode, lockTimeout); err != nil {
+			return err
+		}
 	}
-	var buf [1 + stackCells + 2]dgl.Req
-	reqs := append(buf[:0], dgl.Req{G: TreeGranule, Mode: treeMode})
-	for _, c := range cells {
-		reqs = append(reqs, dgl.Req{G: c, Mode: cellMode})
-	}
-	for _, p := range pages {
-		reqs = append(reqs, dgl.Req{G: d.pageGranule(p), Mode: cellMode})
-	}
-	return d.lm.TryAcquireAll(txn, reqs)
+	return nil
 }
 
 // lockLeaf takes the fine-grained locks of one leaf on txn, which holds
@@ -327,13 +340,11 @@ func (d *DB) tryLock(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.Gran
 // under the latch and start over if somebody re-parented the leaf in
 // between.
 func (d *DB) lockLeaf(ga core.GroupApplier, txn *dgl.Txn, leaf rtree.PageID, cells []dgl.GranuleID) bool {
+	var buf [stackSet]dgl.Req
 	d.latch.RLock()
 	scope, err := ga.LeafScope(leaf)
-	if err == nil {
-		pages, n := scopePages(scope)
-		if d.tryLock(txn, dgl.IX, dgl.X, cells, pages[:n]) {
-			return true
-		}
+	if err == nil && d.tryLock(txn, d.writeSet(buf[:0], cells, scope)) {
+		return true
 	}
 	d.latch.RUnlock()
 	if err != nil {
@@ -348,8 +359,7 @@ func (d *DB) lockLeaf(ga core.GroupApplier, txn *dgl.Txn, leaf rtree.PageID, cel
 		if err != nil {
 			return false
 		}
-		pages, n := scopePages(scope)
-		if err := d.lockAll(txn, dgl.IX, dgl.X, cells, pages[:n]); err != nil {
+		if err := d.lockAll(txn, d.writeSet(buf[:0], cells, scope)); err != nil {
 			d.lm.ReleaseAll(txn)
 			d.timeouts.Add(1)
 			d.retries.Add(1)
@@ -424,38 +434,47 @@ func (d *DB) Delete(oid rtree.OID, at geom.Point) error {
 	return d.u.Delete(oid, at)
 }
 
-// Search visits the objects in the window under IS(tree) + S(cells) and
-// the shared physical latch, delegating to the strategy's Search (so
-// GBU's memory-assisted query planning stays active). Phantom
-// protection: a local update that could move an object into or out of
-// the window must take X on one of these cells first, and an exclusive
-// section waits for the latch this read holds. The cell set is tried
-// as a whole first and waited for, cell by cell, only when that is
-// refused. The visit callback runs with the locks held and must not call
-// back into the DB.
+// Search visits the objects in the window under S on the cells covering
+// it and the shared physical latch, delegating to the strategy's Search
+// (so GBU's memory-assisted query planning stays active). It asks for
+// nothing on the tree: nothing takes X there, so the request could only
+// queue behind a Nearest waiting for S(tree). Phantom protection: a
+// local update that could move an object into or out of the window must
+// take X on one of these cells first, and an exclusive section waits for
+// the latch this read holds. The cell set is tried as a whole first and
+// waited for, cell by cell, only when that is refused. The visit
+// callback runs with the locks held and must not call back into the DB.
 func (d *DB) Search(q geom.Rect, visit func(rtree.OID, geom.Rect) bool) error {
 	txn := d.begin()
 	defer d.end(txn)
-	var cellBuf [stackCells]dgl.GranuleID
-	cells := cellBuf[:0]
-	if x0, x1, y0, y1 := d.cellRange(q); (x1-x0+1)*(y1-y0+1) > stackCells {
-		wide := d.wideCells.Get()
-		defer d.wideCells.Put(wide)
-		*wide = d.cellsOfRect(q, (*wide)[:0])
-		cells = *wide
-	} else {
-		cells = d.cellsOfRect(q, cells)
-	}
-	if !d.tryLock(txn, dgl.IS, dgl.S, cells, nil) {
-		if err := d.lockAll(txn, dgl.IS, dgl.S, cells, nil); err != nil {
-			return err
-		}
+	if err := d.lockRead(txn, q); err != nil {
+		return err
 	}
 	d.latch.RLock()
 	defer d.latch.RUnlock()
 	err := d.u.Search(q, visit)
 	d.queries.Add(1)
 	return err
+}
+
+// lockRead takes a window read's lock set on txn, which holds nothing
+// (see Search). The set is built in this frame, not in Search's, so that
+// its 1.3 KB are off the stack before the read scans the tree.
+func (d *DB) lockRead(txn *dgl.Txn, q geom.Rect) error {
+	var buf [stackSet]dgl.Req
+	set := buf[:0]
+	if x0, x1, y0, y1 := d.cellRange(q); (x1-x0+1)*(y1-y0+1) > stackSet {
+		wide := d.wideSets.Get()
+		defer d.wideSets.Put(wide)
+		*wide = d.readSet((*wide)[:0], q)
+		set = *wide
+	} else {
+		set = d.readSet(set, q)
+	}
+	if d.tryLock(txn, set) {
+		return nil
+	}
+	return d.lockAll(txn, set)
 }
 
 // Query counts the objects in the window through Search.
@@ -525,25 +544,6 @@ func (d *DB) View(fn func(core.Updater)) {
 	d.latch.RLock()
 	defer d.latch.RUnlock()
 	fn(d.u)
-}
-
-// lockAll takes the tree intention lock, then the cell locks, then the
-// page granules, each list in the (sorted) order given.
-func (d *DB) lockAll(txn *dgl.Txn, treeMode, cellMode dgl.Mode, cells []dgl.GranuleID, pages []rtree.PageID) error {
-	if err := d.lm.Acquire(txn, TreeGranule, treeMode, lockTimeout); err != nil {
-		return err
-	}
-	for _, c := range cells {
-		if err := d.lm.Acquire(txn, c, cellMode, lockTimeout); err != nil {
-			return err
-		}
-	}
-	for _, p := range pages {
-		if err := d.lm.Acquire(txn, d.pageGranule(p), cellMode, lockTimeout); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // UpdateBatch applies an already-coalesced batch of moves, resolving,

@@ -61,14 +61,15 @@ func TestCellMapping(t *testing.T) {
 	if c := db.cellOf(geom.Point{X: -5, Y: 2}); int(c) != 1+3*4+0 {
 		t.Fatalf("cell(-5,2) = %d", c)
 	}
-	// The rect spans x cells 0-1 and y cells 0-1 at N=4: four granules.
-	cells := db.cellsOfRect(geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.4, MaxY: 0.3}, nil)
-	if len(cells) != 4 {
-		t.Fatalf("cells covering rect = %v", cells)
+	// The rect spans x cells 0-1 and y cells 0-1 at N=4: four granules,
+	// each read in S, and nothing on the tree.
+	set := db.readSet(nil, geom.Rect{MinX: 0.1, MinY: 0.1, MaxX: 0.4, MaxY: 0.3})
+	if len(set) != 4 {
+		t.Fatalf("lock set of rect = %v", set)
 	}
-	for i := 1; i < len(cells); i++ {
-		if cells[i] <= cells[i-1] {
-			t.Fatalf("cells not sorted: %v", cells)
+	for i, r := range set {
+		if r.Mode != dgl.S || r.G == TreeGranule || (i > 0 && r.G <= set[i-1].G) {
+			t.Fatalf("lock set not S on ascending cells: %v", set)
 		}
 	}
 }
@@ -682,42 +683,45 @@ func TestRefusedTryFallsBack(t *testing.T) {
 // for each other. Every optimistic try is refused, so each operation
 // runs the blocking protocol. The obstacle is X on the tree, or X on the
 // object's cell or on its leaf page beside an IX on the tree. Only the
-// operations that take granules are parked: the reads, and the updates
-// of a kind that applies at the leaf (GBU), which alone lock pages. TD's
-// updates, Insert, Delete and Exclusive are exclusive sections and wait
-// for no granule (TestExclusiveSectionsTakeNoGranule).
+// operations that take granules are parked, and only behind a granule
+// they take: the reads on their cell, and all but Search on the tree;
+// and the updates of a kind that applies at the leaf (GBU), which alone
+// lock pages. TD's updates, Insert, Delete and Exclusive are exclusive
+// sections and wait for no granule (TestExclusiveSectionsTakeNoGranule).
 func TestBlockedWaitsHoldNoLatch(t *testing.T) {
 	const n = 200
 	const oid = rtree.OID(0)
 	ops := []struct {
 		name  string
 		write bool // an update: it locks the object's leaf page, and only on GBU
+		tree  bool // it locks the tree granule: all but a window read
 		run   func(db *DB, at geom.Point) error
 	}{
-		{"Update", true, func(db *DB, at geom.Point) error { return db.Update(oid, at, nudge(at)) }},
-		{"UpdateBatch", true, func(db *DB, at geom.Point) error {
+		{"Update", true, true, func(db *DB, at geom.Point) error { return db.Update(oid, at, nudge(at)) }},
+		{"UpdateBatch", true, true, func(db *DB, at geom.Point) error {
 			_, err := db.UpdateBatch([]core.BatchChange{{OID: oid, Old: at, New: nudge(at)}}, nil)
 			return err
 		}},
-		{"Search", false, func(db *DB, at geom.Point) error {
+		{"Search", false, false, func(db *DB, at geom.Point) error {
 			return db.Search(geom.Rect{MinX: at.X, MinY: at.Y, MaxX: at.X, MaxY: at.Y}, func(rtree.OID, geom.Rect) bool { return true })
 		}},
-		{"Nearest", false, func(db *DB, at geom.Point) error {
+		{"Nearest", false, true, func(db *DB, at geom.Point) error {
 			_, err := db.Nearest(at, 1)
 			return err
 		}},
-		{"NearestFunc", false, func(db *DB, at geom.Point) error {
+		{"NearestFunc", false, true, func(db *DB, at geom.Point) error {
 			return db.NearestFunc(at, func(rtree.Neighbor) bool { return false })
 		}},
 	}
 	obstacles := []struct {
 		name    string
+		tree    bool // stops only the operations that lock the tree
 		pages   bool // stops only the operations that lock pages
 		granule func(t *testing.T, db *DB, at geom.Point) dgl.GranuleID
 	}{
-		{"X(tree)", false, func(*testing.T, *DB, geom.Point) dgl.GranuleID { return TreeGranule }},
-		{"X(cell)", false, func(_ *testing.T, db *DB, at geom.Point) dgl.GranuleID { return db.cellOf(at) }},
-		{"X(leaf page)", true, func(t *testing.T, db *DB, _ geom.Point) dgl.GranuleID {
+		{"X(tree)", true, false, func(*testing.T, *DB, geom.Point) dgl.GranuleID { return TreeGranule }},
+		{"X(cell)", false, false, func(_ *testing.T, db *DB, at geom.Point) dgl.GranuleID { return db.cellOf(at) }},
+		{"X(leaf page)", false, true, func(t *testing.T, db *DB, _ geom.Point) dgl.GranuleID {
 			leaf, err := db.Updater().(core.GroupApplier).LeafOf(oid)
 			if err != nil {
 				t.Fatal(err)
@@ -728,7 +732,7 @@ func TestBlockedWaitsHoldNoLatch(t *testing.T) {
 	for _, kind := range []core.Kind{core.TD, core.GBU} {
 		for _, ob := range obstacles {
 			for _, op := range ops {
-				if (op.write && kind == core.TD) || (ob.pages && !op.write) {
+				if (op.write && kind == core.TD) || (ob.tree && !op.tree) || (ob.pages && !op.write) {
 					continue
 				}
 				t.Run(kind.String()+"/"+ob.name+"/"+op.name, func(t *testing.T) {
@@ -753,6 +757,72 @@ func TestBlockedWaitsHoldNoLatch(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestSearchPassesAQueuedNearest: a window read asks for S on its cells
+// and nothing on the tree, so it does not queue behind a Nearest that is
+// itself queued for S on the tree. A local writer holds IX on the tree
+// and X on the cell at (0.05, 0.05); a Nearest waits for the tree behind
+// it; a Search of [0.8, 0.9]², far from the writer's cell, must return
+// its objects at once, tried or waited for, with the Nearest still
+// parked. Were the read to ask for the tree, it would queue behind the
+// Nearest until the Nearest timed out, lockTimeout later.
+func TestSearchPassesAQueuedNearest(t *testing.T) {
+	q := geom.Rect{MinX: 0.8, MinY: 0.8, MaxX: 0.9, MaxY: 0.9}
+	for _, kind := range []core.Kind{core.TD, core.GBU} {
+		for _, refuse := range []bool{false, true} {
+			name := kind.String() + "/tried"
+			if refuse {
+				name = kind.String() + "/blocking"
+			}
+			t.Run(name, func(t *testing.T) {
+				db, pos := newDB(t, kind, 400)
+				db.refuseTry = refuse
+				want := 0
+				for _, p := range pos {
+					if q.ContainsPoint(p) {
+						want++
+					}
+				}
+				writer := hold(t, db, db.cellOf(geom.Point{X: 0.05, Y: 0.05}))
+				parked := make(chan error, 1)
+				go func() {
+					_, err := db.Nearest(geom.Point{X: 0.5, Y: 0.5}, 1)
+					parked <- err
+				}()
+				waitForWaiters(t, db, 1)
+
+				start := time.Now()
+				got, err := db.Query(q)
+				elapsed := time.Since(start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if elapsed > lockTimeout/4 {
+					t.Errorf("Search returned after %v behind a queued Nearest, want well inside lockTimeout %v", elapsed, lockTimeout)
+				}
+				t.Logf("Search returned in %v", elapsed)
+				if got != want {
+					t.Errorf("Search found %d objects, want %d", got, want)
+				}
+				select {
+				case err := <-parked:
+					t.Fatalf("the Nearest returned (err %v) with the writer's IX(tree) still held", err)
+				default:
+				}
+				if s := db.lm.Stats(); s.Waiters != 1 {
+					t.Fatalf("lock table %+v after the Search, want the Nearest still queued", s)
+				}
+				db.lm.ReleaseAll(writer)
+				if err := <-parked; err != nil {
+					t.Fatal(err)
+				}
+				if s := db.lm.Stats(); s.Granules != 0 || s.Waiters != 0 {
+					t.Fatalf("lock table not empty after the run: %+v", s)
+				}
+			})
 		}
 	}
 }

@@ -1,15 +1,24 @@
 // Package dgl implements a Dynamic-Granular-Locking style lock manager
 // (after Chakrabarti & Mehrotra, cited by the paper for concurrency
-// control in R-trees): multi-granularity locks with the standard
-// IS/IX/S/SIX/X mode lattice, per-granule FIFO wait queues, lock
-// upgrades, and wait timeouts.
+// control in R-trees): multi-granularity locks with per-granule FIFO
+// wait queues and wait timeouts.
 //
-// Granules are opaque 64-bit ids. The throughput experiment (paper §5.4)
-// locks a tree-level granule in intention mode plus fine leaf-region
-// granules, exactly the two-tier shape DGL prescribes (external granules
-// + leaf granules). Bottom-up updates acquire their granules directly at
-// the fine level, which is why they "fit naturally into DGL": top-down
-// operations meet their locks on the way down.
+// Granules are opaque 64-bit ids. In the throughput experiment (paper
+// §5.4) a writer locks a tree-level granule in intention mode plus fine
+// leaf-region granules, exactly the two-tier shape DGL prescribes
+// (external granules + leaf granules). Bottom-up updates acquire their
+// granules directly at the fine level, which is why they "fit naturally
+// into DGL": top-down operations meet their locks on the way down.
+//
+// Of the five modes of Gray et al.'s lattice the protocol uses three: IX
+// for a writer on the tree, S for a read (on the tree for a nearest
+// neighbour query, on cells for a window) and X for a writer on cells
+// and pages. The intention-shared mode and shared-plus-intention-
+// exclusive have no user: nothing takes X on the tree, so a window read
+// has nothing to announce there. A lock cycle asks for each of its
+// granules once, in one mode, so there is no conversion: a granule is
+// granted once per cycle, and asking again for one already held is an
+// error.
 //
 // There are two ways in. Acquire takes one granule and waits for it, in
 // FIFO order behind whoever asked first. TryAcquireAll takes a whole lock
@@ -24,12 +33,11 @@
 // Waits are deadlock-free as long as every transaction waits for its
 // granules in one global order, ascending id, into which the caller lays
 // out its granule tiers (tree, then cells, then pages). Acquire enforces
-// the order: asking for a granule below the highest one the transaction
-// holds, unless it holds that granule too, is a programmer error and
-// panics. With the order kept, a timeout bounds a wait that the order
-// cannot: one behind a holder that does not let go, such as an owner
-// that calls back into the index while it holds its granules, or two
-// holders upgrading the same granule.
+// the order: asking for a granule at or below the highest one the
+// transaction holds is a programmer error and panics. With the order
+// kept, a timeout bounds only a wait behind a holder that does not let
+// go, such as an owner that calls back into the index while it holds its
+// granules.
 package dgl
 
 import (
@@ -44,28 +52,20 @@ import (
 type Mode int
 
 const (
-	// IS is intention-shared.
-	IS Mode = iota
 	// IX is intention-exclusive.
-	IX
+	IX Mode = iota
 	// S is shared.
 	S
-	// SIX is shared + intention-exclusive.
-	SIX
 	// X is exclusive.
 	X
 )
 
 func (m Mode) String() string {
 	switch m {
-	case IS:
-		return "IS"
 	case IX:
 		return "IX"
 	case S:
 		return "S"
-	case SIX:
-		return "SIX"
 	case X:
 		return "X"
 	default:
@@ -75,29 +75,15 @@ func (m Mode) String() string {
 
 // compat[a][b] reports whether a holder in mode a is compatible with a
 // requester in mode b.
-var compat = [5][5]bool{
-	IS:  {IS: true, IX: true, S: true, SIX: true, X: false},
-	IX:  {IS: true, IX: true, S: false, SIX: false, X: false},
-	S:   {IS: true, IX: false, S: true, SIX: false, X: false},
-	SIX: {IS: true, IX: false, S: false, SIX: false, X: false},
-	X:   {IS: false, IX: false, S: false, SIX: false, X: false},
+var compat = [3][3]bool{
+	IX: {IX: true, S: false, X: false},
+	S:  {IX: false, S: true, X: false},
+	X:  {IX: false, S: false, X: false},
 }
 
 // Compatible reports whether the two modes may be held simultaneously by
 // different transactions.
 func Compatible(a, b Mode) bool { return compat[a][b] }
-
-// sup[a][b] is the least mode covering both a and b (lock conversion).
-var sup = [5][5]Mode{
-	IS:  {IS: IS, IX: IX, S: S, SIX: SIX, X: X},
-	IX:  {IS: IX, IX: IX, S: SIX, SIX: SIX, X: X},
-	S:   {IS: S, IX: SIX, S: S, SIX: SIX, X: X},
-	SIX: {IS: SIX, IX: SIX, S: SIX, SIX: SIX, X: X},
-	X:   {IS: X, IX: X, S: X, SIX: X, X: X},
-}
-
-// Covers reports whether holding a implies the rights of b.
-func Covers(a, b Mode) bool { return sup[a][b] == a }
 
 // GranuleID identifies a lockable granule. The meaning of ids is up to
 // the caller (tree granule, grid cells, leaf pages, ...).
@@ -145,23 +131,11 @@ type noCopy struct{}
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
-// cover notes that the transaction takes g, the table's gr, in mode on
-// top of whatever it holds there, and returns the mode it holds g in from
-// now on. A granule above top is not held — granules are waited for in
-// ascending order — so it is appended without a scan: a whole-space
-// read's cell locks cost a cover each, not a scan of those before.
-func (t *Txn) cover(g GranuleID, mode Mode, gr *granule) Mode {
-	if g <= t.top {
-		for i := range t.held {
-			if t.held[i].g == g {
-				t.held[i].mode = sup[t.held[i].mode][mode]
-				return t.held[i].mode
-			}
-		}
-	}
+// cover notes that the transaction holds g, the table's gr, in mode. It
+// held nothing on g before: a cycle asks for each granule once.
+func (t *Txn) cover(g GranuleID, mode Mode, gr *granule) {
 	t.held = append(t.held, lock{g, mode, gr})
 	t.top = max(t.top, g)
-	return mode
 }
 
 // Manager is the lock table. Like Txn it must not be copied; its
@@ -193,15 +167,8 @@ type granule struct {
 	queue   []*waiter
 }
 
-// grant records txn as holding mode, replacing its previous grant on an
-// upgrade.
+// grant records txn, which holds nothing on gr, as holding mode.
 func (gr *granule) grant(txn *Txn, mode Mode) {
-	for i := range gr.holders {
-		if gr.holders[i].txn == txn {
-			gr.holders[i].mode = mode
-			return
-		}
-	}
 	gr.holders = append(gr.holders, holder{txn, mode})
 }
 
@@ -246,45 +213,28 @@ func (t *Txn) Held(g GranuleID) (Mode, bool) {
 // HeldCount returns the number of granules the transaction holds.
 func (t *Txn) HeldCount() int { return len(t.held) }
 
-// Acquire obtains (or upgrades to) the given mode on granule g, waiting
-// up to timeout (0 means wait forever). On ErrTimeout, returned as is,
-// the request is withdrawn; locks already held are untouched. It panics
-// when txn asks for a granule it does not hold below one it does: a
-// transaction waits for granules in ascending order.
+// Acquire obtains the given mode on granule g, waiting up to timeout (0
+// means wait forever) behind the holders it conflicts with and behind
+// every request queued before it. On ErrTimeout, returned as is, the
+// request is withdrawn; locks already held are untouched. It panics when
+// txn asks for a granule at or below one it holds: a transaction waits
+// for granules in ascending order, each once.
 func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duration) error {
-	var cur Mode
-	holds := false
-	if g <= txn.top { // above it nothing is held
-		cur, holds = txn.Held(g)
-	}
-	target := mode
-	upgrade := false
-	if holds {
-		if Covers(cur, mode) {
-			return nil // already strong enough
-		}
-		target = sup[cur][mode]
-		upgrade = true
-	} else if g < txn.top {
-		panic(fmt.Sprintf("dgl: Acquire of granule %d while holding granule %d: granules are waited for in ascending order", g, txn.top))
+	if len(txn.held) > 0 && g <= txn.top {
+		panic(fmt.Sprintf("dgl: Acquire of granule %d while holding granule %d: granules are waited for in ascending order, each once", g, txn.top))
 	}
 
 	m.mu.Lock()
 	gr := m.granuleLocked(g)
-	if m.grantableLocked(gr, txn, target, upgrade) {
-		gr.grant(txn, target)
+	if len(gr.queue) == 0 && gr.compatible(mode) {
+		gr.grant(txn, mode)
 		m.mu.Unlock()
-		txn.cover(g, target, gr)
+		txn.cover(g, mode, gr)
 		return nil
 	}
 	w := &txn.w
-	w.mode, w.granted = target, false
-	if upgrade {
-		// Conversions queue ahead of fresh requests to bound starvation.
-		gr.queue = slices.Insert(gr.queue, 0, w)
-	} else {
-		gr.queue = append(gr.queue, w)
-	}
+	w.mode, w.granted = mode, false
+	gr.queue = append(gr.queue, w)
 	m.mu.Unlock()
 
 	var timeoutC <-chan time.Time
@@ -301,7 +251,7 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 	}
 	select {
 	case <-w.ready:
-		txn.cover(g, target, gr)
+		txn.cover(g, mode, gr)
 		return nil
 	case <-timeoutC:
 		m.mu.Lock()
@@ -310,7 +260,7 @@ func (m *Manager) Acquire(txn *Txn, g GranuleID, mode Mode, timeout time.Duratio
 			// its signal is waiting in ready.
 			m.mu.Unlock()
 			<-w.ready
-			txn.cover(g, target, gr)
+			txn.cover(g, mode, gr)
 			return nil
 		}
 		gr.queue = slices.DeleteFunc(gr.queue, func(q *waiter) bool { return q == w })
@@ -345,49 +295,38 @@ type Req struct {
 
 // TryAcquireAll takes every granule of reqs in its mode, or none of
 // them, in one visit to the lock table. It never waits and never queues:
-// when any of the granules is held in a conflicting mode by another
-// transaction, or has a request queued on it — even one the modes would
-// admit, so that FIFO holds and a queued exclusive request is not starved
-// by a stream of try-ers — it reports false and the table is as it was,
-// with no entry made for a granule nobody holds. A granule txn already
-// holds is converted to the covering mode, as Acquire would. Since it
-// never waits, reqs may come in any order; what it grants counts towards
-// the order a later Acquire on txn must keep.
+// when any of the granules is held in a conflicting mode, or has a
+// request queued on it — even one the modes would admit, so that FIFO
+// holds and a queued exclusive request is not starved by a stream of
+// try-ers — it reports false and the table is as it was, with no entry
+// made for a granule nobody holds. txn holds nothing, and reqs names
+// each granule once. Since it never waits, reqs may come in any order;
+// what it grants counts towards the order a later Acquire on txn must
+// keep.
 func (m *Manager) TryAcquireAll(txn *Txn, reqs []Req) bool {
+	if len(txn.held) > 0 {
+		panic(fmt.Sprintf("dgl: TryAcquireAll while holding granule %d: a try takes a whole lock set", txn.top))
+	}
 	m.mu.Lock()
 	for _, r := range reqs {
-		if gr := m.granules[r.G]; gr != nil && (len(gr.queue) > 0 || !gr.compatibleWithOthers(txn, r.Mode)) {
+		if gr := m.granules[r.G]; gr != nil && (len(gr.queue) > 0 || !gr.compatible(r.Mode)) {
 			m.mu.Unlock()
 			return false
 		}
 	}
-	// Nothing stands in the way of any of them: grant. A conversion needs
-	// no second look — the covering mode conflicts with another holder
-	// only if the held or the requested mode does, and the one was granted
-	// and the other just checked against the same holders.
 	for _, r := range reqs {
 		gr := m.granuleLocked(r.G)
-		gr.grant(txn, txn.cover(r.G, r.Mode, gr))
+		gr.grant(txn, r.Mode)
+		txn.cover(r.G, r.Mode, gr)
 	}
 	m.mu.Unlock()
 	return true
 }
 
-// grantableLocked reports whether txn may take mode on gr right now.
-// Fresh requests respect FIFO: they are granted only when no other
-// request is queued. Upgrades only check the other current holders.
-func (m *Manager) grantableLocked(gr *granule, txn *Txn, mode Mode, upgrade bool) bool {
-	if !upgrade && len(gr.queue) > 0 {
-		return false
-	}
-	return gr.compatibleWithOthers(txn, mode)
-}
-
-// compatibleWithOthers reports whether mode is compatible with every
-// grant on gr other than txn's own.
-func (gr *granule) compatibleWithOthers(txn *Txn, mode Mode) bool {
+// compatible reports whether mode is compatible with every grant on gr.
+func (gr *granule) compatible(mode Mode) bool {
 	for _, h := range gr.holders {
-		if h.txn != txn && !Compatible(h.mode, mode) {
+		if !Compatible(h.mode, mode) {
 			return false
 		}
 	}
@@ -416,7 +355,7 @@ func (m *Manager) ReleaseAll(txn *Txn) {
 func (m *Manager) wakeLocked(g GranuleID, gr *granule) {
 	granted := 0
 	for _, w := range gr.queue {
-		if !gr.compatibleWithOthers(w.txn, w.mode) {
+		if !gr.compatible(w.mode) {
 			break
 		}
 		gr.grant(w.txn, w.mode)

@@ -16,10 +16,8 @@ func TestCompatibilityMatrix(t *testing.T) {
 		a, b Mode
 		want bool
 	}{
-		{IS, IS, true}, {IS, IX, true}, {IS, S, true}, {IS, SIX, true}, {IS, X, false},
-		{IX, IX, true}, {IX, S, false}, {IX, SIX, false}, {IX, X, false},
-		{S, S, true}, {S, SIX, false}, {S, X, false},
-		{SIX, SIX, false}, {SIX, X, false},
+		{IX, IX, true}, {IX, S, false}, {IX, X, false},
+		{S, S, true}, {S, X, false},
 		{X, X, false},
 	}
 	for _, c := range cases {
@@ -32,36 +30,27 @@ func TestCompatibilityMatrix(t *testing.T) {
 	}
 }
 
-func TestCoversLattice(t *testing.T) {
-	if !Covers(X, S) || !Covers(X, IX) || !Covers(SIX, S) || !Covers(SIX, IX) || !Covers(S, S) {
-		t.Fatal("expected coverings missing")
-	}
-	if Covers(S, X) || Covers(IS, S) || Covers(IX, S) {
-		t.Fatal("false coverings")
-	}
-}
-
 func TestAcquireReleaseBasic(t *testing.T) {
 	m := NewManager()
-	t1 := m.Begin()
-	t2 := m.Begin()
+	t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
 	if err := m.Acquire(t1, 1, S, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Acquire(t2, 1, S, 0); err != nil {
 		t.Fatal(err) // S-S compatible
 	}
-	if err := m.Acquire(t2, 1, X, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("upgrade to X with S holder present: err = %v, want timeout", err)
+	if err := m.Acquire(t3, 1, X, 50*time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("X with S holders present: err = %v, want timeout", err)
 	}
 	m.ReleaseAll(t1)
-	if err := m.Acquire(t2, 1, X, time.Second); err != nil {
+	m.ReleaseAll(t2)
+	if err := m.Acquire(t3, 1, X, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if mode, ok := t2.Held(1); !ok || mode != X {
-		t.Fatalf("t2 holds %v/%v, want X", mode, ok)
+	if mode, ok := t3.Held(1); !ok || mode != X {
+		t.Fatalf("t3 holds %v/%v, want X", mode, ok)
 	}
-	m.ReleaseAll(t2)
+	m.ReleaseAll(t3)
 	if s := m.Stats(); s.Granules != 0 || s.Waiters != 0 {
 		t.Fatalf("lock table not empty after releases: %+v", s)
 	}
@@ -95,54 +84,32 @@ func TestExclusiveBlocksAndWakes(t *testing.T) {
 	m.ReleaseAll(t2)
 }
 
-func TestReacquireStrongerIsUpgrade(t *testing.T) {
-	m := NewManager()
-	t1 := m.Begin()
-	if err := m.Acquire(t1, 3, IS, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Acquire(t1, 3, IX, 0); err != nil {
-		t.Fatal(err)
-	}
-	if mode, _ := t1.Held(3); mode != IX {
-		t.Fatalf("mode after IS->IX = %v", mode)
-	}
-	// S + IX = SIX.
-	if err := m.Acquire(t1, 3, S, 0); err != nil {
-		t.Fatal(err)
-	}
-	if mode, _ := t1.Held(3); mode != SIX {
-		t.Fatalf("mode after +S = %v, want SIX", mode)
-	}
-	// Weaker re-acquire is a no-op.
-	if err := m.Acquire(t1, 3, IS, 0); err != nil {
-		t.Fatal(err)
-	}
-	if mode, _ := t1.Held(3); mode != SIX {
-		t.Fatalf("mode degraded to %v", mode)
-	}
-	m.ReleaseAll(t1)
-}
-
 // TestAcquireKeepsTheOrder: a transaction waits for granules in
-// ascending order. Acquire panics on a granule below one it holds, and
-// names both; a held granule may be asked for again or upgraded; a
-// descriptor ReleaseAll has reset starts from the bottom again; and
-// TryAcquireAll, which never waits, takes its set in any order.
+// ascending order, each once. Acquire panics on a granule below one it
+// holds, and names both; it panics too when a held granule is asked for
+// again, in any mode; a descriptor ReleaseAll has reset starts from the
+// bottom again; and TryAcquireAll, which never waits, takes its set in
+// any order, but only on a descriptor that holds nothing.
 func TestAcquireKeepsTheOrder(t *testing.T) {
 	m := NewManager()
 	txn := m.Begin()
-	acquire := func(g GranuleID, mode Mode) (msg string) {
+	catch := func(f func()) (msg string) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
 				msg = fmt.Sprint(r)
 			}
 		}()
-		if err := m.Acquire(txn, g, mode, time.Second); err != nil {
-			t.Fatal(err)
-		}
+		f()
 		return ""
+	}
+	acquire := func(g GranuleID, mode Mode) string {
+		t.Helper()
+		return catch(func() {
+			if err := m.Acquire(txn, g, mode, time.Second); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 
 	for _, g := range []GranuleID{0, 5, 1<<32 + 7} {
@@ -161,14 +128,24 @@ func TestAcquireKeepsTheOrder(t *testing.T) {
 		t.Fatalf("the refused request changed the table: %d held, %+v", txn.HeldCount(), m.Stats())
 	}
 
-	// Below the top, but held: asked for again, then upgraded.
-	for _, mode := range []Mode{IX, X} {
-		if msg := acquire(5, mode); msg != "" {
-			t.Fatalf("Acquire of held granule 5 in %v panicked: %s", mode, msg)
+	// Held, below the top or at it: asking again in any mode panics, and
+	// leaves the grant as it was.
+	for _, g := range []GranuleID{5, 1<<32 + 7} {
+		for _, mode := range []Mode{IX, S, X} {
+			if msg := acquire(g, mode); !strings.Contains(msg, fmt.Sprintf("granule %d ", g)) {
+				t.Fatalf("Acquire of held granule %d in %v: panic %q, want one naming it", g, mode, msg)
+			}
+		}
+		if mode, ok := txn.Held(g); !ok || mode != IX {
+			t.Fatalf("granule %d held in %v (held %v) after the refused requests, want IX", g, mode, ok)
 		}
 	}
-	if mode, _ := txn.Held(5); mode != X {
-		t.Fatalf("granule 5 held in %v after the upgrade, want X", mode)
+	if txn.HeldCount() != 3 || m.Stats() != (Stats{Granules: 3}) {
+		t.Fatalf("the refused requests changed the table: %d held, %+v", txn.HeldCount(), m.Stats())
+	}
+	// A try takes a whole set: not on a descriptor that holds something.
+	if msg := catch(func() { m.TryAcquireAll(txn, []Req{{G: 1 << 33, Mode: X}}) }); msg == "" {
+		t.Fatal("TryAcquireAll on a descriptor holding three granules did not panic")
 	}
 
 	m.ReleaseAll(txn)
@@ -236,40 +213,13 @@ func TestFIFOFairness(t *testing.T) {
 	}
 }
 
-func TestUpgradeDeadlockTimesOut(t *testing.T) {
-	// Two S holders both upgrading to X deadlock; timeouts must rescue.
-	m := NewManager()
-	t1 := m.Begin()
-	t2 := m.Begin()
-	if err := m.Acquire(t1, 4, S, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Acquire(t2, 4, S, 0); err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan error, 2)
-	go func() { errs <- m.Acquire(t1, 4, X, 100*time.Millisecond) }()
-	go func() { errs <- m.Acquire(t2, 4, X, 100*time.Millisecond) }()
-	timeouts := 0
-	for i := 0; i < 2; i++ {
-		if err := <-errs; errors.Is(err, ErrTimeout) {
-			timeouts++
-		}
-	}
-	if timeouts == 0 {
-		t.Fatal("upgrade deadlock did not time out")
-	}
-	m.ReleaseAll(t1)
-	m.ReleaseAll(t2)
-}
-
 // TestTimeoutWakesWaitersBehind: a request that times out leaves the
 // queue, and the compatible requests that were only waiting behind it
 // (FIFO) must be granted then, not at the holder's next release.
 func TestTimeoutWakesWaitersBehind(t *testing.T) {
 	m := NewManager()
 	holder := m.Begin()
-	if err := m.Acquire(holder, 5, IS, 0); err != nil {
+	if err := m.Acquire(holder, 5, S, 0); err != nil {
 		t.Fatal(err)
 	}
 	writer := m.Begin()
@@ -278,13 +228,13 @@ func TestTimeoutWakesWaitersBehind(t *testing.T) {
 	waitForWaiters(t, m, 1)
 	reader := m.Begin()
 	rErr := make(chan error, 1)
-	go func() { rErr <- m.Acquire(reader, 5, IS, 10*time.Second) }()
+	go func() { rErr <- m.Acquire(reader, 5, S, 10*time.Second) }()
 	waitForWaiters(t, m, 2)
 
 	if err := <-wErr; !errors.Is(err, ErrTimeout) {
 		t.Fatalf("writer: %v, want ErrTimeout", err)
 	}
-	// The holder keeps its IS: only the withdrawal can admit the reader.
+	// The holder keeps its S: only the withdrawal can admit the reader.
 	select {
 	case err := <-rErr:
 		if err != nil {
@@ -372,7 +322,7 @@ func TestConcurrentStress(t *testing.T) {
 }
 
 func TestModeString(t *testing.T) {
-	names := map[Mode]string{IS: "IS", IX: "IX", S: "S", SIX: "SIX", X: "X"}
+	names := map[Mode]string{IX: "IX", S: "S", X: "X"}
 	for m, want := range names {
 		if m.String() != want {
 			t.Fatalf("Mode %d string = %q", int(m), m.String())
@@ -407,7 +357,7 @@ func TestTryAcquireAll(t *testing.T) {
 		return []Req{{G: 0, Mode: IX}, {G: 11, Mode: X}, {G: 12, Mode: X}, {G: 1<<32 + 7, Mode: X}}
 	}
 	query := func() []Req {
-		return []Req{{G: 0, Mode: IS}, {G: 11, Mode: S}, {G: 12, Mode: S}, {G: 13, Mode: S}}
+		return []Req{{G: 11, Mode: S}, {G: 12, Mode: S}, {G: 13, Mode: S}, {G: 14, Mode: S}}
 	}
 	// Each obstacle is put on granule k of its set; granted says whether
 	// the try must succeed all the same, and put returns what removes the
@@ -434,10 +384,10 @@ func TestTryAcquireAll(t *testing.T) {
 			return func() { m.ReleaseAll(h) }
 		}},
 		{"queued waiter", query, false, func(t *testing.T, m *Manager, r Req) func() {
-			// The holder's IS admits whatever the query asks for; what turns
+			// The holder's S admits whatever the query asks for; what turns
 			// the try away is the X request queued behind the holder.
 			h, w := m.Begin(), m.Begin()
-			if err := m.Acquire(h, r.G, IS, 0); err != nil {
+			if err := m.Acquire(h, r.G, S, 0); err != nil {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
@@ -525,24 +475,6 @@ func TestTryAcquireAll(t *testing.T) {
 			m.ReleaseAll(txn)
 		}
 		if s := m.Stats(); s.Granules != 0 || s.Waiters != 0 {
-			t.Fatalf("lock table not empty after releases: %+v", s)
-		}
-	})
-
-	t.Run("conversion", func(t *testing.T) {
-		m := NewManager()
-		txn := m.Begin()
-		if err := m.Acquire(txn, 5, S, 0); err != nil {
-			t.Fatal(err)
-		}
-		if !m.TryAcquireAll(txn, []Req{{G: 5, Mode: IX}, {G: 6, Mode: X}}) {
-			t.Fatal("try refused on granules only its owner holds")
-		}
-		if mode, _ := txn.Held(5); mode != SIX {
-			t.Fatalf("S + IX held as %v, want SIX", mode)
-		}
-		m.ReleaseAll(txn)
-		if s := m.Stats(); s.Granules != 0 {
 			t.Fatalf("lock table not empty after releases: %+v", s)
 		}
 	})
